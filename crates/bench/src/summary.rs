@@ -73,13 +73,18 @@ impl BenchSummary {
     }
 
     /// Write `BENCH_<ID>.json` at the repository root; returns the path.
-    pub fn write(&self) -> Result<PathBuf> {
+    /// A debug build writes nothing and returns `None`: the files carry
+    /// release-profile numbers, and `cargo test` must not replace them.
+    pub fn write(&self) -> Result<Option<PathBuf>> {
+        if cfg!(debug_assertions) {
+            return Ok(None);
+        }
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join(format!("BENCH_{}.json", self.id.to_uppercase()));
         std::fs::write(&path, format!("{}\n", self.to_json()))
             .map_err(|e| EiiError::Execution(format!("writing {}: {e}", path.display())))?;
-        Ok(path)
+        Ok(Some(path))
     }
 }
 
@@ -184,6 +189,13 @@ mod tests {
         for id in TRAJECTORY_IDS {
             assert!(text.contains(&id.to_uppercase()), "missing row for {id}");
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn debug_builds_write_no_summary_file() {
+        let s = BenchSummary::from_latencies("e99_debug_guard", &[1.0], 0);
+        assert_eq!(s.write().unwrap(), None);
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub use deadline::{CancelToken, Deadline, Priority};
 pub use error::{EiiError, Result};
 pub use row::Row;
 pub use schema::{DataType, Field, Schema, SchemaRef};
-pub use value::Value;
+pub use value::{KeyProbe, Value};

@@ -7,6 +7,7 @@
 //! semantics at the comparison layer of the expression crate.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -220,6 +221,83 @@ impl Hash for Value {
     }
 }
 
+/// A value keyed by what [`Value`]'s `Hash` feeds the hasher. Unlike `==`
+/// this is an equivalence relation, and `a == b` implies `a` and `b` are in
+/// one class — so a map keyed on it never separates two equal values.
+#[derive(Debug)]
+struct HashClass<'a>(&'a Value);
+
+impl HashClass<'_> {
+    /// The `f64` bit pattern `Hash` feeds the hasher for a numeric value.
+    fn numeric_bits(&self) -> Option<u64> {
+        match self.0 {
+            Value::Int(i) => Some((*i as f64).to_bits()),
+            Value::Float(f) => Some(f.to_bits()),
+            _ => None,
+        }
+    }
+}
+
+impl PartialEq for HashClass<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.numeric_bits(), other.numeric_bits()) {
+            (Some(a), Some(b)) => a == b,
+            (None, None) => self.0 == other.0,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for HashClass<'_> {}
+
+impl Hash for HashClass<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+/// A hashed multi-key equality probe that answers exactly what a linear
+/// `keys.iter().position(|k| k == v)` sweep answers.
+///
+/// `Value`'s `==` is not transitive across `Int`/`Float` beyond 2^53
+/// (`Int(2^53) == Float(2^53) == Int(2^53 + 1)`, yet the two ints differ),
+/// so a `HashSet<Value>` that dedups on insert can drop the one key a later
+/// probe would have matched. The probe therefore buckets keys by hash class
+/// and compares every candidate in the bucket with `==`.
+#[derive(Debug)]
+pub struct KeyProbe<'a> {
+    keys: &'a [Value],
+    /// Hash class → positions in `keys`, ascending.
+    buckets: HashMap<HashClass<'a>, Vec<usize>>,
+}
+
+impl<'a> KeyProbe<'a> {
+    /// Index `keys` (duplicates and NULLs included: NULL matches NULL, as
+    /// `==` on [`Value`] says).
+    pub fn new(keys: &'a [Value]) -> Self {
+        let mut buckets: HashMap<HashClass<'a>, Vec<usize>> = HashMap::with_capacity(keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            buckets.entry(HashClass(k)).or_default().push(i);
+        }
+        KeyProbe { keys, buckets }
+    }
+
+    /// Positions of the keys equal to `v`, ascending.
+    pub fn positions<'p>(&'p self, v: &'p Value) -> impl Iterator<Item = usize> + 'p {
+        self.buckets
+            .get(&HashClass(v))
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(move |&i| self.keys[i] == *v)
+    }
+
+    /// Whether any key equals `v`.
+    pub fn contains(&self, v: &Value) -> bool {
+        self.positions(v).next().is_some()
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -287,6 +365,42 @@ mod tests {
         assert_eq!(hash_of(&Value::Int(2)), hash_of(&Value::Float(2.0)));
         assert!(Value::Int(2) < Value::Float(2.5));
         assert!(Value::Float(1.5) < Value::Int(2));
+    }
+
+    #[test]
+    fn key_probe_matches_linear_sweep_past_2_pow_53() {
+        const P53: i64 = 1 << 53;
+        // Int(2^53) first: a deduplicating set would drop Float(2^53) as its
+        // duplicate and then miss Int(2^53 + 1), which only the float equals.
+        let keys = [
+            Value::Int(P53),
+            Value::Float(P53 as f64),
+            Value::Null,
+            Value::str("a"),
+            Value::Int(P53),
+        ];
+        let probe = KeyProbe::new(&keys);
+        for v in [
+            Value::Int(P53 + 1),
+            Value::Int(P53),
+            Value::Float(P53 as f64),
+            Value::Null,
+            Value::str("a"),
+            Value::str("b"),
+            Value::Timestamp(P53),
+        ] {
+            let linear: Vec<usize> = (0..keys.len()).filter(|&i| keys[i] == v).collect();
+            assert_eq!(
+                probe.positions(&v).collect::<Vec<_>>(),
+                linear,
+                "probing {v}"
+            );
+            assert_eq!(probe.contains(&v), !linear.is_empty());
+        }
+        assert_eq!(
+            probe.positions(&Value::Int(P53 + 1)).collect::<Vec<_>>(),
+            [1]
+        );
     }
 
     #[test]

@@ -17,6 +17,8 @@ struct Inner {
     next_id: DocId,
     /// token -> set of documents containing it (kept incrementally).
     keyword_index: HashMap<String, HashSet<DocId>>,
+    /// Bumped by every insert and every effective remove.
+    version: u64,
 }
 
 /// A shared, schema-less document store.
@@ -46,6 +48,7 @@ impl DocStore {
             inner.keyword_index.entry(tok).or_default().insert(id);
         }
         inner.docs.insert(id, doc);
+        inner.version += 1;
         id
     }
 
@@ -68,8 +71,17 @@ impl DocStore {
                 set.remove(&id);
             }
             inner.keyword_index.retain(|_, s| !s.is_empty());
+            inner.version += 1;
         }
         existed
+    }
+
+    /// A counter that changes whenever the stored documents do. Whatever a
+    /// reader derives from the store (extractions, statistics) is current
+    /// for as long as the version it read *beforehand* is still the
+    /// version.
+    pub fn version(&self) -> u64 {
+        self.inner.read().version
     }
 
     /// Number of documents.
@@ -198,6 +210,21 @@ mod tests {
         assert!(s.remove(id));
         assert!(s.keyword_search("unique_token_xyz").is_empty());
         assert!(!s.remove(id));
+    }
+
+    #[test]
+    fn version_changes_with_the_documents() {
+        let s = DocStore::new();
+        let v0 = s.version();
+        let id = s.insert(Document::from_text("memo", "x"));
+        let v1 = s.version();
+        assert_ne!(v0, v1, "insert");
+        assert!(s.remove(id));
+        let v2 = s.version();
+        assert_ne!(v1, v2, "remove");
+        assert!(!s.remove(id));
+        assert_eq!(s.version(), v2, "removing nothing changes nothing");
+        assert_eq!(s.clone().version(), v2, "clones share the store");
     }
 
     #[test]

@@ -22,6 +22,9 @@ use crate::dialect::Dialect;
 struct CsvTable {
     schema: SchemaRef,
     rows: Vec<Row>,
+    /// Analyzed once, when the file is registered: a file never changes
+    /// afterwards.
+    stats: Arc<TableStats>,
 }
 
 /// A wrapped directory of delimited files.
@@ -93,8 +96,15 @@ impl CsvConnector {
                 .collect();
             rows.push(row);
         }
-        let table = table.into();
-        self.tables.insert(table, CsvTable { schema, rows });
+        let stats = Arc::new(TableStats::analyze(schema.len(), rows.iter()));
+        self.tables.insert(
+            table.into(),
+            CsvTable {
+                schema,
+                rows,
+                stats,
+            },
+        );
         Ok(self)
     }
 
@@ -128,9 +138,8 @@ impl Connector for CsvConnector {
         Dialect::lowest_common_denominator()
     }
 
-    fn statistics(&self, table: &str) -> Result<TableStats> {
-        let t = self.table(table)?;
-        Ok(TableStats::analyze(t.schema.len(), t.rows.iter()))
+    fn statistics(&self, table: &str) -> Result<Arc<TableStats>> {
+        Ok(self.table(table)?.stats.clone())
     }
 
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
@@ -221,5 +230,14 @@ mod tests {
         let s = c.statistics("payments").unwrap();
         assert_eq!(s.row_count, 3);
         assert_eq!(s.columns[2].null_count, 1);
+        let parsed = c
+            .execute(&SourceQuery::full_table("payments"))
+            .unwrap()
+            .batch;
+        assert_eq!(*s, TableStats::analyze(3, parsed.rows().iter()));
+        assert!(
+            Arc::ptr_eq(&s, &c.statistics("payments").unwrap()),
+            "analyzed at add_file, not per call"
+        );
     }
 }

@@ -8,9 +8,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eii_data::{DataType, EiiError, Result, Schema, SchemaRef};
+use eii_data::{Batch, DataType, EiiError, Result, Schema, SchemaRef};
 use eii_docstore::DocStore;
 use eii_storage::TableStats;
+use parking_lot::Mutex;
 
 use crate::adapters::apply_query_locally;
 use crate::capability::SourceCapabilities;
@@ -31,6 +32,9 @@ pub struct DocumentConnector {
     name: String,
     store: DocStore,
     tables: BTreeMap<String, VirtualTable>,
+    /// Per virtual table: the statistics of one extraction and the
+    /// [`DocStore::version`] it was made at.
+    stats: Mutex<BTreeMap<String, (u64, Arc<TableStats>)>>,
 }
 
 impl DocumentConnector {
@@ -40,11 +44,13 @@ impl DocumentConnector {
             name: name.into(),
             store,
             tables: BTreeMap::new(),
+            stats: Mutex::default(),
         }
     }
 
     /// Define a virtual table (client-side schema imposition).
     pub fn define_table(mut self, vt: VirtualTable) -> Self {
+        self.stats.get_mut().remove(&vt.name);
         self.tables.insert(vt.name.clone(), vt);
         self
     }
@@ -58,6 +64,17 @@ impl DocumentConnector {
         self.tables.get(name).ok_or_else(|| {
             EiiError::NotFound(format!("virtual table {name} in source {}", self.name))
         })
+    }
+
+    /// Impose the virtual table's schema on the store's current documents.
+    fn extract(&self, table: &str) -> Result<Batch> {
+        let cols: Vec<(&str, &str, DataType)> = self
+            .table(table)?
+            .columns
+            .iter()
+            .map(|(n, p, ty)| (n.as_str(), p.as_str(), *ty))
+            .collect();
+        self.store.extract(&cols)
     }
 }
 
@@ -90,28 +107,29 @@ impl Connector for DocumentConnector {
         Dialect::ansi_full()
     }
 
-    fn statistics(&self, table: &str) -> Result<TableStats> {
-        let vt = self.table(table)?;
-        let cols: Vec<(&str, &str, DataType)> = vt
-            .columns
-            .iter()
-            .map(|(n, p, ty)| (n.as_str(), p.as_str(), *ty))
-            .collect();
-        let batch = self.store.extract(&cols)?;
-        Ok(TableStats::analyze(
+    fn statistics(&self, table: &str) -> Result<Arc<TableStats>> {
+        // Version first, extraction second: a write racing the extraction
+        // leaves statistics filed under the older version, which the next
+        // call recomputes — never a stale hit.
+        let version = self.store.version();
+        if let Some((at, stats)) = self.stats.lock().get(table) {
+            if *at == version {
+                return Ok(stats.clone());
+            }
+        }
+        let batch = self.extract(table)?;
+        let stats = Arc::new(TableStats::analyze(
             batch.schema().len(),
             batch.rows().iter(),
-        ))
+        ));
+        self.stats
+            .lock()
+            .insert(table.to_string(), (version, stats.clone()));
+        Ok(stats)
     }
 
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
-        let vt = self.table(&query.table)?;
-        let cols: Vec<(&str, &str, DataType)> = vt
-            .columns
-            .iter()
-            .map(|(n, p, ty)| (n.as_str(), p.as_str(), *ty))
-            .collect();
-        let extracted = self.store.extract(&cols)?;
+        let extracted = self.extract(&query.table)?;
         let schema = extracted.schema().clone();
         let scanned = extracted.num_rows();
         let batch = apply_query_locally(
@@ -192,6 +210,54 @@ mod tests {
         let s = c.statistics("tickets").unwrap();
         assert_eq!(s.row_count, 2);
         assert_eq!(s.columns[1].ndv, 2);
+    }
+
+    #[test]
+    fn statistics_follow_the_store_version() {
+        let c = setup();
+        let first = c.statistics("tickets").unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &c.statistics("tickets").unwrap()),
+            "same version: no second extraction"
+        );
+        let id = c.store().insert(Document::from_records(
+            "tickets week 2",
+            &[vec![
+                ("ticket_id", "102".into()),
+                ("customer", "carol".into()),
+                ("severity", "2".into()),
+            ]],
+        ));
+        let grown = c.statistics("tickets").unwrap();
+        assert_eq!((grown.row_count, grown.columns[1].ndv), (3, 3), "insert");
+        assert!(c.store().remove(id));
+        let shrunk = c.statistics("tickets").unwrap();
+        assert_eq!(*shrunk, *first, "remove");
+        assert!(!Arc::ptr_eq(&shrunk, &first));
+    }
+
+    #[test]
+    fn bound_query_cost_grows_with_matches_not_with_keys_times_rows() {
+        let store = DocStore::new();
+        let records: Vec<Vec<(&str, String)>> = (0..20_000)
+            .map(|i| vec![("ticket_id", i.to_string())])
+            .collect();
+        store.insert(Document::from_records("tickets", &records));
+        let c = DocumentConnector::new("support", store).define_table(VirtualTable {
+            name: "tickets".into(),
+            columns: vec![("ticket_id".into(), "//row/ticket_id".into(), DataType::Int)],
+        });
+        let ratio = crate::adapters::tests::bound_cost_ratio(|keys| {
+            let q = SourceQuery {
+                table: "tickets".into(),
+                bindings: vec![("ticket_id".into(), keys.to_vec())],
+                ..SourceQuery::default()
+            };
+            assert_eq!(c.execute(&q).unwrap().batch.num_rows(), keys.len());
+        });
+        // Both sizes pay the same extraction; a linear sweep of the binding
+        // list per row on top of it makes this ~30, a hashed probe ~1.
+        assert!(ratio < 5.0, "2000 keys cost {ratio:.1}x what 20 keys cost");
     }
 
     #[test]

@@ -5,8 +5,22 @@ pub mod document;
 pub mod relational;
 pub mod webservice;
 
-use eii_data::{Batch, EiiError, Result, Row, SchemaRef, Value};
+use eii_data::{Batch, EiiError, KeyProbe, Result, Row, SchemaRef, Value};
 use eii_expr::{bind, Expr};
+use eii_storage::Table;
+
+use crate::connector::BindAccess;
+
+/// Resolve one equality binding inside the source's table — the table picks
+/// index probes or one bucketing scan — and report which it was.
+pub(crate) fn lookup_binding(t: &Table, col: usize, vals: &[Value]) -> (Vec<Row>, BindAccess) {
+    let access = if t.has_eq_index(col) {
+        BindAccess::Index
+    } else {
+        BindAccess::Scan
+    };
+    (t.lookup_in(col, vals), access)
+}
 
 /// Shared helper: apply a component query's filters, bindings, projection,
 /// and limit to rows already materialized at the wrapper. Used by adapters
@@ -25,7 +39,7 @@ pub(crate) fn apply_query_locally(
         .collect::<Result<Vec<_>>>()?;
     let binding_cols = bindings
         .iter()
-        .map(|(col, vals)| Ok((schema.index_of(None, col)?, vals)))
+        .map(|(col, vals)| Ok((schema.index_of(None, col)?, KeyProbe::new(vals))))
         .collect::<Result<Vec<_>>>()?;
     let mut out = Vec::new();
     for row in rows {
@@ -88,4 +102,168 @@ pub(crate) fn reject_unsupported(
         )));
     }
     Ok(())
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use eii_data::{DataType, Field, Schema, SimClock};
+    use eii_storage::TableDef;
+    use proptest::prelude::*;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// Best-of-3 wall time of `run` with 2 000 bound keys over best-of-3
+    /// with 20: how a bound query's cost grows with its binding list. A
+    /// ratio, so the machine's speed and the build profile cancel out.
+    pub(crate) fn bound_cost_ratio(mut run: impl FnMut(&[Value])) -> f64 {
+        let mut best = |n: i64| {
+            let keys: Vec<Value> = (0..n).map(Value::Int).collect();
+            (0..3)
+                .map(|_| {
+                    let t = Instant::now();
+                    run(&keys);
+                    t.elapsed()
+                })
+                .min()
+                .unwrap_or(Duration::ZERO)
+        };
+        let (few, many) = (best(20), best(2_000));
+        many.as_secs_f64() / few.as_secs_f64().max(1e-9)
+    }
+
+    const P53: i64 = 1 << 53;
+
+    /// Keys and cell values around every equality hazard: duplicates (small
+    /// domains), NULL, strings, and — half of all draws — the five numerics
+    /// at 2^53 ± 1, where `==` stops being transitive (`Float(2^53)` equals
+    /// both `Int(2^53)` and `Int(2^53 + 1)`).
+    fn hazard_value() -> impl Strategy<Value = Value> {
+        let at_2_53 = || {
+            prop_oneof![
+                (-1i64..2).prop_map(|d| Value::Int(P53 + d)),
+                (-1i64..1).prop_map(|d| Value::Float((P53 + d) as f64)),
+            ]
+        };
+        prop_oneof![
+            at_2_53(),
+            at_2_53(),
+            at_2_53(),
+            Just(Value::Null),
+            (0i64..2).prop_map(|i| if i == 0 {
+                Value::Int(1)
+            } else {
+                Value::Float(1.0)
+            }),
+            (0i64..2).prop_map(|i| Value::str(format!("s{i}"))),
+        ]
+    }
+
+    /// `(k_int, k_float, k_str)` cells drawn from [`hazard_value`]'s domain;
+    /// a draw of another type than its column's becomes NULL, as a typed
+    /// table requires.
+    fn typed_cells() -> impl Strategy<Value = Vec<Value>> {
+        (hazard_value(), hazard_value(), hazard_value()).prop_map(|(a, b, c)| {
+            let typed = |v: Value, ty| {
+                if v.data_type() == Some(ty) {
+                    v
+                } else {
+                    Value::Null
+                }
+            };
+            vec![
+                typed(a, DataType::Int),
+                typed(b, DataType::Float),
+                typed(c, DataType::Str),
+            ]
+        })
+    }
+
+    fn table_of(rows: &[Vec<Value>], index: impl Fn(&mut Table)) -> Table {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("id", DataType::Int).not_null(),
+            Field::new("k_int", DataType::Int),
+            Field::new("k_float", DataType::Float),
+            Field::new("k_str", DataType::Str),
+        ]));
+        let mut t = Table::new(
+            TableDef::new("t", schema).with_primary_key(0),
+            SimClock::new(),
+        );
+        index(&mut t);
+        for (i, cells) in rows.iter().enumerate() {
+            let mut row = vec![Value::Int(i as i64)];
+            row.extend(cells.iter().cloned());
+            t.insert(Row::new(row)).expect("typed row");
+        }
+        t
+    }
+
+    /// What `apply_query_locally` must compute, bindings by linear `==`.
+    fn reference_apply(
+        rows: &[Row],
+        bindings: &[(usize, Vec<Value>)],
+        limit: Option<usize>,
+    ) -> Vec<Row> {
+        rows.iter()
+            .filter(|r| {
+                bindings
+                    .iter()
+                    .all(|(col, vals)| vals.iter().any(|v| v == r.get(*col)))
+            })
+            .take(limit.unwrap_or(usize::MAX))
+            .cloned()
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lookup_in_equals_concatenated_lookup_eq(
+            rows in proptest::collection::vec(typed_cells(), 0..24),
+            keys in proptest::collection::vec(hazard_value(), 0..10),
+            col in 1usize..4,
+        ) {
+            let tables = [
+                table_of(&rows, |_| {}),
+                table_of(&rows, |t| t.create_hash_index(col)),
+                table_of(&rows, |t| t.create_ordered_index(col)),
+            ];
+            for t in &tables {
+                let per_key: Vec<Row> = keys.iter().flat_map(|k| t.lookup_eq(col, k)).collect();
+                prop_assert_eq!(t.lookup_in(col, &keys), per_key);
+            }
+            // The primary key's own index.
+            let t = &tables[0];
+            let per_key: Vec<Row> = keys.iter().flat_map(|k| t.lookup_eq(0, k)).collect();
+            prop_assert_eq!(t.lookup_in(0, &keys), per_key);
+        }
+
+        #[test]
+        fn apply_query_locally_equals_linear_reference(
+            cells in proptest::collection::vec((hazard_value(), hazard_value()), 0..24),
+            first in proptest::collection::vec(hazard_value(), 0..8),
+            second in proptest::collection::vec(hazard_value(), 0..8),
+            bind_second in any::<bool>(),
+            limit in 0usize..6,
+        ) {
+            let schema: SchemaRef = Arc::new(Schema::new(vec![
+                Field::new("a", DataType::Int),
+                Field::new("b", DataType::Int),
+            ]));
+            let rows: Vec<Row> = cells.into_iter().map(|(a, b)| Row::new(vec![a, b])).collect();
+            let mut named = vec![("a".to_string(), first.clone())];
+            let mut by_index = vec![(0, first)];
+            if bind_second {
+                named.push(("b".to_string(), second.clone()));
+                by_index.push((1, second));
+            }
+            // limit 0 stands for "no limit".
+            let limit = (limit > 0).then_some(limit);
+            let got = apply_query_locally(&schema, rows.clone(), &[], &named, None, limit)
+                .expect("both binding columns exist");
+            prop_assert_eq!(got.into_rows(), reference_apply(&rows, &by_index, limit));
+        }
+    }
 }

@@ -4,11 +4,13 @@
 //! filters into the source engine (index-assisted where possible), honors
 //! projections, limits and bind-join batches, and routes EAI updates.
 
-use eii_data::{EiiError, Result, SchemaRef, Value};
+use std::sync::Arc;
+
+use eii_data::{EiiError, Result, SchemaRef};
 use eii_expr::bind;
 use eii_storage::{Database, TableStats};
 
-use crate::adapters::apply_query_locally;
+use crate::adapters::{apply_query_locally, lookup_binding};
 use crate::capability::SourceCapabilities;
 use crate::connector::{Connector, SourceAnswer, SourceQuery, UpdateOp, UpdateResult};
 use crate::dialect::Dialect;
@@ -72,8 +74,8 @@ impl Connector for RelationalConnector {
         self.dialect.clone()
     }
 
-    fn statistics(&self, table: &str) -> Result<TableStats> {
-        Ok(self.db.table(table)?.write().stats().clone())
+    fn statistics(&self, table: &str) -> Result<Arc<TableStats>> {
+        Ok(self.db.table(table)?.read().stats())
     }
 
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
@@ -99,40 +101,33 @@ impl Connector for RelationalConnector {
         let t = handle.read();
         let schema = t.schema().clone();
 
-        // Choose the cheapest access path: a single equality binding with
-        // few values uses point lookups; otherwise scan.
-        let (candidate_rows, rows_scanned) = match query.bindings.as_slice() {
+        // A single equality binding is resolved by the table (index probes,
+        // or one bucketing scan when the column has no index); anything else
+        // reads the table and filters here. Either way a binding is charged
+        // the rows it matched: simulated time prices an unindexed binding as
+        // if it were indexed (docs/architecture.md, "Source access paths").
+        let (candidate_rows, bind_access, remaining_bindings) = match query.bindings.as_slice() {
             [(col, vals)] => {
-                let col_idx = schema.index_of(None, col)?;
-                let mut rows = Vec::new();
-                for v in vals {
-                    rows.extend(t.lookup_eq(col_idx, v));
-                }
-                let scanned = rows.len();
-                (rows, scanned)
+                let (rows, access) = lookup_binding(&t, schema.index_of(None, col)?, vals);
+                (rows, Some(access), &[][..])
             }
-            _ => {
-                let rows = t.all_rows();
-                let scanned = rows.len();
-                (rows, scanned)
-            }
+            bindings => (t.all_rows(), None, bindings),
         };
+        let rows_scanned = candidate_rows.len();
         drop(t);
 
-        let remaining_bindings: Vec<(String, Vec<Value>)> = if query.bindings.len() == 1 {
-            Vec::new() // already applied via lookup
-        } else {
-            query.bindings.clone()
-        };
         let batch = apply_query_locally(
             &schema,
             candidate_rows,
             &query.filters,
-            &remaining_bindings,
+            remaining_bindings,
             query.projection.as_deref(),
             query.limit,
         )?;
-        Ok(SourceAnswer::one_shot(batch, rows_scanned))
+        Ok(SourceAnswer {
+            bind_access,
+            ..SourceAnswer::one_shot(batch, rows_scanned)
+        })
     }
 
     fn supports_partitioned_scans(&self) -> bool {
@@ -259,7 +254,7 @@ pub fn scan_with_predicate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eii_data::{row, DataType, Field, Schema, SimClock};
+    use eii_data::{row, DataType, Field, Schema, SimClock, Value};
     use eii_expr::Expr;
     use eii_storage::TableDef;
     use std::sync::Arc;
@@ -388,5 +383,80 @@ mod tests {
         let s = c.statistics("customers").unwrap();
         assert_eq!(s.row_count, 3);
         assert_eq!(s.columns[2].ndv, 2);
+    }
+
+    #[test]
+    fn statistics_need_no_write_lock() {
+        let c = setup();
+        let handle = c.database().table("customers").unwrap();
+        let reader = handle.read();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(c.statistics("customers").map(|s| s.row_count)));
+            // A planner asking for statistics must not queue behind (or
+            // ahead of) the queries reading the table.
+            let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+            drop(reader);
+            assert_eq!(
+                got,
+                Ok(Ok(3)),
+                "statistics() blocked on a read-locked table"
+            );
+        });
+    }
+
+    #[test]
+    fn unindexed_binding_reports_a_scan_and_charges_matches_only() {
+        let c = setup();
+        let q = SourceQuery {
+            table: "customers".into(),
+            bindings: vec![(
+                "region".into(),
+                vec![Value::str("east"), Value::str("west"), Value::str("east")],
+            )],
+            ..SourceQuery::default()
+        };
+        let ans = c.execute(&q).unwrap();
+        let rows = ans.batch.rows();
+        let names: Vec<&str> = rows.iter().filter_map(|r| r.get(1).as_str()).collect();
+        assert_eq!(names, ["bob", "alice", "carol", "bob"]);
+        assert_eq!(
+            ans.rows_scanned, 4,
+            "priced per matched row, like an index probe"
+        );
+        assert_eq!(ans.bind_access, Some(crate::connector::BindAccess::Scan));
+        let by_pk = SourceQuery {
+            table: "customers".into(),
+            bindings: vec![("id".into(), vec![Value::Int(2)])],
+            ..SourceQuery::default()
+        };
+        let ans = c.execute(&by_pk).unwrap();
+        assert_eq!(ans.bind_access, Some(crate::connector::BindAccess::Index));
+    }
+
+    #[test]
+    fn bound_query_cost_grows_with_matches_not_with_keys_times_rows() {
+        let db = Database::new("sales", SimClock::new());
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("id", DataType::Int).not_null(),
+            Field::new("product_id", DataType::Int),
+        ]));
+        let t = db
+            .create_table(TableDef::new("lineitems", schema).with_primary_key(0))
+            .unwrap();
+        t.write()
+            .insert_all((0..50_000i64).map(|i| row![i, i % 25_000]))
+            .unwrap();
+        let c = RelationalConnector::new(db);
+        let ratio = crate::adapters::tests::bound_cost_ratio(|keys| {
+            let q = SourceQuery {
+                table: "lineitems".into(),
+                bindings: vec![("product_id".into(), keys.to_vec())],
+                ..SourceQuery::default()
+            };
+            assert_eq!(c.execute(&q).unwrap().batch.num_rows(), keys.len() * 2);
+        });
+        // One scan per key makes this ~100; one scan per query, ~2.
+        assert!(ratio < 20.0, "2000 keys cost {ratio:.1}x what 20 keys cost");
     }
 }

@@ -7,11 +7,12 @@
 //! and/or web services".
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use eii_data::{EiiError, Result, Row, SchemaRef, Value};
+use eii_data::{EiiError, Result, SchemaRef, Value};
 use eii_storage::{Database, TableStats};
 
-use crate::adapters::{apply_query_locally, project_batch};
+use crate::adapters::{apply_query_locally, lookup_binding, project_batch};
 use crate::capability::{BindingPattern, SourceCapabilities};
 use crate::connector::{Connector, SourceAnswer, SourceQuery};
 use crate::dialect::Dialect;
@@ -80,14 +81,14 @@ impl Connector for WebServiceConnector {
         Dialect::lowest_common_denominator()
     }
 
-    fn statistics(&self, table: &str) -> Result<TableStats> {
+    fn statistics(&self, table: &str) -> Result<Arc<TableStats>> {
         // A service does not publish statistics; expose row count only
         // (modeling the planner's uncertainty about opaque sources).
         let rows = self.backing.table(table)?.read().row_count();
-        Ok(TableStats {
+        Ok(Arc::new(TableStats {
             row_count: rows,
             columns: Vec::new(),
-        })
+        }))
     }
 
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
@@ -123,12 +124,10 @@ impl Connector for WebServiceConnector {
                     )));
                 };
                 let col_idx = schema.index_of(None, col)?;
-                let mut rows: Vec<Row> = Vec::new();
-                // One call per bound value.
+                // One call per bound value, however the hidden store
+                // resolves them.
                 let calls = values.len().max(1);
-                for v in values {
-                    rows.extend(t.lookup_eq(col_idx, v));
-                }
+                let (rows, access) = lookup_binding(&t, col_idx, values);
                 let scanned = rows.len();
                 drop(t);
                 // Apply any *other* bindings locally, then project.
@@ -147,9 +146,9 @@ impl Connector for WebServiceConnector {
                     query.limit,
                 )?;
                 Ok(SourceAnswer {
-                    batch,
-                    rows_scanned: scanned,
                     calls,
+                    bind_access: Some(access),
+                    ..SourceAnswer::one_shot(batch, scanned)
                 })
             }
         }

@@ -1,6 +1,8 @@
 //! The [`Connector`] trait: the adapter every source implements, plus the
 //! component-query and update request types that travel through it.
 
+use std::sync::Arc;
+
 use eii_data::{Batch, EiiError, Result, SchemaRef, Value};
 use eii_expr::Expr;
 use eii_storage::TableStats;
@@ -74,6 +76,19 @@ pub struct SourceAnswer {
     /// Round trips the interaction needed (web services pay one per bound
     /// value; set-oriented sources answer in one).
     pub calls: usize,
+    /// How the source engine resolved the query's binding, when it resolved
+    /// one itself (`None`: unbound query, or bindings filtered by the
+    /// wrapper after a full read).
+    pub bind_access: Option<BindAccess>,
+}
+
+/// Access path a source engine took for a bound query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BindAccess {
+    /// One index probe per bound value.
+    Index,
+    /// No index on the bound column: one scan bucketing rows by value.
+    Scan,
 }
 
 impl SourceAnswer {
@@ -83,6 +98,7 @@ impl SourceAnswer {
             batch,
             rows_scanned,
             calls: 1,
+            bind_access: None,
         }
     }
 }
@@ -140,9 +156,11 @@ pub trait Connector: Send + Sync {
     /// Expression dialect for pushdown decisions.
     fn dialect(&self) -> Dialect;
 
-    /// Statistics for the cost model. Default: unknown (empty) stats.
-    fn statistics(&self, _table: &str) -> Result<TableStats> {
-        Ok(TableStats::default())
+    /// Statistics for the cost model, shared rather than copied: the cost
+    /// model asks several times per plan, so adapters compute them once per
+    /// data version. Default: unknown (empty) stats.
+    fn statistics(&self, _table: &str) -> Result<Arc<TableStats>> {
+        Ok(Arc::default())
     }
 
     /// Execute a component query at the source.

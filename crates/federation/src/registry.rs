@@ -9,7 +9,7 @@ use eii_obs::MetricsRegistry;
 use eii_storage::TableStats;
 use parking_lot::RwLock;
 
-use crate::connector::{Connector, SourceQuery, UpdateOp, UpdateResult};
+use crate::connector::{BindAccess, Connector, SourceQuery, UpdateOp, UpdateResult};
 use crate::ctx::{with_request_ctx, RequestCtx};
 use crate::health::SourceHealth;
 use crate::net::{FaultProfile, FaultyConnector, LinkProfile, QueryCost, TransferLedger, WireFormat};
@@ -85,6 +85,7 @@ impl SourceHandle {
         self.ledger
             .record(self.connector.name(), bytes, ans.batch.num_rows(), sim_ms);
         self.note_traffic(bytes, ans.calls, sim_ms);
+        self.note_bind_access(ans.bind_access);
         Ok((ans.batch, cost))
     }
 
@@ -178,6 +179,17 @@ impl SourceHandle {
             .record_quantile(&format!("source.{name}.latency_ms"), sim_ms);
     }
 
+    /// Count a bound query under the access path its source engine took:
+    /// `federation.bind.scan_lookups` is the fast path missed — a bind join
+    /// into a column without an index.
+    fn note_bind_access(&self, access: Option<BindAccess>) {
+        match access {
+            Some(BindAccess::Index) => self.metrics.inc("federation.bind.index_lookups"),
+            Some(BindAccess::Scan) => self.metrics.inc("federation.bind.scan_lookups"),
+            None => {}
+        }
+    }
+
     /// Execute a component query whose results STAY at the source site
     /// (the source is hosting an at-site join): the source does its scan
     /// work and pays one request round trip, but ships nothing.
@@ -195,6 +207,7 @@ impl SourceHandle {
         self.ledger
             .record(self.connector.name(), 0, 0, sim_ms);
         self.note_traffic(0, ans.calls, sim_ms);
+        self.note_bind_access(ans.bind_access);
         Ok((ans.batch, cost))
     }
 
@@ -557,7 +570,7 @@ impl Federation {
     }
 
     /// Statistics of `source.table`.
-    pub fn table_stats(&self, qualified: &str) -> Result<TableStats> {
+    pub fn table_stats(&self, qualified: &str) -> Result<Arc<TableStats>> {
         let (h, table) = self.resolve(qualified)?;
         h.connector.statistics(&table)
     }

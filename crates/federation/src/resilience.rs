@@ -515,7 +515,7 @@ impl Connector for ResilientConnector {
         self.inner.dialect()
     }
 
-    fn statistics(&self, table: &str) -> Result<eii_storage::TableStats> {
+    fn statistics(&self, table: &str) -> Result<Arc<eii_storage::TableStats>> {
         self.inner.statistics(table)
     }
 

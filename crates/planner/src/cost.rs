@@ -63,7 +63,7 @@ impl<'a> CostModel<'a> {
         self
     }
 
-    fn stats(&self, source: &str, table: &str) -> TableStats {
+    fn stats(&self, source: &str, table: &str) -> Arc<TableStats> {
         self.federation
             .table_stats(&format!("{source}.{table}"))
             .unwrap_or_default()
@@ -416,7 +416,7 @@ impl<'a> CostModel<'a> {
     /// of [`CostModel::estimate_physical`]. Exposed so tree walkers (the
     /// query log's est-vs-actual collector) can estimate every node of a
     /// plan in one bottom-up pass instead of re-estimating each subtree,
-    /// which re-clones source table statistics O(depth) times per scan.
+    /// which looks source table statistics up O(depth) times per scan.
     pub fn estimate_from_children(
         &self,
         plan: &PhysicalPlan,

@@ -2,8 +2,9 @@
 //! log, and cached statistics.
 
 use std::ops::Bound;
+use std::sync::{Arc, OnceLock};
 
-use eii_data::{EiiError, Result, Row, SchemaRef, SimClock, Value};
+use eii_data::{EiiError, KeyProbe, Result, Row, SchemaRef, SimClock, Value};
 
 use crate::changelog::{ChangeLog, ChangeOp};
 use crate::index::{HashIndex, OrderedIndex};
@@ -51,7 +52,25 @@ pub struct Table {
     ordered_indexes: Vec<OrderedIndex>,
     log: ChangeLog,
     clock: SimClock,
-    stats_cache: Option<TableStats>,
+    /// Computed by the first [`Table::stats`] after a mutation; every
+    /// mutation empties it.
+    stats_cache: OnceLock<Arc<TableStats>>,
+}
+
+/// The index an equality lookup on one column goes through.
+#[derive(Clone, Copy)]
+enum EqIndex<'a> {
+    Hash(&'a HashIndex),
+    Ordered(&'a OrderedIndex),
+}
+
+impl<'a> EqIndex<'a> {
+    fn get(self, key: &Value) -> &'a [RowId] {
+        match self {
+            EqIndex::Hash(ix) => ix.get(key),
+            EqIndex::Ordered(ix) => ix.get(key),
+        }
+    }
 }
 
 impl Table {
@@ -68,7 +87,7 @@ impl Table {
             ordered_indexes: Vec::new(),
             log: ChangeLog::new(),
             clock,
-            stats_cache: None,
+            stats_cache: OnceLock::new(),
         }
     }
 
@@ -146,7 +165,7 @@ impl Table {
         };
         self.index_row(rid, &row);
         self.live += 1;
-        self.stats_cache = None;
+        self.stats_cache.take();
         self.log
             .append(self.clock.now_ms(), ChangeOp::Insert { new: row });
         Ok(rid)
@@ -229,7 +248,7 @@ impl Table {
         self.unindex_row(rid, &old);
         self.slots[rid] = Some(new.clone());
         self.index_row(rid, &new);
-        self.stats_cache = None;
+        self.stats_cache.take();
         self.log
             .append(self.clock.now_ms(), ChangeOp::Update { old, new });
         Ok(true)
@@ -252,7 +271,7 @@ impl Table {
         self.unindex_row(rid, &row);
         self.free.push(rid);
         self.live -= 1;
-        self.stats_cache = None;
+        self.stats_cache.take();
         self.log
             .append(self.clock.now_ms(), ChangeOp::Delete { old: row });
         true
@@ -298,20 +317,55 @@ impl Table {
         self.scan(|_| true)
     }
 
+    /// The primary-key, hash or ordered index over `col`, in that order of
+    /// preference.
+    fn eq_index(&self, col: usize) -> Option<EqIndex<'_>> {
+        let hash = self
+            .pk_index
+            .iter()
+            .chain(&self.hash_indexes)
+            .find(|ix| ix.column == col);
+        hash.map(EqIndex::Hash).or_else(|| {
+            let ordered = self.ordered_indexes.iter().find(|ix| ix.column == col);
+            ordered.map(EqIndex::Ordered)
+        })
+    }
+
+    /// Whether equality lookups on `col` probe an index (true) or scan the
+    /// table (false).
+    pub fn has_eq_index(&self, col: usize) -> bool {
+        self.eq_index(col).is_some()
+    }
+
+    fn rows_at<'a>(&'a self, rids: &'a [RowId]) -> impl Iterator<Item = Row> + 'a {
+        rids.iter().filter_map(|&rid| self.get(rid)).cloned()
+    }
+
     /// Equality lookup, index-assisted when an index on `col` exists.
     pub fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Row> {
-        if let Some(ix) = &self.pk_index {
-            if ix.column == col {
-                return ix.get(key).iter().filter_map(|&rid| self.get(rid)).cloned().collect();
+        match self.eq_index(col) {
+            Some(ix) => self.rows_at(ix.get(key)).collect(),
+            None => self.scan(|r| r.get(col) == key),
+        }
+    }
+
+    /// Multi-key equality lookup: the rows `lookup_eq` returns for each of
+    /// `keys` in turn, concatenated — binding order, table order within a
+    /// key, a duplicated key's rows duplicated. With an index on `col` that
+    /// is one probe per key; without one it is a single scan that buckets
+    /// rows by the keys they equal, not a scan per key.
+    pub fn lookup_in(&self, col: usize, keys: &[Value]) -> Vec<Row> {
+        if let Some(ix) = self.eq_index(col) {
+            return keys.iter().flat_map(|k| self.rows_at(ix.get(k))).collect();
+        }
+        let probe = KeyProbe::new(keys);
+        let mut per_key: Vec<Vec<&Row>> = vec![Vec::new(); keys.len()];
+        for (_, row) in self.iter() {
+            for i in probe.positions(row.get(col)) {
+                per_key[i].push(row);
             }
         }
-        if let Some(ix) = self.hash_indexes.iter().find(|ix| ix.column == col) {
-            return ix.get(key).iter().filter_map(|&rid| self.get(rid)).cloned().collect();
-        }
-        if let Some(ix) = self.ordered_indexes.iter().find(|ix| ix.column == col) {
-            return ix.get(key).iter().filter_map(|&rid| self.get(rid)).cloned().collect();
-        }
-        self.scan(|r| r.get(col) == key)
+        per_key.into_iter().flatten().cloned().collect()
     }
 
     /// Range lookup on `col`, index-assisted when an ordered index exists.
@@ -379,15 +433,15 @@ impl Table {
         self.ordered_indexes.push(ix);
     }
 
-    /// Table statistics (computed on demand, cached until the next
-    /// mutation).
-    pub fn stats(&mut self) -> &TableStats {
-        if self.stats_cache.is_none() {
-            let width = self.def.schema.len();
-            let stats = TableStats::analyze(width, self.iter().map(|(_, r)| r));
-            self.stats_cache = Some(stats);
-        }
-        self.stats_cache.as_ref().expect("just computed")
+    /// Table statistics: computed by the first call after a mutation,
+    /// shared by every call until the next one.
+    pub fn stats(&self) -> Arc<TableStats> {
+        self.stats_cache
+            .get_or_init(|| {
+                let width = self.def.schema.len();
+                Arc::new(TableStats::analyze(width, self.iter().map(|(_, r)| r)))
+            })
+            .clone()
     }
 }
 
@@ -524,9 +578,44 @@ mod tests {
     fn stats_cache_invalidation() {
         let mut t = table();
         t.insert(row![1i64, "a", 0.0]).unwrap();
-        assert_eq!(t.stats().row_count, 1);
+        let first = t.stats();
+        assert_eq!(first.row_count, 1);
+        assert!(
+            Arc::ptr_eq(&first, &t.stats()),
+            "second call reuses the first's"
+        );
+
         t.insert(row![2i64, "b", 0.0]).unwrap();
-        assert_eq!(t.stats().row_count, 2, "cache invalidated by insert");
+        assert_eq!(t.stats().row_count, 2, "insert");
+        t.update_by_pk(&Value::Int(2), &[(1, Value::str("a"))])
+            .unwrap();
+        assert_eq!(t.stats().columns[1].ndv, 1, "update");
+        t.delete_by_pk(&Value::Int(2));
+        assert_eq!(t.stats().row_count, 1, "delete");
+        t.truncate();
+        assert_eq!(t.stats().row_count, 0, "truncate");
+    }
+
+    #[test]
+    fn lookup_in_concatenates_per_key_lookups() {
+        let mut t = table();
+        for i in 0..12i64 {
+            t.insert(row![i, format!("n{}", i % 4), 0.0]).unwrap();
+        }
+        // A duplicated key, a key with no rows, keys out of table order.
+        let keys = [
+            Value::str("n3"),
+            Value::str("n0"),
+            Value::str("zz"),
+            Value::str("n3"),
+        ];
+        let expected: Vec<Row> = keys.iter().flat_map(|k| t.lookup_eq(1, k)).collect();
+        assert_eq!(expected.len(), 9);
+        assert!(!t.has_eq_index(1));
+        assert_eq!(t.lookup_in(1, &keys), expected, "one bucketing scan");
+        t.create_hash_index(1);
+        assert!(t.has_eq_index(1));
+        assert_eq!(t.lookup_in(1, &keys), expected, "index probes");
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl Connector for CancelAfter {
     fn dialect(&self) -> eii::federation::Dialect {
         self.inner.dialect()
     }
-    fn statistics(&self, table: &str) -> eii::data::Result<eii::storage::TableStats> {
+    fn statistics(&self, table: &str) -> eii::data::Result<Arc<eii::storage::TableStats>> {
         self.inner.statistics(table)
     }
     fn execute(
