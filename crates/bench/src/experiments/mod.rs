@@ -13,16 +13,15 @@ pub mod resilience;
 pub mod robustness;
 pub mod services;
 pub mod telemetry;
-pub mod vectorized;
 
 use eii::data::Result;
 
 use crate::report::Report;
 
 /// All experiment ids in order.
-pub const ALL: [&str; 21] = [
+pub const ALL: [&str; 20] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-    "e15", "e16", "e17", "e18", "e19", "e20", "e21",
+    "e15", "e16", "e17", "e18", "e19", "e20",
 ];
 
 /// Run one experiment by id.
@@ -48,7 +47,6 @@ pub fn run(id: &str) -> Result<Report> {
         "e18" => telemetry::e18_workload_telemetry(),
         "e19" => ivm::e19_incremental_maintenance(),
         "e20" => advisor::e20_self_tuning(),
-        "e21" => vectorized::e21_vectorized_execution(),
         other => Err(eii::data::EiiError::NotFound(format!(
             "experiment {other}; known: {}",
             ALL.join(", ")

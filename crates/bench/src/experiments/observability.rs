@@ -4,8 +4,6 @@
 //! compares simulated time (must be identical — instrumentation never
 //! touches the simulation) and wall-clock time (budgeted under 5%).
 
-use std::time::Instant;
-
 use eii::data::{EiiError, Result};
 use eii::exec::Executor;
 use eii::sql::{parse_statement, Statement};
@@ -13,14 +11,14 @@ use eii::sql::{parse_statement, Statement};
 use crate::fedmark::FedMark;
 use crate::report::{fmt_f, Report};
 use crate::summary::BenchSummary;
+use crate::timing::paired_overhead;
 
-/// Interleaved timing trials per mode; each mode is scored by its fastest
-/// trial, the observation least polluted by machine noise.
-const TRIALS: usize = 9;
-/// Repetitions of the whole query set inside one trial. Sized so one trial
-/// runs tens of milliseconds — long enough that scheduler noise amortizes
-/// to well under the budget being measured.
-const REPS: usize = 10;
+/// On/off/off/on trials timed; see [`paired_overhead`]. Many short passes
+/// rather than few long ones: a noisy stretch of the machine then spoils a
+/// few trial ratios, and the median ignores them.
+const TRIALS: usize = 41;
+/// Repetitions of the whole query set inside one pass (~15 ms).
+const REPS: usize = 5;
 /// Maximum tolerated wall-clock overhead, percent.
 const BUDGET_PCT: f64 = 5.0;
 
@@ -45,8 +43,7 @@ pub fn e14_observability_overhead() -> Result<Report> {
         )?);
     }
 
-    let run_pass = |instrument: bool| -> Result<(f64, f64)> {
-        let start = Instant::now();
+    let run_pass = |instrument: bool| -> Result<f64> {
         let mut sim = 0.0;
         for _ in 0..REPS {
             sim = 0.0;
@@ -60,23 +57,10 @@ pub fn e14_observability_overhead() -> Result<Report> {
                 sim += exec.execute(plan)?.cost.sim_ms;
             }
         }
-        Ok((sim, start.elapsed().as_secs_f64() * 1000.0))
+        Ok(sim)
     };
-
-    // Warm caches, then interleave so noise hits both modes equally.
-    run_pass(true)?;
-    run_pass(false)?;
-    let (mut sim_on, mut sim_off) = (0.0, 0.0);
-    let (mut wall_on, mut wall_off) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..TRIALS {
-        let (s, w) = run_pass(true)?;
-        sim_on = s;
-        wall_on = wall_on.min(w);
-        let (s, w) = run_pass(false)?;
-        sim_off = s;
-        wall_off = wall_off.min(w);
-    }
-    let overhead_pct = (wall_on - wall_off) / wall_off * 100.0;
+    let o = paired_overhead(TRIALS, run_pass)?;
+    let (sim_on, sim_off, overhead_pct) = (o.sim_on, o.sim_off, o.pct);
 
     let mut report = Report::new(
         "e14",
@@ -84,23 +68,23 @@ pub fn e14_observability_overhead() -> Result<Report> {
         "tracing, per-operator profiling, and metrics stay on in production \
          because they are near-free: zero simulated-time impact, wall-clock \
          within budget",
-        &["mode", "sim ms (set)", "wall ms (min)", "overhead"],
+        &["mode", "sim ms (set)", "wall ms (median)", "overhead"],
     );
     report.row(vec![
         "uninstrumented".to_string(),
         fmt_f(sim_off),
-        fmt_f(wall_off),
+        fmt_f(o.wall_off_ms),
         "-".to_string(),
     ]);
     report.row(vec![
         "instrumented".to_string(),
         fmt_f(sim_on),
-        fmt_f(wall_on),
+        fmt_f(o.wall_on_ms),
         format!("{overhead_pct:+.1}%"),
     ]);
     report.note(format!(
-        "FedMark sf=1, {} queries x {REPS} reps, best of {TRIALS} interleaved \
-         trials per mode; budget {BUDGET_PCT:.0}%",
+        "FedMark sf=1, {} queries x {REPS} reps, median of {TRIALS} on/off/off/on \
+         trial ratios; budget {BUDGET_PCT:.0}%",
         plans.len()
     ));
 
@@ -112,7 +96,8 @@ pub fn e14_observability_overhead() -> Result<Report> {
     if overhead_pct > BUDGET_PCT {
         return Err(EiiError::Execution(format!(
             "instrumentation wall overhead {overhead_pct:.1}% exceeds {BUDGET_PCT:.0}% budget \
-             ({wall_on:.1}ms vs {wall_off:.1}ms)"
+             ({:.1}ms vs {:.1}ms)",
+            o.wall_on_ms, o.wall_off_ms
         )));
     }
 

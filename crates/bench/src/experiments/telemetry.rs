@@ -19,8 +19,6 @@
 //! advisor will consume: top-k plan fingerprints by bytes shipped,
 //! persisted to `BENCH_E18.json`.
 
-use std::time::Instant;
-
 use eii::data::{EiiError, Result};
 use eii::obs::WorkloadKey;
 use eii::prelude::*;
@@ -29,13 +27,14 @@ use crate::chaos::{trace_fingerprint, ChaosScenario};
 use crate::fedmark::FedMark;
 use crate::report::Report;
 use crate::summary::BenchSummary;
+use crate::timing::paired_overhead;
 
 const SEED: u64 = 503;
-/// Interleaved timing trials per mode; each mode scored by its fastest
-/// trial (the observation least polluted by machine noise), as in E14.
-const TRIALS: usize = 9;
-/// Repetitions of the whole query set inside one trial.
-const REPS: usize = 6;
+/// On/off/off/on trials timed; see [`paired_overhead`] (and E14 on why many
+/// short passes).
+const TRIALS: usize = 41;
+/// Repetitions of the whole query set inside one pass (~10 ms).
+const REPS: usize = 3;
 /// Maximum tolerated wall-clock overhead of telemetry recording, percent.
 /// The 5% budget is a statement about optimized code — CI enforces it by
 /// running the release binary. Unoptimized `cargo test` builds inflate the
@@ -51,10 +50,9 @@ const SESSIONS: usize = 16;
 const TOP_K: usize = 5;
 
 /// One full pass over the FedMark suite through the system facade (parse,
-/// plan, execute, record); returns (total sim ms of the last rep, wall ms).
-fn suite_pass(env: &FedMark, telemetry: bool) -> Result<(f64, f64)> {
+/// plan, execute, record); returns the total sim ms of the last rep.
+fn suite_pass(env: &FedMark, telemetry: bool) -> Result<f64> {
     env.system.set_telemetry_enabled(telemetry);
-    let start = Instant::now();
     let mut sim = 0.0;
     for _ in 0..REPS {
         sim = 0.0;
@@ -63,40 +61,29 @@ fn suite_pass(env: &FedMark, telemetry: bool) -> Result<(f64, f64)> {
             sim += out.query_result()?.cost.sim_ms;
         }
     }
-    Ok((sim, start.elapsed().as_secs_f64() * 1000.0))
+    Ok(sim)
 }
 
-/// Gate 1: telemetry on vs off, interleaved best-of-N. Errors if recording
-/// changes simulated time at all or costs more than [`BUDGET_PCT`] percent.
+/// Gate 1: telemetry on vs off. Errors if recording changes simulated time
+/// at all or costs more than [`BUDGET_PCT`] percent wall-clock.
 fn overhead_gate() -> Result<(f64, f64)> {
     let env = FedMark::build(1, SEED)?;
-    // Warm both modes, then interleave so scheduler noise hits them equally.
-    suite_pass(&env, true)?;
-    suite_pass(&env, false)?;
-    let (mut sim_on, mut sim_off) = (0.0, 0.0);
-    let (mut wall_on, mut wall_off) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..TRIALS {
-        let (s, w) = suite_pass(&env, true)?;
-        sim_on = s;
-        wall_on = wall_on.min(w);
-        let (s, w) = suite_pass(&env, false)?;
-        sim_off = s;
-        wall_off = wall_off.min(w);
-    }
+    let o = paired_overhead(TRIALS, |on| suite_pass(&env, on))?;
     env.system.set_telemetry_enabled(true);
-    if sim_on != sim_off {
+    if o.sim_on != o.sim_off {
         return Err(EiiError::Execution(format!(
-            "E18 telemetry changed simulated time: {sim_on} vs {sim_off} ms"
+            "E18 telemetry changed simulated time: {} vs {} ms",
+            o.sim_on, o.sim_off
         )));
     }
-    let overhead_pct = (wall_on - wall_off) / wall_off * 100.0;
-    if overhead_pct > BUDGET_PCT {
+    if o.pct > BUDGET_PCT {
         return Err(EiiError::Execution(format!(
-            "E18 telemetry wall overhead {overhead_pct:.1}% exceeds {BUDGET_PCT:.0}% budget \
-             ({wall_on:.1}ms on vs {wall_off:.1}ms off)"
+            "E18 telemetry wall overhead {:.1}% exceeds {BUDGET_PCT:.0}% budget \
+             ({:.1}ms on vs {:.1}ms off)",
+            o.pct, o.wall_on_ms, o.wall_off_ms
         )));
     }
-    Ok((overhead_pct, sim_on))
+    Ok((o.pct, o.sim_on))
 }
 
 /// What one 16-session chaos run leaves behind in the query log.
@@ -303,7 +290,7 @@ pub fn e18_workload_telemetry() -> Result<Report> {
     report.note(format!(
         "overhead: telemetry on vs off leaves the suite's simulated time \
          bit-identical ({sim_suite:.1} ms) at {overhead_pct:+.1}% wall \
-         (budget {BUDGET_PCT:.0}%, best of {TRIALS} interleaved trials x {REPS} reps)"
+         (budget {BUDGET_PCT:.0}%, median of {TRIALS} on/off/off/on trial ratios x {REPS} reps)"
     ));
     report.note(format!(
         "determinism: two same-seed {SESSIONS}-session chaos runs logged all \

@@ -90,8 +90,7 @@ impl BenchSummary {
 
 /// The headline gate experiments, in order, whose `BENCH_E<N>.json`
 /// summaries make up the bench trajectory.
-pub const TRAJECTORY_IDS: [&str; 9] =
-    ["e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21"];
+pub const TRAJECTORY_IDS: [&str; 8] = ["e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20"];
 
 /// Render the cross-experiment bench trajectory: one row per
 /// [`TRAJECTORY_IDS`] summary present at the repo root, so CI (and a

@@ -941,25 +941,10 @@ impl EiiSystem {
         } else {
             self.degradation_policy()
         };
-        let mut exec = Executor::new(&self.federation)
-            .with_degradation(policy, self.fallbacks.clone())
-            .with_metrics(self.federation.metrics().clone())
-            .with_scan_partitions(self.scan_partitions)
-            .with_batch_size(self.config.batch_size)
-            .with_request_ctx(ctx);
-        if let Some(policy) = self.hedge_policy() {
-            exec = exec.with_hedging(policy);
-        }
-        if let Some(mgr) = self.matviews.get() {
-            exec = exec.with_matviews(mgr.store());
-        }
-        if let Some(state) = self.advisor.get() {
-            exec = exec.with_replan(ReplanPolicy {
-                feedback: Arc::clone(&state.feedback),
-                factor: state.advisor.config().replan_factor,
-            });
-        }
-        let result = exec.execute(&physical).inspect_err(|e| self.count_abort(e));
+        let result = self
+            .executor(policy, ctx)
+            .execute(&physical)
+            .inspect_err(|e| self.count_abort(e));
         if let Some(d) = &deadline {
             let remaining = d.remaining_ms();
             self.federation
@@ -1098,6 +1083,30 @@ impl EiiSystem {
         Ok((optimized, physical))
     }
 
+    /// The executor every statement runs on, wired with everything the
+    /// system has configured; the one place an executor option is attached.
+    fn executor(&self, policy: DegradationPolicy, ctx: RequestCtx) -> Executor<'_> {
+        let mut exec = Executor::new(&self.federation)
+            .with_degradation(policy, self.fallbacks.clone())
+            .with_metrics(self.federation.metrics().clone())
+            .with_scan_partitions(self.scan_partitions)
+            .with_batch_size(self.config.batch_size)
+            .with_request_ctx(ctx);
+        if let Some(policy) = self.hedge_policy() {
+            exec = exec.with_hedging(policy);
+        }
+        if let Some(mgr) = self.matviews.get() {
+            exec = exec.with_matviews(mgr.store());
+        }
+        if let Some(state) = self.advisor.get() {
+            exec = exec.with_replan(ReplanPolicy {
+                feedback: Arc::clone(&state.feedback),
+                factor: state.advisor.config().replan_factor,
+            });
+        }
+        exec
+    }
+
     /// Execute the query and render the physical plan with per-operator
     /// estimated versus actual rows, bytes, and simulated time. When the
     /// semantic cache holds the answer there is no operator tree to render:
@@ -1129,24 +1138,9 @@ impl EiiSystem {
         telemetry.plan = optimized.display();
         telemetry.fingerprint = fingerprint64(&telemetry.plan);
         let execute = tracer.span("execute");
-        let mut exec = Executor::new(&self.federation)
-            .with_degradation(self.degradation_policy(), self.fallbacks.clone())
-            .with_metrics(self.federation.metrics().clone())
-            .with_scan_partitions(self.scan_partitions)
-            .with_batch_size(self.config.batch_size);
-        if let Some(policy) = self.hedge_policy() {
-            exec = exec.with_hedging(policy);
-        }
-        if let Some(mgr) = self.matviews.get() {
-            exec = exec.with_matviews(mgr.store());
-        }
-        if let Some(state) = self.advisor.get() {
-            exec = exec.with_replan(ReplanPolicy {
-                feedback: Arc::clone(&state.feedback),
-                factor: state.advisor.config().replan_factor,
-            });
-        }
-        let result = exec.execute(&physical)?;
+        let result = self
+            .executor(self.degradation_policy(), RequestCtx::new())
+            .execute(&physical)?;
         if let Some(profile) = &result.profile {
             tracer.attach(profile.to_span());
         }

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use eii_data::{Batch, Result, Row};
+use eii_data::{Batch, ColumnarBatch, Result, SchemaRef};
 use eii_federation::{Federation, QueryCost};
 use eii_obs::MetricsRegistry;
 
@@ -73,24 +73,17 @@ impl MatViewStore {
     }
 }
 
-/// Re-shape a stored batch to `target`'s columns by name (qualifiers are
-/// ignored — the stored rows come from a single relation). Lets one
-/// materialization serve scans that project fewer columns or use a
-/// different alias.
-pub fn adapt_batch(stored: &Batch, target: &eii_data::SchemaRef) -> Result<Batch> {
-    let from = stored.schema();
-    let indices = target
+/// Re-shape a batch read from a store to `target`'s columns by name
+/// (qualifiers are ignored — the stored rows come from a single relation): a
+/// column pick, no values move. Lets one materialization serve scans that
+/// project fewer columns or use a different alias.
+pub fn adapt_batch(stored: &ColumnarBatch, target: &SchemaRef) -> Result<ColumnarBatch> {
+    let columns = target
         .fields()
         .iter()
-        .map(|f| from.index_of(None, &f.name))
+        .map(|f| Ok(Arc::clone(stored.column(stored.schema().index_of(None, &f.name)?))))
         .collect::<Result<Vec<_>>>()?;
-    let identity = indices.len() == from.len() && indices.iter().enumerate().all(|(i, &j)| i == j);
-    let rows: Vec<Row> = if identity {
-        stored.rows().to_vec()
-    } else {
-        stored.rows().iter().map(|r| r.project(&indices)).collect()
-    };
-    Ok(Batch::new(target.clone(), rows))
+    Ok(stored.with_columns(target.clone(), columns))
 }
 
 /// Result-cache tuning knobs.
@@ -439,16 +432,16 @@ mod tests {
         let target = StdArc::new(Schema::new(vec![
             Field::new("name", DataType::Str).with_relation("x")
         ]));
-        let out = adapt_batch(&batch(), &target).unwrap();
+        let out = adapt_batch(&ColumnarBatch::from_batch(&batch()), &target).unwrap();
         assert_eq!(out.num_rows(), 2);
         assert_eq!(out.schema().field(0).relation.as_deref(), Some("x"));
-        assert_eq!(out.rows()[0], row!["alice"]);
+        assert_eq!(out.to_batch().rows()[0], row!["alice"]);
     }
 
     #[test]
     fn adapt_batch_rejects_missing_columns() {
         let target = StdArc::new(Schema::new(vec![Field::new("ghost", DataType::Str)]));
-        assert!(adapt_batch(&batch(), &target).is_err());
+        assert!(adapt_batch(&ColumnarBatch::from_batch(&batch()), &target).is_err());
     }
 
     #[test]

@@ -1,21 +1,29 @@
 //! The physical-plan interpreter.
+//!
+//! One representation flows between operators: [`ColumnarBatch`]. Rows are
+//! pivoted to columns exactly once where they enter the hub
+//! ([`Executor::ingest`]: source fetch, bind-join fetch, degraded snapshot,
+//! materialized-view read, `VALUES`) and back exactly once where they leave
+//! ([`Executor::run`]); the only other row materialization is the byte
+//! charge of an at-source join's shipments.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use eii_data::{Batch, CancelToken, ColumnarBatch, EiiError, Result, Row, SchemaRef, Value};
-use eii_expr::{bind, BoundExpr, Expr};
+use eii_data::{Batch, CancelToken, Column, ColumnarBatch, EiiError, Result, SchemaRef, Value};
+use eii_expr::{bind, eval_column, BoundExpr, Expr};
 use eii_federation::{Federation, HedgeOutcome, QueryCost, RequestCtx, SourceQuery};
 use eii_obs::MetricsRegistry;
 use eii_planner::{CardinalityFeedback, CostModel, JoinSite, PhysicalPlan};
 use eii_sql::JoinKind;
 
-use crate::agg::Accumulator;
 use crate::cache::{adapt_batch, MatViewStore};
 use crate::degrade::{degrade, DegradationPolicy, FallbackStore, SourceReport};
 use crate::profile::OperatorProfile;
-use crate::vector::{drive, VecAggregate, VecFilter, VecHashJoin, VecProject};
+use crate::vector::{
+    drive, sort_batch, BatchOperator, VecAggregate, VecFilter, VecHashJoin, VecProject,
+};
 
 /// Simulated ms to open a local materialization (mirrors the planner's
 /// estimate for the chosen `MatViewScan` alternative).
@@ -127,46 +135,9 @@ impl QueryResult {
     }
 }
 
-/// What flows between operators: rows for the adapter edges (connectors,
-/// caches, change logs) and the operators that stayed row-at-a-time, columns
-/// between vectorized operators. Converting is a full pivot, so adjacent
-/// vectorized operators hand each other `Cols` without touching rows.
-enum Flow {
-    Rows(Batch),
-    Cols(ColumnarBatch),
-}
-
-impl Flow {
-    fn num_rows(&self) -> usize {
-        match self {
-            Flow::Rows(b) => b.num_rows(),
-            Flow::Cols(c) => c.num_rows(),
-        }
-    }
-
-    /// Materialize as rows (pivots columnar data once).
-    fn into_batch(self) -> Batch {
-        match self {
-            Flow::Rows(b) => b,
-            Flow::Cols(c) => c.to_batch(),
-        }
-    }
-
-    /// View as columns (pivots row data once).
-    fn into_cols(self) -> ColumnarBatch {
-        match self {
-            Flow::Rows(b) => ColumnarBatch::from_batch(&b),
-            Flow::Cols(c) => c,
-        }
-    }
-
-    fn schema(&self) -> &SchemaRef {
-        match self {
-            Flow::Rows(b) => b.schema(),
-            Flow::Cols(c) => c.schema(),
-        }
-    }
-}
+/// What one operator hands the next: its output and the simulated cost of
+/// producing it (its whole subtree).
+type Output = (ColumnarBatch, QueryCost);
 
 /// What one finished operator measured; keyed by its path from the plan
 /// root (child indexes), from which the profile tree is reassembled.
@@ -194,7 +165,7 @@ pub struct Executor<'a> {
     hedges: Mutex<BTreeMap<Vec<usize>, HedgeOutcome>>,
     /// Partition-parallel scan fan-out per source scan (1 = serial).
     scan_partitions: usize,
-    /// Rows per columnar chunk for vectorized operators; 0 = the
+    /// Rows per chunk pushed through an operator; 0 = the
     /// [`crate::vector::DEFAULT_BATCH_SIZE`] default.
     batch_size: usize,
     /// Caller-supplied request context (deadline budget + cancel token).
@@ -270,8 +241,8 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Rows per columnar chunk for vectorized operators — each chunk
-    /// boundary is a cancellation/deadline checkpoint. 0 keeps the default
+    /// Rows per chunk pushed through an operator — each chunk boundary is a
+    /// cancellation/deadline checkpoint. 0 keeps the default
     /// ([`crate::vector::DEFAULT_BATCH_SIZE`]).
     pub fn with_batch_size(mut self, n: usize) -> Self {
         self.batch_size = n;
@@ -400,7 +371,7 @@ impl<'a> Executor<'a> {
     /// make the per-source fault-dice stream depend on thread timing —
     /// breaking bit-identical replay. Sibling-abort echoes (plain
     /// `Cancelled`) don't re-trip; the root cause already did.
-    fn trip_abort_on_err(&self, res: &Result<(Flow, QueryCost)>) {
+    fn trip_abort_on_err(&self, res: &Result<Output>) {
         if let Err(err) = res {
             if is_abortive(err) && !matches!(err, EiiError::Cancelled(_)) {
                 if let Some(abort) = &self.ctx().abort {
@@ -465,33 +436,40 @@ impl<'a> Executor<'a> {
     }
 
     fn run(&self, plan: &PhysicalPlan) -> Result<(Batch, QueryCost)> {
-        let (flow, cost) = self.run_node(plan, Vec::new())?;
-        // The result-facing edge stays rows: one pivot per query.
-        Ok((flow.into_batch(), cost))
+        let (cols, cost) = self.run_node(plan, Vec::new())?;
+        // The one pivot back to rows: the result edge.
+        Ok((cols.to_batch(), cost))
+    }
+
+    /// The one pivot into the hub: rows a source, a fallback snapshot, the
+    /// view store or a `VALUES` list produced become columns, typed by (and
+    /// tagged with) the plan's `schema` for them.
+    fn ingest(schema: SchemaRef, batch: Batch) -> ColumnarBatch {
+        ColumnarBatch::from_batch(&Batch::new(schema, batch.into_rows()))
     }
 
     /// Run one operator, recording its measurements under its path from the
     /// plan root when instrumentation is on. Every operator boundary is a
     /// cancellation point: a cancelled, aborted, or out-of-budget query
-    /// stops here instead of starting more work (vectorized operators also
+    /// stops here instead of starting more work (chunked operators also
     /// check between chunks).
-    fn run_node(&self, plan: &PhysicalPlan, path: Vec<usize>) -> Result<(Flow, QueryCost)> {
+    fn run_node(&self, plan: &PhysicalPlan, path: Vec<usize>) -> Result<Output> {
         self.ctx().check()?;
         if !self.instrument {
             return self.run_inner(plan, &path);
         }
         let start_wall = Instant::now();
-        let (flow, cost) = self.run_inner(plan, &path)?;
+        let (cols, cost) = self.run_inner(plan, &path)?;
         self.ops.lock().expect("ops lock").push(OpRecord {
             path,
-            rows: flow.num_rows(),
+            rows: cols.num_rows(),
             cost,
             wall: start_wall.elapsed(),
         });
-        Ok((flow, cost))
+        Ok((cols, cost))
     }
 
-    fn run_inner(&self, plan: &PhysicalPlan, path: &[usize]) -> Result<(Flow, QueryCost)> {
+    fn run_inner(&self, plan: &PhysicalPlan, path: &[usize]) -> Result<Output> {
         match plan {
             PhysicalPlan::Source {
                 source,
@@ -515,14 +493,11 @@ impl<'a> Executor<'a> {
                     Err(err) if is_abortive(&err) => return Err(err),
                     Err(err) => self.degrade_source(source, query, schema, err)?,
                 };
-                // Re-tag with the alias-qualified schema.
-                Ok((
-                    Flow::Rows(Batch::new(schema.clone(), batch.into_rows())),
-                    cost,
-                ))
+                // Tagged with the alias-qualified schema.
+                Ok((Self::ingest(schema.clone(), batch), cost))
             }
             PhysicalPlan::Values { schema, rows } => Ok((
-                Flow::Rows(Batch::new(schema.clone(), rows.clone())),
+                Self::ingest(schema.clone(), Batch::new(schema.clone(), rows.clone())),
                 QueryCost::default(),
             )),
             PhysicalPlan::MatViewScan {
@@ -540,38 +515,18 @@ impl<'a> Executor<'a> {
                 };
                 let scanned = stored.num_rows();
                 // Compensating filters run over the full materialization
-                // (it may hold columns the output projects away), then the
-                // survivors are reshaped to the node's output columns.
-                let stored = if filters.is_empty() {
-                    stored
-                } else {
-                    let bound: Vec<_> = filters
-                        .iter()
-                        .map(|f| bind(f, stored.schema()))
-                        .collect::<Result<_>>()?;
-                    let in_schema = stored.schema().clone();
-                    let mut rows = Vec::new();
-                    for row in stored.into_rows() {
-                        if bound
-                            .iter()
-                            .map(|b| b.eval_predicate(&row))
-                            .collect::<Result<Vec<_>>>()?
-                            .into_iter()
-                            .all(|keep| keep)
-                        {
-                            rows.push(row);
-                        }
-                    }
-                    Batch::new(in_schema, rows)
-                };
-                let mut batch = adapt_batch(&stored, schema)?;
+                // (it may hold columns the output projects away), each over
+                // the survivors of the one before — a Filter over their
+                // conjunction; then the survivors are reshaped to the node's
+                // output columns.
+                let mut cols = Self::ingest(stored.schema().clone(), stored);
+                for filter in filters {
+                    let pred = bind(filter, cols.schema())?;
+                    cols = self.drive_op(&mut VecFilter::new(pred), &cols, cols.schema().clone())?;
+                }
+                let mut out = adapt_batch(&cols, schema)?;
                 if let Some(n) = limit {
-                    if batch.num_rows() > *n {
-                        batch = Batch::new(
-                            batch.schema().clone(),
-                            batch.rows()[..*n].to_vec(),
-                        );
-                    }
+                    out = head(out, *n);
                 }
                 // Hub-local read: no network, no source scan.
                 let cost = QueryCost {
@@ -579,68 +534,32 @@ impl<'a> Executor<'a> {
                     ..QueryCost::default()
                 }
                 .then(self.cpu(scanned));
-                Ok((Flow::Rows(batch), cost))
+                Ok((out, cost))
             }
             PhysicalPlan::Filter {
-                input,
-                predicate,
-                vectorized,
+                input, predicate, ..
             } => {
-                let (flow, cost) = self.run_node(input, child_path(path, 0))?;
-                let n = flow.num_rows();
-                if *vectorized {
-                    let cols = flow.into_cols();
-                    let bound = bind(predicate, cols.schema())?;
-                    let mut op = VecFilter::new(bound);
-                    let out = self.drive_op(&mut op, &cols, cols.schema().clone())?;
-                    return Ok((Flow::Cols(out), cost.then(self.cpu(n))));
-                }
-                let batch = flow.into_batch();
-                let bound = bind(predicate, batch.schema())?;
-                let schema = batch.schema().clone();
-                let mut rows = Vec::new();
-                for row in batch.into_rows() {
-                    if bound.eval_predicate(&row)? {
-                        rows.push(row);
-                    }
-                }
-                Ok((Flow::Rows(Batch::new(schema, rows)), cost.then(self.cpu(n))))
+                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let n = cols.num_rows();
+                let pred = bind(predicate, cols.schema())?;
+                let out = self.drive_op(&mut VecFilter::new(pred), &cols, cols.schema().clone())?;
+                Ok((out, cost.then(self.cpu(n))))
             }
             PhysicalPlan::Project {
                 input,
                 exprs,
                 schema,
-                vectorized,
+                ..
             } => {
-                let (flow, cost) = self.run_node(input, child_path(path, 0))?;
-                let n = flow.num_rows();
-                if *vectorized {
-                    let cols = flow.into_cols();
-                    let bound: Vec<BoundExpr> = exprs
-                        .iter()
-                        .map(|(e, _)| bind(e, cols.schema()))
-                        .collect::<Result<_>>()?;
-                    let mut op = VecProject::new(bound, schema.clone());
-                    let out = self.drive_op(&mut op, &cols, schema.clone())?;
-                    return Ok((Flow::Cols(out), cost.then(self.cpu(n))));
-                }
-                let batch = flow.into_batch();
+                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let n = cols.num_rows();
                 let bound: Vec<BoundExpr> = exprs
                     .iter()
-                    .map(|(e, _)| bind(e, batch.schema()))
+                    .map(|(e, _)| bind(e, cols.schema()))
                     .collect::<Result<_>>()?;
-                let mut rows = Vec::with_capacity(n);
-                for row in batch.rows() {
-                    let out: Row = bound
-                        .iter()
-                        .map(|b| b.eval(row))
-                        .collect::<Result<_>>()?;
-                    rows.push(out);
-                }
-                Ok((
-                    Flow::Rows(Batch::new(schema.clone(), rows)),
-                    cost.then(self.cpu(n)),
-                ))
+                let mut op = VecProject::new(bound, schema.clone());
+                let out = self.drive_op(&mut op, &cols, schema.clone())?;
+                Ok((out, cost.then(self.cpu(n))))
             }
             PhysicalPlan::HashJoin {
                 left,
@@ -652,10 +571,10 @@ impl<'a> Executor<'a> {
                 site,
                 parallel,
                 schema,
-                vectorized,
+                ..
             } => self.run_hash_join(
                 left, right, left_keys, right_keys, *kind, residual, site, *parallel, schema,
-                *vectorized, path,
+                path,
             ),
             PhysicalPlan::NestedLoopJoin {
                 left,
@@ -665,53 +584,12 @@ impl<'a> Executor<'a> {
                 parallel,
                 schema,
             } => {
-                let ((lf, lc), (rf, rc)) = self.run_pair(left, right, *parallel, path)?;
-                let (lb, rb) = (lf.into_batch(), rf.into_batch());
+                let ((lcols, lc), (rcols, rc)) = self.run_pair(left, right, *parallel, path)?;
                 let children_cost = if *parallel { lc.alongside(rc) } else { lc.then(rc) };
-                let filtering = matches!(kind, JoinKind::Semi | JoinKind::Anti);
-                // Semi/anti join conditions see both sides even though only
-                // left columns flow out.
-                let pred_schema: eii_data::SchemaRef = if filtering {
-                    std::sync::Arc::new(lb.schema().join(rb.schema()))
-                } else {
-                    schema.clone()
-                };
-                let bound_on = match on {
-                    Some(o) => Some(bind(o, &pred_schema)?),
-                    None => None,
-                };
-                let mut rows = Vec::new();
-                let right_width = rb.schema().len();
-                for l in lb.rows() {
-                    let mut matched = false;
-                    for r in rb.rows() {
-                        let combined = l.concat(r);
-                        let ok = match &bound_on {
-                            None => true,
-                            Some(p) => p.eval_predicate(&combined)?,
-                        };
-                        if ok {
-                            matched = true;
-                            if filtering {
-                                break;
-                            }
-                            rows.push(combined);
-                        }
-                    }
-                    match kind {
-                        JoinKind::Left if !matched => {
-                            rows.push(null_extend(l, right_width));
-                        }
-                        JoinKind::Semi if matched => rows.push(l.clone()),
-                        JoinKind::Anti if !matched => rows.push(l.clone()),
-                        _ => {}
-                    }
-                }
-                let work = lb.num_rows() * rb.num_rows().max(1);
-                Ok((
-                    Flow::Rows(Batch::new(schema.clone(), rows)),
-                    children_cost.then(self.cpu(work)),
-                ))
+                // No keys: every right row is a candidate for every left row.
+                let out = self.join(&lcols, &rcols, Vec::new(), &[], *kind, on, schema)?;
+                let work = lcols.num_rows() * rcols.num_rows().max(1);
+                Ok((out, children_cost.then(self.cpu(work))))
             }
             PhysicalPlan::BindJoin {
                 left,
@@ -723,19 +601,9 @@ impl<'a> Executor<'a> {
                 residual,
                 schema,
             } => {
-                let (lf, lc) = self.run_node(left, child_path(path, 0))?;
-                let lb = lf.into_batch();
-                let key_expr = bind(left_key, lb.schema())?;
-                let mut values: Vec<Value> = Vec::new();
-                let mut seen: HashSet<Value> = HashSet::new();
-                let mut left_keys_per_row: Vec<Value> = Vec::with_capacity(lb.num_rows());
-                for row in lb.rows() {
-                    let v = key_expr.eval(row)?;
-                    if !v.is_null() && seen.insert(v.clone()) {
-                        values.push(v.clone());
-                    }
-                    left_keys_per_row.push(v);
-                }
+                let (lcols, lc) = self.run_node(left, child_path(path, 0))?;
+                let key = bind(left_key, lcols.schema())?;
+                let values = distinct_keys(&key, &lcols)?;
                 let handle = self.federation.source(source)?;
                 let (rb, rc) = if values.is_empty() {
                     (
@@ -751,239 +619,100 @@ impl<'a> Executor<'a> {
                         Err(err) => self.degrade_source(source, &q, right_schema, err)?,
                     }
                 };
-                // Map returned columns onto the scan's output schema and
-                // find the bind column among the returned fields.
-                let ret_schema = rb.schema().clone();
-                let bind_idx = ret_schema.index_of(None, bind_column)?;
-                let out_indices: Vec<usize> = right_schema
-                    .fields()
-                    .iter()
-                    .map(|f| ret_schema.index_of(None, &f.name))
-                    .collect::<Result<_>>()?;
-                let mut table: HashMap<Value, Vec<Row>> = HashMap::new();
-                for row in rb.rows() {
-                    let key = row.get(bind_idx).clone();
-                    table
-                        .entry(key)
-                        .or_default()
-                        .push(row.project(&out_indices));
-                }
-                let bound_residual = match residual {
-                    Some(r) => Some(bind(r, schema)?),
-                    None => None,
-                };
-                let mut rows = Vec::new();
-                for (l, key) in lb.rows().iter().zip(&left_keys_per_row) {
-                    if key.is_null() {
-                        continue;
-                    }
-                    if let Some(matches) = table.get(key) {
-                        for r in matches {
-                            let combined = l.concat(r);
-                            let ok = match &bound_residual {
-                                None => true,
-                                Some(p) => p.eval_predicate(&combined)?,
-                            };
-                            if ok {
-                                rows.push(combined);
-                            }
-                        }
-                    }
-                }
-                let work = lb.num_rows() + rb.num_rows() + rows.len();
-                Ok((
-                    Flow::Rows(Batch::new(schema.clone(), rows)),
-                    lc.then(rc).then(self.cpu(work)),
-                ))
+                // Find the bind column among the returned fields, map the
+                // returned columns onto the scan's output schema, and join
+                // the fetched rows to the left side at the hub.
+                let fetched = Self::ingest(rb.schema().clone(), rb);
+                let bind_idx = fetched.schema().index_of(None, bind_column)?;
+                let build = adapt_batch(&fetched, right_schema)?;
+                let build_keys = [Arc::clone(fetched.column(bind_idx))];
+                let out = self.join(
+                    &lcols,
+                    &build,
+                    vec![key],
+                    &build_keys,
+                    JoinKind::Inner,
+                    residual,
+                    schema,
+                )?;
+                let work = lcols.num_rows() + fetched.num_rows() + out.num_rows();
+                Ok((out, lc.then(rc).then(self.cpu(work))))
             }
             PhysicalPlan::Aggregate {
                 input,
                 group_by,
                 aggs,
                 schema,
-                vectorized,
+                ..
             } => {
-                let (flow, cost) = self.run_node(input, child_path(path, 0))?;
-                let n = flow.num_rows();
-                if *vectorized {
-                    let cols = flow.into_cols();
-                    let in_schema = cols.schema().clone();
-                    let bound_groups: Vec<BoundExpr> = group_by
-                        .iter()
-                        .map(|g| bind(g, &in_schema))
-                        .collect::<Result<_>>()?;
-                    let bound_args: Vec<Option<BoundExpr>> = aggs
-                        .iter()
-                        .map(|a| match &a.arg {
-                            Some(e) => bind(e, &in_schema).map(Some),
-                            None => Ok(None),
-                        })
-                        .collect::<Result<_>>()?;
-                    let templates: Vec<_> = aggs.iter().map(|a| (a.func, a.distinct)).collect();
-                    let mut op =
-                        VecAggregate::new(bound_groups, bound_args, templates, schema.clone());
-                    let out = self.drive_op(&mut op, &cols, schema.clone())?;
-                    return Ok((Flow::Cols(out), cost.then(self.cpu(n))));
-                }
-                let batch = flow.into_batch();
-                let in_schema = batch.schema().clone();
-                let bound_groups: Vec<BoundExpr> = group_by
+                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let n = cols.num_rows();
+                let groups: Vec<BoundExpr> = group_by
                     .iter()
-                    .map(|g| bind(g, &in_schema))
+                    .map(|g| bind(g, cols.schema()))
                     .collect::<Result<_>>()?;
-                let bound_args: Vec<Option<BoundExpr>> = aggs
+                let args: Vec<Option<BoundExpr>> = aggs
                     .iter()
-                    .map(|a| match &a.arg {
-                        Some(e) => bind(e, &in_schema).map(Some),
-                        None => Ok(None),
-                    })
+                    .map(|a| a.arg.as_ref().map(|e| bind(e, cols.schema())).transpose())
                     .collect::<Result<_>>()?;
-                // Preserve first-seen group order for determinism.
-                let mut order: Vec<Vec<Value>> = Vec::new();
-                let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-                for row in batch.rows() {
-                    let key: Vec<Value> = bound_groups
-                        .iter()
-                        .map(|g| g.eval(row))
-                        .collect::<Result<_>>()?;
-                    let accs = match groups.get_mut(&key) {
-                        Some(a) => a,
-                        None => {
-                            order.push(key.clone());
-                            groups.entry(key.clone()).or_insert_with(|| {
-                                aggs.iter()
-                                    .map(|a| Accumulator::new(a.func, a.distinct))
-                                    .collect()
-                            })
-                        }
-                    };
-                    for (acc, arg) in accs.iter_mut().zip(&bound_args) {
-                        match arg {
-                            None => acc.push(None)?,
-                            Some(e) => {
-                                let v = e.eval(row)?;
-                                acc.push(Some(&v))?;
-                            }
-                        }
-                    }
-                }
-                let mut rows = Vec::with_capacity(order.len().max(1));
-                if order.is_empty() && group_by.is_empty() {
-                    // Global aggregate over zero rows: one row of defaults.
-                    let accs: Vec<Accumulator> = aggs
-                        .iter()
-                        .map(|a| Accumulator::new(a.func, a.distinct))
-                        .collect();
-                    let row: Row = accs.into_iter().map(Accumulator::finish).collect();
-                    rows.push(row);
-                } else {
-                    for key in order {
-                        let accs = groups.remove(&key).expect("group recorded");
-                        let mut row: Row = key.into_iter().collect();
-                        for acc in accs {
-                            row.push(acc.finish());
-                        }
-                        rows.push(row);
-                    }
-                }
-                Ok((
-                    Flow::Rows(Batch::new(schema.clone(), rows)),
-                    cost.then(self.cpu(n)),
-                ))
+                let templates = aggs.iter().map(|a| (a.func, a.distinct)).collect();
+                let mut op = VecAggregate::new(groups, args, templates, schema.clone());
+                let out = self.drive_op(&mut op, &cols, schema.clone())?;
+                Ok((out, cost.then(self.cpu(n))))
             }
             PhysicalPlan::Distinct { input } => {
-                let (flow, cost) = self.run_node(input, child_path(path, 0))?;
-                let batch = flow.into_batch();
-                let schema = batch.schema().clone();
-                let n = batch.num_rows();
-                let mut seen = HashSet::new();
-                let mut rows = Vec::new();
-                for row in batch.into_rows() {
-                    if seen.insert(row.clone()) {
-                        rows.push(row);
-                    }
-                }
-                Ok((Flow::Rows(Batch::new(schema, rows)), cost.then(self.cpu(n))))
+                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let n = cols.num_rows();
+                // A group-by over every column with nothing to aggregate:
+                // the first row of each group, in input order. (No rows are
+                // no groups; a key-less aggregate would emit its global row.)
+                let out = if n == 0 {
+                    cols
+                } else {
+                    let schema = cols.schema().clone();
+                    let groups = (0..schema.len()).map(BoundExpr::Column).collect();
+                    let mut op = VecAggregate::new(groups, Vec::new(), Vec::new(), schema.clone());
+                    self.drive_op(&mut op, &cols, schema)?
+                };
+                Ok((out, cost.then(self.cpu(n))))
             }
             PhysicalPlan::Sort { input, keys } => {
-                let (flow, cost) = self.run_node(input, child_path(path, 0))?;
-                let batch = flow.into_batch();
-                let schema = batch.schema().clone();
-                let bound: Vec<(BoundExpr, bool)> = keys
+                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let n = cols.num_rows();
+                let keys: Vec<(BoundExpr, bool)> = keys
                     .iter()
-                    .map(|(e, asc)| Ok((bind(e, &schema)?, *asc)))
+                    .map(|(e, asc)| Ok((bind(e, cols.schema())?, *asc)))
                     .collect::<Result<_>>()?;
-                let n = batch.num_rows();
-                let mut keyed: Vec<(Vec<Value>, Row)> = batch
-                    .into_rows()
-                    .into_iter()
-                    .map(|row| {
-                        let k: Vec<Value> = bound
-                            .iter()
-                            .map(|(e, _)| e.eval(&row))
-                            .collect::<Result<_>>()?;
-                        Ok((k, row))
-                    })
-                    .collect::<Result<_>>()?;
-                keyed.sort_by(|(ka, _), (kb, _)| {
-                    for (i, (_, asc)) in bound.iter().enumerate() {
-                        let ord = ka[i].cmp(&kb[i]);
-                        let ord = if *asc { ord } else { ord.reverse() };
-                        if !ord.is_eq() {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                let rows = keyed.into_iter().map(|(_, r)| r).collect();
-                Ok((Flow::Rows(Batch::new(schema, rows)), cost.then(self.cpu(n))))
+                Ok((sort_batch(&cols, &keys)?, cost.then(self.cpu(n))))
             }
             PhysicalPlan::Limit { input, n } => {
-                let (flow, cost) = self.run_node(input, child_path(path, 0))?;
-                // Representation-preserving: a columnar input is truncated by
-                // selection, a row input by truncating the row vector.
-                match flow {
-                    Flow::Cols(c) => {
-                        let out = if c.num_rows() > *n {
-                            c.select((0..*n as u32).collect())
-                        } else {
-                            c
-                        };
-                        Ok((Flow::Cols(out), cost))
-                    }
-                    Flow::Rows(batch) => {
-                        let schema = batch.schema().clone();
-                        let mut rows = batch.into_rows();
-                        rows.truncate(*n);
-                        Ok((Flow::Rows(Batch::new(schema, rows)), cost))
-                    }
-                }
+                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                Ok((head(cols, *n), cost))
             }
             PhysicalPlan::UnionAll {
                 inputs,
                 parallel,
                 schema,
             } => {
-                let results: Vec<(Flow, QueryCost)> = if *parallel {
-                    let branch_results: Vec<Result<(Flow, QueryCost)>> =
-                        std::thread::scope(|s| {
-                            let handles: Vec<_> = inputs
-                                .iter()
-                                .enumerate()
-                                .map(|(i, p)| {
-                                    let cp = child_path(path, i);
-                                    s.spawn(move || {
-                                        let r = self.run_node(p, cp);
-                                        self.trip_abort_on_err(&r);
-                                        r
-                                    })
+                let results: Vec<Output> = if *parallel {
+                    let branch_results: Vec<Result<Output>> = std::thread::scope(|s| {
+                        let handles: Vec<_> = inputs
+                            .iter()
+                            .enumerate()
+                            .map(|(i, p)| {
+                                let cp = child_path(path, i);
+                                s.spawn(move || {
+                                    let r = self.run_node(p, cp);
+                                    self.trip_abort_on_err(&r);
+                                    r
                                 })
-                                .collect();
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().map_err(panic_err))
-                                .collect::<Result<Vec<_>>>()
-                        })?;
+                            })
+                            .collect();
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().map_err(panic_err))
+                            .collect::<Result<Vec<_>>>()
+                    })?;
                     // Surface the root cause, not a sibling-abort echo: in
                     // input order, the first real error wins regardless of
                     // which worker thread happened to fail first.
@@ -1011,41 +740,72 @@ impl<'a> Executor<'a> {
                         .map(|(i, p)| self.run_node(p, child_path(path, i)))
                         .collect::<Result<Vec<_>>>()?
                 };
-                let mut rows = Vec::new();
+                let mut chunks = Vec::with_capacity(results.len());
                 let mut cost = QueryCost::default();
-                for (flow, c) in results {
-                    rows.extend(flow.into_batch().into_rows());
+                for (cols, c) in results {
+                    chunks.push(cols);
                     cost = if *parallel {
                         cost.alongside(c)
                     } else {
                         cost.then(c)
                     };
                 }
-                Ok((Flow::Rows(Batch::new(schema.clone(), rows)), cost))
+                Ok((ColumnarBatch::concat(schema.clone(), &chunks), cost))
             }
             PhysicalPlan::Rename { input, schema } => {
-                let (flow, cost) = self.run_node(input, child_path(path, 0))?;
-                // Representation-preserving re-tag.
-                match flow {
-                    Flow::Cols(c) => Ok((Flow::Cols(c.with_schema(schema.clone())), cost)),
-                    Flow::Rows(b) => Ok((
-                        Flow::Rows(Batch::new(schema.clone(), b.into_rows())),
-                        cost,
-                    )),
-                }
+                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                Ok((cols.with_schema(schema.clone()), cost))
             }
         }
     }
 
-    /// Chunked drive of one vectorized operator with the run context checked
-    /// at every chunk boundary.
+    /// Chunked drive of one operator with the run context checked at every
+    /// chunk boundary.
     fn drive_op(
         &self,
-        op: &mut dyn crate::vector::BatchOperator,
+        op: &mut dyn BatchOperator,
         input: &ColumnarBatch,
         out_schema: SchemaRef,
     ) -> Result<ColumnarBatch> {
         drive(op, input, out_schema, self.batch_size, || self.ctx().check())
+    }
+
+    /// The hub half of every join: `probe` (the left side) streams against a
+    /// hash table over `build`, emitting probe order × build order. With no
+    /// keys every pair is a candidate and `residual` is the whole condition.
+    #[allow(clippy::too_many_arguments)]
+    fn join(
+        &self,
+        probe: &ColumnarBatch,
+        build: &ColumnarBatch,
+        probe_keys: Vec<BoundExpr>,
+        build_keys: &[Arc<Column>],
+        kind: JoinKind,
+        residual: &Option<Expr>,
+        schema: &SchemaRef,
+    ) -> Result<ColumnarBatch> {
+        // Semi/anti conditions see both sides even though only left columns
+        // flow out.
+        let pred_schema: SchemaRef = if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
+            Arc::new(probe.schema().join(build.schema()))
+        } else {
+            schema.clone()
+        };
+        let residual = residual
+            .as_ref()
+            .map(|r| bind(r, &pred_schema))
+            .transpose()?;
+        let mut op = VecHashJoin::new(
+            build,
+            build_keys,
+            probe_keys,
+            kind,
+            residual,
+            pred_schema,
+            schema.clone(),
+        )
+        .with_pair_cap(self.batch_size);
+        self.drive_op(&mut op, probe, schema.clone())
     }
 
     fn run_pair(
@@ -1054,7 +814,7 @@ impl<'a> Executor<'a> {
         right: &PhysicalPlan,
         parallel: bool,
         path: &[usize],
-    ) -> Result<((Flow, QueryCost), (Flow, QueryCost))> {
+    ) -> Result<(Output, Output)> {
         let (lp, rp) = (child_path(path, 0), child_path(path, 1));
         if parallel {
             std::thread::scope(|s| {
@@ -1100,7 +860,7 @@ impl<'a> Executor<'a> {
         right_keys: &[Expr],
         kind: JoinKind,
         path: &[usize],
-    ) -> Result<Option<(Batch, QueryCost, Batch, QueryCost)>> {
+    ) -> Result<Option<(Output, Output)>> {
         let Some(policy) = &self.replan else {
             return Ok(None);
         };
@@ -1134,36 +894,28 @@ impl<'a> Executor<'a> {
 
         // Probe side first, serially: the adaptation decision needs its
         // actual cardinality.
-        let (lf, lc) = self.run_node(left, child_path(path, 0))?;
-        let lb = lf.into_batch();
+        let (lcols, lc) = self.run_node(left, child_path(path, 0))?;
         let diverged = match CostModel::new(self.federation)
             .with_feedback(policy.feedback.clone())
             .estimate_physical(left)
         {
             Ok(est) => {
                 let est_rows = est.rows.max(1e-9);
-                let actual = (lb.num_rows() as f64).max(1.0);
+                let actual = (lcols.num_rows() as f64).max(1.0);
                 actual / est_rows >= policy.factor || est_rows / actual >= policy.factor
             }
             // No estimate, no divergence signal: keep the planned scan.
             Err(_) => false,
         };
         if !diverged {
-            let (rf, rc) = self.run_node(right, child_path(path, 1))?;
-            return Ok(Some((lb, lc, rf.into_batch(), rc)));
+            let right_out = self.run_node(right, child_path(path, 1))?;
+            return Ok(Some(((lcols, lc), right_out)));
         }
 
         // Re-plan the build side: ship only rows whose key matches a probe
         // key actually observed, in first-seen probe order.
-        let lkey = bind(&left_keys[0], lb.schema())?;
-        let mut seen: HashSet<Value> = HashSet::new();
-        let mut keys: Vec<Value> = Vec::new();
-        for row in lb.rows() {
-            let v = lkey.eval(row)?;
-            if !v.is_null() && seen.insert(v.clone()) {
-                keys.push(v);
-            }
-        }
+        let lkey = bind(&left_keys[0], lcols.schema())?;
+        let keys = distinct_keys(&lkey, &lcols)?;
         let mut filtered = query.clone();
         filtered.bindings = vec![(bind_col.clone(), keys)];
         self.ctx().check()?;
@@ -1176,12 +928,12 @@ impl<'a> Executor<'a> {
             // the same substitute snapshot the un-adapted plan would get.
             Err(err) => self.degrade_source(source, query, schema, err)?,
         };
-        let rb = Batch::new(schema.clone(), rb.into_rows());
+        let rcols = Self::ingest(schema.clone(), rb);
         if self.instrument {
             // The adapted fetch bypasses `run_node`, so record it here.
             self.ops.lock().expect("ops lock").push(OpRecord {
                 path: rp,
-                rows: rb.num_rows(),
+                rows: rcols.num_rows(),
                 cost: rc,
                 wall: start_wall.elapsed(),
             });
@@ -1193,7 +945,7 @@ impl<'a> Executor<'a> {
         if let Some(m) = &self.metrics {
             m.inc("advisor.replans");
         }
-        Ok(Some((lb, lc, rb, rc)))
+        Ok(Some(((lcols, lc), (rcols, rc))))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1207,23 +959,19 @@ impl<'a> Executor<'a> {
         residual: &Option<Expr>,
         site: &JoinSite,
         parallel: bool,
-        schema: &eii_data::SchemaRef,
-        vectorized: bool,
+        schema: &SchemaRef,
         path: &[usize],
-    ) -> Result<(Flow, QueryCost)> {
-        // Fetch inputs, honoring the assembly site's cost model. Columnar
-        // children stay columnar through the fetch phase so a vectorized
-        // join probes them without a pivot.
-        let (lf, rf, mut cost, result_site) = match site {
+    ) -> Result<Output> {
+        // Fetch inputs, honoring the assembly site's cost model.
+        let (lcols, rcols, mut cost, result_site) = match site {
             JoinSite::Hub => {
                 match self.try_adaptive_join(left, right, left_keys, right_keys, kind, path)? {
-                    Some((lb, lc, rb, rc)) => {
-                        (Flow::Rows(lb), Flow::Rows(rb), lc.then(rc), None)
-                    }
+                    Some(((lcols, lc), (rcols, rc))) => (lcols, rcols, lc.then(rc), None),
                     None => {
-                        let ((lf, lc), (rf, rc)) = self.run_pair(left, right, parallel, path)?;
+                        let ((lcols, lc), (rcols, rc)) =
+                            self.run_pair(left, right, parallel, path)?;
                         let c = if parallel { lc.alongside(rc) } else { lc.then(rc) };
-                        (lf, rf, c, None)
+                        (lcols, rcols, c, None)
                     }
                 }
             }
@@ -1258,193 +1006,84 @@ impl<'a> Executor<'a> {
                             (b, c, false)
                         }
                     };
-                let site_batch = Batch::new(site_schema.clone(), site_batch.into_rows());
+                let site_cols = Self::ingest(site_schema.clone(), site_batch);
                 let (site_idx, other_idx) = if site_is_left { (0, 1) } else { (1, 0) };
                 if self.instrument {
                     // The site child bypasses `run_node` (it is queried
                     // in-place at the source), so record it here.
                     self.ops.lock().expect("ops lock").push(OpRecord {
                         path: child_path(path, site_idx),
-                        rows: site_batch.num_rows(),
+                        rows: site_cols.num_rows(),
                         cost: site_cost,
                         wall: Duration::ZERO,
                     });
                 }
-                let (other_flow, other_cost) =
+                let (other_cols, other_cost) =
                     self.run_node(other_child, child_path(path, other_idx))?;
-                // Forwarding to the site ships rows; materialize for the
-                // byte charge (only selected rows survive to this point, so
-                // pre- and post-vectorization byte counts agree).
-                let other_batch = other_flow.into_batch();
                 let fetch = if parallel {
                     site_cost.alongside(other_cost)
                 } else {
                     site_cost.then(other_cost)
                 };
-                // A dead site degrades to a hub join: nothing is forwarded
-                // to the site and the result needs no return shipment.
+                // Forwarding to the site ships rows: materialize the live
+                // ones for the byte charge. A dead site degrades to a hub
+                // join: nothing is forwarded to the site and the result
+                // needs no return shipment.
                 let (cost, result_site) = if site_live {
                     (
-                        fetch.then(handle.charge_shipment(&other_batch)),
+                        fetch.then(handle.charge_shipment(&other_cols.to_batch())),
                         Some(source.clone()),
                     )
                 } else {
                     (fetch, None)
                 };
                 if site_is_left {
-                    (
-                        Flow::Rows(site_batch),
-                        Flow::Rows(other_batch),
-                        cost,
-                        result_site,
-                    )
+                    (site_cols, other_cols, cost, result_site)
                 } else {
-                    (
-                        Flow::Rows(other_batch),
-                        Flow::Rows(site_batch),
-                        cost,
-                        result_site,
-                    )
+                    (other_cols, site_cols, cost, result_site)
                 }
             }
         };
 
-        let filtering = matches!(kind, JoinKind::Semi | JoinKind::Anti);
-        // Semi/anti residuals see both sides even though only left columns
-        // flow out.
-        let pred_schema: eii_data::SchemaRef = if filtering {
-            std::sync::Arc::new(lf.schema().join(rf.schema()))
-        } else {
-            schema.clone()
-        };
-
-        if vectorized {
-            let (lcols, rcols) = (lf.into_cols(), rf.into_cols());
-            let (l_in, r_in) = (lcols.num_rows(), rcols.num_rows());
-            let build_keys: Vec<BoundExpr> = right_keys
-                .iter()
-                .map(|e| bind(e, rcols.schema()))
-                .collect::<Result<_>>()?;
-            let probe_keys: Vec<BoundExpr> = left_keys
-                .iter()
-                .map(|e| bind(e, lcols.schema()))
-                .collect::<Result<_>>()?;
-            let bound_residual = match residual {
-                Some(r) => Some(bind(r, &pred_schema)?),
-                None => None,
-            };
-            let mut op = VecHashJoin::new(
-                &rcols,
-                &build_keys,
-                probe_keys,
-                kind,
-                bound_residual,
-                pred_schema,
-                schema.clone(),
-            )?;
-            let out = self.drive_op(&mut op, &lcols, schema.clone())?;
-            // Identical accounting to the row path: both inputs plus the
-            // emitted rows.
-            let work = l_in + r_in + out.num_rows();
-            cost = cost.then(self.cpu(work));
-            if let Some(site_name) = result_site {
-                let batch = out.to_batch();
-                let handle = self.federation.source(&site_name)?;
-                cost = cost.then(handle.charge_shipment(&batch));
-                return Ok((Flow::Rows(batch), cost));
-            }
-            return Ok((Flow::Cols(out), cost));
-        }
-
-        let (lb, rb) = (lf.into_batch(), rf.into_batch());
-        let lkeys: Vec<BoundExpr> = left_keys
+        let build_keys = right_keys
             .iter()
-            .map(|e| bind(e, lb.schema()))
-            .collect::<Result<_>>()?;
-        let rkeys: Vec<BoundExpr> = right_keys
+            .map(|e| eval_column(&bind(e, rcols.schema())?, &rcols))
+            .collect::<Result<Vec<_>>>()?;
+        let probe_keys = left_keys
             .iter()
-            .map(|e| bind(e, rb.schema()))
+            .map(|e| bind(e, lcols.schema()))
             .collect::<Result<_>>()?;
-        let bound_residual = match residual {
-            Some(r) => Some(bind(r, &pred_schema)?),
-            None => None,
-        };
-
-        // Build on the right.
-        let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
-        'outer: for row in rb.rows() {
-            let mut key = Vec::with_capacity(rkeys.len());
-            for k in &rkeys {
-                let v = k.eval(row)?;
-                if v.is_null() {
-                    continue 'outer; // NULL keys never join.
-                }
-                key.push(v);
-            }
-            table.entry(key).or_default().push(row);
-        }
-
-        let right_width = rb.schema().len();
-        let mut rows = Vec::new();
-        'probe: for l in lb.rows() {
-            let mut key = Vec::with_capacity(lkeys.len());
-            for k in &lkeys {
-                let v = k.eval(l)?;
-                if v.is_null() {
-                    // NULL keys never match: left joins null-extend, anti
-                    // joins keep the unmatched row, semi/inner drop it.
-                    match kind {
-                        JoinKind::Left => rows.push(null_extend(l, right_width)),
-                        JoinKind::Anti => rows.push(l.clone()),
-                        _ => {}
-                    }
-                    continue 'probe;
-                }
-                key.push(v);
-            }
-            let mut matched = false;
-            if let Some(candidates) = table.get(&key) {
-                for r in candidates {
-                    let combined = l.concat(r);
-                    let ok = match &bound_residual {
-                        None => true,
-                        Some(p) => p.eval_predicate(&combined)?,
-                    };
-                    if ok {
-                        matched = true;
-                        if filtering {
-                            break;
-                        }
-                        rows.push(combined);
-                    }
-                }
-            }
-            match kind {
-                JoinKind::Left if !matched => rows.push(null_extend(l, right_width)),
-                JoinKind::Semi if matched => rows.push(l.clone()),
-                JoinKind::Anti if !matched => rows.push(l.clone()),
-                _ => {}
-            }
-        }
-
-        let work = lb.num_rows() + rb.num_rows() + rows.len();
+        let out = self.join(&lcols, &rcols, probe_keys, &build_keys, kind, residual, schema)?;
+        // Both inputs plus the emitted rows.
+        let work = lcols.num_rows() + rcols.num_rows() + out.num_rows();
         cost = cost.then(self.cpu(work));
-        let batch = Batch::new(schema.clone(), rows);
         // At a source site, the joined result still has to reach the hub.
         if let Some(site_name) = result_site {
             let handle = self.federation.source(&site_name)?;
-            cost = cost.then(handle.charge_shipment(&batch));
+            cost = cost.then(handle.charge_shipment(&out.to_batch()));
         }
-        Ok((Flow::Rows(batch), cost))
+        Ok((out, cost))
     }
 }
 
-fn null_extend(left: &Row, right_width: usize) -> Row {
-    let mut row = left.clone();
-    for _ in 0..right_width {
-        row.push(Value::Null);
+/// The first `n` live rows, by selection.
+fn head(cols: ColumnarBatch, n: usize) -> ColumnarBatch {
+    if cols.num_rows() > n {
+        cols.select((0..n as u32).collect())
+    } else {
+        cols
     }
-    row
+}
+
+/// The distinct non-NULL values of `key` over `cols`, in first-seen order:
+/// the bindings a bind join or an adaptive re-plan ships to the source.
+fn distinct_keys(key: &BoundExpr, cols: &ColumnarBatch) -> Result<Vec<Value>> {
+    let keys = eval_column(key, cols)?;
+    let mut seen = HashSet::new();
+    Ok((0..cols.num_rows())
+        .map(|i| keys.value(i))
+        .filter(|v| !v.is_null() && seen.insert(v.clone()))
+        .collect())
 }
 
 /// Turn a worker thread's panic payload into a real error instead of

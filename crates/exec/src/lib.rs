@@ -8,10 +8,10 @@
 //! and intra query processing; (b) minimize the amount of data shipped for
 //! assembly" (Bitton §3).
 //!
-//! Hub-side hot operators (filter, project, hash join, aggregate) run either
-//! row-at-a-time or over columnar batches through the [`BatchOperator`] API
-//! in [`vector`], as chosen per operator by the planner's `vectorize` flag;
-//! both paths produce byte-identical answers and simulated costs.
+//! There is one data path: every hub operator consumes and produces
+//! [`ColumnarBatch`]es through the operators in [`vector`]. Rows are pivoted
+//! to columns once where they enter the hub and back once at the result
+//! edge (see [`executor`] and `docs/vectorized.md`).
 //!
 //! The re-export list below is the crate's deliberate public surface — new
 //! modules add their types here explicitly rather than via globs.
@@ -39,6 +39,6 @@ pub use scheduler::{
     ShedDecision,
 };
 pub use vector::{
-    drive, BatchOperator, FxBuildHasher, FxHasher, VecAggregate, VecFilter, VecHashJoin,
-    VecProject, DEFAULT_BATCH_SIZE,
+    drive, sort_batch, BatchOperator, FxBuildHasher, FxHasher, VecAggregate, VecFilter,
+    VecHashJoin, VecProject, DEFAULT_BATCH_SIZE,
 };

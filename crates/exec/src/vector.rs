@@ -1,20 +1,24 @@
-//! Batch-first operator API: the vectorized counterparts of the executor's
-//! hot row-at-a-time operators (filter, project, hash join, aggregate).
+//! The hub's operators: every one consumes and produces [`ColumnarBatch`]es,
+//! the only thing that flows between plan nodes in the executor.
 //!
-//! Every operator implements [`BatchOperator`]: the executor pushes columnar
-//! chunks through `push` and collects emitted chunks, then calls `finish`
-//! for whatever the operator buffered (aggregates emit everything there).
-//! Chunk boundaries are the executor's cancellation/deadline checkpoints —
-//! see [`drive`].
+//! Filter, project, hash join and aggregate implement [`BatchOperator`]: the
+//! executor pushes columnar chunks through `push` and collects emitted
+//! chunks, then calls `finish` for whatever the operator buffered
+//! (aggregates emit everything there). Chunk boundaries are the executor's
+//! cancellation/deadline checkpoints — see [`drive`]. The executor's other
+//! operators are built from the same four: a nested-loop join is the keyless
+//! [`VecHashJoin`], a bind join's hub half an inner [`VecHashJoin`] over the
+//! fetched batch, DISTINCT a [`VecAggregate`] over every column with no
+//! aggregates. [`sort_batch`] is the one operator that needs its whole input
+//! at once.
 //!
-//! The contract with the row path is *exact semantic equivalence*: the same
-//! output values in the same order, and the same errors, as the scalar
-//! interpreter — byte-identical answers are what lets the planner flip
-//! `vectorize` on without an answer-stability risk (experiment E21 gates
-//! this). The places where that contract bites are spelled out inline:
-//! NULL join keys, Semi/Anti residual short-circuiting, first-seen group
-//! order, and the integral-until-float SUM ladder (reused from
-//! [`crate::agg::Accumulator`]).
+//! The contract with the scalar evaluator ([`eii_expr::BoundExpr::eval`]) is
+//! *exact semantic equivalence*: the values a row-at-a-time interpreter
+//! would produce, in a fixed order that does not depend on the chunk size,
+//! and for each expression the scalar evaluator's first failing row. The
+//! places where that contract bites are spelled out inline: NULL join keys,
+//! Semi/Anti residual short-circuiting, first-seen group order, and the
+//! integral-until-float SUM ladder ([`crate::agg::Accumulator`]).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -29,7 +33,8 @@ use crate::agg::Accumulator;
 /// Default rows per chunk when the plan does not specify one.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
-/// A vectorized operator: consumes columnar chunks, produces columnar chunks.
+/// A chunk-at-a-time operator: consumes columnar chunks, produces columnar
+/// chunks.
 ///
 /// Streaming operators (filter, project, join probe) answer from `push`;
 /// blocking operators (aggregate) buffer and answer from `finish`.
@@ -87,8 +92,8 @@ pub fn drive(
     Ok(ColumnarBatch::concat(out_schema, &out))
 }
 
-/// Vectorized filter: evaluates the predicate as a column and narrows the
-/// chunk with a selection vector instead of materializing survivor rows.
+/// Filter: evaluates the predicate as a column and narrows the chunk with a
+/// selection vector instead of materializing survivor rows.
 pub struct VecFilter {
     pred: BoundExpr,
 }
@@ -111,8 +116,8 @@ impl BatchOperator for VecFilter {
     }
 }
 
-/// Vectorized projection: each output column is one kernel evaluation over
-/// the whole chunk.
+/// Projection: each output column is one kernel evaluation over the whole
+/// chunk.
 pub struct VecProject {
     exprs: Vec<BoundExpr>,
     schema: SchemaRef,
@@ -229,8 +234,7 @@ type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 const NO_ROW: u32 = u32::MAX;
 
 /// The build-side hash table: physical build-row indices per key, in build
-/// insertion order (the row path stores `Vec<&Row>` the same way, which is
-/// what keeps output order identical).
+/// insertion order (which fixes the output order within a probe row).
 enum KeyTable {
     /// Single integer key: hash raw `i64`s, no per-row `Vec<Value>`.
     Int(FxHashMap<i64, Vec<u32>>),
@@ -266,15 +270,41 @@ enum ProbeKey {
     General(Vec<Value>),
 }
 
-/// Vectorized hash join: the build side is consumed whole at construction,
-/// probe chunks stream through `push`. Matches the row path exactly:
-/// probe-order × build-insertion-order output, NULL keys never join (Left
-/// null-extends, Anti keeps, Semi/Inner drop), Semi/Anti residuals
-/// short-circuit at the first matching candidate.
+/// Candidate or output pairs: the probe side's physical row, the build row.
+#[derive(Default)]
+struct Pairs {
+    probe: Vec<u32>,
+    build: Vec<u32>,
+}
+
+impl Pairs {
+    fn push(&mut self, probe: u32, build: u32) {
+        self.probe.push(probe);
+        self.build.push(build);
+    }
+}
+
+/// Candidate pairs of one probe chunk that still await the residual.
+#[derive(Default)]
+struct Pending {
+    pairs: Pairs,
+    /// Left joins only: `(pairs.probe.len() when the row's candidates
+    /// ended, probe row)` per finished probe row.
+    row_ends: Vec<(usize, u32)>,
+    /// Left joins only: has the probe row being resolved kept a pair yet?
+    /// Outlives one `resolve` because a row's candidates may be split.
+    matched: bool,
+}
+
+/// Hash join: the build side is consumed whole at construction, probe chunks
+/// stream through `push`. Output is probe order × build-insertion order;
+/// NULL keys never join (Left null-extends, Anti keeps, Semi/Inner drop);
+/// Semi/Anti residuals short-circuit at the first matching candidate. With
+/// no keys every build row is a candidate for every probe row: the
+/// nested-loop join.
 pub struct VecHashJoin {
     table: KeyTable,
     build: ColumnarBatch,
-    build_width: usize,
     probe_keys: Vec<BoundExpr>,
     kind: JoinKind,
     residual: Option<BoundExpr>,
@@ -282,27 +312,26 @@ pub struct VecHashJoin {
     /// concatenation of both sides even though only left columns flow out).
     pred_schema: SchemaRef,
     schema: SchemaRef,
+    /// Most candidate pairs materialized at once for the residual, so a
+    /// cross product is filtered before it is ever held whole.
+    pair_cap: usize,
 }
 
 impl VecHashJoin {
-    /// Build the hash table over `build` (the right side, compacted) using
-    /// `build_keys`/`probe_keys` bound against the respective schemas.
-    /// `pred_schema` is what `residual` was bound against.
-    #[allow(clippy::too_many_arguments)]
+    /// Build the hash table over `build` (the right side). `build_keys` holds
+    /// one compact column per key, aligned with `build`'s live rows (what
+    /// [`eval_column`] over `build` returns); `probe_keys` are bound against
+    /// the probe schema, `residual` against `pred_schema`.
     pub fn new(
         build: &ColumnarBatch,
-        build_keys: &[BoundExpr],
+        build_keys: &[Arc<Column>],
         probe_keys: Vec<BoundExpr>,
         kind: JoinKind,
         residual: Option<BoundExpr>,
         pred_schema: SchemaRef,
         schema: SchemaRef,
-    ) -> Result<Self> {
+    ) -> Self {
         let build = build.compact();
-        let key_cols = build_keys
-            .iter()
-            .map(|k| eval_column(k, &build))
-            .collect::<Result<Vec<_>>>()?;
         let n = build.num_rows();
         // Single all-integer key: hash raw i64s. Scalar Int/Float equality
         // compares through f64 (`i as f64 == f`), while a float probe folds
@@ -310,7 +339,7 @@ impl VecHashJoin {
         // key is exactly representable as f64, so keys beyond ±2^53 take the
         // general Vec<Value> table whose Hash/Eq already implement the scalar
         // semantics.
-        let int_col = match key_cols.as_slice() {
+        let int_col = match build_keys {
             [only] if only.no_nulls() => only
                 .as_ints()
                 .filter(|ints| ints.iter().all(|&i| i.unsigned_abs() <= 1 << 53)),
@@ -327,8 +356,8 @@ impl VecHashJoin {
             let mut map: FxHashMap<Vec<Value>, Vec<u32>> =
                 HashMap::with_capacity_and_hasher(n, FxBuildHasher);
             'row: for i in 0..n {
-                let mut key = Vec::with_capacity(key_cols.len());
-                for col in &key_cols {
+                let mut key = Vec::with_capacity(build_keys.len());
+                for col in build_keys {
                     if col.is_null(i) {
                         continue 'row; // NULL keys never join.
                     }
@@ -338,17 +367,25 @@ impl VecHashJoin {
             }
             KeyTable::General(map)
         };
-        let build_width = build.schema().len();
-        Ok(VecHashJoin {
+        VecHashJoin {
             table,
             build,
-            build_width,
             probe_keys,
             kind,
             residual,
             pred_schema,
             schema,
-        })
+            pair_cap: DEFAULT_BATCH_SIZE,
+        }
+    }
+
+    /// Cap the candidate pairs a residual is evaluated over at once (the
+    /// executor passes its chunk size); 0 keeps [`DEFAULT_BATCH_SIZE`].
+    pub fn with_pair_cap(mut self, pairs: usize) -> Self {
+        if pairs > 0 {
+            self.pair_cap = pairs;
+        }
+        self
     }
 
     /// Shape one probe row's key for the table representation.
@@ -369,91 +406,69 @@ impl VecHashJoin {
         }
     }
 
-    /// Inner/Left probe: pair lists + vectorized residual, then gather.
+    /// Inner/Left/Cross probe: candidate pairs in probe order, the residual
+    /// evaluated over at most `pair_cap` of them at a time, then one gather.
     fn probe_pairs(&self, chunk: &ColumnarBatch) -> Result<ColumnarBatch> {
         let key_cols = self
             .probe_keys
             .iter()
             .map(|k| eval_column(k, chunk))
             .collect::<Result<Vec<_>>>()?;
-        let n = chunk.num_rows();
         let left = matches!(self.kind, JoinKind::Left);
-        // Candidate pairs, grouped contiguously per probe row.
-        let mut pair_probe: Vec<u32> = Vec::new();
-        let mut pair_build: Vec<u32> = Vec::new();
-        /// What one probe row contributed.
-        enum Entry {
-            /// NULL key or empty bucket: Left null-extends, Inner drops.
-            NoCandidates,
-            /// Pair-list range `start..end`.
-            Pairs(u32, u32),
-        }
-        let mut entries: Vec<(u32, Entry)> = Vec::with_capacity(n);
-        for row in 0..n {
+        let mut out = Pairs::default();
+        let mut pending = Pending::default();
+        for row in 0..chunk.num_rows() {
             let phys = chunk.physical_index(row) as u32;
             let candidates = match self.probe_key(&key_cols, row) {
                 ProbeKey::Null | ProbeKey::NoMatch => None,
                 key => self.table.lookup(&key),
             };
-            match candidates {
-                None => entries.push((phys, Entry::NoCandidates)),
-                Some(rows) => {
-                    let start = pair_probe.len() as u32;
-                    for &b in rows {
-                        pair_probe.push(phys);
-                        pair_build.push(b);
-                    }
-                    entries.push((phys, Entry::Pairs(start, pair_probe.len() as u32)));
+            for &b in candidates.into_iter().flatten() {
+                pending.pairs.push(phys, b);
+                if pending.pairs.probe.len() >= self.pair_cap {
+                    self.resolve(chunk, &mut pending, &mut out)?;
                 }
             }
+            if left {
+                pending.row_ends.push((pending.pairs.probe.len(), phys));
+            }
         }
+        self.resolve(chunk, &mut pending, &mut out)?;
+        Ok(self.gather_joined(chunk, &out.probe, &out.build))
+    }
 
-        // Vectorized residual over all candidate pairs at once. The row path
-        // evaluates the residual on every candidate too (no short-circuit
-        // for Inner/Left), so errors surface identically.
+    /// Run the residual over the pending candidates (every candidate is
+    /// evaluated — Inner/Left never short-circuit, so the first failing pair
+    /// in probe × build order is the error) and move the survivors to `out`
+    /// in candidate order. A Left join's probe row whose candidates have all
+    /// been seen and none kept is null-extended in its place.
+    fn resolve(&self, chunk: &ColumnarBatch, pending: &mut Pending, out: &mut Pairs) -> Result<()> {
+        let Pairs { probe, build } = std::mem::take(&mut pending.pairs);
         let survives: Option<Vec<bool>> = match &self.residual {
             None => None,
             Some(pred) => {
-                let cand = self.pair_batch(chunk, &pair_probe, &pair_build);
-                let kept = eval_filter(pred, &cand)?;
-                let mut mask = vec![false; pair_probe.len()];
+                let kept = eval_filter(pred, &self.pair_batch(chunk, &probe, &build))?;
+                let mut mask = vec![false; probe.len()];
                 for k in kept {
                     mask[k as usize] = true;
                 }
                 Some(mask)
             }
         };
-
-        // Emit in probe order: surviving pairs in candidate order, else a
-        // null-extension for Left.
-        let mut out_probe: Vec<u32> = Vec::new();
-        let mut out_build: Vec<u32> = Vec::new();
-        for (phys, entry) in entries {
-            match entry {
-                Entry::NoCandidates => {
-                    if left {
-                        out_probe.push(phys);
-                        out_build.push(NO_ROW);
-                    }
+        let mut ends = pending.row_ends.drain(..).peekable();
+        for p in 0..=probe.len() {
+            while let Some((_, phys)) = ends.next_if(|&(end, _)| end == p) {
+                if !pending.matched {
+                    out.push(phys, NO_ROW);
                 }
-                Entry::Pairs(start, end) => {
-                    let mut matched = false;
-                    for p in start..end {
-                        let ok = survives.as_ref().is_none_or(|m| m[p as usize]);
-                        if ok {
-                            matched = true;
-                            out_probe.push(pair_probe[p as usize]);
-                            out_build.push(pair_build[p as usize]);
-                        }
-                    }
-                    if left && !matched {
-                        out_probe.push(phys);
-                        out_build.push(NO_ROW);
-                    }
-                }
+                pending.matched = false;
+            }
+            if p < probe.len() && survives.as_ref().is_none_or(|m| m[p]) {
+                pending.matched = true;
+                out.push(probe[p], build[p]);
             }
         }
-        Ok(self.gather_joined(chunk, &out_probe, &out_build))
+        Ok(())
     }
 
     /// Materialize the candidate-pair batch residuals are evaluated over.
@@ -491,9 +506,9 @@ impl VecHashJoin {
         ColumnarBatch::new(Arc::clone(&self.schema), cols, out_probe.len())
     }
 
-    /// Semi/Anti probe: candidate scan with the row path's short-circuit —
-    /// a residual error on a later candidate is unreachable once an earlier
-    /// candidate matched, so this stays row-at-a-time over candidates.
+    /// Semi/Anti probe: a candidate scan that stops at the first match — a
+    /// residual error on a later candidate is unreachable once an earlier
+    /// candidate matched, so this stays candidate-at-a-time.
     fn probe_filtering(&self, chunk: &ColumnarBatch) -> Result<ColumnarBatch> {
         let key_cols = self
             .probe_keys
@@ -531,18 +546,13 @@ impl VecHashJoin {
         }
         Ok(chunk.select(keep).with_schema(Arc::clone(&self.schema)))
     }
-
-    /// The right side's column count (for callers sizing null extensions).
-    pub fn build_width(&self) -> usize {
-        self.build_width
-    }
 }
 
 impl BatchOperator for VecHashJoin {
     fn push(&mut self, chunk: &ColumnarBatch) -> Result<Option<ColumnarBatch>> {
         let out = match self.kind {
-            // A keyless Cross join degenerates correctly: every build row
-            // sits under the empty key, which every probe row carries.
+            // Keyless joins: every build row sits under the empty key, which
+            // every probe row carries.
             JoinKind::Inner | JoinKind::Left | JoinKind::Cross => self.probe_pairs(chunk)?,
             JoinKind::Semi | JoinKind::Anti => self.probe_filtering(chunk)?,
         };
@@ -570,10 +580,10 @@ enum GroupMap {
     General(FxHashMap<Vec<Value>, u32>),
 }
 
-/// Vectorized hash aggregation: buffers group state across chunks, emits one
-/// batch from `finish`. Group order is first-seen, like the row path; the
-/// accumulators ARE the row path's ([`crate::agg::Accumulator`]), so SUM's
-/// integral-until-float ladder and DISTINCT behave identically.
+/// Hash aggregation: buffers group state across chunks, emits one batch from
+/// `finish`, groups in first-seen order, one [`crate::agg::Accumulator`] per
+/// group and aggregate. With every input column as a group key and no
+/// aggregates it is DISTINCT: the first row of each group, in input order.
 pub struct VecAggregate {
     groups: Vec<BoundExpr>,
     /// One per aggregate; `None` is `COUNT(*)`.
@@ -753,6 +763,37 @@ impl BatchOperator for VecAggregate {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Sort
+// ---------------------------------------------------------------------------
+
+/// Stable sort of the live rows: each key is evaluated as a column over the
+/// whole input, then an index sort orders the rows under [`Value`]'s total
+/// order (NULL lowest; `false` in a key's flag reverses that key; ties keep
+/// input order). The result is a selection over `input`'s own columns, so a
+/// LIMIT above gathers only the rows that survive it.
+pub fn sort_batch(input: &ColumnarBatch, keys: &[(BoundExpr, bool)]) -> Result<ColumnarBatch> {
+    let n = input.num_rows();
+    let keys = keys
+        .iter()
+        .map(|(expr, asc)| {
+            let col = eval_column(expr, input)?;
+            Ok(((0..n).map(|i| col.value(i)).collect::<Vec<_>>(), *asc))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_by(|&a, &b| {
+        for (vals, asc) in &keys {
+            let ord = vals[a as usize].cmp(&vals[b as usize]);
+            if !ord.is_eq() {
+                return if *asc { ord } else { ord.reverse() };
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    Ok(input.select(order))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,6 +810,33 @@ mod tests {
         let s = schema(&[(name, DataType::Int)]);
         let rows = vals.iter().map(|&v| row![v]).collect();
         ColumnarBatch::from_batch(&Batch::new(s, rows))
+    }
+
+    /// `left JOIN right ON left.<probe> = right.<build>`, one probe chunk.
+    fn join_on(
+        probe: &str,
+        build: &str,
+        left: &ColumnarBatch,
+        right: &ColumnarBatch,
+        kind: JoinKind,
+    ) -> ColumnarBatch {
+        let joined = Arc::new(left.schema().join(right.schema()));
+        let bkey = bind(&Expr::col(build), right.schema()).unwrap();
+        let pkey = bind(&Expr::col(probe), left.schema()).unwrap();
+        let mut op = VecHashJoin::new(
+            right,
+            &[eval_column(&bkey, right).unwrap()],
+            vec![pkey],
+            kind,
+            None,
+            Arc::clone(&joined),
+            joined,
+        );
+        op.push(left).unwrap().unwrap()
+    }
+
+    fn column_values(batch: &ColumnarBatch, col: usize) -> Vec<Value> {
+        (0..batch.num_rows()).map(|i| batch.value_at(i, col)).collect()
     }
 
     #[test]
@@ -814,23 +882,10 @@ mod tests {
         let left = ints("a", &[1, 2, 3, 2]);
         let right_schema = schema(&[("b", DataType::Int), ("c", DataType::Int)]);
         let right = ColumnarBatch::from_batch(&Batch::new(
-            right_schema.clone(),
+            right_schema,
             vec![row![2i64, 20i64], row![3i64, 30i64], row![2i64, 21i64]],
         ));
-        let joined = Arc::new(left.schema().join(&right_schema));
-        let bkey = bind(&Expr::col("b"), &right_schema).unwrap();
-        let pkey = bind(&Expr::col("a"), left.schema()).unwrap();
-        let mut op = VecHashJoin::new(
-            &right,
-            &[bkey],
-            vec![pkey],
-            JoinKind::Inner,
-            None,
-            Arc::clone(&joined),
-            joined,
-        )
-        .unwrap();
-        let out = op.push(&left).unwrap().unwrap();
+        let out = join_on("a", "b", &left, &right, JoinKind::Inner);
         // Probe order, then build insertion order within a key.
         let got: Vec<(Value, Value)> = (0..out.num_rows())
             .map(|i| (out.value_at(i, 0), out.value_at(i, 2)))
@@ -858,20 +913,7 @@ mod tests {
             let s = schema(&[("a", DataType::Float)]);
             ColumnarBatch::from_batch(&Batch::new(s, vec![row![9_007_199_254_740_992.0f64]]))
         };
-        let joined = Arc::new(left.schema().join(right.schema()));
-        let bkey = bind(&Expr::col("b"), right.schema()).unwrap();
-        let pkey = bind(&Expr::col("a"), left.schema()).unwrap();
-        let mut op = VecHashJoin::new(
-            &right,
-            &[bkey],
-            vec![pkey],
-            JoinKind::Inner,
-            None,
-            Arc::clone(&joined),
-            joined,
-        )
-        .unwrap();
-        let out = op.push(&left).unwrap().unwrap();
+        let out = join_on("a", "b", &left, &right, JoinKind::Inner);
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.value_at(0, 1), Value::Int(big));
     }
@@ -883,20 +925,7 @@ mod tests {
             let s = schema(&[("b", DataType::Int)]);
             ColumnarBatch::from_batch(&Batch::new(s, vec![row![2i64]]))
         };
-        let joined = Arc::new(left.schema().join(right.schema()));
-        let bkey = bind(&Expr::col("b"), right.schema()).unwrap();
-        let pkey = bind(&Expr::col("a"), left.schema()).unwrap();
-        let mut op = VecHashJoin::new(
-            &right,
-            &[bkey],
-            vec![pkey],
-            JoinKind::Left,
-            None,
-            Arc::clone(&joined),
-            joined,
-        )
-        .unwrap();
-        let out = op.push(&left).unwrap().unwrap();
+        let out = join_on("a", "b", &left, &right, JoinKind::Left);
         assert_eq!(out.num_rows(), 2);
         assert_eq!(out.value_at(0, 1), Value::Null);
         assert_eq!(out.value_at(1, 1), Value::Int(2));
@@ -941,5 +970,187 @@ mod tests {
         assert_eq!(checks, 3); // ceil(5/2)
         assert_eq!(out.num_rows(), 4);
         assert_eq!(out.value_at(0, 0), Value::Int(2));
+    }
+
+    /// `l.a <op> r.b` with no equi keys, `cap` candidate pairs at a time.
+    fn keyless_join(
+        left: &ColumnarBatch,
+        right: &ColumnarBatch,
+        kind: JoinKind,
+        on: Option<Expr>,
+        cap: usize,
+    ) -> ColumnarBatch {
+        let both = Arc::new(left.schema().join(right.schema()));
+        let out_schema = if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
+            left.schema().clone()
+        } else {
+            Arc::clone(&both)
+        };
+        let residual = on.map(|e| bind(&e, &both).unwrap());
+        let mut op = VecHashJoin::new(right, &[], Vec::new(), kind, residual, both, out_schema)
+            .with_pair_cap(cap);
+        op.push(left).unwrap().expect("joins emit per chunk")
+    }
+
+    #[test]
+    fn keyless_join_over_an_empty_side() {
+        let some = ints("a", &[1, 2]);
+        let none_l = ints("a", &[]);
+        let none_r = ints("b", &[]);
+        let full_r = ints("b", &[7]);
+        let rows = |l: &ColumnarBatch, r: &ColumnarBatch, kind| {
+            keyless_join(l, r, kind, None, 4096).to_batch().into_rows()
+        };
+        for kind in [JoinKind::Inner, JoinKind::Cross] {
+            assert!(rows(&some, &none_r, kind).is_empty());
+            assert!(rows(&none_l, &full_r, kind).is_empty());
+        }
+        // Nothing to match: Left null-extends, Anti keeps, Semi drops.
+        assert_eq!(
+            rows(&some, &none_r, JoinKind::Left),
+            vec![row![1i64, Value::Null], row![2i64, Value::Null]]
+        );
+        assert_eq!(rows(&some, &none_r, JoinKind::Anti), vec![row![1i64], row![2i64]]);
+        assert!(rows(&some, &none_r, JoinKind::Semi).is_empty());
+        for kind in [JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
+            assert!(rows(&none_l, &full_r, kind).is_empty());
+        }
+    }
+
+    #[test]
+    fn keyless_join_is_invariant_under_the_pair_cap() {
+        let left = ints("a", &[1, 5, 3]);
+        let right = ints("b", &[2, 4, 6, 0]);
+        let on = || Some(Expr::col("a").gt(Expr::col("b")));
+        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
+            let whole = keyless_join(&left, &right, kind, on(), 4096).to_batch();
+            for cap in [1, 2, 5] {
+                let capped = keyless_join(&left, &right, kind, on(), cap).to_batch();
+                assert_eq!(capped, whole, "{kind:?} at {cap} pairs");
+            }
+        }
+        // Left: probe order, build order within a row, unmatched rows in place.
+        let on = Expr::col("a")
+            .gt(Expr::lit(2i64))
+            .and(Expr::col("b").gt(Expr::lit(3i64)));
+        let l = keyless_join(&left, &right, JoinKind::Left, Some(on), 3);
+        assert_eq!(
+            l.to_batch().into_rows(),
+            vec![
+                row![1i64, Value::Null],
+                row![5i64, 4i64],
+                row![5i64, 6i64],
+                row![3i64, 4i64],
+                row![3i64, 6i64],
+            ]
+        );
+    }
+
+    fn distinct(batch: &ColumnarBatch) -> ColumnarBatch {
+        let groups = (0..batch.schema().len()).map(BoundExpr::Column).collect();
+        let mut op = VecAggregate::new(groups, Vec::new(), Vec::new(), batch.schema().clone());
+        op.push(batch).unwrap();
+        op.finish().unwrap().unwrap()
+    }
+
+    #[test]
+    fn distinct_is_an_aggregate_with_no_aggregates() {
+        // Int(2) and Float(2.0) are one value; NULL is one group; the first
+        // occurrence is the one kept, in input order.
+        let s = schema(&[("k", DataType::Int), ("v", DataType::Float)]);
+        let batch = ColumnarBatch::from_batch(&Batch::new(
+            s,
+            vec![
+                row![2i64, 1.5f64],
+                row![Value::Null, Value::Null],
+                row![Value::Float(2.0), 1.5f64],
+                row![2i64, Value::Null],
+                row![Value::Null, Value::Null],
+                row![1i64, 1.5f64],
+            ],
+        ));
+        assert_eq!(
+            distinct(&batch).to_batch().into_rows(),
+            vec![
+                row![2i64, 1.5f64],
+                row![Value::Null, Value::Null],
+                row![2i64, Value::Null],
+                row![1i64, 1.5f64],
+            ]
+        );
+        // Single column: the integer fast path and its migration.
+        let one = schema(&[("k", DataType::Int)]);
+        let batch = ColumnarBatch::from_batch(&Batch::new(
+            one,
+            vec![row![3i64], row![Value::Null], row![3i64], row![Value::Float(3.0)], row![0.5f64]],
+        ));
+        assert_eq!(
+            column_values(&distinct(&batch), 0),
+            vec![Value::Int(3), Value::Null, Value::Float(0.5)]
+        );
+    }
+
+    fn sort_keys(batch: &ColumnarBatch, keys: &[(Expr, bool)]) -> Vec<(BoundExpr, bool)> {
+        keys.iter()
+            .map(|(e, asc)| (bind(e, batch.schema()).unwrap(), *asc))
+            .collect()
+    }
+
+    #[test]
+    fn sort_is_stable_and_orders_nulls_first() {
+        let s = schema(&[("k", DataType::Int), ("seq", DataType::Int)]);
+        let batch = ColumnarBatch::from_batch(&Batch::new(
+            s,
+            vec![
+                row![2i64, 0i64],
+                row![Value::Null, 1i64],
+                row![1i64, 2i64],
+                row![2i64, 3i64],
+                row![Value::Null, 4i64],
+                row![1i64, 5i64],
+            ],
+        ));
+        let asc = sort_batch(&batch, &sort_keys(&batch, &[(Expr::col("k"), true)])).unwrap();
+        assert_eq!(
+            column_values(&asc, 1),
+            [1, 4, 2, 5, 0, 3].map(Value::Int),
+            "NULL lowest, ties in input order"
+        );
+        // A selection over the input's own columns: nothing was copied.
+        assert!(Arc::ptr_eq(asc.column(0), batch.column(0)));
+        let desc = sort_batch(&batch, &sort_keys(&batch, &[(Expr::col("k"), false)])).unwrap();
+        assert_eq!(
+            column_values(&desc, 1),
+            [0, 3, 2, 5, 1, 4].map(Value::Int),
+            "DESC reverses keys, not ties"
+        );
+        // Second key breaks the first key's ties; the sort sees only the
+        // live rows of a selected input.
+        let live = batch.select(vec![5, 3, 2, 0]);
+        let two = sort_batch(
+            &live,
+            &sort_keys(&live, &[(Expr::col("k"), false), (Expr::col("seq"), false)]),
+        )
+        .unwrap();
+        assert_eq!(column_values(&two, 1), [3, 0, 5, 2].map(Value::Int));
+    }
+
+    #[test]
+    fn sort_key_error_is_the_scalar_paths_first_failing_row() {
+        // `k + 1` over a Mixed column: rows 1 and 2 both fail, differently.
+        let s = schema(&[("k", DataType::Int)]);
+        let batch = ColumnarBatch::from_batch(&Batch::new(
+            s,
+            vec![row![1i64], row!["x"], row![true], row![4i64]],
+        ));
+        let key = Expr::col("k").binary(BinaryOp::Plus, Expr::lit(1i64));
+        let keys = sort_keys(&batch, &[(key, true)]);
+        let err = sort_batch(&batch, &keys).unwrap_err();
+        let scalar = keys[0].0.eval(&batch.row(1)).unwrap_err();
+        assert_eq!(err.to_string(), scalar.to_string());
+        assert_ne!(
+            err.to_string(),
+            keys[0].0.eval(&batch.row(2)).unwrap_err().to_string()
+        );
     }
 }

@@ -4,9 +4,9 @@
 //! The contract with the scalar path is *exact semantic equivalence*: for any
 //! expression and any batch, [`eval_column`] must produce, position by
 //! position, the same [`Value`]s (and the same errors) as calling
-//! [`BoundExpr::eval`] on each materialized row. The executor's E21 gate and
-//! the `vectorized_equals_row_at_a_time` proptest hold this line. Four rules
-//! keep it honest:
+//! [`BoundExpr::eval`] on each materialized row. The kernel proptests below
+//! and the reference-evaluator proptest (`tests/reference.rs`) hold this
+//! line. Four rules keep it honest:
 //!
 //! - **NULL propagation and Kleene AND/OR** are re-implemented over columns,
 //!   but AND/OR evaluate their right side only on the *sub-selection* of rows

@@ -33,13 +33,7 @@ pub struct PlannerConfig {
     /// denominator wrapper of experiment E11). It must be a *subset* of
     /// every real dialect or sources will reject component queries.
     pub dialect_override: Option<Dialect>,
-    /// Mark hub-side Filter/Project/HashJoin/Aggregate operators for the
-    /// executor's vectorized columnar path (typed column kernels over
-    /// selection vectors) instead of row-at-a-time interpretation. Answers
-    /// and simulated costs are identical either way; only wall-clock time
-    /// changes (experiment E21).
-    pub vectorize: bool,
-    /// Rows per columnar chunk fed through vectorized operators (the
+    /// Rows per columnar chunk fed through the executor's operators (the
     /// cancellation/deadline check granularity). 0 means the executor
     /// default.
     pub batch_size: usize,
@@ -58,7 +52,6 @@ impl PlannerConfig {
             parallel_fetch: true,
             rewrite_matviews: true,
             dialect_override: None,
-            vectorize: true,
             batch_size: 0,
         }
     }
@@ -88,9 +81,7 @@ mod tests {
     #[test]
     fn presets() {
         assert!(PlannerConfig::optimized().pushdown_filters);
-        assert!(PlannerConfig::optimized().vectorize);
         assert!(!PlannerConfig::naive().pushdown_filters);
-        assert!(!PlannerConfig::naive().vectorize);
         assert!(PlannerConfig::filters_only().pushdown_filters);
         assert!(!PlannerConfig::filters_only().reorder_joins);
     }

@@ -74,7 +74,9 @@ pub enum PhysicalPlan {
     Filter {
         input: Box<PhysicalPlan>,
         predicate: Expr,
-        /// Run on the executor's columnar path (selection-vector kernels).
+        /// Always `true`, read by nothing in the engine: `eiibench`'s trace
+        /// destructures it, and the benchmark may only change in an issue
+        /// of its own (ROADMAP, "drop the `vectorized` fields").
         vectorized: bool,
     },
     /// Assembly-site projection.
@@ -82,7 +84,7 @@ pub enum PhysicalPlan {
         input: Box<PhysicalPlan>,
         exprs: Vec<(Expr, String)>,
         schema: SchemaRef,
-        /// Run on the executor's columnar path (typed expression kernels).
+        /// Always `true`; see [`PhysicalPlan::Filter`].
         vectorized: bool,
     },
     /// Hash join on equi keys, with optional residual predicate.
@@ -96,7 +98,7 @@ pub enum PhysicalPlan {
         site: JoinSite,
         parallel: bool,
         schema: SchemaRef,
-        /// Run build/probe on the executor's columnar path.
+        /// Always `true`; see [`PhysicalPlan::Filter`].
         vectorized: bool,
     },
     /// Nested-loop join (arbitrary condition / cartesian).
@@ -127,7 +129,7 @@ pub enum PhysicalPlan {
         group_by: Vec<Expr>,
         aggs: Vec<AggItem>,
         schema: SchemaRef,
-        /// Accumulate over columnar chunks instead of rows.
+        /// Always `true`; see [`PhysicalPlan::Filter`].
         vectorized: bool,
     },
     /// Duplicate elimination.
@@ -249,17 +251,11 @@ impl PhysicalPlan {
                 }
                 s
             }
-            PhysicalPlan::Filter {
-                predicate,
-                vectorized,
-                ..
-            } => format!("Filter {predicate}{}", vec_tag(*vectorized)),
-            PhysicalPlan::Project {
-                exprs, vectorized, ..
-            } => {
+            PhysicalPlan::Filter { predicate, .. } => format!("Filter {predicate}"),
+            PhysicalPlan::Project { exprs, .. } => {
                 let items: Vec<String> =
                     exprs.iter().map(|(e, n)| format!("{e} AS {n}")).collect();
-                format!("Project [{}]{}", items.join(", "), vec_tag(*vectorized))
+                format!("Project [{}]", items.join(", "))
             }
             PhysicalPlan::HashJoin {
                 left_keys,
@@ -267,7 +263,6 @@ impl PhysicalPlan {
                 kind,
                 site,
                 parallel,
-                vectorized,
                 ..
             } => {
                 let keys: Vec<String> = left_keys
@@ -276,10 +271,9 @@ impl PhysicalPlan {
                     .map(|(l, r)| format!("{l}={r}"))
                     .collect();
                 format!(
-                    "HashJoin[{kind}] keys=[{}] site={site}{}{}",
+                    "HashJoin[{kind}] keys=[{}] site={site}{}",
                     keys.join(", "),
-                    if *parallel { " parallel" } else { "" },
-                    vec_tag(*vectorized)
+                    if *parallel { " parallel" } else { "" }
                 )
             }
             PhysicalPlan::NestedLoopJoin { kind, on, .. } => format!(
@@ -292,20 +286,10 @@ impl PhysicalPlan {
                 bind_column,
                 ..
             } => format!("BindJoin {left_key} -> {source}.{bind_column}"),
-            PhysicalPlan::Aggregate {
-                group_by,
-                aggs,
-                vectorized,
-                ..
-            } => {
+            PhysicalPlan::Aggregate { group_by, aggs, .. } => {
                 let g: Vec<String> = group_by.iter().map(ToString::to_string).collect();
                 let a: Vec<String> = aggs.iter().map(|x| x.name.clone()).collect();
-                format!(
-                    "HashAggregate group=[{}] aggs=[{}]{}",
-                    g.join(", "),
-                    a.join(", "),
-                    vec_tag(*vectorized)
-                )
+                format!("HashAggregate group=[{}] aggs=[{}]", g.join(", "), a.join(", "))
             }
             PhysicalPlan::Distinct { .. } => "Distinct".into(),
             PhysicalPlan::Sort { keys, .. } => {
@@ -430,7 +414,7 @@ impl<'a> PhysicalPlanner<'a> {
             LogicalPlan::Filter { input, predicate } => Ok(PhysicalPlan::Filter {
                 input: Box::new(self.create(*input)?),
                 predicate,
-                vectorized: self.config.vectorize,
+                vectorized: true,
             }),
             LogicalPlan::Project { input, exprs } => {
                 let schema = LogicalPlan::Project {
@@ -442,7 +426,7 @@ impl<'a> PhysicalPlanner<'a> {
                     input: Box::new(self.create(*input)?),
                     exprs,
                     schema,
-                    vectorized: self.config.vectorize,
+                    vectorized: true,
                 })
             }
             LogicalPlan::Join { .. } => self.create_join(plan),
@@ -462,7 +446,7 @@ impl<'a> PhysicalPlanner<'a> {
                     group_by,
                     aggs,
                     schema,
-                    vectorized: self.config.vectorize,
+                    vectorized: true,
                 })
             }
             LogicalPlan::Distinct { input } => Ok(PhysicalPlan::Distinct {
@@ -719,7 +703,7 @@ impl<'a> PhysicalPlanner<'a> {
             site,
             parallel: self.config.parallel_fetch,
             schema: joined_schema,
-            vectorized: self.config.vectorize,
+            vectorized: true,
         })
     }
 
@@ -796,21 +780,12 @@ impl<'a> PhysicalPlanner<'a> {
                     input: Box::new(plan),
                     exprs,
                     schema: joined_schema.clone(),
-                    vectorized: self.config.vectorize,
+                    vectorized: true,
                 }),
                 schema: joined_schema,
             });
         }
         Ok(plan)
-    }
-}
-
-/// EXPLAIN suffix for operators scheduled on the columnar path.
-fn vec_tag(vectorized: bool) -> &'static str {
-    if vectorized {
-        " [VECTORIZED]"
-    } else {
-        ""
     }
 }
 

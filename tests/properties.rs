@@ -772,97 +772,6 @@ proptest! {
         }
     }
 
-    /// Vectorized columnar execution ≡ row-at-a-time interpretation: with
-    /// the same optimized planner config, flipping only `vectorize` returns
-    /// byte-identical batches — values, row order, and degradation flags —
-    /// across filters, arithmetic projections, equi-joins over NULL-heavy
-    /// keys (NULL must never join on either path), grouped and global
-    /// aggregates, and dead-source fallback runs where the answer is
-    /// served stale and flagged DEGRADED.
-    #[test]
-    fn vectorized_equals_row_at_a_time(
-        rows in unique_rows(),
-        pred in predicates(),
-        null_orders in proptest::collection::vec((-50i64..50, 0i64..200), 0..8),
-        shape in 0usize..6,
-        degrade in any::<bool>(),
-    ) {
-        let sql = match shape {
-            0 => format!("SELECT id, name FROM crm.customers WHERE {pred}"),
-            1 => format!(
-                "SELECT c.name, o.total FROM crm.customers c \
-                 JOIN sales.orders o ON c.id = o.customer_id WHERE {pred}"
-            ),
-            2 => format!(
-                "SELECT name, COUNT(*) AS n, SUM(score) AS s, AVG(score) AS a, \
-                 MIN(score) AS lo, MAX(score) AS hi \
-                 FROM crm.customers WHERE {pred} GROUP BY name"
-            ),
-            3 => "SELECT c.name, COUNT(*) AS n, SUM(o.total) AS s \
-                  FROM crm.customers c JOIN sales.orders o ON c.id = o.customer_id \
-                  GROUP BY c.name"
-                .to_string(),
-            4 => "SELECT COUNT(*) AS n, SUM(total) AS s, AVG(total) AS a \
-                  FROM sales.orders WHERE total >= 40.0"
-                .to_string(),
-            _ => format!(
-                "SELECT id, score * 2 + 1 AS s2, score % 7 AS m \
-                 FROM crm.customers WHERE {pred}"
-            ),
-        };
-        let build = |vectorize: bool| {
-            let (sys, clock) = system_with_customers(&rows);
-            let sys = sys.with_config(PlannerConfig {
-                vectorize,
-                ..PlannerConfig::optimized()
-            });
-            // NULL-heavy join keys: negative first components insert orders
-            // whose customer_id is NULL.
-            for (i, &(score, id)) in null_orders.iter().enumerate() {
-                sys.federation()
-                    .source("sales")
-                    .unwrap()
-                    .update(&eii::federation::UpdateOp::Insert {
-                        table: "orders".into(),
-                        row: row![
-                            5_000 + i as i64,
-                            if score < 0 { Value::Null } else { Value::Int(id) },
-                            (score % 50) as f64
-                        ],
-                    })
-                    .unwrap();
-            }
-            if degrade {
-                sys.snapshot_fallback("sales.orders").unwrap();
-                clock.advance_ms(1_000);
-                sys.federation()
-                    .inject_faults("sales", FaultProfile::failing(1.0, 7))
-                    .unwrap();
-                sys.set_degradation_policy(DegradationPolicy::Fallback);
-            }
-            sys
-        };
-        let on_out = build(true).execute(&sql).unwrap();
-        let off_out = build(false).execute(&sql).unwrap();
-        let on = on_out.query_result().unwrap();
-        let off = off_out.query_result().unwrap();
-        // Exact equality, not set equality: the columnar operators promise
-        // the row path's output order, byte for byte.
-        prop_assert_eq!(on.batch.rows(), off.batch.rows());
-        prop_assert_eq!(on.batch.schema(), off.batch.schema());
-        let flags = |r: &eii::exec::QueryResult| -> Vec<(String, Option<i64>)> {
-            r.degraded
-                .iter()
-                .map(|d| (d.source.clone(), d.stale_ms))
-                .collect()
-        };
-        prop_assert_eq!(flags(on), flags(off));
-        // When the dead source was actually consulted, both paths must
-        // agree it was flagged (a plan over an empty probe side may
-        // legitimately never touch sales at all).
-        prop_assert_eq!(on.fully_live(), off.fully_live());
-    }
-
     /// LIMIT never yields more rows than asked, and the prefix matches the
     /// unlimited ordering.
     #[test]
