@@ -136,7 +136,7 @@ impl EiiSystemBuilder {
     pub fn build_owned(self) -> Result<EiiSystem> {
         let mut system = EiiSystem::new(self.clock);
         if let Some(config) = self.config {
-            system.set_planner_config(config);
+            system = system.with_config(config);
         }
         system.set_scan_partitions(self.scan_partitions);
         if let Some(policy) = self.hedge {

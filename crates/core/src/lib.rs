@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use eii_advisor::{Advisor, AdvisorAction, AdvisorConfig, Candidate, Proposal};
 use eii_catalog::Catalog;
@@ -63,8 +63,8 @@ use eii_obs::{
     TraceStore, Tracer,
 };
 use eii_planner::{
-    optimize, rewrite_matviews, rewrite_matviews_with_budget, CardinalityFeedback, CostModel,
-    LogicalPlan, PhysicalPlan, PlanBuilder, PhysicalPlanner, PlannerConfig,
+    optimize, rewrite_matviews_with_budget, CardinalityFeedback, CostModel, LogicalPlan,
+    PhysicalPlan, PhysicalPlanner, PlanBuilder, PlannerConfig,
 };
 use eii_search::{EnterpriseSearch, Hit};
 use eii_sql::{parse_statement, SetQuery, Statement};
@@ -79,7 +79,7 @@ pub mod builder;
 pub mod session;
 
 pub use builder::EiiSystemBuilder;
-pub use session::{ExplainMode, QueryScheduler, Session};
+pub use session::{QueryScheduler, Session};
 
 /// Everything an application typically imports.
 pub mod prelude {
@@ -156,12 +156,7 @@ pub enum ExecOutcome {
 impl ExecOutcome {
     /// The rows, if this outcome carries any.
     pub fn rows(&self) -> Result<&Batch> {
-        match self {
-            ExecOutcome::Rows(r) => Ok(&r.batch),
-            other => Err(EiiError::Execution(format!(
-                "statement did not produce rows: {other:?}"
-            ))),
-        }
+        self.query_result().map(|r| &r.batch)
     }
 
     /// The full query result, if this outcome is a query.
@@ -186,10 +181,7 @@ impl ExecOutcome {
 
     /// The rows, when this outcome carries any (non-erroring probe).
     pub fn try_rows(&self) -> Option<&Batch> {
-        match self {
-            ExecOutcome::Rows(r) => Some(&r.batch),
-            _ => None,
-        }
+        self.try_query_result().map(|r| &r.batch)
     }
 
     /// The full query result, when this outcome is a query.
@@ -323,7 +315,6 @@ pub struct EiiSystem {
     cache: OnceLock<ResultCache>,
     scan_partitions: usize,
     hedge: RwLock<Option<HedgePolicy>>,
-    last_trace: Mutex<Option<Arc<QueryTrace>>>,
     query_log: QueryLog,
     traces: TraceStore,
     slo: SloMonitor,
@@ -362,7 +353,6 @@ impl EiiSystem {
             cache: OnceLock::new(),
             scan_partitions: 1,
             hedge: RwLock::new(None),
-            last_trace: Mutex::new(None),
             query_log: QueryLog::default(),
             traces: TraceStore::default(),
             slo: SloMonitor::new(),
@@ -382,10 +372,6 @@ impl EiiSystem {
     pub fn with_config(mut self, config: PlannerConfig) -> Self {
         self.config = config;
         self
-    }
-
-    pub(crate) fn set_planner_config(&mut self, config: PlannerConfig) {
-        self.config = config;
     }
 
     pub(crate) fn set_scan_partitions(&mut self, n: usize) {
@@ -720,38 +706,21 @@ impl EiiSystem {
         text
     }
 
-    /// Execute one SQL statement as the given role. Prefer a [`Session`]
-    /// (see [`EiiSystem::session`]) for stateful work — it threads per-query
-    /// options and keeps its own trace; this entry point is the stateless
-    /// one-shot form.
-    pub fn execute_as(&self, sql: &str, role: &str) -> Result<ExecOutcome> {
-        self.execute_with(sql, &ExecOptions::for_role(role))
+    /// Execute one SQL statement as the default (`public`) role with no
+    /// per-query overrides; the trace is sampled into
+    /// [`EiiSystem::trace_store`].
+    pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
+        self.execute_with(sql, &ExecOptions::default()).0
     }
 
-    /// Execute one SQL statement under explicit per-query options (what
-    /// [`Session`] handles thread through). The trace lands in
-    /// [`EiiSystem::last_trace`] and is also returned to the caller via
-    /// `opts` consumers; sessions keep their own copy.
-    pub fn execute_with(&self, sql: &str, opts: &ExecOptions) -> Result<ExecOutcome> {
-        self.execute_with_trace_shared(sql, opts).0
-    }
-
-    /// As [`EiiSystem::execute_with`], but hands the finished trace back to
-    /// the caller instead of only the shared `last_trace` slot.
-    pub fn execute_with_trace(
-        &self,
-        sql: &str,
-        opts: &ExecOptions,
-    ) -> (Result<ExecOutcome>, QueryTrace) {
-        let (outcome, trace) = self.execute_with_trace_shared(sql, opts);
-        (outcome, (*trace).clone())
-    }
-
-    /// The execution core behind [`EiiSystem::execute_with`] and
-    /// [`EiiSystem::execute_with_trace`]: the finished trace is shared via
-    /// `Arc` between the trace store, the `last_trace` slot, and the
-    /// caller, so the hot path never deep-clones the span tree.
-    pub(crate) fn execute_with_trace_shared(
+    /// Execute one SQL statement under explicit per-query options, and hand
+    /// back its finished trace. This is the one way a statement enters the
+    /// engine: [`EiiSystem::execute`], [`Session::execute`] and the
+    /// [`QueryScheduler`] all call it, and `EXPLAIN [ANALYZE]`, `CREATE VIEW`
+    /// and `SEARCH` are statements it dispatches. Per-role or stateful work
+    /// reads better through a [`Session`], which threads the options and
+    /// keeps the trace.
+    pub fn execute_with(
         &self,
         sql: &str,
         opts: &ExecOptions,
@@ -760,21 +729,19 @@ impl EiiSystem {
         let start_wall = Instant::now();
         let start_sim = self.clock.now_ms();
         let mut telemetry = StatementTelemetry::default();
-        let outcome = self.execute_traced(sql, opts, &tracer, &mut telemetry);
+        let outcome = self.dispatch(sql, opts, &tracer, &mut telemetry);
         let trace = Arc::new(tracer.finish());
         self.record_statement(sql, opts, &outcome, &trace, telemetry, start_sim, start_wall);
-        *self.last_trace.lock() = Some(Arc::clone(&trace));
         (outcome, trace)
     }
 
-    fn execute_traced(
+    fn dispatch(
         &self,
         sql: &str,
         opts: &ExecOptions,
         tracer: &Tracer,
         telemetry: &mut StatementTelemetry,
     ) -> Result<ExecOutcome> {
-        let role = opts.role.as_str();
         let _statement = tracer.span("statement");
         let stmt = {
             let _parse = tracer.span("parse");
@@ -782,24 +749,38 @@ impl EiiSystem {
         };
         match stmt {
             Statement::Query(q) => Ok(ExecOutcome::Rows(Box::new(
-                self.run_query(&q, opts, tracer, telemetry)?,
+                self.run_query(&q, opts, tracer, telemetry)?.0,
             ))),
             Statement::Explain { analyze: false, query } => {
-                let (optimized, physical) = self.plan_explain(&query, tracer)?;
+                let _plan = tracer.span("plan");
+                let budget = opts.deadline_budget_ms.map(|b| b as f64);
+                let (logical, physical) =
+                    self.finish(self.normalize(&query)?, budget, LogicalPlan::display)?;
                 Ok(ExecOutcome::Explained(self.annotate_advised(format!(
-                    "== Logical plan ==\n{}== Physical plan ==\n{}",
-                    optimized.display(),
+                    "== Logical plan ==\n{logical}== Physical plan ==\n{}",
                     physical.display()
                 ))))
             }
-            Statement::Explain { analyze: true, query } => Ok(ExecOutcome::Explained(
-                self.run_explain_analyze(&query, tracer, telemetry)?,
-            )),
+            // Run the query exactly as `Statement::Query` would, then render
+            // what came back.
+            Statement::Explain { analyze: true, query } => {
+                let (result, answered) = self.run_query(&query, opts, tracer, telemetry)?;
+                let text = match answered {
+                    Answered::FromCache { age_ms, original } => {
+                        render_cached(&result, age_ms, &original)
+                    }
+                    Answered::ByPlan(physical) => {
+                        let model = CostModel::new(&self.federation);
+                        let text = render_analyze(&physical, &result, &model, telemetry.flags)?;
+                        self.annotate_advised(text)
+                    }
+                };
+                Ok(ExecOutcome::Explained(text))
+            }
             Statement::CreateView { name, query } => {
                 // Validate the body plans before accepting the definition.
                 self.catalog.create_view(&name, sql, query.clone())?;
-                let probe = PlanBuilder::new(&self.catalog, &self.federation).build(&query);
-                if let Err(e) = probe {
+                if let Err(e) = self.normalize(&query) {
                     self.catalog.drop_view(&name);
                     return Err(e);
                 }
@@ -815,7 +796,7 @@ impl EiiSystem {
                         "no search service attached; call attach_search first".into(),
                     ));
                 };
-                let (mut hits, _) = search.search(&terms, role, limit.unwrap_or(10))?;
+                let (mut hits, _) = search.search(&terms, &opts.role, limit.unwrap_or(10))?;
                 if !sources.is_empty() {
                     hits.retain(|h| sources.iter().any(|s| s == &h.source));
                 }
@@ -824,23 +805,46 @@ impl EiiSystem {
         }
     }
 
-    /// Execute one SQL statement as the default (`public`) role.
-    pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
-        self.execute_as(sql, "public")
+    /// Planning, first step: build the logical plan and optimize it. Its
+    /// `display()` is the result-cache key and the statement fingerprint, and
+    /// what [`EiiSystem::predict`] and the scheduler's permit accounting read.
+    fn normalize(&self, q: &SetQuery) -> Result<LogicalPlan> {
+        let logical = PlanBuilder::new(&self.catalog, &self.federation).build(q)?;
+        optimize(logical, &self.federation, &self.config)
     }
 
-    /// Build and optimize the logical plan, then apply the
-    /// answering-queries-using-views rewrite when enabled and any view is
-    /// servable right now.
-    fn optimize_with_views(&self, q: &SetQuery) -> Result<LogicalPlan> {
-        let logical = PlanBuilder::new(&self.catalog, &self.federation).build(q)?;
-        let optimized = optimize(logical, &self.federation, &self.config)?;
-        match (self.matviews.get(), self.config.rewrite_matviews) {
+    /// Planning, second step (skipped by a result-cache hit): rewrite the
+    /// normalized plan against the materialized views servable right now,
+    /// then plan it physically. `budget_ms` is what is left of the
+    /// statement's deadline: a tight budget can rescue a view substitution
+    /// that pure cost comparison would reject — stale-but-local beats
+    /// fresh-but-late. Physical planning consumes the rewritten plan, so
+    /// `read` looks at it first: `EXPLAIN` renders it, a query passes a
+    /// no-op rather than pay for a copy.
+    fn finish<T>(
+        &self,
+        optimized: LogicalPlan,
+        budget_ms: Option<f64>,
+        read: impl FnOnce(&LogicalPlan) -> T,
+    ) -> Result<(T, PhysicalPlan)> {
+        let rewritten = match (self.matviews.get(), self.config.rewrite_matviews) {
             (Some(mgr), true) => {
                 let defs = mgr.defs(self.clock.now_ms());
-                rewrite_matviews(optimized, &defs, &self.federation)
+                rewrite_matviews_with_budget(optimized, &defs, &self.federation, budget_ms)?
             }
-            _ => Ok(optimized),
+            _ => optimized,
+        };
+        let seen = read(&rewritten);
+        let physical = PhysicalPlanner::new(&self.federation, &self.config).create(rewritten)?;
+        Ok((seen, physical))
+    }
+
+    /// [`EiiSystem::normalize`] from SQL text, for the callers that plan a
+    /// query without running it.
+    pub(crate) fn normalize_sql(&self, sql: &str) -> Result<LogicalPlan> {
+        match parse_statement(sql)? {
+            Statement::Query(q) => self.normalize(&q),
+            _ => Err(EiiError::Plan("expected a query".into())),
         }
     }
 
@@ -856,7 +860,7 @@ impl EiiSystem {
         opts: &ExecOptions,
         tracer: &Tracer,
         telemetry: &mut StatementTelemetry,
-    ) -> Result<QueryResult> {
+    ) -> Result<(QueryResult, Answered)> {
         let start = Instant::now();
         let now = self.clock.now_ms();
         let telemetry_on = self.telemetry_enabled();
@@ -883,8 +887,7 @@ impl EiiSystem {
         // fetches.
         ctx.check().inspect_err(|e| self.count_abort(e))?;
         let plan_span = tracer.span("plan");
-        let logical = PlanBuilder::new(&self.catalog, &self.federation).build(q)?;
-        let optimized = optimize(logical, &self.federation, &self.config)?;
+        let optimized = self.normalize(q)?;
 
         // The cache key is the normalized (optimized) plan, so equivalent
         // SQL shares an entry; base tables drive version validation.
@@ -893,38 +896,23 @@ impl EiiSystem {
         telemetry.plan = key.clone();
         let tables = base_tables(&optimized);
         if let Some(cache) = self.cache.get() {
-            match cache.lookup_with_budget(
-                &key,
-                now,
-                &self.federation,
-                opts.staleness_budget_ms,
-            ) {
-                CacheLookup::Hit(hit) => {
-                    drop(plan_span);
-                    telemetry.flags.cached = true;
-                    return Ok(self.serve_cached(hit, Vec::new(), start, tracer));
-                }
-                CacheLookup::Stale(hit, reports) => {
-                    drop(plan_span);
-                    telemetry.flags.cached = true;
-                    return Ok(self.serve_cached(hit, reports, start, tracer));
-                }
-                CacheLookup::Miss => {}
+            let probe =
+                cache.lookup_with_budget(&key, now, &self.federation, opts.staleness_budget_ms);
+            let hit = match probe {
+                CacheLookup::Hit(hit) => Some((hit, Vec::new())),
+                CacheLookup::Stale(hit, reports) => Some((hit, reports)),
+                CacheLookup::Miss => None,
+            };
+            if let Some((hit, reports)) = hit {
+                drop(plan_span);
+                telemetry.flags.cached = true;
+                telemetry.flags.degraded = !reports.is_empty();
+                return Ok(self.serve_cached(hit, reports, start, tracer));
             }
         }
 
-        let rewritten = match (self.matviews.get(), self.config.rewrite_matviews) {
-            (Some(mgr), true) => {
-                let defs = mgr.defs(now);
-                // A tight budget can rescue a matview substitution that pure
-                // cost comparison would reject: stale-but-local beats
-                // fresh-but-late.
-                let budget = deadline.as_ref().map(|d| d.remaining_ms() as f64);
-                rewrite_matviews_with_budget(optimized, &defs, &self.federation, budget)?
-            }
-            _ => optimized,
-        };
-        let physical = PhysicalPlanner::new(&self.federation, &self.config).create(rewritten)?;
+        let budget = deadline.as_ref().map(|d| d.remaining_ms() as f64);
+        let ((), physical) = self.finish(optimized, budget, |_| ())?;
         telemetry.flags.matview = plan_uses_matview(&physical);
         drop(plan_span);
 
@@ -961,14 +949,14 @@ impl EiiSystem {
             let model = CostModel::new(&self.federation);
             observe_feedback(&physical, profile, &model, &state.feedback);
         }
+        let per_source = traffic_before
+            .map(|before| traffic_delta(&before, &self.federation.ledger().snapshot()));
         if telemetry_on {
-            if let Some(before) = &traffic_before {
-                telemetry.per_source_bytes =
-                    traffic_delta(before, &self.federation.ledger().snapshot())
-                        .into_iter()
-                        .map(|(source, bytes)| (source, bytes as u64))
-                        .collect();
-            }
+            telemetry.per_source_bytes = per_source
+                .iter()
+                .flatten()
+                .map(|(source, bytes)| (source.clone(), *bytes as u64))
+                .collect();
             // Decide trace retention now that the outcome's flags are
             // known: the per-operator cost-model walk (statistics lookups
             // per scan) is the priciest piece of recording, so it only
@@ -1006,14 +994,11 @@ impl EiiSystem {
         self.credit_matview_savings(&physical);
 
         if let Some(cache) = self.cache.get() {
-            let per_source = traffic_delta(
-                &traffic_before.expect("snapshot taken when cache enabled"),
-                &self.federation.ledger().snapshot(),
-            );
+            let per_source = per_source.expect("snapshot taken when cache enabled");
             let versions = ResultCache::probe_versions(&self.federation, &tables);
             cache.fill(key, result.batch.clone(), result.cost, per_source, versions, now);
         }
-        Ok(result)
+        Ok((result, Answered::ByPlan(physical)))
     }
 
     /// Serve a memoized result: credit every byte the original execution
@@ -1025,7 +1010,7 @@ impl EiiSystem {
         reports: Vec<SourceReport>,
         start: Instant,
         tracer: &Tracer,
-    ) -> QueryResult {
+    ) -> (QueryResult, Answered) {
         let metrics = self.federation.metrics();
         for (source, bytes) in &hit.per_source_bytes {
             self.federation.ledger().record_saved(source, *bytes);
@@ -1038,7 +1023,11 @@ impl EiiSystem {
         span.annotate("age_ms", hit.age_ms as usize);
         drop(span);
         let rows = hit.batch.num_rows();
-        QueryResult {
+        let answered = Answered::FromCache {
+            age_ms: hit.age_ms,
+            original: hit.cost,
+        };
+        let result = QueryResult {
             batch: hit.batch,
             cost: QueryCost {
                 sim_ms: CACHE_HIT_MS + rows as f64 * CACHE_HUB_MS_PER_ROW,
@@ -1048,7 +1037,8 @@ impl EiiSystem {
             degraded: reports,
             profile: None,
             hedged: false,
-        }
+        };
+        (result, answered)
     }
 
     /// Credit the bytes each `MatViewScan` in the executed plan avoided
@@ -1067,20 +1057,6 @@ impl EiiSystem {
             metrics.add(&format!("source.{source}.bytes_saved"), bytes as u64);
             metrics.add("matview.bytes_saved", bytes as u64);
         }
-    }
-
-    /// Build the optimized (and view-rewritten) logical plan plus its
-    /// physical plan, under a `plan` span.
-    fn plan_explain(
-        &self,
-        q: &SetQuery,
-        tracer: &Tracer,
-    ) -> Result<(eii_planner::LogicalPlan, PhysicalPlan)> {
-        let _plan = tracer.span("plan");
-        let optimized = self.optimize_with_views(q)?;
-        let physical =
-            PhysicalPlanner::new(&self.federation, &self.config).create(optimized.clone())?;
-        Ok((optimized, physical))
     }
 
     /// The executor every statement runs on, wired with everything the
@@ -1105,116 +1081,6 @@ impl EiiSystem {
             });
         }
         exec
-    }
-
-    /// Execute the query and render the physical plan with per-operator
-    /// estimated versus actual rows, bytes, and simulated time. When the
-    /// semantic cache holds the answer there is no operator tree to render:
-    /// the output is a `[CACHED]` header (with staleness flags mirroring
-    /// `[DEGRADED: ...]`) plus the total line.
-    fn run_explain_analyze(
-        &self,
-        q: &SetQuery,
-        tracer: &Tracer,
-        telemetry: &mut StatementTelemetry,
-    ) -> Result<String> {
-        if let Some(cache) = self.cache.get() {
-            let logical = PlanBuilder::new(&self.catalog, &self.federation).build(q)?;
-            let optimized = optimize(logical, &self.federation, &self.config)?;
-            let probe = cache.lookup(&optimized.display(), self.clock.now_ms(), &self.federation);
-            match probe {
-                CacheLookup::Hit(hit) => {
-                    telemetry.flags.cached = true;
-                    return Ok(render_cached(&hit, &[]));
-                }
-                CacheLookup::Stale(hit, reports) => {
-                    telemetry.flags.cached = true;
-                    return Ok(render_cached(&hit, &reports));
-                }
-                CacheLookup::Miss => {}
-            }
-        }
-        let (optimized, physical) = self.plan_explain(q, tracer)?;
-        telemetry.plan = optimized.display();
-        telemetry.fingerprint = fingerprint64(&telemetry.plan);
-        let execute = tracer.span("execute");
-        let result = self
-            .executor(self.degradation_policy(), RequestCtx::new())
-            .execute(&physical)?;
-        if let Some(profile) = &result.profile {
-            tracer.attach(profile.to_span());
-        }
-        drop(execute);
-        let profile = result.profile.as_ref().ok_or_else(|| {
-            EiiError::Execution("EXPLAIN ANALYZE needs executor instrumentation".into())
-        })?;
-        if let Some(state) = self.advisor.get() {
-            let model = CostModel::new(&self.federation);
-            observe_feedback(&physical, profile, &model, &state.feedback);
-        }
-        telemetry.flags.hedged = result.hedged;
-        telemetry.flags.degraded = !result.degraded.is_empty();
-        telemetry.flags.matview = plan_uses_matview(&physical);
-        let model = CostModel::new(&self.federation);
-        let mut out = String::new();
-        render_analyze(&physical, profile, &model, &result.degraded, 0, &mut out);
-        let rendered_flags = telemetry.flags.render();
-        let _ = write!(
-            out,
-            "Total: rows={} bytes={} sim={:.1}ms wall={:.1?}{}{}",
-            result.batch.num_rows(),
-            result.cost.bytes,
-            result.cost.sim_ms,
-            result.wall,
-            if result.fully_live() {
-                String::new()
-            } else {
-                format!(" degraded_sources={}", result.degraded.len())
-            },
-            if rendered_flags.is_empty() {
-                String::new()
-            } else {
-                format!(" flags={rendered_flags}")
-            }
-        );
-        out.push('\n');
-        Ok(self.annotate_advised(out))
-    }
-
-    /// `EXPLAIN ANALYZE` as a direct call: execute `sql` (a query) and
-    /// return the annotated plan text.
-    pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let q = match parse_statement(sql)? {
-            Statement::Query(q) | Statement::Explain { query: q, .. } => q,
-            _ => return Err(EiiError::Plan("EXPLAIN ANALYZE expects a query".into())),
-        };
-        let tracer = Tracer::new(self.clock.clone());
-        let start_wall = Instant::now();
-        let start_sim = self.clock.now_ms();
-        let mut telemetry = StatementTelemetry::default();
-        let opts = ExecOptions::default();
-        let text = self.run_explain_analyze(&q, &tracer, &mut telemetry);
-        let trace = Arc::new(tracer.finish());
-        let outcome = text.clone().map(ExecOutcome::Explained);
-        self.record_statement(sql, &opts, &outcome, &trace, telemetry, start_sim, start_wall);
-        *self.last_trace.lock() = Some(trace);
-        text
-    }
-
-    /// The trace of the most recently executed statement (spans for parse,
-    /// plan, execute, and one `op:<label>` span per physical operator).
-    ///
-    /// Under concurrent sessions this slot is clobbered by whichever
-    /// statement finished last; use [`Session::last_trace`] for a
-    /// per-session trace or [`EiiSystem::trace_store`] for sampled
-    /// retention with per-session and by-ID lookup.
-    #[deprecated(
-        since = "0.1.0",
-        note = "shared slot races across sessions; use Session::last_trace \
-                or EiiSystem::trace_store"
-    )]
-    pub fn last_trace(&self) -> Option<QueryTrace> {
-        self.last_trace.lock().as_deref().cloned()
     }
 
     /// The durable workload query log: per-statement records (sampled into
@@ -1299,19 +1165,12 @@ impl EiiSystem {
             return;
         }
         let end_sim = self.clock.now_ms();
-        let (rows, bytes_shipped, sim_ms, degraded) = match outcome {
-            Ok(ExecOutcome::Rows(r)) => (
-                r.batch.num_rows() as u64,
-                r.cost.bytes as u64,
-                r.cost.sim_ms,
-                !r.degraded.is_empty(),
-            ),
-            _ => (0, 0, (end_sim - start_sim_ms) as f64, false),
+        let (rows, bytes_shipped, sim_ms) = match outcome {
+            Ok(ExecOutcome::Rows(r)) => {
+                (r.batch.num_rows() as u64, r.cost.bytes as u64, r.cost.sim_ms)
+            }
+            _ => (0, 0, (end_sim - start_sim_ms) as f64),
         };
-        if let Ok(ExecOutcome::Rows(r)) = outcome {
-            t.flags.hedged |= r.hedged;
-        }
-        t.flags.degraded |= degraded;
         let error = outcome.as_ref().err().map(|e| e.kind().to_string());
         match error.as_deref() {
             Some("cancelled") | Some("deadline") => t.flags.cancelled = true,
@@ -1379,35 +1238,19 @@ impl EiiSystem {
         }
     }
 
-    /// Record a statement the admission controller turned away: a synthetic
-    /// single-span trace (always retained — shed is noteworthy), a `shed`
-    /// telemetry event stamped with the trace ID, and a query-log record.
-    pub(crate) fn record_shed(&self, sql: &str, opts: &ExecOptions) {
+    /// Record a statement the admission controller turned away (`err` is its
+    /// `shed` error): a `shed` telemetry event stamped with the trace ID,
+    /// and — through [`EiiSystem::record_statement`], which always retains
+    /// an errored statement — a single-span trace, an SLO sample and a
+    /// query-log record.
+    pub(crate) fn record_shed(&self, sql: &str, opts: &ExecOptions, err: &EiiError) {
         if !self.telemetry_enabled() {
             return;
         }
         let now = self.clock.now_ms();
-        let plan = sql.trim().to_string();
-        let fingerprint = fingerprint64(&plan);
-        let flags = StatementFlags {
-            shed: true,
-            ..StatementFlags::default()
-        };
         let trace_id = self.traces.next_trace_id();
         let tracer = Tracer::new(self.clock.clone());
-        {
-            let span = tracer.span("shed");
-            span.annotate("priority", opts.priority.as_str());
-        }
-        self.traces.store(StoredTrace {
-            trace_id,
-            fingerprint,
-            session: opts.session.clone(),
-            start_sim_ms: now as f64,
-            flags,
-            error: Some("shed".to_string()),
-            trace: Arc::new(tracer.finish()),
-        });
+        tracer.span("shed").annotate("priority", opts.priority.as_str());
         self.metrics().record_event(TelemetryEvent {
             sim_ms: now as f64,
             kind: "shed".to_string(),
@@ -1415,28 +1258,13 @@ impl EiiSystem {
             trace_id: Some(trace_id),
             detail: format!("priority={}", opts.priority.as_str()),
         });
-        self.slo
-            .record(opts.priority.as_str(), now as f64, 0.0, false);
-        self.query_log.record(QueryLogRecord {
-            fingerprint,
-            sql: plan.clone(),
-            plan,
-            session: opts.session.clone(),
-            role: opts.role.clone(),
-            priority: opts.priority.as_str().to_string(),
-            start_sim_ms: now as f64,
-            sim_ms: 0.0,
-            wall_us: 0,
-            rows: 0,
-            bytes_shipped: 0,
-            per_source_bytes: Vec::new(),
-            operators: Vec::new(),
-            deadline_budget_ms: opts.deadline_budget_ms.map(|b| b as f64),
-            deadline_spent_ms: None,
-            flags,
-            error: Some("shed".to_string()),
+        let telemetry = StatementTelemetry {
             trace_id: Some(trace_id),
-        });
+            deadline_budget_ms: opts.deadline_budget_ms.map(|b| b as f64),
+            ..StatementTelemetry::default()
+        };
+        let trace = Arc::new(tracer.finish());
+        self.record_statement(sql, opts, &Err(err.clone()), &trace, telemetry, now, Instant::now());
     }
 
     /// The metrics registry every query, source, breaker, and saga records
@@ -1451,32 +1279,10 @@ impl EiiSystem {
         self.federation.source_health()
     }
 
-    /// EXPLAIN: render the optimized logical and physical plans (including
-    /// any `MatViewScan` substitutions with their chosen-versus-rejected
-    /// costs).
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let Statement::Query(q) = parse_statement(sql)? else {
-            return Err(EiiError::Plan("EXPLAIN expects a query".into()));
-        };
-        let optimized = self.optimize_with_views(&q)?;
-        let physical =
-            PhysicalPlanner::new(&self.federation, &self.config).create(optimized.clone())?;
-        Ok(self.annotate_advised(format!(
-            "== Logical plan ==\n{}== Physical plan ==\n{}",
-            optimized.display(),
-            physical.display()
-        )))
-    }
-
     /// Predict a query's cost without executing it (experiment E12's
     /// "query execution-time prediction").
     pub fn predict(&self, sql: &str) -> Result<eii_planner::PlanEstimate> {
-        let Statement::Query(q) = parse_statement(sql)? else {
-            return Err(EiiError::Plan("prediction expects a query".into()));
-        };
-        let logical = PlanBuilder::new(&self.catalog, &self.federation).build(&q)?;
-        let optimized = optimize(logical, &self.federation, &self.config)?;
-        eii_planner::CostModel::new(&self.federation).estimate(&optimized)
+        CostModel::new(&self.federation).estimate(&self.normalize_sql(sql)?)
     }
 
     /// Run a business process as a saga (the update half of enterprise
@@ -1493,8 +1299,8 @@ impl EiiSystem {
     }
 }
 
-/// Every distinct `source.table` a logical plan scans.
-fn base_tables(plan: &LogicalPlan) -> Vec<String> {
+/// Every distinct `source.table` a logical plan scans, first seen first.
+pub(crate) fn base_tables(plan: &LogicalPlan) -> Vec<String> {
     fn walk(plan: &LogicalPlan, out: &mut Vec<String>) {
         if let LogicalPlan::SourceScan { source, table, .. } = plan {
             let qualified = format!("{source}.{table}");
@@ -1620,21 +1426,30 @@ fn collect_matview_savings(plan: &PhysicalPlan, saved: &mut Vec<(String, f64)>, 
     }
 }
 
+/// How [`EiiSystem::run_query`] came by its answer — what `EXPLAIN ANALYZE`
+/// renders next to the result. (Returned once and dropped, hence unboxed.)
+#[allow(clippy::large_enum_variant)]
+enum Answered {
+    /// Executed this physical plan.
+    ByPlan(PhysicalPlan),
+    /// Served from the semantic result cache: the entry's age and what the
+    /// execution that filled it cost.
+    FromCache { age_ms: i64, original: QueryCost },
+}
+
 /// Render the `EXPLAIN ANALYZE` output for a semantic-cache hit: no
 /// operator tree ran, so the header says where the rows came from, and any
 /// staleness is flagged the way degraded sources are.
-fn render_cached(hit: &CachedResult, reports: &[SourceReport]) -> String {
+fn render_cached(result: &QueryResult, age_ms: i64, original: &QueryCost) -> String {
+    let rows = result.batch.num_rows();
     let mut out = String::new();
     let _ = write!(
         out,
-        "Result [CACHED] semantic result cache hit (age={}ms, originally \
-         rows={} bytes={} sim={:.1}ms)",
-        hit.age_ms,
-        hit.batch.num_rows(),
-        hit.cost.bytes,
-        hit.cost.sim_ms
+        "Result [CACHED] semantic result cache hit (age={age_ms}ms, originally \
+         rows={rows} bytes={} sim={:.1}ms)",
+        original.bytes, original.sim_ms
     );
-    for report in reports {
+    for report in &result.degraded {
         let _ = write!(
             out,
             " [STALE: {}.{} {}ms]",
@@ -1644,21 +1459,52 @@ fn render_cached(hit: &CachedResult, reports: &[SourceReport]) -> String {
         );
     }
     out.push('\n');
-    let rows = hit.batch.num_rows();
     let _ = write!(
         out,
         "Total: rows={rows} bytes=0 sim={:.1}ms (served from cache)",
-        CACHE_HIT_MS + rows as f64 * CACHE_HUB_MS_PER_ROW
+        result.cost.sim_ms
     );
     out.push('\n');
     out
+}
+
+/// Render the `EXPLAIN ANALYZE` output of an executed plan: one line per
+/// operator, then the statement's totals and flags.
+fn render_analyze(
+    physical: &PhysicalPlan,
+    result: &QueryResult,
+    model: &CostModel,
+    flags: StatementFlags,
+) -> Result<String> {
+    let profile = result.profile.as_ref().ok_or_else(|| {
+        EiiError::Execution("EXPLAIN ANALYZE needs executor instrumentation".into())
+    })?;
+    let mut out = String::new();
+    render_operator(physical, profile, model, &result.degraded, 0, &mut out);
+    let _ = write!(
+        out,
+        "Total: rows={} bytes={} sim={:.1}ms wall={:.1?}",
+        result.batch.num_rows(),
+        result.cost.bytes,
+        result.cost.sim_ms,
+        result.wall,
+    );
+    if !result.fully_live() {
+        let _ = write!(out, " degraded_sources={}", result.degraded.len());
+    }
+    let flags = flags.render();
+    if !flags.is_empty() {
+        let _ = write!(out, " flags={flags}");
+    }
+    out.push('\n');
+    Ok(out)
 }
 
 /// Render one `EXPLAIN ANALYZE` line per operator: the describe line, the
 /// pushdown summary (source-facing operators), the cost model's estimate
 /// next to the measured actuals, and a `[DEGRADED: ...]` flag on operators
 /// whose source could not answer live.
-fn render_analyze(
+fn render_operator(
     plan: &PhysicalPlan,
     profile: &OperatorProfile,
     model: &CostModel,
@@ -1703,7 +1549,7 @@ fn render_analyze(
     }
     out.push('\n');
     for (child, child_profile) in plan.children().iter().zip(&profile.children) {
-        render_analyze(child, child_profile, model, degraded, depth + 1, out);
+        render_operator(child, child_profile, model, degraded, depth + 1, out);
     }
 }
 
@@ -1739,6 +1585,11 @@ mod tests {
         sys
     }
 
+    /// The rendered plan of an `EXPLAIN [ANALYZE]` statement.
+    fn explained(sys: &EiiSystem, statement: &str) -> String {
+        sys.execute(statement).unwrap().explained().unwrap().to_string()
+    }
+
     #[test]
     fn query_through_facade() {
         let sys = system();
@@ -1771,9 +1622,7 @@ mod tests {
     #[test]
     fn explain_shows_both_plans() {
         let sys = system();
-        let text = sys
-            .explain("SELECT name FROM crm.customers WHERE region = 'west'")
-            .unwrap();
+        let text = explained(&sys, "EXPLAIN SELECT name FROM crm.customers WHERE region = 'west'");
         assert!(text.contains("== Logical plan =="));
         assert!(text.contains("SourceQuery crm"));
         assert!(text.contains("pushed="), "{text}");
@@ -1806,7 +1655,7 @@ mod tests {
         let shipped_before = sys.federation().ledger().total().bytes;
 
         // EXPLAIN shows the substitution with both alternatives' costs.
-        let text = sys.explain("SELECT * FROM crm.customers").unwrap();
+        let text = explained(&sys, "EXPLAIN SELECT * FROM crm.customers");
         assert!(text.contains("[MATVIEW]"), "{text}");
         assert!(text.contains("rejected federated"), "{text}");
 
@@ -1977,13 +1826,11 @@ mod tests {
         sys.install_result_cache(CacheConfig::default());
         let q = "SELECT name FROM crm.customers";
         sys.execute(q).unwrap();
-        let text = sys.explain_analyze(q).unwrap();
+        let text = explained(&sys, &format!("EXPLAIN ANALYZE {q}"));
         assert!(text.contains("[CACHED]"), "{text}");
         assert!(text.contains("served from cache"), "{text}");
         // A query the cache has not seen renders the normal operator tree.
-        let text = sys
-            .explain_analyze("SELECT id FROM crm.customers")
-            .unwrap();
+        let text = explained(&sys, "EXPLAIN ANALYZE SELECT id FROM crm.customers");
         assert!(!text.contains("[CACHED]"), "{text}");
         assert!(text.contains("act rows="), "{text}");
     }
@@ -2010,7 +1857,7 @@ mod tests {
         let installed = sys.advisor().unwrap().installed();
         assert_eq!(installed.len(), 1, "{}", sys.advisor_report());
         assert!(installed[0].name.starts_with("adv_"));
-        let text = sys.explain(q).unwrap();
+        let text = explained(&sys, &format!("EXPLAIN {q}"));
         assert!(text.contains("[ADVISED]"), "{text}");
         // Answers are unchanged, and the repeat ships nothing.
         let shipped = sys.federation().ledger().total().bytes;
@@ -2087,7 +1934,7 @@ mod tests {
             &baseline[..],
             "adaptation must preserve answers"
         );
-        let text = sys.explain_analyze(q).unwrap();
+        let text = explained(&sys, &format!("EXPLAIN ANALYZE {q}"));
         assert!(text.contains("[REPLANNED]"), "{text}");
         assert!(sys.metrics().snapshot().counter("advisor.replans") >= 1);
     }

@@ -2,10 +2,10 @@
 //!
 //! A [`Session`] is a cheap per-client view over a shared
 //! `Arc<EiiSystem>`: it carries the client's role, per-session overrides
-//! (staleness budget, explain mode), an optional metrics label, and its
-//! own last-trace slot, so concurrent clients never clobber each other's
-//! observability. A [`QueryScheduler`] runs many sessions' statements
-//! through the admission-controlled worker pool
+//! (staleness budget, deadline, priority, cancel token), an optional
+//! metrics label, and its own last-trace slot, so concurrent clients never
+//! clobber each other's observability. A [`QueryScheduler`] runs many
+//! sessions' statements through the admission-controlled worker pool
 //! ([`eii_exec::Scheduler`]), returning [`QueryTicket`] handles.
 
 use std::sync::Arc;
@@ -19,22 +19,8 @@ use eii_exec::{
 };
 use eii_federation::RequestCtx;
 use eii_obs::QueryTrace;
-use eii_planner::{LogicalPlan, PlanBuilder};
-use eii_sql::{parse_statement, Statement};
 
-use crate::{EiiSystem, ExecOptions, ExecOutcome};
-
-/// What a session does with queries: run them, or render their plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExplainMode {
-    /// Execute normally.
-    #[default]
-    Off,
-    /// Queries return `EXPLAIN` text instead of rows.
-    Plan,
-    /// Queries execute and return `EXPLAIN ANALYZE` text instead of rows.
-    Analyze,
-}
+use crate::{base_tables, EiiSystem, ExecOptions, ExecOutcome};
 
 /// A per-client handle over a shared system; see the module docs.
 ///
@@ -45,7 +31,6 @@ pub struct Session {
     system: Arc<EiiSystem>,
     opts: ExecOptions,
     label: Option<String>,
-    explain: ExplainMode,
     last_trace: Mutex<Option<Arc<QueryTrace>>>,
 }
 
@@ -72,12 +57,6 @@ impl Session {
     /// session's queries (simulated ms; `0` refuses stale hits entirely).
     pub fn with_staleness_budget(mut self, budget_ms: i64) -> Self {
         self.opts.staleness_budget_ms = Some(budget_ms);
-        self
-    }
-
-    /// Choose what this session's queries return (rows or plan text).
-    pub fn with_explain_mode(mut self, mode: ExplainMode) -> Self {
-        self.explain = mode;
         self
     }
 
@@ -118,23 +97,11 @@ impl Session {
         &self.system
     }
 
-    /// Execute one SQL statement under this session's options. Honors the
-    /// session's [`ExplainMode`] for queries; non-query statements always
-    /// execute normally.
+    /// Execute one SQL statement under this session's options, keeping its
+    /// trace for [`Session::last_trace`].
     pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
-        let explain_query = self.explain != ExplainMode::Off
-            && matches!(parse_statement(sql), Ok(Statement::Query(_)));
-        let outcome = if explain_query {
-            let text = match self.explain {
-                ExplainMode::Plan => self.system.explain(sql),
-                _ => self.system.explain_analyze(sql),
-            };
-            text.map(ExecOutcome::Explained)
-        } else {
-            let (outcome, trace) = self.system.execute_with_trace_shared(sql, &self.opts);
-            *self.last_trace.lock() = Some(trace);
-            outcome
-        };
+        let (outcome, trace) = self.system.execute_with(sql, &self.opts);
+        *self.last_trace.lock() = Some(trace);
         if let Some(label) = &self.label {
             let metrics = self.system.metrics();
             metrics.add(&format!("session.{label}.queries"), 1);
@@ -208,7 +175,7 @@ impl QueryScheduler {
         let decision = self.pool.admit(priority).inspect_err(|err| {
             if err.kind() == "shed" {
                 metrics.inc(&format!("shed.rejected.{}", priority.as_str()));
-                self.system.record_shed(sql, &opts);
+                self.system.record_shed(sql, &opts, err);
             }
         })?;
         if decision == ShedDecision::Degrade {
@@ -240,13 +207,7 @@ impl QueryScheduler {
             .system
             .matviews()
             .ok_or_else(|| EiiError::NotFound(format!("materialized view {view}")))?;
-        let mut sources: Vec<String> = mgr
-            .base_tables(view)?
-            .iter()
-            .filter_map(|t| t.split_once('.').map(|(s, _)| s.to_string()))
-            .collect();
-        sources.sort();
-        sources.dedup();
+        let sources = sources_of(&mgr.base_tables(view)?);
         let mut opts = opts.clone();
         let cancel = opts.cancel.get_or_insert_with(CancelToken::new).clone();
         let priority = opts.priority;
@@ -288,11 +249,15 @@ impl QueryScheduler {
         Vec<String>,
         impl FnOnce() -> Result<JobOutput<ExecOutcome>> + Send + 'static,
     ) {
-        let sources = base_sources(&self.system, sql);
+        // Statements that don't plan (or aren't queries) claim no permits.
+        let sources = self
+            .system
+            .normalize_sql(sql)
+            .map_or_else(|_| Vec::new(), |plan| sources_of(&base_tables(&plan)));
         let system = Arc::clone(&self.system);
         let sql = sql.to_string();
         let work = move || {
-            let outcome = system.execute_with(&sql, &opts)?;
+            let outcome = system.execute_with(&sql, &opts).0?;
             let sim_ms = outcome
                 .try_query_result()
                 .map_or(0.0, |r| r.cost.sim_ms);
@@ -329,7 +294,6 @@ impl EiiSystem {
             system: Arc::clone(self),
             opts: ExecOptions::default(),
             label: None,
-            explain: ExplainMode::Off,
             last_trace: Mutex::new(None),
         }
     }
@@ -359,27 +323,12 @@ impl EiiSystem {
     }
 }
 
-/// Every distinct source a statement's plan scans — what the admission
-/// controller counts against per-source permits. Statements that don't
-/// plan (or aren't queries) claim no permits.
-fn base_sources(system: &EiiSystem, sql: &str) -> Vec<String> {
-    let Ok(Statement::Query(q)) = parse_statement(sql) else {
-        return Vec::new();
-    };
-    let Ok(plan) = PlanBuilder::new(system.catalog(), system.federation()).build(&q) else {
-        return Vec::new();
-    };
-    fn walk(plan: &LogicalPlan, out: &mut Vec<String>) {
-        if let LogicalPlan::SourceScan { source, .. } = plan {
-            if !out.iter().any(|s| s == source) {
-                out.push(source.clone());
-            }
-        }
-        for child in plan.children() {
-            walk(child, out);
-        }
-    }
-    let mut out = Vec::new();
-    walk(&plan, &mut out);
+/// The distinct sources behind qualified `source.table` names — what the
+/// admission controller counts against per-source permits.
+fn sources_of(tables: &[String]) -> Vec<String> {
+    let qualified = tables.iter().filter_map(|t| t.split_once('.'));
+    let mut out: Vec<String> = qualified.map(|(source, _)| source.to_string()).collect();
+    out.sort();
+    out.dedup();
     out
 }

@@ -181,8 +181,8 @@ impl Ord for Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Timestamp(a), Timestamp(b)) => a.cmp(b),
             (a, b) => a.type_rank().cmp(&b.type_rank()),
@@ -198,9 +198,9 @@ impl Hash for Value {
                 1u8.hash(state);
                 b.hash(state);
             }
-            // Int and Float must hash identically when they compare equal
-            // (e.g. 2 == 2.0), so hash all numerics through total-orderable
-            // f64 bits when the float is integral.
+            // Numerics hash through `f64` bits: an Int equal to a Float is
+            // exactly that float, so equal values hash alike. (Ints past
+            // ±2^53 that round to one float merely share a bucket.)
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
@@ -221,80 +221,65 @@ impl Hash for Value {
     }
 }
 
-/// A value keyed by what [`Value`]'s `Hash` feeds the hasher. Unlike `==`
-/// this is an equivalence relation, and `a == b` implies `a` and `b` are in
-/// one class — so a map keyed on it never separates two equal values.
-#[derive(Debug)]
-struct HashClass<'a>(&'a Value);
+/// 2^63 as an `f64`: the first float above every `i64`.
+const I64_END: f64 = 9_223_372_036_854_775_808.0;
 
-impl HashClass<'_> {
-    /// The `f64` bit pattern `Hash` feeds the hasher for a numeric value.
-    fn numeric_bits(&self) -> Option<u64> {
-        match self.0 {
-            Value::Int(i) => Some((*i as f64).to_bits()),
-            Value::Float(f) => Some(f.to_bits()),
-            _ => None,
-        }
-    }
+/// The integer a float is exactly equal to, if any. `-0.0` has none: the
+/// total order puts it strictly below `+0.0`, which is `Int(0)`.
+pub fn float_as_int(f: f64) -> Option<i64> {
+    // `as` saturates, and `i64::MAX` is no `f64`: reaching it means `f` was
+    // 2^63 or more.
+    let i = f as i64;
+    let exact = i as f64 == f && i != i64::MAX && (i != 0 || f.is_sign_positive());
+    exact.then_some(i)
 }
 
-impl PartialEq for HashClass<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        match (self.numeric_bits(), other.numeric_bits()) {
-            (Some(a), Some(b)) => a == b,
-            (None, None) => self.0 == other.0,
-            _ => false,
-        }
+/// Order an `i64` against an `f64` exactly — no rounding of the integer to
+/// the nearest float, so the order stays transitive past ±2^53. NaNs and
+/// `-0.0` sit where `f64::total_cmp` puts them.
+pub fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f.is_nan() {
+        return if f.is_sign_negative() { Ordering::Greater } else { Ordering::Less };
     }
-}
-
-impl Eq for HashClass<'_> {}
-
-impl Hash for HashClass<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+    if f >= I64_END {
+        return Ordering::Less;
     }
+    if f < -I64_END {
+        return Ordering::Greater;
+    }
+    // In range, so the truncation is exact; a tie is broken by what was cut
+    // off (`0 as f64` is `+0.0`, above `-0.0`).
+    let t = f.trunc() as i64;
+    i.cmp(&t).then_with(|| (t as f64).total_cmp(&f))
 }
 
 /// A hashed multi-key equality probe that answers exactly what a linear
 /// `keys.iter().position(|k| k == v)` sweep answers.
-///
-/// `Value`'s `==` is not transitive across `Int`/`Float` beyond 2^53
-/// (`Int(2^53) == Float(2^53) == Int(2^53 + 1)`, yet the two ints differ),
-/// so a `HashSet<Value>` that dedups on insert can drop the one key a later
-/// probe would have matched. The probe therefore buckets keys by hash class
-/// and compares every candidate in the bucket with `==`.
 #[derive(Debug)]
 pub struct KeyProbe<'a> {
-    keys: &'a [Value],
-    /// Hash class → positions in `keys`, ascending.
-    buckets: HashMap<HashClass<'a>, Vec<usize>>,
+    /// Key → positions in the indexed slice, ascending.
+    positions: HashMap<&'a Value, Vec<usize>>,
 }
 
 impl<'a> KeyProbe<'a> {
     /// Index `keys` (duplicates and NULLs included: NULL matches NULL, as
     /// `==` on [`Value`] says).
     pub fn new(keys: &'a [Value]) -> Self {
-        let mut buckets: HashMap<HashClass<'a>, Vec<usize>> = HashMap::with_capacity(keys.len());
+        let mut positions: HashMap<&'a Value, Vec<usize>> = HashMap::with_capacity(keys.len());
         for (i, k) in keys.iter().enumerate() {
-            buckets.entry(HashClass(k)).or_default().push(i);
+            positions.entry(k).or_default().push(i);
         }
-        KeyProbe { keys, buckets }
+        KeyProbe { positions }
     }
 
     /// Positions of the keys equal to `v`, ascending.
-    pub fn positions<'p>(&'p self, v: &'p Value) -> impl Iterator<Item = usize> + 'p {
-        self.buckets
-            .get(&HashClass(v))
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(move |&i| self.keys[i] == *v)
+    pub fn positions(&self, v: &Value) -> impl Iterator<Item = usize> + '_ {
+        self.positions.get(v).into_iter().flatten().copied()
     }
 
     /// Whether any key equals `v`.
     pub fn contains(&self, v: &Value) -> bool {
-        self.positions(v).next().is_some()
+        self.positions.contains_key(v)
     }
 }
 
@@ -367,11 +352,27 @@ mod tests {
         assert!(Value::Float(1.5) < Value::Int(2));
     }
 
+    const P53: i64 = 1 << 53;
+
+    #[test]
+    fn int_float_comparison_is_exact_past_2_pow_53() {
+        let f53 = Value::Float(P53 as f64);
+        assert_eq!(Value::Int(P53), f53);
+        assert!(Value::Int(P53 + 1) > f53);
+        assert!(Value::Int(P53 - 1) < f53);
+        assert!(Value::Int(i64::MAX) < Value::Float(I64_END));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-I64_END));
+        assert!(Value::Int(i64::MIN) > Value::Float(f64::NEG_INFINITY));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Int(i64::MIN) > Value::Float(-f64::NAN));
+        // Signed zeros stay where `total_cmp` puts them.
+        assert_eq!(Value::Int(0), Value::Float(0.0));
+        assert!(Value::Int(0) > Value::Float(-0.0));
+        assert!(Value::Int(-2) > Value::Float(-2.5) && Value::Int(-3) < Value::Float(-2.5));
+    }
+
     #[test]
     fn key_probe_matches_linear_sweep_past_2_pow_53() {
-        const P53: i64 = 1 << 53;
-        // Int(2^53) first: a deduplicating set would drop Float(2^53) as its
-        // duplicate and then miss Int(2^53 + 1), which only the float equals.
         let keys = [
             Value::Int(P53),
             Value::Float(P53 as f64),
@@ -397,10 +398,22 @@ mod tests {
             );
             assert_eq!(probe.contains(&v), !linear.is_empty());
         }
-        assert_eq!(
-            probe.positions(&Value::Int(P53 + 1)).collect::<Vec<_>>(),
-            [1]
-        );
+        assert_eq!(probe.positions(&Value::Int(P53)).collect::<Vec<_>>(), [0, 1, 4]);
+        assert!(!probe.contains(&Value::Int(P53 + 1)));
+    }
+
+    /// A set keyed on `Value` holds the same members whatever order they
+    /// arrive in — what `COUNT(DISTINCT)`, `GROUP BY`, hash joins and the
+    /// storage indexes rely on.
+    #[test]
+    fn sets_of_values_do_not_depend_on_insertion_order() {
+        use std::collections::{BTreeSet, HashSet};
+        let vals = [Value::Int(P53), Value::Float(P53 as f64), Value::Int(P53 + 1)];
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let hashed: HashSet<&Value> = order.iter().map(|&i| &vals[i]).collect();
+            let sorted: BTreeSet<&Value> = order.iter().map(|&i| &vals[i]).collect();
+            assert_eq!((hashed.len(), sorted.len()), (2, 2), "order {order:?}");
+        }
     }
 
     #[test]
@@ -453,6 +466,66 @@ mod tests {
         let v = Value::Int(-91);
         let s = Value::str(v.to_string());
         assert_eq!(s.cast(DataType::Int), Some(v));
+    }
+
+    /// Half of all draws are the five numerics at ±2^53 ± 1; the rest are
+    /// signed zeros, NaNs, infinities, the `i64` extremes and the floats
+    /// beside them, small integers and halves, and random values.
+    fn numeric() -> impl Strategy<Value = Value> {
+        let at_2_53 = || {
+            (any::<bool>(), any::<bool>(), -1i64..2).prop_map(|(float, negative, d)| {
+                let i = if negative { -P53 + d } else { P53 + d };
+                if float {
+                    Value::Float(i as f64)
+                } else {
+                    Value::Int(i)
+                }
+            })
+        };
+        let edges = || {
+            (0usize..11).prop_map(|e| match e {
+                0 => Value::Float(0.0),
+                1 => Value::Float(-0.0),
+                2 => Value::Float(f64::NAN),
+                3 => Value::Float(-f64::NAN),
+                4 => Value::Float(f64::INFINITY),
+                5 => Value::Float(f64::NEG_INFINITY),
+                6 => Value::Int(i64::MAX),
+                7 => Value::Int(i64::MIN),
+                8 => Value::Float(I64_END),
+                9 => Value::Float(-I64_END),
+                _ => Value::Float(9_223_372_036_854_774_784.0), // largest f64 below 2^63
+            })
+        };
+        prop_oneof![
+            at_2_53(),
+            at_2_53(),
+            at_2_53(),
+            at_2_53(),
+            edges(),
+            (-3i64..4).prop_map(Value::Int),
+            (-6i64..7).prop_map(|h| Value::Float(h as f64 / 2.0)),
+            any::<i64>().prop_map(Value::Int),
+            any::<i64>().prop_map(|i| Value::Float(i as f64)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn numeric_order_is_a_total_order(a in numeric(), b in numeric(), c in numeric()) {
+            prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+            if a == b && b == c {
+                prop_assert!(a == c, "{:?} == {:?} == {:?}", a, b, c);
+            }
+            if a <= b && b <= c {
+                prop_assert!(a <= c, "{:?} <= {:?} <= {:?}", a, b, c);
+            }
+            if a == b {
+                prop_assert_eq!(hash_of(&a), hash_of(&b), "{:?} == {:?}", a, b);
+            }
+        }
     }
 
     proptest! {

@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
+use eii_data::value::float_as_int;
 use eii_data::{Column, ColumnarBatch, Result, SchemaRef, Value};
 use eii_expr::{eval_column, eval_filter, AggFunc, BoundExpr};
 use eii_sql::JoinKind;
@@ -333,16 +334,11 @@ impl VecHashJoin {
     ) -> Self {
         let build = build.compact();
         let n = build.num_rows();
-        // Single all-integer key: hash raw i64s. Scalar Int/Float equality
-        // compares through f64 (`i as f64 == f`), while a float probe folds
-        // onto this table via `f as i64`; the two agree only when every build
-        // key is exactly representable as f64, so keys beyond ±2^53 take the
-        // general Vec<Value> table whose Hash/Eq already implement the scalar
-        // semantics.
+        // Single all-integer key: hash raw i64s. A float probe folds onto this
+        // table only when it is exactly an integer (`float_as_int`), which is
+        // when `Value` equality says the two are equal.
         let int_col = match build_keys {
-            [only] if only.no_nulls() => only
-                .as_ints()
-                .filter(|ints| ints.iter().all(|&i| i.unsigned_abs() <= 1 << 53)),
+            [only] if only.no_nulls() => only.as_ints(),
             _ => None,
         };
         let table = if let Some(ints) = int_col {
@@ -396,8 +392,7 @@ impl VecHashJoin {
         match &self.table {
             KeyTable::Int(_) => match key_cols[0].value(row) {
                 Value::Int(i) => ProbeKey::Int(i),
-                // SQL equality folds exact floats onto integers.
-                Value::Float(f) if (f as i64) as f64 == f => ProbeKey::Int(f as i64),
+                Value::Float(f) => float_as_int(f).map_or(ProbeKey::NoMatch, ProbeKey::Int),
                 _ => ProbeKey::NoMatch,
             },
             KeyTable::General(_) => {
@@ -904,18 +899,17 @@ mod tests {
 
     #[test]
     fn float_probe_beyond_f64_precision_matches_scalar_semantics() {
-        // Int(2^53 + 1) == Float(2^53) under scalar Value equality (which
-        // compares through f64), so a build key beyond ±2^53 must keep the
-        // join off the raw-i64 fast path or the probe would miss.
-        let big = (1i64 << 53) + 1;
-        let right = ints("b", &[big]);
+        // Float(2^53) equals Int(2^53) and nothing else: the raw-i64 table
+        // and scalar `Value` equality agree past f64's integer precision.
+        let p53 = 1i64 << 53;
+        let right = ints("b", &[p53 + 1, p53]);
         let left = {
             let s = schema(&[("a", DataType::Float)]);
-            ColumnarBatch::from_batch(&Batch::new(s, vec![row![9_007_199_254_740_992.0f64]]))
+            ColumnarBatch::from_batch(&Batch::new(s, vec![row![p53 as f64], row![-0.0f64]]))
         };
         let out = join_on("a", "b", &left, &right, JoinKind::Inner);
         assert_eq!(out.num_rows(), 1);
-        assert_eq!(out.value_at(0, 1), Value::Int(big));
+        assert_eq!(out.value_at(0, 1), Value::Int(p53));
     }
 
     #[test]

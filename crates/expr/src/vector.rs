@@ -32,6 +32,7 @@
 use std::sync::Arc;
 
 use eii_data::columnar::{Column, ColumnData, ColumnarBatch, NullBitmap};
+use eii_data::value::cmp_int_float;
 use eii_data::{EiiError, Result, Value};
 
 use crate::ast::{BinaryOp, UnaryOp};
@@ -347,7 +348,7 @@ fn cmp_ord(ord: std::cmp::Ordering, op: BinaryOp) -> bool {
 
 /// Comparison kernel: NULL on either side propagates, otherwise total-order
 /// compare. Typed fast paths mirror `Value::cmp` exactly (Int/Float
-/// cross-compare through `total_cmp`).
+/// cross-compare through `cmp_int_float`).
 fn cmp_kernel(l: &Column, op: BinaryOp, r: &Column, n: usize) -> Column {
     let mut out = vec![false; n];
     let mut nulls = NullBitmap::new_valid(n);
@@ -373,10 +374,10 @@ fn cmp_kernel(l: &Column, op: BinaryOp, r: &Column, n: usize) -> Column {
             typed!(a, b, |x: &f64, y: &f64| x.total_cmp(y))
         }
         (ColumnData::Int(a), ColumnData::Float(b)) => {
-            typed!(a, b, |x: &i64, y: &f64| (*x as f64).total_cmp(y))
+            typed!(a, b, |x: &i64, y: &f64| cmp_int_float(*x, *y))
         }
         (ColumnData::Float(a), ColumnData::Int(b)) => {
-            typed!(a, b, |x: &f64, y: &i64| x.total_cmp(&(*y as f64)))
+            typed!(a, b, |x: &f64, y: &i64| cmp_int_float(*y, *x).reverse())
         }
         (ColumnData::Str(a), ColumnData::Str(b)) => {
             typed!(a, b, |x: &Arc<str>, y: &Arc<str>| x.cmp(y))

@@ -136,8 +136,8 @@ pub(crate) mod tests {
 
     /// Keys and cell values around every equality hazard: duplicates (small
     /// domains), NULL, strings, and — half of all draws — the five numerics
-    /// at 2^53 ± 1, where `==` stops being transitive (`Float(2^53)` equals
-    /// both `Int(2^53)` and `Int(2^53 + 1)`).
+    /// at 2^53 ± 1, where comparing Int with Float through `f64` would make
+    /// `Float(2^53)` equal both `Int(2^53)` and `Int(2^53 + 1)`.
     fn hazard_value() -> impl Strategy<Value = Value> {
         let at_2_53 = || {
             prop_oneof![
@@ -234,8 +234,7 @@ pub(crate) mod tests {
                 let per_key: Vec<Row> = keys.iter().flat_map(|k| t.lookup_eq(col, k)).collect();
                 prop_assert_eq!(t.lookup_in(col, &keys), per_key);
             }
-            // Indexed ≡ unindexed, key by key — also at 2^53 ± 1, where a
-            // map keyed on `Value` cannot be trusted and the scan answers.
+            // Indexed ≡ unindexed, key by key — also at 2^53 ± 1.
             for t in &tables[1..] {
                 for k in &keys {
                     prop_assert_eq!(t.lookup_eq(col, k), tables[0].lookup_eq(col, k), "key {}", k);

@@ -9,7 +9,9 @@ use eii_obs::MetricsRegistry;
 use eii_storage::TableStats;
 use parking_lot::RwLock;
 
-use crate::connector::{BindAccess, Connector, SourceQuery, UpdateOp, UpdateResult};
+use crate::connector::{
+    BindAccess, Connector, SourceAnswer, SourceQuery, UpdateOp, UpdateResult,
+};
 use crate::ctx::{with_request_ctx, RequestCtx};
 use crate::health::SourceHealth;
 use crate::net::{FaultProfile, FaultyConnector, LinkProfile, QueryCost, TransferLedger, WireFormat};
@@ -66,7 +68,20 @@ impl SourceHandle {
     /// and recording the traffic in the federation's ledger.
     pub fn query(&self, q: &SourceQuery) -> Result<(Batch, QueryCost)> {
         let ans = self.connector.execute(q)?;
-        let bytes = self.wire.bytes_of(&ans.batch);
+        let cost = self.account(&ans, true);
+        Ok((ans.batch, cost))
+    }
+
+    /// Price one source answer — link latency per call, the transfer of
+    /// what ships, the source engine's scan work — and record it in the
+    /// ledger and the per-source metrics. `ships` is false when the rows
+    /// stay at the source site (it is hosting an at-site join).
+    fn account(&self, ans: &SourceAnswer, ships: bool) -> QueryCost {
+        let (bytes, rows_shipped) = if ships {
+            (self.wire.bytes_of(&ans.batch), ans.batch.num_rows())
+        } else {
+            (0, 0)
+        };
         let transfer = if self.link.bandwidth_bytes_per_ms.is_infinite() {
             0.0
         } else {
@@ -75,36 +90,45 @@ impl SourceHandle {
         let sim_ms = self.link.latency_ms * ans.calls as f64
             + transfer
             + ans.rows_scanned as f64 * self.scan_ms_per_row;
-        let cost = QueryCost {
-            sim_ms,
-            bytes,
-            rows_shipped: ans.batch.num_rows(),
-            rows_scanned: ans.rows_scanned,
-            requests: ans.calls,
-        };
         self.ledger
-            .record(self.connector.name(), bytes, ans.batch.num_rows(), sim_ms);
+            .record(self.connector.name(), bytes, rows_shipped, sim_ms);
         self.note_traffic(bytes, ans.calls, sim_ms);
         self.note_bind_access(ans.bind_access);
-        Ok((ans.batch, cost))
+        QueryCost {
+            sim_ms,
+            bytes,
+            rows_shipped,
+            rows_scanned: ans.rows_scanned,
+            requests: ans.calls,
+        }
     }
 
-    /// [`SourceHandle::query`] under a request context: the fetch is skipped
-    /// when the query is already cancelled or out of budget, the context is
-    /// visible to the fault/resilience wrappers (so a hung request waits
+    /// Run an accounted fetch under a request context: skipped when the
+    /// query is already cancelled or out of budget, the context visible to
+    /// the fault/resilience wrappers while it runs (so a hung request waits
     /// only the remaining budget and a retry loop stops when cancelled), and
-    /// the fetch's simulated cost is charged against the deadline.
-    pub fn query_ctx(&self, q: &SourceQuery, ctx: &RequestCtx) -> Result<(Batch, QueryCost)> {
-        if ctx.is_empty() {
-            return self.query(q);
-        }
+    /// its simulated cost charged against the deadline afterwards.
+    fn under_ctx<T>(
+        ctx: &RequestCtx,
+        fetch: impl FnOnce() -> Result<(T, QueryCost)>,
+    ) -> Result<(T, QueryCost)> {
         ctx.check()?;
-        let (batch, cost) = with_request_ctx(ctx, || self.query(q))?;
+        let (out, cost) = with_request_ctx(ctx, fetch)?;
         if let Some(deadline) = &ctx.deadline {
             deadline.charge(cost.sim_ms);
             deadline.check()?;
         }
-        Ok((batch, cost))
+        Ok((out, cost))
+    }
+
+    /// [`SourceHandle::query`] under a request context: skipped when the
+    /// query is already cancelled or out of budget, visible to the
+    /// fault/resilience wrappers, charged against the deadline.
+    pub fn query_ctx(&self, q: &SourceQuery, ctx: &RequestCtx) -> Result<(Batch, QueryCost)> {
+        if ctx.is_empty() {
+            return self.query(q);
+        }
+        Self::under_ctx(ctx, || self.query(q))
     }
 
     /// A hedged fetch: issue the primary request and a deterministic backup
@@ -124,44 +148,41 @@ impl SourceHandle {
         ctx: &RequestCtx,
         delay_ms: f64,
     ) -> Result<(Batch, QueryCost, HedgeOutcome)> {
-        ctx.check()?;
-        let primary = with_request_ctx(ctx, || self.query(q));
-        self.ledger.record_hedge(self.connector.name());
-        let backup = with_request_ctx(ctx, || self.query(q));
-        let outcome = |backup_won| HedgeOutcome {
-            fired: true,
-            backup_won,
-        };
-        let (batch, cost, out) = match (primary, backup) {
-            (Ok((pb, pc)), Ok((bb, bc))) => {
-                // Both answered: the race is decided on virtual time. The
-                // loser's volumes still count — those bytes really moved.
-                let backup_arrival = delay_ms + bc.sim_ms;
-                let backup_won = backup_arrival < pc.sim_ms;
-                let combined = QueryCost {
-                    sim_ms: pc.sim_ms.min(backup_arrival),
-                    bytes: pc.bytes + bc.bytes,
-                    rows_shipped: pc.rows_shipped + bc.rows_shipped,
-                    rows_scanned: pc.rows_scanned + bc.rows_scanned,
-                    requests: pc.requests + bc.requests,
-                };
-                let batch = if backup_won { bb } else { pb };
-                (batch, combined, outcome(backup_won))
-            }
-            (Err(_), Ok((bb, bc))) => {
-                let cost = QueryCost {
-                    sim_ms: delay_ms + bc.sim_ms,
-                    ..bc
-                };
-                (bb, cost, outcome(true))
-            }
-            (Ok((pb, pc)), Err(_)) => (pb, pc, outcome(false)),
-            (Err(pe), Err(_)) => return Err(pe),
-        };
-        if let Some(deadline) = &ctx.deadline {
-            deadline.charge(cost.sim_ms);
-            deadline.check()?;
-        }
+        let ((batch, out), cost) = Self::under_ctx(ctx, || {
+            let primary = self.query(q);
+            self.ledger.record_hedge(self.connector.name());
+            let backup = self.query(q);
+            let outcome = |backup_won| HedgeOutcome {
+                fired: true,
+                backup_won,
+            };
+            Ok(match (primary, backup) {
+                (Ok((pb, pc)), Ok((bb, bc))) => {
+                    // Both answered: the race is decided on virtual time. The
+                    // loser's volumes still count — those bytes really moved.
+                    let backup_arrival = delay_ms + bc.sim_ms;
+                    let backup_won = backup_arrival < pc.sim_ms;
+                    let combined = QueryCost {
+                        sim_ms: pc.sim_ms.min(backup_arrival),
+                        bytes: pc.bytes + bc.bytes,
+                        rows_shipped: pc.rows_shipped + bc.rows_shipped,
+                        rows_scanned: pc.rows_scanned + bc.rows_scanned,
+                        requests: pc.requests + bc.requests,
+                    };
+                    let batch = if backup_won { bb } else { pb };
+                    ((batch, outcome(backup_won)), combined)
+                }
+                (Err(_), Ok((bb, bc))) => {
+                    let cost = QueryCost {
+                        sim_ms: delay_ms + bc.sim_ms,
+                        ..bc
+                    };
+                    ((bb, outcome(true)), cost)
+                }
+                (Ok((pb, pc)), Err(_)) => ((pb, outcome(false)), pc),
+                (Err(pe), Err(_)) => return Err(pe),
+            })
+        })?;
         Ok((batch, cost, out))
     }
 
@@ -195,19 +216,7 @@ impl SourceHandle {
     /// work and pays one request round trip, but ships nothing.
     pub fn query_staying_local(&self, q: &SourceQuery) -> Result<(Batch, QueryCost)> {
         let ans = self.connector.execute(q)?;
-        let sim_ms = self.link.latency_ms * ans.calls as f64
-            + ans.rows_scanned as f64 * self.scan_ms_per_row;
-        let cost = QueryCost {
-            sim_ms,
-            bytes: 0,
-            rows_shipped: 0,
-            rows_scanned: ans.rows_scanned,
-            requests: ans.calls,
-        };
-        self.ledger
-            .record(self.connector.name(), 0, 0, sim_ms);
-        self.note_traffic(0, ans.calls, sim_ms);
-        self.note_bind_access(ans.bind_access);
+        let cost = self.account(&ans, false);
         Ok((ans.batch, cost))
     }
 
@@ -221,13 +230,7 @@ impl SourceHandle {
         if ctx.is_empty() {
             return self.query_staying_local(q);
         }
-        ctx.check()?;
-        let (batch, cost) = with_request_ctx(ctx, || self.query_staying_local(q))?;
-        if let Some(deadline) = &ctx.deadline {
-            deadline.charge(cost.sim_ms);
-            deadline.check()?;
-        }
-        Ok((batch, cost))
+        Self::under_ctx(ctx, || self.query_staying_local(q))
     }
 
     /// Charge a shipment of `batch` across this source's link (used when an
@@ -281,63 +284,43 @@ impl SourceHandle {
         if partitions <= 1 {
             return self.query_ctx(q, ctx);
         }
-        ctx.check()?;
-        let answers: Vec<crate::connector::SourceAnswer> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..partitions)
-                .map(|part| {
-                    s.spawn(move || {
-                        with_request_ctx(ctx, || {
-                            ctx.check()?;
-                            self.connector.execute_partition(q, part, partitions)
+        Self::under_ctx(ctx, || {
+            let answers: Vec<SourceAnswer> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..partitions)
+                    .map(|part| {
+                        s.spawn(move || {
+                            with_request_ctx(ctx, || {
+                                ctx.check()?;
+                                self.connector.execute_partition(q, part, partitions)
+                            })
                         })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(EiiError::Execution(
-                        "partition scan worker panicked".into(),
-                    )),
-                })
-                .collect::<Result<Vec<_>>>()
-        })?;
-        let mut total = QueryCost::default();
-        let mut rows = Vec::new();
-        let mut schema = None;
-        for ans in answers {
-            let bytes = self.wire.bytes_of(&ans.batch);
-            let transfer = if self.link.bandwidth_bytes_per_ms.is_infinite() {
-                0.0
-            } else {
-                bytes as f64 / self.link.bandwidth_bytes_per_ms
-            };
-            let sim_ms = self.link.latency_ms * ans.calls as f64
-                + transfer
-                + ans.rows_scanned as f64 * self.scan_ms_per_row;
-            let cost = QueryCost {
-                sim_ms,
-                bytes,
-                rows_shipped: ans.batch.num_rows(),
-                rows_scanned: ans.rows_scanned,
-                requests: ans.calls,
-            };
-            self.ledger
-                .record(self.connector.name(), bytes, ans.batch.num_rows(), sim_ms);
-            self.note_traffic(bytes, ans.calls, sim_ms);
-            total = total.alongside(cost);
-            schema.get_or_insert_with(|| ans.batch.schema().clone());
-            rows.extend(ans.batch.into_rows());
-        }
-        let schema = schema.ok_or_else(|| {
-            EiiError::Execution("partitioned scan produced no partitions".into())
-        })?;
-        if let Some(deadline) = &ctx.deadline {
-            deadline.charge(total.sim_ms);
-            deadline.check()?;
-        }
-        Ok((Batch::new(schema, rows), total))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| match h.join() {
+                        Ok(r) => r,
+                        Err(_) => Err(EiiError::Execution(
+                            "partition scan worker panicked".into(),
+                        )),
+                    })
+                    .collect::<Result<Vec<_>>>()
+            })?;
+            let mut total = QueryCost::default();
+            let mut rows = Vec::new();
+            let mut schema = None;
+            for ans in answers {
+                // Partition scans carry no bindings (`bind_access` is `None`),
+                // so `account` counts no bind lookup here.
+                total = total.alongside(self.account(&ans, true));
+                schema.get_or_insert_with(|| ans.batch.schema().clone());
+                rows.extend(ans.batch.into_rows());
+            }
+            let schema = schema.ok_or_else(|| {
+                EiiError::Execution("partitioned scan produced no partitions".into())
+            })?;
+            Ok((Batch::new(schema, rows), total))
+        })
     }
 
     /// Route an update through the wrapper (one round trip). Successful

@@ -73,21 +73,6 @@ impl<'a> EqIndex<'a> {
     }
 }
 
-/// Whether an index probe for `key` returns what a scan with `==` returns.
-/// `Value`'s `==` compares Int with Float through `f64`, which stops being
-/// transitive at ±2^53 (`Int(2^53) == Float(2^53) == Int(2^53 + 1)`), and the
-/// indexes are maps keyed on `Value`: they may file such keys under one
-/// entry or under two, whatever insertion order decided. Below 2^53 every
-/// integer is exact in `f64` and `==` is an equivalence.
-fn index_safe(key: &Value) -> bool {
-    const EXACT: u64 = 1 << 53;
-    match key {
-        Value::Int(i) => i.unsigned_abs() < EXACT,
-        Value::Float(f) => f.abs() < EXACT as f64,
-        _ => true,
-    }
-}
-
 impl Table {
     /// Create an empty table.
     pub fn new(def: TableDef, clock: SimClock) -> Self {
@@ -356,10 +341,9 @@ impl Table {
         rids.iter().filter_map(|&rid| self.get(rid)).cloned()
     }
 
-    /// Equality lookup, index-assisted when an index on `col` exists and the
-    /// key is one an index can be trusted with (see [`index_safe`]).
+    /// Equality lookup, index-assisted when an index on `col` exists.
     pub fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Row> {
-        match self.eq_index(col).filter(|_| index_safe(key)) {
+        match self.eq_index(col) {
             Some(ix) => self.rows_at(ix.get(key)).collect(),
             None => self.scan(|r| r.get(col) == key),
         }
@@ -368,11 +352,10 @@ impl Table {
     /// Multi-key equality lookup: the rows `lookup_eq` returns for each of
     /// `keys` in turn, concatenated — binding order, table order within a
     /// key, a duplicated key's rows duplicated. With an index on `col` that
-    /// is one probe per key; without one (or with a key no index can be
-    /// trusted with) it is a single scan that buckets rows by the keys they
-    /// equal, not a scan per key.
+    /// is one probe per key; without one it is a single scan that buckets
+    /// rows by the keys they equal, not a scan per key.
     pub fn lookup_in(&self, col: usize, keys: &[Value]) -> Vec<Row> {
-        if let Some(ix) = self.eq_index(col).filter(|_| keys.iter().all(index_safe)) {
+        if let Some(ix) = self.eq_index(col) {
             return keys.iter().flat_map(|k| self.rows_at(ix.get(k))).collect();
         }
         let probe = KeyProbe::new(keys);

@@ -101,7 +101,7 @@ fn main() -> Result<()> {
     ));
 
     // ── Assemble the system ─────────────────────────────────────────────
-    let system = EiiSystem::new(clock);
+    let system = Arc::new(EiiSystem::new(clock));
     system.add_source(
         Arc::new(RelationalConnector::new(crm)),
         LinkProfile::lan(),
@@ -153,7 +153,7 @@ fn main() -> Result<()> {
 
     for role in ["intern", "account-manager"] {
         println!("== SEARCH 'acme renewal' as {role} ==");
-        match system.execute_as("SEARCH 'acme renewal' LIMIT 5", role)? {
+        match system.session().with_role(role).execute("SEARCH 'acme renewal' LIMIT 5")? {
             eii::ExecOutcome::SearchHits(hits) => {
                 for h in hits {
                     println!("  [{:>9}] {:<24} {:.3}  {}", h.source, h.item_ref, h.score, h.snippet);

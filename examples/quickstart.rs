@@ -74,7 +74,7 @@ fn main() -> Result<()> {
     let sql = "SELECT name, COUNT(*) AS orders, SUM(total) AS revenue \
                FROM customer_orders WHERE region = 'west' \
                GROUP BY name ORDER BY revenue DESC";
-    println!("{}\n", system.explain(sql)?);
+    println!("{}\n", system.execute(&format!("EXPLAIN {sql}"))?.explained()?);
     let out = system.execute(sql)?;
     let result = out.query_result()?;
     println!("{}", result.batch);

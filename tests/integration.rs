@@ -14,6 +14,11 @@ use eii::row;
 use eii::search::{index_docstore, index_federation_table, EnterpriseSearch, SearchIndex};
 use eii::warehouse::{EtlJob, RefreshMode, Transform, Warehouse};
 
+/// The rendered plan of an `EXPLAIN [ANALYZE]` statement.
+fn explained(sys: &EiiSystem, statement: &str) -> String {
+    sys.execute(statement).unwrap().explained().unwrap().to_string()
+}
+
 /// Build the reference enterprise: crm + sales + support docs.
 fn build_system() -> (EiiSystem, SimClock) {
     let clock = SimClock::new();
@@ -228,16 +233,16 @@ fn saga_effects_are_visible_to_queries_and_compensation_undoes_them() {
 
 #[test]
 fn search_statement_respects_roles_and_source_filter() {
-    let (sys, _) = build_system();
+    let sys = Arc::new(build_system().0);
     // docs is restricted to 'legal'; crm rows are open.
-    match sys.execute_as("SEARCH 'acme'", "intern").unwrap() {
+    match sys.session().with_role("intern").execute("SEARCH 'acme'").unwrap() {
         eii::ExecOutcome::SearchHits(hits) => {
             assert!(!hits.is_empty());
             assert!(hits.iter().all(|h| h.source != "docs"));
         }
         other => panic!("unexpected {other:?}"),
     }
-    match sys.execute_as("SEARCH 'acme' IN docs", "legal").unwrap() {
+    match sys.session().with_role("legal").execute("SEARCH 'acme' IN docs").unwrap() {
         eii::ExecOutcome::SearchHits(hits) => {
             assert_eq!(hits.len(), 1);
             assert_eq!(hits[0].source, "docs");
@@ -280,7 +285,7 @@ fn explain_and_predict_are_consistent_with_execution() {
     let (sys, _) = build_system();
     let sql = "SELECT c.name, o.total FROM crm.customers c \
                JOIN sales.orders o ON c.id = o.customer_id WHERE c.region = 'west'";
-    let explain = sys.explain(sql).unwrap();
+    let explain = explained(&sys, &format!("EXPLAIN {sql}"));
     assert!(explain.contains("SourceQuery crm"));
     assert!(explain.contains("SourceQuery sales") || explain.contains("BindJoin"));
     let predicted = sys.predict(sql).unwrap();
@@ -444,14 +449,6 @@ fn explain_analyze_annotates_federated_join_with_estimates_and_actuals() {
     assert!(text.contains("SourceQuery sales"), "{text}");
     assert!(text.contains("pushed=["), "{text}");
     assert!(text.contains("Total: rows="), "{text}");
-    // The direct entry point renders the same thing.
-    let direct = sys
-        .explain_analyze(
-            "SELECT c.name, o.total FROM crm.customers c \
-             JOIN sales.orders o ON c.id = o.customer_id WHERE o.total > 150",
-        )
-        .unwrap();
-    assert!(direct.contains("| act rows="));
 }
 
 #[test]
@@ -465,9 +462,47 @@ fn explain_analyze_flags_degraded_sources() {
         .inject_faults("sales", FaultProfile::failing(1.0, 7))
         .unwrap();
     sys.set_degradation_policy(DegradationPolicy::Fallback);
-    let text = sys.explain_analyze(sql).unwrap();
+    let text = explained(&sys, &format!("EXPLAIN ANALYZE {sql}"));
     assert!(text.contains("[DEGRADED: orders stale 1500ms]"), "{text}");
     assert!(text.contains("degraded_sources=1"), "{text}");
+}
+
+/// `EXPLAIN ANALYZE` runs the query the way the query itself would run:
+/// under the caller's cancel token and deadline, and planning once.
+#[test]
+fn explain_analyze_honours_the_callers_options_and_plans_once() {
+    let sys = Arc::new(build_system().0);
+    let sql = "EXPLAIN ANALYZE SELECT c.name, o.total FROM crm.customers c \
+               JOIN sales.orders o ON c.id = o.customer_id WHERE o.total > 150";
+    let requests = || sys.federation().ledger().total().requests;
+    let before = requests();
+
+    let cancel = CancelToken::new();
+    cancel.cancel("client gone");
+    let err = sys.session().with_cancel_token(cancel).execute(sql).unwrap_err();
+    assert_eq!(err.kind(), "cancelled");
+    // A budget no fetch fits in: the statement never plans, let alone fetches.
+    let err = sys.session().with_deadline_ms(0).execute(sql).unwrap_err();
+    assert_eq!(err.kind(), "deadline");
+    assert_eq!(requests(), before, "neither statement reached a source");
+    // One millisecond does not cover the WAN round trip to `sales`.
+    let err = sys.session().with_deadline_ms(1).execute(sql).unwrap_err();
+    assert_eq!(err.kind(), "deadline");
+
+    sys.install_result_cache(CacheConfig::default());
+    let plan_spans = |trace: &eii::obs::QueryTrace| {
+        let text = trace.render();
+        text.lines().filter(|l| l.trim_start().starts_with("plan ")).count()
+    };
+    let (out, trace) = sys.execute_with(sql, &ExecOptions::default());
+    assert!(out.unwrap().explained().unwrap().contains("| act rows="));
+    assert_eq!(plan_spans(&trace), 1, "{}", trace.render());
+    // It filled the cache as the query would have: the repeat is a hit.
+    let shipped = sys.federation().ledger().total().bytes;
+    let (out, trace) = sys.execute_with(sql, &ExecOptions::default());
+    assert!(out.unwrap().explained().unwrap().contains("[CACHED]"));
+    assert_eq!(plan_spans(&trace), 1, "{}", trace.render());
+    assert_eq!(sys.federation().ledger().total().bytes, shipped);
 }
 
 #[test]
@@ -505,13 +540,13 @@ fn source_health_reports_traffic_retries_and_breaker_under_faults() {
 }
 
 #[test]
-#[allow(deprecated)] // deliberately exercises the last_trace() shim
 fn query_trace_covers_phases_and_operators() {
     let (sys, _) = build_system();
-    let sys = sys.with_config(PlannerConfig {
+    let sys = Arc::new(sys.with_config(PlannerConfig {
         use_bind_joins: false,
         ..PlannerConfig::optimized()
-    });
+    }))
+    .session();
     sys.execute(
         "SELECT c.name, o.total FROM crm.customers c \
          JOIN sales.orders o ON c.id = o.customer_id",
@@ -633,7 +668,7 @@ fn deadline_statements_record_budget_and_spend() {
         deadline_budget_ms: Some(10_000),
         ..ExecOptions::default()
     };
-    sys.execute_with("SELECT name FROM crm.customers", &opts).unwrap();
+    sys.execute_with("SELECT name FROM crm.customers", &opts).0.unwrap();
     let rec = sys.query_log().last().expect("deadline statements always kept");
     assert_eq!(rec.deadline_budget_ms, Some(10_000.0));
     let spent = rec.deadline_spent_ms.expect("spend recorded");
@@ -652,7 +687,7 @@ fn degraded_statements_tail_sample_and_flag_explain_analyze() {
         .unwrap();
     sys.set_degradation_policy(DegradationPolicy::Fallback);
 
-    let text = sys.explain_analyze(sql).unwrap();
+    let text = explained(&sys, &format!("EXPLAIN ANALYZE {sql}"));
     assert!(text.contains("flags=degraded"), "header flags: {text}");
 
     sys.execute(sql).unwrap();

@@ -209,6 +209,79 @@ fn run(sys: &EiiSystem, sql: &str) -> Batch {
         .clone()
 }
 
+/// `Int(2^53)`, `Float(2^53)` and `Int(2^53 + 1)` meet in one key column (a
+/// `COALESCE` over an Int and a Float column). `Value`'s order is total, so
+/// every map keyed on it — `COUNT(DISTINCT)`, `DISTINCT`, `GROUP BY`, a bind
+/// join's binding list — holds two keys, whichever row order they arrive in.
+#[test]
+fn keys_past_2_pow_53_do_not_depend_on_row_order() {
+    const P53: i64 = 1 << 53;
+    let cells = [(Some(P53), None), (None, Some(P53 as f64)), (Some(P53 + 1), None)];
+    for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+        let clock = SimClock::new();
+        let big = Database::new("big", clock.clone());
+        let t = big
+            .create_table(
+                TableDef::new(
+                    "t",
+                    Arc::new(Schema::new(vec![
+                        Field::new("id", DataType::Int).not_null(),
+                        Field::new("i", DataType::Int),
+                        Field::new("f", DataType::Float),
+                    ])),
+                )
+                .with_primary_key(0),
+            )
+            .unwrap();
+        for (id, &cell) in order.iter().enumerate() {
+            let (i, f) = cells[cell];
+            t.write().insert(row![id as i64, i, f]).unwrap();
+        }
+        let dim = Database::new("dim", clock.clone());
+        let u = dim
+            .create_table(
+                TableDef::new(
+                    "u",
+                    Arc::new(Schema::new(vec![
+                        Field::new("k", DataType::Int).not_null(),
+                        Field::new("tag", DataType::Str),
+                    ])),
+                )
+                .with_primary_key(0),
+            )
+            .unwrap();
+        u.write().insert(row![P53, "a"]).unwrap();
+        u.write().insert(row![P53 + 1, "b"]).unwrap();
+        let sys = EiiSystem::builder(clock)
+            .source(Arc::new(RelationalConnector::new(big)), LinkProfile::lan(), WireFormat::Native)
+            .source(
+                // Access-limited: `u` answers only a bound `k`, so the join
+                // below has to be a bind join.
+                Arc::new(WebServiceConnector::new("dim", dim).require_binding("u", "k")),
+                LinkProfile::wan(),
+                WireFormat::Native,
+            )
+            .build()
+            .unwrap();
+
+        let keys = "(SELECT COALESCE(i, f) AS k FROM big.t) s";
+        let counted = run(&sys, "SELECT COUNT(DISTINCT COALESCE(i, f)) AS n FROM big.t");
+        assert_eq!(counted.rows(), [row![2i64]], "order {order:?}");
+        let distinct = run(&sys, "SELECT DISTINCT COALESCE(i, f) AS k FROM big.t");
+        assert_eq!(sorted(&distinct), [row![P53], row![P53 + 1]], "order {order:?}");
+        let grouped = run(&sys, &format!("SELECT k, COUNT(*) AS n FROM {keys} GROUP BY k"));
+        assert_eq!(sorted(&grouped), [row![P53, 2i64], row![P53 + 1, 1i64]], "order {order:?}");
+        let join = format!("SELECT s.k, u.tag FROM {keys} JOIN dim.u u ON s.k = u.k");
+        let plan = sys.execute(&format!("EXPLAIN {join}")).unwrap();
+        assert!(plan.explained().unwrap().contains("BindJoin"), "{plan:?}");
+        assert_eq!(
+            sorted(&run(&sys, &join)),
+            [row![P53, "a"], row![P53, "a"], row![P53 + 1, "b"]],
+            "order {order:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -670,7 +670,8 @@ fn shapes_exercise_their_operators() {
             Some(n) => format!("{} LIMIT {n}", stmt.sql),
             None => stmt.sql.clone(),
         };
-        let plan = world.sys.explain(&sql).unwrap();
+        let out = world.sys.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let plan = out.explained().unwrap();
         assert!(plan.contains(stmt.exercises), "shape {shape} ({sql}):\n{plan}");
         if shape == SHAPES {
             assert!(plan.contains("compensate=[") && plan.contains("limit="), "{plan}");
