@@ -45,7 +45,6 @@ pub struct EiiSystemBuilder {
     cache: Option<CacheConfig>,
     matviews: Vec<(String, String, RefreshPolicy)>,
     search: Option<EnterpriseSearch>,
-    scan_partitions: usize,
     hedge: Option<HedgePolicy>,
 }
 
@@ -60,7 +59,6 @@ impl EiiSystemBuilder {
             cache: None,
             matviews: Vec::new(),
             search: None,
-            scan_partitions: 1,
             hedge: None,
         }
     }
@@ -109,13 +107,6 @@ impl EiiSystemBuilder {
         self
     }
 
-    /// Split unbound, unlimited source scans into `n` parallel partitions
-    /// when the connector supports it (default 1: serial scans).
-    pub fn scan_partitions(mut self, n: usize) -> Self {
-        self.scan_partitions = n.max(1);
-        self
-    }
-
     /// Hedge slow source fetches: once a source's observed mean latency
     /// crosses the policy threshold, each fetch launches a delayed backup
     /// request and takes whichever answer lands first on the virtual
@@ -138,7 +129,6 @@ impl EiiSystemBuilder {
         if let Some(config) = self.config {
             system = system.with_config(config);
         }
-        system.set_scan_partitions(self.scan_partitions);
         if let Some(policy) = self.hedge {
             system.set_hedge_policy(policy);
         }

@@ -48,8 +48,8 @@ use eii_catalog::Catalog;
 use eii_data::{Batch, CancelToken, Deadline, EiiError, Priority, Result, SimClock};
 use eii_eai::{MessageBroker, ProcessDef, ProcessEnv, SagaEngine, SagaOutcome};
 use eii_exec::{
-    CacheConfig, CacheLookup, CachedResult, DegradationPolicy, Executor, FallbackStore,
-    HedgePolicy, OperatorProfile, QueryResult, ReplanPolicy, ResultCache, SourceReport,
+    CacheConfig, CacheLookup, CachedResult, DegradationPolicy, Executor, HedgePolicy,
+    OperatorProfile, QueryResult, ReplanPolicy, ResultCache, SnapshotStore, SourceReport,
 };
 use eii_federation::{
     Connector, Federation, LinkProfile, QueryCost, RequestCtx, SourceHealth, SourceQuery,
@@ -94,7 +94,7 @@ pub mod prelude {
     };
     pub use eii_federation::RequestCtx;
     pub use eii_docstore::{DocStore, Document};
-    pub use eii_exec::{CacheConfig, DegradationPolicy, FallbackStore, SourceReport};
+    pub use eii_exec::{CacheConfig, DegradationPolicy, SnapshotStore, SourceReport};
     pub use eii_advisor::AdvisorConfig;
     pub use eii_matview::{IvmStatus, RefreshPolicy};
     pub use eii_planner::FallbackReason;
@@ -310,10 +310,9 @@ pub struct EiiSystem {
     broker: MessageBroker,
     search: OnceLock<EnterpriseSearch>,
     degradation: RwLock<DegradationPolicy>,
-    fallbacks: FallbackStore,
+    fallbacks: SnapshotStore,
     matviews: OnceLock<MatViewManager>,
     cache: OnceLock<ResultCache>,
-    scan_partitions: usize,
     hedge: RwLock<Option<HedgePolicy>>,
     query_log: QueryLog,
     traces: TraceStore,
@@ -348,10 +347,9 @@ impl EiiSystem {
             broker: MessageBroker::new(),
             search: OnceLock::new(),
             degradation: RwLock::new(DegradationPolicy::Fail),
-            fallbacks: FallbackStore::new(),
+            fallbacks: SnapshotStore::new(),
             matviews: OnceLock::new(),
             cache: OnceLock::new(),
-            scan_partitions: 1,
             hedge: RwLock::new(None),
             query_log: QueryLog::default(),
             traces: TraceStore::default(),
@@ -372,10 +370,6 @@ impl EiiSystem {
     pub fn with_config(mut self, config: PlannerConfig) -> Self {
         self.config = config;
         self
-    }
-
-    pub(crate) fn set_scan_partitions(&mut self, n: usize) {
-        self.scan_partitions = n.max(1);
     }
 
     /// Enable hedged requests: once a source's observed mean latency
@@ -456,7 +450,7 @@ impl EiiSystem {
 
     /// The stale-snapshot store consulted under
     /// [`DegradationPolicy::Fallback`].
-    pub fn fallbacks(&self) -> &FallbackStore {
+    pub fn fallbacks(&self) -> &SnapshotStore {
         &self.fallbacks
     }
 
@@ -465,8 +459,7 @@ impl EiiSystem {
     pub fn snapshot_fallback(&self, qualified: &str) -> Result<()> {
         let (h, table) = self.federation.resolve(qualified)?;
         let (batch, _) = h.query(&SourceQuery::full_table(table))?;
-        self.fallbacks
-            .register(qualified, batch, self.clock.now_ms());
+        self.fallbacks.put(qualified, batch, self.clock.now_ms());
         Ok(())
     }
 
@@ -894,7 +887,7 @@ impl EiiSystem {
         let key = optimized.display();
         telemetry.fingerprint = fingerprint64(&key);
         telemetry.plan = key.clone();
-        let tables = base_tables(&optimized);
+        let tables = optimized.base_tables();
         if let Some(cache) = self.cache.get() {
             let probe =
                 cache.lookup_with_budget(&key, now, &self.federation, opts.staleness_budget_ms);
@@ -1065,7 +1058,6 @@ impl EiiSystem {
         let mut exec = Executor::new(&self.federation)
             .with_degradation(policy, self.fallbacks.clone())
             .with_metrics(self.federation.metrics().clone())
-            .with_scan_partitions(self.scan_partitions)
             .with_batch_size(self.config.batch_size)
             .with_request_ctx(ctx);
         if let Some(policy) = self.hedge_policy() {
@@ -1297,24 +1289,6 @@ impl EiiSystem {
             .with_metrics(self.federation.metrics().clone())
             .run(def, &env)
     }
-}
-
-/// Every distinct `source.table` a logical plan scans, first seen first.
-pub(crate) fn base_tables(plan: &LogicalPlan) -> Vec<String> {
-    fn walk(plan: &LogicalPlan, out: &mut Vec<String>) {
-        if let LogicalPlan::SourceScan { source, table, .. } = plan {
-            let qualified = format!("{source}.{table}");
-            if !out.contains(&qualified) {
-                out.push(qualified);
-            }
-        }
-        for child in plan.children() {
-            walk(child, out);
-        }
-    }
-    let mut out = Vec::new();
-    walk(plan, &mut out);
-    out
 }
 
 /// Bytes shipped per source between two ledger snapshots — what one

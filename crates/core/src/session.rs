@@ -20,7 +20,7 @@ use eii_exec::{
 use eii_federation::RequestCtx;
 use eii_obs::QueryTrace;
 
-use crate::{base_tables, EiiSystem, ExecOptions, ExecOutcome};
+use crate::{EiiSystem, ExecOptions, ExecOutcome};
 
 /// A per-client handle over a shared system; see the module docs.
 ///
@@ -253,7 +253,7 @@ impl QueryScheduler {
         let sources = self
             .system
             .normalize_sql(sql)
-            .map_or_else(|_| Vec::new(), |plan| sources_of(&base_tables(&plan)));
+            .map_or_else(|_| Vec::new(), |plan| sources_of(&plan.base_tables()));
         let system = Arc::clone(&self.system);
         let sql = sql.to_string();
         let work = move || {

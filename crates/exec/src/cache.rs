@@ -1,10 +1,10 @@
-//! The local answer stores: materialized-view rows for the planner's
-//! `MatViewScan` nodes, and the semantic result cache that short-circuits
-//! whole queries.
+//! The local answer stores: [`SnapshotStore`] — named, timestamped batches;
+//! one instance holds the materialized-view rows behind the planner's
+//! `MatViewScan` nodes, another the stale table copies degradation falls
+//! back to — and the semantic result cache that short-circuits whole queries.
 //!
-//! Both are clone-shared (like [`FallbackStore`](crate::degrade::FallbackStore))
-//! so the application, the matview manager, and the executor can hold the
-//! same store.
+//! Both are clone-shared so the application, the matview manager, and the
+//! executor can hold the same store.
 //!
 //! The result cache is *semantic*: its key is the normalized (optimized)
 //! logical plan, so two syntactically different queries that optimize to
@@ -25,48 +25,49 @@ use eii_obs::MetricsRegistry;
 
 use crate::degrade::SourceReport;
 
-/// Materialized rows for registered views, keyed by view name; shared by
-/// cloning. The matview manager fills it on define/refresh; the executor
-/// reads it to serve `MatViewScan` operators.
+/// Batches keyed by name, each stamped with the simulated time it was taken;
+/// shared by cloning. The matview manager fills one on define/refresh (view
+/// name → materialization) for the executor's `MatViewScan`; the application
+/// fills another (`source.table` → last extract) for
+/// [`DegradationPolicy::Fallback`](crate::degrade::DegradationPolicy).
 #[derive(Debug, Clone, Default)]
-pub struct MatViewStore {
+pub struct SnapshotStore {
     inner: Arc<Mutex<BTreeMap<String, (Batch, i64)>>>,
 }
 
-impl MatViewStore {
+impl SnapshotStore {
     /// Empty store.
     pub fn new() -> Self {
-        MatViewStore::default()
+        SnapshotStore::default()
     }
 
-    /// Insert (or replace) the materialization for `name`, stamped with the
-    /// simulated time it was computed.
+    /// Insert (or replace) the batch for `name`, taken at `as_of_ms`.
     pub fn put(&self, name: impl Into<String>, batch: Batch, as_of_ms: i64) {
         self.inner
             .lock()
-            .expect("matview store lock")
+            .expect("snapshot store lock")
             .insert(name.into(), (batch, as_of_ms));
     }
 
-    /// The materialization for `name`, if present.
+    /// The batch for `name` and when it was taken, if present.
     pub fn get(&self, name: &str) -> Option<(Batch, i64)> {
         self.inner
             .lock()
-            .expect("matview store lock")
+            .expect("snapshot store lock")
             .get(name)
             .cloned()
     }
 
-    /// Drop the materialization for `name`.
+    /// Drop the batch for `name`.
     pub fn remove(&self, name: &str) {
-        self.inner.lock().expect("matview store lock").remove(name);
+        self.inner.lock().expect("snapshot store lock").remove(name);
     }
 
-    /// All stored view names, sorted.
+    /// All stored names, sorted.
     pub fn names(&self) -> Vec<String> {
         self.inner
             .lock()
-            .expect("matview store lock")
+            .expect("snapshot store lock")
             .keys()
             .cloned()
             .collect()
@@ -416,7 +417,7 @@ mod tests {
 
     #[test]
     fn matview_store_round_trips() {
-        let store = MatViewStore::new();
+        let store = SnapshotStore::new();
         assert!(store.get("top").is_none());
         store.put("top", batch(), 5);
         let (b, at) = store.get("top").unwrap();

@@ -7,12 +7,10 @@
 //! per-source [`SourceReport`] in the query result, so "the answer" is
 //! never silently partial.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use eii_data::{Batch, EiiError, Result, SchemaRef};
+use eii_federation::{apply_query_locally, SourceQuery};
 
-use eii_data::{Batch, EiiError, Result, Row, SchemaRef};
-use eii_expr::bind;
-use eii_federation::SourceQuery;
+use crate::cache::SnapshotStore;
 
 /// What the executor does when a source request ultimately fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,55 +24,6 @@ pub enum DegradationPolicy {
     /// Substitute an empty answer for the dead source and return the
     /// surviving branches, flagged per source.
     PartialResults,
-}
-
-#[derive(Debug, Clone)]
-struct Snapshot {
-    batch: Batch,
-    as_of_ms: i64,
-}
-
-/// Stale full-table snapshots keyed by `source.table`, shared by cloning.
-///
-/// Typically loaded from the last warehouse extract or a periodic cache
-/// refresh; `as_of_ms` records the simulated time the copy was taken.
-#[derive(Debug, Clone, Default)]
-pub struct FallbackStore {
-    inner: Arc<Mutex<BTreeMap<String, Snapshot>>>,
-}
-
-impl FallbackStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        FallbackStore::default()
-    }
-
-    /// Register (or replace) the snapshot for `source.table`.
-    pub fn register(&self, qualified: impl Into<String>, batch: Batch, as_of_ms: i64) {
-        self.inner
-            .lock()
-            .expect("fallback store lock")
-            .insert(qualified.into(), Snapshot { batch, as_of_ms });
-    }
-
-    /// The snapshot for `source.table`, if one is registered.
-    pub fn get(&self, qualified: &str) -> Option<(Batch, i64)> {
-        self.inner
-            .lock()
-            .expect("fallback store lock")
-            .get(qualified)
-            .map(|s| (s.batch.clone(), s.as_of_ms))
-    }
-
-    /// All registered table names, sorted.
-    pub fn tables(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .expect("fallback store lock")
-            .keys()
-            .cloned()
-            .collect()
-    }
 }
 
 /// How one source fared during a query. Only degraded sources are reported;
@@ -92,67 +41,13 @@ pub struct SourceReport {
     pub error: String,
 }
 
-/// Evaluate a [`SourceQuery`] against an in-memory batch at the hub — the
-/// same semantics a cooperative source applies: conjunctive filters,
-/// binding lists, projection, then limit.
-pub fn apply_source_query(batch: &Batch, q: &SourceQuery) -> Result<Batch> {
-    let schema = batch.schema().clone();
-    let bound_filters = q
-        .filters
-        .iter()
-        .map(|f| bind(f, &schema))
-        .collect::<Result<Vec<_>>>()?;
-    let binding_idx = q
-        .bindings
-        .iter()
-        .map(|(col, vals)| Ok((schema.index_of(None, col)?, vals)))
-        .collect::<Result<Vec<_>>>()?;
-
-    let mut rows: Vec<Row> = Vec::new();
-    'rows: for row in batch.rows() {
-        for f in &bound_filters {
-            if !f.eval_predicate(row)? {
-                continue 'rows;
-            }
-        }
-        for (idx, vals) in &binding_idx {
-            if !vals.contains(row.get(*idx)) {
-                continue 'rows;
-            }
-        }
-        rows.push(row.clone());
-        if let Some(n) = q.limit {
-            if rows.len() >= n {
-                break;
-            }
-        }
-    }
-
-    match &q.projection {
-        None => Ok(Batch::new(schema, rows)),
-        Some(cols) => {
-            let indices = cols
-                .iter()
-                .map(|c| schema.index_of(None, c))
-                .collect::<Result<Vec<_>>>()?;
-            let fields = indices
-                .iter()
-                .map(|&i| schema.field(i).clone())
-                .collect::<Vec<_>>();
-            let out_schema: SchemaRef = Arc::new(eii_data::Schema::new(fields));
-            let rows = rows.into_iter().map(|r| r.project(&indices)).collect();
-            Ok(Batch::new(out_schema, rows))
-        }
-    }
-}
-
 /// Resolve a degradation decision for one failed component query.
 ///
 /// Returns the substitute batch (in the source's column layout) plus the
 /// report entry, or propagates `err` when the policy does not cover it.
 pub fn degrade(
     policy: DegradationPolicy,
-    store: &FallbackStore,
+    store: &SnapshotStore,
     source: &str,
     q: &SourceQuery,
     expect_schema: &SchemaRef,
@@ -169,7 +64,15 @@ pub fn degrade(
                      {qualified}: {err}"
                 )));
             };
-            let batch = apply_source_query(&snapshot, q)?;
+            let schema = snapshot.schema().clone();
+            let batch = apply_query_locally(
+                &schema,
+                snapshot.into_rows(),
+                &q.filters,
+                &q.bindings,
+                q.projection.as_deref(),
+                q.limit,
+            )?;
             let report = SourceReport {
                 source: source.to_string(),
                 table: q.table.clone(),
@@ -193,8 +96,8 @@ pub fn degrade(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eii_data::{row, DataType, Field, Schema, Value};
-    use eii_expr::Expr;
+    use eii_data::{row, DataType, Field, Schema};
+    use std::sync::Arc;
 
     fn batch() -> Batch {
         let schema = Arc::new(Schema::new(vec![
@@ -213,37 +116,9 @@ mod tests {
     }
 
     #[test]
-    fn applies_filters_projection_and_limit() {
-        let q = SourceQuery {
-            table: "t".into(),
-            projection: Some(vec!["name".into()]),
-            filters: vec![Expr::col("score").gt(Expr::lit(10i64))],
-            bindings: vec![],
-            limit: Some(1),
-        };
-        let out = apply_source_query(&batch(), &q).unwrap();
-        assert_eq!(out.num_rows(), 1);
-        assert_eq!(out.schema().len(), 1);
-        assert_eq!(out.rows()[0], row!["bob"]);
-    }
-
-    #[test]
-    fn applies_binding_lists() {
-        let q = SourceQuery {
-            table: "t".into(),
-            projection: None,
-            filters: vec![],
-            bindings: vec![("id".into(), vec![Value::Int(1), Value::Int(3)])],
-            limit: None,
-        };
-        let out = apply_source_query(&batch(), &q).unwrap();
-        assert_eq!(out.num_rows(), 2);
-    }
-
-    #[test]
     fn fallback_serves_snapshot_with_staleness() {
-        let store = FallbackStore::new();
-        store.register("crm.t", batch(), 100);
+        let store = SnapshotStore::new();
+        store.put("crm.t", batch(), 100);
         let q = SourceQuery::full_table("t");
         let schema = batch().schema().clone();
         let (b, report) = degrade(
@@ -267,7 +142,7 @@ mod tests {
 
     #[test]
     fn fallback_without_snapshot_fails() {
-        let store = FallbackStore::new();
+        let store = SnapshotStore::new();
         let q = SourceQuery::full_table("ghost");
         let schema = batch().schema().clone();
         let err = degrade(
@@ -286,7 +161,7 @@ mod tests {
 
     #[test]
     fn partial_results_substitutes_an_empty_branch() {
-        let store = FallbackStore::new();
+        let store = SnapshotStore::new();
         let q = SourceQuery::full_table("t");
         let schema = batch().schema().clone();
         let (b, report) = degrade(
@@ -305,7 +180,7 @@ mod tests {
 
     #[test]
     fn fail_policy_propagates() {
-        let store = FallbackStore::new();
+        let store = SnapshotStore::new();
         let q = SourceQuery::full_table("t");
         let schema = batch().schema().clone();
         let err = degrade(

@@ -2,10 +2,16 @@
 //!
 //! One representation flows between operators: [`ColumnarBatch`]. Rows are
 //! pivoted to columns exactly once where they enter the hub
-//! ([`Executor::ingest`]: source fetch, bind-join fetch, degraded snapshot,
-//! materialized-view read, `VALUES`) and back exactly once where they leave
-//! ([`Executor::run`]); the only other row materialization is the byte
-//! charge of an at-source join's shipments.
+//! ([`Executor::ingest`]: a component fetch, a materialized-view read,
+//! `VALUES`) and back exactly once where they leave ([`Executor::run`]); the
+//! only other row materialization is the byte charge of an at-source join's
+//! shipments.
+//!
+//! One function talks to sources: [`Executor::fetch`]. Every operator that
+//! needs a component query answered — a scan, a bind join, an adaptive
+//! re-plan, the at-site child of an assembly-site join — goes through it, so
+//! hedging, abort-vs-degrade and the fallback snapshot are decided in one
+//! place.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
@@ -13,13 +19,15 @@ use std::time::{Duration, Instant};
 
 use eii_data::{Batch, CancelToken, Column, ColumnarBatch, EiiError, Result, SchemaRef, Value};
 use eii_expr::{bind, eval_column, BoundExpr, Expr};
-use eii_federation::{Federation, HedgeOutcome, QueryCost, RequestCtx, SourceQuery};
+use eii_federation::{
+    Delivery, Federation, HedgeOutcome, QueryCost, RequestCtx, SourceHandle, SourceQuery,
+};
 use eii_obs::MetricsRegistry;
 use eii_planner::{CardinalityFeedback, CostModel, JoinSite, PhysicalPlan};
 use eii_sql::JoinKind;
 
-use crate::cache::{adapt_batch, MatViewStore};
-use crate::degrade::{degrade, DegradationPolicy, FallbackStore, SourceReport};
+use crate::cache::{adapt_batch, SnapshotStore};
+use crate::degrade::{degrade, DegradationPolicy, SourceReport};
 use crate::profile::OperatorProfile;
 use crate::vector::{
     drive, sort_batch, BatchOperator, VecAggregate, VecFilter, VecHashJoin, VecProject,
@@ -154,8 +162,8 @@ pub struct Executor<'a> {
     /// Hub-side processing cost per row touched, simulated ms.
     pub hub_ms_per_row: f64,
     degradation: DegradationPolicy,
-    fallbacks: FallbackStore,
-    matviews: MatViewStore,
+    fallbacks: SnapshotStore,
+    matviews: SnapshotStore,
     degraded: Mutex<Vec<SourceReport>>,
     instrument: bool,
     metrics: Option<MetricsRegistry>,
@@ -163,8 +171,6 @@ pub struct Executor<'a> {
     /// Hedge outcomes of this run's fetches, keyed by the operator path
     /// that issued them, so profiles can flag the exact operator hedged.
     hedges: Mutex<BTreeMap<Vec<usize>, HedgeOutcome>>,
-    /// Partition-parallel scan fan-out per source scan (1 = serial).
-    scan_partitions: usize,
     /// Rows per chunk pushed through an operator; 0 = the
     /// [`crate::vector::DEFAULT_BATCH_SIZE`] default.
     batch_size: usize,
@@ -190,14 +196,13 @@ impl<'a> Executor<'a> {
             federation,
             hub_ms_per_row: 0.0005,
             degradation: DegradationPolicy::Fail,
-            fallbacks: FallbackStore::new(),
-            matviews: MatViewStore::new(),
+            fallbacks: SnapshotStore::new(),
+            matviews: SnapshotStore::new(),
             degraded: Mutex::new(Vec::new()),
             instrument: true,
             metrics: None,
             ops: Mutex::new(Vec::new()),
             hedges: Mutex::new(BTreeMap::new()),
-            scan_partitions: 1,
             batch_size: 0,
             base_ctx: RequestCtx::new(),
             run_ctx: Mutex::new(RequestCtx::new()),
@@ -229,18 +234,6 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Fan each source scan out into `n` partition-parallel workers,
-    /// extending the parallel join machinery down into the scans. Only
-    /// scans that keep the accounting exact actually partition: native wire
-    /// format (per-row sizes, so partition bytes sum to the serial bytes),
-    /// no limit, no bind values, and a connector that opts in
-    /// ([`eii_federation::Connector::supports_partitioned_scans`]);
-    /// everything else falls back to the serial path.
-    pub fn with_scan_partitions(mut self, n: usize) -> Self {
-        self.scan_partitions = n.max(1);
-        self
-    }
-
     /// Rows per chunk pushed through an operator — each chunk boundary is a
     /// cancellation/deadline checkpoint. 0 keeps the default
     /// ([`crate::vector::DEFAULT_BATCH_SIZE`]).
@@ -252,7 +245,7 @@ impl<'a> Executor<'a> {
     /// Enable graceful degradation: what to do when a source request fails
     /// past the federation's resilience layer, and which stale snapshots
     /// may stand in for dead sources.
-    pub fn with_degradation(mut self, policy: DegradationPolicy, fallbacks: FallbackStore) -> Self {
+    pub fn with_degradation(mut self, policy: DegradationPolicy, fallbacks: SnapshotStore) -> Self {
         self.degradation = policy;
         self.fallbacks = fallbacks;
         self
@@ -260,7 +253,7 @@ impl<'a> Executor<'a> {
 
     /// Attach the materialized-view row store that `MatViewScan` operators
     /// (substituted by the planner's rewrite pass) are served from.
-    pub fn with_matviews(mut self, matviews: MatViewStore) -> Self {
+    pub fn with_matviews(mut self, matviews: SnapshotStore) -> Self {
         self.matviews = matviews;
         self
     }
@@ -325,31 +318,6 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// Resolve one failed component query under the degradation policy:
-    /// either a substitute batch (with the report recorded) or the error.
-    fn degrade_source(
-        &self,
-        source: &str,
-        q: &SourceQuery,
-        expect_schema: &SchemaRef,
-        err: EiiError,
-    ) -> Result<(Batch, QueryCost)> {
-        let now_ms = self.federation.clock().now_ms();
-        let (batch, report) = degrade(
-            self.degradation,
-            &self.fallbacks,
-            source,
-            q,
-            expect_schema,
-            now_ms,
-            err,
-        )?;
-        self.degraded.lock().expect("degraded lock").push(report);
-        // A snapshot read is hub-local work: no network, no source scan.
-        let cost = self.cpu(batch.num_rows());
-        Ok((batch, cost))
-    }
-
     fn cpu(&self, rows: usize) -> QueryCost {
         QueryCost {
             sim_ms: rows as f64 * self.hub_ms_per_row,
@@ -393,46 +361,93 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// One component fetch, hedged when [`Executor::should_hedge`] says the
-    /// source looks slow. Used by every shipping fetch path (plain scans and
-    /// bind joins) so a hedge can also rescue a transient primary failure.
-    fn fetch_maybe_hedged(
+    /// The one place a component query leaves the hub and its answer comes
+    /// back. A shipping fetch is hedged when [`Executor::should_hedge`] says
+    /// the source looks slow (so a hedge can also rescue a transient primary
+    /// failure); an abortive error ends the query; any other failure is
+    /// resolved by the degradation policy — `fallback` names the query a
+    /// snapshot answers (through the federation's own evaluator) and the
+    /// schema of the empty stand-in for a dropped branch — and reported.
+    ///
+    /// The answer is pivoted into the hub here, typed by and tagged with
+    /// `ingest_as` (`None` keeps the layout the source returned). `path` is
+    /// the plan node the fetch is made for; `record` says the fetch *is* that
+    /// node, run outside [`Executor::run_node`], so it is measured here. The
+    /// returned flag is `true` when the source answered live.
+    #[allow(clippy::too_many_arguments)]
+    fn fetch(
         &self,
-        handle: &eii_federation::SourceHandle,
+        handle: &SourceHandle,
         query: &SourceQuery,
-        source: &str,
+        delivery: Delivery,
+        fallback: (&SourceQuery, &SchemaRef),
+        ingest_as: Option<&SchemaRef>,
         path: &[usize],
-    ) -> Result<(Batch, QueryCost)> {
+        record: bool,
+    ) -> Result<(ColumnarBatch, QueryCost, bool)> {
+        let start_wall = Instant::now();
+        let source = handle.connector().name();
         let ctx = self.ctx();
-        match self.should_hedge(source) {
+        let hedge = match delivery {
+            Delivery::Ship => self.should_hedge(source),
+            Delivery::StayAtSite => None,
+        };
+        let answer = match hedge {
             Some(policy) => handle
                 .query_hedged(query, &ctx, policy.delay_ms)
                 .map(|(batch, cost, outcome)| {
-                    if outcome.fired {
-                        self.hedges
-                            .lock()
-                            .expect("hedges lock")
-                            .insert(path.to_vec(), outcome);
-                    }
+                    self.hedges
+                        .lock()
+                        .expect("hedges lock")
+                        .insert(path.to_vec(), outcome);
                     if let Some(m) = &self.metrics {
                         m.inc("hedge.fired");
                         if outcome.backup_won {
                             m.inc("hedge.backup_wins");
                         }
-                        if outcome.fired {
-                            m.record_event(eii_obs::TelemetryEvent {
-                                sim_ms: self.federation.clock().now_ms() as f64,
-                                kind: "hedge.fired".to_string(),
-                                source: source.to_string(),
-                                trace_id: ctx.trace_id,
-                                detail: format!("backup_won={}", outcome.backup_won),
-                            });
-                        }
+                        m.record_event(eii_obs::TelemetryEvent {
+                            sim_ms: self.federation.clock().now_ms() as f64,
+                            kind: "hedge.fired".to_string(),
+                            source: source.to_string(),
+                            trace_id: ctx.trace_id,
+                            detail: format!("backup_won={}", outcome.backup_won),
+                        });
                     }
                     (batch, cost)
                 }),
-            None => handle.query_ctx(query, &ctx),
+            None => handle.fetch(query, &ctx, delivery),
+        };
+        let (batch, cost, live) = match answer {
+            Ok((batch, cost)) => (batch, cost, true),
+            Err(err) if is_abortive(&err) => return Err(err),
+            Err(err) => {
+                let now_ms = self.federation.clock().now_ms();
+                let (batch, report) = degrade(
+                    self.degradation,
+                    &self.fallbacks,
+                    source,
+                    fallback.0,
+                    fallback.1,
+                    now_ms,
+                    err,
+                )?;
+                self.degraded.lock().expect("degraded lock").push(report);
+                // A snapshot read is hub-local work: no network, no source scan.
+                let cost = self.cpu(batch.num_rows());
+                (batch, cost, false)
+            }
+        };
+        let schema = ingest_as.unwrap_or(batch.schema()).clone();
+        let cols = Self::ingest(schema, batch);
+        if record && self.instrument {
+            self.ops.lock().expect("ops lock").push(OpRecord {
+                path: path.to_vec(),
+                rows: cols.num_rows(),
+                cost,
+                wall: start_wall.elapsed(),
+            });
         }
+        Ok((cols, cost, live))
     }
 
     fn run(&self, plan: &PhysicalPlan) -> Result<(Batch, QueryCost)> {
@@ -441,9 +456,9 @@ impl<'a> Executor<'a> {
         Ok((cols.to_batch(), cost))
     }
 
-    /// The one pivot into the hub: rows a source, a fallback snapshot, the
-    /// view store or a `VALUES` list produced become columns, typed by (and
-    /// tagged with) the plan's `schema` for them.
+    /// The one pivot into the hub: rows a component fetch, the view store or
+    /// a `VALUES` list produced become columns, typed by (and tagged with)
+    /// `schema`.
     fn ingest(schema: SchemaRef, batch: Batch) -> ColumnarBatch {
         ColumnarBatch::from_batch(&Batch::new(schema, batch.into_rows()))
     }
@@ -477,24 +492,17 @@ impl<'a> Executor<'a> {
                 schema,
             } => {
                 let handle = self.federation.source(source)?;
-                let partitions = self.scan_partitions;
-                let partitioned = partitions > 1
-                    && query.bindings.is_empty()
-                    && query.limit.is_none()
-                    && matches!(handle.wire_format(), eii_federation::WireFormat::Native)
-                    && handle.connector().supports_partitioned_scans();
-                let answer = if partitioned {
-                    handle.query_partitioned_ctx(query, partitions, &self.ctx())
-                } else {
-                    self.fetch_maybe_hedged(&handle, query, source, path)
-                };
-                let (batch, cost) = match answer {
-                    Ok(ok) => ok,
-                    Err(err) if is_abortive(&err) => return Err(err),
-                    Err(err) => self.degrade_source(source, query, schema, err)?,
-                };
                 // Tagged with the alias-qualified schema.
-                Ok((Self::ingest(schema.clone(), batch), cost))
+                let (cols, cost, _) = self.fetch(
+                    &handle,
+                    query,
+                    Delivery::Ship,
+                    (query, schema),
+                    Some(schema),
+                    path,
+                    false,
+                )?;
+                Ok((cols, cost))
             }
             PhysicalPlan::Values { schema, rows } => Ok((
                 Self::ingest(schema.clone(), Batch::new(schema.clone(), rows.clone())),
@@ -605,24 +613,25 @@ impl<'a> Executor<'a> {
                 let key = bind(left_key, lcols.schema())?;
                 let values = distinct_keys(&key, &lcols)?;
                 let handle = self.federation.source(source)?;
-                let (rb, rc) = if values.is_empty() {
-                    (
-                        Batch::empty(right_schema.clone()),
-                        QueryCost::default(),
-                    )
-                } else {
-                    let mut q = template.clone();
-                    q.bindings = vec![(bind_column.clone(), values)];
-                    match self.fetch_maybe_hedged(&handle, &q, source, path) {
-                        Ok(ok) => ok,
-                        Err(err) if is_abortive(&err) => return Err(err),
-                        Err(err) => self.degrade_source(source, &q, right_schema, err)?,
-                    }
-                };
                 // Find the bind column among the returned fields, map the
                 // returned columns onto the scan's output schema, and join
                 // the fetched rows to the left side at the hub.
-                let fetched = Self::ingest(rb.schema().clone(), rb);
+                let (fetched, rc) = if values.is_empty() {
+                    (ColumnarBatch::empty(right_schema.clone()), QueryCost::default())
+                } else {
+                    let mut q = template.clone();
+                    q.bindings = vec![(bind_column.clone(), values)];
+                    let (fetched, rc, _) = self.fetch(
+                        &handle,
+                        &q,
+                        Delivery::Ship,
+                        (&q, right_schema),
+                        None,
+                        path,
+                        false,
+                    )?;
+                    (fetched, rc)
+                };
                 let bind_idx = fetched.schema().index_of(None, bind_column)?;
                 let build = adapt_batch(&fetched, right_schema)?;
                 let build_keys = [Arc::clone(fetched.column(bind_idx))];
@@ -918,26 +927,19 @@ impl<'a> Executor<'a> {
         let keys = distinct_keys(&lkey, &lcols)?;
         let mut filtered = query.clone();
         filtered.bindings = vec![(bind_col.clone(), keys)];
-        self.ctx().check()?;
         let rp = child_path(path, 1);
-        let start_wall = Instant::now();
-        let (rb, rc) = match self.fetch_maybe_hedged(&handle, &filtered, source, &rp) {
-            Ok(ok) => ok,
-            Err(err) if is_abortive(&err) => return Err(err),
-            // Degrade against the *original* query so a dead source yields
-            // the same substitute snapshot the un-adapted plan would get.
-            Err(err) => self.degrade_source(source, query, schema, err)?,
-        };
-        let rcols = Self::ingest(schema.clone(), rb);
-        if self.instrument {
-            // The adapted fetch bypasses `run_node`, so record it here.
-            self.ops.lock().expect("ops lock").push(OpRecord {
-                path: rp,
-                rows: rcols.num_rows(),
-                cost: rc,
-                wall: start_wall.elapsed(),
-            });
-        }
+        // Degrade against the *original* query so a dead source yields the
+        // same substitute snapshot the un-adapted plan would get. The adapted
+        // fetch bypasses `run_node`, so it is recorded.
+        let (rcols, rc, _) = self.fetch(
+            &handle,
+            &filtered,
+            Delivery::Ship,
+            (query, schema),
+            Some(schema),
+            &rp,
+            true,
+        )?;
         self.replans
             .lock()
             .expect("replans lock")
@@ -996,28 +998,18 @@ impl<'a> Executor<'a> {
                     ));
                 };
                 let handle = self.federation.source(source)?;
-                let (site_batch, site_cost, site_live) =
-                    match handle.query_staying_local_ctx(query, &self.ctx()) {
-                        Ok((b, c)) => (b, c, true),
-                        Err(err) if is_abortive(&err) => return Err(err),
-                        Err(err) => {
-                            let (b, c) =
-                                self.degrade_source(source, query, site_schema, err)?;
-                            (b, c, false)
-                        }
-                    };
-                let site_cols = Self::ingest(site_schema.clone(), site_batch);
                 let (site_idx, other_idx) = if site_is_left { (0, 1) } else { (1, 0) };
-                if self.instrument {
-                    // The site child bypasses `run_node` (it is queried
-                    // in-place at the source), so record it here.
-                    self.ops.lock().expect("ops lock").push(OpRecord {
-                        path: child_path(path, site_idx),
-                        rows: site_cols.num_rows(),
-                        cost: site_cost,
-                        wall: Duration::ZERO,
-                    });
-                }
+                // The site child bypasses `run_node` (it is queried in-place
+                // at the source), so it is recorded.
+                let (site_cols, site_cost, site_live) = self.fetch(
+                    &handle,
+                    query,
+                    Delivery::StayAtSite,
+                    (query, site_schema),
+                    Some(site_schema),
+                    &child_path(path, site_idx),
+                    true,
+                )?;
                 let (other_cols, other_cost) =
                     self.run_node(other_child, child_path(path, other_idx))?;
                 let fetch = if parallel {

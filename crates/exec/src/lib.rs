@@ -29,9 +29,9 @@ pub mod vector;
 pub use eii_data::ColumnarBatch;
 
 pub use cache::{
-    adapt_batch, CacheConfig, CacheLookup, CachedResult, MatViewStore, ResultCache,
+    adapt_batch, CacheConfig, CacheLookup, CachedResult, ResultCache, SnapshotStore,
 };
-pub use degrade::{apply_source_query, DegradationPolicy, FallbackStore, SourceReport};
+pub use degrade::{DegradationPolicy, SourceReport};
 pub use executor::{Executor, HedgePolicy, QueryResult, ReplanPolicy};
 pub use profile::OperatorProfile;
 pub use scheduler::{

@@ -5,15 +5,19 @@
 use std::sync::Arc;
 
 use eii_catalog::Catalog;
-use eii_data::{row, CancelToken, DataType, Deadline, Field, Result, Row, Schema, SimClock};
-use eii_exec::{DegradationPolicy, Executor, FallbackStore, HedgePolicy};
+use eii_data::{
+    row, CancelToken, DataType, Deadline, Field, Result, Row, Schema, SimClock, Value,
+};
+use eii_exec::{DegradationPolicy, Executor, HedgePolicy, SnapshotStore};
+use eii_expr::Expr;
 use eii_federation::{
     CircuitBreakerConfig, Connector, FaultProfile, Federation, LinkProfile,
     RelationalConnector, RequestCtx, RetryPolicy, SourceAnswer, SourceQuery, WireFormat,
 };
-use eii_planner::{plan_query, PlannerConfig};
+use eii_planner::{plan_query, PhysicalPlan, PlannerConfig};
 use eii_sql::parse_query;
 use eii_storage::{Database, TableDef};
+use proptest::prelude::*;
 
 const JOIN_SQL: &str = "SELECT c.name, o.total FROM crm.customers c \
                         JOIN sales.orders o ON c.id = o.customer_id \
@@ -83,11 +87,11 @@ fn run(fed: &Federation, exec: &Executor<'_>, sql: &str) -> Result<eii_exec::Que
 }
 
 /// Snapshot every table of every source (taken before faults start).
-fn snapshot_all(fed: &Federation, store: &FallbackStore) {
+fn snapshot_all(fed: &Federation, store: &SnapshotStore) {
     for qualified in fed.all_tables() {
         let (h, table) = fed.resolve(&qualified).unwrap();
         let (batch, _) = h.query(&SourceQuery::full_table(table)).unwrap();
-        store.register(qualified, batch, fed.clock().now_ms());
+        store.put(qualified, batch, fed.clock().now_ms());
     }
     fed.ledger().reset();
 }
@@ -136,7 +140,7 @@ fn fallback_serves_stale_snapshot_when_source_dies() {
 
     let clock2 = SimClock::new();
     let fed = federation(&clock2);
-    let store = FallbackStore::new();
+    let store = SnapshotStore::new();
     snapshot_all(&fed, &store);
     clock2.advance_ms(5_000); // snapshots age before the outage
     fed.inject_faults("sales", FaultProfile::failing(1.0, 3)).unwrap();
@@ -159,7 +163,7 @@ fn partial_results_keep_surviving_branches() {
     let fed = federation(&clock);
     fed.inject_faults("sales", FaultProfile::failing(1.0, 3)).unwrap();
     let exec =
-        Executor::new(&fed).with_degradation(DegradationPolicy::PartialResults, FallbackStore::new());
+        Executor::new(&fed).with_degradation(DegradationPolicy::PartialResults, SnapshotStore::new());
 
     // The union's crm branch survives; the sales branch comes back empty.
     let sql = "SELECT name FROM crm.customers WHERE id < 3 \
@@ -178,7 +182,7 @@ fn partial_results_keep_surviving_branches() {
 fn degradation_report_resets_between_queries() {
     let clock = SimClock::new();
     let fed = federation(&clock);
-    let store = FallbackStore::new();
+    let store = SnapshotStore::new();
     snapshot_all(&fed, &store);
     fed.inject_faults("sales", FaultProfile::failing(1.0, 3)).unwrap();
     let exec = Executor::new(&fed).with_degradation(DegradationPolicy::Fallback, store);
@@ -238,7 +242,7 @@ fn a_cancelled_query_never_reaches_the_sources() {
 fn a_blown_deadline_fails_the_query_instead_of_degrading() {
     let clock = SimClock::new();
     let fed = federation(&clock);
-    let store = FallbackStore::new();
+    let store = SnapshotStore::new();
     snapshot_all(&fed, &store);
     // A budget far below one WAN round trip: the first fetch's charge blows
     // it. Degradation must NOT swallow that into a stale answer.
@@ -295,4 +299,118 @@ fn worker_panic_payload_reaches_the_caller() {
         err.message().contains("haywire wrapper bug"),
         "panic payload must not be swallowed: {err}"
     );
+}
+
+const P53: i64 = 1 << 53;
+
+/// Cell and key values around every equality hazard: the numerics at
+/// 2^53 ± 1 (where comparing Int with Float through `f64` would fold
+/// neighbours together), a small domain so duplicates are the rule, NULL.
+fn hazard(i: usize) -> Value {
+    match i {
+        0 => Value::Int(P53 - 1),
+        1 => Value::Int(P53),
+        2 => Value::Int(P53 + 1),
+        3 => Value::Float((P53 - 1) as f64),
+        4 => Value::Float(P53 as f64),
+        5 => Value::Int(1),
+        6 => Value::Float(1.0),
+        7 => Value::str("s0"),
+        8 => Value::str("s1"),
+        _ => Value::Null,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A fresh snapshot answers a component query exactly as the live source
+    /// does: the executor evaluates the snapshot with the federation's own
+    /// evaluator (`apply_query_locally`), the one the adapters answer through.
+    #[test]
+    fn fresh_snapshot_fallback_equals_the_live_answer(
+        cells in proptest::collection::vec((0usize..10, 0usize..10, 0usize..10), 0..24),
+        filter_mask in 0usize..4,
+        bound in proptest::collection::vec(
+            (1usize..4, proptest::collection::vec(0usize..10, 0..6)),
+            0..3,
+        ),
+        projection in 0usize..3,
+        limit in 0usize..5,
+    ) {
+        let columns = [
+            ("id", DataType::Int),
+            ("k_int", DataType::Int),
+            ("k_float", DataType::Float),
+            ("k_str", DataType::Str),
+        ];
+        // A draw of another type than its column's becomes NULL.
+        let cell = |i, col: usize| {
+            Some(hazard(i))
+                .filter(|v| v.data_type() == Some(columns[col].1))
+                .unwrap_or(Value::Null)
+        };
+        let rows = cells
+            .into_iter()
+            .enumerate()
+            .map(|(id, (a, b, c))| {
+                Row::new(vec![Value::Int(id as i64), cell(a, 1), cell(b, 2), cell(c, 3)])
+            })
+            .collect();
+        let clock = SimClock::new();
+        let mut fed = Federation::with_clock(clock.clone());
+        let fields = columns.iter().map(|(name, ty)| Field::new(*name, *ty)).collect();
+        relational(&mut fed, &clock, "crm", "t", fields, rows);
+
+        let mut filters = Vec::new();
+        if filter_mask & 1 != 0 {
+            filters.push(Expr::col("id").gt_eq(Expr::lit(2i64)));
+        }
+        if filter_mask & 2 != 0 {
+            filters.push(Expr::col("k_int").lt_eq(Expr::lit(P53 as f64)));
+        }
+        let mut bindings: Vec<(String, Vec<Value>)> = bound
+            .into_iter()
+            .map(|(col, keys)| (columns[col].0.to_string(), keys.into_iter().map(hazard).collect()))
+            .collect();
+        let mut limit = (limit < 4).then_some(limit);
+        // A single binding the source answers key by key (`Table::lookup_in`:
+        // binding order, a repeated key's rows repeated) where a snapshot
+        // answers in table order. The executor ships distinct keys and joins
+        // the answer by key, so that shape is held as a multiset, without a
+        // limit that would cut the two orders differently.
+        let key_by_key = bindings.len() == 1;
+        if key_by_key {
+            let mut seen = Vec::new();
+            bindings[0].1.retain(|k| !seen.contains(k) && { seen.push(k.clone()); true });
+            limit = limit.filter(|&n| n == 0);
+        }
+        let projection: Option<Vec<String>> = match projection {
+            0 => None,
+            1 => Some(vec!["k_str".into(), "id".into()]),
+            _ => Some(vec!["k_int".into()]),
+        };
+        let query = SourceQuery { table: "t".into(), projection, filters, bindings, limit };
+
+        let store = SnapshotStore::new();
+        snapshot_all(&fed, &store);
+        let handle = fed.source("crm").unwrap();
+        // The plan's schema for the scan is the layout the source answers in.
+        let schema = handle.query(&query).unwrap().0.schema().clone();
+        let plan = PhysicalPlan::Source { source: "crm".into(), query, schema };
+        let exec = Executor::new(&fed).with_degradation(DegradationPolicy::Fallback, store);
+        let live = exec.execute(&plan).unwrap();
+        prop_assert!(live.fully_live());
+        fed.inject_faults("crm", FaultProfile::none().with_outage(0, i64::MAX)).unwrap();
+        let stale = exec.execute(&plan).unwrap();
+        prop_assert_eq!(stale.degraded.len(), 1, "exactly one report");
+        prop_assert_eq!(stale.degraded[0].stale_ms, Some(0));
+
+        let (mut live, mut stale) = (live.batch.into_rows(), stale.batch.into_rows());
+        if key_by_key {
+            live.sort();
+            stale.sort();
+        }
+        prop_assert_eq!(stale, live);
+    }
 }

@@ -22,10 +22,12 @@ pub(crate) fn lookup_binding(t: &Table, col: usize, vals: &[Value]) -> (Vec<Row>
     (t.lookup_in(col, vals), access)
 }
 
-/// Shared helper: apply a component query's filters, bindings, projection,
-/// and limit to rows already materialized at the wrapper. Used by adapters
-/// whose underlying store cannot evaluate these itself.
-pub(crate) fn apply_query_locally(
+/// The one evaluator of a component query over rows already in memory — the
+/// semantics a cooperative source applies: binding lists, conjunctive
+/// filters, then limit, then projection. Adapters whose store cannot evaluate
+/// these itself answer through it, and so does the executor when a fallback
+/// snapshot stands in for a dead source, so the two cannot drift apart.
+pub fn apply_query_locally(
     schema: &SchemaRef,
     rows: Vec<Row>,
     filters: &[Expr],
@@ -43,6 +45,9 @@ pub(crate) fn apply_query_locally(
         .collect::<Result<Vec<_>>>()?;
     let mut out = Vec::new();
     for row in rows {
+        if limit.is_some_and(|n| out.len() >= n) {
+            break;
+        }
         let mut keep = true;
         for (col, vals) in &binding_cols {
             if !vals.contains(row.get(*col)) {
@@ -60,9 +65,6 @@ pub(crate) fn apply_query_locally(
         }
         if keep {
             out.push(row);
-            if limit.is_some_and(|n| out.len() >= n) {
-                break;
-            }
         }
     }
     project_batch(schema, out, projection)
@@ -216,6 +218,42 @@ pub(crate) mod tests {
             .collect()
     }
 
+    fn scored() -> (SchemaRef, Vec<Row>) {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("id", DataType::Int).not_null(),
+            Field::new("name", DataType::Str),
+            Field::new("score", DataType::Int),
+        ]));
+        let rows = vec![
+            eii_data::row![1i64, "alice", 10i64],
+            eii_data::row![2i64, "bob", 20i64],
+            eii_data::row![3i64, "carol", 30i64],
+        ];
+        (schema, rows)
+    }
+
+    #[test]
+    fn applies_filters_projection_and_limit() {
+        let (schema, rows) = scored();
+        let filters = [Expr::col("score").gt(Expr::lit(10i64))];
+        let name = ["name".to_string()];
+        let out = apply_query_locally(&schema, rows.clone(), &filters, &[], Some(&name), Some(1))
+            .unwrap();
+        assert_eq!(out.schema().len(), 1);
+        assert_eq!(out.rows(), [eii_data::row!["bob"]]);
+        // `LIMIT 0` is no rows, in the projected layout.
+        let none = apply_query_locally(&schema, rows, &filters, &[], Some(&name), Some(0)).unwrap();
+        assert_eq!((none.num_rows(), none.schema().len()), (0, 1));
+    }
+
+    #[test]
+    fn applies_binding_lists() {
+        let (schema, rows) = scored();
+        let bindings = [("id".to_string(), vec![Value::Int(1), Value::Int(3)])];
+        let out = apply_query_locally(&schema, rows, &[], &bindings, None, None).unwrap();
+        assert_eq!(out.num_rows(), 2);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -266,8 +304,8 @@ pub(crate) mod tests {
                 named.push(("b".to_string(), second.clone()));
                 by_index.push((1, second));
             }
-            // limit 0 stands for "no limit".
-            let limit = (limit > 0).then_some(limit);
+            // 6 stands for "no limit"; 0 is a real `LIMIT 0`.
+            let limit = (limit < 6).then_some(limit);
             let got = apply_query_locally(&schema, rows.clone(), &[], &named, None, limit)
                 .expect("both binding columns exist");
             prop_assert_eq!(got.into_rows(), reference_apply(&rows, &by_index, limit));

@@ -130,60 +130,6 @@ impl Connector for RelationalConnector {
         })
     }
 
-    fn supports_partitioned_scans(&self) -> bool {
-        true
-    }
-
-    fn execute_partition(&self, query: &SourceQuery, part: usize, of: usize) -> Result<SourceAnswer> {
-        if of == 0 || part >= of {
-            return Err(EiiError::Execution(format!(
-                "bad partition {part} of {of}"
-            )));
-        }
-        if !query.bindings.is_empty() || query.limit.is_some() {
-            return Err(EiiError::Source(format!(
-                "source {} only partitions unbound, unlimited scans",
-                self.name()
-            )));
-        }
-        if !self.capabilities.queryable {
-            return Err(EiiError::Source(format!(
-                "source {} refuses external queries",
-                self.name()
-            )));
-        }
-        for f in &query.filters {
-            if !self.dialect.supports(f) {
-                return Err(EiiError::Source(format!(
-                    "source {} dialect '{}' rejects predicate {f}",
-                    self.name(),
-                    self.dialect.name
-                )));
-            }
-        }
-        let handle = self.db.table(&query.table)?;
-        let t = handle.read();
-        let schema = t.schema().clone();
-        let rows = t.all_rows();
-        drop(t);
-        // Balanced contiguous ranges: partition i owns [i*n/of, (i+1)*n/of),
-        // so the ranges are disjoint, cover every row, and concatenate back
-        // in scan order.
-        let n = rows.len();
-        let (start, end) = (part * n / of, (part + 1) * n / of);
-        let slice = rows[start..end].to_vec();
-        let scanned = slice.len();
-        let batch = apply_query_locally(
-            &schema,
-            slice,
-            &query.filters,
-            &[],
-            query.projection.as_deref(),
-            None,
-        )?;
-        Ok(SourceAnswer::one_shot(batch, scanned))
-    }
-
     fn changes_since(
         &self,
         table: &str,

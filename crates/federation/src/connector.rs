@@ -166,31 +166,6 @@ pub trait Connector: Send + Sync {
     /// Execute a component query at the source.
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer>;
 
-    /// Whether [`Connector::execute_partition`] is implemented. Wrapper
-    /// connectors (fault injection, resilience) deliberately leave this
-    /// `false` so partitioned scans only run against the plain transport;
-    /// the executor falls back to the serial path everywhere else.
-    fn supports_partitioned_scans(&self) -> bool {
-        false
-    }
-
-    /// Execute partition `part` of `of` contiguous, disjoint partitions of
-    /// a component query: concatenating all partitions' rows in partition
-    /// order must be row-identical to [`Connector::execute`], and the
-    /// partitions' scan efforts must sum to the serial scan's. Default: not
-    /// supported.
-    fn execute_partition(
-        &self,
-        _query: &SourceQuery,
-        _part: usize,
-        _of: usize,
-    ) -> Result<SourceAnswer> {
-        Err(EiiError::Source(format!(
-            "source {} does not support partitioned scans",
-            self.name()
-        )))
-    }
-
     /// Apply an update. Default: not supported.
     fn update(&self, op: &UpdateOp) -> Result<UpdateResult> {
         Err(EiiError::Source(format!(

@@ -9,10 +9,6 @@
 //! wrappers consult it via [`current_ctx`] — so a hung request stops waiting
 //! when the query budget (not just the per-source deadline) runs out, and a
 //! retry loop stops backing off the moment the query is cancelled.
-//!
-//! Partition-scan workers install the context inside their own threads, so
-//! cancelling a query tears down sibling partition scans at their next
-//! check.
 
 use std::cell::RefCell;
 

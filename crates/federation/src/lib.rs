@@ -37,6 +37,7 @@ pub use adapters::csv::CsvConnector;
 pub use adapters::document::DocumentConnector;
 pub use adapters::relational::RelationalConnector;
 pub use adapters::webservice::WebServiceConnector;
+pub use adapters::apply_query_locally;
 pub use capability::{BindingPattern, SourceCapabilities};
 pub use connector::{BindAccess, Connector, SourceAnswer, SourceQuery, UpdateOp, UpdateResult};
 pub use ctx::{current_ctx, with_request_ctx, RequestCtx};
@@ -46,7 +47,7 @@ pub use net::{
     SourceTraffic, TransferLedger, WireFormat,
 };
 pub use health::SourceHealth;
-pub use registry::{Federation, HedgeOutcome, SourceHandle};
+pub use registry::{Delivery, Federation, HedgeOutcome, SourceHandle};
 pub use resilience::{
     BreakerState, BreakerStatus, CircuitBreaker, CircuitBreakerConfig, ResilientConnector,
     RetryPolicy,

@@ -26,6 +26,17 @@ pub struct HedgeOutcome {
     pub backup_won: bool,
 }
 
+/// Where the answer to a component query is consumed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery {
+    /// The rows cross the link to the hub.
+    Ship,
+    /// The rows stay at the source site (it is hosting an at-site join):
+    /// the source does its scan work and pays the request round trip, but
+    /// ships nothing.
+    StayAtSite,
+}
+
 /// Callback fired after a successful write routed through a
 /// [`SourceHandle`], with the source and table names. Listeners run on the
 /// writer's thread with no federation lock held; they must not issue
@@ -59,28 +70,44 @@ impl SourceHandle {
         self.link
     }
 
-    /// The wire format results ship in.
-    pub fn wire_format(&self) -> WireFormat {
-        self.wire
+    /// The one accounted fetch: execute a component query at the source,
+    /// price it (source work, link latency, and — for [`Delivery::Ship`] —
+    /// the transfer) and record the traffic in the federation's ledger.
+    ///
+    /// Under a non-empty `ctx` the fetch is skipped when the query is already
+    /// cancelled or out of budget, the context is visible to the
+    /// fault/resilience wrappers while it runs (so a hung request waits only
+    /// the remaining budget and a retry loop stops when cancelled), and the
+    /// simulated cost is charged against the deadline afterwards.
+    pub fn fetch(
+        &self,
+        q: &SourceQuery,
+        ctx: &RequestCtx,
+        delivery: Delivery,
+    ) -> Result<(Batch, QueryCost)> {
+        let run = || {
+            let ans = self.connector.execute(q)?;
+            let cost = self.account(&ans, delivery);
+            Ok((ans.batch, cost))
+        };
+        if ctx.is_empty() {
+            return run();
+        }
+        Self::under_ctx(ctx, run)
     }
 
-    /// Execute a component query, paying for source work and the network,
-    /// and recording the traffic in the federation's ledger.
+    /// [`SourceHandle::fetch`] shipping to the hub under no request context.
     pub fn query(&self, q: &SourceQuery) -> Result<(Batch, QueryCost)> {
-        let ans = self.connector.execute(q)?;
-        let cost = self.account(&ans, true);
-        Ok((ans.batch, cost))
+        self.fetch(q, &RequestCtx::new(), Delivery::Ship)
     }
 
     /// Price one source answer — link latency per call, the transfer of
     /// what ships, the source engine's scan work — and record it in the
-    /// ledger and the per-source metrics. `ships` is false when the rows
-    /// stay at the source site (it is hosting an at-site join).
-    fn account(&self, ans: &SourceAnswer, ships: bool) -> QueryCost {
-        let (bytes, rows_shipped) = if ships {
-            (self.wire.bytes_of(&ans.batch), ans.batch.num_rows())
-        } else {
-            (0, 0)
+    /// ledger and the per-source metrics.
+    fn account(&self, ans: &SourceAnswer, delivery: Delivery) -> QueryCost {
+        let (bytes, rows_shipped) = match delivery {
+            Delivery::Ship => (self.wire.bytes_of(&ans.batch), ans.batch.num_rows()),
+            Delivery::StayAtSite => (0, 0),
         };
         let transfer = if self.link.bandwidth_bytes_per_ms.is_infinite() {
             0.0
@@ -103,11 +130,8 @@ impl SourceHandle {
         }
     }
 
-    /// Run an accounted fetch under a request context: skipped when the
-    /// query is already cancelled or out of budget, the context visible to
-    /// the fault/resilience wrappers while it runs (so a hung request waits
-    /// only the remaining budget and a retry loop stops when cancelled), and
-    /// its simulated cost charged against the deadline afterwards.
+    /// Run accounted work under a request context: check, install, charge
+    /// the deadline (see [`SourceHandle::fetch`]).
     fn under_ctx<T>(
         ctx: &RequestCtx,
         fetch: impl FnOnce() -> Result<(T, QueryCost)>,
@@ -121,21 +145,12 @@ impl SourceHandle {
         Ok((out, cost))
     }
 
-    /// [`SourceHandle::query`] under a request context: skipped when the
-    /// query is already cancelled or out of budget, visible to the
-    /// fault/resilience wrappers, charged against the deadline.
-    pub fn query_ctx(&self, q: &SourceQuery, ctx: &RequestCtx) -> Result<(Batch, QueryCost)> {
-        if ctx.is_empty() {
-            return self.query(q);
-        }
-        Self::under_ctx(ctx, || self.query(q))
-    }
-
-    /// A hedged fetch: issue the primary request and a deterministic backup
-    /// `delay_ms` (simulated) later, and answer with whichever returns
-    /// first on the virtual timeline. Both requests really run — the
-    /// loser's bytes, rows, and round trips are charged to the ledger
-    /// exactly as any other fetch (hedging buys latency with traffic) and
+    /// A hedged shipping fetch: two [`SourceHandle::fetch`]es — the primary
+    /// and a deterministic backup `delay_ms` (simulated) later — answered by
+    /// whichever returns first on the virtual timeline. Both requests really
+    /// run under `ctx` — the loser's bytes, rows, and round trips are charged
+    /// to the ledger exactly as any other fetch (hedging buys latency with
+    /// traffic), the deadline is charged the winner's latency once, and
     /// the hedge itself is counted via [`TransferLedger::record_hedge`].
     /// The race is resolved on simulated time, so the winner — and the
     /// combined cost — replays identically across runs.
@@ -211,28 +226,6 @@ impl SourceHandle {
         }
     }
 
-    /// Execute a component query whose results STAY at the source site
-    /// (the source is hosting an at-site join): the source does its scan
-    /// work and pays one request round trip, but ships nothing.
-    pub fn query_staying_local(&self, q: &SourceQuery) -> Result<(Batch, QueryCost)> {
-        let ans = self.connector.execute(q)?;
-        let cost = self.account(&ans, false);
-        Ok((ans.batch, cost))
-    }
-
-    /// [`SourceHandle::query_staying_local`] under a request context: same
-    /// skip/visibility/charging semantics as [`SourceHandle::query_ctx`].
-    pub fn query_staying_local_ctx(
-        &self,
-        q: &SourceQuery,
-        ctx: &RequestCtx,
-    ) -> Result<(Batch, QueryCost)> {
-        if ctx.is_empty() {
-            return self.query_staying_local(q);
-        }
-        Self::under_ctx(ctx, || self.query_staying_local(q))
-    }
-
     /// Charge a shipment of `batch` across this source's link (used when an
     /// intermediate result moves to or from this site during an at-source
     /// join). Records the traffic and returns its cost.
@@ -250,77 +243,6 @@ impl SourceHandle {
             .record(self.connector.name(), bytes, batch.num_rows(), sim_ms);
         self.note_traffic(bytes, 1, sim_ms);
         cost
-    }
-
-    /// Execute a component query as `partitions` parallel partition scans,
-    /// one worker thread per partition, reassembling the rows in partition
-    /// order (so the result is row-identical to the serial scan). Each
-    /// partition pays its own link latency and ships its own bytes; the
-    /// combined cost overlaps the partitions in simulated time
-    /// ([`QueryCost::alongside`]) while bytes, rows, and scan effort add up
-    /// exactly as the serial scan would record them.
-    ///
-    /// The connector must support partitioned scans
-    /// ([`Connector::supports_partitioned_scans`]); callers gate on that.
-    pub fn query_partitioned(
-        &self,
-        q: &SourceQuery,
-        partitions: usize,
-    ) -> Result<(Batch, QueryCost)> {
-        self.query_partitioned_ctx(q, partitions, &RequestCtx::new())
-    }
-
-    /// [`SourceHandle::query_partitioned`] under a request context. The
-    /// context is installed inside every partition worker, so each sibling
-    /// scan checks for cancellation before it issues its request — the
-    /// moment the query is cancelled or a parallel branch fails, the
-    /// remaining partitions stop instead of scanning to completion.
-    pub fn query_partitioned_ctx(
-        &self,
-        q: &SourceQuery,
-        partitions: usize,
-        ctx: &RequestCtx,
-    ) -> Result<(Batch, QueryCost)> {
-        if partitions <= 1 {
-            return self.query_ctx(q, ctx);
-        }
-        Self::under_ctx(ctx, || {
-            let answers: Vec<SourceAnswer> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..partitions)
-                    .map(|part| {
-                        s.spawn(move || {
-                            with_request_ctx(ctx, || {
-                                ctx.check()?;
-                                self.connector.execute_partition(q, part, partitions)
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => Err(EiiError::Execution(
-                            "partition scan worker panicked".into(),
-                        )),
-                    })
-                    .collect::<Result<Vec<_>>>()
-            })?;
-            let mut total = QueryCost::default();
-            let mut rows = Vec::new();
-            let mut schema = None;
-            for ans in answers {
-                // Partition scans carry no bindings (`bind_access` is `None`),
-                // so `account` counts no bind lookup here.
-                total = total.alongside(self.account(&ans, true));
-                schema.get_or_insert_with(|| ans.batch.schema().clone());
-                rows.extend(ans.batch.into_rows());
-            }
-            let schema = schema.ok_or_else(|| {
-                EiiError::Execution("partitioned scan produced no partitions".into())
-            })?;
-            Ok((Batch::new(schema, rows), total))
-        })
     }
 
     /// Route an update through the wrapper (one round trip). Successful
@@ -698,7 +620,7 @@ mod tests {
         // full 500 ms per-request deadline.
         let deadline = eii_data::Deadline::new(fed.clock().clone(), 120);
         let ctx = RequestCtx::new().with_deadline(deadline);
-        let err = h.query_ctx(&SourceQuery::full_table(table), &ctx).unwrap_err();
+        let err = h.fetch(&SourceQuery::full_table(table), &ctx, Delivery::Ship).unwrap_err();
         assert_eq!(err.kind(), "timeout");
         if let eii_data::EiiError::Timeout { elapsed_ms, .. } = err {
             assert_eq!(elapsed_ms, 120, "waited only the remaining budget");
@@ -713,7 +635,7 @@ mod tests {
         let cancel = eii_data::CancelToken::new();
         cancel.cancel("test teardown");
         let ctx = RequestCtx::new().with_cancel(cancel);
-        let err = h.query_ctx(&SourceQuery::full_table(table), &ctx).unwrap_err();
+        let err = h.fetch(&SourceQuery::full_table(table), &ctx, Delivery::Ship).unwrap_err();
         assert_eq!(err.kind(), "cancelled");
         assert_eq!(fed.ledger().traffic("crm").requests, 0, "nothing shipped");
     }
@@ -724,27 +646,9 @@ mod tests {
         let (h, table) = fed.resolve("crm.customers").unwrap();
         let deadline = eii_data::Deadline::new(fed.clock().clone(), 10_000);
         let ctx = RequestCtx::new().with_deadline(deadline.clone());
-        let (_, cost) = h.query_ctx(&SourceQuery::full_table(table), &ctx).unwrap();
+        let (_, cost) = h.fetch(&SourceQuery::full_table(table), &ctx, Delivery::Ship).unwrap();
         assert!(cost.sim_ms > 0.0);
         assert_eq!(deadline.elapsed_ms(), cost.sim_ms.round() as i64);
-    }
-
-    #[test]
-    fn cancellation_tears_down_sibling_partition_scans() {
-        let fed = federation();
-        let (h, table) = fed.resolve("crm.customers").unwrap();
-        let cancel = eii_data::CancelToken::new();
-        cancel.cancel("sibling branch failed");
-        let ctx = RequestCtx::new().with_cancel(cancel);
-        let err = h
-            .query_partitioned_ctx(&SourceQuery::full_table(table), 4, &ctx)
-            .unwrap_err();
-        assert_eq!(err.kind(), "cancelled");
-        assert_eq!(
-            fed.ledger().traffic("crm").bytes,
-            0,
-            "no partition shipped anything after the cancel"
-        );
     }
 
     #[test]
@@ -849,37 +753,6 @@ mod tests {
         assert_eq!(got_cost, expect_cost);
         assert_eq!(fed.ledger().traffic("crm").retries, 0);
         assert_eq!(fed.clock().now_ms(), 0);
-    }
-
-    #[test]
-    fn partitioned_scan_matches_serial_rows_and_bytes() {
-        let serial = federation();
-        let (h, table) = serial.resolve("crm.customers").unwrap();
-        let (sb, sc) = h.query(&SourceQuery::full_table(table)).unwrap();
-
-        let parted = federation();
-        let (h, table) = parted.resolve("crm.customers").unwrap();
-        let (pb, pc) = h
-            .query_partitioned(&SourceQuery::full_table(table), 4)
-            .unwrap();
-        assert_eq!(pb.rows(), sb.rows(), "partition order preserves rows");
-        assert_eq!(pc.bytes, sc.bytes, "bytes shipped identical to serial");
-        assert_eq!(pc.rows_scanned, sc.rows_scanned);
-        assert_eq!(
-            parted.ledger().traffic("crm").bytes,
-            serial.ledger().traffic("crm").bytes,
-            "ledger byte accounting identical"
-        );
-        assert_eq!(
-            parted.ledger().traffic("crm").rows,
-            serial.ledger().traffic("crm").rows
-        );
-        assert!(
-            pc.sim_ms < sc.sim_ms,
-            "overlapped partitions finish sooner: {} vs {}",
-            pc.sim_ms,
-            sc.sim_ms
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 
 use eii_catalog::Catalog;
 use eii_data::{Batch, EiiError, Result, SchemaRef, SimClock};
-use eii_exec::{Executor, MatViewStore};
+use eii_exec::{Executor, SnapshotStore};
 use eii_federation::{Federation, RequestCtx};
 use eii_planner::{
     derive_maintenance_plan, optimize, FallbackReason, LogicalPlan, MaintenanceDecision,
@@ -106,7 +106,7 @@ struct Inner {
     federation: Federation,
     clock: SimClock,
     views: Mutex<BTreeMap<String, ViewState>>,
-    store: MatViewStore,
+    store: SnapshotStore,
 }
 
 impl MatViewManager {
@@ -121,7 +121,7 @@ impl MatViewManager {
             federation,
             clock,
             views: Mutex::new(BTreeMap::new()),
-            store: MatViewStore::new(),
+            store: SnapshotStore::new(),
         });
         let weak = Arc::downgrade(&inner);
         inner
@@ -137,7 +137,7 @@ impl MatViewManager {
     /// The shared row store every materialization is synced into. Hand a
     /// clone to [`Executor::with_matviews`] so rewritten plans can scan
     /// the views locally.
-    pub fn store(&self) -> MatViewStore {
+    pub fn store(&self) -> SnapshotStore {
         self.inner.store.clone()
     }
 
@@ -486,10 +486,8 @@ impl MatViewManager {
         if let Some(ivm) = &state.ivm {
             return Ok(ivm.base_tables());
         }
-        let mut tables = Vec::new();
-        collect_base_tables(&state.logical, &mut tables);
+        let mut tables = state.logical.base_tables();
         tables.sort();
-        tables.dedup();
         Ok(tables)
     }
 
@@ -528,15 +526,6 @@ impl MatViewManager {
             .lock()
             .get(name)
             .map_or(0.0, |s| s.total_refresh_ms)
-    }
-}
-
-fn collect_base_tables(plan: &LogicalPlan, out: &mut Vec<String>) {
-    if let LogicalPlan::SourceScan { source, table, .. } = plan {
-        out.push(format!("{source}.{table}"));
-    }
-    for child in plan.children() {
-        collect_base_tables(child, out);
     }
 }
 

@@ -270,6 +270,24 @@ impl LogicalPlan {
         }
     }
 
+    /// Every distinct `source.table` the plan scans, first seen first.
+    pub fn base_tables(&self) -> Vec<String> {
+        fn walk(plan: &LogicalPlan, out: &mut Vec<String>) {
+            if let LogicalPlan::SourceScan { source, table, .. } = plan {
+                let qualified = format!("{source}.{table}");
+                if !out.contains(&qualified) {
+                    out.push(qualified);
+                }
+            }
+            for child in plan.children() {
+                walk(child, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// Render the plan as an indented tree (EXPLAIN output).
     pub fn display(&self) -> String {
         let mut out = String::new();

@@ -394,6 +394,16 @@ fn catalog_export_reimports_into_working_system() {
 }
 
 #[test]
+fn limit_zero_ships_nothing() {
+    let (sys, _) = build_system();
+    let out = sys.execute("SELECT name FROM crm.customers LIMIT 0").unwrap();
+    let result = out.query_result().unwrap();
+    assert_eq!(result.batch.num_rows(), 0);
+    assert_eq!(result.batch.schema().len(), 1, "still typed by the projection");
+    assert_eq!((result.cost.rows_shipped, result.cost.bytes), (0, 0));
+}
+
+#[test]
 fn facade_degrades_to_stale_snapshots_when_a_source_dies() {
     let (sys, clock) = build_system();
     let sql = "SELECT c.name, o.total FROM crm.customers c \

@@ -80,7 +80,7 @@ fn system_with_customers(rows: &[(i64, String, i64)]) -> (EiiSystem, SimClock) {
 /// A connector wrapper that trips a shared [`CancelToken`] after a fixed
 /// number of connector calls across the whole federation — a deterministic
 /// cancel point that the property sweep can place anywhere inside a plan
-/// (mid bind-join, between partition scans, after the last fetch, ...).
+/// (mid bind-join, between the two sides of a join, after the last fetch, ...).
 struct CancelAfter {
     inner: RelationalConnector,
     token: CancelToken,
@@ -120,18 +120,6 @@ impl Connector for CancelAfter {
     ) -> eii::data::Result<eii::federation::SourceAnswer> {
         self.tick();
         self.inner.execute(query)
-    }
-    fn supports_partitioned_scans(&self) -> bool {
-        self.inner.supports_partitioned_scans()
-    }
-    fn execute_partition(
-        &self,
-        query: &eii::federation::SourceQuery,
-        part: usize,
-        of: usize,
-    ) -> eii::data::Result<eii::federation::SourceAnswer> {
-        self.tick();
-        self.inner.execute_partition(query, part, of)
     }
 }
 
@@ -731,40 +719,6 @@ proptest! {
         prop_assert!(probe.is_ok(), "probe after cancellations: {:?}", probe.err());
         let stats = scheduler.finish();
         prop_assert!(stats.completed >= 1);
-    }
-
-    /// Cancelling a partitioned scan strands nothing: sibling partitions
-    /// stop at their next check, total traffic never exceeds the
-    /// uncancelled scan's, and no orphaned worker keeps shipping bytes
-    /// after the call returns.
-    #[test]
-    fn cancelled_partition_scans_leak_nothing(
-        rows in unique_rows(),
-        cancel_after in 1i64..5,
-    ) {
-        let q = eii::federation::SourceQuery::full_table("customers");
-        let (clean, _) = system_with_customers(&rows);
-        let clean_handle = clean.federation().source("crm").unwrap();
-        let (clean_batch, _) = clean_handle.query_partitioned(&q, 4).unwrap();
-        let clean_bytes = clean.federation().ledger().total().bytes;
-
-        let (sys, token) = cancellable_system(&rows, cancel_after);
-        let handle = sys.federation().source("crm").unwrap();
-        let ctx = RequestCtx::new().with_cancel(token.clone());
-        match handle.query_partitioned_ctx(&q, 4, &ctx) {
-            Ok((batch, _)) => prop_assert_eq!(batch.rows(), clean_batch.rows()),
-            Err(e) => prop_assert_eq!(e.kind(), "cancelled"),
-        }
-        let bytes = sys.federation().ledger().total().bytes;
-        prop_assert!(
-            bytes <= clean_bytes,
-            "cancelled partitioned scan shipped {bytes} bytes vs {clean_bytes}"
-        );
-        // All partition workers are joined on return; traffic is frozen.
-        for _ in 0..4 {
-            std::thread::yield_now();
-        }
-        prop_assert_eq!(sys.federation().ledger().total().bytes, bytes);
     }
 
     /// Self-tuning is invisible to correctness: with the advisor enabled
