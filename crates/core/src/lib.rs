@@ -52,7 +52,7 @@ use eii_exec::{
     OperatorProfile, QueryResult, ReplanPolicy, ResultCache, SnapshotStore, SourceReport,
 };
 use eii_federation::{
-    Connector, Federation, LinkProfile, QueryCost, RequestCtx, SourceHealth, SourceQuery,
+    Connector, Delivery, Federation, LinkProfile, QueryCost, RequestCtx, SourceHealth, SourceQuery,
     WireFormat,
 };
 use eii_matview::{MatViewManager, RefreshPolicy};
@@ -458,8 +458,9 @@ impl EiiSystem {
     /// fallback copy (stamped with the current simulated time).
     pub fn snapshot_fallback(&self, qualified: &str) -> Result<()> {
         let (h, table) = self.federation.resolve(qualified)?;
-        let (batch, _) = h.query(&SourceQuery::full_table(table))?;
-        self.fallbacks.put(qualified, batch, self.clock.now_ms());
+        let whole = SourceQuery::full_table(table);
+        let (columns, _) = h.fetch(&whole, &RequestCtx::new(), Delivery::Ship)?;
+        self.fallbacks.put(qualified, columns, self.clock.now_ms());
         Ok(())
     }
 

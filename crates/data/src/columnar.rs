@@ -1,13 +1,14 @@
 //! Columnar batches: typed column vectors, null bitmaps, and selection
 //! vectors — the batch-first data model behind the vectorized executor.
 //!
-//! [`ColumnarBatch`] lives *alongside* the row model, not instead of it: the
-//! adapter edges (connectors, result cache, IVM change logs, `ExecOutcome`)
-//! keep exchanging [`Batch`]es of [`Row`]s, and the executor pivots to
-//! columns once per scan with [`ColumnarBatch::from_batch`] and back once per
-//! query with [`ColumnarBatch::to_batch`]. In between, operators pass columns
-//! and *selection vectors* (index lists) so a filter costs one `Vec<u32>`
-//! instead of materializing rows.
+//! [`ColumnarBatch`] is what flows from a source adapter to the result edge:
+//! adapters scan straight into [`ColumnBuilder`]s, the wire is priced over
+//! columns ([`ColumnarBatch::wire_size`]), operators pass columns and
+//! *selection vectors* (index lists) so a filter costs one `Vec<u32>` instead
+//! of materializing rows, and the executor pivots back to a [`Batch`] of
+//! [`Row`]s once per query with [`ColumnarBatch::to_batch`]. The row model
+//! stays where rows are the point: the result cache, IVM change logs,
+//! `ExecOutcome`, and the row-at-a-time baselines.
 //!
 //! Layout invariants:
 //!
@@ -20,14 +21,14 @@
 //!   [`ColumnData::Mixed`] (heterogeneous, schema-less sources) with nulls
 //!   stored inline — correctness never depends on a column being typed.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::batch::Batch;
 use crate::row::Row;
 use crate::schema::{DataType, SchemaRef};
 use crate::value::Value;
 
-/// A fixed-length validity bitmap: bit set ⇒ value present, clear ⇒ NULL.
+/// A validity bitmap: bit set ⇒ value present, clear ⇒ NULL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NullBitmap {
     words: Vec<u64>,
@@ -51,6 +52,17 @@ impl NullBitmap {
     /// True when the bitmap covers zero rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Append one position.
+    pub fn push(&mut self, null: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(u64::MAX);
+        }
+        self.len += 1;
+        if null {
+            self.set_null(self.len - 1);
+        }
     }
 
     /// Mark position `i` as NULL.
@@ -130,50 +142,11 @@ impl Column {
     /// Build a typed column from scalar values, degrading to `Mixed` when a
     /// non-null value does not fit `ty`.
     pub fn from_values(values: &[Value], ty: DataType) -> Self {
-        let fits = values.iter().all(|v| match v {
-            Value::Null => true,
-            other => other.data_type() == Some(ty),
-        });
-        if !fits {
-            return Column {
-                data: ColumnData::Mixed(values.to_vec()),
-                nulls: None,
-            };
+        let mut b = ColumnBuilder::new(ty, values.len());
+        for v in values {
+            b.push(v);
         }
-        let mut nulls = NullBitmap::new_valid(values.len());
-        let mut any_null = false;
-        macro_rules! pack {
-            ($variant:ident, $default:expr, $extract:expr) => {{
-                let data: Vec<_> = values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| match v {
-                        Value::Null => {
-                            nulls.set_null(i);
-                            any_null = true;
-                            $default
-                        }
-                        #[allow(clippy::redundant_closure_call)]
-                        other => $extract(other),
-                    })
-                    .collect();
-                ColumnData::$variant(data)
-            }};
-        }
-        let data = match ty {
-            DataType::Bool => pack!(Bool, false, |v: &Value| v.as_bool().unwrap()),
-            DataType::Int => pack!(Int, 0i64, |v: &Value| v.as_int().unwrap()),
-            DataType::Float => pack!(Float, 0.0f64, |v: &Value| v.as_float().unwrap()),
-            DataType::Str => pack!(Str, Arc::from(""), |v: &Value| match v {
-                Value::Str(s) => Arc::clone(s),
-                _ => unreachable!("type checked above"),
-            }),
-            DataType::Timestamp => pack!(Timestamp, 0i64, |v: &Value| v.as_int().unwrap()),
-        };
-        Column {
-            data,
-            nulls: any_null.then_some(nulls),
-        }
+        b.finish()
     }
 
     /// A column of `len` copies of one scalar (literal broadcast).
@@ -330,6 +303,137 @@ impl Column {
     }
 }
 
+impl Column {
+    /// Payload bytes of the cells at physical positions `rows`: what
+    /// [`Value::wire_size`] counts past each cell's tag byte.
+    fn payload_size(&self, rows: impl Iterator<Item = usize>) -> usize {
+        let valid = rows.filter(|&i| !self.is_null(i));
+        match &self.data {
+            ColumnData::Bool(_) => valid.count(),
+            ColumnData::Int(_) | ColumnData::Float(_) | ColumnData::Timestamp(_) => {
+                8 * valid.count()
+            }
+            ColumnData::Str(v) => valid.map(|i| 4 + v[i].len()).sum(),
+            ColumnData::Mixed(v) => valid.map(|i| v[i].wire_size() - 1).sum(),
+        }
+    }
+}
+
+/// The shared placeholder under a NULL of a string column.
+fn empty_str() -> Arc<str> {
+    static EMPTY: OnceLock<Arc<str>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(|| Arc::from("")))
+}
+
+/// Grows one [`Column`] a value, or a whole column, at a time: what every
+/// adapter scans into and what [`Column::from_values`] and
+/// [`ColumnarBatch::concat`] build through.
+///
+/// The builder's state is the column so far. It starts as the typed vector
+/// of the declared [`DataType`]; the first non-NULL value of another type
+/// degrades it to [`ColumnData::Mixed`], and no arm below leads back out of
+/// that variant — "Mixed once means Mixed forever" is the shape of the match,
+/// not a flag beside it.
+#[derive(Debug)]
+pub struct ColumnBuilder(Column);
+
+impl ColumnBuilder {
+    /// An empty builder for a column declared `ty`, with room for `capacity`
+    /// values.
+    pub fn new(ty: DataType, capacity: usize) -> Self {
+        let data = match ty {
+            DataType::Bool => ColumnData::Bool(Vec::with_capacity(capacity)),
+            DataType::Int => ColumnData::Int(Vec::with_capacity(capacity)),
+            DataType::Float => ColumnData::Float(Vec::with_capacity(capacity)),
+            DataType::Str => ColumnData::Str(Vec::with_capacity(capacity)),
+            DataType::Timestamp => ColumnData::Timestamp(Vec::with_capacity(capacity)),
+        };
+        ColumnBuilder(Column { data, nulls: None })
+    }
+
+    /// Continue a finished column.
+    pub fn extending(column: Column) -> Self {
+        ColumnBuilder(column)
+    }
+
+    /// The column built so far.
+    pub fn finish(self) -> Column {
+        self.0
+    }
+
+    /// Record whether the position just appended to a typed vector is NULL;
+    /// the bitmap appears with the first NULL.
+    fn push_validity(&mut self, null: bool) {
+        match &mut self.0.nulls {
+            Some(nulls) => nulls.push(null),
+            None if null => {
+                let len = self.0.data.len();
+                let mut nulls = NullBitmap::new_valid(len);
+                nulls.set_null(len - 1);
+                self.0.nulls = Some(nulls);
+            }
+            None => {}
+        }
+    }
+
+    /// Re-house the values so far as inline [`Value`]s.
+    fn degrade(&mut self) {
+        let values = (0..self.0.len()).map(|i| self.0.value(i)).collect();
+        self.0 = Column {
+            data: ColumnData::Mixed(values),
+            nulls: None,
+        };
+    }
+
+    /// Append one value.
+    pub fn push(&mut self, v: &Value) {
+        match (&mut self.0.data, v) {
+            (ColumnData::Mixed(d), v) => return d.push(v.clone()),
+            (ColumnData::Bool(d), Value::Bool(b)) => d.push(*b),
+            (ColumnData::Int(d), Value::Int(i)) => d.push(*i),
+            (ColumnData::Float(d), Value::Float(f)) => d.push(*f),
+            (ColumnData::Str(d), Value::Str(s)) => d.push(Arc::clone(s)),
+            (ColumnData::Timestamp(d), Value::Timestamp(t)) => d.push(*t),
+            (ColumnData::Bool(d), Value::Null) => d.push(false),
+            (ColumnData::Int(d) | ColumnData::Timestamp(d), Value::Null) => d.push(0),
+            (ColumnData::Float(d), Value::Null) => d.push(0.0),
+            (ColumnData::Str(d), Value::Null) => d.push(empty_str()),
+            _ => {
+                self.degrade();
+                return self.push(v);
+            }
+        }
+        self.push_validity(v.is_null());
+    }
+
+    /// Append every value of `src`, vector to vector when the two share a
+    /// representation.
+    pub fn append(&mut self, src: &Column) {
+        let old_len = self.0.len();
+        match (&mut self.0.data, &src.data) {
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
+            (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
+            (ColumnData::Float(a), ColumnData::Float(b)) => a.extend_from_slice(b),
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.extend_from_slice(b),
+            (ColumnData::Timestamp(a), ColumnData::Timestamp(b)) => a.extend_from_slice(b),
+            (ColumnData::Mixed(a), _) => return a.extend((0..src.len()).map(|i| src.value(i))),
+            _ => {
+                self.degrade();
+                return self.append(src);
+            }
+        }
+        if self.0.nulls.is_some() || src.nulls.is_some() {
+            let nulls = self
+                .0
+                .nulls
+                .get_or_insert_with(|| NullBitmap::new_valid(old_len));
+            for i in 0..src.len() {
+                nulls.push(src.is_null(i));
+            }
+        }
+    }
+}
+
 /// A columnar batch: a schema, one [`Column`] per field (shared via `Arc` so
 /// projections and renames are free), and an optional selection vector naming
 /// the live rows.
@@ -375,21 +479,39 @@ impl ColumnarBatch {
     /// declared [`DataType`]; columns whose values disagree with the schema
     /// degrade to [`ColumnData::Mixed`].
     pub fn from_batch(batch: &Batch) -> Self {
-        let schema = Arc::clone(batch.schema());
-        let rows = batch.rows();
-        let columns = schema
+        let all: Vec<usize> = (0..batch.schema().len()).collect();
+        Self::from_rows(Arc::clone(batch.schema()), &all, batch.rows())
+    }
+
+    /// Scan rows, visited by reference, into columns: field `k` of `schema`
+    /// takes cell `cols[k]` of every row. Only those cells are touched — a
+    /// column that is not asked for is never cloned. Room is reserved for the
+    /// most rows the iterator says it may yield.
+    pub fn from_rows<'a>(
+        schema: SchemaRef,
+        cols: &[usize],
+        rows: impl IntoIterator<Item = &'a Row>,
+    ) -> Self {
+        debug_assert_eq!(cols.len(), schema.len());
+        let rows = rows.into_iter();
+        let (at_least, at_most) = rows.size_hint();
+        let capacity = at_most.unwrap_or(at_least);
+        let mut builders: Vec<ColumnBuilder> = schema
             .fields()
             .iter()
-            .enumerate()
-            .map(|(c, f)| {
-                let values: Vec<Value> = rows.iter().map(|r| r.get(c).clone()).collect();
-                Arc::new(Column::from_values(&values, f.data_type))
-            })
+            .map(|f| ColumnBuilder::new(f.data_type, capacity))
             .collect();
+        let mut base_len = 0;
+        for row in rows {
+            for (b, &c) in builders.iter_mut().zip(cols) {
+                b.push(row.get(c));
+            }
+            base_len += 1;
+        }
         ColumnarBatch {
             schema,
-            columns,
-            base_len: rows.len(),
+            columns: builders.into_iter().map(|b| Arc::new(b.finish())).collect(),
+            base_len,
             sel: None,
         }
     }
@@ -404,6 +526,38 @@ impl ColumnarBatch {
             rows.push(Row::new(values));
         }
         Batch::new(Arc::clone(&self.schema), rows)
+    }
+
+    /// Physical indices of the live rows, in logical order.
+    fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.num_rows()).map(|logical| self.physical_index(logical))
+    }
+
+    /// Total native wire size of the live rows plus per-row schema overhead:
+    /// byte for byte [`Batch::wire_size`] of [`Self::to_batch`], without
+    /// materializing a row.
+    pub fn wire_size(&self) -> usize {
+        let payload: usize = self
+            .columns
+            .iter()
+            .map(|c| c.payload_size(self.live()))
+            .sum();
+        // One tag byte per cell, the schema's overhead per row.
+        let per_row = self.columns.len() + self.schema.row_overhead();
+        payload + self.num_rows() * per_row
+    }
+
+    /// Total wire size when shipped as XML: byte for byte
+    /// [`Batch::xml_wire_size`] of [`Self::to_batch`].
+    pub fn xml_wire_size(&self) -> usize {
+        let tags = |name: &str| 2 * name.len() + 5;
+        let fixed: usize = self.schema.fields().iter().map(|f| tags(&f.name)).sum();
+        let text: usize = self
+            .columns
+            .iter()
+            .flat_map(|c| self.live().map(|i| c.value(i).to_string().len()))
+            .sum();
+        "<rows></rows>".len() + self.num_rows() * ("<row></row>".len() + fixed) + text
     }
 
     /// The governing schema.
@@ -487,6 +641,15 @@ impl ColumnarBatch {
         }
     }
 
+    /// The first `n` live rows, by selection.
+    pub fn head(self, n: usize) -> Self {
+        if self.num_rows() > n {
+            self.select((0..n as u32).collect())
+        } else {
+            self
+        }
+    }
+
     /// Copy the live rows into compact columns (drops the selection). A
     /// no-op when no selection is active.
     pub fn compact(&self) -> Self {
@@ -529,30 +692,13 @@ impl ColumnarBatch {
         }
         let columns = (0..schema.len())
             .map(|c| {
-                // Column-by-column append via scalars is only taken on the
-                // slow path; typed fast concat below covers matching chunks.
-                let mut iter = live.iter().map(|b| b.columns[c].as_ref());
-                let first = iter.next().expect("non-empty");
-                let mut values: Option<Vec<Value>> = None;
-                let mut acc = first.clone();
-                for col in iter {
-                    // Once a chunk forces the Mixed fallback, every later
-                    // chunk goes to `values` too — appending a typed chunk
-                    // back onto `acc` would silently drop its rows.
-                    if let Some(vals) = values.as_mut() {
-                        vals.extend((0..col.len()).map(|i| col.value(i)));
-                    } else if try_append(&mut acc, col).is_err() {
-                        let mut vals: Vec<Value> =
-                            (0..acc.len()).map(|i| acc.value(i)).collect();
-                        vals.extend((0..col.len()).map(|i| col.value(i)));
-                        values = Some(vals);
-                    }
+                let mut chunks = live.iter().map(|b| b.columns[c].as_ref());
+                let first = chunks.next().expect("non-empty");
+                let mut acc = ColumnBuilder::extending(first.clone());
+                for col in chunks {
+                    acc.append(col);
                 }
-                let col = match values {
-                    Some(v) => Column::new(ColumnData::Mixed(v), None),
-                    None => acc,
-                };
-                Arc::new(col)
+                Arc::new(acc.finish())
             })
             .collect();
         ColumnarBatch {
@@ -564,46 +710,12 @@ impl ColumnarBatch {
     }
 }
 
-/// Append `src` onto `acc` when both share a typed representation; `Err` asks
-/// the caller to fall back to `Mixed`.
-fn try_append(acc: &mut Column, src: &Column) -> std::result::Result<(), ()> {
-    let old_len = acc.len();
-    let added = src.len();
-    match (&mut acc.data, &src.data) {
-        (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
-        (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
-        (ColumnData::Float(a), ColumnData::Float(b)) => a.extend_from_slice(b),
-        (ColumnData::Str(a), ColumnData::Str(b)) => a.extend_from_slice(b),
-        (ColumnData::Timestamp(a), ColumnData::Timestamp(b)) => a.extend_from_slice(b),
-        (ColumnData::Mixed(a), ColumnData::Mixed(b)) => a.extend_from_slice(b),
-        _ => return Err(()),
-    }
-    if acc.nulls.is_some() || src.nulls.is_some() {
-        let mut merged = NullBitmap::new_valid(old_len + added);
-        if let Some(n) = &acc.nulls {
-            for i in 0..old_len {
-                if n.is_null(i) {
-                    merged.set_null(i);
-                }
-            }
-        }
-        if let Some(n) = &src.nulls {
-            for i in 0..added {
-                if n.is_null(i) {
-                    merged.set_null(old_len + i);
-                }
-            }
-        }
-        acc.nulls = Some(merged);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::row;
     use crate::schema::{Field, Schema};
+    use proptest::prelude::*;
 
     fn schema() -> SchemaRef {
         Arc::new(Schema::new(vec![
@@ -710,6 +822,126 @@ mod tests {
                 Value::Int(4),
             ]
         );
+    }
+
+    const P53: i64 = 1 << 53;
+
+    /// Cells around every hazard the source edge meets: NULL-heavy, the
+    /// Int/Float twins at 2^53 ± 1, the empty string, and — because any draw
+    /// can land in any column — values that turn a column `Mixed` mid-stream.
+    fn hazard_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            Just(Value::Null),
+            (-1i64..2).prop_map(|d| Value::Int(P53 + d)),
+            (-1i64..1).prop_map(|d| Value::Float((P53 + d) as f64)),
+            (0usize..3).prop_map(|i| Value::str(["", "a", "naïve"][i])),
+            any::<bool>().prop_map(Value::Bool),
+            (0i64..3).prop_map(Value::Timestamp),
+        ]
+    }
+
+    /// Mostly values of the column's own type, so typed vectors (with
+    /// bitmaps) are common and `Mixed` columns still occur.
+    fn cell(ty: DataType) -> impl Strategy<Value = Value> {
+        (hazard_value(), 0usize..8).prop_map(move |(v, stray)| {
+            if v.data_type() == Some(ty) || stray == 0 {
+                v
+            } else {
+                Value::Null
+            }
+        })
+    }
+
+    fn hazard_rows() -> impl Strategy<Value = Vec<Row>> {
+        let row = (cell(DataType::Int), cell(DataType::Str), cell(DataType::Float))
+            .prop_map(|(a, b, c)| Row::new(vec![a, b, c]));
+        proptest::collection::vec(row, 0..20)
+    }
+
+    /// `Column::from_values` as it was before the builder: all-or-nothing.
+    fn reference_from_values(values: &[Value], ty: DataType) -> Column {
+        if values.iter().any(|v| !v.is_null() && v.data_type() != Some(ty)) {
+            return Column::new(ColumnData::Mixed(values.to_vec()), None);
+        }
+        let mut nulls = NullBitmap::new_valid(values.len());
+        for (i, v) in values.iter().enumerate() {
+            if v.is_null() {
+                nulls.set_null(i);
+            }
+        }
+        let ints = || values.iter().map(|v| v.as_int().unwrap_or(0)).collect();
+        let data = match ty {
+            DataType::Bool => {
+                ColumnData::Bool(values.iter().map(|v| v.as_bool().unwrap_or(false)).collect())
+            }
+            DataType::Int => ColumnData::Int(ints()),
+            DataType::Timestamp => ColumnData::Timestamp(ints()),
+            DataType::Float => {
+                ColumnData::Float(values.iter().map(|v| v.as_float().unwrap_or(0.0)).collect())
+            }
+            DataType::Str => ColumnData::Str(
+                values.iter().map(|v| Arc::from(v.as_str().unwrap_or(""))).collect(),
+            ),
+        };
+        let any_null = !nulls.all_valid();
+        Column::new(data, any_null.then_some(nulls))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Identity (a): the wire is priced over columns to the byte the row
+        /// formulas price it, under any selection.
+        #[test]
+        fn wire_sizes_equal_the_row_formulas(
+            rows in hazard_rows(),
+            picks in proptest::collection::vec(0usize..20, 0..30),
+            selected in any::<bool>(),
+        ) {
+            let n = rows.len();
+            let mut cb = ColumnarBatch::from_batch(&Batch::new(schema(), rows));
+            if selected && n > 0 {
+                // Out of order, with duplicates.
+                cb = cb.select(picks.into_iter().map(|p| (p % n) as u32).collect());
+            }
+            let as_rows = cb.to_batch();
+            prop_assert_eq!(cb.wire_size(), as_rows.wire_size());
+            prop_assert_eq!(cb.xml_wire_size(), as_rows.xml_wire_size());
+        }
+
+        /// Identity (b): the builder builds what `from_values` built, and a
+        /// scan into builders loses nothing.
+        #[test]
+        fn builder_equals_from_values_and_round_trips(
+            rows in hazard_rows(),
+            split in 0usize..20,
+        ) {
+            for (c, f) in schema().fields().iter().enumerate() {
+                let values: Vec<Value> = rows.iter().map(|r| r.get(c).clone()).collect();
+                let built = Column::from_values(&values, f.data_type);
+                prop_assert_eq!(&built, &reference_from_values(&values, f.data_type));
+                // Appending chunk to chunk is pushing value by value.
+                let (head, tail) = values.split_at(split.min(values.len()));
+                let mut b = ColumnBuilder::extending(Column::from_values(head, f.data_type));
+                b.append(&Column::from_values(tail, f.data_type));
+                let appended = b.finish();
+                prop_assert_eq!(appended.len(), values.len());
+                for (i, v) in values.iter().enumerate() {
+                    prop_assert_eq!(&appended.value(i), v);
+                }
+            }
+            let batch = Batch::new(schema(), rows);
+            prop_assert_eq!(&ColumnarBatch::from_batch(&batch).to_batch(), &batch);
+            // A scan that ships two columns, out of order, touches only those.
+            let narrow = Arc::new(Schema::new(vec![
+                schema().field(2).clone(),
+                schema().field(0).clone(),
+            ]));
+            let picked = ColumnarBatch::from_rows(narrow, &[2, 0], batch.rows()).to_batch();
+            let want: Vec<Row> = batch.rows().iter().map(|r| r.project(&[2, 0])).collect();
+            prop_assert_eq!(picked.rows(), &want[..]);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub mod schema;
 pub mod value;
 
 pub use batch::Batch;
-pub use columnar::{Column, ColumnData, ColumnarBatch, NullBitmap};
+pub use columnar::{Column, ColumnBuilder, ColumnData, ColumnarBatch, NullBitmap};
 pub use clock::SimClock;
 pub use deadline::{CancelToken, Deadline, Priority};
 pub use error::{EiiError, Result};

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use eii_data::{Batch, DataType, EiiError, Field, Result, Row, Schema, Value};
+use eii_data::{ColumnBuilder, ColumnarBatch, DataType, EiiError, Field, Result, Schema, Value};
 
 use crate::document::{DocId, Document};
 use crate::path::PathQuery;
@@ -130,7 +130,7 @@ impl DocStore {
     ///
     /// This is the NETMARK pattern: the store stays schema-less, the client
     /// decides structure per use.
-    pub fn extract(&self, columns: &[(&str, &str, DataType)]) -> Result<Batch> {
+    pub fn extract(&self, columns: &[(&str, &str, DataType)]) -> ColumnarBatch {
         let schema = Arc::new(Schema::new(
             columns
                 .iter()
@@ -142,7 +142,11 @@ impl DocStore {
             .map(|(_, path, _)| PathQuery::parse(path))
             .collect();
         let inner = self.inner.read();
-        let mut rows = Vec::new();
+        let mut builders: Vec<ColumnBuilder> = columns
+            .iter()
+            .map(|(_, _, ty)| ColumnBuilder::new(*ty, 0))
+            .collect();
+        let mut rows = 0;
         for doc in inner.docs.values() {
             let per_col: Vec<Vec<Value>> = queries
                 .iter()
@@ -150,15 +154,15 @@ impl DocStore {
                 .map(|(q, (_, _, ty))| q.extract_values(&doc.root, *ty))
                 .collect();
             let height = per_col.iter().map(Vec::len).max().unwrap_or(0);
-            for i in 0..height {
-                let row: Row = per_col
-                    .iter()
-                    .map(|col| col.get(i).cloned().unwrap_or(Value::Null))
-                    .collect();
-                rows.push(row);
+            for (b, col) in builders.iter_mut().zip(&per_col) {
+                for i in 0..height {
+                    b.push(col.get(i).unwrap_or(&Value::Null));
+                }
             }
+            rows += height;
         }
-        Batch::try_new(schema, rows)
+        let built = builders.into_iter().map(|b| Arc::new(b.finish())).collect();
+        ColumnarBatch::new(schema, built, rows)
     }
 }
 
@@ -234,11 +238,10 @@ mod tests {
             .extract(&[
                 ("id", "//row/id", DataType::Int),
                 ("name", "//row/name", DataType::Str),
-            ])
-            .unwrap();
+            ]);
         assert_eq!(b.num_rows(), 3);
-        assert_eq!(b.rows()[0].get(1), &Value::str("alice"));
-        assert_eq!(b.rows()[2].get(0), &Value::Int(3));
+        assert_eq!(b.value_at(0, 1), Value::str("alice"));
+        assert_eq!(b.value_at(2, 0), Value::Int(3));
     }
 
     #[test]
@@ -255,10 +258,9 @@ mod tests {
             .extract(&[
                 ("id", "//row/id", DataType::Int),
                 ("name", "//row/name", DataType::Str),
-            ])
-            .unwrap();
+            ]);
         assert_eq!(b.num_rows(), 2);
-        assert_eq!(b.rows()[1].get(1), &Value::Null);
+        assert_eq!(b.value_at(1, 1), Value::Null);
     }
 
     #[test]
@@ -266,8 +268,8 @@ mod tests {
         let s = store_with_sheets();
         // Client A wants ids only; client B wants names only. No schema was
         // ever registered with the store.
-        let a = s.extract(&[("id", "//row/id", DataType::Int)]).unwrap();
-        let b = s.extract(&[("who", "//row/name", DataType::Str)]).unwrap();
+        let a = s.extract(&[("id", "//row/id", DataType::Int)]);
+        let b = s.extract(&[("who", "//row/name", DataType::Str)]);
         assert_eq!(a.num_rows(), 3);
         assert_eq!(b.schema().field(0).name, "who");
     }

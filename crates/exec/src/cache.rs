@@ -1,5 +1,5 @@
-//! The local answer stores: [`SnapshotStore`] — named, timestamped batches;
-//! one instance holds the materialized-view rows behind the planner's
+//! The local answer stores: [`SnapshotStore`] — named, timestamped columnar
+//! batches; one instance holds the materializations behind the planner's
 //! `MatViewScan` nodes, another the stale table copies degradation falls
 //! back to — and the semantic result cache that short-circuits whole queries.
 //!
@@ -25,14 +25,17 @@ use eii_obs::MetricsRegistry;
 
 use crate::degrade::SourceReport;
 
-/// Batches keyed by name, each stamped with the simulated time it was taken;
-/// shared by cloning. The matview manager fills one on define/refresh (view
-/// name → materialization) for the executor's `MatViewScan`; the application
-/// fills another (`source.table` → last extract) for
-/// [`DegradationPolicy::Fallback`](crate::degrade::DegradationPolicy).
+/// Columnar batches keyed by name, each stamped with the simulated time it
+/// was taken; shared by cloning. The matview manager fills one on
+/// define/refresh (view name → materialization) for the executor's
+/// `MatViewScan`; the application fills another (`source.table` → last
+/// extract) for
+/// [`DegradationPolicy::Fallback`](crate::degrade::DegradationPolicy). A
+/// read hands out the stored columns themselves (`Arc` clones): nothing is
+/// copied under the lock.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotStore {
-    inner: Arc<Mutex<BTreeMap<String, (Batch, i64)>>>,
+    inner: Arc<Mutex<BTreeMap<String, (ColumnarBatch, i64)>>>,
 }
 
 impl SnapshotStore {
@@ -42,7 +45,7 @@ impl SnapshotStore {
     }
 
     /// Insert (or replace) the batch for `name`, taken at `as_of_ms`.
-    pub fn put(&self, name: impl Into<String>, batch: Batch, as_of_ms: i64) {
+    pub fn put(&self, name: impl Into<String>, batch: ColumnarBatch, as_of_ms: i64) {
         self.inner
             .lock()
             .expect("snapshot store lock")
@@ -50,7 +53,7 @@ impl SnapshotStore {
     }
 
     /// The batch for `name` and when it was taken, if present.
-    pub fn get(&self, name: &str) -> Option<(Batch, i64)> {
+    pub fn get(&self, name: &str) -> Option<(ColumnarBatch, i64)> {
         self.inner
             .lock()
             .expect("snapshot store lock")
@@ -419,10 +422,15 @@ mod tests {
     fn matview_store_round_trips() {
         let store = SnapshotStore::new();
         assert!(store.get("top").is_none());
-        store.put("top", batch(), 5);
+        let stored = ColumnarBatch::from_batch(&batch());
+        store.put("top", stored.clone(), 5);
         let (b, at) = store.get("top").unwrap();
         assert_eq!(b.num_rows(), 2);
         assert_eq!(at, 5);
+        assert!(
+            StdArc::ptr_eq(b.column(0), stored.column(0)),
+            "a read shares the stored columns"
+        );
         assert_eq!(store.names(), vec!["top".to_string()]);
         store.remove("top");
         assert!(store.get("top").is_none());

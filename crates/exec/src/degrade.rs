@@ -7,7 +7,7 @@
 //! per-source [`SourceReport`] in the query result, so "the answer" is
 //! never silently partial.
 
-use eii_data::{Batch, EiiError, Result, SchemaRef};
+use eii_data::{ColumnarBatch, EiiError, Result, SchemaRef};
 use eii_federation::{apply_query_locally, SourceQuery};
 
 use crate::cache::SnapshotStore;
@@ -53,7 +53,7 @@ pub fn degrade(
     expect_schema: &SchemaRef,
     now_ms: i64,
     err: EiiError,
-) -> Result<(Batch, SourceReport)> {
+) -> Result<(ColumnarBatch, SourceReport)> {
     match policy {
         DegradationPolicy::Fail => Err(err),
         DegradationPolicy::Fallback => {
@@ -64,10 +64,8 @@ pub fn degrade(
                      {qualified}: {err}"
                 )));
             };
-            let schema = snapshot.schema().clone();
             let batch = apply_query_locally(
-                &schema,
-                snapshot.into_rows(),
+                &snapshot,
                 &q.filters,
                 &q.bindings,
                 q.projection.as_deref(),
@@ -88,7 +86,7 @@ pub fn degrade(
                 stale_ms: None,
                 error: err.to_string(),
             };
-            Ok((Batch::empty(expect_schema.clone()), report))
+            Ok((ColumnarBatch::empty(expect_schema.clone()), report))
         }
     }
 }
@@ -96,23 +94,23 @@ pub fn degrade(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eii_data::{row, DataType, Field, Schema};
+    use eii_data::{row, Batch, DataType, Field, Schema};
     use std::sync::Arc;
 
-    fn batch() -> Batch {
+    fn batch() -> ColumnarBatch {
         let schema = Arc::new(Schema::new(vec![
             Field::new("id", DataType::Int).not_null(),
             Field::new("name", DataType::Str),
             Field::new("score", DataType::Int),
         ]));
-        Batch::new(
+        ColumnarBatch::from_batch(&Batch::new(
             schema,
             vec![
                 row![1i64, "alice", 10i64],
                 row![2i64, "bob", 20i64],
                 row![3i64, "carol", 30i64],
             ],
-        )
+        ))
     }
 
     #[test]

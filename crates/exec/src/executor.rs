@@ -1,11 +1,11 @@
 //! The physical-plan interpreter.
 //!
-//! One representation flows between operators: [`ColumnarBatch`]. Rows are
-//! pivoted to columns exactly once where they enter the hub
-//! ([`Executor::ingest`]: a component fetch, a materialized-view read,
-//! `VALUES`) and back exactly once where they leave ([`Executor::run`]); the
-//! only other row materialization is the byte charge of an at-source join's
-//! shipments.
+//! One representation flows from the source edge to the result edge:
+//! [`ColumnarBatch`]. A component fetch, a fallback snapshot and a
+//! materialized-view read all arrive as columns; the one pivot to rows is
+//! where the answer leaves ([`Executor::run`]), the one pivot from rows the
+//! literal rows of a `VALUES` list. Shipments of an at-source join are priced
+//! over the columns they are.
 //!
 //! One function talks to sources: [`Executor::fetch`]. Every operator that
 //! needs a component query answered — a scan, a bind join, an adaptive
@@ -17,7 +17,9 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use eii_data::{Batch, CancelToken, Column, ColumnarBatch, EiiError, Result, SchemaRef, Value};
+use eii_data::{
+    Batch, CancelToken, Column, ColumnData, ColumnarBatch, EiiError, Result, SchemaRef, Value,
+};
 use eii_expr::{bind, eval_column, BoundExpr, Expr};
 use eii_federation::{
     Delivery, Federation, HedgeOutcome, QueryCost, RequestCtx, SourceHandle, SourceQuery,
@@ -30,7 +32,8 @@ use crate::cache::{adapt_batch, SnapshotStore};
 use crate::degrade::{degrade, DegradationPolicy, SourceReport};
 use crate::profile::OperatorProfile;
 use crate::vector::{
-    drive, sort_batch, BatchOperator, VecAggregate, VecFilter, VecHashJoin, VecProject,
+    drive, sort_batch, BatchOperator, FxBuildHasher, VecAggregate, VecFilter, VecHashJoin,
+    VecProject,
 };
 
 /// Simulated ms to open a local materialization (mirrors the planner's
@@ -251,7 +254,7 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Attach the materialized-view row store that `MatViewScan` operators
+    /// Attach the materialized-view store that `MatViewScan` operators
     /// (substituted by the planner's rewrite pass) are served from.
     pub fn with_matviews(mut self, matviews: SnapshotStore) -> Self {
         self.matviews = matviews;
@@ -369,8 +372,8 @@ impl<'a> Executor<'a> {
     /// snapshot answers (through the federation's own evaluator) and the
     /// schema of the empty stand-in for a dropped branch — and reported.
     ///
-    /// The answer is pivoted into the hub here, typed by and tagged with
-    /// `ingest_as` (`None` keeps the layout the source returned). `path` is
+    /// The answer's columns are tagged with `ingest_as` (`None` keeps the
+    /// layout the source returned). `path` is
     /// the plan node the fetch is made for; `record` says the fetch *is* that
     /// node, run outside [`Executor::run_node`], so it is measured here. The
     /// returned flag is `true` when the source answered live.
@@ -437,8 +440,10 @@ impl<'a> Executor<'a> {
                 (batch, cost, false)
             }
         };
-        let schema = ingest_as.unwrap_or(batch.schema()).clone();
-        let cols = Self::ingest(schema, batch);
+        let cols = match ingest_as {
+            Some(schema) => batch.with_schema(schema.clone()),
+            None => batch,
+        };
         if record && self.instrument {
             self.ops.lock().expect("ops lock").push(OpRecord {
                 path: path.to_vec(),
@@ -454,13 +459,6 @@ impl<'a> Executor<'a> {
         let (cols, cost) = self.run_node(plan, Vec::new())?;
         // The one pivot back to rows: the result edge.
         Ok((cols.to_batch(), cost))
-    }
-
-    /// The one pivot into the hub: rows a component fetch, the view store or
-    /// a `VALUES` list produced become columns, typed by (and tagged with)
-    /// `schema`.
-    fn ingest(schema: SchemaRef, batch: Batch) -> ColumnarBatch {
-        ColumnarBatch::from_batch(&Batch::new(schema, batch.into_rows()))
     }
 
     /// Run one operator, recording its measurements under its path from the
@@ -505,7 +503,7 @@ impl<'a> Executor<'a> {
                 Ok((cols, cost))
             }
             PhysicalPlan::Values { schema, rows } => Ok((
-                Self::ingest(schema.clone(), Batch::new(schema.clone(), rows.clone())),
+                ColumnarBatch::from_batch(&Batch::new(schema.clone(), rows.clone())),
                 QueryCost::default(),
             )),
             PhysicalPlan::MatViewScan {
@@ -515,26 +513,25 @@ impl<'a> Executor<'a> {
                 limit,
                 ..
             } => {
-                let Some((stored, _)) = self.matviews.get(name) else {
+                let Some((mut cols, _)) = self.matviews.get(name) else {
                     return Err(EiiError::Execution(format!(
                         "plan scans materialized view '{name}' but the \
                          executor's store has no materialization for it"
                     )));
                 };
-                let scanned = stored.num_rows();
+                let scanned = cols.num_rows();
                 // Compensating filters run over the full materialization
                 // (it may hold columns the output projects away), each over
                 // the survivors of the one before — a Filter over their
                 // conjunction; then the survivors are reshaped to the node's
                 // output columns.
-                let mut cols = Self::ingest(stored.schema().clone(), stored);
                 for filter in filters {
                     let pred = bind(filter, cols.schema())?;
                     cols = self.drive_op(&mut VecFilter::new(pred), &cols, cols.schema().clone())?;
                 }
                 let mut out = adapt_batch(&cols, schema)?;
                 if let Some(n) = limit {
-                    out = head(out, *n);
+                    out = out.head(*n);
                 }
                 // Hub-local read: no network, no source scan.
                 let cost = QueryCost {
@@ -634,7 +631,9 @@ impl<'a> Executor<'a> {
                 };
                 let bind_idx = fetched.schema().index_of(None, bind_column)?;
                 let build = adapt_batch(&fetched, right_schema)?;
-                let build_keys = [Arc::clone(fetched.column(bind_idx))];
+                // Aligned with the live rows: a fallback snapshot's answer is
+                // a selection over the snapshot.
+                let build_keys = [eval_column(&BoundExpr::Column(bind_idx), &fetched)?];
                 let out = self.join(
                     &lcols,
                     &build,
@@ -696,7 +695,7 @@ impl<'a> Executor<'a> {
             }
             PhysicalPlan::Limit { input, n } => {
                 let (cols, cost) = self.run_node(input, child_path(path, 0))?;
-                Ok((head(cols, *n), cost))
+                Ok((cols.head(*n), cost))
             }
             PhysicalPlan::UnionAll {
                 inputs,
@@ -1017,13 +1016,12 @@ impl<'a> Executor<'a> {
                 } else {
                     site_cost.then(other_cost)
                 };
-                // Forwarding to the site ships rows: materialize the live
-                // ones for the byte charge. A dead site degrades to a hub
-                // join: nothing is forwarded to the site and the result
-                // needs no return shipment.
+                // Forwarding to the site ships the live rows. A dead site
+                // degrades to a hub join: nothing is forwarded to the site
+                // and the result needs no return shipment.
                 let (cost, result_site) = if site_live {
                     (
-                        fetch.then(handle.charge_shipment(&other_cols.to_batch())),
+                        fetch.then(handle.charge_shipment(&other_cols)),
                         Some(source.clone()),
                     )
                 } else {
@@ -1052,29 +1050,30 @@ impl<'a> Executor<'a> {
         // At a source site, the joined result still has to reach the hub.
         if let Some(site_name) = result_site {
             let handle = self.federation.source(&site_name)?;
-            cost = cost.then(handle.charge_shipment(&out.to_batch()));
+            cost = cost.then(handle.charge_shipment(&out));
         }
         Ok((out, cost))
     }
 }
 
-/// The first `n` live rows, by selection.
-fn head(cols: ColumnarBatch, n: usize) -> ColumnarBatch {
-    if cols.num_rows() > n {
-        cols.select((0..n as u32).collect())
-    } else {
-        cols
-    }
-}
-
 /// The distinct non-NULL values of `key` over `cols`, in first-seen order:
-/// the bindings a bind join or an adaptive re-plan ships to the source.
+/// the bindings a bind join or an adaptive re-plan ships to the source. A
+/// typed integer key column is deduplicated on its raw `i64`s; anything else
+/// under [`Value`]'s equality (`Int(2)` is `Float(2.0)`).
 fn distinct_keys(key: &BoundExpr, cols: &ColumnarBatch) -> Result<Vec<Value>> {
     let keys = eval_column(key, cols)?;
-    let mut seen = HashSet::new();
-    Ok((0..cols.num_rows())
+    let live = (0..keys.len()).filter(|&i| !keys.is_null(i));
+    if let ColumnData::Int(ints) = keys.data() {
+        let mut seen = HashSet::with_capacity_and_hasher(ints.len(), FxBuildHasher);
+        return Ok(live
+            .filter(|&i| seen.insert(ints[i]))
+            .map(|i| Value::Int(ints[i]))
+            .collect());
+    }
+    let mut seen = HashSet::with_hasher(FxBuildHasher);
+    Ok(live
         .map(|i| keys.value(i))
-        .filter(|v| !v.is_null() && seen.insert(v.clone()))
+        .filter(|v| seen.insert(v.clone()))
         .collect())
 }
 
@@ -1149,5 +1148,37 @@ fn record_operator_metrics(m: &MetricsRegistry, p: &OperatorProfile) {
     m.add(&format!("exec.rows_emitted.{}", p.label), p.rows as u64);
     for c in &p.children {
         record_operator_metrics(m, c);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eii_data::{DataType, Field, Schema};
+
+    fn keys_of(values: &[Value]) -> Vec<Value> {
+        let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Int)]));
+        let col = Arc::new(Column::from_values(values, DataType::Int));
+        let batch = ColumnarBatch::new(schema, vec![col], values.len());
+        distinct_keys(&BoundExpr::Column(0), &batch).unwrap()
+    }
+
+    #[test]
+    fn distinct_keys_are_first_seen_non_null_and_exact_past_2_53() {
+        let p53 = 1i64 << 53;
+        let int = Value::Int;
+        // Typed integer column: raw i64s, neighbours past 2^53 stay apart.
+        assert_eq!(
+            keys_of(&[int(p53 + 1), Value::Null, int(7), int(p53), int(p53 + 1), int(7)]),
+            [int(p53 + 1), int(7), int(p53)]
+        );
+        // A float turns the column Mixed: `Float(2^53)` is `Int(2^53)` and
+        // neither is `Int(2^53 ± 1)`, whichever comes first.
+        let f = Value::Float(p53 as f64);
+        assert_eq!(
+            keys_of(&[int(p53 - 1), f.clone(), int(p53), Value::Null, int(p53 + 1), f.clone()]),
+            [int(p53 - 1), f, int(p53 + 1)]
+        );
+        assert!(keys_of(&[Value::Null, Value::Null]).is_empty());
     }
 }

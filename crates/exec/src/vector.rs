@@ -20,12 +20,13 @@
 //! Semi/Anti residual short-circuiting, first-seen group order, and the
 //! integral-until-float SUM ladder ([`crate::agg::Accumulator`]).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use eii_data::value::float_as_int;
-use eii_data::{Column, ColumnarBatch, Result, SchemaRef, Value};
+use eii_data::{Column, ColumnData, ColumnarBatch, Result, SchemaRef, Value};
 use eii_expr::{eval_column, eval_filter, AggFunc, BoundExpr};
 use eii_sql::JoinKind;
 
@@ -765,28 +766,42 @@ impl BatchOperator for VecAggregate {
 /// Stable sort of the live rows: each key is evaluated as a column over the
 /// whole input, then an index sort orders the rows under [`Value`]'s total
 /// order (NULL lowest; `false` in a key's flag reverses that key; ties keep
-/// input order). The result is a selection over `input`'s own columns, so a
-/// LIMIT above gathers only the rows that survive it.
+/// input order), comparing the key columns' typed vectors in place. The
+/// result is a selection over `input`'s own columns, so a LIMIT above gathers
+/// only the rows that survive it.
 pub fn sort_batch(input: &ColumnarBatch, keys: &[(BoundExpr, bool)]) -> Result<ColumnarBatch> {
-    let n = input.num_rows();
     let keys = keys
         .iter()
-        .map(|(expr, asc)| {
-            let col = eval_column(expr, input)?;
-            Ok(((0..n).map(|i| col.value(i)).collect::<Vec<_>>(), *asc))
-        })
+        .map(|(expr, asc)| Ok((eval_column(expr, input)?, *asc)))
         .collect::<Result<Vec<_>>>()?;
-    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut order: Vec<u32> = (0..input.num_rows() as u32).collect();
     order.sort_by(|&a, &b| {
-        for (vals, asc) in &keys {
-            let ord = vals[a as usize].cmp(&vals[b as usize]);
+        for (col, asc) in &keys {
+            let ord = cmp_positions(col, a as usize, b as usize);
             if !ord.is_eq() {
                 return if *asc { ord } else { ord.reverse() };
             }
         }
-        std::cmp::Ordering::Equal
+        Ordering::Equal
     });
     Ok(input.select(order))
+}
+
+/// Order positions `a` and `b` of one column as [`Value`]'s total order
+/// orders their values, without building either.
+fn cmp_positions(col: &Column, a: usize, b: usize) -> Ordering {
+    match (col.is_null(a), col.is_null(b)) {
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Less,
+        (false, true) => Ordering::Greater,
+        (false, false) => match col.data() {
+            ColumnData::Bool(v) => v[a].cmp(&v[b]),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => v[a].cmp(&v[b]),
+            ColumnData::Float(v) => v[a].total_cmp(&v[b]),
+            ColumnData::Str(v) => v[a].cmp(&v[b]),
+            ColumnData::Mixed(v) => v[a].cmp(&v[b]),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -1127,6 +1142,56 @@ mod tests {
         )
         .unwrap();
         assert_eq!(column_values(&two, 1), [3, 0, 5, 2].map(Value::Int));
+    }
+
+    #[test]
+    fn typed_key_comparison_is_the_value_order() {
+        // One typed Float key, one typed Int key, one key that mixes Int with
+        // Float (so its column is Mixed): NULLs, both zeros, both NaNs, and
+        // the Int/Float twins around 2^53.
+        let p53 = 1i64 << 53;
+        let s = schema(&[("f", DataType::Float), ("i", DataType::Int), ("m", DataType::Int)]);
+        let floats = [0.0, -0.0, f64::NAN, -f64::NAN, 1.5, f64::INFINITY, p53 as f64];
+        let rows: Vec<_> = (0..28usize)
+            .map(|r| {
+                let f = if r % 5 == 4 { Value::Null } else { Value::Float(floats[r % 7]) };
+                let i = if r % 3 == 2 { Value::Null } else { Value::Int((r % 4) as i64) };
+                let m = match r % 4 {
+                    0 => Value::Int(p53 + (r % 3) as i64 - 1),
+                    1 => Value::Float(p53 as f64),
+                    2 => Value::Null,
+                    _ => Value::Int(p53),
+                };
+                row![f, i, m]
+            })
+            .collect();
+        let batch = ColumnarBatch::from_batch(&Batch::new(s, rows.clone()));
+        assert!(batch.column(0).as_floats().is_some() && batch.column(1).as_ints().is_some());
+        assert!(matches!(batch.column(2).data(), ColumnData::Mixed(_)));
+        for spec in [
+            vec![("f", true)],
+            vec![("f", false), ("i", true)],
+            vec![("i", false), ("m", true), ("f", true)],
+            vec![("m", false), ("i", false)],
+        ] {
+            let keys: Vec<(Expr, bool)> =
+                spec.iter().map(|(c, asc)| (Expr::col(*c), *asc)).collect();
+            let got = sort_batch(&batch, &sort_keys(&batch, &keys)).unwrap();
+            // The comparator this replaced: one `Value` per key per row.
+            let mut want = rows.clone();
+            want.sort_by(|a, b| {
+                for (c, asc) in &spec {
+                    let c = batch.schema().index_of(None, c).unwrap();
+                    let ord = a.get(c).cmp(b.get(c));
+                    if !ord.is_eq() {
+                        return if *asc { ord } else { ord.reverse() };
+                    }
+                }
+                Ordering::Equal
+            });
+            // NaN != NaN as floats but the total order makes rows comparable.
+            assert_eq!(got.to_batch().into_rows(), want, "{spec:?}");
+        }
     }
 
     #[test]

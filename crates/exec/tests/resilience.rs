@@ -11,7 +11,7 @@ use eii_data::{
 use eii_exec::{DegradationPolicy, Executor, HedgePolicy, SnapshotStore};
 use eii_expr::Expr;
 use eii_federation::{
-    CircuitBreakerConfig, Connector, FaultProfile, Federation, LinkProfile,
+    CircuitBreakerConfig, Connector, Delivery, FaultProfile, Federation, LinkProfile,
     RelationalConnector, RequestCtx, RetryPolicy, SourceAnswer, SourceQuery, WireFormat,
 };
 use eii_planner::{plan_query, PhysicalPlan, PlannerConfig};
@@ -90,8 +90,9 @@ fn run(fed: &Federation, exec: &Executor<'_>, sql: &str) -> Result<eii_exec::Que
 fn snapshot_all(fed: &Federation, store: &SnapshotStore) {
     for qualified in fed.all_tables() {
         let (h, table) = fed.resolve(&qualified).unwrap();
-        let (batch, _) = h.query(&SourceQuery::full_table(table)).unwrap();
-        store.put(qualified, batch, fed.clock().now_ms());
+        let whole = SourceQuery::full_table(table);
+        let (columns, _) = h.fetch(&whole, &RequestCtx::new(), Delivery::Ship).unwrap();
+        store.put(qualified, columns, fed.clock().now_ms());
     }
     fed.ledger().reset();
 }

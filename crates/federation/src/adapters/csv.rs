@@ -9,7 +9,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eii_data::{DataType, EiiError, Field, Result, Row, Schema, SchemaRef, Value};
+use eii_data::{
+    Batch, ColumnarBatch, DataType, EiiError, Field, Result, Row, Schema, SchemaRef, Value,
+};
 use eii_storage::TableStats;
 
 use crate::adapters::reject_unsupported;
@@ -17,13 +19,12 @@ use crate::capability::SourceCapabilities;
 use crate::connector::{Connector, SourceAnswer, SourceQuery};
 use crate::dialect::Dialect;
 
-/// One parsed delimited file exposed as a table.
+/// One delimited file exposed as a table: parsed into columns and analyzed
+/// once, when the file is registered — a file never changes afterwards, so
+/// every fetch shares the same columns.
 #[derive(Debug, Clone)]
 struct CsvTable {
-    schema: SchemaRef,
-    rows: Vec<Row>,
-    /// Analyzed once, when the file is registered: a file never changes
-    /// afterwards.
+    columns: ColumnarBatch,
     stats: Arc<TableStats>,
 }
 
@@ -97,14 +98,9 @@ impl CsvConnector {
             rows.push(row);
         }
         let stats = Arc::new(TableStats::analyze(schema.len(), rows.iter()));
-        self.tables.insert(
-            table.into(),
-            CsvTable {
-                schema,
-                rows,
-                stats,
-            },
-        );
+        let columns = ColumnarBatch::from_batch(&Batch::new(schema, rows));
+        self.tables
+            .insert(table.into(), CsvTable { columns, stats });
         Ok(self)
     }
 
@@ -125,7 +121,7 @@ impl Connector for CsvConnector {
     }
 
     fn table_schema(&self, table: &str) -> Result<SchemaRef> {
-        Ok(self.table(table)?.schema.clone())
+        Ok(self.table(table)?.columns.schema().clone())
     }
 
     fn capabilities(&self) -> SourceCapabilities {
@@ -150,10 +146,9 @@ impl Connector for CsvConnector {
                 self.name
             )));
         }
-        let t = self.table(&query.table)?;
-        let batch = eii_data::Batch::new(t.schema.clone(), t.rows.clone());
-        let n = batch.num_rows();
-        Ok(SourceAnswer::one_shot(batch, n))
+        let columns = self.table(&query.table)?.columns.clone();
+        let n = columns.num_rows();
+        Ok(SourceAnswer::one_shot(columns, n))
     }
 }
 
@@ -179,8 +174,8 @@ mod tests {
         let c = setup();
         let ans = c.execute(&SourceQuery::full_table("payments")).unwrap();
         assert_eq!(ans.batch.num_rows(), 3);
-        assert_eq!(ans.batch.rows()[1].get(2), &Value::Null);
-        assert_eq!(ans.batch.rows()[2].get(2), &Value::Float(7.25));
+        assert_eq!(ans.batch.value_at(1, 2), Value::Null);
+        assert_eq!(ans.batch.value_at(2, 2), Value::Float(7.25));
     }
 
     #[test]
@@ -233,7 +228,8 @@ mod tests {
         let parsed = c
             .execute(&SourceQuery::full_table("payments"))
             .unwrap()
-            .batch;
+            .batch
+            .to_batch();
         assert_eq!(*s, TableStats::analyze(3, parsed.rows().iter()));
         assert!(
             Arc::ptr_eq(&s, &c.statistics("payments").unwrap()),

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eii_data::{Batch, DataType, EiiError, Result, Schema, SchemaRef};
+use eii_data::{ColumnarBatch, DataType, EiiError, Result, Schema, SchemaRef};
 use eii_docstore::DocStore;
 use eii_storage::TableStats;
 use parking_lot::Mutex;
@@ -67,14 +67,14 @@ impl DocumentConnector {
     }
 
     /// Impose the virtual table's schema on the store's current documents.
-    fn extract(&self, table: &str) -> Result<Batch> {
+    fn extract(&self, table: &str) -> Result<ColumnarBatch> {
         let cols: Vec<(&str, &str, DataType)> = self
             .table(table)?
             .columns
             .iter()
             .map(|(n, p, ty)| (n.as_str(), p.as_str(), *ty))
             .collect();
-        self.store.extract(&cols)
+        Ok(self.store.extract(&cols))
     }
 }
 
@@ -117,7 +117,7 @@ impl Connector for DocumentConnector {
                 return Ok(stats.clone());
             }
         }
-        let batch = self.extract(table)?;
+        let batch = self.extract(table)?.to_batch();
         let stats = Arc::new(TableStats::analyze(
             batch.schema().len(),
             batch.rows().iter(),
@@ -130,11 +130,9 @@ impl Connector for DocumentConnector {
 
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
         let extracted = self.extract(&query.table)?;
-        let schema = extracted.schema().clone();
         let scanned = extracted.num_rows();
         let batch = apply_query_locally(
-            &schema,
-            extracted.into_rows(),
+            &extracted,
             &query.filters,
             &query.bindings,
             query.projection.as_deref(),
@@ -200,7 +198,7 @@ mod tests {
         };
         let ans = c.execute(&q).unwrap();
         assert_eq!(ans.batch.num_rows(), 1);
-        assert_eq!(ans.batch.rows()[0].get(0), &Value::str("bob"));
+        assert_eq!(ans.batch.value_at(0, 0), Value::str("bob"));
         assert_eq!(ans.rows_scanned, 2);
     }
 

@@ -2,15 +2,15 @@
 //!
 //! This is the workhorse wrapper: it pushes the dialect-supported subset of
 //! filters into the source engine (index-assisted where possible), honors
-//! projections, limits and bind-join batches, and routes EAI updates.
+//! projections, limits and bind-join batches — scanning the table by
+//! reference into the columns that ship — and routes EAI updates.
 
 use std::sync::Arc;
 
 use eii_data::{EiiError, Result, SchemaRef};
-use eii_expr::bind;
 use eii_storage::{Database, TableStats};
 
-use crate::adapters::{apply_query_locally, lookup_binding};
+use crate::adapters::answer_from_table;
 use crate::capability::SourceCapabilities;
 use crate::connector::{Connector, SourceAnswer, SourceQuery, UpdateOp, UpdateResult};
 use crate::dialect::Dialect;
@@ -97,37 +97,12 @@ impl Connector for RelationalConnector {
                 )));
             }
         }
-        let handle = self.db.table(&query.table)?;
-        let t = handle.read();
-        let schema = t.schema().clone();
-
-        // A single equality binding is resolved by the table (index probes,
-        // or one bucketing scan when the column has no index); anything else
-        // reads the table and filters here. Either way a binding is charged
-        // the rows it matched: simulated time prices an unindexed binding as
-        // if it were indexed (docs/architecture.md, "Source access paths").
-        let (candidate_rows, bind_access, remaining_bindings) = match query.bindings.as_slice() {
-            [(col, vals)] => {
-                let (rows, access) = lookup_binding(&t, schema.index_of(None, col)?, vals);
-                (rows, Some(access), &[][..])
-            }
-            bindings => (t.all_rows(), None, bindings),
-        };
-        let rows_scanned = candidate_rows.len();
-        drop(t);
-
-        let batch = apply_query_locally(
-            &schema,
-            candidate_rows,
-            &query.filters,
-            remaining_bindings,
-            query.projection.as_deref(),
-            query.limit,
-        )?;
-        Ok(SourceAnswer {
-            bind_access,
-            ..SourceAnswer::one_shot(batch, rows_scanned)
-        })
+        // A single equality binding is resolved by the table; anything else
+        // reads the table and filters here.
+        match query.bindings.as_slice() {
+            [only] => answer_from_table(&self.db, query, Some(only), &[]),
+            all => answer_from_table(&self.db, query, None, all),
+        }
     }
 
     fn changes_since(
@@ -176,25 +151,6 @@ impl Connector for RelationalConnector {
             }
         }
     }
-}
-
-/// Convenience for tests and generators: evaluate an arbitrary predicate
-/// locally against a table (not via the wrapper).
-pub fn scan_with_predicate(
-    db: &Database,
-    table: &str,
-    pred: &eii_expr::Expr,
-) -> Result<Vec<eii_data::Row>> {
-    let handle = db.table(table)?;
-    let t = handle.read();
-    let bound = bind(pred, t.schema())?;
-    let mut out = Vec::new();
-    for (_, row) in t.iter() {
-        if bound.eval_predicate(row)? {
-            out.push(row.clone());
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -363,7 +319,7 @@ mod tests {
             ..SourceQuery::default()
         };
         let ans = c.execute(&q).unwrap();
-        let rows = ans.batch.rows();
+        let rows = ans.batch.to_batch().into_rows();
         let names: Vec<&str> = rows.iter().filter_map(|r| r.get(1).as_str()).collect();
         assert_eq!(names, ["bob", "alice", "carol", "bob"]);
         assert_eq!(

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use eii_data::{EiiError, Result, SchemaRef, Value};
 use eii_storage::{Database, TableStats};
 
-use crate::adapters::{apply_query_locally, lookup_binding, project_batch};
+use crate::adapters::answer_from_table;
 use crate::capability::{BindingPattern, SourceCapabilities};
 use crate::connector::{Connector, SourceAnswer, SourceQuery};
 use crate::dialect::Dialect;
@@ -98,60 +98,36 @@ impl Connector for WebServiceConnector {
                 self.name
             )));
         }
-        let required = self.required.get(&query.table);
-        let handle = self.backing.table(&query.table)?;
-        let t = handle.read();
-        let schema = t.schema().clone();
-
-        match required {
-            None => {
-                // Unrestricted operation: one call dumps the table.
-                let rows = t.all_rows();
-                let scanned = rows.len();
-                drop(t);
-                let batch = project_batch(&schema, rows, query.projection.as_deref())?;
-                Ok(SourceAnswer::one_shot(batch, scanned))
-            }
-            Some(col) => {
-                let Some((_, values)) = query
-                    .bindings
-                    .iter()
-                    .find(|(c, _)| c.eq_ignore_ascii_case(col))
-                else {
-                    return Err(EiiError::Source(format!(
-                        "service {}.{} requires {col} to be bound (access limitation)",
-                        self.name, query.table
-                    )));
-                };
-                let col_idx = schema.index_of(None, col)?;
-                // One call per bound value, however the hidden store
-                // resolves them.
-                let calls = values.len().max(1);
-                let (rows, access) = lookup_binding(&t, col_idx, values);
-                let scanned = rows.len();
-                drop(t);
-                // Apply any *other* bindings locally, then project.
-                let other: Vec<(String, Vec<Value>)> = query
-                    .bindings
-                    .iter()
-                    .filter(|(c, _)| !c.eq_ignore_ascii_case(col))
-                    .cloned()
-                    .collect();
-                let batch = apply_query_locally(
-                    &schema,
-                    rows,
-                    &[],
-                    &other,
-                    query.projection.as_deref(),
-                    query.limit,
-                )?;
-                Ok(SourceAnswer {
-                    calls,
-                    bind_access: Some(access),
-                    ..SourceAnswer::one_shot(batch, scanned)
-                })
-            }
-        }
+        let Some(col) = self.required.get(&query.table) else {
+            // Unrestricted operation: one call dumps the table (any bindings
+            // are the caller's to apply).
+            return answer_from_table(&self.backing, query, None, &[]);
+        };
+        let Some(at) = query
+            .bindings
+            .iter()
+            .position(|(c, _)| c.eq_ignore_ascii_case(col))
+        else {
+            return Err(EiiError::Source(format!(
+                "service {}.{} requires {col} to be bound (access limitation)",
+                self.name, query.table
+            )));
+        };
+        let bound = &query.bindings[at];
+        // Any *other* bindings are applied wrapper-side.
+        let other: Vec<(String, Vec<Value>)> = query
+            .bindings
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != at)
+            .map(|(_, b)| b.clone())
+            .collect();
+        let ans = answer_from_table(&self.backing, query, Some(bound), &other)?;
+        // One call per bound value, however the hidden store resolves them.
+        Ok(SourceAnswer {
+            calls: bound.1.len().max(1),
+            ..ans
+        })
     }
 }
 
@@ -162,7 +138,7 @@ mod tests {
     use eii_storage::TableDef;
     use std::sync::Arc;
 
-    fn setup() -> WebServiceConnector {
+    fn backing() -> Database {
         let db = Database::new("orders_svc", SimClock::new());
         let schema = Arc::new(Schema::new(vec![
             Field::new("order_id", DataType::Int).not_null(),
@@ -179,7 +155,27 @@ mod tests {
                 t.insert(row![i, i % 3, (i as f64) * 10.0]).unwrap();
             }
         }
-        WebServiceConnector::new("orders_svc", db).require_binding("orders", "customer_id")
+        db
+    }
+
+    fn setup() -> WebServiceConnector {
+        WebServiceConnector::new("orders_svc", backing()).require_binding("orders", "customer_id")
+    }
+
+    #[test]
+    fn an_unrestricted_operation_honours_a_pushed_limit() {
+        let c = WebServiceConnector::new("orders_svc", backing());
+        for (limit, rows) in [(Some(2), 2), (Some(0), 0), (None, 10)] {
+            let q = SourceQuery {
+                table: "orders".into(),
+                projection: Some(vec!["total".into()]),
+                limit,
+                ..SourceQuery::default()
+            };
+            let ans = c.execute(&q).unwrap();
+            assert_eq!((ans.batch.num_rows(), ans.batch.schema().len()), (rows, 1));
+            assert_eq!(ans.rows_scanned, 10, "one call still reads the table");
+        }
     }
 
     #[test]

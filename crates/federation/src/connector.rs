@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use eii_data::{Batch, EiiError, Result, SchemaRef, Value};
+use eii_data::{ColumnarBatch, EiiError, Result, SchemaRef, Value};
 use eii_expr::Expr;
 use eii_storage::TableStats;
 
@@ -66,11 +66,12 @@ impl SourceQuery {
     }
 }
 
-/// Result of a component query before it crosses the network: the rows plus
-/// how much work the source did (for the cost ledger).
+/// Result of a component query before it crosses the network: the answer,
+/// as the columns the adapter scanned it into, plus how much work the source
+/// did (for the cost ledger).
 #[derive(Debug, Clone)]
 pub struct SourceAnswer {
-    pub batch: Batch,
+    pub batch: ColumnarBatch,
     /// Rows the source engine examined (scan effort).
     pub rows_scanned: usize,
     /// Round trips the interaction needed (web services pay one per bound
@@ -93,7 +94,7 @@ pub enum BindAccess {
 
 impl SourceAnswer {
     /// Single-round-trip answer.
-    pub fn one_shot(batch: Batch, rows_scanned: usize) -> Self {
+    pub fn one_shot(batch: ColumnarBatch, rows_scanned: usize) -> Self {
         SourceAnswer {
             batch,
             rows_scanned,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use eii_data::Batch;
+use eii_data::ColumnarBatch;
 
 /// How result rows are serialized on the wire.
 ///
@@ -25,8 +25,8 @@ pub enum WireFormat {
 }
 
 impl WireFormat {
-    /// Bytes this batch occupies on the wire in this format.
-    pub fn bytes_of(self, batch: &Batch) -> usize {
+    /// Bytes this batch's live rows occupy on the wire in this format.
+    pub fn bytes_of(self, batch: &ColumnarBatch) -> usize {
         match self {
             WireFormat::Native => batch.wire_size(),
             WireFormat::Xml => batch.xml_wire_size(),
@@ -559,7 +559,7 @@ impl Connector for FaultyConnector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eii_data::{row, DataType, Field, Schema};
+    use eii_data::{row, Batch, DataType, Field, Schema};
     use std::sync::Arc as StdArc;
 
     #[test]
@@ -578,7 +578,8 @@ mod tests {
             Field::new("id", DataType::Int),
             Field::new("name", DataType::Str),
         ]));
-        let b = Batch::new(schema, vec![row![1i64, "alice"], row![2i64, "bob"]]);
+        let rows = Batch::new(schema, vec![row![1i64, "alice"], row![2i64, "bob"]]);
+        let b = ColumnarBatch::from_batch(&rows);
         assert!(WireFormat::Xml.bytes_of(&b) > WireFormat::Native.bytes_of(&b));
     }
 

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eii_data::{Batch, EiiError, Result, SchemaRef, SimClock};
+use eii_data::{Batch, ColumnarBatch, EiiError, Result, SchemaRef, SimClock};
 use eii_obs::MetricsRegistry;
 use eii_storage::TableStats;
 use parking_lot::RwLock;
@@ -79,12 +79,15 @@ impl SourceHandle {
     /// fault/resilience wrappers while it runs (so a hung request waits only
     /// the remaining budget and a retry loop stops when cancelled), and the
     /// simulated cost is charged against the deadline afterwards.
+    ///
+    /// The answer comes back as the columns the adapter built; nothing on
+    /// this path materializes a row.
     pub fn fetch(
         &self,
         q: &SourceQuery,
         ctx: &RequestCtx,
         delivery: Delivery,
-    ) -> Result<(Batch, QueryCost)> {
+    ) -> Result<(ColumnarBatch, QueryCost)> {
         let run = || {
             let ans = self.connector.execute(q)?;
             let cost = self.account(&ans, delivery);
@@ -96,9 +99,12 @@ impl SourceHandle {
         Self::under_ctx(ctx, run)
     }
 
-    /// [`SourceHandle::fetch`] shipping to the hub under no request context.
+    /// [`SourceHandle::fetch`] shipping to the hub under no request context,
+    /// pivoted to rows: for the callers that want rows (ETL extract, search
+    /// indexing, tests), not for the statement path.
     pub fn query(&self, q: &SourceQuery) -> Result<(Batch, QueryCost)> {
-        self.fetch(q, &RequestCtx::new(), Delivery::Ship)
+        let (columns, cost) = self.fetch(q, &RequestCtx::new(), Delivery::Ship)?;
+        Ok((columns.to_batch(), cost))
     }
 
     /// Price one source answer — link latency per call, the transfer of
@@ -162,11 +168,13 @@ impl SourceHandle {
         q: &SourceQuery,
         ctx: &RequestCtx,
         delay_ms: f64,
-    ) -> Result<(Batch, QueryCost, HedgeOutcome)> {
+    ) -> Result<(ColumnarBatch, QueryCost, HedgeOutcome)> {
         let ((batch, out), cost) = Self::under_ctx(ctx, || {
-            let primary = self.query(q);
+            // Inside `under_ctx` already: each request runs as a plain fetch.
+            let plain = RequestCtx::new();
+            let primary = self.fetch(q, &plain, Delivery::Ship);
             self.ledger.record_hedge(self.connector.name());
-            let backup = self.query(q);
+            let backup = self.fetch(q, &plain, Delivery::Ship);
             let outcome = |backup_won| HedgeOutcome {
                 fired: true,
                 backup_won,
@@ -226,10 +234,10 @@ impl SourceHandle {
         }
     }
 
-    /// Charge a shipment of `batch` across this source's link (used when an
-    /// intermediate result moves to or from this site during an at-source
-    /// join). Records the traffic and returns its cost.
-    pub fn charge_shipment(&self, batch: &Batch) -> QueryCost {
+    /// Charge a shipment of `batch`'s live rows across this source's link
+    /// (used when an intermediate result moves to or from this site during
+    /// an at-source join). Records the traffic and returns its cost.
+    pub fn charge_shipment(&self, batch: &ColumnarBatch) -> QueryCost {
         let bytes = self.wire.bytes_of(batch);
         let sim_ms = self.link.transfer_ms(bytes);
         let cost = QueryCost {
@@ -663,6 +671,7 @@ mod tests {
         let (batch, cost, out) = h
             .query_hedged(&SourceQuery::full_table(&table), &ctx, 5.0)
             .unwrap();
+        let batch = batch.to_batch();
         assert_eq!(batch.rows(), sb.rows(), "hedged answer is bit-identical");
         assert!(out.fired);
         assert!(
@@ -681,7 +690,7 @@ mod tests {
         let (b2, c2, o2) = h2
             .query_hedged(&SourceQuery::full_table(&table2), &ctx, 5.0)
             .unwrap();
-        assert_eq!(b2.rows(), batch.rows());
+        assert_eq!(b2.to_batch().rows(), batch.rows());
         assert_eq!(c2, cost);
         assert_eq!(o2, out);
     }

@@ -600,7 +600,10 @@ mod tests {
             } else {
                 let schema = self.table_schema("t")?;
                 Ok(SourceAnswer::one_shot(
-                    eii_data::Batch::new(schema, vec![eii_data::row![1i64]]),
+                    eii_data::ColumnarBatch::from_batch(&eii_data::Batch::new(
+                        schema,
+                        vec![eii_data::row![1i64]],
+                    )),
                     1,
                 ))
             }
@@ -864,7 +867,10 @@ mod tests {
             }
             let schema = self.table_schema("t")?;
             Ok(SourceAnswer::one_shot(
-                eii_data::Batch::new(schema, vec![eii_data::row![1i64]]),
+                eii_data::ColumnarBatch::from_batch(&eii_data::Batch::new(
+                        schema,
+                        vec![eii_data::row![1i64]],
+                    )),
                 1,
             ))
         }

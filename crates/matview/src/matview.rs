@@ -6,7 +6,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use eii_catalog::Catalog;
-use eii_data::{Batch, EiiError, Result, SchemaRef, SimClock};
+use eii_data::{Batch, ColumnarBatch, EiiError, Result, SchemaRef, SimClock};
 use eii_exec::{Executor, SnapshotStore};
 use eii_federation::{Federation, RequestCtx};
 use eii_planner::{
@@ -305,8 +305,11 @@ impl Inner {
         let res = exec.execute(&state.plan)?;
         state.refresh_count += 1;
         state.total_refresh_ms += res.cost.sim_ms;
-        self.store
-            .put(name, res.batch.clone(), self.clock.now_ms());
+        self.store.put(
+            name,
+            ColumnarBatch::from_batch(&res.batch),
+            self.clock.now_ms(),
+        );
         Ok((res.batch, res.cost.sim_ms))
     }
 
@@ -351,7 +354,8 @@ impl Inner {
         metrics.observe("ivm.refresh_ms", sim_ms);
         state.refresh_count += 1;
         state.total_refresh_ms += sim_ms;
-        self.store.put(name, batch.clone(), now);
+        self.store
+            .put(name, ColumnarBatch::from_batch(&batch), now);
         Ok((batch, sim_ms))
     }
 

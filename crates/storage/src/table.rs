@@ -4,7 +4,9 @@
 use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
-use eii_data::{EiiError, KeyProbe, Result, Row, SchemaRef, SimClock, Value};
+use eii_data::{
+    ColumnarBatch, EiiError, KeyProbe, Result, Row, Schema, SchemaRef, SimClock, Value,
+};
 
 use crate::changelog::{ChangeLog, ChangeOp};
 use crate::index::{HashIndex, OrderedIndex};
@@ -337,24 +339,24 @@ impl Table {
         self.eq_index(col).is_some()
     }
 
-    fn rows_at<'a>(&'a self, rids: &'a [RowId]) -> impl Iterator<Item = Row> + 'a {
-        rids.iter().filter_map(|&rid| self.get(rid)).cloned()
+    fn rows_at<'a>(&'a self, rids: &'a [RowId]) -> impl Iterator<Item = &'a Row> + 'a {
+        rids.iter().filter_map(|&rid| self.get(rid))
     }
 
     /// Equality lookup, index-assisted when an index on `col` exists.
     pub fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Row> {
         match self.eq_index(col) {
-            Some(ix) => self.rows_at(ix.get(key)).collect(),
+            Some(ix) => self.rows_at(ix.get(key)).cloned().collect(),
             None => self.scan(|r| r.get(col) == key),
         }
     }
 
-    /// Multi-key equality lookup: the rows `lookup_eq` returns for each of
-    /// `keys` in turn, concatenated — binding order, table order within a
-    /// key, a duplicated key's rows duplicated. With an index on `col` that
-    /// is one probe per key; without one it is a single scan that buckets
-    /// rows by the keys they equal, not a scan per key.
-    pub fn lookup_in(&self, col: usize, keys: &[Value]) -> Vec<Row> {
+    /// Multi-key equality lookup, by reference: the rows `lookup_eq` finds
+    /// for each of `keys` in turn, concatenated — binding order, table order
+    /// within a key, a duplicated key's rows duplicated. With an index on
+    /// `col` that is one probe per key; without one it is a single scan that
+    /// buckets rows by the keys they equal, not a scan per key.
+    fn refs_in(&self, col: usize, keys: &[Value]) -> Vec<&Row> {
         if let Some(ix) = self.eq_index(col) {
             return keys.iter().flat_map(|k| self.rows_at(ix.get(k))).collect();
         }
@@ -365,7 +367,39 @@ impl Table {
                 per_key[i].push(row);
             }
         }
-        per_key.into_iter().flatten().cloned().collect()
+        per_key.into_iter().flatten().collect()
+    }
+
+    /// Multi-key equality lookup as cloned rows (the row-at-a-time form of
+    /// [`Table::lookup_in_columns`]).
+    pub fn lookup_in(&self, col: usize, keys: &[Value]) -> Vec<Row> {
+        self.refs_in(col, keys).into_iter().cloned().collect()
+    }
+
+    /// The schema of a scan that ships columns `cols`: the table's own when
+    /// that is all of them in order.
+    fn schema_of(&self, cols: &[usize]) -> SchemaRef {
+        let schema = &self.def.schema;
+        if cols.iter().copied().eq(0..schema.len()) {
+            return schema.clone();
+        }
+        Arc::new(Schema::new(
+            cols.iter().map(|&c| schema.field(c).clone()).collect(),
+        ))
+    }
+
+    /// Column scan: cells `cols` of the first `limit` live rows, in slot
+    /// order, pushed straight into column builders — rows are visited by
+    /// reference, and a cell that does not ship is never cloned.
+    pub fn scan_columns(&self, cols: &[usize], limit: usize) -> ColumnarBatch {
+        let rows = self.iter().map(|(_, r)| r).take(limit);
+        ColumnarBatch::from_rows(self.schema_of(cols), cols, rows)
+    }
+
+    /// Cells `cols` of the rows [`Table::lookup_in`] returns, in its order,
+    /// without cloning a row.
+    pub fn lookup_in_columns(&self, col: usize, keys: &[Value], cols: &[usize]) -> ColumnarBatch {
+        ColumnarBatch::from_rows(self.schema_of(cols), cols, self.refs_in(col, keys))
     }
 
     /// Range lookup on `col`, index-assisted when an ordered index exists.
