@@ -284,22 +284,38 @@ impl Column {
     }
 
     /// [`Self::gather`] with an absent-row sentinel: positions equal to
-    /// `u32::MAX` come out NULL (outer-join null extension).
+    /// `u32::MAX` come out NULL (outer-join null extension). The column keeps
+    /// its representation — a typed vector gains a bitmap, `Mixed` an inline
+    /// NULL — so kernels above an outer join stay on their typed paths.
     pub fn gather_opt(&self, sel: &[u32]) -> Column {
-        if !sel.contains(&u32::MAX) {
+        const ABSENT: u32 = u32::MAX;
+        if !sel.contains(&ABSENT) {
             return self.gather(sel);
         }
-        let values: Vec<Value> = sel
-            .iter()
-            .map(|&i| {
-                if i == u32::MAX {
-                    Value::Null
-                } else {
-                    self.value(i as usize)
-                }
-            })
-            .collect();
-        Column::new(ColumnData::Mixed(values), None)
+        macro_rules! take {
+            ($variant:ident, $v:expr, $absent:expr) => {
+                ColumnData::$variant(
+                    sel.iter()
+                        .map(|&i| if i == ABSENT { $absent } else { $v[i as usize].clone() })
+                        .collect(),
+                )
+            };
+        }
+        let data = match &self.data {
+            ColumnData::Mixed(v) => return Column::new(take!(Mixed, v, Value::Null), None),
+            ColumnData::Bool(v) => take!(Bool, v, false),
+            ColumnData::Int(v) => take!(Int, v, 0),
+            ColumnData::Float(v) => take!(Float, v, 0.0),
+            ColumnData::Str(v) => take!(Str, v, empty_str()),
+            ColumnData::Timestamp(v) => take!(Timestamp, v, 0),
+        };
+        let mut nulls = NullBitmap::new_valid(sel.len());
+        for (out, &i) in sel.iter().enumerate() {
+            if i == ABSENT || self.is_null(i as usize) {
+                nulls.set_null(out);
+            }
+        }
+        Column::new(data, Some(nulls))
     }
 }
 
@@ -351,9 +367,23 @@ impl ColumnBuilder {
         ColumnBuilder(Column { data, nulls: None })
     }
 
-    /// Continue a finished column.
-    pub fn extending(column: Column) -> Self {
-        ColumnBuilder(column)
+    /// An empty builder in `like`'s representation (`Mixed` included), with
+    /// room for `capacity` values.
+    pub fn like(like: &Column, capacity: usize) -> Self {
+        let data = match &like.data {
+            ColumnData::Bool(_) => ColumnData::Bool(Vec::with_capacity(capacity)),
+            ColumnData::Int(_) => ColumnData::Int(Vec::with_capacity(capacity)),
+            ColumnData::Float(_) => ColumnData::Float(Vec::with_capacity(capacity)),
+            ColumnData::Str(_) => ColumnData::Str(Vec::with_capacity(capacity)),
+            ColumnData::Timestamp(_) => ColumnData::Timestamp(Vec::with_capacity(capacity)),
+            ColumnData::Mixed(_) => ColumnData::Mixed(Vec::with_capacity(capacity)),
+        };
+        ColumnBuilder(Column { data, nulls: None })
+    }
+
+    /// The column built so far, by reference.
+    pub fn column(&self) -> &Column {
+        &self.0
     }
 
     /// The column built so far.
@@ -681,8 +711,14 @@ impl ColumnarBatch {
         }
     }
 
-    /// Concatenate chunks of identical schema into one compact batch.
+    /// Concatenate chunks of identical schema into one batch. A single chunk
+    /// passes through untouched, selection and all; several are copied once
+    /// into compact columns reserved at their total length, each column in
+    /// the representation of its first chunk.
     pub fn concat(schema: SchemaRef, chunks: &[ColumnarBatch]) -> Self {
+        if let [only] = chunks {
+            return only.clone().with_schema(schema);
+        }
         let live: Vec<ColumnarBatch> = chunks.iter().map(ColumnarBatch::compact).collect();
         let total: usize = live.iter().map(ColumnarBatch::num_rows).sum();
         if live.is_empty() || schema.is_empty() {
@@ -692,11 +728,9 @@ impl ColumnarBatch {
         }
         let columns = (0..schema.len())
             .map(|c| {
-                let mut chunks = live.iter().map(|b| b.columns[c].as_ref());
-                let first = chunks.next().expect("non-empty");
-                let mut acc = ColumnBuilder::extending(first.clone());
-                for col in chunks {
-                    acc.append(col);
+                let mut acc = ColumnBuilder::like(&live[0].columns[c], total);
+                for chunk in &live {
+                    acc.append(&chunk.columns[c]);
                 }
                 Arc::new(acc.finish())
             })
@@ -787,6 +821,34 @@ mod tests {
         assert_eq!(merged.num_rows(), 4);
         assert!(merged.column(1).is_null(3));
         assert_eq!(merged.value_at(3, 0), Value::Int(2));
+        // Copied once, into vectors reserved at the total.
+        assert_eq!(merged.column(0).as_ints().map(<[i64]>::len), Some(4));
+        // A single chunk is not copied at all: same columns, same selection.
+        let b = ColumnarBatch::from_batch(&sample()).select(vec![2, 1]);
+        let same = ColumnarBatch::concat(schema(), std::slice::from_ref(&b));
+        assert!(Arc::ptr_eq(same.column(0), b.column(0)));
+        assert_eq!(same.selection(), b.selection());
+    }
+
+    #[test]
+    fn gather_opt_null_extends_in_the_columns_own_representation() {
+        let cb = ColumnarBatch::from_batch(&sample());
+        let absent = u32::MAX;
+        let ids = cb.column(0).gather_opt(&[2, absent, 0]);
+        assert_eq!(ids.as_ints().map(<[i64]>::len), Some(3));
+        let names = cb.column(1).gather_opt(&[absent, 1, 0]);
+        assert!(names.as_strs().is_some());
+        let got: Vec<Value> = (0..3).map(|i| names.value(i)).collect();
+        assert_eq!(got, vec![Value::Null, Value::Null, Value::str("a")]);
+        assert_eq!(
+            (0..3).map(|i| ids.value(i)).collect::<Vec<_>>(),
+            vec![Value::Int(3), Value::Null, Value::Int(1)]
+        );
+        // Mixed stays Mixed, its NULLs inline.
+        let mixed = Column::from_values(&[Value::Int(1), Value::str("x")], DataType::Int);
+        let out = mixed.gather_opt(&[1, absent]);
+        assert!(matches!(out.data(), ColumnData::Mixed(_)) && out.nulls().is_none());
+        assert_eq!(out.value(1), Value::Null);
     }
 
     #[test]
@@ -923,7 +985,9 @@ mod tests {
                 prop_assert_eq!(&built, &reference_from_values(&values, f.data_type));
                 // Appending chunk to chunk is pushing value by value.
                 let (head, tail) = values.split_at(split.min(values.len()));
-                let mut b = ColumnBuilder::extending(Column::from_values(head, f.data_type));
+                let head = Column::from_values(head, f.data_type);
+                let mut b = ColumnBuilder::like(&head, values.len());
+                b.append(&head);
                 b.append(&Column::from_values(tail, f.data_type));
                 let appended = b.finish();
                 prop_assert_eq!(appended.len(), values.len());

@@ -7,18 +7,23 @@
 //! literal rows of a `VALUES` list. Shipments of an at-source join are priced
 //! over the columns they are.
 //!
+//! Between plan nodes the columns travel as [`Chunks`], the list of chunks the
+//! node below emitted, handed on as it is (a union appends lists, a rename
+//! re-tags, a limit truncates); a sort, a join's build side, a shipment and a
+//! view scan's column pick ask for their whole input with `into_one`.
+//!
 //! One function talks to sources: [`Executor::fetch`]. Every operator that
 //! needs a component query answered — a scan, a bind join, an adaptive
 //! re-plan, the at-site child of an assembly-site join — goes through it, so
 //! hedging, abort-vs-degrade and the fallback snapshot are decided in one
 //! place.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use eii_data::{
-    Batch, CancelToken, Column, ColumnData, ColumnarBatch, EiiError, Result, SchemaRef, Value,
+    Batch, CancelToken, Column, ColumnBuilder, ColumnarBatch, EiiError, Result, SchemaRef, Value,
 };
 use eii_expr::{bind, eval_column, BoundExpr, Expr};
 use eii_federation::{
@@ -31,9 +36,9 @@ use eii_sql::JoinKind;
 use crate::cache::{adapt_batch, SnapshotStore};
 use crate::degrade::{degrade, DegradationPolicy, SourceReport};
 use crate::profile::OperatorProfile;
+use crate::keys::KeyTable;
 use crate::vector::{
-    drive, sort_batch, BatchOperator, FxBuildHasher, VecAggregate, VecFilter, VecHashJoin,
-    VecProject,
+    drive, sort_batch, BatchOperator, Chunks, VecAggregate, VecFilter, VecHashJoin, VecProject,
 };
 
 /// Simulated ms to open a local materialization (mirrors the planner's
@@ -146,9 +151,9 @@ impl QueryResult {
     }
 }
 
-/// What one operator hands the next: its output and the simulated cost of
-/// producing it (its whole subtree).
-type Output = (ColumnarBatch, QueryCost);
+/// What one operator hands the next: the chunks it emitted and the simulated
+/// cost of producing them (its whole subtree).
+type Output = (Chunks, QueryCost);
 
 /// What one finished operator measured; keyed by its path from the plan
 /// root (child indexes), from which the profile tree is reassembled.
@@ -457,8 +462,12 @@ impl<'a> Executor<'a> {
 
     fn run(&self, plan: &PhysicalPlan) -> Result<(Batch, QueryCost)> {
         let (cols, cost) = self.run_node(plan, Vec::new())?;
-        // The one pivot back to rows: the result edge.
-        Ok((cols.to_batch(), cost))
+        // The one pivot back to rows: the result edge, chunk by chunk.
+        let mut rows = Vec::with_capacity(cols.num_rows());
+        for chunk in cols.iter() {
+            rows.extend(chunk.to_batch().into_rows());
+        }
+        Ok((Batch::new(cols.schema().clone(), rows), cost))
     }
 
     /// Run one operator, recording its measurements under its path from the
@@ -500,10 +509,10 @@ impl<'a> Executor<'a> {
                     path,
                     false,
                 )?;
-                Ok((cols, cost))
+                Ok((cols.into(), cost))
             }
             PhysicalPlan::Values { schema, rows } => Ok((
-                ColumnarBatch::from_batch(&Batch::new(schema.clone(), rows.clone())),
+                ColumnarBatch::from_batch(&Batch::new(schema.clone(), rows.clone())).into(),
                 QueryCost::default(),
             )),
             PhysicalPlan::MatViewScan {
@@ -513,13 +522,14 @@ impl<'a> Executor<'a> {
                 limit,
                 ..
             } => {
-                let Some((mut cols, _)) = self.matviews.get(name) else {
+                let Some((stored, _)) = self.matviews.get(name) else {
                     return Err(EiiError::Execution(format!(
                         "plan scans materialized view '{name}' but the \
                          executor's store has no materialization for it"
                     )));
                 };
-                let scanned = cols.num_rows();
+                let scanned = stored.num_rows();
+                let mut cols = Chunks::from(stored);
                 // Compensating filters run over the full materialization
                 // (it may hold columns the output projects away), each over
                 // the survivors of the one before — a Filter over their
@@ -529,7 +539,7 @@ impl<'a> Executor<'a> {
                     let pred = bind(filter, cols.schema())?;
                     cols = self.drive_op(&mut VecFilter::new(pred), &cols, cols.schema().clone())?;
                 }
-                let mut out = adapt_batch(&cols, schema)?;
+                let mut out = Chunks::from(adapt_batch(&cols.into_one(), schema)?);
                 if let Some(n) = limit {
                     out = out.head(*n);
                 }
@@ -592,6 +602,7 @@ impl<'a> Executor<'a> {
                 let ((lcols, lc), (rcols, rc)) = self.run_pair(left, right, *parallel, path)?;
                 let children_cost = if *parallel { lc.alongside(rc) } else { lc.then(rc) };
                 // No keys: every right row is a candidate for every left row.
+                let rcols = rcols.into_one();
                 let out = self.join(&lcols, &rcols, Vec::new(), &[], *kind, on, schema)?;
                 let work = lcols.num_rows() * rcols.num_rows().max(1);
                 Ok((out, children_cost.then(self.cpu(work))))
@@ -691,7 +702,8 @@ impl<'a> Executor<'a> {
                     .iter()
                     .map(|(e, asc)| Ok((bind(e, cols.schema())?, *asc)))
                     .collect::<Result<_>>()?;
-                Ok((sort_batch(&cols, &keys)?, cost.then(self.cpu(n))))
+                let sorted = sort_batch(&cols.into_one(), &keys)?;
+                Ok((sorted.into(), cost.then(self.cpu(n))))
             }
             PhysicalPlan::Limit { input, n } => {
                 let (cols, cost) = self.run_node(input, child_path(path, 0))?;
@@ -748,21 +760,23 @@ impl<'a> Executor<'a> {
                         .map(|(i, p)| self.run_node(p, child_path(path, i)))
                         .collect::<Result<Vec<_>>>()?
                 };
-                let mut chunks = Vec::with_capacity(results.len());
+                let mut out = Chunks::new(schema.clone());
                 let mut cost = QueryCost::default();
                 for (cols, c) in results {
-                    chunks.push(cols);
+                    out.append(cols);
                     cost = if *parallel {
                         cost.alongside(c)
                     } else {
                         cost.then(c)
                     };
                 }
-                Ok((ColumnarBatch::concat(schema.clone(), &chunks), cost))
+                Ok((out, cost))
             }
             PhysicalPlan::Rename { input, schema } => {
                 let (cols, cost) = self.run_node(input, child_path(path, 0))?;
-                Ok((cols.with_schema(schema.clone()), cost))
+                let mut out = Chunks::new(schema.clone());
+                out.append(cols);
+                Ok((out, cost))
             }
         }
     }
@@ -772,9 +786,9 @@ impl<'a> Executor<'a> {
     fn drive_op(
         &self,
         op: &mut dyn BatchOperator,
-        input: &ColumnarBatch,
+        input: &Chunks,
         out_schema: SchemaRef,
-    ) -> Result<ColumnarBatch> {
+    ) -> Result<Chunks> {
         drive(op, input, out_schema, self.batch_size, || self.ctx().check())
     }
 
@@ -784,14 +798,14 @@ impl<'a> Executor<'a> {
     #[allow(clippy::too_many_arguments)]
     fn join(
         &self,
-        probe: &ColumnarBatch,
+        probe: &Chunks,
         build: &ColumnarBatch,
         probe_keys: Vec<BoundExpr>,
         build_keys: &[Arc<Column>],
         kind: JoinKind,
         residual: &Option<Expr>,
         schema: &SchemaRef,
-    ) -> Result<ColumnarBatch> {
+    ) -> Result<Chunks> {
         // Semi/anti conditions see both sides even though only left columns
         // flow out.
         let pred_schema: SchemaRef = if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
@@ -811,8 +825,8 @@ impl<'a> Executor<'a> {
             residual,
             pred_schema,
             schema.clone(),
-        )
-        .with_pair_cap(self.batch_size);
+            self.batch_size,
+        );
         self.drive_op(&mut op, probe, schema.clone())
     }
 
@@ -946,7 +960,7 @@ impl<'a> Executor<'a> {
         if let Some(m) = &self.metrics {
             m.inc("advisor.replans");
         }
-        Ok(Some(((lcols, lc), (rcols, rc))))
+        Ok(Some(((lcols, lc), (rcols.into(), rc))))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1019,6 +1033,8 @@ impl<'a> Executor<'a> {
                 // Forwarding to the site ships the live rows. A dead site
                 // degrades to a hub join: nothing is forwarded to the site
                 // and the result needs no return shipment.
+                // A shipment is priced as the one batch it is.
+                let other_cols = other_cols.into_one();
                 let (cost, result_site) = if site_live {
                     (
                         fetch.then(handle.charge_shipment(&other_cols)),
@@ -1028,13 +1044,14 @@ impl<'a> Executor<'a> {
                     (fetch, None)
                 };
                 if site_is_left {
-                    (site_cols, other_cols, cost, result_site)
+                    (site_cols.into(), other_cols.into(), cost, result_site)
                 } else {
-                    (other_cols, site_cols, cost, result_site)
+                    (other_cols.into(), site_cols.into(), cost, result_site)
                 }
             }
         };
 
+        let rcols = rcols.into_one();
         let build_keys = right_keys
             .iter()
             .map(|e| eval_column(&bind(e, rcols.schema())?, &rcols))
@@ -1043,38 +1060,36 @@ impl<'a> Executor<'a> {
             .iter()
             .map(|e| bind(e, lcols.schema()))
             .collect::<Result<_>>()?;
-        let out = self.join(&lcols, &rcols, probe_keys, &build_keys, kind, residual, schema)?;
+        let mut out = self.join(&lcols, &rcols, probe_keys, &build_keys, kind, residual, schema)?;
         // Both inputs plus the emitted rows.
         let work = lcols.num_rows() + rcols.num_rows() + out.num_rows();
         cost = cost.then(self.cpu(work));
         // At a source site, the joined result still has to reach the hub.
         if let Some(site_name) = result_site {
             let handle = self.federation.source(&site_name)?;
-            cost = cost.then(handle.charge_shipment(&out));
+            let shipped = out.into_one();
+            cost = cost.then(handle.charge_shipment(&shipped));
+            out = shipped.into();
         }
         Ok((out, cost))
     }
 }
 
 /// The distinct non-NULL values of `key` over `cols`, in first-seen order:
-/// the bindings a bind join or an adaptive re-plan ships to the source. A
-/// typed integer key column is deduplicated on its raw `i64`s; anything else
-/// under [`Value`]'s equality (`Int(2)` is `Float(2.0)`).
-fn distinct_keys(key: &BoundExpr, cols: &ColumnarBatch) -> Result<Vec<Value>> {
-    let keys = eval_column(key, cols)?;
-    let live = (0..keys.len()).filter(|&i| !keys.is_null(i));
-    if let ColumnData::Int(ints) = keys.data() {
-        let mut seen = HashSet::with_capacity_and_hasher(ints.len(), FxBuildHasher);
-        return Ok(live
-            .filter(|&i| seen.insert(ints[i]))
-            .map(|i| Value::Int(ints[i]))
-            .collect());
+/// the bindings a bind join or an adaptive re-plan ships to the source,
+/// deduplicated under [`Value`]'s equality (`Int(2)` is `Float(2.0)`) by the
+/// key table joins and aggregates share — chunk by chunk, nothing gathered.
+fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Vec<Value>> {
+    let mut table: Option<KeyTable> = None;
+    for chunk in cols.iter() {
+        let keys = [eval_column(key, chunk)?];
+        let n = keys[0].len();
+        table
+            .get_or_insert_with(|| KeyTable::new(vec![ColumnBuilder::like(&keys[0], 0)], n))
+            .intern_rows(&keys, n, true);
     }
-    let mut seen = HashSet::with_hasher(FxBuildHasher);
-    Ok(live
-        .map(|i| keys.value(i))
-        .filter(|v| seen.insert(v.clone()))
-        .collect())
+    let distinct = table.and_then(|t| t.into_columns().pop());
+    Ok(distinct.map_or_else(Vec::new, |col| (0..col.len()).map(|i| col.value(i)).collect()))
 }
 
 /// Turn a worker thread's panic payload into a real error instead of
@@ -1160,7 +1175,15 @@ mod tests {
         let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Int)]));
         let col = Arc::new(Column::from_values(values, DataType::Int));
         let batch = ColumnarBatch::new(schema, vec![col], values.len());
-        distinct_keys(&BoundExpr::Column(0), &batch).unwrap()
+        // Cut anywhere, the list answers as the whole does.
+        let whole = distinct_keys(&BoundExpr::Column(0), &batch.clone().into()).unwrap();
+        for cut in 0..=values.len() as u32 {
+            let mut list = Chunks::new(batch.schema().clone());
+            list.push(batch.select((0..cut).collect()));
+            list.push(batch.select((cut..values.len() as u32).collect()));
+            assert_eq!(distinct_keys(&BoundExpr::Column(0), &list).unwrap(), whole);
+        }
+        whole
     }
 
     #[test]

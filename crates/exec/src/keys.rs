@@ -1,0 +1,259 @@
+//! Join, group and binding keys, hashed and compared in place.
+//!
+//! A key — one row of a few key columns — is never assembled: [`hash_keys`]
+//! hashes the columns' typed vectors column by column, [`cells_cmp`] compares
+//! two cells where they lie, and a [`KeyTable`] interns keys into dense ids in
+//! first-seen order, keeping one copy of each in column builders. The join's
+//! build and probe, the group map, DISTINCT and a bind join's binding list all
+//! use this one table, so they agree on what a key is: cells are one key
+//! exactly when [`Value`]'s `Eq` says so (`Int(2)` is `Float(2.0)`,
+//! `Int(2^53 + 1)` is not `Float(2^53)`, `-0.0` is not `0`, a NaN is itself),
+//! and NULL is a key like any other — callers that must not match it skip it.
+
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+use eii_data::value::{cmp_int_float, float_as_int};
+use eii_data::{Column, ColumnBuilder, ColumnData, NullBitmap, Value};
+
+/// One step of the multiply-rotate hash (the rustc-hash construction): no
+/// per-key setup, which is what small keys need. Not DoS-resistant — the
+/// tables it feeds live for one operator of one query.
+#[inline]
+fn mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+}
+
+/// What a NULL cell folds into a key's hash.
+const NULL_WORD: u64 = 0x9e_37_79_b9_7f_4a_7c_15;
+
+/// A float hashes as the integer it equals, when it equals one: the only
+/// cross-type pair of cells that is one key.
+#[inline]
+fn float_word(f: f64) -> u64 {
+    float_as_int(f).map_or(f.to_bits(), |i| i as u64)
+}
+
+fn str_word(s: &str) -> u64 {
+    s.as_bytes().chunks(8).fold(s.len() as u64, |hash, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        mix(hash, u64::from_le_bytes(word))
+    })
+}
+
+fn value_word(v: &Value) -> u64 {
+    match v {
+        Value::Null => NULL_WORD,
+        Value::Bool(b) => *b as u64,
+        Value::Int(i) | Value::Timestamp(i) => *i as u64,
+        Value::Float(f) => float_word(*f),
+        Value::Str(s) => str_word(s),
+    }
+}
+
+/// Fold one word per cell of `cells` into the running hashes.
+fn fold_words<T>(
+    hashes: &mut [u64],
+    cells: &[T],
+    nulls: Option<&NullBitmap>,
+    word: impl Fn(&T) -> u64,
+) {
+    let rows = hashes.iter_mut().zip(cells);
+    match nulls {
+        None => rows.for_each(|(h, x)| *h = mix(*h, word(x))),
+        Some(nulls) => rows.enumerate().for_each(|(i, (h, x))| {
+            *h = mix(*h, if nulls.is_null(i) { NULL_WORD } else { word(x) })
+        }),
+    }
+}
+
+/// One hash per row of the compact key columns `cols` (`n` rows each),
+/// computed column by column from the typed vectors. Cells that are equal
+/// under [`cells_cmp`] hash alike; with no key columns every row hashes alike.
+pub(crate) fn hash_keys(cols: &[Arc<Column>], n: usize) -> Vec<u64> {
+    let mut hashes = vec![0u64; n];
+    for col in cols {
+        let nulls = col.nulls().filter(|nulls| !nulls.all_valid());
+        match col.data() {
+            ColumnData::Bool(v) => fold_words(&mut hashes, v, nulls, |&b| b as u64),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => {
+                fold_words(&mut hashes, v, nulls, |&i| i as u64)
+            }
+            ColumnData::Float(v) => fold_words(&mut hashes, v, nulls, |&f| float_word(f)),
+            ColumnData::Str(v) => fold_words(&mut hashes, v, nulls, |s| str_word(s)),
+            ColumnData::Mixed(v) => fold_words(&mut hashes, v, None, value_word),
+        }
+    }
+    hashes
+}
+
+/// Cell `i` of `a` against cell `j` of `b` as [`Value`]'s total order orders
+/// their values (NULL lowest, Int × Float exact), reading the typed vectors
+/// in place: a sort's comparator, and — as `is_eq` — the one key equality.
+pub(crate) fn cells_cmp(a: &Column, i: usize, b: &Column, j: usize) -> Ordering {
+    use ColumnData::*;
+    match (a.is_null(i), b.is_null(j)) {
+        (true, true) => return Ordering::Equal,
+        (true, false) => return Ordering::Less,
+        (false, true) => return Ordering::Greater,
+        (false, false) => {}
+    }
+    match (a.data(), b.data()) {
+        (Bool(x), Bool(y)) => x[i].cmp(&y[j]),
+        (Int(x), Int(y)) | (Timestamp(x), Timestamp(y)) => x[i].cmp(&y[j]),
+        (Float(x), Float(y)) => x[i].total_cmp(&y[j]),
+        (Int(x), Float(y)) => cmp_int_float(x[i], y[j]),
+        (Float(x), Int(y)) => cmp_int_float(y[j], x[i]).reverse(),
+        (Str(x), Str(y)) => x[i].cmp(&y[j]),
+        (Mixed(x), Mixed(y)) => x[i].cmp(&y[j]),
+        // A Mixed column against a typed one, or typed columns of two types.
+        _ => a.value(i).cmp(&b.value(j)),
+    }
+}
+
+/// No key: a vacant slot of the table, or a row whose key was skipped.
+pub(crate) const NO_KEY: u32 = u32::MAX;
+
+/// Interns keys into dense ids `0, 1, 2, …` in first-seen order. Each
+/// distinct key is stored once, as row `id` of the table's key columns.
+pub(crate) struct KeyTable {
+    keys: Vec<ColumnBuilder>,
+    /// Hash of each stored key.
+    hashes: Vec<u64>,
+    /// Open addressing with linear probing: a key id or [`NO_KEY`] per slot.
+    /// A power of two, never more than half full, indexed by the hash's high
+    /// bits (where a multiplicative hash keeps its entropy).
+    slots: Vec<u32>,
+}
+
+impl KeyTable {
+    /// An empty table storing its keys in `keys` (one builder per key
+    /// column), with room for `capacity` distinct keys before it regrows.
+    pub(crate) fn new(keys: Vec<ColumnBuilder>, capacity: usize) -> Self {
+        let slots = (capacity * 2).next_power_of_two().max(16);
+        KeyTable {
+            keys,
+            hashes: Vec::with_capacity(capacity),
+            slots: vec![NO_KEY; slots],
+        }
+    }
+
+    /// Number of distinct keys interned.
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn home_slot(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The id of the key at row `row` of `cols` (whose hash is `hash`), or
+    /// the vacant slot where its probe sequence ended.
+    pub(crate) fn probe(&self, cols: &[Arc<Column>], row: usize, hash: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home_slot(hash);
+        loop {
+            let id = self.slots[slot];
+            if id == NO_KEY {
+                return Err(slot);
+            }
+            let stored = id as usize;
+            if self.hashes[stored] == hash
+                && (self.keys.iter().zip(cols))
+                    .all(|(key, col)| cells_cmp(key.column(), stored, col, row).is_eq())
+            {
+                return Ok(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The id of every row's key, in row order, interning keys on first
+    /// sight. With `skip_nulls` a row with a NULL in any key column is not
+    /// interned and answers [`NO_KEY`]; without, NULL is a key cell like any
+    /// other.
+    pub(crate) fn intern_rows(
+        &mut self,
+        cols: &[Arc<Column>],
+        n: usize,
+        skip_nulls: bool,
+    ) -> Vec<u32> {
+        let hashes = hash_keys(cols, n);
+        let skip_nulls = skip_nulls && cols.iter().any(|c| !c.no_nulls());
+        (0..n)
+            .map(|row| {
+                if skip_nulls && cols.iter().any(|c| c.is_null(row)) {
+                    return NO_KEY;
+                }
+                match self.probe(cols, row, hashes[row]) {
+                    Ok(id) => id,
+                    Err(slot) => self.insert(slot, cols, row, hashes[row]),
+                }
+            })
+            .collect()
+    }
+
+    fn insert(&mut self, slot: usize, cols: &[Arc<Column>], row: usize, hash: u64) -> u32 {
+        let id = self.hashes.len() as u32;
+        self.slots[slot] = id;
+        self.hashes.push(hash);
+        for (key, col) in self.keys.iter_mut().zip(cols) {
+            key.push(&col.value(row));
+        }
+        if self.hashes.len() * 2 > self.slots.len() {
+            self.slots = vec![NO_KEY; self.slots.len() * 2];
+            let mask = self.slots.len() - 1;
+            for (id, &hash) in self.hashes.iter().enumerate() {
+                let mut slot = self.home_slot(hash);
+                while self.slots[slot] != NO_KEY {
+                    slot = (slot + 1) & mask;
+                }
+                self.slots[slot] = id as u32;
+            }
+        }
+        id
+    }
+
+    /// The distinct keys as columns, key `id` at row `id`.
+    pub(crate) fn into_columns(self) -> Vec<Column> {
+        self.keys.into_iter().map(ColumnBuilder::finish).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eii_data::DataType;
+
+    #[test]
+    fn equal_cells_hash_alike_whatever_their_columns_type() {
+        let p53 = 1i64 << 53;
+        let cells = [
+            Value::Null, Value::Int(2), Value::Float(2.0), Value::Float(2.5), Value::Int(0),
+            Value::Float(-0.0), Value::Float(0.0), Value::Float(f64::NAN), Value::Int(p53 + 1),
+            Value::Float(p53 as f64), Value::Int(p53), Value::str("2"), Value::str(""),
+            Value::Bool(true), Value::Timestamp(2),
+        ];
+        // Each cell alone in a column of its own type, and all of them in one
+        // Mixed column: same words, and `cells_cmp` is `Value`'s `cmp`.
+        let mixed = Arc::new(Column::from_values(&cells, DataType::Int));
+        let mixed_hashes = hash_keys(std::slice::from_ref(&mixed), cells.len());
+        let typed: Vec<Arc<Column>> = (cells.iter())
+            .map(|v| {
+                let ty = v.data_type().unwrap_or(DataType::Str);
+                Arc::new(Column::from_values(std::slice::from_ref(v), ty))
+            })
+            .collect();
+        for (i, a) in cells.iter().enumerate() {
+            assert_eq!(hash_keys(&typed[i..=i], 1)[0], mixed_hashes[i], "{a}");
+            for (j, b) in cells.iter().enumerate() {
+                assert_eq!(cells_cmp(&typed[i], 0, &typed[j], 0), a.cmp(b), "{a} vs {b}");
+                assert_eq!(cells_cmp(&typed[i], 0, &mixed, j), a.cmp(b), "{a} vs mixed {b}");
+                if a == b {
+                    assert_eq!(mixed_hashes[i], mixed_hashes[j], "{a} == {b}");
+                }
+            }
+        }
+    }
+}

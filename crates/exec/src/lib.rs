@@ -8,10 +8,11 @@
 //! and intra query processing; (b) minimize the amount of data shipped for
 //! assembly" (Bitton §3).
 //!
-//! There is one data path: every hub operator consumes and produces
-//! [`ColumnarBatch`]es through the operators in [`vector`]. Rows are pivoted
-//! to columns once where they enter the hub and back once at the result
-//! edge (see [`executor`] and `docs/vectorized.md`).
+//! There is one data path: columns arrive from the source edge, every hub
+//! operator in [`vector`] consumes and emits [`ColumnarBatch`] chunks, plan
+//! nodes hand each other chunk lists ([`Chunks`]) without copying them, and
+//! rows are built once, at the result edge (see [`executor`] and
+//! `docs/vectorized.md`).
 //!
 //! The re-export list below is the crate's deliberate public surface — new
 //! modules add their types here explicitly rather than via globs.
@@ -20,6 +21,7 @@ pub mod agg;
 pub mod cache;
 pub mod degrade;
 pub mod executor;
+pub mod keys;
 pub mod profile;
 pub mod scheduler;
 pub mod vector;
@@ -39,6 +41,6 @@ pub use scheduler::{
     ShedDecision,
 };
 pub use vector::{
-    drive, sort_batch, BatchOperator, FxBuildHasher, FxHasher, VecAggregate, VecFilter,
-    VecHashJoin, VecProject, DEFAULT_BATCH_SIZE,
+    drive, sort_batch, BatchOperator, Chunks, VecAggregate, VecFilter, VecHashJoin, VecProject,
+    DEFAULT_BATCH_SIZE,
 };

@@ -1,97 +1,167 @@
-//! The hub's operators: every one consumes and produces [`ColumnarBatch`]es,
-//! the only thing that flows between plan nodes in the executor.
+//! The hub's operators and what flows between them.
 //!
-//! Filter, project, hash join and aggregate implement [`BatchOperator`]: the
-//! executor pushes columnar chunks through `push` and collects emitted
-//! chunks, then calls `finish` for whatever the operator buffered
-//! (aggregates emit everything there). Chunk boundaries are the executor's
-//! cancellation/deadline checkpoints — see [`drive`]. The executor's other
-//! operators are built from the same four: a nested-loop join is the keyless
-//! [`VecHashJoin`], a bind join's hub half an inner [`VecHashJoin`] over the
-//! fetched batch, DISTINCT a [`VecAggregate`] over every column with no
-//! aggregates. [`sort_batch`] is the one operator that needs its whole input
-//! at once.
+//! A plan node hands the next one [`Chunks`], an ordered list of
+//! [`ColumnarBatch`]es of one schema, and nothing in between copies it: an
+//! operator is pushed each incoming chunk as it is and emits chunks of its own
+//! into a sink. Filter, project, hash join and aggregate implement
+//! [`BatchOperator`]; [`drive`] pushes the chunks through `push`, then calls
+//! `finish` for whatever the operator buffered (aggregates emit everything
+//! there). Chunk boundaries are the executor's cancellation/deadline
+//! checkpoints. The executor's other operators are built from the same four: a
+//! nested-loop join is the keyless [`VecHashJoin`], a bind join's hub half an
+//! inner [`VecHashJoin`] over the fetched batch, DISTINCT a [`VecAggregate`]
+//! over every column with no aggregates. [`sort_batch`] is the one operator
+//! that needs its whole input at once ([`Chunks::into_one`]).
 //!
 //! The contract with the scalar evaluator ([`eii_expr::BoundExpr::eval`]) is
-//! *exact semantic equivalence*: the values a row-at-a-time interpreter
-//! would produce, in a fixed order that does not depend on the chunk size,
-//! and for each expression the scalar evaluator's first failing row. The
-//! places where that contract bites are spelled out inline: NULL join keys,
-//! Semi/Anti residual short-circuiting, first-seen group order, and the
-//! integral-until-float SUM ladder ([`crate::agg::Accumulator`]).
+//! *exact semantic equivalence*: the values a row-at-a-time interpreter would
+//! produce, in a fixed order that depends neither on the chunk size nor on
+//! where the incoming list is cut, and for each expression the scalar
+//! evaluator's first failing row. The places where that contract bites are
+//! spelled out inline: NULL join keys, Semi/Anti residual short-circuiting,
+//! first-seen group order, the aggregate's error order, and the
+//! integral-until-float SUM ladder ([`crate::agg`]). Keys are hashed and
+//! compared in place ([`crate::keys`]).
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
-use eii_data::value::float_as_int;
-use eii_data::{Column, ColumnData, ColumnarBatch, Result, SchemaRef, Value};
+use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, SchemaRef};
 use eii_expr::{eval_column, eval_filter, AggFunc, BoundExpr};
 use eii_sql::JoinKind;
 
-use crate::agg::Accumulator;
+use crate::agg::GroupedAgg;
+use crate::keys::{cells_cmp, hash_keys, KeyTable, NO_KEY};
 
 /// Default rows per chunk when the plan does not specify one.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
-/// A chunk-at-a-time operator: consumes columnar chunks, produces columnar
-/// chunks.
-///
-/// Streaming operators (filter, project, join probe) answer from `push`;
-/// blocking operators (aggregate) buffer and answer from `finish`.
-pub trait BatchOperator {
-    /// Feed one input chunk; `Ok(None)` means nothing to emit yet.
-    fn push(&mut self, chunk: &ColumnarBatch) -> Result<Option<ColumnarBatch>>;
-
-    /// Input exhausted; emit anything buffered.
-    fn finish(&mut self) -> Result<Option<ColumnarBatch>>;
+/// The one size of the data path — rows per pushed chunk, candidate pairs per
+/// residual evaluation, rows per chunk a join emits — from the executor's
+/// `batch_size`, where 0 means [`DEFAULT_BATCH_SIZE`].
+fn chunk_rows(batch_size: usize) -> usize {
+    match batch_size {
+        0 => DEFAULT_BATCH_SIZE,
+        n => n,
+    }
 }
 
-/// Feed `input` through `op` in `batch_size` chunks, calling `check` before
-/// each chunk (the cancellation/deadline boundary), and concatenate the
-/// emitted chunks into one compact batch of `out_schema`.
+/// What one plan node hands the next: chunks of one schema, in row order. The
+/// list knows its schema even when it is empty, and holds no empty chunk.
+#[derive(Debug, Clone)]
+pub struct Chunks {
+    schema: SchemaRef,
+    chunks: Vec<ColumnarBatch>,
+}
+
+impl From<ColumnarBatch> for Chunks {
+    fn from(batch: ColumnarBatch) -> Self {
+        let mut list = Chunks::new(batch.schema().clone());
+        list.push(batch);
+        list
+    }
+}
+
+impl Chunks {
+    /// An empty list of the given schema.
+    pub fn new(schema: SchemaRef) -> Self {
+        let chunks = Vec::new();
+        Chunks { schema, chunks }
+    }
+
+    /// The schema every chunk has.
+    pub fn schema(&self) -> &SchemaRef {
+        &self.schema
+    }
+
+    /// Live rows over all chunks.
+    pub fn num_rows(&self) -> usize {
+        self.chunks.iter().map(ColumnarBatch::num_rows).sum()
+    }
+
+    /// The chunks, in order.
+    pub fn iter(&self) -> std::slice::Iter<'_, ColumnarBatch> {
+        self.chunks.iter()
+    }
+
+    /// Append one chunk — the sink operators emit into. A chunk with no live
+    /// row adds nothing.
+    pub fn push(&mut self, chunk: ColumnarBatch) {
+        if !chunk.is_empty() {
+            self.chunks.push(chunk);
+        }
+    }
+
+    /// Append another list's chunks under this list's schema (UNION ALL; a
+    /// Rename is an append to an empty list).
+    pub fn append(&mut self, other: Chunks) {
+        let retagged = other.chunks.into_iter().map(|c| c.with_schema(self.schema.clone()));
+        self.chunks.extend(retagged);
+    }
+
+    /// The first `n` rows: whole chunks, then a selection of the last (LIMIT).
+    pub fn head(mut self, n: usize) -> Self {
+        let mut left = n;
+        self.chunks = (self.chunks.into_iter())
+            .map_while(|chunk| {
+                let kept = (left > 0).then(|| chunk.head(left))?;
+                left -= kept.num_rows();
+                Some(kept)
+            })
+            .collect();
+        self
+    }
+
+    /// The whole list as one batch, for the consumers that need one: free for
+    /// a single chunk, one reserved copy for several. The only concatenation
+    /// in the executor.
+    pub fn into_one(self) -> ColumnarBatch {
+        ColumnarBatch::concat(self.schema, &self.chunks)
+    }
+}
+
+/// A chunk-at-a-time operator: consumes columnar chunks, emits columnar
+/// chunks into `out`.
+///
+/// Streaming operators (filter, project, join probe) emit from `push`;
+/// blocking operators (aggregate) buffer and emit from `finish`.
+pub trait BatchOperator {
+    /// Feed one input chunk.
+    fn push(&mut self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()>;
+
+    /// Input exhausted; emit anything buffered.
+    fn finish(&mut self, _out: &mut Chunks) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// Feed `input` through `op` and return what it emits, as emitted. A chunk of
+/// at most `batch_size` rows is pushed as it is; a larger one (a source's
+/// whole answer) is cut by selection. `check` — the cancellation/deadline
+/// boundary — runs before every push.
 pub fn drive(
     op: &mut dyn BatchOperator,
-    input: &ColumnarBatch,
+    input: &Chunks,
     out_schema: SchemaRef,
     batch_size: usize,
     mut check: impl FnMut() -> Result<()>,
-) -> Result<ColumnarBatch> {
-    let size = if batch_size == 0 {
-        DEFAULT_BATCH_SIZE
-    } else {
-        batch_size
-    };
-    let n = input.num_rows();
-    let mut out = Vec::new();
-    if n <= size {
-        // Single chunk: skip the selection detour.
-        check()?;
-        if let Some(b) = op.push(input)? {
-            out.push(b);
-        }
-    } else {
-        let mut start = 0usize;
-        while start < n {
+) -> Result<Chunks> {
+    let size = chunk_rows(batch_size);
+    let mut out = Chunks::new(out_schema);
+    for chunk in input.iter() {
+        let n = chunk.num_rows();
+        for start in (0..n).step_by(size) {
             check()?;
             let end = (start + size).min(n);
-            let chunk = input.select((start as u32..end as u32).collect());
-            if let Some(b) = op.push(&chunk)? {
-                out.push(b);
+            if end - start == n {
+                op.push(chunk, &mut out)?;
+            } else {
+                op.push(&chunk.select((start as u32..end as u32).collect()), &mut out)?;
             }
-            start = end;
         }
     }
-    if let Some(b) = op.finish()? {
-        out.push(b);
-    }
-    // A single emitted chunk passes through as-is, keeping its selection
-    // vector lazy for the next operator; only multi-chunk output copies.
-    if out.len() == 1 {
-        return Ok(out.pop().expect("one chunk"));
-    }
-    Ok(ColumnarBatch::concat(out_schema, &out))
+    op.finish(&mut out)?;
+    Ok(out)
 }
 
 /// Filter: evaluates the predicate as a column and narrows the chunk with a
@@ -108,13 +178,10 @@ impl VecFilter {
 }
 
 impl BatchOperator for VecFilter {
-    fn push(&mut self, chunk: &ColumnarBatch) -> Result<Option<ColumnarBatch>> {
+    fn push(&mut self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
         let keep = eval_filter(&self.pred, chunk)?;
-        Ok(Some(chunk.select(keep)))
-    }
-
-    fn finish(&mut self) -> Result<Option<ColumnarBatch>> {
-        Ok(None)
+        out.push(chunk.select(keep));
+        Ok(())
     }
 }
 
@@ -133,99 +200,19 @@ impl VecProject {
 }
 
 impl BatchOperator for VecProject {
-    fn push(&mut self, chunk: &ColumnarBatch) -> Result<Option<ColumnarBatch>> {
-        let cols = self
-            .exprs
-            .iter()
-            .map(|e| eval_column(e, chunk))
-            .collect::<Result<Vec<_>>>()?;
+    fn push(&mut self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
+        let cols = eval_columns(&self.exprs, chunk)?;
         // Kernel outputs are compact (logical-row aligned), so the result
         // batch carries no selection.
-        Ok(Some(ColumnarBatch::new(
-            Arc::clone(&self.schema),
-            cols,
-            chunk.num_rows(),
-        )))
-    }
-
-    fn finish(&mut self) -> Result<Option<ColumnarBatch>> {
-        Ok(None)
+        out.push(ColumnarBatch::new(Arc::clone(&self.schema), cols, chunk.num_rows()));
+        Ok(())
     }
 }
 
-// ---------------------------------------------------------------------------
-// Hashing: a multiply-rotate hasher (the rustc-hash construction) for join
-// and group keys. SipHash's per-key setup dominates small-key hashing; this
-// is the single biggest lever in the join build/probe loop. Written here by
-// hand because the container bakes in no new dependencies.
-// ---------------------------------------------------------------------------
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// Fast non-cryptographic hasher for hub-internal hash tables (join keys,
-/// group keys). Not DoS-resistant; never use it on attacker-controlled keys
-/// that outlive a query.
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
+/// Each expression as a compact column over `chunk`, expression-major.
+fn eval_columns(exprs: &[BoundExpr], chunk: &ColumnarBatch) -> Result<Vec<Arc<Column>>> {
+    exprs.iter().map(|e| eval_column(e, chunk)).collect()
 }
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-/// [`BuildHasher`] for [`FxHasher`].
-#[derive(Default, Clone)]
-pub struct FxBuildHasher;
-
-impl BuildHasher for FxBuildHasher {
-    type Hasher = FxHasher;
-
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher::default()
-    }
-}
-
-type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 // ---------------------------------------------------------------------------
 // Hash join
@@ -234,43 +221,6 @@ type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// Sentinel in a build-side gather list meaning "no build row": the gathered
 /// column gets NULL there (Left-join null extension).
 const NO_ROW: u32 = u32::MAX;
-
-/// The build-side hash table: physical build-row indices per key, in build
-/// insertion order (which fixes the output order within a probe row).
-enum KeyTable {
-    /// Single integer key: hash raw `i64`s, no per-row `Vec<Value>`.
-    Int(FxHashMap<i64, Vec<u32>>),
-    /// General path: composite or non-integer keys as `Vec<Value>` (whose
-    /// `Hash` makes `Int(2)` and `Float(2.0)` collide, as SQL equality
-    /// demands).
-    General(FxHashMap<Vec<Value>, Vec<u32>>),
-}
-
-impl KeyTable {
-    fn lookup(&self, key: &ProbeKey) -> Option<&Vec<u32>> {
-        match (self, key) {
-            (KeyTable::Int(map), ProbeKey::Int(i)) => map.get(i),
-            (KeyTable::General(map), ProbeKey::General(k)) => map.get(k),
-            // NULL keys never join; an Int-keyed table only matches
-            // integral probes (ProbeKey construction already folded exact
-            // floats into Int).
-            _ => None,
-        }
-    }
-}
-
-/// One probe row's key, shaped to match the table representation.
-enum ProbeKey {
-    /// Key is NULL (any component): never joins.
-    Null,
-    /// Integral single key for [`KeyTable::Int`].
-    Int(i64),
-    /// Key that cannot match an Int table (e.g. a string probe against an
-    /// integer build column), or the general representation.
-    NoMatch,
-    /// General composite key.
-    General(Vec<Value>),
-}
 
 /// Candidate or output pairs: the probe side's physical row, the build row.
 #[derive(Default)]
@@ -305,7 +255,12 @@ struct Pending {
 /// no keys every build row is a candidate for every probe row: the
 /// nested-loop join.
 pub struct VecHashJoin {
+    /// The distinct non-NULL build keys. Key `k`'s build rows are
+    /// `rows[starts[k]..starts[k + 1]]`, in build insertion order (which
+    /// fixes the output order within a probe row).
     table: KeyTable,
+    starts: Vec<u32>,
+    rows: Vec<u32>,
     build: ColumnarBatch,
     probe_keys: Vec<BoundExpr>,
     kind: JoinKind,
@@ -314,8 +269,9 @@ pub struct VecHashJoin {
     /// concatenation of both sides even though only left columns flow out).
     pred_schema: SchemaRef,
     schema: SchemaRef,
-    /// Most candidate pairs materialized at once for the residual, so a
-    /// cross product is filtered before it is ever held whole.
+    /// Most candidate pairs materialized at once for the residual and most
+    /// rows in an emitted chunk, so a cross product is filtered before it is
+    /// ever held whole and handed on in bounded pieces.
     pair_cap: usize,
 }
 
@@ -323,7 +279,10 @@ impl VecHashJoin {
     /// Build the hash table over `build` (the right side). `build_keys` holds
     /// one compact column per key, aligned with `build`'s live rows (what
     /// [`eval_column`] over `build` returns); `probe_keys` are bound against
-    /// the probe schema, `residual` against `pred_schema`.
+    /// the probe schema, `residual` against `pred_schema`. `batch_size` (the
+    /// executor's; 0 is [`DEFAULT_BATCH_SIZE`]) caps the candidate pairs a
+    /// residual sees at once and the rows of an emitted chunk.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         build: &ColumnarBatch,
         build_keys: &[Arc<Column>],
@@ -332,231 +291,193 @@ impl VecHashJoin {
         residual: Option<BoundExpr>,
         pred_schema: SchemaRef,
         schema: SchemaRef,
+        batch_size: usize,
     ) -> Self {
         let build = build.compact();
         let n = build.num_rows();
-        // Single all-integer key: hash raw i64s. A float probe folds onto this
-        // table only when it is exactly an integer (`float_as_int`), which is
-        // when `Value` equality says the two are equal.
-        let int_col = match build_keys {
-            [only] if only.no_nulls() => only.as_ints(),
-            _ => None,
-        };
-        let table = if let Some(ints) = int_col {
-            let mut map: FxHashMap<i64, Vec<u32>> =
-                HashMap::with_capacity_and_hasher(n, FxBuildHasher);
-            for (i, &k) in ints.iter().enumerate() {
-                map.entry(k).or_default().push(i as u32);
-            }
-            KeyTable::Int(map)
-        } else {
-            let mut map: FxHashMap<Vec<Value>, Vec<u32>> =
-                HashMap::with_capacity_and_hasher(n, FxBuildHasher);
-            'row: for i in 0..n {
-                let mut key = Vec::with_capacity(build_keys.len());
-                for col in build_keys {
-                    if col.is_null(i) {
-                        continue 'row; // NULL keys never join.
-                    }
-                    key.push(col.value(i));
-                }
-                map.entry(key).or_default().push(i as u32);
-            }
-            KeyTable::General(map)
-        };
+        let stored = build_keys.iter().map(|c| ColumnBuilder::like(c, n)).collect();
+        let mut table = KeyTable::new(stored, n);
+        // NULL keys never join: their rows get no key and are in no list.
+        let key_of = table.intern_rows(build_keys, n, true);
+        // Counting sort of the build rows by key id; stable, so each key's
+        // rows stay in insertion order.
+        let mut starts = vec![0u32; table.len() + 1];
+        for &k in key_of.iter().filter(|&&k| k != NO_KEY) {
+            starts[k as usize + 1] += 1;
+        }
+        for k in 0..table.len() {
+            starts[k + 1] += starts[k];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0u32; starts[table.len()] as usize];
+        for (row, &k) in key_of.iter().enumerate().filter(|&(_, &k)| k != NO_KEY) {
+            rows[next[k as usize] as usize] = row as u32;
+            next[k as usize] += 1;
+        }
         VecHashJoin {
             table,
+            starts,
+            rows,
             build,
             probe_keys,
             kind,
             residual,
             pred_schema,
             schema,
-            pair_cap: DEFAULT_BATCH_SIZE,
+            pair_cap: chunk_rows(batch_size),
         }
     }
 
-    /// Cap the candidate pairs a residual is evaluated over at once (the
-    /// executor passes its chunk size); 0 keeps [`DEFAULT_BATCH_SIZE`].
-    pub fn with_pair_cap(mut self, pairs: usize) -> Self {
-        if pairs > 0 {
-            self.pair_cap = pairs;
-        }
-        self
-    }
-
-    /// Shape one probe row's key for the table representation.
-    fn probe_key(&self, key_cols: &[Arc<Column>], row: usize) -> ProbeKey {
+    /// The build rows whose key equals row `row` of the probe key columns.
+    fn candidates(&self, key_cols: &[Arc<Column>], row: usize, hash: u64) -> &[u32] {
+        // NULL keys never join.
         if key_cols.iter().any(|c| c.is_null(row)) {
-            return ProbeKey::Null;
+            return &[];
         }
-        match &self.table {
-            KeyTable::Int(_) => match key_cols[0].value(row) {
-                Value::Int(i) => ProbeKey::Int(i),
-                Value::Float(f) => float_as_int(f).map_or(ProbeKey::NoMatch, ProbeKey::Int),
-                _ => ProbeKey::NoMatch,
-            },
-            KeyTable::General(_) => {
-                ProbeKey::General(key_cols.iter().map(|c| c.value(row)).collect())
-            }
-        }
+        let Ok(k) = self.table.probe(key_cols, row, hash) else {
+            return &[];
+        };
+        &self.rows[self.starts[k as usize] as usize..self.starts[k as usize + 1] as usize]
     }
 
     /// Inner/Left/Cross probe: candidate pairs in probe order, the residual
-    /// evaluated over at most `pair_cap` of them at a time, then one gather.
-    fn probe_pairs(&self, chunk: &ColumnarBatch) -> Result<ColumnarBatch> {
-        let key_cols = self
-            .probe_keys
-            .iter()
-            .map(|k| eval_column(k, chunk))
-            .collect::<Result<Vec<_>>>()?;
+    /// evaluated over at most `pair_cap` of them at a time, the survivors
+    /// gathered and emitted `pair_cap` rows at a time.
+    fn probe_pairs(&self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
+        let key_cols = eval_columns(&self.probe_keys, chunk)?;
+        let hashes = hash_keys(&key_cols, chunk.num_rows());
         let left = matches!(self.kind, JoinKind::Left);
-        let mut out = Pairs::default();
+        let mut kept = Pairs::default();
         let mut pending = Pending::default();
-        for row in 0..chunk.num_rows() {
+        for (row, &hash) in hashes.iter().enumerate() {
             let phys = chunk.physical_index(row) as u32;
-            let candidates = match self.probe_key(&key_cols, row) {
-                ProbeKey::Null | ProbeKey::NoMatch => None,
-                key => self.table.lookup(&key),
-            };
-            for &b in candidates.into_iter().flatten() {
+            for &b in self.candidates(&key_cols, row, hash) {
                 pending.pairs.push(phys, b);
                 if pending.pairs.probe.len() >= self.pair_cap {
-                    self.resolve(chunk, &mut pending, &mut out)?;
+                    self.resolve(chunk, &mut pending, &mut kept, out)?;
                 }
             }
             if left {
                 pending.row_ends.push((pending.pairs.probe.len(), phys));
             }
         }
-        self.resolve(chunk, &mut pending, &mut out)?;
-        Ok(self.gather_joined(chunk, &out.probe, &out.build))
+        self.resolve(chunk, &mut pending, &mut kept, out)?;
+        self.emit(chunk, &mut kept, out);
+        Ok(())
     }
 
     /// Run the residual over the pending candidates (every candidate is
     /// evaluated — Inner/Left never short-circuit, so the first failing pair
-    /// in probe × build order is the error) and move the survivors to `out`
-    /// in candidate order. A Left join's probe row whose candidates have all
-    /// been seen and none kept is null-extended in its place.
-    fn resolve(&self, chunk: &ColumnarBatch, pending: &mut Pending, out: &mut Pairs) -> Result<()> {
+    /// in probe × build order is the error) and move the survivors to `kept`
+    /// in candidate order, emitting a chunk whenever `pair_cap` have gathered.
+    /// A Left join's probe row whose candidates have all been seen and none
+    /// kept is null-extended in its place.
+    fn resolve(
+        &self,
+        chunk: &ColumnarBatch,
+        pending: &mut Pending,
+        kept: &mut Pairs,
+        out: &mut Chunks,
+    ) -> Result<()> {
         let Pairs { probe, build } = std::mem::take(&mut pending.pairs);
         let survives: Option<Vec<bool>> = match &self.residual {
             None => None,
             Some(pred) => {
-                let kept = eval_filter(pred, &self.pair_batch(chunk, &probe, &build))?;
+                let pairs = self.gather_pairs(&self.pred_schema, chunk, &probe, &build);
+                let live = eval_filter(pred, &pairs)?;
                 let mut mask = vec![false; probe.len()];
-                for k in kept {
+                for k in live {
                     mask[k as usize] = true;
                 }
                 Some(mask)
+            }
+        };
+        let mut keep = |kept: &mut Pairs, probe: u32, build: u32| {
+            kept.push(probe, build);
+            if kept.probe.len() >= self.pair_cap {
+                self.emit(chunk, kept, out);
             }
         };
         let mut ends = pending.row_ends.drain(..).peekable();
         for p in 0..=probe.len() {
             while let Some((_, phys)) = ends.next_if(|&(end, _)| end == p) {
                 if !pending.matched {
-                    out.push(phys, NO_ROW);
+                    keep(kept, phys, NO_ROW);
                 }
                 pending.matched = false;
             }
             if p < probe.len() && survives.as_ref().is_none_or(|m| m[p]) {
                 pending.matched = true;
-                out.push(probe[p], build[p]);
+                keep(kept, probe[p], build[p]);
             }
         }
         Ok(())
     }
 
-    /// Materialize the candidate-pair batch residuals are evaluated over.
-    fn pair_batch(
+    /// The probe rows `probe` of `chunk` beside the build rows `build`, as
+    /// one batch of `schema`; `NO_ROW` in `build` null-extends.
+    fn gather_pairs(
         &self,
+        schema: &SchemaRef,
         chunk: &ColumnarBatch,
-        pair_probe: &[u32],
-        pair_build: &[u32],
+        probe: &[u32],
+        build: &[u32],
     ) -> ColumnarBatch {
-        let mut cols: Vec<Arc<Column>> = Vec::with_capacity(self.pred_schema.len());
-        for c in chunk.columns() {
-            cols.push(Arc::new(c.gather(pair_probe)));
-        }
-        for c in self.build.columns() {
-            cols.push(Arc::new(c.gather(pair_build)));
-        }
-        ColumnarBatch::new(Arc::clone(&self.pred_schema), cols, pair_probe.len())
+        let probe_cols = chunk.columns().iter().map(|c| c.gather(probe));
+        let build_cols = self.build.columns().iter().map(|c| c.gather_opt(build));
+        let cols = probe_cols.chain(build_cols).map(Arc::new).collect();
+        ColumnarBatch::new(Arc::clone(schema), cols, probe.len())
     }
 
-    /// Gather the output batch from probe/build index lists (`NO_ROW` in the
-    /// build list null-extends).
-    fn gather_joined(
-        &self,
-        chunk: &ColumnarBatch,
-        out_probe: &[u32],
-        out_build: &[u32],
-    ) -> ColumnarBatch {
-        let mut cols: Vec<Arc<Column>> = Vec::with_capacity(self.schema.len());
-        for c in chunk.columns() {
-            cols.push(Arc::new(c.gather(out_probe)));
-        }
-        for c in self.build.columns() {
-            cols.push(Arc::new(c.gather_opt(out_build)));
-        }
-        ColumnarBatch::new(Arc::clone(&self.schema), cols, out_probe.len())
+    /// Gather the kept pairs into one output chunk and start the next.
+    fn emit(&self, chunk: &ColumnarBatch, kept: &mut Pairs, out: &mut Chunks) {
+        let Pairs { probe, build } = std::mem::take(kept);
+        out.push(self.gather_pairs(&self.schema, chunk, &probe, &build));
     }
 
     /// Semi/Anti probe: a candidate scan that stops at the first match — a
     /// residual error on a later candidate is unreachable once an earlier
     /// candidate matched, so this stays candidate-at-a-time.
-    fn probe_filtering(&self, chunk: &ColumnarBatch) -> Result<ColumnarBatch> {
-        let key_cols = self
-            .probe_keys
-            .iter()
-            .map(|k| eval_column(k, chunk))
-            .collect::<Result<Vec<_>>>()?;
-        let n = chunk.num_rows();
+    fn probe_filtering(&self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
+        let key_cols = eval_columns(&self.probe_keys, chunk)?;
+        let hashes = hash_keys(&key_cols, chunk.num_rows());
         let anti = matches!(self.kind, JoinKind::Anti);
         let mut keep: Vec<u32> = Vec::new();
-        for row in 0..n {
-            let candidates = match self.probe_key(&key_cols, row) {
-                // NULL keys never match: anti keeps the row, semi drops it.
-                ProbeKey::Null | ProbeKey::NoMatch => None,
-                key => self.table.lookup(&key),
-            };
-            let mut matched = false;
-            if let Some(rows) = candidates {
-                match &self.residual {
-                    None => matched = !rows.is_empty(),
-                    Some(pred) => {
-                        let l = chunk.row(row);
-                        for &b in rows {
-                            let combined = l.concat(&self.build.row(b as usize));
-                            if pred.eval_predicate(&combined)? {
-                                matched = true;
-                                break;
-                            }
+        for (row, &hash) in hashes.iter().enumerate() {
+            // NULL keys never match: anti keeps the row, semi drops it.
+            let rows = self.candidates(&key_cols, row, hash);
+            let matched = match &self.residual {
+                None => !rows.is_empty(),
+                Some(pred) => {
+                    let l = chunk.row(row);
+                    let mut hit = false;
+                    for &b in rows {
+                        let combined = l.concat(&self.build.row(b as usize));
+                        if pred.eval_predicate(&combined)? {
+                            hit = true;
+                            break;
                         }
                     }
+                    hit
                 }
-            }
+            };
             if matched != anti {
                 keep.push(row as u32);
             }
         }
-        Ok(chunk.select(keep).with_schema(Arc::clone(&self.schema)))
+        out.push(chunk.select(keep).with_schema(Arc::clone(&self.schema)));
+        Ok(())
     }
 }
 
 impl BatchOperator for VecHashJoin {
-    fn push(&mut self, chunk: &ColumnarBatch) -> Result<Option<ColumnarBatch>> {
-        let out = match self.kind {
+    fn push(&mut self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
+        match self.kind {
             // Keyless joins: every build row sits under the empty key, which
             // every probe row carries.
-            JoinKind::Inner | JoinKind::Left | JoinKind::Cross => self.probe_pairs(chunk)?,
-            JoinKind::Semi | JoinKind::Anti => self.probe_filtering(chunk)?,
-        };
-        Ok(Some(out))
-    }
-
-    fn finish(&mut self) -> Result<Option<ColumnarBatch>> {
-        Ok(None)
+            JoinKind::Inner | JoinKind::Left | JoinKind::Cross => self.probe_pairs(chunk, out),
+            JoinKind::Semi | JoinKind::Anti => self.probe_filtering(chunk, out),
+        }
     }
 }
 
@@ -564,32 +485,20 @@ impl BatchOperator for VecHashJoin {
 // Aggregation
 // ---------------------------------------------------------------------------
 
-/// The group-key → group-index map. Single integer group keys skip the
-/// per-row `Vec<Value>`; the moment a non-integer key value appears the map
-/// migrates to the general representation (group identity is unaffected —
-/// both follow `Value` equality, under which `Int(2)` equals `Float(2.0)`).
-enum GroupMap {
-    Int {
-        map: FxHashMap<i64, u32>,
-        null_slot: Option<u32>,
-    },
-    General(FxHashMap<Vec<Value>, u32>),
-}
-
 /// Hash aggregation: buffers group state across chunks, emits one batch from
-/// `finish`, groups in first-seen order, one [`crate::agg::Accumulator`] per
-/// group and aggregate. With every input column as a group key and no
-/// aggregates it is DISTINCT: the first row of each group, in input order.
+/// `finish`, groups in first-seen order. Each chunk is folded in in two
+/// phases — its rows' group ids into one vector, then one loop per aggregate
+/// over that vector and the argument column ([`crate::agg`]). With every
+/// input column as a group key and no aggregates it is DISTINCT: the first
+/// row of each group, in input order.
 pub struct VecAggregate {
     groups: Vec<BoundExpr>,
     /// One per aggregate; `None` is `COUNT(*)`.
     args: Vec<Option<BoundExpr>>,
-    templates: Vec<(AggFunc, bool)>,
-    map: GroupMap,
-    /// First-seen-order group keys.
-    keys: Vec<Vec<Value>>,
-    /// `[group][agg]` state.
-    accs: Vec<Vec<Accumulator>>,
+    /// The group keys, first-seen order: key id is group id. NULL is a group.
+    table: KeyTable,
+    /// `[aggregate][group]` state.
+    aggs: Vec<GroupedAgg>,
     schema: SchemaRef,
 }
 
@@ -602,160 +511,79 @@ impl VecAggregate {
         templates: Vec<(AggFunc, bool)>,
         schema: SchemaRef,
     ) -> Self {
-        let map = if groups.len() == 1 {
-            GroupMap::Int {
-                map: HashMap::with_hasher(FxBuildHasher),
-                null_slot: None,
-            }
-        } else {
-            GroupMap::General(HashMap::with_hasher(FxBuildHasher))
-        };
-        VecAggregate {
+        let stored = (schema.fields().iter().take(groups.len()))
+            .map(|f| ColumnBuilder::new(f.data_type, 0))
+            .collect();
+        let mut op = VecAggregate {
             groups,
             args,
-            templates,
-            map,
-            keys: Vec::new(),
-            accs: Vec::new(),
-            schema,
-        }
-    }
-
-    fn fresh_accs(&self) -> Vec<Accumulator> {
-        self.templates
-            .iter()
-            .map(|&(func, distinct)| Accumulator::new(func, distinct))
-            .collect()
-    }
-
-    /// Resolve the group index for one row's key columns, creating the group
-    /// on first sight.
-    fn group_index(&mut self, key_cols: &[Arc<Column>], row: usize) -> u32 {
-        // Single-key integer fast path, with on-the-fly migration.
-        if let GroupMap::Int { map, null_slot } = &mut self.map {
-            let col = &key_cols[0];
-            if col.is_null(row) {
-                return *null_slot.get_or_insert_with(|| {
-                    self.keys.push(vec![Value::Null]);
-                    self.accs.push(
-                        self.templates
-                            .iter()
-                            .map(|&(f, d)| Accumulator::new(f, d))
-                            .collect(),
-                    );
-                    (self.keys.len() - 1) as u32
-                });
-            }
-            if let Value::Int(i) = col.value(row) {
-                if let Some(&idx) = map.get(&i) {
-                    return idx;
-                }
-                let idx = self.keys.len() as u32;
-                map.insert(i, idx);
-                self.keys.push(vec![Value::Int(i)]);
-                self.accs.push(
-                    self.templates
-                        .iter()
-                        .map(|&(f, d)| Accumulator::new(f, d))
-                        .collect(),
-                );
-                return idx;
-            }
-            // Non-integer key seen: rebuild as a general map over the keys
-            // recorded so far (first-seen order and identity preserved).
-            let mut general: FxHashMap<Vec<Value>, u32> =
-                HashMap::with_capacity_and_hasher(self.keys.len(), FxBuildHasher);
-            for (i, k) in self.keys.iter().enumerate() {
-                general.insert(k.clone(), i as u32);
-            }
-            self.map = GroupMap::General(general);
-        }
-        let GroupMap::General(map) = &mut self.map else {
-            unreachable!("migrated above")
-        };
-        let key: Vec<Value> = key_cols.iter().map(|c| c.value(row)).collect();
-        if let Some(&idx) = map.get(&key) {
-            return idx;
-        }
-        let idx = self.keys.len() as u32;
-        map.insert(key.clone(), idx);
-        self.keys.push(key);
-        self.accs.push(
-            self.templates
-                .iter()
-                .map(|&(f, d)| Accumulator::new(f, d))
+            table: KeyTable::new(stored, 0),
+            aggs: (templates.into_iter())
+                .map(|(func, distinct)| GroupedAgg::new(func, distinct))
                 .collect(),
-        );
-        idx
+            schema,
+        };
+        // A global aggregate's one implicit group exists before any row does:
+        // over zero rows it still emits its row of defaults.
+        let implicit = op.num_groups();
+        op.aggs.iter_mut().for_each(|agg| agg.grow(implicit));
+        op
+    }
+
+    fn num_groups(&self) -> usize {
+        if self.groups.is_empty() {
+            1
+        } else {
+            self.table.len()
+        }
     }
 }
 
 impl BatchOperator for VecAggregate {
-    fn push(&mut self, chunk: &ColumnarBatch) -> Result<Option<ColumnarBatch>> {
-        let key_cols = self
-            .groups
-            .iter()
-            .map(|g| eval_column(g, chunk))
-            .collect::<Result<Vec<_>>>()?;
-        let arg_cols = self
-            .args
-            .iter()
+    fn push(&mut self, chunk: &ColumnarBatch, _out: &mut Chunks) -> Result<()> {
+        let n = chunk.num_rows();
+        let key_cols = eval_columns(&self.groups, chunk)?;
+        let arg_cols = (self.args.iter())
             .map(|a| a.as_ref().map(|e| eval_column(e, chunk)).transpose())
             .collect::<Result<Vec<_>>>()?;
-        for row in 0..chunk.num_rows() {
-            let idx = if key_cols.is_empty() {
-                // Global aggregate: one implicit group.
-                if self.keys.is_empty() {
-                    self.keys.push(Vec::new());
-                    self.accs.push(self.fresh_accs());
-                }
-                0
-            } else {
-                self.group_index(&key_cols, row) as usize
-            };
-            for (acc, arg) in self.accs[idx].iter_mut().zip(&arg_cols) {
-                match arg {
-                    None => acc.push(None)?,
-                    Some(col) => {
-                        let v = col.value(row);
-                        acc.push(Some(&v))?;
-                    }
+        let ids = if key_cols.is_empty() {
+            vec![0; n]
+        } else {
+            self.table.intern_rows(&key_cols, n, false)
+        };
+        let groups = self.num_groups();
+        // Typed arguments cannot fail, so each gets a loop of its own; the
+        // rest are walked row-major together, so that the error is the first
+        // failing row's (and in that row the first failing aggregate's).
+        let mut by_value = Vec::new();
+        for (agg, arg) in self.aggs.iter_mut().zip(&arg_cols) {
+            agg.grow(groups);
+            match arg {
+                Some(col) if !agg.typed(Some(col)) => by_value.push((agg, col)),
+                _ => agg.update(&ids, arg.as_deref()),
+            }
+        }
+        if !by_value.is_empty() {
+            for (row, &group) in ids.iter().enumerate() {
+                for (agg, col) in &mut by_value {
+                    agg.push(group as usize, &col.value(row))?;
                 }
             }
         }
-        Ok(None)
+        Ok(())
     }
 
-    fn finish(&mut self) -> Result<Option<ColumnarBatch>> {
-        let group_width = self.groups.len();
-        let mut keys = std::mem::take(&mut self.keys);
-        let mut accs = std::mem::take(&mut self.accs);
-        if keys.is_empty() && group_width == 0 {
-            // Global aggregate over zero rows: one row of defaults.
-            keys.push(Vec::new());
-            accs.push(self.fresh_accs());
-        }
-        let n = keys.len();
-        let mut out: Vec<Vec<Value>> =
-            (0..self.schema.len()).map(|_| Vec::with_capacity(n)).collect();
-        for (key, group_accs) in keys.into_iter().zip(accs) {
-            for (c, v) in key.into_iter().enumerate() {
-                out[c].push(v);
-            }
-            for (a, acc) in group_accs.into_iter().enumerate() {
-                out[group_width + a].push(acc.finish());
-            }
-        }
-        let cols: Vec<Arc<Column>> = out
-            .into_iter()
-            .zip(self.schema.fields())
-            .map(|(vals, f)| Arc::new(Column::from_values(&vals, f.data_type)))
+    fn finish(&mut self, out: &mut Chunks) -> Result<()> {
+        let n = self.num_groups();
+        let table = std::mem::replace(&mut self.table, KeyTable::new(Vec::new(), 0));
+        let values = std::mem::take(&mut self.aggs).into_iter().map(GroupedAgg::finish);
+        let fields = self.schema.fields().iter().skip(self.groups.len());
+        let cols = (table.into_columns().into_iter())
+            .chain(values.zip(fields).map(|(v, f)| Column::from_values(&v, f.data_type)))
+            .map(Arc::new)
             .collect();
-        Ok(Some(ColumnarBatch::new(
-            Arc::clone(&self.schema),
-            cols,
-            n,
-        )))
+        out.push(ColumnarBatch::new(Arc::clone(&self.schema), cols, n));
+        Ok(())
     }
 }
 
@@ -777,7 +605,7 @@ pub fn sort_batch(input: &ColumnarBatch, keys: &[(BoundExpr, bool)]) -> Result<C
     let mut order: Vec<u32> = (0..input.num_rows() as u32).collect();
     order.sort_by(|&a, &b| {
         for (col, asc) in &keys {
-            let ord = cmp_positions(col, a as usize, b as usize);
+            let ord = cells_cmp(col, a as usize, col, b as usize);
             if !ord.is_eq() {
                 return if *asc { ord } else { ord.reverse() };
             }
@@ -787,27 +615,10 @@ pub fn sort_batch(input: &ColumnarBatch, keys: &[(BoundExpr, bool)]) -> Result<C
     Ok(input.select(order))
 }
 
-/// Order positions `a` and `b` of one column as [`Value`]'s total order
-/// orders their values, without building either.
-fn cmp_positions(col: &Column, a: usize, b: usize) -> Ordering {
-    match (col.is_null(a), col.is_null(b)) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Less,
-        (false, true) => Ordering::Greater,
-        (false, false) => match col.data() {
-            ColumnData::Bool(v) => v[a].cmp(&v[b]),
-            ColumnData::Int(v) | ColumnData::Timestamp(v) => v[a].cmp(&v[b]),
-            ColumnData::Float(v) => v[a].total_cmp(&v[b]),
-            ColumnData::Str(v) => v[a].cmp(&v[b]),
-            ColumnData::Mixed(v) => v[a].cmp(&v[b]),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eii_data::{row, Batch, DataType, Field, Schema};
+    use eii_data::{row, Batch, ColumnData, DataType, Field, Schema, Value};
     use eii_expr::{bind, BinaryOp, Expr};
 
     fn schema(fields: &[(&str, DataType)]) -> SchemaRef {
@@ -820,6 +631,14 @@ mod tests {
         let s = schema(&[(name, DataType::Int)]);
         let rows = vals.iter().map(|&v| row![v]).collect();
         ColumnarBatch::from_batch(&Batch::new(s, rows))
+    }
+
+    /// Drive `op` over `input` as one list of one chunk and gather what it
+    /// emits.
+    fn run(op: &mut dyn BatchOperator, input: &ColumnarBatch, out: &SchemaRef) -> ColumnarBatch {
+        drive(op, &Chunks::from(input.clone()), out.clone(), 0, || Ok(()))
+            .unwrap()
+            .into_one()
     }
 
     /// `left JOIN right ON left.<probe> = right.<build>`, one probe chunk.
@@ -840,9 +659,10 @@ mod tests {
             kind,
             None,
             Arc::clone(&joined),
-            joined,
+            Arc::clone(&joined),
+            0,
         );
-        op.push(left).unwrap().unwrap()
+        run(&mut op, left, &joined)
     }
 
     fn column_values(batch: &ColumnarBatch, col: usize) -> Vec<Value> {
@@ -851,22 +671,18 @@ mod tests {
 
     #[test]
     fn fx_hasher_is_deterministic() {
-        let mut a = FxHasher::default();
-        let mut b = FxHasher::default();
-        a.write_u64(42);
-        b.write_u64(42);
-        assert_eq!(a.finish(), b.finish());
-        let mut c = FxHasher::default();
-        c.write_u64(43);
-        assert_ne!(a.finish(), c.finish());
+        // The key hash (the Fx construction, `crate::keys`) is a function of
+        // the cells alone: no per-table or per-process state.
+        let hashes = |vals: &[i64]| hash_keys(ints("k", vals).columns(), vals.len());
+        assert_eq!(hashes(&[42, 43]), hashes(&[42, 43]));
+        assert_ne!(hashes(&[42])[0], hashes(&[43])[0]);
     }
 
     #[test]
     fn filter_drops_rows() {
         let batch = ints("x", &[1, 5, 2, 8]);
         let pred = bind(&Expr::col("x").gt(Expr::lit(2i64)), batch.schema()).unwrap();
-        let mut op = VecFilter::new(pred);
-        let out = op.push(&batch).unwrap().unwrap();
+        let out = run(&mut VecFilter::new(pred), &batch, batch.schema());
         assert_eq!(out.num_rows(), 2);
         assert_eq!(out.value_at(0, 0), Value::Int(5));
         assert_eq!(out.value_at(1, 0), Value::Int(8));
@@ -881,8 +697,8 @@ mod tests {
             batch.schema(),
         )
         .unwrap();
-        let mut op = VecProject::new(vec![expr], out_schema);
-        let out = op.push(&batch).unwrap().unwrap();
+        let mut op = VecProject::new(vec![expr], out_schema.clone());
+        let out = run(&mut op, &batch, &out_schema);
         assert_eq!(out.value_at(0, 0), Value::Int(10));
         assert_eq!(out.value_at(1, 0), Value::Int(20));
     }
@@ -941,6 +757,28 @@ mod tests {
     }
 
     #[test]
+    fn null_extended_build_columns_stay_typed() {
+        // One unmatched probe row must not turn the build side `Mixed`.
+        let left = ints("a", &[2, 1, 3]);
+        let right = {
+            let s = schema(&[("b", DataType::Int), ("w", DataType::Float), ("t", DataType::Str)]);
+            let rows = vec![row![2i64, 0.5f64, "two"], row![3i64, Value::Null, "three"]];
+            ColumnarBatch::from_batch(&Batch::new(s, rows))
+        };
+        let out = join_on("a", "b", &left, &right, JoinKind::Left);
+        assert_eq!(out.column(1).as_ints().map(<[i64]>::len), Some(3));
+        assert!(out.column(2).as_floats().is_some() && out.column(3).as_strs().is_some());
+        assert_eq!(
+            out.to_batch().into_rows(),
+            vec![
+                row![2i64, 2i64, 0.5f64, "two"],
+                row![1i64, Value::Null, Value::Null, Value::Null],
+                row![3i64, 3i64, Value::Null, "three"],
+            ]
+        );
+    }
+
+    #[test]
     fn aggregate_groups_in_first_seen_order() {
         let s = schema(&[("g", DataType::Int), ("v", DataType::Int)]);
         let batch = ColumnarBatch::from_batch(&Batch::new(
@@ -954,10 +792,9 @@ mod tests {
             vec![g],
             vec![Some(v)],
             vec![(AggFunc::Sum, false)],
-            out_schema,
+            out_schema.clone(),
         );
-        op.push(&batch).unwrap();
-        let out = op.finish().unwrap().unwrap();
+        let out = run(&mut op, &batch, &out_schema);
         assert_eq!(out.num_rows(), 2);
         assert_eq!(out.value_at(0, 0), Value::Int(2));
         assert_eq!(out.value_at(0, 1), Value::Int(11));
@@ -971,14 +808,88 @@ mod tests {
         let pred = bind(&Expr::col("x").gt(Expr::lit(1i64)), batch.schema()).unwrap();
         let mut op = VecFilter::new(pred);
         let mut checks = 0;
-        let out = drive(&mut op, &batch, batch.schema().clone(), 2, || {
+        let input = Chunks::from(batch.clone());
+        let out = drive(&mut op, &input, batch.schema().clone(), 2, || {
             checks += 1;
             Ok(())
         })
         .unwrap();
         assert_eq!(checks, 3); // ceil(5/2)
+        // One emitted chunk per pushed chunk, not one batch.
+        let sizes: Vec<usize> = out.iter().map(ColumnarBatch::num_rows).collect();
+        assert_eq!(sizes, [1, 2, 1]);
         assert_eq!(out.num_rows(), 4);
-        assert_eq!(out.value_at(0, 0), Value::Int(2));
+        assert_eq!(out.into_one().value_at(0, 0), Value::Int(2));
+    }
+
+    #[test]
+    fn drive_never_concatenates() {
+        // Filter -> Project over a 3-chunk list: 3 chunks come back, and a
+        // projected column reference *is* the kernel's output column.
+        let s = schema(&[("x", DataType::Int), ("y", DataType::Int)]);
+        let mut input = Chunks::new(Arc::clone(&s));
+        for base in [0i64, 10, 20] {
+            let rows = (base..base + 4).map(|v| row![v, v * 2]).collect();
+            input.push(ColumnarBatch::from_batch(&Batch::new(Arc::clone(&s), rows)));
+        }
+        let mut checks = 0;
+        let mut check = || {
+            checks += 1;
+            Ok(())
+        };
+        let pred = bind(&Expr::col("x").gt(Expr::lit(-1i64)), &s).unwrap();
+        let filtered =
+            drive(&mut VecFilter::new(pred), &input, Arc::clone(&s), 0, &mut check).unwrap();
+        let out_schema = schema(&[("y", DataType::Int), ("z", DataType::Int)]);
+        let y = bind(&Expr::col("y"), &s).unwrap();
+        let z = bind(&Expr::col("x").binary(BinaryOp::Plus, Expr::lit(1i64)), &s).unwrap();
+        let mut project = VecProject::new(vec![y, z], Arc::clone(&out_schema));
+        let out = drive(&mut project, &filtered, out_schema, 0, &mut check).unwrap();
+        assert_eq!(checks, 6, "one check per pushed chunk");
+        assert_eq!(out.iter().count(), 3);
+        for ((src, mid), got) in input.iter().zip(filtered.iter()).zip(out.iter()) {
+            // The filter narrowed by selection over the source's own columns…
+            assert!(Arc::ptr_eq(mid.column(1), src.column(1)));
+            // …which kept every row here, so the kernel gathered `y` once and
+            // the projection handed that very column on.
+            let kernel = eval_column(&BoundExpr::Column(1), mid).unwrap();
+            assert_eq!(got.column(0).as_ref(), kernel.as_ref());
+            assert_eq!(got.num_rows(), 4);
+        }
+        // Without a selection the column reference is the input's `Arc`.
+        let passed = drive(&mut project, &input, Arc::clone(out.schema()), 0, || Ok(())).unwrap();
+        for (src, got) in input.iter().zip(passed.iter()) {
+            assert!(Arc::ptr_eq(got.column(0), src.column(1)));
+        }
+    }
+
+    #[test]
+    fn chunk_lists_limit_append_and_gather() {
+        let s = schema(&[("x", DataType::Int)]);
+        let list = |parts: &[&[i64]]| {
+            let mut l = Chunks::new(Arc::clone(&s));
+            parts.iter().for_each(|p| l.push(ints("x", p)));
+            l
+        };
+        let values = |l: Chunks| column_values(&l.into_one(), 0);
+        let abc = list(&[&[1, 2], &[], &[3, 4, 5], &[6]]);
+        assert_eq!(abc.iter().count(), 3, "an empty chunk adds nothing");
+        assert_eq!(abc.num_rows(), 6);
+        for n in 0..8 {
+            let head = abc.clone().head(n);
+            assert_eq!(head.num_rows(), n.min(6));
+            assert_eq!(values(head), (1..=n.min(6) as i64).map(Value::Int).collect::<Vec<_>>());
+        }
+        assert_eq!(abc.clone().head(2).iter().count(), 1, "whole chunks, no trailing empty");
+        let renamed = schema(&[("y", DataType::Int)]);
+        let mut union = Chunks::new(Arc::clone(&renamed));
+        union.append(abc);
+        union.append(list(&[&[7]]));
+        assert!(union.iter().all(|c| Arc::ptr_eq(c.schema(), &renamed)));
+        assert_eq!(values(union), (1..=7).map(Value::Int).collect::<Vec<_>>());
+        // An empty list still knows its schema, and gathers to an empty batch.
+        let none = Chunks::new(Arc::clone(&s)).into_one();
+        assert!(none.is_empty() && Arc::ptr_eq(none.schema(), &s));
     }
 
     /// `l.a <op> r.b` with no equi keys, `cap` candidate pairs at a time.
@@ -996,9 +907,21 @@ mod tests {
             Arc::clone(&both)
         };
         let residual = on.map(|e| bind(&e, &both).unwrap());
-        let mut op = VecHashJoin::new(right, &[], Vec::new(), kind, residual, both, out_schema)
-            .with_pair_cap(cap);
-        op.push(left).unwrap().expect("joins emit per chunk")
+        let mut op = VecHashJoin::new(
+            right,
+            &[],
+            Vec::new(),
+            kind,
+            residual,
+            both,
+            out_schema.clone(),
+            cap,
+        );
+        let mut out = Chunks::new(out_schema);
+        op.push(left, &mut out).unwrap();
+        // The cap bounds what is emitted as it bounds what the residual sees.
+        assert!(out.iter().all(|c| c.num_rows() <= cap.max(left.num_rows())));
+        out.into_one()
     }
 
     #[test]
@@ -1055,11 +978,45 @@ mod tests {
         );
     }
 
+    #[test]
+    fn join_output_is_emitted_in_bounded_chunks() {
+        // 6 probe rows x 5 matches each, Left with two unmatched rows: no
+        // emitted chunk exceeds the cap, and the order is the unbounded one.
+        let left = ints("a", &[1, 9, 1, 1, 8, 1, 1, 1]);
+        let right = ints("b", &[1, 1, 1, 1, 1]);
+        let joined = Arc::new(left.schema().join(right.schema()));
+        let bkey = bind(&Expr::col("b"), right.schema()).unwrap();
+        let pkey = bind(&Expr::col("a"), left.schema()).unwrap();
+        let emitted = |cap: usize| {
+            let mut op = VecHashJoin::new(
+                &right,
+                &[eval_column(&bkey, &right).unwrap()],
+                vec![pkey.clone()],
+                JoinKind::Left,
+                None,
+                Arc::clone(&joined),
+                Arc::clone(&joined),
+                cap,
+            );
+            let mut out = Chunks::new(Arc::clone(&joined));
+            op.push(&left, &mut out).unwrap();
+            out
+        };
+        let whole = emitted(4096);
+        assert_eq!(whole.iter().count(), 1);
+        assert_eq!(whole.num_rows(), 32);
+        for cap in [1, 3, 4, 7] {
+            let out = emitted(cap);
+            assert!(out.iter().all(|c| c.num_rows() <= cap), "cap {cap}");
+            assert_eq!(out.iter().count(), 32usize.div_ceil(cap));
+            assert_eq!(out.into_one().to_batch(), whole.clone().into_one().to_batch());
+        }
+    }
+
     fn distinct(batch: &ColumnarBatch) -> ColumnarBatch {
         let groups = (0..batch.schema().len()).map(BoundExpr::Column).collect();
         let mut op = VecAggregate::new(groups, Vec::new(), Vec::new(), batch.schema().clone());
-        op.push(batch).unwrap();
-        op.finish().unwrap().unwrap()
+        run(&mut op, batch, batch.schema())
     }
 
     #[test]
@@ -1087,7 +1044,8 @@ mod tests {
                 row![1i64, 1.5f64],
             ]
         );
-        // Single column: the integer fast path and its migration.
+        // Single column: an Int key, then a Float that equals it, then one that
+        // equals no integer.
         let one = schema(&[("k", DataType::Int)]);
         let batch = ColumnarBatch::from_batch(&Batch::new(
             one,

@@ -148,7 +148,7 @@ impl GroupState {
     }
 
     /// The group's output values in agg-item order (mirrors
-    /// `eii_exec::agg::Accumulator::finish`).
+    /// `eii_exec::agg::GroupedAgg::finish`).
     fn finish(&self) -> Vec<Value> {
         self.partials
             .iter()
