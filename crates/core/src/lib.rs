@@ -1510,6 +1510,9 @@ fn render_operator(
     if profile.replanned {
         out.push_str(" [REPLANNED]");
     }
+    if let Some(k) = profile.top {
+        let _ = write!(out, " [TOP {k}]");
+    }
     if let Some(src) = &profile.source {
         for report in degraded.iter().filter(|r| &r.source == src) {
             match report.stale_ms {

@@ -44,6 +44,28 @@ impl NullBitmap {
         }
     }
 
+    /// An all-NULL bitmap of `len` bits: cleared words, the padding past
+    /// `len` left set as everywhere else.
+    pub fn new_null(len: usize) -> Self {
+        let mut words = vec![0u64; len.div_ceil(64)];
+        if let Some(last) = words.last_mut().filter(|_| !len.is_multiple_of(64)) {
+            *last = u64::MAX << (len % 64);
+        }
+        NullBitmap { words, len }
+    }
+
+    /// Validity of a value that needs both of two operands: the word-wise
+    /// AND of their bitmaps, and no bitmap when neither has one. Both cover
+    /// the same number of rows.
+    pub fn both_valid(a: Option<&NullBitmap>, b: Option<&NullBitmap>) -> Option<NullBitmap> {
+        let (Some(a), Some(b)) = (a, b) else {
+            return a.or(b).cloned();
+        };
+        debug_assert_eq!(a.len, b.len);
+        let words = a.words.iter().zip(&b.words).map(|(x, y)| x & y).collect();
+        Some(NullBitmap { words, len: a.len })
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -152,16 +174,10 @@ impl Column {
     /// A column of `len` copies of one scalar (literal broadcast).
     pub fn broadcast(value: &Value, len: usize) -> Self {
         match value {
-            Value::Null => {
-                let mut nulls = NullBitmap::new_valid(len);
-                for i in 0..len {
-                    nulls.set_null(i);
-                }
-                Column {
-                    data: ColumnData::Int(vec![0; len]),
-                    nulls: Some(nulls),
-                }
-            }
+            Value::Null => Column {
+                data: ColumnData::Int(vec![0; len]),
+                nulls: Some(NullBitmap::new_null(len)),
+            },
             Value::Bool(b) => Column::new(ColumnData::Bool(vec![*b; len]), None),
             Value::Int(i) => Column::new(ColumnData::Int(vec![*i; len]), None),
             Value::Float(f) => Column::new(ColumnData::Float(vec![*f; len]), None),
@@ -1014,6 +1030,28 @@ mod tests {
         assert_eq!(c.value(2), Value::Int(7));
         let n = Column::broadcast(&Value::Null, 2);
         assert!(n.is_null(0) && n.is_null(1));
+    }
+
+    #[test]
+    fn bitmaps_built_by_the_word_equal_bitmaps_built_by_the_bit() {
+        for len in [0, 1, 63, 64, 65, 130] {
+            let mut by_bit = NullBitmap::new_valid(len);
+            (0..len).for_each(|i| by_bit.set_null(i));
+            let all_null = NullBitmap::new_null(len);
+            assert_eq!(all_null, by_bit, "{len} bits");
+            assert_eq!(all_null.null_count(), len);
+            // AND of validity: NULL where either side is.
+            let (mut a, mut b) = (NullBitmap::new_valid(len), NullBitmap::new_valid(len));
+            (0..len).step_by(3).for_each(|i| a.set_null(i));
+            (0..len).step_by(5).for_each(|i| b.set_null(i));
+            let both = NullBitmap::both_valid(Some(&a), Some(&b)).unwrap();
+            let either = |i: &usize| i.is_multiple_of(3) || i.is_multiple_of(5);
+            assert!((0..len).all(|i| both.is_null(i) == either(&i)));
+            assert_eq!(both.null_count(), (0..len).filter(either).count());
+            assert_eq!(NullBitmap::both_valid(Some(&a), None).as_ref(), Some(&a));
+            assert_eq!(NullBitmap::both_valid(None, Some(&b)).as_ref(), Some(&b));
+            assert_eq!(NullBitmap::both_valid(None, None), None);
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! Between plan nodes the columns travel as [`Chunks`], the list of chunks the
 //! node below emitted, handed on as it is (a union appends lists, a rename
 //! re-tags, a limit truncates); a sort, a join's build side, a shipment and a
-//! view scan's column pick ask for their whole input with `into_one`.
+//! view scan's column pick ask for their whole input with `into_one`. One
+//! thing travels the other way: a limit's promise that only the first `k`
+//! rows will be read, handed down through projections and renames to the sort
+//! that can use it (`Executor::run_node`).
 //!
 //! One function talks to sources: [`Executor::fetch`]. Every operator that
 //! needs a component query answered — a scan, a bind join, an adaptive
@@ -193,6 +196,9 @@ pub struct Executor<'a> {
     replan: Option<ReplanPolicy>,
     /// Paths of operators this run adapted, for `[REPLANNED]` provenance.
     replans: Mutex<BTreeSet<Vec<usize>>>,
+    /// Paths of the sorts this run bounded, with the `k` rows each was asked
+    /// to establish, for `[TOP k]` provenance.
+    bounded_sorts: Mutex<BTreeMap<Vec<usize>, usize>>,
 }
 
 impl<'a> Executor<'a> {
@@ -217,6 +223,7 @@ impl<'a> Executor<'a> {
             hedge: None,
             replan: None,
             replans: Mutex::new(BTreeSet::new()),
+            bounded_sorts: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -288,6 +295,7 @@ impl<'a> Executor<'a> {
         self.ops.lock().expect("ops lock").clear();
         self.hedges.lock().expect("hedges lock").clear();
         self.replans.lock().expect("replans lock").clear();
+        self.bounded_sorts.lock().expect("sorts lock").clear();
         // A fresh internal abort token per run: a failed branch in THIS
         // query must not tear down the next one.
         let ctx = self.base_ctx.clone().with_abort(CancelToken::new());
@@ -297,10 +305,12 @@ impl<'a> Executor<'a> {
         let degraded = std::mem::take(&mut *self.degraded.lock().expect("degraded lock"));
         let hedges = std::mem::take(&mut *self.hedges.lock().expect("hedges lock"));
         let replans = std::mem::take(&mut *self.replans.lock().expect("replans lock"));
+        let sorts = std::mem::take(&mut *self.bounded_sorts.lock().expect("sorts lock"));
         let hedged = hedges.values().any(|h| h.fired);
         let profile = if self.instrument {
             let records = std::mem::take(&mut *self.ops.lock().expect("ops lock"));
-            Some(assemble_profile(plan, &records, &hedges, &replans, &mut Vec::new()))
+            let mut root = Vec::new();
+            Some(assemble_profile(plan, &records, &hedges, &replans, &sorts, &mut root))
         } else {
             None
         };
@@ -461,7 +471,7 @@ impl<'a> Executor<'a> {
     }
 
     fn run(&self, plan: &PhysicalPlan) -> Result<(Batch, QueryCost)> {
-        let (cols, cost) = self.run_node(plan, Vec::new())?;
+        let (cols, cost) = self.run_node(plan, Vec::new(), None)?;
         // The one pivot back to rows: the result edge, chunk by chunk.
         let mut rows = Vec::with_capacity(cols.num_rows());
         for chunk in cols.iter() {
@@ -475,13 +485,24 @@ impl<'a> Executor<'a> {
     /// cancellation point: a cancelled, aborted, or out-of-budget query
     /// stops here instead of starting more work (chunked operators also
     /// check between chunks).
-    fn run_node(&self, plan: &PhysicalPlan, path: Vec<usize>) -> Result<Output> {
+    ///
+    /// `first` is the consumer's promise: `Some(k)` says it reads only this
+    /// node's first `k` rows. A `Limit` makes it, `Project` and `Rename` —
+    /// the nodes that emit exactly their input rows in input order — pass it
+    /// down, a `Sort` spends it ([`sort_batch`]); every other node drops,
+    /// merges or multiplies rows, so it promises its children nothing.
+    fn run_node(
+        &self,
+        plan: &PhysicalPlan,
+        path: Vec<usize>,
+        first: Option<usize>,
+    ) -> Result<Output> {
         self.ctx().check()?;
         if !self.instrument {
-            return self.run_inner(plan, &path);
+            return self.run_inner(plan, &path, first);
         }
         let start_wall = Instant::now();
-        let (cols, cost) = self.run_inner(plan, &path)?;
+        let (cols, cost) = self.run_inner(plan, &path, first)?;
         self.ops.lock().expect("ops lock").push(OpRecord {
             path,
             rows: cols.num_rows(),
@@ -491,7 +512,12 @@ impl<'a> Executor<'a> {
         Ok((cols, cost))
     }
 
-    fn run_inner(&self, plan: &PhysicalPlan, path: &[usize]) -> Result<Output> {
+    fn run_inner(
+        &self,
+        plan: &PhysicalPlan,
+        path: &[usize],
+        first: Option<usize>,
+    ) -> Result<Output> {
         match plan {
             PhysicalPlan::Source {
                 source,
@@ -554,7 +580,7 @@ impl<'a> Executor<'a> {
             PhysicalPlan::Filter {
                 input, predicate, ..
             } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let (cols, cost) = self.run_node(input, child_path(path, 0), None)?;
                 let n = cols.num_rows();
                 let pred = bind(predicate, cols.schema())?;
                 let out = self.drive_op(&mut VecFilter::new(pred), &cols, cols.schema().clone())?;
@@ -566,7 +592,7 @@ impl<'a> Executor<'a> {
                 schema,
                 ..
             } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let (cols, cost) = self.run_node(input, child_path(path, 0), first)?;
                 let n = cols.num_rows();
                 let bound: Vec<BoundExpr> = exprs
                     .iter()
@@ -617,7 +643,7 @@ impl<'a> Executor<'a> {
                 residual,
                 schema,
             } => {
-                let (lcols, lc) = self.run_node(left, child_path(path, 0))?;
+                let (lcols, lc) = self.run_node(left, child_path(path, 0), None)?;
                 let key = bind(left_key, lcols.schema())?;
                 let values = distinct_keys(&key, &lcols)?;
                 let handle = self.federation.source(source)?;
@@ -664,7 +690,7 @@ impl<'a> Executor<'a> {
                 schema,
                 ..
             } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let (cols, cost) = self.run_node(input, child_path(path, 0), None)?;
                 let n = cols.num_rows();
                 let groups: Vec<BoundExpr> = group_by
                     .iter()
@@ -680,7 +706,7 @@ impl<'a> Executor<'a> {
                 Ok((out, cost.then(self.cpu(n))))
             }
             PhysicalPlan::Distinct { input } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let (cols, cost) = self.run_node(input, child_path(path, 0), None)?;
                 let n = cols.num_rows();
                 // A group-by over every column with nothing to aggregate:
                 // the first row of each group, in input order. (No rows are
@@ -696,17 +722,27 @@ impl<'a> Executor<'a> {
                 Ok((out, cost.then(self.cpu(n))))
             }
             PhysicalPlan::Sort { input, keys } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let (cols, cost) = self.run_node(input, child_path(path, 0), None)?;
                 let n = cols.num_rows();
                 let keys: Vec<(BoundExpr, bool)> = keys
                     .iter()
                     .map(|(e, asc)| Ok((bind(e, cols.schema())?, *asc)))
                     .collect::<Result<_>>()?;
-                let sorted = sort_batch(&cols.into_one(), &keys)?;
+                // A promise of everything bounds nothing.
+                let first = first.filter(|&k| k < n);
+                if let Some(k) = first {
+                    let mut sorts = self.bounded_sorts.lock().expect("sorts lock");
+                    sorts.insert(path.to_vec(), k);
+                    if let Some(m) = &self.metrics {
+                        m.inc("exec.sort.bounded");
+                    }
+                }
+                let sorted = sort_batch(&cols.into_one(), &keys, first)?;
                 Ok((sorted.into(), cost.then(self.cpu(n))))
             }
             PhysicalPlan::Limit { input, n } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let first = Some(first.map_or(*n, |k| k.min(*n)));
+                let (cols, cost) = self.run_node(input, child_path(path, 0), first)?;
                 Ok((cols.head(*n), cost))
             }
             PhysicalPlan::UnionAll {
@@ -722,7 +758,7 @@ impl<'a> Executor<'a> {
                             .map(|(i, p)| {
                                 let cp = child_path(path, i);
                                 s.spawn(move || {
-                                    let r = self.run_node(p, cp);
+                                    let r = self.run_node(p, cp, None);
                                     self.trip_abort_on_err(&r);
                                     r
                                 })
@@ -757,7 +793,7 @@ impl<'a> Executor<'a> {
                     inputs
                         .iter()
                         .enumerate()
-                        .map(|(i, p)| self.run_node(p, child_path(path, i)))
+                        .map(|(i, p)| self.run_node(p, child_path(path, i), None))
                         .collect::<Result<Vec<_>>>()?
                 };
                 let mut out = Chunks::new(schema.clone());
@@ -773,7 +809,7 @@ impl<'a> Executor<'a> {
                 Ok((out, cost))
             }
             PhysicalPlan::Rename { input, schema } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0))?;
+                let (cols, cost) = self.run_node(input, child_path(path, 0), first)?;
                 let mut out = Chunks::new(schema.clone());
                 out.append(cols);
                 Ok((out, cost))
@@ -841,12 +877,12 @@ impl<'a> Executor<'a> {
         if parallel {
             std::thread::scope(|s| {
                 let lh = s.spawn(move || {
-                    let r = self.run_node(left, lp);
+                    let r = self.run_node(left, lp, None);
                     self.trip_abort_on_err(&r);
                     r
                 });
                 let rh = s.spawn(move || {
-                    let r = self.run_node(right, rp);
+                    let r = self.run_node(right, rp, None);
                     self.trip_abort_on_err(&r);
                     r
                 });
@@ -859,7 +895,10 @@ impl<'a> Executor<'a> {
                 }
             })
         } else {
-            Ok((self.run_node(left, lp)?, self.run_node(right, rp)?))
+            Ok((
+                self.run_node(left, lp, None)?,
+                self.run_node(right, rp, None)?,
+            ))
         }
     }
 
@@ -916,7 +955,7 @@ impl<'a> Executor<'a> {
 
         // Probe side first, serially: the adaptation decision needs its
         // actual cardinality.
-        let (lcols, lc) = self.run_node(left, child_path(path, 0))?;
+        let (lcols, lc) = self.run_node(left, child_path(path, 0), None)?;
         let diverged = match CostModel::new(self.federation)
             .with_feedback(policy.feedback.clone())
             .estimate_physical(left)
@@ -930,7 +969,7 @@ impl<'a> Executor<'a> {
             Err(_) => false,
         };
         if !diverged {
-            let right_out = self.run_node(right, child_path(path, 1))?;
+            let right_out = self.run_node(right, child_path(path, 1), None)?;
             return Ok(Some(((lcols, lc), right_out)));
         }
 
@@ -1024,7 +1063,7 @@ impl<'a> Executor<'a> {
                     true,
                 )?;
                 let (other_cols, other_cost) =
-                    self.run_node(other_child, child_path(path, other_idx))?;
+                    self.run_node(other_child, child_path(path, other_idx), None)?;
                 let fetch = if parallel {
                     site_cost.alongside(other_cost)
                 } else {
@@ -1124,6 +1163,7 @@ fn assemble_profile(
     records: &[OpRecord],
     hedges: &BTreeMap<Vec<usize>, HedgeOutcome>,
     replans: &BTreeSet<Vec<usize>>,
+    sorts: &BTreeMap<Vec<usize>, usize>,
     path: &mut Vec<usize>,
 ) -> OperatorProfile {
     let rec = records.iter().find(|r| r.path == *path);
@@ -1140,7 +1180,7 @@ fn assemble_profile(
         .enumerate()
         .map(|(i, child)| {
             path.push(i);
-            let p = assemble_profile(child, records, hedges, replans, path);
+            let p = assemble_profile(child, records, hedges, replans, sorts, path);
             path.pop();
             p
         })
@@ -1154,6 +1194,7 @@ fn assemble_profile(
         hedged: hedge.fired,
         backup_won: hedge.backup_won,
         replanned: replans.contains(path.as_slice()),
+        top: sorts.get(path.as_slice()).copied(),
         children,
     }
 }

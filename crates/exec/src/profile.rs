@@ -36,6 +36,10 @@ pub struct OperatorProfile {
     /// the remaining subtree was re-entered — e.g. a hub hash join's
     /// shipped build side became a binding-filtered fetch).
     pub replanned: bool,
+    /// `Some(k)` on a `Sort` that ran bounded: a `Limit` above reads only its
+    /// first `k` rows (fewer than it was given), so only those were put in
+    /// order.
+    pub top: Option<usize>,
     /// Child operator profiles, mirroring the plan's children.
     pub children: Vec<OperatorProfile>,
 }

@@ -11,7 +11,9 @@
 //! nested-loop join is the keyless [`VecHashJoin`], a bind join's hub half an
 //! inner [`VecHashJoin`] over the fetched batch, DISTINCT a [`VecAggregate`]
 //! over every column with no aggregates. [`sort_batch`] is the one operator
-//! that needs its whole input at once ([`Chunks::into_one`]).
+//! that needs its whole input at once ([`Chunks::into_one`]) — and the one
+//! that can be told how much of its output will be read: under a LIMIT it
+//! establishes the first `k` positions of the order and no more.
 //!
 //! The contract with the scalar evaluator ([`eii_expr::BoundExpr::eval`]) is
 //! *exact semantic equivalence*: the values a row-at-a-time interpreter would
@@ -23,7 +25,6 @@
 //! integral-until-float SUM ladder ([`crate::agg`]). Keys are hashed and
 //! compared in place ([`crate::keys`]).
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, SchemaRef};
@@ -180,7 +181,14 @@ impl VecFilter {
 impl BatchOperator for VecFilter {
     fn push(&mut self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
         let keep = eval_filter(&self.pred, chunk)?;
-        out.push(chunk.select(keep));
+        // Every row kept: the chunk as it is, so that a column reference
+        // above stays an `Arc` clone instead of a gather through an identity
+        // selection.
+        out.push(if keep.len() == chunk.num_rows() {
+            chunk.clone()
+        } else {
+            chunk.select(keep)
+        });
         Ok(())
     }
 }
@@ -591,27 +599,43 @@ impl BatchOperator for VecAggregate {
 // Sort
 // ---------------------------------------------------------------------------
 
-/// Stable sort of the live rows: each key is evaluated as a column over the
-/// whole input, then an index sort orders the rows under [`Value`]'s total
-/// order (NULL lowest; `false` in a key's flag reverses that key; ties keep
-/// input order), comparing the key columns' typed vectors in place. The
-/// result is a selection over `input`'s own columns, so a LIMIT above gathers
-/// only the rows that survive it.
-pub fn sort_batch(input: &ColumnarBatch, keys: &[(BoundExpr, bool)]) -> Result<ColumnarBatch> {
+/// Sort of the live rows: each key is evaluated as a column over the whole
+/// input, then an index sort orders the rows under [`Value`]'s total order
+/// (NULL lowest; `false` in a key's flag reverses that key; ties keep input
+/// order), comparing the key columns' typed vectors in place. Ties are broken
+/// by row index, which makes the comparator a total order: whatever algorithm
+/// runs, the result is the stable sort's.
+///
+/// `first` is the consumer's promise to read only the first `k` rows (a LIMIT
+/// above). Then only those are established — a selection of the `k` smallest,
+/// then a sort of that prefix — and the rows past `k` follow in no particular
+/// order. All `n` rows are returned either way, as a selection over `input`'s
+/// own columns, so a LIMIT above gathers only the rows that survive it.
+pub fn sort_batch(
+    input: &ColumnarBatch,
+    keys: &[(BoundExpr, bool)],
+    first: Option<usize>,
+) -> Result<ColumnarBatch> {
     let keys = keys
         .iter()
         .map(|(expr, asc)| Ok((eval_column(expr, input)?, *asc)))
         .collect::<Result<Vec<_>>>()?;
-    let mut order: Vec<u32> = (0..input.num_rows() as u32).collect();
-    order.sort_by(|&a, &b| {
+    let by_keys_then_row = |a: &u32, b: &u32| {
         for (col, asc) in &keys {
-            let ord = cells_cmp(col, a as usize, col, b as usize);
+            let ord = cells_cmp(col, *a as usize, col, *b as usize);
             if !ord.is_eq() {
                 return if *asc { ord } else { ord.reverse() };
             }
         }
-        Ordering::Equal
-    });
+        a.cmp(b)
+    };
+    let n = input.num_rows();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    let k = first.map_or(n, |k| k.min(n));
+    if 0 < k && k < n {
+        order.select_nth_unstable_by(k - 1, by_keys_then_row);
+    }
+    order[..k].sort_unstable_by(by_keys_then_row);
     Ok(input.select(order))
 }
 
@@ -620,6 +644,7 @@ mod tests {
     use super::*;
     use eii_data::{row, Batch, ColumnData, DataType, Field, Schema, Value};
     use eii_expr::{bind, BinaryOp, Expr};
+    use std::cmp::Ordering;
 
     fn schema(fields: &[(&str, DataType)]) -> SchemaRef {
         Arc::new(Schema::new(
@@ -848,14 +873,24 @@ mod tests {
         assert_eq!(checks, 6, "one check per pushed chunk");
         assert_eq!(out.iter().count(), 3);
         for ((src, mid), got) in input.iter().zip(filtered.iter()).zip(out.iter()) {
-            // The filter narrowed by selection over the source's own columns…
-            assert!(Arc::ptr_eq(mid.column(1), src.column(1)));
-            // …which kept every row here, so the kernel gathered `y` once and
-            // the projection handed that very column on.
-            let kernel = eval_column(&BoundExpr::Column(1), mid).unwrap();
-            assert_eq!(got.column(0).as_ref(), kernel.as_ref());
+            // The filter kept every row, so it handed the chunk on as it was:
+            // no selection, and the projected column reference *is* the
+            // source's column.
+            assert!(mid.selection().is_none());
+            assert!(Arc::ptr_eq(got.column(0), src.column(1)));
             assert_eq!(got.num_rows(), 4);
         }
+        // A filter that drops a row narrows by selection over the source's own
+        // columns, and the kernel gathers `y` once for the projection.
+        let pred = bind(&Expr::col("x").gt(Expr::lit(0i64)), &s).unwrap();
+        let mut narrow = VecFilter::new(pred);
+        let narrowed = drive(&mut narrow, &input, Arc::clone(&s), 0, || Ok(())).unwrap();
+        let (src, mid) = (input.iter().next().unwrap(), narrowed.iter().next().unwrap());
+        assert_eq!(mid.selection(), Some(&[1u32, 2, 3][..]));
+        assert!(Arc::ptr_eq(mid.column(1), src.column(1)));
+        let out = drive(&mut project, &narrowed, Arc::clone(out.schema()), 0, || Ok(())).unwrap();
+        let kernel = eval_column(&BoundExpr::Column(1), mid).unwrap();
+        assert_eq!(out.iter().next().unwrap().column(0).as_ref(), kernel.as_ref());
         // Without a selection the column reference is the input's `Arc`.
         let passed = drive(&mut project, &input, Arc::clone(out.schema()), 0, || Ok(())).unwrap();
         for (src, got) in input.iter().zip(passed.iter()) {
@@ -1077,7 +1112,7 @@ mod tests {
                 row![1i64, 5i64],
             ],
         ));
-        let asc = sort_batch(&batch, &sort_keys(&batch, &[(Expr::col("k"), true)])).unwrap();
+        let asc = sort_batch(&batch, &sort_keys(&batch, &[(Expr::col("k"), true)]), None).unwrap();
         assert_eq!(
             column_values(&asc, 1),
             [1, 4, 2, 5, 0, 3].map(Value::Int),
@@ -1085,7 +1120,8 @@ mod tests {
         );
         // A selection over the input's own columns: nothing was copied.
         assert!(Arc::ptr_eq(asc.column(0), batch.column(0)));
-        let desc = sort_batch(&batch, &sort_keys(&batch, &[(Expr::col("k"), false)])).unwrap();
+        let desc =
+            sort_batch(&batch, &sort_keys(&batch, &[(Expr::col("k"), false)]), None).unwrap();
         assert_eq!(
             column_values(&desc, 1),
             [0, 3, 2, 5, 1, 4].map(Value::Int),
@@ -1097,6 +1133,7 @@ mod tests {
         let two = sort_batch(
             &live,
             &sort_keys(&live, &[(Expr::col("k"), false), (Expr::col("seq"), false)]),
+            None,
         )
         .unwrap();
         assert_eq!(column_values(&two, 1), [3, 0, 5, 2].map(Value::Int));
@@ -1134,7 +1171,7 @@ mod tests {
         ] {
             let keys: Vec<(Expr, bool)> =
                 spec.iter().map(|(c, asc)| (Expr::col(*c), *asc)).collect();
-            let got = sort_batch(&batch, &sort_keys(&batch, &keys)).unwrap();
+            let got = sort_batch(&batch, &sort_keys(&batch, &keys), None).unwrap();
             // The comparator this replaced: one `Value` per key per row.
             let mut want = rows.clone();
             want.sort_by(|a, b| {
@@ -1162,7 +1199,7 @@ mod tests {
         ));
         let key = Expr::col("k").binary(BinaryOp::Plus, Expr::lit(1i64));
         let keys = sort_keys(&batch, &[(key, true)]);
-        let err = sort_batch(&batch, &keys).unwrap_err();
+        let err = sort_batch(&batch, &keys, Some(1)).unwrap_err();
         let scalar = keys[0].0.eval(&batch.row(1)).unwrap_err();
         assert_eq!(err.to_string(), scalar.to_string());
         assert_ne!(

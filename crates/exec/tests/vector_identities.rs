@@ -8,14 +8,20 @@
 //! - the shared key table — join build/probe and DISTINCT — is a
 //!   `HashMap<Vec<Value>, _>`;
 //! - a failing `SUM` reports the first failing *row*, not the first failing
-//!   aggregate.
+//!   aggregate;
+//! - a sort told that only its first `k` rows will be read returns, in those
+//!   `k` positions, the rows the full (stable) sort returns, and every row
+//!   still; and the executor tells it so only through nodes that emit exactly
+//!   their input rows in input order.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use eii_data::{Batch, ColumnarBatch, DataType, EiiError, Field, Row, Schema, SchemaRef, Value};
-use eii_exec::{drive, BatchOperator, Chunks, VecAggregate, VecHashJoin};
-use eii_expr::{eval_column, AggFunc, BoundExpr};
+use eii_exec::{drive, sort_batch, BatchOperator, Chunks, Executor, VecAggregate, VecHashJoin};
+use eii_expr::{eval_column, AggFunc, BinaryOp, BoundExpr, Expr};
+use eii_federation::Federation;
+use eii_planner::{AggItem, JoinSite, PhysicalPlan};
 use eii_sql::JoinKind;
 use proptest::prelude::*;
 
@@ -298,6 +304,57 @@ proptest! {
             .collect();
         prop_assert_eq!(exact(&got), exact(&want));
     }
+
+    /// Identity (d): `sort_batch(.., Some(k))`'s first `k` rows are the full
+    /// sort's first `k`, row for row — 1–3 keys, ascending and descending,
+    /// heavy ties (the hazard pools are small), NULL/NaN/2^53-twin keys, typed
+    /// and `Mixed` key columns, full and selected inputs — the rows past `k`
+    /// are the rest in some order, and the full sort is the stable sort under
+    /// `Value`'s order.
+    #[test]
+    fn a_bounded_sort_establishes_the_first_k_rows_of_the_full_sort(
+        picks in proptest::collection::vec(proptest::collection::vec(0usize..64, 3..4), 0..40),
+        flavors in proptest::collection::vec(0usize..4, 3..4),
+        spec in proptest::collection::vec((0usize..3, any::<bool>()), 1..4),
+        sel in proptest::collection::vec(0usize..64, 0..50),
+        selected in any::<bool>(),
+    ) {
+        let rows: Vec<Row> = (picks.iter().enumerate())
+            .map(|(r, p)| {
+                let keys = (0..3).map(|c| cell(flavors[c], p[c]));
+                Row::new(keys.chain([Value::Int(r as i64)]).collect())
+            })
+            .collect();
+        let s = schema(&[DataType::Int, DataType::Float, DataType::Str, DataType::Int]);
+        let mut batch = ColumnarBatch::from_batch(&Batch::new(s, rows));
+        if selected && !picks.is_empty() {
+            batch = batch.select(sel.iter().map(|p| (p % picks.len()) as u32).collect());
+        }
+        let input = batch.to_batch().into_rows();
+        let n = input.len();
+        let keys: Vec<(BoundExpr, bool)> =
+            spec.iter().map(|&(c, asc)| (BoundExpr::Column(c), asc)).collect();
+
+        let mut want = input.clone();
+        want.sort_by(|a, b| {
+            (spec.iter())
+                .map(|&(c, asc)| if asc { a.get(c).cmp(b.get(c)) } else { b.get(c).cmp(a.get(c)) })
+                .find(|ord| ord.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let full = sort_batch(&batch, &keys, None).unwrap().to_batch().into_rows();
+        prop_assert_eq!(exact(&full), exact(&want));
+
+        for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+            let got = sort_batch(&batch, &keys, Some(k)).unwrap().to_batch().into_rows();
+            let k = k.min(n);
+            prop_assert_eq!(exact(&got[..k]), exact(&full[..k]), "first {} of {}", k, n);
+            let (mut rest, mut want_rest) = (exact(&got[k..]), exact(&full[k..]));
+            rest.sort();
+            want_rest.sort();
+            prop_assert_eq!(rest, want_rest, "rows past {} of {}", k, n);
+        }
+    }
 }
 
 /// (c): two `SUM`s over `Mixed` columns that fail in different rows report the
@@ -328,4 +385,156 @@ fn a_failing_sum_reports_the_first_failing_row_across_aggregates() {
             "at {batch_size} rows per chunk: {err}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Who tells a Sort how much of its order will be read
+// ---------------------------------------------------------------------------
+
+/// `(x, seq)` rows: `x` from `xs`, `seq` the position.
+fn x_seq(xs: &[i64]) -> Batch {
+    let rows = xs.iter().enumerate().map(|(i, &x)| Row::new(vec![Value::Int(x), Value::Int(i as i64)]));
+    let fields = ["x", "seq"].map(|name| Field::new(name, DataType::Int));
+    Batch::new(Arc::new(Schema::new(fields.to_vec())), rows.collect())
+}
+
+/// [`x_seq`] as a plan leaf.
+fn values(xs: &[i64]) -> PhysicalPlan {
+    let batch = x_seq(xs);
+    PhysicalPlan::Values { schema: batch.schema().clone(), rows: batch.into_rows() }
+}
+
+fn sorted_by_x(input: PhysicalPlan) -> PhysicalPlan {
+    PhysicalPlan::Sort { input: Box::new(input), keys: vec![(Expr::col("x"), true)] }
+}
+
+fn limit(n: usize, input: PhysicalPlan) -> PhysicalPlan {
+    PhysicalPlan::Limit { input: Box::new(input), n }
+}
+
+fn filter(predicate: Expr, input: PhysicalPlan) -> PhysicalPlan {
+    PhysicalPlan::Filter { input: Box::new(input), predicate, vectorized: true }
+}
+
+/// `SELECT x * 2 AS x2, seq`.
+fn doubled(input: PhysicalPlan) -> PhysicalPlan {
+    let x2 = Expr::col("x").binary(BinaryOp::Multiply, Expr::lit(2i64));
+    PhysicalPlan::Project {
+        input: Box::new(input),
+        exprs: vec![(x2, "x2".into()), (Expr::col("seq"), "seq".into())],
+        schema: Arc::new(Schema::new(vec![
+            Field::new("x2", DataType::Int),
+            Field::new("seq", DataType::Int),
+        ])),
+        vectorized: true,
+    }
+}
+
+fn renamed(input: PhysicalPlan) -> PhysicalPlan {
+    let schema = Arc::new(input.schema().qualified("r"));
+    PhysicalPlan::Rename { input: Box::new(input), schema }
+}
+
+/// The answer, and the `k` the plan's Sort ran bounded by (if it did).
+fn execute(plan: &PhysicalPlan) -> (Vec<Row>, Option<usize>) {
+    let federation = Federation::new();
+    let result = Executor::new(&federation).execute(plan).unwrap();
+    let sort = result.profile.as_ref().unwrap().find("Sort");
+    (result.batch.into_rows(), sort.and_then(|s| s.top))
+}
+
+/// 200 values, every one five times over, in no order.
+fn shuffled() -> Vec<i64> {
+    (0..200i64).map(|i| (i * 73 + 11) % 200 % 40).collect()
+}
+
+#[test]
+fn a_limit_bounds_the_sort_under_it_through_project_and_rename_only() {
+    let always = || Expr::lit(true);
+    // `build(above_sort)` wraps the Sort in the nodes under test; the twin
+    // puts an always-true Filter right above the Sort, which emits the same
+    // rows in the same order and forwards no promise: `first` forced to None.
+    type Wrap = fn(PhysicalPlan) -> PhysicalPlan;
+    let forwarding: [(&str, Wrap, usize); 6] = [
+        ("Limit→Sort", |s| limit(7, s), 7),
+        ("Limit→Project(computed)→Sort", |s| limit(7, doubled(s)), 7),
+        ("Limit→Rename→Project→Sort", |s| limit(7, renamed(doubled(s))), 7),
+        ("Limit(5, Limit(10, Sort))", |s| limit(5, limit(10, s)), 5),
+        ("Limit(10, Limit(5, Sort))", |s| limit(10, limit(5, s)), 5),
+        ("LIMIT 0", |s| limit(0, doubled(s)), 0),
+    ];
+    for (name, wrap, k) in forwarding {
+        let (got, top) = execute(&wrap(sorted_by_x(values(&shuffled()))));
+        let (want, blocked) = execute(&wrap(filter(always(), sorted_by_x(values(&shuffled())))));
+        assert_eq!(top, Some(k), "{name}: the promise reaches the Sort");
+        assert_eq!(blocked, None, "{name}: a Filter passes no promise on");
+        assert_eq!(exact(&got), exact(&want), "{name}");
+        assert_eq!(got.len(), k);
+    }
+    // A limit that reads everything bounds nothing.
+    let (all, top) = execute(&limit(200, sorted_by_x(values(&shuffled()))));
+    assert_eq!((all.len(), top), (200, None));
+}
+
+#[test]
+fn the_promise_does_not_cross_a_node_that_drops_merges_or_multiplies_rows() {
+    let xs = |rows: &[Row]| -> Vec<Value> { rows.iter().map(|r| r.get(0).clone()).collect() };
+    // `above(Sort)` under a Limit of `k` answers `want` from a Sort that was
+    // promised nothing. Had the promise leaked through `above`, the Sort would
+    // have emitted a bounded order instead — and the plan, run over exactly
+    // that, answers something else: each case reads past what a bounded sort
+    // puts in order.
+    let case = |name: &str, k: usize, above: &dyn Fn(PhysicalPlan) -> PhysicalPlan, want: &[i64]| {
+        let want: Vec<Value> = want.iter().map(|&i| Value::Int(i)).collect();
+        let (rows, top) = execute(&limit(k, above(sorted_by_x(values(&shuffled())))));
+        assert_eq!((xs(&rows), top), (want.clone(), None), "{name}");
+        let input = ColumnarBatch::from_batch(&x_seq(&shuffled()));
+        let leaked = sort_batch(&input, &[(BoundExpr::Column(0), true)], Some(k)).unwrap().to_batch();
+        let in_its_place = PhysicalPlan::Values { schema: leaked.schema().clone(), rows: leaked.into_rows() };
+        let (rows, _) = execute(&limit(k, above(in_its_place)));
+        assert_ne!(xs(&rows), want, "{name}: a leak would not show");
+    };
+
+    // Filter drops the rows the Sort would have been sure of.
+    case("Limit→Filter→Sort", 5, &|sort| filter(Expr::col("x").gt_eq(Expr::lit(10i64)), sort), &[10; 5]);
+
+    // Distinct merges five rows into one.
+    let distinct_x = |sort: PhysicalPlan| PhysicalPlan::Distinct {
+        input: Box::new(PhysicalPlan::Project {
+            input: Box::new(sort),
+            exprs: vec![(Expr::col("x"), "x".into())],
+            schema: schema(&[DataType::Int]),
+            vectorized: true,
+        }),
+    };
+    let first_12: Vec<i64> = (0..12).collect();
+    case("Limit→Distinct→Sort", 12, &distinct_x, &first_12);
+
+    // So does an aggregate, whose groups come in first-seen order.
+    let counted = |sort: PhysicalPlan| PhysicalPlan::Aggregate {
+        input: Box::new(sort),
+        group_by: vec![Expr::col("x")],
+        aggs: vec![AggItem { func: AggFunc::CountStar, arg: None, distinct: false, name: "n".into() }],
+        schema: schema(&[DataType::Int, DataType::Int]),
+        vectorized: true,
+    };
+    case("Limit→Aggregate→Sort", 12, &counted, &first_12);
+
+    // A join drops probe rows without a match and repeats those with two.
+    let joined = |sort: PhysicalPlan| {
+        let right = renamed(values(&[20, 21, 20]));
+        PhysicalPlan::HashJoin {
+            schema: Arc::new(sort.schema().join(&right.schema())),
+            left: Box::new(sort),
+            right: Box::new(right),
+            left_keys: vec![Expr::col("x")],
+            right_keys: vec![Expr::qcol("r", "x")],
+            kind: JoinKind::Inner,
+            residual: None,
+            site: JoinSite::Hub,
+            parallel: false,
+            vectorized: true,
+        }
+    };
+    case("Limit→HashJoin(Sort, …)", 12, &joined, &[20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 21, 21]);
 }

@@ -4,24 +4,45 @@
 //! The contract with the scalar path is *exact semantic equivalence*: for any
 //! expression and any batch, [`eval_column`] must produce, position by
 //! position, the same [`Value`]s (and the same errors) as calling
-//! [`BoundExpr::eval`] on each materialized row. The kernel proptests below
-//! and the reference-evaluator proptest (`tests/reference.rs`) hold this
-//! line. Four rules keep it honest:
+//! [`BoundExpr::eval`] on each materialized row. The kernel proptests
+//! (`tests/kernel_identities.rs`, over one hazard set) and the
+//! reference-evaluator proptest (`tests/reference.rs`) hold this line. Four
+//! rules keep it honest:
 //!
-//! - **NULL propagation and Kleene AND/OR** are re-implemented over columns,
-//!   but AND/OR evaluate their right side only on the *sub-selection* of rows
-//!   the scalar path would have reached (short-circuiting is observable:
-//!   a row the scalar path skips must not be able to raise an error here);
-//! - **type-specialized fast paths** (Int/Float/Str comparisons, Int and
-//!   Float arithmetic) fall back to the scalar kernels of
-//!   [`crate::eval::eval_binary`] element-wise whenever operand columns are
-//!   not cleanly typed, so `Mixed` columns cost speed, never correctness;
+//! - **Kleene AND/OR** are re-implemented over columns, but evaluate their
+//!   right side only on the *sub-selection* of rows the scalar path would have
+//!   reached (short-circuiting is observable: a row the scalar path skips
+//!   must not be able to raise an error here). Two typed `Bool` operands are
+//!   merged from their slices and bitmaps; anything else one [`Value`] at a
+//!   time through the scalar path's own `eval_and`/`eval_or`;
+//! - **one binary kernel** serves comparisons and arithmetic. Each side of a
+//!   binary node is an operand — a column or a *scalar*: a literal is read
+//!   where it stands and never broadcast into a column. The result's validity
+//!   is computed once per call (no bitmap on either operand, none on the
+//!   result; otherwise the word-wise AND of the two), and the values come from
+//!   one slice-or-scalar loop with no NULL test in it — a slot under a NULL
+//!   holds a placeholder, and whatever is computed from it lands under the
+//!   result's NULL. Typed loops exist for Int ∘ Int, anything with a Float
+//!   (widened to `f64`; *compared* exactly, through `cmp_int_float`), Str and
+//!   Timestamp comparisons; `Mixed`, `Bool`, Str + Str and operands of two
+//!   different types fall back to [`crate::eval::eval_binary`] element-wise,
+//!   so an untyped column costs speed, never correctness. `/` and `%` look
+//!   for a zero divisor before the loop, and only where the result is not
+//!   NULL anyway;
 //! - operators with row-dependent control flow (`CASE`, `IN` with non-literal
 //!   list items) materialize rows and delegate to the scalar evaluator;
 //! - **error identity**: column-at-a-time order can trip over a different
 //!   failing row than the scalar path when distinct rows fail in distinct
 //!   subexpressions, so on any kernel error [`eval_column`] re-runs the
 //!   expression row-at-a-time and reports the scalar path's first error.
+//!
+//! What still allocates: one output vector per node (and its bitmap, when an
+//! operand has one), the gather of a column read under a selection, a
+//! sub-selection per AND/OR whose left side decides some rows but not all,
+//! and — the one broadcast left — a bare literal in an *output* position
+//! (`SELECT 1`) or an all-NULL result (`x = NULL`). `LIKE`, `BETWEEN`, `IN`,
+//! `CAST` and function calls still evaluate their operands as columns and
+//! walk them a [`Value`] at a time.
 
 // The kernel loops below walk several parallel structures in lockstep by
 // index (output vector, null bitmap, one or more operand columns, and for
@@ -29,6 +50,7 @@
 // iterator rewrites would obscure that alignment.
 #![allow(clippy::needless_range_loop)]
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use eii_data::columnar::{Column, ColumnData, ColumnarBatch, NullBitmap};
@@ -68,42 +90,36 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
             BinaryOp::And => eval_logical(left, right, batch, true),
             BinaryOp::Or => eval_logical(left, right, batch, false),
             _ => {
-                let l = eval_column(left, batch)?;
-                let r = eval_column(right, batch)?;
-                if op.is_comparison() {
-                    Ok(Arc::new(cmp_kernel(&l, *op, &r, n)))
-                } else {
-                    Ok(Arc::new(arith_kernel(&l, *op, &r, n)?))
-                }
+                let l = Operand::eval(left, batch)?;
+                let r = Operand::eval(right, batch)?;
+                Ok(Arc::new(binary_kernel(&l, *op, &r, n)?))
             }
         },
-        BoundExpr::Unary { op, expr } => {
-            let c = eval_column(expr, batch)?;
-            let vals = (0..n)
-                .map(|i| {
-                    let v = c.value(i);
-                    match op {
-                        UnaryOp::Not => match v {
-                            Value::Null => Ok(Value::Null),
-                            Value::Bool(b) => Ok(Value::Bool(!b)),
-                            other => Err(EiiError::Type(format!("NOT applied to {other}"))),
-                        },
-                        UnaryOp::Neg => match v {
-                            Value::Null => Ok(Value::Null),
-                            Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                            Value::Float(f) => Ok(Value::Float(-f)),
-                            other => {
-                                Err(EiiError::Type(format!("negation applied to {other}")))
-                            }
-                        },
-                    }
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Ok(Arc::new(from_values_auto(&vals)))
+        BoundExpr::Unary { op, expr: inner } => {
+            let c = eval_column(inner, batch)?;
+            let data = match (op, c.data()) {
+                (UnaryOp::Not, ColumnData::Bool(v)) => {
+                    ColumnData::Bool(v.iter().map(|b| !b).collect())
+                }
+                (UnaryOp::Neg, ColumnData::Int(v)) => {
+                    ColumnData::Int(v.iter().map(|i| i.wrapping_neg()).collect())
+                }
+                (UnaryOp::Neg, ColumnData::Float(v)) => {
+                    ColumnData::Float(v.iter().map(|f| -f).collect())
+                }
+                // `Mixed`, or a type the operator rejects wherever the
+                // operand is not NULL: the scalar path knows which.
+                _ => return eval_by_rows(expr, batch),
+            };
+            Ok(Arc::new(Column::new(data, c.nulls().cloned())))
         }
         BoundExpr::IsNull { expr, negated } => {
             let c = eval_column(expr, batch)?;
-            let out: Vec<bool> = (0..n).map(|i| c.is_null(i) != *negated).collect();
+            let out = match (c.data(), c.nulls()) {
+                (ColumnData::Mixed(v), _) => v.iter().map(|x| x.is_null() != *negated).collect(),
+                (_, None) => vec![*negated; n],
+                (_, Some(nulls)) => (0..n).map(|i| nulls.is_null(i) != *negated).collect(),
+            };
             Ok(Arc::new(Column::new(ColumnData::Bool(out), None)))
         }
         BoundExpr::Like {
@@ -278,7 +294,10 @@ fn eval_by_rows(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Column>> 
 
 /// Kleene AND/OR with observable short-circuiting: the right side is
 /// evaluated only over the sub-selection of rows whose left value does not
-/// already decide the result, mirroring the scalar path's lazy `eval`.
+/// already decide the result, mirroring the scalar path's lazy `eval`. Two
+/// typed `Bool` operands are merged from their slices and bitmaps; anything
+/// else (a `Mixed` column, an all-NULL or wrongly typed operand) through
+/// [`eval_and`]/[`eval_or`] and their type errors.
 fn eval_logical(
     left: &BoundExpr,
     right: &BoundExpr,
@@ -287,45 +306,53 @@ fn eval_logical(
 ) -> Result<Arc<Column>> {
     let n = batch.num_rows();
     let l = eval_column(left, batch)?;
-    let decided = |i: usize| -> bool {
-        !l.is_null(i)
-            && match l.value(i) {
-                Value::Bool(b) => b != is_and,
-                _ => false,
-            }
+    // The value that decides a row from the left alone: FALSE for AND, TRUE
+    // for OR.
+    let dominant = !is_and;
+    let undecided = |i: usize| match l.as_bools() {
+        Some(b) => b[i] == is_and || l.nulls().is_some_and(|v| v.is_null(i)),
+        None => l.value(i) != Value::Bool(dominant),
     };
-    let need: Vec<u32> = (0..n as u32).filter(|&i| !decided(i as usize)).collect();
-    let r = if need.is_empty() {
-        None
-    } else if need.len() == n {
-        Some(eval_column(right, batch)?)
-    } else {
-        Some(eval_column(right, &batch.select(need.clone()))?)
+    let need: Vec<u32> = (0..n as u32).filter(|&i| undecided(i as usize)).collect();
+    let r = match need.len() {
+        // Every row decided, each by its own left value.
+        0 => return Ok(l),
+        k if k == n => eval_column(right, batch)?,
+        _ => eval_column(right, &batch.select(need))?,
     };
-    let mut out = vec![false; n];
+    let typed = l.as_bools().zip(r.as_bools());
+    if typed.is_some() && r.len() == n && l.nulls().is_none() {
+        // Every left value is the neutral one: the right side is the answer.
+        return Ok(r);
+    }
+    let mut out = vec![dominant; n];
     let mut nulls = NullBitmap::new_valid(n);
     let mut any_null = false;
-    let mut k = 0usize;
-    for i in 0..n {
-        if decided(i) {
-            out[i] = !is_and;
-            continue;
-        }
-        let rv = r.as_ref().expect("undecided row implies rhs").value(k);
-        k += 1;
-        let lv = l.value(i);
-        let merged = if is_and {
-            eval_and(&lv, &rv)?
-        } else {
-            eval_or(&lv, &rv)?
+    for (k, i) in (0..n).filter(|&i| undecided(i)).enumerate() {
+        let merged = match typed {
+            // The left is neutral or NULL here, so the right is the answer
+            // unless it is NULL itself, or the left is and it cannot decide.
+            Some((_, rb)) => {
+                let null = r.nulls().is_some_and(|v| v.is_null(k))
+                    || (rb[k] != dominant && l.nulls().is_some_and(|v| v.is_null(i)));
+                (!null).then_some(rb[k])
+            }
+            None => {
+                let (lv, rv) = (l.value(i), r.value(k));
+                if is_and {
+                    eval_and(&lv, &rv)?
+                } else {
+                    eval_or(&lv, &rv)?
+                }
+                .as_bool()
+            }
         };
         match merged {
-            Value::Bool(b) => out[i] = b,
-            Value::Null => {
+            Some(b) => out[i] = b,
+            None => {
                 nulls.set_null(i);
                 any_null = true;
             }
-            other => unreachable!("AND/OR produced {other}"),
         }
     }
     Ok(Arc::new(Column::new(
@@ -334,162 +361,235 @@ fn eval_logical(
     )))
 }
 
-fn cmp_ord(ord: std::cmp::Ordering, op: BinaryOp) -> bool {
+/// One side of a binary node: a column, or a scalar — a literal is read where
+/// it stands, never broadcast into a column.
+enum Operand {
+    Col(Arc<Column>),
+    Scalar(Value),
+}
+
+/// A typed operand as the kernels' loops read it.
+enum Lane<'a, T> {
+    Slice(&'a [T]),
+    Scalar(&'a T),
+}
+
+/// The typed views the kernels have loops for; `Other` (`Bool`, `Mixed`) goes
+/// by [`Value`].
+enum Lanes<'a> {
+    Int(Lane<'a, i64>),
+    Float(Lane<'a, f64>),
+    Str(Lane<'a, Arc<str>>),
+    Timestamp(Lane<'a, i64>),
+    Other,
+}
+
+impl Operand {
+    fn eval(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Operand> {
+        Ok(match expr {
+            BoundExpr::Literal(v) => Operand::Scalar(v.clone()),
+            _ => Operand::Col(eval_column(expr, batch)?),
+        })
+    }
+
+    fn nulls(&self) -> Option<&NullBitmap> {
+        match self {
+            Operand::Col(c) => c.nulls(),
+            Operand::Scalar(_) => None,
+        }
+    }
+
+    fn value(&self, i: usize) -> Value {
+        match self {
+            Operand::Col(c) => c.value(i),
+            Operand::Scalar(v) => v.clone(),
+        }
+    }
+
+    fn lanes(&self) -> Lanes<'_> {
+        match self {
+            Operand::Col(c) => match c.data() {
+                ColumnData::Int(v) => Lanes::Int(Lane::Slice(v)),
+                ColumnData::Float(v) => Lanes::Float(Lane::Slice(v)),
+                ColumnData::Str(v) => Lanes::Str(Lane::Slice(v)),
+                ColumnData::Timestamp(v) => Lanes::Timestamp(Lane::Slice(v)),
+                ColumnData::Bool(_) | ColumnData::Mixed(_) => Lanes::Other,
+            },
+            Operand::Scalar(v) => match v {
+                Value::Int(i) => Lanes::Int(Lane::Scalar(i)),
+                Value::Float(f) => Lanes::Float(Lane::Scalar(f)),
+                Value::Str(s) => Lanes::Str(Lane::Scalar(s)),
+                Value::Timestamp(t) => Lanes::Timestamp(Lane::Scalar(t)),
+                Value::Bool(_) | Value::Null => Lanes::Other,
+            },
+        }
+    }
+}
+
+/// `f` over `n` positions of two lanes: one plain loop per operand shape, no
+/// NULL test in any of them (a slot under a NULL holds a placeholder, and what
+/// is computed from it lands under the result's NULL).
+fn zip<A, B, O: Clone>(a: Lane<A>, b: Lane<B>, n: usize, f: impl Fn(&A, &B) -> O) -> Vec<O> {
+    match (a, b) {
+        (Lane::Slice(a), Lane::Slice(b)) => a.iter().zip(b).map(|(x, y)| f(x, y)).collect(),
+        (Lane::Slice(a), Lane::Scalar(y)) => a.iter().map(|x| f(x, y)).collect(),
+        (Lane::Scalar(x), Lane::Slice(b)) => b.iter().map(|y| f(x, y)).collect(),
+        (Lane::Scalar(x), Lane::Scalar(y)) => vec![f(x, y); n],
+    }
+}
+
+fn compare<A, B>(
+    a: Lane<A>,
+    b: Lane<B>,
+    n: usize,
+    op: BinaryOp,
+    ord: impl Fn(&A, &B) -> Ordering,
+) -> Vec<bool> {
     match op {
-        BinaryOp::Eq => ord.is_eq(),
-        BinaryOp::NotEq => !ord.is_eq(),
-        BinaryOp::Lt => ord.is_lt(),
-        BinaryOp::LtEq => ord.is_le(),
-        BinaryOp::Gt => ord.is_gt(),
-        BinaryOp::GtEq => ord.is_ge(),
+        BinaryOp::Eq => zip(a, b, n, |x, y| ord(x, y).is_eq()),
+        BinaryOp::NotEq => zip(a, b, n, |x, y| ord(x, y).is_ne()),
+        BinaryOp::Lt => zip(a, b, n, |x, y| ord(x, y).is_lt()),
+        BinaryOp::LtEq => zip(a, b, n, |x, y| ord(x, y).is_le()),
+        BinaryOp::Gt => zip(a, b, n, |x, y| ord(x, y).is_gt()),
+        BinaryOp::GtEq => zip(a, b, n, |x, y| ord(x, y).is_ge()),
         _ => unreachable!("comparison op"),
     }
 }
 
-/// Comparison kernel: NULL on either side propagates, otherwise total-order
-/// compare. Typed fast paths mirror `Value::cmp` exactly (Int/Float
-/// cross-compare through `cmp_int_float`).
-fn cmp_kernel(l: &Column, op: BinaryOp, r: &Column, n: usize) -> Column {
-    let mut out = vec![false; n];
-    let mut nulls = NullBitmap::new_valid(n);
-    let mut any_null = false;
-    macro_rules! typed {
-        ($a:expr, $b:expr, $cmp:expr) => {{
-            for i in 0..n {
-                if l.is_null(i) || r.is_null(i) {
-                    nulls.set_null(i);
-                    any_null = true;
-                } else {
-                    #[allow(clippy::redundant_closure_call)]
-                    {
-                        out[i] = cmp_ord($cmp(&$a[i], &$b[i]), op);
-                    }
-                }
-            }
-        }};
-    }
-    match (l.data(), r.data()) {
-        (ColumnData::Int(a), ColumnData::Int(b)) => typed!(a, b, |x: &i64, y: &i64| x.cmp(y)),
-        (ColumnData::Float(a), ColumnData::Float(b)) => {
-            typed!(a, b, |x: &f64, y: &f64| x.total_cmp(y))
-        }
-        (ColumnData::Int(a), ColumnData::Float(b)) => {
-            typed!(a, b, |x: &i64, y: &f64| cmp_int_float(*x, *y))
-        }
-        (ColumnData::Float(a), ColumnData::Int(b)) => {
-            typed!(a, b, |x: &f64, y: &i64| cmp_int_float(*y, *x).reverse())
-        }
-        (ColumnData::Str(a), ColumnData::Str(b)) => {
-            typed!(a, b, |x: &Arc<str>, y: &Arc<str>| x.cmp(y))
-        }
-        (ColumnData::Timestamp(a), ColumnData::Timestamp(b)) => {
-            typed!(a, b, |x: &i64, y: &i64| x.cmp(y))
-        }
-        _ => {
-            for i in 0..n {
-                if l.is_null(i) || r.is_null(i) {
-                    nulls.set_null(i);
-                    any_null = true;
-                } else {
-                    out[i] = cmp_ord(l.value(i).cmp(&r.value(i)), op);
-                }
-            }
-        }
-    }
-    Column::new(ColumnData::Bool(out), any_null.then_some(nulls))
+/// The arithmetic of one result type, as the scalar path does it: `i64`
+/// wraps, `f64` is IEEE. Dividing by zero answers a placeholder — it is
+/// reached only under a NULL ([`arith`] has refused the rest).
+trait Arith: Copy + PartialEq {
+    const ZERO: Self;
+    fn add(self, y: Self) -> Self;
+    fn sub(self, y: Self) -> Self;
+    fn mul(self, y: Self) -> Self;
+    fn div(self, y: Self) -> Self;
+    fn rem(self, y: Self) -> Self;
 }
 
-/// Arithmetic kernel with the scalar path's widening rules: Int op Int stays
-/// Int (wrapping, zero-divide errors), any Float widens to f64, Str + Str
-/// concatenates; everything else defers to `eval_binary` element-wise.
-fn arith_kernel(l: &Column, op: BinaryOp, r: &Column, n: usize) -> Result<Column> {
-    match (l.data(), r.data()) {
-        (ColumnData::Int(a), ColumnData::Int(b)) => {
-            let mut out = vec![0i64; n];
-            let mut nulls = NullBitmap::new_valid(n);
-            let mut any_null = false;
-            for i in 0..n {
-                if l.is_null(i) || r.is_null(i) {
-                    nulls.set_null(i);
-                    any_null = true;
-                    continue;
-                }
-                let (x, y) = (a[i], b[i]);
-                out[i] = match op {
-                    BinaryOp::Plus => x.wrapping_add(y),
-                    BinaryOp::Minus => x.wrapping_sub(y),
-                    BinaryOp::Multiply => x.wrapping_mul(y),
-                    BinaryOp::Divide | BinaryOp::Modulo => {
-                        if y == 0 {
-                            return Err(EiiError::Execution("division by zero".into()));
-                        }
-                        if matches!(op, BinaryOp::Divide) {
-                            x.wrapping_div(y)
-                        } else {
-                            x.wrapping_rem(y)
-                        }
-                    }
-                    _ => unreachable!("arithmetic op"),
-                };
-            }
-            Ok(Column::new(
-                ColumnData::Int(out),
-                any_null.then_some(nulls),
-            ))
+impl Arith for i64 {
+    const ZERO: i64 = 0;
+    fn add(self, y: i64) -> i64 {
+        self.wrapping_add(y)
+    }
+    fn sub(self, y: i64) -> i64 {
+        self.wrapping_sub(y)
+    }
+    fn mul(self, y: i64) -> i64 {
+        self.wrapping_mul(y)
+    }
+    fn div(self, y: i64) -> i64 {
+        if y == 0 {
+            0
+        } else {
+            self.wrapping_div(y)
         }
-        (ColumnData::Int(_) | ColumnData::Float(_), ColumnData::Int(_) | ColumnData::Float(_)) => {
-            let at = |c: &Column, i: usize| -> f64 {
-                match c.data() {
-                    ColumnData::Int(v) => v[i] as f64,
-                    ColumnData::Float(v) => v[i],
-                    _ => unreachable!("numeric checked"),
-                }
-            };
-            let mut out = vec![0f64; n];
-            let mut nulls = NullBitmap::new_valid(n);
-            let mut any_null = false;
-            for i in 0..n {
-                if l.is_null(i) || r.is_null(i) {
-                    nulls.set_null(i);
-                    any_null = true;
-                    continue;
-                }
-                let (x, y) = (at(l, i), at(r, i));
-                out[i] = match op {
-                    BinaryOp::Plus => x + y,
-                    BinaryOp::Minus => x - y,
-                    BinaryOp::Multiply => x * y,
-                    BinaryOp::Divide | BinaryOp::Modulo => {
-                        if y == 0.0 {
-                            return Err(EiiError::Execution("division by zero".into()));
-                        }
-                        if matches!(op, BinaryOp::Divide) {
-                            x / y
-                        } else {
-                            x % y
-                        }
-                    }
-                    _ => unreachable!("arithmetic op"),
-                };
-            }
-            Ok(Column::new(
-                ColumnData::Float(out),
-                any_null.then_some(nulls),
-            ))
+    }
+    fn rem(self, y: i64) -> i64 {
+        if y == 0 {
+            0
+        } else {
+            self.wrapping_rem(y)
+        }
+    }
+}
+
+impl Arith for f64 {
+    const ZERO: f64 = 0.0;
+    fn add(self, y: f64) -> f64 {
+        self + y
+    }
+    fn sub(self, y: f64) -> f64 {
+        self - y
+    }
+    fn mul(self, y: f64) -> f64 {
+        self * y
+    }
+    fn div(self, y: f64) -> f64 {
+        self / y
+    }
+    fn rem(self, y: f64) -> f64 {
+        self % y
+    }
+}
+
+/// `a <op> b` in `T`, each side widened by `wa`/`wb`. A zero divisor is an
+/// error only where the result is not NULL anyway, so it is looked for first,
+/// and the bitmap consulted only where a divisor is zero.
+fn arith<A, B, T: Arith>(
+    (a, wa): (Lane<A>, impl Fn(&A) -> T),
+    op: BinaryOp,
+    (b, wb): (Lane<B>, impl Fn(&B) -> T),
+    n: usize,
+    valid: Option<&NullBitmap>,
+) -> Result<Vec<T>> {
+    if matches!(op, BinaryOp::Divide | BinaryOp::Modulo) {
+        let live = |i: usize| valid.is_none_or(|v| !v.is_null(i));
+        let any = match &b {
+            Lane::Slice(ys) => ys.iter().enumerate().any(|(i, y)| wb(y) == T::ZERO && live(i)),
+            Lane::Scalar(y) => wb(y) == T::ZERO && (0..n).any(live),
+        };
+        if any {
+            return Err(EiiError::Execution("division by zero".into()));
+        }
+    }
+    Ok(match op {
+        BinaryOp::Plus => zip(a, b, n, |x, y| wa(x).add(wb(y))),
+        BinaryOp::Minus => zip(a, b, n, |x, y| wa(x).sub(wb(y))),
+        BinaryOp::Multiply => zip(a, b, n, |x, y| wa(x).mul(wb(y))),
+        BinaryOp::Divide => zip(a, b, n, |x, y| wa(x).div(wb(y))),
+        BinaryOp::Modulo => zip(a, b, n, |x, y| wa(x).rem(wb(y))),
+        _ => unreachable!("arithmetic op"),
+    })
+}
+
+/// The one binary kernel, comparisons and arithmetic: NULL on either side
+/// propagates — the result's validity is the AND of the operands', computed
+/// once — and the values come from one typed loop. Comparisons mirror
+/// `Value::cmp` (Int × Float exactly, through `cmp_int_float`); arithmetic
+/// keeps the scalar path's widening (Int op Int stays Int and wraps, any Float
+/// widens to f64, a zero divisor is an error). Every other pairing (`Mixed`,
+/// `Bool`, Str + Str, two different types) defers to `eval_binary` element-wise.
+fn binary_kernel(l: &Operand, op: BinaryOp, r: &Operand, n: usize) -> Result<Column> {
+    use Lanes::{Float, Int, Str, Timestamp};
+    if matches!(l, Operand::Scalar(Value::Null)) || matches!(r, Operand::Scalar(Value::Null)) {
+        return Ok(Column::broadcast(&Value::Null, n));
+    }
+    let valid = NullBitmap::both_valid(l.nulls(), r.nulls());
+    let (int, float, widen) = (|x: &i64| *x, |x: &f64| *x, |x: &i64| *x as f64);
+    let data = match (l.lanes(), r.lanes(), op.is_comparison()) {
+        (Int(a), Int(b), true) | (Timestamp(a), Timestamp(b), true) => {
+            ColumnData::Bool(compare(a, b, n, op, i64::cmp))
+        }
+        (Float(a), Float(b), true) => ColumnData::Bool(compare(a, b, n, op, f64::total_cmp)),
+        (Int(a), Float(b), true) => {
+            ColumnData::Bool(compare(a, b, n, op, |x, y| cmp_int_float(*x, *y)))
+        }
+        (Float(a), Int(b), true) => {
+            ColumnData::Bool(compare(a, b, n, op, |x, y| cmp_int_float(*y, *x).reverse()))
+        }
+        (Str(a), Str(b), true) => ColumnData::Bool(compare(a, b, n, op, Arc::<str>::cmp)),
+        (Int(a), Int(b), false) => {
+            ColumnData::Int(arith((a, int), op, (b, int), n, valid.as_ref())?)
+        }
+        (Int(a), Float(b), false) => {
+            ColumnData::Float(arith((a, widen), op, (b, float), n, valid.as_ref())?)
+        }
+        (Float(a), Int(b), false) => {
+            ColumnData::Float(arith((a, float), op, (b, widen), n, valid.as_ref())?)
+        }
+        (Float(a), Float(b), false) => {
+            ColumnData::Float(arith((a, float), op, (b, float), n, valid.as_ref())?)
         }
         _ => {
             let vals = (0..n)
-                .map(|i| {
-                    let (lv, rv) = (l.value(i), r.value(i));
-                    if lv.is_null() || rv.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    eval_binary(&lv, op, &rv)
-                })
+                .map(|i| eval_binary(&l.value(i), op, &r.value(i)))
                 .collect::<Result<Vec<_>>>()?;
-            Ok(from_values_auto(&vals))
+            return Ok(from_values_auto(&vals));
         }
-    }
+    };
+    Ok(Column::new(data, valid))
 }
 
 /// Build a column from computed values, picking a typed layout when the
@@ -625,6 +725,61 @@ mod tests {
             .find_map(Result::err)
             .expect("scalar path errors");
         assert_eq!(ve.to_string(), re.to_string());
+    }
+
+    #[test]
+    fn a_literal_operand_is_never_materialised_as_a_column() {
+        let cb = batch(sample_rows());
+        let five = BoundExpr::Literal(Value::Int(5));
+        assert!(matches!(
+            Operand::eval(&five, &cb),
+            Ok(Operand::Scalar(Value::Int(5)))
+        ));
+        assert!(matches!(
+            Operand::eval(&BoundExpr::Column(0), &cb),
+            Ok(Operand::Col(_))
+        ));
+        // Both sides scalar is still a kernel, not a broadcast.
+        let sum = Expr::lit(5i64).binary(BinaryOp::Plus, Expr::lit(0.5f64));
+        check(&sum, sample_rows());
+        // A bare literal *output* column is the one broadcast left.
+        let out = eval_column(&five, &cb).unwrap();
+        assert_eq!(out.as_ints(), Some(&[5i64; 4][..]));
+    }
+
+    #[test]
+    fn a_zero_under_a_null_keeps_the_kernel_on_its_typed_path() {
+        // The divisor's NULL sits over the placeholder 0; the dividend's NULL
+        // sits beside a real 0. Neither row divides, so the typed kernel must
+        // answer — not give up with an error and leave it to the row path.
+        let rows = vec![
+            Row::new(vec![Value::Null, Value::str("x"), Value::Float(1.0)]),
+            Row::new(vec![Value::Int(4), Value::str("y"), Value::Null]),
+        ];
+        // A literal zero divisor under a dividend that is NULL everywhere.
+        let no_dividend = vec![Row::new(vec![
+            Value::Null,
+            Value::str("z"),
+            Value::Float(0.0),
+        ])];
+        let col = Expr::col;
+        for (e, rows) in [
+            (Expr::lit(10i64).binary(BinaryOp::Divide, col("a")), &rows),
+            (col("c").binary(BinaryOp::Modulo, col("a")), &rows),
+            (col("a").binary(BinaryOp::Divide, col("c")), &rows),
+            (
+                col("a").binary(BinaryOp::Divide, Expr::lit(0i64)),
+                &no_dividend,
+            ),
+            (col("a").binary(BinaryOp::Modulo, col("c")), &no_dividend),
+        ] {
+            let bound = bind(&e, &schema()).unwrap();
+            let typed = eval_column_typed(&bound, &batch(rows.clone()))
+                .unwrap_or_else(|err| panic!("{e:?}: {err}"));
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(typed.value(i), bound.eval(row).unwrap(), "row {i} of {e:?}");
+            }
+        }
     }
 
     #[test]

@@ -378,7 +378,7 @@ impl Statement {
     }
 }
 
-const SHAPES: usize = 21;
+const SHAPES: usize = 23;
 
 fn statement(shape: usize, pred: &str, k: i64) -> Statement {
     let plain = |sql: String, exercises| Statement {
@@ -542,6 +542,28 @@ fn statement(shape: usize, pred: &str, k: i64) -> Statement {
             ),
             "HashJoin[ANTI",
         ),
+        // A limit that bounds the sort under it: through a computed
+        // projection, and through the alias of a FROM-subquery that sorts.
+        21 => Statement {
+            sql: format!(
+                "SELECT order_id, total * 2 + 1 AS t2 FROM sales.orders \
+                 ORDER BY total DESC, order_id LIMIT {}",
+                k.rem_euclid(12)
+            ),
+            order: RowOrder::Total,
+            limit: None,
+            exercises: "Limit",
+        },
+        22 => Statement {
+            sql: format!(
+                "SELECT s.order_id, s.t2 FROM (SELECT order_id, total - 1 AS t2 FROM sales.orders \
+                 ORDER BY customer_id, total DESC, order_id) s LIMIT {}",
+                k.rem_euclid(12)
+            ),
+            order: RowOrder::Total,
+            limit: None,
+            exercises: "Rename",
+        },
         // The view scan with a compensating filter and a limit.
         _ => Statement {
             sql: format!("SELECT id, name, score FROM crm.customers WHERE {pred}"),
@@ -621,7 +643,7 @@ proptest! {
             prop_assert_eq!((d.source.as_str(), d.stale_ms), ("sales", Some(1_000)), "{}", sql);
         }
         prop_assert!(degrade || got.fully_live());
-        if degrade && matches!(shape, 4 | 6 | 9 | 11 | 15 | 19 | 20) {
+        if degrade && matches!(shape, 4 | 6 | 9 | 11 | 15 | 19 | 20 | 21 | 22) {
             prop_assert!(!got.fully_live(), "{}", sql);
         }
     }
@@ -675,6 +697,16 @@ fn shapes_exercise_their_operators() {
         assert!(plan.contains(stmt.exercises), "shape {shape} ({sql}):\n{plan}");
         if shape == SHAPES {
             assert!(plan.contains("compensate=[") && plan.contains("limit="), "{plan}");
+        }
+        // The three ORDER BY … LIMIT shapes run their Sort bounded — directly
+        // under the Limit, through a computed projection, through a subquery's
+        // alias — and only EXPLAIN ANALYZE, which ran it, says so.
+        if matches!(shape, 9 | 21 | 22) {
+            assert!(!plan.contains("[TOP"), "{plan}");
+            let out = world.sys.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+            let ran = out.explained().unwrap();
+            let sort = ran.lines().find(|l| l.trim_start().starts_with("Sort")).unwrap();
+            assert!(sort.ends_with("[TOP 7]"), "shape {shape}:\n{ran}");
         }
     }
 }
