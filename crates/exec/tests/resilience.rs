@@ -375,7 +375,7 @@ proptest! {
             .map(|(col, keys)| (columns[col].0.to_string(), keys.into_iter().map(hazard).collect()))
             .collect();
         let mut limit = (limit < 4).then_some(limit);
-        // A single binding the source answers key by key (`Table::lookup_in`:
+        // A single binding the source answers key by key (`Table::lookup_in_columns`:
         // binding order, a repeated key's rows repeated) where a snapshot
         // answers in table order. The executor ships distinct keys and joins
         // the answer by key, so that shape is held as a multiset, without a

@@ -4,9 +4,13 @@
 //! virtual table); the store itself stays schema-less. Filtering and
 //! projection run wrapper-side, which still counts as source-site work for
 //! the network — the wrapper is co-located with the store.
+//!
+//! Imposing the schema walks every document through every path rule, so it is
+//! done once per [`DocStore::version`]: queries and statistics are answered
+//! from the held columns, and the first read after a write extracts again.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eii_data::{ColumnarBatch, DataType, EiiError, Result, Schema, SchemaRef};
 use eii_docstore::DocStore;
@@ -27,14 +31,17 @@ pub struct VirtualTable {
     pub columns: Vec<(String, String, DataType)>,
 }
 
+/// One extraction of a virtual table: the [`DocStore::version`] read before
+/// extracting, the columns, and their statistics once someone asked.
+type Extraction = (u64, ColumnarBatch, OnceLock<Arc<TableStats>>);
+
 /// A wrapped document store.
 pub struct DocumentConnector {
     name: String,
     store: DocStore,
     tables: BTreeMap<String, VirtualTable>,
-    /// Per virtual table: the statistics of one extraction and the
-    /// [`DocStore::version`] it was made at.
-    stats: Mutex<BTreeMap<String, (u64, Arc<TableStats>)>>,
+    /// The latest extraction of each virtual table.
+    held: Mutex<BTreeMap<String, Arc<Extraction>>>,
 }
 
 impl DocumentConnector {
@@ -44,13 +51,13 @@ impl DocumentConnector {
             name: name.into(),
             store,
             tables: BTreeMap::new(),
-            stats: Mutex::default(),
+            held: Mutex::default(),
         }
     }
 
     /// Define a virtual table (client-side schema imposition).
     pub fn define_table(mut self, vt: VirtualTable) -> Self {
-        self.stats.get_mut().remove(&vt.name);
+        self.held.get_mut().remove(&vt.name);
         self.tables.insert(vt.name.clone(), vt);
         self
     }
@@ -66,15 +73,21 @@ impl DocumentConnector {
         })
     }
 
-    /// Impose the virtual table's schema on the store's current documents.
-    fn extract(&self, table: &str) -> Result<ColumnarBatch> {
-        let cols: Vec<(&str, &str, DataType)> = self
-            .table(table)?
-            .columns
-            .iter()
-            .map(|(n, p, ty)| (n.as_str(), p.as_str(), *ty))
-            .collect();
-        Ok(self.store.extract(&cols))
+    /// The virtual table's schema imposed on the store's current documents,
+    /// and how many columns this call had to extract (0: the held extraction
+    /// is of this version). Version first, extraction second: a write racing
+    /// the extraction files it under the older version, which the next call
+    /// replaces — never a stale hit.
+    fn extract(&self, table: &str) -> Result<(Arc<Extraction>, usize)> {
+        let version = self.store.version();
+        if let Some(held) = self.held.lock().get(table).filter(|held| held.0 == version) {
+            return Ok((held.clone(), 0));
+        }
+        let rules = &self.table(table)?.columns;
+        let cols: Vec<_> = rules.iter().map(|(n, p, ty)| (n.as_str(), p.as_str(), *ty)).collect();
+        let fresh = Arc::new((version, self.store.extract(&cols), OnceLock::new()));
+        self.held.lock().insert(table.to_string(), fresh.clone());
+        Ok((fresh, cols.len()))
     }
 }
 
@@ -108,37 +121,27 @@ impl Connector for DocumentConnector {
     }
 
     fn statistics(&self, table: &str) -> Result<Arc<TableStats>> {
-        // Version first, extraction second: a write racing the extraction
-        // leaves statistics filed under the older version, which the next
-        // call recomputes — never a stale hit.
-        let version = self.store.version();
-        if let Some((at, stats)) = self.stats.lock().get(table) {
-            if *at == version {
-                return Ok(stats.clone());
-            }
-        }
-        let batch = self.extract(table)?.to_batch();
-        let stats = Arc::new(TableStats::analyze(
-            batch.schema().len(),
-            batch.rows().iter(),
-        ));
-        self.stats
-            .lock()
-            .insert(table.to_string(), (version, stats.clone()));
-        Ok(stats)
+        let (held, _) = self.extract(table)?;
+        let analyze = || {
+            let rows = held.1.to_batch();
+            Arc::new(TableStats::analyze(rows.schema().len(), rows.rows().iter()))
+        };
+        Ok(held.2.get_or_init(analyze).clone())
     }
 
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
-        let extracted = self.extract(&query.table)?;
-        let scanned = extracted.num_rows();
+        let (held, columns_built) = self.extract(&query.table)?;
         let batch = apply_query_locally(
-            &extracted,
+            &held.1,
             &query.filters,
             &query.bindings,
             query.projection.as_deref(),
             query.limit,
         )?;
-        Ok(SourceAnswer::one_shot(batch, scanned))
+        Ok(SourceAnswer {
+            columns_built,
+            ..SourceAnswer::one_shot(batch, held.1.num_rows())
+        })
     }
 }
 
@@ -218,20 +221,78 @@ mod tests {
             Arc::ptr_eq(&first, &c.statistics("tickets").unwrap()),
             "same version: no second extraction"
         );
-        let id = c.store().insert(Document::from_records(
-            "tickets week 2",
-            &[vec![
-                ("ticket_id", "102".into()),
-                ("customer", "carol".into()),
-                ("severity", "2".into()),
-            ]],
-        ));
+        let id = c.store().insert(week_2());
         let grown = c.statistics("tickets").unwrap();
         assert_eq!((grown.row_count, grown.columns[1].ndv), (3, 3), "insert");
         assert!(c.store().remove(id));
         let shrunk = c.statistics("tickets").unwrap();
         assert_eq!(*shrunk, *first, "remove");
         assert!(!Arc::ptr_eq(&shrunk, &first));
+    }
+
+    fn week_2() -> Document {
+        let ticket = vec![
+            ("ticket_id", "102".into()),
+            ("customer", "carol".into()),
+            ("severity", "2".into()),
+        ];
+        Document::from_records("tickets week 2", &[ticket])
+    }
+
+    #[test]
+    fn one_extraction_serves_every_read_at_a_version() {
+        let c = setup();
+        let all = SourceQuery::full_table("tickets");
+        let severe = SourceQuery {
+            filters: vec![Expr::col("severity").gt(Expr::lit(1i64))],
+            projection: Some(vec!["customer".into()]),
+            ..all.clone()
+        };
+        let first = c.execute(&all).unwrap();
+        assert_eq!((first.batch.num_rows(), first.columns_built), (2, 3));
+        let held = c.held.lock()["tickets"].clone();
+        // Whatever is asked at this version — statistics too — is answered
+        // from the held columns: a selection and a column pick, no extraction.
+        let picked = c.execute(&severe).unwrap();
+        assert_eq!((picked.batch.num_rows(), picked.columns_built), (1, 0));
+        assert!(Arc::ptr_eq(picked.batch.column(0), first.batch.column(1)));
+        assert_eq!(c.statistics("tickets").unwrap().row_count, 2);
+        assert_eq!(c.execute(&all).unwrap().columns_built, 0);
+        assert!(Arc::ptr_eq(&held, &c.held.lock()["tickets"]));
+
+        // A write moves the version: the next read extracts, once.
+        let id = c.store().insert(week_2());
+        let grown = c.execute(&all).unwrap();
+        assert_eq!((grown.batch.num_rows(), grown.columns_built), (3, 3));
+        assert_eq!(c.execute(&severe).unwrap().columns_built, 0);
+        assert_eq!(first.batch.num_rows(), 2, "an answer in flight keeps its columns");
+        assert!(c.store().remove(id));
+        let shrunk = c.execute(&all).unwrap();
+        assert_eq!((shrunk.batch.num_rows(), shrunk.columns_built), (2, 3));
+    }
+
+    #[test]
+    fn statistics_extract_when_nothing_is_held_and_never_twice() {
+        let c = setup();
+        assert_eq!(c.statistics("tickets").unwrap().row_count, 2);
+        let ans = c.execute(&SourceQuery::full_table("tickets")).unwrap();
+        assert_eq!(ans.columns_built, 0, "the statistics' extraction serves the query");
+    }
+
+    #[test]
+    fn redefining_a_table_drops_what_was_extracted_under_the_old_rules() {
+        let c = setup();
+        let all = SourceQuery::full_table("tickets");
+        assert_eq!(c.execute(&all).unwrap().batch.schema().len(), 3);
+        assert_eq!(c.statistics("tickets").unwrap().columns.len(), 3);
+        let c = c.define_table(VirtualTable {
+            name: "tickets".into(),
+            columns: vec![("who".into(), "//row/customer".into(), DataType::Str)],
+        });
+        let ans = c.execute(&all).unwrap();
+        assert_eq!((ans.batch.schema().len(), ans.columns_built), (1, 1));
+        assert_eq!(ans.batch.value_at(1, 0), Value::str("bob"));
+        assert_eq!(c.statistics("tickets").unwrap().columns.len(), 1);
     }
 
     #[test]

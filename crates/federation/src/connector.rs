@@ -81,6 +81,9 @@ pub struct SourceAnswer {
     /// one itself (`None`: unbound query, or bindings filtered by the
     /// wrapper after a full read).
     pub bind_access: Option<BindAccess>,
+    /// Columns the table or wrapper had to build to answer: 0 when every
+    /// column it read was already held for the current data version.
+    pub columns_built: usize,
 }
 
 /// Access path a source engine took for a bound query.
@@ -100,6 +103,7 @@ impl SourceAnswer {
             rows_scanned,
             calls: 1,
             bind_access: None,
+            columns_built: 0,
         }
     }
 }

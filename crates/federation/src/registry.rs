@@ -127,6 +127,10 @@ impl SourceHandle {
             .record(self.connector.name(), bytes, rows_shipped, sim_ms);
         self.note_traffic(bytes, ans.calls, sim_ms);
         self.note_bind_access(ans.bind_access);
+        if ans.columns_built > 0 {
+            self.metrics
+                .add("federation.source.columns_built", ans.columns_built as u64);
+        }
         QueryCost {
             sim_ms,
             bytes,
@@ -553,6 +557,33 @@ mod tests {
         let traffic = fed.ledger().traffic("crm");
         assert_eq!(traffic.requests, 1);
         assert_eq!(traffic.rows, 100);
+    }
+
+    #[test]
+    fn columns_built_counts_the_first_read_after_a_write_only() {
+        let fed = federation();
+        let h = fed.source("crm").unwrap();
+        let built = || fed.metrics().counter_value("federation.source.columns_built");
+        let ids = SourceQuery {
+            projection: Some(vec!["id".into()]),
+            ..SourceQuery::full_table("customers")
+        };
+        h.query(&ids).unwrap();
+        assert_eq!(built(), 1, "a cold read builds the column it ships");
+        h.query(&ids).unwrap();
+        assert_eq!(built(), 1, "a warm read builds nothing");
+        h.query(&SourceQuery::full_table("customers")).unwrap();
+        assert_eq!(built(), 2, "the other column, once someone reads it");
+        let renamed = UpdateOp::UpdateByKey {
+            table: "customers".into(),
+            key: eii_data::Value::Int(7),
+            assignments: vec![("name".into(), "seven".into())],
+        };
+        h.update(&renamed).unwrap();
+        h.query(&SourceQuery::full_table("customers")).unwrap();
+        assert_eq!(built(), 4, "a write empties the image: both columns again");
+        h.query(&SourceQuery::full_table("customers")).unwrap();
+        assert_eq!(built(), 4);
     }
 
     #[test]

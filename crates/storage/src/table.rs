@@ -1,11 +1,22 @@
 //! Tables: constraint-checked row storage with secondary indexes, a change
-//! log, and cached statistics.
+//! log, and per-version derived state — statistics and a column image.
+//!
+//! The rows are the store of record: the change log, IVM, `get_by_pk`,
+//! `lookup_eq` and `all_rows` read them. The column reads — [`Table::scan_columns`]
+//! and [`Table::lookup_in_columns`] — are views of the *image*: field `c` of the
+//! live rows in slot order, built by the first reader that asks for column `c`
+//! after a mutation (under the table's read lock; concurrent readers build it
+//! once) and dropped by every mutation, like the statistics. A scan is `Arc`
+//! clones of image columns, a bound lookup the same columns under a selection,
+//! so a read copies no cell and an answer already handed out keeps the columns
+//! of the version it read — the next write builds new ones.
 
 use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
 use eii_data::{
-    ColumnarBatch, EiiError, KeyProbe, Result, Row, Schema, SchemaRef, SimClock, Value,
+    Column, ColumnBuilder, ColumnarBatch, EiiError, KeyProbe, Result, Row, Schema, SchemaRef,
+    SimClock, Value,
 };
 
 use crate::changelog::{ChangeLog, ChangeOp};
@@ -57,6 +68,13 @@ pub struct Table {
     /// Computed by the first [`Table::stats`] after a mutation; every
     /// mutation empties it.
     stats_cache: OnceLock<Arc<TableStats>>,
+    /// The column image, one cell per schema field: that field of the live
+    /// rows in slot order. Filled by the first read of the column after a
+    /// mutation; every mutation empties it.
+    image: Vec<OnceLock<Arc<Column>>>,
+    /// Slot → image position, consulted only while some slot is vacant (in a
+    /// dense table a row's position is its `RowId`). Per version, like `image`.
+    positions: OnceLock<Vec<u32>>,
 }
 
 /// The index an equality lookup on one column goes through.
@@ -79,6 +97,7 @@ impl Table {
     /// Create an empty table.
     pub fn new(def: TableDef, clock: SimClock) -> Self {
         let pk_index = def.primary_key.map(HashIndex::new);
+        let image = def.schema.fields().iter().map(|_| OnceLock::new()).collect();
         Table {
             def,
             slots: Vec::new(),
@@ -90,6 +109,8 @@ impl Table {
             log: ChangeLog::new(),
             clock,
             stats_cache: OnceLock::new(),
+            image,
+            positions: OnceLock::new(),
         }
     }
 
@@ -111,6 +132,16 @@ impl Table {
     /// The change log.
     pub fn changelog(&self) -> &ChangeLog {
         &self.log
+    }
+
+    /// The rows changed: drop everything derived from them. Every mutation
+    /// ends here, so a new one cannot forget a cache.
+    fn touched(&mut self) {
+        self.stats_cache.take();
+        self.positions.take();
+        for column in &mut self.image {
+            column.take();
+        }
     }
 
     fn check_row(&self, row: &Row) -> Result<()> {
@@ -167,7 +198,7 @@ impl Table {
         };
         self.index_row(rid, &row);
         self.live += 1;
-        self.stats_cache.take();
+        self.touched();
         self.log
             .append(self.clock.now_ms(), ChangeOp::Insert { new: row });
         Ok(rid)
@@ -197,13 +228,13 @@ impl Table {
 
     fn unindex_row(&mut self, rid: RowId, row: &Row) {
         if let Some(ix) = &mut self.pk_index {
-            ix.remove(&row.get(ix.column).clone(), rid);
+            ix.remove(row.get(ix.column), rid);
         }
         for ix in &mut self.hash_indexes {
-            ix.remove(&row.get(ix.column).clone(), rid);
+            ix.remove(row.get(ix.column), rid);
         }
         for ix in &mut self.ordered_indexes {
-            ix.remove(&row.get(ix.column).clone(), rid);
+            ix.remove(row.get(ix.column), rid);
         }
     }
 
@@ -250,7 +281,7 @@ impl Table {
         self.unindex_row(rid, &old);
         self.slots[rid] = Some(new.clone());
         self.index_row(rid, &new);
-        self.stats_cache.take();
+        self.touched();
         self.log
             .append(self.clock.now_ms(), ChangeOp::Update { old, new });
         Ok(true)
@@ -273,7 +304,7 @@ impl Table {
         self.unindex_row(rid, &row);
         self.free.push(rid);
         self.live -= 1;
-        self.stats_cache.take();
+        self.touched();
         self.log
             .append(self.clock.now_ms(), ChangeOp::Delete { old: row });
         true
@@ -339,44 +370,15 @@ impl Table {
         self.eq_index(col).is_some()
     }
 
-    fn rows_at<'a>(&'a self, rids: &'a [RowId]) -> impl Iterator<Item = &'a Row> + 'a {
-        rids.iter().filter_map(|&rid| self.get(rid))
-    }
-
     /// Equality lookup, index-assisted when an index on `col` exists.
     pub fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Row> {
         match self.eq_index(col) {
-            Some(ix) => self.rows_at(ix.get(key)).cloned().collect(),
+            Some(ix) => ix.get(key).iter().filter_map(|&rid| self.get(rid)).cloned().collect(),
             None => self.scan(|r| r.get(col) == key),
         }
     }
 
-    /// Multi-key equality lookup, by reference: the rows `lookup_eq` finds
-    /// for each of `keys` in turn, concatenated — binding order, table order
-    /// within a key, a duplicated key's rows duplicated. With an index on
-    /// `col` that is one probe per key; without one it is a single scan that
-    /// buckets rows by the keys they equal, not a scan per key.
-    fn refs_in(&self, col: usize, keys: &[Value]) -> Vec<&Row> {
-        if let Some(ix) = self.eq_index(col) {
-            return keys.iter().flat_map(|k| self.rows_at(ix.get(k))).collect();
-        }
-        let probe = KeyProbe::new(keys);
-        let mut per_key: Vec<Vec<&Row>> = vec![Vec::new(); keys.len()];
-        for (_, row) in self.iter() {
-            for i in probe.positions(row.get(col)) {
-                per_key[i].push(row);
-            }
-        }
-        per_key.into_iter().flatten().collect()
-    }
-
-    /// Multi-key equality lookup as cloned rows (the row-at-a-time form of
-    /// [`Table::lookup_in_columns`]).
-    pub fn lookup_in(&self, col: usize, keys: &[Value]) -> Vec<Row> {
-        self.refs_in(col, keys).into_iter().cloned().collect()
-    }
-
-    /// The schema of a scan that ships columns `cols`: the table's own when
+    /// The schema of a read that ships columns `cols`: the table's own when
     /// that is all of them in order.
     fn schema_of(&self, cols: &[usize]) -> SchemaRef {
         let schema = &self.def.schema;
@@ -388,18 +390,84 @@ impl Table {
         ))
     }
 
-    /// Column scan: cells `cols` of the first `limit` live rows, in slot
-    /// order, pushed straight into column builders — rows are visited by
-    /// reference, and a cell that does not ship is never cloned.
-    pub fn scan_columns(&self, cols: &[usize], limit: usize) -> ColumnarBatch {
-        let rows = self.iter().map(|(_, r)| r).take(limit);
-        ColumnarBatch::from_rows(self.schema_of(cols), cols, rows)
+    /// Image column `c`, built here — and counted in `built` — when no read
+    /// since the last mutation asked for it.
+    fn image_column(&self, c: usize, built: &mut usize) -> Arc<Column> {
+        let build = || {
+            *built += 1;
+            let mut b = ColumnBuilder::new(self.def.schema.field(c).data_type, self.live);
+            self.iter().for_each(|(_, row)| b.push(row.get(c)));
+            Arc::new(b.finish())
+        };
+        self.image[c].get_or_init(build).clone()
     }
 
-    /// Cells `cols` of the rows [`Table::lookup_in`] returns, in its order,
-    /// without cloning a row.
-    pub fn lookup_in_columns(&self, col: usize, keys: &[Value], cols: &[usize]) -> ColumnarBatch {
-        ColumnarBatch::from_rows(self.schema_of(cols), cols, self.refs_in(col, keys))
+    /// Image columns `cols` as a batch over every live row.
+    fn image_of(&self, cols: &[usize], built: &mut usize) -> ColumnarBatch {
+        let columns = cols.iter().map(|&c| self.image_column(c, built)).collect();
+        ColumnarBatch::new(self.schema_of(cols), columns, self.live)
+    }
+
+    /// The image position of the row in each slot (a vacant slot's entry is
+    /// never read), or `None` while the table is dense and a row's position
+    /// is its `RowId`.
+    fn positions(&self) -> Option<&[u32]> {
+        if self.free.is_empty() {
+            return None;
+        }
+        let build = || {
+            let mut next = 0;
+            let position = |slot: &Option<Row>| {
+                let at = next;
+                next += u32::from(slot.is_some());
+                at
+            };
+            self.slots.iter().map(position).collect()
+        };
+        Some(self.positions.get_or_init(build))
+    }
+
+    /// Column scan: cells `cols` of the first `limit` live rows, in slot
+    /// order, as shared image columns — no cell is copied. Also returns how
+    /// many of the columns this call had to build (0 on a warm read).
+    pub fn scan_columns(&self, cols: &[usize], limit: usize) -> (ColumnarBatch, usize) {
+        let mut built = 0;
+        let image = self.image_of(cols, &mut built);
+        (image.head(limit), built)
+    }
+
+    /// Multi-key equality lookup: cells `cols` of the rows `lookup_eq` finds
+    /// for each of `keys` in turn — binding order, a duplicated key's rows
+    /// twice — as a selection over shared image columns, and how many columns
+    /// this call had to build. With an index on `col` the selection is one
+    /// probe per key; without one it is a single pass over image column `col`
+    /// that buckets positions by the keys they equal, not a scan per key.
+    pub fn lookup_in_columns(
+        &self,
+        col: usize,
+        keys: &[Value],
+        cols: &[usize],
+    ) -> (ColumnarBatch, usize) {
+        let mut built = 0;
+        let selection: Vec<u32> = if let Some(ix) = self.eq_index(col) {
+            let rids = keys.iter().flat_map(|k| ix.get(k));
+            match self.positions() {
+                Some(position) => rids.map(|&rid| position[rid]).collect(),
+                None => rids.map(|&rid| rid as u32).collect(),
+            }
+        } else {
+            let bound = self.image_column(col, &mut built);
+            let probe = KeyProbe::new(keys);
+            let mut per_key: Vec<Vec<u32>> = vec![Vec::new(); keys.len()];
+            for at in 0..bound.len() {
+                for k in probe.positions(&bound.value(at)) {
+                    per_key[k].push(at as u32);
+                }
+            }
+            per_key.into_iter().flatten().collect()
+        };
+        let image = self.image_of(cols, &mut built);
+        (image.select(selection), built)
     }
 
     /// Range lookup on `col`, index-assisted when an ordered index exists.
@@ -439,12 +507,7 @@ impl Table {
             return;
         }
         let mut ix = HashIndex::new(col);
-        for (rid, row) in self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(rid, s)| s.as_ref().map(|r| (rid, r)))
-        {
+        for (rid, row) in self.iter() {
             ix.insert(row.get(col).clone(), rid);
         }
         self.hash_indexes.push(ix);
@@ -456,12 +519,7 @@ impl Table {
             return;
         }
         let mut ix = OrderedIndex::new(col);
-        for (rid, row) in self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(rid, s)| s.as_ref().map(|r| (rid, r)))
-        {
+        for (rid, row) in self.iter() {
             ix.insert(row.get(col).clone(), rid);
         }
         self.ordered_indexes.push(ix);
@@ -608,6 +666,22 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Fill every per-version cache: statistics, all image columns and — when
+    /// a slot is vacant — the position map (an index lookup consults it).
+    fn warm(t: &Table) {
+        t.stats();
+        t.scan_columns(&[0, 1, 2], usize::MAX);
+        t.lookup_in_columns(0, &[Value::Int(1)], &[0]);
+        assert!(t.stats_cache.get().is_some() && t.image.iter().all(|c| c.get().is_some()));
+        assert_eq!(t.positions.get().is_some(), !t.free.is_empty());
+    }
+
+    fn assert_cold(t: &Table, after: &str) {
+        assert!(t.stats_cache.get().is_none(), "statistics survived {after}");
+        assert!(t.image.iter().all(|c| c.get().is_none()), "image survived {after}");
+        assert!(t.positions.get().is_none(), "position map survived {after}");
+    }
+
     #[test]
     fn stats_cache_invalidation() {
         let mut t = table();
@@ -619,15 +693,46 @@ mod tests {
             "second call reuses the first's"
         );
 
+        warm(&t);
         t.insert(row![2i64, "b", 0.0]).unwrap();
+        assert_cold(&t, "insert");
         assert_eq!(t.stats().row_count, 2, "insert");
+
+        warm(&t);
         t.update_by_pk(&Value::Int(2), &[(1, Value::str("a"))])
             .unwrap();
+        assert_cold(&t, "update_by_pk");
         assert_eq!(t.stats().columns[1].ndv, 1, "update");
-        t.delete_by_pk(&Value::Int(2));
+
+        warm(&t);
+        let rid = t.get_by_pk(&Value::Int(2)).unwrap().0;
+        assert!(t.delete(rid));
+        assert_cold(&t, "delete");
         assert_eq!(t.stats().row_count, 1, "delete");
+
+        // The last slot is vacant now: the position map is among the caches.
+        warm(&t);
+        assert_eq!(t.insert(row![3i64, "c", 0.0]).unwrap(), rid, "slot reused");
+        assert_cold(&t, "an insert into a reused slot");
+
+        warm(&t);
+        assert_eq!(t.delete_where(|r| r.get(0) == &Value::Int(3)), 1);
+        assert_cold(&t, "delete_where");
+
+        warm(&t);
         t.truncate();
+        assert_cold(&t, "truncate");
         assert_eq!(t.stats().row_count, 0, "truncate");
+
+        // A write that fails its constraint changed nothing and drops nothing.
+        t.insert(row![1i64, "a", 0.0]).unwrap();
+        warm(&t);
+        t.insert(row![1i64, "dup", 0.0]).unwrap_err();
+        assert!(t.image.iter().all(|c| c.get().is_some()));
+    }
+
+    fn rows_of(read: (ColumnarBatch, usize)) -> Vec<Row> {
+        read.0.to_batch().rows().to_vec()
     }
 
     #[test]
@@ -643,13 +748,72 @@ mod tests {
             Value::str("zz"),
             Value::str("n3"),
         ];
+        let all = [0, 1, 2];
         let expected: Vec<Row> = keys.iter().flat_map(|k| t.lookup_eq(1, k)).collect();
         assert_eq!(expected.len(), 9);
         assert!(!t.has_eq_index(1));
-        assert_eq!(t.lookup_in(1, &keys), expected, "one bucketing scan");
+        assert_eq!(rows_of(t.lookup_in_columns(1, &keys, &all)), expected, "one bucketing pass");
         t.create_hash_index(1);
         assert!(t.has_eq_index(1));
-        assert_eq!(t.lookup_in(1, &keys), expected, "index probes");
+        assert_eq!(rows_of(t.lookup_in_columns(1, &keys, &all)), expected, "index probes");
+        // A vacant slot below the rows found: positions, not slot ids.
+        t.delete_by_pk(&Value::Int(0));
+        let expected: Vec<Row> = keys.iter().flat_map(|k| t.lookup_eq(1, k)).collect();
+        assert_eq!(expected.len(), 8);
+        assert_eq!(rows_of(t.lookup_in_columns(1, &keys, &all)), expected, "sparse table");
+    }
+
+    #[test]
+    fn a_read_builds_only_what_it_reads_and_only_once() {
+        let mut t = table();
+        for i in 0..5i64 {
+            t.insert(row![i, format!("n{i}"), i as f64]).unwrap();
+        }
+        let (first, built) = t.scan_columns(&[2, 0], usize::MAX);
+        assert_eq!(built, 2, "a scan of two columns builds those two");
+        assert!(t.image[1].get().is_none(), "and not the third");
+        let (second, built) = t.scan_columns(&[0, 2], 3);
+        assert_eq!((built, second.num_rows()), (0, 3), "a second scan builds nothing");
+        assert!(Arc::ptr_eq(first.column(0), second.column(1)), "and shares the first's");
+        assert!(Arc::ptr_eq(first.column(1), second.column(0)));
+        // A bound lookup is a selection over the same columns; an unindexed
+        // one also reads (here: builds) the bound column.
+        let (found, built) = t.lookup_in_columns(0, &[Value::Int(3), Value::Int(3)], &[0, 2]);
+        assert_eq!((built, found.selection()), (0, Some(&[3u32, 3][..])));
+        assert!(Arc::ptr_eq(found.column(1), first.column(0)));
+        let (found, built) = t.lookup_in_columns(1, &[Value::str("n4")], &[0]);
+        assert_eq!((built, found.selection()), (1, Some(&[4u32][..])));
+
+        // An answer keeps the columns of the version it read.
+        t.update_by_pk(&Value::Int(0), &[(2, Value::Float(99.0))]).unwrap();
+        let (after, built) = t.scan_columns(&[2, 0], usize::MAX);
+        assert_eq!(built, 2, "the first read after a write builds again");
+        assert_eq!(first.value_at(0, 0), Value::Float(0.0));
+        assert_eq!(after.value_at(0, 0), Value::Float(99.0));
+    }
+
+    #[test]
+    fn sixteen_threads_scanning_a_cold_table_see_one_build() {
+        let mut t = table();
+        for i in 0..2_000i64 {
+            t.insert(row![i, format!("n{i}"), i as f64]).unwrap();
+        }
+        let barrier = std::sync::Barrier::new(16);
+        let scan = || {
+            barrier.wait();
+            t.scan_columns(&[0, 1, 2], usize::MAX)
+        };
+        let reads: Vec<(ColumnarBatch, usize)> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..16).map(|_| s.spawn(scan)).collect();
+            threads.into_iter().map(|h| h.join().expect("scan thread")).collect()
+        });
+        let built: usize = reads.iter().map(|(_, built)| built).sum();
+        assert_eq!(built, 3, "each column built by exactly one of the readers");
+        for (batch, _) in &reads {
+            for c in 0..3 {
+                assert!(Arc::ptr_eq(batch.column(c), reads[0].0.column(c)));
+            }
+        }
     }
 
     #[test]
