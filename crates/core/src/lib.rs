@@ -1513,6 +1513,9 @@ fn render_operator(
     if let Some(k) = profile.top {
         let _ = write!(out, " [TOP {k}]");
     }
+    if let Some((k, n)) = profile.columns {
+        let _ = write!(out, " [COLS {k}/{n}]");
+    }
     if let Some(src) = &profile.source {
         for report in degraded.iter().filter(|r| &r.source == src) {
             match report.stale_ms {

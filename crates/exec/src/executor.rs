@@ -11,9 +11,10 @@
 //! node below emitted, handed on as it is (a union appends lists, a rename
 //! re-tags, a limit truncates); a sort, a join's build side, a shipment and a
 //! view scan's column pick ask for their whole input with `into_one`. One
-//! thing travels the other way: a limit's promise that only the first `k`
-//! rows will be read, handed down through projections and renames to the sort
-//! that can use it (`Executor::run_node`).
+//! thing travels the other way, a [`Demand`] (`Executor::run_node`): a limit's
+//! promise that only the first `k` rows will be read, down to the sort that can
+//! use it; an aggregate's or projection's that only some columns will, down to
+//! the join that then copies no other.
 //!
 //! One function talks to sources: [`Executor::fetch`]. Every operator that
 //! needs a component query answered — a scan, a bind join, an adaptive
@@ -26,9 +27,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use eii_data::{
-    Batch, CancelToken, Column, ColumnBuilder, ColumnarBatch, EiiError, Result, SchemaRef, Value,
+    Batch, CancelToken, Column, ColumnBuilder, ColumnarBatch, EiiError, Result, Schema, SchemaRef,
+    Value,
 };
-use eii_expr::{bind, eval_column, BoundExpr, Expr};
+use eii_expr::{bind, eval_column, referenced_columns, BoundExpr, Expr};
 use eii_federation::{
     Delivery, Federation, HedgeOutcome, QueryCost, RequestCtx, SourceHandle, SourceQuery,
 };
@@ -41,7 +43,8 @@ use crate::degrade::{degrade, DegradationPolicy, SourceReport};
 use crate::profile::OperatorProfile;
 use crate::keys::KeyTable;
 use crate::vector::{
-    drive, sort_batch, BatchOperator, Chunks, VecAggregate, VecFilter, VecHashJoin, VecProject,
+    drive, sort_batch, BatchOperator, Chunks, ColumnPick, VecAggregate, VecFilter, VecHashJoin,
+    VecProject,
 };
 
 /// Simulated ms to open a local materialization (mirrors the planner's
@@ -158,11 +161,43 @@ impl QueryResult {
 /// cost of producing them (its whole subtree).
 type Output = (Chunks, QueryCost);
 
+/// What a consumer tells the node below about how it will read its output. A
+/// permission, not an obligation: a node that ignores it returns all its rows
+/// and columns, and nothing above can tell.
+#[derive(Clone, Copy)]
+struct Demand<'a> {
+    /// `Some(k)`: only the first `k` rows are read.
+    first: Option<usize>,
+    /// `Some(cols)`: only these columns of the node's `schema()`, ascending.
+    columns: Option<&'a [usize]>,
+}
+
+impl Demand<'_> {
+    /// Every row, every column.
+    const ALL: Demand<'static> = Demand { first: None, columns: None };
+}
+
+/// The columns of `schema` that `exprs` read, and `also`, ascending. `None`
+/// when a reference is missing or ambiguous in `schema`: then nothing may be
+/// narrowed, and the `bind` that follows reports it as it always has.
+fn columns_read<'e>(
+    exprs: impl IntoIterator<Item = &'e Expr>,
+    schema: &Schema,
+    also: &[usize],
+) -> Option<Vec<usize>> {
+    let mut cols: BTreeSet<usize> = also.iter().copied().collect();
+    for column in exprs.into_iter().flat_map(referenced_columns) {
+        cols.insert(schema.index_of(column.relation.as_deref(), &column.name).ok()?);
+    }
+    Some(cols.into_iter().collect())
+}
+
 /// What one finished operator measured; keyed by its path from the plan
 /// root (child indexes), from which the profile tree is reassembled.
 struct OpRecord {
     path: Vec<usize>,
     rows: usize,
+    width: usize,
     cost: QueryCost,
     wall: Duration,
 }
@@ -463,6 +498,7 @@ impl<'a> Executor<'a> {
             self.ops.lock().expect("ops lock").push(OpRecord {
                 path: path.to_vec(),
                 rows: cols.num_rows(),
+                width: cols.schema().len(),
                 cost,
                 wall: start_wall.elapsed(),
             });
@@ -471,7 +507,7 @@ impl<'a> Executor<'a> {
     }
 
     fn run(&self, plan: &PhysicalPlan) -> Result<(Batch, QueryCost)> {
-        let (cols, cost) = self.run_node(plan, Vec::new(), None)?;
+        let (cols, cost) = self.run_node(plan, Vec::new(), Demand::ALL)?;
         // The one pivot back to rows: the result edge, chunk by chunk.
         let mut rows = Vec::with_capacity(cols.num_rows());
         for chunk in cols.iter() {
@@ -486,38 +522,34 @@ impl<'a> Executor<'a> {
     /// stops here instead of starting more work (chunked operators also
     /// check between chunks).
     ///
-    /// `first` is the consumer's promise: `Some(k)` says it reads only this
-    /// node's first `k` rows. A `Limit` makes it, `Project` and `Rename` —
-    /// the nodes that emit exactly their input rows in input order — pass it
-    /// down, a `Sort` spends it ([`sort_batch`]); every other node drops,
-    /// merges or multiplies rows, so it promises its children nothing.
-    fn run_node(
-        &self,
-        plan: &PhysicalPlan,
-        path: Vec<usize>,
-        first: Option<usize>,
-    ) -> Result<Output> {
+    /// `want` is the consumer's [`Demand`]. Rows: a `Limit` makes the
+    /// promise, `Project` and `Rename` — the nodes that emit exactly their
+    /// input rows in input order — pass it down, a `Sort` spends it
+    /// ([`sort_batch`]); every other node drops, merges or multiplies rows,
+    /// so it promises its children nothing. Columns: `Aggregate` and `Project`
+    /// ask for what their expressions read, `Filter` and `Sort` for that and
+    /// what they were asked, `Limit` for what it was asked, and a hub join
+    /// emits just those (every consumer binds by name against the chunks it
+    /// gets); every other node reads positionally or reads all, and asks so.
+    fn run_node(&self, plan: &PhysicalPlan, path: Vec<usize>, want: Demand) -> Result<Output> {
         self.ctx().check()?;
         if !self.instrument {
-            return self.run_inner(plan, &path, first);
+            return self.run_inner(plan, &path, want);
         }
         let start_wall = Instant::now();
-        let (cols, cost) = self.run_inner(plan, &path, first)?;
+        let (cols, cost) = self.run_inner(plan, &path, want)?;
         self.ops.lock().expect("ops lock").push(OpRecord {
             path,
             rows: cols.num_rows(),
+            width: cols.schema().len(),
             cost,
             wall: start_wall.elapsed(),
         });
         Ok((cols, cost))
     }
 
-    fn run_inner(
-        &self,
-        plan: &PhysicalPlan,
-        path: &[usize],
-        first: Option<usize>,
-    ) -> Result<Output> {
+    fn run_inner(&self, plan: &PhysicalPlan, path: &[usize], want: Demand) -> Result<Output> {
+        let Demand { first, columns } = want;
         match plan {
             PhysicalPlan::Source {
                 source,
@@ -580,7 +612,9 @@ impl<'a> Executor<'a> {
             PhysicalPlan::Filter {
                 input, predicate, ..
             } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0), None)?;
+                let read = columns.and_then(|c| columns_read([predicate], &input.schema(), c));
+                let below = Demand { first: None, columns: read.as_deref() };
+                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
                 let n = cols.num_rows();
                 let pred = bind(predicate, cols.schema())?;
                 let out = self.drive_op(&mut VecFilter::new(pred), &cols, cols.schema().clone())?;
@@ -592,7 +626,9 @@ impl<'a> Executor<'a> {
                 schema,
                 ..
             } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0), first)?;
+                let read = columns_read(exprs.iter().map(|(e, _)| e), &input.schema(), &[]);
+                let below = Demand { first, columns: read.as_deref() };
+                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
                 let n = cols.num_rows();
                 let bound: Vec<BoundExpr> = exprs
                     .iter()
@@ -615,7 +651,7 @@ impl<'a> Executor<'a> {
                 ..
             } => self.run_hash_join(
                 left, right, left_keys, right_keys, *kind, residual, site, *parallel, schema,
-                path,
+                path, columns,
             ),
             PhysicalPlan::NestedLoopJoin {
                 left,
@@ -629,7 +665,7 @@ impl<'a> Executor<'a> {
                 let children_cost = if *parallel { lc.alongside(rc) } else { lc.then(rc) };
                 // No keys: every right row is a candidate for every left row.
                 let rcols = rcols.into_one();
-                let out = self.join(&lcols, &rcols, Vec::new(), &[], *kind, on, schema)?;
+                let out = self.join(&lcols, &rcols, Vec::new(), &[], *kind, on, schema, columns)?;
                 let work = lcols.num_rows() * rcols.num_rows().max(1);
                 Ok((out, children_cost.then(self.cpu(work))))
             }
@@ -643,7 +679,7 @@ impl<'a> Executor<'a> {
                 residual,
                 schema,
             } => {
-                let (lcols, lc) = self.run_node(left, child_path(path, 0), None)?;
+                let (lcols, lc) = self.run_node(left, child_path(path, 0), Demand::ALL)?;
                 let key = bind(left_key, lcols.schema())?;
                 let values = distinct_keys(&key, &lcols)?;
                 let handle = self.federation.source(source)?;
@@ -679,6 +715,7 @@ impl<'a> Executor<'a> {
                     JoinKind::Inner,
                     residual,
                     schema,
+                    columns,
                 )?;
                 let work = lcols.num_rows() + fetched.num_rows() + out.num_rows();
                 Ok((out, lc.then(rc).then(self.cpu(work))))
@@ -690,7 +727,10 @@ impl<'a> Executor<'a> {
                 schema,
                 ..
             } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0), None)?;
+                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+                let read = columns_read(group_by.iter().chain(args), &input.schema(), &[]);
+                let below = Demand { first: None, columns: read.as_deref() };
+                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
                 let n = cols.num_rows();
                 let groups: Vec<BoundExpr> = group_by
                     .iter()
@@ -706,7 +746,7 @@ impl<'a> Executor<'a> {
                 Ok((out, cost.then(self.cpu(n))))
             }
             PhysicalPlan::Distinct { input } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0), None)?;
+                let (cols, cost) = self.run_node(input, child_path(path, 0), Demand::ALL)?;
                 let n = cols.num_rows();
                 // A group-by over every column with nothing to aggregate:
                 // the first row of each group, in input order. (No rows are
@@ -722,7 +762,10 @@ impl<'a> Executor<'a> {
                 Ok((out, cost.then(self.cpu(n))))
             }
             PhysicalPlan::Sort { input, keys } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0), None)?;
+                let by = keys.iter().map(|(e, _)| e);
+                let read = columns.and_then(|c| columns_read(by, &input.schema(), c));
+                let below = Demand { first: None, columns: read.as_deref() };
+                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
                 let n = cols.num_rows();
                 let keys: Vec<(BoundExpr, bool)> = keys
                     .iter()
@@ -741,8 +784,8 @@ impl<'a> Executor<'a> {
                 Ok((sorted.into(), cost.then(self.cpu(n))))
             }
             PhysicalPlan::Limit { input, n } => {
-                let first = Some(first.map_or(*n, |k| k.min(*n)));
-                let (cols, cost) = self.run_node(input, child_path(path, 0), first)?;
+                let below = Demand { first: Some(first.map_or(*n, |k| k.min(*n))), columns };
+                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
                 Ok((cols.head(*n), cost))
             }
             PhysicalPlan::UnionAll {
@@ -758,7 +801,7 @@ impl<'a> Executor<'a> {
                             .map(|(i, p)| {
                                 let cp = child_path(path, i);
                                 s.spawn(move || {
-                                    let r = self.run_node(p, cp, None);
+                                    let r = self.run_node(p, cp, Demand::ALL);
                                     self.trip_abort_on_err(&r);
                                     r
                                 })
@@ -793,7 +836,7 @@ impl<'a> Executor<'a> {
                     inputs
                         .iter()
                         .enumerate()
-                        .map(|(i, p)| self.run_node(p, child_path(path, i), None))
+                        .map(|(i, p)| self.run_node(p, child_path(path, i), Demand::ALL))
                         .collect::<Result<Vec<_>>>()?
                 };
                 let mut out = Chunks::new(schema.clone());
@@ -809,7 +852,9 @@ impl<'a> Executor<'a> {
                 Ok((out, cost))
             }
             PhysicalPlan::Rename { input, schema } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0), first)?;
+                // Re-tagging is positional: every column, the rows it was asked.
+                let below = Demand { first, columns: None };
+                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
                 let mut out = Chunks::new(schema.clone());
                 out.append(cols);
                 Ok((out, cost))
@@ -831,6 +876,8 @@ impl<'a> Executor<'a> {
     /// The hub half of every join: `probe` (the left side) streams against a
     /// hash table over `build`, emitting probe order × build order. With no
     /// keys every pair is a candidate and `residual` is the whole condition.
+    /// Of `schema`, an Inner/Left/Cross join gathers for its residual the
+    /// columns that reads, and emits the columns `want`ed (`None`: all).
     #[allow(clippy::too_many_arguments)]
     fn join(
         &self,
@@ -841,29 +888,34 @@ impl<'a> Executor<'a> {
         kind: JoinKind,
         residual: &Option<Expr>,
         schema: &SchemaRef,
+        want: Option<&[usize]>,
     ) -> Result<Chunks> {
-        // Semi/anti conditions see both sides even though only left columns
-        // flow out.
-        let pred_schema: SchemaRef = if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
-            Arc::new(probe.schema().join(build.schema()))
+        let (pred, out) = if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
+            // A selection of the probe chunk — nothing to narrow — whose
+            // condition sees whole rows of both sides, one pair at a time.
+            let both = Arc::new(probe.schema().join(build.schema()));
+            (ColumnPick::new(&both, None), ColumnPick::new(schema, None))
         } else {
-            schema.clone()
+            let read = residual.as_ref().and_then(|r| columns_read([r], schema, &[]));
+            (ColumnPick::new(schema, read), ColumnPick::new(schema, want.map(<[usize]>::to_vec)))
         };
-        let residual = residual
-            .as_ref()
-            .map(|r| bind(r, &pred_schema))
-            .transpose()?;
+        let residual = residual.as_ref().map(|r| bind(r, pred.schema())).transpose()?;
+        let out_schema = out.schema().clone();
+        let skipped = schema.len() - out_schema.len();
+        if let Some(m) = self.metrics.as_ref().filter(|_| skipped > 0) {
+            m.add("exec.join.columns_skipped", skipped as u64);
+        }
         let mut op = VecHashJoin::new(
             build,
             build_keys,
             probe_keys,
             kind,
             residual,
-            pred_schema,
-            schema.clone(),
+            pred,
+            out,
             self.batch_size,
         );
-        self.drive_op(&mut op, probe, schema.clone())
+        self.drive_op(&mut op, probe, out_schema)
     }
 
     fn run_pair(
@@ -877,12 +929,12 @@ impl<'a> Executor<'a> {
         if parallel {
             std::thread::scope(|s| {
                 let lh = s.spawn(move || {
-                    let r = self.run_node(left, lp, None);
+                    let r = self.run_node(left, lp, Demand::ALL);
                     self.trip_abort_on_err(&r);
                     r
                 });
                 let rh = s.spawn(move || {
-                    let r = self.run_node(right, rp, None);
+                    let r = self.run_node(right, rp, Demand::ALL);
                     self.trip_abort_on_err(&r);
                     r
                 });
@@ -896,8 +948,8 @@ impl<'a> Executor<'a> {
             })
         } else {
             Ok((
-                self.run_node(left, lp, None)?,
-                self.run_node(right, rp, None)?,
+                self.run_node(left, lp, Demand::ALL)?,
+                self.run_node(right, rp, Demand::ALL)?,
             ))
         }
     }
@@ -955,7 +1007,7 @@ impl<'a> Executor<'a> {
 
         // Probe side first, serially: the adaptation decision needs its
         // actual cardinality.
-        let (lcols, lc) = self.run_node(left, child_path(path, 0), None)?;
+        let (lcols, lc) = self.run_node(left, child_path(path, 0), Demand::ALL)?;
         let diverged = match CostModel::new(self.federation)
             .with_feedback(policy.feedback.clone())
             .estimate_physical(left)
@@ -969,7 +1021,7 @@ impl<'a> Executor<'a> {
             Err(_) => false,
         };
         if !diverged {
-            let right_out = self.run_node(right, child_path(path, 1), None)?;
+            let right_out = self.run_node(right, child_path(path, 1), Demand::ALL)?;
             return Ok(Some(((lcols, lc), right_out)));
         }
 
@@ -1015,7 +1067,10 @@ impl<'a> Executor<'a> {
         parallel: bool,
         schema: &SchemaRef,
         path: &[usize],
+        want: Option<&[usize]>,
     ) -> Result<Output> {
+        // A site join's result is priced by the columns it ships: all of them.
+        let want = want.filter(|_| matches!(site, JoinSite::Hub));
         // Fetch inputs, honoring the assembly site's cost model.
         let (lcols, rcols, mut cost, result_site) = match site {
             JoinSite::Hub => {
@@ -1063,7 +1118,7 @@ impl<'a> Executor<'a> {
                     true,
                 )?;
                 let (other_cols, other_cost) =
-                    self.run_node(other_child, child_path(path, other_idx), None)?;
+                    self.run_node(other_child, child_path(path, other_idx), Demand::ALL)?;
                 let fetch = if parallel {
                     site_cost.alongside(other_cost)
                 } else {
@@ -1099,7 +1154,8 @@ impl<'a> Executor<'a> {
             .iter()
             .map(|e| bind(e, lcols.schema()))
             .collect::<Result<_>>()?;
-        let mut out = self.join(&lcols, &rcols, probe_keys, &build_keys, kind, residual, schema)?;
+        let mut out =
+            self.join(&lcols, &rcols, probe_keys, &build_keys, kind, residual, schema, want)?;
         // Both inputs plus the emitted rows.
         let work = lcols.num_rows() + rcols.num_rows() + out.num_rows();
         cost = cost.then(self.cpu(work));
@@ -1174,6 +1230,8 @@ fn assemble_profile(
         }
         _ => None,
     };
+    use PhysicalPlan::{BindJoin, HashJoin, NestedLoopJoin};
+    let join = matches!(plan, HashJoin { .. } | NestedLoopJoin { .. } | BindJoin { .. });
     let children = plan
         .children()
         .into_iter()
@@ -1195,6 +1253,7 @@ fn assemble_profile(
         backup_won: hedge.backup_won,
         replanned: replans.contains(path.as_slice()),
         top: sorts.get(path.as_slice()).copied(),
+        columns: rec.map(|r| (r.width, plan.schema().len())).filter(|(k, n)| join && k < n),
         children,
     }
 }

@@ -9,6 +9,14 @@
 //! exactly when [`Value`]'s `Eq` says so (`Int(2)` is `Float(2.0)`,
 //! `Int(2^53 + 1)` is not `Float(2^53)`, `-0.0` is not `0`, a NaN is itself),
 //! and NULL is a key like any other — callers that must not match it skip it.
+//!
+//! How keys are compared is chosen once per call ([`KeyTable::incoming`]):
+//! when every key column, stored and incoming, is a NULL-free `Int` (or
+//! `Timestamp`) vector of one variant, a probe compares raw `i64`s; any other
+//! chunk — a bitmap, a `Float` twin, a column gone `Mixed` — takes
+//! [`cells_cmp`], and the next call decides again. On such vectors the two are
+//! one relation, so this stays one table (one slot array, one `insert`, one id
+//! space across chunks of different flavors), not a table per key type.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -115,6 +123,22 @@ pub(crate) fn cells_cmp(a: &Column, i: usize, b: &Column, j: usize) -> Ordering 
 /// No key: a vacant slot of the table, or a row whose key was skipped.
 pub(crate) const NO_KEY: u32 = u32::MAX;
 
+/// One call's incoming key columns and what is decided once for all their
+/// rows: whether a cell can be NULL at all, and — `ints`, their raw vectors —
+/// whether keys are equal when their `i64`s are (the module doc's rule).
+pub(crate) struct Incoming<'c> {
+    cols: &'c [Arc<Column>],
+    ints: Option<Vec<&'c [i64]>>,
+    nullable: bool,
+}
+
+impl Incoming<'_> {
+    /// Is any cell of the key at `row` NULL?
+    pub(crate) fn is_null(&self, row: usize) -> bool {
+        self.nullable && self.cols.iter().any(|c| c.is_null(row))
+    }
+}
+
 /// Interns keys into dense ids `0, 1, 2, …` in first-seen order. Each
 /// distinct key is stored once, as row `id` of the table's key columns.
 pub(crate) struct KeyTable {
@@ -131,12 +155,8 @@ impl KeyTable {
     /// An empty table storing its keys in `keys` (one builder per key
     /// column), with room for `capacity` distinct keys before it regrows.
     pub(crate) fn new(keys: Vec<ColumnBuilder>, capacity: usize) -> Self {
-        let slots = (capacity * 2).next_power_of_two().max(16);
-        KeyTable {
-            keys,
-            hashes: Vec::with_capacity(capacity),
-            slots: vec![NO_KEY; slots],
-        }
+        let slots = vec![NO_KEY; (capacity * 2).next_power_of_two().max(16)];
+        KeyTable { keys, hashes: Vec::with_capacity(capacity), slots }
     }
 
     /// Number of distinct keys interned.
@@ -148,9 +168,31 @@ impl KeyTable {
         (hash >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// The id of the key at row `row` of `cols` (whose hash is `hash`), or
-    /// the vacant slot where its probe sequence ended.
-    pub(crate) fn probe(&self, cols: &[Arc<Column>], row: usize, hash: u64) -> Result<u32, usize> {
+    /// `cols` as one call's incoming keys ([`Incoming`]).
+    pub(crate) fn incoming<'c>(&self, cols: &'c [Arc<Column>]) -> Incoming<'c> {
+        use ColumnData::{Int, Timestamp};
+        let nullable = cols.iter().any(|c| !c.no_nulls());
+        let plain = !nullable && self.keys.iter().all(|k| k.column().no_nulls());
+        let ints = (self.keys.iter().zip(cols))
+            .map(|(key, col)| match (key.column().data(), col.data()) {
+                (Int(_), Int(y)) | (Timestamp(_), Timestamp(y)) if plain => Some(&y[..]),
+                _ => None,
+            })
+            .collect();
+        Incoming { cols, ints, nullable }
+    }
+
+    /// The id of the key at row `row` of `key` (whose hash is `hash`), or the
+    /// vacant slot where its probe sequence ended.
+    pub(crate) fn probe(&self, key: &Incoming, row: usize, hash: u64) -> Result<u32, usize> {
+        let same = |id: usize| match &key.ints {
+            Some(ints) => self.keys.iter().zip(ints).all(|(k, y)| match k.column().data() {
+                ColumnData::Int(x) | ColumnData::Timestamp(x) => x[id] == y[row],
+                _ => unreachable!("a NULL-free Int vector stays one while Ints are interned"),
+            }),
+            None => (self.keys.iter().zip(key.cols))
+                .all(|(k, col)| cells_cmp(k.column(), id, col, row).is_eq()),
+        };
         let mask = self.slots.len() - 1;
         let mut slot = self.home_slot(hash);
         loop {
@@ -158,21 +200,16 @@ impl KeyTable {
             if id == NO_KEY {
                 return Err(slot);
             }
-            let stored = id as usize;
-            if self.hashes[stored] == hash
-                && (self.keys.iter().zip(cols))
-                    .all(|(key, col)| cells_cmp(key.column(), stored, col, row).is_eq())
-            {
+            if self.hashes[id as usize] == hash && same(id as usize) {
                 return Ok(id);
             }
             slot = (slot + 1) & mask;
         }
     }
 
-    /// The id of every row's key, in row order, interning keys on first
-    /// sight. With `skip_nulls` a row with a NULL in any key column is not
-    /// interned and answers [`NO_KEY`]; without, NULL is a key cell like any
-    /// other.
+    /// The id of every row's key, in row order, interning keys on first sight.
+    /// With `skip_nulls` a row with a NULL in any key column is not interned and
+    /// answers [`NO_KEY`]; without, NULL is a key cell like any other.
     pub(crate) fn intern_rows(
         &mut self,
         cols: &[Arc<Column>],
@@ -180,13 +217,13 @@ impl KeyTable {
         skip_nulls: bool,
     ) -> Vec<u32> {
         let hashes = hash_keys(cols, n);
-        let skip_nulls = skip_nulls && cols.iter().any(|c| !c.no_nulls());
+        let key = self.incoming(cols);
         (0..n)
             .map(|row| {
-                if skip_nulls && cols.iter().any(|c| c.is_null(row)) {
+                if skip_nulls && key.is_null(row) {
                     return NO_KEY;
                 }
-                match self.probe(cols, row, hashes[row]) {
+                match self.probe(&key, row, hashes[row]) {
                     Ok(id) => id,
                     Err(slot) => self.insert(slot, cols, row, hashes[row]),
                 }

@@ -41,6 +41,6 @@ pub use scheduler::{
     ShedDecision,
 };
 pub use vector::{
-    drive, sort_batch, BatchOperator, Chunks, VecAggregate, VecFilter, VecHashJoin, VecProject,
-    DEFAULT_BATCH_SIZE,
+    drive, sort_batch, BatchOperator, Chunks, ColumnPick, VecAggregate, VecFilter, VecHashJoin,
+    VecProject, DEFAULT_BATCH_SIZE,
 };

@@ -40,6 +40,9 @@ pub struct OperatorProfile {
     /// first `k` rows (fewer than it was given), so only those were put in
     /// order.
     pub top: Option<usize>,
+    /// `Some((k, n))` on a join that emitted `k` of its schema's `n` columns:
+    /// the consumers above read no other, so no other was gathered.
+    pub columns: Option<(usize, usize)>,
     /// Child operator profiles, mirroring the plan's children.
     pub children: Vec<OperatorProfile>,
 }

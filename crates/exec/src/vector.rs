@@ -27,12 +27,12 @@
 
 use std::sync::Arc;
 
-use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, SchemaRef};
+use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, Schema, SchemaRef};
 use eii_expr::{eval_column, eval_filter, AggFunc, BoundExpr};
 use eii_sql::JoinKind;
 
 use crate::agg::GroupedAgg;
-use crate::keys::{cells_cmp, hash_keys, KeyTable, NO_KEY};
+use crate::keys::{cells_cmp, hash_keys, Incoming, KeyTable, NO_KEY};
 
 /// Default rows per chunk when the plan does not specify one.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
@@ -256,16 +256,43 @@ struct Pending {
     matched: bool,
 }
 
+/// The columns of a join's probe ++ build row that somebody reads — ascending
+/// positions — and the schema they make.
+pub struct ColumnPick {
+    which: Vec<usize>,
+    schema: SchemaRef,
+}
+
+impl ColumnPick {
+    /// Columns `which` of `full`, qualifiers kept; `None` is all of it.
+    pub fn new(full: &SchemaRef, which: Option<Vec<usize>>) -> Self {
+        let Some(which) = which.filter(|which| which.len() < full.len()) else {
+            return ColumnPick { which: (0..full.len()).collect(), schema: Arc::clone(full) };
+        };
+        let fields = which.iter().map(|&c| full.field(c).clone()).collect();
+        ColumnPick { which, schema: Arc::new(Schema::new(fields)) }
+    }
+
+    /// The schema of the picked columns.
+    pub fn schema(&self) -> &SchemaRef {
+        &self.schema
+    }
+}
+
 /// Hash join: the build side is consumed whole at construction, probe chunks
 /// stream through `push`. Output is probe order × build-insertion order;
 /// NULL keys never join (Left null-extends, Anti keeps, Semi/Inner drop);
 /// Semi/Anti residuals short-circuit at the first matching candidate. With
 /// no keys every build row is a candidate for every probe row: the
-/// nested-loop join.
+/// nested-loop join. Nothing is copied but by [`Self::gather_pairs`], and only
+/// the columns its caller names: the residual's for the candidates, the
+/// consumer's for the survivors.
 pub struct VecHashJoin {
     /// The distinct non-NULL build keys. Key `k`'s build rows are
     /// `rows[starts[k]..starts[k + 1]]`, in build insertion order (which
-    /// fixes the output order within a probe row).
+    /// fixes the output order within a probe row) — physical rows of `build`,
+    /// the build side's columns as they lie, under no selection: a filtered
+    /// build side is never compacted, so a column nobody reads is never copied.
     table: KeyTable,
     starts: Vec<u32>,
     rows: Vec<u32>,
@@ -273,10 +300,12 @@ pub struct VecHashJoin {
     probe_keys: Vec<BoundExpr>,
     kind: JoinKind,
     residual: Option<BoundExpr>,
-    /// Schema residuals are bound against (for Semi/Anti this is the
-    /// concatenation of both sides even though only left columns flow out).
-    pred_schema: SchemaRef,
-    schema: SchemaRef,
+    /// What the residual is bound against: the columns it reads (for
+    /// Semi/Anti the whole concatenation of both sides, a row at a time, even
+    /// though only left columns flow out).
+    pred: ColumnPick,
+    /// What flows out: the columns the consumer reads.
+    out: ColumnPick,
     /// Most candidate pairs materialized at once for the residual and most
     /// rows in an emitted chunk, so a cross product is filtered before it is
     /// ever held whole and handed on in bounded pieces.
@@ -287,7 +316,7 @@ impl VecHashJoin {
     /// Build the hash table over `build` (the right side). `build_keys` holds
     /// one compact column per key, aligned with `build`'s live rows (what
     /// [`eval_column`] over `build` returns); `probe_keys` are bound against
-    /// the probe schema, `residual` against `pred_schema`. `batch_size` (the
+    /// the probe schema, `residual` against `pred`'s. `batch_size` (the
     /// executor's; 0 is [`DEFAULT_BATCH_SIZE`]) caps the candidate pairs a
     /// residual sees at once and the rows of an emitted chunk.
     #[allow(clippy::too_many_arguments)]
@@ -297,11 +326,10 @@ impl VecHashJoin {
         probe_keys: Vec<BoundExpr>,
         kind: JoinKind,
         residual: Option<BoundExpr>,
-        pred_schema: SchemaRef,
-        schema: SchemaRef,
+        pred: ColumnPick,
+        out: ColumnPick,
         batch_size: usize,
     ) -> Self {
-        let build = build.compact();
         let n = build.num_rows();
         let stored = build_keys.iter().map(|c| ColumnBuilder::like(c, n)).collect();
         let mut table = KeyTable::new(stored, n);
@@ -319,30 +347,34 @@ impl VecHashJoin {
         let mut next = starts.clone();
         let mut rows = vec![0u32; starts[table.len()] as usize];
         for (row, &k) in key_of.iter().enumerate().filter(|&(_, &k)| k != NO_KEY) {
-            rows[next[k as usize] as usize] = row as u32;
+            rows[next[k as usize] as usize] = build.physical_index(row) as u32;
             next[k as usize] += 1;
         }
         VecHashJoin {
             table,
             starts,
             rows,
-            build,
+            build: ColumnarBatch::new(
+                Arc::clone(build.schema()),
+                build.columns().to_vec(),
+                build.base_len(),
+            ),
             probe_keys,
             kind,
             residual,
-            pred_schema,
-            schema,
+            pred,
+            out,
             pair_cap: chunk_rows(batch_size),
         }
     }
 
-    /// The build rows whose key equals row `row` of the probe key columns.
-    fn candidates(&self, key_cols: &[Arc<Column>], row: usize, hash: u64) -> &[u32] {
+    /// The build rows whose key equals row `row` of the probe keys.
+    fn candidates(&self, key: &Incoming, row: usize, hash: u64) -> &[u32] {
         // NULL keys never join.
-        if key_cols.iter().any(|c| c.is_null(row)) {
+        if key.is_null(row) {
             return &[];
         }
-        let Ok(k) = self.table.probe(key_cols, row, hash) else {
+        let Ok(k) = self.table.probe(key, row, hash) else {
             return &[];
         };
         &self.rows[self.starts[k as usize] as usize..self.starts[k as usize + 1] as usize]
@@ -354,12 +386,13 @@ impl VecHashJoin {
     fn probe_pairs(&self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
         let key_cols = eval_columns(&self.probe_keys, chunk)?;
         let hashes = hash_keys(&key_cols, chunk.num_rows());
+        let key = self.table.incoming(&key_cols);
         let left = matches!(self.kind, JoinKind::Left);
         let mut kept = Pairs::default();
         let mut pending = Pending::default();
         for (row, &hash) in hashes.iter().enumerate() {
             let phys = chunk.physical_index(row) as u32;
-            for &b in self.candidates(&key_cols, row, hash) {
+            for &b in self.candidates(&key, row, hash) {
                 pending.pairs.push(phys, b);
                 if pending.pairs.probe.len() >= self.pair_cap {
                     self.resolve(chunk, &mut pending, &mut kept, out)?;
@@ -391,13 +424,14 @@ impl VecHashJoin {
         let survives: Option<Vec<bool>> = match &self.residual {
             None => None,
             Some(pred) => {
-                let pairs = self.gather_pairs(&self.pred_schema, chunk, &probe, &build);
+                let pairs = self.gather_pairs(&self.pred, chunk, &probe, &build);
                 let live = eval_filter(pred, &pairs)?;
-                let mut mask = vec![false; probe.len()];
-                for k in live {
-                    mask[k as usize] = true;
-                }
-                Some(mask)
+                // Every candidate survived: no mask to fill, as with no residual.
+                (live.len() < probe.len()).then(|| {
+                    let mut mask = vec![false; probe.len()];
+                    live.iter().for_each(|&k| mask[k as usize] = true);
+                    mask
+                })
             }
         };
         let mut keep = |kept: &mut Pairs, probe: u32, build: u32| {
@@ -422,25 +456,29 @@ impl VecHashJoin {
         Ok(())
     }
 
-    /// The probe rows `probe` of `chunk` beside the build rows `build`, as
-    /// one batch of `schema`; `NO_ROW` in `build` null-extends.
+    /// Columns `pick` of the probe rows `probe` of `chunk` beside the build
+    /// rows `build`, as one batch; `NO_ROW` in `build` null-extends. The
+    /// join's one copy: a column outside `pick` is never touched.
     fn gather_pairs(
         &self,
-        schema: &SchemaRef,
+        pick: &ColumnPick,
         chunk: &ColumnarBatch,
         probe: &[u32],
         build: &[u32],
     ) -> ColumnarBatch {
-        let probe_cols = chunk.columns().iter().map(|c| c.gather(probe));
-        let build_cols = self.build.columns().iter().map(|c| c.gather_opt(build));
-        let cols = probe_cols.chain(build_cols).map(Arc::new).collect();
-        ColumnarBatch::new(Arc::clone(schema), cols, probe.len())
+        let width = chunk.columns().len();
+        let gather = |&c: &usize| match c.checked_sub(width) {
+            None => chunk.column(c).gather(probe),
+            Some(b) => self.build.column(b).gather_opt(build),
+        };
+        let cols = pick.which.iter().map(gather).map(Arc::new).collect();
+        ColumnarBatch::new(Arc::clone(&pick.schema), cols, probe.len())
     }
 
     /// Gather the kept pairs into one output chunk and start the next.
     fn emit(&self, chunk: &ColumnarBatch, kept: &mut Pairs, out: &mut Chunks) {
         let Pairs { probe, build } = std::mem::take(kept);
-        out.push(self.gather_pairs(&self.schema, chunk, &probe, &build));
+        out.push(self.gather_pairs(&self.out, chunk, &probe, &build));
     }
 
     /// Semi/Anti probe: a candidate scan that stops at the first match — a
@@ -449,11 +487,12 @@ impl VecHashJoin {
     fn probe_filtering(&self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
         let key_cols = eval_columns(&self.probe_keys, chunk)?;
         let hashes = hash_keys(&key_cols, chunk.num_rows());
+        let key = self.table.incoming(&key_cols);
         let anti = matches!(self.kind, JoinKind::Anti);
         let mut keep: Vec<u32> = Vec::new();
         for (row, &hash) in hashes.iter().enumerate() {
             // NULL keys never match: anti keeps the row, semi drops it.
-            let rows = self.candidates(&key_cols, row, hash);
+            let rows = self.candidates(&key, row, hash);
             let matched = match &self.residual {
                 None => !rows.is_empty(),
                 Some(pred) => {
@@ -473,7 +512,7 @@ impl VecHashJoin {
                 keep.push(row as u32);
             }
         }
-        out.push(chunk.select(keep).with_schema(Arc::clone(&self.schema)));
+        out.push(chunk.select(keep).with_schema(Arc::clone(&self.out.schema)));
         Ok(())
     }
 }
@@ -683,8 +722,8 @@ mod tests {
             vec![pkey],
             kind,
             None,
-            Arc::clone(&joined),
-            Arc::clone(&joined),
+            ColumnPick::new(&joined, None),
+            ColumnPick::new(&joined, None),
             0,
         );
         run(&mut op, left, &joined)
@@ -948,8 +987,8 @@ mod tests {
             Vec::new(),
             kind,
             residual,
-            both,
-            out_schema.clone(),
+            ColumnPick::new(&both, None),
+            ColumnPick::new(&out_schema, None),
             cap,
         );
         let mut out = Chunks::new(out_schema);
@@ -1029,8 +1068,8 @@ mod tests {
                 vec![pkey.clone()],
                 JoinKind::Left,
                 None,
-                Arc::clone(&joined),
-                Arc::clone(&joined),
+                ColumnPick::new(&joined, None),
+                ColumnPick::new(&joined, None),
                 cap,
             );
             let mut out = Chunks::new(Arc::clone(&joined));

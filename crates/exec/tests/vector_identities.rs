@@ -12,13 +12,18 @@
 //! - a sort told that only its first `k` rows will be read returns, in those
 //!   `k` positions, the rows the full (stable) sort returns, and every row
 //!   still; and the executor tells it so only through nodes that emit exactly
-//!   their input rows in input order.
+//!   their input rows in input order;
+//! - a join asked for some of its columns emits the full-width join's rows,
+//!   projected — whatever the subset, the residual and the chunking — and it
+//!   is asked only by the nodes that read by name.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use eii_data::{Batch, ColumnarBatch, DataType, EiiError, Field, Row, Schema, SchemaRef, Value};
-use eii_exec::{drive, sort_batch, BatchOperator, Chunks, Executor, VecAggregate, VecHashJoin};
+use eii_exec::{
+    drive, sort_batch, BatchOperator, Chunks, ColumnPick, Executor, VecAggregate, VecHashJoin,
+};
 use eii_expr::{eval_column, AggFunc, BinaryOp, BoundExpr, Expr};
 use eii_federation::Federation;
 use eii_planner::{AggItem, JoinSite, PhysicalPlan};
@@ -265,8 +270,8 @@ proptest! {
                 (0..n_keys).map(BoundExpr::Column).collect(),
                 kind,
                 None,
-                joined.clone(),
-                out_schema.clone(),
+                ColumnPick::new(&joined, None),
+                ColumnPick::new(&out_schema, None),
                 batch_size,
             );
             let got = run(&mut op, &probe, &out_schema, batch_size);
@@ -303,6 +308,209 @@ proptest! {
             .filter(|r| seen.insert(r.values().to_vec(), ()).is_none())
             .collect();
         prop_assert_eq!(exact(&got), exact(&want));
+    }
+
+    /// Identity (b), one table under both equalities: the key column changes
+    /// flavor from chunk to chunk — a NULL-free `Int` vector (raw `i64`
+    /// equality), the same with a bitmap, a `Float` vector with the twins at
+    /// ±2^53, a `Timestamp` vector (same words, never the same key), `Mixed` —
+    /// in any order, against a NULL-free `Int` build side; and through
+    /// DISTINCT, whose table outlives the chunks and stores what they bring.
+    #[test]
+    fn one_key_table_serves_chunks_of_every_flavor(
+        stages in proptest::collection::vec((0usize..5, proptest::collection::vec(0usize..64, 1..7)), 1..7),
+        build_picks in proptest::collection::vec(0usize..64, 0..16),
+        size_pick in 0usize..4,
+    ) {
+        let ints = [0, 1, 2, -1, P53 - 1, P53, P53 + 1, -P53, i64::MAX];
+        let floats = [P53 as f64, -(P53 as f64), 2.0, 0.0, -0.0, 2.5, f64::NAN, 1.0];
+        let key_schema = schema(&[DataType::Int]);
+        let mut probe = Chunks::new(key_schema.clone());
+        let mut probe_keys: Vec<Value> = Vec::new();
+        for (stage, picks) in &stages {
+            let (mut cells, ty): (Vec<Value>, _) = match stage {
+                0 => (picks.iter().map(|p| Value::Int(ints[p % ints.len()])).collect(), DataType::Int),
+                1 => (picks.iter().map(|&p| cell(0, p)).chain([Value::Null]).collect(), DataType::Int),
+                2 => (picks.iter().map(|p| Value::Float(floats[p % floats.len()])).collect(), DataType::Float),
+                3 => (picks.iter().map(|p| Value::Timestamp(ints[p % 4])).collect(), DataType::Timestamp),
+                _ => (picks.iter().map(|&p| cell(3, p)).chain([Value::str("2")]).collect(), DataType::Int),
+            };
+            let col = Arc::new(eii_data::Column::from_values(&cells, ty));
+            probe.push(ColumnarBatch::new(key_schema.clone(), vec![col], cells.len()));
+            probe_keys.append(&mut cells);
+        }
+        let build_keys: Vec<Value> = build_picks.iter().map(|p| Value::Int(ints[p % ints.len()])).collect();
+        let build_rows: Vec<Row> = build_keys.iter().map(|k| Row::new(vec![k.clone()])).collect();
+        let build = ColumnarBatch::from_batch(&Batch::new(key_schema.clone(), build_rows));
+        prop_assert!(build.column(0).as_ints().is_some() && build.column(0).no_nulls());
+        let batch_size = [1, 2, 3, 4096][size_pick];
+
+        let mut table: HashMap<&Value, Vec<usize>> = HashMap::new();
+        for (i, k) in build_keys.iter().enumerate() {
+            table.entry(k).or_default().push(i);
+        }
+        let joined = Arc::new(key_schema.join(&key_schema));
+        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
+            let filtering = matches!(kind, JoinKind::Semi | JoinKind::Anti);
+            let out_schema = if filtering { key_schema.clone() } else { joined.clone() };
+            let mut op = VecHashJoin::new(
+                &build,
+                &[build.column(0).clone()],
+                vec![BoundExpr::Column(0)],
+                kind,
+                None,
+                ColumnPick::new(&joined, None),
+                ColumnPick::new(&out_schema, None),
+                batch_size,
+            );
+            let got = run(&mut op, &probe, &out_schema, batch_size);
+            let mut want = Vec::new();
+            for k in &probe_keys {
+                let matches = table.get(k).filter(|_| !k.is_null()).map_or(&[][..], Vec::as_slice);
+                match kind {
+                    JoinKind::Semi if !matches.is_empty() => want.push(Row::new(vec![k.clone()])),
+                    JoinKind::Anti if matches.is_empty() => want.push(Row::new(vec![k.clone()])),
+                    JoinKind::Semi | JoinKind::Anti => {}
+                    JoinKind::Left if matches.is_empty() => want.push(Row::new(vec![k.clone(), Value::Null])),
+                    _ => want.extend(matches.iter().map(|&b| Row::new(vec![k.clone(), build_keys[b].clone()]))),
+                }
+            }
+            prop_assert_eq!(exact(&got), exact(&want), "{:?}", kind);
+        }
+
+        let mut distinct = VecAggregate::new(vec![BoundExpr::Column(0)], Vec::new(), Vec::new(), key_schema.clone());
+        let got = run(&mut distinct, &probe, &key_schema, batch_size);
+        let mut seen: HashSet<&Value> = HashSet::new();
+        let want: Vec<Row> = (probe_keys.iter())
+            .filter(|k| seen.insert(k))
+            .map(|k| Row::new(vec![k.clone()]))
+            .collect();
+        prop_assert_eq!(exact(&got), exact(&want));
+    }
+
+    /// Identity (e): a join asked for a subset of its columns — any subset,
+    /// the empty one and the one-sided ones included — emits the rows of the
+    /// join asked for everything, projected: keyed and keyless, Inner, Left and
+    /// Cross, with a residual that reads neither side, one, or both (and so is
+    /// gathered narrower than the output, or wider), or that fails on some
+    /// pair; probe chunks cut anywhere and typed differently, 1, 2, 3 or 4096
+    /// rows pushed at a time. A Semi or Anti join is asked the same and emits
+    /// its probe schema regardless.
+    #[test]
+    fn a_join_asked_for_some_columns_is_the_full_join_projected(
+        probe_picks in proptest::collection::vec((0usize..64, 0usize..64), 0..20),
+        build_picks in proptest::collection::vec((0usize..64, 0usize..64), 0..12),
+        flavors in proptest::collection::vec(0usize..4, 4..5),
+        shape in (0usize..3, 0usize..5, 0usize..6),
+        chunking in (0usize..4, proptest::collection::vec(0usize..32, 0..4)),
+        mask in 0usize..64,
+    ) {
+        let ((n_keys, kind_pick, residual_pick), (size_pick, cuts)) = (shape, chunking);
+        let kind = [JoinKind::Inner, JoinKind::Left, JoinKind::Cross, JoinKind::Semi, JoinKind::Anti][kind_pick];
+        let n_keys = if kind == JoinKind::Cross { 0 } else { n_keys };
+        let side = |picks: &[(usize, usize)], f: &[usize]| -> Vec<Row> {
+            (picks.iter().enumerate())
+                .map(|(i, &(a, b))| Row::new(vec![cell(f[0], a), cell(f[1], b), Value::Int(i as i64)]))
+                .collect()
+        };
+        let named = |names: [&str; 3], types: [DataType; 3]| -> SchemaRef {
+            Arc::new(Schema::new(names.iter().zip(types).map(|(n, t)| Field::new(*n, t)).collect()))
+        };
+        let probe_schema = named(["p0", "p1", "pseq"], [DataType::Int, DataType::Str, DataType::Int]);
+        let build_schema = named(["b0", "b1", "bseq"], [DataType::Float, DataType::Str, DataType::Int]);
+        let (probe_rows, build_rows) = (side(&probe_picks, &flavors[..2]), side(&build_picks, &flavors[2..]));
+        // The probe side arrives as a chunk list: one `Values` per cut.
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (probe_rows.len() + 1)).collect();
+        bounds.extend([0, probe_rows.len()]);
+        bounds.sort_unstable();
+        let probe = PhysicalPlan::UnionAll {
+            inputs: (bounds.windows(2))
+                .map(|w| leaf(&probe_schema, probe_rows[w[0]..w[1]].to_vec()))
+                .collect(),
+            parallel: false,
+            schema: probe_schema.clone(),
+        };
+        let build = leaf(&build_schema, build_rows.clone());
+
+        let (pseq, bseq) = (|| Expr::col("pseq"), || Expr::col("bseq"));
+        let residual = match residual_pick {
+            0 => None,
+            1 => Some(pseq().binary(BinaryOp::Modulo, Expr::lit(2i64)).eq(Expr::lit(0i64))),
+            2 => Some(bseq().binary(BinaryOp::Modulo, Expr::lit(3i64)).binary(BinaryOp::NotEq, Expr::lit(0i64))),
+            3 => Some(pseq().binary(BinaryOp::Plus, bseq()).gt(Expr::lit(3i64))),
+            // Over the hazard cells: fails on the first pair that is not numeric.
+            4 => Some(Expr::col("p0").binary(BinaryOp::Minus, Expr::col("b0")).lt(Expr::lit(1i64))),
+            _ => Some(Expr::lit(1i64).binary(BinaryOp::Divide, pseq().binary(BinaryOp::Minus, bseq())).lt(Expr::lit(1i64))),
+        };
+        let filtering = matches!(kind, JoinKind::Semi | JoinKind::Anti);
+        let schema = if filtering { probe_schema.clone() } else { Arc::new(probe_schema.join(&build_schema)) };
+        let join = if n_keys == 0 {
+            PhysicalPlan::NestedLoopJoin {
+                left: Box::new(probe), right: Box::new(build), kind, on: residual.clone(),
+                parallel: false, schema: schema.clone(),
+            }
+        } else {
+            PhysicalPlan::HashJoin {
+                left: Box::new(probe), right: Box::new(build),
+                left_keys: ["p0", "p1"][..n_keys].iter().map(|c| Expr::col(*c)).collect(),
+                right_keys: ["b0", "b1"][..n_keys].iter().map(|c| Expr::col(*c)).collect(),
+                kind, residual: residual.clone(), site: JoinSite::Hub, parallel: false,
+                schema: schema.clone(), vectorized: true,
+            }
+        };
+        let subset: Vec<usize> = (0..schema.len()).filter(|c| mask >> c & 1 == 1).collect();
+        let asked = picking(&subset, join.clone());
+
+        // The reference: nested loops over the rows, keys by `Value`'s `==`
+        // (NULL never), the residual by the scalar evaluator over whole pairs
+        // — every key-matched pair for Inner/Left/Cross, so the first failing
+        // one is the error; up to the first match for Semi/Anti.
+        let both = probe_schema.join(&build_schema);
+        let on = residual.as_ref().map(|e| eii_expr::bind(e, &both).unwrap());
+        let keys_match = |p: &Row, b: &Row| (0..n_keys).all(|c| !p.get(c).is_null() && p.get(c) == b.get(c));
+        let want = (|| -> Result<Vec<Row>, EiiError> {
+            let mut out = Vec::new();
+            for p in &probe_rows {
+                let mut matched = false;
+                for b in build_rows.iter().filter(|b| keys_match(p, b)) {
+                    let pair = p.concat(b);
+                    if on.as_ref().map_or(Ok(true), |on| on.eval_predicate(&pair))? {
+                        matched = true;
+                        if filtering {
+                            break;
+                        }
+                        out.push(pair);
+                    }
+                }
+                match kind {
+                    JoinKind::Left if !matched => out.push(p.concat(&Row::new(vec![Value::Null; 3]))),
+                    JoinKind::Semi if matched => out.push(p.clone()),
+                    JoinKind::Anti if !matched => out.push(p.clone()),
+                    _ => {}
+                }
+            }
+            Ok(out)
+        })();
+
+        let federation = Federation::new();
+        let executor = Executor::new(&federation).with_batch_size([1, 2, 3, 4096][size_pick]);
+        match (want, executor.execute(&join), executor.execute(&asked)) {
+            (Ok(want), Ok(wide), Ok(narrow)) => {
+                prop_assert_eq!(exact(wide.batch.rows()), exact(&want), "{:?}", kind);
+                let projected: Vec<Row> = want.iter().map(|r| r.project(&subset)).collect();
+                prop_assert_eq!(exact(narrow.batch.rows()), exact(&projected), "{:?} of {:?}", subset, kind);
+                let emitted = narrow.profile.unwrap().find(join.label()).unwrap().columns;
+                let fewer = !filtering && subset.len() < schema.len();
+                prop_assert_eq!(emitted, fewer.then_some((subset.len(), schema.len())));
+            }
+            (Err(want), Err(wide), Err(narrow)) => {
+                prop_assert_eq!((wide.to_string(), narrow.to_string()), (want.to_string(), want.to_string()));
+            }
+            (want, wide, narrow) => prop_assert!(
+                false, "{:?}: {:?}, all columns {:?}, {:?} {:?}",
+                kind, want, wide.map(|r| r.batch), subset, narrow.map(|r| r.batch)
+            ),
+        }
     }
 
     /// Identity (d): `sort_batch(.., Some(k))`'s first `k` rows are the full
@@ -537,4 +745,241 @@ fn the_promise_does_not_cross_a_node_that_drops_merges_or_multiplies_rows() {
         }
     };
     case("Limit→HashJoin(Sort, …)", 12, &joined, &[20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 21, 21]);
+}
+
+// ---------------------------------------------------------------------------
+// Who asks a join for fewer columns
+// ---------------------------------------------------------------------------
+
+fn leaf(schema: &SchemaRef, rows: Vec<Row>) -> PhysicalPlan {
+    PhysicalPlan::Values { schema: schema.clone(), rows }
+}
+
+/// `SELECT <columns `cols` of the input, by name>`: a consumer that reads
+/// those and nothing else.
+fn picking(cols: &[usize], input: PhysicalPlan) -> PhysicalPlan {
+    let fields: Vec<Field> = cols.iter().map(|&c| input.schema().field(c).clone()).collect();
+    let reference = |f: &Field| Expr::Column { relation: f.relation.clone(), name: f.name.clone() };
+    PhysicalPlan::Project {
+        exprs: fields.iter().map(|f| (reference(f), f.name.clone())).collect(),
+        input: Box::new(input),
+        schema: Arc::new(Schema::new(fields)),
+        vectorized: true,
+    }
+}
+
+/// `l(x, seq) JOIN r(x, seq) ON l.x = r.x`, 4 columns, every name qualified.
+fn self_join(kind: JoinKind) -> PhysicalPlan {
+    let side = |alias: &str, xs: &[i64]| {
+        let input = values(xs);
+        let schema = Arc::new(input.schema().qualified(alias));
+        PhysicalPlan::Rename { input: Box::new(input), schema }
+    };
+    let (left, right) = (side("l", &[1, 2, 2, 3, 5]), side("r", &[2, 3, 3, 4]));
+    let schema = match kind {
+        JoinKind::Semi | JoinKind::Anti => left.schema(),
+        _ => Arc::new(left.schema().join(&right.schema())),
+    };
+    PhysicalPlan::HashJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        left_keys: vec![Expr::qcol("l", "x")],
+        right_keys: vec![Expr::qcol("r", "x")],
+        kind,
+        residual: None,
+        site: JoinSite::Hub,
+        parallel: false,
+        schema,
+        vectorized: true,
+    }
+}
+
+/// The answer, and what the plan's (outermost) `HashJoin` emitted of its schema.
+fn columns_emitted(plan: &PhysicalPlan) -> (Vec<Row>, Option<(usize, usize)>) {
+    let federation = Federation::new();
+    let result = Executor::new(&federation).execute(plan).unwrap();
+    let join = result.profile.as_ref().unwrap().find("HashJoin").unwrap().columns;
+    (result.batch.into_rows(), join)
+}
+
+#[test]
+fn a_column_demand_is_made_by_aggregate_and_project_and_crosses_filter_sort_and_limit_only() {
+    let join = || self_join(JoinKind::Inner);
+    let count_by = |group: Expr, input: PhysicalPlan| PhysicalPlan::Aggregate {
+        input: Box::new(input),
+        group_by: vec![group],
+        aggs: vec![AggItem { func: AggFunc::CountStar, arg: None, distinct: false, name: "n".into() }],
+        schema: schema(&[DataType::Int, DataType::Int]),
+        vectorized: true,
+    };
+    let seq_positive = || Expr::qcol("l", "seq").gt_eq(Expr::lit(0i64));
+    let by_r_seq = |input| PhysicalPlan::Sort { input: Box::new(input), keys: vec![(Expr::qcol("r", "seq"), false)] };
+    type Wrap<'a> = &'a dyn Fn(PhysicalPlan) -> PhysicalPlan;
+    // Each consumer reads `r.x` (column 2); `barrier` is where a node that asks
+    // for everything goes, which changes no row.
+    let cases: [(&str, Wrap, Option<usize>); 10] = [
+        ("the root asks for everything", &|j| j, None),
+        ("Project makes the demand", &|j| picking(&[2], j), Some(1)),
+        ("Aggregate makes it, COUNT(*) adding nothing", &|j| count_by(Expr::qcol("r", "x"), j), Some(1)),
+        ("Filter hands it on, with what it reads", &|j| picking(&[2], filter(seq_positive(), j)), Some(2)),
+        ("Sort hands it on, with its keys", &|j| picking(&[2], by_r_seq(j)), Some(2)),
+        ("Limit hands it on", &|j| picking(&[2], limit(4, by_r_seq(filter(seq_positive(), j)))), Some(3)),
+        ("Rename reads positionally", &|j| {
+            let schema = j.schema();
+            picking(&[2], PhysicalPlan::Rename { input: Box::new(j), schema })
+        }, None),
+        ("Distinct reads every column", &|j| picking(&[2], PhysicalPlan::Distinct { input: Box::new(j) }), None),
+        ("UnionAll reads positionally", &|j| {
+            let schema = j.schema();
+            picking(&[2], PhysicalPlan::UnionAll { inputs: vec![j], parallel: false, schema })
+        }, None),
+        ("a join asks its children for everything", &|j| {
+            let one = values(&[3]);
+            let right = PhysicalPlan::Rename { schema: Arc::new(one.schema().qualified("z")), input: Box::new(one) };
+            let schema = j.schema();
+            picking(&[2], PhysicalPlan::NestedLoopJoin {
+                schema: Arc::new(schema.join(&right.schema())),
+                left: Box::new(j), right: Box::new(right), kind: JoinKind::Cross, on: None, parallel: false,
+            })
+        }, None),
+    ];
+    for (name, wrap, k) in cases {
+        let (got, emitted) = columns_emitted(&wrap(join()));
+        assert_eq!(emitted, k.map(|k| (k, 4)), "{name}");
+        // The same plan over a join that nobody can ask for less: a Rename to
+        // its own schema sits on top of it.
+        let barrier = PhysicalPlan::Rename { schema: join().schema(), input: Box::new(join()) };
+        let (want, blocked) = columns_emitted(&wrap(barrier));
+        assert_eq!(blocked, None, "{name}: the Rename asked for everything");
+        assert_eq!(exact(&got), exact(&want), "{name}");
+        assert!(!got.is_empty());
+    }
+    // Semi and Anti are a selection of the probe chunk: asked for one column
+    // of two, they hand on both.
+    for kind in [JoinKind::Semi, JoinKind::Anti] {
+        let (got, emitted) = columns_emitted(&picking(&[1], self_join(kind)));
+        assert_eq!(emitted, None, "{kind:?}");
+        let seqs: &[i64] = if kind == JoinKind::Semi { &[1, 2, 3] } else { &[0, 4] };
+        assert_eq!(got, seqs.iter().map(|&s| Row::new(vec![Value::Int(s)])).collect::<Vec<_>>());
+    }
+}
+
+#[test]
+fn a_name_ambiguous_in_the_joins_full_schema_is_still_the_parents_error() {
+    // `x` is `l.x` or `r.x`; `r.seq` alone would resolve. Had the consumer
+    // asked the join for just the columns it could resolve, the bind that
+    // follows would no longer find two `x`s — or any.
+    let join = self_join(JoinKind::Inner);
+    let todays = eii_expr::bind(&Expr::col("x"), &join.schema()).unwrap_err().to_string();
+    assert!(todays.contains("ambiguous column reference 'x' (matches l.x and r.x)"), "{todays}");
+    let int = |name: &str| Field::new(name, DataType::Int);
+    let project = PhysicalPlan::Project {
+        input: Box::new(join.clone()),
+        exprs: vec![(Expr::qcol("r", "seq"), "seq".into()), (Expr::col("x"), "x".into())],
+        schema: Arc::new(Schema::new(vec![int("seq"), int("x")])),
+        vectorized: true,
+    };
+    let aggregate = PhysicalPlan::Aggregate {
+        input: Box::new(join.clone()),
+        group_by: vec![Expr::qcol("r", "seq")],
+        aggs: vec![AggItem { func: AggFunc::Sum, arg: Some(Expr::col("x")), distinct: false, name: "s".into() }],
+        schema: Arc::new(Schema::new(vec![int("seq"), int("s")])),
+        vectorized: true,
+    };
+    let filtered = picking(&[3], filter(Expr::col("x").gt(Expr::lit(0i64)), join));
+    let federation = Federation::new();
+    for plan in [project, aggregate, filtered] {
+        let err = Executor::new(&federation).execute(&plan).unwrap_err();
+        assert_eq!(err.to_string(), todays, "{}", plan.label());
+    }
+}
+
+#[test]
+fn a_failing_residual_reports_the_same_first_failing_pair_asked_narrow_or_wide() {
+    // `1 / (a - b) < 1`, keyless, probe × build order: (5, 1) and (5, 3) pass,
+    // then either the pair (5, 5) divides by zero or — with 'y' before it —
+    // (5, 'y') is not arithmetic; the probe's own 'x' fails later and is
+    // never reached.
+    let a = Arc::new(Schema::new(vec![Field::new("a", DataType::Int), Field::new("pad", DataType::Int)]));
+    let b = Arc::new(Schema::new(vec![Field::new("pad2", DataType::Int), Field::new("b", DataType::Int)]));
+    let rows = |cells: &[Value], at: usize| -> Vec<Row> {
+        (cells.iter().enumerate())
+            .map(|(i, v)| {
+                let mut row = vec![Value::Int(i as i64); 2];
+                row[at] = v.clone();
+                Row::new(row)
+            })
+            .collect()
+    };
+    let int = Value::Int;
+    let probe = rows(&[int(5), Value::str("x"), int(3)], 0);
+    let on = Expr::lit(1i64)
+        .binary(BinaryOp::Divide, Expr::col("a").binary(BinaryOp::Minus, Expr::col("b")))
+        .lt(Expr::lit(1i64));
+    let federation = Federation::new();
+    for (build, want) in [
+        (vec![int(1), int(3), int(5)], "division by zero"),
+        (vec![int(1), int(3), Value::str("y"), int(5)], "arithmetic - on non-numeric operands 5 and y"),
+    ] {
+        for kind in [JoinKind::Inner, JoinKind::Left] {
+            let join = PhysicalPlan::NestedLoopJoin {
+                left: Box::new(leaf(&a, probe.clone())),
+                right: Box::new(leaf(&b, rows(&build, 1))),
+                kind,
+                on: Some(on.clone()),
+                parallel: false,
+                schema: Arc::new(a.join(&b)),
+            };
+            for batch_size in [1, 2, 4096] {
+                let executor = Executor::new(&federation).with_batch_size(batch_size);
+                let wide = executor.execute(&join).unwrap_err().to_string();
+                assert!(wide.contains(want), "{kind:?} at {batch_size}: {wide}");
+                for subset in [&[][..], &[1], &[2], &[0, 3], &[1, 2]] {
+                    let narrow = executor.execute(&picking(subset, join.clone())).unwrap_err();
+                    assert_eq!(narrow.to_string(), wide, "{kind:?} asked {subset:?} at {batch_size}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_join_assembled_at_a_source_ships_every_column_whatever_is_read_above_it() {
+    use eii_federation::{LinkProfile, RelationalConnector, WireFormat};
+    use eii_storage::{Database, TableDef};
+    let clock = eii_data::SimClock::new();
+    let federation = Federation::new();
+    let register = |source: &str, table: &str, names: [&str; 3], rows: i64| {
+        let db = Database::new(source, clock.clone());
+        let fields = names.iter().map(|n| Field::new(*n, DataType::Int)).collect();
+        let t = db.create_table(TableDef::new(table, Arc::new(Schema::new(fields)))).unwrap();
+        for i in 0..rows {
+            t.write().insert(Row::new(vec![Value::Int(i), Value::Int(i % 7), Value::Int(i * 3)])).unwrap();
+        }
+        let connector = Arc::new(RelationalConnector::new(db));
+        federation.register(connector, LinkProfile::wan(), WireFormat::Native).unwrap();
+    };
+    register("big", "facts", ["id", "k", "v"], 400);
+    register("small", "dims", ["k", "w", "u"], 7);
+    let config = eii_planner::PlannerConfig { use_bind_joins: false, ..eii_planner::PlannerConfig::optimized() };
+    let sql = "SELECT SUM(d.w) AS s FROM big.facts f JOIN small.dims d ON f.k = d.k";
+    let query = eii_sql::parse_query(sql).unwrap();
+    let aggregated = eii_planner::plan_query(&query, &eii_catalog::Catalog::new(), &federation, &config).unwrap();
+    assert!(aggregated.display().contains("site=@big"), "{}", aggregated.display());
+    // The same join with nothing above it: the root asks for every column.
+    let mut alone = &aggregated;
+    while alone.label() != "HashJoin" {
+        alone = alone.children()[0];
+    }
+    let executor = Executor::new(&federation);
+    let join = |plan: &PhysicalPlan| {
+        let result = executor.execute(plan).unwrap();
+        (result.profile.unwrap().find("HashJoin").unwrap().clone(), result.cost.bytes)
+    };
+    let ((under, total), (root, total_alone)) = (join(&aggregated), join(alone));
+    assert_eq!(under.columns, None, "the site join was asked for less, and listened");
+    assert!(alone.schema().len() > 1 && under.rows == 400);
+    // What the site ships back is priced over what the join emitted: had it
+    // emitted only `d.w`, these bytes would have shrunk.
+    assert_eq!((under.cost.bytes, total), (root.cost.bytes, total_alone));
 }

@@ -378,7 +378,7 @@ impl Statement {
     }
 }
 
-const SHAPES: usize = 23;
+const SHAPES: usize = 28;
 
 fn statement(shape: usize, pred: &str, k: i64) -> Statement {
     let plain = |sql: String, exercises| Statement {
@@ -564,6 +564,48 @@ fn statement(shape: usize, pred: &str, k: i64) -> Statement {
             limit: None,
             exercises: "Rename",
         },
+        // What is read above a join is all the join copies: nothing at all
+        // (rows are still counted), build-side columns only under a LEFT JOIN
+        // (the null-extended ones), a strict subset through WHERE, ORDER BY
+        // and LIMIT — and under DISTINCT or UNION ALL, which read every
+        // column they are given, exactly the projection's.
+        23 => plain(
+            "SELECT COUNT(*) AS n FROM crm.customers c JOIN sales.orders o ON c.id = o.customer_id"
+                .into(),
+            "Aggregate",
+        ),
+        24 => plain(
+            "SELECT COUNT(o.order_id) AS n, SUM(o.total) AS s, MIN(o.total) AS lo \
+             FROM crm.customers c LEFT JOIN sales.orders o ON c.id = o.customer_id"
+                .into(),
+            "LEFT JOIN",
+        ),
+        25 => Statement {
+            sql: format!(
+                "SELECT c.name, o.total FROM crm.customers c \
+                 JOIN sales.orders o ON c.id = o.customer_id \
+                 WHERE c.score + o.total > {}.0 ORDER BY o.total DESC, c.name LIMIT {}",
+                k.rem_euclid(4),
+                k.rem_euclid(12)
+            ),
+            order: RowOrder::Total,
+            limit: None,
+            exercises: "Limit",
+        },
+        26 => plain(
+            "SELECT DISTINCT c.name, o.total FROM crm.customers c \
+             JOIN sales.orders o ON c.id = o.customer_id"
+                .into(),
+            "Distinct",
+        ),
+        27 => plain(
+            "SELECT c.name, o.total FROM crm.customers c \
+             JOIN sales.orders o ON c.id = o.customer_id \
+             UNION ALL SELECT c.name, o.total FROM crm.customers c \
+             LEFT JOIN sales.orders o ON c.id = o.customer_id AND o.total > 2.0"
+                .into(),
+            "UnionAll",
+        ),
         // The view scan with a compensating filter and a limit.
         _ => Statement {
             sql: format!("SELECT id, name, score FROM crm.customers WHERE {pred}"),
@@ -708,5 +750,80 @@ fn shapes_exercise_their_operators() {
             let sort = ran.lines().find(|l| l.trim_start().starts_with("Sort")).unwrap();
             assert!(sort.ends_with("[TOP 7]"), "shape {shape}:\n{ran}");
         }
+        // Likewise for a join that was asked for fewer columns than it has —
+        // nested-loop, a bind join's hub half, hash; none at all for COUNT(*).
+        let emitted = match shape {
+            15 => Some(("NestedLoopJoin", "[COLS 2/4]")),
+            18 => Some(("BindJoin", "[COLS 3/5]")),
+            23 => Some(("HashJoin", "[COLS 0/2]")),
+            24 => Some(("HashJoin", "[COLS 2/4]")),
+            25 => Some(("HashJoin", "[COLS 2/5]")),
+            _ => None,
+        };
+        if let Some((join, mark)) = emitted {
+            assert!(!plan.contains("[COLS"), "{plan}");
+            let out = world.sys.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+            let ran = out.explained().unwrap();
+            let line = ran.lines().find(|l| l.trim_start().starts_with(join)).unwrap();
+            assert!(line.ends_with(mark), "shape {shape}:\n{ran}");
+        }
     }
+}
+
+/// `eiibench`'s H1 in small: a fact table behind a dialect that evaluates no
+/// filter, a dimension with ten rows per key, neither source taking key
+/// batches — so the join, its cross-table residual and the aggregate all run
+/// at the hub.
+fn hub_world() -> Arc<EiiSystem> {
+    use eii::federation::{Dialect, SourceCapabilities};
+    let clock = SimClock::new();
+    let table = |db: &Database, name: &str, cols: &[(&str, DataType)]| {
+        let fields = cols.iter().map(|(n, t)| Field::new(*n, *t).not_null()).collect();
+        db.create_table(TableDef::new(name, Arc::new(Schema::new(fields)))).unwrap()
+    };
+    let ops = Database::new("ops", clock.clone());
+    let int = DataType::Int;
+    let fact = table(&ops, "fact", &[("fk", int), ("grp", int), ("a", int), ("b", DataType::Float)]);
+    for i in 0..600i64 {
+        fact.write().insert(row![i * 7 % 40, i % 32, i * 13 % 1000, (i % 50) as f64 * 0.5]).unwrap();
+    }
+    let refd = Database::new("refd", clock.clone());
+    let dim = table(&refd, "dim", &[("dk", int), ("w", int)]);
+    for i in 0..400i64 {
+        dim.write().insert(row![i * 3 % 40, i % 100]).unwrap();
+    }
+    let no_bindings = SourceCapabilities { bindings: false, ..SourceCapabilities::relational() };
+    let ops = RelationalConnector::new(ops)
+        .with_dialect(Dialect::legacy_minimal())
+        .with_capabilities(no_bindings.clone());
+    let refd = RelationalConnector::new(refd).with_capabilities(no_bindings);
+    EiiSystem::builder(clock)
+        .planner_config(PlannerConfig::optimized())
+        .source(Arc::new(ops), LinkProfile::lan(), WireFormat::Native)
+        .source(Arc::new(refd), LinkProfile::lan(), WireFormat::Native)
+        .build()
+        .unwrap()
+}
+
+/// The aggregate above H1's join reads `grp`, `a`, `b` and `w`; the join keys
+/// are dead once the pairs are found. `EXPLAIN ANALYZE`, which ran it, says
+/// the join emitted four of its six columns; `EXPLAIN`, which did not, says
+/// what it always said.
+#[test]
+fn h1_reads_four_of_the_joins_six_columns() {
+    let h1 = "SELECT f.grp, COUNT(*) AS n, SUM(f.a + d.w) AS s1, SUM(f.b) AS s2, \
+              MIN(f.a * d.w % 1000) AS lo, MAX(f.a - 500 + d.w) AS hi \
+              FROM ops.fact f JOIN refd.dim d ON f.fk = d.dk \
+              WHERE f.grp <= 27 AND f.a <= 799 AND f.b >= 10.0 AND f.a + d.w > 50 \
+              GROUP BY f.grp";
+    let sys = hub_world();
+    let plan = sys.execute(&format!("EXPLAIN {h1}")).unwrap();
+    assert!(!plan.explained().unwrap().contains("[COLS"), "{}", plan.explained().unwrap());
+    let ran = sys.execute(&format!("EXPLAIN ANALYZE {h1}")).unwrap();
+    let ran = ran.explained().unwrap();
+    println!("{ran}");
+    let join = ran.lines().find(|l| l.trim_start().starts_with("HashJoin")).unwrap();
+    assert!(join.ends_with("[COLS 4/6]"), "{ran}");
+    assert_eq!(ran.matches("[COLS").count(), 1, "only the join is marked:\n{ran}");
+    assert_eq!(sys.metrics().snapshot().counter("exec.join.columns_skipped"), 2);
 }
