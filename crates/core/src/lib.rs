@@ -529,15 +529,15 @@ impl EiiSystem {
         let (Some(mgr), Some(cache)) = (self.matviews.get(), self.cache.get()) else {
             return;
         };
-        let (Ok(key), Ok(Some(batch)), Ok(tables)) = (
-            mgr.plan_key(name),
-            mgr.cached(name),
-            mgr.base_tables(name),
-        ) else {
+        let Ok(key) = mgr.plan_key(name) else {
             return;
         };
-        let versions = ResultCache::probe_versions(&self.federation, &tables);
-        cache.refresh_entry(&key, batch, versions, self.clock.now_ms());
+        // The materialization is cloned only once the cache holds the key.
+        let fresh = || {
+            let (batch, tables) = (mgr.cached(name).ok()??, mgr.base_tables(name).ok()?);
+            Some((batch, ResultCache::probe_versions(&self.federation, &tables)))
+        };
+        cache.refresh_entry(&key, fresh, self.clock.now_ms());
     }
 
     /// The materialized-view manager, once any view has been created.

@@ -13,16 +13,17 @@
 //!    the clock, so unrelated sessions don't see each other's latency); the
 //!    spender calls [`Deadline::charge`] explicitly.
 //!
-//! Both are summed by [`Deadline::elapsed_ms`], so the budget shrinks the
-//! same way in a single-threaded run and across racing partition scans —
-//! charges are commutative atomic adds, making expiry deterministic for a
-//! given plan regardless of thread interleaving.
+//! Both are summed by [`Deadline::elapsed_ms`]. Charges are commutative
+//! atomic adds, so sessions sharing a deadline across threads spend it
+//! consistently; within one statement the order is fixed anyway — the
+//! executor costs the sources of a `parallel` plan node as overlapping and
+//! runs them in plan order on the caller's thread — making expiry
+//! deterministic for a given plan.
 //!
 //! A [`CancelToken`] is the cooperative teardown signal: operators check it
-//! at batch boundaries and connectors check it before issuing a request, so
-//! cancelling a query (or failing one branch of a parallel plan) stops the
-//! sibling scans at their next check instead of letting them run to
-//! completion.
+//! at node and batch boundaries and connectors check it before issuing a
+//! request, so a cancelled query stops at its next check — the node after the
+//! one that was running — instead of running to completion.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -4,6 +4,7 @@
 //! reports failures through [`EiiError`] so that errors compose across crate
 //! boundaries without conversion boilerplate.
 
+use std::any::Any;
 use std::fmt;
 
 /// Convenient result alias used across the workspace.
@@ -65,8 +66,8 @@ pub enum EiiError {
         /// Simulated milliseconds consumed when the budget check fired.
         elapsed_ms: i64,
     },
-    /// The query was cancelled cooperatively (caller gave up, or a sibling
-    /// branch failed and tore the rest of the plan down).
+    /// The query was cancelled cooperatively: the caller gave up, and the
+    /// plan stopped at the next node or request that checked the token.
     Cancelled(String),
     /// Brownout load shedding dropped the query before it ran.
     Shed {
@@ -110,6 +111,17 @@ impl EiiError {
     /// retrying; structural errors (bad query, missing table) will not heal.
     pub fn is_transport(&self) -> bool {
         matches!(self, EiiError::Source(_) | EiiError::Timeout { .. })
+    }
+
+    /// A caught panic of `what` as an error carrying the payload's message
+    /// (`panic!` with a message has a `&str` or `String` payload).
+    pub fn from_panic(what: &str, payload: Box<dyn Any + Send>) -> EiiError {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        EiiError::Execution(format!("{what} panicked: {msg}"))
     }
 
     /// The human-readable message carried by the error. Structured variants

@@ -333,15 +333,23 @@ impl ResultCache {
     /// versions and reset its fill time, without touching LRU order or
     /// capacity. Incremental view maintenance uses this to push a freshly
     /// maintained result into the cache instead of invalidating it —
-    /// readers keep hitting instead of rerunning. Returns false (and does
-    /// nothing) when `key` is not cached.
+    /// readers keep hitting instead of rerunning. `fresh` produces the batch
+    /// and its base-table versions and is asked only when `key` is cached —
+    /// outside this cache's lock, which is a leaf: `fresh` reads other
+    /// subsystems. Returns false (and changes nothing) when `key` is not
+    /// cached, or when `fresh` has nothing to offer.
     pub fn refresh_entry(
         &self,
         key: &str,
-        batch: Batch,
-        versions: Vec<(String, Option<u64>)>,
+        fresh: impl FnOnce() -> Option<(Batch, Vec<(String, Option<u64>)>)>,
         now_ms: i64,
     ) -> bool {
+        if !self.inner.lock().expect("result cache lock").entries.contains_key(key) {
+            return false;
+        }
+        let Some((batch, versions)) = fresh() else {
+            return false;
+        };
         let mut inner = self.inner.lock().expect("result cache lock");
         let Some(entry) = inner.entries.get_mut(key) else {
             return false;
@@ -461,12 +469,12 @@ mod tests {
             staleness_budget_ms: 0,
         });
         assert!(
-            !cache.refresh_entry("ghost", batch(), vec![], 0),
+            !cache.refresh_entry("ghost", || Some((batch(), vec![])), 0),
             "absent keys are not created"
         );
         cache.fill("q1", batch(), QueryCost::default(), vec![], vec![], 0);
         let fresh = Batch::new(batch().schema().clone(), vec![row![9i64, "zoe"]]);
-        assert!(cache.refresh_entry("q1", fresh, vec![], 50));
+        assert!(cache.refresh_entry("q1", || Some((fresh, vec![])), 50));
         match cache.lookup("q1", 50, &fed) {
             CacheLookup::Hit(r) => {
                 assert_eq!(r.batch.rows()[0], row![9i64, "zoe"]);
@@ -476,6 +484,23 @@ mod tests {
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 0);
+    }
+
+    #[test]
+    fn refresh_entry_asks_for_the_batch_only_when_the_key_is_cached() {
+        let metrics = MetricsRegistry::new();
+        let cache = ResultCache::new(CacheConfig::default()).with_metrics(metrics.clone());
+        cache.fill("q1", batch(), QueryCost::default(), vec![], vec![], 0);
+        let asked = std::cell::Cell::new(0);
+        let fresh = || {
+            asked.set(asked.get() + 1);
+            None
+        };
+        assert!(!cache.refresh_entry("ghost", fresh, 10));
+        assert_eq!(asked.get(), 0, "nobody holds the key: no materialization is cloned");
+        assert!(!cache.refresh_entry("q1", fresh, 10), "nothing offered, nothing replaced");
+        assert_eq!(asked.get(), 1);
+        assert_eq!(metrics.counter_value("cache.refreshed"), 0);
     }
 
     #[test]

@@ -21,14 +21,20 @@
 //! re-plan, the at-site child of an assembly-site join — goes through it, so
 //! hedging, abort-vs-degrade and the fallback snapshot are decided in one
 //! place.
+//!
+//! A statement runs on the thread that called [`Executor::execute`]. A plan
+//! node's `parallel` flag is the planner's statement that its children's
+//! requests are in flight together: their costs compose with
+//! [`QueryCost::alongside`], and every child's request is issued before any
+//! result is read. The children themselves are evaluated in plan order.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eii_data::{
-    Batch, CancelToken, Column, ColumnBuilder, ColumnarBatch, EiiError, Result, Schema, SchemaRef,
-    Value,
+    Batch, Column, ColumnBuilder, ColumnarBatch, EiiError, Result, Schema, SchemaRef, Value,
 };
 use eii_expr::{bind, eval_column, referenced_columns, BoundExpr, Expr};
 use eii_federation::{
@@ -50,12 +56,6 @@ use crate::vector::{
 /// Simulated ms to open a local materialization (mirrors the planner's
 /// estimate for the chosen `MatViewScan` alternative).
 const MATVIEW_OPEN_MS: f64 = 0.05;
-
-/// The cancel reason the executor's internal abort token carries when one
-/// parallel branch of the plan fails and the siblings are torn down. Errors
-/// with this reason are collateral, not root causes, so error selection
-/// prefers any other error over them.
-const SIBLING_ABORT: &str = "sibling branch failed";
 
 /// When and how the executor hedges a source fetch: once a source's observed
 /// mean per-request latency crosses `threshold_ms`, plain scans against it
@@ -90,9 +90,9 @@ impl Default for HedgePolicy {
 /// equi-joins: build rows whose key matches no probe key can never reach
 /// the output, and the filter keeps the survivors in scan order.
 ///
-/// With a policy attached, eligible joins fetch their sides serially (the
-/// probe side must finish before the decision); expect different simulated
-/// timings — but byte-identical answers — versus the parallel default.
+/// With a policy attached, eligible joins' sides are costed one after the
+/// other (the probe side must answer before the decision); expect different
+/// simulated timings — but byte-identical answers — versus the parallel default.
 #[derive(Clone)]
 pub struct ReplanPolicy {
     /// Cross-query cardinality corrections consulted for the estimate.
@@ -116,19 +116,6 @@ impl ReplanPolicy {
 /// or the deadline ran out — serving a stale snapshot then would be lying.
 fn is_abortive(err: &EiiError) -> bool {
     matches!(err.kind(), "cancelled" | "deadline" | "shed")
-}
-
-/// Between two failed parallel branches, pick the root cause: an error that
-/// is merely the sibling-abort echo loses to the error that tripped it, so
-/// the surfaced error does not depend on which worker thread ran first.
-fn prefer_root_cause(first: EiiError, second: EiiError) -> EiiError {
-    let collateral =
-        |e: &EiiError| matches!(e, EiiError::Cancelled(reason) if reason == SIBLING_ABORT);
-    if collateral(&first) && !collateral(&second) {
-        second
-    } else {
-        first
-    }
 }
 
 /// The result of executing a plan: rows, simulated cost, and real wall time.
@@ -202,6 +189,21 @@ struct OpRecord {
     wall: Duration,
 }
 
+/// What one execution notes on its way through the plan, keyed by operator
+/// path where it flags an operator of the profile.
+#[derive(Default)]
+struct RunNotes {
+    degraded: Vec<SourceReport>,
+    ops: Vec<OpRecord>,
+    /// Hedge outcomes of this run's fetches, by the operator that issued them.
+    hedges: BTreeMap<Vec<usize>, HedgeOutcome>,
+    /// Operators this run adapted, for `[REPLANNED]` provenance.
+    replans: BTreeSet<Vec<usize>>,
+    /// The sorts this run bounded, with the `k` rows each was asked to
+    /// establish, for `[TOP k]` provenance.
+    bounded_sorts: BTreeMap<Vec<usize>, usize>,
+}
+
 /// Executes physical plans against a federation.
 pub struct Executor<'a> {
     federation: &'a Federation,
@@ -210,30 +212,20 @@ pub struct Executor<'a> {
     degradation: DegradationPolicy,
     fallbacks: SnapshotStore,
     matviews: SnapshotStore,
-    degraded: Mutex<Vec<SourceReport>>,
     instrument: bool,
     metrics: Option<MetricsRegistry>,
-    ops: Mutex<Vec<OpRecord>>,
-    /// Hedge outcomes of this run's fetches, keyed by the operator path
-    /// that issued them, so profiles can flag the exact operator hedged.
-    hedges: Mutex<BTreeMap<Vec<usize>, HedgeOutcome>>,
     /// Rows per chunk pushed through an operator; 0 = the
     /// [`crate::vector::DEFAULT_BATCH_SIZE`] default.
     batch_size: usize,
-    /// Caller-supplied request context (deadline budget + cancel token).
+    /// The request context (deadline budget, cancel token, trace ID) every
+    /// node boundary checks and every fetch runs under.
     base_ctx: RequestCtx,
-    /// The effective context of the running query: `base_ctx` plus a fresh
-    /// internal abort token, rebuilt at the top of every `execute`.
-    run_ctx: Mutex<RequestCtx>,
     /// Tail-latency hedging policy for plain source scans, when enabled.
     hedge: Option<HedgePolicy>,
     /// Adaptive re-planning policy, when enabled (see [`ReplanPolicy`]).
     replan: Option<ReplanPolicy>,
-    /// Paths of operators this run adapted, for `[REPLANNED]` provenance.
-    replans: Mutex<BTreeSet<Vec<usize>>>,
-    /// Paths of the sorts this run bounded, with the `k` rows each was asked
-    /// to establish, for `[TOP k]` provenance.
-    bounded_sorts: Mutex<BTreeMap<Vec<usize>, usize>>,
+    /// The running statement's notes; `execute` takes them when it ends.
+    notes: RefCell<RunNotes>,
 }
 
 impl<'a> Executor<'a> {
@@ -247,18 +239,13 @@ impl<'a> Executor<'a> {
             degradation: DegradationPolicy::Fail,
             fallbacks: SnapshotStore::new(),
             matviews: SnapshotStore::new(),
-            degraded: Mutex::new(Vec::new()),
             instrument: true,
             metrics: None,
-            ops: Mutex::new(Vec::new()),
-            hedges: Mutex::new(BTreeMap::new()),
             batch_size: 0,
             base_ctx: RequestCtx::new(),
-            run_ctx: Mutex::new(RequestCtx::new()),
             hedge: None,
             replan: None,
-            replans: Mutex::new(BTreeSet::new()),
-            bounded_sorts: Mutex::new(BTreeMap::new()),
+            notes: RefCell::default(),
         }
     }
 
@@ -326,29 +313,15 @@ impl<'a> Executor<'a> {
     /// Execute a plan to completion.
     pub fn execute(&self, plan: &PhysicalPlan) -> Result<QueryResult> {
         let start = Instant::now();
-        self.degraded.lock().expect("degraded lock").clear();
-        self.ops.lock().expect("ops lock").clear();
-        self.hedges.lock().expect("hedges lock").clear();
-        self.replans.lock().expect("replans lock").clear();
-        self.bounded_sorts.lock().expect("sorts lock").clear();
-        // A fresh internal abort token per run: a failed branch in THIS
-        // query must not tear down the next one.
-        let ctx = self.base_ctx.clone().with_abort(CancelToken::new());
-        ctx.check()?;
-        *self.run_ctx.lock().expect("ctx lock") = ctx;
-        let (batch, cost) = self.run(plan)?;
-        let degraded = std::mem::take(&mut *self.degraded.lock().expect("degraded lock"));
-        let hedges = std::mem::take(&mut *self.hedges.lock().expect("hedges lock"));
-        let replans = std::mem::take(&mut *self.replans.lock().expect("replans lock"));
-        let sorts = std::mem::take(&mut *self.bounded_sorts.lock().expect("sorts lock"));
-        let hedged = hedges.values().any(|h| h.fired);
-        let profile = if self.instrument {
-            let records = std::mem::take(&mut *self.ops.lock().expect("ops lock"));
-            let mut root = Vec::new();
-            Some(assemble_profile(plan, &records, &hedges, &replans, &sorts, &mut root))
-        } else {
-            None
-        };
+        let answer = self.run(plan);
+        // Taken whatever the outcome: a failed run leaves the next nothing.
+        let notes = self.notes.take();
+        let (batch, cost) = answer?;
+        let hedged = notes.hedges.values().any(|h| h.fired);
+        let profile = self
+            .instrument
+            .then(|| assemble_profile(plan, &notes, &mut Vec::new()));
+        let degraded = notes.degraded;
         let wall = start.elapsed();
         if let Some(m) = &self.metrics {
             m.inc("exec.queries");
@@ -375,30 +348,6 @@ impl<'a> Executor<'a> {
         QueryCost {
             sim_ms: rows as f64 * self.hub_ms_per_row,
             ..QueryCost::default()
-        }
-    }
-
-    /// The running query's effective request context.
-    fn ctx(&self) -> RequestCtx {
-        self.run_ctx.lock().expect("ctx lock").clone()
-    }
-
-    /// Trip the internal abort token when a parallel branch died with an
-    /// *abortive* error (deadline, shed), so sibling branches stop at their
-    /// next check instead of scanning to completion for an answer nobody
-    /// will see. Plain source failures deliberately do NOT tear siblings
-    /// down: degradation policies may still salvage the sibling answers,
-    /// and racing a cancel against a sibling's next seeded fault draw would
-    /// make the per-source fault-dice stream depend on thread timing —
-    /// breaking bit-identical replay. Sibling-abort echoes (plain
-    /// `Cancelled`) don't re-trip; the root cause already did.
-    fn trip_abort_on_err(&self, res: &Result<Output>) {
-        if let Err(err) = res {
-            if is_abortive(err) && !matches!(err, EiiError::Cancelled(_)) {
-                if let Some(abort) = &self.ctx().abort {
-                    abort.cancel(SIBLING_ABORT);
-                }
-            }
         }
     }
 
@@ -440,19 +389,16 @@ impl<'a> Executor<'a> {
     ) -> Result<(ColumnarBatch, QueryCost, bool)> {
         let start_wall = Instant::now();
         let source = handle.connector().name();
-        let ctx = self.ctx();
+        let ctx = &self.base_ctx;
         let hedge = match delivery {
             Delivery::Ship => self.should_hedge(source),
             Delivery::StayAtSite => None,
         };
         let answer = match hedge {
             Some(policy) => handle
-                .query_hedged(query, &ctx, policy.delay_ms)
+                .query_hedged(query, ctx, policy.delay_ms)
                 .map(|(batch, cost, outcome)| {
-                    self.hedges
-                        .lock()
-                        .expect("hedges lock")
-                        .insert(path.to_vec(), outcome);
+                    self.notes.borrow_mut().hedges.insert(path.to_vec(), outcome);
                     if let Some(m) = &self.metrics {
                         m.inc("hedge.fired");
                         if outcome.backup_won {
@@ -468,7 +414,7 @@ impl<'a> Executor<'a> {
                     }
                     (batch, cost)
                 }),
-            None => handle.fetch(query, &ctx, delivery),
+            None => handle.fetch(query, ctx, delivery),
         };
         let (batch, cost, live) = match answer {
             Ok((batch, cost)) => (batch, cost, true),
@@ -484,7 +430,7 @@ impl<'a> Executor<'a> {
                     now_ms,
                     err,
                 )?;
-                self.degraded.lock().expect("degraded lock").push(report);
+                self.notes.borrow_mut().degraded.push(report);
                 // A snapshot read is hub-local work: no network, no source scan.
                 let cost = self.cpu(batch.num_rows());
                 (batch, cost, false)
@@ -495,7 +441,7 @@ impl<'a> Executor<'a> {
             None => batch,
         };
         if record && self.instrument {
-            self.ops.lock().expect("ops lock").push(OpRecord {
+            self.notes.borrow_mut().ops.push(OpRecord {
                 path: path.to_vec(),
                 rows: cols.num_rows(),
                 width: cols.schema().len(),
@@ -532,13 +478,13 @@ impl<'a> Executor<'a> {
     /// emits just those (every consumer binds by name against the chunks it
     /// gets); every other node reads positionally or reads all, and asks so.
     fn run_node(&self, plan: &PhysicalPlan, path: Vec<usize>, want: Demand) -> Result<Output> {
-        self.ctx().check()?;
+        self.base_ctx.check()?;
         if !self.instrument {
             return self.run_inner(plan, &path, want);
         }
         let start_wall = Instant::now();
         let (cols, cost) = self.run_inner(plan, &path, want)?;
-        self.ops.lock().expect("ops lock").push(OpRecord {
+        self.notes.borrow_mut().ops.push(OpRecord {
             path,
             rows: cols.num_rows(),
             width: cols.schema().len(),
@@ -774,8 +720,7 @@ impl<'a> Executor<'a> {
                 // A promise of everything bounds nothing.
                 let first = first.filter(|&k| k < n);
                 if let Some(k) = first {
-                    let mut sorts = self.bounded_sorts.lock().expect("sorts lock");
-                    sorts.insert(path.to_vec(), k);
+                    self.notes.borrow_mut().bounded_sorts.insert(path.to_vec(), k);
                     if let Some(m) = &self.metrics {
                         m.inc("exec.sort.bounded");
                     }
@@ -793,51 +738,17 @@ impl<'a> Executor<'a> {
                 parallel,
                 schema,
             } => {
+                let branches = inputs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| self.run_node(p, child_path(path, i), Demand::ALL));
                 let results: Vec<Output> = if *parallel {
-                    let branch_results: Vec<Result<Output>> = std::thread::scope(|s| {
-                        let handles: Vec<_> = inputs
-                            .iter()
-                            .enumerate()
-                            .map(|(i, p)| {
-                                let cp = child_path(path, i);
-                                s.spawn(move || {
-                                    let r = self.run_node(p, cp, Demand::ALL);
-                                    self.trip_abort_on_err(&r);
-                                    r
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().map_err(panic_err))
-                            .collect::<Result<Vec<_>>>()
-                    })?;
-                    // Surface the root cause, not a sibling-abort echo: in
-                    // input order, the first real error wins regardless of
-                    // which worker thread happened to fail first.
-                    let mut first_err: Option<EiiError> = None;
-                    let mut oks = Vec::with_capacity(branch_results.len());
-                    for r in branch_results {
-                        match r {
-                            Ok(v) => oks.push(v),
-                            Err(e) => {
-                                first_err = Some(match first_err {
-                                    None => e,
-                                    Some(prev) => prefer_root_cause(prev, e),
-                                })
-                            }
-                        }
-                    }
-                    if let Some(e) = first_err {
-                        return Err(e);
-                    }
-                    oks
+                    // In flight together: every branch's request is issued,
+                    // and the first failure in input order is the statement's.
+                    let all: Vec<Result<Output>> = branches.collect();
+                    all.into_iter().collect::<Result<_>>()?
                 } else {
-                    inputs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| self.run_node(p, child_path(path, i), Demand::ALL))
-                        .collect::<Result<Vec<_>>>()?
+                    branches.collect::<Result<_>>()?
                 };
                 let mut out = Chunks::new(schema.clone());
                 let mut cost = QueryCost::default();
@@ -870,7 +781,7 @@ impl<'a> Executor<'a> {
         input: &Chunks,
         out_schema: SchemaRef,
     ) -> Result<Chunks> {
-        drive(op, input, out_schema, self.batch_size, || self.ctx().check())
+        drive(op, input, out_schema, self.batch_size, || self.base_ctx.check())
     }
 
     /// The hub half of every join: `probe` (the left side) streams against a
@@ -918,6 +829,10 @@ impl<'a> Executor<'a> {
         self.drive_op(&mut op, probe, out_schema)
     }
 
+    /// Both children of a join, left first. Under `parallel` the two requests
+    /// are in flight together: the right one is issued whatever the left one
+    /// answered (its ledger bytes and retries are spent), and the left error,
+    /// if any, is the statement's. Otherwise a failed left ends the pair.
     fn run_pair(
         &self,
         left: &PhysicalPlan,
@@ -927,25 +842,9 @@ impl<'a> Executor<'a> {
     ) -> Result<(Output, Output)> {
         let (lp, rp) = (child_path(path, 0), child_path(path, 1));
         if parallel {
-            std::thread::scope(|s| {
-                let lh = s.spawn(move || {
-                    let r = self.run_node(left, lp, Demand::ALL);
-                    self.trip_abort_on_err(&r);
-                    r
-                });
-                let rh = s.spawn(move || {
-                    let r = self.run_node(right, rp, Demand::ALL);
-                    self.trip_abort_on_err(&r);
-                    r
-                });
-                let l = lh.join().map_err(panic_err)?;
-                let r = rh.join().map_err(panic_err)?;
-                match (l, r) {
-                    (Ok(l), Ok(r)) => Ok((l, r)),
-                    (Err(le), Err(re)) => Err(prefer_root_cause(le, re)),
-                    (Err(e), Ok(_)) | (Ok(_), Err(e)) => Err(e),
-                }
-            })
+            let l = self.run_node(left, lp, Demand::ALL);
+            let r = self.run_node(right, rp, Demand::ALL);
+            Ok((l?, r?))
         } else {
             Ok((
                 self.run_node(left, lp, Demand::ALL)?,
@@ -1044,10 +943,7 @@ impl<'a> Executor<'a> {
             &rp,
             true,
         )?;
-        self.replans
-            .lock()
-            .expect("replans lock")
-            .insert(path.to_vec());
+        self.notes.borrow_mut().replans.insert(path.to_vec());
         if let Some(m) = &self.metrics {
             m.inc("advisor.replans");
         }
@@ -1187,21 +1083,6 @@ fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Vec<Value>> {
     Ok(distinct.map_or_else(Vec::new, |col| (0..col.len()).map(|i| col.value(i)).collect()))
 }
 
-/// Turn a worker thread's panic payload into a real error instead of
-/// swallowing it: `panic!` with a message carries a `&str` or `String`
-/// payload, which callers (and tests) need to see to diagnose the failure.
-fn panic_err(payload: Box<dyn std::any::Any + Send>) -> EiiError {
-    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-        s.to_string()
-    } else {
-        match payload.downcast::<String>() {
-            Ok(s) => *s,
-            Err(_) => "non-string panic payload".to_string(),
-        }
-    };
-    EiiError::Execution(format!("parallel worker panicked: {msg}"))
-}
-
 /// `path` extended by one child index: the address of `plan.children()[i]`.
 fn child_path(path: &[usize], i: usize) -> Vec<usize> {
     let mut p = Vec::with_capacity(path.len() + 1);
@@ -1211,19 +1092,12 @@ fn child_path(path: &[usize], i: usize) -> Vec<usize> {
 }
 
 /// Rebuild the profile tree by walking the plan and matching each node's
-/// path against the flat record list the (possibly parallel) workers
-/// produced. An operator without a record — a branch short-circuited by an
-/// error path, or the at-site child of a degraded site join — reports zeros.
-fn assemble_profile(
-    plan: &PhysicalPlan,
-    records: &[OpRecord],
-    hedges: &BTreeMap<Vec<usize>, HedgeOutcome>,
-    replans: &BTreeSet<Vec<usize>>,
-    sorts: &BTreeMap<Vec<usize>, usize>,
-    path: &mut Vec<usize>,
-) -> OperatorProfile {
-    let rec = records.iter().find(|r| r.path == *path);
-    let hedge = hedges.get(path.as_slice()).copied().unwrap_or_default();
+/// path against the flat record list the run produced. An operator without
+/// a record — a branch short-circuited by an error path, or the at-site
+/// child of a degraded site join — reports zeros.
+fn assemble_profile(plan: &PhysicalPlan, notes: &RunNotes, path: &mut Vec<usize>) -> OperatorProfile {
+    let rec = notes.ops.iter().find(|r| r.path == *path);
+    let hedge = notes.hedges.get(path.as_slice()).copied().unwrap_or_default();
     let source = match plan {
         PhysicalPlan::Source { source, .. } | PhysicalPlan::BindJoin { source, .. } => {
             Some(source.clone())
@@ -1238,7 +1112,7 @@ fn assemble_profile(
         .enumerate()
         .map(|(i, child)| {
             path.push(i);
-            let p = assemble_profile(child, records, hedges, replans, sorts, path);
+            let p = assemble_profile(child, notes, path);
             path.pop();
             p
         })
@@ -1251,8 +1125,8 @@ fn assemble_profile(
         wall: rec.map_or(Duration::ZERO, |r| r.wall),
         hedged: hedge.fired,
         backup_won: hedge.backup_won,
-        replanned: replans.contains(path.as_slice()),
-        top: sorts.get(path.as_slice()).copied(),
+        replanned: notes.replans.contains(path.as_slice()),
+        top: notes.bounded_sorts.get(path.as_slice()).copied(),
         columns: rec.map(|r| (r.width, plan.schema().len())).filter(|(k, n)| join && k < n),
         children,
     }

@@ -1,8 +1,9 @@
 //! # eii-exec
 //!
 //! The federated executor: runs [`eii_planner::PhysicalPlan`]s against a
-//! [`eii_federation::Federation`], fetching independent sources in parallel,
-//! joining at the chosen assembly site, and accounting every byte and
+//! [`eii_federation::Federation`], costing independent sources as overlapping
+//! fetches and running them in plan order on the caller's thread, joining at
+//! the chosen assembly site, and accounting every byte and
 //! simulated millisecond in a [`eii_federation::QueryCost`] — "critical EII
 //! performance factors will relate to ... (a) maximize parallelism in inter
 //! and intra query processing; (b) minimize the amount of data shipped for

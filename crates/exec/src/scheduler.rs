@@ -640,14 +640,8 @@ fn worker_loop<T: Send + 'static>(shared: Arc<Shared<T>>, config: AdmissionConfi
             }
         };
 
-        let outcome = catch_unwind(AssertUnwindSafe(job.work)).unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(EiiError::Execution(format!("scheduled job panicked: {msg}")))
-        });
+        let outcome = catch_unwind(AssertUnwindSafe(job.work))
+            .unwrap_or_else(|payload| Err(EiiError::from_panic("scheduled job", payload)));
 
         {
             let mut state = shared.state.lock().expect("scheduler lock");

@@ -1,7 +1,9 @@
 //! Fault tolerance through the whole executor: injected source faults,
-//! retry healing, stale-snapshot fallback, partial results, and panic
-//! propagation from parallel workers.
+//! retry healing, stale-snapshot fallback, partial results, the order a
+//! `parallel` node issues its requests in, and a panicking wrapper failing
+//! typed at the source edge.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use eii_catalog::Catalog;
@@ -194,7 +196,7 @@ fn degradation_report_resets_between_queries() {
     assert!(second.fully_live());
 }
 
-/// A connector that panics inside `execute` — drives the worker-panic path.
+/// A connector that panics inside `execute`.
 struct PanickingConnector;
 
 impl Connector for PanickingConnector {
@@ -281,7 +283,7 @@ fn hedging_fires_once_a_source_looks_slow_and_keeps_results_identical() {
 }
 
 #[test]
-fn worker_panic_payload_reaches_the_caller() {
+fn connector_panic_payload_reaches_the_caller_as_an_error() {
     let clock = SimClock::new();
     let fed = federation(&clock);
     fed.register(
@@ -291,15 +293,110 @@ fn worker_panic_payload_reaches_the_caller() {
     )
     .unwrap();
     let exec = Executor::new(&fed);
-    // Parallel union: one branch panics in its worker thread.
-    let sql = "SELECT name FROM crm.customers WHERE id < 2 \
-               UNION ALL SELECT x FROM haywire.t";
-    let err = run(&fed, &exec, sql).unwrap_err();
-    assert_eq!(err.kind(), "execution");
-    assert!(
-        err.message().contains("haywire wrapper bug"),
-        "panic payload must not be swallowed: {err}"
-    );
+    // Under a `parallel` union beside a healthy branch, and on its own.
+    for sql in [
+        "SELECT name FROM crm.customers WHERE id < 2 UNION ALL SELECT x FROM haywire.t",
+        "SELECT x FROM haywire.t",
+    ] {
+        let err = run(&fed, &exec, sql).unwrap_err();
+        assert_eq!(err.kind(), "execution", "{sql}");
+        assert!(
+            err.message().contains("connector panicked: haywire wrapper bug"),
+            "panic payload must not be swallowed: {err}"
+        );
+    }
+}
+
+/// Delegates to a relational source and counts the component queries that
+/// reach it.
+struct CountingConnector {
+    inner: RelationalConnector,
+    calls: Arc<AtomicUsize>,
+}
+
+impl Connector for CountingConnector {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn tables(&self) -> Vec<String> {
+        self.inner.tables()
+    }
+
+    fn table_schema(&self, table: &str) -> Result<eii_data::SchemaRef> {
+        self.inner.table_schema(table)
+    }
+
+    fn capabilities(&self) -> eii_federation::SourceCapabilities {
+        self.inner.capabilities()
+    }
+
+    fn dialect(&self) -> eii_federation::Dialect {
+        self.inner.dialect()
+    }
+
+    fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.execute(query)
+    }
+}
+
+/// `l.t` and `r.t` behind call counters, and the `parallel` hub join of the
+/// two, `l` on the left.
+fn counted_pair(clock: &SimClock) -> (Federation, PhysicalPlan, [Arc<AtomicUsize>; 2]) {
+    let fed = Federation::with_clock(clock.clone());
+    let counters = ["l", "r"].map(|source| {
+        let db = Database::new(source, clock.clone());
+        let fields = vec![Field::new("id", DataType::Int).not_null()];
+        let t = db
+            .create_table(TableDef::new("t", Arc::new(Schema::new(fields))).with_primary_key(0))
+            .unwrap();
+        for i in 0..8i64 {
+            t.write().insert(row![i]).unwrap();
+        }
+        let calls = Arc::new(AtomicUsize::new(0));
+        let connector = CountingConnector {
+            inner: RelationalConnector::new(db),
+            calls: calls.clone(),
+        };
+        fed.register(Arc::new(connector), LinkProfile::lan(), WireFormat::Native)
+            .unwrap();
+        calls
+    });
+    let mut config = PlannerConfig::optimized();
+    config.use_bind_joins = false;
+    config.choose_assembly_site = false;
+    let q = parse_query("SELECT a.id FROM l.t a JOIN r.t b ON a.id = b.id").unwrap();
+    let plan = plan_query(&q, &Catalog::new(), &fed, &config).unwrap();
+    let shape = plan.display();
+    assert!(shape.contains("site=hub parallel"), "{shape}");
+    let (l, r) = (shape.find("SourceQuery l:"), shape.find("SourceQuery r:"));
+    assert!(l.is_some() && l < r, "{shape}");
+    (fed, plan, counters)
+}
+
+#[test]
+fn a_parallel_join_issues_its_requests_in_plan_order_until_the_query_is_over() {
+    // The left fetch spends the whole budget: the right child's node boundary
+    // sees the blown deadline, and no request reaches its source.
+    let clock = SimClock::new();
+    let (fed, plan, [left, right]) = counted_pair(&clock);
+    fed.set_scan_speed("l", 10.0).unwrap();
+    let deadline = Deadline::new(clock.clone(), 1);
+    let exec = Executor::new(&fed).with_request_ctx(RequestCtx::new().with_deadline(deadline));
+    assert_eq!(exec.execute(&plan).unwrap_err().kind(), "deadline");
+    assert_eq!((left.load(Ordering::Relaxed), right.load(Ordering::Relaxed)), (1, 0));
+
+    // A left child that merely fails does not end the query: the two requests
+    // are in flight together, so the right one is issued — and the left error,
+    // first in plan order, is the statement's.
+    let clock = SimClock::new();
+    let (fed, plan, [left, right]) = counted_pair(&clock);
+    fed.inject_faults("l", FaultProfile::failing(1.0, 3)).unwrap();
+    let err = Executor::new(&fed).execute(&plan).unwrap_err();
+    assert_eq!(err.kind(), "source");
+    assert!(err.message().contains("l refused the request"), "{err}");
+    assert_eq!((left.load(Ordering::Relaxed), right.load(Ordering::Relaxed)), (0, 1));
 }
 
 const P53: i64 = 1 << 53;

@@ -1,4 +1,4 @@
-//! Ambient per-request context: the deadline budget and cancellation tokens
+//! Ambient per-request context: the deadline budget and cancellation token
 //! a query carries into every connector call.
 //!
 //! The [`Connector`](crate::Connector) trait is implemented by a dozen
@@ -21,9 +21,6 @@ pub struct RequestCtx {
     pub deadline: Option<Deadline>,
     /// Caller-visible cancellation (user gave up, scheduler shed the query).
     pub cancel: Option<CancelToken>,
-    /// Executor-internal teardown: tripped when a sibling branch of the
-    /// plan fails, so the rest of the plan stops doing useless work.
-    pub abort: Option<CancelToken>,
     /// The statement's trace ID, when its trace was retained: resilience
     /// events (hedge fired, breaker transitions, shed) stamp this into the
     /// telemetry event log so an event references its owning trace.
@@ -48,12 +45,6 @@ impl RequestCtx {
         self
     }
 
-    /// Attach the executor's internal abort token.
-    pub fn with_abort(mut self, abort: CancelToken) -> Self {
-        self.abort = Some(abort);
-        self
-    }
-
     /// Attach the owning statement's trace ID.
     pub fn with_trace_id(mut self, trace_id: u64) -> Self {
         self.trace_id = Some(trace_id);
@@ -64,21 +55,15 @@ impl RequestCtx {
     /// a trace-only context still needs installing so resilience events can
     /// be stamped with their owning trace.
     pub fn is_empty(&self) -> bool {
-        self.deadline.is_none()
-            && self.cancel.is_none()
-            && self.abort.is_none()
-            && self.trace_id.is_none()
+        self.deadline.is_none() && self.cancel.is_none() && self.trace_id.is_none()
     }
 
-    /// Fail fast if the query was cancelled, aborted, or ran out of budget
-    /// (checked in that order, so an explicit cancel reason wins over the
-    /// generic deadline error).
+    /// Fail fast if the query was cancelled or ran out of budget (checked in
+    /// that order, so an explicit cancel reason wins over the generic
+    /// deadline error).
     pub fn check(&self) -> Result<()> {
         if let Some(c) = &self.cancel {
             c.check()?;
-        }
-        if let Some(a) = &self.abort {
-            a.check()?;
         }
         if let Some(d) = &self.deadline {
             d.check()?;

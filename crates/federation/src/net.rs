@@ -233,7 +233,7 @@ impl TransferLedger {
 // content-addressed dice (a pure function of profile seed, request
 // fingerprint, and attempt number) decide each request's fate, and
 // transient outages are windows on the simulated clock, so every
-// experiment replays exactly, even with branches racing in parallel.
+// experiment replays exactly, whatever order requests are issued in.
 
 use eii_data::{EiiError, Result, SimClock};
 use rand::rngs::StdRng;

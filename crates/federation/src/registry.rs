@@ -2,6 +2,7 @@
 //! each behind its simulated network link.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use eii_data::{Batch, ColumnarBatch, EiiError, Result, SchemaRef, SimClock};
@@ -81,7 +82,9 @@ impl SourceHandle {
     /// simulated cost is charged against the deadline afterwards.
     ///
     /// The answer comes back as the columns the adapter built; nothing on
-    /// this path materializes a row.
+    /// this path materializes a row. A wrapper that panics fails the fetch
+    /// with its payload as an [`EiiError::Execution`]; the caller does not
+    /// unwind.
     pub fn fetch(
         &self,
         q: &SourceQuery,
@@ -89,7 +92,8 @@ impl SourceHandle {
         delivery: Delivery,
     ) -> Result<(ColumnarBatch, QueryCost)> {
         let run = || {
-            let ans = self.connector.execute(q)?;
+            let ans = catch_unwind(AssertUnwindSafe(|| self.connector.execute(q)))
+                .unwrap_or_else(|payload| Err(EiiError::from_panic("connector", payload)))?;
             let cost = self.account(&ans, delivery);
             Ok((ans.batch, cost))
         };

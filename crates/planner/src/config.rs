@@ -21,8 +21,9 @@ pub struct PlannerConfig {
     /// Choose the cheapest assembly site for cross-source joins instead of
     /// always assembling at the hub.
     pub choose_assembly_site: bool,
-    /// Fetch independent sources in parallel (affects elapsed time, not
-    /// bytes).
+    /// Cost independent sources as fetched in parallel: their simulated
+    /// elapsed times overlap (`QueryCost::alongside`); bytes do not change.
+    /// The executor runs them in plan order either way.
     pub parallel_fetch: bool,
     /// Rewrite query subtrees that a registered materialized view can
     /// answer ("answering queries using views") when the cost model says
