@@ -32,6 +32,8 @@ pub struct SourceMeta {
 #[derive(Debug, Default)]
 struct Inner {
     views: BTreeMap<String, ViewDef>,
+    /// Bumped by every view definition change; see [`Catalog::generation`].
+    generation: u64,
     sources: BTreeMap<String, SourceMeta>,
     acl: AccessControl,
 }
@@ -69,6 +71,7 @@ impl Catalog {
         if inner.views.contains_key(name) {
             return Err(EiiError::AlreadyExists(format!("view {name}")));
         }
+        inner.generation += 1;
         inner.views.insert(
             name.to_string(),
             ViewDef {
@@ -86,6 +89,7 @@ impl Catalog {
         if !inner.views.contains_key(name) {
             return Err(EiiError::NotFound(format!("view {name}")));
         }
+        inner.generation += 1;
         inner.views.insert(
             name.to_string(),
             ViewDef {
@@ -104,7 +108,16 @@ impl Catalog {
 
     /// Drop a view. Returns true when it existed.
     pub fn drop_view(&self, name: &str) -> bool {
-        self.inner.write().views.remove(name).is_some()
+        let mut inner = self.inner.write();
+        inner.generation += 1;
+        inner.views.remove(name).is_some()
+    }
+
+    /// How many times a view has been created, replaced or dropped. A plan
+    /// built from view definitions read after this value was read is still
+    /// what the builder would produce while the value is unchanged.
+    pub fn generation(&self) -> u64 {
+        self.inner.read().generation
     }
 
     /// Names of all views, sorted.
@@ -196,6 +209,21 @@ mod tests {
         assert!(c.view("customers").is_some());
         assert_eq!(c.view_names(), vec!["customers"]);
         assert!(c.view("ghost").is_none());
+    }
+
+    #[test]
+    fn generation_counts_view_definition_changes() {
+        let c = Catalog::new();
+        c.create_view_sql("CREATE VIEW v AS SELECT a FROM s.t").unwrap();
+        let created = c.generation();
+        assert!(c.view("v").is_some() && c.create_view_sql("CREATE VIEW v AS SELECT 1").is_err());
+        c.grant("s", "analyst");
+        assert_eq!(c.generation(), created, "reads, refused DDL and ACLs leave it alone");
+        let q = eii_sql::parse_query("SELECT b FROM s.t").unwrap();
+        c.replace_view("v", "SELECT b FROM s.t", q).unwrap();
+        assert_eq!(c.generation(), created + 1);
+        assert!(c.clone().drop_view("v"));
+        assert_eq!(c.generation(), created + 2, "clones share the catalog");
     }
 
     #[test]

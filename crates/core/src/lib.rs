@@ -69,6 +69,8 @@ use eii_planner::{
 use eii_search::{EnterpriseSearch, Hit};
 use eii_sql::{parse_statement, SetQuery, Statement};
 
+use memo::{PlanMemo, Planned, Stamp};
+
 /// Simulated ms to serve a memoized result (mirrors a matview cache read).
 const CACHE_HIT_MS: f64 = 0.05;
 /// Hub-side per-row cost applied to served cache hits (the executor's
@@ -76,6 +78,7 @@ const CACHE_HIT_MS: f64 = 0.05;
 const CACHE_HUB_MS_PER_ROW: f64 = 0.0005;
 
 pub mod builder;
+mod memo;
 pub mod session;
 
 pub use builder::EiiSystemBuilder;
@@ -276,7 +279,10 @@ impl Default for ExecOptions {
 #[derive(Debug, Default)]
 struct StatementTelemetry {
     fingerprint: u64,
-    plan: String,
+    /// The normalized plan text and the trimmed statement text, shared with
+    /// the plan they came from; `None` until a plan is known.
+    plan: Option<Arc<str>>,
+    sql: Option<Arc<str>>,
     flags: StatementFlags,
     per_source_bytes: Vec<(String, u64)>,
     operators: Vec<OperatorStat>,
@@ -322,6 +328,8 @@ pub struct EiiSystem {
     telemetry: AtomicBool,
     /// Workload-driven self-tuning, once enabled ([`EiiSystem::enable_advisor`]).
     advisor: OnceLock<AdvisorState>,
+    /// Statement text → plan, valid while what planning read is unchanged.
+    memo: PlanMemo,
 }
 
 /// The advisor runtime: the decision engine plus the cardinality-feedback
@@ -356,6 +364,7 @@ impl EiiSystem {
             slo: SloMonitor::new(),
             telemetry: AtomicBool::new(true),
             advisor: OnceLock::new(),
+            memo: PlanMemo::default(),
         }
     }
 
@@ -369,6 +378,8 @@ impl EiiSystem {
     /// shared; after that, configuration is fixed.
     pub fn with_config(mut self, config: PlannerConfig) -> Self {
         self.config = config;
+        // Whatever was planned so far was planned under the old one.
+        self.memo.clear();
         self
     }
 
@@ -737,19 +748,30 @@ impl EiiSystem {
         telemetry: &mut StatementTelemetry,
     ) -> Result<ExecOutcome> {
         let _statement = tracer.span("statement");
+        // A text planned before, under a stamp that still holds, is neither
+        // parsed nor planned.
+        let missed = match self.recall(sql) {
+            Ok(planned) => {
+                let rows = self.run_query(Some(memo::HIT), || Ok(planned), opts, tracer, telemetry)?;
+                return Ok(ExecOutcome::Rows(Box::new(rows.0)));
+            }
+            Err(why) => why,
+        };
         let stmt = {
             let _parse = tracer.span("parse");
             parse_statement(sql)?
         };
         match stmt {
-            Statement::Query(q) => Ok(ExecOutcome::Rows(Box::new(
-                self.run_query(&q, opts, tracer, telemetry)?.0,
-            ))),
+            Statement::Query(q) => {
+                let plan = || self.plan_into_memo(sql, &q, missed);
+                let rows = self.run_query(Some(missed), plan, opts, tracer, telemetry)?;
+                Ok(ExecOutcome::Rows(Box::new(rows.0)))
+            }
             Statement::Explain { analyze: false, query } => {
                 let _plan = tracer.span("plan");
                 let budget = opts.deadline_budget_ms.map(|b| b as f64);
-                let (logical, physical) =
-                    self.finish(self.normalize(&query)?, budget, LogicalPlan::display)?;
+                let (logical, physical, _) =
+                    self.finish(self.normalize(&query)?.0, budget, LogicalPlan::display)?;
                 Ok(ExecOutcome::Explained(self.annotate_advised(format!(
                     "== Logical plan ==\n{logical}== Physical plan ==\n{}",
                     physical.display()
@@ -758,7 +780,8 @@ impl EiiSystem {
             // Run the query exactly as `Statement::Query` would, then render
             // what came back.
             Statement::Explain { analyze: true, query } => {
-                let (result, answered) = self.run_query(&query, opts, tracer, telemetry)?;
+                let plan = || self.plan(sql, &query).map(Arc::new);
+                let (result, answered) = self.run_query(None, plan, opts, tracer, telemetry)?;
                 let text = match answered {
                     Answered::FromCache { age_ms, original } => {
                         render_cached(&result, age_ms, &original)
@@ -800,11 +823,14 @@ impl EiiSystem {
     }
 
     /// Planning, first step: build the logical plan and optimize it. Its
-    /// `display()` is the result-cache key and the statement fingerprint, and
-    /// what [`EiiSystem::predict`] and the scheduler's permit accounting read.
-    fn normalize(&self, q: &SetQuery) -> Result<LogicalPlan> {
+    /// `display()` is the result-cache key and the statement fingerprint.
+    /// Beside it, what a memo entry for the plan is valid under ([`memo`]),
+    /// each part read before the step that plans from it.
+    fn normalize(&self, q: &SetQuery) -> Result<(LogicalPlan, Stamp)> {
+        let mut stamp = Stamp::begin(&self.federation, &self.catalog);
         let logical = PlanBuilder::new(&self.catalog, &self.federation).build(q)?;
-        optimize(logical, &self.federation, &self.config)
+        stamp.read_tables(&logical, &self.federation);
+        Ok((optimize(logical, &self.federation, &self.config)?, stamp))
     }
 
     /// Planning, second step (skipped by a result-cache hit): rewrite the
@@ -814,32 +840,107 @@ impl EiiSystem {
     /// that pure cost comparison would reject — stale-but-local beats
     /// fresh-but-late. Physical planning consumes the rewritten plan, so
     /// `read` looks at it first: `EXPLAIN` renders it, a query passes a
-    /// no-op rather than pay for a copy.
+    /// no-op rather than pay for a copy. Last in the answer: was there no
+    /// view to offer? Then it is a function of what the plan's stamp covers.
     fn finish<T>(
         &self,
         optimized: LogicalPlan,
         budget_ms: Option<f64>,
         read: impl FnOnce(&LogicalPlan) -> T,
-    ) -> Result<(T, PhysicalPlan)> {
-        let rewritten = match (self.matviews.get(), self.config.rewrite_matviews) {
-            (Some(mgr), true) => {
-                let defs = mgr.defs(self.clock.now_ms());
-                rewrite_matviews_with_budget(optimized, &defs, &self.federation, budget_ms)?
-            }
-            _ => optimized,
+    ) -> Result<(T, PhysicalPlan, bool)> {
+        let views = match (self.matviews.get(), self.config.rewrite_matviews) {
+            (Some(mgr), true) => mgr.defs(self.clock.now_ms()),
+            _ => Vec::new(),
         };
+        let rewritten =
+            rewrite_matviews_with_budget(optimized, &views, &self.federation, budget_ms)?;
         let seen = read(&rewritten);
         let physical = PhysicalPlanner::new(&self.federation, &self.config).create(rewritten)?;
-        Ok((seen, physical))
+        Ok((seen, physical, views.is_empty()))
     }
 
-    /// [`EiiSystem::normalize`] from SQL text, for the callers that plan a
-    /// query without running it.
-    pub(crate) fn normalize_sql(&self, sql: &str) -> Result<LogicalPlan> {
+    /// Everything a query's statement text decides, planned from scratch —
+    /// the one planning path; the memo only decides whether it runs.
+    fn plan(&self, sql: &str, q: &SetQuery) -> Result<Planned> {
+        let (optimized, stamp) = self.normalize(q)?;
+        // The cache key is the normalized (optimized) plan, so equivalent
+        // SQL shares an entry; base tables drive version validation.
+        let key: Arc<str> = optimized.display().into();
+        Ok(Planned {
+            sql: sql.trim().into(),
+            fingerprint: fingerprint64(&key),
+            tables: optimized.base_tables(),
+            key,
+            optimized,
+            stamp,
+            physical: OnceLock::new(),
+        })
+    }
+
+    /// The memo's entry for `sql` if its stamp still holds, else why not
+    /// ([`memo::STALE`], [`memo::MISS`]) — counted by
+    /// [`EiiSystem::plan_into_memo`] when a query is planned because of it;
+    /// statements that are never memoized are not misses.
+    fn recall(&self, sql: &str) -> std::result::Result<Arc<Planned>, &'static str> {
+        match self.memo.get(sql) {
+            Some(p) if p.stamp.holds(&self.federation, &self.catalog) => {
+                self.metrics().inc(memo::HIT);
+                Ok(p)
+            }
+            Some(_) => Err(memo::STALE),
+            None => Err(memo::MISS),
+        }
+    }
+
+    /// [`EiiSystem::plan`] after a lookup `missed`, memoized unless a write
+    /// raced the planner: the stamp, read before each planning step, must
+    /// still hold after the last. A plan that failed is not memoized.
+    fn plan_into_memo(&self, sql: &str, q: &SetQuery, missed: &str) -> Result<Arc<Planned>> {
+        self.metrics().inc(missed);
+        let planned = Arc::new(self.plan(sql, q)?);
+        if planned.stamp.holds(&self.federation, &self.catalog) {
+            self.memo.insert(&planned);
+        }
+        Ok(planned)
+    }
+
+    /// The physical plan of `planned` under what is left of the deadline:
+    /// the one kept beside it while there is no view to offer (servability
+    /// depends on the clock and the view store, which no stamp covers), else
+    /// [`EiiSystem::finish`] on a copy of the normalized plan.
+    fn physical(&self, planned: &Planned, budget_ms: Option<f64>) -> Result<Arc<PhysicalPlan>> {
+        let offering = self.config.rewrite_matviews
+            && self.matviews.get().is_some_and(|m| m.any_servable(self.clock.now_ms()));
+        if let (false, Some(kept)) = (offering, planned.physical.get()) {
+            return Ok(Arc::clone(kept));
+        }
+        let ((), physical, no_view) = self.finish(planned.optimized.clone(), budget_ms, |_| ())?;
+        let physical = Arc::new(physical);
+        if no_view && planned.stamp.holds(&self.federation, &self.catalog) {
+            let _ = planned.physical.set(Arc::clone(&physical));
+        }
+        Ok(physical)
+    }
+
+    /// The plan of a query given as SQL text, through the memo, for the
+    /// callers that plan without running: [`EiiSystem::predict`] and the
+    /// scheduler's permit accounting.
+    pub(crate) fn normalize_sql(&self, sql: &str) -> Result<Arc<Planned>> {
+        let missed = match self.recall(sql) {
+            Ok(planned) => return Ok(planned),
+            Err(why) => why,
+        };
         match parse_statement(sql)? {
-            Statement::Query(q) => self.normalize(&q),
+            Statement::Query(q) => self.plan_into_memo(sql, &q, missed),
             _ => Err(EiiError::Plan("expected a query".into())),
         }
+    }
+
+    /// Forget every memoized plan, so the next statement plans from scratch:
+    /// the twin in `memoized_plans_equal_fresh_plans` calls it before each.
+    #[doc(hidden)]
+    pub fn forget_plans(&self) {
+        self.memo.clear();
     }
 
     /// Plan and run one query, tracing the plan and execute phases and
@@ -847,10 +948,14 @@ impl EiiSystem {
     ///
     /// The full answer path: normalize the plan → probe the semantic cache
     /// (hit: serve memoized rows, fresh or stale-flagged) → rewrite against
-    /// materialized views → execute federated → memoize the result.
+    /// materialized views → execute federated → memoize the result. `plan`
+    /// yields the normalized plan inside the `plan` span — the plan memo's
+    /// entry, or [`EiiSystem::plan`] run now — and `lookup` is how the memo
+    /// lookup ended, when there was one.
     fn run_query(
         &self,
-        q: &SetQuery,
+        lookup: Option<&str>,
+        plan: impl FnOnce() -> Result<Arc<Planned>>,
         opts: &ExecOptions,
         tracer: &Tracer,
         telemetry: &mut StatementTelemetry,
@@ -881,17 +986,17 @@ impl EiiSystem {
         // fetches.
         ctx.check().inspect_err(|e| self.count_abort(e))?;
         let plan_span = tracer.span("plan");
-        let optimized = self.normalize(q)?;
-
-        // The cache key is the normalized (optimized) plan, so equivalent
-        // SQL shares an entry; base tables drive version validation.
-        let key = optimized.display();
-        telemetry.fingerprint = fingerprint64(&key);
-        telemetry.plan = key.clone();
-        let tables = optimized.base_tables();
+        if let Some(outcome) = lookup {
+            plan_span.annotate("memo", outcome.trim_start_matches("plan.memo."));
+        }
+        let planned = plan()?;
+        telemetry.fingerprint = planned.fingerprint;
+        telemetry.plan = Some(Arc::clone(&planned.key));
+        telemetry.sql = Some(Arc::clone(&planned.sql));
+        let key = &*planned.key;
         if let Some(cache) = self.cache.get() {
             let probe =
-                cache.lookup_with_budget(&key, now, &self.federation, opts.staleness_budget_ms);
+                cache.lookup_with_budget(key, now, &self.federation, opts.staleness_budget_ms);
             let hit = match probe {
                 CacheLookup::Hit(hit) => Some((hit, Vec::new())),
                 CacheLookup::Stale(hit, reports) => Some((hit, reports)),
@@ -906,7 +1011,7 @@ impl EiiSystem {
         }
 
         let budget = deadline.as_ref().map(|d| d.remaining_ms() as f64);
-        let ((), physical) = self.finish(optimized, budget, |_| ())?;
+        let physical = self.physical(&planned, budget)?;
         telemetry.flags.matview = plan_uses_matview(&physical);
         drop(plan_span);
 
@@ -989,7 +1094,7 @@ impl EiiSystem {
 
         if let Some(cache) = self.cache.get() {
             let per_source = per_source.expect("snapshot taken when cache enabled");
-            let versions = ResultCache::probe_versions(&self.federation, &tables);
+            let versions = ResultCache::probe_versions(&self.federation, &planned.tables);
             cache.fill(key, result.batch.clone(), result.cost, per_source, versions, now);
         }
         Ok((result, Answered::ByPlan(physical)))
@@ -1170,11 +1275,12 @@ impl EiiSystem {
             Some("shed") => t.flags.shed = true,
             _ => {}
         }
+        let sql = t.sql.unwrap_or_else(|| sql.trim().into());
+        // Statements that never reached planning (parse errors, DDL,
+        // search) fingerprint on their normalized SQL text.
+        let plan = t.plan.unwrap_or_else(|| Arc::clone(&sql));
         if t.fingerprint == 0 {
-            // Statements that never reached planning (parse errors, DDL,
-            // search) fingerprint on their normalized SQL text.
-            t.plan = sql.trim().to_string();
-            t.fingerprint = fingerprint64(&t.plan);
+            t.fingerprint = fingerprint64(&plan);
         }
         let errored = error.is_some();
         let keep = t
@@ -1201,8 +1307,8 @@ impl EiiSystem {
         let advisor_hit = t.flags.matview || t.flags.cached;
         self.query_log.record(QueryLogRecord {
             fingerprint: t.fingerprint,
-            plan: t.plan,
-            sql: sql.trim().to_string(),
+            plan,
+            sql,
             session: opts.session.clone(),
             role: opts.role.clone(),
             priority: opts.priority.as_str().to_string(),
@@ -1275,7 +1381,7 @@ impl EiiSystem {
     /// Predict a query's cost without executing it (experiment E12's
     /// "query execution-time prediction").
     pub fn predict(&self, sql: &str) -> Result<eii_planner::PlanEstimate> {
-        CostModel::new(&self.federation).estimate(&self.normalize_sql(sql)?)
+        CostModel::new(&self.federation).estimate(&self.normalize_sql(sql)?.optimized)
     }
 
     /// Run a business process as a saga (the update half of enterprise
@@ -1406,7 +1512,7 @@ fn collect_matview_savings(plan: &PhysicalPlan, saved: &mut Vec<(String, f64)>, 
 #[allow(clippy::large_enum_variant)]
 enum Answered {
     /// Executed this physical plan.
-    ByPlan(PhysicalPlan),
+    ByPlan(Arc<PhysicalPlan>),
     /// Served from the semantic result cache: the entry's age and what the
     /// execution that filled it cost.
     FromCache { age_ms: i64, original: QueryCost },

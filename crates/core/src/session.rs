@@ -253,7 +253,7 @@ impl QueryScheduler {
         let sources = self
             .system
             .normalize_sql(sql)
-            .map_or_else(|_| Vec::new(), |plan| sources_of(&plan.base_tables()));
+            .map_or_else(|_| Vec::new(), |planned| sources_of(&planned.tables));
         let system = Arc::clone(&self.system);
         let sql = sql.to_string();
         let work = move || {

@@ -320,7 +320,7 @@ impl<'a> Executor<'a> {
         let hedged = notes.hedges.values().any(|h| h.fired);
         let profile = self
             .instrument
-            .then(|| assemble_profile(plan, &notes, &mut Vec::new()));
+            .then(|| assemble_profile(plan, &notes, &mut Vec::new(), self.metrics.as_ref()));
         let degraded = notes.degraded;
         let wall = start.elapsed();
         if let Some(m) = &self.metrics {
@@ -329,9 +329,6 @@ impl<'a> Executor<'a> {
             m.observe("query.exec_wall_ms", wall.as_secs_f64() * 1000.0);
             if !degraded.is_empty() {
                 m.add("exec.degraded_sources", degraded.len() as u64);
-            }
-            if let Some(p) = &profile {
-                record_operator_metrics(m, p);
             }
         }
         Ok(QueryResult {
@@ -1094,9 +1091,19 @@ fn child_path(path: &[usize], i: usize) -> Vec<usize> {
 /// Rebuild the profile tree by walking the plan and matching each node's
 /// path against the flat record list the run produced. An operator without
 /// a record — a branch short-circuited by an error path, or the at-site
-/// child of a degraded site join — reports zeros.
-fn assemble_profile(plan: &PhysicalPlan, notes: &RunNotes, path: &mut Vec<usize>) -> OperatorProfile {
+/// child of a degraded site join — reports zeros. Each operator's rows go to
+/// its `exec.rows_emitted.<label>` counter on the way.
+fn assemble_profile(
+    plan: &PhysicalPlan,
+    notes: &RunNotes,
+    path: &mut Vec<usize>,
+    metrics: Option<&MetricsRegistry>,
+) -> OperatorProfile {
     let rec = notes.ops.iter().find(|r| r.path == *path);
+    let rows = rec.map_or(0, |r| r.rows);
+    if let Some(m) = metrics {
+        m.add(plan.rows_emitted_metric(), rows as u64);
+    }
     let hedge = notes.hedges.get(path.as_slice()).copied().unwrap_or_default();
     let source = match plan {
         PhysicalPlan::Source { source, .. } | PhysicalPlan::BindJoin { source, .. } => {
@@ -1112,7 +1119,7 @@ fn assemble_profile(plan: &PhysicalPlan, notes: &RunNotes, path: &mut Vec<usize>
         .enumerate()
         .map(|(i, child)| {
             path.push(i);
-            let p = assemble_profile(child, notes, path);
+            let p = assemble_profile(child, notes, path, metrics);
             path.pop();
             p
         })
@@ -1120,23 +1127,15 @@ fn assemble_profile(plan: &PhysicalPlan, notes: &RunNotes, path: &mut Vec<usize>
     OperatorProfile {
         label: plan.label(),
         source,
-        rows: rec.map_or(0, |r| r.rows),
+        rows,
         cost: rec.map_or_else(QueryCost::default, |r| r.cost),
         wall: rec.map_or(Duration::ZERO, |r| r.wall),
         hedged: hedge.fired,
         backup_won: hedge.backup_won,
         replanned: notes.replans.contains(path.as_slice()),
         top: notes.bounded_sorts.get(path.as_slice()).copied(),
-        columns: rec.map(|r| (r.width, plan.schema().len())).filter(|(k, n)| join && k < n),
+        columns: rec.filter(|_| join).map(|r| (r.width, plan.schema().len())).filter(|(k, n)| k < n),
         children,
-    }
-}
-
-/// Bump `exec.rows_emitted.<label>` for every operator in the profile.
-fn record_operator_metrics(m: &MetricsRegistry, p: &OperatorProfile) {
-    m.add(&format!("exec.rows_emitted.{}", p.label), p.rows as u64);
-    for c in &p.children {
-        record_operator_metrics(m, c);
     }
 }
 

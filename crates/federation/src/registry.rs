@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use eii_data::{Batch, ColumnarBatch, EiiError, Result, SchemaRef, SimClock};
@@ -294,6 +295,8 @@ impl SourceHandle {
 #[derive(Default)]
 pub struct Federation {
     sources: RwLock<BTreeMap<String, SourceHandle>>,
+    /// Bumped under the source map's write lock; see [`Federation::generation`].
+    generation: AtomicU64,
     ledger: TransferLedger,
     clock: SimClock,
     metrics: MetricsRegistry,
@@ -306,6 +309,7 @@ impl Clone for Federation {
     fn clone(&self) -> Self {
         Federation {
             sources: RwLock::new(self.sources.read().clone()),
+            generation: AtomicU64::new(self.generation()),
             ledger: self.ledger.clone(),
             clock: self.clock.clone(),
             metrics: self.metrics.clone(),
@@ -344,6 +348,15 @@ impl Federation {
         &self.metrics
     }
 
+    /// How many times the source map has been written (a source registered
+    /// or reconfigured). Everything a plan reads from a [`SourceHandle`] —
+    /// link, wire format, scan speed, the connector and its capabilities —
+    /// is unchanged while this is: the bump happens under the map's write
+    /// lock, so a reader that saw the new value reads the new map.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
     /// Unified health view of every source, sorted by name: accumulated
     /// traffic from the [`TransferLedger`] plus, for hardened sources,
     /// breaker state and the last observed error.
@@ -370,6 +383,7 @@ impl Federation {
     ) -> Result<()> {
         let name = connector.name().to_string();
         let mut sources = self.sources.write();
+        self.generation.fetch_add(1, Ordering::SeqCst);
         if sources.contains_key(&name) {
             return Err(EiiError::AlreadyExists(format!("source {name}")));
         }
@@ -402,6 +416,7 @@ impl Federation {
         f: impl FnOnce(&mut SourceHandle),
     ) -> Result<()> {
         let mut sources = self.sources.write();
+        self.generation.fetch_add(1, Ordering::SeqCst);
         let h = sources
             .get_mut(source)
             .ok_or_else(|| EiiError::NotFound(format!("source {source}")))?;
@@ -548,6 +563,20 @@ mod tests {
             "not_found"
         );
         assert_eq!(fed.all_tables(), vec!["crm.customers"]);
+    }
+
+    #[test]
+    fn generation_counts_writes_to_the_source_map() {
+        let fed = federation();
+        let registered = fed.generation();
+        assert!(fed.source("crm").is_ok() && fed.table_stats("crm.customers").is_ok());
+        assert_eq!(fed.generation(), registered, "reads leave it alone");
+        fed.set_scan_speed("crm", 0.01).unwrap();
+        fed.set_wire_format("crm", WireFormat::Xml).unwrap();
+        fed.inject_faults("crm", FaultProfile::failing(0.0, 1)).unwrap();
+        fed.harden("crm", RetryPolicy::standard(), CircuitBreakerConfig::default()).unwrap();
+        assert_eq!(fed.generation(), registered + 4);
+        assert_eq!(fed.clone().generation(), fed.generation(), "a clone starts where it was cut");
     }
 
     #[test]

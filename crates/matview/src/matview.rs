@@ -58,7 +58,7 @@ struct ViewState {
     plan: PhysicalPlan,
     /// The optimized logical definition, exported to the planner's
     /// answering-queries-using-views rewrite pass.
-    logical: LogicalPlan,
+    logical: Arc<LogicalPlan>,
     schema: SchemaRef,
     policy: RefreshPolicy,
     cache: Option<Batch>,
@@ -139,6 +139,12 @@ impl MatViewManager {
     /// the views locally.
     pub fn store(&self) -> SnapshotStore {
         self.inner.store.clone()
+    }
+
+    /// Would [`MatViewManager::defs`] return anything at `now_ms`? While it
+    /// would not, the rewrite pass leaves every plan as it found it.
+    pub fn any_servable(&self, now_ms: i64) -> bool {
+        self.inner.views.lock().values().any(|s| s.servable(now_ms))
     }
 
     /// Definitions of every view whose materialization is servable at
@@ -244,7 +250,7 @@ impl MatViewManager {
             name.to_string(),
             ViewState {
                 plan,
-                logical,
+                logical: Arc::new(logical),
                 schema,
                 policy,
                 cache: None,
@@ -588,11 +594,15 @@ mod tests {
             RefreshPolicy::Periodic { interval_ms: 1000 },
         )
         .unwrap();
+        assert!(!mgr.any_servable(clock.now_ms()), "defined, not yet materialized");
         let (b1, o1) = mgr.fetch("v").unwrap();
         assert!(o1.recomputed);
         // Source changes; cache does not see it yet.
         src.write().insert(row![100i64, "r9"]).unwrap();
         clock.advance_ms(500);
+        // `any_servable` is `defs` without the copies, at every instant.
+        assert!(mgr.any_servable(clock.now_ms()) && mgr.defs(clock.now_ms()).len() == 1);
+        assert!(!mgr.any_servable(clock.now_ms() + 600) && mgr.defs(clock.now_ms() + 600).is_empty());
         let (b2, o2) = mgr.fetch("v").unwrap();
         assert!(!o2.recomputed);
         assert_eq!(o2.staleness_ms, 500);

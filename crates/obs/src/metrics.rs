@@ -196,9 +196,16 @@ impl MetricsRegistry {
     /// existing histogram.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
         let mut map = self.inner.histograms.lock().expect("metrics lock");
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new(bounds)))
-            .clone()
+        // Looked up by `&str` first: an `entry` would copy the name on every
+        // observation to find a histogram that is almost always there.
+        match map.get(name) {
+            Some(h) => h.clone(),
+            None => {
+                let h = Arc::new(Histogram::new(bounds));
+                map.insert(name.to_string(), h.clone());
+                h
+            }
+        }
     }
 
     /// Record one observation into the named histogram, creating it with

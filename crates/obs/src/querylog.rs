@@ -110,12 +110,13 @@ pub struct OperatorStat {
 pub struct QueryLogRecord {
     /// Normalized-plan fingerprint (FNV-1a of the optimized plan display).
     pub fingerprint: u64,
-    /// Normalized plan text the fingerprint was computed from.
-    pub plan: String,
+    /// Normalized plan text the fingerprint was computed from (shared: a
+    /// repeated statement's records all point at one text).
+    pub plan: Arc<str>,
     /// The statement's SQL text as submitted — the advisor re-plans
     /// candidate views from this, so top-k workload entries stay
     /// actionable without grepping traces.
-    pub sql: String,
+    pub sql: Arc<str>,
     /// Session label, when the statement ran through a labelled session.
     pub session: Option<String>,
     /// Access-control role the statement ran under.
@@ -252,8 +253,8 @@ impl QueryLog {
             .entry(record.fingerprint)
             .or_insert_with(|| FingerprintStats {
                 fingerprint: record.fingerprint,
-                plan: record.plan.clone(),
-                sql: record.sql.clone(),
+                plan: record.plan.to_string(),
+                sql: record.sql.to_string(),
                 ..FingerprintStats::default()
             });
         stats.count += 1;
@@ -390,8 +391,8 @@ mod tests {
     fn record(fp: &str, bytes: u64, sim_ms: f64) -> QueryLogRecord {
         QueryLogRecord {
             fingerprint: fingerprint64(fp),
-            plan: fp.to_string(),
-            sql: format!("SELECT {fp}"),
+            plan: fp.to_string().into(),
+            sql: format!("SELECT {fp}").into(),
             session: None,
             role: "analyst".into(),
             priority: "normal".into(),

@@ -154,6 +154,29 @@ pub enum PhysicalPlan {
     },
 }
 
+/// The operator kinds, listed once: each kind's label and the metric name
+/// built from it are both constants, so the executor's per-operator counter
+/// formats nothing per statement.
+macro_rules! operator_names {
+    ($($kind:ident),* $(,)?) => {
+        /// Short operator name (stable across queries; used for metric names and
+        /// operator profiles).
+        pub fn label(&self) -> &'static str {
+            match self {
+                $(PhysicalPlan::$kind { .. } => stringify!($kind),)*
+            }
+        }
+
+        /// `exec.rows_emitted.<label>`, the counter the executor adds this
+        /// operator's output rows to.
+        pub fn rows_emitted_metric(&self) -> &'static str {
+            match self {
+                $(PhysicalPlan::$kind { .. } => concat!("exec.rows_emitted.", stringify!($kind)),)*
+            }
+        }
+    };
+}
+
 impl PhysicalPlan {
     /// Output schema.
     pub fn schema(&self) -> SchemaRef {
@@ -175,26 +198,10 @@ impl PhysicalPlan {
         }
     }
 
-    /// Short operator name (stable across queries; used for metric names and
-    /// operator profiles).
-    pub fn label(&self) -> &'static str {
-        match self {
-            PhysicalPlan::Source { .. } => "Source",
-            PhysicalPlan::Values { .. } => "Values",
-            PhysicalPlan::MatViewScan { .. } => "MatViewScan",
-            PhysicalPlan::Filter { .. } => "Filter",
-            PhysicalPlan::Project { .. } => "Project",
-            PhysicalPlan::HashJoin { .. } => "HashJoin",
-            PhysicalPlan::NestedLoopJoin { .. } => "NestedLoopJoin",
-            PhysicalPlan::BindJoin { .. } => "BindJoin",
-            PhysicalPlan::Aggregate { .. } => "Aggregate",
-            PhysicalPlan::Distinct { .. } => "Distinct",
-            PhysicalPlan::Sort { .. } => "Sort",
-            PhysicalPlan::Limit { .. } => "Limit",
-            PhysicalPlan::UnionAll { .. } => "UnionAll",
-            PhysicalPlan::Rename { .. } => "Rename",
-        }
-    }
+    operator_names!(
+        Source, Values, MatViewScan, Filter, Project, HashJoin, NestedLoopJoin, BindJoin,
+        Aggregate, Distinct, Sort, Limit, UnionAll, Rename,
+    );
 
     /// Child operators, in the order the executor visits them. A
     /// [`PhysicalPlan::BindJoin`]'s probe side runs inside the operator, so

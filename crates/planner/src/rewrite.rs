@@ -26,6 +26,8 @@
 //! and keeps whichever is cheaper, recording the rejected federated cost on
 //! the `MatViewScan` node so `EXPLAIN` can show the decision.
 
+use std::sync::Arc;
+
 use eii_expr::{referenced_columns, Expr};
 use eii_federation::Federation;
 
@@ -46,7 +48,8 @@ pub struct MatViewDef {
     pub name: String,
     /// The view's *optimized* logical definition (same optimizer config as
     /// queries, so equivalent SQL produces a structurally identical tree).
-    pub plan: LogicalPlan,
+    /// Shared with the view's owner: the rewrite pass only reads it.
+    pub plan: Arc<LogicalPlan>,
     /// Schema of the materialized rows.
     pub schema: SchemaRef,
     /// Row count of the current materialization.
@@ -168,7 +171,7 @@ fn try_substitute(
     }
     for def in views {
         // Strategy 1: structural equivalence with the view's definition.
-        if *plan == def.plan {
+        if *plan == *def.plan {
             if let Some(scan) =
                 gated_scan(plan, def, plan.schema()?, Vec::new(), None, model, budget_ms)?
             {

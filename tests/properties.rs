@@ -923,3 +923,166 @@ proptest! {
         prop_assert_eq!(roots, vec![expected]);
     }
 }
+
+/// What running one statement shows of the plan it ran under: the answer,
+/// its cost to the bit, and the executed operator tree with each operator's
+/// rows and cost — or the error. (Wall-clock fields are left out.)
+fn observed(outcome: &eii::data::Result<ExecOutcome>) -> String {
+    fn tree(p: &eii::exec::OperatorProfile, depth: usize, out: &mut String) {
+        out.push_str(&format!(
+            "{}{} {:?} rows={} {:?} replanned={} top={:?} cols={:?}\n",
+            "  ".repeat(depth), p.label, p.source, p.rows, p.cost, p.replanned, p.top, p.columns,
+        ));
+        for c in &p.children {
+            tree(c, depth + 1, out);
+        }
+    }
+    match outcome {
+        Ok(ExecOutcome::Rows(r)) => {
+            let mut out = format!("{:?}\n{:?}\n{:?}\n", r.batch.rows(), r.cost, r.degraded);
+            if let Some(p) = &r.profile {
+                tree(p, 0, &mut out);
+            }
+            out
+        }
+        Ok(other) => format!("{other:?}"),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The plan memo can never be seen: a system that remembers its plans
+    /// and a twin that forgets them before every statement go through the
+    /// same interleaving of repeated statements and of everything that can
+    /// change a plan — writes that flip join orders, source
+    /// reconfiguration, view DDL, materialized views that come, go and
+    /// expire, deadlines, the scheduler — and after every step show the
+    /// same answer, cost, executed operator tree, ledger, clock and
+    /// query-log record.
+    #[test]
+    fn memoized_plans_equal_fresh_plans(
+        rows in unique_rows(),
+        cached in any::<bool>(),
+        steps in proptest::collection::vec((0usize..24, 0i64..1000), 1..48),
+    ) {
+        const STATEMENTS: [&str; 6] = [
+            "SELECT name FROM crm.customers WHERE score >= 0",
+            "SELECT c.name, o.total FROM crm.customers c \
+             JOIN sales.orders o ON c.id = o.customer_id WHERE o.total >= 5.0",
+            "SELECT c.name, COUNT(*) AS n FROM crm.customers c \
+             JOIN sales.orders o ON c.id = o.customer_id GROUP BY c.name",
+            "SELECT name, score FROM hot ORDER BY score DESC, name LIMIT 5",
+            "SELECT order_id, total FROM sales.orders WHERE total >= 10.0",
+            "SELECT h.name, o.total FROM hot h JOIN sales.orders o ON h.id = o.customer_id",
+        ];
+        use eii::federation::UpdateOp;
+        let build = || {
+            let (sys, clock) = system_with_customers(&rows);
+            if cached {
+                sys.install_result_cache(CacheConfig::default());
+            }
+            (Arc::new(sys), clock)
+        };
+        let (memo, memo_clock) = build();
+        let (twin, twin_clock) = build();
+        for (i, &(op, k)) in steps.iter().enumerate() {
+            twin.forget_plans();
+            // The two statements a materialized view may cover come up twice
+            // as often as the rest.
+            let sql = STATEMENTS[[0, 1, 2, 3, 4, 5, 1, 4][k as usize % 8]];
+            let step = |sys: &Arc<EiiSystem>, clock: &SimClock| -> String {
+                let update = |source: &str, op: UpdateOp| {
+                    format!("{:?}", sys.federation().source(source).unwrap().update(&op))
+                };
+                let hot = format!("SELECT id, name, score FROM crm.customers WHERE score >= {}", k % 40 - 20);
+                match op {
+                    // A burst large enough to flip which side of a join is
+                    // the smaller one, or a single row.
+                    12 | 13 => (0..if k % 3 == 0 { 30 } else { 1 })
+                        .map(|j| {
+                            let id = 10_000 + (i * 100 + j) as i64;
+                            if op == 12 {
+                                let row = row![id, (k + j as i64) % 200, (k % 50) as f64];
+                                update("sales", UpdateOp::Insert { table: "orders".into(), row })
+                            } else {
+                                let row = row![id, "w", k % 50];
+                                update("crm", UpdateOp::Insert { table: "customers".into(), row })
+                            }
+                        })
+                        .collect(),
+                    14 => update("crm", UpdateOp::UpdateByKey {
+                        table: "customers".into(),
+                        key: Value::Int(k % 200),
+                        assignments: vec![("score".into(), Value::Int(k % 50))],
+                    }),
+                    15 => update("sales", UpdateOp::DeleteByKey {
+                        table: "orders".into(),
+                        key: Value::Int(k % 25),
+                    }),
+                    16 => format!("{:?}", sys.federation().set_scan_speed("crm", 0.001 * (1 + k % 5) as f64)),
+                    17 => {
+                        let wire = if k % 2 == 0 { WireFormat::Xml } else { WireFormat::Native };
+                        format!("{:?}", sys.federation().set_wire_format("sales", wire))
+                    }
+                    18 => observed(&sys.execute(&format!("CREATE VIEW hot AS {hot}"))),
+                    19 => match eii::sql::parse_statement(&hot).unwrap() {
+                        eii::sql::Statement::Query(q) => {
+                            format!("{:?}", sys.catalog().replace_view("hot", &hot, q))
+                        }
+                        _ => unreachable!(),
+                    },
+                    20 => format!("{:?}", sys.catalog().drop_view("hot")),
+                    // A view over one of two statements: servable at once,
+                    // until dropped or — every other time — until it expires.
+                    11 | 21 => {
+                        let policy = if k % 2 == 0 {
+                            RefreshPolicy::Manual
+                        } else {
+                            RefreshPolicy::Periodic { interval_ms: 40 }
+                        };
+                        let over = STATEMENTS[if k % 4 < 2 { 4 } else { 1 }];
+                        let defined = sys.define_incremental_matview("mv", over, policy);
+                        format!("{:?}", defined.map_err(|e| e.to_string()))
+                    }
+                    22 => match k % 3 {
+                        0 => format!("{:?}", sys.refresh_matview("mv").map_err(|e| e.to_string())),
+                        1 => format!("{:?}", sys.matviews().map(|m| m.drop_view("mv").is_ok())),
+                        _ => format!("{:?}", clock.advance_ms(k % 100)),
+                    },
+                    23 if k % 2 == 0 => {
+                        let opts = ExecOptions {
+                            deadline_budget_ms: Some(5 + k % 400),
+                            ..ExecOptions::default()
+                        };
+                        observed(&sys.execute_with(sql, &opts).0)
+                    }
+                    23 => {
+                        let scheduler = sys.scheduler(AdmissionConfig::with_workers(1));
+                        let out = observed(&scheduler.submit(sql, "public").join());
+                        scheduler.finish();
+                        out
+                    }
+                    _ => observed(&sys.execute(sql)),
+                }
+            };
+            let state = |sys: &Arc<EiiSystem>, clock: &SimClock| {
+                let log = sys.query_log().last().map(|r| {
+                    (r.fingerprint, r.plan, r.sql, r.flags, r.rows, r.bytes_shipped, r.sim_ms.to_bits())
+                });
+                format!("{:?} now={} {:?}", sys.federation().ledger().total(), clock.now_ms(), log)
+            };
+            prop_assert_eq!(
+                step(&memo, &memo_clock),
+                step(&twin, &twin_clock),
+                "step {} = {:?} ({})", i, (op, k), sql
+            );
+            prop_assert_eq!(
+                state(&memo, &memo_clock),
+                state(&twin, &twin_clock),
+                "after step {} = {:?} ({})", i, (op, k), sql
+            );
+        }
+    }
+}
