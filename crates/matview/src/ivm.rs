@@ -38,7 +38,7 @@
 use std::collections::BTreeMap;
 
 use eii_data::{Batch, EiiError, Result, Row, Schema, SchemaRef, Value};
-use eii_expr::{bind, AggFunc, BinaryOp, BoundExpr, Expr};
+use eii_expr::{bind, conjuncts, AggFunc, BinaryOp, BoundExpr, Expr};
 use eii_planner::LogicalPlan;
 use eii_storage::{Change, ChangeOp};
 
@@ -220,20 +220,6 @@ enum OpState {
     },
 }
 
-fn split_conjuncts(expr: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Binary {
-        left,
-        op: BinaryOp::And,
-        right,
-    } = expr
-    {
-        split_conjuncts(left, out);
-        split_conjuncts(right, out);
-    } else {
-        out.push(expr.clone());
-    }
-}
-
 fn build(plan: &LogicalPlan) -> Result<OpState> {
     match plan {
         LogicalPlan::SourceScan {
@@ -309,11 +295,7 @@ fn build(plan: &LogicalPlan) -> Result<OpState> {
             let mut left_keys = Vec::new();
             let mut right_keys = Vec::new();
             let mut residual = Vec::new();
-            let mut conjuncts = Vec::new();
-            if let Some(on) = on {
-                split_conjuncts(on, &mut conjuncts);
-            }
-            for c in conjuncts {
+            for c in on.iter().flat_map(conjuncts) {
                 // `a = b` becomes an equi key only when each operand binds
                 // **exclusively** against one input. An operand that also
                 // binds on the opposite schema (a literal, or an

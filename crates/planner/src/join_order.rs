@@ -7,13 +7,14 @@
 //! relations over Cartesian products. Carey's E4 experiment contrasts this
 //! with hand-written fixed orders.
 
-use eii_data::{Result, Schema};
-use eii_expr::{conjoin, Expr};
+use eii_data::Result;
+use eii_expr::{conjoin, conjuncts, Expr};
 use eii_federation::Federation;
 use eii_sql::JoinKind;
 
 use crate::cost::CostModel;
 use crate::logical::LogicalPlan;
+use crate::util::resolves_in;
 
 /// Reorder every inner-join region in the plan.
 pub fn reorder_joins(plan: LogicalPlan, fed: &Federation) -> Result<LogicalPlan> {
@@ -38,58 +39,7 @@ pub fn reorder_joins(plan: LogicalPlan, fed: &Federation) -> Result<LogicalPlan>
 
 /// Recurse into children without treating this node as a join region root.
 fn reorder_children(plan: LogicalPlan, fed: &Federation) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(reorder_joins(*input, fed)?),
-            predicate,
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(reorder_joins(*input, fed)?),
-            exprs,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => LogicalPlan::Join {
-            left: Box::new(reorder_joins(*left, fed)?),
-            right: Box::new(reorder_joins(*right, fed)?),
-            kind,
-            on,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(reorder_joins(*input, fed)?),
-            group_by,
-            aggs,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(reorder_joins(*input, fed)?),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(reorder_joins(*input, fed)?),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(reorder_joins(*input, fed)?),
-            n,
-        },
-        LogicalPlan::UnionAll { inputs } => LogicalPlan::UnionAll {
-            inputs: inputs
-                .into_iter()
-                .map(|p| reorder_joins(p, fed))
-                .collect::<Result<Vec<_>>>()?,
-        },
-        LogicalPlan::Alias { input, alias } => LogicalPlan::Alias {
-            input: Box::new(reorder_joins(*input, fed)?),
-            alias,
-        },
-        leaf => leaf,
-    })
+    plan.map_children(|child| reorder_joins(child, fed))
 }
 
 /// Flatten a maximal inner/cross join region.
@@ -106,7 +56,7 @@ fn flatten(
             on,
         } => {
             if let Some(on) = on {
-                preds.extend(eii_expr::conjuncts(&on));
+                preds.extend(conjuncts(&on));
             }
             flatten(*left, leaves, preds)?;
             flatten(*right, leaves, preds)?;
@@ -117,12 +67,6 @@ fn flatten(
             Ok(())
         }
     }
-}
-
-fn resolves_in(expr: &Expr, schema: &Schema) -> bool {
-    eii_expr::referenced_columns(expr)
-        .iter()
-        .all(|c| schema.index_of(c.relation.as_deref(), &c.name).is_ok())
 }
 
 /// Rebuild a left-deep tree greedily.

@@ -270,6 +270,40 @@ impl LogicalPlan {
         }
     }
 
+    /// The same node over `f(child)` for each child, in [`Self::children`]
+    /// order: the one place a pass recurses. Each child slot is replaced in
+    /// place (no field is named, no box reallocated) and a leaf comes back as
+    /// it is. The first `Err` is the call's error; no later child is visited.
+    pub fn map_children(
+        mut self,
+        mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
+    ) -> Result<LogicalPlan> {
+        let mut replace = |slot: &mut LogicalPlan| -> Result<()> {
+            // An empty union allocates nothing; it is only ever dropped.
+            let child = std::mem::replace(slot, LogicalPlan::UnionAll { inputs: Vec::new() });
+            *slot = f(child)?;
+            Ok(())
+        };
+        match &mut self {
+            LogicalPlan::SourceScan { .. }
+            | LogicalPlan::Values { .. }
+            | LogicalPlan::MatViewScan { .. } => {}
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Alias { input, .. } => replace(input)?,
+            LogicalPlan::Join { left, right, .. } => {
+                replace(left)?;
+                replace(right)?;
+            }
+            LogicalPlan::UnionAll { inputs } => inputs.iter_mut().try_for_each(replace)?,
+        }
+        Ok(self)
+    }
+
     /// Every distinct `source.table` the plan scans, first seen first.
     pub fn base_tables(&self) -> Vec<String> {
         fn walk(plan: &LogicalPlan, out: &mut Vec<String>) {
@@ -493,6 +527,102 @@ mod tests {
             inputs: vec![scan("a"), narrow],
         };
         assert_eq!(u.schema().unwrap_err().kind(), "plan");
+    }
+
+    /// One plan of every variant.
+    fn one_of_each() -> Vec<LogicalPlan> {
+        let input = || Box::new(scan("c"));
+        let schema = scan("c").schema().unwrap();
+        vec![
+            scan("c"),
+            LogicalPlan::Values {
+                schema: schema.clone(),
+                rows: vec![],
+            },
+            LogicalPlan::MatViewScan {
+                name: "mv".into(),
+                schema,
+                filters: vec![],
+                limit: None,
+                local: Default::default(),
+                federated: Default::default(),
+                saved: vec![],
+            },
+            LogicalPlan::Filter {
+                input: input(),
+                predicate: Expr::qcol("c", "id").gt(Expr::lit(5i64)),
+            },
+            LogicalPlan::Project {
+                input: input(),
+                exprs: vec![(Expr::qcol("c", "id"), "id".into())],
+            },
+            LogicalPlan::Join {
+                left: Box::new(scan("a")),
+                right: Box::new(scan("b")),
+                kind: JoinKind::Inner,
+                on: Some(Expr::qcol("a", "id").eq(Expr::qcol("b", "id"))),
+            },
+            LogicalPlan::Aggregate {
+                input: input(),
+                group_by: vec![Expr::qcol("c", "name")],
+                aggs: vec![],
+            },
+            LogicalPlan::Distinct { input: input() },
+            LogicalPlan::Sort {
+                input: input(),
+                keys: vec![(Expr::qcol("c", "id"), true)],
+            },
+            LogicalPlan::Limit {
+                input: input(),
+                n: 3,
+            },
+            LogicalPlan::UnionAll {
+                inputs: vec![scan("a"), scan("b"), scan("c")],
+            },
+            LogicalPlan::Alias {
+                input: input(),
+                alias: "v".into(),
+            },
+        ]
+    }
+
+    #[test]
+    fn map_children_with_the_identity_changes_nothing() {
+        for plan in one_of_each() {
+            assert_eq!(plan.clone().map_children(Ok).unwrap(), plan);
+        }
+    }
+
+    #[test]
+    fn map_children_visits_exactly_the_children_in_order() {
+        for plan in one_of_each() {
+            let mut seen = Vec::new();
+            let visit = |c| {
+                seen.push(c);
+                Ok(scan("z"))
+            };
+            let mapped = plan.clone().map_children(visit).unwrap();
+            assert_eq!(seen.iter().collect::<Vec<_>>(), plan.children());
+            assert_eq!(mapped.children().len(), seen.len());
+            assert!(mapped.children().iter().all(|c| **c == scan("z")));
+        }
+    }
+
+    #[test]
+    fn map_children_stops_at_the_first_error() {
+        for plan in one_of_each() {
+            let mut visited = 0;
+            let result = plan.clone().map_children(|_| {
+                visited += 1;
+                Err(EiiError::Plan(format!("child {visited}")))
+            });
+            if plan.children().is_empty() {
+                assert_eq!(result.unwrap(), plan);
+            } else {
+                assert_eq!(visited, 1, "no child after the failing one is visited");
+                assert!(result.unwrap_err().to_string().contains("child 1"));
+            }
+        }
     }
 
     #[test]

@@ -10,13 +10,14 @@
 use std::fmt;
 
 use eii_data::{EiiError, Result, Row, SchemaRef};
-use eii_expr::{conjoin, conjuncts, referenced_columns, BinaryOp, Expr};
+use eii_expr::{conjoin, conjuncts, BinaryOp, Expr};
 use eii_federation::{Federation, SourceQuery};
 use eii_sql::JoinKind;
 
 use crate::config::PlannerConfig;
 use crate::cost::{CostModel, PlanEstimate};
 use crate::logical::{AggItem, LogicalPlan};
+use crate::util::resolves_in;
 
 /// Where a cross-source join's rows are assembled.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -384,23 +385,51 @@ impl<'a> PhysicalPlanner<'a> {
 
     /// Convert an optimized logical plan.
     pub fn create(&self, plan: LogicalPlan) -> Result<PhysicalPlan> {
-        match plan {
-            LogicalPlan::SourceScan { .. } => {
+        self.lower(&plan)
+    }
+
+    /// Planning only reads the logical plan: every question (a node's
+    /// schema, its estimated rows, whether it is a bare scan) is asked of
+    /// the node itself, and a node's own expressions are the only thing
+    /// copied into its physical form. A node answers for its schema before
+    /// its children are lowered (fields are evaluated as written).
+    fn lower(&self, plan: &LogicalPlan) -> Result<PhysicalPlan> {
+        let child = |p: &LogicalPlan| self.lower(p).map(Box::new);
+        Ok(match plan {
+            LogicalPlan::SourceScan {
+                source,
+                table,
+                pushed_filters,
+                projection,
+                limit,
+                ..
+            } => {
                 // Access-pattern check: a bare scan of a binding-restricted
                 // table has no legal component query.
-                if let LogicalPlan::SourceScan { source, table, .. } = &plan {
-                    let handle = self.federation.source(source)?;
-                    if let Some(p) = handle.connector().capabilities().pattern_for(table) {
-                        return Err(EiiError::Plan(format!(
-                            "{source}.{table} requires {} bound (access limitation); \
-                             join it on that column so a bind join can feed it",
-                            p.required_columns.join(", ")
-                        )));
-                    }
+                let handle = self.federation.source(source)?;
+                if let Some(p) = handle.connector().capabilities().pattern_for(table) {
+                    return Err(EiiError::Plan(format!(
+                        "{source}.{table} requires {} bound (access limitation); \
+                         join it on that column so a bind join can feed it",
+                        p.required_columns.join(", ")
+                    )));
                 }
-                self.scan_to_source(&plan)
+                PhysicalPlan::Source {
+                    source: source.clone(),
+                    query: SourceQuery {
+                        table: table.clone(),
+                        projection: projection.clone(),
+                        filters: pushed_filters.clone(),
+                        bindings: vec![],
+                        limit: *limit,
+                    },
+                    schema: plan.schema()?,
+                }
             }
-            LogicalPlan::Values { schema, rows } => Ok(PhysicalPlan::Values { schema, rows }),
+            LogicalPlan::Values { schema, rows } => PhysicalPlan::Values {
+                schema: schema.clone(),
+                rows: rows.clone(),
+            },
             LogicalPlan::MatViewScan {
                 name,
                 schema,
@@ -409,179 +438,121 @@ impl<'a> PhysicalPlanner<'a> {
                 local,
                 federated,
                 saved,
-            } => Ok(PhysicalPlan::MatViewScan {
-                name,
-                schema,
-                filters,
-                limit,
-                local,
-                federated,
-                saved,
-            }),
-            LogicalPlan::Filter { input, predicate } => Ok(PhysicalPlan::Filter {
-                input: Box::new(self.create(*input)?),
-                predicate,
+            } => PhysicalPlan::MatViewScan {
+                name: name.clone(),
+                schema: schema.clone(),
+                filters: filters.clone(),
+                limit: *limit,
+                local: *local,
+                federated: *federated,
+                saved: saved.clone(),
+            },
+            LogicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
+                input: child(input)?,
+                predicate: predicate.clone(),
                 vectorized: true,
-            }),
-            LogicalPlan::Project { input, exprs } => {
-                let schema = LogicalPlan::Project {
-                    input: input.clone(),
-                    exprs: exprs.clone(),
-                }
-                .schema()?;
-                Ok(PhysicalPlan::Project {
-                    input: Box::new(self.create(*input)?),
-                    exprs,
-                    schema,
-                    vectorized: true,
-                })
-            }
-            LogicalPlan::Join { .. } => self.create_join(plan),
+            },
+            LogicalPlan::Project { input, exprs } => PhysicalPlan::Project {
+                schema: plan.schema()?,
+                input: child(input)?,
+                exprs: exprs.clone(),
+                vectorized: true,
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                kind,
+                on,
+            } => self.lower_join(plan, left, right, *kind, on.as_ref())?,
             LogicalPlan::Aggregate {
                 input,
                 group_by,
                 aggs,
-            } => {
-                let schema = LogicalPlan::Aggregate {
-                    input: input.clone(),
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                }
-                .schema()?;
-                Ok(PhysicalPlan::Aggregate {
-                    input: Box::new(self.create(*input)?),
-                    group_by,
-                    aggs,
-                    schema,
-                    vectorized: true,
-                })
-            }
-            LogicalPlan::Distinct { input } => Ok(PhysicalPlan::Distinct {
-                input: Box::new(self.create(*input)?),
-            }),
-            LogicalPlan::Sort { input, keys } => Ok(PhysicalPlan::Sort {
-                input: Box::new(self.create(*input)?),
-                keys,
-            }),
-            LogicalPlan::Limit { input, n } => Ok(PhysicalPlan::Limit {
-                input: Box::new(self.create(*input)?),
-                n,
-            }),
-            LogicalPlan::UnionAll { inputs } => {
-                let schema = LogicalPlan::UnionAll {
-                    inputs: inputs.clone(),
-                }
-                .schema()?;
-                Ok(PhysicalPlan::UnionAll {
-                    inputs: inputs
-                        .into_iter()
-                        .map(|p| self.create(p))
-                        .collect::<Result<_>>()?,
-                    parallel: self.config.parallel_fetch,
-                    schema,
-                })
-            }
-            LogicalPlan::Alias { input, alias } => {
-                let schema = LogicalPlan::Alias {
-                    input: input.clone(),
-                    alias,
-                }
-                .schema()?;
-                Ok(PhysicalPlan::Rename {
-                    input: Box::new(self.create(*input)?),
-                    schema,
-                })
-            }
-        }
-    }
-
-    fn scan_to_source(&self, scan: &LogicalPlan) -> Result<PhysicalPlan> {
-        let LogicalPlan::SourceScan {
-            source,
-            table,
-            pushed_filters,
-            projection,
-            limit,
-            ..
-        } = scan
-        else {
-            unreachable!("caller checked")
-        };
-        let schema = scan.schema()?;
-        Ok(PhysicalPlan::Source {
-            source: source.clone(),
-            query: SourceQuery {
-                table: table.clone(),
-                projection: projection.clone(),
-                filters: pushed_filters.clone(),
-                bindings: vec![],
-                limit: *limit,
+            } => PhysicalPlan::Aggregate {
+                schema: plan.schema()?,
+                input: child(input)?,
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+                vectorized: true,
             },
-            schema,
+            LogicalPlan::Distinct { input } => PhysicalPlan::Distinct {
+                input: child(input)?,
+            },
+            LogicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
+                input: child(input)?,
+                keys: keys.clone(),
+            },
+            LogicalPlan::Limit { input, n } => PhysicalPlan::Limit {
+                input: child(input)?,
+                n: *n,
+            },
+            LogicalPlan::UnionAll { inputs } => PhysicalPlan::UnionAll {
+                schema: plan.schema()?,
+                inputs: inputs
+                    .iter()
+                    .map(|p| self.lower(p))
+                    .collect::<Result<_>>()?,
+                parallel: self.config.parallel_fetch,
+            },
+            LogicalPlan::Alias { input, .. } => PhysicalPlan::Rename {
+                schema: plan.schema()?,
+                input: child(input)?,
+            },
         })
     }
 
-    fn create_join(&self, plan: LogicalPlan) -> Result<PhysicalPlan> {
-        let LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } = plan
-        else {
-            unreachable!("caller checked")
-        };
+    /// `join` is the whole node, `left`, `right`, `kind` and `on` its parts.
+    fn lower_join(
+        &self,
+        join: &LogicalPlan,
+        left: &LogicalPlan,
+        right: &LogicalPlan,
+        kind: JoinKind,
+        on: Option<&Expr>,
+    ) -> Result<PhysicalPlan> {
         let left_schema = left.schema()?;
         let right_schema = right.schema()?;
-        let joined_schema = LogicalPlan::Join {
-            left: left.clone(),
-            right: right.clone(),
-            kind,
-            on: on.clone(),
-        }
-        .schema()?;
+        let joined_schema = join.schema()?;
 
         // Split the condition into equi pairs and residual conjuncts.
         let mut left_keys: Vec<Expr> = Vec::new();
         let mut right_keys: Vec<Expr> = Vec::new();
         let mut residual: Vec<Expr> = Vec::new();
-        if let Some(on) = &on {
-            for c in conjuncts(on) {
-                if let Expr::Binary {
-                    left: l,
-                    op: BinaryOp::Eq,
-                    right: r,
-                } = &c
-                {
-                    let l_in_left = resolves(l, &left_schema);
-                    let r_in_right = resolves(r, &right_schema);
-                    let l_in_right = resolves(l, &right_schema);
-                    let r_in_left = resolves(r, &left_schema);
-                    if l_in_left && r_in_right {
-                        left_keys.push((**l).clone());
-                        right_keys.push((**r).clone());
-                        continue;
-                    }
-                    if l_in_right && r_in_left {
-                        left_keys.push((**r).clone());
-                        right_keys.push((**l).clone());
-                        continue;
-                    }
+        for c in on.into_iter().flat_map(conjuncts) {
+            if let Expr::Binary {
+                left: l,
+                op: BinaryOp::Eq,
+                right: r,
+            } = &c
+            {
+                let l_in_left = resolves(l, &left_schema);
+                let r_in_right = resolves(r, &right_schema);
+                let l_in_right = resolves(l, &right_schema);
+                let r_in_left = resolves(r, &left_schema);
+                if l_in_left && r_in_right {
+                    left_keys.push((**l).clone());
+                    right_keys.push((**r).clone());
+                    continue;
                 }
-                residual.push(c);
+                if l_in_right && r_in_left {
+                    left_keys.push((**r).clone());
+                    right_keys.push((**l).clone());
+                    continue;
+                }
             }
+            residual.push(c);
         }
 
         // Access-limited right (or left) scans force bind joins.
         let model = CostModel::new(self.federation);
-        for (probe, _build, probe_keys, build_keys, swapped) in [
-            (&right, &left, &right_keys, &left_keys, false),
-            (&left, &right, &left_keys, &right_keys, true),
+        for (probe, build, probe_keys, build_keys, swapped) in [
+            (right, left, &right_keys, &left_keys, false),
+            (left, right, &left_keys, &right_keys, true),
         ] {
             if let Some((src, table)) = scan_target(probe) {
-                let handle = self.federation.source(&src)?;
+                let handle = self.federation.source(src)?;
                 let caps = handle.connector().capabilities();
-                if let Some(pattern) = caps.pattern_for(&table) {
+                if let Some(pattern) = caps.pattern_for(table) {
                     if kind != JoinKind::Inner {
                         return Err(EiiError::Plan(format!(
                             "access-limited {src}.{table} only supports inner bind joins"
@@ -604,7 +575,7 @@ impl<'a> PhysicalPlanner<'a> {
                         }
                     }
                     return self.make_bind_join(
-                        if swapped { (*right).clone() } else { (*left).clone() },
+                        build,
                         build_keys[pos].clone(),
                         probe,
                         required,
@@ -617,30 +588,24 @@ impl<'a> PhysicalPlanner<'a> {
         }
 
         // Optional bind join when the probe side is small.
-        if self.config.use_bind_joins
-            && kind == JoinKind::Inner
-            && !left_keys.is_empty()
-        {
-            if let Some((src, table)) = scan_target(&right) {
-                let handle = self.federation.source(&src)?;
+        if self.config.use_bind_joins && kind == JoinKind::Inner && !left_keys.is_empty() {
+            if let Some((src, table)) = scan_target(right) {
+                let handle = self.federation.source(src)?;
                 let caps = handle.connector().capabilities();
-                if caps.bindings && caps.pattern_for(&table).is_none() {
-                    let left_rows = model.rows(&left)?;
-                    let right_rows = model.rows(&right)?;
+                if caps.bindings && caps.pattern_for(table).is_none() {
+                    let left_rows = model.rows(left)?;
+                    let right_rows = model.rows(right)?;
                     if let Expr::Column { name, .. } = &right_keys[0] {
                         if left_rows * 2.0 < right_rows {
                             let mut extra = residual.clone();
-                            for (lk, rk) in
-                                left_keys.iter().zip(&right_keys).skip(1)
-                            {
+                            for (lk, rk) in left_keys.iter().zip(&right_keys).skip(1) {
                                 extra.push(lk.clone().eq(rk.clone()));
                             }
-                            let bind_col = name.clone();
                             return self.make_bind_join(
-                                (*left).clone(),
+                                left,
                                 left_keys[0].clone(),
-                                &right,
-                                &bind_col,
+                                right,
+                                name,
                                 conjoin(extra),
                                 joined_schema,
                                 false,
@@ -651,8 +616,8 @@ impl<'a> PhysicalPlanner<'a> {
             }
         }
 
-        let phys_left = self.create((*left).clone())?;
-        let phys_right = self.create((*right).clone())?;
+        let phys_left = self.lower(left)?;
+        let phys_right = self.lower(right)?;
 
         if left_keys.is_empty() {
             return Ok(PhysicalPlan::NestedLoopJoin {
@@ -667,29 +632,24 @@ impl<'a> PhysicalPlanner<'a> {
 
         // Assembly-site selection for pure source-to-source hash joins.
         let site = if self.config.choose_assembly_site && kind == JoinKind::Inner {
-            match (scan_target(&left), scan_target(&right)) {
+            match (scan_target(left), scan_target(right)) {
                 (Some((ls, _)), Some((rs, _))) if ls != rs => {
-                    let le = model.estimate(&left)?;
-                    let re = model.estimate(&right)?;
+                    let le = model.estimate(left)?;
+                    let re = model.estimate(right)?;
                     let (big_src, big_bytes, small_bytes) = if le.bytes >= re.bytes {
                         (ls, le.bytes, re.bytes)
                     } else {
                         (rs, re.bytes, le.bytes)
                     };
-                    let host = self.federation.source(&big_src)?;
+                    let host = self.federation.source(big_src)?;
                     let host_caps = host.connector().capabilities();
                     // Result still ships to the hub; hosting pays the small
                     // side twice (up to the site, result down).
-                    let result_bytes = model.rows(&LogicalPlan::Join {
-                        left: left.clone(),
-                        right: right.clone(),
-                        kind,
-                        on: on.clone(),
-                    })? * 24.0;
+                    let result_bytes = model.rows(join)? * 24.0;
                     let hub_cost = big_bytes + small_bytes;
                     let site_cost = 2.0 * small_bytes + result_bytes;
                     if host_caps.filters && host_caps.bindings && site_cost < hub_cost {
-                        JoinSite::AtSource(big_src)
+                        JoinSite::AtSource(big_src.to_string())
                     } else {
                         JoinSite::Hub
                     }
@@ -717,7 +677,7 @@ impl<'a> PhysicalPlanner<'a> {
     #[allow(clippy::too_many_arguments)]
     fn make_bind_join(
         &self,
-        build_side: LogicalPlan,
+        build_side: &LogicalPlan,
         build_key: Expr,
         probe_scan: &LogicalPlan,
         bind_column: &str,
@@ -743,7 +703,7 @@ impl<'a> PhysicalPlanner<'a> {
             }
             cols
         });
-        let left = self.create(build_side)?;
+        let left = self.lower(build_side)?;
         let plan = PhysicalPlan::BindJoin {
             left: Box::new(left),
             left_key: build_key,
@@ -806,19 +766,17 @@ fn swapped_schema(joined: &SchemaRef, probe_len: usize) -> SchemaRef {
     std::sync::Arc::new(eii_data::Schema::new(fields))
 }
 
+/// Can `expr` key a join side: does it read a column, and only columns of
+/// `schema`? A literal resolves in every schema, so without the first test
+/// `a.x = 5` would be an equi pair whose other side hashes one constant.
 fn resolves(expr: &Expr, schema: &eii_data::Schema) -> bool {
-    let refs = referenced_columns(expr);
-    !refs.is_empty()
-        && refs
-            .iter()
-            .all(|c| schema.index_of(c.relation.as_deref(), &c.name).is_ok())
+    !expr.is_constant() && resolves_in(expr, schema)
 }
 
-fn scan_target(plan: &LogicalPlan) -> Option<(String, String)> {
+/// The `(source, table)` of a bare scan.
+fn scan_target(plan: &LogicalPlan) -> Option<(&str, &str)> {
     match plan {
-        LogicalPlan::SourceScan { source, table, .. } => {
-            Some((source.clone(), table.clone()))
-        }
+        LogicalPlan::SourceScan { source, table, .. } => Some((source, table)),
         _ => None,
     }
 }

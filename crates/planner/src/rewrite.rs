@@ -95,63 +95,10 @@ fn rewrite_node(
     model: &CostModel<'_>,
     budget_ms: Option<f64>,
 ) -> Result<LogicalPlan> {
-    if let Some(replacement) = try_substitute(&plan, views, model, budget_ms)? {
-        return Ok(replacement);
+    match try_substitute(&plan, views, model, budget_ms)? {
+        Some(replacement) => Ok(replacement),
+        None => plan.map_children(|child| rewrite_node(child, views, model, budget_ms)),
     }
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(rewrite_node(*input, views, model, budget_ms)?),
-            predicate,
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(rewrite_node(*input, views, model, budget_ms)?),
-            exprs,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => LogicalPlan::Join {
-            left: Box::new(rewrite_node(*left, views, model, budget_ms)?),
-            right: Box::new(rewrite_node(*right, views, model, budget_ms)?),
-            kind,
-            on,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(rewrite_node(*input, views, model, budget_ms)?),
-            group_by,
-            aggs,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(rewrite_node(*input, views, model, budget_ms)?),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(rewrite_node(*input, views, model, budget_ms)?),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(rewrite_node(*input, views, model, budget_ms)?),
-            n,
-        },
-        LogicalPlan::Alias { input, alias } => LogicalPlan::Alias {
-            input: Box::new(rewrite_node(*input, views, model, budget_ms)?),
-            alias,
-        },
-        LogicalPlan::UnionAll { inputs } => LogicalPlan::UnionAll {
-            inputs: inputs
-                .into_iter()
-                .map(|i| rewrite_node(i, views, model, budget_ms))
-                .collect::<Result<Vec<_>>>()?,
-        },
-        leaf @ (LogicalPlan::SourceScan { .. }
-        | LogicalPlan::Values { .. }
-        | LogicalPlan::MatViewScan { .. }) => leaf,
-    })
 }
 
 /// Try every view against this subtree; return the substituted plan for the

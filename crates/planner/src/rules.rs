@@ -10,7 +10,7 @@
 use std::cell::Cell;
 use std::collections::BTreeSet;
 
-use eii_data::Result;
+use eii_data::{Result, Schema, Value};
 use eii_expr::{conjoin, conjuncts, fold_constants, referenced_columns, Expr};
 use eii_federation::{Dialect, Federation};
 use eii_sql::JoinKind;
@@ -18,6 +18,7 @@ use eii_sql::JoinKind;
 use crate::config::PlannerConfig;
 use crate::join_order::reorder_joins;
 use crate::logical::LogicalPlan;
+use crate::util::{resolves_in, rewrite_through_project};
 
 /// Run the full rewrite pipeline.
 pub fn optimize(
@@ -31,7 +32,7 @@ pub fn optimize(
         plan = reorder_joins(plan, federation)?;
     }
     if config.pushdown_projection {
-        plan = prune_scan_projections(plan, federation)?;
+        plan = prune_scan_projections(plan, federation);
     }
     if config.pushdown_limits {
         plan = push_limits(plan, federation);
@@ -39,150 +40,54 @@ pub fn optimize(
     Ok(plan)
 }
 
+/// Bottom-up structural edit: `f` sees every node after its children.
+fn map_plan(plan: LogicalPlan, f: &impl Fn(&mut LogicalPlan)) -> LogicalPlan {
+    let mut plan = plan
+        .map_children(|child| Ok(map_plan(child, f)))
+        .expect("the closure never fails");
+    f(&mut plan);
+    plan
+}
+
 /// Push LIMIT caps into source component queries. Only row-preserving
 /// nodes (Project, Alias) may sit between the Limit and the scan; the scan's
 /// own pushed filters are fine because sources apply filters before limits.
 /// The Limit node itself stays (the cap at the source makes it a no-op).
 fn push_limits(plan: LogicalPlan, fed: &Federation) -> LogicalPlan {
-    map_plan(plan, &|node| match node {
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(annotate_limit(*input, n, fed)),
-            n,
-        },
-        other => other,
+    map_plan(plan, &|node| {
+        if let LogicalPlan::Limit { input, n } = node {
+            annotate_limit(input, *n, fed);
+        }
     })
 }
 
-fn annotate_limit(plan: LogicalPlan, n: usize, fed: &Federation) -> LogicalPlan {
+fn annotate_limit(plan: &mut LogicalPlan, n: usize, fed: &Federation) {
     match plan {
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(annotate_limit(*input, n, fed)),
-            exprs,
-        },
-        LogicalPlan::Alias { input, alias } => LogicalPlan::Alias {
-            input: Box::new(annotate_limit(*input, n, fed)),
-            alias,
-        },
-        LogicalPlan::Limit { input, n: inner } => LogicalPlan::Limit {
-            input: Box::new(annotate_limit(*input, n.min(inner), fed)),
-            n: inner,
-        },
-        LogicalPlan::SourceScan {
-            source,
-            table,
-            alias,
-            base_schema,
-            pushed_filters,
-            projection,
-            limit,
-        } => {
-            let supports = fed
-                .source(&source)
-                .map(|h| h.connector().capabilities().limit)
-                .unwrap_or(false);
-            let limit = if supports {
-                Some(limit.map_or(n, |prev| prev.min(n)))
-            } else {
-                limit
-            };
-            LogicalPlan::SourceScan {
-                source,
-                table,
-                alias,
-                base_schema,
-                pushed_filters,
-                projection,
-                limit,
-            }
+        LogicalPlan::Project { input, .. } | LogicalPlan::Alias { input, .. } => {
+            annotate_limit(input, n, fed)
         }
-        other => other,
+        LogicalPlan::Limit { input, n: inner } => annotate_limit(input, n.min(*inner), fed),
+        LogicalPlan::SourceScan { source, limit, .. }
+            if fed
+                .source(source)
+                .is_ok_and(|h| h.connector().capabilities().limit) =>
+        {
+            *limit = Some(limit.map_or(n, |prev| prev.min(n)));
+        }
+        _ => {}
     }
 }
 
 /// Fold constants in every expression of the plan.
 pub fn fold_plan_constants(plan: LogicalPlan) -> LogicalPlan {
+    let fold = |e: &mut Expr| *e = fold_constants(std::mem::replace(e, Expr::Literal(Value::Null)));
     map_plan(plan, &|node| match node {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input,
-            predicate: fold_constants(predicate),
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input,
-            exprs: exprs
-                .into_iter()
-                .map(|(e, n)| (fold_constants(e), n))
-                .collect(),
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on: on.map(fold_constants),
-        },
-        other => other,
+        LogicalPlan::Filter { predicate, .. } => fold(predicate),
+        LogicalPlan::Project { exprs, .. } => exprs.iter_mut().for_each(|(e, _)| fold(e)),
+        LogicalPlan::Join { on: Some(on), .. } => fold(on),
+        _ => {}
     })
 }
-
-/// Bottom-up structural rewrite.
-fn map_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    let rebuilt = match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_plan(*input, f)),
-            predicate,
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(map_plan(*input, f)),
-            exprs,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => LogicalPlan::Join {
-            left: Box::new(map_plan(*left, f)),
-            right: Box::new(map_plan(*right, f)),
-            kind,
-            on,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_plan(*input, f)),
-            group_by,
-            aggs,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(map_plan(*input, f)),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_plan(*input, f)),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(map_plan(*input, f)),
-            n,
-        },
-        LogicalPlan::UnionAll { inputs } => LogicalPlan::UnionAll {
-            inputs: inputs.into_iter().map(|p| map_plan(p, f)).collect(),
-        },
-        LogicalPlan::Alias { input, alias } => LogicalPlan::Alias {
-            input: Box::new(map_plan(*input, f)),
-            alias,
-        },
-        leaf => leaf,
-    };
-    f(rebuilt)
-}
-
-use crate::util::{resolves_in, rewrite_through_project};
 
 /// Remove relation qualifiers (predicate addressed to a single table).
 fn strip_qualifiers(expr: Expr) -> Expr {
@@ -195,60 +100,27 @@ fn strip_qualifiers(expr: Expr) -> Expr {
     })
 }
 
-/// Rewrite a predicate across an Alias boundary: refs to `alias.col` (or
-/// bare `col`) become refs to the underlying input columns. `None` when any
-/// reference fails to resolve.
-fn rewrite_through_alias(
-    expr: &Expr,
-    aliased: &eii_data::Schema,
-    inner: &eii_data::Schema,
-) -> Option<Expr> {
+/// Rewrite a predicate across a boundary that renames columns but keeps
+/// their positions — an Alias (`from` the aliased schema, `to` its input's)
+/// or a UnionAll into one branch (`from` the union's, `to` the branch's):
+/// each reference that resolves in `from` becomes the field of `to` at the
+/// same index. `None` when any reference fails to resolve.
+fn rewrite_by_position(expr: &Expr, from: &Schema, to: &Schema) -> Option<Expr> {
     let ok = Cell::new(true);
     let rewritten = expr.clone().transform(|e| match e {
-        Expr::Column { relation, name } => {
-            match aliased.index_of(relation.as_deref(), &name) {
-                Ok(i) => {
-                    let f = inner.field(i);
-                    Expr::Column {
-                        relation: f.relation.clone(),
-                        name: f.name.clone(),
-                    }
-                }
-                Err(_) => {
-                    ok.set(false);
-                    Expr::Column { relation, name }
+        Expr::Column { relation, name } => match from.index_of(relation.as_deref(), &name) {
+            Ok(i) => {
+                let f = to.field(i);
+                Expr::Column {
+                    relation: f.relation.clone(),
+                    name: f.name.clone(),
                 }
             }
-        }
-        other => other,
-    });
-    ok.get().then_some(rewritten)
-}
-
-/// Rewrite a predicate across a UnionAll into one branch (positional
-/// mapping of the union's output names onto the branch's fields).
-fn rewrite_into_union_branch(
-    expr: &Expr,
-    union_schema: &eii_data::Schema,
-    branch_schema: &eii_data::Schema,
-) -> Option<Expr> {
-    let ok = Cell::new(true);
-    let rewritten = expr.clone().transform(|e| match e {
-        Expr::Column { relation, name } => {
-            match union_schema.index_of(relation.as_deref(), &name) {
-                Ok(i) => {
-                    let f = branch_schema.field(i);
-                    Expr::Column {
-                        relation: f.relation.clone(),
-                        name: f.name.clone(),
-                    }
-                }
-                Err(_) => {
-                    ok.set(false);
-                    Expr::Column { relation, name }
-                }
+            Err(_) => {
+                ok.set(false);
+                Expr::Column { relation, name }
             }
-        }
+        },
         other => other,
     });
     ok.get().then_some(rewritten)
@@ -296,10 +168,44 @@ fn wrap_residual(plan: LogicalPlan, residual: Vec<Expr>) -> LogicalPlan {
     }
 }
 
+/// Split `pending` at a single-input node: the conjuncts `through` can
+/// re-express over the node's input (to push on down), and the ones it
+/// cannot (to stay above the node).
+fn split(
+    pending: Vec<Expr>,
+    through: impl Fn(&Expr) -> Option<Expr>,
+) -> (Vec<Expr>, Vec<Expr>) {
+    let (mut below, mut residual) = (Vec::new(), Vec::new());
+    for p in pending {
+        match through(&p) {
+            Some(r) => below.push(r),
+            None => residual.push(p),
+        }
+    }
+    (below, residual)
+}
+
+/// Keep pushing below `plan`: its i-th child takes `below[i]` as pending,
+/// and `residual` stays above it as a Filter.
+fn sink(
+    plan: LogicalPlan,
+    below: impl IntoIterator<Item = Vec<Expr>>,
+    residual: Vec<Expr>,
+    fed: &Federation,
+    config: &PlannerConfig,
+) -> Result<LogicalPlan> {
+    let mut below = below.into_iter();
+    let plan = plan.map_children(|child| {
+        let pending = below.next().expect("one pending list per child");
+        push_down(child, pending, fed, config)
+    })?;
+    Ok(wrap_residual(plan, residual))
+}
+
 /// The pushdown driver: `pending` conjuncts are looking for the deepest
 /// node that can evaluate them.
 fn push_down(
-    plan: LogicalPlan,
+    mut plan: LogicalPlan,
     mut pending: Vec<Expr>,
     fed: &Federation,
     config: &PlannerConfig,
@@ -310,111 +216,75 @@ fn push_down(
             push_down(*input, pending, fed, config)
         }
         LogicalPlan::SourceScan {
-            source,
-            table,
-            alias,
-            base_schema,
-            mut pushed_filters,
-            projection,
-            limit,
+            ref source,
+            ref alias,
+            ref base_schema,
+            ref mut pushed_filters,
+            ..
         } => {
-            let handle = fed.source(&source)?;
+            let handle = fed.source(source)?;
             let caps = handle.connector().capabilities();
             let dialect: Dialect = config
                 .dialect_override
                 .clone()
                 .unwrap_or_else(|| handle.connector().dialect());
-            let qualified = base_schema.qualified(&alias);
+            let qualified = base_schema.qualified(alias);
             let mut residual = Vec::new();
             for p in pending {
                 let can_push = config.pushdown_filters
                     && caps.filters
                     && resolves_in(&p, &qualified)
-                    && {
-                        let stripped = strip_qualifiers(p.clone());
-                        dialect.supports(&stripped)
-                    };
+                    && dialect.supports(&strip_qualifiers(p.clone()));
                 if can_push {
                     pushed_filters.push(strip_qualifiers(p));
                 } else {
                     residual.push(p);
                 }
             }
-            let scan = LogicalPlan::SourceScan {
-                source,
-                table,
-                alias,
-                base_schema,
-                pushed_filters,
-                projection,
-                limit,
-            };
-            Ok(wrap_residual(scan, residual))
+            Ok(wrap_residual(plan, residual))
         }
-        LogicalPlan::Alias { input, alias } => {
-            let aliased = LogicalPlan::Alias {
-                input: input.clone(),
-                alias: alias.clone(),
-            }
-            .schema()?;
-            let inner_schema = input.schema()?;
-            let mut below = Vec::new();
-            let mut residual = Vec::new();
-            for p in pending {
-                match rewrite_through_alias(&p, &aliased, &inner_schema) {
-                    Some(r) => below.push(r),
-                    None => residual.push(p),
-                }
-            }
-            let new_input = push_down(*input, below, fed, config)?;
-            Ok(wrap_residual(
-                LogicalPlan::Alias {
-                    input: Box::new(new_input),
-                    alias,
-                },
-                residual,
-            ))
+        LogicalPlan::Alias { ref input, .. } => {
+            let (aliased, inner) = (plan.schema()?, input.schema()?);
+            let (below, residual) = split(pending, |p| rewrite_by_position(p, &aliased, &inner));
+            sink(plan, [below], residual, fed, config)
         }
-        LogicalPlan::Project { input, exprs } => {
-            let mut below = Vec::new();
-            let mut residual = Vec::new();
-            for p in pending {
-                match rewrite_through_project(&p, &exprs) {
-                    Some(r) => below.push(r),
-                    None => residual.push(p),
-                }
-            }
-            let new_input = push_down(*input, below, fed, config)?;
-            Ok(wrap_residual(
-                LogicalPlan::Project {
-                    input: Box::new(new_input),
-                    exprs,
-                },
-                residual,
-            ))
+        LogicalPlan::Project { ref exprs, .. } => {
+            let (below, residual) = split(pending, |p| rewrite_through_project(p, exprs));
+            sink(plan, [below], residual, fed, config)
         }
+        LogicalPlan::Aggregate {
+            ref group_by,
+            ref aggs,
+            ..
+        } => {
+            let agg_names: Vec<String> = aggs.iter().map(|a| a.name.clone()).collect();
+            let (below, residual) = split(pending, |p| {
+                rewrite_through_aggregate(p, group_by, &agg_names)
+            });
+            sink(plan, [below], residual, fed, config)
+        }
+        LogicalPlan::Distinct { .. } | LogicalPlan::Sort { .. } => {
+            sink(plan, [pending], Vec::new(), fed, config)
+        }
+        // Filters cannot cross a LIMIT.
+        LogicalPlan::Limit { .. } => sink(plan, [Vec::new()], pending, fed, config),
         LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
+            ref left,
+            ref right,
+            ref mut kind,
+            ref mut on,
         } => {
             let left_schema = left.schema()?;
             let right_schema = right.schema()?;
-            let mut left_pending = Vec::new();
-            let mut right_pending = Vec::new();
-            let mut join_preds = Vec::new();
+            let (mut left_pending, mut right_pending) = (Vec::new(), Vec::new());
             let mut residual = Vec::new();
-
-            let mut kept_on = on.clone();
-            let mut new_kind = kind;
-            match kind {
+            match *kind {
                 JoinKind::Inner | JoinKind::Cross => {
-                    // ON conjuncts join the pending pool.
+                    // ON conjuncts join the pending pool; what neither side
+                    // can evaluate alone is the new join condition.
                     let mut pool = pending;
-                    if let Some(on) = on {
-                        pool.extend(conjuncts(&on));
-                    }
+                    pool.extend(on.iter().flat_map(conjuncts));
+                    let mut join_preds = Vec::new();
                     for p in pool {
                         if resolves_in(&p, &left_schema) {
                             left_pending.push(p);
@@ -425,14 +295,16 @@ fn push_down(
                         }
                     }
                     if !join_preds.is_empty() {
-                        new_kind = JoinKind::Inner;
+                        *kind = JoinKind::Inner;
                     }
-                    kept_on = conjoin(std::mem::take(&mut join_preds));
+                    *on = conjoin(join_preds);
                 }
-                JoinKind::Left => {
+                JoinKind::Left | JoinKind::Semi | JoinKind::Anti => {
                     // Pending predicates on the preserved side sink; right-
-                    // side or mixed predicates from above must stay above
-                    // (null-extension semantics). The ON stays whole.
+                    // side or mixed ones from above must stay above a LEFT
+                    // join (null-extension semantics), and a SEMI/ANTI join
+                    // shows them left columns only (filters on L commute
+                    // with it).
                     for p in pending {
                         if resolves_in(&p, &left_schema) {
                             left_pending.push(p);
@@ -440,31 +312,20 @@ fn push_down(
                             residual.push(p);
                         }
                     }
-                }
-                JoinKind::Semi | JoinKind::Anti => {
-                    // Pending predicates see only left columns; they sink
-                    // left (filters on L commute with semi/anti joins).
-                    for p in pending {
-                        if resolves_in(&p, &left_schema) {
-                            left_pending.push(p);
-                        } else {
-                            residual.push(p);
-                        }
-                    }
-                    // ON conjuncts: right-only ones restrict which right
-                    // rows can match and sink right for both kinds.
-                    // Left-only ones sink left for SEMI (a left row failing
-                    // the condition has no match and is dropped either way)
-                    // but must stay in the ON for ANTI (failing rows have no
-                    // match and must be KEPT).
-                    let mut kept = Vec::new();
-                    if let Some(on) = on {
-                        for c in conjuncts(&on) {
+                    // A LEFT join's ON stays whole. SEMI/ANTI: right-only
+                    // conjuncts restrict which right rows can match and sink
+                    // right for both kinds. Left-only ones sink left for
+                    // SEMI (a left row failing the condition has no match
+                    // and is dropped either way) but must stay in the ON for
+                    // ANTI (failing rows have no match and must be KEPT).
+                    if *kind != JoinKind::Left {
+                        let mut kept = Vec::new();
+                        for c in on.iter().flat_map(conjuncts) {
                             let in_left = resolves_in(&c, &left_schema);
                             let in_right = resolves_in(&c, &right_schema);
                             if in_right && !in_left {
                                 right_pending.push(c);
-                            } else if kind == JoinKind::Semi && in_left && !in_right {
+                            } else if *kind == JoinKind::Semi && in_left && !in_right {
                                 left_pending.push(c);
                             } else {
                                 // Cross-side, or ambiguous enough to resolve
@@ -473,112 +334,40 @@ fn push_down(
                                 kept.push(c);
                             }
                         }
+                        *on = conjoin(kept);
                     }
-                    kept_on = conjoin(kept);
                 }
             }
-            let new_left = push_down(*left, left_pending, fed, config)?;
-            let new_right = push_down(*right, right_pending, fed, config)?;
-            let new_on = kept_on;
-            Ok(wrap_residual(
-                LogicalPlan::Join {
-                    left: Box::new(new_left),
-                    right: Box::new(new_right),
-                    kind: new_kind,
-                    on: new_on,
-                },
-                residual,
-            ))
+            sink(plan, [left_pending, right_pending], residual, fed, config)
         }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let agg_names: Vec<String> = aggs.iter().map(|a| a.name.clone()).collect();
-            let mut below = Vec::new();
-            let mut residual = Vec::new();
-            for p in pending {
-                match rewrite_through_aggregate(&p, &group_by, &agg_names) {
-                    Some(r) => below.push(r),
-                    None => residual.push(p),
-                }
-            }
-            let new_input = push_down(*input, below, fed, config)?;
-            Ok(wrap_residual(
-                LogicalPlan::Aggregate {
-                    input: Box::new(new_input),
-                    group_by,
-                    aggs,
-                },
-                residual,
-            ))
-        }
-        LogicalPlan::Distinct { input } => {
-            let new_input = push_down(*input, pending, fed, config)?;
-            Ok(LogicalPlan::Distinct {
-                input: Box::new(new_input),
-            })
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let new_input = push_down(*input, pending, fed, config)?;
-            Ok(LogicalPlan::Sort {
-                input: Box::new(new_input),
-                keys,
-            })
-        }
-        LogicalPlan::Limit { input, n } => {
-            // Filters cannot cross a LIMIT.
-            let new_input = push_down(*input, Vec::new(), fed, config)?;
-            Ok(wrap_residual(
-                LogicalPlan::Limit {
-                    input: Box::new(new_input),
-                    n,
-                },
-                pending,
-            ))
-        }
-        LogicalPlan::UnionAll { inputs } => {
-            let union_schema = LogicalPlan::UnionAll {
-                inputs: inputs.clone(),
-            }
-            .schema()?;
-            // A pending conjunct pushes only if it rewrites into *every*
-            // branch.
-            let mut pushable: Vec<Expr> = Vec::new();
-            let mut residual: Vec<Expr> = Vec::new();
+        LogicalPlan::UnionAll { ref inputs } => {
+            let union_schema = plan.schema()?;
             let branch_schemas = inputs
                 .iter()
                 .map(LogicalPlan::schema)
                 .collect::<Result<Vec<_>>>()?;
+            // A pending conjunct pushes only if it rewrites into *every*
+            // branch.
+            let mut below = vec![Vec::new(); inputs.len()];
+            let mut residual = Vec::new();
             for p in pending {
-                let all_ok = branch_schemas
+                let per_branch: Option<Vec<Expr>> = branch_schemas
                     .iter()
-                    .all(|bs| rewrite_into_union_branch(&p, &union_schema, bs).is_some());
-                if all_ok {
-                    pushable.push(p);
-                } else {
-                    residual.push(p);
+                    .map(|bs| rewrite_by_position(&p, &union_schema, bs))
+                    .collect();
+                match per_branch {
+                    Some(rewritten) => {
+                        for (branch, r) in below.iter_mut().zip(rewritten) {
+                            branch.push(r);
+                        }
+                    }
+                    None => residual.push(p),
                 }
             }
-            let mut new_inputs = Vec::with_capacity(inputs.len());
-            for (branch, bs) in inputs.into_iter().zip(&branch_schemas) {
-                let branch_pending = pushable
-                    .iter()
-                    .map(|p| {
-                        rewrite_into_union_branch(p, &union_schema, bs)
-                            .expect("checked above")
-                    })
-                    .collect();
-                new_inputs.push(push_down(branch, branch_pending, fed, config)?);
-            }
-            Ok(wrap_residual(
-                LogicalPlan::UnionAll { inputs: new_inputs },
-                residual,
-            ))
+            sink(plan, below, residual, fed, config)
         }
-        leaf @ (LogicalPlan::Values { .. } | LogicalPlan::MatViewScan { .. }) => {
-            Ok(wrap_residual(leaf, pending))
+        LogicalPlan::Values { .. } | LogicalPlan::MatViewScan { .. } => {
+            Ok(wrap_residual(plan, pending))
         }
     }
 }
@@ -624,85 +413,46 @@ fn collect_all_refs(plan: &LogicalPlan, out: &mut BTreeSet<(Option<String>, Stri
 
 /// Set each scan's projection to the columns the rest of the plan actually
 /// references (network-volume reduction; Bitton's "local reduction").
-fn prune_scan_projections(plan: LogicalPlan, fed: &Federation) -> Result<LogicalPlan> {
+fn prune_scan_projections(plan: LogicalPlan, fed: &Federation) -> LogicalPlan {
     let mut refs = BTreeSet::new();
     collect_all_refs(&plan, &mut refs);
-    Ok(prune_rec(plan, &refs, fed))
-}
-
-fn prune_rec(
-    plan: LogicalPlan,
-    refs: &BTreeSet<(Option<String>, String)>,
-    fed: &Federation,
-) -> LogicalPlan {
-    map_plan(plan, &|node| match node {
-        LogicalPlan::SourceScan {
+    map_plan(plan, &|node| {
+        let LogicalPlan::SourceScan {
             source,
-            table,
             alias,
             base_schema,
-            pushed_filters,
             projection,
-            limit,
-        } => {
-            let caps = match fed.source(&source) {
-                Ok(h) => h.connector().capabilities(),
-                Err(_) => {
-                    return LogicalPlan::SourceScan {
-                        source,
-                        table,
-                        alias,
-                        base_schema,
-                        pushed_filters,
-                        projection,
-                        limit,
+            ..
+        } = node
+        else {
+            return;
+        };
+        let prunes = fed
+            .source(source)
+            .is_ok_and(|h| h.connector().capabilities().projection);
+        if !prunes || projection.is_some() {
+            return;
+        }
+        let mut needed: Vec<String> = Vec::new();
+        for f in base_schema.fields() {
+            let used = refs.iter().any(|(rel, name)| {
+                name.eq_ignore_ascii_case(&f.name)
+                    && match rel {
+                        Some(r) => r.eq_ignore_ascii_case(alias),
+                        None => true, // conservative: unqualified matches
                     }
-                }
-            };
-            if !caps.projection || projection.is_some() {
-                return LogicalPlan::SourceScan {
-                    source,
-                    table,
-                    alias,
-                    base_schema,
-                    pushed_filters,
-                    projection,
-                    limit,
-                };
-            }
-            let mut needed: Vec<String> = Vec::new();
-            for f in base_schema.fields() {
-                let used = refs.iter().any(|(rel, name)| {
-                    name.eq_ignore_ascii_case(&f.name)
-                        && match rel {
-                            Some(r) => r.eq_ignore_ascii_case(&alias),
-                            None => true, // conservative: unqualified matches
-                        }
-                });
-                if used {
-                    needed.push(f.name.clone());
-                }
-            }
-            if needed.is_empty() {
-                // e.g. COUNT(*): ship the narrowest thing we can, one column.
-                needed.push(base_schema.field(0).name.clone());
-            }
-            let projection = if needed.len() == base_schema.len() {
-                None
-            } else {
-                Some(needed)
-            };
-            LogicalPlan::SourceScan {
-                source,
-                table,
-                alias,
-                base_schema,
-                pushed_filters,
-                projection,
-                limit,
+            });
+            if used {
+                needed.push(f.name.clone());
             }
         }
-        other => other,
+        if needed.is_empty() {
+            // e.g. COUNT(*): ship the narrowest thing we can, one column.
+            needed.push(base_schema.field(0).name.clone());
+        }
+        if needed.len() < base_schema.len() {
+            *projection = Some(needed);
+        }
     })
 }
 
