@@ -248,6 +248,51 @@ mod tests {
     }
 
     #[test]
+    fn a_write_burst_that_is_undone_leaves_the_entry_valid() {
+        let (sys, _) = system();
+        let before = plan_of(&sys, JOIN);
+        let orders = sys.federation().source("sales").unwrap();
+        let table = || "orders".to_string();
+        let total = |v: f64| UpdateOp::UpdateByKey {
+            table: table(),
+            key: Value::Int(10),
+            assignments: vec![("total".into(), Value::Float(v))],
+        };
+        let then = orders.connector().statistics("orders").unwrap();
+        for op in [
+            total(9.0),
+            total(5.0),
+            UpdateOp::Insert { table: table(), row: row![99i64, 3i64, 1.0] },
+            UpdateOp::DeleteByKey { table: table(), key: Value::Int(99) },
+        ] {
+            orders.update(&op).unwrap();
+        }
+        // Another snapshot of the statistics, equal to the stamp's by value.
+        let now = orders.connector().statistics("orders").unwrap();
+        assert!(!Arc::ptr_eq(&then, &now) && then == now);
+        assert_eq!(plan_of(&sys, JOIN), before);
+        assert_eq!(counts(&sys), [1, 0, 1]);
+    }
+
+    #[test]
+    fn a_write_burst_costs_each_statement_text_one_stale_lookup() {
+        let (sys, _) = system();
+        let texts = [JOIN, "SELECT total FROM sales.orders WHERE customer_id = 2"];
+        let run = || texts.iter().for_each(|sql| drop(sys.execute(sql).unwrap()));
+        run();
+        assert_eq!(counts(&sys), [0, 0, 2]);
+        let orders = sys.federation().source("sales").unwrap();
+        for id in 20..23i64 {
+            let row = row![id, 2i64, 1.0];
+            orders.update(&UpdateOp::Insert { table: "orders".into(), row }).unwrap();
+        }
+        run();
+        assert_eq!(counts(&sys), [0, 2, 2], "`row_count` moved: one stale lookup per text");
+        run();
+        assert_eq!(counts(&sys), [2, 2, 2], "and the entries planned under it hold");
+    }
+
+    #[test]
     fn reconfiguring_a_source_makes_the_entry_stale() {
         let (sys, _) = system();
         let before = plan_of(&sys, JOIN);

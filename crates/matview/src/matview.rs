@@ -321,10 +321,10 @@ impl Inner {
 
     /// Incremental refresh: read each base table's change log past the
     /// view's watermark, push the weighted deltas through the maintenance
-    /// tree, and materialize from the maintained multiset. Cost scales
-    /// with the delta, not the base data. `ctx` (when given) is checked
-    /// between per-table stages so deadlines and cancellation cut
-    /// maintenance short.
+    /// tree, and — when any arrived — materialize from the maintained
+    /// multiset. Cost scales with the delta, not the base data. `ctx` (when
+    /// given) is checked between per-table stages so deadlines and
+    /// cancellation cut maintenance short.
     fn apply_deltas(
         &self,
         name: &str,
@@ -354,14 +354,31 @@ impl Inner {
         }
         let delta_rows: usize = deltas.values().map(Vec::len).sum();
         let sim_ms = ivm.apply(&deltas, &watermarks)?;
-        let batch = ivm.materialize()?;
+        // Nothing past the watermarks: the materialization in hand (every
+        // caller puts the batch back) is the view as of `now` too, and is
+        // stamped again, not built again.
+        let held = if delta_rows == 0 { state.cache.take().zip(self.store.get(name)) } else { None };
+        let batch = match held {
+            Some((batch, (snapshot, _))) => {
+                self.store.put(name, snapshot, now);
+                batch
+            }
+            None => {
+                // The watermarks moved; if nothing materializes them, what is
+                // held must not pass for it at the next empty delta.
+                let batch = ivm.materialize().inspect_err(|_| {
+                    state.cache = None;
+                    self.store.remove(name);
+                })?;
+                self.store.put(name, ColumnarBatch::from_batch(&batch), now);
+                batch
+            }
+        };
         metrics.inc("ivm.refreshes");
         metrics.add("ivm.delta_rows", delta_rows as u64);
         metrics.observe("ivm.refresh_ms", sim_ms);
         state.refresh_count += 1;
         state.total_refresh_ms += sim_ms;
-        self.store
-            .put(name, ColumnarBatch::from_batch(&batch), now);
         Ok((batch, sim_ms))
     }
 
@@ -733,6 +750,61 @@ mod tests {
         // retract/insert pair + delete), not the whole table.
         assert_eq!((s.stats.refreshes, s.stats.input_rows), (2, 14));
         assert_eq!(mgr.base_tables("v").unwrap(), vec!["crm.customers"]);
+    }
+
+    #[test]
+    fn a_refresh_with_no_delta_stamps_the_materialization_again() {
+        let (cat, fed, clock, src) = setup();
+        let mgr = MatViewManager::new(fed.clone(), clock.clone());
+        let sql = "SELECT id FROM crm.customers WHERE region = 'r1'";
+        mgr.define_incremental("v", sql, &cat, RefreshPolicy::Manual).unwrap();
+        mgr.refresh("v").unwrap();
+        let (first, at) = mgr.store().get("v").unwrap();
+        let rows = mgr.cached("v").unwrap().unwrap();
+        clock.advance_ms(500);
+        let sim_ms = mgr.refresh("v").unwrap();
+        assert!(sim_ms > 0.0, "the change log was still probed");
+        let (again, later) = mgr.store().get("v").unwrap();
+        assert_eq!(later, at + 500, "stamped at the refresh");
+        assert!(Arc::ptr_eq(first.column(0), again.column(0)), "not built again");
+        assert_eq!(mgr.cached("v").unwrap().unwrap(), rows);
+        let s = mgr.ivm_status("v").unwrap().stats;
+        assert_eq!((s.refreshes, s.input_rows, mgr.refresh_count("v")), (2, 10, 2));
+        assert_eq!(fed.metrics().snapshot().counter("ivm.refreshes"), 2);
+        // A delta builds a new one.
+        src.write().insert(row![101i64, "r1"]).unwrap();
+        mgr.refresh("v").unwrap();
+        let (third, _) = mgr.store().get("v").unwrap();
+        assert_eq!((third.num_rows(), mgr.cached("v").unwrap().unwrap().num_rows()), (6, 6));
+    }
+
+    #[test]
+    fn a_refresh_that_cannot_materialize_leaves_nothing_for_an_empty_delta_to_keep() {
+        let clock = SimClock::new();
+        let db = Database::new("crm", clock.clone());
+        let schema = Arc::new(Schema::new(vec![Field::new("id", DataType::Int).not_null()]));
+        let create = || {
+            db.create_table(TableDef::new("t", schema.clone()).with_primary_key(0)).unwrap()
+        };
+        let t = create();
+        t.write().insert_all((0..3i64).map(|i| row![i])).unwrap();
+        let fed = Federation::new();
+        let connector = Arc::new(RelationalConnector::new(db.clone()));
+        fed.register(connector, LinkProfile::lan(), WireFormat::Native).unwrap();
+        let mgr = MatViewManager::new(fed, clock);
+        mgr.define_incremental("v", "SELECT id FROM crm.t", &Catalog::new(), RefreshPolicy::Manual)
+            .unwrap();
+        mgr.refresh("v").unwrap();
+        // The table is recreated under the view and its change log restarts:
+        // row 9 arrives below the view's watermark (3), its delete above it.
+        assert!(db.drop_table("t"));
+        let t = create();
+        t.write().insert_all([9i64, 10, 11].map(|i| row![i])).unwrap();
+        t.write().delete_by_pk(&Value::Int(9));
+        assert_eq!(mgr.refresh("v").unwrap_err().kind(), "execution");
+        assert!(mgr.cached("v").unwrap().is_none() && mgr.store().get("v").is_none());
+        // The log is empty past the new watermark, and that vouches for nothing.
+        assert_eq!(mgr.refresh("v").unwrap_err().kind(), "execution");
     }
 
     #[test]

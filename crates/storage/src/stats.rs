@@ -1,11 +1,14 @@
 //! Table statistics for the federated cost model.
 //!
 //! The planner's cost model (selectivity estimation, join ordering, assembly-
-//! site selection) consumes these. `analyze` computes them exactly; sources
-//! in the real world would expose estimates, which the wrapper layer can
-//! degrade deliberately for the prediction-error experiment (E12).
+//! site selection) consumes these. They are exact (sources in the real world
+//! would expose estimates, which the wrapper layer can degrade deliberately
+//! for the prediction-error experiment, E12) and *kept*: a `StatsAccumulator`
+//! holds per column what a row arriving adds and a row leaving takes away, so
+//! a table that knows which rows a write changed never walks the rest again.
+//! [`TableStats::analyze`] is that accumulator fed every row once.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use eii_data::{Row, Value};
 
@@ -31,48 +34,106 @@ pub struct TableStats {
     pub columns: Vec<ColumnStats>,
 }
 
+#[derive(Debug, Clone, Default)]
+struct ColumnAccumulator {
+    /// Each distinct non-null value and how many rows hold it. (An ordered map
+    /// would have the extremes for free and charge every bulk load for them.)
+    copies: HashMap<Value, u32>,
+    nulls: usize,
+    /// Sum of [`Value::wire_size`] over every cell, NULLs included.
+    wire_bytes: usize,
+    /// The least and greatest keys of `copies`; of equal ones, the first seen.
+    min: Option<Value>,
+    max: Option<Value>,
+}
+
+impl ColumnAccumulator {
+    fn add(&mut self, v: &Value) {
+        self.wire_bytes += v.wire_size();
+        if v.is_null() {
+            self.nulls += 1;
+        } else if let Some(n) = self.copies.get_mut(v) {
+            *n += 1;
+        } else {
+            self.copies.insert(v.clone(), 1);
+            if self.min.as_ref().is_none_or(|min| v < min) {
+                self.min = Some(v.clone());
+            }
+            if self.max.as_ref().is_none_or(|max| v > max) {
+                self.max = Some(v.clone());
+            }
+        }
+    }
+
+    fn remove(&mut self, v: &Value) {
+        self.wire_bytes -= v.wire_size();
+        if v.is_null() {
+            self.nulls -= 1;
+            return;
+        }
+        let n = self.copies.get_mut(v).expect("a row removed was added");
+        *n -= 1;
+        if *n == 0 {
+            self.copies.remove(v);
+            // The last copy of an extreme left: its successor is among the keys.
+            if self.min.as_ref() == Some(v) {
+                self.min = self.copies.keys().min().cloned();
+            }
+            if self.max.as_ref() == Some(v) {
+                self.max = self.copies.keys().max().cloned();
+            }
+        }
+    }
+}
+
+/// Running, exact statistics of a multiset of rows. `add` and `remove` are
+/// O(width) hash operations (removing the last copy of a column's extreme also
+/// searches its distinct values for the next); `snapshot` reads off in O(width)
+/// what analysing the rows now held would find.
+#[derive(Debug, Clone)]
+pub(crate) struct StatsAccumulator {
+    rows: usize,
+    columns: Vec<ColumnAccumulator>,
+}
+
+impl StatsAccumulator {
+    /// Over `rows`, each `width` cells wide.
+    pub fn over<'a>(width: usize, rows: impl Iterator<Item = &'a Row>) -> Self {
+        let columns = vec![ColumnAccumulator::default(); width];
+        let mut acc = StatsAccumulator { rows: 0, columns };
+        rows.for_each(|row| acc.add(row));
+        acc
+    }
+
+    pub fn add(&mut self, row: &Row) {
+        self.rows += 1;
+        self.columns.iter_mut().zip(row.values()).for_each(|(c, v)| c.add(v));
+    }
+
+    /// `row` is one that was added and has not been removed since.
+    pub fn remove(&mut self, row: &Row) {
+        self.rows -= 1;
+        self.columns.iter_mut().zip(row.values()).for_each(|(c, v)| c.remove(v));
+    }
+
+    pub fn snapshot(&self) -> TableStats {
+        let rows = self.rows.max(1) as f64;
+        let column = |c: &ColumnAccumulator| ColumnStats {
+            ndv: c.copies.len(),
+            null_count: c.nulls,
+            min: c.min.clone(),
+            max: c.max.clone(),
+            avg_width: c.wire_bytes as f64 / rows,
+        };
+        let columns = self.columns.iter().map(column).collect();
+        TableStats { row_count: self.rows, columns }
+    }
+}
+
 impl TableStats {
     /// Compute exact statistics from rows.
     pub fn analyze<'a>(width: usize, rows: impl Iterator<Item = &'a Row>) -> TableStats {
-        let mut row_count = 0usize;
-        let mut distinct: Vec<HashSet<Value>> = vec![HashSet::new(); width];
-        let mut nulls = vec![0usize; width];
-        let mut mins: Vec<Option<Value>> = vec![None; width];
-        let mut maxs: Vec<Option<Value>> = vec![None; width];
-        let mut widths = vec![0usize; width];
-        for row in rows {
-            row_count += 1;
-            for (c, v) in row.values().iter().enumerate() {
-                widths[c] += v.wire_size();
-                if v.is_null() {
-                    nulls[c] += 1;
-                    continue;
-                }
-                distinct[c].insert(v.clone());
-                match &mins[c] {
-                    Some(m) if m <= v => {}
-                    _ => mins[c] = Some(v.clone()),
-                }
-                match &maxs[c] {
-                    Some(m) if m >= v => {}
-                    _ => maxs[c] = Some(v.clone()),
-                }
-            }
-        }
-        let columns = (0..width)
-            .map(|c| ColumnStats {
-                ndv: distinct[c].len(),
-                null_count: nulls[c],
-                min: mins[c].clone(),
-                max: maxs[c].clone(),
-                avg_width: if row_count == 0 {
-                    0.0
-                } else {
-                    widths[c] as f64 / row_count as f64
-                },
-            })
-            .collect();
-        TableStats { row_count, columns }
+        StatsAccumulator::over(width, rows).snapshot()
     }
 
     /// Average wire size of a full row.

@@ -1,15 +1,16 @@
 //! Tables: constraint-checked row storage with secondary indexes, a change
-//! log, and per-version derived state — statistics and a column image.
+//! log, and derived state — statistics, kept current by every write once
+//! somebody has asked for them ([`crate::stats`]), and a per-version column image.
 //!
 //! The rows are the store of record: the change log, IVM, `get_by_pk`,
 //! `lookup_eq` and `all_rows` read them. The column reads — [`Table::scan_columns`]
 //! and [`Table::lookup_in_columns`] — are views of the *image*: field `c` of the
 //! live rows in slot order, built by the first reader that asks for column `c`
 //! after a mutation (under the table's read lock; concurrent readers build it
-//! once) and dropped by every mutation, like the statistics. A scan is `Arc`
-//! clones of image columns, a bound lookup the same columns under a selection,
-//! so a read copies no cell and an answer already handed out keeps the columns
-//! of the version it read — the next write builds new ones.
+//! once) and dropped by every mutation. A scan is `Arc` clones of image columns,
+//! a bound lookup the same columns under a selection, so a read copies no cell
+//! and an answer already handed out keeps the columns of the version it read —
+//! the next write builds new ones.
 
 use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
@@ -21,7 +22,7 @@ use eii_data::{
 
 use crate::changelog::{ChangeLog, ChangeOp};
 use crate::index::{HashIndex, OrderedIndex};
-use crate::stats::TableStats;
+use crate::stats::{StatsAccumulator, TableStats};
 
 /// Identifies a row slot within a table. Stable across unrelated mutations,
 /// recycled after deletion.
@@ -65,8 +66,11 @@ pub struct Table {
     ordered_indexes: Vec<OrderedIndex>,
     log: ChangeLog,
     clock: SimClock,
-    /// Computed by the first [`Table::stats`] after a mutation; every
-    /// mutation empties it.
+    /// The running statistics: built from the rows by the first
+    /// [`Table::stats`], fed by every mutation from then on.
+    stats_acc: OnceLock<StatsAccumulator>,
+    /// What `stats_acc` read at the first [`Table::stats`] after a mutation;
+    /// every mutation empties it.
     stats_cache: OnceLock<Arc<TableStats>>,
     /// The column image, one cell per schema field: that field of the live
     /// rows in slot order. Filled by the first read of the column after a
@@ -108,6 +112,7 @@ impl Table {
             ordered_indexes: Vec::new(),
             log: ChangeLog::new(),
             clock,
+            stats_acc: OnceLock::new(),
             stats_cache: OnceLock::new(),
             image,
             positions: OnceLock::new(),
@@ -134,9 +139,14 @@ impl Table {
         &self.log
     }
 
-    /// The rows changed: drop everything derived from them. Every mutation
-    /// ends here, so a new one cannot forget a cache.
-    fn touched(&mut self) {
+    /// The rows changed — `old` left, `new` arrived: tell the statistics, drop
+    /// everything else derived from the rows. Every mutation ends here, so a
+    /// new one cannot forget a cache.
+    fn touched(&mut self, old: Option<&Row>, new: Option<&Row>) {
+        if let Some(acc) = self.stats_acc.get_mut() {
+            old.into_iter().for_each(|row| acc.remove(row));
+            new.into_iter().for_each(|row| acc.add(row));
+        }
         self.stats_cache.take();
         self.positions.take();
         for column in &mut self.image {
@@ -198,7 +208,7 @@ impl Table {
         };
         self.index_row(rid, &row);
         self.live += 1;
-        self.touched();
+        self.touched(None, Some(&row));
         self.log
             .append(self.clock.now_ms(), ChangeOp::Insert { new: row });
         Ok(rid)
@@ -281,7 +291,7 @@ impl Table {
         self.unindex_row(rid, &old);
         self.slots[rid] = Some(new.clone());
         self.index_row(rid, &new);
-        self.touched();
+        self.touched(Some(&old), Some(&new));
         self.log
             .append(self.clock.now_ms(), ChangeOp::Update { old, new });
         Ok(true)
@@ -304,7 +314,7 @@ impl Table {
         self.unindex_row(rid, &row);
         self.free.push(rid);
         self.live -= 1;
-        self.touched();
+        self.touched(Some(&row), None);
         self.log
             .append(self.clock.now_ms(), ChangeOp::Delete { old: row });
         true
@@ -525,15 +535,17 @@ impl Table {
         self.ordered_indexes.push(ix);
     }
 
-    /// Table statistics: computed by the first call after a mutation,
-    /// shared by every call until the next one.
+    /// Table statistics, exactly what analysing the live rows would find: an
+    /// O(width) snapshot of the running statistics by the first call after a
+    /// mutation, shared by every call until the next one. Only the first call
+    /// in the table's life reads the rows.
     pub fn stats(&self) -> Arc<TableStats> {
-        self.stats_cache
-            .get_or_init(|| {
-                let width = self.def.schema.len();
-                Arc::new(TableStats::analyze(width, self.iter().map(|(_, r)| r)))
-            })
-            .clone()
+        let snapshot = || {
+            let rows = self.iter().map(|(_, r)| r);
+            let acc = self.stats_acc.get_or_init(|| StatsAccumulator::over(self.def.schema.len(), rows));
+            Arc::new(acc.snapshot())
+        };
+        self.stats_cache.get_or_init(snapshot).clone()
     }
 }
 
@@ -666,32 +678,34 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Fill every per-version cache: statistics, all image columns and — when
-    /// a slot is vacant — the position map (an index lookup consults it).
+    /// Fill every per-version cache: the statistics snapshot (two calls with
+    /// no write between them share it), all image columns and — when a slot is
+    /// vacant — the position map (an index lookup consults it).
     fn warm(t: &Table) {
-        t.stats();
+        assert!(Arc::ptr_eq(&t.stats(), &t.stats()));
         t.scan_columns(&[0, 1, 2], usize::MAX);
         t.lookup_in_columns(0, &[Value::Int(1)], &[0]);
         assert!(t.stats_cache.get().is_some() && t.image.iter().all(|c| c.get().is_some()));
         assert_eq!(t.positions.get().is_some(), !t.free.is_empty());
     }
 
+    /// A mutation drops every per-version cache and keeps the running
+    /// statistics, which have followed it.
     fn assert_cold(t: &Table, after: &str) {
-        assert!(t.stats_cache.get().is_none(), "statistics survived {after}");
+        assert!(t.stats_cache.get().is_none(), "statistics snapshot survived {after}");
         assert!(t.image.iter().all(|c| c.get().is_none()), "image survived {after}");
         assert!(t.positions.get().is_none(), "position map survived {after}");
+        let kept = t.stats_acc.get().expect("running statistics dropped").snapshot();
+        let rows = t.iter().map(|(_, r)| r);
+        assert_eq!(kept, TableStats::analyze(t.schema().len(), rows), "after {after}");
     }
 
     #[test]
     fn stats_cache_invalidation() {
         let mut t = table();
         t.insert(row![1i64, "a", 0.0]).unwrap();
-        let first = t.stats();
-        assert_eq!(first.row_count, 1);
-        assert!(
-            Arc::ptr_eq(&first, &t.stats()),
-            "second call reuses the first's"
-        );
+        assert!(t.stats_acc.get().is_none(), "a table nobody asks keeps no statistics");
+        assert_eq!(t.stats().row_count, 1);
 
         warm(&t);
         t.insert(row![2i64, "b", 0.0]).unwrap();
@@ -727,8 +741,11 @@ mod tests {
         // A write that fails its constraint changed nothing and drops nothing.
         t.insert(row![1i64, "a", 0.0]).unwrap();
         warm(&t);
+        let before = t.stats();
         t.insert(row![1i64, "dup", 0.0]).unwrap_err();
+        t.update_by_pk(&Value::Int(1), &[(0, Value::Null)]).unwrap_err();
         assert!(t.image.iter().all(|c| c.get().is_some()));
+        assert!(Arc::ptr_eq(&before, &t.stats()));
     }
 
     fn rows_of(read: (ColumnarBatch, usize)) -> Vec<Row> {
