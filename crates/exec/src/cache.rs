@@ -65,16 +65,6 @@ impl SnapshotStore {
     pub fn remove(&self, name: &str) {
         self.inner.lock().expect("snapshot store lock").remove(name);
     }
-
-    /// All stored names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .expect("snapshot store lock")
-            .keys()
-            .cloned()
-            .collect()
-    }
 }
 
 /// Re-shape a batch read from a store to `target`'s columns by name
@@ -439,7 +429,6 @@ mod tests {
             StdArc::ptr_eq(b.column(0), stored.column(0)),
             "a read shares the stored columns"
         );
-        assert_eq!(store.names(), vec!["top".to_string()]);
         store.remove("top");
         assert!(store.get("top").is_none());
     }

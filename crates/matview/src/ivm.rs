@@ -29,17 +29,17 @@
 //!   retraction of its old output row and an insertion of the new one.
 //!
 //! The maintained view is a canonical multiset (`BTreeMap<Row, i64>`)
-//! materialized in sorted row order, so same-seed runs are bit-identical
-//! and the IVM ≡ full-recompute property is checkable by sorting the
-//! recomputed batch. Refresh cost is charged in simulated time as
+//! materialized into columns in sorted row order, so same-seed runs are
+//! bit-identical and the IVM ≡ full-recompute property is checkable by
+//! sorting the recomputed batch. Refresh cost is charged in simulated time as
 //! [`IVM_PROBE_MS`] per base table plus [`IVM_ROW_MS`] per delta row — it
 //! scales with the change, not the data (experiment E19 gates this).
 
 use std::collections::BTreeMap;
 
-use eii_data::{Batch, EiiError, Result, Row, Schema, SchemaRef, Value};
-use eii_expr::{bind, conjuncts, AggFunc, BinaryOp, BoundExpr, Expr};
-use eii_planner::LogicalPlan;
+use eii_data::{ColumnarBatch, EiiError, Result, Row, Schema, SchemaRef, Value};
+use eii_expr::{bind, AggFunc, BoundExpr, Expr};
+use eii_planner::{split_join_on, LogicalPlan};
 use eii_storage::{Change, ChangeOp};
 
 /// Simulated cost of probing one base table's change log per refresh.
@@ -236,10 +236,7 @@ fn build(plan: &LogicalPlan) -> Result<OpState> {
                     "ivm: scan-level LIMIT is not incrementalizable".into(),
                 ));
             }
-            let filters = pushed_filters
-                .iter()
-                .map(|f| bind(f, base_schema))
-                .collect::<Result<Vec<_>>>()?;
+            let filters = bind_all(pushed_filters, base_schema)?;
             let projection = projection
                 .as_ref()
                 .map(|cols| {
@@ -289,53 +286,15 @@ fn build(plan: &LogicalPlan) -> Result<OpState> {
                     "ivm: {kind} is not incrementalizable"
                 )));
             }
-            let lschema = left.schema()?;
-            let rschema = right.schema()?;
-            let joined = Schema::join(&lschema, &rschema);
-            let mut left_keys = Vec::new();
-            let mut right_keys = Vec::new();
-            let mut residual = Vec::new();
-            for c in on.iter().flat_map(conjuncts) {
-                // `a = b` becomes an equi key only when each operand binds
-                // **exclusively** against one input. An operand that also
-                // binds on the opposite schema (a literal, or an
-                // unqualified name present in both inputs) is ambiguous
-                // about which side it keys, so it stays a residual
-                // predicate over the joined row — exactly how the executor
-                // evaluates the ON clause.
-                let mut keyed = false;
-                if let Expr::Binary {
-                    left: l,
-                    op: BinaryOp::Eq,
-                    right: r,
-                } = &c
-                {
-                    let (l_on_l, l_on_r) = (bind(l, &lschema), bind(l, &rschema));
-                    let (r_on_l, r_on_r) = (bind(r, &lschema), bind(r, &rschema));
-                    match (l_on_l, l_on_r, r_on_l, r_on_r) {
-                        (Ok(lk), Err(_), Err(_), Ok(rk)) => {
-                            left_keys.push(lk);
-                            right_keys.push(rk);
-                            keyed = true;
-                        }
-                        (Err(_), Ok(rk), Ok(lk), Err(_)) => {
-                            left_keys.push(lk);
-                            right_keys.push(rk);
-                            keyed = true;
-                        }
-                        _ => {}
-                    }
-                }
-                if !keyed {
-                    residual.push(bind(&c, &joined)?);
-                }
-            }
+            // Keyed and residual exactly as the executor's join is.
+            let (lschema, rschema) = (left.schema()?, right.schema()?);
+            let (left_keys, right_keys, residual) = split_join_on(on.as_ref(), &lschema, &rschema);
             Ok(OpState::Join {
                 left: Box::new(build(left)?),
                 right: Box::new(build(right)?),
-                left_keys,
-                right_keys,
-                residual,
+                left_keys: bind_all(&left_keys, &lschema)?,
+                right_keys: bind_all(&right_keys, &rschema)?,
+                residual: bind_all(&residual, &Schema::join(&lschema, &rschema))?,
                 left_rows: BTreeMap::new(),
                 right_rows: BTreeMap::new(),
             })
@@ -346,10 +305,7 @@ fn build(plan: &LogicalPlan) -> Result<OpState> {
             aggs,
         } => {
             let schema = input.schema()?;
-            let group_exprs = group_by
-                .iter()
-                .map(|g| bind(g, &schema))
-                .collect::<Result<Vec<_>>>()?;
+            let group_exprs = bind_all(group_by, &schema)?;
             let specs = aggs
                 .iter()
                 .map(|a| {
@@ -382,6 +338,10 @@ fn build(plan: &LogicalPlan) -> Result<OpState> {
             plan.display()
         ))),
     }
+}
+
+fn bind_all(exprs: &[Expr], schema: &Schema) -> Result<Vec<BoundExpr>> {
+    exprs.iter().map(|e| bind(e, schema)).collect()
 }
 
 fn eval_keys(keys: &[BoundExpr], row: &Row) -> Result<Vec<Value>> {
@@ -765,10 +725,11 @@ impl IvmState {
         Ok(sim_ms)
     }
 
-    /// Materialize the maintained multiset as a batch in canonical
-    /// (sorted-row) order.
-    pub fn materialize(&self) -> Result<Batch> {
-        let mut rows = Vec::new();
+    /// Materialize the maintained multiset as columns in canonical
+    /// (sorted-row) order: each row is read by reference, once per unit of
+    /// its multiplicity, straight into the column builders.
+    pub fn materialize(&self) -> Result<ColumnarBatch> {
+        let mut len = 0;
         for (row, w) in &self.result {
             if *w < 0 {
                 return Err(EiiError::Execution(format!(
@@ -776,18 +737,19 @@ impl IvmState {
                      base change log retracted a row it never inserted"
                 )));
             }
-            for _ in 0..*w {
-                rows.push(row.clone());
-            }
+            len += *w as usize;
         }
-        Ok(Batch::new(self.schema.clone(), rows))
+        // `take` bounds the iterator's size hint, so the builders reserve once.
+        let rows = self.result.iter().flat_map(|(row, &w)| std::iter::repeat_n(row, w as usize));
+        let all: Vec<usize> = (0..self.schema.len()).collect();
+        Ok(ColumnarBatch::from_rows(self.schema.clone(), &all, rows.take(len)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eii_data::{row, DataType, Field};
+    use eii_data::{row, ColumnData, DataType, Field};
     use eii_planner::AggItem;
     use std::sync::Arc;
 
@@ -850,7 +812,7 @@ mod tests {
                 &[("sales.orders".into(), 2)],
             )
             .unwrap();
-        let batch = state.materialize().unwrap();
+        let batch = state.materialize().unwrap().to_batch();
         assert_eq!(batch.rows(), &[row![2i64, 9i64]]);
         assert_eq!(state.watermark("sales.orders"), 2);
         // Retraction removes it again.
@@ -860,7 +822,7 @@ mod tests {
                 &[("sales.orders".into(), 3)],
             )
             .unwrap();
-        assert!(state.materialize().unwrap().is_empty());
+        assert!(state.materialize().unwrap().to_batch().is_empty());
     }
 
     #[test]
@@ -878,7 +840,7 @@ mod tests {
         d.insert("crm.customers".into(), vec![(row![7i64, "r1"], 1)]);
         d.insert("sales.orders".into(), vec![(row![1i64, 7i64, 5i64], 1)]);
         state.apply(&d, &[]).unwrap();
-        let batch = state.materialize().unwrap();
+        let batch = state.materialize().unwrap().to_batch();
         assert_eq!(batch.num_rows(), 1);
         assert_eq!(batch.rows()[0], row![7i64, "r1", 1i64, 7i64, 5i64]);
         // Deleting the left row retracts the joined row.
@@ -888,7 +850,7 @@ mod tests {
                 &[],
             )
             .unwrap();
-        assert!(state.materialize().unwrap().is_empty());
+        assert!(state.materialize().unwrap().to_batch().is_empty());
     }
 
     #[test]
@@ -911,7 +873,7 @@ mod tests {
             ],
         );
         state.apply(&d, &[]).unwrap();
-        let batch = state.materialize().unwrap();
+        let batch = state.materialize().unwrap().to_batch();
         assert_eq!(batch.rows(), &[row![7i64, "r1", 2i64, 7i64, 3i64]]);
         // A NULL-keyed left row arrives while the NULL-keyed order would
         // still be in a naive join state: NULL must not join NULL (the
@@ -922,7 +884,7 @@ mod tests {
                 &[],
             )
             .unwrap();
-        assert_eq!(state.materialize().unwrap().num_rows(), 1);
+        assert_eq!(state.materialize().unwrap().to_batch().num_rows(), 1);
         // Retracting the NULL-keyed rows is symmetric: no output change,
         // no negative multiplicities.
         let mut d = TableDeltas::new();
@@ -932,7 +894,7 @@ mod tests {
             vec![(row![1i64, Value::Null, 5i64], -1)],
         );
         state.apply(&d, &[]).unwrap();
-        assert_eq!(state.materialize().unwrap().num_rows(), 1);
+        assert_eq!(state.materialize().unwrap().to_batch().num_rows(), 1);
     }
 
     #[test]
@@ -958,7 +920,7 @@ mod tests {
             vec![(row![1i64, 7i64, 5i64], 1), (row![2i64, 7i64, 9i64], 1)],
         );
         state.apply(&d, &[]).unwrap();
-        let batch = state.materialize().unwrap();
+        let batch = state.materialize().unwrap().to_batch();
         assert_eq!(batch.rows(), &[row![7i64, "r1", 1i64, 7i64, 5i64]]);
     }
 
@@ -982,7 +944,7 @@ mod tests {
             vec![(row![1i64, 7i64, 5i64], 1), (row![2i64, 7i64, 50i64], 1)],
         );
         state.apply(&d, &[]).unwrap();
-        assert_eq!(state.materialize().unwrap().num_rows(), 1);
+        assert_eq!(state.materialize().unwrap().to_batch().num_rows(), 1);
     }
 
     fn agg_plan(func: AggFunc, arg: Option<Expr>, grouped: bool) -> LogicalPlan {
@@ -1010,7 +972,7 @@ mod tests {
         )
         .unwrap();
         state.apply(&TableDeltas::new(), &[]).unwrap();
-        let batch = state.materialize().unwrap();
+        let batch = state.materialize().unwrap().to_batch();
         assert_eq!(batch.rows(), &[row![0i64]]);
         // Sum over zero rows would be NULL.
         let mut sum = IvmState::build(
@@ -1019,7 +981,7 @@ mod tests {
         )
         .unwrap();
         sum.apply(&TableDeltas::new(), &[]).unwrap();
-        assert_eq!(sum.materialize().unwrap().rows(), &[row![Value::Null]]);
+        assert_eq!(sum.materialize().unwrap().to_batch().rows(), &[row![Value::Null]]);
     }
 
     #[test]
@@ -1043,7 +1005,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            state.materialize().unwrap().rows(),
+            state.materialize().unwrap().to_batch().rows(),
             &[row![7i64, 8i64], row![8i64, 10i64]]
         );
         // Update order 2's qty 3 -> 30 (retract + insert).
@@ -1057,7 +1019,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            state.materialize().unwrap().rows(),
+            state.materialize().unwrap().to_batch().rows(),
             &[row![7i64, 35i64], row![8i64, 10i64]]
         );
         // Delete the whole group 8.
@@ -1067,7 +1029,7 @@ mod tests {
                 &[],
             )
             .unwrap();
-        assert_eq!(state.materialize().unwrap().rows(), &[row![7i64, 35i64]]);
+        assert_eq!(state.materialize().unwrap().to_batch().rows(), &[row![7i64, 35i64]]);
     }
 
     #[test]
@@ -1090,7 +1052,7 @@ mod tests {
                 &[],
             )
             .unwrap();
-        assert_eq!(state.materialize().unwrap().rows(), &[row![7i64, 9i64]]);
+        assert_eq!(state.materialize().unwrap().to_batch().rows(), &[row![7i64, 9i64]]);
         // Retract the maximum: the group rescans and finds 5.
         state
             .apply(
@@ -1098,7 +1060,7 @@ mod tests {
                 &[],
             )
             .unwrap();
-        assert_eq!(state.materialize().unwrap().rows(), &[row![7i64, 5i64]]);
+        assert_eq!(state.materialize().unwrap().to_batch().rows(), &[row![7i64, 5i64]]);
     }
 
     #[test]
@@ -1122,7 +1084,29 @@ mod tests {
             )
             .unwrap();
         // NULL qty is skipped: AVG = (4+8)/2.
-        assert_eq!(state.materialize().unwrap().rows(), &[row![7i64, 6.0f64]]);
+        assert_eq!(state.materialize().unwrap().to_batch().rows(), &[row![7i64, 6.0f64]]);
+    }
+
+    #[test]
+    fn materialize_pivots_the_multiset_into_typed_columns() {
+        let mut state = IvmState::build(&customers_scan(), &["crm.customers".into()]).unwrap();
+        let rows = vec![
+            (row![7i64, "r1"], 2),
+            (row![3i64, Value::Null], 1),
+            (row![5i64, "r0"], 1),
+        ];
+        state.apply(&deltas("crm.customers", rows), &[]).unwrap();
+        let image = state.materialize().unwrap();
+        assert!(matches!(image.column(0).data(), ColumnData::Int(_)));
+        assert!(matches!(image.column(1).data(), ColumnData::Str(_)));
+        assert_eq!(
+            image.to_batch().rows(),
+            &[row![3i64, Value::Null], row![5i64, "r0"], row![7i64, "r1"], row![7i64, "r1"]]
+        );
+        // A retraction of a row never inserted leaves a negative multiplicity.
+        let never = vec![(row![9i64, "r9"], -1)];
+        state.apply(&deltas("crm.customers", never), &[]).unwrap();
+        assert_eq!(state.materialize().unwrap_err().kind(), "execution");
     }
 
     #[test]
@@ -1141,6 +1125,6 @@ mod tests {
             .unwrap();
         assert!(one < 1.0, "single-row delta must be cheap, got {one}");
         assert_eq!(state.stats().input_rows, 101);
-        assert_eq!(state.materialize().unwrap().num_rows(), 101);
+        assert_eq!(state.materialize().unwrap().to_batch().num_rows(), 101);
     }
 }

@@ -61,8 +61,6 @@ struct ViewState {
     logical: Arc<LogicalPlan>,
     schema: SchemaRef,
     policy: RefreshPolicy,
-    cache: Option<Batch>,
-    cached_at_ms: i64,
     refresh_count: usize,
     total_refresh_ms: f64,
     /// Delta-maintenance state when the view is incrementally maintained.
@@ -72,22 +70,19 @@ struct ViewState {
 }
 
 impl ViewState {
-    /// Is the cached materialization servable at `now_ms` without a
-    /// recompute? Periodic views are within their interval; manual views
-    /// whenever materialized. Live views are servable only while
-    /// incrementally maintained: eager on-write maintenance
-    /// ([`Inner::on_base_write`]) keeps their cache exactly equal to a
-    /// fresh recompute, so serving it *is* serving live data. A live view
-    /// without IVM state recomputes on every fetch, as before.
-    fn servable(&self, now_ms: i64) -> bool {
-        self.cache.is_some()
-            && match self.policy {
-                RefreshPolicy::Live => self.ivm.is_some(),
-                RefreshPolicy::Periodic { interval_ms } => {
-                    now_ms - self.cached_at_ms < interval_ms
-                }
-                RefreshPolicy::Manual => true,
-            }
+    /// Is a materialization stamped `as_of_ms` servable at `now_ms` without
+    /// a recompute? Periodic views are within their interval; manual views
+    /// always. Live views are servable only while incrementally maintained:
+    /// eager on-write maintenance ([`Inner::on_base_write`]) keeps their
+    /// materialization exactly equal to a fresh recompute, so serving it
+    /// *is* serving live data. A live view without IVM state recomputes on
+    /// every fetch, as before.
+    fn servable(&self, as_of_ms: i64, now_ms: i64) -> bool {
+        match self.policy {
+            RefreshPolicy::Live => self.ivm.is_some(),
+            RefreshPolicy::Periodic { interval_ms } => now_ms - as_of_ms < interval_ms,
+            RefreshPolicy::Manual => true,
+        }
     }
 }
 
@@ -134,9 +129,9 @@ impl MatViewManager {
         MatViewManager { inner }
     }
 
-    /// The shared row store every materialization is synced into. Hand a
-    /// clone to [`Executor::with_matviews`] so rewritten plans can scan
-    /// the views locally.
+    /// The store holding every view's materialization — its one copy and
+    /// its one timestamp. Hand a clone to [`Executor::with_matviews`] so
+    /// rewritten plans can scan the views locally.
     pub fn store(&self) -> SnapshotStore {
         self.inner.store.clone()
     }
@@ -144,24 +139,27 @@ impl MatViewManager {
     /// Would [`MatViewManager::defs`] return anything at `now_ms`? While it
     /// would not, the rewrite pass leaves every plan as it found it.
     pub fn any_servable(&self, now_ms: i64) -> bool {
-        self.inner.views.lock().values().any(|s| s.servable(now_ms))
+        let inner = &self.inner;
+        inner.views.lock().iter().any(|(name, s)| inner.servable(name, s, now_ms).is_some())
     }
 
     /// Definitions of every view whose materialization is servable at
     /// `now_ms` under its refresh policy, as plain data for
     /// [`eii_planner::rewrite_matviews`]. Live views (which must always
-    /// recompute) and expired or never-materialized caches are excluded.
+    /// recompute) and expired or never-materialized views are excluded.
     pub fn defs(&self, now_ms: i64) -> Vec<MatViewDef> {
         self.inner
             .views
             .lock()
             .iter()
-            .filter(|(_, s)| s.servable(now_ms))
-            .map(|(name, s)| MatViewDef {
-                name: name.clone(),
-                plan: s.logical.clone(),
-                schema: s.schema.clone(),
-                rows: s.cache.as_ref().map_or(0, Batch::num_rows),
+            .filter_map(|(name, s)| {
+                let (image, _) = self.inner.servable(name, s, now_ms)?;
+                Some(MatViewDef {
+                    name: name.clone(),
+                    plan: s.logical.clone(),
+                    schema: s.schema.clone(),
+                    rows: image.num_rows(),
+                })
             })
             .collect()
     }
@@ -253,8 +251,6 @@ impl MatViewManager {
                 logical: Arc::new(logical),
                 schema,
                 policy,
-                cache: None,
-                cached_at_ms: 0,
                 refresh_count: 0,
                 total_refresh_ms: 0.0,
                 ivm,
@@ -288,16 +284,16 @@ impl Inner {
             .is_ok()
     }
 
-    fn compute(&self, name: &str, state: &mut ViewState) -> Result<(Batch, f64)> {
-        self.compute_ctx(name, state, None)
+    /// The view's materialization and its stamp, when it is servable at
+    /// `now_ms`.
+    fn servable(&self, name: &str, state: &ViewState, now_ms: i64) -> Option<(ColumnarBatch, i64)> {
+        self.store.get(name).filter(|(_, as_of)| state.servable(*as_of, now_ms))
     }
 
-    fn compute_ctx(
-        &self,
-        name: &str,
-        state: &mut ViewState,
-        ctx: Option<&RequestCtx>,
-    ) -> Result<(Batch, f64)> {
+    /// Materialize the view into the store afresh and return the simulated
+    /// cost: by delta propagation when it is incrementally maintained, else
+    /// by running its plan, whose rows are pivoted once into the store.
+    fn compute(&self, name: &str, state: &mut ViewState, ctx: Option<&RequestCtx>) -> Result<f64> {
         if state.ivm.is_some() {
             return self.apply_deltas(name, state, ctx);
         }
@@ -311,12 +307,8 @@ impl Inner {
         let res = exec.execute(&state.plan)?;
         state.refresh_count += 1;
         state.total_refresh_ms += res.cost.sim_ms;
-        self.store.put(
-            name,
-            ColumnarBatch::from_batch(&res.batch),
-            self.clock.now_ms(),
-        );
-        Ok((res.batch, res.cost.sim_ms))
+        self.store.put(name, ColumnarBatch::from_batch(&res.batch), self.clock.now_ms());
+        Ok(res.cost.sim_ms)
     }
 
     /// Incremental refresh: read each base table's change log past the
@@ -330,11 +322,12 @@ impl Inner {
         name: &str,
         state: &mut ViewState,
         ctx: Option<&RequestCtx>,
-    ) -> Result<(Batch, f64)> {
+    ) -> Result<f64> {
         let metrics = self.federation.metrics();
         let now = self.clock.now_ms();
-        if state.cache.is_some() {
-            metrics.observe("ivm.staleness_ms", (now - state.cached_at_ms) as f64);
+        let held = self.store.get(name);
+        if let Some((_, as_of)) = &held {
+            metrics.observe("ivm.staleness_ms", (now - as_of) as f64);
         }
         let ivm = state.ivm.as_mut().expect("delta path requires ivm state");
         let mut deltas = TableDeltas::new();
@@ -354,32 +347,21 @@ impl Inner {
         }
         let delta_rows: usize = deltas.values().map(Vec::len).sum();
         let sim_ms = ivm.apply(&deltas, &watermarks)?;
-        // Nothing past the watermarks: the materialization in hand (every
-        // caller puts the batch back) is the view as of `now` too, and is
-        // stamped again, not built again.
-        let held = if delta_rows == 0 { state.cache.take().zip(self.store.get(name)) } else { None };
-        let batch = match held {
-            Some((batch, (snapshot, _))) => {
-                self.store.put(name, snapshot, now);
-                batch
-            }
-            None => {
-                // The watermarks moved; if nothing materializes them, what is
-                // held must not pass for it at the next empty delta.
-                let batch = ivm.materialize().inspect_err(|_| {
-                    state.cache = None;
-                    self.store.remove(name);
-                })?;
-                self.store.put(name, ColumnarBatch::from_batch(&batch), now);
-                batch
-            }
+        // Nothing past the watermarks: the image the store holds is the view
+        // as of `now` too, and is stamped again, not built again. Otherwise
+        // the watermarks moved; if nothing materializes them, the image held
+        // must not pass for it at the next empty delta.
+        let image = match held.filter(|_| delta_rows == 0) {
+            Some((image, _)) => image,
+            None => ivm.materialize().inspect_err(|_| self.store.remove(name))?,
         };
+        self.store.put(name, image, now);
         metrics.inc("ivm.refreshes");
         metrics.add("ivm.delta_rows", delta_rows as u64);
         metrics.observe("ivm.refresh_ms", sim_ms);
         state.refresh_count += 1;
         state.total_refresh_ms += sim_ms;
-        Ok((batch, sim_ms))
+        Ok(sim_ms)
     }
 
     /// Eager-maintenance hook, fired (on the writer's thread, no
@@ -398,25 +380,15 @@ impl Inner {
         let qualified = format!("{source}.{table}");
         let mut views = self.views.lock();
         for (name, state) in views.iter_mut() {
-            if !matches!(state.policy, RefreshPolicy::Live) || state.cache.is_none() {
+            if !matches!(state.policy, RefreshPolicy::Live) || self.store.get(name).is_none() {
                 continue;
             }
             let reads_table = state
                 .ivm
                 .as_ref()
                 .is_some_and(|ivm| ivm.base_tables().contains(&qualified));
-            if !reads_table {
-                continue;
-            }
-            match self.apply_deltas(name, state, None) {
-                Ok((batch, _)) => {
-                    state.cache = Some(batch);
-                    state.cached_at_ms = self.clock.now_ms();
-                }
-                Err(_) => {
-                    state.cache = None;
-                    self.store.remove(name);
-                }
+            if reads_table && self.apply_deltas(name, state, None).is_err() {
+                self.store.remove(name);
             }
         }
     }
@@ -430,29 +402,22 @@ impl MatViewManager {
             .get_mut(name)
             .ok_or_else(|| EiiError::NotFound(format!("materialized view {name}")))?;
         let now = self.inner.clock.now_ms();
-        let recompute = !state.servable(now);
-        if recompute {
-            let (batch, sim_ms) = self.inner.compute(name, state)?;
-            state.cache = Some(batch.clone());
-            state.cached_at_ms = now;
-            return Ok((
-                batch,
-                FetchOutcome {
-                    sim_ms,
-                    staleness_ms: 0,
-                    recomputed: true,
-                },
-            ));
-        }
-        let batch = state.cache.clone().expect("cache present");
-        Ok((
-            batch,
-            FetchOutcome {
+        if let Some((image, as_of)) = self.inner.servable(name, state, now) {
+            let outcome = FetchOutcome {
                 sim_ms: 0.05, // local cache read
-                staleness_ms: now - state.cached_at_ms,
+                staleness_ms: now - as_of,
                 recomputed: false,
-            },
-        ))
+            };
+            return Ok((image.to_batch(), outcome));
+        }
+        let sim_ms = self.inner.compute(name, state, None)?;
+        let (image, _) = self.inner.store.get(name).expect("a refresh stores the view");
+        let outcome = FetchOutcome {
+            sim_ms,
+            staleness_ms: 0,
+            recomputed: true,
+        };
+        Ok((image.to_batch(), outcome))
     }
 
     /// Explicitly recompute the view now (incrementally when the view is
@@ -473,10 +438,7 @@ impl MatViewManager {
         let state = views
             .get_mut(name)
             .ok_or_else(|| EiiError::NotFound(format!("materialized view {name}")))?;
-        let (batch, sim_ms) = self.inner.compute_ctx(name, state, ctx)?;
-        state.cache = Some(batch);
-        state.cached_at_ms = self.inner.clock.now_ms();
-        Ok(sim_ms)
+        self.inner.compute(name, state, ctx)
     }
 
     /// Maintenance status for one view.
@@ -518,13 +480,13 @@ impl MatViewManager {
         Ok(tables)
     }
 
-    /// The view's current materialization, if one exists.
+    /// The view's current materialization, as rows, if one exists.
     pub fn cached(&self, name: &str) -> Result<Option<Batch>> {
         let views = self.inner.views.lock();
-        let state = views
+        views
             .get(name)
             .ok_or_else(|| EiiError::NotFound(format!("materialized view {name}")))?;
-        Ok(state.cache.clone())
+        Ok(self.inner.store.get(name).map(|(image, _)| image.to_batch()))
     }
 
     /// Change a view's policy ("the administrator was able to choose").
@@ -805,6 +767,30 @@ mod tests {
         assert!(mgr.cached("v").unwrap().is_none() && mgr.store().get("v").is_none());
         // The log is empty past the new watermark, and that vouches for nothing.
         assert_eq!(mgr.refresh("v").unwrap_err().kind(), "execution");
+    }
+
+    #[test]
+    fn staleness_is_measured_from_the_stored_stamp() {
+        use eii_federation::FaultProfile;
+        let clock = SimClock::new();
+        let db = Database::new("crm", clock.clone());
+        let schema = Arc::new(Schema::new(vec![Field::new("id", DataType::Int).not_null()]));
+        let t = db.create_table(TableDef::new("t", schema).with_primary_key(0)).unwrap();
+        t.write().insert_all((0..3i64).map(|i| row![i])).unwrap();
+        let fed = Federation::with_clock(clock.clone());
+        let connector = Arc::new(RelationalConnector::new(db));
+        fed.register(connector, LinkProfile::lan(), WireFormat::Native).unwrap();
+        // Every connector call, the change-log read included, stalls 40 ms.
+        fed.inject_faults("crm", FaultProfile::none().with_spikes(1.0, 40)).unwrap();
+        let mgr = MatViewManager::new(fed, clock.clone());
+        mgr.define_incremental("v", "SELECT id FROM crm.t", &Catalog::new(), RefreshPolicy::Manual)
+            .unwrap();
+        mgr.refresh("v").unwrap();
+        clock.advance_ms(500);
+        let (rows, outcome) = mgr.fetch("v").unwrap();
+        let (_, as_of) = mgr.store().get("v").unwrap();
+        assert!(!outcome.recomputed && rows.num_rows() == 3);
+        assert_eq!(outcome.staleness_ms, clock.now_ms() - as_of);
     }
 
     #[test]

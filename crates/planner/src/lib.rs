@@ -35,7 +35,7 @@ pub use logical::{AggItem, LogicalPlan};
 pub use maintain::{
     derive_maintenance_plan, FallbackReason, MaintenanceDecision, MaintenancePlan,
 };
-pub use physical::{JoinSite, PhysicalPlan, PhysicalPlanner};
+pub use physical::{split_join_on, JoinSite, PhysicalPlan, PhysicalPlanner};
 pub use rewrite::{rewrite_matviews, rewrite_matviews_with_budget, MatViewDef};
 pub use rules::optimize;
 

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use eii_data::{EiiError, Result, Row, SchemaRef};
+use eii_data::{EiiError, Result, Row, Schema, SchemaRef};
 use eii_expr::{conjoin, conjuncts, BinaryOp, Expr};
 use eii_federation::{Federation, SourceQuery};
 use eii_sql::JoinKind;
@@ -510,38 +510,9 @@ impl<'a> PhysicalPlanner<'a> {
         kind: JoinKind,
         on: Option<&Expr>,
     ) -> Result<PhysicalPlan> {
-        let left_schema = left.schema()?;
-        let right_schema = right.schema()?;
+        let (left_schema, right_schema) = (left.schema()?, right.schema()?);
         let joined_schema = join.schema()?;
-
-        // Split the condition into equi pairs and residual conjuncts.
-        let mut left_keys: Vec<Expr> = Vec::new();
-        let mut right_keys: Vec<Expr> = Vec::new();
-        let mut residual: Vec<Expr> = Vec::new();
-        for c in on.into_iter().flat_map(conjuncts) {
-            if let Expr::Binary {
-                left: l,
-                op: BinaryOp::Eq,
-                right: r,
-            } = &c
-            {
-                let l_in_left = resolves(l, &left_schema);
-                let r_in_right = resolves(r, &right_schema);
-                let l_in_right = resolves(l, &right_schema);
-                let r_in_left = resolves(r, &left_schema);
-                if l_in_left && r_in_right {
-                    left_keys.push((**l).clone());
-                    right_keys.push((**r).clone());
-                    continue;
-                }
-                if l_in_right && r_in_left {
-                    left_keys.push((**r).clone());
-                    right_keys.push((**l).clone());
-                    continue;
-                }
-            }
-            residual.push(c);
-        }
+        let (left_keys, right_keys, residual) = split_join_on(on, &left_schema, &right_schema);
 
         // Access-limited right (or left) scans force bind joins.
         let model = CostModel::new(self.federation);
@@ -763,13 +734,46 @@ fn swapped_schema(joined: &SchemaRef, probe_len: usize) -> SchemaRef {
     let mut fields = Vec::with_capacity(joined.len());
     fields.extend(joined.fields()[probe_len..].iter().cloned());
     fields.extend(joined.fields()[..probe_len].iter().cloned());
-    std::sync::Arc::new(eii_data::Schema::new(fields))
+    std::sync::Arc::new(Schema::new(fields))
+}
+
+/// Split a join condition into equi pairs and residual conjuncts: `a = b`
+/// keys the join when one operand reads only `left`'s columns and the other
+/// only `right`'s, and every other conjunct is a predicate over the joined
+/// row. Returns `(left_keys, right_keys, residual)`.
+pub fn split_join_on(
+    on: Option<&Expr>,
+    left: &Schema,
+    right: &Schema,
+) -> (Vec<Expr>, Vec<Expr>, Vec<Expr>) {
+    let (mut left_keys, mut right_keys, mut residual) = (Vec::new(), Vec::new(), Vec::new());
+    for c in on.into_iter().flat_map(conjuncts) {
+        if let Expr::Binary {
+            left: l,
+            op: BinaryOp::Eq,
+            right: r,
+        } = &c
+        {
+            if resolves(l, left) && resolves(r, right) {
+                left_keys.push((**l).clone());
+                right_keys.push((**r).clone());
+                continue;
+            }
+            if resolves(l, right) && resolves(r, left) {
+                left_keys.push((**r).clone());
+                right_keys.push((**l).clone());
+                continue;
+            }
+        }
+        residual.push(c);
+    }
+    (left_keys, right_keys, residual)
 }
 
 /// Can `expr` key a join side: does it read a column, and only columns of
 /// `schema`? A literal resolves in every schema, so without the first test
 /// `a.x = 5` would be an equi pair whose other side hashes one constant.
-fn resolves(expr: &Expr, schema: &eii_data::Schema) -> bool {
+fn resolves(expr: &Expr, schema: &Schema) -> bool {
     !expr.is_constant() && resolves_in(expr, schema)
 }
 
