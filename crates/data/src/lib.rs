@@ -13,6 +13,7 @@ pub mod clock;
 pub mod columnar;
 pub mod deadline;
 pub mod error;
+pub mod keys;
 pub mod row;
 pub mod schema;
 pub mod value;
@@ -24,4 +25,4 @@ pub use deadline::{CancelToken, Deadline, Priority};
 pub use error::{EiiError, Result};
 pub use row::Row;
 pub use schema::{DataType, Field, Schema, SchemaRef};
-pub use value::{KeyProbe, Value};
+pub use value::Value;

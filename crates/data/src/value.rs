@@ -7,7 +7,6 @@
 //! semantics at the comparison layer of the expression crate.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -253,36 +252,6 @@ pub fn cmp_int_float(i: i64, f: f64) -> Ordering {
     i.cmp(&t).then_with(|| (t as f64).total_cmp(&f))
 }
 
-/// A hashed multi-key equality probe that answers exactly what a linear
-/// `keys.iter().position(|k| k == v)` sweep answers.
-#[derive(Debug)]
-pub struct KeyProbe<'a> {
-    /// Key → positions in the indexed slice, ascending.
-    positions: HashMap<&'a Value, Vec<usize>>,
-}
-
-impl<'a> KeyProbe<'a> {
-    /// Index `keys` (duplicates and NULLs included: NULL matches NULL, as
-    /// `==` on [`Value`] says).
-    pub fn new(keys: &'a [Value]) -> Self {
-        let mut positions: HashMap<&'a Value, Vec<usize>> = HashMap::with_capacity(keys.len());
-        for (i, k) in keys.iter().enumerate() {
-            positions.entry(k).or_default().push(i);
-        }
-        KeyProbe { positions }
-    }
-
-    /// Positions of the keys equal to `v`, ascending.
-    pub fn positions(&self, v: &Value) -> impl Iterator<Item = usize> + '_ {
-        self.positions.get(v).into_iter().flatten().copied()
-    }
-
-    /// Whether any key equals `v`.
-    pub fn contains(&self, v: &Value) -> bool {
-        self.positions.contains_key(v)
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -369,37 +338,6 @@ mod tests {
         assert_eq!(Value::Int(0), Value::Float(0.0));
         assert!(Value::Int(0) > Value::Float(-0.0));
         assert!(Value::Int(-2) > Value::Float(-2.5) && Value::Int(-3) < Value::Float(-2.5));
-    }
-
-    #[test]
-    fn key_probe_matches_linear_sweep_past_2_pow_53() {
-        let keys = [
-            Value::Int(P53),
-            Value::Float(P53 as f64),
-            Value::Null,
-            Value::str("a"),
-            Value::Int(P53),
-        ];
-        let probe = KeyProbe::new(&keys);
-        for v in [
-            Value::Int(P53 + 1),
-            Value::Int(P53),
-            Value::Float(P53 as f64),
-            Value::Null,
-            Value::str("a"),
-            Value::str("b"),
-            Value::Timestamp(P53),
-        ] {
-            let linear: Vec<usize> = (0..keys.len()).filter(|&i| keys[i] == v).collect();
-            assert_eq!(
-                probe.positions(&v).collect::<Vec<_>>(),
-                linear,
-                "probing {v}"
-            );
-            assert_eq!(probe.contains(&v), !linear.is_empty());
-        }
-        assert_eq!(probe.positions(&Value::Int(P53)).collect::<Vec<_>>(), [0, 1, 4]);
-        assert!(!probe.contains(&Value::Int(P53 + 1)));
     }
 
     /// A set keyed on `Value` holds the same members whatever order they

@@ -33,6 +33,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use eii_data::keys::KeyTable;
 use eii_data::{
     Batch, Column, ColumnBuilder, ColumnarBatch, EiiError, Result, Schema, SchemaRef, Value,
 };
@@ -47,7 +48,6 @@ use eii_sql::JoinKind;
 use crate::cache::{adapt_batch, SnapshotStore};
 use crate::degrade::{degrade, DegradationPolicy, SourceReport};
 use crate::profile::OperatorProfile;
-use crate::keys::KeyTable;
 use crate::vector::{
     drive, sort_batch, BatchOperator, Chunks, ColumnPick, VecAggregate, VecFilter, VecHashJoin,
     VecProject,
@@ -1066,14 +1066,16 @@ impl<'a> Executor<'a> {
 /// The distinct non-NULL values of `key` over `cols`, in first-seen order:
 /// the bindings a bind join or an adaptive re-plan ships to the source,
 /// deduplicated under [`Value`]'s equality (`Int(2)` is `Float(2.0)`) by the
-/// key table joins and aggregates share — chunk by chunk, nothing gathered.
+/// key table joins and aggregates share — chunk by chunk, nothing gathered,
+/// in a table sized once for every row to be a distinct key.
 fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Vec<Value>> {
+    let rows = cols.num_rows();
     let mut table: Option<KeyTable> = None;
     for chunk in cols.iter() {
         let keys = [eval_column(key, chunk)?];
         let n = keys[0].len();
         table
-            .get_or_insert_with(|| KeyTable::new(vec![ColumnBuilder::like(&keys[0], 0)], n))
+            .get_or_insert_with(|| KeyTable::new(vec![ColumnBuilder::like(&keys[0], 0)], rows))
             .intern_rows(&keys, n, true);
     }
     let distinct = table.and_then(|t| t.into_columns().pop());

@@ -22,7 +22,6 @@ pub mod agg;
 pub mod cache;
 pub mod degrade;
 pub mod executor;
-pub mod keys;
 pub mod profile;
 pub mod scheduler;
 pub mod vector;

@@ -23,16 +23,16 @@
 //! spelled out inline: NULL join keys, Semi/Anti residual short-circuiting,
 //! first-seen group order, the aggregate's error order, and the
 //! integral-until-float SUM ladder ([`crate::agg`]). Keys are hashed and
-//! compared in place ([`crate::keys`]).
+//! compared in place ([`eii_data::keys`]).
 
 use std::sync::Arc;
 
+use eii_data::keys::{cells_cmp, hash_keys, Incoming, KeyTable, NO_KEY};
 use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, Schema, SchemaRef};
 use eii_expr::{eval_column, eval_filter, AggFunc, BoundExpr};
 use eii_sql::JoinKind;
 
 use crate::agg::GroupedAgg;
-use crate::keys::{cells_cmp, hash_keys, Incoming, KeyTable, NO_KEY};
 
 /// Default rows per chunk when the plan does not specify one.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
@@ -735,7 +735,7 @@ mod tests {
 
     #[test]
     fn fx_hasher_is_deterministic() {
-        // The key hash (the Fx construction, `crate::keys`) is a function of
+        // The key hash (the Fx construction, `eii_data::keys`) is a function of
         // the cells alone: no per-table or per-process state.
         let hashes = |vals: &[i64]| hash_keys(ints("k", vals).columns(), vals.len());
         assert_eq!(hashes(&[42, 43]), hashes(&[42, 43]));

@@ -16,8 +16,9 @@ pub mod webservice;
 
 use std::sync::Arc;
 
-use eii_data::{ColumnarBatch, EiiError, KeyProbe, Result, Schema, Value};
-use eii_expr::{bind, eval_filter, referenced_columns, BoundExpr, Expr};
+use eii_data::keys::{KeyTable, NO_KEY};
+use eii_data::{ColumnarBatch, EiiError, Result, Schema, Value};
+use eii_expr::{bind, eval_column, eval_filter, referenced_columns, BoundExpr, Expr};
 use eii_storage::Database;
 
 use crate::connector::{BindAccess, SourceAnswer, SourceQuery};
@@ -118,17 +119,14 @@ pub fn apply_query_locally(
         .iter()
         .map(|f| bind(f, schema))
         .collect::<Result<Vec<_>>>()?;
-    let probes = bindings
-        .iter()
-        .map(|(col, vals)| Ok((schema.index_of(None, col)?, KeyProbe::new(vals))))
-        .collect::<Result<Vec<_>>>()?;
+    let bound = bound_rows(input, bindings)?;
     // A source stops at its limit and a row skips the filters after the one
     // that rejects it; the kernels run each filter over every survivor. When
     // one of them errs, the row-at-a-time sweep says whether — and how — the
     // source would have.
-    let kept = match survivors(input, &probes, &filters, limit) {
+    let kept = match survivors(&bound, &filters, limit) {
         Ok(kept) => kept,
-        Err(_) => survivors_by_rows(input, &probes, &filters, limit)?,
+        Err(_) => survivors_by_rows(&bound, &filters, limit)?,
     };
     let Some(names) = projection else {
         return Ok(kept);
@@ -144,24 +142,29 @@ pub fn apply_query_locally(
     Ok(kept.with_columns(out_schema, columns))
 }
 
+/// The rows of `input` whose cell in each bound column equals a value of its
+/// binding list, as a selection over it: per binding, the list interned once
+/// and the column's typed vector probed in one hashed pass — no `Value` per
+/// row. A binding cannot fail, so it runs ahead of the filters.
+fn bound_rows(input: &ColumnarBatch, bindings: &[Binding]) -> Result<ColumnarBatch> {
+    let mut kept = input.clone();
+    for (col, vals) in bindings {
+        let at = BoundExpr::Column(kept.schema().index_of(None, col)?);
+        let (keys, _) = KeyTable::of_values(vals);
+        let found = keys.find_rows(&[eval_column(&at, &kept)?], kept.num_rows());
+        let hits = (0..).zip(found).filter(|&(_, k)| k != NO_KEY).map(|(row, _)| row);
+        kept = kept.select(hits.collect());
+    }
+    Ok(kept)
+}
+
 /// The rows of `input` a component query keeps, as a selection over it.
 fn survivors(
     input: &ColumnarBatch,
-    probes: &[(usize, KeyProbe<'_>)],
     filters: &[BoundExpr],
     limit: Option<usize>,
 ) -> Result<ColumnarBatch> {
     let mut kept = input.clone();
-    if !probes.is_empty() {
-        let bound = (0..input.num_rows() as u32)
-            .filter(|&i| {
-                probes
-                    .iter()
-                    .all(|(col, probe)| probe.contains(&input.value_at(i as usize, *col)))
-            })
-            .collect();
-        kept = kept.select(bound);
-    }
     for f in filters {
         kept = kept.select(eval_filter(f, &kept)?);
     }
@@ -172,7 +175,6 @@ fn survivors(
 /// a rejected row meets no further filter.
 fn survivors_by_rows(
     input: &ColumnarBatch,
-    probes: &[(usize, KeyProbe<'_>)],
     filters: &[BoundExpr],
     limit: Option<usize>,
 ) -> Result<ColumnarBatch> {
@@ -182,9 +184,6 @@ fn survivors_by_rows(
             break;
         }
         let row = input.row(i);
-        if !probes.iter().all(|(col, probe)| probe.contains(row.get(*col))) {
-            continue;
-        }
         for f in filters {
             if !f.eval_predicate(&row)? {
                 continue 'rows;
@@ -472,6 +471,38 @@ pub(crate) mod tests {
         let bindings = [("id".to_string(), vec![Value::Int(1), Value::Int(3)])];
         let out = apply_query_locally(&scored(), &[], &bindings, None, None).unwrap();
         assert_eq!(out.num_rows(), 2);
+    }
+
+    /// The binding filter against a linear `==` sweep, in a column gone
+    /// Mixed and in a typed Int one, around 2^53 and the other equality
+    /// hazards, with single keys and with lists that mix Int and Float.
+    #[test]
+    fn binding_filter_matches_a_linear_sweep_past_2_pow_53() {
+        let mixed = [
+            Value::Int(P53), Value::Float(P53 as f64), Value::Null, Value::str("a"),
+            Value::Int(P53), Value::Int(P53 + 1), Value::Float(-0.0), Value::Int(0),
+        ];
+        let ints = [P53 - 1, P53, P53 + 1, 0, i64::MIN, i64::MAX, P53].map(Value::Int);
+        let lists = [
+            vec![Value::Int(P53 + 1)], vec![Value::Int(P53)], vec![Value::Float(P53 as f64)],
+            vec![Value::Null], vec![Value::str("a")], vec![Value::str("b")],
+            vec![Value::Timestamp(P53)], vec![Value::Float(0.0)], vec![Value::Float(-0.0)],
+            vec![Value::Float(P53 as f64), Value::Int(P53 - 1), Value::Float(i64::MIN as f64)],
+            vec![Value::Int(i64::MAX), Value::Float(0.0), Value::Int(P53), Value::Null],
+            Vec::new(),
+        ];
+        let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Int)]));
+        for cells in [&mixed[..], &ints[..]] {
+            let rows: Vec<Row> = cells.iter().map(|v| Row::new(vec![v.clone()])).collect();
+            let input = ColumnarBatch::from_batch(&Batch::new(schema.clone(), rows.clone()));
+            for keys in &lists {
+                let bindings = [("k".to_string(), keys.clone())];
+                let got = apply_query_locally(&input, &[], &bindings, None, None).unwrap();
+                let linear: Vec<Row> =
+                    rows.iter().filter(|r| keys.contains(r.get(0))).cloned().collect();
+                assert_eq!(got.to_batch().into_rows(), linear, "binding {keys:?}");
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,23 @@ pub enum Delivery {
 /// recurse).
 pub type WriteListener = Arc<dyn Fn(&str, &str) + Send + Sync>;
 
+/// `source.<name>.{bytes_shipped,requests,latency_ms}`.
+struct TrafficNames {
+    bytes_shipped: String,
+    requests: String,
+    latency_ms: String,
+}
+
+impl TrafficNames {
+    fn of(source: &str) -> Self {
+        TrafficNames {
+            bytes_shipped: format!("source.{source}.bytes_shipped"),
+            requests: format!("source.{source}.requests"),
+            latency_ms: format!("source.{source}.latency_ms"),
+        }
+    }
+}
+
 /// A registered source: connector + link + wire format.
 #[derive(Clone)]
 pub struct SourceHandle {
@@ -56,6 +73,9 @@ pub struct SourceHandle {
     metrics: MetricsRegistry,
     /// Source-engine scan speed, simulated ms per row examined.
     scan_ms_per_row: f64,
+    /// The metric names [`SourceHandle::note_traffic`] records under, built
+    /// once at registration instead of formatted on every fetch.
+    traffic_names: Arc<TrafficNames>,
     /// Shared with the owning [`Federation`]: listeners registered after
     /// this handle was cloned out still fire.
     write_listeners: Arc<RwLock<Vec<WriteListener>>>,
@@ -223,13 +243,10 @@ impl SourceHandle {
     /// sketch (`source.<name>.latency_ms`). Latencies are simulated, so
     /// the sketch's percentiles are deterministic across same-seed runs.
     fn note_traffic(&self, bytes: usize, requests: usize, sim_ms: f64) {
-        let name = self.connector.name();
-        self.metrics
-            .add(&format!("source.{name}.bytes_shipped"), bytes as u64);
-        self.metrics
-            .add(&format!("source.{name}.requests"), requests as u64);
-        self.metrics
-            .record_quantile(&format!("source.{name}.latency_ms"), sim_ms);
+        let names = &self.traffic_names;
+        self.metrics.add(&names.bytes_shipped, bytes as u64);
+        self.metrics.add(&names.requests, requests as u64);
+        self.metrics.record_quantile(&names.latency_ms, sim_ms);
     }
 
     /// Count a bound query under the access path its source engine took:
@@ -387,6 +404,7 @@ impl Federation {
         if sources.contains_key(&name) {
             return Err(EiiError::AlreadyExists(format!("source {name}")));
         }
+        let traffic_names = Arc::new(TrafficNames::of(&name));
         sources.insert(
             name,
             SourceHandle {
@@ -396,6 +414,7 @@ impl Federation {
                 ledger: self.ledger.clone(),
                 metrics: self.metrics.clone(),
                 scan_ms_per_row: 0.001,
+                traffic_names,
                 write_listeners: self.write_listeners.clone(),
             },
         );

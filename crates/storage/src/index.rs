@@ -3,15 +3,18 @@
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
+use eii_data::keys::KeyHasher;
 use eii_data::Value;
 
 use crate::table::RowId;
 
 /// A hash index from a single column's value to the row ids holding it.
-/// Equality lookups only.
+/// Equality lookups only, under [`Value`]'s `Eq` (`Int(2^53)` and
+/// `Float(2^53)` are one key, `Int(2^53 + 1)` another), hashed by the fixed
+/// [`KeyHasher`].
 #[derive(Debug, Default)]
 pub struct HashIndex {
-    map: HashMap<Value, Vec<RowId>>,
+    map: HashMap<Value, Vec<RowId>, KeyHasher>,
     pub(crate) column: usize,
 }
 
@@ -19,7 +22,7 @@ impl HashIndex {
     /// New empty index over column position `column`.
     pub fn new(column: usize) -> Self {
         HashIndex {
-            map: HashMap::new(),
+            map: HashMap::default(),
             column,
         }
     }
@@ -127,6 +130,19 @@ mod tests {
         ix.remove(&Value::Int(1), 11);
         assert!(ix.get(&Value::Int(1)).is_empty());
         assert_eq!(ix.distinct_keys(), 1);
+    }
+
+    #[test]
+    fn hash_index_keys_are_value_equality_past_2_pow_53() {
+        let p53 = 1i64 << 53;
+        let mut ix = HashIndex::new(0);
+        ix.insert(Value::Int(p53), 0);
+        ix.insert(Value::Float(p53 as f64), 1);
+        ix.insert(Value::Int(p53 + 1), 2);
+        assert_eq!(ix.distinct_keys(), 2);
+        assert_eq!(ix.get(&Value::Float(p53 as f64)), &[0, 1]);
+        assert_eq!(ix.get(&Value::Int(p53 + 1)), &[2]);
+        assert!(ix.get(&Value::Float((p53 + 2) as f64)).is_empty());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use eii_data::keys::KeyHasher;
 use eii_data::{Row, Value};
 
 /// Per-column statistics.
@@ -38,7 +39,7 @@ pub struct TableStats {
 struct ColumnAccumulator {
     /// Each distinct non-null value and how many rows hold it. (An ordered map
     /// would have the extremes for free and charge every bulk load for them.)
-    copies: HashMap<Value, u32>,
+    copies: HashMap<Value, u32, KeyHasher>,
     nulls: usize,
     /// Sum of [`Value::wire_size`] over every cell, NULLs included.
     wire_bytes: usize,

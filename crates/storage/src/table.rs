@@ -15,9 +15,10 @@
 use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
+use eii_data::keys::lookup_positions;
 use eii_data::{
-    Column, ColumnBuilder, ColumnarBatch, EiiError, KeyProbe, Result, Row, Schema, SchemaRef,
-    SimClock, Value,
+    Column, ColumnBuilder, ColumnarBatch, EiiError, Result, Row, Schema, SchemaRef, SimClock,
+    Value,
 };
 
 use crate::changelog::{ChangeLog, ChangeOp};
@@ -450,8 +451,8 @@ impl Table {
     /// for each of `keys` in turn — binding order, a duplicated key's rows
     /// twice — as a selection over shared image columns, and how many columns
     /// this call had to build. With an index on `col` the selection is one
-    /// probe per key; without one it is a single pass over image column `col`
-    /// that buckets positions by the keys they equal, not a scan per key.
+    /// probe per key; without one it is a single hashed pass over the typed
+    /// vector of image column `col` ([`lookup_positions`]), not a scan per key.
     pub fn lookup_in_columns(
         &self,
         col: usize,
@@ -466,15 +467,7 @@ impl Table {
                 None => rids.map(|&rid| rid as u32).collect(),
             }
         } else {
-            let bound = self.image_column(col, &mut built);
-            let probe = KeyProbe::new(keys);
-            let mut per_key: Vec<Vec<u32>> = vec![Vec::new(); keys.len()];
-            for at in 0..bound.len() {
-                for k in probe.positions(&bound.value(at)) {
-                    per_key[k].push(at as u32);
-                }
-            }
-            per_key.into_iter().flatten().collect()
+            lookup_positions(&self.image_column(col, &mut built), keys)
         };
         let image = self.image_of(cols, &mut built);
         (image.select(selection), built)

@@ -10,8 +10,12 @@
 //!   turn — binding order, a duplicated key's rows twice — whatever index (the
 //!   primary key's, a hash index, an ordered index, none) the column has;
 //! - indexed and unindexed tables find the same rows for every key, also where
-//!   an `Int` key meets its `Float` twin at 2^53 ± 1;
-//! - a batch read *before* a write still reads the old cells after it.
+//!   an `Int` key meets its `Float` twin at 2^53 ± 1 or at `i64::MIN`, `-0.0`
+//!   meets `0`, a NaN meets itself, and a binding list mixes Ints and Floats;
+//! - a batch read *before* a write still reads the old cells after it;
+//! - a bound column gone `Mixed` (a schema-less source's, never a typed
+//!   table's) is matched by the unindexed path's one function,
+//!   `keys::lookup_positions`, exactly as each key's `==` sweep matches it.
 //!
 //! The streams reuse slots (delete, then insert), leave slots vacant, write
 //! NULLs, repeat and miss keys, and hit constraint errors that must change
@@ -19,7 +23,8 @@
 
 use std::sync::Arc;
 
-use eii_data::{ColumnarBatch, DataType, Field, Row, Schema, SimClock, Value};
+use eii_data::keys::lookup_positions;
+use eii_data::{Column, ColumnarBatch, DataType, Field, Row, Schema, SimClock, Value};
 use eii_storage::{Table, TableDef};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -27,8 +32,11 @@ use proptest::test_runner::TestCaseError;
 const P53: i64 = 1 << 53;
 
 /// Cells and keys around every equality hazard: small domains (duplicates),
-/// NULL, strings, `Int(1)`/`Float(1.0)`, and the numerics at 2^53 ± 1, where
-/// comparing through `f64` would fold distinct integers together.
+/// NULL (a key like any other), strings (the empty one too),
+/// `Int(1)`/`Float(1.0)`, the numerics at 2^53 ± 1, where comparing through
+/// `f64` would fold distinct integers together, the `i64` extremes beside the
+/// floats ±2^63 (`Int(i64::MIN)` is `Float(-2^63)`, `Int(i64::MAX)` is no
+/// float), both zeros (`-0.0` is not `0`) and a NaN.
 fn hazard_value() -> impl Strategy<Value = Value> {
     let at_2_53 = || {
         prop_oneof![
@@ -36,9 +44,20 @@ fn hazard_value() -> impl Strategy<Value = Value> {
             (-1i64..1).prop_map(|d| Value::Float((P53 + d) as f64)),
         ]
     };
+    let edges = (0usize..8).prop_map(|e| match e {
+        0 => Value::Int(i64::MIN),
+        1 => Value::Int(i64::MAX),
+        2 => Value::Float(i64::MIN as f64),
+        3 => Value::Float(-(i64::MIN as f64)),
+        4 => Value::Int(0),
+        5 => Value::Float(0.0),
+        6 => Value::Float(-0.0),
+        _ => Value::Float(f64::NAN),
+    });
     prop_oneof![
         at_2_53(),
         at_2_53(),
+        edges,
         Just(Value::Null),
         Just(Value::Int(1)),
         Just(Value::Float(1.0)),
@@ -221,5 +240,20 @@ proptest! {
                 prop_assert_eq!(&sorted(&tables[2]), &unindexed, "ordered index, key {}", k);
             }
         }
+    }
+
+    /// The bound column a typed table never holds: cells of every type in one
+    /// `Mixed` column, against binding lists of the same hazards.
+    #[test]
+    fn a_bound_column_gone_mixed_is_looked_up_key_by_key(
+        cells in proptest::collection::vec(hazard_value(), 0..24),
+        keys in proptest::collection::vec(hazard_value(), 0..6),
+    ) {
+        let col = Arc::new(Column::from_values(&cells, DataType::Int));
+        let mut sweep = Vec::new();
+        for k in &keys {
+            sweep.extend((0..cells.len() as u32).filter(|&i| cells[i as usize] == *k));
+        }
+        prop_assert_eq!(lookup_positions(&col, &keys), sweep);
     }
 }
