@@ -28,6 +28,10 @@ use crate::row::Row;
 use crate::schema::{DataType, SchemaRef};
 use crate::value::Value;
 
+/// "No row" in a gather list: [`Column::gather_opt`] answers NULL there — a
+/// Left join's build side for a probe row that matched nothing.
+pub const NO_ROW: u32 = u32::MAX;
+
 /// A validity bitmap: bit set ⇒ value present, clear ⇒ NULL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NullBitmap {
@@ -300,19 +304,18 @@ impl Column {
     }
 
     /// [`Self::gather`] with an absent-row sentinel: positions equal to
-    /// `u32::MAX` come out NULL (outer-join null extension). The column keeps
+    /// [`NO_ROW`] come out NULL (outer-join null extension). The column keeps
     /// its representation — a typed vector gains a bitmap, `Mixed` an inline
     /// NULL — so kernels above an outer join stay on their typed paths.
     pub fn gather_opt(&self, sel: &[u32]) -> Column {
-        const ABSENT: u32 = u32::MAX;
-        if !sel.contains(&ABSENT) {
+        if !sel.contains(&NO_ROW) {
             return self.gather(sel);
         }
         macro_rules! take {
             ($variant:ident, $v:expr, $absent:expr) => {
                 ColumnData::$variant(
                     sel.iter()
-                        .map(|&i| if i == ABSENT { $absent } else { $v[i as usize].clone() })
+                        .map(|&i| if i == NO_ROW { $absent } else { $v[i as usize].clone() })
                         .collect(),
                 )
             };
@@ -327,7 +330,7 @@ impl Column {
         };
         let mut nulls = NullBitmap::new_valid(sel.len());
         for (out, &i) in sel.iter().enumerate() {
-            if i == ABSENT || self.is_null(i as usize) {
+            if i == NO_ROW || self.is_null(i as usize) {
                 nulls.set_null(out);
             }
         }
@@ -849,10 +852,9 @@ mod tests {
     #[test]
     fn gather_opt_null_extends_in_the_columns_own_representation() {
         let cb = ColumnarBatch::from_batch(&sample());
-        let absent = u32::MAX;
-        let ids = cb.column(0).gather_opt(&[2, absent, 0]);
+        let ids = cb.column(0).gather_opt(&[2, NO_ROW, 0]);
         assert_eq!(ids.as_ints().map(<[i64]>::len), Some(3));
-        let names = cb.column(1).gather_opt(&[absent, 1, 0]);
+        let names = cb.column(1).gather_opt(&[NO_ROW, 1, 0]);
         assert!(names.as_strs().is_some());
         let got: Vec<Value> = (0..3).map(|i| names.value(i)).collect();
         assert_eq!(got, vec![Value::Null, Value::Null, Value::str("a")]);
@@ -862,7 +864,7 @@ mod tests {
         );
         // Mixed stays Mixed, its NULLs inline.
         let mixed = Column::from_values(&[Value::Int(1), Value::str("x")], DataType::Int);
-        let out = mixed.gather_opt(&[1, absent]);
+        let out = mixed.gather_opt(&[1, NO_ROW]);
         assert!(matches!(out.data(), ColumnData::Mixed(_)) && out.nulls().is_none());
         assert_eq!(out.value(1), Value::Null);
     }

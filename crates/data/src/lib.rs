@@ -19,7 +19,7 @@ pub mod schema;
 pub mod value;
 
 pub use batch::Batch;
-pub use columnar::{Column, ColumnBuilder, ColumnData, ColumnarBatch, NullBitmap};
+pub use columnar::{Column, ColumnBuilder, ColumnData, ColumnarBatch, NullBitmap, NO_ROW};
 pub use clock::SimClock;
 pub use deadline::{CancelToken, Deadline, Priority};
 pub use error::{EiiError, Result};

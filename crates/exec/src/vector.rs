@@ -27,8 +27,8 @@
 
 use std::sync::Arc;
 
-use eii_data::keys::{cells_cmp, hash_keys, Incoming, KeyTable, NO_KEY};
-use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, Schema, SchemaRef};
+use eii_data::keys::{cells_cmp, KeyTable, NO_KEY};
+use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, Schema, SchemaRef, NO_ROW};
 use eii_expr::{eval_column, eval_filter, AggFunc, BoundExpr};
 use eii_sql::JoinKind;
 
@@ -226,11 +226,9 @@ fn eval_columns(exprs: &[BoundExpr], chunk: &ColumnarBatch) -> Result<Vec<Arc<Co
 // Hash join
 // ---------------------------------------------------------------------------
 
-/// Sentinel in a build-side gather list meaning "no build row": the gathered
-/// column gets NULL there (Left-join null extension).
-const NO_ROW: u32 = u32::MAX;
-
-/// Candidate or output pairs: the probe side's physical row, the build row.
+/// Candidate or output pairs: the probe side's physical row, the build row
+/// ([`NO_ROW`] for a Left join's null extension). Grown by the probe chunk's
+/// first pairs, then cleared, not reallocated, after each use.
 #[derive(Default)]
 struct Pairs {
     probe: Vec<u32>,
@@ -242,14 +240,19 @@ impl Pairs {
         self.probe.push(probe);
         self.build.push(build);
     }
+
+    fn clear(&mut self) {
+        self.probe.clear();
+        self.build.clear();
+    }
 }
 
 /// Candidate pairs of one probe chunk that still await the residual.
 #[derive(Default)]
 struct Pending {
     pairs: Pairs,
-    /// Left joins only: `(pairs.probe.len() when the row's candidates
-    /// ended, probe row)` per finished probe row.
+    /// Left joins only: `(pairs.probe.len() when the row's candidates ended,
+    /// probe row)` per finished probe row.
     row_ends: Vec<(usize, u32)>,
     /// Left joins only: has the probe row being resolved kept a pair yet?
     /// Outlives one `resolve` because a row's candidates may be split.
@@ -368,16 +371,14 @@ impl VecHashJoin {
         }
     }
 
-    /// The build rows whose key equals row `row` of the probe keys.
-    fn candidates(&self, key: &Incoming, row: usize, hash: u64) -> &[u32] {
-        // NULL keys never join.
-        if key.is_null(row) {
+    /// The build rows of key `id` ([`KeyTable::find_rows`]'s answer for a
+    /// probe row): none for [`NO_KEY`] — a key no build row has, or one with a
+    /// NULL cell, since NULL keys were never interned and so never join.
+    fn rows_of(&self, id: u32) -> &[u32] {
+        if id == NO_KEY {
             return &[];
         }
-        let Ok(k) = self.table.probe(key, row, hash) else {
-            return &[];
-        };
-        &self.rows[self.starts[k as usize] as usize..self.starts[k as usize + 1] as usize]
+        &self.rows[self.starts[id as usize] as usize..self.starts[id as usize + 1] as usize]
     }
 
     /// Inner/Left/Cross probe: candidate pairs in probe order, the residual
@@ -385,14 +386,13 @@ impl VecHashJoin {
     /// gathered and emitted `pair_cap` rows at a time.
     fn probe_pairs(&self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
         let key_cols = eval_columns(&self.probe_keys, chunk)?;
-        let hashes = hash_keys(&key_cols, chunk.num_rows());
-        let key = self.table.incoming(&key_cols);
+        let ids = self.table.find_rows(&key_cols, chunk.num_rows());
         let left = matches!(self.kind, JoinKind::Left);
         let mut kept = Pairs::default();
         let mut pending = Pending::default();
-        for (row, &hash) in hashes.iter().enumerate() {
+        for (row, &id) in ids.iter().enumerate() {
             let phys = chunk.physical_index(row) as u32;
-            for &b in self.candidates(&key, row, hash) {
+            for &b in self.rows_of(id) {
                 pending.pairs.push(phys, b);
                 if pending.pairs.probe.len() >= self.pair_cap {
                     self.resolve(chunk, &mut pending, &mut kept, out)?;
@@ -411,8 +411,10 @@ impl VecHashJoin {
     /// evaluated — Inner/Left never short-circuit, so the first failing pair
     /// in probe × build order is the error) and move the survivors to `kept`
     /// in candidate order, emitting a chunk whenever `pair_cap` have gathered.
-    /// A Left join's probe row whose candidates have all been seen and none
-    /// kept is null-extended in its place.
+    /// One walk over the survivors' indices serves every kind: each Left probe
+    /// row whose candidates have ended is finished once the survivors before
+    /// its end are kept, null-extended if it kept none. Inner and Cross have
+    /// no row ends.
     fn resolve(
         &self,
         chunk: &ColumnarBatch,
@@ -420,19 +422,10 @@ impl VecHashJoin {
         kept: &mut Pairs,
         out: &mut Chunks,
     ) -> Result<()> {
-        let Pairs { probe, build } = std::mem::take(&mut pending.pairs);
-        let survives: Option<Vec<bool>> = match &self.residual {
-            None => None,
-            Some(pred) => {
-                let pairs = self.gather_pairs(&self.pred, chunk, &probe, &build);
-                let live = eval_filter(pred, &pairs)?;
-                // Every candidate survived: no mask to fill, as with no residual.
-                (live.len() < probe.len()).then(|| {
-                    let mut mask = vec![false; probe.len()];
-                    live.iter().for_each(|&k| mask[k as usize] = true);
-                    mask
-                })
-            }
+        let pairs = &pending.pairs;
+        let live: Vec<u32> = match &self.residual {
+            None => (0..pairs.probe.len() as u32).collect(),
+            Some(pred) => eval_filter(pred, &self.gather_pairs(&self.pred, chunk, pairs))?,
         };
         let mut keep = |kept: &mut Pairs, probe: u32, build: u32| {
             kept.push(probe, build);
@@ -440,45 +433,49 @@ impl VecHashJoin {
                 self.emit(chunk, kept, out);
             }
         };
-        let mut ends = pending.row_ends.drain(..).peekable();
-        for p in 0..=probe.len() {
-            while let Some((_, phys)) = ends.next_if(|&(end, _)| end == p) {
-                if !pending.matched {
-                    keep(kept, phys, NO_ROW);
-                }
-                pending.matched = false;
-            }
-            if p < probe.len() && survives.as_ref().is_none_or(|m| m[p]) {
+        let mut live = live.into_iter().map(|k| k as usize).peekable();
+        for (end, phys) in pending.row_ends.drain(..) {
+            while let Some(k) = live.next_if(|&k| k < end) {
                 pending.matched = true;
-                keep(kept, probe[p], build[p]);
+                keep(kept, pairs.probe[k], pairs.build[k]);
             }
+            if !pending.matched {
+                keep(kept, phys, NO_ROW);
+            }
+            pending.matched = false;
         }
+        // What is left belongs to no finished row: every Inner and Cross
+        // survivor, and a Left row's whose candidates go on in the next batch.
+        pending.matched |= live.peek().is_some();
+        live.for_each(|k| keep(kept, pairs.probe[k], pairs.build[k]));
+        pending.pairs.clear();
         Ok(())
     }
 
-    /// Columns `pick` of the probe rows `probe` of `chunk` beside the build
-    /// rows `build`, as one batch; `NO_ROW` in `build` null-extends. The
-    /// join's one copy: a column outside `pick` is never touched.
+    /// Columns `pick` of the pairs' probe rows of `chunk` beside their build
+    /// rows, as one batch. The join's one copy: a column outside `pick` is
+    /// never touched.
     fn gather_pairs(
         &self,
         pick: &ColumnPick,
         chunk: &ColumnarBatch,
-        probe: &[u32],
-        build: &[u32],
+        pairs: &Pairs,
     ) -> ColumnarBatch {
         let width = chunk.columns().len();
-        let gather = |&c: &usize| match c.checked_sub(width) {
-            None => chunk.column(c).gather(probe),
-            Some(b) => self.build.column(b).gather_opt(build),
+        let gather = |&c: &usize| match (c.checked_sub(width), self.kind) {
+            (None, _) => chunk.column(c).gather(&pairs.probe),
+            // Only a Left join's pairs hold `NO_ROW`, which null-extends.
+            (Some(b), JoinKind::Left) => self.build.column(b).gather_opt(&pairs.build),
+            (Some(b), _) => self.build.column(b).gather(&pairs.build),
         };
         let cols = pick.which.iter().map(gather).map(Arc::new).collect();
-        ColumnarBatch::new(Arc::clone(&pick.schema), cols, probe.len())
+        ColumnarBatch::new(Arc::clone(&pick.schema), cols, pairs.probe.len())
     }
 
     /// Gather the kept pairs into one output chunk and start the next.
     fn emit(&self, chunk: &ColumnarBatch, kept: &mut Pairs, out: &mut Chunks) {
-        let Pairs { probe, build } = std::mem::take(kept);
-        out.push(self.gather_pairs(&self.out, chunk, &probe, &build));
+        out.push(self.gather_pairs(&self.out, chunk, kept));
+        kept.clear();
     }
 
     /// Semi/Anti probe: a candidate scan that stops at the first match — a
@@ -486,13 +483,12 @@ impl VecHashJoin {
     /// candidate matched, so this stays candidate-at-a-time.
     fn probe_filtering(&self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
         let key_cols = eval_columns(&self.probe_keys, chunk)?;
-        let hashes = hash_keys(&key_cols, chunk.num_rows());
-        let key = self.table.incoming(&key_cols);
+        let ids = self.table.find_rows(&key_cols, chunk.num_rows());
         let anti = matches!(self.kind, JoinKind::Anti);
         let mut keep: Vec<u32> = Vec::new();
-        for (row, &hash) in hashes.iter().enumerate() {
+        for (row, &id) in ids.iter().enumerate() {
             // NULL keys never match: anti keeps the row, semi drops it.
-            let rows = self.candidates(&key, row, hash);
+            let rows = self.rows_of(id);
             let matched = match &self.residual {
                 None => !rows.is_empty(),
                 Some(pred) => {
@@ -681,6 +677,7 @@ pub fn sort_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eii_data::keys::hash_keys;
     use eii_data::{row, Batch, ColumnData, DataType, Field, Schema, Value};
     use eii_expr::{bind, BinaryOp, Expr};
     use std::cmp::Ordering;

@@ -393,16 +393,17 @@ proptest! {
     /// join asked for everything, projected: keyed and keyless, Inner, Left and
     /// Cross, with a residual that reads neither side, one, or both (and so is
     /// gathered narrower than the output, or wider), or that fails on some
-    /// pair; probe chunks cut anywhere and typed differently, 1, 2, 3 or 4096
-    /// rows pushed at a time. A Semi or Anti join is asked the same and emits
-    /// its probe schema regardless.
+    /// pair; probe chunks cut anywhere and typed differently, 1, 2, 3, 4096 or
+    /// `usize::MAX` rows pushed at a time — the last no cap at all, for pairs
+    /// as for chunks. A Semi or Anti join is asked the same and emits its
+    /// probe schema regardless.
     #[test]
     fn a_join_asked_for_some_columns_is_the_full_join_projected(
         probe_picks in proptest::collection::vec((0usize..64, 0usize..64), 0..20),
         build_picks in proptest::collection::vec((0usize..64, 0usize..64), 0..12),
         flavors in proptest::collection::vec(0usize..4, 4..5),
         shape in (0usize..3, 0usize..5, 0usize..6),
-        chunking in (0usize..4, proptest::collection::vec(0usize..32, 0..4)),
+        chunking in (0usize..5, proptest::collection::vec(0usize..32, 0..4)),
         mask in 0usize..64,
     ) {
         let ((n_keys, kind_pick, residual_pick), (size_pick, cuts)) = (shape, chunking);
@@ -493,7 +494,7 @@ proptest! {
         })();
 
         let federation = Federation::new();
-        let executor = Executor::new(&federation).with_batch_size([1, 2, 3, 4096][size_pick]);
+        let executor = Executor::new(&federation).with_batch_size([1, 2, 3, 4096, usize::MAX][size_pick]);
         match (want, executor.execute(&join), executor.execute(&asked)) {
             (Ok(want), Ok(wide), Ok(narrow)) => {
                 prop_assert_eq!(exact(wide.batch.rows()), exact(&want), "{:?}", kind);

@@ -14,7 +14,11 @@
 //!   reached (short-circuiting is observable: a row the scalar path skips
 //!   must not be able to raise an error here). Two typed `Bool` operands are
 //!   merged from their slices and bitmaps; anything else one [`Value`] at a
-//!   time through the scalar path's own `eval_and`/`eval_or`;
+//!   time through the scalar path's own `eval_and`/`eval_or`. That merge is
+//!   for a logical *value*; a WHERE ([`eval_filter`]) builds none: it narrows
+//!   a selection conjunct by conjunct, each conjunct evaluated on the rows
+//!   every earlier one left TRUE or NULL — the same reach — and keeps the
+//!   rows every conjunct left TRUE;
 //! - **one binary kernel** serves comparisons and arithmetic. Each side of a
 //!   binary node is an operand — a column or a *scalar*: a literal is read
 //!   where it stands and never broadcast into a column. The result's validity
@@ -38,8 +42,9 @@
 //!
 //! What still allocates: one output vector per node (and its bitmap, when an
 //! operand has one), the gather of a column read under a selection, a
-//! sub-selection per AND/OR whose left side decides some rows but not all,
-//! and — the one broadcast left — a bare literal in an *output* position
+//! sub-selection per AND/OR value whose left side decides some rows but not
+//! all, a WHERE's selection per conjunct that drops a row, and — the one
+//! broadcast left — a bare literal in an *output* position
 //! (`SELECT 1`) or an all-NULL result (`x = NULL`). `LIKE`, `BETWEEN`, `IN`,
 //! `CAST` and function calls still evaluate their operands as columns and
 //! walk them a [`Value`] at a time.
@@ -252,36 +257,80 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
 
 /// Evaluate a predicate over the batch, returning the logical indices of rows
 /// where it is `Bool(true)` (NULL and false both reject, per SQL WHERE).
+///
+/// A WHERE narrows a selection rather than building a Kleene column: the
+/// predicate's `AND` tree is flattened into conjuncts, and conjunct `j` is
+/// evaluated only on the rows where every earlier one was TRUE or NULL —
+/// exactly where the scalar path's short-circuit reaches. A conjunct that is
+/// not a typed `Bool` column, or whose kernel errs, sends the whole predicate
+/// through [`eval_column`] instead, and so to the scalar path's first error.
 pub fn eval_filter(pred: &BoundExpr, batch: &ColumnarBatch) -> Result<Vec<u32>> {
+    let mut conjuncts = Vec::new();
+    flatten_and(pred, &mut conjuncts);
+    if let Some(keep) = narrow(&conjuncts, batch) {
+        return Ok(keep);
+    }
     let c = eval_column(pred, batch)?;
+    Ok((0..batch.num_rows() as u32).filter(|&i| c.value(i as usize).is_true()).collect())
+}
+
+/// The conjuncts of `e`'s `AND` tree, left to right, whatever its nesting.
+fn flatten_and<'e>(e: &'e BoundExpr, out: &mut Vec<&'e BoundExpr>) {
+    match e {
+        BoundExpr::Binary { left, op: BinaryOp::And, right } => {
+            flatten_and(left, out);
+            flatten_and(right, out);
+        }
+        _ => out.push(e),
+    }
+}
+
+/// [`eval_filter`] conjunct by conjunct, or `None` when a conjunct is not a
+/// typed `Bool` column or its kernel errs. `reach` holds the rows every
+/// conjunct so far left TRUE or NULL (`None` before the first); while it holds
+/// every row the batch is left unselected. `nulled` marks, once a NULL
+/// appears, the rows one left NULL — still reached by the next conjunct,
+/// never kept.
+fn narrow(conjuncts: &[&BoundExpr], batch: &ColumnarBatch) -> Option<Vec<u32>> {
     let n = batch.num_rows();
-    let mut keep = Vec::new();
-    match c.data() {
-        ColumnData::Bool(v) => match c.nulls() {
-            None => {
-                for (i, &b) in v.iter().enumerate().take(n) {
-                    if b {
-                        keep.push(i as u32);
-                    }
-                }
-            }
+    let mut reach: Option<Vec<u32>> = None;
+    let mut nulled: Option<Vec<bool>> = None;
+    for conj in conjuncts {
+        // A narrowed list moves into the batch's selection; an unselected
+        // batch keeps it as it is, so `rows` reads it back there.
+        let copy = reach.as_ref().filter(|rows| rows.len() < n && batch.selection().is_some()).cloned();
+        let sub = reach.take_if(|rows| rows.len() < n).map(|rows| batch.select(rows));
+        let rows = (copy.as_deref().or(reach.as_deref()))
+            .or_else(|| sub.as_ref().and_then(ColumnarBatch::selection));
+        let col = eval_column_typed(conj, sub.as_ref().unwrap_or(batch)).ok()?;
+        let bools = col.as_bools()?;
+        let at = |k: usize| rows.map_or(k as u32, |rows| rows[k]);
+        let mut next = Vec::with_capacity(bools.len());
+        match col.nulls() {
+            None => next.extend((0..bools.len()).filter(|&k| bools[k]).map(at)),
             Some(nulls) => {
-                for (i, &b) in v.iter().enumerate().take(n) {
-                    if b && !nulls.is_null(i) {
-                        keep.push(i as u32);
+                let nulled = nulled.get_or_insert_with(|| vec![false; n]);
+                for (k, &b) in bools.iter().enumerate() {
+                    if nulls.is_null(k) {
+                        nulled[at(k) as usize] = true;
+                    } else if !b {
+                        continue;
                     }
-                }
-            }
-        },
-        _ => {
-            for i in 0..n {
-                if c.value(i).is_true() {
-                    keep.push(i as u32);
+                    next.push(at(k));
                 }
             }
         }
+        if next.is_empty() {
+            return Some(next);
+        }
+        reach = Some(next);
     }
-    Ok(keep)
+    // No conjunct at all: the whole predicate's column decides.
+    let reach = reach?;
+    Some(match nulled {
+        None => reach,
+        Some(nulled) => reach.into_iter().filter(|&r| !nulled[r as usize]).collect(),
+    })
 }
 
 /// Row-materializing fallback: semantically the scalar path by construction.

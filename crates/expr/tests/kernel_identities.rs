@@ -1,8 +1,9 @@
 //! The kernels against the scalar evaluator, over one hazard set.
 //!
 //! [`eval_column`] must answer, row by row, what [`BoundExpr::eval`] answers
-//! — values to the bit, and when a row fails, the first failing row's error.
-//! The cells are the ones the kernels' shortcuts could get wrong: NULL-heavy
+//! — values to the bit, and when a row fails, the first failing row's error —
+//! and [`eval_filter`] must keep exactly the rows whose scalar predicate is
+//! true, or fail with that same first error. The cells are the ones the kernels' shortcuts could get wrong: NULL-heavy
 //! and all-NULL columns (a bitmap, or none), `i64::MIN`/`MAX` (wrapping, and
 //! `MIN / -1`), the Int/Float twins at ±2^53 ± 1 (Int × Float must compare
 //! exactly, not through `as f64`), `-0.0`, NaN, zero divisors (an error only
@@ -13,7 +14,7 @@
 use std::sync::Arc;
 
 use eii_data::{Batch, ColumnData, ColumnarBatch, DataType, Field, Row, Schema, Value};
-use eii_expr::{bind, eval_column, BinaryOp, BoundExpr, Expr, UnaryOp};
+use eii_expr::{bind, eval_column, eval_filter, BinaryOp, BoundExpr, Expr, UnaryOp};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -120,6 +121,26 @@ fn check(expr: &Expr, batch: &ColumnarBatch) -> Result<(), TestCaseError> {
                 got.map(|c| c.len()),
                 want.map(|v| v.len())
             )))
+        }
+    }
+    Ok(())
+}
+
+/// `eval_filter` ≡ the rows whose scalar `eval_predicate` is true, in order,
+/// or both fail with the scalar path's first error.
+fn check_filter(expr: &Expr, batch: &ColumnarBatch) -> Result<(), TestCaseError> {
+    let bound = bind(expr, batch.schema()).unwrap();
+    let scalar: Result<Vec<u32>, _> = (0..batch.num_rows())
+        .filter_map(|i| match bound.eval_predicate(&batch.row(i)) {
+            Ok(keep) => keep.then_some(Ok(i as u32)),
+            Err(e) => Some(Err(e)),
+        })
+        .collect();
+    match (eval_filter(&bound, batch), scalar) {
+        (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "{:?}", expr),
+        (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string(), "{:?}", expr),
+        (got, want) => {
+            return Err(TestCaseError::fail(format!("{expr:?}: filter {got:?}, scalar {want:?}")))
         }
     }
     Ok(())
@@ -235,7 +256,10 @@ proptest! {
 
     /// Nested AND/OR/NOT trees whose right side would divide by zero on rows
     /// the left side decides: the kernels evaluate a right side only where
-    /// the scalar path reaches it, and merge NULLs as Kleene does.
+    /// the scalar path reaches it, and merge NULLs as Kleene does. As a WHERE
+    /// — the tree, its negation and the all-`AND` chain of its leaves, over
+    /// the full batch and a selected one — `eval_filter` narrows conjunct by
+    /// conjunct to the same rows and the same first error.
     #[test]
     fn logical_trees_equal_the_scalar_evaluator(
         picks in rows_strategy(),
@@ -246,7 +270,8 @@ proptest! {
         ands in proptest::collection::vec(any::<bool>(), 3..4),
         layout in 0usize..3,
     ) {
-        let batch = batch(&picks, &modes, selected.then_some(&sel[..]));
+        let batch_of = |sel| batch(&picks, &modes, sel);
+        let batch = batch_of(selected.then_some(&sel[..]));
         let l: Vec<Expr> = leaves
             .iter()
             .map(|&(pick, not)| if not { leaf(pick).not() } else { leaf(pick) })
@@ -258,8 +283,15 @@ proptest! {
             1 => join(ands[0], a, join(ands[1], b, join(ands[2], c, d))),
             _ => join(ands[2], join(ands[1], join(ands[0], a, b), c), d),
         };
+        let negated = tree.clone().not();
         check(&tree, &batch)?;
-        check(&tree.not(), &batch)?;
+        check(&negated, &batch)?;
+        let chain = l[1..].iter().fold(l[0].clone(), |acc, e| acc.and(e.clone()));
+        for batch in [batch_of(None), batch_of(Some(&sel[..]))] {
+            for pred in [&tree, &negated, &chain] {
+                check_filter(pred, &batch)?;
+            }
+        }
     }
 }
 
