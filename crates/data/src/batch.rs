@@ -4,7 +4,6 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
 
 use crate::error::{EiiError, Result};
 use crate::row::Row;
@@ -12,7 +11,7 @@ use crate::schema::SchemaRef;
 use crate::value::Value;
 
 /// A schema-tagged collection of rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     schema: SchemaRef,
     rows: Vec<Row>,

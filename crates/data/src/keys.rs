@@ -216,6 +216,7 @@ impl KeyEq for Cells<'_> {
 
 /// Interns keys into dense ids `0, 1, 2, …` in first-seen order. Each
 /// distinct key is stored once, as row `id` of the table's key columns.
+#[derive(Debug)]
 pub struct KeyTable {
     keys: Vec<ColumnBuilder>,
     /// Hash of each stored key.
@@ -363,6 +364,12 @@ impl KeyTable {
             }
         }
         id
+    }
+
+    /// The distinct keys so far, one column per key column, key `id` at row
+    /// `id`.
+    pub fn columns(&self) -> impl Iterator<Item = &Column> {
+        self.keys.iter().map(ColumnBuilder::column)
     }
 
     /// The distinct keys as columns, key `id` at row `id`.

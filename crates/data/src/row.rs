@@ -3,13 +3,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 
 use crate::value::Value;
 
 /// A tuple of values. Positions correspond to the fields of the governing
 /// [`crate::Schema`]. Cloning is cheap-ish (strings are `Arc<str>`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Row {
     values: Vec<Value>,
 }

@@ -8,12 +8,11 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 
 use crate::error::{EiiError, Result};
 
 /// Scalar data types supported by the platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     Bool,
     Int,
@@ -58,7 +57,7 @@ impl fmt::Display for DataType {
 }
 
 /// A named, typed column, optionally qualified by the relation it came from.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Relation (table, view, or alias) qualifier, if any.
     pub relation: Option<String>,
@@ -120,7 +119,7 @@ impl Field {
 pub type SchemaRef = Arc<Schema>;
 
 /// An ordered collection of fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     fields: Vec<Field>,
 }

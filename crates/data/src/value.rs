@@ -11,7 +11,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 
 use crate::schema::DataType;
 
@@ -20,7 +19,7 @@ use crate::schema::DataType;
 /// `Float` uses total ordering (via `f64::total_cmp`) for `Ord`/`Hash` so that
 /// values can be used as join and group-by keys; SQL `NULL` comparison
 /// semantics are implemented in `eii-expr`, not here.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,

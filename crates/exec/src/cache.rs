@@ -17,7 +17,7 @@
 //! contract that "the answer" is never silently stale.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use eii_data::{Batch, ColumnarBatch, Result, SchemaRef};
 use eii_federation::{Federation, QueryCost};
@@ -137,6 +137,10 @@ struct CacheEntry {
     /// when the source exposes no change log).
     versions: Vec<(String, Option<u64>)>,
     filled_at_ms: i64,
+    /// The tick of the fill or in-place refresh that wrote this entry: a
+    /// lookup that probed with the lock released judges only the entry it
+    /// read.
+    stamp: u64,
     last_used: u64,
 }
 
@@ -179,10 +183,16 @@ impl ResultCache {
         self.config
     }
 
+    /// Record a `cache.*` event — never under the cache lock, a leaf
+    /// (`docs/architecture.md`, rule 2).
     fn metric(&self, name: &str, delta: u64) {
         if let Some(m) = &self.metrics {
             m.add(name, delta);
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().expect("result cache lock")
     }
 
     /// Current change-log high watermark of each `source.table`, probed
@@ -223,27 +233,25 @@ impl ResultCache {
         staleness_budget_ms: Option<i64>,
     ) -> CacheLookup {
         let budget = staleness_budget_ms.unwrap_or(self.config.staleness_budget_ms);
-        let mut inner = self.inner.lock().expect("result cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let Some(entry) = inner.entries.get_mut(key) else {
+        // The cache lock is a leaf: the entry's versions are copied out and
+        // probed with it released, then the entry is judged under a second
+        // lock — a miss if it was refilled or removed in between.
+        let read = (self.lock().entries.get(key))
+            .map(|e| (e.versions.clone(), e.filled_at_ms, e.stamp));
+        let Some((versions, filled_at_ms, stamp)) = read else {
             self.metric("cache.misses", 1);
             return CacheLookup::Miss;
         };
-        entry.last_used = tick;
-        let age_ms = (now_ms - entry.filled_at_ms).max(0);
+        let tables: Vec<String> = versions.iter().map(|(t, _)| t.clone()).collect();
+        let current = Self::probe_versions(federation, &tables);
+        let age_ms = (now_ms - filled_at_ms).max(0);
         let mut suspect: Vec<SourceReport> = Vec::new();
-        for (qualified, filled_version) in &entry.versions {
-            let (source, table) = qualified
-                .split_once('.')
-                .unwrap_or((qualified.as_str(), ""));
-            let current = federation
-                .source(source)
-                .ok()
-                .and_then(|h| h.connector().changes_since(table, u64::MAX).ok())
-                .map(|(_, watermark)| watermark);
+        for ((qualified, filled_version), (_, current)) in versions.iter().zip(current) {
             let verified = matches!((filled_version, current), (Some(a), Some(b)) if *a == b);
             if !verified {
+                let (source, table) = qualified
+                    .split_once('.')
+                    .unwrap_or((qualified.as_str(), ""));
                 suspect.push(SourceReport {
                     source: source.to_string(),
                     table: table.to_string(),
@@ -258,25 +266,44 @@ impl ResultCache {
                 });
             }
         }
-        let result = CachedResult {
-            batch: entry.batch.clone(),
-            cost: entry.cost,
-            per_source_bytes: entry.per_source_bytes.clone(),
-            age_ms,
+        let (lookup, invalidated) = {
+            let mut inner = self.lock();
+            inner.tick += 1;
+            let tick = inner.tick;
+            match inner.entries.get_mut(key).filter(|e| e.stamp == stamp) {
+                None => (CacheLookup::Miss, false),
+                Some(entry) => {
+                    entry.last_used = tick;
+                    let result = CachedResult {
+                        batch: entry.batch.clone(),
+                        cost: entry.cost,
+                        per_source_bytes: entry.per_source_bytes.clone(),
+                        age_ms,
+                    };
+                    if suspect.is_empty() {
+                        (CacheLookup::Hit(result), false)
+                    } else if budget > 0 && age_ms <= budget {
+                        (CacheLookup::Stale(result, suspect), false)
+                    } else {
+                        inner.entries.remove(key);
+                        inner.invalidations += 1;
+                        (CacheLookup::Miss, true)
+                    }
+                }
+            }
         };
-        if suspect.is_empty() {
-            self.metric("cache.hits", 1);
-            CacheLookup::Hit(result)
-        } else if budget > 0 && age_ms <= budget {
-            self.metric("cache.stale_hits", 1);
-            CacheLookup::Stale(result, suspect)
-        } else {
-            inner.entries.remove(key);
-            inner.invalidations += 1;
+        if invalidated {
             self.metric("cache.invalidations", 1);
-            self.metric("cache.misses", 1);
-            CacheLookup::Miss
         }
+        self.metric(
+            match lookup {
+                CacheLookup::Hit(_) => "cache.hits",
+                CacheLookup::Stale(..) => "cache.stale_hits",
+                CacheLookup::Miss => "cache.misses",
+            },
+            1,
+        );
+        lookup
     }
 
     /// Memoize a freshly executed result under `key`, evicting the least
@@ -290,7 +317,7 @@ impl ResultCache {
         versions: Vec<(String, Option<u64>)>,
         now_ms: i64,
     ) {
-        let mut inner = self.inner.lock().expect("result cache lock");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         inner.entries.insert(
@@ -301,9 +328,11 @@ impl ResultCache {
                 per_source_bytes,
                 versions,
                 filled_at_ms: now_ms,
+                stamp: tick,
                 last_used: tick,
             },
         );
+        let mut evicted = 0;
         while inner.entries.len() > self.config.capacity.max(1) {
             let Some(lru) = inner
                 .entries
@@ -315,7 +344,11 @@ impl ResultCache {
             };
             inner.entries.remove(&lru);
             inner.evictions += 1;
-            self.metric("cache.evictions", 1);
+            evicted += 1;
+        }
+        drop(inner);
+        if evicted > 0 {
+            self.metric("cache.evictions", evicted);
         }
     }
 
@@ -334,19 +367,24 @@ impl ResultCache {
         fresh: impl FnOnce() -> Option<(Batch, Vec<(String, Option<u64>)>)>,
         now_ms: i64,
     ) -> bool {
-        if !self.inner.lock().expect("result cache lock").entries.contains_key(key) {
+        if !self.lock().entries.contains_key(key) {
             return false;
         }
         let Some((batch, versions)) = fresh() else {
             return false;
         };
-        let mut inner = self.inner.lock().expect("result cache lock");
-        let Some(entry) = inner.entries.get_mut(key) else {
-            return false;
-        };
-        entry.batch = batch;
-        entry.versions = versions;
-        entry.filled_at_ms = now_ms;
+        {
+            let mut inner = self.lock();
+            inner.tick += 1;
+            let stamp = inner.tick;
+            let Some(entry) = inner.entries.get_mut(key) else {
+                return false;
+            };
+            entry.batch = batch;
+            entry.versions = versions;
+            entry.filled_at_ms = now_ms;
+            entry.stamp = stamp;
+        }
         self.metric("cache.refreshed", 1);
         true
     }
@@ -354,24 +392,27 @@ impl ResultCache {
     /// Drop every entry that depends on `source.table` (a write landed
     /// there); returns how many were invalidated.
     pub fn invalidate_table(&self, qualified: &str) -> usize {
-        let mut inner = self.inner.lock().expect("result cache lock");
-        let doomed: Vec<String> = inner
-            .entries
-            .iter()
-            .filter(|(_, e)| e.versions.iter().any(|(t, _)| t == qualified))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &doomed {
-            inner.entries.remove(k);
-        }
-        inner.invalidations += doomed.len() as u64;
-        self.metric("cache.invalidations", doomed.len() as u64);
-        doomed.len()
+        let doomed = {
+            let mut inner = self.lock();
+            let doomed: Vec<String> = inner
+                .entries
+                .iter()
+                .filter(|(_, e)| e.versions.iter().any(|(t, _)| t == qualified))
+                .map(|(k, _)| k.clone())
+                .collect();
+            for k in &doomed {
+                inner.entries.remove(k);
+            }
+            inner.invalidations += doomed.len() as u64;
+            doomed.len()
+        };
+        self.metric("cache.invalidations", doomed as u64);
+        doomed
     }
 
     /// Cached entry count.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("result cache lock").entries.len()
+        self.lock().entries.len()
     }
 
     /// True when nothing is cached.
@@ -381,24 +422,17 @@ impl ResultCache {
 
     /// Total LRU evictions so far.
     pub fn evictions(&self) -> u64 {
-        self.inner.lock().expect("result cache lock").evictions
+        self.lock().evictions
     }
 
     /// Total entries dropped for staleness or explicit invalidation.
     pub fn invalidations(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("result cache lock")
-            .invalidations
+        self.lock().invalidations
     }
 
     /// Drop everything.
     pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("result cache lock")
-            .entries
-            .clear();
+        self.lock().entries.clear();
     }
 }
 

@@ -1,24 +1,29 @@
 //! Fault tolerance through the whole executor: injected source faults,
 //! retry healing, stale-snapshot fallback, partial results, the order a
-//! `parallel` node issues its requests in, and a panicking wrapper failing
-//! typed at the source edge.
+//! `parallel` node issues its requests in, a panicking wrapper failing
+//! typed at the source edge, and a stalled change-log probe holding up no
+//! other caller of the result cache.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use eii_catalog::Catalog;
 use eii_data::{
-    row, CancelToken, DataType, Deadline, Field, Result, Row, Schema, SimClock, Value,
+    row, Batch, CancelToken, DataType, Deadline, Field, Result, Row, Schema, SchemaRef, SimClock,
+    Value,
 };
-use eii_exec::{DegradationPolicy, Executor, HedgePolicy, SnapshotStore};
+use eii_exec::{
+    CacheConfig, CacheLookup, DegradationPolicy, Executor, HedgePolicy, ResultCache, SnapshotStore,
+};
 use eii_expr::Expr;
 use eii_federation::{
-    CircuitBreakerConfig, Connector, Delivery, FaultProfile, Federation, LinkProfile,
-    RelationalConnector, RequestCtx, RetryPolicy, SourceAnswer, SourceQuery, WireFormat,
+    CircuitBreakerConfig, Connector, Delivery, Dialect, FaultProfile, Federation, LinkProfile,
+    QueryCost, RelationalConnector, RequestCtx, RetryPolicy, SourceAnswer, SourceCapabilities,
+    SourceQuery, WireFormat,
 };
 use eii_planner::{plan_query, PhysicalPlan, PlannerConfig};
 use eii_sql::parse_query;
-use eii_storage::{Database, TableDef};
+use eii_storage::{Change, Database, TableDef};
 use proptest::prelude::*;
 
 const JOIN_SQL: &str = "SELECT c.name, o.total FROM crm.customers c \
@@ -399,25 +404,9 @@ fn a_parallel_join_issues_its_requests_in_plan_order_until_the_query_is_over() {
     assert_eq!((left.load(Ordering::Relaxed), right.load(Ordering::Relaxed)), (0, 1));
 }
 
-const P53: i64 = 1 << 53;
-
-/// Cell and key values around every equality hazard: the numerics at
-/// 2^53 ± 1 (where comparing Int with Float through `f64` would fold
-/// neighbours together), a small domain so duplicates are the rule, NULL.
-fn hazard(i: usize) -> Value {
-    match i {
-        0 => Value::Int(P53 - 1),
-        1 => Value::Int(P53),
-        2 => Value::Int(P53 + 1),
-        3 => Value::Float((P53 - 1) as f64),
-        4 => Value::Float(P53 as f64),
-        5 => Value::Int(1),
-        6 => Value::Float(1.0),
-        7 => Value::str("s0"),
-        8 => Value::str("s1"),
-        _ => Value::Null,
-    }
-}
+#[path = "../../../tests/support/hazards.rs"]
+mod hazards;
+use hazards::{hazard_value, P53};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -427,10 +416,10 @@ proptest! {
     /// evaluator (`apply_query_locally`), the one the adapters answer through.
     #[test]
     fn fresh_snapshot_fallback_equals_the_live_answer(
-        cells in proptest::collection::vec((0usize..10, 0usize..10, 0usize..10), 0..24),
+        cells in proptest::collection::vec((hazard_value(), hazard_value(), hazard_value()), 0..24),
         filter_mask in 0usize..4,
         bound in proptest::collection::vec(
-            (1usize..4, proptest::collection::vec(0usize..10, 0..6)),
+            (1usize..4, proptest::collection::vec(hazard_value(), 0..6)),
             0..3,
         ),
         projection in 0usize..3,
@@ -443,10 +432,8 @@ proptest! {
             ("k_str", DataType::Str),
         ];
         // A draw of another type than its column's becomes NULL.
-        let cell = |i, col: usize| {
-            Some(hazard(i))
-                .filter(|v| v.data_type() == Some(columns[col].1))
-                .unwrap_or(Value::Null)
+        let cell = |v: Value, col: usize| {
+            Some(v).filter(|v| v.data_type() == Some(columns[col].1)).unwrap_or(Value::Null)
         };
         let rows = cells
             .into_iter()
@@ -469,7 +456,7 @@ proptest! {
         }
         let mut bindings: Vec<(String, Vec<Value>)> = bound
             .into_iter()
-            .map(|(col, keys)| (columns[col].0.to_string(), keys.into_iter().map(hazard).collect()))
+            .map(|(col, keys)| (columns[col].0.to_string(), keys))
             .collect();
         let mut limit = (limit < 4).then_some(limit);
         // A single binding the source answers key by key (`Table::lookup_in_columns`:
@@ -511,4 +498,72 @@ proptest! {
         }
         prop_assert_eq!(stale, live);
     }
+}
+
+/// `sales`, whose change-log probe first says that it has begun.
+struct Announcing(RelationalConnector, std::sync::mpsc::Sender<()>);
+
+impl Connector for Announcing {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn tables(&self) -> Vec<String> {
+        self.0.tables()
+    }
+    fn table_schema(&self, table: &str) -> Result<SchemaRef> {
+        self.0.table_schema(table)
+    }
+    fn capabilities(&self) -> SourceCapabilities {
+        self.0.capabilities()
+    }
+    fn dialect(&self) -> Dialect {
+        self.0.dialect()
+    }
+    fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
+        self.0.execute(query)
+    }
+    fn changes_since(&self, table: &str, after: u64) -> Result<(Vec<Change>, u64)> {
+        let _ = self.1.send(());
+        self.0.changes_since(table, after)
+    }
+}
+
+/// The result cache's lock is a leaf: while one lookup's version probe
+/// stalls — on `sales.orders`' write lock, held here — no other caller of the
+/// cache waits for it.
+#[test]
+fn a_stalled_version_probe_blocks_no_other_cache_call() {
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    let clock = SimClock::new();
+    let db = Database::new("sales", clock.clone());
+    let schema = Arc::new(Schema::new(vec![Field::new("id", DataType::Int).not_null()]));
+    let orders = db.create_table(TableDef::new("orders", schema.clone()).with_primary_key(0)).unwrap();
+    let fed = Federation::with_clock(clock);
+    let (probing, probe_began) = channel();
+    let sales = Arc::new(Announcing(RelationalConnector::new(db), probing));
+    fed.register(sales, LinkProfile::lan(), WireFormat::Native).unwrap();
+    let cache = ResultCache::new(CacheConfig::default());
+    let answer = || Batch::new(schema.clone(), vec![row![1i64]]);
+    let versions = vec![("sales.orders".to_string(), Some(0))];
+    cache.fill("q", answer(), QueryCost::default(), vec![], versions, 0);
+    let stall = orders.write();
+    let (answered, lookup) = std::thread::scope(|scope| {
+        let lookup = scope.spawn(|| cache.lookup("q", 0, &fed));
+        probe_began.recv().expect("the lookup probes sales.orders");
+        let (tx, rx) = channel();
+        let cache = &cache;
+        scope.spawn(move || {
+            let len = cache.len();
+            cache.fill("other", answer(), QueryCost::default(), vec![], vec![], 0);
+            let _ = tx.send(len);
+        });
+        let answered = rx.recv_timeout(Duration::from_secs(1));
+        drop(stall);
+        (answered, lookup.join().unwrap())
+    });
+    assert_eq!(answered, Ok(1), "len and fill waited on another caller's version probe");
+    assert!(matches!(lookup, CacheLookup::Hit(_)), "{lookup:?}");
+    assert_eq!(cache.len(), 2);
 }

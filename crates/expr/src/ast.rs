@@ -7,12 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use eii_data::{DataType, Value};
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
     Eq,
     NotEq,
@@ -75,7 +74,7 @@ impl BinaryOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
     /// Logical negation (three-valued).
     Not,
@@ -84,7 +83,7 @@ pub enum UnaryOp {
 }
 
 /// Built-in scalar functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalarFunc {
     Lower,
     Upper,
@@ -138,7 +137,7 @@ impl ScalarFunc {
 
 /// Aggregate functions (used by the plan layer; listed here so the parser and
 /// pushdown rules can reason about them alongside scalar expressions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     Count,
     /// `COUNT(*)`.
@@ -175,7 +174,7 @@ impl AggFunc {
 }
 
 /// A scalar expression tree.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A (possibly qualified) column reference.
     Column {

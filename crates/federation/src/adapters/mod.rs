@@ -209,6 +209,10 @@ pub(crate) fn reject_unsupported(
 }
 
 #[cfg(test)]
+#[path = "../../../../tests/support/hazards.rs"]
+mod hazards;
+
+#[cfg(test)]
 pub(crate) mod tests {
     use super::csv::CsvConnector;
     use super::document::{DocumentConnector, VirtualTable};
@@ -244,33 +248,7 @@ pub(crate) mod tests {
         many.as_secs_f64() / few.as_secs_f64().max(1e-9)
     }
 
-    const P53: i64 = 1 << 53;
-
-    /// Keys and cell values around every equality hazard: duplicates (small
-    /// domains), NULL, strings (the empty one too), and — half of all draws —
-    /// the five numerics at 2^53 ± 1, where comparing Int with Float through
-    /// `f64` would make `Float(2^53)` equal both `Int(2^53)` and
-    /// `Int(2^53 + 1)`.
-    fn hazard_value() -> impl Strategy<Value = Value> {
-        let at_2_53 = || {
-            prop_oneof![
-                (-1i64..2).prop_map(|d| Value::Int(P53 + d)),
-                (-1i64..1).prop_map(|d| Value::Float((P53 + d) as f64)),
-            ]
-        };
-        prop_oneof![
-            at_2_53(),
-            at_2_53(),
-            at_2_53(),
-            Just(Value::Null),
-            (0i64..2).prop_map(|i| if i == 0 {
-                Value::Int(1)
-            } else {
-                Value::Float(1.0)
-            }),
-            (0i64..3).prop_map(|i| Value::str(["", "s0", "s1"][i as usize])),
-        ]
-    }
+    use super::hazards::{hazard_value, P53};
 
     /// `(k_int, k_float, k_str, d)` cells: the first three drawn from
     /// [`hazard_value`]'s domain — a draw of another type than its column's

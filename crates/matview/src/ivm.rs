@@ -1,44 +1,51 @@
 //! Incremental view maintenance: delta propagation through a view's
-//! operator tree.
+//! operator tree, on the executor's kernels and key table.
 //!
-//! The engine consumes the base tables' change logs (the same logs the
-//! result cache's watermark verification reads) as **weighted delta
-//! batches** — z-sets of `(row, weight)` pairs where an insert carries
-//! weight `+1`, a delete `-1`, and an update a retract/insert pair — and
-//! pushes them through a state tree mirroring the view's optimized logical
-//! plan:
+//! Base-table change logs (the ones the result cache's watermark check reads)
+//! arrive as **weighted deltas** — z-sets: an insert weighs `+1`, a delete
+//! `-1`, an update is a retract/insert pair. In the state tree, which mirrors
+//! the view's optimized logical plan, a delta is a [`ColumnarBatch`] beside
+//! one weight per row, and each operator runs the executor's code:
 //!
-//! - **Scan** re-applies the scan's pushed filters and projection to each
-//!   changed base row, so deltas enter the pipeline already shaped like the
-//!   scan's output.
-//! - **Filter / Project / Alias / UnionAll** are stateless: they distribute
-//!   over weighted union row by row.
-//! - **Join** (inner, semi-naive): keeps both input relations as
-//!   equi-key-indexed multisets and computes
-//!   `ΔL ⋈ R_old  ∪  (L_old ∪ ΔL) ⋈ ΔR`, multiplying weights. Rows whose
-//!   evaluated key contains a NULL are skipped on both the probe and the
-//!   state side — NULL keys never join, exactly like the executor's hash
-//!   join. Non-equi conjuncts evaluate as residual predicates on the
-//!   concatenated row; a join with no equi keys degenerates to nested
-//!   loops.
-//! - **Aggregate** keeps mergeable per-group partials (COUNT/SUM/AVG add
-//!   and subtract exactly; the int-only restriction is enforced at plan
-//!   time by [`eii_planner::maintain`]) and maintains MIN/MAX by
-//!   compare-on-insert with **recompute-on-retract**: a retraction rescans
-//!   only the affected group's retained rows. Each touched group emits a
-//!   retraction of its old output row and an insertion of the new one.
+//! - **Scan** pivots its table's changed rows once, only the columns its
+//!   pushed filters and projection read; **Filter** and pushed filters
+//!   narrow through [`eval_filter`], **Project** evaluates through
+//!   [`eval_column`], **Alias** re-tags, **UnionAll** concatenates.
+//! - **Join** (inner, semi-naive): `ΔL ⋈ R_old ∪ L_new ⋈ ΔR`, weights
+//!   multiplied. Each input holds its distinct live rows once, weighted, in a
+//!   [`KeyTable`] over the whole row, listed under join keys interned in a
+//!   second one as the executor's hash join interns its build side: a key
+//!   with a NULL cell is never interned, so its row neither joins nor is
+//!   kept, and Int and Float keys meet where the executor's have them meet.
+//!   The residual narrows the gathered candidate pairs; with no equi key
+//!   every held row is a candidate.
+//! - **Aggregate** interns groups in a [`KeyTable`], NULL a group like any
+//!   other, with per-group vectors: weighted non-NULL counts and integer
+//!   totals for COUNT/SUM/AVG (int-only: [`eii_planner::maintain`]), and for
+//!   MIN/MAX a counted ordered multiset of argument values. A touched group
+//!   emits a retraction of its old row and an insertion of its new one.
+//!
+//! A join row or a group whose weight returns to zero is dead (alive again
+//! if its key comes back); once dead ids outnumber live ones, its table is
+//! rebuilt from the live ones, so state stays O(live rows).
 //!
 //! The maintained view is a canonical multiset (`BTreeMap<Row, i64>`)
-//! materialized into columns in sorted row order, so same-seed runs are
-//! bit-identical and the IVM ≡ full-recompute property is checkable by
-//! sorting the recomputed batch. Refresh cost is charged in simulated time as
-//! [`IVM_PROBE_MS`] per base table plus [`IVM_ROW_MS`] per delta row — it
-//! scales with the change, not the data (experiment E19 gates this).
+//! materialized in sorted row order, so same-seed runs are bit-identical and
+//! IVM ≡ recompute is checkable by sorting the recomputed batch. A refresh
+//! costs [`IVM_PROBE_MS`] per base table plus [`IVM_ROW_MS`] per delta row of
+//! simulated time — the change, not the data (experiment E19 gates this).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use eii_data::{ColumnarBatch, EiiError, Result, Row, Schema, SchemaRef, Value};
-use eii_expr::{bind, AggFunc, BoundExpr, Expr};
+use eii_data::keys::{KeyTable, NO_KEY};
+use eii_data::{
+    Column, ColumnBuilder, ColumnarBatch, DataType, EiiError, Result, Row, Schema, SchemaRef,
+    Value,
+};
+use eii_expr::{
+    bind, eval_column, eval_filter, infer_type, referenced_columns, AggFunc, BoundExpr, Expr,
+};
 use eii_planner::{split_join_on, LogicalPlan};
 use eii_storage::{Change, ChangeOp};
 
@@ -67,13 +74,13 @@ pub fn changes_to_delta(changes: &[Change]) -> Vec<(Row, i64)> {
     out
 }
 
-/// Merge `(row, weight)` into a multiset, dropping zero-weight entries.
-fn merge_weight(map: &mut BTreeMap<Row, i64>, row: Row, w: i64) {
+/// Merge `(key, weight)` into a multiset, dropping zero-weight entries.
+fn merge_weight<K: Ord>(map: &mut BTreeMap<K, i64>, key: K, w: i64) {
     use std::collections::btree_map::Entry;
     if w == 0 {
         return;
     }
-    match map.entry(row) {
+    match map.entry(key) {
         Entry::Occupied(mut o) => {
             *o.get_mut() += w;
             if *o.get() == 0 {
@@ -86,142 +93,306 @@ fn merge_weight(map: &mut BTreeMap<Row, i64>, row: Row, w: i64) {
     }
 }
 
-/// One aggregate's mergeable partial state within a group.
-#[derive(Debug, Clone)]
-enum Partial {
-    CountStar,
-    Count { non_null: i64 },
-    Sum { total: i64, non_null: i64 },
-    Avg { total: i64, non_null: i64 },
-    Min { current: Option<Value> },
-    Max { current: Option<Value> },
+/// A z-set delta inside the tree: logical row `k` of `batch` weighs
+/// `weights[k]`.
+struct Delta {
+    batch: ColumnarBatch,
+    weights: Vec<i64>,
 }
 
-impl Partial {
-    fn new(func: AggFunc, has_arg: bool) -> Partial {
-        match func {
-            AggFunc::CountStar => Partial::CountStar,
-            AggFunc::Count if !has_arg => Partial::CountStar,
-            AggFunc::Count => Partial::Count { non_null: 0 },
-            AggFunc::Sum => Partial::Sum {
-                total: 0,
-                non_null: 0,
-            },
-            AggFunc::Avg => Partial::Avg {
-                total: 0,
-                non_null: 0,
-            },
-            AggFunc::Min => Partial::Min { current: None },
-            AggFunc::Max => Partial::Max { current: None },
+impl Delta {
+    /// Weighted rows, read by reference, pivoted into `schema`: field `k`
+    /// takes cell `cols[k]` of every row.
+    fn from_rows(schema: &SchemaRef, cols: &[usize], rows: &[(Row, i64)]) -> Delta {
+        let batch = ColumnarBatch::from_rows(Arc::clone(schema), cols, rows.iter().map(|(r, _)| r));
+        Delta { batch, weights: rows.iter().map(|&(_, w)| w).collect() }
+    }
+
+    fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// The rows every predicate is TRUE on, each a WHERE over the rows the
+    /// ones before it kept.
+    fn filter(mut self, preds: &[BoundExpr]) -> Result<Delta> {
+        for pred in preds {
+            if self.len() == 0 {
+                break;
+            }
+            let keep = eval_filter(pred, &self.batch)?;
+            if keep.len() < self.len() {
+                self.weights = keep.iter().map(|&k| self.weights[k as usize]).collect();
+                self.batch = self.batch.select(keep);
+            }
+        }
+        Ok(self)
+    }
+
+    /// `parts` one after another, under `schema`.
+    fn concat(schema: &SchemaRef, parts: Vec<Delta>) -> Delta {
+        let (batches, weights): (Vec<_>, Vec<Vec<i64>>) =
+            parts.into_iter().map(|d| (d.batch, d.weights)).unzip();
+        let batch = ColumnarBatch::concat(Arc::clone(schema), &batches);
+        Delta { batch, weights: weights.concat() }
+    }
+}
+
+/// `table` holding only its keys `ids`, renumbered `0..ids.len()` in order.
+fn keep_keys(table: &KeyTable, ids: &[u32]) -> KeyTable {
+    let cols: Vec<Arc<Column>> = table.columns().map(|c| Arc::new(c.gather(ids))).collect();
+    let stored = cols.iter().map(|c| ColumnBuilder::like(c, ids.len())).collect();
+    let mut kept = KeyTable::new(stored, ids.len());
+    kept.intern_rows(&cols, ids.len(), false);
+    kept
+}
+
+/// Keys interned in a [`KeyTable`], NULL a key cell like any other, each
+/// with a weight: a join input's distinct rows, or an aggregate's groups.
+#[derive(Debug)]
+struct Interned {
+    table: KeyTable,
+    weights: Vec<i64>,
+    live: usize,
+}
+
+impl Interned {
+    fn new(types: impl Iterator<Item = DataType>) -> Interned {
+        let stored = types.map(|ty| ColumnBuilder::new(ty, 0)).collect();
+        Interned { table: KeyTable::new(stored, 0), weights: Vec::new(), live: 0 }
+    }
+
+    /// The id of each of the `n` keys in `cols`; a new key weighs 0.
+    fn intern(&mut self, cols: &[Arc<Column>], n: usize) -> Vec<u32> {
+        let ids = self.table.intern_rows(cols, n, false);
+        self.weights.resize(self.table.len(), 0);
+        ids
+    }
+
+    fn weight(&self, id: u32) -> i64 {
+        self.weights[id as usize]
+    }
+
+    /// Add `w` to `id`'s weight; true when that brought it to life or killed
+    /// it.
+    fn add(&mut self, id: u32, w: i64) -> bool {
+        let was = self.weight(id) != 0;
+        self.weights[id as usize] += w;
+        let flipped = was != (self.weight(id) != 0);
+        if flipped {
+            self.live = if was { self.live - 1 } else { self.live + 1 };
+        }
+        flipped
+    }
+
+    /// Do dead ids outnumber the live ones?
+    fn crowded(&self) -> bool {
+        self.weights.len() - self.live > self.live
+    }
+
+    /// Keep only the live ids `ids`, renumbered `0..ids.len()` in order.
+    fn keep(&mut self, ids: &[u32]) {
+        self.table = keep_keys(&self.table, ids);
+        self.weights = ids.iter().map(|&id| self.weight(id)).collect();
+        self.live = ids.len();
+    }
+}
+
+/// One input of an inner join: its distinct live rows, listed under their
+/// join key.
+#[derive(Debug)]
+struct JoinSide {
+    /// The join key, bound against this side's schema.
+    key_exprs: Vec<BoundExpr>,
+    /// The keys without a NULL cell; `rows_of[k]` lists key `k`'s live rows.
+    keys: KeyTable,
+    rows_of: Vec<Vec<u32>>,
+    rows: Interned,
+}
+
+impl JoinSide {
+    fn new(keys: &[Expr], schema: &Schema) -> Result<JoinSide> {
+        let stored = (keys.iter())
+            .map(|k| Ok(ColumnBuilder::new(infer_type(k, schema)?.unwrap_or(DataType::Int), 0)))
+            .collect::<Result<_>>()?;
+        Ok(JoinSide {
+            key_exprs: bind_all(keys, schema)?,
+            keys: KeyTable::new(stored, 0),
+            rows_of: Vec::new(),
+            rows: Interned::new(schema.fields().iter().map(|f| f.data_type)),
+        })
+    }
+
+    /// Each row of `delta`, whose join keys are `keys`, joined to each live
+    /// row held here under an equal key — the delta on the left when `left`
+    /// — weighing the product of the two weights. A key with a NULL cell
+    /// finds none.
+    fn join(&self, schema: &SchemaRef, delta: &Delta, keys: &[Arc<Column>], left: bool) -> Delta {
+        let (mut at, mut ids) = (Vec::new(), Vec::new());
+        for (row, k) in self.keys.find_rows(keys, delta.len()).into_iter().enumerate() {
+            for &id in self.rows_of.get(k as usize).map_or(&[][..], Vec::as_slice) {
+                at.push(row as u32);
+                ids.push(id);
+            }
+        }
+        let weight = |(&i, &id): (&u32, &u32)| delta.weights[i as usize] * self.rows.weight(id);
+        let weights = at.iter().zip(&ids).map(weight).collect();
+        let fresh = delta.batch.select(at).compact();
+        let fresh = fresh.columns().iter().cloned();
+        let held = self.rows.table.columns().map(|c| Arc::new(c.gather(&ids)));
+        let cols = if left { fresh.chain(held).collect() } else { held.chain(fresh).collect() };
+        Delta { batch: ColumnarBatch::new(Arc::clone(schema), cols, ids.len()), weights }
+    }
+
+    /// Fold `delta`, whose join keys are `key_cols`, into the state, all but
+    /// the rows whose key has a NULL cell.
+    fn merge(&mut self, delta: &Delta, key_cols: &[Arc<Column>]) {
+        let n = delta.len();
+        let key_of = self.keys.intern_rows(key_cols, n, true);
+        self.rows_of.resize_with(self.keys.len(), Vec::new);
+        let kept: Vec<u32> = (0..n as u32).filter(|&i| key_of[i as usize] != NO_KEY).collect();
+        let rows = delta.batch.select(kept.clone()).compact();
+        for (i, id) in kept.into_iter().zip(self.rows.intern(rows.columns(), rows.num_rows())) {
+            if self.rows.add(id, delta.weights[i as usize]) {
+                let list = &mut self.rows_of[key_of[i as usize] as usize];
+                match self.rows.weight(id) {
+                    0 => list.retain(|&r| r != id),
+                    _ => list.push(id),
+                }
+            }
+        }
+        if self.rows.crowded() {
+            // Keys that still have a live row, in id order, and their rows
+            // renumbered key by key.
+            let rows_of = std::mem::take(&mut self.rows_of);
+            let live_keys = (0..rows_of.len() as u32).filter(|&k| !rows_of[k as usize].is_empty());
+            self.keys = keep_keys(&self.keys, &live_keys.collect::<Vec<_>>());
+            let live_rows: Vec<u32> = rows_of.iter().flatten().copied().collect();
+            self.rows.keep(&live_rows);
+            let mut ids = 0..live_rows.len() as u32;
+            let renumbered = rows_of.iter().filter(|r| !r.is_empty());
+            self.rows_of = renumbered.map(|r| ids.by_ref().take(r.len()).collect()).collect();
         }
     }
 }
 
-/// One aggregate's compiled spec: the function plus its bound argument.
+/// One aggregate's state over every group, indexed by group id.
 #[derive(Debug)]
-struct AggSpec {
+struct AggState {
+    /// `COUNT` without an argument is `COUNT(*)`, which reads the group's
+    /// weight.
     func: AggFunc,
     arg: Option<BoundExpr>,
+    /// COUNT(x), SUM, AVG: the weighted count of non-NULL arguments.
+    non_null: Vec<i64>,
+    /// SUM, AVG: their weighted total, wrapping like the executor's.
+    total: Vec<i64>,
+    /// MIN, MAX: each argument value's weighted count, in [`Value`]'s order.
+    values: Vec<BTreeMap<Value, i64>>,
 }
 
-/// Per-group maintenance state.
-#[derive(Debug, Default)]
-struct GroupState {
-    /// Retained input rows with weights — the multiset MIN/MAX rescans on
-    /// retraction.
-    rows: BTreeMap<Row, i64>,
-    /// Sum of weights: the group's row count (`COUNT(*)`).
-    weight: i64,
-    partials: Vec<Partial>,
-}
+impl AggState {
+    fn new(func: AggFunc, arg: Option<BoundExpr>) -> AggState {
+        let func = if arg.is_none() { AggFunc::CountStar } else { func };
+        let (non_null, total, values) = Default::default();
+        AggState { func, arg, non_null, total, values }
+    }
 
-impl GroupState {
-    fn new(specs: &[AggSpec]) -> GroupState {
-        GroupState {
-            rows: BTreeMap::new(),
-            weight: 0,
-            partials: specs
-                .iter()
-                .map(|s| Partial::new(s.func, s.arg.is_some()))
-                .collect(),
+    fn grow(&mut self, groups: usize) {
+        self.non_null.resize(groups, 0);
+        self.total.resize(groups, 0);
+        self.values.resize_with(groups, BTreeMap::new);
+    }
+
+    /// Fold in the delta's arguments, row `k` into group `ids[k]`.
+    fn update(&mut self, ids: &[u32], delta: &Delta) -> Result<()> {
+        let Some(arg) = &self.arg else { return Ok(()) };
+        let col = eval_column(arg, &delta.batch)?;
+        for (k, (&g, &w)) in ids.iter().zip(&delta.weights).enumerate() {
+            let (g, v) = (g as usize, col.value(k));
+            if v.is_null() {
+                continue;
+            }
+            self.non_null[g] += w;
+            match (self.func, v) {
+                (AggFunc::Sum | AggFunc::Avg, Value::Int(i)) => {
+                    self.total[g] = self.total[g].wrapping_add(i.wrapping_mul(w))
+                }
+                (AggFunc::Sum | AggFunc::Avg, other) => {
+                    return Err(EiiError::Execution(format!(
+                        "ivm: SUM/AVG partial over non-integer value {other} \
+                         (plan-time validation should have fallen back)"
+                    )))
+                }
+                (AggFunc::Min | AggFunc::Max, v) => merge_weight(&mut self.values[g], v, w),
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Group `g`'s value, `weight` its row count (as the executor's
+    /// `GroupedAgg::finish` has it).
+    fn finish(&self, g: usize, weight: i64) -> Value {
+        let counted = |v| if self.non_null[g] == 0 { Value::Null } else { v };
+        let extreme = |v: Option<&Value>| v.cloned().unwrap_or(Value::Null);
+        match self.func {
+            AggFunc::CountStar => Value::Int(weight),
+            AggFunc::Count => Value::Int(self.non_null[g]),
+            AggFunc::Sum => counted(Value::Int(self.total[g])),
+            AggFunc::Avg => counted(Value::Float(self.total[g] as f64 / self.non_null[g] as f64)),
+            AggFunc::Min => extreme(self.values[g].keys().next()),
+            AggFunc::Max => extreme(self.values[g].keys().next_back()),
         }
     }
 
-    /// The group's output values in agg-item order (mirrors
-    /// `eii_exec::agg::GroupedAgg::finish`).
-    fn finish(&self) -> Vec<Value> {
-        self.partials
-            .iter()
-            .map(|p| match p {
-                Partial::CountStar => Value::Int(self.weight),
-                Partial::Count { non_null } => Value::Int(*non_null),
-                Partial::Sum { total, non_null } => {
-                    if *non_null == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int(*total)
-                    }
-                }
-                Partial::Avg { total, non_null } => {
-                    if *non_null == 0 {
-                        Value::Null
-                    } else {
-                        Value::Float(*total as f64 / *non_null as f64)
-                    }
-                }
-                Partial::Min { current } | Partial::Max { current } => {
-                    current.clone().unwrap_or(Value::Null)
-                }
-            })
-            .collect()
+    /// Keep only groups `ids`, renumbered `0..ids.len()` in order.
+    fn keep(&mut self, ids: &[u32]) {
+        self.non_null = ids.iter().map(|&g| self.non_null[g as usize]).collect();
+        self.total = ids.iter().map(|&g| self.total[g as usize]).collect();
+        self.values = ids.iter().map(|&g| std::mem::take(&mut self.values[g as usize])).collect();
     }
 }
 
 /// The operator state tree.
 #[derive(Debug)]
 enum OpState {
-    /// Leaf: deltas of one base table, filtered and projected like the
-    /// scan.
+    /// Leaf: deltas of one base table, filtered and projected like the scan.
     Scan {
         qualified: String,
+        /// The base columns pivoted — the projection's, then the other ones
+        /// the pushed filters read — and their schema, the filters' binding.
+        read: Vec<usize>,
+        read_schema: SchemaRef,
         filters: Vec<BoundExpr>,
-        projection: Option<Vec<usize>>,
+        schema: SchemaRef,
     },
-    Filter {
-        input: Box<OpState>,
-        predicate: BoundExpr,
-    },
-    Project {
-        input: Box<OpState>,
-        exprs: Vec<BoundExpr>,
-    },
-    /// Alias nodes requalify the schema but leave row values untouched.
-    Pass { input: Box<OpState> },
-    Union { inputs: Vec<OpState> },
+    Filter { input: Box<OpState>, predicate: BoundExpr },
+    Project { input: Box<OpState>, exprs: Vec<BoundExpr>, schema: SchemaRef },
+    /// Requalifies the schema; the values are untouched.
+    Alias { input: Box<OpState>, schema: SchemaRef },
+    Union { inputs: Vec<OpState>, schema: SchemaRef },
     Join {
         left: Box<OpState>,
         right: Box<OpState>,
-        left_keys: Vec<BoundExpr>,
-        right_keys: Vec<BoundExpr>,
+        sides: Box<[JoinSide; 2]>,
+        /// Bound against the joined schema.
         residual: Vec<BoundExpr>,
-        left_rows: BTreeMap<Vec<Value>, BTreeMap<Row, i64>>,
-        right_rows: BTreeMap<Vec<Value>, BTreeMap<Row, i64>>,
+        schema: SchemaRef,
     },
+    /// A global aggregate (no GROUP BY) has one group, seeded — its row of
+    /// defaults emitted — by the first apply.
     Aggregate {
         input: Box<OpState>,
         group_exprs: Vec<BoundExpr>,
-        specs: Vec<AggSpec>,
-        groups: BTreeMap<Vec<Value>, GroupState>,
-        /// Global (no GROUP BY) aggregates emit one default row over zero
-        /// input rows; the group is seeded (and its default output
-        /// emitted) on the first apply.
-        global: bool,
-        initialized: bool,
+        groups: Interned,
+        aggs: Vec<AggState>,
+        schema: SchemaRef,
     },
 }
 
 fn build(plan: &LogicalPlan) -> Result<OpState> {
-    match plan {
+    let schema = plan.schema()?;
+    Ok(match plan {
         LogicalPlan::SourceScan {
             source,
             table,
@@ -232,49 +403,49 @@ fn build(plan: &LogicalPlan) -> Result<OpState> {
             ..
         } => {
             if limit.is_some() {
-                return Err(EiiError::Plan(
-                    "ivm: scan-level LIMIT is not incrementalizable".into(),
-                ));
+                return Err(EiiError::Plan("ivm: scan-level LIMIT is not incrementalizable".into()));
             }
-            let filters = bind_all(pushed_filters, base_schema)?;
-            let projection = projection
-                .as_ref()
-                .map(|cols| {
-                    cols.iter()
-                        .map(|c| base_schema.index_of(None, c))
-                        .collect::<Result<Vec<_>>>()
-                })
-                .transpose()?;
-            Ok(OpState::Scan {
+            let index = |c: &String| base_schema.index_of(None, c);
+            let mut read: Vec<usize> = match projection {
+                Some(cols) => cols.iter().map(index).collect::<Result<_>>()?,
+                None => (0..base_schema.len()).collect(),
+            };
+            for c in pushed_filters.iter().flat_map(referenced_columns) {
+                let c = base_schema.index_of(c.relation.as_deref(), &c.name)?;
+                if !read.contains(&c) {
+                    read.push(c);
+                }
+            }
+            let fields = read.iter().map(|&c| base_schema.field(c).clone()).collect();
+            let read_schema = Arc::new(Schema::new(fields));
+            OpState::Scan {
                 qualified: format!("{source}.{table}"),
-                filters,
-                projection,
-            })
+                filters: bind_all(pushed_filters, &read_schema)?,
+                read,
+                read_schema,
+                schema,
+            }
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let schema = input.schema()?;
-            Ok(OpState::Filter {
-                predicate: bind(predicate, &schema)?,
-                input: Box::new(build(input)?),
-            })
-        }
-        LogicalPlan::Project { input, exprs } => {
-            let schema = input.schema()?;
-            let bound = exprs
-                .iter()
-                .map(|(e, _)| bind(e, &schema))
-                .collect::<Result<Vec<_>>>()?;
-            Ok(OpState::Project {
-                input: Box::new(build(input)?),
-                exprs: bound,
-            })
-        }
-        LogicalPlan::Alias { input, .. } => Ok(OpState::Pass {
+        LogicalPlan::Filter { input, predicate } => OpState::Filter {
+            predicate: bind(predicate, input.schema()?.as_ref())?,
             input: Box::new(build(input)?),
-        }),
-        LogicalPlan::UnionAll { inputs } => Ok(OpState::Union {
-            inputs: inputs.iter().map(build).collect::<Result<Vec<_>>>()?,
-        }),
+        },
+        LogicalPlan::Project { input, exprs } => {
+            let input_schema = input.schema()?;
+            OpState::Project {
+                exprs: exprs.iter().map(|(e, _)| bind(e, &input_schema)).collect::<Result<_>>()?,
+                input: Box::new(build(input)?),
+                schema,
+            }
+        }
+        LogicalPlan::Alias { input, .. } => OpState::Alias {
+            input: Box::new(build(input)?),
+            schema,
+        },
+        LogicalPlan::UnionAll { inputs } => OpState::Union {
+            inputs: inputs.iter().map(build).collect::<Result<_>>()?,
+            schema,
+        },
         LogicalPlan::Join {
             left,
             right,
@@ -282,368 +453,165 @@ fn build(plan: &LogicalPlan) -> Result<OpState> {
             on,
         } => {
             if *kind != eii_sql::JoinKind::Inner {
-                return Err(EiiError::Plan(format!(
-                    "ivm: {kind} is not incrementalizable"
-                )));
+                return Err(EiiError::Plan(format!("ivm: {kind} is not incrementalizable")));
             }
             // Keyed and residual exactly as the executor's join is.
             let (lschema, rschema) = (left.schema()?, right.schema()?);
-            let (left_keys, right_keys, residual) = split_join_on(on.as_ref(), &lschema, &rschema);
-            Ok(OpState::Join {
+            let (lkeys, rkeys, residual) = split_join_on(on.as_ref(), &lschema, &rschema);
+            let (l, r) = (JoinSide::new(&lkeys, &lschema)?, JoinSide::new(&rkeys, &rschema)?);
+            OpState::Join {
                 left: Box::new(build(left)?),
                 right: Box::new(build(right)?),
-                left_keys: bind_all(&left_keys, &lschema)?,
-                right_keys: bind_all(&right_keys, &rschema)?,
+                sides: Box::new([l, r]),
                 residual: bind_all(&residual, &Schema::join(&lschema, &rschema))?,
-                left_rows: BTreeMap::new(),
-                right_rows: BTreeMap::new(),
-            })
+                schema,
+            }
         }
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            let schema = input.schema()?;
-            let group_exprs = bind_all(group_by, &schema)?;
-            let specs = aggs
+            let input_schema = input.schema()?;
+            let aggs = aggs
                 .iter()
                 .map(|a| {
                     if a.distinct {
-                        return Err(EiiError::Plan(
-                            "ivm: DISTINCT aggregates are not incrementalizable".into(),
-                        ));
+                        let msg = "ivm: DISTINCT aggregates are not incrementalizable";
+                        return Err(EiiError::Plan(msg.into()));
                     }
-                    Ok(AggSpec {
-                        func: a.func,
-                        arg: a.arg.as_ref().map(|x| bind(x, &schema)).transpose()?,
-                    })
+                    let arg = a.arg.as_ref().map(|x| bind(x, &input_schema)).transpose()?;
+                    Ok(AggState::new(a.func, arg))
                 })
-                .collect::<Result<Vec<_>>>()?;
-            Ok(OpState::Aggregate {
+                .collect::<Result<_>>()?;
+            let key_types = schema.fields().iter().take(group_by.len()).map(|f| f.data_type);
+            OpState::Aggregate {
                 input: Box::new(build(input)?),
-                group_exprs,
-                specs,
-                groups: BTreeMap::new(),
-                global: group_by.is_empty(),
-                initialized: false,
-            })
+                group_exprs: bind_all(group_by, &input_schema)?,
+                groups: Interned::new(key_types),
+                aggs,
+                schema,
+            }
         }
         LogicalPlan::Values { .. }
         | LogicalPlan::MatViewScan { .. }
         | LogicalPlan::Distinct { .. }
         | LogicalPlan::Sort { .. }
-        | LogicalPlan::Limit { .. } => Err(EiiError::Plan(format!(
-            "ivm: operator is not incrementalizable:\n{}",
-            plan.display()
-        ))),
-    }
+        | LogicalPlan::Limit { .. } => {
+            return Err(EiiError::Plan(format!(
+                "ivm: operator is not incrementalizable:\n{}",
+                plan.display()
+            )))
+        }
+    })
 }
 
 fn bind_all(exprs: &[Expr], schema: &Schema) -> Result<Vec<BoundExpr>> {
     exprs.iter().map(|e| bind(e, schema)).collect()
 }
 
-fn eval_keys(keys: &[BoundExpr], row: &Row) -> Result<Vec<Value>> {
-    keys.iter().map(|k| k.eval(row)).collect()
+/// Each expression as a compact column over `batch`.
+fn eval_columns(exprs: &[BoundExpr], batch: &ColumnarBatch) -> Result<Vec<Arc<Column>>> {
+    exprs.iter().map(|e| eval_column(e, batch)).collect()
 }
 
-/// Evaluate a join-key vector; `None` when any component is NULL. NULL
-/// keys never join (mirroring the executor's hash join), so NULL-keyed
-/// rows are neither probed nor retained in the join state — a later
-/// retraction of such a row evaluates to `None` again and is skipped
-/// symmetrically.
-fn eval_join_key(keys: &[BoundExpr], row: &Row) -> Result<Option<Vec<Value>>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for k in keys {
-        let v = k.eval(row)?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        out.push(v);
-    }
-    Ok(Some(out))
+/// Group `g`'s output row: its key, then each aggregate's value.
+fn group_row(groups: &Interned, aggs: &[AggState], g: u32) -> Row {
+    let key = groups.table.columns().map(|c| c.value(g as usize));
+    Row::new(key.chain(aggs.iter().map(|a| a.finish(g as usize, groups.weight(g)))).collect())
 }
 
 impl OpState {
-    fn apply(&mut self, deltas: &TableDeltas) -> Result<Vec<(Row, i64)>> {
+    fn apply(&mut self, deltas: &TableDeltas) -> Result<Delta> {
         match self {
-            OpState::Scan {
-                qualified,
-                filters,
-                projection,
-            } => {
-                let mut out = Vec::new();
-                if let Some(rows) = deltas.get(qualified) {
-                    'row: for (row, w) in rows {
-                        for f in filters.iter() {
-                            if !f.eval_predicate(row)? {
-                                continue 'row;
-                            }
-                        }
-                        let shaped = match projection {
-                            Some(idx) => row.project(idx),
-                            None => row.clone(),
-                        };
-                        out.push((shaped, *w));
-                    }
-                }
-                Ok(out)
+            OpState::Scan { qualified, read, read_schema, filters, schema } => {
+                let rows = deltas.get(qualified).map_or(&[][..], Vec::as_slice);
+                let Delta { batch, weights } =
+                    Delta::from_rows(read_schema, read, rows).filter(filters)?;
+                let cols = batch.columns()[..schema.len()].to_vec();
+                Ok(Delta { batch: batch.with_columns(Arc::clone(schema), cols), weights })
             }
             OpState::Filter { input, predicate } => {
-                let mut out = Vec::new();
-                for (row, w) in input.apply(deltas)? {
-                    if predicate.eval_predicate(&row)? {
-                        out.push((row, w));
-                    }
-                }
-                Ok(out)
+                input.apply(deltas)?.filter(std::slice::from_ref(predicate))
             }
-            OpState::Project { input, exprs } => {
-                let mut out = Vec::new();
-                for (row, w) in input.apply(deltas)? {
-                    let values = exprs
-                        .iter()
-                        .map(|e| e.eval(&row))
-                        .collect::<Result<Vec<_>>>()?;
-                    out.push((Row::new(values), w));
-                }
-                Ok(out)
+            OpState::Project { input, exprs, schema } => {
+                let Delta { batch, weights } = input.apply(deltas)?;
+                let cols = eval_columns(exprs, &batch)?;
+                let batch = ColumnarBatch::new(Arc::clone(schema), cols, weights.len());
+                Ok(Delta { batch, weights })
             }
-            OpState::Pass { input } => input.apply(deltas),
-            OpState::Union { inputs } => {
-                let mut out = Vec::new();
-                for input in inputs {
-                    out.extend(input.apply(deltas)?);
-                }
-                Ok(out)
+            OpState::Alias { input, schema } => {
+                let Delta { batch, weights } = input.apply(deltas)?;
+                Ok(Delta { batch: batch.with_schema(Arc::clone(schema)), weights })
             }
-            OpState::Join {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-                left_rows,
-                right_rows,
-            } => {
-                let dl = left.apply(deltas)?;
-                let dr = right.apply(deltas)?;
-                let mut out = Vec::new();
-                let emit = |lrow: &Row,
-                            lw: i64,
-                            rrow: &Row,
-                            rw: i64,
-                            out: &mut Vec<(Row, i64)>|
-                 -> Result<()> {
-                    let joined = lrow.concat(rrow);
-                    for pred in residual.iter() {
-                        if !pred.eval_predicate(&joined)? {
-                            return Ok(());
-                        }
-                    }
-                    out.push((joined, lw * rw));
-                    Ok(())
-                };
-                // ΔL ⋈ R_old
-                for (lrow, lw) in &dl {
-                    let Some(key) = eval_join_key(left_keys, lrow)? else {
-                        continue; // NULL keys never join.
-                    };
-                    if let Some(matches) = right_rows.get(&key) {
-                        for (rrow, rw) in matches {
-                            emit(lrow, *lw, rrow, *rw, &mut out)?;
-                        }
-                    }
-                }
-                // L becomes L_old ∪ ΔL before the right delta joins, so
-                // ΔL ⋈ ΔR is counted exactly once (semi-naive). Buckets
-                // whose multiset empties are removed on the spot — only
-                // keys this delta touched, never a full state sweep.
-                for (lrow, lw) in dl {
-                    let Some(key) = eval_join_key(left_keys, &lrow)? else {
-                        continue;
-                    };
-                    let bucket = left_rows.entry(key.clone()).or_default();
-                    merge_weight(bucket, lrow, lw);
-                    if bucket.is_empty() {
-                        left_rows.remove(&key);
-                    }
-                }
-                // L_new ⋈ ΔR
-                for (rrow, rw) in &dr {
-                    let Some(key) = eval_join_key(right_keys, rrow)? else {
-                        continue;
-                    };
-                    if let Some(matches) = left_rows.get(&key) {
-                        for (lrow, lw) in matches {
-                            emit(lrow, *lw, rrow, *rw, &mut out)?;
-                        }
-                    }
-                }
-                for (rrow, rw) in dr {
-                    let Some(key) = eval_join_key(right_keys, &rrow)? else {
-                        continue;
-                    };
-                    let bucket = right_rows.entry(key.clone()).or_default();
-                    merge_weight(bucket, rrow, rw);
-                    if bucket.is_empty() {
-                        right_rows.remove(&key);
-                    }
-                }
-                Ok(out)
+            OpState::Union { inputs, schema } => {
+                let parts = inputs.iter_mut().map(|i| i.apply(deltas)).collect::<Result<_>>()?;
+                Ok(Delta::concat(schema, parts))
             }
-            OpState::Aggregate {
-                input,
-                group_exprs,
-                specs,
-                groups,
-                global,
-                initialized,
-            } => {
+            OpState::Join { left, right, sides, residual, schema } => {
+                let (dl, dr) = (left.apply(deltas)?, right.apply(deltas)?);
+                if dl.len() + dr.len() == 0 {
+                    let batch = ColumnarBatch::empty(Arc::clone(schema));
+                    return Ok(Delta { batch, weights: Vec::new() });
+                }
+                let [l, r] = &mut **sides;
+                let lkeys = eval_columns(&l.key_exprs, &dl.batch)?;
+                let rkeys = eval_columns(&r.key_exprs, &dr.batch)?;
+                // ΔL ⋈ R_old; then L becomes L_old ∪ ΔL before the right
+                // delta probes it, so ΔL ⋈ ΔR is counted exactly once
+                // (semi-naive).
+                let old = r.join(schema, &dl, &lkeys, true).filter(residual)?;
+                l.merge(&dl, &lkeys);
+                let new = l.join(schema, &dr, &rkeys, false).filter(residual)?;
+                r.merge(&dr, &rkeys);
+                Ok(Delta::concat(schema, vec![old, new]))
+            }
+            OpState::Aggregate { input, group_exprs, groups, aggs, schema } => {
                 let delta = input.apply(deltas)?;
+                let global = group_exprs.is_empty();
                 let mut out = Vec::new();
-                if *global && !*initialized {
+                if global && groups.weights.is_empty() {
                     // Zero input rows still produce one output row
                     // (COUNT(*)=0, SUM/AVG/MIN/MAX=NULL), matching the
                     // executor's empty-input behavior.
-                    let group = groups.entry(Vec::new()).or_insert_with(|| GroupState::new(specs));
-                    out.push((Row::new(group.finish()), 1));
+                    groups.intern(&[], 1);
+                    aggs.iter_mut().for_each(|a| a.grow(1));
+                    out.push((group_row(groups, aggs, 0), 1));
                 }
-                *initialized = true;
-                // Bucket the delta per group key.
-                let mut touched: BTreeMap<Vec<Value>, Vec<(Row, i64)>> = BTreeMap::new();
-                for (row, w) in delta {
-                    let key = eval_keys(group_exprs, &row)?;
-                    touched.entry(key).or_default().push((row, w));
+                let ids = groups.intern(&eval_columns(group_exprs, &delta.batch)?, delta.len());
+                aggs.iter_mut().for_each(|a| a.grow(groups.weights.len()));
+                // A group with no rows left is retracted; it keeps its id,
+                // its partials back at zero.
+                let row_of = |groups: &Interned, aggs: &[AggState], g| {
+                    (global || groups.weight(g) != 0).then(|| group_row(groups, aggs, g))
+                };
+                let mut touched = ids.clone();
+                touched.sort_unstable();
+                touched.dedup();
+                let before: Vec<_> = touched.iter().map(|&g| row_of(groups, aggs, g)).collect();
+                for (&g, &w) in ids.iter().zip(&delta.weights) {
+                    groups.add(g, w);
                 }
-                for (key, rows) in touched {
-                    let existed = groups.contains_key(&key);
-                    let group = groups.entry(key.clone()).or_insert_with(|| GroupState::new(specs));
-                    let old = existed.then(|| {
-                        let mut values = key.clone();
-                        values.extend(group.finish());
-                        Row::new(values)
-                    });
-                    let mut rescan: Vec<usize> = Vec::new();
-                    for (row, w) in &rows {
-                        group.weight += w;
-                        for (i, spec) in specs.iter().enumerate() {
-                            let value = match &spec.arg {
-                                Some(arg) => Some(arg.eval(row)?),
-                                None => None,
-                            };
-                            apply_partial(&mut group.partials[i], value, *w, i, &mut rescan)?;
-                        }
-                        merge_weight(&mut group.rows, row.clone(), *w);
-                    }
-                    // Recompute-on-retract: a retraction may have removed
-                    // the extremum; rescan this group's retained rows only.
-                    rescan.sort_unstable();
-                    rescan.dedup();
-                    for i in rescan {
-                        let arg = specs[i].arg.as_ref().expect("min/max carries an arg");
-                        let mut current: Option<Value> = None;
-                        let is_min = matches!(group.partials[i], Partial::Min { .. });
-                        for row in group.rows.keys() {
-                            let v = arg.eval(row)?;
-                            if v == Value::Null {
-                                continue;
-                            }
-                            let better = match &current {
-                                None => true,
-                                Some(c) => {
-                                    if is_min {
-                                        v < *c
-                                    } else {
-                                        v > *c
-                                    }
-                                }
-                            };
-                            if better {
-                                current = Some(v);
-                            }
-                        }
-                        match &mut group.partials[i] {
-                            Partial::Min { current: c } | Partial::Max { current: c } => {
-                                *c = current;
-                            }
-                            _ => unreachable!("rescan targets only MIN/MAX"),
-                        }
-                    }
-                    let alive = group.weight != 0 || (*global && key.is_empty());
-                    let new = alive.then(|| {
-                        let mut values = key.clone();
-                        values.extend(group.finish());
-                        Row::new(values)
-                    });
+                for agg in aggs.iter_mut() {
+                    agg.update(&ids, &delta)?;
+                }
+                for (&g, old) in touched.iter().zip(before) {
+                    let new = row_of(groups, aggs, g);
                     if old != new {
-                        if let Some(old) = old {
-                            out.push((old, -1));
-                        }
-                        if let Some(new) = new {
-                            out.push((new, 1));
-                        }
-                    }
-                    if !alive {
-                        groups.remove(&key);
+                        out.extend(old.map(|row| (row, -1)));
+                        out.extend(new.map(|row| (row, 1)));
                     }
                 }
-                Ok(out)
+                if !global && groups.crowded() {
+                    let live = (0..groups.weights.len() as u32).filter(|&g| groups.weight(g) != 0);
+                    let live: Vec<u32> = live.collect();
+                    groups.keep(&live);
+                    aggs.iter_mut().for_each(|a| a.keep(&live));
+                }
+                Ok(Delta::from_rows(schema, &(0..schema.len()).collect::<Vec<_>>(), &out))
             }
         }
     }
-}
-
-/// Fold one weighted value into a partial; MIN/MAX retractions of non-null
-/// values enqueue the spec index for a group rescan.
-fn apply_partial(
-    partial: &mut Partial,
-    value: Option<Value>,
-    w: i64,
-    spec_index: usize,
-    rescan: &mut Vec<usize>,
-) -> Result<()> {
-    match partial {
-        Partial::CountStar => {}
-        Partial::Count { non_null } => {
-            if !matches!(value, Some(Value::Null) | None) {
-                *non_null += w;
-            }
-        }
-        Partial::Sum { total, non_null } | Partial::Avg { total, non_null } => match value {
-            Some(Value::Null) | None => {}
-            Some(Value::Int(i)) => {
-                *total = total.wrapping_add(i.wrapping_mul(w));
-                *non_null += w;
-            }
-            Some(other) => {
-                return Err(EiiError::Execution(format!(
-                    "ivm: SUM/AVG partial over non-integer value {other} \
-                     (plan-time validation should have fallen back)"
-                )))
-            }
-        },
-        Partial::Min { current } => match value {
-            Some(Value::Null) | None => {}
-            Some(v) if w > 0 => {
-                if current.as_ref().is_none_or(|c| v < *c) {
-                    *current = Some(v);
-                }
-            }
-            Some(_) => rescan.push(spec_index),
-        },
-        Partial::Max { current } => match value {
-            Some(Value::Null) | None => {}
-            Some(v) if w > 0 => {
-                if current.as_ref().is_none_or(|c| v > *c) {
-                    *current = Some(v);
-                }
-            }
-            Some(_) => rescan.push(spec_index),
-        },
-    }
-    Ok(())
 }
 
 /// Cumulative maintenance statistics for one view.
@@ -710,8 +678,8 @@ impl IvmState {
         let input_rows: usize = deltas.values().map(Vec::len).sum();
         let out = self.root.apply(deltas)?;
         let output_rows = out.len();
-        for (row, w) in out {
-            merge_weight(&mut self.result, row, w);
+        for (k, &w) in out.weights.iter().enumerate() {
+            merge_weight(&mut self.result, out.batch.row(k), w);
         }
         for (table, wm) in new_watermarks {
             self.watermarks.insert(table.clone(), *wm);

@@ -2,12 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use eii_expr::{AggFunc, Expr};
 
 /// A top-level statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// A query (`SELECT ...` possibly with `UNION ALL`).
     Query(SetQuery),
@@ -28,7 +27,7 @@ pub enum Statement {
 }
 
 /// A query with optional `UNION ALL` combinations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SetQuery {
     Select(Box<Query>),
     UnionAll(Box<SetQuery>, Box<SetQuery>),
@@ -49,7 +48,7 @@ impl SetQuery {
 }
 
 /// A single SELECT block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     pub distinct: bool,
     pub items: Vec<SelectItem>,
@@ -68,7 +67,7 @@ pub struct Query {
 }
 
 /// One item of the select list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SelectItem {
     /// `*` or `alias.*`.
     Wildcard { relation: Option<String> },
@@ -77,7 +76,7 @@ pub enum SelectItem {
 }
 
 /// A select-list expression: scalar or aggregate call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SelectExpr {
     Scalar(Expr),
     Agg {
@@ -102,7 +101,7 @@ impl SelectExpr {
 }
 
 /// A table reference in FROM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TableRef {
     /// A named table or view, optionally qualified by source
     /// (`crm.customers`) and optionally aliased.
@@ -137,7 +136,7 @@ impl TableRef {
 
 /// Join flavors. `Semi`/`Anti` are never written by users directly — the
 /// planner produces them when desugaring `IN (SELECT ...)` / `EXISTS`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinKind {
     Inner,
     Left,
@@ -163,7 +162,7 @@ impl fmt::Display for JoinKind {
 
 /// A subquery predicate pulled out of the WHERE clause. Only allowed as a
 /// top-level conjunct; the subquery must be uncorrelated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SubqueryPred {
     /// `expr [NOT] IN (SELECT single_column ...)`.
     ///
@@ -180,7 +179,7 @@ pub enum SubqueryPred {
 }
 
 /// `ORDER BY` item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderItem {
     pub expr: Expr,
     pub asc: bool,

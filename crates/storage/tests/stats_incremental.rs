@@ -73,7 +73,9 @@ fn oracle<'a>(width: usize, rows: impl Iterator<Item = &'a Row>) -> TableStats {
     TableStats { row_count, columns }
 }
 
-const P53: i64 = 1 << 53;
+#[path = "../../../tests/support/hazards.rs"]
+mod hazards;
+use hazards::{hazard_value, P53};
 
 /// Primary keys: a domain of ten, so streams revisit, collide with and miss
 /// rows, and the two `i64` extremes.
@@ -246,20 +248,12 @@ proptest! {
 
     #[test]
     fn analyze_over_an_untyped_batch_keeps_the_first_seen_of_equal_values(
-        cells in proptest::collection::vec((0usize..12, 0usize..12), 0..40),
+        cells in proptest::collection::vec((hazard_value(), hazard_value()), 0..40),
     ) {
-        // `Int`/`Float` twins (equal, hashed alike, told apart only by
-        // `Debug`), integers one apart at 2^53 where `f64` folds them, signed
-        // zeros, NaN, NULL, strings: all in one column.
-        let hazards = [
-            Value::Int(1), Value::Float(1.0), Value::Int(0), Value::Float(0.0), Value::Float(-0.0),
-            Value::Int(P53), Value::Float(P53 as f64), Value::Int(P53 + 1),
-            Value::Float(f64::NAN), Value::Null, Value::str(""), Value::str("a"),
-        ];
-        let rows: Vec<Row> = cells
-            .iter()
-            .map(|&(a, b)| Row::new(vec![hazards[a].clone(), hazards[b].clone()]))
-            .collect();
+        // Every hazard in one column: `Int`/`Float` twins (equal, hashed
+        // alike, told apart only by `Debug`), integers one apart at 2^53
+        // where `f64` folds them, signed zeros, NaN, NULL, strings.
+        let rows: Vec<Row> = cells.into_iter().map(|(a, b)| Row::new(vec![a, b])).collect();
         let found = TableStats::analyze(2, rows.iter());
         let expected = oracle(2, rows.iter());
         prop_assert_eq!(&found, &expected);

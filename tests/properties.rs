@@ -12,6 +12,10 @@ use eii::prelude::*;
 use eii::row;
 use eii::warehouse::{EtlJob, RefreshMode, Warehouse};
 
+#[path = "support/hazards.rs"]
+mod hazards;
+use hazards::hazard_value;
+
 /// Build the crm/sales databases every property runs against.
 fn customer_dbs(rows: &[(i64, String, i64)]) -> (Database, Database, SimClock) {
     let clock = SimClock::new();
@@ -56,6 +60,51 @@ fn customer_dbs(rows: &[(i64, String, i64)]) -> (Database, Database, SimClock) {
         }
     }
     (crm, orders, clock)
+}
+
+/// `v` as a cell of a column of type `ty`: a draw of another type is NULL.
+fn typed(v: &Value, ty: DataType) -> Value {
+    if v.data_type() == Some(ty) {
+        v.clone()
+    } else {
+        Value::Null
+    }
+}
+
+/// A system over two tables keyed by hazards: `crm.ki (id, k Int, v Int,
+/// s Str)` and `sales.kf (id, f Float, v Int)`, row `i` of each built from
+/// `rows[i]` (`k`, `s` from its first cell, `f` from its second).
+fn hazard_system(rows: &[(Value, Value, i64)]) -> EiiSystem {
+    let clock = SimClock::new();
+    let sys = EiiSystem::new(clock.clone());
+    let tables: [(&str, &str, Vec<Field>); 2] = [
+        ("crm", "ki", vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Int),
+            Field::new("s", DataType::Str),
+        ]),
+        ("sales", "kf", vec![Field::new("f", DataType::Float), Field::new("v", DataType::Int)]),
+    ];
+    for (source, table, fields) in tables {
+        let db = Database::new(source, clock.clone());
+        let fields = [vec![Field::new("id", DataType::Int).not_null()], fields].concat();
+        let t = db
+            .create_table(TableDef::new(table, Arc::new(Schema::new(fields))).with_primary_key(0))
+            .unwrap();
+        let mut t = t.write();
+        for (i, (a, b, v)) in rows.iter().enumerate() {
+            let id = Value::Int(i as i64);
+            t.insert(Row::new(match source {
+                "crm" => vec![id, typed(a, DataType::Int), Value::Int(*v), typed(a, DataType::Str)],
+                _ => vec![id, typed(b, DataType::Float), Value::Int(*v)],
+            }))
+            .unwrap();
+        }
+        drop(t);
+        let connector = Arc::new(RelationalConnector::new(db));
+        sys.add_source(connector, LinkProfile::lan(), WireFormat::Native).unwrap();
+    }
+    sys
 }
 
 /// Build a system whose crm.customers table holds the given rows.
@@ -581,6 +630,102 @@ proptest! {
                 );
                 let status = mgr.ivm_status(name).unwrap();
                 prop_assert!(status.incremental, "{} lost its IVM state", name);
+            }
+        }
+    }
+
+    /// IVM follows the executor on hazard keys: an `Int` column joined to a
+    /// `Float` one (2^53 twins, `i64::MIN` beside -2^63, `0` beside `-0.0`,
+    /// NULL on both sides), groups over a `Float` column (NULL, `-0.0` and
+    /// `0`, NaN, the twins), MIN/MAX over the hazards themselves — and the
+    /// shapes the property above lacks: UNION ALL of an `Int` and a `Float`
+    /// column, a computed projection, AVG, a global aggregate, a pushed
+    /// filter under a projection, a non-equi residual. Whatever writes land,
+    /// after every refresh each maintained view holds the rows a fresh
+    /// federated execution returns.
+    #[test]
+    fn ivm_follows_the_executor_on_hazard_keys(
+        rows in proptest::collection::vec((hazard_value(), hazard_value(), -3i64..4), 0..12),
+        ops in proptest::collection::vec(((0usize..6, 0i64..16), hazard_value(), -3i64..4), 1..16),
+        refresh_every in 1usize..4,
+    ) {
+        const VIEWS: [(&str, &str); 8] = [
+            ("hz_join", "SELECT a.id, a.k, b.id AS bid, b.f FROM crm.ki a JOIN sales.kf b ON a.k = b.f"),
+            (
+                "hz_residual",
+                "SELECT a.id, b.id AS bid FROM crm.ki a JOIN sales.kf b ON a.k = b.f AND a.v < b.v",
+            ),
+            (
+                "hz_groups",
+                "SELECT f, COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS s, AVG(v) AS a \
+                 FROM sales.kf GROUP BY f",
+            ),
+            ("hz_extremes", "SELECT v, MIN(f) AS lo, MAX(f) AS hi FROM sales.kf GROUP BY v"),
+            (
+                "hz_global",
+                "SELECT COUNT(*) AS n, SUM(k) AS sk, AVG(v) AS av, MIN(s) AS lo, MAX(k) AS hi \
+                 FROM crm.ki",
+            ),
+            ("hz_union", "SELECT id, k AS x FROM crm.ki UNION ALL SELECT id, f FROM sales.kf"),
+            ("hz_computed", "SELECT id, v * 2 + 1 AS w, k - v AS kv FROM crm.ki WHERE v <> 0"),
+            ("hz_pushed", "SELECT id FROM sales.kf WHERE v >= 0 AND f > 0.5"),
+        ];
+        let sys = hazard_system(&rows).with_config(PlannerConfig {
+            rewrite_matviews: false,
+            ..PlannerConfig::optimized()
+        });
+        for (name, sql) in VIEWS {
+            let fallback = sys.define_incremental_matview(name, sql, RefreshPolicy::Manual).unwrap();
+            prop_assert!(fallback.is_none(), "{name} fell back: {fallback:?}");
+        }
+        let crm = sys.federation().source("crm").unwrap();
+        let sales = sys.federation().source("sales").unwrap();
+        let last = ops.len() - 1;
+        for (i, ((kind, id), cell, v)) in ops.iter().enumerate() {
+            // Writes to absent keys are no-ops; inserts take fresh ids.
+            let (new_id, key, v) = (Value::Int(100 + i as i64), Value::Int(*id), Value::Int(*v));
+            let (source, op) = match kind {
+                0 => (&crm, UpdateOp::Insert {
+                    table: "ki".into(),
+                    row: Row::new(vec![
+                        new_id,
+                        typed(cell, DataType::Int),
+                        v,
+                        typed(cell, DataType::Str),
+                    ]),
+                }),
+                1 => (&crm, UpdateOp::UpdateByKey {
+                    table: "ki".into(),
+                    key,
+                    assignments: vec![("k".into(), typed(cell, DataType::Int)), ("v".into(), v)],
+                }),
+                2 => (&crm, UpdateOp::DeleteByKey { table: "ki".into(), key }),
+                3 => (&sales, UpdateOp::Insert {
+                    table: "kf".into(),
+                    row: Row::new(vec![new_id, typed(cell, DataType::Float), v]),
+                }),
+                4 => (&sales, UpdateOp::UpdateByKey {
+                    table: "kf".into(),
+                    key,
+                    assignments: vec![("f".into(), typed(cell, DataType::Float)), ("v".into(), v)],
+                }),
+                _ => (&sales, UpdateOp::DeleteByKey { table: "kf".into(), key }),
+            };
+            source.update(&op).unwrap();
+            if (i + 1) % refresh_every != 0 && i != last {
+                continue;
+            }
+            let mgr = sys.matviews().expect("views defined");
+            for (name, sql) in VIEWS {
+                sys.refresh_matview(name).unwrap();
+                let maintained = mgr.cached(name).unwrap().expect("view materialized");
+                prop_assert_eq!(
+                    sorted(&maintained),
+                    sorted(&run(&sys, sql)),
+                    "IVM ≢ recompute for {} after op {}",
+                    name,
+                    i
+                );
             }
         }
     }
