@@ -764,13 +764,9 @@ impl ColumnarBatch {
 }
 
 #[cfg(test)]
-#[path = "../../../tests/support/hazards.rs"]
-mod hazards;
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row;
+    use crate::{hazards, row};
     use crate::schema::{Field, Schema};
     use proptest::prelude::*;
 
@@ -908,23 +904,11 @@ mod tests {
         );
     }
 
-    /// Cells around every hazard the source edge meets — the shared equality
-    /// hazards — and, because any draw can land in any column, Bool and
-    /// Timestamp values, which turn a column `Mixed` mid-stream.
-    fn source_value() -> impl Strategy<Value = Value> {
-        prop_oneof![
-            hazards::hazard_value(),
-            hazards::hazard_value(),
-            hazards::hazard_value(),
-            any::<bool>().prop_map(Value::Bool),
-            (0i64..3).prop_map(Value::Timestamp),
-        ]
-    }
-
-    /// Mostly values of the column's own type, so typed vectors (with
-    /// bitmaps) are common and `Mixed` columns still occur.
+    /// Cells around every hazard the source edge meets, mostly of the column's
+    /// own type, so typed vectors (with bitmaps) are common and `Mixed`
+    /// columns still occur.
     fn cell(ty: DataType) -> impl Strategy<Value = Value> {
-        (source_value(), 0usize..8).prop_map(move |(v, stray)| {
+        (hazards::stray_value(), 0usize..8).prop_map(move |(v, stray)| {
             if v.data_type() == Some(ty) || stray == 0 {
                 v
             } else {

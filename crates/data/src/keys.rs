@@ -12,6 +12,18 @@
 //! `Float(2^53)`, `-0.0` is not `0`, a NaN is itself), and NULL is a key like
 //! any other — callers that must not match it skip it.
 //!
+//! A table is *direct* while it has one `Int` (or `Timestamp`) key column
+//! whose keys span at most four values per key stored or arriving, plus
+//! 1 024 (the slot array's memory): key `v`'s id is then `ids[v − base]`, no
+//! hash, no probe, and the id array grows twofold at the end that needs room.
+//! The first chunk that breaks that — a key past the span, a NULL key
+//! interned, another type, `Mixed` — re-interns the stored keys into slots,
+//! once and for good; a direct table finds any other chunk (a `Float` twin)
+//! through a hashed copy, so [`cells_cmp`] stays the one key equality. No
+//! caller picks an index, so there is no second table type to keep in step:
+//! one key store, one id space. A one-column Int key (`order_id`, `grp`) is
+//! direct; a composite, string or `Float` key (`DISTINCT grp, a % 50`) is not.
+//!
 //! There is one probe loop, generic over its key equality, and how keys are
 //! compared is chosen once per call ([`KeyTable::intern_rows`],
 //! [`KeyTable::find_rows`]), never per row: when every key column, stored and
@@ -214,11 +226,45 @@ impl KeyEq for Cells<'_> {
     }
 }
 
+/// `col`'s raw vector, when it is of `key`'s variant, `Int` or `Timestamp`:
+/// what a direct index reads.
+fn same_ints<'c>(key: &ColumnBuilder, col: &'c Column) -> Option<&'c [i64]> {
+    match (key.column().data(), col.data()) {
+        (ColumnData::Int(_), ColumnData::Int(v)) => Some(v),
+        (ColumnData::Timestamp(_), ColumnData::Timestamp(v)) => Some(v),
+        _ => None,
+    }
+}
+
+/// Widen the direct index `ids` from `base` to hold `lo..=hi` in at most
+/// `budget` values, or refuse. It grows at least twofold, with the new room
+/// below when only its bottom moved, so keys arriving one at a time cost
+/// linear time; never past the budget, so its room never refuses a later key.
+fn cover(base: &mut i64, ids: &mut Vec<u32>, lo: i64, hi: i64, budget: i128) -> bool {
+    let len = ids.len() as i128;
+    let old_lo = if len == 0 { lo as i128 } else { *base as i128 };
+    let (lo, hi) = (old_lo.min(lo as i128), (old_lo + len - 1).max(hi as i128));
+    let fits = hi - lo < budget;
+    if fits && (lo < old_lo || hi >= old_lo + len) {
+        let grown_len = (hi - lo + 1).max(2 * len).min(budget);
+        let start = if hi < old_lo + len { hi + 1 - grown_len } else { lo };
+        let start = start.clamp(i64::MIN as i128, i64::MAX as i128 + 1 - grown_len);
+        let mut grown = vec![NO_KEY; grown_len as usize];
+        let at = (old_lo - start) as usize;
+        grown[at..at + ids.len()].copy_from_slice(ids);
+        (*base, *ids) = (start as i64, grown);
+    }
+    fits
+}
+
 /// Interns keys into dense ids `0, 1, 2, …` in first-seen order. Each
 /// distinct key is stored once, as row `id` of the table's key columns.
 #[derive(Debug)]
 pub struct KeyTable {
     keys: Vec<ColumnBuilder>,
+    /// While the table is direct (the module doc), `(base, ids)`: key `v`'s id
+    /// is `ids[v − base]`, [`NO_KEY`] where none is; the slots are empty.
+    direct: Option<(i64, Vec<u32>)>,
     /// Hash of each stored key.
     hashes: Vec<u64>,
     /// Open addressing with linear probing: a key id or [`NO_KEY`] per slot.
@@ -231,8 +277,27 @@ impl KeyTable {
     /// An empty table storing its keys in `keys` (one builder per key
     /// column), with room for `capacity` distinct keys before it regrows.
     pub fn new(keys: Vec<ColumnBuilder>, capacity: usize) -> Self {
+        match &keys[..] {
+            [key] if same_ints(key, key.column()).is_some() => {
+                KeyTable { keys, direct: Some((0, Vec::new())), hashes: Vec::new(), slots: Vec::new() }
+            }
+            _ => KeyTable::hashed(keys, capacity),
+        }
+    }
+
+    /// [`Self::new`], hashed from the start.
+    fn hashed(keys: Vec<ColumnBuilder>, capacity: usize) -> Self {
         let slots = vec![NO_KEY; (capacity * 2).next_power_of_two().max(16)];
-        KeyTable { keys, hashes: Vec::with_capacity(capacity), slots }
+        KeyTable { keys, direct: None, hashes: Vec::with_capacity(capacity), slots }
+    }
+
+    /// The stored keys interned afresh by a hashed table: the same ids.
+    fn hashed_copy(&self) -> Self {
+        let stored: Vec<Arc<Column>> = self.columns().map(|c| Arc::new(c.clone())).collect();
+        let keys = stored.iter().map(|c| ColumnBuilder::like(c, c.len())).collect();
+        let mut copy = KeyTable::hashed(keys, self.len());
+        copy.intern_rows(&stored, self.len(), false);
+        copy
     }
 
     /// The binding list `keys` interned as a one-column table — NULL a key
@@ -248,12 +313,12 @@ impl KeyTable {
 
     /// Number of distinct keys interned.
     pub fn len(&self) -> usize {
-        self.hashes.len()
+        self.direct.as_ref().map_or(self.hashes.len(), |_| self.keys[0].column().len())
     }
 
     /// Whether no key is interned.
     pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
+        self.len() == 0
     }
 
     fn home_slot(&self, hash: u64) -> usize {
@@ -264,15 +329,11 @@ impl KeyTable {
     /// raw `i64`s, when [`RawInts`]' condition holds; `Err`, [`Cells`],
     /// otherwise (the module doc's rule).
     fn equality<'c>(&self, cols: &'c [Arc<Column>]) -> Result<RawInts<'c>, Cells<'c>> {
-        use ColumnData::{Int, Timestamp};
         let plain = (cols.iter().map(|c| &**c))
             .chain(self.keys.iter().map(ColumnBuilder::column))
             .all(Column::no_nulls);
         let ints = (self.keys.iter().zip(cols))
-            .map(|(key, col)| match (key.column().data(), col.data()) {
-                (Int(_), Int(y)) | (Timestamp(_), Timestamp(y)) if plain => Some(&y[..]),
-                _ => None,
-            })
+            .map(|(key, col)| same_ints(key, col).filter(|_| plain))
             .collect::<Option<_>>();
         ints.map(RawInts).ok_or(Cells(cols))
     }
@@ -301,12 +362,45 @@ impl KeyTable {
     /// With `skip_nulls` a row with a NULL in any key column is not interned and
     /// answers [`NO_KEY`]; without, NULL is a key cell like any other.
     pub fn intern_rows(&mut self, cols: &[Arc<Column>], n: usize, skip_nulls: bool) -> Vec<u32> {
+        if let Some(ids) = self.intern_direct(cols, n, skip_nulls) {
+            return ids;
+        } else if self.direct.is_some() {
+            *self = self.hashed_copy();
+        }
         let hashes = hash_keys(cols, n);
         let skip = skip_nulls && cols.iter().any(|c| !c.no_nulls());
         match self.equality(cols) {
             Ok(ints) => self.intern(&ints, cols, &hashes, skip),
             Err(cells) => self.intern(&cells, cols, &hashes, skip),
         }
+    }
+
+    /// [`Self::intern_rows`] by the direct index, or `None`, having changed
+    /// nothing, when the table is hashed or `cols` breaks the module doc's rule.
+    fn intern_direct(&mut self, cols: &[Arc<Column>], n: usize, skip_nulls: bool) -> Option<Vec<u32>> {
+        let (Some((base, ids)), [key]) = (&mut self.direct, &mut self.keys[..]) else { return None };
+        let nulls = cols[0].nulls().filter(|nulls| !nulls.all_valid());
+        let vals = same_ints(key, &cols[0]).filter(|_| skip_nulls || nulls.is_none())?;
+        let null = |row: usize| nulls.is_some_and(|nulls| nulls.is_null(row));
+        let mut live = (0..n).filter(|&row| !null(row)).map(|row| vals[row]);
+        let range = live.next().map(|first| live.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))));
+        // The span budget: four values per key stored or arriving, plus 1 024.
+        let budget = 4 * (key.column().len() + n) as i128 + 1024;
+        if range.is_some_and(|(lo, hi)| !cover(base, ids, lo, hi, budget)) {
+            return None;
+        }
+        let id_of = |(row, &v): (usize, &i64)| {
+            if null(row) {
+                return NO_KEY;
+            }
+            let id = &mut ids[v.wrapping_sub(*base) as usize];
+            if *id == NO_KEY {
+                *id = key.column().len() as u32;
+                key.push(&cols[0].value(row));
+            }
+            *id
+        };
+        Some(vals.iter().enumerate().map(id_of).collect())
     }
 
     fn intern(
@@ -332,6 +426,18 @@ impl KeyTable {
     /// The id of every row's key, in row order, or [`NO_KEY`] where the table
     /// holds no equal key. Interns nothing.
     pub fn find_rows(&self, cols: &[Arc<Column>], n: usize) -> Vec<u32> {
+        if let Some((base, ids)) = &self.direct {
+            let Some(vals) = same_ints(&self.keys[0], &cols[0]) else {
+                // Rare, and O(keys): a hashed copy answers, by `cells_cmp`.
+                return self.hashed_copy().find_rows(cols, n);
+            };
+            let nulls = cols[0].nulls();
+            let id_of = |(row, &v): (usize, &i64)| match ids.get(v.wrapping_sub(*base) as usize) {
+                Some(&id) if !nulls.is_some_and(|nulls| nulls.is_null(row)) => id,
+                _ => NO_KEY,
+            };
+            return vals.iter().enumerate().map(id_of).collect();
+        }
         let hashes = hash_keys(cols, n);
         match self.equality(cols) {
             Ok(ints) => self.find(&ints, &hashes),
@@ -380,7 +486,7 @@ impl KeyTable {
 
 /// For each of `keys` in turn, the positions of `col` holding a cell equal to
 /// it, ascending — binding order, a duplicated key's positions twice: a bound
-/// lookup in one hashed pass over the column's typed vector, not a scan per key.
+/// lookup in one pass over the column's typed vector, not a scan per key.
 pub fn lookup_positions(col: &Arc<Column>, keys: &[Value]) -> Vec<u32> {
     let (table, key_of) = KeyTable::of_values(keys);
     let mut per_key: Vec<Vec<u32>> = vec![Vec::new(); table.len()];
@@ -394,6 +500,8 @@ pub fn lookup_positions(col: &Arc<Column>, keys: &[Value]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hazards;
+    use proptest::prelude::*;
     use std::hash::{BuildHasher, Hash};
 
     #[test]
@@ -429,13 +537,14 @@ mod tests {
     }
 
     /// Mean distance, in slots, from each interned key's home slot to the slot
-    /// it was stored in.
+    /// it was stored in, by a table pinned hashed: dense ids would otherwise
+    /// never reach the slots.
     fn mean_displacement(ids: &[i64]) -> f64 {
         let col = [Arc::new(Column::from_values(
             &ids.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>(),
             DataType::Int,
         ))];
-        let mut table = KeyTable::new(vec![ColumnBuilder::new(DataType::Int, 0)], 0);
+        let mut table = KeyTable::hashed(vec![ColumnBuilder::new(DataType::Int, 0)], 0);
         table.intern_rows(&col, ids.len(), false);
         let mask = table.slots.len() - 1;
         let total: usize = (table.slots.iter().enumerate())
@@ -447,7 +556,8 @@ mod tests {
 
     /// Before the slot hash had a finalizer, dense ids took 11.2 slots on
     /// average for `0..12 000` and 2.2 for `0..2 000`, against 0.27 for
-    /// sparse ones.
+    /// sparse ones. A table that picks its own index finds the dense ones by
+    /// index instead.
     #[test]
     fn probes_stay_short_for_dense_and_sparse_ids() {
         let dense: Vec<i64> = (0..12_000).collect();
@@ -468,18 +578,28 @@ mod tests {
         }
     }
 
-    /// The probe loop's two instances are one relation: the same chunks
-    /// interned through raw `i64`s and through `cells_cmp` (forced by a `Mixed`
-    /// copy) give the same ids — first-seen order, one id space across a
-    /// typed → Mixed → typed sequence — the same stored keys and the same
-    /// `find_rows` answers, over one to three key columns of Int hazards. One
-    /// Int column hashes injectively, so wider keys also come in twins crafted
-    /// to share a hash (and all but their last two cells): only there is an
-    /// equality asked to tell keys apart.
+    /// The probe loop's two instances and the direct index are one relation:
+    /// the same chunks interned through raw `i64`s and through `cells_cmp`
+    /// (forced by a `Mixed` copy) by tables pinned hashed, by a table that
+    /// picks its own index, and by one that goes typed → Mixed → typed give
+    /// the same ids — first-seen order, one id space — the same stored keys and
+    /// the same `find_rows` answers, over one to three key columns of Int
+    /// hazards, or of small Ints, which one column keeps direct. One Int column
+    /// hashes injectively, so wider keys also come in twins crafted to share a
+    /// hash (and all but their last two cells): only there is an equality
+    /// asked to tell keys apart.
     #[test]
     fn raw_and_cells_equality_intern_alike() {
         let p53 = 1i64 << 53;
-        let hazards = [0, -1, i64::MIN, i64::MAX, p53 - 1, p53, p53 + 1, -p53 - 1, -p53, -p53 + 1];
+        let extremes = [0, -1, i64::MIN, i64::MAX, p53 - 1, p53, p53 + 1, -p53 - 1, -p53, -p53 + 1];
+        let small = [0, -1, 1, 2, -2, 3, 4, -3, 5, 6];
+        for (hazards, dense) in [(extremes, false), (small, true)] {
+            equalities_intern_alike(&hazards, dense);
+        }
+    }
+
+    fn equalities_intern_alike(hazards: &[i64; 10], dense: bool) {
+        let p53 = 1i64 << 53;
         // `key` with `y` in place of its last but one cell, and the last cell
         // that makes the two hash alike.
         let twin = |key: &[i64], y: i64| {
@@ -516,11 +636,9 @@ mod tests {
                     (chunks[k].iter_mut().zip(key)).for_each(|(col, &c)| col.push(c));
                 }
             }
-            let table = || {
-                let keys = (0..width).map(|_| ColumnBuilder::new(DataType::Int, 0)).collect();
-                KeyTable::new(keys, 0)
-            };
-            let (mut raw, mut cells, mut switching) = (table(), table(), table());
+            let keys = || (0..width).map(|_| ColumnBuilder::new(DataType::Int, 0)).collect();
+            let (mut raw, mut cells) = (KeyTable::hashed(keys(), 0), KeyTable::hashed(keys(), 0));
+            let (mut switching, mut own) = (KeyTable::new(keys(), 0), KeyTable::new(keys(), 0));
             let mut first_seen: Vec<Vec<i64>> = Vec::new();
             for (k, chunk) in chunks.iter().enumerate() {
                 let n = chunk[0].len();
@@ -532,10 +650,16 @@ mod tests {
                 assert!(k == 0 || unseen.iter().any(|&id| id != NO_KEY));
                 assert_eq!(cells.find_rows(&m, n), unseen);
                 assert_eq!(switching.find_rows(&t, n), unseen);
+                assert_eq!(own.find_rows(&m, n), unseen);
                 let ids = raw.intern_rows(&t, n, false);
                 assert_eq!(cells.intern_rows(&m, n, false), ids, "chunk {k}");
                 let flavor = if k == 1 { &m } else { &t };
                 assert_eq!(switching.intern_rows(flavor, n, false), ids, "chunk {k}");
+                assert_eq!(own.intern_rows(&t, n, false), ids, "chunk {k}");
+                // One small-Int column stays direct; anything else is hashed.
+                let direct = width == 1 && dense;
+                assert_eq!(own.direct.is_some(), direct);
+                assert_eq!(switching.direct.is_some(), direct && k == 0);
                 for (r, &id) in ids.iter().enumerate() {
                     let key: Vec<i64> = chunk.iter().map(|col| col[r]).collect();
                     if !first_seen.contains(&key) {
@@ -543,7 +667,7 @@ mod tests {
                     }
                     assert_eq!(first_seen[id as usize], key);
                 }
-                for table in [&raw, &cells, &switching] {
+                for table in [&raw, &cells, &switching, &own] {
                     assert_eq!(table.find_rows(&t, n), ids);
                     assert_eq!(table.find_rows(&m, n), ids);
                 }
@@ -552,6 +676,7 @@ mod tests {
             let stored = raw.into_columns();
             assert_eq!(cells.into_columns(), stored);
             assert_eq!(switching.into_columns(), stored);
+            assert_eq!(own.into_columns(), stored);
         }
     }
 
@@ -586,5 +711,79 @@ mod tests {
         }
         assert_eq!(lookup_positions(&col, &keys), sweep);
         assert_eq!(sweep, [4, 0, 1, 5, 0, 1, 5, 2, 0, 1, 5, 7]);
+    }
+
+    /// `cells` as a column of the first non-NULL cell's type (`Mixed` if
+    /// another follows), of `otherwise` when there is none.
+    fn column(cells: &[Value], otherwise: DataType) -> Arc<Column> {
+        let ty = cells.iter().find_map(Value::data_type).unwrap_or(otherwise);
+        Arc::new(Column::from_values(cells, ty))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A table that picks its own index answers as one pinned hashed. Both
+        /// take the same chunks — dense runs, runs re-based below the range,
+        /// span breakers, empty and all-NULL columns, stray cells gone `Mixed`
+        /// — each as drawn, as `Float` twins, as Timestamps against Ints (or
+        /// the reverse) or with NULLs, interned with and without `skip_nulls`.
+        /// After every chunk they have handed out the same ids and hold the
+        /// same keys, and before and after it they find every chunk so far
+        /// alike: as interned, as `Float` twins, as Ints, as Timestamps and as
+        /// a `Mixed` copy.
+        #[test]
+        fn direct_and_hashed_tables_answer_alike(
+            chunks in proptest::collection::vec((hazards::key_column(), 0usize..5, any::<bool>()), 1..7),
+            stamped in any::<bool>(),
+        ) {
+            type Make = fn(i64) -> Value;
+            let (stored, same, other): (_, Make, Make) = if stamped {
+                (DataType::Timestamp, Value::Timestamp, Value::Int)
+            } else {
+                (DataType::Int, Value::Int, Value::Timestamp)
+            };
+            let mut own = KeyTable::new(vec![ColumnBuilder::new(stored, 0)], 0);
+            let mut pinned = KeyTable::hashed(vec![ColumnBuilder::new(stored, 0)], 0);
+            let mut asked: Vec<Arc<Column>> = Vec::new();
+            for (k, (drawn, flavor, skip_nulls)) in chunks.iter().enumerate() {
+                let cells: Vec<Value> = (drawn.iter().enumerate())
+                    .map(|(r, v)| match (v, *flavor) {
+                        (_, 3) if r % 3 == 0 => Value::Null,
+                        (Value::Int(i), 1) => Value::Float(*i as f64),
+                        (Value::Int(i), 2) => other(*i),
+                        (Value::Int(i), 4) => same(i.wrapping_sub(64)),
+                        (Value::Int(i), _) => same(*i),
+                        (v, _) => v.clone(),
+                    })
+                    .collect();
+                let (col, n) = ([column(&cells, stored)], cells.len());
+                let recast = |to: fn(i64) -> Value| {
+                    let recast = cells.iter().map(|v| match v {
+                        Value::Int(i) | Value::Timestamp(i) => to(*i),
+                        v => v.clone(),
+                    });
+                    column(&recast.collect::<Vec<_>>(), stored)
+                };
+                asked.extend([
+                    Arc::clone(&col[0]),
+                    recast(|i| Value::Float(i as f64)),
+                    recast(Value::Int),
+                    recast(Value::Timestamp),
+                    Arc::new(Column::new(ColumnData::Mixed(cells.clone()), None)),
+                ]);
+                let found = |table: &KeyTable| -> Vec<Vec<u32>> {
+                    asked.iter().map(|q| table.find_rows(std::slice::from_ref(q), q.len())).collect()
+                };
+                prop_assert_eq!(found(&own), found(&pinned), "before chunk {}", k);
+                let ids = own.intern_rows(&col, n, *skip_nulls);
+                prop_assert_eq!(&ids, &pinned.intern_rows(&col, n, *skip_nulls), "chunk {}", k);
+                prop_assert_eq!(own.len(), pinned.len());
+                let keys = |table: &KeyTable| format!("{:?}", table.columns().collect::<Vec<_>>());
+                prop_assert_eq!(keys(&own), keys(&pinned), "chunk {}", k);
+                prop_assert_eq!(found(&own), found(&pinned), "after chunk {}", k);
+            }
+            prop_assert_eq!(format!("{:?}", own.into_columns()), format!("{:?}", pinned.into_columns()));
+        }
     }
 }

@@ -26,3 +26,9 @@ pub use error::{EiiError, Result};
 pub use row::Row;
 pub use schema::{DataType, Field, Schema, SchemaRef};
 pub use value::Value;
+
+/// The equality-hazard cells the property tests of `columnar` and `keys`
+/// draw from.
+#[cfg(test)]
+#[path = "../../../tests/support/hazards.rs"]
+mod hazards;

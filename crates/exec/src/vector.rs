@@ -194,7 +194,8 @@ impl BatchOperator for VecFilter {
 }
 
 /// Projection: each output column is one kernel evaluation over the whole
-/// chunk.
+/// chunk — or, when every one is a bare column, the chunk's own columns under
+/// its own selection, so that a LIMIT above gathers only the rows it keeps.
 pub struct VecProject {
     exprs: Vec<BoundExpr>,
     schema: SchemaRef,
@@ -209,10 +210,17 @@ impl VecProject {
 
 impl BatchOperator for VecProject {
     fn push(&mut self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
-        let cols = eval_columns(&self.exprs, chunk)?;
-        // Kernel outputs are compact (logical-row aligned), so the result
-        // batch carries no selection.
-        out.push(ColumnarBatch::new(Arc::clone(&self.schema), cols, chunk.num_rows()));
+        let bare = |e: &BoundExpr| match e {
+            BoundExpr::Column(i) => Some(Arc::clone(chunk.column(*i))),
+            _ => None,
+        };
+        let schema = Arc::clone(&self.schema);
+        // Kernel outputs are compact (logical-row aligned), so their batch
+        // carries no selection; bare columns keep the chunk's.
+        out.push(match self.exprs.iter().map(bare).collect() {
+            Some(picked) => chunk.with_columns(schema, picked),
+            None => ColumnarBatch::new(schema, eval_columns(&self.exprs, chunk)?, chunk.num_rows()),
+        });
         Ok(())
     }
 }
@@ -762,6 +770,25 @@ mod tests {
         let out = run(&mut op, &batch, &out_schema);
         assert_eq!(out.value_at(0, 0), Value::Int(10));
         assert_eq!(out.value_at(1, 0), Value::Int(20));
+    }
+
+    #[test]
+    fn a_project_of_bare_columns_keeps_the_selection_and_shares_the_columns() {
+        let s = schema(&[("x", DataType::Int), ("y", DataType::Str)]);
+        let rows = ["a", "b", "c", "d", "e", "f"].iter().enumerate().map(|(i, &y)| row![i as i64, y]);
+        let chunk = ColumnarBatch::from_batch(&Batch::new(Arc::clone(&s), rows.collect())).select(vec![4, 1, 3]);
+        let out_schema = schema(&[("y", DataType::Str), ("x", DataType::Int), ("x2", DataType::Int)]);
+        let from = [1, 0, 0];
+        let exprs: Vec<BoundExpr> = from.iter().map(|&c| BoundExpr::Column(c)).collect();
+        let got = run(&mut VecProject::new(exprs.clone(), out_schema.clone()), &chunk, &out_schema);
+        assert_eq!(got.selection(), chunk.selection());
+        for (c, &i) in from.iter().enumerate() {
+            assert!(Arc::ptr_eq(got.column(c), chunk.column(i)), "column {c}");
+        }
+        let gathered = exprs.iter().map(|e| eval_column(e, &chunk).unwrap()).collect();
+        let want = ColumnarBatch::new(out_schema, gathered, chunk.num_rows());
+        assert_eq!(got.to_batch(), want.to_batch());
+        assert_eq!(got.value_at(0, 0), Value::str("e"));
     }
 
     #[test]

@@ -30,6 +30,9 @@ use eii_planner::{AggItem, JoinSite, PhysicalPlan};
 use eii_sql::JoinKind;
 use proptest::prelude::*;
 
+#[path = "../../../tests/support/hazards.rs"]
+mod hazards;
+
 const P53: i64 = 1 << 53;
 
 /// Cell `pick` of a column of the given flavor: 0 is all `Int`, 1 all
@@ -310,16 +313,19 @@ proptest! {
         prop_assert_eq!(exact(&got), exact(&want));
     }
 
-    /// Identity (b), one table under both equalities: the key column changes
-    /// flavor from chunk to chunk — a NULL-free `Int` vector (raw `i64`
-    /// equality), the same with a bitmap, a `Float` vector with the twins at
-    /// ±2^53, a `Timestamp` vector (same words, never the same key), `Mixed` —
-    /// in any order, against a NULL-free `Int` build side; and through
-    /// DISTINCT, whose table outlives the chunks and stores what they bring.
+    /// Identity (b), one table under both equalities and both indexes: the
+    /// key column changes flavor from chunk to chunk — a NULL-free `Int`
+    /// vector (a dense run, found by index, or Int hazards, by raw `i64`
+    /// equality), a run and its span breaker, an empty or all-NULL column,
+    /// stray cells gone `Mixed`, Ints with a bitmap, a `Float` vector with the
+    /// twins at ±2^53, a `Timestamp` vector (same words, never the same key),
+    /// `Mixed` — in any order, against a NULL-free `Int` build side, a dense
+    /// run or hazards; and through DISTINCT, whose table outlives the chunks
+    /// and stores what they bring.
     #[test]
     fn one_key_table_serves_chunks_of_every_flavor(
-        stages in proptest::collection::vec((0usize..5, proptest::collection::vec(0usize..64, 1..7)), 1..7),
-        build_picks in proptest::collection::vec(0usize..64, 0..16),
+        stages in proptest::collection::vec((0usize..6, proptest::collection::vec(0usize..64, 1..7), hazards::key_column()), 1..7),
+        build in (any::<bool>(), proptest::collection::vec(0usize..64, 0..16), hazards::dense_run()),
         size_pick in 0usize..4,
     ) {
         let ints = [0, 1, 2, -1, P53 - 1, P53, P53 + 1, -P53, i64::MAX];
@@ -327,19 +333,25 @@ proptest! {
         let key_schema = schema(&[DataType::Int]);
         let mut probe = Chunks::new(key_schema.clone());
         let mut probe_keys: Vec<Value> = Vec::new();
-        for (stage, picks) in &stages {
+        for (stage, picks, drawn) in &stages {
             let (mut cells, ty): (Vec<Value>, _) = match stage {
-                0 => (picks.iter().map(|p| Value::Int(ints[p % ints.len()])).collect(), DataType::Int),
+                0 => (drawn.clone(), DataType::Int),
                 1 => (picks.iter().map(|&p| cell(0, p)).chain([Value::Null]).collect(), DataType::Int),
                 2 => (picks.iter().map(|p| Value::Float(floats[p % floats.len()])).collect(), DataType::Float),
                 3 => (picks.iter().map(|p| Value::Timestamp(ints[p % 4])).collect(), DataType::Timestamp),
-                _ => (picks.iter().map(|&p| cell(3, p)).chain([Value::str("2")]).collect(), DataType::Int),
+                4 => (picks.iter().map(|&p| cell(3, p)).chain([Value::str("2")]).collect(), DataType::Int),
+                _ => (picks.iter().map(|p| Value::Int(ints[p % ints.len()])).collect(), DataType::Int),
             };
             let col = Arc::new(eii_data::Column::from_values(&cells, ty));
             probe.push(ColumnarBatch::new(key_schema.clone(), vec![col], cells.len()));
             probe_keys.append(&mut cells);
         }
-        let build_keys: Vec<Value> = build_picks.iter().map(|p| Value::Int(ints[p % ints.len()])).collect();
+        let (dense, build_picks, dense_run) = build;
+        let build_keys: Vec<Value> = if dense {
+            dense_run
+        } else {
+            build_picks.iter().map(|p| Value::Int(ints[p % ints.len()])).collect()
+        };
         let build_rows: Vec<Row> = build_keys.iter().map(|k| Row::new(vec![k.clone()])).collect();
         let build = ColumnarBatch::from_batch(&Batch::new(key_schema.clone(), build_rows));
         prop_assert!(build.column(0).as_ints().is_some() && build.column(0).no_nulls());

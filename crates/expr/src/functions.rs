@@ -81,26 +81,91 @@ fn arg_error(func: ScalarFunc, want: &str) -> EiiError {
 
 /// SQL LIKE matching: `%` matches any sequence, `_` any single character.
 /// Matching is case-sensitive, per the SQL standard.
+///
+/// One walk over the bytes that backtracks only to the last `%`: a literal
+/// character matches byte for byte (no UTF-8 sequence holds the byte of `%`
+/// or `_`, so both strings stay on character boundaries), while `_`, and a
+/// `%` taking one more character, step over a whole character of `text`.
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => {
-                // Greedy-with-backtracking: try every split point.
-                (0..=t.len()).any(|i| rec(&t[i..], rest))
+    let (t, p) = (text.as_bytes(), pattern.as_bytes());
+    let char_len = |at: usize| text[at..].chars().next().map_or(1, char::len_utf8);
+    let (mut ti, mut pi) = (0, 0);
+    // The last `%`: the pattern after it, and where in `text` its match ends.
+    let mut star: Option<(usize, usize)> = None;
+    while ti < t.len() {
+        match p.get(pi) {
+            Some(b'%') => {
+                pi += 1;
+                star = Some((pi, ti));
             }
-            Some(('_', rest)) => !t.is_empty() && rec(&t[1..], rest),
-            Some((c, rest)) => t.first() == Some(c) && rec(&t[1..], rest),
+            Some(b'_') => {
+                pi += 1;
+                ti += char_len(ti);
+            }
+            Some(&b) if b == t[ti] => {
+                pi += 1;
+                ti += 1;
+            }
+            _ => match star {
+                Some((after, end)) => {
+                    let end = end + char_len(end);
+                    (star, pi, ti) = (Some((after, end)), after, end);
+                }
+                None => return false,
+            },
         }
     }
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&t, &p)
+    p[pi..].iter().all(|&b| b == b'%')
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The matcher `like_match` replaced: every split point of every `%`
+    /// tried, recursively, over `char`s.
+    fn like_by_recursion(text: &str, pattern: &str) -> bool {
+        fn rec(t: &[char], p: &[char]) -> bool {
+            match p.split_first() {
+                None => t.is_empty(),
+                Some(('%', rest)) => (0..=t.len()).any(|i| rec(&t[i..], rest)),
+                Some(('_', rest)) => !t.is_empty() && rec(&t[1..], rest),
+                Some((c, rest)) => t.first() == Some(c) && rec(&t[1..], rest),
+            }
+        }
+        let t: Vec<char> = text.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        rec(&t, &p)
+    }
+
+    /// ASCII, two-, three- and four-byte characters, and the wildcards
+    /// themselves, which a text may hold as plain characters.
+    const ALPHABET: [char; 7] = ['a', 'b', 'é', '日', '🦀', '%', '_'];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// `like_match` ≡ the recursive matcher, on texts and patterns over
+        /// [`ALPHABET`] — `%`, `_`, `%%` and a trailing `_` among them — and on
+        /// each text against itself and against its own prefix and suffix
+        /// under a `%`.
+        #[test]
+        fn the_walk_matches_as_the_recursion_did(
+            text in proptest::collection::vec(0usize..7, 0..10),
+            pattern in proptest::collection::vec(0usize..7, 0..8),
+            cut in 0usize..10,
+        ) {
+            let text: String = text.iter().map(|&c| ALPHABET[c]).collect();
+            let pattern: String = pattern.iter().map(|&c| ALPHABET[c]).collect();
+            let (head, tail) = text.split_at(text.char_indices().nth(cut).map_or(text.len(), |(at, _)| at));
+            for pattern in [pattern.clone(), format!("{pattern}_"), format!("%%{pattern}"), text.clone(),
+                            format!("{head}%"), format!("%{tail}"), format!("{head}_%{tail}")] {
+                prop_assert_eq!(like_match(&text, &pattern), like_by_recursion(&text, &pattern),
+                    "{:?} LIKE {:?}", text, pattern);
+            }
+        }
+    }
 
     #[test]
     fn like_basic() {

@@ -45,9 +45,10 @@
 //! sub-selection per AND/OR value whose left side decides some rows but not
 //! all, a WHERE's selection per conjunct that drops a row, and — the one
 //! broadcast left — a bare literal in an *output* position
-//! (`SELECT 1`) or an all-NULL result (`x = NULL`). `LIKE`, `BETWEEN`, `IN`,
-//! `CAST` and function calls still evaluate their operands as columns and
-//! walk them a [`Value`] at a time.
+//! (`SELECT 1`) or an all-NULL result (`x = NULL`). `LIKE` reads its operands
+//! as `binary_kernel` does and walks `Str` vectors; `BETWEEN`, `IN`, `CAST`
+//! and function calls still evaluate their operands as columns and walk them
+//! a [`Value`] at a time.
 
 // The kernel loops below walk several parallel structures in lockstep by
 // index (output vector, null bitmap, one or more operand columns, and for
@@ -128,31 +129,21 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
             Ok(Arc::new(Column::new(ColumnData::Bool(out), None)))
         }
         BoundExpr::Like {
-            expr,
+            expr: text,
             pattern,
             negated,
         } => {
-            let c = eval_column(expr, batch)?;
-            let p = eval_column(pattern, batch)?;
-            let mut out = vec![false; n];
-            let mut nulls = NullBitmap::new_valid(n);
-            let mut any_null = false;
-            for i in 0..n {
-                if c.is_null(i) || p.is_null(i) {
-                    nulls.set_null(i);
-                    any_null = true;
-                    continue;
-                }
-                let (v, pv) = (c.value(i), p.value(i));
-                let (Some(text), Some(pat)) = (v.as_str(), pv.as_str()) else {
-                    return Err(EiiError::Type("LIKE expects string operands".into()));
-                };
-                out[i] = like_match(text, pat) != *negated;
-            }
-            Ok(Arc::new(Column::new(
-                ColumnData::Bool(out),
-                any_null.then_some(nulls),
-            )))
+            // A literal pattern is a scalar, read once; a `Str` text or
+            // pattern is walked in its typed vector, a placeholder under a
+            // NULL. Anything else — a NULL literal, `Mixed`, another type —
+            // goes by rows, where the scalar path decides NULL or error.
+            let (t, p) = (Operand::eval(text, batch)?, Operand::eval(pattern, batch)?);
+            let (Lanes::Str(ts), Lanes::Str(ps)) = (t.lanes(), p.lanes()) else {
+                return eval_by_rows(expr, batch);
+            };
+            let out = zip(ts, ps, n, |t, p| like_match(t, p) != *negated);
+            let valid = NullBitmap::both_valid(t.nulls(), p.nulls());
+            Ok(Arc::new(Column::new(ColumnData::Bool(out), valid)))
         }
         BoundExpr::InList {
             expr: inner,

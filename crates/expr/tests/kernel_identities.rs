@@ -54,7 +54,9 @@ fn pool(c: usize) -> Vec<Value> {
     match COLUMNS[c].0 {
         "i" | "j" => ints(),
         "f" | "g" => floats(),
-        "s" | "u" => ["", "a", "b", "ab"].map(Value::str).to_vec(),
+        "s" => ["", "a", "b", "ab", "é"].map(Value::str).to_vec(),
+        // Also LIKE patterns.
+        "u" => ["", "a", "%", "a%", "_", "%b"].map(Value::str).to_vec(),
         "t" | "v" => [0, 1, 2].map(Value::Timestamp).to_vec(),
         "b" => [true, false].map(Value::Bool).to_vec(),
         _ => (ints().into_iter().chain(floats()))
@@ -246,6 +248,35 @@ proptest! {
             check(&Expr::Unary { op: UnaryOp::Neg, expr: Box::new(col(c)) }, &batch)?;
             for negated in [false, true] {
                 check(&Expr::IsNull { expr: Box::new(col(c)), negated }, &batch)?;
+            }
+        }
+    }
+
+    /// `[NOT] LIKE` of every column against every column (`u` holds
+    /// patterns), against literal patterns — NULL and a non-string among them
+    /// — and of a literal text against a column: a `Str` text walked against
+    /// a pattern read once, NULLs under either side, and every other type's
+    /// non-NULL cell a type error in the scalar path's first failing row.
+    #[test]
+    fn like_equals_the_scalar_evaluator(
+        picks in rows_strategy(),
+        modes in proptest::collection::vec(0usize..3, 10..11),
+        sel in proptest::collection::vec(0usize..64, 0..30),
+        selected in any::<bool>(),
+    ) {
+        let batch = batch(&picks, &modes, selected.then_some(&sel[..]));
+        let patterns = ["", "%", "a%", "%b", "_", "a_", "%%", "_%_", "é"].map(Value::str);
+        let patterns = patterns.into_iter().chain([Value::Null, Value::Int(1)]);
+        for negated in [false, true] {
+            let like = |t: Expr, p: Expr| Expr::Like { expr: Box::new(t), pattern: Box::new(p), negated };
+            for a in 0..COLUMNS.len() {
+                for b in 0..COLUMNS.len() {
+                    check(&like(col(a), col(b)), &batch)?;
+                }
+                for p in patterns.clone() {
+                    check(&like(col(a), Expr::Literal(p)), &batch)?;
+                }
+                check(&like(Expr::lit("ab"), col(a)), &batch)?;
             }
         }
     }

@@ -9,6 +9,10 @@
 //! together, the `i64` extremes beside the floats ±2^63 (`Int(i64::MIN)` is
 //! `Float(-2^63)`, `Int(i64::MAX)` is no float), both zeros (`-0.0` is not
 //! `0`) and a NaN.
+//!
+//! Whole key columns too ([`key_column`]): a dense Int run, which a key table
+//! finds by index, the same run and a value past its span, empty and all-NULL
+//! columns, and stray cells that turn a column `Mixed` mid-stream.
 
 // Not every suite reads every item.
 #![allow(dead_code)]
@@ -47,5 +51,47 @@ pub fn hazard_value() -> impl Strategy<Value = Value> {
         Just(Value::Int(1)),
         Just(Value::Float(1.0)),
         (0usize..3).prop_map(|i| Value::str(["", "s0", "s1"][i])),
+    ]
+}
+
+/// A hazard, or a Bool or a Timestamp: any of them lands in a column declared
+/// something else, so a column of these turns `Mixed`.
+pub fn stray_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        hazard_value(),
+        hazard_value(),
+        hazard_value(),
+        any::<bool>().prop_map(Value::Bool),
+        (0i64..3).prop_map(Value::Timestamp),
+    ]
+}
+
+/// A dense Int run: cells of `lo..lo + k`, repeated and out of order, with
+/// `lo` near zero, far below it, or at either end of `i64`.
+pub fn dense_run() -> impl Strategy<Value = Vec<Value>> {
+    let lo = prop_oneof![-3i64..3, Just(-1_000), Just(i64::MIN), Just(i64::MAX - 64)];
+    (lo, 1i64..48, proptest::collection::vec(0i64..64, 0..24))
+        .prop_map(|(lo, k, picks)| picks.iter().map(|p| Value::Int(lo + p % k)).collect())
+}
+
+/// A dense run, then an Int far from it (at least two of the three breakers
+/// are far from any run).
+pub fn span_breaker() -> impl Strategy<Value = Vec<Value>> {
+    (dense_run(), 0usize..3).prop_map(|(mut run, far)| {
+        run.push(Value::Int([P53 + 1, i64::MIN, i64::MAX][far]));
+        run
+    })
+}
+
+/// One chunk of a key column: a dense run, a run and its span breaker, an
+/// empty or all-NULL column, or stray cells — so that a sequence of them
+/// reaches a key table's direct index, breaks it, and turns `Mixed`.
+pub fn key_column() -> impl Strategy<Value = Vec<Value>> {
+    prop_oneof![
+        dense_run(),
+        dense_run(),
+        span_breaker(),
+        (0usize..6).prop_map(|n| vec![Value::Null; n]),
+        proptest::collection::vec(stray_value(), 0..12),
     ]
 }
