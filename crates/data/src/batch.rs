@@ -1,20 +1,26 @@
-//! Batches: a schema plus a set of rows — the unit of data exchange between
-//! operators, wrappers, and the assembly site.
+//! Batches: a schema plus a set of rows — the row form of an answer, handed
+//! to the caller and memoized by the result cache.
+//!
+//! A batch is immutable and keeps its rows behind one `Arc`, so a clone is a
+//! reference count: the answer returned to the caller, the result-cache
+//! entry it fills and every hit served from that entry share one row set,
+//! which nothing can change under a reader. [`Batch::into_rows`] takes the
+//! vector back without a copy when the batch is its only holder.
 
 use std::fmt;
 use std::fmt::Write as _;
-
+use std::sync::Arc;
 
 use crate::error::{EiiError, Result};
 use crate::row::Row;
 use crate::schema::SchemaRef;
 use crate::value::Value;
 
-/// A schema-tagged collection of rows.
+/// A schema-tagged, immutable collection of rows, shared by cloning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     schema: SchemaRef,
-    rows: Vec<Row>,
+    rows: Arc<Vec<Row>>,
 }
 
 impl Batch {
@@ -27,22 +33,20 @@ impl Batch {
                 schema.len()
             )));
         }
-        Ok(Batch { schema, rows })
+        Ok(Batch::new(schema, rows))
     }
 
     /// Build without validation (hot paths that construct rows from the same
     /// schema). Debug-asserts widths.
     pub fn new(schema: SchemaRef, rows: Vec<Row>) -> Self {
         debug_assert!(rows.iter().all(|r| r.len() == schema.len()));
+        let rows = Arc::new(rows);
         Batch { schema, rows }
     }
 
     /// An empty batch of the given schema.
     pub fn empty(schema: SchemaRef) -> Self {
-        Batch {
-            schema,
-            rows: Vec::new(),
-        }
+        Batch::new(schema, Vec::new())
     }
 
     /// The governing schema.
@@ -65,9 +69,10 @@ impl Batch {
         self.rows.is_empty()
     }
 
-    /// Consume into rows.
+    /// Consume into rows: the vector itself when this batch is its only
+    /// holder, a copy when the rows are shared.
     pub fn into_rows(self) -> Vec<Row> {
-        self.rows
+        Arc::unwrap_or_clone(self.rows)
     }
 
     /// Total native wire size of all rows plus per-row schema overhead.
@@ -98,20 +103,6 @@ impl Batch {
     /// Column values at position `col` across all rows.
     pub fn column(&self, col: usize) -> impl Iterator<Item = &Value> + '_ {
         self.rows.iter().map(move |r| r.get(col))
-    }
-
-    /// Sort rows by the given column positions (ascending flags parallel).
-    pub fn sort_by(&mut self, keys: &[(usize, bool)]) {
-        self.rows.sort_by(|a, b| {
-            for &(col, asc) in keys {
-                let ord = a.get(col).cmp(b.get(col));
-                let ord = if asc { ord } else { ord.reverse() };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
     }
 
     /// Render as an aligned ASCII table — the experiment harness's output
@@ -191,15 +182,30 @@ mod tests {
     }
 
     #[test]
-    fn sort_multi_key() {
-        let mut b = Batch::new(
-            schema(),
-            vec![row![2i64, "b"], row![1i64, "z"], row![1i64, "a"]],
-        );
-        b.sort_by(&[(0, true), (1, false)]);
-        assert_eq!(b.rows()[0], row![1i64, "z"]);
-        assert_eq!(b.rows()[1], row![1i64, "a"]);
-        assert_eq!(b.rows()[2], row![2i64, "b"]);
+    fn a_clone_shares_the_rows() {
+        let b = Batch::new(schema(), vec![row![1i64, "a"], row![2i64, "b"]]);
+        let c = b.clone();
+        assert_eq!(c.rows().as_ptr(), b.rows().as_ptr());
+        assert_eq!(c, b);
+    }
+
+    #[test]
+    fn into_rows_of_a_sole_holder_keeps_the_allocation() {
+        let b = Batch::new(schema(), vec![row![1i64, "a"], row![2i64, "b"]]);
+        let at = b.rows().as_ptr();
+        let rows = b.into_rows();
+        assert_eq!(rows.as_ptr(), at, "the vector came back, not a copy");
+        assert_eq!(rows, vec![row![1i64, "a"], row![2i64, "b"]]);
+    }
+
+    #[test]
+    fn into_rows_of_a_shared_batch_leaves_the_other_holder_intact() {
+        let b = Batch::new(schema(), vec![row![1i64, "a"], row![2i64, "b"]]);
+        let kept = b.clone();
+        let mut taken = b.into_rows();
+        assert_ne!(taken.as_ptr(), kept.rows().as_ptr(), "copied");
+        taken.clear();
+        assert_eq!(kept.rows(), &[row![1i64, "a"], row![2i64, "b"]]);
     }
 
     #[test]

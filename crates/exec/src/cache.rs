@@ -103,7 +103,8 @@ impl Default for CacheConfig {
 /// A result served from the cache.
 #[derive(Debug, Clone)]
 pub struct CachedResult {
-    /// The memoized rows.
+    /// The memoized rows: the batch the fill stored, shared (a `Batch` clone
+    /// is a reference count) with the entry and every other hit.
     pub batch: Batch,
     /// What the original federated execution cost — the spend this hit
     /// avoided.
@@ -274,6 +275,7 @@ impl ResultCache {
                 None => (CacheLookup::Miss, false),
                 Some(entry) => {
                     entry.last_used = tick;
+                    // O(1) under the lock: the batch is a shared row set.
                     let result = CachedResult {
                         batch: entry.batch.clone(),
                         cost: entry.cost,
@@ -507,6 +509,28 @@ mod tests {
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 0);
+    }
+
+    #[test]
+    fn hits_share_the_filled_rows() {
+        let fed = Federation::new();
+        let cache = ResultCache::new(CacheConfig::default());
+        let filled = batch();
+        cache.fill("q", filled.clone(), QueryCost::default(), vec![], vec![], 0);
+        let hit = || match cache.lookup("q", 0, &fed) {
+            CacheLookup::Hit(r) => r.batch,
+            other => panic!("expected hit, got {other:?}"),
+        };
+        let (first, second) = (hit(), hit());
+        assert_eq!(first.rows().as_ptr(), filled.rows().as_ptr());
+        assert_eq!(second.rows().as_ptr(), filled.rows().as_ptr());
+        // A refresh swaps the entry's rows; an answer already handed out
+        // keeps the ones it was given.
+        let fresh = Batch::new(filled.schema().clone(), vec![row![9i64, "zoe"]]);
+        assert!(cache.refresh_entry("q", || Some((fresh.clone(), vec![])), 10));
+        assert_eq!(first, batch());
+        assert_eq!(first.rows().as_ptr(), filled.rows().as_ptr());
+        assert_eq!(hit().rows().as_ptr(), fresh.rows().as_ptr());
     }
 
     #[test]

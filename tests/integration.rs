@@ -515,6 +515,40 @@ fn explain_analyze_honours_the_callers_options_and_plans_once() {
     assert_eq!(sys.federation().ledger().total().bytes, shipped);
 }
 
+/// A repeated statement is answered with the rows of its first answer, not a
+/// copy of them; after a write through the wrapper the next execution misses
+/// and answers what a system without a cache answers.
+#[test]
+fn a_cached_answer_is_shared_until_a_write() {
+    let (cached, _) = build_system();
+    cached.install_result_cache(CacheConfig::default());
+    let (plain, _) = build_system();
+    let sql = "SELECT c.name, o.total FROM crm.customers c \
+               JOIN sales.orders o ON c.id = o.customer_id WHERE o.total > 150";
+    let answer = |sys: &EiiSystem| sys.execute(sql).unwrap().rows().unwrap().clone();
+    let first = answer(&cached);
+    let repeat = answer(&cached);
+    let hits = || cached.metrics().snapshot().counter("cache.hits");
+    assert_eq!(repeat.rows().as_ptr(), first.rows().as_ptr(), "shared");
+    assert_eq!(hits(), 1);
+
+    for sys in [&cached, &plain] {
+        sys.federation()
+            .source("sales")
+            .unwrap()
+            .update(&UpdateOp::Insert {
+                table: "orders".into(),
+                row: row![100i64, 1i64, 990.0],
+            })
+            .unwrap();
+    }
+    let after = answer(&cached);
+    assert_eq!(hits(), 1, "the write forced a miss");
+    assert_ne!(after.rows().as_ptr(), first.rows().as_ptr());
+    assert_eq!(after, answer(&plain));
+    assert_eq!(after.num_rows(), first.num_rows() + 1);
+}
+
 #[test]
 fn source_health_reports_traffic_retries_and_breaker_under_faults() {
     let (sys, _clock) = build_system();
