@@ -3,10 +3,12 @@
 //! A key — one row of a few key columns — is never assembled: [`hash_keys`]
 //! hashes the columns' typed vectors column by column, [`cells_cmp`] compares
 //! two cells where they lie, and a [`KeyTable`] interns keys into dense ids in
-//! first-seen order, keeping one copy of each in column builders. The join's
+//! first-seen order, keeping one copy of each in column builders; a
+//! [`KeyLists`] adds each key's rows, grouped by one counting sort. The join's
 //! build and probe, the group map, DISTINCT, a bind join's binding list at the
-//! hub and its match against a bound column at the source
-//! ([`lookup_positions`], [`KeyTable::find_rows`]) all use this one table, so
+//! hub and its match against a bound column at the source — an indexed
+//! column's per-version [`KeyLists`], [`lookup_positions`] without an index,
+//! [`KeyTable::find_rows`] in the wrapper — all use this one table, so
 //! they agree on what a key is: cells are one key exactly when [`Value`]'s
 //! `Eq` says so (`Int(2)` is `Float(2.0)`, `Int(2^53 + 1)` is not
 //! `Float(2^53)`, `-0.0` is not `0`, a NaN is itself), and NULL is a key like
@@ -41,8 +43,9 @@
 //! therefore taken from [`spread`] of the hash, which folds the low half into
 //! the high first (`probes_stay_short_for_dense_and_sparse_ids`).
 //!
-//! The storage engine's `Value`-keyed std maps (a hash index, the statistics'
-//! distinct values) hash through [`KeyHasher`]: the same mix, finished by
+//! The storage engine's two `Value`-keyed std maps, both on its write path
+//! (the primary key's index, the statistics' distinct values), hash through
+//! [`KeyHasher`]: the same mix, finished by
 //! [`spread`], whose closing xor-shift matters there — std picks a bucket by
 //! the low bits, and a small Int hashes as its `f64` bits, ~30 of them zero.
 //! The hash is fixed, not seeded per process, so chosen keys could be made to
@@ -304,8 +307,7 @@ impl KeyTable {
     /// like any other, as `==` on [`Value`] has it — and each key's id, in
     /// list order.
     pub fn of_values(keys: &[Value]) -> (Self, Vec<u32>) {
-        let ty = keys.iter().find_map(Value::data_type).unwrap_or(DataType::Int);
-        let col = [Arc::new(Column::from_values(keys, ty))];
+        let col = [values_column(keys)];
         let mut table = KeyTable::new(vec![ColumnBuilder::like(&col[0], keys.len())], keys.len());
         let ids = table.intern_rows(&col, keys.len(), false);
         (table, ids)
@@ -484,17 +486,94 @@ impl KeyTable {
     }
 }
 
+/// Each key of some rows and the rows holding it: a [`KeyTable`] of the keys
+/// plus one stable counting sort of the rows by key id, so a key's rows are
+/// listed in ascending row order. A stored table's per-version key index, the
+/// hub join's build side and an unindexed bound lookup group their rows here.
+#[derive(Debug)]
+pub struct KeyLists {
+    table: KeyTable,
+    /// Key `id`'s rows are `rows[starts[id]..starts[id + 1]]`.
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl KeyLists {
+    /// The `n` rows of the key columns `cols`, grouped by key. With
+    /// `skip_nulls` a row with a NULL key cell is in no list; without, NULL
+    /// is a key like any other.
+    pub fn new(cols: &[Arc<Column>], n: usize, skip_nulls: bool) -> Self {
+        let stored = cols.iter().map(|c| ColumnBuilder::like(c, n)).collect();
+        let mut table = KeyTable::new(stored, n);
+        let ids = table.intern_rows(cols, n, skip_nulls);
+        KeyLists::group(table, &ids)
+    }
+
+    /// Row `r` listed under key `ids[r]` of `table`, under none for [`NO_KEY`].
+    fn group(table: KeyTable, ids: &[u32]) -> Self {
+        let mut starts = vec![0u32; table.len() + 1];
+        for &id in ids.iter().filter(|&&id| id != NO_KEY) {
+            starts[id as usize + 1] += 1;
+        }
+        for id in 0..table.len() {
+            starts[id + 1] += starts[id];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0u32; starts[table.len()] as usize];
+        for (row, &id) in ids.iter().enumerate().filter(|&(_, &id)| id != NO_KEY) {
+            rows[next[id as usize] as usize] = row as u32;
+            next[id as usize] += 1;
+        }
+        KeyLists { table, starts, rows }
+    }
+
+    /// The lists with row `r` renamed `sel[r]`, a batch's physical row.
+    pub fn renumbered(mut self, sel: Option<&[u32]>) -> Self {
+        if let Some(sel) = sel {
+            self.rows.iter_mut().for_each(|r| *r = sel[*r as usize]);
+        }
+        self
+    }
+
+    /// The table of the keys.
+    pub fn table(&self) -> &KeyTable {
+        &self.table
+    }
+
+    /// Key `id`'s rows, ascending; none for [`NO_KEY`]. Inlined across
+    /// crates: a hub join asks once per probe row.
+    #[inline]
+    pub fn rows_of(&self, id: u32) -> &[u32] {
+        if id == NO_KEY {
+            return &[];
+        }
+        let (from, to) = (self.starts[id as usize], self.starts[id as usize + 1]);
+        &self.rows[from as usize..to as usize]
+    }
+
+    /// For each of `keys` in turn, the rows holding it — binding order, a
+    /// duplicated key's rows twice: the list as one column, probed in one call.
+    pub fn lookup(&self, keys: &[Value]) -> Vec<u32> {
+        let ids = self.table.find_rows(&[values_column(keys)], keys.len());
+        ids.iter().flat_map(|&id| self.rows_of(id)).copied().collect()
+    }
+}
+
+/// A binding list as one column, of its first non-NULL cell's type (`Mixed`
+/// if another type follows).
+fn values_column(keys: &[Value]) -> Arc<Column> {
+    let ty = keys.iter().find_map(Value::data_type).unwrap_or(DataType::Int);
+    Arc::new(Column::from_values(keys, ty))
+}
+
 /// For each of `keys` in turn, the positions of `col` holding a cell equal to
 /// it, ascending — binding order, a duplicated key's positions twice: a bound
 /// lookup in one pass over the column's typed vector, not a scan per key.
 pub fn lookup_positions(col: &Arc<Column>, keys: &[Value]) -> Vec<u32> {
     let (table, key_of) = KeyTable::of_values(keys);
-    let mut per_key: Vec<Vec<u32>> = vec![Vec::new(); table.len()];
     let found = table.find_rows(std::slice::from_ref(col), col.len());
-    for (at, k) in found.into_iter().enumerate().filter(|&(_, k)| k != NO_KEY) {
-        per_key[k as usize].push(at as u32);
-    }
-    key_of.iter().flat_map(|&k| per_key[k as usize].iter().copied()).collect()
+    let lists = KeyLists::group(table, &found);
+    key_of.iter().flat_map(|&k| lists.rows_of(k)).copied().collect()
 }
 
 #[cfg(test)]
@@ -784,6 +863,36 @@ mod tests {
                 prop_assert_eq!(found(&own), found(&pinned), "after chunk {}", k);
             }
             prop_assert_eq!(format!("{:?}", own.into_columns()), format!("{:?}", pinned.into_columns()));
+        }
+
+        /// A key index over a column answers every binding list as a `==`
+        /// sweep of the column does: each key's rows ascending, NULL a key as
+        /// `==` has it, a `Float` twin and a `Mixed` list finding what
+        /// `cells_cmp` says — over dense runs (direct), span breakers and
+        /// all-NULL columns (hashed) and stray cells (`Mixed`).
+        #[test]
+        fn key_lists_find_what_a_sweep_finds(
+            cells in hazards::key_column(),
+            strays in proptest::collection::vec(hazards::stray_value(), 0..6),
+            twins in any::<bool>(),
+        ) {
+            let col = column(&cells, DataType::Int);
+            let lists = KeyLists::new(std::slice::from_ref(&col), cells.len(), false);
+            let twin = |v: &Value| match v {
+                Value::Int(i) if twins => Value::Float(*i as f64),
+                v => v.clone(),
+            };
+            let keys: Vec<Value> = cells.iter().step_by(2).map(twin).chain(strays).collect();
+            let mut sweep = Vec::new();
+            for k in &keys {
+                sweep.extend((0..cells.len() as u32).filter(|&i| cells[i as usize] == *k));
+            }
+            prop_assert_eq!(lists.lookup(&keys), sweep);
+            let ids = lists.table().find_rows(std::slice::from_ref(&col), cells.len());
+            for (row, &id) in ids.iter().enumerate() {
+                let rows = lists.rows_of(id);
+                prop_assert!(rows.contains(&(row as u32)) && rows.windows(2).all(|w| w[0] < w[1]));
+            }
         }
     }
 }

@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use eii_data::keys::{cells_cmp, KeyTable, NO_KEY};
+use eii_data::keys::{cells_cmp, KeyLists, KeyTable};
 use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, Schema, SchemaRef, NO_ROW};
 use eii_expr::{eval_column, eval_filter, AggFunc, BoundExpr};
 use eii_sql::JoinKind;
@@ -299,14 +299,12 @@ impl ColumnPick {
 /// the columns its caller names: the residual's for the candidates, the
 /// consumer's for the survivors.
 pub struct VecHashJoin {
-    /// The distinct non-NULL build keys. Key `k`'s build rows are
-    /// `rows[starts[k]..starts[k + 1]]`, in build insertion order (which
-    /// fixes the output order within a probe row) — physical rows of `build`,
-    /// the build side's columns as they lie, under no selection: a filtered
-    /// build side is never compacted, so a column nobody reads is never copied.
-    table: KeyTable,
-    starts: Vec<u32>,
-    rows: Vec<u32>,
+    /// The distinct non-NULL build keys and each key's build rows, in build
+    /// insertion order (which fixes the output order within a probe row) —
+    /// physical rows of `build`, the build side's columns as they lie, under
+    /// no selection: a filtered build side is never compacted, so a column
+    /// nobody reads is never copied.
+    keys: KeyLists,
     build: ColumnarBatch,
     probe_keys: Vec<BoundExpr>,
     kind: JoinKind,
@@ -341,30 +339,10 @@ impl VecHashJoin {
         out: ColumnPick,
         batch_size: usize,
     ) -> Self {
-        let n = build.num_rows();
-        let stored = build_keys.iter().map(|c| ColumnBuilder::like(c, n)).collect();
-        let mut table = KeyTable::new(stored, n);
         // NULL keys never join: their rows get no key and are in no list.
-        let key_of = table.intern_rows(build_keys, n, true);
-        // Counting sort of the build rows by key id; stable, so each key's
-        // rows stay in insertion order.
-        let mut starts = vec![0u32; table.len() + 1];
-        for &k in key_of.iter().filter(|&&k| k != NO_KEY) {
-            starts[k as usize + 1] += 1;
-        }
-        for k in 0..table.len() {
-            starts[k + 1] += starts[k];
-        }
-        let mut next = starts.clone();
-        let mut rows = vec![0u32; starts[table.len()] as usize];
-        for (row, &k) in key_of.iter().enumerate().filter(|&(_, &k)| k != NO_KEY) {
-            rows[next[k as usize] as usize] = build.physical_index(row) as u32;
-            next[k as usize] += 1;
-        }
+        let keys = KeyLists::new(build_keys, build.num_rows(), true);
         VecHashJoin {
-            table,
-            starts,
-            rows,
+            keys: keys.renumbered(build.selection()),
             build: ColumnarBatch::new(
                 Arc::clone(build.schema()),
                 build.columns().to_vec(),
@@ -379,28 +357,19 @@ impl VecHashJoin {
         }
     }
 
-    /// The build rows of key `id` ([`KeyTable::find_rows`]'s answer for a
-    /// probe row): none for [`NO_KEY`] — a key no build row has, or one with a
-    /// NULL cell, since NULL keys were never interned and so never join.
-    fn rows_of(&self, id: u32) -> &[u32] {
-        if id == NO_KEY {
-            return &[];
-        }
-        &self.rows[self.starts[id as usize] as usize..self.starts[id as usize + 1] as usize]
-    }
-
     /// Inner/Left/Cross probe: candidate pairs in probe order, the residual
     /// evaluated over at most `pair_cap` of them at a time, the survivors
-    /// gathered and emitted `pair_cap` rows at a time.
+    /// gathered and emitted `pair_cap` rows at a time. A probe key no build
+    /// row has, or one with a NULL cell (never interned), has no build rows.
     fn probe_pairs(&self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
         let key_cols = eval_columns(&self.probe_keys, chunk)?;
-        let ids = self.table.find_rows(&key_cols, chunk.num_rows());
+        let ids = self.keys.table().find_rows(&key_cols, chunk.num_rows());
         let left = matches!(self.kind, JoinKind::Left);
         let mut kept = Pairs::default();
         let mut pending = Pending::default();
         for (row, &id) in ids.iter().enumerate() {
             let phys = chunk.physical_index(row) as u32;
-            for &b in self.rows_of(id) {
+            for &b in self.keys.rows_of(id) {
                 pending.pairs.push(phys, b);
                 if pending.pairs.probe.len() >= self.pair_cap {
                     self.resolve(chunk, &mut pending, &mut kept, out)?;
@@ -491,12 +460,12 @@ impl VecHashJoin {
     /// candidate matched, so this stays candidate-at-a-time.
     fn probe_filtering(&self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
         let key_cols = eval_columns(&self.probe_keys, chunk)?;
-        let ids = self.table.find_rows(&key_cols, chunk.num_rows());
+        let ids = self.keys.table().find_rows(&key_cols, chunk.num_rows());
         let anti = matches!(self.kind, JoinKind::Anti);
         let mut keep: Vec<u32> = Vec::new();
         for (row, &id) in ids.iter().enumerate() {
             // NULL keys never match: anti keeps the row, semi drops it.
-            let rows = self.rows_of(id);
+            let rows = self.keys.rows_of(id);
             let matched = match &self.residual {
                 None => !rows.is_empty(),
                 Some(pred) => {

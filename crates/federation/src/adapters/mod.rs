@@ -19,7 +19,7 @@ use std::sync::Arc;
 use eii_data::keys::{KeyTable, NO_KEY};
 use eii_data::{ColumnarBatch, EiiError, Result, Schema, Value};
 use eii_expr::{bind, eval_column, eval_filter, referenced_columns, BoundExpr, Expr};
-use eii_storage::Database;
+use eii_storage::{Built, Database};
 
 use crate::connector::{BindAccess, SourceAnswer, SourceQuery};
 
@@ -27,8 +27,9 @@ use crate::connector::{BindAccess, SourceAnswer, SourceQuery};
 type Binding = (String, Vec<Value>);
 
 /// Answer `query` from a table of `db`. `resolved` is the binding the table
-/// resolves itself (index probes, or one bucketing scan when the column has
-/// no index); `wrapper_side` bindings are evaluated here, with the filters.
+/// resolves itself (one probe of the column's key index, or one bucketing
+/// scan when the column has no index); `wrapper_side` bindings are evaluated
+/// here, with the filters.
 ///
 /// The table is read as shared image columns (`Table::scan_columns`,
 /// `Table::lookup_in_columns`), and only the columns the answer ships or the
@@ -68,7 +69,7 @@ pub(crate) fn answer_from_table(
     for (c, _) in wrapper_side {
         build(schema.index_of(None, c)?);
     }
-    let ((scanned, columns_built), rows_scanned, bind_access) = match resolved {
+    let ((scanned, built), rows_scanned, bind_access) = match resolved {
         Some((col, vals)) => {
             let col = schema.index_of(None, col)?;
             let access = if t.has_eq_index(col) {
@@ -83,7 +84,8 @@ pub(crate) fn answer_from_table(
         None => {
             let bare = query.filters.is_empty() && wrapper_side.is_empty();
             let stop = query.limit.filter(|_| bare).unwrap_or(usize::MAX);
-            (t.scan_columns(&cols, stop), t.row_count(), None)
+            let (scanned, columns) = t.scan_columns(&cols, stop);
+            ((scanned, Built { columns, indexes: 0 }), t.row_count(), None)
         }
     };
     drop(t);
@@ -96,7 +98,8 @@ pub(crate) fn answer_from_table(
     )?;
     Ok(SourceAnswer {
         bind_access,
-        columns_built,
+        columns_built: built.columns,
+        indexes_built: built.indexes,
         ..SourceAnswer::one_shot(batch, rows_scanned)
     })
 }

@@ -84,12 +84,15 @@ pub struct SourceAnswer {
     /// Columns the table or wrapper had to build to answer: 0 when every
     /// column it read was already held for the current data version.
     pub columns_built: usize,
+    /// Key indexes the table had to build to answer: 1 on the first bound
+    /// read of an indexed column after a write, 0 when it was held.
+    pub indexes_built: usize,
 }
 
 /// Access path a source engine took for a bound query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BindAccess {
-    /// One index probe per bound value.
+    /// The bound column's key index: the binding list probed as one column.
     Index,
     /// No index on the bound column: one scan bucketing rows by value.
     Scan,
@@ -104,6 +107,7 @@ impl SourceAnswer {
             calls: 1,
             bind_access: None,
             columns_built: 0,
+            indexes_built: 0,
         }
     }
 }

@@ -156,6 +156,10 @@ impl SourceHandle {
             self.metrics
                 .add("federation.source.columns_built", ans.columns_built as u64);
         }
+        if ans.indexes_built > 0 {
+            self.metrics
+                .add("federation.source.indexes_built", ans.indexes_built as u64);
+        }
         QueryCost {
             sim_ms,
             bytes,
@@ -636,6 +640,36 @@ mod tests {
         assert_eq!(built(), 4, "a write empties the image: both columns again");
         h.query(&SourceQuery::full_table("customers")).unwrap();
         assert_eq!(built(), 4);
+    }
+
+    #[test]
+    fn indexes_built_counts_the_first_bound_read_after_a_write_only() {
+        let fed = federation();
+        let h = fed.source("crm").unwrap();
+        let built = || fed.metrics().counter_value("federation.source.indexes_built");
+        let bound = |col: &str, key: eii_data::Value| SourceQuery {
+            bindings: vec![(col.into(), vec![key])],
+            ..SourceQuery::full_table("customers")
+        };
+        let by_id = bound("id", eii_data::Value::Int(7));
+        h.query(&SourceQuery::full_table("customers")).unwrap();
+        h.query(&bound("name", "cust7".into())).unwrap();
+        assert_eq!(built(), 0, "an unbound read, or a bound one without an index, builds none");
+        h.query(&by_id).unwrap();
+        assert_eq!(built(), 1, "the first bound read of the primary key builds its index");
+        h.query(&by_id).unwrap();
+        assert_eq!(built(), 1, "a warm bound read builds nothing");
+        let renamed = UpdateOp::UpdateByKey {
+            table: "customers".into(),
+            key: eii_data::Value::Int(7),
+            assignments: vec![("name".into(), "seven".into())],
+        };
+        h.update(&renamed).unwrap();
+        h.query(&SourceQuery::full_table("customers")).unwrap();
+        assert_eq!(built(), 1, "a write drops the index; an unbound read does not rebuild it");
+        h.query(&by_id).unwrap();
+        h.query(&by_id).unwrap();
+        assert_eq!(built(), 2, "the first bound read after the write does, once");
     }
 
     #[test]

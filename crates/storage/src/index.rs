@@ -1,4 +1,5 @@
-//! Secondary indexes over table rows.
+//! Row-id indexes a table keeps up on every write: the primary key's (for
+//! uniqueness and by-key access) and ordered ones (for range lookups).
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -25,11 +26,6 @@ impl HashIndex {
             map: HashMap::default(),
             column,
         }
-    }
-
-    /// Column position the index covers.
-    pub fn column(&self) -> usize {
-        self.column
     }
 
     /// Register `rid` under `key`.
@@ -74,11 +70,6 @@ impl OrderedIndex {
         }
     }
 
-    /// Column position the index covers.
-    pub fn column(&self) -> usize {
-        self.column
-    }
-
     /// Register `rid` under `key`.
     pub fn insert(&mut self, key: Value, rid: RowId) {
         self.map.entry(key).or_default().push(rid);
@@ -101,11 +92,6 @@ impl OrderedIndex {
             .range((low, high))
             .flat_map(|(_, rids)| rids.iter().copied())
             .collect()
-    }
-
-    /// Row ids with exactly this key.
-    pub fn get(&self, key: &Value) -> &[RowId] {
-        self.map.get(key).map_or(&[], Vec::as_slice)
     }
 
     /// Number of distinct keys.

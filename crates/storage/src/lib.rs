@@ -22,4 +22,4 @@ pub use changelog::{Change, ChangeLog, ChangeOp};
 pub use database::Database;
 pub use index::{HashIndex, OrderedIndex};
 pub use stats::{ColumnStats, TableStats};
-pub use table::{RowId, Table, TableDef};
+pub use table::{Built, RowId, Table, TableDef};

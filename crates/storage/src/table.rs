@@ -1,21 +1,29 @@
-//! Tables: constraint-checked row storage with secondary indexes, a change
-//! log, and derived state — statistics, kept current by every write once
-//! somebody has asked for them ([`crate::stats`]), and a per-version column image.
+//! Tables: constraint-checked row storage with indexes, a change log, and
+//! derived state — statistics, kept current by every write once somebody has
+//! asked for them ([`crate::stats`]), a per-version column image and a
+//! per-version key index of each indexed column.
 //!
-//! The rows are the store of record: the change log, IVM, `get_by_pk`,
-//! `lookup_eq` and `all_rows` read them. The column reads — [`Table::scan_columns`]
-//! and [`Table::lookup_in_columns`] — are views of the *image*: field `c` of the
-//! live rows in slot order, built by the first reader that asks for column `c`
-//! after a mutation (under the table's read lock; concurrent readers build it
-//! once) and dropped by every mutation. A scan is `Arc` clones of image columns,
-//! a bound lookup the same columns under a selection, so a read copies no cell
-//! and an answer already handed out keeps the columns of the version it read —
-//! the next write builds new ones.
+//! The rows are the store of record: the change log, IVM, `get_by_pk` and
+//! `all_rows` read them. The column reads — [`Table::scan_columns`] and
+//! [`Table::lookup_in_columns`], and `lookup_eq` through it — are views of the
+//! *image*: field `c` of the live rows in slot order, built by the first reader
+//! that asks for column `c` after a mutation (under the table's read lock;
+//! concurrent readers build it once) and dropped by every mutation. A scan is
+//! `Arc` clones of image columns, a bound lookup the same columns under a
+//! selection, so a read copies no cell and an answer already handed out keeps
+//! the columns of the version it read — the next write builds new ones.
+//!
+//! An indexed column finds a binding list's rows in its *key index*, a
+//! [`KeyLists`] over its image column, per version like the image; an
+//! unindexed one in one pass over the column ([`lookup_positions`]). Either
+//! way a key's rows come in slot order. Only the primary key (for the write
+//! path) and the statistics keep `Value`-keyed maps, besides an ordered
+//! index's tree for [`Table::lookup_range`].
 
 use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
-use eii_data::keys::lookup_positions;
+use eii_data::keys::{lookup_positions, KeyLists};
 use eii_data::{
     Column, ColumnBuilder, ColumnarBatch, EiiError, Result, Row, Schema, SchemaRef, SimClock,
     Value,
@@ -63,7 +71,6 @@ pub struct Table {
     free: Vec<RowId>,
     live: usize,
     pk_index: Option<HashIndex>,
-    hash_indexes: Vec<HashIndex>,
     ordered_indexes: Vec<OrderedIndex>,
     log: ChangeLog,
     clock: SimClock,
@@ -77,25 +84,19 @@ pub struct Table {
     /// rows in slot order. Filled by the first read of the column after a
     /// mutation; every mutation empties it.
     image: Vec<OnceLock<Arc<Column>>>,
-    /// Slot → image position, consulted only while some slot is vacant (in a
-    /// dense table a row's position is its `RowId`). Per version, like `image`.
-    positions: OnceLock<Vec<u32>>,
+    /// One cell per schema field, `Some` for an indexed column: its key index
+    /// over image column `c`, filled by the first bound read after a
+    /// mutation; every mutation empties it.
+    key_index: Vec<Option<OnceLock<KeyLists>>>,
 }
 
-/// The index an equality lookup on one column goes through.
-#[derive(Clone, Copy)]
-enum EqIndex<'a> {
-    Hash(&'a HashIndex),
-    Ordered(&'a OrderedIndex),
-}
-
-impl<'a> EqIndex<'a> {
-    fn get(self, key: &Value) -> &'a [RowId] {
-        match self {
-            EqIndex::Hash(ix) => ix.get(key),
-            EqIndex::Ordered(ix) => ix.get(key),
-        }
-    }
+/// What a column read had to build: 0 of each on a warm read.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Built {
+    /// Image columns.
+    pub columns: usize,
+    /// Key indexes.
+    pub indexes: usize,
 }
 
 impl Table {
@@ -103,20 +104,22 @@ impl Table {
     pub fn new(def: TableDef, clock: SimClock) -> Self {
         let pk_index = def.primary_key.map(HashIndex::new);
         let image = def.schema.fields().iter().map(|_| OnceLock::new()).collect();
+        let key_index = (0..def.schema.len())
+            .map(|c| (def.primary_key == Some(c)).then(OnceLock::new))
+            .collect();
         Table {
             def,
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
             pk_index,
-            hash_indexes: Vec::new(),
             ordered_indexes: Vec::new(),
             log: ChangeLog::new(),
             clock,
             stats_acc: OnceLock::new(),
             stats_cache: OnceLock::new(),
             image,
-            positions: OnceLock::new(),
+            key_index,
         }
     }
 
@@ -149,9 +152,11 @@ impl Table {
             new.into_iter().for_each(|row| acc.add(row));
         }
         self.stats_cache.take();
-        self.positions.take();
         for column in &mut self.image {
             column.take();
+        }
+        for index in self.key_index.iter_mut().flatten() {
+            index.take();
         }
     }
 
@@ -229,9 +234,6 @@ impl Table {
         if let Some(ix) = &mut self.pk_index {
             ix.insert(row.get(ix.column).clone(), rid);
         }
-        for ix in &mut self.hash_indexes {
-            ix.insert(row.get(ix.column).clone(), rid);
-        }
         for ix in &mut self.ordered_indexes {
             ix.insert(row.get(ix.column).clone(), rid);
         }
@@ -239,9 +241,6 @@ impl Table {
 
     fn unindex_row(&mut self, rid: RowId, row: &Row) {
         if let Some(ix) = &mut self.pk_index {
-            ix.remove(row.get(ix.column), rid);
-        }
-        for ix in &mut self.hash_indexes {
             ix.remove(row.get(ix.column), rid);
         }
         for ix in &mut self.ordered_indexes {
@@ -361,32 +360,18 @@ impl Table {
         self.scan(|_| true)
     }
 
-    /// The primary-key, hash or ordered index over `col`, in that order of
-    /// preference.
-    fn eq_index(&self, col: usize) -> Option<EqIndex<'_>> {
-        let hash = self
-            .pk_index
-            .iter()
-            .chain(&self.hash_indexes)
-            .find(|ix| ix.column == col);
-        hash.map(EqIndex::Hash).or_else(|| {
-            let ordered = self.ordered_indexes.iter().find(|ix| ix.column == col);
-            ordered.map(EqIndex::Ordered)
-        })
-    }
-
-    /// Whether equality lookups on `col` probe an index (true) or scan the
-    /// table (false).
+    /// Whether `col` is indexed: a bound lookup on it probes the column's key
+    /// index (true) or makes one pass over the column (false).
     pub fn has_eq_index(&self, col: usize) -> bool {
-        self.eq_index(col).is_some()
+        self.key_index.get(col).is_some_and(Option::is_some)
     }
 
-    /// Equality lookup, index-assisted when an index on `col` exists.
+    /// The rows whose cell `col` equals `key`, in slot order: a one-key
+    /// [`Self::lookup_in_columns`] of every column.
     pub fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Row> {
-        match self.eq_index(col) {
-            Some(ix) => ix.get(key).iter().filter_map(|&rid| self.get(rid)).cloned().collect(),
-            None => self.scan(|r| r.get(col) == key),
-        }
+        let all: Vec<usize> = (0..self.def.schema.len()).collect();
+        let (found, _) = self.lookup_in_columns(col, std::slice::from_ref(key), &all);
+        found.to_batch().into_rows()
     }
 
     /// The schema of a read that ships columns `cols`: the table's own when
@@ -419,25 +404,6 @@ impl Table {
         ColumnarBatch::new(self.schema_of(cols), columns, self.live)
     }
 
-    /// The image position of the row in each slot (a vacant slot's entry is
-    /// never read), or `None` while the table is dense and a row's position
-    /// is its `RowId`.
-    fn positions(&self) -> Option<&[u32]> {
-        if self.free.is_empty() {
-            return None;
-        }
-        let build = || {
-            let mut next = 0;
-            let position = |slot: &Option<Row>| {
-                let at = next;
-                next += u32::from(slot.is_some());
-                at
-            };
-            self.slots.iter().map(position).collect()
-        };
-        Some(self.positions.get_or_init(build))
-    }
-
     /// Column scan: cells `cols` of the first `limit` live rows, in slot
     /// order, as shared image columns — no cell is copied. Also returns how
     /// many of the columns this call had to build (0 on a warm read).
@@ -447,29 +413,32 @@ impl Table {
         (image.head(limit), built)
     }
 
-    /// Multi-key equality lookup: cells `cols` of the rows `lookup_eq` finds
-    /// for each of `keys` in turn — binding order, a duplicated key's rows
-    /// twice — as a selection over shared image columns, and how many columns
-    /// this call had to build. With an index on `col` the selection is one
-    /// probe per key; without one it is a single hashed pass over the typed
-    /// vector of image column `col` ([`lookup_positions`]), not a scan per key.
+    /// Multi-key equality lookup: cells `cols` of the rows whose cell `col`
+    /// equals each of `keys` in turn — binding order, a key's rows in slot
+    /// order, a duplicated key's rows twice — as a selection over shared image
+    /// columns, and what this call had to build. An indexed column probes the
+    /// list, as one column, against its key index; an unindexed one makes a
+    /// single hashed pass over image column `col` ([`lookup_positions`]). No
+    /// path is a scan per key.
     pub fn lookup_in_columns(
         &self,
         col: usize,
         keys: &[Value],
         cols: &[usize],
-    ) -> (ColumnarBatch, usize) {
-        let mut built = 0;
-        let selection: Vec<u32> = if let Some(ix) = self.eq_index(col) {
-            let rids = keys.iter().flat_map(|k| ix.get(k));
-            match self.positions() {
-                Some(position) => rids.map(|&rid| position[rid]).collect(),
-                None => rids.map(|&rid| rid as u32).collect(),
+    ) -> (ColumnarBatch, Built) {
+        let mut built = Built::default();
+        let selection = match &self.key_index[col] {
+            Some(index) => {
+                let build = || {
+                    built.indexes += 1;
+                    let column = self.image_column(col, &mut built.columns);
+                    KeyLists::new(&[column], self.live, false)
+                };
+                index.get_or_init(build).lookup(keys)
             }
-        } else {
-            lookup_positions(&self.image_column(col, &mut built), keys)
+            None => lookup_positions(&self.image_column(col, &mut built.columns), keys),
         };
-        let image = self.image_of(cols, &mut built);
+        let image = self.image_of(cols, &mut built.columns);
         (image.select(selection), built)
     }
 
@@ -504,20 +473,16 @@ impl Table {
         })
     }
 
-    /// Build a hash index over `col` (no-op if one exists).
+    /// Index `col` for equality: mark it, so that bound reads of it answer
+    /// from its per-version key index (no-op if it is indexed).
     pub fn create_hash_index(&mut self, col: usize) {
-        if self.hash_indexes.iter().any(|ix| ix.column == col) {
-            return;
-        }
-        let mut ix = HashIndex::new(col);
-        for (rid, row) in self.iter() {
-            ix.insert(row.get(col).clone(), rid);
-        }
-        self.hash_indexes.push(ix);
+        self.key_index[col].get_or_insert_with(OnceLock::new);
     }
 
-    /// Build an ordered index over `col` (no-op if one exists).
+    /// Build an ordered index over `col` for range lookups; it also indexes
+    /// `col` for equality (no-op if one exists).
     pub fn create_ordered_index(&mut self, col: usize) {
+        self.create_hash_index(col);
         if self.ordered_indexes.iter().any(|ix| ix.column == col) {
             return;
         }
@@ -672,14 +637,15 @@ mod tests {
     }
 
     /// Fill every per-version cache: the statistics snapshot (two calls with
-    /// no write between them share it), all image columns and — when a slot is
-    /// vacant — the position map (an index lookup consults it).
+    /// no write between them share it), all image columns and the key index
+    /// of each indexed column (a bound read of it builds it).
     fn warm(t: &Table) {
         assert!(Arc::ptr_eq(&t.stats(), &t.stats()));
         t.scan_columns(&[0, 1, 2], usize::MAX);
         t.lookup_in_columns(0, &[Value::Int(1)], &[0]);
+        t.lookup_in_columns(1, &[Value::str("a")], &[0]);
         assert!(t.stats_cache.get().is_some() && t.image.iter().all(|c| c.get().is_some()));
-        assert_eq!(t.positions.get().is_some(), !t.free.is_empty());
+        assert!(t.key_index.iter().flatten().all(|ix| ix.get().is_some()));
     }
 
     /// A mutation drops every per-version cache and keeps the running
@@ -687,7 +653,9 @@ mod tests {
     fn assert_cold(t: &Table, after: &str) {
         assert!(t.stats_cache.get().is_none(), "statistics snapshot survived {after}");
         assert!(t.image.iter().all(|c| c.get().is_none()), "image survived {after}");
-        assert!(t.positions.get().is_none(), "position map survived {after}");
+        let indexes = t.key_index.iter().flatten();
+        assert!(indexes.clone().all(|ix| ix.get().is_none()), "key index survived {after}");
+        assert_eq!(indexes.count(), 2, "the primary key and the hash index on column 1");
         let kept = t.stats_acc.get().expect("running statistics dropped").snapshot();
         let rows = t.iter().map(|(_, r)| r);
         assert_eq!(kept, TableStats::analyze(t.schema().len(), rows), "after {after}");
@@ -696,6 +664,7 @@ mod tests {
     #[test]
     fn stats_cache_invalidation() {
         let mut t = table();
+        t.create_hash_index(1);
         t.insert(row![1i64, "a", 0.0]).unwrap();
         assert!(t.stats_acc.get().is_none(), "a table nobody asks keeps no statistics");
         assert_eq!(t.stats().row_count, 1);
@@ -717,7 +686,7 @@ mod tests {
         assert_cold(&t, "delete");
         assert_eq!(t.stats().row_count, 1, "delete");
 
-        // The last slot is vacant now: the position map is among the caches.
+        // The last slot is vacant now, and an insert reuses it.
         warm(&t);
         assert_eq!(t.insert(row![3i64, "c", 0.0]).unwrap(), rid, "slot reused");
         assert_cold(&t, "an insert into a reused slot");
@@ -738,11 +707,39 @@ mod tests {
         t.insert(row![1i64, "dup", 0.0]).unwrap_err();
         t.update_by_pk(&Value::Int(1), &[(0, Value::Null)]).unwrap_err();
         assert!(t.image.iter().all(|c| c.get().is_some()));
+        assert!(t.key_index.iter().flatten().all(|ix| ix.get().is_some()));
         assert!(Arc::ptr_eq(&before, &t.stats()));
     }
 
-    fn rows_of(read: (ColumnarBatch, usize)) -> Vec<Row> {
-        read.0.to_batch().rows().to_vec()
+    fn rows_of(batch: &ColumnarBatch) -> Vec<Row> {
+        batch.to_batch().into_rows()
+    }
+
+    /// A bound read keeps the key index and the columns of the version it
+    /// read: a held answer reads its old rows after a write, and the next
+    /// bound read builds a new index — whose rows of a key come in slot
+    /// order, a reused slot included.
+    #[test]
+    fn a_lookup_held_across_a_write_keeps_its_rows() {
+        let mut t = table();
+        t.create_hash_index(1);
+        for i in 0..6i64 {
+            t.insert(row![i, format!("n{}", i % 2), i as f64]).unwrap();
+        }
+        let odd = [Value::str("n1")];
+        let (held, built) = t.lookup_in_columns(1, &odd, &[0, 2]);
+        assert_eq!(built, Built { columns: 3, indexes: 1 });
+        let before = rows_of(&held);
+        assert_eq!(before, [row![1i64, 1.0], row![3i64, 3.0], row![5i64, 5.0]]);
+        assert_eq!(t.lookup_in_columns(1, &odd, &[0, 2]).1, Built::default());
+
+        t.update_by_pk(&Value::Int(1), &[(2, Value::Float(99.0))]).unwrap();
+        t.delete_by_pk(&Value::Int(3));
+        t.insert(row![9i64, "n1", 9.0]).unwrap();
+        assert_eq!(rows_of(&held), before, "the held answer reads the version it read");
+        let (after, built) = t.lookup_in_columns(1, &odd, &[0, 2]);
+        assert_eq!(built, Built { columns: 3, indexes: 1 });
+        assert_eq!(rows_of(&after), [row![1i64, 99.0], row![9i64, 9.0], row![5i64, 5.0]]);
     }
 
     #[test]
@@ -759,18 +756,23 @@ mod tests {
             Value::str("n3"),
         ];
         let all = [0, 1, 2];
-        let expected: Vec<Row> = keys.iter().flat_map(|k| t.lookup_eq(1, k)).collect();
+        let sweep = |t: &Table| -> Vec<Row> {
+            keys.iter().flat_map(|k| t.scan(|r| r.get(1) == k)).collect()
+        };
+        let expected = sweep(&t);
         assert_eq!(expected.len(), 9);
         assert!(!t.has_eq_index(1));
-        assert_eq!(rows_of(t.lookup_in_columns(1, &keys, &all)), expected, "one bucketing pass");
+        assert_eq!(rows_of(&t.lookup_in_columns(1, &keys, &all).0), expected, "one bucketing pass");
         t.create_hash_index(1);
         assert!(t.has_eq_index(1));
-        assert_eq!(rows_of(t.lookup_in_columns(1, &keys, &all)), expected, "index probes");
+        assert_eq!(rows_of(&t.lookup_in_columns(1, &keys, &all).0), expected, "key index");
         // A vacant slot below the rows found: positions, not slot ids.
         t.delete_by_pk(&Value::Int(0));
-        let expected: Vec<Row> = keys.iter().flat_map(|k| t.lookup_eq(1, k)).collect();
+        let expected = sweep(&t);
         assert_eq!(expected.len(), 8);
-        assert_eq!(rows_of(t.lookup_in_columns(1, &keys, &all)), expected, "sparse table");
+        assert_eq!(rows_of(&t.lookup_in_columns(1, &keys, &all).0), expected, "sparse table");
+        let one_key: Vec<Row> = keys.iter().flat_map(|k| t.lookup_eq(1, k)).collect();
+        assert_eq!(one_key, expected, "lookup_eq is a one-key lookup");
     }
 
     #[test]
@@ -786,13 +788,15 @@ mod tests {
         assert_eq!((built, second.num_rows()), (0, 3), "a second scan builds nothing");
         assert!(Arc::ptr_eq(first.column(0), second.column(1)), "and shares the first's");
         assert!(Arc::ptr_eq(first.column(1), second.column(0)));
-        // A bound lookup is a selection over the same columns; an unindexed
-        // one also reads (here: builds) the bound column.
+        // A bound lookup is a selection over the same columns; it also reads
+        // (here: builds) the bound column, and an indexed one its key index.
         let (found, built) = t.lookup_in_columns(0, &[Value::Int(3), Value::Int(3)], &[0, 2]);
-        assert_eq!((built, found.selection()), (0, Some(&[3u32, 3][..])));
+        let pk = Built { columns: 0, indexes: 1 };
+        assert_eq!((built, found.selection()), (pk, Some(&[3u32, 3][..])));
         assert!(Arc::ptr_eq(found.column(1), first.column(0)));
         let (found, built) = t.lookup_in_columns(1, &[Value::str("n4")], &[0]);
-        assert_eq!((built, found.selection()), (1, Some(&[4u32][..])));
+        let scan = Built { columns: 1, indexes: 0 };
+        assert_eq!((built, found.selection()), (scan, Some(&[4u32][..])));
 
         // An answer keeps the columns of the version it read.
         t.update_by_pk(&Value::Int(0), &[(2, Value::Float(99.0))]).unwrap();
