@@ -21,7 +21,7 @@
 //! The first chunk that breaks that — a key past the span, a NULL key
 //! interned, another type, `Mixed` — re-interns the stored keys into slots,
 //! once and for good; a direct table finds any other chunk (a `Float` twin)
-//! through a hashed copy, so [`cells_cmp`] stays the one key equality. No
+//! by probing its keys, so [`cells_cmp`] stays the one key equality. No
 //! caller picks an index, so there is no second table type to keep in step:
 //! one key store, one id space. A one-column Int key (`order_id`, `grp`) is
 //! direct; a composite, string or `Float` key (`DISTINCT grp, a % 50`) is not.
@@ -430,8 +430,7 @@ impl KeyTable {
     pub fn find_rows(&self, cols: &[Arc<Column>], n: usize) -> Vec<u32> {
         if let Some((base, ids)) = &self.direct {
             let Some(vals) = same_ints(&self.keys[0], &cols[0]) else {
-                // Rare, and O(keys): a hashed copy answers, by `cells_cmp`.
-                return self.hashed_copy().find_rows(cols, n);
+                return self.find_other_flavor(cols, n);
             };
             let nulls = cols[0].nulls();
             let id_of = |(row, &v): (usize, &i64)| match ids.get(v.wrapping_sub(*base) as usize) {
@@ -445,6 +444,21 @@ impl KeyTable {
             Ok(ints) => self.find(&ints, &hashes),
             Err(cells) => self.find(&cells, &hashes),
         }
+    }
+
+    /// [`Self::find_rows`] of a direct table for cells of another flavor (a
+    /// `Float` twin, `Mixed`, `Timestamp` against `Int`), in O(n + keys): the
+    /// cells interned (a direct table holds no NULL key), each stored key probed.
+    #[cold]
+    fn find_other_flavor(&self, cols: &[Arc<Column>], n: usize) -> Vec<u32> {
+        let mut cells = KeyTable::hashed(vec![ColumnBuilder::like(&cols[0], n)], n);
+        let ids = cells.intern_rows(cols, n, true);
+        let mut stored_id = vec![NO_KEY; cells.len()];
+        let found = cells.find_rows(&[Arc::new(self.keys[0].column().clone())], self.len());
+        for (id, &cell) in found.iter().enumerate().filter(|(_, &cell)| cell != NO_KEY) {
+            stored_id[cell as usize] = id as u32;
+        }
+        ids.iter().map(|&cell| stored_id.get(cell as usize).map_or(NO_KEY, |&id| id)).collect()
     }
 
     fn find(&self, eq: &impl KeyEq, hashes: &[u64]) -> Vec<u32> {
@@ -552,7 +566,9 @@ impl KeyLists {
     }
 
     /// For each of `keys` in turn, the rows holding it — binding order, a
-    /// duplicated key's rows twice: the list as one column, probed in one call.
+    /// duplicated key's rows twice: the list as one column, probed in one call,
+    /// O(k) for k keys — O(k + distinct keys) when it is not of a direct
+    /// index's own flavor (a `Float` twin, a `Mixed` list), still under a sweep.
     pub fn lookup(&self, keys: &[Value]) -> Vec<u32> {
         let ids = self.table.find_rows(&[values_column(keys)], keys.len());
         ids.iter().flat_map(|&id| self.rows_of(id)).copied().collect()

@@ -506,8 +506,8 @@ pub(crate) mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Writes between queries: every answer is the one evaluator's over
-        /// a fresh read of the rows as they are now — the table's per-key
-        /// `lookup_eq` rows for a binding it resolves, every row otherwise —
+        /// a fresh read of the rows as they are now — an `==` sweep of the
+        /// rows, key by key, for a binding it resolves, every row otherwise —
         /// and asking again builds no column.
         #[test]
         fn answers_from_a_table_follow_its_writes(
@@ -544,7 +544,7 @@ pub(crate) mod tests {
                     _ => None,
                 };
                 let candidates = match resolved {
-                    Some((c, keys)) => keys.iter().flat_map(|k| t.lookup_eq(c, k)).collect(),
+                    Some((c, keys)) => keys.iter().flat_map(|k| t.scan(|r| r.get(c) == k)).collect(),
                     None => t.scan(|_| true),
                 };
                 let charged = resolved.map_or(t.row_count(), |_| candidates.len());
