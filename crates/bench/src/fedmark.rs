@@ -135,7 +135,6 @@ impl FedMark {
         )?;
         {
             let mut t = orders.write();
-            t.create_hash_index(1);
             for i in 0..n_ord {
                 t.insert(row![
                     i,
@@ -181,7 +180,6 @@ impl FedMark {
         )?;
         {
             let mut t = lineitems.write();
-            t.create_hash_index(1);
             for i in 0..n_li {
                 t.insert(row![
                     i,

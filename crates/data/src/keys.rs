@@ -6,9 +6,9 @@
 //! first-seen order, keeping one copy of each in column builders; a
 //! [`KeyLists`] adds each key's rows, grouped by one counting sort. The join's
 //! build and probe, the group map, DISTINCT, a bind join's binding list at the
-//! hub and its match against a bound column at the source — an indexed
-//! column's per-version [`KeyLists`], [`lookup_positions`] without an index,
-//! [`KeyTable::find_rows`] in the wrapper — all use this one table, so
+//! hub and its match against a bound column at the source — the column's
+//! per-version [`KeyLists`] in a stored table, [`KeyTable::find_rows`] in the
+//! wrapper — all use this one table, so
 //! they agree on what a key is: cells are one key exactly when [`Value`]'s
 //! `Eq` says so (`Int(2)` is `Float(2.0)`, `Int(2^53 + 1)` is not
 //! `Float(2^53)`, `-0.0` is not `0`, a NaN is itself), and NULL is a key like
@@ -304,13 +304,12 @@ impl KeyTable {
     }
 
     /// The binding list `keys` interned as a one-column table — NULL a key
-    /// like any other, as `==` on [`Value`] has it — and each key's id, in
-    /// list order.
-    pub fn of_values(keys: &[Value]) -> (Self, Vec<u32>) {
+    /// like any other, as `==` on [`Value`] has it.
+    pub fn of_values(keys: &[Value]) -> Self {
         let col = [values_column(keys)];
         let mut table = KeyTable::new(vec![ColumnBuilder::like(&col[0], keys.len())], keys.len());
-        let ids = table.intern_rows(&col, keys.len(), false);
-        (table, ids)
+        table.intern_rows(&col, keys.len(), false);
+        table
     }
 
     /// Number of distinct keys interned.
@@ -502,8 +501,8 @@ impl KeyTable {
 
 /// Each key of some rows and the rows holding it: a [`KeyTable`] of the keys
 /// plus one stable counting sort of the rows by key id, so a key's rows are
-/// listed in ascending row order. A stored table's per-version key index, the
-/// hub join's build side and an unindexed bound lookup group their rows here.
+/// listed in ascending row order. A stored table's per-version key index of a
+/// bound column and the hub join's build side group their rows here.
 #[derive(Debug)]
 pub struct KeyLists {
     table: KeyTable,
@@ -580,16 +579,6 @@ impl KeyLists {
 fn values_column(keys: &[Value]) -> Arc<Column> {
     let ty = keys.iter().find_map(Value::data_type).unwrap_or(DataType::Int);
     Arc::new(Column::from_values(keys, ty))
-}
-
-/// For each of `keys` in turn, the positions of `col` holding a cell equal to
-/// it, ascending — binding order, a duplicated key's positions twice: a bound
-/// lookup in one pass over the column's typed vector, not a scan per key.
-pub fn lookup_positions(col: &Arc<Column>, keys: &[Value]) -> Vec<u32> {
-    let (table, key_of) = KeyTable::of_values(keys);
-    let found = table.find_rows(std::slice::from_ref(col), col.len());
-    let lists = KeyLists::group(table, &found);
-    key_of.iter().flat_map(|&k| lists.rows_of(k)).copied().collect()
 }
 
 #[cfg(test)]
@@ -789,7 +778,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_positions_is_a_linear_sweep_per_key() {
+    fn key_lists_lookup_is_a_linear_sweep_per_key() {
         let p53 = 1i64 << 53;
         let cells = [
             Value::Int(p53), Value::Float(p53 as f64), Value::Null, Value::str("a"),
@@ -804,7 +793,8 @@ mod tests {
         for k in &keys {
             sweep.extend((0..cells.len() as u32).filter(|&i| cells[i as usize] == *k));
         }
-        assert_eq!(lookup_positions(&col, &keys), sweep);
+        let lists = KeyLists::new(std::slice::from_ref(&col), cells.len(), false);
+        assert_eq!(lists.lookup(&keys), sweep);
         assert_eq!(sweep, [4, 0, 1, 5, 0, 1, 5, 2, 0, 1, 5, 7]);
     }
 

@@ -58,7 +58,6 @@ fn setup() -> (Catalog, Federation) {
         .unwrap();
     {
         let mut t = ot.write();
-        t.create_hash_index(1);
         for i in 0..20i64 {
             t.insert(row![i, i % 5 + 1, (i as f64 + 1.0) * 10.0]).unwrap();
         }

@@ -10,6 +10,7 @@ use eii_data::{DataType, EiiError, Result, Row, Schema, Value};
 
 use crate::ast::{BinaryOp, Expr, ScalarFunc, UnaryOp};
 use crate::functions::{eval_scalar, like_match};
+use crate::vector::Arith;
 
 /// An expression whose column references have been resolved to positions.
 #[derive(Debug, Clone)]
@@ -326,26 +327,19 @@ pub fn eval_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
     // Arithmetic. Int op Int stays Int (except division by zero handling);
     // anything involving Float widens.
     match (l, r) {
-        (Value::Int(a), Value::Int(b)) => {
+        (&Value::Int(a), &Value::Int(b)) => {
+            if b == 0 && matches!(op, BinaryOp::Divide | BinaryOp::Modulo) {
+                return Err(EiiError::Execution("division by zero".into()));
+            }
             let v = match op {
-                BinaryOp::Plus => Value::Int(a.wrapping_add(*b)),
-                BinaryOp::Minus => Value::Int(a.wrapping_sub(*b)),
-                BinaryOp::Multiply => Value::Int(a.wrapping_mul(*b)),
-                BinaryOp::Divide => {
-                    if *b == 0 {
-                        return Err(EiiError::Execution("division by zero".into()));
-                    }
-                    Value::Int(a.wrapping_div(*b))
-                }
-                BinaryOp::Modulo => {
-                    if *b == 0 {
-                        return Err(EiiError::Execution("division by zero".into()));
-                    }
-                    Value::Int(a.wrapping_rem(*b))
-                }
+                BinaryOp::Plus => Arith::add(a, b),
+                BinaryOp::Minus => Arith::sub(a, b),
+                BinaryOp::Multiply => Arith::mul(a, b),
+                BinaryOp::Divide => Arith::div(a, b),
+                BinaryOp::Modulo => Arith::rem(a, b),
                 _ => unreachable!(),
             };
-            Ok(v)
+            Ok(Value::Int(v))
         }
         _ => {
             let (Some(a), Some(b)) = (l.as_float(), r.as_float()) else {

@@ -496,10 +496,11 @@ fn compare<A, B>(
     }
 }
 
-/// The arithmetic of one result type, as the scalar path does it: `i64`
-/// wraps, `f64` is IEEE. Dividing by zero answers a placeholder — it is
-/// reached only under a NULL ([`arith`] has refused the rest).
-trait Arith: Copy + PartialEq {
+/// The arithmetic of one result type, for the kernels and the scalar path's
+/// Int op Int alike: `i64` wraps, `f64` is IEEE. Dividing by zero answers a
+/// placeholder — it is reached only under a NULL ([`arith`] and
+/// `eval_binary` refuse the rest).
+pub(crate) trait Arith: Copy + PartialEq {
     const ZERO: Self;
     fn add(self, y: Self) -> Self;
     fn sub(self, y: Self) -> Self;

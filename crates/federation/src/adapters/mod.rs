@@ -21,23 +21,22 @@ use eii_data::{ColumnarBatch, EiiError, Result, Schema, Value};
 use eii_expr::{bind, eval_column, eval_filter, referenced_columns, BoundExpr, Expr};
 use eii_storage::{Built, Database};
 
-use crate::connector::{BindAccess, SourceAnswer, SourceQuery};
+use crate::connector::{SourceAnswer, SourceQuery};
 
 /// A binding list: rows whose column equals any of the values.
 type Binding = (String, Vec<Value>);
 
 /// Answer `query` from a table of `db`. `resolved` is the binding the table
-/// resolves itself (one probe of the column's key index, or one bucketing
-/// scan when the column has no index); `wrapper_side` bindings are evaluated
-/// here, with the filters.
+/// resolves itself (one probe of the column's key index); `wrapper_side`
+/// bindings are evaluated here, with the filters.
 ///
 /// The table is read as shared image columns (`Table::scan_columns`,
 /// `Table::lookup_in_columns`), and only the columns the answer ships or the
 /// evaluator reads are asked for — so only those are built on a cold read. A
-/// binding is charged the rows it matched on either access path — simulated
-/// time prices an unindexed binding as if it were indexed
-/// (docs/architecture.md, "Source access paths") — and an unbound query the
-/// table's live rows, even when a bare `LIMIT` keeps only the first few.
+/// binding is charged the rows it matched, whether or not the read had to
+/// build the key index first (docs/architecture.md, "Source access paths"),
+/// and an unbound query the table's live rows, even when a bare `LIMIT`
+/// keeps only the first few.
 pub(crate) fn answer_from_table(
     db: &Database,
     query: &SourceQuery,
@@ -69,23 +68,18 @@ pub(crate) fn answer_from_table(
     for (c, _) in wrapper_side {
         build(schema.index_of(None, c)?);
     }
-    let ((scanned, built), rows_scanned, bind_access) = match resolved {
+    let (scanned, built, rows_scanned) = match resolved {
         Some((col, vals)) => {
             let col = schema.index_of(None, col)?;
-            let access = if t.has_eq_index(col) {
-                BindAccess::Index
-            } else {
-                BindAccess::Scan
-            };
             let (found, built) = t.lookup_in_columns(col, vals, &cols);
             let matched = found.num_rows();
-            ((found, built), matched, Some(access))
+            (found, built, matched)
         }
         None => {
             let bare = query.filters.is_empty() && wrapper_side.is_empty();
             let stop = query.limit.filter(|_| bare).unwrap_or(usize::MAX);
             let (scanned, columns) = t.scan_columns(&cols, stop);
-            ((scanned, Built { columns, indexes: 0 }), t.row_count(), None)
+            (scanned, Built { columns, indexes: 0 }, t.row_count())
         }
     };
     drop(t);
@@ -97,7 +91,7 @@ pub(crate) fn answer_from_table(
         query.limit,
     )?;
     Ok(SourceAnswer {
-        bind_access,
+        bind_access: resolved.is_some(),
         columns_built: built.columns,
         indexes_built: built.indexes,
         ..SourceAnswer::one_shot(batch, rows_scanned)
@@ -153,7 +147,7 @@ fn bound_rows(input: &ColumnarBatch, bindings: &[Binding]) -> Result<ColumnarBat
     let mut kept = input.clone();
     for (col, vals) in bindings {
         let at = BoundExpr::Column(kept.schema().index_of(None, col)?);
-        let (keys, _) = KeyTable::of_values(vals);
+        let keys = KeyTable::of_values(vals);
         let found = keys.find_rows(&[eval_column(&at, &kept)?], kept.num_rows());
         let hits = (0..).zip(found).filter(|&(_, k)| k != NO_KEY).map(|(row, _)| row);
         kept = kept.select(hits.collect());
@@ -294,20 +288,12 @@ pub(crate) mod tests {
     }
 
     /// A database holding [`typed_rows`] of `cells` in a table `t` keyed on
-    /// `id` and indexed per `index`: 0 none, 1 a hash index, 2 an ordered
-    /// index, on `col`.
-    fn database_of(cells: &[Vec<Value>], index: u8, col: usize) -> Database {
+    /// `id`.
+    fn database_of(cells: &[Vec<Value>]) -> Database {
         let db = Database::new("db", SimClock::new());
         let def = TableDef::new("t", typed_schema()).with_primary_key(0);
         let handle = db.create_table(def).expect("fresh database");
-        let mut t = handle.write();
-        match index {
-            0 => {}
-            1 => t.create_hash_index(col),
-            _ => t.create_ordered_index(col),
-        }
-        t.insert_all(typed_rows(cells)).expect("typed rows");
-        drop(t);
+        handle.write().insert_all(typed_rows(cells)).expect("typed rows");
         db
     }
 
@@ -395,10 +381,11 @@ pub(crate) mod tests {
 
     const COLUMNS: [&str; 5] = ["id", "k_int", "k_float", "k_str", "d"];
 
-    /// 0–2 pushed filters × 0–2 bindings × a projection (none, one column,
-    /// two out of table order, one twice) × a limit (0 included).
+    /// 0–2 pushed filters × 0–2 bindings (on any column, the primary key
+    /// included) × a projection (none, one column, two out of table order,
+    /// one twice) × a limit (0 included).
     fn source_query() -> impl Strategy<Value = SourceQuery> {
-        let binding = (1usize..4, proptest::collection::vec(hazard_value(), 0..6))
+        let binding = (0usize..4, proptest::collection::vec(hazard_value(), 0..6))
             .prop_map(|(col, keys)| (COLUMNS[col].to_string(), keys));
         let pushed = (
             proptest::collection::vec(0usize..4, 0..3),
@@ -513,10 +500,8 @@ pub(crate) mod tests {
         fn answers_from_a_table_follow_its_writes(
             cells in proptest::collection::vec(typed_cells(), 0..24),
             steps in proptest::collection::vec(((0u8..3, 0i64..24, typed_cells()), source_query()), 1..8),
-            index in 0u8..3,
-            col in 1usize..4,
         ) {
-            let db = database_of(&cells, index, col);
+            let db = database_of(&cells);
             let handle = db.table("t").unwrap();
             let source = RelationalConnector::new(db);
             for (at, ((write, id, new_cells), q)) in steps.iter().enumerate() {
@@ -592,20 +577,16 @@ pub(crate) mod tests {
         fn every_adapter_answers_what_the_row_evaluator_answered(
             cells in proptest::collection::vec(typed_cells(), 0..24),
             q in source_query(),
-            index in 0u8..3,
         ) {
             let schema = typed_schema();
             let rows = typed_rows(&cells);
-            let bound_col = q.bindings.first().map(|(c, _)| schema.index_of(None, c).unwrap());
-            let db = || database_of(&cells, index, bound_col.unwrap_or(1));
-            let indexed = index > 0;
+            let db = || database_of(&cells);
 
             // Relational: the table resolves a lone binding itself.
             let resolved = (q.bindings.len() == 1).then_some(0);
             let got = RelationalConnector::new(db()).execute(&q);
             if let Ok(ans) = &got {
-                let access = if indexed { BindAccess::Index } else { BindAccess::Scan };
-                prop_assert_eq!(ans.bind_access, resolved.map(|_| access));
+                prop_assert_eq!(ans.bind_access, resolved.is_some());
                 prop_assert_eq!(ans.calls, 1);
             }
             assert_same_answer(got, reference_answer(&schema, &rows, &q, resolved))?;
@@ -622,7 +603,7 @@ pub(crate) mod tests {
             if let Ok(ans) = &got {
                 let keys = q.bindings.first().map_or(1, |(_, keys)| keys.len().max(1));
                 prop_assert_eq!(ans.calls, keys);
-                prop_assert_eq!(ans.bind_access.is_some(), resolved.is_some());
+                prop_assert_eq!(ans.bind_access, resolved.is_some());
             }
             assert_same_answer(got, reference_answer(&schema, &rows, &unfiltered, resolved))?;
 

@@ -1,9 +1,9 @@
 //! Adapter for relational sources backed by [`eii_storage::Database`].
 //!
 //! This is the workhorse wrapper: it pushes the dialect-supported subset of
-//! filters into the source engine (index-assisted where possible), honors
-//! projections, limits and bind-join batches — scanning the table by
-//! reference into the columns that ship — and routes EAI updates.
+//! filters into the source engine, honors projections, limits and bind-join
+//! batches (probed against the bound column's key index) — reading the table
+//! by reference into the columns that ship — and routes EAI updates.
 
 use std::sync::Arc;
 
@@ -308,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn unindexed_binding_reports_a_scan_and_charges_matches_only() {
+    fn a_binding_is_resolved_by_the_table_and_charged_its_matches_only() {
         let c = setup();
         let q = SourceQuery {
             table: "customers".into(),
@@ -322,18 +322,11 @@ mod tests {
         let rows = ans.batch.to_batch().into_rows();
         let names: Vec<&str> = rows.iter().filter_map(|r| r.get(1).as_str()).collect();
         assert_eq!(names, ["bob", "alice", "carol", "bob"]);
-        assert_eq!(
-            ans.rows_scanned, 4,
-            "priced per matched row, like an index probe"
-        );
-        assert_eq!(ans.bind_access, Some(crate::connector::BindAccess::Scan));
-        let by_pk = SourceQuery {
-            table: "customers".into(),
-            bindings: vec![("id".into(), vec![Value::Int(2)])],
-            ..SourceQuery::default()
-        };
-        let ans = c.execute(&by_pk).unwrap();
-        assert_eq!(ans.bind_access, Some(crate::connector::BindAccess::Index));
+        assert_eq!(ans.rows_scanned, 4, "priced per matched row");
+        assert!(ans.bind_access);
+        assert_eq!(ans.indexes_built, 1, "the first bound read builds the column's key index");
+        let ans = c.execute(&q).unwrap();
+        assert_eq!((ans.rows_scanned, ans.indexes_built), (4, 0), "a warm read costs the same");
     }
 
     #[test]
@@ -350,7 +343,12 @@ mod tests {
             .insert_all((0..50_000i64).map(|i| row![i, i % 25_000]))
             .unwrap();
         let c = RelationalConnector::new(db);
+        let mut fresh = 50_000i64;
         let ratio = crate::adapters::tests::bound_cost_ratio(|keys| {
+            // A write first, under a key no list holds: every read is cold
+            // and builds the column's key index once.
+            t.write().insert(row![fresh, -1i64]).unwrap();
+            fresh += 1;
             let q = SourceQuery {
                 table: "lineitems".into(),
                 bindings: vec![("product_id".into(), keys.to_vec())],
@@ -358,7 +356,7 @@ mod tests {
             };
             assert_eq!(c.execute(&q).unwrap().batch.num_rows(), keys.len() * 2);
         });
-        // One scan per key makes this ~100; one scan per query, ~2.
+        // One scan per key makes this ~100; one index build per query, ~1.
         assert!(ratio < 20.0, "2000 keys cost {ratio:.1}x what 20 keys cost");
     }
 }

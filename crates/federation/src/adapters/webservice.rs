@@ -150,7 +150,6 @@ mod tests {
             .unwrap();
         {
             let mut t = t.write();
-            t.create_hash_index(1);
             for i in 0..10i64 {
                 t.insert(row![i, i % 3, (i as f64) * 10.0]).unwrap();
             }

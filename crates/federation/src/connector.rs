@@ -77,25 +77,16 @@ pub struct SourceAnswer {
     /// Round trips the interaction needed (web services pay one per bound
     /// value; set-oriented sources answer in one).
     pub calls: usize,
-    /// How the source engine resolved the query's binding, when it resolved
-    /// one itself (`None`: unbound query, or bindings filtered by the
-    /// wrapper after a full read).
-    pub bind_access: Option<BindAccess>,
+    /// Whether the source engine resolved a binding itself, from the bound
+    /// column's key index (false: an unbound query, or bindings filtered by
+    /// the wrapper after a full read).
+    pub bind_access: bool,
     /// Columns the table or wrapper had to build to answer: 0 when every
     /// column it read was already held for the current data version.
     pub columns_built: usize,
     /// Key indexes the table had to build to answer: 1 on the first bound
-    /// read of an indexed column after a write, 0 when it was held.
+    /// read of a column after a write, 0 when it was held.
     pub indexes_built: usize,
-}
-
-/// Access path a source engine took for a bound query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BindAccess {
-    /// The bound column's key index: the binding list probed as one column.
-    Index,
-    /// No index on the bound column: one scan bucketing rows by value.
-    Scan,
 }
 
 impl SourceAnswer {
@@ -105,7 +96,7 @@ impl SourceAnswer {
             batch,
             rows_scanned,
             calls: 1,
-            bind_access: None,
+            bind_access: false,
             columns_built: 0,
             indexes_built: 0,
         }

@@ -39,7 +39,7 @@ pub use adapters::relational::RelationalConnector;
 pub use adapters::webservice::WebServiceConnector;
 pub use adapters::apply_query_locally;
 pub use capability::{BindingPattern, SourceCapabilities};
-pub use connector::{BindAccess, Connector, SourceAnswer, SourceQuery, UpdateOp, UpdateResult};
+pub use connector::{Connector, SourceAnswer, SourceQuery, UpdateOp, UpdateResult};
 pub use ctx::{current_ctx, with_request_ctx, RequestCtx};
 pub use dialect::Dialect;
 pub use net::{

@@ -11,9 +11,7 @@ use eii_obs::MetricsRegistry;
 use eii_storage::TableStats;
 use parking_lot::RwLock;
 
-use crate::connector::{
-    BindAccess, Connector, SourceAnswer, SourceQuery, UpdateOp, UpdateResult,
-};
+use crate::connector::{Connector, SourceAnswer, SourceQuery, UpdateOp, UpdateResult};
 use crate::ctx::{with_request_ctx, RequestCtx};
 use crate::health::SourceHealth;
 use crate::net::{FaultProfile, FaultyConnector, LinkProfile, QueryCost, TransferLedger, WireFormat};
@@ -151,7 +149,9 @@ impl SourceHandle {
         self.ledger
             .record(self.connector.name(), bytes, rows_shipped, sim_ms);
         self.note_traffic(bytes, ans.calls, sim_ms);
-        self.note_bind_access(ans.bind_access);
+        if ans.bind_access {
+            self.metrics.inc("federation.bind.index_lookups");
+        }
         if ans.columns_built > 0 {
             self.metrics
                 .add("federation.source.columns_built", ans.columns_built as u64);
@@ -251,17 +251,6 @@ impl SourceHandle {
         self.metrics.add(&names.bytes_shipped, bytes as u64);
         self.metrics.add(&names.requests, requests as u64);
         self.metrics.record_quantile(&names.latency_ms, sim_ms);
-    }
-
-    /// Count a bound query under the access path its source engine took:
-    /// `federation.bind.scan_lookups` is the fast path missed — a bind join
-    /// into a column without an index.
-    fn note_bind_access(&self, access: Option<BindAccess>) {
-        match access {
-            Some(BindAccess::Index) => self.metrics.inc("federation.bind.index_lookups"),
-            Some(BindAccess::Scan) => self.metrics.inc("federation.bind.scan_lookups"),
-            None => {}
-        }
     }
 
     /// Charge a shipment of `batch`'s live rows across this source's link
@@ -652,13 +641,17 @@ mod tests {
             ..SourceQuery::full_table("customers")
         };
         let by_id = bound("id", eii_data::Value::Int(7));
+        let by_name = bound("name", "cust7".into());
         h.query(&SourceQuery::full_table("customers")).unwrap();
-        h.query(&bound("name", "cust7".into())).unwrap();
-        assert_eq!(built(), 0, "an unbound read, or a bound one without an index, builds none");
+        assert_eq!(built(), 0, "an unbound read builds none");
+        h.query(&by_name).unwrap();
+        assert_eq!(built(), 1, "the first bound read of an unmarked column builds its index");
+        h.query(&by_name).unwrap();
+        assert_eq!(built(), 1, "its second builds none");
         h.query(&by_id).unwrap();
-        assert_eq!(built(), 1, "the first bound read of the primary key builds its index");
+        assert_eq!(built(), 2, "the first bound read of the primary key builds its index");
         h.query(&by_id).unwrap();
-        assert_eq!(built(), 1, "a warm bound read builds nothing");
+        assert_eq!(built(), 2, "a warm bound read builds nothing");
         let renamed = UpdateOp::UpdateByKey {
             table: "customers".into(),
             key: eii_data::Value::Int(7),
@@ -666,10 +659,10 @@ mod tests {
         };
         h.update(&renamed).unwrap();
         h.query(&SourceQuery::full_table("customers")).unwrap();
-        assert_eq!(built(), 1, "a write drops the index; an unbound read does not rebuild it");
+        assert_eq!(built(), 2, "a write drops the indexes; an unbound read does not rebuild one");
         h.query(&by_id).unwrap();
         h.query(&by_id).unwrap();
-        assert_eq!(built(), 2, "the first bound read after the write does, once");
+        assert_eq!(built(), 3, "the first bound read after the write does, once");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Tables: constraint-checked row storage with indexes, a change log, and
-//! derived state — statistics, kept current by every write once somebody has
-//! asked for them ([`crate::stats`]), a per-version column image and a
-//! per-version key index of each indexed column.
+//! Tables: constraint-checked row storage with a primary-key index, a change
+//! log, and derived state — statistics, kept current by every write once
+//! somebody has asked for them ([`crate::stats`]), a per-version column image
+//! and a per-version key index of each bound column.
 //!
 //! The rows are the store of record: the change log, IVM, `get_by_pk` and
 //! `all_rows` read them. The column reads — [`Table::scan_columns`] and
@@ -13,24 +13,22 @@
 //! selection, so a read copies no cell and an answer already handed out keeps
 //! the columns of the version it read — the next write builds new ones.
 //!
-//! An indexed column finds a binding list's rows in its *key index*, a
-//! [`KeyLists`] over its image column, per version like the image; an
-//! unindexed one in one pass over the column ([`lookup_positions`]). Either
-//! way a key's rows come in slot order. Only the primary key (for the write
-//! path) and the statistics keep `Value`-keyed maps, besides an ordered
-//! index's tree for [`Table::lookup_range`].
+//! Every column finds a binding list's rows in its *key index*, a
+//! [`KeyLists`] over its image column, built by the first bound read of the
+//! column after a mutation and dropped with the image; a key's rows come in
+//! slot order. Only the primary key (for the write path) and the statistics
+//! keep `Value`-keyed maps.
 
-use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
-use eii_data::keys::{lookup_positions, KeyLists};
+use eii_data::keys::KeyLists;
 use eii_data::{
     Column, ColumnBuilder, ColumnarBatch, EiiError, Result, Row, Schema, SchemaRef, SimClock,
     Value,
 };
 
 use crate::changelog::{ChangeLog, ChangeOp};
-use crate::index::{HashIndex, OrderedIndex};
+use crate::index::HashIndex;
 use crate::stats::{StatsAccumulator, TableStats};
 
 /// Identifies a row slot within a table. Stable across unrelated mutations,
@@ -63,7 +61,7 @@ impl TableDef {
     }
 }
 
-/// A mutable, indexed, logged table.
+/// A mutable, keyed, logged table.
 #[derive(Debug)]
 pub struct Table {
     def: TableDef,
@@ -71,7 +69,6 @@ pub struct Table {
     free: Vec<RowId>,
     live: usize,
     pk_index: Option<HashIndex>,
-    ordered_indexes: Vec<OrderedIndex>,
     log: ChangeLog,
     clock: SimClock,
     /// The running statistics: built from the rows by the first
@@ -84,10 +81,10 @@ pub struct Table {
     /// rows in slot order. Filled by the first read of the column after a
     /// mutation; every mutation empties it.
     image: Vec<OnceLock<Arc<Column>>>,
-    /// One cell per schema field, `Some` for an indexed column: its key index
-    /// over image column `c`, filled by the first bound read after a
-    /// mutation; every mutation empties it.
-    key_index: Vec<Option<OnceLock<KeyLists>>>,
+    /// The key indexes, one cell per schema field: a [`KeyLists`] over image
+    /// column `c`, filled by the first bound read of it after a mutation;
+    /// every mutation empties it.
+    key_index: Vec<OnceLock<KeyLists>>,
 }
 
 /// What a column read had to build: 0 of each on a warm read.
@@ -104,16 +101,13 @@ impl Table {
     pub fn new(def: TableDef, clock: SimClock) -> Self {
         let pk_index = def.primary_key.map(HashIndex::new);
         let image = def.schema.fields().iter().map(|_| OnceLock::new()).collect();
-        let key_index = (0..def.schema.len())
-            .map(|c| (def.primary_key == Some(c)).then(OnceLock::new))
-            .collect();
+        let key_index = def.schema.fields().iter().map(|_| OnceLock::new()).collect();
         Table {
             def,
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
             pk_index,
-            ordered_indexes: Vec::new(),
             log: ChangeLog::new(),
             clock,
             stats_acc: OnceLock::new(),
@@ -152,10 +146,8 @@ impl Table {
             new.into_iter().for_each(|row| acc.add(row));
         }
         self.stats_cache.take();
-        for column in &mut self.image {
+        for (column, index) in self.image.iter_mut().zip(&mut self.key_index) {
             column.take();
-        }
-        for index in self.key_index.iter_mut().flatten() {
             index.take();
         }
     }
@@ -234,16 +226,10 @@ impl Table {
         if let Some(ix) = &mut self.pk_index {
             ix.insert(row.get(ix.column).clone(), rid);
         }
-        for ix in &mut self.ordered_indexes {
-            ix.insert(row.get(ix.column).clone(), rid);
-        }
     }
 
     fn unindex_row(&mut self, rid: RowId, row: &Row) {
         if let Some(ix) = &mut self.pk_index {
-            ix.remove(row.get(ix.column), rid);
-        }
-        for ix in &mut self.ordered_indexes {
             ix.remove(row.get(ix.column), rid);
         }
     }
@@ -360,12 +346,6 @@ impl Table {
         self.scan(|_| true)
     }
 
-    /// Whether `col` is indexed: a bound lookup on it probes the column's key
-    /// index (true) or makes one pass over the column (false).
-    pub fn has_eq_index(&self, col: usize) -> bool {
-        self.key_index.get(col).is_some_and(Option::is_some)
-    }
-
     /// The rows whose cell `col` equals `key`, in slot order: a one-key
     /// [`Self::lookup_in_columns`] of every column.
     pub fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Row> {
@@ -416,10 +396,9 @@ impl Table {
     /// Multi-key equality lookup: cells `cols` of the rows whose cell `col`
     /// equals each of `keys` in turn — binding order, a key's rows in slot
     /// order, a duplicated key's rows twice — as a selection over shared image
-    /// columns, and what this call had to build. An indexed column probes the
-    /// list, as one column, against its key index; an unindexed one makes a
-    /// single hashed pass over image column `col` ([`lookup_positions`]). No
-    /// path is a scan per key.
+    /// columns, and what this call had to build. The list is probed, as one
+    /// column, against column `col`'s key index, which the first bound read
+    /// after a mutation builds over image column `col`.
     pub fn lookup_in_columns(
         &self,
         col: usize,
@@ -427,71 +406,20 @@ impl Table {
         cols: &[usize],
     ) -> (ColumnarBatch, Built) {
         let mut built = Built::default();
-        let selection = match &self.key_index[col] {
-            Some(index) => {
-                let build = || {
-                    built.indexes += 1;
-                    let column = self.image_column(col, &mut built.columns);
-                    KeyLists::new(&[column], self.live, false)
-                };
-                index.get_or_init(build).lookup(keys)
-            }
-            None => lookup_positions(&self.image_column(col, &mut built.columns), keys),
+        let build = || {
+            built.indexes += 1;
+            let column = self.image_column(col, &mut built.columns);
+            KeyLists::new(&[column], self.live, false)
         };
+        let selection = self.key_index[col].get_or_init(build).lookup(keys);
         let image = self.image_of(cols, &mut built.columns);
         (image.select(selection), built)
     }
 
-    /// Range lookup on `col`, index-assisted when an ordered index exists.
-    pub fn lookup_range(
-        &self,
-        col: usize,
-        low: Bound<&Value>,
-        high: Bound<&Value>,
-    ) -> Vec<Row> {
-        if let Some(ix) = self.ordered_indexes.iter().find(|ix| ix.column == col) {
-            return ix
-                .range(low, high)
-                .into_iter()
-                .filter_map(|rid| self.get(rid))
-                .cloned()
-                .collect();
-        }
-        self.scan(|r| {
-            let v = r.get(col);
-            let lo_ok = match low {
-                Bound::Unbounded => true,
-                Bound::Included(b) => v >= b,
-                Bound::Excluded(b) => v > b,
-            };
-            let hi_ok = match high {
-                Bound::Unbounded => true,
-                Bound::Included(b) => v <= b,
-                Bound::Excluded(b) => v < b,
-            };
-            lo_ok && hi_ok
-        })
-    }
-
-    /// Index `col` for equality: mark it, so that bound reads of it answer
-    /// from its per-version key index (no-op if it is indexed).
-    pub fn create_hash_index(&mut self, col: usize) {
-        self.key_index[col].get_or_insert_with(OnceLock::new);
-    }
-
-    /// Build an ordered index over `col` for range lookups; it also indexes
-    /// `col` for equality (no-op if one exists).
-    pub fn create_ordered_index(&mut self, col: usize) {
-        self.create_hash_index(col);
-        if self.ordered_indexes.iter().any(|ix| ix.column == col) {
-            return;
-        }
-        let mut ix = OrderedIndex::new(col);
-        for (rid, row) in self.iter() {
-            ix.insert(row.get(col).clone(), rid);
-        }
-        self.ordered_indexes.push(ix);
-    }
+    /// Does nothing: every column's key index is built by its first bound
+    /// read after a write. Kept for callers written when an index was
+    /// declared per column.
+    pub fn create_hash_index(&mut self, _col: usize) {}
 
     /// Table statistics, exactly what analysing the live rows would find: an
     /// O(width) snapshot of the running statistics by the first call after a
@@ -566,7 +494,6 @@ mod tests {
     #[test]
     fn update_by_pk_reindexes() {
         let mut t = table();
-        t.create_hash_index(1);
         t.insert(row![1i64, "alice", 10.0]).unwrap();
         assert!(t.update_by_pk(&Value::Int(1), &[(1, Value::str("alicia"))]).unwrap());
         assert!(t.lookup_eq(1, &Value::str("alice")).is_empty());
@@ -611,41 +538,17 @@ mod tests {
         assert!(matches!(ops[2], ChangeOp::Delete { .. }));
     }
 
-    #[test]
-    fn range_lookup_with_and_without_index() {
-        let mut t = table();
-        for i in 0..20i64 {
-            t.insert(row![i, format!("c{i}"), i as f64]).unwrap();
-        }
-        let scan = t.lookup_range(
-            2,
-            Bound::Included(&Value::Float(5.0)),
-            Bound::Excluded(&Value::Float(10.0)),
-        );
-        t.create_ordered_index(2);
-        let indexed = t.lookup_range(
-            2,
-            Bound::Included(&Value::Float(5.0)),
-            Bound::Excluded(&Value::Float(10.0)),
-        );
-        assert_eq!(scan.len(), 5);
-        let mut a = scan.clone();
-        let mut b = indexed.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
     /// Fill every per-version cache: the statistics snapshot (two calls with
     /// no write between them share it), all image columns and the key index
-    /// of each indexed column (a bound read of it builds it).
+    /// of each column (a bound read of it builds it).
     fn warm(t: &Table) {
         assert!(Arc::ptr_eq(&t.stats(), &t.stats()));
         t.scan_columns(&[0, 1, 2], usize::MAX);
         t.lookup_in_columns(0, &[Value::Int(1)], &[0]);
         t.lookup_in_columns(1, &[Value::str("a")], &[0]);
+        t.lookup_in_columns(2, &[Value::Float(0.0)], &[0]);
         assert!(t.stats_cache.get().is_some() && t.image.iter().all(|c| c.get().is_some()));
-        assert!(t.key_index.iter().flatten().all(|ix| ix.get().is_some()));
+        assert!(t.key_index.iter().all(|ix| ix.get().is_some()));
     }
 
     /// A mutation drops every per-version cache and keeps the running
@@ -653,9 +556,7 @@ mod tests {
     fn assert_cold(t: &Table, after: &str) {
         assert!(t.stats_cache.get().is_none(), "statistics snapshot survived {after}");
         assert!(t.image.iter().all(|c| c.get().is_none()), "image survived {after}");
-        let indexes = t.key_index.iter().flatten();
-        assert!(indexes.clone().all(|ix| ix.get().is_none()), "key index survived {after}");
-        assert_eq!(indexes.count(), 2, "the primary key and the hash index on column 1");
+        assert!(t.key_index.iter().all(|ix| ix.get().is_none()), "key index survived {after}");
         let kept = t.stats_acc.get().expect("running statistics dropped").snapshot();
         let rows = t.iter().map(|(_, r)| r);
         assert_eq!(kept, TableStats::analyze(t.schema().len(), rows), "after {after}");
@@ -664,7 +565,6 @@ mod tests {
     #[test]
     fn stats_cache_invalidation() {
         let mut t = table();
-        t.create_hash_index(1);
         t.insert(row![1i64, "a", 0.0]).unwrap();
         assert!(t.stats_acc.get().is_none(), "a table nobody asks keeps no statistics");
         assert_eq!(t.stats().row_count, 1);
@@ -707,7 +607,7 @@ mod tests {
         t.insert(row![1i64, "dup", 0.0]).unwrap_err();
         t.update_by_pk(&Value::Int(1), &[(0, Value::Null)]).unwrap_err();
         assert!(t.image.iter().all(|c| c.get().is_some()));
-        assert!(t.key_index.iter().flatten().all(|ix| ix.get().is_some()));
+        assert!(t.key_index.iter().all(|ix| ix.get().is_some()));
         assert!(Arc::ptr_eq(&before, &t.stats()));
     }
 
@@ -722,7 +622,6 @@ mod tests {
     #[test]
     fn a_lookup_held_across_a_write_keeps_its_rows() {
         let mut t = table();
-        t.create_hash_index(1);
         for i in 0..6i64 {
             t.insert(row![i, format!("n{}", i % 2), i as f64]).unwrap();
         }
@@ -761,10 +660,6 @@ mod tests {
         };
         let expected = sweep(&t);
         assert_eq!(expected.len(), 9);
-        assert!(!t.has_eq_index(1));
-        assert_eq!(rows_of(&t.lookup_in_columns(1, &keys, &all).0), expected, "one bucketing pass");
-        t.create_hash_index(1);
-        assert!(t.has_eq_index(1));
         assert_eq!(rows_of(&t.lookup_in_columns(1, &keys, &all).0), expected, "key index");
         // A vacant slot below the rows found: positions, not slot ids.
         t.delete_by_pk(&Value::Int(0));
@@ -789,14 +684,16 @@ mod tests {
         assert!(Arc::ptr_eq(first.column(0), second.column(1)), "and shares the first's");
         assert!(Arc::ptr_eq(first.column(1), second.column(0)));
         // A bound lookup is a selection over the same columns; it also reads
-        // (here: builds) the bound column, and an indexed one its key index.
+        // (here: builds) the bound column and its key index, once.
         let (found, built) = t.lookup_in_columns(0, &[Value::Int(3), Value::Int(3)], &[0, 2]);
         let pk = Built { columns: 0, indexes: 1 };
         assert_eq!((built, found.selection()), (pk, Some(&[3u32, 3][..])));
         assert!(Arc::ptr_eq(found.column(1), first.column(0)));
         let (found, built) = t.lookup_in_columns(1, &[Value::str("n4")], &[0]);
-        let scan = Built { columns: 1, indexes: 0 };
-        assert_eq!((built, found.selection()), (scan, Some(&[4u32][..])));
+        let cold = Built { columns: 1, indexes: 1 };
+        assert_eq!((built, found.selection()), (cold, Some(&[4u32][..])));
+        let (_, built) = t.lookup_in_columns(1, &[Value::str("n2")], &[0]);
+        assert_eq!(built, Built::default(), "a second bound read of the version builds nothing");
 
         // An answer keeps the columns of the version it read.
         t.update_by_pk(&Value::Int(0), &[(2, Value::Float(99.0))]).unwrap();

@@ -8,18 +8,16 @@
 //! - `scan_columns(cols, limit)` ≡ `all_rows()`, picked and truncated;
 //! - `lookup_in_columns(col, keys, cols)` ≡ the rows an `==` sweep of
 //!   `all_rows()` finds for each key in turn — binding order, a key's rows in
-//!   slot order, a duplicated key's rows twice — whatever index (the primary
-//!   key's, a hash index, an ordered index, none) the column has, so the key
-//!   index a write must drop is checked against the rows;
-//! - indexed and unindexed tables find the same rows for every key, in the
-//!   same order, also after a delete freed a slot and an insert reused it, and
-//!   where an `Int` key meets its `Float` twin at 2^53 ± 1 or at `i64::MIN`,
-//!   `-0.0` meets `0`, a NaN meets itself, and a binding list mixes Ints and
-//!   Floats;
+//!   slot order, a duplicated key's rows twice — on the primary key and on
+//!   every other column, so the key index a write must drop is checked
+//!   against the rows, also after a delete freed a slot and an insert reused
+//!   it, and where an `Int` key meets its `Float` twin at 2^53 ± 1 or at
+//!   `i64::MIN`, `-0.0` meets `0`, a NaN meets itself, and a binding list
+//!   mixes Ints and Floats; `lookup_eq` ≡ the same sweep, key by key;
 //! - a batch read *before* a write still reads the old cells after it;
 //! - a bound column gone `Mixed` (a schema-less source's, never a typed
-//!   table's) is matched by the unindexed path's one function,
-//!   `keys::lookup_positions`, exactly as each key's `==` sweep matches it.
+//!   table's) is matched by the key index's `KeyLists::lookup` exactly as
+//!   each key's `==` sweep matches it.
 //!
 //! The streams reuse slots (delete, then insert), leave slots vacant, write
 //! NULLs, repeat and miss keys, and hit constraint errors that must change
@@ -27,7 +25,7 @@
 
 use std::sync::Arc;
 
-use eii_data::keys::lookup_positions;
+use eii_data::keys::KeyLists;
 use eii_data::{Column, ColumnarBatch, DataType, Field, Row, Schema, SimClock, Value};
 use eii_storage::{Table, TableDef};
 use proptest::prelude::*;
@@ -111,27 +109,15 @@ fn reads() -> impl Strategy<Value = Reads> {
     })
 }
 
-/// A table with the primary key on `id` and `index` (0 none, 1 hash, 2
-/// ordered) on every other column.
-fn table(index: u8) -> Table {
+/// A table with the primary key on `id`.
+fn table() -> Table {
     let schema = Arc::new(Schema::new(vec![
         Field::new("id", DataType::Int).not_null(),
         Field::new("k_int", DataType::Int),
         Field::new("k_float", DataType::Float),
         Field::new("k_str", DataType::Str),
     ]));
-    let mut t = Table::new(
-        TableDef::new("t", schema).with_primary_key(0),
-        SimClock::new(),
-    );
-    for col in 1..4 {
-        match index {
-            0 => {}
-            1 => t.create_hash_index(col),
-            _ => t.create_ordered_index(col),
-        }
-    }
-    t
+    Table::new(TableDef::new("t", schema).with_primary_key(0), SimClock::new())
 }
 
 /// Apply `w`; constraint errors are part of the stream.
@@ -170,8 +156,11 @@ fn check_reads(t: &Table, r: &Reads) -> Result<(), TestCaseError> {
     prop_assert_eq!(scan.schema().len(), r.cols.len());
 
     let (found, _) = t.lookup_in_columns(r.bound, &r.keys, &r.cols);
-    let sweep = r.keys.iter().flat_map(|k| all.iter().filter(move |row| row.get(r.bound) == k));
-    prop_assert_eq!(rows_of(&found), picked(sweep, &r.cols));
+    let matching = |k| all.iter().filter(move |row: &&Row| row.get(r.bound) == k);
+    prop_assert_eq!(rows_of(&found), picked(r.keys.iter().flat_map(matching), &r.cols));
+    for k in &r.keys {
+        prop_assert_eq!(t.lookup_eq(r.bound, k), matching(k).cloned().collect::<Vec<_>>(), "key {}", k);
+    }
     Ok(())
 }
 
@@ -182,30 +171,21 @@ proptest! {
     fn column_reads_equal_row_reads_across_writes(
         steps in proptest::collection::vec((write(), reads()), 1..40),
     ) {
-        let mut tables = [table(0), table(1), table(2)];
-        // One answer in flight per table: the batch and the rows it held when
-        // it was read, re-checked after every later write.
-        let mut in_flight: Vec<Option<(ColumnarBatch, Vec<Row>)>> = vec![None; 3];
+        let mut t = table();
+        // One answer in flight: the batch and the rows it held when it was
+        // read, re-checked after every later write.
+        let mut held: Option<(ColumnarBatch, Vec<Row>)> = None;
         for (w, r) in &steps {
-            for (t, held) in tables.iter_mut().zip(&mut in_flight) {
-                apply(t, w);
-                if let Some((batch, rows)) = held {
-                    prop_assert_eq!(&rows_of(batch), &*rows, "after {:?}", w);
-                }
-                check_reads(t, r)?;
-                // Hold the bound lookup when it found something, else the scan.
-                let (found, _) = t.lookup_in_columns(r.bound, &r.keys, &[0, 1, 2, 3]);
-                let (scan, _) = t.scan_columns(&[0, 1, 2, 3], usize::MAX);
-                let keep = if found.is_empty() { scan } else { found };
-                *held = Some((keep.clone(), rows_of(&keep)));
+            apply(&mut t, w);
+            if let Some((batch, rows)) = &held {
+                prop_assert_eq!(&rows_of(batch), rows, "after {:?}", w);
             }
-            // Indexed ≡ unindexed, key by key and row for row: every path
-            // lists a key's rows in slot order.
-            for k in &r.keys {
-                let unindexed = tables[0].lookup_eq(r.bound, k);
-                prop_assert_eq!(&tables[1].lookup_eq(r.bound, k), &unindexed, "hash index, key {}", k);
-                prop_assert_eq!(&tables[2].lookup_eq(r.bound, k), &unindexed, "ordered index, key {}", k);
-            }
+            check_reads(&t, r)?;
+            // Hold the bound lookup when it found something, else the scan.
+            let (found, _) = t.lookup_in_columns(r.bound, &r.keys, &[0, 1, 2, 3]);
+            let (scan, _) = t.scan_columns(&[0, 1, 2, 3], usize::MAX);
+            let keep = if found.is_empty() { scan } else { found };
+            held = Some((keep.clone(), rows_of(&keep)));
         }
     }
 
@@ -221,6 +201,7 @@ proptest! {
         for k in &keys {
             sweep.extend((0..cells.len() as u32).filter(|&i| cells[i as usize] == *k));
         }
-        prop_assert_eq!(lookup_positions(&col, &keys), sweep);
+        let lists = KeyLists::new(std::slice::from_ref(&col), cells.len(), false);
+        prop_assert_eq!(lists.lookup(&keys), sweep);
     }
 }

@@ -54,7 +54,6 @@ fn main() -> Result<()> {
     )?;
     {
         let mut t = orders.write();
-        t.create_hash_index(1);
         t.insert(row![500i64, 1i64, "shipped", 1200.0])?;
         t.insert(row![501i64, 1i64, "open", 640.0])?;
         t.insert(row![502i64, 2i64, "shipped", 90.0])?;
