@@ -32,7 +32,7 @@ use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, Schema, SchemaRef, 
 use eii_expr::{eval_column, eval_filter, AggFunc, BoundExpr};
 use eii_sql::JoinKind;
 
-use crate::agg::GroupedAgg;
+use crate::agg::{fold_chunk, GroupedAgg};
 
 /// Default rows per chunk when the plan does not specify one.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
@@ -507,8 +507,8 @@ impl BatchOperator for VecHashJoin {
 
 /// Hash aggregation: buffers group state across chunks, emits one batch from
 /// `finish`, groups in first-seen order. Each chunk is folded in in two
-/// phases — its rows' group ids into one vector, then one loop per aggregate
-/// over that vector and the argument column ([`crate::agg`]). With every
+/// phases — its rows' group ids into one vector, then [`fold_chunk`]: one
+/// loop per aggregate over that vector and the argument column. With every
 /// input column as a group key and no aggregates it is DISTINCT: the first
 /// row of each group, in input order.
 pub struct VecAggregate {
@@ -534,7 +534,7 @@ impl VecAggregate {
         let stored = (schema.fields().iter().take(groups.len()))
             .map(|f| ColumnBuilder::new(f.data_type, 0))
             .collect();
-        let mut op = VecAggregate {
+        VecAggregate {
             groups,
             args,
             table: KeyTable::new(stored, 0),
@@ -542,14 +542,11 @@ impl VecAggregate {
                 .map(|(func, distinct)| GroupedAgg::new(func, distinct))
                 .collect(),
             schema,
-        };
-        // A global aggregate's one implicit group exists before any row does:
-        // over zero rows it still emits its row of defaults.
-        let implicit = op.num_groups();
-        op.aggs.iter_mut().for_each(|agg| agg.grow(implicit));
-        op
+        }
     }
 
+    /// A global aggregate's one implicit group exists before any row does:
+    /// over zero rows it still emits its row of defaults.
     fn num_groups(&self) -> usize {
         if self.groups.is_empty() {
             1
@@ -563,40 +560,19 @@ impl BatchOperator for VecAggregate {
     fn push(&mut self, chunk: &ColumnarBatch, _out: &mut Chunks) -> Result<()> {
         let n = chunk.num_rows();
         let key_cols = eval_columns(&self.groups, chunk)?;
-        let arg_cols = (self.args.iter())
-            .map(|a| a.as_ref().map(|e| eval_column(e, chunk)).transpose())
-            .collect::<Result<Vec<_>>>()?;
         let ids = if key_cols.is_empty() {
             vec![0; n]
         } else {
             self.table.intern_rows(&key_cols, n, false)
         };
         let groups = self.num_groups();
-        // Typed arguments cannot fail, so each gets a loop of its own; the
-        // rest are walked row-major together, so that the error is the first
-        // failing row's (and in that row the first failing aggregate's).
-        let mut by_value = Vec::new();
-        for (agg, arg) in self.aggs.iter_mut().zip(&arg_cols) {
-            agg.grow(groups);
-            match arg {
-                Some(col) if !agg.typed(Some(col)) => by_value.push((agg, col)),
-                _ => agg.update(&ids, arg.as_deref()),
-            }
-        }
-        if !by_value.is_empty() {
-            for (row, &group) in ids.iter().enumerate() {
-                for (agg, col) in &mut by_value {
-                    agg.push(group as usize, &col.value(row))?;
-                }
-            }
-        }
-        Ok(())
+        fold_chunk(&mut self.aggs, &self.args, chunk, &ids, groups, |_| 1)
     }
 
     fn finish(&mut self, out: &mut Chunks) -> Result<()> {
         let n = self.num_groups();
         let table = std::mem::replace(&mut self.table, KeyTable::new(Vec::new(), 0));
-        let values = std::mem::take(&mut self.aggs).into_iter().map(GroupedAgg::finish);
+        let values = self.aggs.iter_mut().map(|agg| agg.finish(n));
         let fields = self.schema.fields().iter().skip(self.groups.len());
         let cols = (table.into_columns().into_iter())
             .chain(values.zip(fields).map(|(v, f)| Column::from_values(&v, f.data_type)))

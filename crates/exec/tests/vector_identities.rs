@@ -5,6 +5,8 @@
 //! - the typed, column-at-a-time [`VecAggregate`] is the `Value`-at-a-time
 //!   accumulator it replaced, bit for bit, for 0–3 group keys, however the
 //!   input is cut into chunks;
+//! - a retractable [`GroupedAgg`] fed weighted rows is an unweighted one fed
+//!   the rows that survive the retractions;
 //! - the shared key table — join build/probe and DISTINCT — is a
 //!   `HashMap<Vec<Value>, _>`;
 //! - a failing `SUM` reports the first failing *row*, not the first failing
@@ -17,10 +19,13 @@
 //!   projected — whatever the subset, the residual and the chunking — and it
 //!   is asked only by the nodes that read by name.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use eii_data::{Batch, ColumnarBatch, DataType, EiiError, Field, Row, Schema, SchemaRef, Value};
+use eii_data::{
+    Batch, Column, ColumnarBatch, DataType, EiiError, Field, Row, Schema, SchemaRef, Value,
+};
+use eii_exec::agg::{fold_chunk, GroupedAgg};
 use eii_exec::{
     drive, sort_batch, BatchOperator, Chunks, ColumnPick, Executor, VecAggregate, VecHashJoin,
 };
@@ -152,6 +157,38 @@ impl RefAcc {
 
 const FUNCS: [AggFunc; 5] = [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max];
 
+/// `func` fed `(group, cell, weight)` rows, groups below 3, through
+/// [`fold_chunk`], cut into chunks at `cuts`: a retractable state, each row
+/// weighing its weight, when `retract`; else a plain one, unweighted
+/// (`|_| 1`).
+fn fold_rows(
+    func: AggFunc,
+    retract: bool,
+    rows: &[(u32, Value, i64)],
+    ty: DataType,
+    cuts: &[usize],
+) -> eii_data::Result<Vec<Value>> {
+    let mut agg = if retract { GroupedAgg::retractable(func) } else { GroupedAgg::new(func, false) };
+    let arg = (func != AggFunc::CountStar).then_some(BoundExpr::Column(0));
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (rows.len() + 1)).collect();
+    bounds.extend([0, rows.len()]);
+    bounds.sort_unstable();
+    for w in bounds.windows(2) {
+        let part = &rows[w[0]..w[1]];
+        let cells: Vec<Value> = part.iter().map(|r| r.1.clone()).collect();
+        let col = Arc::new(Column::from_values(&cells, ty));
+        let chunk = ColumnarBatch::new(schema(&[ty]), vec![col], part.len());
+        let ids: Vec<u32> = part.iter().map(|r| r.0).collect();
+        let (aggs, args) = (std::slice::from_mut(&mut agg), std::slice::from_ref(&arg));
+        if retract {
+            fold_chunk(aggs, args, &chunk, &ids, 3, |i| part[i].2)?;
+        } else {
+            fold_chunk(aggs, args, &chunk, &ids, 3, |_| 1)?;
+        }
+    }
+    Ok(agg.finish(3))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -223,6 +260,69 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(exact(&got), exact(&want));
+    }
+
+    /// Identity (a′): a retractable `GroupedAgg` fed `(group, cell, weight)`
+    /// rows, weights in −2..=3 and every value's running count in its group
+    /// kept non-negative, ≡ a fresh unweighted one fed the rows that survive
+    /// (each value its net count of times) — all six functions, through
+    /// `fold_chunk` (typed wherever `typed()` admits the chunk, however it is
+    /// cut) and through `push` row by row (COUNT(*) has no cell to push);
+    /// and that reference's SUM/AVG is NULL exactly where no non-NULL cell
+    /// survives. The cells are one flavor per stream: NULLs, `i64::MAX` for
+    /// the wrapping SUM, the 2^53 twins, `-0.0` and NaN. A retractable
+    /// SUM/AVG refuses a non-integer cell instead.
+    #[test]
+    fn weighted_aggregate_equals_the_surviving_rows_unweighted(
+        stream in proptest::collection::vec((0u32..3, 0usize..64, -2i64..4), 0..40),
+        flavor in 0usize..3,
+        cuts in proptest::collection::vec(0usize..64, 0..4),
+    ) {
+        let ty = [DataType::Int, DataType::Float, DataType::Str][flavor];
+        let mut net: BTreeMap<(u32, Value), i64> = BTreeMap::new();
+        let rows: Vec<(u32, Value, i64)> = (stream.iter())
+            .map(|&(g, pick, w)| {
+                let count = net.entry((g, cell(flavor, pick))).or_default();
+                let w = w.max(-*count);
+                *count += w;
+                (g, cell(flavor, pick), w)
+            })
+            .collect();
+        let survivors: Vec<(u32, Value, i64)> = (net.iter())
+            .flat_map(|((g, v), &c)| std::iter::repeat_n((*g, v.clone(), 1), c as usize))
+            .collect();
+        for func in [AggFunc::CountStar].into_iter().chain(FUNCS) {
+            let folded = fold_rows(func, true, &rows, ty, &cuts);
+            let pushed = (func != AggFunc::CountStar).then(|| {
+                let mut agg = GroupedAgg::retractable(func);
+                agg.grow(3);
+                let fed = rows.iter().try_for_each(|(g, v, w)| agg.push(*g as usize, v, *w));
+                fed.map(|_| agg.finish(3))
+            });
+            let refused = matches!(func, AggFunc::Sum | AggFunc::Avg)
+                && flavor != 0
+                && rows.iter().any(|r| !r.1.is_null());
+            if refused {
+                let typed_err = |r: &eii_data::Result<_>| matches!(r, Err(EiiError::Execution(_)));
+                prop_assert!(typed_err(&folded), "{func:?} over {ty:?}: {folded:?}");
+                prop_assert!(pushed.as_ref().is_none_or(typed_err), "{func:?}: {pushed:?}");
+                continue;
+            }
+            let want = fold_rows(func, false, &survivors, ty, &[]).unwrap();
+            // The NULL rule is the count's, not the total's: a SUM/AVG is
+            // NULL exactly where no non-NULL cell survives.
+            for (g, v) in (0..).zip(&want) {
+                let counted = survivors.iter().any(|(h, c, _)| *h == g && !c.is_null());
+                let sum = matches!(func, AggFunc::Sum | AggFunc::Avg);
+                prop_assert!(!sum || v.is_null() != counted, "{func:?} of group {g}: {v:?}");
+            }
+            let want = format!("{want:?}");
+            let paths = [("fold_chunk", Some(folded)), ("push", pushed)];
+            for (path, got) in paths.into_iter().filter_map(|(p, got)| Some((p, got?))) {
+                let got = format!("{:?}", got.unwrap());
+                prop_assert_eq!(&got, &want, "{func:?} by {path} over {ty:?}: {got} != {want}");
+            }
+        }
     }
 
     /// Identity (b): the shared key table ≡ `HashMap<Vec<Value>, _>`, through

@@ -324,23 +324,9 @@ pub fn eval_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
-    // Arithmetic. Int op Int stays Int (except division by zero handling);
-    // anything involving Float widens.
+    // Arithmetic. Int op Int stays Int; anything involving Float widens.
     match (l, r) {
-        (&Value::Int(a), &Value::Int(b)) => {
-            if b == 0 && matches!(op, BinaryOp::Divide | BinaryOp::Modulo) {
-                return Err(EiiError::Execution("division by zero".into()));
-            }
-            let v = match op {
-                BinaryOp::Plus => Arith::add(a, b),
-                BinaryOp::Minus => Arith::sub(a, b),
-                BinaryOp::Multiply => Arith::mul(a, b),
-                BinaryOp::Divide => Arith::div(a, b),
-                BinaryOp::Modulo => Arith::rem(a, b),
-                _ => unreachable!(),
-            };
-            Ok(Value::Int(v))
-        }
+        (&Value::Int(a), &Value::Int(b)) => arith(a, op, b).map(Value::Int),
         _ => {
             let (Some(a), Some(b)) = (l.as_float(), r.as_float()) else {
                 if let (Value::Str(a), Value::Str(b), BinaryOp::Plus) = (l, r, op) {
@@ -351,27 +337,25 @@ pub fn eval_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
                     op.sql()
                 )));
             };
-            let v = match op {
-                BinaryOp::Plus => a + b,
-                BinaryOp::Minus => a - b,
-                BinaryOp::Multiply => a * b,
-                BinaryOp::Divide => {
-                    if b == 0.0 {
-                        return Err(EiiError::Execution("division by zero".into()));
-                    }
-                    a / b
-                }
-                BinaryOp::Modulo => {
-                    if b == 0.0 {
-                        return Err(EiiError::Execution("division by zero".into()));
-                    }
-                    a % b
-                }
-                _ => unreachable!(),
-            };
-            Ok(Value::Float(v))
+            arith(a, op, b).map(Value::Float)
         }
     }
+}
+
+/// `a <op> b` in `T`, the kernels' [`Arith`] table: a zero divisor is an
+/// error.
+fn arith<T: Arith>(a: T, op: BinaryOp, b: T) -> Result<T> {
+    if b == T::ZERO && matches!(op, BinaryOp::Divide | BinaryOp::Modulo) {
+        return Err(EiiError::Execution("division by zero".into()));
+    }
+    Ok(match op {
+        BinaryOp::Plus => a.add(b),
+        BinaryOp::Minus => a.sub(b),
+        BinaryOp::Multiply => a.mul(b),
+        BinaryOp::Divide => a.div(b),
+        BinaryOp::Modulo => a.rem(b),
+        _ => unreachable!(),
+    })
 }
 
 #[cfg(test)]

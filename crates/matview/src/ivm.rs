@@ -20,10 +20,10 @@
 //!   The residual narrows the gathered candidate pairs; with no equi key
 //!   every held row is a candidate.
 //! - **Aggregate** interns groups in a [`KeyTable`], NULL a group like any
-//!   other, with per-group vectors: weighted non-NULL counts and integer
-//!   totals for COUNT/SUM/AVG (int-only: [`eii_planner::maintain`]), and for
-//!   MIN/MAX a counted ordered multiset of argument values. A touched group
-//!   emits a retraction of its old row and an insertion of its new one.
+//!   other, and folds each delta through [`fold_chunk`], with its weights,
+//!   into the executor's [`GroupedAgg`], one per aggregate, built retractable
+//!   (SUM/AVG int-only: [`eii_planner::maintain`]). A touched group emits a
+//!   retraction of its old row and an insertion of its new one.
 //!
 //! A join row or a group whose weight returns to zero is dead (alive again
 //! if its key comes back); once dead ids outnumber live ones, its table is
@@ -41,11 +41,9 @@ use std::sync::Arc;
 use eii_data::keys::{KeyTable, NO_KEY};
 use eii_data::{
     Column, ColumnBuilder, ColumnarBatch, DataType, EiiError, Result, Row, Schema, SchemaRef,
-    Value,
 };
-use eii_expr::{
-    bind, eval_column, eval_filter, infer_type, referenced_columns, AggFunc, BoundExpr, Expr,
-};
+use eii_exec::agg::{fold_chunk, merge_weight, GroupedAgg};
+use eii_expr::{bind, eval_column, eval_filter, infer_type, referenced_columns, BoundExpr, Expr};
 use eii_planner::{split_join_on, LogicalPlan};
 use eii_storage::{Change, ChangeOp};
 
@@ -72,25 +70,6 @@ pub fn changes_to_delta(changes: &[Change]) -> Vec<(Row, i64)> {
         }
     }
     out
-}
-
-/// Merge `(key, weight)` into a multiset, dropping zero-weight entries.
-fn merge_weight<K: Ord>(map: &mut BTreeMap<K, i64>, key: K, w: i64) {
-    use std::collections::btree_map::Entry;
-    if w == 0 {
-        return;
-    }
-    match map.entry(key) {
-        Entry::Occupied(mut o) => {
-            *o.get_mut() += w;
-            if *o.get() == 0 {
-                o.remove();
-            }
-        }
-        Entry::Vacant(v) => {
-            v.insert(w);
-        }
-    }
 }
 
 /// A z-set delta inside the tree: logical row `k` of `batch` weighs
@@ -275,84 +254,6 @@ impl JoinSide {
     }
 }
 
-/// One aggregate's state over every group, indexed by group id.
-#[derive(Debug)]
-struct AggState {
-    /// `COUNT` without an argument is `COUNT(*)`, which reads the group's
-    /// weight.
-    func: AggFunc,
-    arg: Option<BoundExpr>,
-    /// COUNT(x), SUM, AVG: the weighted count of non-NULL arguments.
-    non_null: Vec<i64>,
-    /// SUM, AVG: their weighted total, wrapping like the executor's.
-    total: Vec<i64>,
-    /// MIN, MAX: each argument value's weighted count, in [`Value`]'s order.
-    values: Vec<BTreeMap<Value, i64>>,
-}
-
-impl AggState {
-    fn new(func: AggFunc, arg: Option<BoundExpr>) -> AggState {
-        let func = if arg.is_none() { AggFunc::CountStar } else { func };
-        let (non_null, total, values) = Default::default();
-        AggState { func, arg, non_null, total, values }
-    }
-
-    fn grow(&mut self, groups: usize) {
-        self.non_null.resize(groups, 0);
-        self.total.resize(groups, 0);
-        self.values.resize_with(groups, BTreeMap::new);
-    }
-
-    /// Fold in the delta's arguments, row `k` into group `ids[k]`.
-    fn update(&mut self, ids: &[u32], delta: &Delta) -> Result<()> {
-        let Some(arg) = &self.arg else { return Ok(()) };
-        let col = eval_column(arg, &delta.batch)?;
-        for (k, (&g, &w)) in ids.iter().zip(&delta.weights).enumerate() {
-            let (g, v) = (g as usize, col.value(k));
-            if v.is_null() {
-                continue;
-            }
-            self.non_null[g] += w;
-            match (self.func, v) {
-                (AggFunc::Sum | AggFunc::Avg, Value::Int(i)) => {
-                    self.total[g] = self.total[g].wrapping_add(i.wrapping_mul(w))
-                }
-                (AggFunc::Sum | AggFunc::Avg, other) => {
-                    return Err(EiiError::Execution(format!(
-                        "ivm: SUM/AVG partial over non-integer value {other} \
-                         (plan-time validation should have fallen back)"
-                    )))
-                }
-                (AggFunc::Min | AggFunc::Max, v) => merge_weight(&mut self.values[g], v, w),
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Group `g`'s value, `weight` its row count (as the executor's
-    /// `GroupedAgg::finish` has it).
-    fn finish(&self, g: usize, weight: i64) -> Value {
-        let counted = |v| if self.non_null[g] == 0 { Value::Null } else { v };
-        let extreme = |v: Option<&Value>| v.cloned().unwrap_or(Value::Null);
-        match self.func {
-            AggFunc::CountStar => Value::Int(weight),
-            AggFunc::Count => Value::Int(self.non_null[g]),
-            AggFunc::Sum => counted(Value::Int(self.total[g])),
-            AggFunc::Avg => counted(Value::Float(self.total[g] as f64 / self.non_null[g] as f64)),
-            AggFunc::Min => extreme(self.values[g].keys().next()),
-            AggFunc::Max => extreme(self.values[g].keys().next_back()),
-        }
-    }
-
-    /// Keep only groups `ids`, renumbered `0..ids.len()` in order.
-    fn keep(&mut self, ids: &[u32]) {
-        self.non_null = ids.iter().map(|&g| self.non_null[g as usize]).collect();
-        self.total = ids.iter().map(|&g| self.total[g as usize]).collect();
-        self.values = ids.iter().map(|&g| std::mem::take(&mut self.values[g as usize])).collect();
-    }
-}
-
 /// The operator state tree.
 #[derive(Debug)]
 enum OpState {
@@ -385,7 +286,9 @@ enum OpState {
         input: Box<OpState>,
         group_exprs: Vec<BoundExpr>,
         groups: Interned,
-        aggs: Vec<AggState>,
+        /// One per aggregate, beside its state; `None` is `COUNT(*)`.
+        args: Vec<Option<BoundExpr>>,
+        aggs: Vec<GroupedAgg>,
         schema: SchemaRef,
     },
 }
@@ -473,23 +376,22 @@ fn build(plan: &LogicalPlan) -> Result<OpState> {
             aggs,
         } => {
             let input_schema = input.schema()?;
-            let aggs = aggs
-                .iter()
-                .map(|a| {
-                    if a.distinct {
-                        let msg = "ivm: DISTINCT aggregates are not incrementalizable";
-                        return Err(EiiError::Plan(msg.into()));
-                    }
-                    let arg = a.arg.as_ref().map(|x| bind(x, &input_schema)).transpose()?;
-                    Ok(AggState::new(a.func, arg))
-                })
-                .collect::<Result<_>>()?;
+            let (mut args, mut states) = (Vec::new(), Vec::new());
+            for a in aggs {
+                if a.distinct {
+                    let msg = "ivm: DISTINCT aggregates are not incrementalizable";
+                    return Err(EiiError::Plan(msg.into()));
+                }
+                args.push(a.arg.as_ref().map(|x| bind(x, &input_schema)).transpose()?);
+                states.push(GroupedAgg::retractable(a.func));
+            }
             let key_types = schema.fields().iter().take(group_by.len()).map(|f| f.data_type);
             OpState::Aggregate {
                 input: Box::new(build(input)?),
                 group_exprs: bind_all(group_by, &input_schema)?,
                 groups: Interned::new(key_types),
-                aggs,
+                args,
+                aggs: states,
                 schema,
             }
         }
@@ -516,9 +418,9 @@ fn eval_columns(exprs: &[BoundExpr], batch: &ColumnarBatch) -> Result<Vec<Arc<Co
 }
 
 /// Group `g`'s output row: its key, then each aggregate's value.
-fn group_row(groups: &Interned, aggs: &[AggState], g: u32) -> Row {
+fn group_row(groups: &Interned, aggs: &[GroupedAgg], g: u32) -> Row {
     let key = groups.table.columns().map(|c| c.value(g as usize));
-    Row::new(key.chain(aggs.iter().map(|a| a.finish(g as usize, groups.weight(g)))).collect())
+    Row::new(key.chain(aggs.iter().map(|a| a.value(g as usize))).collect())
 }
 
 impl OpState {
@@ -566,7 +468,7 @@ impl OpState {
                 r.merge(&dr, &rkeys);
                 Ok(Delta::concat(schema, vec![old, new]))
             }
-            OpState::Aggregate { input, group_exprs, groups, aggs, schema } => {
+            OpState::Aggregate { input, group_exprs, groups, args, aggs, schema } => {
                 let delta = input.apply(deltas)?;
                 let global = group_exprs.is_empty();
                 let mut out = Vec::new();
@@ -579,10 +481,9 @@ impl OpState {
                     out.push((group_row(groups, aggs, 0), 1));
                 }
                 let ids = groups.intern(&eval_columns(group_exprs, &delta.batch)?, delta.len());
-                aggs.iter_mut().for_each(|a| a.grow(groups.weights.len()));
                 // A group with no rows left is retracted; it keeps its id,
                 // its partials back at zero.
-                let row_of = |groups: &Interned, aggs: &[AggState], g| {
+                let row_of = |groups: &Interned, aggs: &[GroupedAgg], g| {
                     (global || groups.weight(g) != 0).then(|| group_row(groups, aggs, g))
                 };
                 let mut touched = ids.clone();
@@ -592,9 +493,8 @@ impl OpState {
                 for (&g, &w) in ids.iter().zip(&delta.weights) {
                     groups.add(g, w);
                 }
-                for agg in aggs.iter_mut() {
-                    agg.update(&ids, &delta)?;
-                }
+                let w = |i| delta.weights[i];
+                fold_chunk(aggs, args, &delta.batch, &ids, groups.weights.len(), w)?;
                 for (&g, old) in touched.iter().zip(before) {
                     let new = row_of(groups, aggs, g);
                     if old != new {
@@ -717,7 +617,8 @@ impl IvmState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eii_data::{row, ColumnData, DataType, Field};
+    use eii_data::{row, ColumnData, DataType, Field, Value};
+    use eii_expr::AggFunc;
     use eii_planner::AggItem;
     use std::sync::Arc;
 
