@@ -711,4 +711,42 @@ mod tests {
         assert_eq!(inj.decide(199, 0), FaultDecision::Fail);
         assert_eq!(inj.decide(200, 0), FaultDecision::Deliver { extra_ms: 0 });
     }
+
+    /// A query on `t` bound on `col` to `keys`.
+    fn bound(col: &str, keys: &[eii_data::Value]) -> SourceQuery {
+        SourceQuery {
+            table: "t".into(),
+            bindings: vec![(col.into(), keys.to_vec())],
+            ..SourceQuery::default()
+        }
+    }
+
+    /// The fault dice roll on a bound query's `Debug` text: these renderings
+    /// and fingerprints are the ones E13 and E17 replay, whatever type a
+    /// binding list travels as.
+    #[test]
+    fn a_bound_query_renders_and_fingerprints_as_it_always_has() {
+        use eii_data::Value;
+        let p53 = 1i64 << 53;
+        let query = |bindings: &str| {
+            format!("SourceQuery {{ table: \"t\", projection: None, filters: [], bindings: [{bindings}], limit: None }}")
+        };
+        let cases = [
+            (
+                bound("id", &[Value::Int(p53 + 1), Value::Int(p53), Value::Int(p53 - 1)]),
+                query(r#"("id", [Int(9007199254740993), Int(9007199254740992), Int(9007199254740991)])"#),
+                4_912_024_677_133_423_082,
+            ),
+            (
+                bound("name", &[Value::str("a"), Value::str("b c")]),
+                query(r#"("name", [Str("a"), Str("b c")])"#),
+                9_734_873_305_166_126_719,
+            ),
+            (bound("id", &[]), query(r#"("id", [])"#), 3_386_870_693_998_243_613),
+        ];
+        for (q, text, fingerprint) in cases {
+            assert_eq!(format!("{q:?}"), text);
+            assert_eq!(request_fingerprint(&q), fingerprint, "{text}");
+        }
+    }
 }
