@@ -6,8 +6,9 @@
 //! first-seen order, keeping one copy of each in column builders; a
 //! [`KeyLists`] adds each key's rows, grouped by one counting sort. The join's
 //! build and probe, the group map, DISTINCT, a bind join's binding list at the
-//! hub and its match against a bound column at the source — the column's
-//! per-version [`KeyLists`] in a stored table, [`KeyTable::find_rows`] in the
+//! hub and its match against a bound column at the source — the hub table's
+//! own key column, probed as it came against the column's per-version
+//! [`KeyLists`] in a stored table, interned for [`KeyTable::find_rows`] in the
 //! wrapper — all use this one table, so
 //! they agree on what a key is: cells are one key exactly when [`Value`]'s
 //! `Eq` says so (`Int(2)` is `Float(2.0)`, `Int(2^53 + 1)` is not
@@ -57,7 +58,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::value::{cmp_int_float, float_as_int};
-use crate::{Column, ColumnBuilder, ColumnData, DataType, NullBitmap, Value};
+use crate::{Column, ColumnBuilder, ColumnData, NullBitmap, Value};
 
 /// One step of the multiply-rotate hash (the rustc-hash construction): no
 /// per-key setup, which is what small keys need. Not DoS-resistant — see the
@@ -301,15 +302,6 @@ impl KeyTable {
         let mut copy = KeyTable::hashed(keys, self.len());
         copy.intern_rows(&stored, self.len(), false);
         copy
-    }
-
-    /// The binding list `keys` interned as a one-column table — NULL a key
-    /// like any other, as `==` on [`Value`] has it.
-    pub fn of_values(keys: &[Value]) -> Self {
-        let col = [values_column(keys)];
-        let mut table = KeyTable::new(vec![ColumnBuilder::like(&col[0], keys.len())], keys.len());
-        table.intern_rows(&col, keys.len(), false);
-        table
     }
 
     /// Number of distinct keys interned.
@@ -564,27 +556,21 @@ impl KeyLists {
         &self.rows[from as usize..to as usize]
     }
 
-    /// For each of `keys` in turn, the rows holding it — binding order, a
-    /// duplicated key's rows twice: the list as one column, probed in one call,
-    /// O(k) for k keys — O(k + distinct keys) when it is not of a direct
-    /// index's own flavor (a `Float` twin, a `Mixed` list), still under a sweep.
-    pub fn lookup(&self, keys: &[Value]) -> Vec<u32> {
-        let ids = self.table.find_rows(&[values_column(keys)], keys.len());
+    /// For each cell of the binding list `keys` in turn, the rows holding it —
+    /// binding order, a duplicated key's rows twice: the list probed as it
+    /// came, in one call, O(k) for k keys — O(k + distinct keys) when it is not
+    /// of a direct index's own flavor (a `Float` twin, a `Mixed` list), still
+    /// under a sweep.
+    pub fn lookup(&self, keys: &Arc<Column>) -> Vec<u32> {
+        let ids = self.table.find_rows(std::slice::from_ref(keys), keys.len());
         ids.iter().flat_map(|&id| self.rows_of(id)).copied().collect()
     }
-}
-
-/// A binding list as one column, of its first non-NULL cell's type (`Mixed`
-/// if another type follows).
-fn values_column(keys: &[Value]) -> Arc<Column> {
-    let ty = keys.iter().find_map(Value::data_type).unwrap_or(DataType::Int);
-    Arc::new(Column::from_values(keys, ty))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hazards;
+    use crate::{hazards, DataType};
     use proptest::prelude::*;
     use std::hash::{BuildHasher, Hash};
 
@@ -794,7 +780,7 @@ mod tests {
             sweep.extend((0..cells.len() as u32).filter(|&i| cells[i as usize] == *k));
         }
         let lists = KeyLists::new(std::slice::from_ref(&col), cells.len(), false);
-        assert_eq!(lists.lookup(&keys), sweep);
+        assert_eq!(lists.lookup(&column(&keys, DataType::Int)), sweep);
         assert_eq!(sweep, [4, 0, 1, 5, 0, 1, 5, 2, 0, 1, 5, 7]);
     }
 
@@ -893,7 +879,7 @@ mod tests {
             for k in &keys {
                 sweep.extend((0..cells.len() as u32).filter(|&i| cells[i as usize] == *k));
             }
-            prop_assert_eq!(lists.lookup(&keys), sweep);
+            prop_assert_eq!(lists.lookup(&column(&keys, DataType::Int)), sweep);
             let ids = lists.table().find_rows(std::slice::from_ref(&col), cells.len());
             for (row, &id) in ids.iter().enumerate() {
                 let rows = lists.rows_of(id);

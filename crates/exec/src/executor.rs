@@ -35,11 +35,11 @@ use std::time::{Duration, Instant};
 
 use eii_data::keys::KeyTable;
 use eii_data::{
-    Batch, Column, ColumnBuilder, ColumnarBatch, EiiError, Result, Schema, SchemaRef, Value,
+    Batch, Column, ColumnBuilder, ColumnarBatch, DataType, EiiError, Result, Schema, SchemaRef,
 };
 use eii_expr::{bind, eval_column, referenced_columns, BoundExpr, Expr};
 use eii_federation::{
-    Delivery, Federation, HedgeOutcome, QueryCost, RequestCtx, SourceHandle, SourceQuery,
+    Binding, Delivery, Federation, HedgeOutcome, QueryCost, RequestCtx, SourceHandle, SourceQuery,
 };
 use eii_obs::MetricsRegistry;
 use eii_planner::{CardinalityFeedback, CostModel, JoinSite, PhysicalPlan};
@@ -624,16 +624,16 @@ impl<'a> Executor<'a> {
             } => {
                 let (lcols, lc) = self.run_node(left, child_path(path, 0), Demand::ALL)?;
                 let key = bind(left_key, lcols.schema())?;
-                let values = distinct_keys(&key, &lcols)?;
+                let keys = distinct_keys(&key, &lcols)?;
                 let handle = self.federation.source(source)?;
                 // Find the bind column among the returned fields, map the
                 // returned columns onto the scan's output schema, and join
                 // the fetched rows to the left side at the hub.
-                let (fetched, rc) = if values.is_empty() {
+                let (fetched, rc) = if keys.is_empty() {
                     (ColumnarBatch::empty(right_schema.clone()), QueryCost::default())
                 } else {
                     let mut q = template.clone();
-                    q.bindings = vec![(bind_column.clone(), values)];
+                    q.bindings = vec![Binding { column: bind_column.clone(), keys }];
                     let (fetched, rc, _) = self.fetch(
                         &handle,
                         &q,
@@ -926,7 +926,7 @@ impl<'a> Executor<'a> {
         let lkey = bind(&left_keys[0], lcols.schema())?;
         let keys = distinct_keys(&lkey, &lcols)?;
         let mut filtered = query.clone();
-        filtered.bindings = vec![(bind_col.clone(), keys)];
+        filtered.bindings = vec![Binding { column: bind_col.clone(), keys }];
         let rp = child_path(path, 1);
         // Degrade against the *original* query so a dead source yields the
         // same substitute snapshot the un-adapted plan would get. The adapted
@@ -1064,11 +1064,13 @@ impl<'a> Executor<'a> {
 }
 
 /// The distinct non-NULL values of `key` over `cols`, in first-seen order:
-/// the bindings a bind join or an adaptive re-plan ships to the source,
-/// deduplicated under [`Value`]'s equality (`Int(2)` is `Float(2.0)`) by the
+/// the binding list a bind join or an adaptive re-plan ships to the source,
+/// deduplicated under `Value`'s equality (`Int(2)` is `Float(2.0)`) by the
 /// key table joins and aggregates share — chunk by chunk, nothing gathered,
-/// in a table sized once for every row to be a distinct key.
-fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Vec<Value>> {
+/// in a table sized once for every row to be a distinct key. The list is that
+/// table's own key column, of the key's flavor (an Int key ships Int, a key
+/// gone `Mixed` ships `Mixed`); no `Value` is built per key.
+fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Arc<Column>> {
     let rows = cols.num_rows();
     let mut table: Option<KeyTable> = None;
     for chunk in cols.iter() {
@@ -1079,7 +1081,7 @@ fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Vec<Value>> {
             .intern_rows(&keys, n, true);
     }
     let distinct = table.and_then(|t| t.into_columns().pop());
-    Ok(distinct.map_or_else(Vec::new, |col| (0..col.len()).map(|i| col.value(i)).collect()))
+    Ok(Arc::new(distinct.unwrap_or_else(|| Column::from_values(&[], DataType::Int))))
 }
 
 /// `path` extended by one child index: the address of `plan.children()[i]`.
@@ -1144,13 +1146,15 @@ fn assemble_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eii_data::{DataType, Field, Schema};
+    use eii_data::{Field, Value};
 
-    fn keys_of(values: &[Value]) -> Vec<Value> {
+    /// The binding list of an `Int`-declared key column holding `values` (a
+    /// float turns it `Mixed`): the same column, flavor and cells, wherever
+    /// the rows are cut into two chunks.
+    fn keys_of(values: &[Value]) -> Arc<Column> {
         let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Int)]));
         let col = Arc::new(Column::from_values(values, DataType::Int));
         let batch = ColumnarBatch::new(schema, vec![col], values.len());
-        // Cut anywhere, the list answers as the whole does.
         let whole = distinct_keys(&BoundExpr::Column(0), &batch.clone().into()).unwrap();
         for cut in 0..=values.len() as u32 {
             let mut list = Chunks::new(batch.schema().clone());
@@ -1161,22 +1165,30 @@ mod tests {
         whole
     }
 
+    fn cells(col: &Column) -> Vec<Value> {
+        (0..col.len()).map(|i| col.value(i)).collect()
+    }
+
     #[test]
     fn distinct_keys_are_first_seen_non_null_and_exact_past_2_53() {
         let p53 = 1i64 << 53;
         let int = Value::Int;
-        // Typed integer column: raw i64s, neighbours past 2^53 stay apart.
-        assert_eq!(
-            keys_of(&[int(p53 + 1), Value::Null, int(7), int(p53), int(p53 + 1), int(7)]),
-            [int(p53 + 1), int(7), int(p53)]
-        );
-        // A float turns the column Mixed: `Float(2^53)` is `Int(2^53)` and
-        // neither is `Int(2^53 ± 1)`, whichever comes first.
+        // Typed integer column: raw i64s, neighbours past 2^53 stay apart,
+        // shipped as a NULL-free Int column, which a stored Int column's
+        // direct index probes in place.
+        let ints = keys_of(&[int(p53 + 1), Value::Null, int(7), int(p53), int(p53 + 1), int(7)]);
+        assert_eq!(cells(&ints), [int(p53 + 1), int(7), int(p53)]);
+        assert_eq!(ints.as_ints(), Some(&[p53 + 1, 7, p53][..]));
+        assert!(ints.no_nulls());
+        // A float turns the column Mixed, and the list ships Mixed:
+        // `Float(2^53)` is `Int(2^53)` and neither is `Int(2^53 ± 1)`,
+        // whichever comes first.
         let f = Value::Float(p53 as f64);
-        assert_eq!(
-            keys_of(&[int(p53 - 1), f.clone(), int(p53), Value::Null, int(p53 + 1), f.clone()]),
-            [int(p53 - 1), f, int(p53 + 1)]
-        );
+        let mixed = keys_of(&[int(p53 - 1), f.clone(), int(p53), Value::Null, int(p53 + 1), f.clone()]);
+        assert_eq!(cells(&mixed), [int(p53 - 1), f, int(p53 + 1)]);
+        assert!(matches!(mixed.data(), eii_data::ColumnData::Mixed(_)));
+        // No non-NULL key, no binding.
         assert!(keys_of(&[Value::Null, Value::Null]).is_empty());
+        assert!(keys_of(&[]).is_empty());
     }
 }

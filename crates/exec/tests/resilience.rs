@@ -9,15 +9,15 @@ use std::sync::Arc;
 
 use eii_catalog::Catalog;
 use eii_data::{
-    row, Batch, CancelToken, DataType, Deadline, Field, Result, Row, Schema, SchemaRef, SimClock,
-    Value,
+    row, Batch, CancelToken, Column, DataType, Deadline, Field, Result, Row, Schema, SchemaRef,
+    SimClock, Value,
 };
 use eii_exec::{
     CacheConfig, CacheLookup, DegradationPolicy, Executor, HedgePolicy, ResultCache, SnapshotStore,
 };
 use eii_expr::Expr;
 use eii_federation::{
-    CircuitBreakerConfig, Connector, Delivery, Dialect, FaultProfile, Federation, LinkProfile,
+    Binding, CircuitBreakerConfig, Connector, Delivery, Dialect, FaultProfile, Federation, LinkProfile,
     QueryCost, RelationalConnector, RequestCtx, RetryPolicy, SourceAnswer, SourceCapabilities,
     SourceQuery, WireFormat,
 };
@@ -454,22 +454,28 @@ proptest! {
         if filter_mask & 2 != 0 {
             filters.push(Expr::col("k_int").lt_eq(Expr::lit(P53 as f64)));
         }
-        let mut bindings: Vec<(String, Vec<Value>)> = bound
-            .into_iter()
-            .map(|(col, keys)| (columns[col].0.to_string(), keys))
-            .collect();
+        let mut bound = bound;
         let mut limit = (limit < 4).then_some(limit);
         // A single binding the source answers key by key (`Table::lookup_in_columns`:
         // binding order, a repeated key's rows repeated) where a snapshot
         // answers in table order. The executor ships distinct keys and joins
         // the answer by key, so that shape is held as a multiset, without a
         // limit that would cut the two orders differently.
-        let key_by_key = bindings.len() == 1;
+        let key_by_key = bound.len() == 1;
         if key_by_key {
             let mut seen = Vec::new();
-            bindings[0].1.retain(|k| !seen.contains(k) && { seen.push(k.clone()); true });
+            bound[0].1.retain(|k| !seen.contains(k) && { seen.push(k.clone()); true });
             limit = limit.filter(|&n| n == 0);
         }
+        // Each list a column of its first non-NULL cell's type.
+        let bindings = bound
+            .into_iter()
+            .map(|(col, keys)| {
+                let ty = keys.iter().find_map(Value::data_type).unwrap_or(DataType::Int);
+                let keys = Arc::new(Column::from_values(&keys, ty));
+                Binding { column: columns[col].0.to_string(), keys }
+            })
+            .collect();
         let projection: Option<Vec<String>> = match projection {
             0 => None,
             1 => Some(vec!["k_str".into(), "id".into()]),

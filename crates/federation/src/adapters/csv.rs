@@ -139,7 +139,7 @@ impl Connector for CsvConnector {
     }
 
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
-        reject_unsupported(&self.name, &query.filters, &query.bindings)?;
+        reject_unsupported(&self.name, query)?;
         if query.projection.is_some() || query.limit.is_some() {
             return Err(EiiError::Source(format!(
                 "source {} ships whole files; projection/limit must run at the assembly site",

@@ -148,6 +148,7 @@ impl Connector for DocumentConnector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connector::Binding;
     use eii_data::Value;
     use eii_docstore::Document;
     use eii_expr::Expr;
@@ -309,7 +310,7 @@ mod tests {
         let ratio = crate::adapters::tests::bound_cost_ratio(|keys| {
             let q = SourceQuery {
                 table: "tickets".into(),
-                bindings: vec![("ticket_id".into(), keys.to_vec())],
+                bindings: vec![Binding { column: "ticket_id".into(), keys: keys.clone() }],
                 ..SourceQuery::default()
             };
             assert_eq!(c.execute(&q).unwrap().batch.num_rows(), keys.len());

@@ -16,15 +16,12 @@ pub mod webservice;
 
 use std::sync::Arc;
 
-use eii_data::keys::{KeyTable, NO_KEY};
-use eii_data::{ColumnarBatch, EiiError, Result, Schema, Value};
+use eii_data::keys::{KeyLists, NO_KEY};
+use eii_data::{ColumnarBatch, EiiError, Result, Schema};
 use eii_expr::{bind, eval_column, eval_filter, referenced_columns, BoundExpr, Expr};
 use eii_storage::{Built, Database};
 
-use crate::connector::{SourceAnswer, SourceQuery};
-
-/// A binding list: rows whose column equals any of the values.
-type Binding = (String, Vec<Value>);
+use crate::connector::{Binding, SourceAnswer, SourceQuery};
 
 /// Answer `query` from a table of `db`. `resolved` is the binding the table
 /// resolves itself (one probe of the column's key index); `wrapper_side`
@@ -65,13 +62,13 @@ pub(crate) fn answer_from_table(
     for c in query.filters.iter().flat_map(referenced_columns) {
         build(schema.index_of(c.relation.as_deref(), &c.name)?);
     }
-    for (c, _) in wrapper_side {
-        build(schema.index_of(None, c)?);
+    for b in wrapper_side {
+        build(schema.index_of(None, &b.column)?);
     }
     let (scanned, built, rows_scanned) = match resolved {
-        Some((col, vals)) => {
-            let col = schema.index_of(None, col)?;
-            let (found, built) = t.lookup_in_columns(col, vals, &cols);
+        Some(b) => {
+            let col = schema.index_of(None, &b.column)?;
+            let (found, built) = t.lookup_in_columns(col, &b.keys, &cols);
             let matched = found.num_rows();
             (found, built, matched)
         }
@@ -99,11 +96,12 @@ pub(crate) fn answer_from_table(
 }
 
 /// The one evaluator of a component query over columns already in memory —
-/// the semantics a cooperative source applies: binding lists, conjunctive
-/// filters (each over the survivors of the one before), then limit, then
-/// projection as a column pick. Adapters whose store cannot evaluate these
-/// itself answer through it, and so does the executor when a fallback
-/// snapshot stands in for a dead source, so the two cannot drift apart.
+/// the semantics a cooperative source applies: bindings (each list matched as
+/// the column it came as), conjunctive filters (each over the survivors of
+/// the one before), then limit, then projection as a column pick. Adapters
+/// whose store cannot evaluate these itself answer through it, and so does the
+/// executor when a fallback snapshot stands in for a dead source, so the two
+/// cannot drift apart.
 pub fn apply_query_locally(
     input: &ColumnarBatch,
     filters: &[Expr],
@@ -139,16 +137,17 @@ pub fn apply_query_locally(
     Ok(kept.with_columns(out_schema, columns))
 }
 
-/// The rows of `input` whose cell in each bound column equals a value of its
-/// binding list, as a selection over it: per binding, the list interned once
-/// and the column's typed vector probed in one hashed pass — no `Value` per
-/// row. A binding cannot fail, so it runs ahead of the filters.
+/// The rows of `input` whose cell in each bound column equals a cell of its
+/// binding list, as a selection over it: per binding, the list's column
+/// interned once — NULL a key like any other, as `==` on `Value` has it — and
+/// the bound column's typed vector probed in one pass, no `Value` per row. A
+/// binding cannot fail, so it runs ahead of the filters.
 fn bound_rows(input: &ColumnarBatch, bindings: &[Binding]) -> Result<ColumnarBatch> {
     let mut kept = input.clone();
-    for (col, vals) in bindings {
-        let at = BoundExpr::Column(kept.schema().index_of(None, col)?);
-        let keys = KeyTable::of_values(vals);
-        let found = keys.find_rows(&[eval_column(&at, &kept)?], kept.num_rows());
+    for b in bindings {
+        let at = BoundExpr::Column(kept.schema().index_of(None, &b.column)?);
+        let keys = KeyLists::new(std::slice::from_ref(&b.keys), b.keys.len(), false);
+        let found = keys.table().find_rows(&[eval_column(&at, &kept)?], kept.num_rows());
         let hits = (0..).zip(found).filter(|&(_, k)| k != NO_KEY).map(|(row, _)| row);
         kept = kept.select(hits.collect());
     }
@@ -192,12 +191,8 @@ fn survivors_by_rows(
 }
 
 /// Defensive check used by adapters that cannot evaluate filters/bindings.
-pub(crate) fn reject_unsupported(
-    source: &str,
-    filters: &[Expr],
-    bindings: &[(String, Vec<Value>)],
-) -> Result<()> {
-    if !filters.is_empty() || !bindings.is_empty() {
+pub(crate) fn reject_unsupported(source: &str, query: &SourceQuery) -> Result<()> {
+    if !query.filters.is_empty() || !query.bindings.is_empty() {
         return Err(EiiError::Source(format!(
             "source {source} cannot evaluate filters or bindings; plan must assemble locally"
         )));
@@ -205,6 +200,8 @@ pub(crate) fn reject_unsupported(
     Ok(())
 }
 
+#[cfg(test)]
+use eii_data::Value; // the hazard cells name it through this module
 #[cfg(test)]
 #[path = "../../../../tests/support/hazards.rs"]
 mod hazards;
@@ -216,9 +213,10 @@ pub(crate) mod tests {
     use super::relational::RelationalConnector;
     use super::webservice::WebServiceConnector;
     use super::*;
+    use crate::connector::tests::binding;
     use crate::connector::Connector;
     use crate::net::WireFormat;
-    use eii_data::{Batch, DataType, Field, Row, SchemaRef, SimClock};
+    use eii_data::{Batch, Column, ColumnData, DataType, Field, Row, SchemaRef, SimClock};
     use eii_docstore::{DocStore, Document};
     use eii_expr::BinaryOp;
     use eii_storage::TableDef;
@@ -229,9 +227,9 @@ pub(crate) mod tests {
     /// Best-of-3 wall time of `run` with 2 000 bound keys over best-of-3
     /// with 20: how a bound query's cost grows with its binding list. A
     /// ratio, so the machine's speed and the build profile cancel out.
-    pub(crate) fn bound_cost_ratio(mut run: impl FnMut(&[Value])) -> f64 {
+    pub(crate) fn bound_cost_ratio(mut run: impl FnMut(&Arc<Column>)) -> f64 {
         let mut best = |n: i64| {
-            let keys: Vec<Value> = (0..n).map(Value::Int).collect();
+            let keys = Arc::new(Column::new(ColumnData::Int((0..n).collect()), None));
             (0..3)
                 .map(|_| {
                     let t = Instant::now();
@@ -311,9 +309,9 @@ pub(crate) mod tests {
         let idx = |c: &str| schema.index_of(None, c).expect("generated column");
         let candidates: Vec<&Row> = match resolved {
             Some(b) => {
-                let (col, keys) = &q.bindings[b];
-                let matches = |k| rows.iter().filter(move |r| r.get(idx(col)) == k);
-                keys.iter().flat_map(matches).collect()
+                let col = idx(&q.bindings[b].column);
+                let matches = |k: Value| rows.iter().filter(move |r| *r.get(col) == k);
+                cells_of(&q.bindings[b]).into_iter().flat_map(matches).collect()
             }
             None => rows.iter().collect(),
         };
@@ -323,8 +321,8 @@ pub(crate) mod tests {
             if q.limit.is_some_and(|n| kept.len() >= n) {
                 break;
             }
-            for (i, (col, vals)) in q.bindings.iter().enumerate() {
-                if Some(i) != resolved && !vals.iter().any(|v| v == r.get(idx(col))) {
+            for (i, b) in q.bindings.iter().enumerate() {
+                if Some(i) != resolved && !cells_of(b).contains(r.get(idx(&b.column))) {
                     continue 'rows;
                 }
             }
@@ -342,6 +340,11 @@ pub(crate) mod tests {
         let out_schema = Schema::new(cols.iter().map(|&i| schema.field(i).clone()).collect());
         let projected = kept.iter().map(|r| r.project(&cols)).collect();
         Ok((Batch::new(Arc::new(out_schema), projected), candidates.len()))
+    }
+
+    /// A binding list's cells, read back one by one.
+    fn cells_of(b: &Binding) -> Vec<Value> {
+        (0..b.keys.len()).map(|i| b.keys.value(i)).collect()
     }
 
     /// `got` is `want`: same cells in the same order and layout, charged the
@@ -382,14 +385,22 @@ pub(crate) mod tests {
     const COLUMNS: [&str; 5] = ["id", "k_int", "k_float", "k_str", "d"];
 
     /// 0–2 pushed filters × 0–2 bindings (on any column, the primary key
-    /// included) × a projection (none, one column, two out of table order,
-    /// one twice) × a limit (0 included).
+    /// included; each list a column of its first non-NULL cell's type, or
+    /// `Mixed` — as a bind join ships `COALESCE(i, f)` — so a Mixed list meets
+    /// a direct Int index too) × a projection (none, one column, two out of
+    /// table order, one twice) × a limit (0 included).
     fn source_query() -> impl Strategy<Value = SourceQuery> {
-        let binding = (0usize..4, proptest::collection::vec(hazard_value(), 0..6))
-            .prop_map(|(col, keys)| (COLUMNS[col].to_string(), keys));
+        let list = (0usize..4, proptest::collection::vec(hazard_value(), 0..6), any::<bool>());
+        let bound = list.prop_map(|(col, keys, mixed)| match mixed {
+            false => binding(COLUMNS[col], &keys),
+            true => Binding {
+                column: COLUMNS[col].into(),
+                keys: Arc::new(Column::new(ColumnData::Mixed(keys), None)),
+            },
+        });
         let pushed = (
             proptest::collection::vec(0usize..4, 0..3),
-            proptest::collection::vec(binding, 0..3),
+            proptest::collection::vec(bound, 0..3),
         );
         (pushed, 0usize..4, 0usize..6).prop_map(|((filters, bindings), projection, limit)| {
             SourceQuery {
@@ -436,7 +447,7 @@ pub(crate) mod tests {
 
     #[test]
     fn applies_binding_lists() {
-        let bindings = [("id".to_string(), vec![Value::Int(1), Value::Int(3)])];
+        let bindings = [binding("id", &[Value::Int(1), Value::Int(3)])];
         let out = apply_query_locally(&scored(), &[], &bindings, None, None).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
@@ -464,7 +475,7 @@ pub(crate) mod tests {
             let rows: Vec<Row> = cells.iter().map(|v| Row::new(vec![v.clone()])).collect();
             let input = ColumnarBatch::from_batch(&Batch::new(schema.clone(), rows.clone()));
             for keys in &lists {
-                let bindings = [("k".to_string(), keys.clone())];
+                let bindings = [binding("k", keys)];
                 let got = apply_query_locally(&input, &[], &bindings, None, None).unwrap();
                 let linear: Vec<Row> =
                     rows.iter().filter(|r| keys.contains(r.get(0))).cloned().collect();
@@ -525,14 +536,14 @@ pub(crate) mod tests {
 
                 let t = handle.read();
                 let resolved = match q.bindings.as_slice() {
-                    [(c, keys)] => Some((t.schema().index_of(None, c).unwrap(), keys)),
+                    [b] => Some((t.schema().index_of(None, &b.column).unwrap(), cells_of(b))),
                     _ => None,
                 };
-                let candidates = match resolved {
-                    Some((c, keys)) => keys.iter().flat_map(|k| t.scan(|r| r.get(c) == k)).collect(),
+                let candidates = match &resolved {
+                    Some((c, keys)) => keys.iter().flat_map(|k| t.scan(|r| r.get(*c) == k)).collect(),
                     None => t.scan(|_| true),
                 };
-                let charged = resolved.map_or(t.row_count(), |_| candidates.len());
+                let charged = resolved.as_ref().map_or(t.row_count(), |_| candidates.len());
                 let fresh = ColumnarBatch::from_batch(&Batch::new(t.schema().clone(), candidates));
                 drop(t);
                 let wrapper_side = if resolved.is_some() { &[][..] } else { &q.bindings[..] };
@@ -561,7 +572,7 @@ pub(crate) mod tests {
             let known = |c: &str| schema.index_of(None, c).is_ok();
             q.filters.truncate(2); // pool entries 0 and 1 read these two columns
             q.filters.retain(|f| *f != filter_pool(2) && *f != filter_pool(3));
-            q.bindings.retain(|(c, _)| known(c));
+            q.bindings.retain(|b| known(&b.column));
             q.projection = q.projection.filter(|p| p.iter().all(|c| known(c)));
             let input = ColumnarBatch::from_batch(&Batch::new(schema.clone(), rows.clone()));
             let got = apply_query_locally(
@@ -595,13 +606,13 @@ pub(crate) mod tests {
             // the hidden store, one call per bound value.
             let unfiltered = SourceQuery { filters: Vec::new(), ..q.clone() };
             let mut svc = WebServiceConnector::new("svc", db());
-            if let Some((col, _)) = q.bindings.first() {
-                svc = svc.require_binding("t", col.clone());
+            if let Some(b) = q.bindings.first() {
+                svc = svc.require_binding("t", b.column.clone());
             }
             let resolved = q.bindings.first().map(|_| 0);
             let got = svc.execute(&unfiltered);
             if let Ok(ans) = &got {
-                let keys = q.bindings.first().map_or(1, |(_, keys)| keys.len().max(1));
+                let keys = q.bindings.first().map_or(1, |b| b.keys.len().max(1));
                 prop_assert_eq!(ans.calls, keys);
                 prop_assert_eq!(ans.bind_access, resolved.is_some());
             }

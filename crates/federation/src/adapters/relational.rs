@@ -156,6 +156,8 @@ impl Connector for RelationalConnector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connector::tests::binding;
+    use crate::connector::Binding;
     use eii_data::{row, DataType, Field, Schema, SimClock, Value};
     use eii_expr::Expr;
     use eii_storage::TableDef;
@@ -203,7 +205,7 @@ mod tests {
             table: "customers".into(),
             projection: None,
             filters: vec![],
-            bindings: vec![("id".into(), vec![Value::Int(1), Value::Int(3)])],
+            bindings: vec![binding("id", &[Value::Int(1), Value::Int(3)])],
             limit: None,
         };
         let ans = c.execute(&q).unwrap();
@@ -312,9 +314,9 @@ mod tests {
         let c = setup();
         let q = SourceQuery {
             table: "customers".into(),
-            bindings: vec![(
-                "region".into(),
-                vec![Value::str("east"), Value::str("west"), Value::str("east")],
+            bindings: vec![binding(
+                "region",
+                &[Value::str("east"), Value::str("west"), Value::str("east")],
             )],
             ..SourceQuery::default()
         };
@@ -351,7 +353,7 @@ mod tests {
             fresh += 1;
             let q = SourceQuery {
                 table: "lineitems".into(),
-                bindings: vec![("product_id".into(), keys.to_vec())],
+                bindings: vec![Binding { column: "product_id".into(), keys: keys.clone() }],
                 ..SourceQuery::default()
             };
             assert_eq!(c.execute(&q).unwrap().batch.num_rows(), keys.len() * 2);

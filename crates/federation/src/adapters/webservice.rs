@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eii_data::{EiiError, Result, SchemaRef, Value};
+use eii_data::{EiiError, Result, SchemaRef};
 use eii_storage::{Database, TableStats};
 
 use crate::adapters::answer_from_table;
@@ -106,7 +106,7 @@ impl Connector for WebServiceConnector {
         let Some(at) = query
             .bindings
             .iter()
-            .position(|(c, _)| c.eq_ignore_ascii_case(col))
+            .position(|b| b.column.eq_ignore_ascii_case(col))
         else {
             return Err(EiiError::Source(format!(
                 "service {}.{} requires {col} to be bound (access limitation)",
@@ -114,18 +114,14 @@ impl Connector for WebServiceConnector {
             )));
         };
         let bound = &query.bindings[at];
-        // Any *other* bindings are applied wrapper-side.
-        let other: Vec<(String, Vec<Value>)> = query
-            .bindings
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != at)
-            .map(|(_, b)| b.clone())
-            .collect();
+        // Any *other* bindings are applied wrapper-side (a clone shares
+        // each list).
+        let mut other = query.bindings.clone();
+        other.remove(at);
         let ans = answer_from_table(&self.backing, query, Some(bound), &other)?;
         // One call per bound value, however the hidden store resolves them.
         Ok(SourceAnswer {
-            calls: bound.1.len().max(1),
+            calls: bound.keys.len().max(1),
             ..ans
         })
     }
@@ -134,6 +130,8 @@ impl Connector for WebServiceConnector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connector::tests::binding;
+    use eii_data::Value;
     use eii_data::{row, DataType, Field, Schema, SimClock};
     use eii_storage::TableDef;
     use std::sync::Arc;
@@ -190,10 +188,7 @@ mod tests {
         let c = setup();
         let q = SourceQuery {
             table: "orders".into(),
-            bindings: vec![(
-                "customer_id".into(),
-                vec![Value::Int(0), Value::Int(1)],
-            )],
+            bindings: vec![binding("customer_id", &[Value::Int(0), Value::Int(1)])],
             ..SourceQuery::default()
         };
         let ans = c.execute(&q).unwrap();
@@ -215,7 +210,7 @@ mod tests {
         let q = SourceQuery {
             table: "orders".into(),
             filters: vec![eii_expr::Expr::col("total").gt(eii_expr::Expr::lit(5.0))],
-            bindings: vec![("customer_id".into(), vec![Value::Int(0)])],
+            bindings: vec![binding("customer_id", &[Value::Int(0)])],
             ..SourceQuery::default()
         };
         assert_eq!(c.execute(&q).unwrap_err().kind(), "source");

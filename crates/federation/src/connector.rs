@@ -3,12 +3,29 @@
 
 use std::sync::Arc;
 
-use eii_data::{ColumnarBatch, EiiError, Result, SchemaRef, Value};
+use eii_data::{Column, ColumnarBatch, EiiError, Result, SchemaRef, Value};
 use eii_expr::Expr;
 use eii_storage::TableStats;
 
 use crate::capability::SourceCapabilities;
 use crate::dialect::Dialect;
+
+/// An equality binding: rows whose `column` equals any cell of `keys`, the
+/// typed column its producer built (a bind join ships its key table's own),
+/// which a clone shares and the source probes as it came, of any flavor. Its
+/// `Debug` is the `("column", [cells])` the fault dice hash, whatever the flavor.
+#[derive(Clone, PartialEq)]
+pub struct Binding {
+    pub column: String,
+    pub keys: Arc<Column>,
+}
+
+impl std::fmt::Debug for Binding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let cells = (0..self.keys.len()).map(|i| self.keys.value(i)).collect::<Vec<_>>();
+        (&self.column, cells).fmt(f)
+    }
+}
 
 /// A component query decomposed out of a federated plan, addressed to one
 /// table of one source. The planner guarantees it respects the source's
@@ -22,10 +39,9 @@ pub struct SourceQuery {
     /// Conjunctive filters to evaluate at the source. Each must be
     /// supported by the source's dialect.
     pub filters: Vec<Expr>,
-    /// Equality bindings: `(column, values)` — return rows whose column is
-    /// any of the values. Used by bind joins and web-service access
-    /// patterns.
-    pub bindings: Vec<(String, Vec<Value>)>,
+    /// Equality bindings, each a key column: return rows whose column is any
+    /// of its cells. Used by bind joins and web-service access patterns.
+    pub bindings: Vec<Binding>,
     /// Maximum rows to return.
     pub limit: Option<usize>,
 }
@@ -47,13 +63,12 @@ impl SourceQuery {
         };
         let mut sql = format!("SELECT {cols} FROM {}", self.table);
         let mut preds: Vec<String> = self.filters.iter().map(|f| f.to_string()).collect();
-        for (col, vals) in &self.bindings {
-            let list = vals
-                .iter()
-                .map(|v| Expr::Literal(v.clone()).to_string())
+        for Binding { column, keys } in &self.bindings {
+            let list = (0..keys.len())
+                .map(|i| Expr::Literal(keys.value(i)).to_string())
                 .collect::<Vec<_>>()
                 .join(", ");
-            preds.push(format!("{col} IN ({list})"));
+            preds.push(format!("{column} IN ({list})"));
         }
         if !preds.is_empty() {
             sql.push_str(" WHERE ");
@@ -204,8 +219,16 @@ pub trait Connector: Send + Sync {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use eii_data::DataType;
+
+    /// `keys` bound to `column`, as a column of the first non-NULL cell's type
+    /// (`Mixed` if another type follows).
+    pub(crate) fn binding(column: &str, keys: &[Value]) -> Binding {
+        let ty = keys.iter().find_map(Value::data_type).unwrap_or(DataType::Int);
+        Binding { column: column.into(), keys: Arc::new(Column::from_values(keys, ty)) }
+    }
 
     #[test]
     fn source_query_renders_sql() {
@@ -213,7 +236,7 @@ mod tests {
             table: "customers".into(),
             projection: Some(vec!["id".into(), "name".into()]),
             filters: vec![Expr::col("region").eq(Expr::lit("west"))],
-            bindings: vec![("id".into(), vec![Value::Int(1), Value::Int(2)])],
+            bindings: vec![binding("id", &[Value::Int(1), Value::Int(2)])],
             limit: Some(10),
         };
         assert_eq!(

@@ -716,7 +716,7 @@ mod tests {
     fn bound(col: &str, keys: &[eii_data::Value]) -> SourceQuery {
         SourceQuery {
             table: "t".into(),
-            bindings: vec![(col.into(), keys.to_vec())],
+            bindings: vec![crate::connector::tests::binding(col, keys)],
             ..SourceQuery::default()
         }
     }

@@ -637,7 +637,7 @@ mod tests {
         let h = fed.source("crm").unwrap();
         let built = || fed.metrics().counter_value("federation.source.indexes_built");
         let bound = |col: &str, key: eii_data::Value| SourceQuery {
-            bindings: vec![(col.into(), vec![key])],
+            bindings: vec![crate::connector::tests::binding(col, &[key])],
             ..SourceQuery::full_table("customers")
         };
         let by_id = bound("id", eii_data::Value::Int(7));

@@ -347,11 +347,12 @@ impl Table {
     }
 
     /// The rows whose cell `col` equals `key`, in slot order: a one-key
-    /// [`Self::lookup_in_columns`] of every column.
+    /// [`Self::lookup_in_columns`] of every column, `key` a cell of `col`'s type.
     pub fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Row> {
+        let ty = self.def.schema.field(col).data_type;
+        let key = Arc::new(Column::from_values(std::slice::from_ref(key), ty));
         let all: Vec<usize> = (0..self.def.schema.len()).collect();
-        let (found, _) = self.lookup_in_columns(col, std::slice::from_ref(key), &all);
-        found.to_batch().into_rows()
+        self.lookup_in_columns(col, &key, &all).0.to_batch().into_rows()
     }
 
     /// The schema of a read that ships columns `cols`: the table's own when
@@ -361,9 +362,7 @@ impl Table {
         if cols.iter().copied().eq(0..schema.len()) {
             return schema.clone();
         }
-        Arc::new(Schema::new(
-            cols.iter().map(|&c| schema.field(c).clone()).collect(),
-        ))
+        Arc::new(Schema::new(cols.iter().map(|&c| schema.field(c).clone()).collect()))
     }
 
     /// Image column `c`, built here — and counted in `built` — when no read
@@ -394,15 +393,15 @@ impl Table {
     }
 
     /// Multi-key equality lookup: cells `cols` of the rows whose cell `col`
-    /// equals each of `keys` in turn — binding order, a key's rows in slot
+    /// equals each cell of `keys` in turn — binding order, a key's rows in slot
     /// order, a duplicated key's rows twice — as a selection over shared image
-    /// columns, and what this call had to build. The list is probed, as one
-    /// column, against column `col`'s key index, which the first bound read
-    /// after a mutation builds over image column `col`.
+    /// columns, and what this call had to build. The list, of any flavor, is
+    /// probed as it came against column `col`'s key index, which the first
+    /// bound read after a mutation builds over image column `col`.
     pub fn lookup_in_columns(
         &self,
         col: usize,
-        keys: &[Value],
+        keys: &Arc<Column>,
         cols: &[usize],
     ) -> (ColumnarBatch, Built) {
         let mut built = Built::default();
@@ -544,9 +543,9 @@ mod tests {
     fn warm(t: &Table) {
         assert!(Arc::ptr_eq(&t.stats(), &t.stats()));
         t.scan_columns(&[0, 1, 2], usize::MAX);
-        t.lookup_in_columns(0, &[Value::Int(1)], &[0]);
-        t.lookup_in_columns(1, &[Value::str("a")], &[0]);
-        t.lookup_in_columns(2, &[Value::Float(0.0)], &[0]);
+        t.lookup_in_columns(0, &list(&[Value::Int(1)]), &[0]);
+        t.lookup_in_columns(1, &list(&[Value::str("a")]), &[0]);
+        t.lookup_in_columns(2, &list(&[Value::Float(0.0)]), &[0]);
         assert!(t.stats_cache.get().is_some() && t.image.iter().all(|c| c.get().is_some()));
         assert!(t.key_index.iter().all(|ix| ix.get().is_some()));
     }
@@ -611,6 +610,11 @@ mod tests {
         assert!(Arc::ptr_eq(&before, &t.stats()));
     }
 
+    /// `cells` as a binding list, a column of the first cell's type.
+    fn list(cells: &[Value]) -> Arc<Column> {
+        Arc::new(Column::from_values(cells, cells[0].data_type().unwrap()))
+    }
+
     fn rows_of(batch: &ColumnarBatch) -> Vec<Row> {
         batch.to_batch().into_rows()
     }
@@ -625,7 +629,7 @@ mod tests {
         for i in 0..6i64 {
             t.insert(row![i, format!("n{}", i % 2), i as f64]).unwrap();
         }
-        let odd = [Value::str("n1")];
+        let odd = list(&[Value::str("n1")]);
         let (held, built) = t.lookup_in_columns(1, &odd, &[0, 2]);
         assert_eq!(built, Built { columns: 3, indexes: 1 });
         let before = rows_of(&held);
@@ -648,15 +652,16 @@ mod tests {
             t.insert(row![i, format!("n{}", i % 4), 0.0]).unwrap();
         }
         // A duplicated key, a key with no rows, keys out of table order.
-        let keys = [
+        let cells = [
             Value::str("n3"),
             Value::str("n0"),
             Value::str("zz"),
             Value::str("n3"),
         ];
+        let keys = list(&cells);
         let all = [0, 1, 2];
         let sweep = |t: &Table| -> Vec<Row> {
-            keys.iter().flat_map(|k| t.scan(|r| r.get(1) == k)).collect()
+            cells.iter().flat_map(|k| t.scan(|r| r.get(1) == k)).collect()
         };
         let expected = sweep(&t);
         assert_eq!(expected.len(), 9);
@@ -666,7 +671,7 @@ mod tests {
         let expected = sweep(&t);
         assert_eq!(expected.len(), 8);
         assert_eq!(rows_of(&t.lookup_in_columns(1, &keys, &all).0), expected, "sparse table");
-        let one_key: Vec<Row> = keys.iter().flat_map(|k| t.lookup_eq(1, k)).collect();
+        let one_key: Vec<Row> = cells.iter().flat_map(|k| t.lookup_eq(1, k)).collect();
         assert_eq!(one_key, expected, "lookup_eq is a one-key lookup");
     }
 
@@ -685,14 +690,14 @@ mod tests {
         assert!(Arc::ptr_eq(first.column(1), second.column(0)));
         // A bound lookup is a selection over the same columns; it also reads
         // (here: builds) the bound column and its key index, once.
-        let (found, built) = t.lookup_in_columns(0, &[Value::Int(3), Value::Int(3)], &[0, 2]);
+        let (found, built) = t.lookup_in_columns(0, &list(&[Value::Int(3), Value::Int(3)]), &[0, 2]);
         let pk = Built { columns: 0, indexes: 1 };
         assert_eq!((built, found.selection()), (pk, Some(&[3u32, 3][..])));
         assert!(Arc::ptr_eq(found.column(1), first.column(0)));
-        let (found, built) = t.lookup_in_columns(1, &[Value::str("n4")], &[0]);
+        let (found, built) = t.lookup_in_columns(1, &list(&[Value::str("n4")]), &[0]);
         let cold = Built { columns: 1, indexes: 1 };
         assert_eq!((built, found.selection()), (cold, Some(&[4u32][..])));
-        let (_, built) = t.lookup_in_columns(1, &[Value::str("n2")], &[0]);
+        let (_, built) = t.lookup_in_columns(1, &list(&[Value::str("n2")]), &[0]);
         assert_eq!(built, Built::default(), "a second bound read of the version builds nothing");
 
         // An answer keeps the columns of the version it read.
