@@ -1,8 +1,10 @@
 //! Fault tolerance through the whole executor: injected source faults,
 //! retry healing, stale-snapshot fallback, partial results, the order a
 //! `parallel` node issues its requests in, a panicking wrapper failing
-//! typed at the source edge, and a stalled change-log probe holding up no
-//! other caller of the result cache.
+//! typed at the source edge, a stalled change-log probe holding up no
+//! other caller of the result cache, and the profile tree of the operators
+//! that run outside a plain node (an at-site join's site child, live or
+//! dead; an adaptive re-plan; a hedged bind join; a bounded sort).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -13,7 +15,8 @@ use eii_data::{
     SimClock, Value,
 };
 use eii_exec::{
-    CacheConfig, CacheLookup, DegradationPolicy, Executor, HedgePolicy, ResultCache, SnapshotStore,
+    CacheConfig, CacheLookup, DegradationPolicy, Executor, HedgePolicy, OperatorProfile,
+    ReplanPolicy, ResultCache, SnapshotStore,
 };
 use eii_expr::Expr;
 use eii_federation::{
@@ -21,7 +24,7 @@ use eii_federation::{
     QueryCost, RelationalConnector, RequestCtx, RetryPolicy, SourceAnswer, SourceCapabilities,
     SourceQuery, WireFormat,
 };
-use eii_planner::{plan_query, PhysicalPlan, PlannerConfig};
+use eii_planner::{plan_query, CardinalityFeedback, JoinSite, PhysicalPlan, PlannerConfig};
 use eii_sql::parse_query;
 use eii_storage::{Change, Database, TableDef};
 use proptest::prelude::*;
@@ -572,4 +575,138 @@ fn a_stalled_version_probe_blocks_no_other_cache_call() {
     assert_eq!(answered, Ok(1), "len and fill waited on another caller's version probe");
     assert!(matches!(lookup, CacheLookup::Hit(_)), "{lookup:?}");
     assert_eq!(cache.len(), 2);
+}
+
+/// A profile tree one node a line, indented by depth: label, source, rows,
+/// cost, and the flags that are set. Wall time, the one field a rerun moves,
+/// is left out.
+fn render_profile(p: &OperatorProfile, depth: usize, out: &mut String) {
+    use std::fmt::Write;
+    let c = &p.cost;
+    write!(out, "{:w$}{}", "", p.label, w = 2 * depth).unwrap();
+    if let Some(source) = &p.source {
+        write!(out, " {source}").unwrap();
+    }
+    write!(
+        out,
+        " rows={} sim={:?} bytes={} shipped={} scanned={} requests={}",
+        p.rows, c.sim_ms, c.bytes, c.rows_shipped, c.rows_scanned, c.requests
+    )
+    .unwrap();
+    let flags = [(p.hedged, " hedged"), (p.backup_won, " backup_won"), (p.replanned, " replanned")];
+    for (_, flag) in flags.iter().filter(|(set, _)| *set) {
+        out.push_str(flag);
+    }
+    if let Some(k) = p.top {
+        write!(out, " top={k}").unwrap();
+    }
+    if let Some((k, n)) = p.columns {
+        write!(out, " cols={k}/{n}").unwrap();
+    }
+    out.push('\n');
+    for child in &p.children {
+        render_profile(child, depth + 1, out);
+    }
+}
+
+/// `sql` planned as hub joins over plain scans (no bind joins, no site
+/// choice); with `site`, the one hash join is moved to that source.
+fn hub_plan(fed: &Federation, sql: &str, site: Option<&str>) -> PhysicalPlan {
+    fn move_join(plan: &mut PhysicalPlan, to: &str) {
+        match plan {
+            PhysicalPlan::HashJoin { site, .. } => *site = JoinSite::AtSource(to.into()),
+            PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Limit { input, .. } => move_join(input, to),
+            other => panic!("no hash join above {}", other.label()),
+        }
+    }
+    let mut config = PlannerConfig::optimized();
+    config.use_bind_joins = false;
+    config.choose_assembly_site = false;
+    let mut plan = plan_query(&parse_query(sql).unwrap(), &Catalog::new(), fed, &config).unwrap();
+    if let Some(to) = site {
+        move_join(&mut plan, to);
+    }
+    plan
+}
+
+#[test]
+fn the_profile_tree_records_the_operators_that_run_outside_a_plain_node() {
+    let mut out = String::new();
+    let mut pin = |title: &str, result: eii_exec::QueryResult| {
+        out.push_str(&format!("# {title}\n"));
+        render_profile(result.profile.as_ref().unwrap(), 0, &mut out);
+    };
+
+    // An at-site join whose site answers: the site child is queried in place
+    // and the other side is forwarded to it.
+    let fed = federation(&SimClock::new());
+    let plan = hub_plan(&fed, JOIN_SQL, Some("sales"));
+    pin("at-site join, site live", Executor::new(&fed).execute(&plan).unwrap());
+
+    // The same join with its site dead: the site child is the fallback
+    // snapshot's answer, and the join runs at the hub.
+    let clock = SimClock::new();
+    let fed = federation(&clock);
+    let store = SnapshotStore::new();
+    snapshot_all(&fed, &store);
+    fed.inject_faults("sales", FaultProfile::failing(1.0, 3)).unwrap();
+    let plan = hub_plan(&fed, JOIN_SQL, Some("sales"));
+    let exec = Executor::new(&fed).with_degradation(DegradationPolicy::Fallback, store);
+    pin("at-site join, site dead", exec.execute(&plan).unwrap());
+
+    // An adaptive re-plan: any divergence counts, so the build side is
+    // re-issued as a binding-filtered fetch.
+    let fed = federation(&SimClock::new());
+    let plan = hub_plan(&fed, JOIN_SQL, None);
+    let policy = ReplanPolicy { feedback: Arc::new(CardinalityFeedback::new()), factor: 1.0 };
+    pin("adaptive re-plan", Executor::new(&fed).with_replan(policy).execute(&plan).unwrap());
+
+    // A bind join whose source looks slow: its bound fetch is hedged.
+    let fed = federation(&SimClock::new());
+    let sql = "SELECT c.name, o.total FROM crm.customers c \
+               JOIN sales.orders o ON c.id = o.customer_id WHERE c.id < 3";
+    let q = parse_query(sql).unwrap();
+    let plan = plan_query(&q, &Catalog::new(), &fed, &PlannerConfig::optimized()).unwrap();
+    assert!(plan.display().contains("BindJoin"), "{}", plan.display());
+    run(&fed, &Executor::new(&fed), "SELECT total FROM sales.orders WHERE order_id < 2").unwrap();
+    let hedge = HedgePolicy { threshold_ms: 0.01, delay_ms: 0.5 };
+    pin("hedged bind join", Executor::new(&fed).with_hedging(hedge).execute(&plan).unwrap());
+
+    // A sort under a limit puts only the rows the limit reads in order.
+    let fed = federation(&SimClock::new());
+    let plan = hub_plan(&fed, &format!("{JOIN_SQL} ORDER BY o.total DESC LIMIT 3"), None);
+    pin("bounded sort", Executor::new(&fed).execute(&plan).unwrap());
+
+    // The dead site's child reports its snapshot's rows, at hub-local cost.
+    let expect = r#"# at-site join, site live
+Project rows=49 sim=6.1681799999999996 bytes=2898 shipped=89 scanned=80 requests=4
+  HashJoin rows=49 sim=6.14368 bytes=2898 shipped=89 scanned=80 requests=4
+    Source crm rows=20 sim=2.0243 bytes=430 shipped=20 scanned=20 requests=1
+    Source sales rows=49 sim=2.06 bytes=0 shipped=0 scanned=60 requests=1
+# at-site join, site dead
+Project rows=49 sim=2.1078000000000006 bytes=430 shipped=20 scanned=20 requests=1
+  HashJoin rows=49 sim=2.0833000000000004 bytes=430 shipped=20 scanned=20 requests=1
+    Source crm rows=20 sim=2.0243 bytes=430 shipped=20 scanned=20 requests=1
+    Source sales rows=49 sim=0.0245 bytes=0 shipped=0 scanned=0 requests=0
+# adaptive re-plan
+Project rows=49 sim=4.1776 bytes=1410 shipped=69 scanned=80 requests=2
+  HashJoin rows=49 sim=4.1531 bytes=1410 shipped=69 scanned=80 requests=2 replanned cols=2/4
+    Source crm rows=20 sim=2.0243 bytes=430 shipped=20 scanned=20 requests=1
+    Source sales rows=49 sim=2.0698 bytes=980 shipped=49 scanned=60 requests=1
+# hedged bind join
+Project rows=9 sim=4.046430000000001 bytes=423 shipped=21 scanned=38 requests=3
+  BindJoin sales rows=9 sim=4.041930000000001 bytes=423 shipped=21 scanned=38 requests=3 hedged cols=2/4
+    Source crm rows=3 sim=2.02063 bytes=63 shipped=3 scanned=20 requests=1
+# bounded sort
+Limit rows=3 sim=2.1778000000000004 bytes=1410 shipped=69 scanned=80 requests=2
+  Project rows=49 sim=2.1778000000000004 bytes=1410 shipped=69 scanned=80 requests=2
+    Sort rows=49 sim=2.1533 bytes=1410 shipped=69 scanned=80 requests=2 top=3
+      HashJoin rows=49 sim=2.1288 bytes=1410 shipped=69 scanned=80 requests=2 cols=2/4
+        Source crm rows=20 sim=2.0243 bytes=430 shipped=20 scanned=20 requests=1
+        Source sales rows=49 sim=2.0698 bytes=980 shipped=49 scanned=60 requests=1
+"#;
+    assert_eq!(out, expect, "{out}");
 }
