@@ -1,7 +1,8 @@
 //! Concurrency smoke test: one `Arc<EiiSystem>` shared across 16 OS
 //! threads runs the full FedMark query suite simultaneously. Every thread
 //! must get row-identical answers to the serial oracle, and the run must
-//! complete (no deadlock) with exact aggregate byte accounting.
+//! complete (no deadlock) with exact aggregate byte accounting and exact
+//! per-statement byte attribution in the query log.
 
 use eii::data::Row;
 use eii_bench::fedmark::FedMark;
@@ -57,6 +58,18 @@ fn fedmark_suite_across_16_os_threads() {
             snap.counter(&format!("session.smoke{t}.queries")),
             FedMark::queries().len() as u64,
             "per-session metrics labels under-counted"
+        );
+    }
+    // Each logged statement's per-source bytes are its own: they sum to
+    // what it shipped, however much the other sessions shipped meanwhile.
+    let records = env.system.query_log().records();
+    assert!(!records.is_empty(), "the query log retained no statement");
+    for r in &records {
+        let attributed: u64 = r.per_source_bytes.iter().map(|(_, b)| b).sum();
+        assert_eq!(
+            attributed, r.bytes_shipped,
+            "{}: per-source bytes {:?} do not sum to the statement's bytes shipped",
+            r.sql, r.per_source_bytes
         );
     }
 }

@@ -1015,11 +1015,6 @@ impl EiiSystem {
         telemetry.flags.matview = plan_uses_matview(&physical);
         drop(plan_span);
 
-        // The cache needs the per-source delta to credit later hits; the
-        // query log needs it to attribute bytes shipped per source.
-        let traffic_before = (self.cache.get().is_some() || telemetry_on)
-            .then(|| self.federation.ledger().snapshot());
-
         let execute = tracer.span("execute");
         // Brownout-degraded queries serve partial answers rather than
         // queueing behind high-priority work.
@@ -1048,12 +1043,10 @@ impl EiiSystem {
             let model = CostModel::new(&self.federation);
             observe_feedback(&physical, profile, &model, &state.feedback);
         }
-        let per_source = traffic_before
-            .map(|before| traffic_delta(&before, &self.federation.ledger().snapshot()));
         if telemetry_on {
-            telemetry.per_source_bytes = per_source
+            telemetry.per_source_bytes = result
+                .shipped
                 .iter()
-                .flatten()
                 .map(|(source, bytes)| (source.clone(), *bytes as u64))
                 .collect();
             // Decide trace retention now that the outcome's flags are
@@ -1093,9 +1086,9 @@ impl EiiSystem {
         self.credit_matview_savings(&physical);
 
         if let Some(cache) = self.cache.get() {
-            let per_source = per_source.expect("snapshot taken when cache enabled");
             let versions = ResultCache::probe_versions(&self.federation, &planned.tables);
-            cache.fill(key, result.batch.clone(), result.cost, per_source, versions, now);
+            let shipped = result.shipped.clone();
+            cache.fill(key, result.batch.clone(), result.cost, shipped, versions, now);
         }
         Ok((result, Answered::ByPlan(physical)))
     }
@@ -1136,6 +1129,7 @@ impl EiiSystem {
             degraded: reports,
             profile: None,
             hedged: false,
+            shipped: Vec::new(),
         };
         (result, answered)
     }
@@ -1396,25 +1390,6 @@ impl EiiSystem {
             .with_metrics(self.federation.metrics().clone())
             .run(def, &env)
     }
-}
-
-/// Bytes shipped per source between two ledger snapshots — what one
-/// execution cost, attributed by source.
-fn traffic_delta(
-    before: &[(String, eii_federation::SourceTraffic)],
-    after: &[(String, eii_federation::SourceTraffic)],
-) -> Vec<(String, usize)> {
-    after
-        .iter()
-        .filter_map(|(source, t)| {
-            let prior = before
-                .iter()
-                .find(|(s, _)| s == source)
-                .map_or(0, |(_, p)| p.bytes);
-            let delta = t.bytes.saturating_sub(prior);
-            (delta > 0).then(|| (source.clone(), delta))
-        })
-        .collect()
 }
 
 /// Does the physical plan scan any materialized view?

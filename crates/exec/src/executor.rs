@@ -135,6 +135,10 @@ pub struct QueryResult {
     /// True when at least one source fetch fired a hedged backup request
     /// during this execution (see [`Executor::with_hedging`]).
     pub hedged: bool,
+    /// Bytes this execution's own fetches and shipments moved, by source
+    /// (named as the ledger charges them), sorted by name, no zero entries:
+    /// exact under concurrent sessions, whose traffic is not in it.
+    pub shipped: Vec<(String, usize)>,
 }
 
 impl QueryResult {
@@ -179,29 +183,41 @@ fn columns_read<'e>(
     Some(cols.into_iter().collect())
 }
 
-/// What one finished operator measured; keyed by its path from the plan
-/// root (child indexes), from which the profile tree is reassembled.
-struct OpRecord {
-    path: Vec<usize>,
+/// What one run noted about one plan node: what it emitted and cost (when
+/// instrumentation is on); what its fetch hedged; whether it is a join the
+/// run adapted; `Some(k)` on a sort the run bounded to its first `k` rows.
+#[derive(Default)]
+struct NodeNote {
     rows: usize,
     width: usize,
     cost: QueryCost,
     wall: Duration,
+    hedge: HedgeOutcome,
+    replanned: bool,
+    top: Option<usize>,
 }
 
-/// What one execution notes on its way through the plan, keyed by operator
-/// path where it flags an operator of the profile.
+/// What one execution notes on its way through the plan.
 #[derive(Default)]
 struct RunNotes {
     degraded: Vec<SourceReport>,
-    ops: Vec<OpRecord>,
-    /// Hedge outcomes of this run's fetches, by the operator that issued them.
-    hedges: BTreeMap<Vec<usize>, HedgeOutcome>,
-    /// Operators this run adapted, for `[REPLANNED]` provenance.
-    replans: BTreeSet<Vec<usize>>,
-    /// The sorts this run bounded, with the `k` rows each was asked to
-    /// establish, for `[TOP k]` provenance.
-    bounded_sorts: BTreeMap<Vec<usize>, usize>,
+    /// One note per plan node, keyed by the node's address in the plan that
+    /// `execute` borrows for the whole run.
+    nodes: Vec<(*const PhysicalPlan, NodeNote)>,
+    /// Bytes shipped, by the name the ledger charges them under.
+    shipped: BTreeMap<String, usize>,
+}
+
+impl RunNotes {
+    /// The note of `node`, begun on first use.
+    fn node(&mut self, node: &PhysicalPlan) -> &mut NodeNote {
+        let at = self.nodes.iter().position(|(p, _)| std::ptr::eq(*p, node));
+        let at = at.unwrap_or_else(|| {
+            self.nodes.push((node, NodeNote::default()));
+            self.nodes.len() - 1
+        });
+        &mut self.nodes[at].1
+    }
 }
 
 /// Executes physical plans against a federation.
@@ -317,11 +333,11 @@ impl<'a> Executor<'a> {
         // Taken whatever the outcome: a failed run leaves the next nothing.
         let notes = self.notes.take();
         let (batch, cost) = answer?;
-        let hedged = notes.hedges.values().any(|h| h.fired);
+        let hedged = notes.nodes.iter().any(|(_, n)| n.hedge.fired);
         let profile = self
             .instrument
-            .then(|| assemble_profile(plan, &notes, &mut Vec::new(), self.metrics.as_ref()));
-        let degraded = notes.degraded;
+            .then(|| assemble_profile(plan, &notes, self.metrics.as_ref()));
+        let RunNotes { degraded, shipped, .. } = notes;
         let wall = start.elapsed();
         if let Some(m) = &self.metrics {
             m.inc("exec.queries");
@@ -338,6 +354,7 @@ impl<'a> Executor<'a> {
             degraded,
             profile,
             hedged,
+            shipped: shipped.into_iter().filter(|(_, bytes)| *bytes > 0).collect(),
         })
     }
 
@@ -369,10 +386,11 @@ impl<'a> Executor<'a> {
     /// schema of the empty stand-in for a dropped branch — and reported.
     ///
     /// The answer's columns are tagged with `ingest_as` (`None` keeps the
-    /// layout the source returned). `path` is
-    /// the plan node the fetch is made for; `record` says the fetch *is* that
+    /// layout the source returned). `node` is the plan node the fetch is made
+    /// for, whose note holds its hedge; `record` says the fetch *is* that
     /// node, run outside [`Executor::run_node`], so it is measured here. The
-    /// returned flag is `true` when the source answered live.
+    /// bytes it shipped are noted under the source's name. The returned flag
+    /// is `true` when the source answered live.
     #[allow(clippy::too_many_arguments)]
     fn fetch(
         &self,
@@ -381,7 +399,7 @@ impl<'a> Executor<'a> {
         delivery: Delivery,
         fallback: (&SourceQuery, &SchemaRef),
         ingest_as: Option<&SchemaRef>,
-        path: &[usize],
+        node: &PhysicalPlan,
         record: bool,
     ) -> Result<(ColumnarBatch, QueryCost, bool)> {
         let start_wall = Instant::now();
@@ -395,7 +413,7 @@ impl<'a> Executor<'a> {
             Some(policy) => handle
                 .query_hedged(query, ctx, policy.delay_ms)
                 .map(|(batch, cost, outcome)| {
-                    self.notes.borrow_mut().hedges.insert(path.to_vec(), outcome);
+                    self.notes.borrow_mut().node(node).hedge = outcome;
                     if let Some(m) = &self.metrics {
                         m.inc("hedge.fired");
                         if outcome.backup_won {
@@ -414,7 +432,10 @@ impl<'a> Executor<'a> {
             None => handle.fetch(query, ctx, delivery),
         };
         let (batch, cost, live) = match answer {
-            Ok((batch, cost)) => (batch, cost, true),
+            Ok((batch, cost)) => {
+                *self.notes.borrow_mut().shipped.entry(source.into()).or_default() += cost.bytes;
+                (batch, cost, true)
+            }
             Err(err) if is_abortive(&err) => return Err(err),
             Err(err) => {
                 let now_ms = self.federation.clock().now_ms();
@@ -438,19 +459,25 @@ impl<'a> Executor<'a> {
             None => batch,
         };
         if record && self.instrument {
-            self.notes.borrow_mut().ops.push(OpRecord {
-                path: path.to_vec(),
-                rows: cols.num_rows(),
-                width: cols.schema().len(),
-                cost,
-                wall: start_wall.elapsed(),
-            });
+            let mut notes = self.notes.borrow_mut();
+            let note = notes.node(node);
+            (note.rows, note.width) = (cols.num_rows(), cols.schema().len());
+            (note.cost, note.wall) = (cost, start_wall.elapsed());
         }
         Ok((cols, cost, live))
     }
 
+    /// Ship `batch` across `handle`'s link — an at-site join's forward or
+    /// return leg — and note its bytes.
+    fn ship(&self, handle: &SourceHandle, batch: &ColumnarBatch) -> QueryCost {
+        let cost = handle.charge_shipment(batch);
+        let source = handle.connector().name().into();
+        *self.notes.borrow_mut().shipped.entry(source).or_default() += cost.bytes;
+        cost
+    }
+
     fn run(&self, plan: &PhysicalPlan) -> Result<(Batch, QueryCost)> {
-        let (cols, cost) = self.run_node(plan, Vec::new(), Demand::ALL)?;
+        let (cols, cost) = self.run_node(plan, Demand::ALL)?;
         // The one pivot back to rows: the result edge, chunk by chunk.
         let mut rows = Vec::with_capacity(cols.num_rows());
         for chunk in cols.iter() {
@@ -459,11 +486,10 @@ impl<'a> Executor<'a> {
         Ok((Batch::new(cols.schema().clone(), rows), cost))
     }
 
-    /// Run one operator, recording its measurements under its path from the
-    /// plan root when instrumentation is on. Every operator boundary is a
-    /// cancellation point: a cancelled, aborted, or out-of-budget query
-    /// stops here instead of starting more work (chunked operators also
-    /// check between chunks).
+    /// Run one operator, recording its measurements in its note when
+    /// instrumentation is on. Every operator boundary is a cancellation
+    /// point: a cancelled, aborted, or out-of-budget query stops here instead
+    /// of starting more work (chunked operators also check between chunks).
     ///
     /// `want` is the consumer's [`Demand`]. Rows: a `Limit` makes the
     /// promise, `Project` and `Rename` — the nodes that emit exactly their
@@ -474,24 +500,21 @@ impl<'a> Executor<'a> {
     /// what they were asked, `Limit` for what it was asked, and a hub join
     /// emits just those (every consumer binds by name against the chunks it
     /// gets); every other node reads positionally or reads all, and asks so.
-    fn run_node(&self, plan: &PhysicalPlan, path: Vec<usize>, want: Demand) -> Result<Output> {
+    fn run_node(&self, plan: &PhysicalPlan, want: Demand) -> Result<Output> {
         self.base_ctx.check()?;
         if !self.instrument {
-            return self.run_inner(plan, &path, want);
+            return self.run_inner(plan, want);
         }
         let start_wall = Instant::now();
-        let (cols, cost) = self.run_inner(plan, &path, want)?;
-        self.notes.borrow_mut().ops.push(OpRecord {
-            path,
-            rows: cols.num_rows(),
-            width: cols.schema().len(),
-            cost,
-            wall: start_wall.elapsed(),
-        });
+        let (cols, cost) = self.run_inner(plan, want)?;
+        let mut notes = self.notes.borrow_mut();
+        let note = notes.node(plan);
+        (note.rows, note.width) = (cols.num_rows(), cols.schema().len());
+        (note.cost, note.wall) = (cost, start_wall.elapsed());
         Ok((cols, cost))
     }
 
-    fn run_inner(&self, plan: &PhysicalPlan, path: &[usize], want: Demand) -> Result<Output> {
+    fn run_inner(&self, plan: &PhysicalPlan, want: Demand) -> Result<Output> {
         let Demand { first, columns } = want;
         match plan {
             PhysicalPlan::Source {
@@ -507,7 +530,7 @@ impl<'a> Executor<'a> {
                     Delivery::Ship,
                     (query, schema),
                     Some(schema),
-                    path,
+                    plan,
                     false,
                 )?;
                 Ok((cols.into(), cost))
@@ -557,7 +580,7 @@ impl<'a> Executor<'a> {
             } => {
                 let read = columns.and_then(|c| columns_read([predicate], &input.schema(), c));
                 let below = Demand { first: None, columns: read.as_deref() };
-                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
+                let (cols, cost) = self.run_node(input, below)?;
                 let n = cols.num_rows();
                 let pred = bind(predicate, cols.schema())?;
                 let out = self.drive_op(&mut VecFilter::new(pred), &cols, cols.schema().clone())?;
@@ -571,7 +594,7 @@ impl<'a> Executor<'a> {
             } => {
                 let read = columns_read(exprs.iter().map(|(e, _)| e), &input.schema(), &[]);
                 let below = Demand { first, columns: read.as_deref() };
-                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
+                let (cols, cost) = self.run_node(input, below)?;
                 let n = cols.num_rows();
                 let bound: Vec<BoundExpr> = exprs
                     .iter()
@@ -594,7 +617,7 @@ impl<'a> Executor<'a> {
                 ..
             } => self.run_hash_join(
                 left, right, left_keys, right_keys, *kind, residual, site, *parallel, schema,
-                path, columns,
+                plan, columns,
             ),
             PhysicalPlan::NestedLoopJoin {
                 left,
@@ -604,7 +627,7 @@ impl<'a> Executor<'a> {
                 parallel,
                 schema,
             } => {
-                let ((lcols, lc), (rcols, rc)) = self.run_pair(left, right, *parallel, path)?;
+                let ((lcols, lc), (rcols, rc)) = self.run_pair(left, right, *parallel)?;
                 let children_cost = if *parallel { lc.alongside(rc) } else { lc.then(rc) };
                 // No keys: every right row is a candidate for every left row.
                 let rcols = rcols.into_one();
@@ -622,7 +645,7 @@ impl<'a> Executor<'a> {
                 residual,
                 schema,
             } => {
-                let (lcols, lc) = self.run_node(left, child_path(path, 0), Demand::ALL)?;
+                let (lcols, lc) = self.run_node(left, Demand::ALL)?;
                 let key = bind(left_key, lcols.schema())?;
                 let keys = distinct_keys(&key, &lcols)?;
                 let handle = self.federation.source(source)?;
@@ -640,7 +663,7 @@ impl<'a> Executor<'a> {
                         Delivery::Ship,
                         (&q, right_schema),
                         None,
-                        path,
+                        plan,
                         false,
                     )?;
                     (fetched, rc)
@@ -673,7 +696,7 @@ impl<'a> Executor<'a> {
                 let args = aggs.iter().filter_map(|a| a.arg.as_ref());
                 let read = columns_read(group_by.iter().chain(args), &input.schema(), &[]);
                 let below = Demand { first: None, columns: read.as_deref() };
-                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
+                let (cols, cost) = self.run_node(input, below)?;
                 let n = cols.num_rows();
                 let groups: Vec<BoundExpr> = group_by
                     .iter()
@@ -689,7 +712,7 @@ impl<'a> Executor<'a> {
                 Ok((out, cost.then(self.cpu(n))))
             }
             PhysicalPlan::Distinct { input } => {
-                let (cols, cost) = self.run_node(input, child_path(path, 0), Demand::ALL)?;
+                let (cols, cost) = self.run_node(input, Demand::ALL)?;
                 let n = cols.num_rows();
                 // A group-by over every column with nothing to aggregate:
                 // the first row of each group, in input order. (No rows are
@@ -708,7 +731,7 @@ impl<'a> Executor<'a> {
                 let by = keys.iter().map(|(e, _)| e);
                 let read = columns.and_then(|c| columns_read(by, &input.schema(), c));
                 let below = Demand { first: None, columns: read.as_deref() };
-                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
+                let (cols, cost) = self.run_node(input, below)?;
                 let n = cols.num_rows();
                 let keys: Vec<(BoundExpr, bool)> = keys
                     .iter()
@@ -717,7 +740,7 @@ impl<'a> Executor<'a> {
                 // A promise of everything bounds nothing.
                 let first = first.filter(|&k| k < n);
                 if let Some(k) = first {
-                    self.notes.borrow_mut().bounded_sorts.insert(path.to_vec(), k);
+                    self.notes.borrow_mut().node(plan).top = Some(k);
                     if let Some(m) = &self.metrics {
                         m.inc("exec.sort.bounded");
                     }
@@ -727,7 +750,7 @@ impl<'a> Executor<'a> {
             }
             PhysicalPlan::Limit { input, n } => {
                 let below = Demand { first: Some(first.map_or(*n, |k| k.min(*n))), columns };
-                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
+                let (cols, cost) = self.run_node(input, below)?;
                 Ok((cols.head(*n), cost))
             }
             PhysicalPlan::UnionAll {
@@ -735,10 +758,7 @@ impl<'a> Executor<'a> {
                 parallel,
                 schema,
             } => {
-                let branches = inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| self.run_node(p, child_path(path, i), Demand::ALL));
+                let branches = inputs.iter().map(|p| self.run_node(p, Demand::ALL));
                 let results: Vec<Output> = if *parallel {
                     // In flight together: every branch's request is issued,
                     // and the first failure in input order is the statement's.
@@ -762,7 +782,7 @@ impl<'a> Executor<'a> {
             PhysicalPlan::Rename { input, schema } => {
                 // Re-tagging is positional: every column, the rows it was asked.
                 let below = Demand { first, columns: None };
-                let (cols, cost) = self.run_node(input, child_path(path, 0), below)?;
+                let (cols, cost) = self.run_node(input, below)?;
                 let mut out = Chunks::new(schema.clone());
                 out.append(cols);
                 Ok((out, cost))
@@ -835,18 +855,13 @@ impl<'a> Executor<'a> {
         left: &PhysicalPlan,
         right: &PhysicalPlan,
         parallel: bool,
-        path: &[usize],
     ) -> Result<(Output, Output)> {
-        let (lp, rp) = (child_path(path, 0), child_path(path, 1));
         if parallel {
-            let l = self.run_node(left, lp, Demand::ALL);
-            let r = self.run_node(right, rp, Demand::ALL);
+            let l = self.run_node(left, Demand::ALL);
+            let r = self.run_node(right, Demand::ALL);
             Ok((l?, r?))
         } else {
-            Ok((
-                self.run_node(left, lp, Demand::ALL)?,
-                self.run_node(right, rp, Demand::ALL)?,
-            ))
+            Ok((self.run_node(left, Demand::ALL)?, self.run_node(right, Demand::ALL)?))
         }
     }
 
@@ -859,16 +874,17 @@ impl<'a> Executor<'a> {
     /// first; if its observed cardinality diverges from the
     /// feedback-corrected estimate by the policy's factor, the build-side
     /// scan is re-issued as a binding-filtered fetch restricted to the
-    /// distinct probe keys actually observed. Either way the sides ran
-    /// serially, so the serial costs come back for the caller to combine.
+    /// distinct probe keys actually observed, and `join`'s note says so.
+    /// Either way the sides ran serially, so the serial costs come back for
+    /// the caller to combine.
     fn try_adaptive_join(
         &self,
+        join: &PhysicalPlan,
         left: &PhysicalPlan,
         right: &PhysicalPlan,
         left_keys: &[Expr],
         right_keys: &[Expr],
         kind: JoinKind,
-        path: &[usize],
     ) -> Result<Option<(Output, Output)>> {
         let Some(policy) = &self.replan else {
             return Ok(None);
@@ -903,7 +919,7 @@ impl<'a> Executor<'a> {
 
         // Probe side first, serially: the adaptation decision needs its
         // actual cardinality.
-        let (lcols, lc) = self.run_node(left, child_path(path, 0), Demand::ALL)?;
+        let (lcols, lc) = self.run_node(left, Demand::ALL)?;
         let diverged = match CostModel::new(self.federation)
             .with_feedback(policy.feedback.clone())
             .estimate_physical(left)
@@ -917,7 +933,7 @@ impl<'a> Executor<'a> {
             Err(_) => false,
         };
         if !diverged {
-            let right_out = self.run_node(right, child_path(path, 1), Demand::ALL)?;
+            let right_out = self.run_node(right, Demand::ALL)?;
             return Ok(Some(((lcols, lc), right_out)));
         }
 
@@ -927,7 +943,6 @@ impl<'a> Executor<'a> {
         let keys = distinct_keys(&lkey, &lcols)?;
         let mut filtered = query.clone();
         filtered.bindings = vec![Binding { column: bind_col.clone(), keys }];
-        let rp = child_path(path, 1);
         // Degrade against the *original* query so a dead source yields the
         // same substitute snapshot the un-adapted plan would get. The adapted
         // fetch bypasses `run_node`, so it is recorded.
@@ -937,10 +952,10 @@ impl<'a> Executor<'a> {
             Delivery::Ship,
             (query, schema),
             Some(schema),
-            &rp,
+            right,
             true,
         )?;
-        self.notes.borrow_mut().replans.insert(path.to_vec());
+        self.notes.borrow_mut().node(join).replanned = true;
         if let Some(m) = &self.metrics {
             m.inc("advisor.replans");
         }
@@ -959,7 +974,7 @@ impl<'a> Executor<'a> {
         site: &JoinSite,
         parallel: bool,
         schema: &SchemaRef,
-        path: &[usize],
+        join: &PhysicalPlan,
         want: Option<&[usize]>,
     ) -> Result<Output> {
         // A site join's result is priced by the columns it ships: all of them.
@@ -967,11 +982,10 @@ impl<'a> Executor<'a> {
         // Fetch inputs, honoring the assembly site's cost model.
         let (lcols, rcols, mut cost, result_site) = match site {
             JoinSite::Hub => {
-                match self.try_adaptive_join(left, right, left_keys, right_keys, kind, path)? {
+                match self.try_adaptive_join(join, left, right, left_keys, right_keys, kind)? {
                     Some(((lcols, lc), (rcols, rc))) => (lcols, rcols, lc.then(rc), None),
                     None => {
-                        let ((lcols, lc), (rcols, rc)) =
-                            self.run_pair(left, right, parallel, path)?;
+                        let ((lcols, lc), (rcols, rc)) = self.run_pair(left, right, parallel)?;
                         let c = if parallel { lc.alongside(rc) } else { lc.then(rc) };
                         (lcols, rcols, c, None)
                     }
@@ -998,7 +1012,6 @@ impl<'a> Executor<'a> {
                     ));
                 };
                 let handle = self.federation.source(source)?;
-                let (site_idx, other_idx) = if site_is_left { (0, 1) } else { (1, 0) };
                 // The site child bypasses `run_node` (it is queried in-place
                 // at the source), so it is recorded.
                 let (site_cols, site_cost, site_live) = self.fetch(
@@ -1007,11 +1020,10 @@ impl<'a> Executor<'a> {
                     Delivery::StayAtSite,
                     (query, site_schema),
                     Some(site_schema),
-                    &child_path(path, site_idx),
+                    site_child,
                     true,
                 )?;
-                let (other_cols, other_cost) =
-                    self.run_node(other_child, child_path(path, other_idx), Demand::ALL)?;
+                let (other_cols, other_cost) = self.run_node(other_child, Demand::ALL)?;
                 let fetch = if parallel {
                     site_cost.alongside(other_cost)
                 } else {
@@ -1024,7 +1036,7 @@ impl<'a> Executor<'a> {
                 let other_cols = other_cols.into_one();
                 let (cost, result_site) = if site_live {
                     (
-                        fetch.then(handle.charge_shipment(&other_cols)),
+                        fetch.then(self.ship(&handle, &other_cols)),
                         Some(source.clone()),
                     )
                 } else {
@@ -1056,7 +1068,7 @@ impl<'a> Executor<'a> {
         if let Some(site_name) = result_site {
             let handle = self.federation.source(&site_name)?;
             let shipped = out.into_one();
-            cost = cost.then(handle.charge_shipment(&shipped));
+            cost = cost.then(self.ship(&handle, &shipped));
             out = shipped.into();
         }
         Ok((out, cost))
@@ -1084,31 +1096,22 @@ fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Arc<Column>> {
     Ok(Arc::new(distinct.unwrap_or_else(|| Column::from_values(&[], DataType::Int))))
 }
 
-/// `path` extended by one child index: the address of `plan.children()[i]`.
-fn child_path(path: &[usize], i: usize) -> Vec<usize> {
-    let mut p = Vec::with_capacity(path.len() + 1);
-    p.extend_from_slice(path);
-    p.push(i);
-    p
-}
-
-/// Rebuild the profile tree by walking the plan and matching each node's
-/// path against the flat record list the run produced. An operator without
-/// a record — a branch short-circuited by an error path, or the at-site
-/// child of a degraded site join — reports zeros. Each operator's rows go to
-/// its `exec.rows_emitted.<label>` counter on the way.
+/// Rebuild the profile tree by walking the plan and reading each node's
+/// note. Every node of a run that finished has one: the nodes that bypass
+/// [`Executor::run_node`] — an at-site join's site child, live or degraded,
+/// and a re-planned build side — are measured by [`Executor::fetch`]. Each
+/// operator's rows go to its `exec.rows_emitted.<label>` counter on the way.
 fn assemble_profile(
     plan: &PhysicalPlan,
     notes: &RunNotes,
-    path: &mut Vec<usize>,
     metrics: Option<&MetricsRegistry>,
 ) -> OperatorProfile {
-    let rec = notes.ops.iter().find(|r| r.path == *path);
-    let rows = rec.map_or(0, |r| r.rows);
+    let note = notes.nodes.iter().find(|(p, _)| std::ptr::eq(*p, plan)).map(|(_, n)| n);
+    let rows = note.map_or(0, |n| n.rows);
     if let Some(m) = metrics {
         m.add(plan.rows_emitted_metric(), rows as u64);
     }
-    let hedge = notes.hedges.get(path.as_slice()).copied().unwrap_or_default();
+    let hedge = note.map_or_else(HedgeOutcome::default, |n| n.hedge);
     let source = match plan {
         PhysicalPlan::Source { source, .. } | PhysicalPlan::BindJoin { source, .. } => {
             Some(source.clone())
@@ -1117,28 +1120,23 @@ fn assemble_profile(
     };
     use PhysicalPlan::{BindJoin, HashJoin, NestedLoopJoin};
     let join = matches!(plan, HashJoin { .. } | NestedLoopJoin { .. } | BindJoin { .. });
+    let width = note.filter(|_| join).map(|n| n.width);
     let children = plan
         .children()
         .into_iter()
-        .enumerate()
-        .map(|(i, child)| {
-            path.push(i);
-            let p = assemble_profile(child, notes, path, metrics);
-            path.pop();
-            p
-        })
+        .map(|child| assemble_profile(child, notes, metrics))
         .collect();
     OperatorProfile {
         label: plan.label(),
         source,
         rows,
-        cost: rec.map_or_else(QueryCost::default, |r| r.cost),
-        wall: rec.map_or(Duration::ZERO, |r| r.wall),
+        cost: note.map_or_else(QueryCost::default, |n| n.cost),
+        wall: note.map_or(Duration::ZERO, |n| n.wall),
         hedged: hedge.fired,
         backup_won: hedge.backup_won,
-        replanned: notes.replans.contains(path.as_slice()),
-        top: notes.bounded_sorts.get(path.as_slice()).copied(),
-        columns: rec.filter(|_| join).map(|r| (r.width, plan.schema().len())).filter(|(k, n)| k < n),
+        replanned: note.is_some_and(|n| n.replanned),
+        top: note.and_then(|n| n.top),
+        columns: width.map(|k| (k, plan.schema().len())).filter(|(k, n)| k < n),
         children,
     }
 }

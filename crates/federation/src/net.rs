@@ -211,15 +211,6 @@ impl TransferLedger {
         })
     }
 
-    /// Snapshot of all per-source entries, sorted by source name.
-    pub fn snapshot(&self) -> Vec<(String, SourceTraffic)> {
-        self.inner
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-
     /// Clear all counters (between experiment trials).
     pub fn reset(&self) {
         self.inner.lock().clear();

@@ -285,15 +285,6 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
-
-    /// Drop every metric (between experiment trials).
-    pub fn reset(&self) {
-        self.inner.counters.lock().expect("metrics lock").clear();
-        self.inner.gauges.lock().expect("metrics lock").clear();
-        self.inner.histograms.lock().expect("metrics lock").clear();
-        self.inner.sketches.lock().expect("metrics lock").clear();
-        self.inner.events.clear();
-    }
 }
 
 /// Owned view of a whole registry at one instant.
@@ -339,10 +330,6 @@ mod tests {
         assert_eq!(m.counter_value("q.count"), 4);
         assert_eq!(m.counter_value("never"), 0);
         let snap = m.snapshot();
-        assert_eq!(snap.counter("q.count"), 4);
-        m.reset();
-        assert_eq!(m.counter_value("q.count"), 0);
-        // The old snapshot is unaffected by the reset.
         assert_eq!(snap.counter("q.count"), 4);
     }
 
@@ -405,9 +392,6 @@ mod tests {
             detail: String::new(),
         });
         assert_eq!(m.events().events_of_kind("hedge.fired").len(), 1);
-        m.reset();
-        assert_eq!(m.sketch_snapshot("source.crm.latency_ms").count, 0);
-        assert!(m.events().events().is_empty());
     }
 
     #[test]

@@ -290,11 +290,6 @@ impl EventLog {
             .cloned()
             .collect()
     }
-
-    /// Drop all events.
-    pub fn clear(&self) {
-        self.ring.lock().expect("event log poisoned").clear();
-    }
 }
 
 #[cfg(test)]
