@@ -1096,3 +1096,94 @@ fn a_join_assembled_at_a_source_ships_every_column_whatever_is_read_above_it() {
     // emitted only `d.w`, these bytes would have shrunk.
     assert_eq!((under.cost.bytes, total), (root.cost.bytes, total_alone));
 }
+
+// ---------------------------------------------------------------------------
+// String keys
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Str` keys drawn from the string hazards (the empty string, text that
+    /// differs only by a prefix or its length, equal text in separate
+    /// allocations and in one, NULL): an Inner and a Left hash join on them
+    /// ≡ nested loops by `Value`'s `==` (NULL never matches; the Left join's
+    /// unmatched rows come NULL-extended); a group-by over chunks pivoted
+    /// apart ≡ a map from each key to its count, in first-seen order; a sort
+    /// of the concatenation of two sources, whole and under a selection ≡ the
+    /// stable sort by `Value`, ascending and descending.
+    #[test]
+    fn string_keys_join_group_and_sort_as_their_values(
+        left in proptest::collection::vec(hazards::str_value(), 0..16),
+        right in proptest::collection::vec(hazards::str_value(), 0..12),
+        cuts in proptest::collection::vec(0usize..32, 0..4),
+        sel in proptest::collection::vec(0usize..64, 0..30),
+        size_pick in 0usize..3,
+    ) {
+        let named = |k: &str, seq: &str| -> SchemaRef {
+            Arc::new(Schema::new(vec![Field::new(k, DataType::Str), Field::new(seq, DataType::Int)]))
+        };
+        let (ls, rs) = (named("k", "lseq"), named("r", "rseq"));
+        let side = |cells: &[Value]| -> Vec<Row> {
+            (cells.iter().enumerate()).map(|(i, v)| Row::new(vec![v.clone(), Value::Int(i as i64)])).collect()
+        };
+        let (lrows, rrows) = (side(&left), side(&right));
+        let batch_size = [2, 5, usize::MAX][size_pick];
+
+        let federation = Federation::new();
+        let executor = Executor::new(&federation).with_batch_size(batch_size);
+        for kind in [JoinKind::Inner, JoinKind::Left] {
+            let join = PhysicalPlan::HashJoin {
+                left: Box::new(leaf(&ls, lrows.clone())), right: Box::new(leaf(&rs, rrows.clone())),
+                left_keys: vec![Expr::col("k")], right_keys: vec![Expr::col("r")],
+                kind, residual: None, site: JoinSite::Hub, parallel: false,
+                schema: Arc::new(ls.join(&rs)), vectorized: true,
+            };
+            let mut want = Vec::new();
+            for l in &lrows {
+                let matched: Vec<&Row> = (rrows.iter())
+                    .filter(|r| !l.get(0).is_null() && l.get(0) == r.get(0))
+                    .collect();
+                want.extend(matched.iter().map(|r| l.concat(r)));
+                if kind == JoinKind::Left && matched.is_empty() {
+                    want.push(l.concat(&Row::new(vec![Value::Null; 2])));
+                }
+            }
+            let got = executor.execute(&join).unwrap();
+            prop_assert_eq!(exact(got.batch.rows()), exact(&want), "{:?}", kind);
+        }
+
+        let out = schema(&[DataType::Str, DataType::Int]);
+        let mut op = VecAggregate::new(
+            vec![BoundExpr::Column(0)],
+            vec![None],
+            vec![(AggFunc::CountStar, false)],
+            out.clone(),
+        );
+        let got = run(&mut op, &chunk_list(&ls, &lrows, &cuts), &out, batch_size);
+        let mut groups: Vec<(Value, i64)> = Vec::new();
+        for v in &left {
+            match groups.iter_mut().find(|(k, _)| k == v) {
+                Some((_, n)) => *n += 1,
+                None => groups.push((v.clone(), 1)),
+            }
+        }
+        let want: Vec<Row> = groups.into_iter().map(|(k, n)| Row::new(vec![k, Value::Int(n)])).collect();
+        prop_assert_eq!(exact(&got), exact(&want));
+
+        let pivot = |rows: &[Row]| ColumnarBatch::from_batch(&Batch::new(ls.clone(), rows.to_vec()));
+        let both = ColumnarBatch::concat(ls.clone(), &[pivot(&lrows), pivot(&side(&right))]);
+        let mut batches = vec![both.clone()];
+        if !both.is_empty() {
+            batches.push(both.select(sel.iter().map(|p| (p % both.num_rows()) as u32).collect()));
+        }
+        for batch in &batches {
+            for asc in [true, false] {
+                let mut want = batch.to_batch().into_rows();
+                want.sort_by(|a, b| if asc { a.get(0).cmp(b.get(0)) } else { b.get(0).cmp(a.get(0)) });
+                let got = sort_batch(batch, &[(BoundExpr::Column(0), asc)], None).unwrap();
+                prop_assert_eq!(exact(&got.to_batch().into_rows()), exact(&want), "ascending {}", asc);
+            }
+        }
+    }
+}

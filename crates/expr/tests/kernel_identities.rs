@@ -364,3 +364,69 @@ fn a_decided_row_shields_its_right_side_from_division_by_zero() {
     let err = eval_column(&bind(&bare, batch.schema()).unwrap(), &batch).unwrap_err();
     assert_eq!(err.to_string(), "execution error: division by zero");
 }
+
+#[path = "../../../tests/support/hazards.rs"]
+mod hazards;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The string kernels over the string hazards (the empty string, text
+    /// that differs only by a prefix or its length, equal text in separate
+    /// allocations and in one, NULL): comparisons column∘literal,
+    /// literal∘column and column∘column, `[NOT] LIKE`, `[NOT] IN` and
+    /// `[NOT] BETWEEN`, as values and as a WHERE — over a batch pivoted from
+    /// rows, the same under a selection that repeats and reorders rows, and
+    /// the concatenation of two chunks pivoted apart.
+    #[test]
+    fn string_kernels_equal_the_scalar_evaluator(
+        rows in proptest::collection::vec((hazards::str_value(), hazards::str_value()), 0..24),
+        cut in 0usize..24,
+        sel in proptest::collection::vec(0usize..64, 0..40),
+    ) {
+        let schema = Arc::new(Schema::new(vec![Field::new("s", DataType::Str), Field::new("t", DataType::Str)]));
+        let rows: Vec<Row> = rows.into_iter().map(|(s, t)| Row::new(vec![s, t])).collect();
+        let pivot = |rows: &[Row]| ColumnarBatch::from_batch(&Batch::new(schema.clone(), rows.to_vec()));
+        let whole = pivot(&rows);
+        let selected = match rows.len() {
+            0 => whole.clone(),
+            n => whole.select(sel.iter().map(|p| (p % n) as u32).collect()),
+        };
+        let (head, tail) = rows.split_at(cut.min(rows.len()));
+        let joined = ColumnarBatch::concat(schema.clone(), &[pivot(head), pivot(tail)]);
+        prop_assert_eq!(joined.to_batch().into_rows(), rows.clone());
+
+        let (s, t) = (|| Expr::col("s"), || Expr::col("t"));
+        let literals = || hazards::STR_HAZARDS.iter().map(|x| Expr::lit(*x)).chain([Expr::Literal(Value::Null)]);
+        let patterns = ["", "%", "a%", "%b", "_b", "a_", "ab", "%a%"].map(Expr::lit);
+        for batch in [&whole, &selected, &joined] {
+            for op in &OPS[..6] {
+                check(&s().binary(*op, t()), batch)?;
+                for lit in literals() {
+                    check(&s().binary(*op, lit.clone()), batch)?;
+                    check(&lit.binary(*op, t()), batch)?;
+                }
+            }
+            for negated in [false, true] {
+                let like = |p: Expr| Expr::Like { expr: Box::new(s()), pattern: Box::new(p), negated };
+                check(&like(t()), batch)?;
+                for p in patterns.iter().cloned().chain([Expr::Literal(Value::Null)]) {
+                    check(&like(p.clone()), batch)?;
+                    check_filter(&like(p), batch)?;
+                }
+                let lits: Vec<Expr> = literals().collect();
+                for list in [&lits[1..3], &lits[..1], &lits[2..], &lits[4..]] {
+                    let is_in = Expr::InList { expr: Box::new(s()), list: list.to_vec(), negated };
+                    check(&is_in, batch)?;
+                    check_filter(&is_in, batch)?;
+                }
+                let between = |lo: Expr, hi: Expr| Expr::Between { expr: Box::new(s()), low: Box::new(lo), high: Box::new(hi), negated };
+                check(&between(Expr::lit("a"), Expr::lit("abb")), batch)?;
+                check(&between(t(), Expr::lit("b")), batch)?;
+                check(&between(Expr::lit(""), t()), batch)?;
+                check_filter(&between(Expr::lit("ab"), Expr::lit("b")), batch)?;
+            }
+            check_filter(&s().eq(Expr::lit("ab")).and(t().binary(BinaryOp::NotEq, Expr::lit(""))), batch)?;
+        }
+    }
+}

@@ -10,6 +10,10 @@
 //! `Float(-2^63)`, `Int(i64::MAX)` is no float), both zeros (`-0.0` is not
 //! `0`) and a NaN.
 //!
+//! String cells ([`str_value`]): the empty string, text that differs only by
+//! a prefix or its length, equal text in separate allocations and in one
+//! shared allocation, and NULL.
+//!
 //! Whole key columns too ([`key_column`]): a dense Int run, which a key table
 //! finds by index, the same run and a value past its span, empty and all-NULL
 //! columns, and stray cells that turn a column `Mixed` mid-stream.
@@ -93,5 +97,22 @@ pub fn key_column() -> impl Strategy<Value = Vec<Value>> {
         span_breaker(),
         (0usize..6).prop_map(|n| vec![Value::Null; n]),
         proptest::collection::vec(stray_value(), 0..12),
+    ]
+}
+
+/// Text that differs from its neighbours only by a prefix or by its length,
+/// and the empty string.
+pub const STR_HAZARDS: [&str; 6] = ["", "a", "ab", "abb", "b", "bab"];
+
+/// One string cell, a third each: text of [`STR_HAZARDS`] in an allocation of
+/// its own (equal text, separate allocations), in the one allocation every
+/// such draw of that text shares, or NULL.
+pub fn str_value() -> impl Strategy<Value = Value> {
+    static SHARED: std::sync::OnceLock<Vec<Value>> = std::sync::OnceLock::new();
+    let shared = || SHARED.get_or_init(|| STR_HAZARDS.iter().map(|s| Value::str(*s)).collect());
+    prop_oneof![
+        (0..STR_HAZARDS.len()).prop_map(|i| Value::str(STR_HAZARDS[i])),
+        (0..STR_HAZARDS.len()).prop_map(move |i| shared()[i].clone()),
+        Just(Value::Null),
     ]
 }
