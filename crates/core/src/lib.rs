@@ -48,7 +48,7 @@ use eii_catalog::Catalog;
 use eii_data::{Batch, CancelToken, Deadline, EiiError, Priority, Result, SimClock};
 use eii_eai::{MessageBroker, ProcessDef, ProcessEnv, SagaEngine, SagaOutcome};
 use eii_exec::{
-    CacheConfig, CacheLookup, CachedResult, DegradationPolicy, Executor, HedgePolicy,
+    CacheConfig, CacheLookup, CachedResult, DegradationPolicy, ExecMetrics, Executor, HedgePolicy,
     OperatorProfile, QueryResult, ReplanPolicy, ResultCache, SnapshotStore, SourceReport,
 };
 use eii_federation::{
@@ -311,6 +311,8 @@ struct StatementTelemetry {
 pub struct EiiSystem {
     clock: SimClock,
     federation: Federation,
+    /// The executor's handles into the federation's metrics, resolved once.
+    exec_metrics: ExecMetrics,
     catalog: Catalog,
     config: PlannerConfig,
     broker: MessageBroker,
@@ -347,8 +349,10 @@ impl EiiSystem {
     /// system: it wires sources, policies, caches, and views at build time
     /// and hands back a shareable `Arc<EiiSystem>`.
     pub fn new(clock: SimClock) -> Self {
+        let federation = Federation::with_clock(clock.clone());
         EiiSystem {
-            federation: Federation::with_clock(clock.clone()),
+            exec_metrics: federation.metrics().clone().into(),
+            federation,
             clock,
             catalog: Catalog::new(),
             config: PlannerConfig::optimized(),
@@ -1157,7 +1161,7 @@ impl EiiSystem {
     fn executor(&self, policy: DegradationPolicy, ctx: RequestCtx) -> Executor<'_> {
         let mut exec = Executor::new(&self.federation)
             .with_degradation(policy, self.fallbacks.clone())
-            .with_metrics(self.federation.metrics().clone())
+            .with_metrics(self.exec_metrics.clone())
             .with_batch_size(self.config.batch_size)
             .with_request_ctx(ctx);
         if let Some(policy) = self.hedge_policy() {

@@ -20,10 +20,26 @@
 //! - a column whose values do not fit one [`Value`] variant degrades to
 //!   [`ColumnData::Mixed`] (heterogeneous, schema-less sources) with nulls
 //!   stored inline — correctness never depends on a column being typed.
+//!
+//! Strings are dictionary-encoded ([`ColumnData::Str`]): a shared
+//! `Arc<[Arc<str>]>` of strings plus one `u32` code per row. A gather, a
+//! selection's compaction and `concat` of chunks that share a dictionary copy
+//! codes and clone one `Arc` per column; the string kernels and the key hash
+//! evaluate once per dictionary entry and map the result by code
+//! ([`by_entry`]). A builder gives each *allocation* one entry, found by its
+//! address, so no string is hashed while a column is built: a store that
+//! interns its strings when they are written (`eii_storage`'s `Table`) gets
+//! image columns whose dictionaries hold each live string once. Correctness
+//! never depends on a dictionary being duplicate-free — a builder fed from
+//! rows may repeat an entry — and [`Column`]'s `==` compares strings, not
+//! codes.
 
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use crate::batch::Batch;
+use crate::keys::{cells_cmp, KeyHasher};
 use crate::row::Row;
 use crate::schema::{DataType, SchemaRef};
 use crate::value::Value;
@@ -128,8 +144,10 @@ pub enum ColumnData {
     Int(Vec<i64>),
     /// 64-bit floats.
     Float(Vec<f64>),
-    /// Strings; `Arc<str>` keeps gathers cheap.
-    Str(Vec<Arc<str>>),
+    /// Strings, dictionary-encoded: row `i` is `dict[codes[i]]`. The
+    /// dictionary is shared by gathers and may repeat an entry; every code
+    /// indexes it.
+    Str { dict: Arc<[Arc<str>]>, codes: Vec<u32> },
     /// Simulated-clock timestamps.
     Timestamp(Vec<i64>),
     /// Heterogeneous values (schema-less sources); NULLs are inline
@@ -143,7 +161,7 @@ impl ColumnData {
             ColumnData::Bool(v) => v.len(),
             ColumnData::Int(v) => v.len(),
             ColumnData::Float(v) => v.len(),
-            ColumnData::Str(v) => v.len(),
+            ColumnData::Str { codes, .. } => codes.len(),
             ColumnData::Timestamp(v) => v.len(),
             ColumnData::Mixed(v) => v.len(),
         }
@@ -152,16 +170,36 @@ impl ColumnData {
 
 /// One column: typed data plus an optional null bitmap (`None` ⇒ no NULLs,
 /// except for `Mixed` where NULLs are inline).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Column {
     data: ColumnData,
     nulls: Option<NullBitmap>,
+}
+
+/// Two `Str` columns are equal when they have the same NULLs and every other
+/// row holds the same string, whatever their dictionaries and placeholders.
+impl PartialEq for Column {
+    fn eq(&self, other: &Column) -> bool {
+        match (self.as_dict(), other.as_dict()) {
+            (Some((a, x)), Some((b, y))) => {
+                let live = |i: &usize| !self.is_null(*i);
+                self.nulls == other.nulls
+                    && x.len() == y.len()
+                    && (0..x.len()).filter(live).all(|i| a[x[i] as usize] == b[y[i] as usize])
+            }
+            _ => self.data == other.data && self.nulls == other.nulls,
+        }
+    }
 }
 
 impl Column {
     /// Build from parts. The bitmap, when present, must match the data length.
     pub fn new(data: ColumnData, nulls: Option<NullBitmap>) -> Self {
         debug_assert!(nulls.as_ref().is_none_or(|n| n.len() == data.len()));
+        debug_assert!(match &data {
+            ColumnData::Str { dict, codes } => codes.iter().all(|&c| (c as usize) < dict.len()),
+            _ => true,
+        });
         Column { data, nulls }
     }
 
@@ -185,7 +223,10 @@ impl Column {
             Value::Bool(b) => Column::new(ColumnData::Bool(vec![*b; len]), None),
             Value::Int(i) => Column::new(ColumnData::Int(vec![*i; len]), None),
             Value::Float(f) => Column::new(ColumnData::Float(vec![*f; len]), None),
-            Value::Str(s) => Column::new(ColumnData::Str(vec![Arc::clone(s); len]), None),
+            Value::Str(s) => {
+                let dict = Arc::from([Arc::clone(s)]);
+                Column::new(ColumnData::Str { dict, codes: vec![0; len] }, None)
+            }
             Value::Timestamp(t) => Column::new(ColumnData::Timestamp(vec![*t; len]), None),
         }
     }
@@ -238,7 +279,7 @@ impl Column {
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
-            ColumnData::Str(v) => Value::Str(Arc::clone(&v[i])),
+            ColumnData::Str { dict, codes } => Value::Str(Arc::clone(&dict[codes[i] as usize])),
             ColumnData::Timestamp(v) => Value::Timestamp(v[i]),
             ColumnData::Mixed(v) => v[i].clone(),
         }
@@ -268,10 +309,11 @@ impl Column {
         }
     }
 
-    /// The string vector, when this column is typed `Str`.
-    pub fn as_strs(&self) -> Option<&[Arc<str>]> {
+    /// The dictionary and the codes, when this column is typed `Str`: row
+    /// `i` is `dict[codes[i]]`, a placeholder under a NULL.
+    pub fn as_dict(&self) -> Option<(&[Arc<str>], &[u32])> {
         match &self.data {
-            ColumnData::Str(v) => Some(v),
+            ColumnData::Str { dict, codes } => Some((dict, codes)),
             _ => None,
         }
     }
@@ -287,7 +329,10 @@ impl Column {
             ColumnData::Bool(v) => take!(Bool, v),
             ColumnData::Int(v) => take!(Int, v),
             ColumnData::Float(v) => take!(Float, v),
-            ColumnData::Str(v) => take!(Str, v),
+            ColumnData::Str { dict, codes } => ColumnData::Str {
+                dict: Arc::clone(dict),
+                codes: sel.iter().map(|&i| codes[i as usize]).collect(),
+            },
             ColumnData::Timestamp(v) => take!(Timestamp, v),
             ColumnData::Mixed(v) => take!(Mixed, v),
         };
@@ -325,7 +370,11 @@ impl Column {
             ColumnData::Bool(v) => take!(Bool, v, false),
             ColumnData::Int(v) => take!(Int, v, 0),
             ColumnData::Float(v) => take!(Float, v, 0.0),
-            ColumnData::Str(v) => take!(Str, v, empty_str()),
+            ColumnData::Str { dict, codes } => ColumnData::Str {
+                // Code 0 under an absent row: an empty dictionary gains an entry.
+                dict: if dict.is_empty() { Arc::from([empty_str()]) } else { Arc::clone(dict) },
+                codes: sel.iter().map(|&i| if i == NO_ROW { 0 } else { codes[i as usize] }).collect(),
+            },
             ColumnData::Timestamp(v) => take!(Timestamp, v, 0),
         };
         let mut nulls = NullBitmap::new_valid(sel.len());
@@ -348,7 +397,7 @@ impl Column {
             ColumnData::Int(_) | ColumnData::Float(_) | ColumnData::Timestamp(_) => {
                 8 * valid.count()
             }
-            ColumnData::Str(v) => valid.map(|i| 4 + v[i].len()).sum(),
+            ColumnData::Str { dict, codes } => valid.map(|i| 4 + dict[codes[i] as usize].len()).sum(),
             ColumnData::Mixed(v) => valid.map(|i| v[i].wire_size() - 1).sum(),
         }
     }
@@ -360,6 +409,22 @@ fn empty_str() -> Arc<str> {
     Arc::clone(EMPTY.get_or_init(|| Arc::from("")))
 }
 
+/// `f` of the string under every code: once per dictionary entry, mapped by
+/// code, when the dictionary is no larger than the codes; code by code
+/// through it otherwise.
+pub fn by_entry<T: Copy>(
+    dict: &[Arc<str>],
+    codes: &[u32],
+    mut f: impl FnMut(&Arc<str>) -> T,
+) -> Vec<T> {
+    if dict.len() <= codes.len() {
+        let per_entry: Vec<T> = dict.iter().map(&mut f).collect();
+        codes.iter().map(|&c| per_entry[c as usize]).collect()
+    } else {
+        codes.iter().map(|&c| f(&dict[c as usize])).collect()
+    }
+}
+
 /// Grows one [`Column`] a value, or a whole column, at a time: what every
 /// adapter scans into and what [`Column::from_values`] and
 /// [`ColumnarBatch::concat`] build through.
@@ -368,58 +433,147 @@ fn empty_str() -> Arc<str> {
 /// of the declared [`DataType`]; the first non-NULL value of another type
 /// degrades it to [`ColumnData::Mixed`], and no arm below leads back out of
 /// that variant — "Mixed once means Mixed forever" is the shape of the match,
-/// not a flag beside it.
+/// not a flag beside it. A `Str` column's new dictionary entries collect in a
+/// vector that [`Self::finish`] moves into the dictionary, so a push clones
+/// one `Arc`; a builder read while it grows ([`Self::readable`]) mirrors
+/// them.
 #[derive(Debug)]
-pub struct ColumnBuilder(Column);
+pub struct ColumnBuilder {
+    column: Column,
+    /// A `Str` column's entries, when any were added: the dictionary's
+    /// otherwise — taken whole from the first chunk appended, or empty.
+    strs: Vec<Arc<str>>,
+    /// Keep the column's dictionary current as entries are added
+    /// ([`Self::readable`]).
+    mirror: bool,
+    /// The entry of each allocation pushed, by address ([`Self::sharing`]).
+    by_address: Option<HashMap<usize, u32, KeyHasher>>,
+}
+
+/// Add `s` as a new entry and answer its code: pushed onto `strs` (the
+/// dictionary's entries copied there first), and, when `mirror`, written into
+/// the dictionary too, which grows twofold, its room filled with `s`.
+fn add_entry(dict: &mut Arc<[Arc<str>]>, strs: &mut Vec<Arc<str>>, mirror: bool, s: &Arc<str>) -> u32 {
+    if strs.is_empty() {
+        strs.extend_from_slice(dict);
+    }
+    strs.push(Arc::clone(s));
+    let at = strs.len() - 1;
+    if mirror {
+        match Arc::get_mut(dict).filter(|room| at < room.len()) {
+            Some(room) => room[at] = Arc::clone(s),
+            None => {
+                let mut grown = strs.clone();
+                grown.resize(2 * strs.len().max(4), Arc::clone(s));
+                *dict = grown.into();
+            }
+        }
+    }
+    at as u32
+}
 
 impl ColumnBuilder {
+    fn of(data: ColumnData) -> Self {
+        let column = Column { data, nulls: None };
+        ColumnBuilder { column, strs: Vec::new(), mirror: false, by_address: None }
+    }
+
     /// An empty builder for a column declared `ty`, with room for `capacity`
     /// values.
     pub fn new(ty: DataType, capacity: usize) -> Self {
-        let data = match ty {
+        ColumnBuilder::of(match ty {
             DataType::Bool => ColumnData::Bool(Vec::with_capacity(capacity)),
             DataType::Int => ColumnData::Int(Vec::with_capacity(capacity)),
             DataType::Float => ColumnData::Float(Vec::with_capacity(capacity)),
-            DataType::Str => ColumnData::Str(Vec::with_capacity(capacity)),
+            DataType::Str => {
+                let codes = Vec::with_capacity(capacity);
+                let strs = Vec::with_capacity(capacity);
+                return ColumnBuilder { strs, ..ColumnBuilder::of(ColumnData::Str { dict: Arc::default(), codes }) };
+            }
             DataType::Timestamp => ColumnData::Timestamp(Vec::with_capacity(capacity)),
-        };
-        ColumnBuilder(Column { data, nulls: None })
+        })
     }
 
     /// An empty builder in `like`'s representation (`Mixed` included), with
     /// room for `capacity` values.
     pub fn like(like: &Column, capacity: usize) -> Self {
-        let data = match &like.data {
-            ColumnData::Bool(_) => ColumnData::Bool(Vec::with_capacity(capacity)),
-            ColumnData::Int(_) => ColumnData::Int(Vec::with_capacity(capacity)),
-            ColumnData::Float(_) => ColumnData::Float(Vec::with_capacity(capacity)),
-            ColumnData::Str(_) => ColumnData::Str(Vec::with_capacity(capacity)),
-            ColumnData::Timestamp(_) => ColumnData::Timestamp(Vec::with_capacity(capacity)),
-            ColumnData::Mixed(_) => ColumnData::Mixed(Vec::with_capacity(capacity)),
-        };
-        ColumnBuilder(Column { data, nulls: None })
+        match &like.data {
+            ColumnData::Bool(_) => ColumnBuilder::new(DataType::Bool, capacity),
+            ColumnData::Int(_) => ColumnBuilder::new(DataType::Int, capacity),
+            ColumnData::Float(_) => ColumnBuilder::new(DataType::Float, capacity),
+            ColumnData::Str { .. } => ColumnBuilder::new(DataType::Str, capacity),
+            ColumnData::Timestamp(_) => ColumnBuilder::new(DataType::Timestamp, capacity),
+            ColumnData::Mixed(_) => ColumnBuilder::of(ColumnData::Mixed(Vec::with_capacity(capacity))),
+        }
     }
 
-    /// The column built so far, by reference.
+    /// [`Self::new`], pushed `Str` cells that share an allocation sharing one
+    /// entry, found by its address (the dictionary keeps every allocation it
+    /// lists alive, so no address is reused): the column of a store that
+    /// interns its strings holds each distinct one once, and no string is
+    /// hashed to build it.
+    pub fn sharing(ty: DataType, capacity: usize) -> Self {
+        ColumnBuilder { by_address: Some(HashMap::default()), ..ColumnBuilder::new(ty, capacity) }
+    }
+
+    /// This builder, its [`Self::column`] current after every push: a `Str`
+    /// column's dictionary grows with room, for a key table whose keys are
+    /// read while it grows.
+    pub fn readable(mut self) -> Self {
+        if let ColumnData::Str { dict, .. } = &mut self.column.data {
+            if !self.strs.is_empty() {
+                *dict = self.strs.clone().into();
+            }
+        }
+        ColumnBuilder { mirror: true, ..self }
+    }
+
+    /// The column built so far, by reference; a `Str` column's dictionary is
+    /// current only in a [`Self::readable`] builder.
     pub fn column(&self) -> &Column {
-        &self.0
+        &self.column
+    }
+
+    /// [`cells_cmp`] of cell `i` of the column built so far against cell `j`
+    /// of `b`, a `Str` cell read from the entries as they were added: a key
+    /// table's probe needs no readable builder.
+    pub fn cmp_cell(&self, i: usize, b: &Column, j: usize) -> Ordering {
+        let ColumnData::Str { codes, .. } = &self.column.data else {
+            return cells_cmp(&self.column, i, b, j);
+        };
+        if self.strs.is_empty() {
+            return cells_cmp(&self.column, i, b, j);
+        }
+        let cell = (!self.column.is_null(i)).then(|| &self.strs[codes[i] as usize]);
+        match (cell, b.as_dict()) {
+            (Some(x), Some((dict, at))) if !b.is_null(j) => x.cmp(&dict[at[j] as usize]),
+            (x, _) => x.map_or(Value::Null, |s| Value::Str(Arc::clone(s))).cmp(&b.value(j)),
+        }
     }
 
     /// The column built so far.
-    pub fn finish(self) -> Column {
-        self.0
+    pub fn finish(mut self) -> Column {
+        if let ColumnData::Str { dict, codes } = &mut self.column.data {
+            if self.strs.is_empty() && dict.is_empty() && !codes.is_empty() {
+                self.strs.push(empty_str());
+            }
+            if !self.strs.is_empty() {
+                *dict = self.strs.into();
+            }
+        }
+        self.column
     }
 
     /// Record whether the position just appended to a typed vector is NULL;
     /// the bitmap appears with the first NULL.
     fn push_validity(&mut self, null: bool) {
-        match &mut self.0.nulls {
+        match &mut self.column.nulls {
             Some(nulls) => nulls.push(null),
             None if null => {
-                let len = self.0.data.len();
+                let len = self.column.data.len();
                 let mut nulls = NullBitmap::new_valid(len);
                 nulls.set_null(len - 1);
-                self.0.nulls = Some(nulls);
+                self.column.nulls = Some(nulls);
             }
             None => {}
         }
@@ -427,8 +581,13 @@ impl ColumnBuilder {
 
     /// Re-house the values so far as inline [`Value`]s.
     fn degrade(&mut self) {
-        let values = (0..self.0.len()).map(|i| self.0.value(i)).collect();
-        self.0 = Column {
+        if let ColumnData::Str { dict, .. } = &mut self.column.data {
+            if !self.strs.is_empty() {
+                *dict = std::mem::take(&mut self.strs).into();
+            }
+        }
+        let values = (0..self.column.len()).map(|i| self.column.value(i)).collect();
+        self.column = Column {
             data: ColumnData::Mixed(values),
             nulls: None,
         };
@@ -436,17 +595,30 @@ impl ColumnBuilder {
 
     /// Append one value.
     pub fn push(&mut self, v: &Value) {
-        match (&mut self.0.data, v) {
+        let ColumnBuilder { column, strs, mirror, by_address } = self;
+        match (&mut column.data, v) {
             (ColumnData::Mixed(d), v) => return d.push(v.clone()),
             (ColumnData::Bool(d), Value::Bool(b)) => d.push(*b),
             (ColumnData::Int(d), Value::Int(i)) => d.push(*i),
             (ColumnData::Float(d), Value::Float(f)) => d.push(*f),
-            (ColumnData::Str(d), Value::Str(s)) => d.push(Arc::clone(s)),
+            (ColumnData::Str { dict, codes }, Value::Str(s)) => codes.push(match by_address {
+                Some(seen) => *seen
+                    .entry(Arc::as_ptr(s) as *const u8 as usize)
+                    .or_insert_with(|| add_entry(dict, strs, *mirror, s)),
+                None => add_entry(dict, strs, *mirror, s),
+            }),
             (ColumnData::Timestamp(d), Value::Timestamp(t)) => d.push(*t),
             (ColumnData::Bool(d), Value::Null) => d.push(false),
             (ColumnData::Int(d) | ColumnData::Timestamp(d), Value::Null) => d.push(0),
             (ColumnData::Float(d), Value::Null) => d.push(0.0),
-            (ColumnData::Str(d), Value::Null) => d.push(empty_str()),
+            // Code 0 under a NULL: the first entry, which a readable builder
+            // adds now and any other when it finishes with none.
+            (ColumnData::Str { dict, codes }, Value::Null) => {
+                if *mirror && strs.is_empty() && dict.is_empty() {
+                    add_entry(dict, strs, true, &empty_str());
+                }
+                codes.push(0)
+            }
             _ => {
                 self.degrade();
                 return self.push(v);
@@ -458,12 +630,24 @@ impl ColumnBuilder {
     /// Append every value of `src`, vector to vector when the two share a
     /// representation.
     pub fn append(&mut self, src: &Column) {
-        let old_len = self.0.len();
-        match (&mut self.0.data, &src.data) {
+        let old_len = self.column.len();
+        let ColumnBuilder { column, strs, mirror, .. } = self;
+        match (&mut column.data, &src.data) {
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
             (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
             (ColumnData::Float(a), ColumnData::Float(b)) => a.extend_from_slice(b),
-            (ColumnData::Str(a), ColumnData::Str(b)) => a.extend_from_slice(b),
+            // The first chunk's dictionary is taken whole, and a chunk that
+            // shares it adds its codes; any other adds its strings.
+            (ColumnData::Str { dict, codes }, ColumnData::Str { dict: from, codes: more }) => {
+                if codes.is_empty() && strs.is_empty() {
+                    *dict = Arc::clone(from);
+                    codes.extend_from_slice(more);
+                } else if Arc::ptr_eq(dict, from) {
+                    codes.extend_from_slice(more);
+                } else {
+                    codes.extend(by_entry(from, more, |s| add_entry(dict, strs, *mirror, s)));
+                }
+            }
             (ColumnData::Timestamp(a), ColumnData::Timestamp(b)) => a.extend_from_slice(b),
             (ColumnData::Mixed(a), _) => return a.extend((0..src.len()).map(|i| src.value(i))),
             _ => {
@@ -471,11 +655,8 @@ impl ColumnBuilder {
                 return self.append(src);
             }
         }
-        if self.0.nulls.is_some() || src.nulls.is_some() {
-            let nulls = self
-                .0
-                .nulls
-                .get_or_insert_with(|| NullBitmap::new_valid(old_len));
+        if self.column.nulls.is_some() || src.nulls.is_some() {
+            let nulls = self.column.nulls.get_or_insert_with(|| NullBitmap::new_valid(old_len));
             for i in 0..src.len() {
                 nulls.push(src.is_null(i));
             }
@@ -855,7 +1036,7 @@ mod tests {
         let ids = cb.column(0).gather_opt(&[2, NO_ROW, 0]);
         assert_eq!(ids.as_ints().map(<[i64]>::len), Some(3));
         let names = cb.column(1).gather_opt(&[NO_ROW, 1, 0]);
-        assert!(names.as_strs().is_some());
+        assert!(names.as_dict().is_some());
         let got: Vec<Value> = (0..3).map(|i| names.value(i)).collect();
         assert_eq!(got, vec![Value::Null, Value::Null, Value::str("a")]);
         assert_eq!(
@@ -944,9 +1125,10 @@ mod tests {
             DataType::Float => {
                 ColumnData::Float(values.iter().map(|v| v.as_float().unwrap_or(0.0)).collect())
             }
-            DataType::Str => ColumnData::Str(
-                values.iter().map(|v| Arc::from(v.as_str().unwrap_or(""))).collect(),
-            ),
+            DataType::Str => ColumnData::Str {
+                dict: values.iter().map(|v| Arc::from(v.as_str().unwrap_or(""))).collect(),
+                codes: (0..values.len() as u32).collect(),
+            },
         };
         let any_null = !nulls.all_valid();
         Column::new(data, any_null.then_some(nulls))
@@ -984,10 +1166,15 @@ mod tests {
             for (c, f) in schema().fields().iter().enumerate() {
                 let values: Vec<Value> = rows.iter().map(|r| r.get(c).clone()).collect();
                 let built = Column::from_values(&values, f.data_type);
-                // Compared as rendered: a NaN cell must equal itself, which
-                // `==` on a float vector denies.
+                // Compared as rendered — a NaN cell must equal itself, which
+                // `==` on a float vector denies — by representation, NULLs
+                // and cells, whatever a dictionary holds.
                 let reference = reference_from_values(&values, f.data_type);
-                prop_assert_eq!(format!("{built:?}"), format!("{reference:?}"));
+                let render = |c: &Column| {
+                    let cells: Vec<Value> = (0..c.len()).map(|i| c.value(i)).collect();
+                    format!("{:?} {:?} {cells:?}", std::mem::discriminant(c.data()), c.nulls())
+                };
+                prop_assert_eq!(render(&built), render(&reference));
                 // Appending chunk to chunk is pushing value by value.
                 let (head, tail) = values.split_at(split.min(values.len()));
                 let head = Column::from_values(head, f.data_type);

@@ -57,6 +57,7 @@ use std::cmp::Ordering;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
+use crate::columnar::by_entry;
 use crate::value::{cmp_int_float, float_as_int};
 use crate::{Column, ColumnBuilder, ColumnData, NullBitmap, Value};
 
@@ -126,8 +127,9 @@ fn fold_words<T>(
 }
 
 /// One hash per row of the compact key columns `cols` (`n` rows each),
-/// computed column by column from the typed vectors. Cells that are equal
-/// under [`cells_cmp`] hash alike; with no key columns every row hashes alike.
+/// computed column by column from the typed vectors — a `Str` column's words
+/// once per dictionary entry ([`by_entry`]). Cells that are equal under
+/// [`cells_cmp`] hash alike; with no key columns every row hashes alike.
 pub fn hash_keys(cols: &[Arc<Column>], n: usize) -> Vec<u64> {
     let mut hashes = vec![0u64; n];
     for col in cols {
@@ -138,7 +140,10 @@ pub fn hash_keys(cols: &[Arc<Column>], n: usize) -> Vec<u64> {
                 fold_words(&mut hashes, v, nulls, |&i| i as u64)
             }
             ColumnData::Float(v) => fold_words(&mut hashes, v, nulls, |&f| float_word(f)),
-            ColumnData::Str(v) => fold_words(&mut hashes, v, nulls, |s| str_word(s)),
+            ColumnData::Str { dict, codes } => {
+                let words = by_entry(dict, codes, |s| str_word(s));
+                fold_words(&mut hashes, &words, nulls, |&w| w)
+            }
             ColumnData::Mixed(v) => fold_words(&mut hashes, v, None, value_word),
         }
     }
@@ -175,6 +180,7 @@ pub type KeyHasher = BuildHasherDefault<WordHasher>;
 /// Cell `i` of `a` against cell `j` of `b` as [`Value`]'s total order orders
 /// their values (NULL lowest, Int × Float exact), reading the typed vectors
 /// in place: a sort's comparator, and — as `is_eq` — the one key equality.
+/// Two `Str` cells under one code of one dictionary are equal unread.
 pub fn cells_cmp(a: &Column, i: usize, b: &Column, j: usize) -> Ordering {
     use ColumnData::*;
     match (a.is_null(i), b.is_null(j)) {
@@ -189,7 +195,14 @@ pub fn cells_cmp(a: &Column, i: usize, b: &Column, j: usize) -> Ordering {
         (Float(x), Float(y)) => x[i].total_cmp(&y[j]),
         (Int(x), Float(y)) => cmp_int_float(x[i], y[j]),
         (Float(x), Int(y)) => cmp_int_float(y[j], x[i]).reverse(),
-        (Str(x), Str(y)) => x[i].cmp(&y[j]),
+        (Str { dict: x, codes: cx }, Str { dict: y, codes: cy }) => {
+            let (a, b) = (cx[i], cy[j]);
+            if a == b && Arc::ptr_eq(x, y) {
+                Ordering::Equal
+            } else {
+                x[a as usize].cmp(&y[b as usize])
+            }
+        }
         (Mixed(x), Mixed(y)) => x[i].cmp(&y[j]),
         // A Mixed column against a typed one, or typed columns of two types.
         _ => a.value(i).cmp(&b.value(j)),
@@ -226,7 +239,7 @@ impl KeyEq for RawInts<'_> {
 
 impl KeyEq for Cells<'_> {
     fn same(&self, keys: &[ColumnBuilder], id: usize, row: usize) -> bool {
-        (keys.iter().zip(self.0)).all(|(k, col)| cells_cmp(k.column(), id, col, row).is_eq())
+        (keys.iter().zip(self.0)).all(|(k, col)| k.cmp_cell(id, col, row).is_eq())
     }
 }
 
@@ -480,7 +493,8 @@ impl KeyTable {
     }
 
     /// The distinct keys so far, one column per key column, key `id` at row
-    /// `id`.
+    /// `id`; a `Str` key column is current when its builder was made
+    /// [`ColumnBuilder::readable`].
     pub fn columns(&self) -> impl Iterator<Item = &Column> {
         self.keys.iter().map(ColumnBuilder::column)
     }

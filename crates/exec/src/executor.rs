@@ -30,7 +30,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use eii_data::keys::KeyTable;
@@ -41,7 +41,7 @@ use eii_expr::{bind, eval_column, referenced_columns, BoundExpr, Expr};
 use eii_federation::{
     Binding, Delivery, Federation, HedgeOutcome, QueryCost, RequestCtx, SourceHandle, SourceQuery,
 };
-use eii_obs::MetricsRegistry;
+use eii_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_MS_BUCKETS};
 use eii_planner::{CardinalityFeedback, CostModel, JoinSite, PhysicalPlan};
 use eii_sql::JoinKind;
 
@@ -229,7 +229,7 @@ pub struct Executor<'a> {
     fallbacks: SnapshotStore,
     matviews: SnapshotStore,
     instrument: bool,
-    metrics: Option<MetricsRegistry>,
+    metrics: Option<ExecMetrics>,
     /// Rows per chunk pushed through an operator; 0 = the
     /// [`crate::vector::DEFAULT_BATCH_SIZE`] default.
     batch_size: usize,
@@ -242,6 +242,48 @@ pub struct Executor<'a> {
     replan: Option<ReplanPolicy>,
     /// The running statement's notes; `execute` takes them when it ends.
     notes: RefCell<RunNotes>,
+}
+
+/// The executor's metric handles, each resolved from one registry once:
+/// recording a statement's `exec.queries` and `query.exec_{sim,wall}_ms`, and
+/// each operator's `exec.rows_emitted.<Kind>`, is an atomic add with no lock
+/// and no name lookup. A handle is resolved when first recorded, so a metric
+/// appears when it did by name. Clones share the handles: the facade keeps
+/// one per registry, and every executor it builds takes a clone.
+#[derive(Debug, Clone)]
+pub struct ExecMetrics {
+    registry: MetricsRegistry,
+    handles: Arc<Handles>,
+}
+
+#[derive(Debug, Default)]
+struct Handles {
+    statement: OnceLock<(Counter, Arc<Histogram>, Arc<Histogram>)>,
+    rows_emitted: [OnceLock<Counter>; PhysicalPlan::KINDS],
+}
+
+impl From<MetricsRegistry> for ExecMetrics {
+    fn from(registry: MetricsRegistry) -> Self {
+        ExecMetrics { registry, handles: Arc::default() }
+    }
+}
+
+impl ExecMetrics {
+    fn statement(&self, sim_ms: f64, wall_ms: f64) {
+        let (queries, sim, wall) = self.handles.statement.get_or_init(|| {
+            let histogram = |name| self.registry.histogram(name, &DEFAULT_MS_BUCKETS);
+            let queries = self.registry.counter("exec.queries");
+            (queries, histogram("query.exec_sim_ms"), histogram("query.exec_wall_ms"))
+        });
+        queries.inc();
+        sim.observe(sim_ms);
+        wall.observe(wall_ms);
+    }
+
+    fn rows_emitted(&self, plan: &PhysicalPlan, rows: usize) {
+        let resolve = || self.registry.counter(plan.rows_emitted_metric());
+        self.handles.rows_emitted[plan.kind()].get_or_init(resolve).add(rows as u64);
+    }
 }
 
 impl<'a> Executor<'a> {
@@ -313,9 +355,10 @@ impl<'a> Executor<'a> {
 
     /// Record query/operator metrics (`exec.queries`,
     /// `exec.rows_emitted.<op>`, `query.exec_sim_ms`, ...) into `metrics`
-    /// after every execution.
-    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.metrics = Some(metrics);
+    /// after every execution: a registry, or the handles of one resolved
+    /// once ([`ExecMetrics`]).
+    pub fn with_metrics(mut self, metrics: impl Into<ExecMetrics>) -> Self {
+        self.metrics = Some(metrics.into());
         self
     }
 
@@ -340,11 +383,9 @@ impl<'a> Executor<'a> {
         let RunNotes { degraded, shipped, .. } = notes;
         let wall = start.elapsed();
         if let Some(m) = &self.metrics {
-            m.inc("exec.queries");
-            m.observe("query.exec_sim_ms", cost.sim_ms);
-            m.observe("query.exec_wall_ms", wall.as_secs_f64() * 1000.0);
+            m.statement(cost.sim_ms, wall.as_secs_f64() * 1000.0);
             if !degraded.is_empty() {
-                m.add("exec.degraded_sources", degraded.len() as u64);
+                m.registry.add("exec.degraded_sources", degraded.len() as u64);
             }
         }
         Ok(QueryResult {
@@ -415,11 +456,11 @@ impl<'a> Executor<'a> {
                 .map(|(batch, cost, outcome)| {
                     self.notes.borrow_mut().node(node).hedge = outcome;
                     if let Some(m) = &self.metrics {
-                        m.inc("hedge.fired");
+                        m.registry.inc("hedge.fired");
                         if outcome.backup_won {
-                            m.inc("hedge.backup_wins");
+                            m.registry.inc("hedge.backup_wins");
                         }
-                        m.record_event(eii_obs::TelemetryEvent {
+                        m.registry.record_event(eii_obs::TelemetryEvent {
                             sim_ms: self.federation.clock().now_ms() as f64,
                             kind: "hedge.fired".to_string(),
                             source: source.to_string(),
@@ -742,7 +783,7 @@ impl<'a> Executor<'a> {
                 if let Some(k) = first {
                     self.notes.borrow_mut().node(plan).top = Some(k);
                     if let Some(m) = &self.metrics {
-                        m.inc("exec.sort.bounded");
+                        m.registry.inc("exec.sort.bounded");
                     }
                 }
                 let sorted = sort_batch(&cols.into_one(), &keys, first)?;
@@ -831,7 +872,7 @@ impl<'a> Executor<'a> {
         let out_schema = out.schema().clone();
         let skipped = schema.len() - out_schema.len();
         if let Some(m) = self.metrics.as_ref().filter(|_| skipped > 0) {
-            m.add("exec.join.columns_skipped", skipped as u64);
+            m.registry.add("exec.join.columns_skipped", skipped as u64);
         }
         let mut op = VecHashJoin::new(
             build,
@@ -957,7 +998,7 @@ impl<'a> Executor<'a> {
         )?;
         self.notes.borrow_mut().node(join).replanned = true;
         if let Some(m) = &self.metrics {
-            m.inc("advisor.replans");
+            m.registry.inc("advisor.replans");
         }
         Ok(Some(((lcols, lc), (rcols.into(), rc))))
     }
@@ -1104,12 +1145,12 @@ fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Arc<Column>> {
 fn assemble_profile(
     plan: &PhysicalPlan,
     notes: &RunNotes,
-    metrics: Option<&MetricsRegistry>,
+    metrics: Option<&ExecMetrics>,
 ) -> OperatorProfile {
     let note = notes.nodes.iter().find(|(p, _)| std::ptr::eq(*p, plan)).map(|(_, n)| n);
     let rows = note.map_or(0, |n| n.rows);
     if let Some(m) = metrics {
-        m.add(plan.rows_emitted_metric(), rows as u64);
+        m.rows_emitted(plan, rows);
     }
     let hedge = note.map_or_else(HedgeOutcome::default, |n| n.hedge);
     let source = match plan {

@@ -34,7 +34,7 @@ pub use cache::{
     adapt_batch, CacheConfig, CacheLookup, CachedResult, ResultCache, SnapshotStore,
 };
 pub use degrade::{DegradationPolicy, SourceReport};
-pub use executor::{Executor, HedgePolicy, QueryResult, ReplanPolicy};
+pub use executor::{ExecMetrics, Executor, HedgePolicy, QueryResult, ReplanPolicy};
 pub use profile::OperatorProfile;
 pub use scheduler::{
     AdmissionConfig, BrownoutConfig, JobOutput, QueryTicket, Scheduler, SchedulerStats,

@@ -800,7 +800,7 @@ mod tests {
         };
         let out = join_on("a", "b", &left, &right, JoinKind::Left);
         assert_eq!(out.column(1).as_ints().map(<[i64]>::len), Some(3));
-        assert!(out.column(2).as_floats().is_some() && out.column(3).as_strs().is_some());
+        assert!(out.column(2).as_floats().is_some() && out.column(3).as_dict().is_some());
         assert_eq!(
             out.to_batch().into_rows(),
             vec![

@@ -45,10 +45,13 @@
 //! sub-selection per AND/OR value whose left side decides some rows but not
 //! all, a WHERE's selection per conjunct that drops a row, and — the one
 //! broadcast left — a bare literal in an *output* position
-//! (`SELECT 1`) or an all-NULL result (`x = NULL`). `LIKE` reads its operands
-//! as `binary_kernel` does and walks `Str` vectors; `BETWEEN`, `IN`, `CAST`
-//! and function calls still evaluate their operands as columns and walk them
-//! a [`Value`] at a time.
+//! (`SELECT 1`) or an all-NULL result (`x = NULL`). A `Str` column is a
+//! dictionary and a code per row: a comparison or `LIKE` against a scalar,
+//! and `IN` a literal list, evaluate once per dictionary entry and map the
+//! result by code ([`by_entry`]; row by row through the dictionary when it is
+//! larger than the rows), and two `Str` columns are walked row by row.
+//! `BETWEEN`, other `IN` operands, `CAST` and function calls still evaluate
+//! their operands as columns and walk them a [`Value`] at a time.
 
 // The kernel loops below walk several parallel structures in lockstep by
 // index (output vector, null bitmap, one or more operand columns, and for
@@ -59,7 +62,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use eii_data::columnar::{Column, ColumnData, ColumnarBatch, NullBitmap};
+use eii_data::columnar::{by_entry, Column, ColumnData, ColumnarBatch, NullBitmap};
 use eii_data::value::cmp_int_float;
 use eii_data::{EiiError, Result, Value};
 
@@ -141,7 +144,7 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
             let (Lanes::Str(ts), Lanes::Str(ps)) = (t.lanes(), p.lanes()) else {
                 return eval_by_rows(expr, batch);
             };
-            let out = zip(ts, ps, n, |t, p| like_match(t, p) != *negated);
+            let out = strs(ts, ps, n, |t, p| like_match(t, p) != *negated);
             let valid = NullBitmap::both_valid(t.nulls(), p.nulls());
             Ok(Arc::new(Column::new(ColumnData::Bool(out), valid)))
         }
@@ -164,6 +167,13 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
                 })
                 .collect();
             let saw_null = items.iter().any(Value::is_null);
+            // A string is in the list once per dictionary entry.
+            let found = match c.as_dict() {
+                Some((dict, codes)) => by_entry(dict, codes, |s| {
+                    items.iter().any(|item| item.as_str() == Some(&**s))
+                }),
+                None => (0..n).map(|i| items.iter().any(|item| !item.is_null() && *item == c.value(i))).collect(),
+            };
             let mut out = vec![false; n];
             let mut nulls = NullBitmap::new_valid(n);
             let mut any_null = false;
@@ -173,8 +183,7 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
                     any_null = true;
                     continue;
                 }
-                let v = c.value(i);
-                if items.iter().any(|item| !item.is_null() && *item == v) {
+                if found[i] {
                     out[i] = !*negated;
                 } else if saw_null {
                     nulls.set_null(i);
@@ -414,12 +423,18 @@ enum Lane<'a, T> {
     Scalar(&'a T),
 }
 
+/// A `Str` operand: a dictionary and a code per row, or a scalar.
+enum StrLane<'a> {
+    Dict(&'a [Arc<str>], &'a [u32]),
+    Scalar(&'a Arc<str>),
+}
+
 /// The typed views the kernels have loops for; `Other` (`Bool`, `Mixed`) goes
 /// by [`Value`].
 enum Lanes<'a> {
     Int(Lane<'a, i64>),
     Float(Lane<'a, f64>),
-    Str(Lane<'a, Arc<str>>),
+    Str(StrLane<'a>),
     Timestamp(Lane<'a, i64>),
     Other,
 }
@@ -451,14 +466,14 @@ impl Operand {
             Operand::Col(c) => match c.data() {
                 ColumnData::Int(v) => Lanes::Int(Lane::Slice(v)),
                 ColumnData::Float(v) => Lanes::Float(Lane::Slice(v)),
-                ColumnData::Str(v) => Lanes::Str(Lane::Slice(v)),
+                ColumnData::Str { dict, codes } => Lanes::Str(StrLane::Dict(dict, codes)),
                 ColumnData::Timestamp(v) => Lanes::Timestamp(Lane::Slice(v)),
                 ColumnData::Bool(_) | ColumnData::Mixed(_) => Lanes::Other,
             },
             Operand::Scalar(v) => match v {
                 Value::Int(i) => Lanes::Int(Lane::Scalar(i)),
                 Value::Float(f) => Lanes::Float(Lane::Scalar(f)),
-                Value::Str(s) => Lanes::Str(Lane::Scalar(s)),
+                Value::Str(s) => Lanes::Str(StrLane::Scalar(s)),
                 Value::Timestamp(t) => Lanes::Timestamp(Lane::Scalar(t)),
                 Value::Bool(_) | Value::Null => Lanes::Other,
             },
@@ -475,6 +490,34 @@ fn zip<A, B, O: Clone>(a: Lane<A>, b: Lane<B>, n: usize, f: impl Fn(&A, &B) -> O
         (Lane::Slice(a), Lane::Scalar(y)) => a.iter().map(|x| f(x, y)).collect(),
         (Lane::Scalar(x), Lane::Slice(b)) => b.iter().map(|y| f(x, y)).collect(),
         (Lane::Scalar(x), Lane::Scalar(y)) => vec![f(x, y); n],
+    }
+}
+
+/// `f` over `n` positions of two string operands: once per dictionary entry
+/// against a scalar ([`by_entry`]), row by row through both dictionaries
+/// otherwise.
+fn strs(a: StrLane, b: StrLane, n: usize, f: impl Fn(&str, &str) -> bool) -> Vec<bool> {
+    use StrLane::{Dict, Scalar};
+    match (a, b) {
+        (Dict(dict, codes), Scalar(y)) => by_entry(dict, codes, |x| f(x, y)),
+        (Scalar(x), Dict(dict, codes)) => by_entry(dict, codes, |y| f(x, y)),
+        (Dict(dx, cx), Dict(dy, cy)) => {
+            (cx.iter().zip(cy)).map(|(&i, &j)| f(&dx[i as usize], &dy[j as usize])).collect()
+        }
+        (Scalar(x), Scalar(y)) => vec![f(x, y); n],
+    }
+}
+
+/// The test comparison `op` puts to an ordering.
+fn holds(op: BinaryOp) -> fn(Ordering) -> bool {
+    match op {
+        BinaryOp::Eq => Ordering::is_eq,
+        BinaryOp::NotEq => Ordering::is_ne,
+        BinaryOp::Lt => Ordering::is_lt,
+        BinaryOp::LtEq => Ordering::is_le,
+        BinaryOp::Gt => Ordering::is_gt,
+        BinaryOp::GtEq => Ordering::is_ge,
+        _ => unreachable!("comparison op"),
     }
 }
 
@@ -610,7 +653,10 @@ fn binary_kernel(l: &Operand, op: BinaryOp, r: &Operand, n: usize) -> Result<Col
         (Float(a), Int(b), true) => {
             ColumnData::Bool(compare(a, b, n, op, |x, y| cmp_int_float(*y, *x).reverse()))
         }
-        (Str(a), Str(b), true) => ColumnData::Bool(compare(a, b, n, op, Arc::<str>::cmp)),
+        (Str(a), Str(b), true) => {
+            let holds = holds(op);
+            ColumnData::Bool(strs(a, b, n, |x, y| holds(x.cmp(y))))
+        }
         (Int(a), Int(b), false) => {
             ColumnData::Int(arith((a, int), op, (b, int), n, valid.as_ref())?)
         }

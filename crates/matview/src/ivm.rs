@@ -119,7 +119,7 @@ impl Delta {
 /// `table` holding only its keys `ids`, renumbered `0..ids.len()` in order.
 fn keep_keys(table: &KeyTable, ids: &[u32]) -> KeyTable {
     let cols: Vec<Arc<Column>> = table.columns().map(|c| Arc::new(c.gather(ids))).collect();
-    let stored = cols.iter().map(|c| ColumnBuilder::like(c, ids.len())).collect();
+    let stored = cols.iter().map(|c| ColumnBuilder::like(c, ids.len()).readable()).collect();
     let mut kept = KeyTable::new(stored, ids.len());
     kept.intern_rows(&cols, ids.len(), false);
     kept
@@ -136,7 +136,7 @@ struct Interned {
 
 impl Interned {
     fn new(types: impl Iterator<Item = DataType>) -> Interned {
-        let stored = types.map(|ty| ColumnBuilder::new(ty, 0)).collect();
+        let stored = types.map(|ty| ColumnBuilder::new(ty, 0).readable()).collect();
         Interned { table: KeyTable::new(stored, 0), weights: Vec::new(), live: 0 }
     }
 
@@ -967,7 +967,7 @@ mod tests {
         state.apply(&deltas("crm.customers", rows), &[]).unwrap();
         let image = state.materialize().unwrap();
         assert!(matches!(image.column(0).data(), ColumnData::Int(_)));
-        assert!(matches!(image.column(1).data(), ColumnData::Str(_)));
+        assert!(matches!(image.column(1).data(), ColumnData::Str { .. }));
         assert_eq!(
             image.to_batch().rows(),
             &[row![3i64, Value::Null], row![5i64, "r0"], row![7i64, "r1"], row![7i64, "r1"]]

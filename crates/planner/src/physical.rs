@@ -160,6 +160,17 @@ pub enum PhysicalPlan {
 /// formats nothing per statement.
 macro_rules! operator_names {
     ($($kind:ident),* $(,)?) => {
+        /// How many operator kinds there are.
+        pub const KINDS: usize = [$(stringify!($kind)),*].len();
+
+        /// This operator's kind, `0..KINDS`, in the order they are listed.
+        pub fn kind(&self) -> usize {
+            enum Kind { $($kind),* }
+            match self {
+                $(PhysicalPlan::$kind { .. } => Kind::$kind as usize,)*
+            }
+        }
+
         /// Short operator name (stable across queries; used for metric names and
         /// operator profiles).
         pub fn label(&self) -> &'static str {

@@ -13,15 +13,22 @@
 //! selection, so a read copies no cell and an answer already handed out keeps
 //! the columns of the version it read — the next write builds new ones.
 //!
+//! A write interns each `Str` cell it stores: it swaps the cell for the
+//! table's one allocation of that text, hashing the string once. An image
+//! column's builder gives each allocation one dictionary entry, found by its
+//! address, so the image holds each live string once and building it hashes
+//! no string.
+//!
 //! Every column finds a binding list's rows in its *key index*, a
 //! [`KeyLists`] over its image column, built by the first bound read of the
 //! column after a mutation and dropped with the image; a key's rows come in
 //! slot order. Only the primary key (for the write path) and the statistics
 //! keep `Value`-keyed maps.
 
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use eii_data::keys::KeyLists;
+use eii_data::keys::{KeyHasher, KeyLists};
 use eii_data::{
     Column, ColumnBuilder, ColumnarBatch, EiiError, Result, Row, Schema, SchemaRef, SimClock,
     Value,
@@ -85,6 +92,9 @@ pub struct Table {
     /// column `c`, filled by the first bound read of it after a mutation;
     /// every mutation empties it.
     key_index: Vec<OnceLock<KeyLists>>,
+    /// One allocation of each string ever written, which every `Str` cell
+    /// stored with that text shares. Like the change log, it keeps them all.
+    strings: HashMap<Arc<str>, Arc<str>, KeyHasher>,
 }
 
 /// What a column read had to build: 0 of each on a warm read.
@@ -114,6 +124,7 @@ impl Table {
             stats_cache: OnceLock::new(),
             image,
             key_index,
+            strings: HashMap::default(),
         }
     }
 
@@ -149,6 +160,13 @@ impl Table {
         for (column, index) in self.image.iter_mut().zip(&mut self.key_index) {
             column.take();
             index.take();
+        }
+    }
+
+    /// Make a `Str` cell the table's allocation of its text.
+    fn intern(&mut self, v: &mut Value) {
+        if let Value::Str(s) = v {
+            *s = Arc::clone(self.strings.entry(Arc::clone(s)).or_insert_with(|| Arc::clone(s)));
         }
     }
 
@@ -194,6 +212,9 @@ impl Table {
                 )));
             }
         }
+        let mut values = row.into_values();
+        values.iter_mut().for_each(|v| self.intern(v));
+        let row = Row::new(values);
         let rid = match self.free.pop() {
             Some(rid) => {
                 self.slots[rid] = Some(row.clone());
@@ -255,7 +276,9 @@ impl Table {
         let old = old.clone();
         let mut new = old.clone();
         for (col, v) in assignments {
-            new.set(*col, v.clone());
+            let mut v = v.clone();
+            self.intern(&mut v);
+            new.set(*col, v);
         }
         self.check_row(&new)?;
         if let Some(pk_col) = self.def.primary_key {
@@ -370,7 +393,7 @@ impl Table {
     fn image_column(&self, c: usize, built: &mut usize) -> Arc<Column> {
         let build = || {
             *built += 1;
-            let mut b = ColumnBuilder::new(self.def.schema.field(c).data_type, self.live);
+            let mut b = ColumnBuilder::sharing(self.def.schema.field(c).data_type, self.live);
             self.iter().for_each(|(_, row)| b.push(row.get(c)));
             Arc::new(b.finish())
         };

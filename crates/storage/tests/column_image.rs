@@ -212,3 +212,59 @@ proptest! {
         prop_assert_eq!(lists.lookup(&list(&keys)), sweep);
     }
 }
+
+/// `(id, s)`, `s` a string column that may hold NULL.
+fn string_table() -> Table {
+    let schema = Arc::new(Schema::new(vec![
+        Field::new("id", DataType::Int).not_null(),
+        Field::new("s", DataType::Str),
+    ]));
+    Table::new(TableDef::new("strings", schema).with_primary_key(0), SimClock::new())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Strings are interned when written: after every insert and
+    /// `update_by_pk`, live cells of equal text share one allocation
+    /// (`Arc::ptr_eq`), whichever allocation each write brought; an image
+    /// column over k distinct live strings has a k-entry dictionary; and an
+    /// image read before a burst of writes answers the same rows after it,
+    /// while the next read answers the rows the burst left.
+    #[test]
+    fn strings_are_interned_when_written_and_an_image_lists_each_once(
+        bursts in proptest::collection::vec(
+            proptest::collection::vec((0i64..8, hazards::str_value(), any::<bool>()), 1..8),
+            1..6,
+        ),
+    ) {
+        let mut t = string_table();
+        let mut held: Option<(ColumnarBatch, Vec<Row>)> = None;
+        for burst in &bursts {
+            for (id, s, update) in burst {
+                if *update {
+                    let _ = t.update_by_pk(&Value::Int(*id), &[(1, s.clone())]);
+                } else {
+                    let _ = t.insert(Row::new(vec![Value::Int(*id), s.clone()]));
+                }
+            }
+            if let Some((batch, rows)) = &held {
+                prop_assert_eq!(&rows_of(batch), rows, "an image read before the burst");
+            }
+            let live: Vec<Arc<str>> = (t.all_rows().iter())
+                .filter_map(|r| match r.get(1) { Value::Str(s) => Some(Arc::clone(s)), _ => None })
+                .collect();
+            for a in &live {
+                for b in live.iter().filter(|b| b == &a) {
+                    prop_assert!(Arc::ptr_eq(a, b), "{:?} in two allocations", a);
+                }
+            }
+            let distinct = live.iter().collect::<std::collections::BTreeSet<_>>().len();
+            let (image, _) = t.scan_columns(&[0, 1], usize::MAX);
+            let (dict, _) = image.column(1).as_dict().expect("a Str column");
+            prop_assert!(dict.len() == distinct || (distinct == 0 && dict.len() <= 1), "{:?}", dict);
+            prop_assert_eq!(rows_of(&image), t.all_rows());
+            held = Some((image.clone(), rows_of(&image)));
+        }
+    }
+}
