@@ -5,7 +5,7 @@
 //! touches the simulation) and wall-clock time (budgeted under 5%).
 
 use eii::data::{EiiError, Result};
-use eii::exec::Executor;
+use eii::exec::{ExecMetrics, Executor};
 use eii::sql::{parse_statement, Statement};
 
 use crate::fedmark::FedMark;
@@ -43,14 +43,15 @@ pub fn e14_observability_overhead() -> Result<Report> {
         )?);
     }
 
+    // The handles into the registry, resolved once, as the facade does.
+    let metrics = ExecMetrics::from(sys.federation().metrics().clone());
     let run_pass = |instrument: bool| -> Result<f64> {
         let mut sim = 0.0;
         for _ in 0..REPS {
             sim = 0.0;
             for plan in &plans {
                 let exec = if instrument {
-                    Executor::new(sys.federation())
-                        .with_metrics(sys.federation().metrics().clone())
+                    Executor::new(sys.federation()).with_metrics(metrics.clone())
                 } else {
                     Executor::new(sys.federation()).without_instrumentation()
                 };
@@ -105,8 +106,7 @@ pub fn e14_observability_overhead() -> Result<Report> {
     sys.federation().ledger().reset();
     let mut latencies = Vec::with_capacity(plans.len());
     for plan in &plans {
-        let exec =
-            Executor::new(sys.federation()).with_metrics(sys.federation().metrics().clone());
+        let exec = Executor::new(sys.federation()).with_metrics(metrics.clone());
         latencies.push(exec.execute(plan)?.cost.sim_ms);
     }
     let bytes = sys.federation().ledger().total().bytes;

@@ -22,17 +22,13 @@
 //!   stored inline — correctness never depends on a column being typed.
 //!
 //! Strings are dictionary-encoded ([`ColumnData::Str`]): a shared
-//! `Arc<[Arc<str>]>` of strings plus one `u32` code per row. A gather, a
-//! selection's compaction and `concat` of chunks that share a dictionary copy
-//! codes and clone one `Arc` per column; the string kernels and the key hash
-//! evaluate once per dictionary entry and map the result by code
-//! ([`by_entry`]). A builder gives each *allocation* one entry, found by its
-//! address, so no string is hashed while a column is built: a store that
-//! interns its strings when they are written (`eii_storage`'s `Table`) gets
-//! image columns whose dictionaries hold each live string once. Correctness
-//! never depends on a dictionary being duplicate-free — a builder fed from
-//! rows may repeat an entry — and [`Column`]'s `==` compares strings, not
-//! codes.
+//! `Arc<[Arc<str>]>` of strings plus one `u32` code per row. Gathers and
+//! `concat` of chunks that share a dictionary copy codes and clone one `Arc`
+//! per column; string kernels and the key hash run once per dictionary entry
+//! ([`by_entry`]). No string is hashed to build a column: a store that interns
+//! its strings when written gets, from [`ColumnBuilder::sharing`], dictionaries
+//! holding each live string once. Correctness never depends on a dictionary
+//! being duplicate-free, and [`Column`]'s `==` compares strings, not codes.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -180,15 +176,10 @@ pub struct Column {
 /// row holds the same string, whatever their dictionaries and placeholders.
 impl PartialEq for Column {
     fn eq(&self, other: &Column) -> bool {
-        match (self.as_dict(), other.as_dict()) {
-            (Some((a, x)), Some((b, y))) => {
-                let live = |i: &usize| !self.is_null(*i);
-                self.nulls == other.nulls
-                    && x.len() == y.len()
-                    && (0..x.len()).filter(live).all(|i| a[x[i] as usize] == b[y[i] as usize])
-            }
-            _ => self.data == other.data && self.nulls == other.nulls,
-        }
+        let strs = self.as_dict().is_some() && other.as_dict().is_some();
+        let same = |i: usize| self.is_null(i) || self.value(i) == other.value(i);
+        self.nulls == other.nulls
+            && if strs { self.len() == other.len() && (0..self.len()).all(same) } else { self.data == other.data }
     }
 }
 
@@ -196,10 +187,9 @@ impl Column {
     /// Build from parts. The bitmap, when present, must match the data length.
     pub fn new(data: ColumnData, nulls: Option<NullBitmap>) -> Self {
         debug_assert!(nulls.as_ref().is_none_or(|n| n.len() == data.len()));
-        debug_assert!(match &data {
-            ColumnData::Str { dict, codes } => codes.iter().all(|&c| (c as usize) < dict.len()),
-            _ => true,
-        });
+        if let ColumnData::Str { dict, codes } = &data {
+            debug_assert!(codes.iter().all(|&c| (c as usize) < dict.len()));
+        }
         Column { data, nulls }
     }
 
@@ -223,10 +213,7 @@ impl Column {
             Value::Bool(b) => Column::new(ColumnData::Bool(vec![*b; len]), None),
             Value::Int(i) => Column::new(ColumnData::Int(vec![*i; len]), None),
             Value::Float(f) => Column::new(ColumnData::Float(vec![*f; len]), None),
-            Value::Str(s) => {
-                let dict = Arc::from([Arc::clone(s)]);
-                Column::new(ColumnData::Str { dict, codes: vec![0; len] }, None)
-            }
+            Value::Str(s) => Column::new(ColumnData::Str { dict: Arc::from([Arc::clone(s)]), codes: vec![0; len] }, None),
             Value::Timestamp(t) => Column::new(ColumnData::Timestamp(vec![*t; len]), None),
         }
     }
@@ -412,11 +399,7 @@ fn empty_str() -> Arc<str> {
 /// `f` of the string under every code: once per dictionary entry, mapped by
 /// code, when the dictionary is no larger than the codes; code by code
 /// through it otherwise.
-pub fn by_entry<T: Copy>(
-    dict: &[Arc<str>],
-    codes: &[u32],
-    mut f: impl FnMut(&Arc<str>) -> T,
-) -> Vec<T> {
+pub fn by_entry<T: Copy>(dict: &[Arc<str>], codes: &[u32], mut f: impl FnMut(&Arc<str>) -> T) -> Vec<T> {
     if dict.len() <= codes.len() {
         let per_entry: Vec<T> = dict.iter().map(&mut f).collect();
         codes.iter().map(|&c| per_entry[c as usize]).collect()
@@ -443,11 +426,10 @@ pub struct ColumnBuilder {
     /// A `Str` column's entries, when any were added: the dictionary's
     /// otherwise — taken whole from the first chunk appended, or empty.
     strs: Vec<Arc<str>>,
-    /// Keep the column's dictionary current as entries are added
-    /// ([`Self::readable`]).
+    /// The dictionary kept current as entries are added ([`Self::readable`]).
     mirror: bool,
     /// The entry of each allocation pushed, by address ([`Self::sharing`]).
-    by_address: Option<HashMap<usize, u32, KeyHasher>>,
+    by_address: Option<HashMap<u64, u32, KeyHasher>>,
 }
 
 /// Add `s` as a new entry and answer its code: pushed onto `strs` (the
@@ -474,8 +456,7 @@ fn add_entry(dict: &mut Arc<[Arc<str>]>, strs: &mut Vec<Arc<str>>, mirror: bool,
 
 impl ColumnBuilder {
     fn of(data: ColumnData) -> Self {
-        let column = Column { data, nulls: None };
-        ColumnBuilder { column, strs: Vec::new(), mirror: false, by_address: None }
+        ColumnBuilder { column: Column { data, nulls: None }, strs: Vec::new(), mirror: false, by_address: None }
     }
 
     /// An empty builder for a column declared `ty`, with room for `capacity`
@@ -485,11 +466,7 @@ impl ColumnBuilder {
             DataType::Bool => ColumnData::Bool(Vec::with_capacity(capacity)),
             DataType::Int => ColumnData::Int(Vec::with_capacity(capacity)),
             DataType::Float => ColumnData::Float(Vec::with_capacity(capacity)),
-            DataType::Str => {
-                let codes = Vec::with_capacity(capacity);
-                let strs = Vec::with_capacity(capacity);
-                return ColumnBuilder { strs, ..ColumnBuilder::of(ColumnData::Str { dict: Arc::default(), codes }) };
-            }
+            DataType::Str => ColumnData::Str { dict: Arc::default(), codes: Vec::with_capacity(capacity) },
             DataType::Timestamp => ColumnData::Timestamp(Vec::with_capacity(capacity)),
         })
     }
@@ -507,24 +484,16 @@ impl ColumnBuilder {
         }
     }
 
-    /// [`Self::new`], pushed `Str` cells that share an allocation sharing one
-    /// entry, found by its address (the dictionary keeps every allocation it
-    /// lists alive, so no address is reused): the column of a store that
-    /// interns its strings holds each distinct one once, and no string is
-    /// hashed to build it.
+    /// [`Self::new`], `Str` cells pushed in one allocation sharing one entry,
+    /// found by address (the dictionary keeps what it lists alive, so no
+    /// address is reused): an interning store's column lists each string once.
     pub fn sharing(ty: DataType, capacity: usize) -> Self {
         ColumnBuilder { by_address: Some(HashMap::default()), ..ColumnBuilder::new(ty, capacity) }
     }
 
-    /// This builder, its [`Self::column`] current after every push: a `Str`
-    /// column's dictionary grows with room, for a key table whose keys are
-    /// read while it grows.
-    pub fn readable(mut self) -> Self {
-        if let ColumnData::Str { dict, .. } = &mut self.column.data {
-            if !self.strs.is_empty() {
-                *dict = self.strs.clone().into();
-            }
-        }
+    /// This empty builder, its [`Self::column`] current after every push: a
+    /// `Str` dictionary grows with room, for a key table read as it grows.
+    pub fn readable(self) -> Self {
         ColumnBuilder { mirror: true, ..self }
     }
 
@@ -538,9 +507,7 @@ impl ColumnBuilder {
     /// of `b`, a `Str` cell read from the entries as they were added: a key
     /// table's probe needs no readable builder.
     pub fn cmp_cell(&self, i: usize, b: &Column, j: usize) -> Ordering {
-        let ColumnData::Str { codes, .. } = &self.column.data else {
-            return cells_cmp(&self.column, i, b, j);
-        };
+        let ColumnData::Str { codes, .. } = &self.column.data else { return cells_cmp(&self.column, i, b, j) };
         if self.strs.is_empty() {
             return cells_cmp(&self.column, i, b, j);
         }
@@ -553,15 +520,21 @@ impl ColumnBuilder {
 
     /// The column built so far.
     pub fn finish(mut self) -> Column {
+        self.settle();
+        self.column
+    }
+
+    /// Move a `Str` column's added entries into its dictionary, which gains
+    /// the placeholder the NULLs' code 0 needs when it has no entry.
+    fn settle(&mut self) {
         if let ColumnData::Str { dict, codes } = &mut self.column.data {
             if self.strs.is_empty() && dict.is_empty() && !codes.is_empty() {
                 self.strs.push(empty_str());
             }
             if !self.strs.is_empty() {
-                *dict = self.strs.into();
+                *dict = std::mem::take(&mut self.strs).into();
             }
         }
-        self.column
     }
 
     /// Record whether the position just appended to a typed vector is NULL;
@@ -581,11 +554,7 @@ impl ColumnBuilder {
 
     /// Re-house the values so far as inline [`Value`]s.
     fn degrade(&mut self) {
-        if let ColumnData::Str { dict, .. } = &mut self.column.data {
-            if !self.strs.is_empty() {
-                *dict = std::mem::take(&mut self.strs).into();
-            }
-        }
+        self.settle();
         let values = (0..self.column.len()).map(|i| self.column.value(i)).collect();
         self.column = Column {
             data: ColumnData::Mixed(values),
@@ -603,7 +572,7 @@ impl ColumnBuilder {
             (ColumnData::Float(d), Value::Float(f)) => d.push(*f),
             (ColumnData::Str { dict, codes }, Value::Str(s)) => codes.push(match by_address {
                 Some(seen) => *seen
-                    .entry(Arc::as_ptr(s) as *const u8 as usize)
+                    .entry(Arc::as_ptr(s) as *const u8 as u64)
                     .or_insert_with(|| add_entry(dict, strs, *mirror, s)),
                 None => add_entry(dict, strs, *mirror, s),
             }),
@@ -641,8 +610,8 @@ impl ColumnBuilder {
             (ColumnData::Str { dict, codes }, ColumnData::Str { dict: from, codes: more }) => {
                 if codes.is_empty() && strs.is_empty() {
                     *dict = Arc::clone(from);
-                    codes.extend_from_slice(more);
-                } else if Arc::ptr_eq(dict, from) {
+                }
+                if Arc::ptr_eq(dict, from) {
                     codes.extend_from_slice(more);
                 } else {
                     codes.extend(by_entry(from, more, |s| add_entry(dict, strs, *mirror, s)));

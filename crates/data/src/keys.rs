@@ -195,14 +195,10 @@ pub fn cells_cmp(a: &Column, i: usize, b: &Column, j: usize) -> Ordering {
         (Float(x), Float(y)) => x[i].total_cmp(&y[j]),
         (Int(x), Float(y)) => cmp_int_float(x[i], y[j]),
         (Float(x), Int(y)) => cmp_int_float(y[j], x[i]).reverse(),
-        (Str { dict: x, codes: cx }, Str { dict: y, codes: cy }) => {
-            let (a, b) = (cx[i], cy[j]);
-            if a == b && Arc::ptr_eq(x, y) {
-                Ordering::Equal
-            } else {
-                x[a as usize].cmp(&y[b as usize])
-            }
+        (Str { dict: x, codes: cx }, Str { dict: y, codes: cy }) if cx[i] == cy[j] && Arc::ptr_eq(x, y) => {
+            Ordering::Equal
         }
+        (Str { dict: x, codes: cx }, Str { dict: y, codes: cy }) => x[cx[i] as usize].cmp(&y[cy[j] as usize]),
         (Mixed(x), Mixed(y)) => x[i].cmp(&y[j]),
         // A Mixed column against a typed one, or typed columns of two types.
         _ => a.value(i).cmp(&b.value(j)),

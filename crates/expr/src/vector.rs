@@ -508,19 +508,6 @@ fn strs(a: StrLane, b: StrLane, n: usize, f: impl Fn(&str, &str) -> bool) -> Vec
     }
 }
 
-/// The test comparison `op` puts to an ordering.
-fn holds(op: BinaryOp) -> fn(Ordering) -> bool {
-    match op {
-        BinaryOp::Eq => Ordering::is_eq,
-        BinaryOp::NotEq => Ordering::is_ne,
-        BinaryOp::Lt => Ordering::is_lt,
-        BinaryOp::LtEq => Ordering::is_le,
-        BinaryOp::Gt => Ordering::is_gt,
-        BinaryOp::GtEq => Ordering::is_ge,
-        _ => unreachable!("comparison op"),
-    }
-}
-
 fn compare<A, B>(
     a: Lane<A>,
     b: Lane<B>,
@@ -653,10 +640,14 @@ fn binary_kernel(l: &Operand, op: BinaryOp, r: &Operand, n: usize) -> Result<Col
         (Float(a), Int(b), true) => {
             ColumnData::Bool(compare(a, b, n, op, |x, y| cmp_int_float(*y, *x).reverse()))
         }
-        (Str(a), Str(b), true) => {
-            let holds = holds(op);
-            ColumnData::Bool(strs(a, b, n, |x, y| holds(x.cmp(y))))
-        }
+        (Str(a), Str(b), true) => ColumnData::Bool(strs(a, b, n, |x, y| match op {
+            BinaryOp::Eq => x == y,
+            BinaryOp::NotEq => x != y,
+            BinaryOp::Lt => x < y,
+            BinaryOp::LtEq => x <= y,
+            BinaryOp::Gt => x > y,
+            _ => x >= y,
+        })),
         (Int(a), Int(b), false) => {
             ColumnData::Int(arith((a, int), op, (b, int), n, valid.as_ref())?)
         }

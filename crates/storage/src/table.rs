@@ -13,11 +13,8 @@
 //! selection, so a read copies no cell and an answer already handed out keeps
 //! the columns of the version it read — the next write builds new ones.
 //!
-//! A write interns each `Str` cell it stores: it swaps the cell for the
-//! table's one allocation of that text, hashing the string once. An image
-//! column's builder gives each allocation one dictionary entry, found by its
-//! address, so the image holds each live string once and building it hashes
-//! no string.
+//! A write interns each `Str` cell it stores, hashing it once, so an image
+//! column (built by `ColumnBuilder::sharing`) lists each live string once.
 //!
 //! Every column finds a binding list's rows in its *key index*, a
 //! [`KeyLists`] over its image column, built by the first bound read of the
@@ -92,8 +89,7 @@ pub struct Table {
     /// column `c`, filled by the first bound read of it after a mutation;
     /// every mutation empties it.
     key_index: Vec<OnceLock<KeyLists>>,
-    /// One allocation of each string ever written, which every `Str` cell
-    /// stored with that text shares. Like the change log, it keeps them all.
+    /// Every string written, once: each stored `Str` cell is its allocation.
     strings: HashMap<Arc<str>, Arc<str>, KeyHasher>,
 }
 
@@ -163,10 +159,11 @@ impl Table {
         }
     }
 
-    /// Make a `Str` cell the table's allocation of its text.
-    fn intern(&mut self, v: &mut Value) {
-        if let Value::Str(s) = v {
-            *s = Arc::clone(self.strings.entry(Arc::clone(s)).or_insert_with(|| Arc::clone(s)));
+    /// `v`, a `Str` cell as the table's allocation of its text.
+    fn intern(&mut self, v: Value) -> Value {
+        match v {
+            Value::Str(s) => Value::Str(Arc::clone(self.strings.entry(Arc::clone(&s)).or_insert(s))),
+            v => v,
         }
     }
 
@@ -212,9 +209,7 @@ impl Table {
                 )));
             }
         }
-        let mut values = row.into_values();
-        values.iter_mut().for_each(|v| self.intern(v));
-        let row = Row::new(values);
+        let row = Row::new(row.into_values().into_iter().map(|v| self.intern(v)).collect());
         let rid = match self.free.pop() {
             Some(rid) => {
                 self.slots[rid] = Some(row.clone());
@@ -276,9 +271,7 @@ impl Table {
         let old = old.clone();
         let mut new = old.clone();
         for (col, v) in assignments {
-            let mut v = v.clone();
-            self.intern(&mut v);
-            new.set(*col, v);
+            new.set(*col, self.intern(v.clone()));
         }
         self.check_row(&new)?;
         if let Some(pk_col) = self.def.primary_key {
