@@ -209,7 +209,8 @@ impl Table {
                 )));
             }
         }
-        let row = Row::new(row.into_values().into_iter().map(|v| self.intern(v)).collect());
+        let strings = row.values().iter().any(|v| matches!(v, Value::Str(_)));
+        let row = if strings { Row::new(row.into_values().into_iter().map(|v| self.intern(v)).collect()) } else { row };
         let rid = match self.free.pop() {
             Some(rid) => {
                 self.slots[rid] = Some(row.clone());
