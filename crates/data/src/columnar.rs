@@ -323,7 +323,12 @@ impl Column {
             ColumnData::Timestamp(v) => take!(Timestamp, v),
             ColumnData::Mixed(v) => take!(Mixed, v),
         };
-        let nulls = self.nulls.as_ref().map(|old| {
+        Column::new(data, self.gather_nulls(sel))
+    }
+
+    /// The null bitmap of [`Self::gather`]`(sel)`.
+    fn gather_nulls(&self, sel: &[u32]) -> Option<NullBitmap> {
+        self.nulls.as_ref().map(|old| {
             let mut n = NullBitmap::new_valid(sel.len());
             for (out, &i) in sel.iter().enumerate() {
                 if old.is_null(i as usize) {
@@ -331,8 +336,7 @@ impl Column {
                 }
             }
             n
-        });
-        Column::new(data, nulls)
+        })
     }
 
     /// [`Self::gather`] with an absent-row sentinel: positions equal to
@@ -418,45 +422,30 @@ pub fn by_entry<T: Copy>(dict: &[Arc<str>], codes: &[u32], mut f: impl FnMut(&Ar
 /// that variant — "Mixed once means Mixed forever" is the shape of the match,
 /// not a flag beside it. A `Str` column's new dictionary entries collect in a
 /// vector that [`Self::finish`] moves into the dictionary, so a push clones
-/// one `Arc`; a builder read while it grows ([`Self::readable`]) mirrors
-/// them.
+/// one `Arc`; a builder read while it grows (a key table's) reads them there.
 #[derive(Debug)]
 pub struct ColumnBuilder {
     column: Column,
     /// A `Str` column's entries, when any were added: the dictionary's
     /// otherwise — taken whole from the first chunk appended, or empty.
     strs: Vec<Arc<str>>,
-    /// The dictionary kept current as entries are added ([`Self::readable`]).
-    mirror: bool,
     /// The entry of each allocation pushed, by address ([`Self::sharing`]).
     by_address: Option<HashMap<u64, u32, KeyHasher>>,
 }
 
-/// Add `s` as a new entry and answer its code: pushed onto `strs` (the
-/// dictionary's entries copied there first), and, when `mirror`, written into
-/// the dictionary too, which grows twofold, its room filled with `s`.
-fn add_entry(dict: &mut Arc<[Arc<str>]>, strs: &mut Vec<Arc<str>>, mirror: bool, s: &Arc<str>) -> u32 {
+/// Add `s` as a new entry and answer its code: pushed onto `strs`, the
+/// dictionary's entries copied there first.
+fn add_entry(dict: &[Arc<str>], strs: &mut Vec<Arc<str>>, s: &Arc<str>) -> u32 {
     if strs.is_empty() {
         strs.extend_from_slice(dict);
     }
     strs.push(Arc::clone(s));
-    let at = strs.len() - 1;
-    if mirror {
-        match Arc::get_mut(dict).filter(|room| at < room.len()) {
-            Some(room) => room[at] = Arc::clone(s),
-            None => {
-                let mut grown = strs.clone();
-                grown.resize(2 * strs.len().max(4), Arc::clone(s));
-                *dict = grown.into();
-            }
-        }
-    }
-    at as u32
+    (strs.len() - 1) as u32
 }
 
 impl ColumnBuilder {
     fn of(data: ColumnData) -> Self {
-        ColumnBuilder { column: Column { data, nulls: None }, strs: Vec::new(), mirror: false, by_address: None }
+        ColumnBuilder { column: Column { data, nulls: None }, strs: Vec::new(), by_address: None }
     }
 
     /// An empty builder for a column declared `ty`, with room for `capacity`
@@ -491,30 +480,53 @@ impl ColumnBuilder {
         ColumnBuilder { by_address: Some(HashMap::default()), ..ColumnBuilder::new(ty, capacity) }
     }
 
-    /// This empty builder, its [`Self::column`] current after every push: a
-    /// `Str` dictionary grows with room, for a key table read as it grows.
-    pub fn readable(self) -> Self {
-        ColumnBuilder { mirror: true, ..self }
+    /// Number of values so far.
+    pub(crate) fn len(&self) -> usize {
+        self.column.len()
     }
 
-    /// The column built so far, by reference; a `Str` column's dictionary is
-    /// current only in a [`Self::readable`] builder.
-    pub fn column(&self) -> &Column {
-        &self.column
+    /// True when no value so far is NULL.
+    pub(crate) fn no_nulls(&self) -> bool {
+        self.column.no_nulls()
+    }
+
+    /// The typed storage so far, for a key table's `Int` paths: a `Str`
+    /// column's cells are read through [`Self::value`].
+    pub(crate) fn data(&self) -> &ColumnData {
+        &self.column.data
+    }
+
+    /// Value `i` so far.
+    pub(crate) fn value(&self, i: usize) -> Value {
+        match &self.column.data {
+            ColumnData::Str { codes, .. } if !self.strs.is_empty() && !self.column.is_null(i) => {
+                Value::Str(Arc::clone(&self.strs[codes[i] as usize]))
+            }
+            _ => self.column.value(i),
+        }
+    }
+
+    /// [`Column::gather`] of the column built so far.
+    pub(crate) fn gather(&self, sel: &[u32]) -> Column {
+        let ColumnData::Str { dict, codes } = &self.column.data else { return self.column.gather(sel) };
+        let dict = match &self.strs[..] {
+            [] if dict.is_empty() => Arc::from([empty_str()]),
+            [] => Arc::clone(dict),
+            strs => strs.into(),
+        };
+        let codes = sel.iter().map(|&i| codes[i as usize]).collect();
+        Column::new(ColumnData::Str { dict, codes }, self.column.gather_nulls(sel))
     }
 
     /// [`cells_cmp`] of cell `i` of the column built so far against cell `j`
-    /// of `b`, a `Str` cell read from the entries as they were added: a key
-    /// table's probe needs no readable builder.
-    pub fn cmp_cell(&self, i: usize, b: &Column, j: usize) -> Ordering {
-        let ColumnData::Str { codes, .. } = &self.column.data else { return cells_cmp(&self.column, i, b, j) };
-        if self.strs.is_empty() {
-            return cells_cmp(&self.column, i, b, j);
-        }
-        let cell = (!self.column.is_null(i)).then(|| &self.strs[codes[i] as usize]);
-        match (cell, b.as_dict()) {
-            (Some(x), Some((dict, at))) if !b.is_null(j) => x.cmp(&dict[at[j] as usize]),
-            (x, _) => x.map_or(Value::Null, |s| Value::Str(Arc::clone(s))).cmp(&b.value(j)),
+    /// of `b`, two strings compared in place.
+    pub(crate) fn cmp_cell(&self, i: usize, b: &Column, j: usize) -> Ordering {
+        match (&self.column.data, b.as_dict()) {
+            _ if self.strs.is_empty() => cells_cmp(&self.column, i, b, j),
+            (ColumnData::Str { codes, .. }, Some((dict, at))) if !self.column.is_null(i) && !b.is_null(j) => {
+                self.strs[codes[i] as usize].cmp(&dict[at[j] as usize])
+            }
+            _ => self.value(i).cmp(&b.value(j)),
         }
     }
 
@@ -564,7 +576,7 @@ impl ColumnBuilder {
 
     /// Append one value.
     pub fn push(&mut self, v: &Value) {
-        let ColumnBuilder { column, strs, mirror, by_address } = self;
+        let ColumnBuilder { column, strs, by_address } = self;
         match (&mut column.data, v) {
             (ColumnData::Mixed(d), v) => return d.push(v.clone()),
             (ColumnData::Bool(d), Value::Bool(b)) => d.push(*b),
@@ -573,21 +585,16 @@ impl ColumnBuilder {
             (ColumnData::Str { dict, codes }, Value::Str(s)) => codes.push(match by_address {
                 Some(seen) => *seen
                     .entry(Arc::as_ptr(s) as *const u8 as u64)
-                    .or_insert_with(|| add_entry(dict, strs, *mirror, s)),
-                None => add_entry(dict, strs, *mirror, s),
+                    .or_insert_with(|| add_entry(dict, strs, s)),
+                None => add_entry(dict, strs, s),
             }),
             (ColumnData::Timestamp(d), Value::Timestamp(t)) => d.push(*t),
             (ColumnData::Bool(d), Value::Null) => d.push(false),
             (ColumnData::Int(d) | ColumnData::Timestamp(d), Value::Null) => d.push(0),
             (ColumnData::Float(d), Value::Null) => d.push(0.0),
-            // Code 0 under a NULL: the first entry, which a readable builder
-            // adds now and any other when it finishes with none.
-            (ColumnData::Str { dict, codes }, Value::Null) => {
-                if *mirror && strs.is_empty() && dict.is_empty() {
-                    add_entry(dict, strs, true, &empty_str());
-                }
-                codes.push(0)
-            }
+            // Code 0 under a NULL: the first entry, or the placeholder
+            // `finish` adds when there is none.
+            (ColumnData::Str { codes, .. }, Value::Null) => codes.push(0),
             _ => {
                 self.degrade();
                 return self.push(v);
@@ -600,7 +607,7 @@ impl ColumnBuilder {
     /// representation.
     pub fn append(&mut self, src: &Column) {
         let old_len = self.column.len();
-        let ColumnBuilder { column, strs, mirror, .. } = self;
+        let ColumnBuilder { column, strs, .. } = self;
         match (&mut column.data, &src.data) {
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
             (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
@@ -614,7 +621,7 @@ impl ColumnBuilder {
                 if Arc::ptr_eq(dict, from) {
                     codes.extend_from_slice(more);
                 } else {
-                    codes.extend(by_entry(from, more, |s| add_entry(dict, strs, *mirror, s)));
+                    codes.extend(by_entry(from, more, |s| add_entry(dict, strs, s)));
                 }
             }
             (ColumnData::Timestamp(a), ColumnData::Timestamp(b)) => a.extend_from_slice(b),
@@ -1135,15 +1142,15 @@ mod tests {
             for (c, f) in schema().fields().iter().enumerate() {
                 let values: Vec<Value> = rows.iter().map(|r| r.get(c).clone()).collect();
                 let built = Column::from_values(&values, f.data_type);
-                // Compared as rendered — a NaN cell must equal itself, which
-                // `==` on a float vector denies — by representation, NULLs
-                // and cells, whatever a dictionary holds.
+                // Compared as rendered: a NaN cell must equal itself, which
+                // `==` on a float vector denies. A dictionary's entries are
+                // not its rows, so a `Str` column is compared by `==`.
                 let reference = reference_from_values(&values, f.data_type);
-                let render = |c: &Column| {
-                    let cells: Vec<Value> = (0..c.len()).map(|i| c.value(i)).collect();
-                    format!("{:?} {:?} {cells:?}", std::mem::discriminant(c.data()), c.nulls())
-                };
-                prop_assert_eq!(render(&built), render(&reference));
+                if built.as_dict().is_some() {
+                    prop_assert!(reference.as_dict().is_some() && built == reference);
+                } else {
+                    prop_assert_eq!(format!("{built:?}"), format!("{reference:?}"));
+                }
                 // Appending chunk to chunk is pushing value by value.
                 let (head, tail) = values.split_at(split.min(values.len()));
                 let head = Column::from_values(head, f.data_type);
@@ -1166,6 +1173,31 @@ mod tests {
             let picked = ColumnarBatch::from_rows(narrow, &[2, 0], batch.rows()).to_batch();
             let want: Vec<Row> = batch.rows().iter().map(|r| r.project(&[2, 0])).collect();
             prop_assert_eq!(picked.rows(), &want[..]);
+        }
+
+        /// A builder read while it grows, as a key table's is, answers the
+        /// cells so far: a `Str` column's staged entries and NULLs included.
+        #[test]
+        fn a_builder_read_while_it_grows_answers_its_cells(
+            rows in hazard_rows(),
+            split in 0usize..20,
+        ) {
+            for (c, f) in schema().fields().iter().enumerate() {
+                let values: Vec<Value> = rows.iter().map(|r| r.get(c).clone()).collect();
+                let (head, tail) = values.split_at(split.min(values.len()));
+                let mut b = ColumnBuilder::new(f.data_type, 0);
+                b.append(&Column::from_values(head, f.data_type));
+                for (n, v) in (head.len() + 1..).zip(tail) {
+                    b.push(v);
+                    let back: Vec<u32> = (0..n as u32).rev().collect();
+                    let gathered = b.gather(&back);
+                    prop_assert_eq!(gathered.len(), n);
+                    for (j, v) in values[..n].iter().enumerate() {
+                        prop_assert_eq!(&b.value(j), v);
+                        prop_assert_eq!(&gathered.value(n - 1 - j), v);
+                    }
+                }
+            }
         }
     }
 

@@ -226,7 +226,7 @@ struct Cells<'c>(&'c [Arc<Column>]);
 impl KeyEq for RawInts<'_> {
     #[inline(always)]
     fn same(&self, keys: &[ColumnBuilder], id: usize, row: usize) -> bool {
-        keys.iter().zip(&self.0).all(|(k, y)| match k.column().data() {
+        keys.iter().zip(&self.0).all(|(k, y)| match k.data() {
             ColumnData::Int(x) | ColumnData::Timestamp(x) => x[id] == y[row],
             _ => unreachable!("a NULL-free Int vector stays one while Ints are interned"),
         })
@@ -242,7 +242,7 @@ impl KeyEq for Cells<'_> {
 /// `col`'s raw vector, when it is of `key`'s variant, `Int` or `Timestamp`:
 /// what a direct index reads.
 fn same_ints<'c>(key: &ColumnBuilder, col: &'c Column) -> Option<&'c [i64]> {
-    match (key.column().data(), col.data()) {
+    match (key.data(), col.data()) {
         (ColumnData::Int(_), ColumnData::Int(v)) => Some(v),
         (ColumnData::Timestamp(_), ColumnData::Timestamp(v)) => Some(v),
         _ => None,
@@ -291,7 +291,7 @@ impl KeyTable {
     /// column), with room for `capacity` distinct keys before it regrows.
     pub fn new(keys: Vec<ColumnBuilder>, capacity: usize) -> Self {
         match &keys[..] {
-            [key] if same_ints(key, key.column()).is_some() => {
+            [key] if matches!(key.data(), ColumnData::Int(_) | ColumnData::Timestamp(_)) => {
                 KeyTable { keys, direct: Some((0, Vec::new())), hashes: Vec::new(), slots: Vec::new() }
             }
             _ => KeyTable::hashed(keys, capacity),
@@ -306,7 +306,8 @@ impl KeyTable {
 
     /// The stored keys interned afresh by a hashed table: the same ids.
     fn hashed_copy(&self) -> Self {
-        let stored: Vec<Arc<Column>> = self.columns().map(|c| Arc::new(c.clone())).collect();
+        let all: Vec<u32> = (0..self.len() as u32).collect();
+        let stored: Vec<Arc<Column>> = self.gather(&all).map(Arc::new).collect();
         let keys = stored.iter().map(|c| ColumnBuilder::like(c, c.len())).collect();
         let mut copy = KeyTable::hashed(keys, self.len());
         copy.intern_rows(&stored, self.len(), false);
@@ -315,7 +316,7 @@ impl KeyTable {
 
     /// Number of distinct keys interned.
     pub fn len(&self) -> usize {
-        self.direct.as_ref().map_or(self.hashes.len(), |_| self.keys[0].column().len())
+        self.direct.as_ref().map_or(self.hashes.len(), |_| self.keys[0].len())
     }
 
     /// Whether no key is interned.
@@ -331,9 +332,7 @@ impl KeyTable {
     /// raw `i64`s, when [`RawInts`]' condition holds; `Err`, [`Cells`],
     /// otherwise (the module doc's rule).
     fn equality<'c>(&self, cols: &'c [Arc<Column>]) -> Result<RawInts<'c>, Cells<'c>> {
-        let plain = (cols.iter().map(|c| &**c))
-            .chain(self.keys.iter().map(ColumnBuilder::column))
-            .all(Column::no_nulls);
+        let plain = cols.iter().all(|c| c.no_nulls()) && self.keys.iter().all(ColumnBuilder::no_nulls);
         let ints = (self.keys.iter().zip(cols))
             .map(|(key, col)| same_ints(key, col).filter(|_| plain))
             .collect::<Option<_>>();
@@ -387,7 +386,7 @@ impl KeyTable {
         let mut live = (0..n).filter(|&row| !null(row)).map(|row| vals[row]);
         let range = live.next().map(|first| live.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))));
         // The span budget: four values per key stored or arriving, plus 1 024.
-        let budget = 4 * (key.column().len() + n) as i128 + 1024;
+        let budget = 4 * (key.len() + n) as i128 + 1024;
         if range.is_some_and(|(lo, hi)| !cover(base, ids, lo, hi, budget)) {
             return None;
         }
@@ -397,7 +396,7 @@ impl KeyTable {
             }
             let id = &mut ids[v.wrapping_sub(*base) as usize];
             if *id == NO_KEY {
-                *id = key.column().len() as u32;
+                *id = key.len() as u32;
                 key.push(&cols[0].value(row));
             }
             *id
@@ -454,7 +453,8 @@ impl KeyTable {
         let mut cells = KeyTable::hashed(vec![ColumnBuilder::like(&cols[0], n)], n);
         let ids = cells.intern_rows(cols, n, true);
         let mut stored_id = vec![NO_KEY; cells.len()];
-        let found = cells.find_rows(&[Arc::new(self.keys[0].column().clone())], self.len());
+        let all: Vec<u32> = (0..self.len() as u32).collect();
+        let found = cells.find_rows(&[Arc::new(self.keys[0].gather(&all))], self.len());
         for (id, &cell) in found.iter().enumerate().filter(|(_, &cell)| cell != NO_KEY) {
             stored_id[cell as usize] = id as u32;
         }
@@ -488,11 +488,14 @@ impl KeyTable {
         id
     }
 
-    /// The distinct keys so far, one column per key column, key `id` at row
-    /// `id`; a `Str` key column is current when its builder was made
-    /// [`ColumnBuilder::readable`].
-    pub fn columns(&self) -> impl Iterator<Item = &Column> {
-        self.keys.iter().map(ColumnBuilder::column)
+    /// Key `id`, one cell per key column.
+    pub fn key(&self, id: usize) -> impl Iterator<Item = Value> + '_ {
+        self.keys.iter().map(move |k| k.value(id))
+    }
+
+    /// The keys `ids` as columns, one per key column, key `ids[i]` at row `i`.
+    pub fn gather<'a>(&'a self, ids: &'a [u32]) -> impl Iterator<Item = Column> + 'a {
+        self.keys.iter().map(move |k| k.gather(ids))
     }
 
     /// The distinct keys as columns, key `id` at row `id`.
@@ -860,7 +863,8 @@ mod tests {
                 let ids = own.intern_rows(&col, n, *skip_nulls);
                 prop_assert_eq!(&ids, &pinned.intern_rows(&col, n, *skip_nulls), "chunk {}", k);
                 prop_assert_eq!(own.len(), pinned.len());
-                let keys = |table: &KeyTable| format!("{:?}", table.columns().collect::<Vec<_>>());
+                let all: Vec<u32> = (0..own.len() as u32).collect();
+                let keys = |table: &KeyTable| format!("{:?}", table.gather(&all).collect::<Vec<_>>());
                 prop_assert_eq!(keys(&own), keys(&pinned), "chunk {}", k);
                 prop_assert_eq!(found(&own), found(&pinned), "after chunk {}", k);
             }

@@ -118,8 +118,8 @@ impl Delta {
 
 /// `table` holding only its keys `ids`, renumbered `0..ids.len()` in order.
 fn keep_keys(table: &KeyTable, ids: &[u32]) -> KeyTable {
-    let cols: Vec<Arc<Column>> = table.columns().map(|c| Arc::new(c.gather(ids))).collect();
-    let stored = cols.iter().map(|c| ColumnBuilder::like(c, ids.len()).readable()).collect();
+    let cols: Vec<Arc<Column>> = table.gather(ids).map(Arc::new).collect();
+    let stored = cols.iter().map(|c| ColumnBuilder::like(c, ids.len())).collect();
     let mut kept = KeyTable::new(stored, ids.len());
     kept.intern_rows(&cols, ids.len(), false);
     kept
@@ -136,7 +136,7 @@ struct Interned {
 
 impl Interned {
     fn new(types: impl Iterator<Item = DataType>) -> Interned {
-        let stored = types.map(|ty| ColumnBuilder::new(ty, 0).readable()).collect();
+        let stored = types.map(|ty| ColumnBuilder::new(ty, 0)).collect();
         Interned { table: KeyTable::new(stored, 0), weights: Vec::new(), live: 0 }
     }
 
@@ -217,7 +217,7 @@ impl JoinSide {
         let weights = at.iter().zip(&ids).map(weight).collect();
         let fresh = delta.batch.select(at).compact();
         let fresh = fresh.columns().iter().cloned();
-        let held = self.rows.table.columns().map(|c| Arc::new(c.gather(&ids)));
+        let held = self.rows.table.gather(&ids).map(Arc::new);
         let cols = if left { fresh.chain(held).collect() } else { held.chain(fresh).collect() };
         Delta { batch: ColumnarBatch::new(Arc::clone(schema), cols, ids.len()), weights }
     }
@@ -419,7 +419,7 @@ fn eval_columns(exprs: &[BoundExpr], batch: &ColumnarBatch) -> Result<Vec<Arc<Co
 
 /// Group `g`'s output row: its key, then each aggregate's value.
 fn group_row(groups: &Interned, aggs: &[GroupedAgg], g: u32) -> Row {
-    let key = groups.table.columns().map(|c| c.value(g as usize));
+    let key = groups.table.key(g as usize);
     Row::new(key.chain(aggs.iter().map(|a| a.value(g as usize))).collect())
 }
 

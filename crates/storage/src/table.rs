@@ -160,10 +160,10 @@ impl Table {
     }
 
     /// `v`, a `Str` cell as the table's allocation of its text.
-    fn intern(&mut self, v: Value) -> Value {
+    fn intern(&mut self, v: &Value) -> Value {
         match v {
-            Value::Str(s) => Value::Str(Arc::clone(self.strings.entry(Arc::clone(&s)).or_insert(s))),
-            v => v,
+            Value::Str(s) => Value::Str(Arc::clone(self.strings.entry(Arc::clone(s)).or_insert_with(|| Arc::clone(s)))),
+            v => v.clone(),
         }
     }
 
@@ -198,7 +198,7 @@ impl Table {
 
     /// Insert a row, enforcing width, types, not-null, and primary-key
     /// uniqueness.
-    pub fn insert(&mut self, row: Row) -> Result<RowId> {
+    pub fn insert(&mut self, mut row: Row) -> Result<RowId> {
         self.check_row(&row)?;
         if let (Some(pk_col), Some(ix)) = (self.def.primary_key, &self.pk_index) {
             let key = row.get(pk_col);
@@ -209,8 +209,10 @@ impl Table {
                 )));
             }
         }
-        let strings = row.values().iter().any(|v| matches!(v, Value::Str(_)));
-        let row = if strings { Row::new(row.into_values().into_iter().map(|v| self.intern(v)).collect()) } else { row };
+        for i in 0..row.len() {
+            let v = self.intern(row.get(i));
+            row.set(i, v);
+        }
         let rid = match self.free.pop() {
             Some(rid) => {
                 self.slots[rid] = Some(row.clone());
@@ -272,7 +274,7 @@ impl Table {
         let old = old.clone();
         let mut new = old.clone();
         for (col, v) in assignments {
-            new.set(*col, self.intern(v.clone()));
+            new.set(*col, self.intern(v));
         }
         self.check_row(&new)?;
         if let Some(pk_col) = self.def.primary_key {
