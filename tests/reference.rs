@@ -378,7 +378,7 @@ impl Statement {
     }
 }
 
-const SHAPES: usize = 28;
+const SHAPES: usize = 29;
 
 fn statement(shape: usize, pred: &str, k: i64) -> Statement {
     let plain = |sql: String, exercises| Statement {
@@ -606,6 +606,17 @@ fn statement(shape: usize, pred: &str, k: i64) -> Statement {
                 .into(),
             "UnionAll",
         ),
+        // One argument column, typed `Int` in one branch's chunks and
+        // `Float` in the other's: MIN/MAX across the `2`/`2.0` ties, SUM
+        // moving to a float total, a NULL group.
+        28 => plain(
+            "SELECT g, MIN(x) AS lo, MAX(x) AS hi, SUM(x) AS s, AVG(x) AS a \
+             FROM (SELECT id % 3 AS g, score AS x FROM crm.customers \
+             UNION ALL SELECT customer_id % 3 AS g, total AS x FROM sales.orders) u \
+             GROUP BY g"
+                .into(),
+            "UnionAll",
+        ),
         // The view scan with a compensating filter and a limit.
         _ => Statement {
             sql: format!("SELECT id, name, score FROM crm.customers WHERE {pred}"),
@@ -685,7 +696,7 @@ proptest! {
             prop_assert_eq!((d.source.as_str(), d.stale_ms), ("sales", Some(1_000)), "{}", sql);
         }
         prop_assert!(degrade || got.fully_live());
-        if degrade && matches!(shape, 4 | 6 | 9 | 11 | 15 | 19 | 20 | 21 | 22) {
+        if degrade && matches!(shape, 4 | 6 | 9 | 11 | 15 | 19 | 20 | 21 | 22 | 28) {
             prop_assert!(!got.fully_live(), "{}", sql);
         }
     }
