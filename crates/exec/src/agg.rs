@@ -2,85 +2,87 @@
 //! the executor's `GROUP BY` and IVM's maintained groups both fold through.
 //!
 //! One [`GroupedAgg`] is one aggregate of a `GROUP BY` and holds its state for
-//! *every* group, indexed by group id, in only the vectors its function reads
-//! (a `COUNT` is a `Vec<i64>`). A row weighs `+1` unless the caller passes one
-//! weight per row (IVM's `-1` retracts). [`fold_chunk`] takes a chunk in one
-//! of two ways per aggregate, chosen by [`GroupedAgg::typed`]:
+//! *every* group, indexed by group id, in typed lanes: a `COUNT` is a
+//! `Vec<i64>`; a SUM or AVG an `i64` total per group, which moves to an `f64`
+//! total at the group's first float; a MIN or MAX an `i64` lane (`Int`, and
+//! `Bool`/`Timestamp` bests), an `f64` lane and, once a string is offered, a
+//! string lane, with a per-group [`Lane`] tag saying which one holds the best
+//! value (none yet, Int, Float, …). A row weighs `+1` unless the caller passes
+//! one weight per row (IVM's `-1` retracts). [`fold_chunk`] takes a chunk in
+//! one of two ways per aggregate, chosen by [`GroupedAgg::typed`]:
 //! [`GroupedAgg::update`] is one loop over a typed `Int`/`Float` argument
-//! vector beside the chunk's group ids — no `Value`, no failure;
-//! [`GroupedAgg::push`] takes one cell as a [`Value`] — `DISTINCT`,
+//! vector beside the chunk's group ids that reads and writes the lanes only —
+//! no `Value`, no failure; [`GroupedAgg::push`], the only entry that takes a
+//! [`Value`], updates the same lanes one cell at a time — `DISTINCT`,
 //! `Mixed`/`Str`/`Bool`/`Timestamp` arguments (the only cells a `SUM` can fail
-//! on) and a retractable MIN/MAX. Both keep one arithmetic: SUM is integral
-//! (wrapping) until the first float and adds floats in input order, SUM/AVG
-//! are NULL while no non-NULL argument is counted, MIN/MAX follow [`Value`]'s
-//! total order and keep the first of equals. A [`GroupedAgg::retractable`]
-//! state keeps a counted ordered multiset per group for MIN/MAX, and refuses a
-//! non-integer SUM/AVG cell (a float total does not survive retraction).
+//! on) and a retractable MIN/MAX. `value`/`finish` build one `Value` per group.
+//! Both entries keep one arithmetic: SUM is integral (wrapping) until the
+//! first float and adds floats in input order, SUM/AVG are NULL while no
+//! non-NULL argument is counted, MIN/MAX follow [`Value`]'s total order
+//! (`cmp_int_float` between the two numeric lanes) and keep the first of
+//! equals. A [`GroupedAgg::retractable`] state keeps a counted ordered
+//! multiset per group for MIN/MAX, and refuses a non-integer SUM/AVG cell (a
+//! float total does not survive retraction).
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use eii_data::value::cmp_int_float;
 use eii_data::{Column, ColumnData, ColumnarBatch, EiiError, Result, Value};
 use eii_expr::AggFunc::{self, Avg, Count, CountStar, Max, Min, Sum};
 use eii_expr::{eval_column, BoundExpr};
 
-/// Running sum that stays integral until a float arrives.
-#[derive(Debug, Clone, Copy)]
-enum Total {
-    Int(i64),
-    Float(f64),
+/// Which lane holds a group's MIN/MAX, in [`Value`]'s order of types (the
+/// numbers compare with each other); for SUM/AVG, whether the group's total
+/// is still the integral one (`Empty`) or has moved to the float (`Float`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Lane {
+    Empty,
+    Bool,
+    Int,
+    Float,
+    Str,
+    Timestamp,
 }
 
-impl Total {
-    /// Where every sum starts, so a first float `f` contributes `0.0 + f`.
-    const ZERO: Total = Total::Int(0);
-
-    #[inline]
-    fn add_int(&mut self, i: i64, w: i64) {
-        let i = i.wrapping_mul(w);
-        match self {
-            Total::Int(acc) => *acc = acc.wrapping_add(i),
-            Total::Float(acc) => *acc += i as f64,
-        }
-    }
-
-    #[inline]
-    fn add_float(&mut self, f: f64, w: i64) {
-        let f = f * w as f64;
-        match self {
-            Total::Int(acc) => *self = Total::Float(*acc as f64 + f),
-            Total::Float(acc) => *acc += f,
-        }
+impl Lane {
+    /// Off the integer lane: a group whose value is neither absent nor an
+    /// `Int` (an integral total).
+    fn off(self) -> bool {
+        !matches!(self, Lane::Empty | Lane::Int)
     }
 }
 
-/// Make `x` the new `best` when it lies on the `want` side of it (`Less` for
-/// MIN, `Greater` for MAX); `best` is NULL until a group's first value.
+/// Put group `g` in `lane`, keeping `off` — the number of groups off the
+/// integer lane — true.
 #[inline]
-fn offer_int(best: &mut Value, x: i64, want: Ordering) {
-    let ord = match &*best {
-        Value::Null => want,
-        Value::Int(b) => x.cmp(b),
-        Value::Float(b) => cmp_int_float(x, *b),
-        other => Value::Int(x).cmp(other),
-    };
-    if ord == want {
-        *best = Value::Int(x);
+fn relane(lanes: &mut [Lane], off: &mut usize, g: usize, lane: Lane) {
+    *off = *off + usize::from(lane.off()) - usize::from(lanes[g].off());
+    lanes[g] = lane;
+}
+
+/// Add `x · w` to a group's total: the integral one (wrapping), or the float
+/// one once the group has moved there.
+#[inline]
+fn add_int(lane: Lane, int: &mut i64, float: &mut f64, x: i64, w: i64) {
+    let x = x.wrapping_mul(w);
+    if lane == Lane::Float {
+        *float += x as f64;
+    } else {
+        *int = int.wrapping_add(x);
     }
 }
 
+/// Add `x · w` to group `g`'s float total, moving it there first: a first
+/// float `f` contributes `total as f64 + f`.
 #[inline]
-fn offer_float(best: &mut Value, x: f64, want: Ordering) {
-    let ord = match &*best {
-        Value::Null => want,
-        Value::Float(b) => x.total_cmp(b),
-        Value::Int(b) => cmp_int_float(*b, x).reverse(),
-        other => Value::Float(x).cmp(other),
-    };
-    if ord == want {
-        *best = Value::Float(x);
+fn add_float(lanes: &mut [Lane], off: &mut usize, g: usize, int: i64, float: &mut f64, x: f64, w: i64) {
+    if lanes[g] != Lane::Float {
+        relane(lanes, off, g, Lane::Float);
+        *float = int as f64;
     }
+    *float += x * w as f64;
 }
 
 /// Add `w` to `key`'s count in a multiset; a count that reaches 0 leaves.
@@ -132,12 +134,21 @@ pub struct GroupedAgg {
     /// COUNT, COUNT(*), SUM, AVG: the weight of the rows (non-NULL arguments)
     /// counted; a SUM or AVG whose count is 0 is NULL.
     counts: Vec<i64>,
-    /// SUM, AVG: the weighted total.
-    sums: Vec<Total>,
-    /// MIN, MAX: NULL until the group's first non-NULL argument.
-    best: Vec<Value>,
-    /// MIN, MAX when retractable, in place of `best`: each argument value's
-    /// weighted count, in [`Value`]'s order.
+    /// SUM, AVG, MIN, MAX: which lane holds the group's total or best value.
+    lanes: Vec<Lane>,
+    /// How many `lanes` are off the integer lane. At 0 an `Int` chunk needs
+    /// no tag per row; at `lanes.len()` neither does a SUM's `Float` chunk.
+    off: usize,
+    /// The integral total; an `Int`, `Bool` (0/1) or `Timestamp` best — for
+    /// a MIN (MAX) group with none yet, `i64::MAX` (`i64::MIN`), so that the
+    /// first `Int` beats it.
+    ints: Vec<i64>,
+    /// The float total; a `Float` best.
+    floats: Vec<f64>,
+    /// A `Str` best; grown only once a string is offered.
+    strs: Vec<Arc<str>>,
+    /// MIN, MAX when retractable, in place of the lanes: each argument
+    /// value's weighted count, in [`Value`]'s order.
     counted: Vec<BTreeMap<Value, i64>>,
     /// DISTINCT: the argument values already counted.
     seen: Vec<HashSet<Value>>,
@@ -147,9 +158,9 @@ impl GroupedAgg {
     /// State for one aggregate, no groups yet.
     pub fn new(func: AggFunc, distinct: bool) -> Self {
         let want = if func == Min { Ordering::Less } else { Ordering::Greater };
-        let (counts, sums, best, counted, seen) = Default::default();
-        let retract = false;
-        GroupedAgg { func, distinct, retract, want, counts, sums, best, counted, seen }
+        let (counts, lanes, ints, floats, strs, counted, seen) = Default::default();
+        let (retract, off) = (false, 0);
+        GroupedAgg { func, distinct, retract, want, counts, lanes, off, ints, floats, strs, counted, seen }
     }
 
     /// State for one aggregate whose rows may be retracted, no groups yet.
@@ -161,11 +172,19 @@ impl GroupedAgg {
     pub fn grow(&mut self, groups: usize) {
         match self.func {
             Min | Max if self.retract => self.counted.resize_with(groups, BTreeMap::new),
-            Min | Max => self.best.resize(groups, Value::Null),
             Count | CountStar => self.counts.resize(groups, 0),
-            Sum | Avg => {
-                self.counts.resize(groups, 0);
-                self.sums.resize(groups, Total::ZERO);
+            Sum | Avg | Min | Max => {
+                if matches!(self.func, Sum | Avg) {
+                    self.counts.resize(groups, 0);
+                }
+                let none = match self.func {
+                    Min => i64::MAX,
+                    Max => i64::MIN,
+                    _ => 0,
+                };
+                self.lanes.resize(groups, Lane::Empty);
+                self.ints.resize(groups, none);
+                self.floats.resize(groups, 0.0);
             }
         }
         if self.distinct {
@@ -191,27 +210,66 @@ impl GroupedAgg {
     /// [`Self::typed`].
     pub fn update(&mut self, ids: &[u32], arg: Option<&Column>, w: impl Fn(usize) -> i64) {
         use ColumnData::{Float, Int};
-        let want = self.want;
-        let (counts, sums, best) = (&mut self.counts, &mut self.sums, &mut self.best);
+        let (func, want) = (self.func, self.want);
+        let GroupedAgg { counts, lanes, off, ints, floats, .. } = self;
         let Some(col) = arg else {
             // No argument is COUNT(*): it counts rows unconditionally.
             return ids.iter().enumerate().for_each(|(i, &g)| counts[g as usize] += w(i));
         };
-        match (self.func, col.data()) {
+        // Every group on the integer lane, or (SUM) every one on the float.
+        let (ints_only, floats_only) = (*off == 0, *off == lanes.len());
+        match (func, col.data()) {
             // Only the positions matter: the ids stand in for the cells.
             (Count | CountStar, _) => fold(ids, col, ids, w, |g, _, w| counts[g] += w),
+            (Sum | Avg, Int(v)) if ints_only => fold(ids, col, v, w, |g, x, w| {
+                counts[g] += w;
+                ints[g] = ints[g].wrapping_add(x.wrapping_mul(w));
+            }),
             (Sum | Avg, Int(v)) => fold(ids, col, v, w, |g, x, w| {
                 counts[g] += w;
-                sums[g].add_int(x, w);
+                add_int(lanes[g], &mut ints[g], &mut floats[g], x, w);
+            }),
+            (Sum | Avg, Float(v)) if floats_only => fold(ids, col, v, w, |g, x, w| {
+                counts[g] += w;
+                floats[g] += x * w as f64;
             }),
             (Sum | Avg, Float(v)) => fold(ids, col, v, w, |g, x, w| {
                 counts[g] += w;
-                sums[g].add_float(x, w);
+                add_float(lanes, off, g, ints[g], &mut floats[g], x, w);
             }),
-            (Min | Max, Int(v)) => fold(ids, col, v, w, |g, x, _| offer_int(&mut best[g], x, want)),
-            (Min | Max, Float(v)) => {
-                fold(ids, col, v, w, |g, x, _| offer_float(&mut best[g], x, want))
-            }
+            // An empty group's `ints` entry loses to any `Int`, and two equal
+            // `Int`s are one value, so no tag is read.
+            (Min | Max, Int(v)) if ints_only => fold(ids, col, v, w, |g, x, _| {
+                if x.cmp(&ints[g]) != want.reverse() {
+                    (lanes[g], ints[g]) = (Lane::Int, x);
+                }
+            }),
+            (Min | Max, Int(v)) => fold(ids, col, v, w, |g, x, _| {
+                let ord = match lanes[g] {
+                    Lane::Int => x.cmp(&ints[g]),
+                    Lane::Float => cmp_int_float(x, floats[g]),
+                    Lane::Empty => want,
+                    // A number lies above a Bool, below a Str or Timestamp.
+                    lane => Lane::Int.cmp(&lane),
+                };
+                if ord == want {
+                    relane(lanes, off, g, Lane::Int);
+                    ints[g] = x;
+                }
+            }),
+            (Min | Max, Float(v)) => fold(ids, col, v, w, |g, x, _| {
+                let ord = match lanes[g] {
+                    Lane::Float => x.total_cmp(&floats[g]),
+                    Lane::Int => cmp_int_float(ints[g], x).reverse(),
+                    Lane::Empty => want,
+                    // A number lies above a Bool, below a Str or Timestamp.
+                    lane => Lane::Int.cmp(&lane),
+                };
+                if ord == want {
+                    relane(lanes, off, g, Lane::Float);
+                    floats[g] = x;
+                }
+            }),
             _ => unreachable!("typed() admits only Int and Float argument vectors"),
         }
     }
@@ -222,47 +280,101 @@ impl GroupedAgg {
         if v.is_null() || (self.distinct && !self.seen[group].insert(v.clone())) {
             return Ok(());
         }
+        let g = group;
         match self.func {
-            Count | CountStar => self.counts[group] += w,
+            Count | CountStar => self.counts[g] += w,
             Sum | Avg => {
+                let GroupedAgg { lanes, off, ints, floats, .. } = self;
                 match v {
-                    Value::Int(i) => self.sums[group].add_int(*i, w),
-                    Value::Float(f) if !self.retract => self.sums[group].add_float(*f, w),
+                    Value::Int(i) => add_int(lanes[g], &mut ints[g], &mut floats[g], *i, w),
+                    Value::Float(f) if !self.retract => {
+                        add_float(lanes, off, g, ints[g], &mut floats[g], *f, w)
+                    }
                     _ if self.retract => return Err(EiiError::Execution(format!(
                         "retractable SUM/AVG over non-integer value {v} \
                          (plan-time validation should have fallen back)"
                     ))),
                     _ => return Err(EiiError::Type(format!("SUM over non-numeric {v}"))),
                 }
-                self.counts[group] += w;
+                self.counts[g] += w;
             }
-            Min | Max if self.retract => merge_weight(&mut self.counted[group], v.clone(), w),
+            Min | Max if self.retract => merge_weight(&mut self.counted[g], v.clone(), w),
             Min | Max => {
-                if self.best[group].is_null() || v.cmp(&self.best[group]) == self.want {
-                    self.best[group] = v.clone();
+                let ord = match (self.lanes[g], v) {
+                    (Lane::Empty, _) => self.want,
+                    (Lane::Str, Value::Str(s)) => s.cmp(&self.strs[g]),
+                    _ => v.cmp(&self.best(g)),
+                };
+                if ord == self.want {
+                    self.set_best(g, v);
                 }
             }
         }
         Ok(())
     }
 
+    /// Group `g`'s MIN/MAX lane as a [`Value`] (NULL before its first).
+    fn best(&self, g: usize) -> Value {
+        let (i, f) = (self.ints[g], self.floats[g]);
+        match self.lanes[g] {
+            Lane::Empty => Value::Null,
+            Lane::Bool => Value::Bool(i != 0),
+            Lane::Int => Value::Int(i),
+            Lane::Float => Value::Float(f),
+            Lane::Str => Value::Str(Arc::clone(&self.strs[g])),
+            Lane::Timestamp => Value::Timestamp(i),
+        }
+    }
+
+    /// Make the non-NULL `v` group `g`'s MIN/MAX.
+    fn set_best(&mut self, g: usize, v: &Value) {
+        let GroupedAgg { lanes, off, ints, floats, strs, .. } = self;
+        let lane = match *v {
+            Value::Bool(b) => {
+                ints[g] = i64::from(b);
+                Lane::Bool
+            }
+            Value::Int(i) => {
+                ints[g] = i;
+                Lane::Int
+            }
+            Value::Float(f) => {
+                floats[g] = f;
+                Lane::Float
+            }
+            Value::Timestamp(t) => {
+                ints[g] = t;
+                Lane::Timestamp
+            }
+            Value::Str(ref s) => {
+                strs.resize(lanes.len(), Arc::clone(s));
+                strs[g] = Arc::clone(s);
+                Lane::Str
+            }
+            Value::Null => unreachable!("push ignores NULLs"),
+        };
+        relane(lanes, off, g, lane);
+    }
+
     /// Group `g`'s value.
     pub fn value(&self, g: usize) -> Value {
         let n = self.counts.get(g).copied().unwrap_or(0);
-        match (self.func, self.sums.get(g)) {
-            (Count | CountStar, _) => Value::Int(n),
-            (Sum | Avg, _) if n == 0 => Value::Null,
-            (Sum, Some(&Total::Int(i))) => Value::Int(i),
-            (Sum, Some(&Total::Float(f))) => Value::Float(f),
-            // AVG is total ÷ count.
-            (Avg, Some(&Total::Int(i))) => Value::Float(i as f64 / n as f64),
-            (Avg, Some(&Total::Float(f))) => Value::Float(f / n as f64),
-            _ if self.retract => {
+        match self.func {
+            Count | CountStar => Value::Int(n),
+            Sum | Avg if n == 0 => Value::Null,
+            Sum | Avg => match (self.func, self.lanes[g]) {
+                (Sum, Lane::Float) => Value::Float(self.floats[g]),
+                (Sum, _) => Value::Int(self.ints[g]),
+                // AVG is total ÷ count.
+                (_, Lane::Float) => Value::Float(self.floats[g] / n as f64),
+                _ => Value::Float(self.ints[g] as f64 / n as f64),
+            },
+            Min | Max if self.retract => {
                 let mut values = self.counted[g].keys();
                 let v = if self.want == Ordering::Less { values.next() } else { values.next_back() };
                 v.cloned().unwrap_or(Value::Null)
             }
-            _ => self.best[g].clone(),
+            Min | Max => self.best(g),
         }
     }
 
@@ -276,8 +388,11 @@ impl GroupedAgg {
     /// Keep only groups `ids` (ascending), renumbered `0..ids.len()` in order.
     pub fn keep(&mut self, ids: &[u32]) {
         keep_ids(&mut self.counts, ids);
-        keep_ids(&mut self.sums, ids);
-        keep_ids(&mut self.best, ids);
+        keep_ids(&mut self.lanes, ids);
+        self.off = self.lanes.iter().filter(|l| l.off()).count();
+        keep_ids(&mut self.ints, ids);
+        keep_ids(&mut self.floats, ids);
+        keep_ids(&mut self.strs, ids);
         keep_ids(&mut self.counted, ids);
         keep_ids(&mut self.seen, ids);
     }
@@ -385,6 +500,51 @@ mod tests {
         let floats = [Value::Float(f64::NAN), Value::Float(1.0), Value::Float(-0.0)];
         assert!(matches!(run(AggFunc::Max, false, &floats), Value::Float(f) if f.is_nan()));
         assert!(matches!(run(AggFunc::Min, false, &floats), Value::Float(f) if f == 0.0));
+    }
+
+    #[test]
+    fn min_max_lanes_follow_the_total_order_across_types() {
+        // Numbers arrive as one-row typed chunks, everything else as cells:
+        // every rotation of the list through both entries agrees with a fold
+        // of `Value`'s order that keeps the first of equals.
+        let vals = [
+            Value::str("b"),
+            Value::Int(2),
+            Value::Bool(true),
+            Value::Float(2.0),
+            Value::Timestamp(5),
+            Value::Float(f64::NAN),
+            Value::Str("a".into()),
+            Value::Int(i64::MAX),
+            Value::Float(-0.0),
+            Value::Bool(false),
+        ];
+        for func in [AggFunc::Min, AggFunc::Max] {
+            let want = if func == AggFunc::Min { Ordering::Less } else { Ordering::Greater };
+            for r in 0..vals.len() {
+                let order: Vec<&Value> = vals[r..].iter().chain(&vals[..r]).collect();
+                let mut agg = GroupedAgg::new(func, false);
+                agg.grow(1);
+                let mut best = Value::Null;
+                for v in order {
+                    if best.is_null() || v.cmp(&best) == want {
+                        best = v.clone();
+                    }
+                    let ty = match v {
+                        Value::Int(_) => DataType::Int,
+                        Value::Float(_) => DataType::Float,
+                        _ => DataType::Str,
+                    };
+                    let col = Column::from_values(std::slice::from_ref(v), ty);
+                    if agg.typed(Some(&col)) {
+                        agg.update(&[0], Some(&col), |_| 1);
+                    } else {
+                        agg.push(0, v, 1).unwrap();
+                    }
+                    assert_eq!(format!("{:?}", agg.value(0)), format!("{best:?}"), "{func:?} from {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -443,7 +443,7 @@ impl<'a> Executor<'a> {
         node: &PhysicalPlan,
         record: bool,
     ) -> Result<(ColumnarBatch, QueryCost, bool)> {
-        let start_wall = Instant::now();
+        let start_wall = (record && self.instrument).then(Instant::now);
         let source = handle.connector().name();
         let ctx = &self.base_ctx;
         let hedge = match delivery {
@@ -499,7 +499,7 @@ impl<'a> Executor<'a> {
             Some(schema) => batch.with_schema(schema.clone()),
             None => batch,
         };
-        if record && self.instrument {
+        if let Some(start_wall) = start_wall {
             let mut notes = self.notes.borrow_mut();
             let note = notes.node(node);
             (note.rows, note.width) = (cols.num_rows(), cols.schema().len());

@@ -234,9 +234,9 @@ fn eval_columns(exprs: &[BoundExpr], chunk: &ColumnarBatch) -> Result<Vec<Arc<Co
 // Hash join
 // ---------------------------------------------------------------------------
 
-/// Candidate or output pairs: the probe side's physical row, the build row
-/// ([`NO_ROW`] for a Left join's null extension). Grown by the probe chunk's
-/// first pairs, then cleared, not reallocated, after each use.
+/// Candidate pairs: the probe side's physical row, the build row ([`NO_ROW`]
+/// for a Left join's null extension). Grown by the probe chunk's first
+/// pairs, then cleared, not reallocated, after each use.
 #[derive(Default)]
 struct Pairs {
     probe: Vec<u32>,
@@ -244,9 +244,10 @@ struct Pairs {
 }
 
 impl Pairs {
-    fn push(&mut self, probe: u32, build: u32) {
-        self.probe.push(probe);
-        self.build.push(build);
+    /// Probe row `probe` beside each of `builds`, as one run.
+    fn extend(&mut self, probe: u32, builds: &[u32]) {
+        self.probe.extend(std::iter::repeat_n(probe, builds.len()));
+        self.build.extend_from_slice(builds);
     }
 
     fn clear(&mut self) {
@@ -259,9 +260,6 @@ impl Pairs {
 #[derive(Default)]
 struct Pending {
     pairs: Pairs,
-    /// Left joins only: `(pairs.probe.len() when the row's candidates ended,
-    /// probe row)` per finished probe row.
-    row_ends: Vec<(usize, u32)>,
     /// Left joins only: has the probe row being resolved kept a pair yet?
     /// Outlives one `resolve` because a row's candidates may be split.
     matched: bool,
@@ -288,6 +286,13 @@ impl ColumnPick {
     pub fn schema(&self) -> &SchemaRef {
         &self.schema
     }
+
+    /// This pick's columns out of `cols`, the columns `gathered` (ascending,
+    /// a superset of the pick's) of one batch of `n` rows: no copy.
+    fn view(&self, gathered: &[usize], cols: &[Arc<Column>], n: usize) -> ColumnarBatch {
+        let at = |c: &usize| Arc::clone(&cols[gathered.binary_search(c).expect("gathered")]);
+        ColumnarBatch::new(Arc::clone(&self.schema), self.which.iter().map(at).collect(), n)
+    }
 }
 
 /// Hash join: the build side is consumed whole at construction, probe chunks
@@ -295,9 +300,10 @@ impl ColumnPick {
 /// NULL keys never join (Left null-extends, Anti keeps, Semi/Inner drop);
 /// Semi/Anti residuals short-circuit at the first matching candidate. With
 /// no keys every build row is a candidate for every probe row: the
-/// nested-loop join. Nothing is copied but by [`Self::gather_pairs`], and only
-/// the columns its caller names: the residual's for the candidates, the
-/// consumer's for the survivors.
+/// nested-loop join. Nothing is copied but by [`Self::gather_pairs`], once per
+/// candidate and only the columns somebody reads — the residual's and the
+/// consumer's together; the residual reads its view of that batch, and the
+/// survivors are compacted from it.
 pub struct VecHashJoin {
     /// The distinct non-NULL build keys and each key's build rows, in build
     /// insertion order (which fixes the output order within a probe row) —
@@ -315,9 +321,11 @@ pub struct VecHashJoin {
     pred: ColumnPick,
     /// What flows out: the columns the consumer reads.
     out: ColumnPick,
-    /// Most candidate pairs materialized at once for the residual and most
-    /// rows in an emitted chunk, so a cross product is filtered before it is
-    /// ever held whole and handed on in bounded pieces.
+    /// What a candidate's gather copies: `out`'s columns, and the residual's
+    /// when there is one (ascending).
+    gathered: Vec<usize>,
+    /// Most candidate pairs gathered at once, so a cross product is filtered
+    /// before it is ever held whole and handed on in bounded pieces.
     pair_cap: usize,
 }
 
@@ -326,8 +334,8 @@ impl VecHashJoin {
     /// one compact column per key, aligned with `build`'s live rows (what
     /// [`eval_column`] over `build` returns); `probe_keys` are bound against
     /// the probe schema, `residual` against `pred`'s. `batch_size` (the
-    /// executor's; 0 is [`DEFAULT_BATCH_SIZE`]) caps the candidate pairs a
-    /// residual sees at once and the rows of an emitted chunk.
+    /// executor's; 0 is [`DEFAULT_BATCH_SIZE`]) caps the candidate pairs
+    /// gathered at once.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         build: &ColumnarBatch,
@@ -341,6 +349,12 @@ impl VecHashJoin {
     ) -> Self {
         // NULL keys never join: their rows get no key and are in no list.
         let keys = KeyLists::new(build_keys, build.num_rows(), true);
+        let mut gathered = out.which.clone();
+        if residual.is_some() {
+            gathered.extend(&pred.which);
+            gathered.sort_unstable();
+            gathered.dedup();
+        }
         VecHashJoin {
             keys: keys.renumbered(build.selection()),
             build: ColumnarBatch::new(
@@ -353,91 +367,91 @@ impl VecHashJoin {
             residual,
             pred,
             out,
+            gathered,
             pair_cap: chunk_rows(batch_size),
         }
     }
 
-    /// Inner/Left/Cross probe: candidate pairs in probe order, the residual
-    /// evaluated over at most `pair_cap` of them at a time, the survivors
-    /// gathered and emitted `pair_cap` rows at a time. A probe key no build
-    /// row has, or one with a NULL cell (never interned), has no build rows.
+    /// Inner/Left/Cross probe: each probe row's build rows appended as one
+    /// run, then a Left row's null extension — unless, with no residual, the
+    /// row has a candidate and so is known to match — cut where `pair_cap`
+    /// falls: the pending pairs are resolved whenever `pair_cap` gather. A
+    /// probe key no build row has, or one with a NULL cell (never interned),
+    /// has no build rows.
     fn probe_pairs(&self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
         let key_cols = eval_columns(&self.probe_keys, chunk)?;
         let ids = self.keys.table().find_rows(&key_cols, chunk.num_rows());
         let left = matches!(self.kind, JoinKind::Left);
-        let mut kept = Pairs::default();
         let mut pending = Pending::default();
         for (row, &id) in ids.iter().enumerate() {
             let phys = chunk.physical_index(row) as u32;
-            for &b in self.keys.rows_of(id) {
-                pending.pairs.push(phys, b);
-                if pending.pairs.probe.len() >= self.pair_cap {
-                    self.resolve(chunk, &mut pending, &mut kept, out)?;
+            let rows = self.keys.rows_of(id);
+            let null = left && (rows.is_empty() || self.residual.is_some());
+            for mut run in [rows, if null { &[NO_ROW] } else { &[] }] {
+                while !run.is_empty() {
+                    let room = self.pair_cap - pending.pairs.probe.len();
+                    let (now, later) = run.split_at(run.len().min(room));
+                    pending.pairs.extend(phys, now);
+                    run = later;
+                    if room == now.len() {
+                        self.resolve(chunk, &mut pending, out)?;
+                    }
                 }
             }
-            if left {
-                pending.row_ends.push((pending.pairs.probe.len(), phys));
-            }
         }
-        self.resolve(chunk, &mut pending, &mut kept, out)?;
-        self.emit(chunk, &mut kept, out);
+        self.resolve(chunk, &mut pending, out)
+    }
+
+    /// Gather the pending pairs once, run the residual over the candidates
+    /// among them (every one is evaluated: Inner/Left never short-circuit,
+    /// so the first failing pair in probe × build order is the error), and
+    /// emit the survivors in pair order, compacted from the same batch — or
+    /// the batch itself when every pair survives. A Left row's null
+    /// extension survives when none of the row's candidates did.
+    fn resolve(&self, chunk: &ColumnarBatch, pending: &mut Pending, out: &mut Chunks) -> Result<()> {
+        let Pending { pairs, matched } = pending;
+        let n = pairs.probe.len();
+        if n == 0 {
+            return Ok(());
+        }
+        let cols = self.gather_pairs(chunk, pairs);
+        let emitted = self.out.view(&self.gathered, &cols, n);
+        let Some(pred) = &self.residual else {
+            out.push(emitted);
+            pairs.clear();
+            return Ok(());
+        };
+        let view = self.pred.view(&self.gathered, &cols, n);
+        let keep = if matches!(self.kind, JoinKind::Left) {
+            // The residual reads the candidates only, never a null extension.
+            let real: Vec<u32> = (0..n as u32).filter(|&k| pairs.build[k as usize] != NO_ROW).collect();
+            let live = eval_filter(pred, &view.select(real.clone()))?;
+            let mut live = live.into_iter().map(|i| real[i as usize]).peekable();
+            let mut keep = Vec::with_capacity(n);
+            for k in 0..n as u32 {
+                if pairs.build[k as usize] == NO_ROW {
+                    if !*matched {
+                        keep.push(k);
+                    }
+                    *matched = false;
+                } else if live.next_if_eq(&k).is_some() {
+                    *matched = true;
+                    keep.push(k);
+                }
+            }
+            keep
+        } else {
+            eval_filter(pred, &view)?
+        };
+        out.push(if keep.len() == n { emitted } else { emitted.select(keep).compact() });
+        pairs.clear();
         Ok(())
     }
 
-    /// Run the residual over the pending candidates (every candidate is
-    /// evaluated — Inner/Left never short-circuit, so the first failing pair
-    /// in probe × build order is the error) and move the survivors to `kept`
-    /// in candidate order, emitting a chunk whenever `pair_cap` have gathered.
-    /// One walk over the survivors' indices serves every kind: each Left probe
-    /// row whose candidates have ended is finished once the survivors before
-    /// its end are kept, null-extended if it kept none. Inner and Cross have
-    /// no row ends.
-    fn resolve(
-        &self,
-        chunk: &ColumnarBatch,
-        pending: &mut Pending,
-        kept: &mut Pairs,
-        out: &mut Chunks,
-    ) -> Result<()> {
-        let pairs = &pending.pairs;
-        let live: Vec<u32> = match &self.residual {
-            None => (0..pairs.probe.len() as u32).collect(),
-            Some(pred) => eval_filter(pred, &self.gather_pairs(&self.pred, chunk, pairs))?,
-        };
-        let mut keep = |kept: &mut Pairs, probe: u32, build: u32| {
-            kept.push(probe, build);
-            if kept.probe.len() >= self.pair_cap {
-                self.emit(chunk, kept, out);
-            }
-        };
-        let mut live = live.into_iter().map(|k| k as usize).peekable();
-        for (end, phys) in pending.row_ends.drain(..) {
-            while let Some(k) = live.next_if(|&k| k < end) {
-                pending.matched = true;
-                keep(kept, pairs.probe[k], pairs.build[k]);
-            }
-            if !pending.matched {
-                keep(kept, phys, NO_ROW);
-            }
-            pending.matched = false;
-        }
-        // What is left belongs to no finished row: every Inner and Cross
-        // survivor, and a Left row's whose candidates go on in the next batch.
-        pending.matched |= live.peek().is_some();
-        live.for_each(|k| keep(kept, pairs.probe[k], pairs.build[k]));
-        pending.pairs.clear();
-        Ok(())
-    }
-
-    /// Columns `pick` of the pairs' probe rows of `chunk` beside their build
-    /// rows, as one batch. The join's one copy: a column outside `pick` is
-    /// never touched.
-    fn gather_pairs(
-        &self,
-        pick: &ColumnPick,
-        chunk: &ColumnarBatch,
-        pairs: &Pairs,
-    ) -> ColumnarBatch {
+    /// Columns `gathered` of the pairs' probe rows of `chunk` beside their
+    /// build rows. The join's one copy: a column nobody reads is never
+    /// touched.
+    fn gather_pairs(&self, chunk: &ColumnarBatch, pairs: &Pairs) -> Vec<Arc<Column>> {
         let width = chunk.columns().len();
         let gather = |&c: &usize| match (c.checked_sub(width), self.kind) {
             (None, _) => chunk.column(c).gather(&pairs.probe),
@@ -445,14 +459,7 @@ impl VecHashJoin {
             (Some(b), JoinKind::Left) => self.build.column(b).gather_opt(&pairs.build),
             (Some(b), _) => self.build.column(b).gather(&pairs.build),
         };
-        let cols = pick.which.iter().map(gather).map(Arc::new).collect();
-        ColumnarBatch::new(Arc::clone(&pick.schema), cols, pairs.probe.len())
-    }
-
-    /// Gather the kept pairs into one output chunk and start the next.
-    fn emit(&self, chunk: &ColumnarBatch, kept: &mut Pairs, out: &mut Chunks) {
-        out.push(self.gather_pairs(&self.out, chunk, kept));
-        kept.clear();
+        self.gathered.iter().map(gather).map(Arc::new).collect()
     }
 
     /// Semi/Anti probe: a candidate scan that stops at the first match — a

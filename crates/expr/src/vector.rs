@@ -305,11 +305,12 @@ fn narrow(conjuncts: &[&BoundExpr], batch: &ColumnarBatch) -> Option<Vec<u32>> {
         let col = eval_column_typed(conj, sub.as_ref().unwrap_or(batch)).ok()?;
         let bools = col.as_bools()?;
         let at = |k: usize| rows.map_or(k as u32, |rows| rows[k]);
-        let mut next = Vec::with_capacity(bools.len());
-        match col.nulls() {
-            None => next.extend((0..bools.len()).filter(|&k| bools[k]).map(at)),
-            Some(nulls) => {
+        let next = match (col.nulls(), rows) {
+            (None, None) => select_true(bools, |k| k as u32),
+            (None, Some(rows)) => select_true(bools, |k| rows[k]),
+            (Some(nulls), _) => {
                 let nulled = nulled.get_or_insert_with(|| vec![false; n]);
+                let mut next = Vec::with_capacity(bools.len());
                 for (k, &b) in bools.iter().enumerate() {
                     if nulls.is_null(k) {
                         nulled[at(k) as usize] = true;
@@ -318,8 +319,9 @@ fn narrow(conjuncts: &[&BoundExpr], batch: &ColumnarBatch) -> Option<Vec<u32>> {
                     }
                     next.push(at(k));
                 }
+                next
             }
-        }
+        };
         if next.is_empty() {
             return Some(next);
         }
@@ -331,6 +333,20 @@ fn narrow(conjuncts: &[&BoundExpr], batch: &ColumnarBatch) -> Option<Vec<u32>> {
         None => reach,
         Some(nulled) => reach.into_iter().filter(|&r| !nulled[r as usize]).collect(),
     })
+}
+
+/// `at(k)` for each `k` where `bools[k]`, in order, written without a branch
+/// per row: every row's entry is stored, and the length moves past it only
+/// when the row is kept.
+fn select_true(bools: &[bool], at: impl Fn(usize) -> u32) -> Vec<u32> {
+    let mut next = vec![0; bools.len()];
+    let mut len = 0;
+    for (k, &b) in bools.iter().enumerate() {
+        next[len] = at(k);
+        len += usize::from(b);
+    }
+    next.truncate(len);
+    next
 }
 
 /// Row-materializing fallback: semantically the scalar path by construction.
