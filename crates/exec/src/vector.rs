@@ -415,35 +415,33 @@ impl VecHashJoin {
             return Ok(());
         }
         let cols = self.gather_pairs(chunk, pairs);
-        let emitted = self.out.view(&self.gathered, &cols, n);
-        let Some(pred) = &self.residual else {
-            out.push(emitted);
-            pairs.clear();
-            return Ok(());
-        };
-        let view = self.pred.view(&self.gathered, &cols, n);
-        let keep = if matches!(self.kind, JoinKind::Left) {
-            // The residual reads the candidates only, never a null extension.
-            let real: Vec<u32> = (0..n as u32).filter(|&k| pairs.build[k as usize] != NO_ROW).collect();
-            let live = eval_filter(pred, &view.select(real.clone()))?;
-            let mut live = live.into_iter().map(|i| real[i as usize]).peekable();
-            let mut keep = Vec::with_capacity(n);
-            for k in 0..n as u32 {
-                if pairs.build[k as usize] == NO_ROW {
-                    if !*matched {
-                        keep.push(k);
-                    }
-                    *matched = false;
-                } else if live.next_if_eq(&k).is_some() {
-                    *matched = true;
-                    keep.push(k);
+        let view = |pick: &ColumnPick| pick.view(&self.gathered, &cols, n);
+        let keep = match &self.residual {
+            None => None,
+            Some(pred) if matches!(self.kind, JoinKind::Left) => {
+                // The residual reads the candidates only, never a null
+                // extension; its survivors are positions of that selection.
+                let real = (0..n as u32).filter(|&k| pairs.build[k as usize] != NO_ROW);
+                let real = view(&self.pred).select(real.collect());
+                let live = eval_filter(pred, &real)?;
+                let at = real.selection().unwrap_or_default();
+                let mut live = live.into_iter().map(|i| at[i as usize]).peekable();
+                let mut keep = Vec::with_capacity(n);
+                for k in 0..n as u32 {
+                    // A row's null extension ends it: kept if nothing was.
+                    let null = pairs.build[k as usize] == NO_ROW;
+                    let kept = if null { !*matched } else { live.next_if_eq(&k).is_some() };
+                    keep.extend(kept.then_some(k));
+                    *matched = !null && (kept || *matched);
                 }
+                Some(keep)
             }
-            keep
-        } else {
-            eval_filter(pred, &view)?
+            Some(pred) => Some(eval_filter(pred, &view(&self.pred))?),
         };
-        out.push(if keep.len() == n { emitted } else { emitted.select(keep).compact() });
+        out.push(match keep {
+            Some(keep) if keep.len() < n => view(&self.out).select(keep).compact(),
+            _ => view(&self.out),
+        });
         pairs.clear();
         Ok(())
     }
