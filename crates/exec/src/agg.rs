@@ -274,13 +274,12 @@ impl GroupedAgg {
         }
     }
 
-    /// Feed one argument cell of group `group` as a [`Value`], weighing `w`
+    /// Feed one argument cell of group `g` as a [`Value`], weighing `w`
     /// (NULLs are ignored, per SQL).
-    pub fn push(&mut self, group: usize, v: &Value, w: i64) -> Result<()> {
-        if v.is_null() || (self.distinct && !self.seen[group].insert(v.clone())) {
+    pub fn push(&mut self, g: usize, v: &Value, w: i64) -> Result<()> {
+        if v.is_null() || (self.distinct && !self.seen[g].insert(v.clone())) {
             return Ok(());
         }
-        let g = group;
         match self.func {
             Count | CountStar => self.counts[g] += w,
             Sum | Avg => {
