@@ -326,6 +326,52 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// CASE and IN, whose later parts run only on the rows no earlier part
+    /// decided: a THEN, a later WHEN or the ELSE built from [`leaf`]s that
+    /// divide by a column an earlier WHEN tests, IN items that divide by the
+    /// operand an earlier item matched or that are NULL — as values and as a
+    /// WHERE, alone and behind a conjunct, over the full batch and a selected
+    /// one: the same values, the same rows, the same first error.
+    #[test]
+    fn case_and_in_equal_the_scalar_evaluator(
+        picks in rows_strategy(),
+        modes in proptest::collection::vec(0usize..3, 10..11),
+        sel in proptest::collection::vec(0usize..64, 0..30),
+        leaves in proptest::collection::vec(0usize..15, 4..5),
+        negated in any::<bool>(),
+    ) {
+        let l: Vec<Expr> = leaves.iter().map(|&pick| leaf(pick)).collect();
+        let [a, b, c, d] = [l[0].clone(), l[1].clone(), l[2].clone(), l[3].clone()];
+        let neg = |e: Expr| Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e) };
+        let div = |x: Expr, y: Expr| x.binary(BinaryOp::Divide, y);
+        let case = |branches: Vec<(Expr, Expr)>, else_expr: Option<Expr>| Expr::Case {
+            branches,
+            else_expr: else_expr.map(Box::new),
+        };
+        let is_in = |e: Expr, list: Vec<Expr>| Expr::InList { expr: Box::new(e), list, negated };
+        let exprs = [
+            case(vec![(a.clone(), b.clone()), (c.clone(), d.clone())], Some(neg(col(9)))),
+            case(vec![(a.clone(), b.clone())], None),
+            case(vec![(col(0).binary(BinaryOp::NotEq, Expr::lit(0i64)), div(Expr::lit(10i64), col(0)))], Some(col(1))),
+            is_in(col(0), vec![col(1), div(Expr::lit(10i64), col(0)), Expr::Literal(Value::Null), col(9)]),
+            is_in(col(0), vec![Expr::lit(2i64), div(col(1), col(0)), col(9)]),
+            is_in(a.clone(), vec![b.clone(), c.clone(), d.clone()]),
+            is_in(col(4), vec![col(5), Expr::lit("a"), Expr::Literal(Value::Null)]),
+            is_in(col(9), vec![Expr::lit(1.0f64), col(2), Expr::lit("a")]),
+        ];
+        let guarded = a.clone().and(case(vec![(c.clone(), d.clone())], Some(b.clone())));
+        for batch in [batch(&picks, &modes, None), batch(&picks, &modes, Some(&sel[..]))] {
+            for e in exprs.iter().chain([&guarded]) {
+                check(e, &batch)?;
+                check_filter(e, &batch)?;
+            }
+        }
+    }
+}
+
 /// The columns are what the properties above say they cover.
 #[test]
 fn the_hazard_columns_come_typed_with_and_without_bitmaps_and_mixed() {

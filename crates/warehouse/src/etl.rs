@@ -262,6 +262,31 @@ mod tests {
     }
 
     #[test]
+    fn a_transform_reports_the_first_failing_rows_error() {
+        // Row 2 fails on the right of the sum (a zero divisor), row 4 on the
+        // left (a string dividend): the error is row 2's, though a column
+        // evaluated left side first meets row 4's.
+        let schema = Arc::new(Schema::new(
+            ["a", "b", "c", "d"].map(|c| Field::new(c, DataType::Int)).to_vec(),
+        ));
+        let rows = vec![
+            row![1i64, 1i64, 1i64, 1i64],
+            row![1i64, 1i64, 1i64, 0i64],
+            row![2i64, 1i64, 1i64, 1i64],
+            Row::new(vec![Value::str("x"), Value::Int(1), Value::Int(1), Value::Int(1)]),
+        ];
+        let div = |x: &str, y: &str| Expr::col(x).binary(eii_expr::BinaryOp::Divide, Expr::col(y));
+        let sum = div("a", "b").binary(eii_expr::BinaryOp::Plus, div("c", "d"));
+        for step in [
+            Transform::Derive { name: "s".into(), expr: sum.clone() },
+            Transform::Filter(sum.clone().gt(Expr::lit(0i64))),
+        ] {
+            let err = step.apply(Batch::new(schema.clone(), rows.clone())).unwrap_err();
+            assert_eq!(err.to_string(), "execution error: division by zero", "{step:?}");
+        }
+    }
+
+    #[test]
     fn transform_row_respects_filters() {
         let job = EtlJob::copy("j", "s.t", "t")
             .with_transform(Transform::Filter(Expr::col("id").eq(Expr::lit(1i64))));

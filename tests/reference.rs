@@ -337,6 +337,8 @@ fn predicates() -> impl Strategy<Value = String> {
         (0i64..60).prop_map(|k| format!("id = {k}")),
         Just("name IS NOT NULL".to_string()),
         (-4i64..5).prop_map(|k| format!("score BETWEEN {} AND {}", k - 2, k + 2)),
+        Just("CASE WHEN score <> 0 THEN id / score ELSE id END > 3".to_string()),
+        Just("score IN (id - 50, 2)".to_string()),
     ];
     proptest::collection::vec(atom, 1..3).prop_flat_map(|atoms| {
         prop_oneof![Just("AND"), Just("OR")].prop_map(move |op| {
