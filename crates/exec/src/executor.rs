@@ -845,8 +845,10 @@ impl<'a> Executor<'a> {
     /// The hub half of every join: `probe` (the left side) streams against a
     /// hash table over `build`, emitting probe order × build order. With no
     /// keys every pair is a candidate and `residual` is the whole condition.
-    /// Of `schema`, an Inner/Left/Cross join gathers for its residual the
-    /// columns that reads, and emits the columns `want`ed (`None`: all).
+    /// A join gathers for its residual the columns that reads — of `schema`,
+    /// or of both sides for Semi/Anti, which select the probe chunk (nothing
+    /// to narrow) — and an Inner/Left/Cross join emits the columns of
+    /// `schema` `want`ed (`None`: all).
     #[allow(clippy::too_many_arguments)]
     fn join(
         &self,
@@ -859,15 +861,12 @@ impl<'a> Executor<'a> {
         schema: &SchemaRef,
         want: Option<&[usize]>,
     ) -> Result<Chunks> {
-        let (pred, out) = if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
-            // A selection of the probe chunk — nothing to narrow — whose
-            // condition sees whole rows of both sides, one pair at a time.
-            let both = Arc::new(probe.schema().join(build.schema()));
-            (ColumnPick::new(&both, None), ColumnPick::new(schema, None))
-        } else {
-            let read = residual.as_ref().and_then(|r| columns_read([r], schema, &[]));
-            (ColumnPick::new(schema, read), ColumnPick::new(schema, want.map(<[usize]>::to_vec)))
-        };
+        let filtering = matches!(kind, JoinKind::Semi | JoinKind::Anti);
+        let both = filtering.then(|| Arc::new(probe.schema().join(build.schema())));
+        let read_from = both.as_ref().unwrap_or(schema);
+        let read = residual.as_ref().and_then(|r| columns_read([r], read_from, &[]));
+        let pred = ColumnPick::new(read_from, read);
+        let out = ColumnPick::new(schema, want.filter(|_| !filtering).map(<[usize]>::to_vec));
         let residual = residual.as_ref().map(|r| bind(r, pred.schema())).transpose()?;
         let out_schema = out.schema().clone();
         let skipped = schema.len() - out_schema.len();

@@ -15,11 +15,11 @@
 //! that can be told how much of its output will be read: under a LIMIT it
 //! establishes the first `k` positions of the order and no more.
 //!
-//! The contract with the scalar evaluator ([`eii_expr::BoundExpr::eval`]) is
-//! *exact semantic equivalence*: the values a row-at-a-time interpreter would
-//! produce, in a fixed order that depends neither on the chunk size nor on
-//! where the incoming list is cut, and for each expression the scalar
-//! evaluator's first failing row. The places where that contract bites are
+//! The contract is *exact semantic equivalence* with a row-at-a-time
+//! interpreter (the test oracle, `tests/support/oracle.rs`): its values, in a
+//! fixed order that depends neither on the chunk size nor on where the
+//! incoming list is cut, and for each expression its first failing row — the
+//! kernels' own, found by [`first_failing_row`]. The places where that contract bites are
 //! spelled out inline: NULL join keys, Semi/Anti residual short-circuiting,
 //! first-seen group order, the aggregate's error order, and the
 //! integral-until-float SUM ladder ([`crate::agg`]). Keys are hashed and
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use eii_data::keys::{cells_cmp, KeyLists, KeyTable};
 use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, Schema, SchemaRef, NO_ROW};
-use eii_expr::{eval_column, eval_filter, AggFunc, BoundExpr};
+use eii_expr::{eval_column, eval_filter, first_failing_row, AggFunc, BoundExpr};
 use eii_sql::JoinKind;
 
 use crate::agg::{fold_chunk, GroupedAgg};
@@ -315,14 +315,15 @@ pub struct VecHashJoin {
     probe_keys: Vec<BoundExpr>,
     kind: JoinKind,
     residual: Option<BoundExpr>,
-    /// What the residual is bound against: the columns it reads (for
-    /// Semi/Anti the whole concatenation of both sides, a row at a time, even
-    /// though only left columns flow out).
+    /// What the residual is bound against: the columns it reads, of the
+    /// join's output or, for Semi/Anti, of both sides' concatenation (though
+    /// only the probe chunk flows out).
     pred: ColumnPick,
     /// What flows out: the columns the consumer reads.
     out: ColumnPick,
-    /// What a candidate's gather copies: `out`'s columns, and the residual's
-    /// when there is one (ascending).
+    /// What a candidate's gather copies: `out`'s columns (none for
+    /// Semi/Anti, which select the probe chunk), and the residual's when there
+    /// is one (ascending).
     gathered: Vec<usize>,
     /// Most candidate pairs gathered at once, so a cross product is filtered
     /// before it is ever held whole and handed on in bounded pieces.
@@ -349,7 +350,8 @@ impl VecHashJoin {
     ) -> Self {
         // NULL keys never join: their rows get no key and are in no list.
         let keys = KeyLists::new(build_keys, build.num_rows(), true);
-        let mut gathered = out.which.clone();
+        let filtering = matches!(kind, JoinKind::Semi | JoinKind::Anti);
+        let mut gathered = if filtering { Vec::new() } else { out.which.clone() };
         if residual.is_some() {
             gathered.extend(&pred.which);
             gathered.sort_unstable();
@@ -460,36 +462,50 @@ impl VecHashJoin {
         self.gathered.iter().map(gather).map(Arc::new).collect()
     }
 
-    /// Semi/Anti probe: a candidate scan that stops at the first match — a
-    /// residual error on a later candidate is unreachable once an earlier
-    /// candidate matched, so this stays candidate-at-a-time.
+    /// Semi/Anti probe, in rounds: round `k` gathers the `k`-th candidate of
+    /// every probe row still undecided (at most `pair_cap`, the chunk's rows)
+    /// and runs the residual over them once; a row leaves at its first match.
+    /// On a round's error at probe row `p` ([`first_failing_row`]) only the
+    /// rows before `p` go on, and the last error kept is the answer: an error
+    /// the scalar path never reaches — after a match, or after an earlier
+    /// row's error — stays unreachable.
     fn probe_filtering(&self, chunk: &ColumnarBatch, out: &mut Chunks) -> Result<()> {
         let key_cols = eval_columns(&self.probe_keys, chunk)?;
         let ids = self.keys.table().find_rows(&key_cols, chunk.num_rows());
-        let anti = matches!(self.kind, JoinKind::Anti);
-        let mut keep: Vec<u32> = Vec::new();
-        for (row, &id) in ids.iter().enumerate() {
-            // NULL keys never match: anti keeps the row, semi drops it.
-            let rows = self.keys.rows_of(id);
-            let matched = match &self.residual {
-                None => !rows.is_empty(),
-                Some(pred) => {
-                    let l = chunk.row(row);
-                    let mut hit = false;
-                    for &b in rows {
-                        let combined = l.concat(&self.build.row(b as usize));
-                        if pred.eval_predicate(&combined)? {
-                            hit = true;
-                            break;
-                        }
-                    }
-                    hit
+        let rows_of = |r: u32| self.keys.rows_of(ids[r as usize]);
+        // NULL keys never match: anti keeps the row, semi drops it.
+        let mut matched: Vec<bool> = (0..ids.len() as u32).map(|r| !rows_of(r).is_empty()).collect();
+        if let Some(pred) = &self.residual {
+            let mut open: Vec<u32> = (0..ids.len() as u32).filter(|&r| matched[r as usize]).collect();
+            matched.fill(false);
+            let (mut round, mut error) = (Pairs::default(), None);
+            for k in 0.. {
+                open.retain(|&r| !matched[r as usize] && rows_of(r).len() > k);
+                if open.is_empty() {
+                    break;
                 }
-            };
-            if matched != anti {
-                keep.push(row as u32);
+                round.clear();
+                for &r in &open {
+                    round.extend(chunk.physical_index(r as usize) as u32, &rows_of(r)[k..=k]);
+                }
+                let view = self.pred.view(&self.gathered, &self.gather_pairs(chunk, &round), open.len());
+                let hits = match eval_filter(pred, &view) {
+                    Ok(hits) => hits,
+                    Err(e) => {
+                        let (p, e) = first_failing_row(&view, |b| eval_filter(pred, b)).unwrap_or((0, e));
+                        error = Some(e);
+                        open.truncate(p);
+                        eval_filter(pred, &view.head(p))?
+                    }
+                };
+                hits.into_iter().for_each(|h| matched[open[h as usize] as usize] = true);
+            }
+            if let Some(e) = error {
+                return Err(e);
             }
         }
+        let anti = matches!(self.kind, JoinKind::Anti);
+        let keep = (0..ids.len() as u32).filter(|&r| matched[r as usize] != anti).collect();
         out.push(chunk.select(keep).with_schema(Arc::clone(&self.out.schema)));
         Ok(())
     }
@@ -633,10 +649,15 @@ pub fn sort_batch(
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::Oracle;
     use super::*;
     use eii_data::keys::hash_keys;
-    use eii_data::{row, Batch, ColumnData, DataType, Field, Schema, Value};
+    use eii_data::{row, Batch, ColumnData, DataType, Field, Row, Schema, Value};
     use eii_expr::{bind, BinaryOp, Expr};
     use std::cmp::Ordering;
 
@@ -970,6 +991,38 @@ mod tests {
         // The cap bounds what is emitted as it bounds what the residual sees.
         assert!(out.iter().all(|c| c.num_rows() <= cap.max(left.num_rows())));
         out.into_one()
+    }
+
+    #[test]
+    fn a_semi_anti_residual_fails_on_the_first_error_in_probe_then_candidate_order() {
+        // Row 0's first candidate neither matches nor fails and its second
+        // fails; row 1's first fails with another text. Probe row by probe
+        // row, row 0's second candidate is the first failure — though the
+        // first round meets row 1's.
+        let cells = |name: &str, vals: [Value; 2]| {
+            let rows = vals.into_iter().map(|v| Row::new(vec![v])).collect();
+            ColumnarBatch::from_batch(&Batch::new(schema(&[(name, DataType::Int)]), rows))
+        };
+        let left = cells("a", [Value::Int(1), Value::str("p")]);
+        let right = cells("b", [Value::Int(0), Value::str("q")]);
+        let both = Arc::new(left.schema().join(right.schema()));
+        let sum = || Expr::col("a").binary(BinaryOp::Plus, Expr::col("b"));
+        let probe = |left: &ColumnarBatch, kind, on: &BoundExpr| {
+            let (pred, out) = (ColumnPick::new(&both, None), ColumnPick::new(left.schema(), None));
+            let mut op = VecHashJoin::new(&right, &[], Vec::new(), kind, Some(on.clone()), pred, out, 0);
+            let mut out = Chunks::new(left.schema().clone());
+            op.push(left, &mut out).map(|()| out.num_rows())
+        };
+        let fails = bind(&sum().gt(Expr::lit(100i64)), &both).unwrap();
+        let pair = |l: usize, r: usize| left.row(l).concat(&right.row(r));
+        let first = fails.eval(&pair(0, 1)).unwrap_err().to_string();
+        assert_ne!(first, fails.eval(&pair(1, 0)).unwrap_err().to_string());
+        // A match on row 0's first candidate leaves its second unreached.
+        let matches = bind(&sum().lt(Expr::lit(100i64)), &both).unwrap();
+        for (kind, kept) in [(JoinKind::Semi, 1), (JoinKind::Anti, 0)] {
+            assert_eq!(probe(&left, kind, &fails).unwrap_err().to_string(), first);
+            assert_eq!(probe(&left.select(vec![0]), kind, &matches).unwrap(), kept);
+        }
     }
 
     #[test]

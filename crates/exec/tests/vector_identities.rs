@@ -37,6 +37,9 @@ use proptest::prelude::*;
 
 #[path = "../../../tests/support/hazards.rs"]
 mod hazards;
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
+use oracle::Oracle;
 
 const P53: i64 = 1 << 53;
 

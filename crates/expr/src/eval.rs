@@ -1,15 +1,19 @@
-//! Binding and evaluation of expressions against rows.
+//! Binding of expressions, and the per-value operator table.
 //!
 //! [`bind`] resolves column names against a [`Schema`] once, producing a
 //! [`BoundExpr`] whose column references are positional — evaluation in the
-//! executor's inner loop then never touches name resolution. Evaluation
-//! implements SQL three-valued logic: comparisons with NULL yield NULL, and
-//! AND/OR follow Kleene semantics.
+//! executor's inner loop then never touches name resolution. The kernels
+//! ([`crate::vector`]) evaluate it; what they do one [`Value`] at a time —
+//! an untyped column, a pairing no typed loop covers — goes through the
+//! operators here: SQL three-valued logic (comparisons with NULL yield NULL,
+//! AND/OR follow Kleene semantics), arithmetic, NOT and negation, LIKE and
+//! CAST. The scalar tree walker the kernels are tested against
+//! (`tests/support/oracle.rs`) uses the same table.
 
-use eii_data::{DataType, EiiError, Result, Row, Schema, Value};
+use eii_data::{DataType, EiiError, Result, Schema, Value};
 
 use crate::ast::{BinaryOp, Expr, ScalarFunc, UnaryOp};
-use crate::functions::{eval_scalar, like_match};
+use crate::functions::like_match;
 use crate::vector::Arith;
 
 /// An expression whose column references have been resolved to positions.
@@ -139,153 +143,8 @@ pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
     })
 }
 
-impl BoundExpr {
-    /// Evaluate against a row, producing a [`Value`].
-    pub fn eval(&self, row: &Row) -> Result<Value> {
-        match self {
-            BoundExpr::Column(i) => Ok(row.get(*i).clone()),
-            BoundExpr::Literal(v) => Ok(v.clone()),
-            BoundExpr::Binary { left, op, right } => {
-                // Kleene short-circuit for AND/OR must inspect both sides'
-                // nullness, so evaluate lazily only where safe.
-                match op {
-                    BinaryOp::And => {
-                        let l = left.eval(row)?;
-                        if l == Value::Bool(false) {
-                            return Ok(Value::Bool(false));
-                        }
-                        let r = right.eval(row)?;
-                        eval_and(&l, &r)
-                    }
-                    BinaryOp::Or => {
-                        let l = left.eval(row)?;
-                        if l == Value::Bool(true) {
-                            return Ok(Value::Bool(true));
-                        }
-                        let r = right.eval(row)?;
-                        eval_or(&l, &r)
-                    }
-                    _ => {
-                        let l = left.eval(row)?;
-                        let r = right.eval(row)?;
-                        eval_binary(&l, *op, &r)
-                    }
-                }
-            }
-            BoundExpr::Unary { op, expr } => {
-                let v = expr.eval(row)?;
-                match op {
-                    UnaryOp::Not => Ok(match v {
-                        Value::Null => Value::Null,
-                        Value::Bool(b) => Value::Bool(!b),
-                        other => {
-                            return Err(EiiError::Type(format!("NOT applied to {other}")));
-                        }
-                    }),
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(EiiError::Type(format!("negation applied to {other}"))),
-                    },
-                }
-            }
-            BoundExpr::IsNull { expr, negated } => {
-                let v = expr.eval(row)?;
-                Ok(Value::Bool(v.is_null() != *negated))
-            }
-            BoundExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let v = expr.eval(row)?;
-                let p = pattern.eval(row)?;
-                if v.is_null() || p.is_null() {
-                    return Ok(Value::Null);
-                }
-                let (Some(text), Some(pat)) = (v.as_str(), p.as_str()) else {
-                    return Err(EiiError::Type("LIKE expects string operands".into()));
-                };
-                Ok(Value::Bool(like_match(text, pat) != *negated))
-            }
-            BoundExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = expr.eval(row)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for item in list {
-                    let iv = item.eval(row)?;
-                    if iv.is_null() {
-                        saw_null = true;
-                    } else if iv == v {
-                        return Ok(Value::Bool(!negated));
-                    }
-                }
-                // SQL: x IN (..., NULL) is NULL when no match was found.
-                if saw_null {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(*negated))
-                }
-            }
-            BoundExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let v = expr.eval(row)?;
-                let lo = low.eval(row)?;
-                let hi = high.eval(row)?;
-                if v.is_null() || lo.is_null() || hi.is_null() {
-                    return Ok(Value::Null);
-                }
-                let inside = lo <= v && v <= hi;
-                Ok(Value::Bool(inside != *negated))
-            }
-            BoundExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (cond, result) in branches {
-                    if cond.eval(row)?.is_true() {
-                        return result.eval(row);
-                    }
-                }
-                match else_expr {
-                    Some(e) => e.eval(row),
-                    None => Ok(Value::Null),
-                }
-            }
-            BoundExpr::Cast { expr, to } => {
-                let v = expr.eval(row)?;
-                v.cast(*to)
-                    .ok_or_else(|| EiiError::Type(format!("cannot cast {v} to {to}")))
-            }
-            BoundExpr::Func { func, args } => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| a.eval(row))
-                    .collect::<Result<_>>()?;
-                eval_scalar(*func, &vals)
-            }
-        }
-    }
-
-    /// Evaluate as a predicate: true iff the result is `Bool(true)`
-    /// (NULL and false both reject, per SQL WHERE semantics).
-    pub fn eval_predicate(&self, row: &Row) -> Result<bool> {
-        Ok(self.eval(row)?.is_true())
-    }
-}
-
-pub(crate) fn eval_and(l: &Value, r: &Value) -> Result<Value> {
+/// Kleene AND of two values, the right one already evaluated.
+pub fn eval_and(l: &Value, r: &Value) -> Result<Value> {
     Ok(match (l.as_bool(), r.as_bool()) {
         (Some(false), _) | (_, Some(false)) => Value::Bool(false),
         (Some(true), Some(true)) => Value::Bool(true),
@@ -294,7 +153,8 @@ pub(crate) fn eval_and(l: &Value, r: &Value) -> Result<Value> {
     })
 }
 
-pub(crate) fn eval_or(l: &Value, r: &Value) -> Result<Value> {
+/// Kleene OR of two values, the right one already evaluated.
+pub fn eval_or(l: &Value, r: &Value) -> Result<Value> {
     Ok(match (l.as_bool(), r.as_bool()) {
         (Some(true), _) | (_, Some(true)) => Value::Bool(true),
         (Some(false), Some(false)) => Value::Bool(false),
@@ -358,12 +218,42 @@ fn arith<T: Arith>(a: T, op: BinaryOp, b: T) -> Result<T> {
     })
 }
 
+/// NOT or negation of a value: NULL stays NULL, `i64` negation wraps.
+pub fn eval_unary(op: UnaryOp, v: &Value) -> Result<Value> {
+    Ok(match (op, v) {
+        (_, Value::Null) => Value::Null,
+        (UnaryOp::Not, Value::Bool(b)) => Value::Bool(!b),
+        (UnaryOp::Neg, Value::Int(i)) => Value::Int(i.wrapping_neg()),
+        (UnaryOp::Neg, Value::Float(f)) => Value::Float(-f),
+        (UnaryOp::Not, other) => return Err(EiiError::Type(format!("NOT applied to {other}"))),
+        (UnaryOp::Neg, other) => return Err(EiiError::Type(format!("negation applied to {other}"))),
+    })
+}
+
+/// `v [NOT] LIKE p`: NULL when either is NULL, else both must be strings.
+pub fn eval_like(v: &Value, p: &Value, negated: bool) -> Result<Value> {
+    if v.is_null() || p.is_null() {
+        return Ok(Value::Null);
+    }
+    let (Some(text), Some(pat)) = (v.as_str(), p.as_str()) else {
+        return Err(EiiError::Type("LIKE expects string operands".into()));
+    };
+    Ok(Value::Bool(like_match(text, pat) != negated))
+}
+
+/// `CAST(v AS to)`; NULL casts to NULL.
+pub fn eval_cast(v: &Value, to: DataType) -> Result<Value> {
+    v.cast(to).ok_or_else(|| EiiError::Type(format!("cannot cast {v} to {to}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::Expr;
-    use eii_data::{row, Field};
+    use crate::vector::{eval_column, eval_filter};
+    use eii_data::{row, Batch, ColumnarBatch, Field, Row};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -373,8 +263,14 @@ mod tests {
         ])
     }
 
+    /// `e` over the one row `r`, through the kernels.
+    fn try_eval(e: &Expr, r: &Row) -> Result<Value> {
+        let batch = ColumnarBatch::from_batch(&Batch::new(Arc::new(schema()), vec![r.clone()]));
+        Ok(eval_column(&bind(e, &schema())?, &batch)?.value(0))
+    }
+
     fn eval(e: &Expr, r: &Row) -> Value {
-        bind(e, &schema()).unwrap().eval(r).unwrap()
+        try_eval(e, r).unwrap()
     }
 
     #[test]
@@ -391,7 +287,8 @@ mod tests {
         let r = Row::new(vec![Value::Null, Value::str("x"), Value::Float(1.0)]);
         let e = Expr::col("a").eq(Expr::lit(1i64));
         assert_eq!(eval(&e, &r), Value::Null);
-        assert!(!bind(&e, &schema()).unwrap().eval_predicate(&r).unwrap());
+        let batch = ColumnarBatch::from_batch(&Batch::new(Arc::new(schema()), vec![r]));
+        assert!(eval_filter(&bind(&e, &schema()).unwrap(), &batch).unwrap().is_empty());
     }
 
     #[test]
@@ -449,7 +346,7 @@ mod tests {
     fn division_by_zero_is_execution_error() {
         let r = row![1i64, "x", 0.0];
         let e = Expr::col("a").binary(BinaryOp::Divide, Expr::lit(0i64));
-        let err = bind(&e, &schema()).unwrap().eval(&r).unwrap_err();
+        let err = try_eval(&e, &r).unwrap_err();
         assert_eq!(err.kind(), "execution");
     }
 

@@ -7,10 +7,13 @@
 
 use std::collections::BTreeSet;
 
-use eii_data::{Row, Value};
+use std::sync::Arc;
+
+use eii_data::{ColumnarBatch, Schema, Value};
 
 use crate::ast::{BinaryOp, Expr};
-use crate::eval::{bind, BoundExpr};
+use crate::eval::bind;
+use crate::vector::eval_column;
 
 /// A (relation, column) reference appearing in an expression.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -78,13 +81,12 @@ pub fn conjoin(mut preds: Vec<Expr>) -> Option<Expr> {
 /// three-valued logic.
 pub fn fold_constants(expr: Expr) -> Expr {
     expr.transform(|e| {
-        // First: evaluate fully-constant subtrees.
+        // First: evaluate fully-constant subtrees, by the kernels over one
+        // row of no columns; one that errs stays as it is.
         if e.is_constant() && !matches!(e, Expr::Literal(_)) {
-            let empty_schema = eii_data::Schema::empty();
-            if let Ok(bound) = bind(&e, &empty_schema) {
-                if let Ok(v) = BoundExpr::eval(&bound, &Row::default()) {
-                    return Expr::Literal(v);
-                }
+            let one_row = ColumnarBatch::new(Arc::new(Schema::empty()), vec![], 1);
+            if let Ok(c) = bind(&e, one_row.schema()).and_then(|b| eval_column(&b, &one_row)) {
+                return Expr::Literal(c.value(0));
             }
             return e;
         }
@@ -134,6 +136,7 @@ pub fn fold_constants(expr: Expr) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
     use eii_data::{DataType, Field, Schema};
     use proptest::prelude::*;
 

@@ -1,20 +1,20 @@
 //! Vectorized expression kernels: evaluate a [`BoundExpr`] over a whole
-//! [`ColumnarBatch`] at once instead of row-at-a-time.
+//! [`ColumnarBatch`] at once. They are the only evaluator the engine runs.
 //!
-//! The contract with the scalar path is *exact semantic equivalence*: for any
+//! The contract is the scalar semantics of SQL, row by row: for any
 //! expression and any batch, [`eval_column`] must produce, position by
-//! position, the same [`Value`]s (and the same errors) as calling
-//! [`BoundExpr::eval`] on each materialized row. The kernel proptests
-//! (`tests/kernel_identities.rs`, over one hazard set) and the
-//! reference-evaluator proptest (`tests/reference.rs`) hold this line. Four
-//! rules keep it honest:
+//! position, the value a row-at-a-time walk of the expression produces (the
+//! oracle `tests/support/oracle.rs`), and on an error that walk's first
+//! failing row's error. The kernel proptests (`tests/kernel_identities.rs`,
+//! over one hazard set) and the reference-evaluator proptest
+//! (`tests/reference.rs`) hold this line. Three rules keep it honest:
 //!
 //! - **Kleene AND/OR** are re-implemented over columns, but evaluate their
 //!   right side only on the *sub-selection* of rows the scalar path would have
 //!   reached (short-circuiting is observable: a row the scalar path skips
 //!   must not be able to raise an error here). Two typed `Bool` operands are
 //!   merged from their slices and bitmaps; anything else one [`Value`] at a
-//!   time through the scalar path's own `eval_and`/`eval_or`. That merge is
+//!   time through the operator table's `eval_and`/`eval_or`. That merge is
 //!   for a logical *value*; a WHERE ([`eval_filter`]) builds none: it narrows
 //!   a selection conjunct by conjunct, each conjunct evaluated on the rows
 //!   every earlier one left TRUE or NULL — the same reach — and keeps the
@@ -33,25 +33,28 @@
 //!   so an untyped column costs speed, never correctness. `/` and `%` look
 //!   for a zero divisor before the loop, and only where the result is not
 //!   NULL anyway;
-//! - operators with row-dependent control flow (`CASE`, `IN` with non-literal
-//!   list items) materialize rows and delegate to the scalar evaluator;
-//! - **error identity**: column-at-a-time order can trip over a different
-//!   failing row than the scalar path when distinct rows fail in distinct
-//!   subexpressions, so on any kernel error [`eval_column`] re-runs the
-//!   expression row-at-a-time and reports the scalar path's first error.
+//! - **reach-exact kernels, and the first failing row.** A kernel evaluates
+//!   a subexpression only on the rows the scalar path reaches, a node's
+//!   children in its order: `CASE` runs WHEN k on the rows no earlier branch
+//!   took and THEN k where WHEN k holds, `IN` item j on the rows whose operand
+//!   is not NULL and that no earlier item matched. So a one-row batch fails
+//!   with that row's scalar error, and on an error [`eval_column`] and
+//!   [`eval_filter`] report [`first_failing_row`]'s: column-at-a-time order
+//!   (all of a left operand before any right one) can meet a later row's
+//!   error first.
 //!
 //! What still allocates: one output vector per node (and its bitmap, when an
 //! operand has one), the gather of a column read under a selection, a
 //! sub-selection per AND/OR value whose left side decides some rows but not
-//! all, a WHERE's selection per conjunct that drops a row, and — the one
-//! broadcast left — a bare literal in an *output* position
-//! (`SELECT 1`) or an all-NULL result (`x = NULL`). A `Str` column is a
-//! dictionary and a code per row: a comparison or `LIKE` against a scalar,
-//! and `IN` a literal list, evaluate once per dictionary entry and map the
-//! result by code ([`by_entry`]; row by row through the dictionary when it is
-//! larger than the rows), and two `Str` columns are walked row by row.
-//! `BETWEEN`, other `IN` operands, `CAST` and function calls still evaluate
-//! their operands as columns and walk them a [`Value`] at a time.
+//! all (and per CASE branch and IN item that some rows no longer reach), a
+//! WHERE's selection per conjunct that drops a row, and — the one broadcast
+//! left — a bare literal in an *output* position (`SELECT 1`) or an all-NULL
+//! result (`x = NULL`). A `Str` column is a dictionary and a code per row: a
+//! comparison, `LIKE` or an `IN` item against a scalar evaluate once per
+//! dictionary entry and map the result by code ([`by_entry`]; row by row
+//! through the dictionary when it is larger than the rows), and two `Str`
+//! columns are walked row by row. `BETWEEN`, `CAST`, function calls and the
+//! values `CASE` picks still walk their operands a [`Value`] at a time.
 
 // The kernel loops below walk several parallel structures in lockstep by
 // index (output vector, null bitmap, one or more operand columns, and for
@@ -67,26 +70,34 @@ use eii_data::value::cmp_int_float;
 use eii_data::{EiiError, Result, Value};
 
 use crate::ast::{BinaryOp, UnaryOp};
-use crate::eval::{eval_and, eval_binary, eval_or, BoundExpr};
+use crate::eval::{eval_and, eval_binary, eval_cast, eval_like, eval_or, eval_unary, BoundExpr};
 use crate::functions::{eval_scalar, like_match};
 
 /// Evaluate `expr` for every live row of `batch`, producing a compact column
-/// whose position `k` holds the value for logical row `k`.
+/// whose position `k` holds the value for logical row `k`; on an error, the
+/// first failing row's.
 pub fn eval_column(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Column>> {
-    match eval_column_typed(expr, batch) {
-        Ok(c) => Ok(c),
-        // The kernels evaluate column-at-a-time (all of the left operand,
-        // then all of the right), so when different rows fail in different
-        // subexpressions the first error they hit can differ from the one
-        // the scalar path reports. Re-running row-at-a-time surfaces exactly
-        // the scalar path's first error — and, defensively, the scalar
-        // result should only the kernel have erred.
-        Err(_) => eval_by_rows(expr, batch),
-    }
+    eval_column_typed(expr, batch).map_err(|e| first_error(batch, e, |b| eval_column_typed(expr, b)))
 }
 
-/// The typed kernel dispatch behind [`eval_column`]; may surface errors in a
-/// different order than the scalar path (the wrapper reconciles that).
+/// The least row `i` of `batch` for which `f` over the one-row batch of row
+/// `i` alone errs, and that error: with reach-exact kernels (module doc), the
+/// row and error the scalar path fails on first.
+pub fn first_failing_row<T>(
+    batch: &ColumnarBatch,
+    f: impl Fn(&ColumnarBatch) -> Result<T>,
+) -> Option<(usize, EiiError)> {
+    (0..batch.num_rows()).find_map(|i| f(&batch.select(vec![i as u32])).err().map(|e| (i, e)))
+}
+
+/// The error `f` met over `batch` as the scalar path reports it: the first
+/// failing row's — or `e` itself, should no row fail alone.
+fn first_error<T>(batch: &ColumnarBatch, e: EiiError, f: impl Fn(&ColumnarBatch) -> Result<T>) -> EiiError {
+    first_failing_row(batch, f).map_or(e, |(_, first)| first)
+}
+
+/// The kernel dispatch behind [`eval_column`]; may meet a later row's error
+/// before an earlier row's (the wrapper reconciles that).
 fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Column>> {
     let n = batch.num_rows();
     match expr {
@@ -101,11 +112,11 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
             _ => {
                 let l = Operand::eval(left, batch)?;
                 let r = Operand::eval(right, batch)?;
-                Ok(Arc::new(binary_kernel(&l, *op, &r, n)?))
+                binary_kernel(&l, *op, &r, n)
             }
         },
         BoundExpr::Unary { op, expr: inner } => {
-            let c = eval_column(inner, batch)?;
+            let c = eval_column_typed(inner, batch)?;
             let data = match (op, c.data()) {
                 (UnaryOp::Not, ColumnData::Bool(v)) => {
                     ColumnData::Bool(v.iter().map(|b| !b).collect())
@@ -117,13 +128,13 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
                     ColumnData::Float(v.iter().map(|f| -f).collect())
                 }
                 // `Mixed`, or a type the operator rejects wherever the
-                // operand is not NULL: the scalar path knows which.
-                _ => return eval_by_rows(expr, batch),
+                // operand is not NULL.
+                _ => return by_values(n, |i| eval_unary(*op, &c.value(i))),
             };
             Ok(Arc::new(Column::new(data, c.nulls().cloned())))
         }
         BoundExpr::IsNull { expr, negated } => {
-            let c = eval_column(expr, batch)?;
+            let c = eval_column_typed(expr, batch)?;
             let out = match (c.data(), c.nulls()) {
                 (ColumnData::Mixed(v), _) => v.iter().map(|x| x.is_null() != *negated).collect(),
                 (_, None) => vec![*negated; n],
@@ -139,10 +150,10 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
             // A literal pattern is a scalar, read once; a `Str` text or
             // pattern is walked in its typed vector, a placeholder under a
             // NULL. Anything else — a NULL literal, `Mixed`, another type —
-            // goes by rows, where the scalar path decides NULL or error.
+            // goes a value at a time, NULL or a type error.
             let (t, p) = (Operand::eval(text, batch)?, Operand::eval(pattern, batch)?);
             let (Lanes::Str(ts), Lanes::Str(ps)) = (t.lanes(), p.lanes()) else {
-                return eval_by_rows(expr, batch);
+                return by_values(n, |i| eval_like(&t.value(i), &p.value(i), *negated));
             };
             let out = strs(ts, ps, n, |t, p| like_match(t, p) != *negated);
             let valid = NullBitmap::both_valid(t.nulls(), p.nulls());
@@ -153,49 +164,40 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
             list,
             negated,
         } => {
-            // Scalar IN short-circuits across list items per row; with
-            // non-literal items a skipped item could otherwise error here.
-            if !list.iter().all(|e| matches!(e, BoundExpr::Literal(_))) {
-                return eval_by_rows(expr, batch);
+            // Item j is compared on the rows whose operand is not NULL and
+            // that no earlier item matched — a literal as a scalar, so a
+            // `Str` operand meets it once per dictionary entry — by the
+            // binary kernel's `=`, NULL where the item is NULL.
+            let c = eval_column_typed(inner, batch)?;
+            let mut open: Vec<u32> = (0..n as u32).filter(|&i| !c.is_null(i as usize)).collect();
+            let (mut found, mut saw_null) = (vec![false; n], vec![false; n]);
+            for item in list {
+                if open.is_empty() {
+                    break;
+                }
+                let sub = (open.len() < n).then(|| batch.select(open.clone()));
+                let operand = match sub {
+                    None => Arc::clone(&c),
+                    Some(_) => Arc::new(c.gather(&open)),
+                };
+                let item = Operand::eval(item, sub.as_ref().unwrap_or(batch))?;
+                let eq = binary_kernel(&Operand::Col(operand), BinaryOp::Eq, &item, open.len())?;
+                for (k, &i) in open.iter().enumerate() {
+                    match eq.value(k) {
+                        Value::Bool(b) => found[i as usize] = b,
+                        _ => saw_null[i as usize] = true,
+                    }
+                }
+                open.retain(|&i| !found[i as usize]);
             }
-            let c = eval_column(inner, batch)?;
-            let items: Vec<Value> = list
-                .iter()
-                .map(|e| match e {
-                    BoundExpr::Literal(v) => v.clone(),
-                    _ => unreachable!("checked above"),
-                })
-                .collect();
-            let saw_null = items.iter().any(Value::is_null);
-            // A string is in the list once per dictionary entry.
-            let found = match c.as_dict() {
-                Some((dict, codes)) => by_entry(dict, codes, |s| {
-                    items.iter().any(|item| item.as_str() == Some(&**s))
-                }),
-                None => (0..n).map(|i| items.iter().any(|item| !item.is_null() && *item == c.value(i))).collect(),
-            };
-            let mut out = vec![false; n];
             let mut nulls = NullBitmap::new_valid(n);
             let mut any_null = false;
-            for i in 0..n {
-                if c.is_null(i) {
-                    nulls.set_null(i);
-                    any_null = true;
-                    continue;
-                }
-                if found[i] {
-                    out[i] = !*negated;
-                } else if saw_null {
-                    nulls.set_null(i);
-                    any_null = true;
-                } else {
-                    out[i] = *negated;
-                }
+            for i in (0..n).filter(|&i| c.is_null(i) || (saw_null[i] && !found[i])) {
+                nulls.set_null(i);
+                any_null = true;
             }
-            Ok(Arc::new(Column::new(
-                ColumnData::Bool(out),
-                any_null.then_some(nulls),
-            )))
+            let out = found.iter().map(|&f| f != *negated).collect();
+            Ok(Arc::new(Column::new(ColumnData::Bool(out), any_null.then_some(nulls))))
         }
         BoundExpr::Between {
             expr,
@@ -203,9 +205,9 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
             high,
             negated,
         } => {
-            let c = eval_column(expr, batch)?;
-            let lo = eval_column(low, batch)?;
-            let hi = eval_column(high, batch)?;
+            let c = eval_column_typed(expr, batch)?;
+            let lo = eval_column_typed(low, batch)?;
+            let hi = eval_column_typed(high, batch)?;
             let mut out = vec![false; n];
             let mut nulls = NullBitmap::new_valid(n);
             let mut any_null = false;
@@ -223,57 +225,98 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
                 any_null.then_some(nulls),
             )))
         }
-        // CASE has per-row control flow (later branches must not be
-        // evaluated once one matches); delegate to the scalar evaluator.
-        BoundExpr::Case { .. } => eval_by_rows(expr, batch),
-        BoundExpr::Cast { expr, to } => {
-            let c = eval_column(expr, batch)?;
-            let vals = (0..n)
-                .map(|i| {
-                    let v = c.value(i);
-                    v.cast(*to)
-                        .ok_or_else(|| EiiError::Type(format!("cannot cast {v} to {to}")))
-                })
-                .collect::<Result<Vec<_>>>()?;
+        BoundExpr::Case {
+            branches,
+            else_expr,
+        } => {
+            // WHEN k runs on the rows no earlier branch took, THEN k where
+            // WHEN k holds, the ELSE (or NULL) on the rest; each result is
+            // scattered to its rows by position.
+            let mut vals = vec![Value::Null; n];
+            let mut scatter = |e: &BoundExpr, rows: &[u32]| -> Result<()> {
+                let c = eval_on(e, batch, rows)?;
+                (rows.iter().enumerate()).for_each(|(k, &i)| vals[i as usize] = c.value(k));
+                Ok(())
+            };
+            let mut open: Vec<u32> = (0..n as u32).collect();
+            for (when, then) in branches {
+                if open.is_empty() {
+                    break;
+                }
+                let holds = eval_on(when, batch, &open)?;
+                let mut hit = (0..open.len()).map(|k| holds.value(k).is_true());
+                let (took, rest): (Vec<u32>, Vec<u32>) = open.iter().partition(|_| hit.next() == Some(true));
+                if !took.is_empty() {
+                    scatter(then, &took)?;
+                }
+                open = rest;
+            }
+            match else_expr {
+                Some(e) if !open.is_empty() => scatter(e, &open)?,
+                _ => {}
+            }
             Ok(Arc::new(from_values_auto(&vals)))
+        }
+        BoundExpr::Cast { expr, to } => {
+            let c = eval_column_typed(expr, batch)?;
+            by_values(n, |i| eval_cast(&c.value(i), *to))
         }
         BoundExpr::Func { func, args } => {
             let cols = args
                 .iter()
-                .map(|a| eval_column(a, batch))
+                .map(|a| eval_column_typed(a, batch))
                 .collect::<Result<Vec<_>>>()?;
             let mut scratch = Vec::with_capacity(cols.len());
-            let vals = (0..n)
-                .map(|i| {
-                    scratch.clear();
-                    scratch.extend(cols.iter().map(|c| c.value(i)));
-                    eval_scalar(*func, &scratch)
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Ok(Arc::new(from_values_auto(&vals)))
+            by_values(n, |i| {
+                scratch.clear();
+                scratch.extend(cols.iter().map(|c| c.value(i)));
+                eval_scalar(*func, &scratch)
+            })
         }
     }
 }
 
+/// `expr` over the rows `rows` of `batch` (logical positions, ascending):
+/// the batch itself when that is every row.
+fn eval_on(expr: &BoundExpr, batch: &ColumnarBatch, rows: &[u32]) -> Result<Arc<Column>> {
+    if rows.len() == batch.num_rows() {
+        eval_column_typed(expr, batch)
+    } else {
+        eval_column_typed(expr, &batch.select(rows.to_vec()))
+    }
+}
+
+/// `f` at each of `n` positions, one [`Value`] at a time: the operator
+/// table's path for what no typed loop covers.
+fn by_values(n: usize, f: impl FnMut(usize) -> Result<Value>) -> Result<Arc<Column>> {
+    let vals = (0..n).map(f).collect::<Result<Vec<_>>>()?;
+    Ok(Arc::new(from_values_auto(&vals)))
+}
+
 /// Evaluate a predicate over the batch, returning the logical indices of rows
-/// where it is `Bool(true)` (NULL and false both reject, per SQL WHERE).
+/// where it is `Bool(true)` (NULL and false both reject, per SQL WHERE); on
+/// an error, the first failing row's.
 ///
 /// A WHERE narrows a selection rather than building a Kleene column: the
 /// predicate's `AND` tree is flattened into conjuncts, and conjunct `j` is
 /// evaluated only on the rows where every earlier one was TRUE or NULL —
 /// exactly where the scalar path's short-circuit reaches. A conjunct that is
-/// not a typed `Bool` column, or whose kernel errs, sends the whole predicate
-/// through [`eval_column`] instead, and so to the scalar path's first error.
+/// not a typed `Bool` column sends the whole predicate through the Kleene
+/// column instead.
 pub fn eval_filter(pred: &BoundExpr, batch: &ColumnarBatch) -> Result<Vec<u32>> {
-    let mut conjuncts = Vec::new();
-    flatten_and(pred, &mut conjuncts);
-    if let Some(keep) = narrow(&conjuncts, batch) {
-        return Ok(keep);
-    }
-    let c = eval_column(pred, batch)?;
-    Ok((0..batch.num_rows() as u32).filter(|&i| c.value(i as usize).is_true()).collect())
+    filter(pred, batch).map_err(|e| first_error(batch, e, |b| filter(pred, b)))
 }
 
+/// [`eval_filter`]'s kernels, errors in column-at-a-time order.
+fn filter(pred: &BoundExpr, batch: &ColumnarBatch) -> Result<Vec<u32>> {
+    let mut conjuncts = Vec::new();
+    flatten_and(pred, &mut conjuncts);
+    if let Some(keep) = narrow(&conjuncts, batch)? {
+        return Ok(keep);
+    }
+    let c = eval_column_typed(pred, batch)?;
+    Ok((0..batch.num_rows() as u32).filter(|&i| c.value(i as usize).is_true()).collect())
+}
 /// The conjuncts of `e`'s `AND` tree, left to right, whatever its nesting.
 fn flatten_and<'e>(e: &'e BoundExpr, out: &mut Vec<&'e BoundExpr>) {
     match e {
@@ -286,12 +329,11 @@ fn flatten_and<'e>(e: &'e BoundExpr, out: &mut Vec<&'e BoundExpr>) {
 }
 
 /// [`eval_filter`] conjunct by conjunct, or `None` when a conjunct is not a
-/// typed `Bool` column or its kernel errs. `reach` holds the rows every
-/// conjunct so far left TRUE or NULL (`None` before the first); while it holds
-/// every row the batch is left unselected. `nulled` marks, once a NULL
-/// appears, the rows one left NULL — still reached by the next conjunct,
-/// never kept.
-fn narrow(conjuncts: &[&BoundExpr], batch: &ColumnarBatch) -> Option<Vec<u32>> {
+/// typed `Bool` column. `reach` holds the rows every conjunct so far left
+/// TRUE or NULL (`None` before the first); while it holds every row the batch
+/// is left unselected. `nulled` marks, once a NULL appears, the rows one left
+/// NULL — still reached by the next conjunct, never kept.
+fn narrow(conjuncts: &[&BoundExpr], batch: &ColumnarBatch) -> Result<Option<Vec<u32>>> {
     let n = batch.num_rows();
     let mut reach: Option<Vec<u32>> = None;
     let mut nulled: Option<Vec<bool>> = None;
@@ -302,8 +344,8 @@ fn narrow(conjuncts: &[&BoundExpr], batch: &ColumnarBatch) -> Option<Vec<u32>> {
         let sub = reach.take_if(|rows| rows.len() < n).map(|rows| batch.select(rows));
         let rows = (copy.as_deref().or(reach.as_deref()))
             .or_else(|| sub.as_ref().and_then(ColumnarBatch::selection));
-        let col = eval_column_typed(conj, sub.as_ref().unwrap_or(batch)).ok()?;
-        let bools = col.as_bools()?;
+        let col = eval_column_typed(conj, sub.as_ref().unwrap_or(batch))?;
+        let Some(bools) = col.as_bools() else { return Ok(None) };
         let at = |k: usize| rows.map_or(k as u32, |rows| rows[k]);
         let next = match (col.nulls(), rows) {
             (None, None) => select_true(bools, |k| k as u32),
@@ -323,16 +365,14 @@ fn narrow(conjuncts: &[&BoundExpr], batch: &ColumnarBatch) -> Option<Vec<u32>> {
             }
         };
         if next.is_empty() {
-            return Some(next);
+            return Ok(Some(next));
         }
         reach = Some(next);
     }
-    // No conjunct at all: the whole predicate's column decides.
-    let reach = reach?;
-    Some(match nulled {
+    Ok(reach.map(|reach| match nulled {
         None => reach,
         Some(nulled) => reach.into_iter().filter(|&r| !nulled[r as usize]).collect(),
-    })
+    }))
 }
 
 /// `at(k)` for each `k` where `bools[k]`, in order, written without a branch
@@ -349,14 +389,6 @@ fn select_true(bools: &[bool], at: impl Fn(usize) -> u32) -> Vec<u32> {
     next
 }
 
-/// Row-materializing fallback: semantically the scalar path by construction.
-fn eval_by_rows(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Column>> {
-    let vals = (0..batch.num_rows())
-        .map(|i| expr.eval(&batch.row(i)))
-        .collect::<Result<Vec<_>>>()?;
-    Ok(Arc::new(from_values_auto(&vals)))
-}
-
 /// Kleene AND/OR with observable short-circuiting: the right side is
 /// evaluated only over the sub-selection of rows whose left value does not
 /// already decide the result, mirroring the scalar path's lazy `eval`. Two
@@ -370,7 +402,7 @@ fn eval_logical(
     is_and: bool,
 ) -> Result<Arc<Column>> {
     let n = batch.num_rows();
-    let l = eval_column(left, batch)?;
+    let l = eval_column_typed(left, batch)?;
     // The value that decides a row from the left alone: FALSE for AND, TRUE
     // for OR.
     let dominant = !is_and;
@@ -379,12 +411,11 @@ fn eval_logical(
         None => l.value(i) != Value::Bool(dominant),
     };
     let need: Vec<u32> = (0..n as u32).filter(|&i| undecided(i as usize)).collect();
-    let r = match need.len() {
+    if need.is_empty() {
         // Every row decided, each by its own left value.
-        0 => return Ok(l),
-        k if k == n => eval_column(right, batch)?,
-        _ => eval_column(right, &batch.select(need))?,
-    };
+        return Ok(l);
+    }
+    let r = eval_on(right, batch, &need)?;
     let typed = l.as_bools().zip(r.as_bools());
     if typed.is_some() && r.len() == n && l.nulls().is_none() {
         // Every left value is the neutral one: the right side is the answer.
@@ -459,7 +490,7 @@ impl Operand {
     fn eval(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Operand> {
         Ok(match expr {
             BoundExpr::Literal(v) => Operand::Scalar(v.clone()),
-            _ => Operand::Col(eval_column(expr, batch)?),
+            _ => Operand::Col(eval_column_typed(expr, batch)?),
         })
     }
 
@@ -638,10 +669,10 @@ fn arith<A, B, T: Arith>(
 /// keeps the scalar path's widening (Int op Int stays Int and wraps, any Float
 /// widens to f64, a zero divisor is an error). Every other pairing (`Mixed`,
 /// `Bool`, Str + Str, two different types) defers to `eval_binary` element-wise.
-fn binary_kernel(l: &Operand, op: BinaryOp, r: &Operand, n: usize) -> Result<Column> {
+fn binary_kernel(l: &Operand, op: BinaryOp, r: &Operand, n: usize) -> Result<Arc<Column>> {
     use Lanes::{Float, Int, Str, Timestamp};
     if matches!(l, Operand::Scalar(Value::Null)) || matches!(r, Operand::Scalar(Value::Null)) {
-        return Ok(Column::broadcast(&Value::Null, n));
+        return Ok(Arc::new(Column::broadcast(&Value::Null, n)));
     }
     let valid = NullBitmap::both_valid(l.nulls(), r.nulls());
     let (int, float, widen) = (|x: &i64| *x, |x: &f64| *x, |x: &i64| *x as f64);
@@ -676,14 +707,9 @@ fn binary_kernel(l: &Operand, op: BinaryOp, r: &Operand, n: usize) -> Result<Col
         (Float(a), Float(b), false) => {
             ColumnData::Float(arith((a, float), op, (b, float), n, valid.as_ref())?)
         }
-        _ => {
-            let vals = (0..n)
-                .map(|i| eval_binary(&l.value(i), op, &r.value(i)))
-                .collect::<Result<Vec<_>>>()?;
-            return Ok(from_values_auto(&vals));
-        }
+        _ => return by_values(n, |i| eval_binary(&l.value(i), op, &r.value(i))),
     };
-    Ok(Column::new(data, valid))
+    Ok(Arc::new(Column::new(data, valid)))
 }
 
 /// Build a column from computed values, picking a typed layout when the
@@ -713,6 +739,7 @@ mod tests {
     use super::*;
     use crate::ast::Expr;
     use crate::eval::bind;
+    use crate::oracle::Oracle;
     use eii_data::{row, Batch, DataType, Field, Row, Schema};
     use proptest::prelude::*;
 
@@ -845,7 +872,7 @@ mod tests {
     fn a_zero_under_a_null_keeps_the_kernel_on_its_typed_path() {
         // The divisor's NULL sits over the placeholder 0; the dividend's NULL
         // sits beside a real 0. Neither row divides, so the typed kernel must
-        // answer — not give up with an error and leave it to the row path.
+        // answer, not err.
         let rows = vec![
             Row::new(vec![Value::Null, Value::str("x"), Value::Float(1.0)]),
             Row::new(vec![Value::Int(4), Value::str("y"), Value::Null]),

@@ -1,6 +1,6 @@
 //! The kernels against the scalar evaluator, over one hazard set.
 //!
-//! [`eval_column`] must answer, row by row, what [`BoundExpr::eval`] answers
+//! [`eval_column`] must answer, row by row, what [`Oracle::eval`] answers
 //! — values to the bit, and when a row fails, the first failing row's error —
 //! and [`eval_filter`] must keep exactly the rows whose scalar predicate is
 //! true, or fail with that same first error. The cells are the ones the kernels' shortcuts could get wrong: NULL-heavy
@@ -17,6 +17,10 @@ use eii_data::{Batch, ColumnData, ColumnarBatch, DataType, Field, Row, Schema, V
 use eii_expr::{bind, eval_column, eval_filter, BinaryOp, BoundExpr, Expr, UnaryOp};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
+use oracle::Oracle;
 
 const P53: i64 = 1 << 53;
 
@@ -103,7 +107,7 @@ fn exact(v: &Value) -> String {
     }
 }
 
-/// `eval_column` ≡ `BoundExpr::eval` row by row over `batch`, or both fail
+/// `eval_column` ≡ `Oracle::eval` row by row over `batch`, or both fail
 /// with the scalar path's first error.
 fn check(expr: &Expr, batch: &ColumnarBatch) -> Result<(), TestCaseError> {
     let bound = bind(expr, batch.schema()).unwrap();

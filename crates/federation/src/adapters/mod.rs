@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use eii_data::keys::{KeyLists, NO_KEY};
 use eii_data::{ColumnarBatch, EiiError, Result, Schema};
-use eii_expr::{bind, eval_column, eval_filter, referenced_columns, BoundExpr, Expr};
+use eii_expr::{bind, eval_column, eval_filter, first_failing_row, referenced_columns, BoundExpr, Expr};
 use eii_storage::{Built, Database};
 
 use crate::connector::{Binding, SourceAnswer, SourceQuery};
@@ -117,11 +117,21 @@ pub fn apply_query_locally(
     let bound = bound_rows(input, bindings)?;
     // A source stops at its limit and a row skips the filters after the one
     // that rejects it; the kernels run each filter over every survivor. When
-    // one of them errs, the row-at-a-time sweep says whether — and how — the
-    // source would have.
+    // one errs, the first failing row says whether — and how — the source
+    // would have: the rows before it cannot fail, and if they already fill
+    // the limit the source never reached it.
     let kept = match survivors(&bound, &filters, limit) {
         Ok(kept) => kept,
-        Err(_) => survivors_by_rows(&bound, &filters, limit)?,
+        Err(e) => {
+            let Some((r, e)) = first_failing_row(&bound, |row| survivors(row, &filters, None)) else {
+                return Err(e);
+            };
+            let before = survivors(&bound.clone().head(r), &filters, limit)?;
+            if limit.is_none_or(|n| before.num_rows() < n) {
+                return Err(e);
+            }
+            before
+        }
     };
     let Some(names) = projection else {
         return Ok(kept);
@@ -167,29 +177,6 @@ fn survivors(
     Ok(kept.head(limit.unwrap_or(usize::MAX)))
 }
 
-/// [`survivors`], one row at a time: nothing past the limit is looked at and
-/// a rejected row meets no further filter.
-fn survivors_by_rows(
-    input: &ColumnarBatch,
-    filters: &[BoundExpr],
-    limit: Option<usize>,
-) -> Result<ColumnarBatch> {
-    let mut keep = Vec::new();
-    'rows: for i in 0..input.num_rows() {
-        if limit.is_some_and(|n| keep.len() >= n) {
-            break;
-        }
-        let row = input.row(i);
-        for f in filters {
-            if !f.eval_predicate(&row)? {
-                continue 'rows;
-            }
-        }
-        keep.push(i as u32);
-    }
-    Ok(input.select(keep))
-}
-
 /// Defensive check used by adapters that cannot evaluate filters/bindings.
 pub(crate) fn reject_unsupported(source: &str, query: &SourceQuery) -> Result<()> {
     if !query.filters.is_empty() || !query.bindings.is_empty() {
@@ -205,6 +192,9 @@ use eii_data::Value; // the hazard cells name it through this module
 #[cfg(test)]
 #[path = "../../../../tests/support/hazards.rs"]
 mod hazards;
+#[cfg(test)]
+#[path = "../../../../tests/support/oracle.rs"]
+mod oracle;
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -212,6 +202,7 @@ pub(crate) mod tests {
     use super::document::{DocumentConnector, VirtualTable};
     use super::relational::RelationalConnector;
     use super::webservice::WebServiceConnector;
+    use super::oracle::Oracle;
     use super::*;
     use crate::connector::tests::binding;
     use crate::connector::Connector;

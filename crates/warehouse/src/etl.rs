@@ -2,8 +2,8 @@
 
 use std::sync::Arc;
 
-use eii_data::{Batch, DataType, EiiError, Field, Result, Row, Schema, SchemaRef};
-use eii_expr::{bind, Expr};
+use eii_data::{Batch, ColumnarBatch, DataType, EiiError, Field, Result, Row, Schema, SchemaRef};
+use eii_expr::{bind, eval_column, eval_filter, Expr};
 
 /// One step of a transform pipeline.
 #[derive(Debug, Clone)]
@@ -29,14 +29,9 @@ impl Transform {
         let schema = batch.schema().clone();
         match self {
             Transform::Filter(pred) => {
-                let bound = bind(pred, &schema)?;
-                let mut rows = Vec::new();
-                for row in batch.into_rows() {
-                    if bound.eval_predicate(&row)? {
-                        rows.push(row);
-                    }
-                }
-                Ok(Batch::new(schema, rows))
+                let keep = eval_filter(&bind(pred, &schema)?, &ColumnarBatch::from_batch(&batch))?;
+                let rows = batch.into_rows();
+                Ok(Batch::new(schema, keep.into_iter().map(|i| rows[i as usize].clone()).collect()))
             }
             Transform::Derive { name, expr } => {
                 let bound = bind(expr, &schema)?;
@@ -44,13 +39,13 @@ impl Transform {
                 let mut fields = schema.fields().to_vec();
                 fields.push(Field::new(name.clone(), ty));
                 let out_schema: SchemaRef = Arc::new(Schema::new(fields));
-                let mut rows = Vec::with_capacity(batch.num_rows());
-                for mut row in batch.into_rows() {
-                    let v = bound.eval(&row)?;
-                    row.push(v);
-                    rows.push(row);
-                }
-                Ok(Batch::new(out_schema, rows))
+                let derived = eval_column(&bound, &ColumnarBatch::from_batch(&batch))?;
+                let rows = batch.into_rows().into_iter().enumerate();
+                let rows = rows.map(|(i, mut row)| {
+                    row.push(derived.value(i));
+                    row
+                });
+                Ok(Batch::new(out_schema, rows.collect()))
             }
             Transform::Select(cols) => {
                 let indices = cols

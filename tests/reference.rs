@@ -4,12 +4,13 @@
 //! [`reference`] is deliberately tiny and shares nothing with the executor:
 //! it walks the **un-optimized** `LogicalPlan` the plan builder produces,
 //! reads base rows straight out of the source databases, joins by nested
-//! loops, evaluates every expression with the scalar `BoundExpr::eval`, and
-//! computes COUNT/SUM/AVG/MIN/MAX itself. The engine under test runs the
-//! whole stack — optimizer, pushdown, bind joins, view rewrite, dead-source
-//! fallback, the columnar operators. Whatever the two disagree on is a bug
-//! in one of them, and the reference is the one short enough to check by
-//! reading.
+//! loops, evaluates every expression a row at a time with the scalar oracle
+//! (`support/oracle.rs`, which shares no evaluator with the engine's kernels,
+//! only the per-value operator table), and computes COUNT/SUM/AVG/MIN/MAX
+//! itself. The engine under test runs the whole stack — optimizer, pushdown,
+//! bind joins, view rewrite, dead-source fallback, the columnar operators.
+//! Whatever the two disagree on is a bug in one of them, and the reference is
+//! the one short enough to check by reading.
 
 use std::sync::Arc;
 
@@ -21,6 +22,10 @@ use eii::planner::{AggItem, LogicalPlan};
 use eii::prelude::*;
 use eii::row;
 use eii::sql::JoinKind;
+
+#[path = "support/oracle.rs"]
+mod oracle;
+use oracle::Oracle;
 
 mod reference {
     use super::*;
