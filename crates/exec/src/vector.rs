@@ -19,10 +19,10 @@
 //! interpreter (the test oracle, `tests/support/oracle.rs`): its values, in a
 //! fixed order that depends neither on the chunk size nor on where the
 //! incoming list is cut, and for each expression its first failing row — the
-//! kernels' own, found by [`first_failing_row`]. The places where that contract bites are
-//! spelled out inline: NULL join keys, Semi/Anti residual short-circuiting,
-//! first-seen group order, the aggregate's error order, and the
-//! integral-until-float SUM ladder ([`crate::agg`]). Keys are hashed and
+//! kernels' own, found by [`first_failing_row`]. The places where that
+//! contract bites are spelled out inline: NULL join keys, Semi/Anti residual
+//! short-circuiting, first-seen group order, the aggregate's error order, and
+//! the integral-until-float SUM ladder ([`crate::agg`]). Keys are hashed and
 //! compared in place ([`eii_data::keys`]).
 
 use std::sync::Arc;
@@ -321,9 +321,9 @@ pub struct VecHashJoin {
     pred: ColumnPick,
     /// What flows out: the columns the consumer reads.
     out: ColumnPick,
-    /// What a candidate's gather copies: `out`'s columns (none for
-    /// Semi/Anti, which select the probe chunk), and the residual's when there
-    /// is one (ascending).
+    /// What a candidate's gather copies: `out`'s columns (none for Semi/Anti,
+    /// which select the probe chunk), and the residual's when there is one
+    /// (ascending).
     gathered: Vec<usize>,
     /// Most candidate pairs gathered at once, so a cross product is filtered
     /// before it is ever held whole and handed on in bounded pieces.
@@ -488,11 +488,13 @@ impl VecHashJoin {
                 for &r in &open {
                     round.extend(chunk.physical_index(r as usize) as u32, &rows_of(r)[k..=k]);
                 }
-                let view = self.pred.view(&self.gathered, &self.gather_pairs(chunk, &round), open.len());
+                let cols = self.gather_pairs(chunk, &round);
+                let view = self.pred.view(&self.gathered, &cols, open.len());
                 let hits = match eval_filter(pred, &view) {
                     Ok(hits) => hits,
                     Err(e) => {
-                        let (p, e) = first_failing_row(&view, |b| eval_filter(pred, b)).unwrap_or((0, e));
+                        let failing = first_failing_row(&view, |b| eval_filter(pred, b));
+                        let (p, e) = failing.unwrap_or((0, e));
                         error = Some(e);
                         open.truncate(p);
                         eval_filter(pred, &view.head(p))?
@@ -1009,7 +1011,8 @@ mod tests {
         let sum = || Expr::col("a").binary(BinaryOp::Plus, Expr::col("b"));
         let probe = |left: &ColumnarBatch, kind, on: &BoundExpr| {
             let (pred, out) = (ColumnPick::new(&both, None), ColumnPick::new(left.schema(), None));
-            let mut op = VecHashJoin::new(&right, &[], Vec::new(), kind, Some(on.clone()), pred, out, 0);
+            let residual = Some(on.clone());
+            let mut op = VecHashJoin::new(&right, &[], Vec::new(), kind, residual, pred, out, 0);
             let mut out = Chunks::new(left.schema().clone());
             op.push(left, &mut out).map(|()| out.num_rows())
         };

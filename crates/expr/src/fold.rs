@@ -6,7 +6,6 @@
 //! which source a predicate can be pushed to).
 
 use std::collections::BTreeSet;
-
 use std::sync::Arc;
 
 use eii_data::{ColumnarBatch, Schema, Value};

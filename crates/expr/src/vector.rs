@@ -77,23 +77,19 @@ use crate::functions::{eval_scalar, like_match};
 /// whose position `k` holds the value for logical row `k`; on an error, the
 /// first failing row's.
 pub fn eval_column(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Column>> {
-    eval_column_typed(expr, batch).map_err(|e| first_error(batch, e, |b| eval_column_typed(expr, b)))
+    let kernel = |b: &ColumnarBatch| eval_column_typed(expr, b);
+    kernel(batch).map_err(|e| first_failing_row(batch, kernel).map_or(e, |(_, first)| first))
 }
 
 /// The least row `i` of `batch` for which `f` over the one-row batch of row
 /// `i` alone errs, and that error: with reach-exact kernels (module doc), the
-/// row and error the scalar path fails on first.
+/// row and error the scalar path fails on first. `None` only if no row fails
+/// alone, when a caller keeps the error the whole batch met.
 pub fn first_failing_row<T>(
     batch: &ColumnarBatch,
     f: impl Fn(&ColumnarBatch) -> Result<T>,
 ) -> Option<(usize, EiiError)> {
     (0..batch.num_rows()).find_map(|i| f(&batch.select(vec![i as u32])).err().map(|e| (i, e)))
-}
-
-/// The error `f` met over `batch` as the scalar path reports it: the first
-/// failing row's — or `e` itself, should no row fail alone.
-fn first_error<T>(batch: &ColumnarBatch, e: EiiError, f: impl Fn(&ColumnarBatch) -> Result<T>) -> EiiError {
-    first_failing_row(batch, f).map_or(e, |(_, first)| first)
 }
 
 /// The kernel dispatch behind [`eval_column`]; may meet a later row's error
@@ -245,7 +241,8 @@ fn eval_column_typed(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Colu
                 }
                 let holds = eval_on(when, batch, &open)?;
                 let mut hit = (0..open.len()).map(|k| holds.value(k).is_true());
-                let (took, rest): (Vec<u32>, Vec<u32>) = open.iter().partition(|_| hit.next() == Some(true));
+                let (took, rest): (Vec<u32>, Vec<u32>) =
+                    open.iter().partition(|_| hit.next() == Some(true));
                 if !took.is_empty() {
                     scatter(then, &took)?;
                 }
@@ -304,7 +301,8 @@ fn by_values(n: usize, f: impl FnMut(usize) -> Result<Value>) -> Result<Arc<Colu
 /// not a typed `Bool` column sends the whole predicate through the Kleene
 /// column instead.
 pub fn eval_filter(pred: &BoundExpr, batch: &ColumnarBatch) -> Result<Vec<u32>> {
-    filter(pred, batch).map_err(|e| first_error(batch, e, |b| filter(pred, b)))
+    let kernel = |b: &ColumnarBatch| filter(pred, b);
+    kernel(batch).map_err(|e| first_failing_row(batch, kernel).map_or(e, |(_, first)| first))
 }
 
 /// [`eval_filter`]'s kernels, errors in column-at-a-time order.
