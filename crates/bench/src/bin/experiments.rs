@@ -8,7 +8,7 @@
 //!   cargo run -p eii-bench --release --bin experiments -- trajectory
 //!
 //! `trajectory` prints the compact cross-experiment summary table from
-//! the `BENCH_E*.json` files the gate experiments (E13–E18) wrote.
+//! the `BENCH_E*.json` files the gate experiments (E13–E20) wrote.
 
 use std::time::Instant;
 
@@ -22,7 +22,7 @@ fn main() {
         .filter(|a| a != "--json")
         .collect();
     let ids: Vec<String> = if requested.is_empty() || requested.iter().any(|a| a == "all") {
-        experiments::ALL.iter().map(|s| s.to_string()).collect()
+        experiments::ALL.iter().map(|(id, _)| id.to_string()).collect()
     } else {
         requested
     };

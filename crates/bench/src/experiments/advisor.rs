@@ -10,12 +10,12 @@
 
 use eii::data::{EiiError, Result, Row};
 use eii::prelude::*;
-use eii::row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fedmark::{sizes, FedMark};
+use crate::fedmark::{new_order, sizes, FedMark};
 use crate::report::{fmt_f, Report};
+use crate::runner::{run, Run, Step};
 use crate::summary::BenchSummary;
 
 /// Statements in the workload (queries + writes).
@@ -40,24 +40,36 @@ const HOT: [&str; 3] = [
      GROUP BY c.region",
 ];
 
-struct Run {
-    /// Sorted result rows per query statement, in stream order.
-    answers: Vec<(usize, Vec<Row>)>,
-    /// Per-query simulated latency.
-    latencies: Vec<f64>,
-    bytes: usize,
-    /// Total simulated query time (the determinism signal alongside the
-    /// byte ledger: a replay must land on the exact same value).
-    sim_ms: f64,
-    /// The advisor's executed-action journal (empty when untuned).
-    digest: String,
-    views_installed: usize,
-    cycles: u64,
+/// The seeded statement stream: ~10% new orders (the installed views must
+/// stay fresh through them), ~75% hot shapes and a long tail of one-off
+/// point lookups whose fingerprints never accumulate enough executions to
+/// be candidates.
+fn stream(env: &FedMark) -> Result<Vec<Step>> {
+    let n_cust = sizes(1).0;
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x20e5);
+    let sales = env.system.federation().source("sales")?;
+    let mut next_order = 1_000_000i64;
+    let mut steps = Vec::with_capacity(STATEMENTS);
+    for _ in 0..STATEMENTS {
+        let pick = rng.gen_range(0..100);
+        steps.push(if pick < 10 {
+            next_order += 1;
+            Step::Write(sales.clone(), new_order(&mut rng, next_order - 1, n_cust))
+        } else if pick < 85 {
+            Step::Query(HOT[rng.gen_range(0..HOT.len())].into())
+        } else {
+            let id = rng.gen_range(0..n_cust);
+            Step::Query(format!("SELECT name FROM crm.customers WHERE customer_id = {id}"))
+        });
+    }
+    Ok(steps)
 }
 
-/// Drive the identical seeded statement stream against a fresh FedMark
-/// build, with or without the advisor enabled. Nothing else differs.
-fn run_config(tuned: bool) -> Result<Run> {
+/// Drive the stream against a fresh FedMark build, with or without the
+/// advisor enabled (nothing else differs). Gives the run, the advisor's
+/// executed-action journal (empty when untuned), the views installed and
+/// the advisor's cycles.
+fn drive(tuned: bool) -> Result<(Run, String, usize, u64)> {
     let env = FedMark::build(1, SEED)?;
     if tuned {
         env.system.enable_advisor(AdvisorConfig {
@@ -66,49 +78,7 @@ fn run_config(tuned: bool) -> Result<Run> {
             ..AdvisorConfig::default()
         });
     }
-    let (n_cust, n_ord, ..) = sizes(1);
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x20e5);
-    let sales = env.system.federation().source("sales")?;
-    let mut next_order = 1_000_000i64;
-    let mut answers = Vec::new();
-    let mut latencies = Vec::with_capacity(STATEMENTS);
-    for i in 0..STATEMENTS {
-        let pick = rng.gen_range(0..100);
-        if pick < 10 {
-            // A write: the installed views must stay fresh through it.
-            sales.update(&UpdateOp::Insert {
-                table: "orders".into(),
-                row: row![
-                    next_order,
-                    rng.gen_range(0..n_cust),
-                    (rng.gen_range(1..2000) as f64) / 2.0,
-                    if rng.gen_bool(0.5) { "open" } else { "shipped" },
-                    Value::Timestamp(rng.gen_range(0..1_000_000))
-                ],
-            })?;
-            next_order += 1;
-        } else {
-            let sql = if pick < 85 {
-                HOT[rng.gen_range(0..HOT.len())].to_string()
-            } else {
-                // The long tail: one-off point lookups whose fingerprints
-                // never accumulate enough executions to be candidates.
-                format!(
-                    "SELECT name FROM crm.customers WHERE customer_id = {}",
-                    rng.gen_range(0..n_cust)
-                )
-            };
-            let out = env.system.execute(&sql)?;
-            latencies.push(out.query_result()?.cost.sim_ms);
-            let mut rows = out.rows()?.rows().to_vec();
-            // Canonical row order: a view maintained by delta application
-            // may serve rows in a different physical order.
-            rows.sort();
-            answers.push((i, rows));
-        }
-    }
-    let _ = n_ord;
-    let snap = env.system.metrics().snapshot();
+    let workload = run(&env.system, stream(&env)?).checked()?;
     let views = env
         .system
         .matviews()
@@ -123,18 +93,32 @@ fn run_config(tuned: bool) -> Result<Run> {
             )));
         }
     }
-    Ok(Run {
-        answers,
-        sim_ms: latencies.iter().sum(),
-        latencies,
-        bytes: env.system.federation().ledger().total().bytes,
-        digest: env
-            .system
-            .advisor()
-            .map_or(String::new(), |a| a.replay_digest()),
-        views_installed: views.len(),
-        cycles: snap.counter("advisor.cycles"),
-    })
+    let digest = env
+        .system
+        .advisor()
+        .map_or(String::new(), |a| a.replay_digest());
+    let cycles = env.system.metrics().snapshot().counter("advisor.cycles");
+    Ok((workload, digest, views.len(), cycles))
+}
+
+/// Each query's sorted answer rows, by its position in the stream:
+/// canonical row order, since a view maintained by delta application may
+/// serve rows in a different physical order.
+fn answers(run: &Run) -> Vec<(usize, Vec<Row>)> {
+    let mut answers = Vec::new();
+    let queries = run.records.iter().enumerate();
+    for (i, batch) in queries.filter_map(|(i, r)| Some((i, r.batch.as_ref()?))) {
+        let mut rows = batch.rows().to_vec();
+        rows.sort();
+        answers.push((i, rows));
+    }
+    answers
+}
+
+/// Each query's simulated latency, in stream order.
+fn latencies(run: &Run) -> Vec<f64> {
+    let queries = run.records.iter().filter(|r| r.batch.is_some());
+    queries.map(|r| r.cost.sim_ms).collect()
 }
 
 /// E20 — the advisor pays for itself. Errors (failing the harness and CI)
@@ -142,11 +126,15 @@ fn run_config(tuned: bool) -> Result<Run> {
 /// byte-identical answers, installs every view itself, and replays
 /// bit-identically — recommendation sequence included.
 pub fn e20_self_tuning() -> Result<Report> {
-    let tuned = run_config(true)?;
-    let untuned = run_config(false)?;
-    let replay = run_config(true)?;
+    let (tuned, digest, views_installed, cycles) = drive(true)?;
+    let (untuned, _, untuned_views, untuned_cycles) = drive(false)?;
+    let (replay, replay_digest, ..) = drive(true)?;
+    // Total simulated query time: the determinism signal beside the byte
+    // ledger (a replay must land on the exact same value).
+    let sim_ms = |r: &Run| -> f64 { latencies(r).iter().sum() };
 
-    let reduction = untuned.bytes as f64 / (tuned.bytes as f64).max(1.0);
+    let (bytes, untuned_bytes) = (tuned.traffic.bytes, untuned.traffic.bytes);
+    let reduction = untuned_bytes as f64 / (bytes as f64).max(1.0);
     let mut report = Report::new(
         "e20",
         "workload-driven self-tuning: matview advisor on a skewed stream",
@@ -162,14 +150,17 @@ pub fn e20_self_tuning() -> Result<Report> {
             "query sim ms",
         ],
     );
-    for (name, run) in [("advisor", &tuned), ("untuned", &untuned)] {
+    for (name, r, views, cycles) in [
+        ("advisor", &tuned, views_installed, cycles),
+        ("untuned", &untuned, untuned_views, untuned_cycles),
+    ] {
         report.row(vec![
             name.to_string(),
             STATEMENTS.to_string(),
-            run.bytes.to_string(),
-            run.views_installed.to_string(),
-            run.cycles.to_string(),
-            format!("{:.1}", run.sim_ms),
+            r.traffic.bytes.to_string(),
+            views.to_string(),
+            cycles.to_string(),
+            format!("{:.1}", sim_ms(r)),
         ]);
     }
     report.note(format!(
@@ -182,8 +173,7 @@ pub fn e20_self_tuning() -> Result<Report> {
         "every answer matches the untuned system row-for-row (canonical \
          order), and a same-seed replay reproduces the byte ledger, the \
          simulated latencies, and the advisor's recommendation sequence \
-         exactly"
-            .to_string(),
+         exactly",
     );
 
     // CI regression gates.
@@ -191,43 +181,43 @@ pub fn e20_self_tuning() -> Result<Report> {
         return Err(EiiError::Execution(format!(
             "advisor only cut bytes shipped by {reduction:.2}x — under the \
              {MIN_REDUCTION:.0}x bar ({} vs {} bytes)",
-            tuned.bytes, untuned.bytes
+            bytes, untuned_bytes
         )));
     }
-    if tuned.views_installed == 0 {
+    if views_installed == 0 {
         return Err(EiiError::Execution(
             "advisor installed no views on a skewed workload".into(),
         ));
     }
-    if tuned.answers != untuned.answers {
+    if answers(&tuned) != answers(&untuned) {
         return Err(EiiError::Execution(
             "self-tuning changed answers: tuned and untuned result streams \
              differ"
                 .into(),
         ));
     }
-    if replay.bytes != tuned.bytes
-        || replay.sim_ms != tuned.sim_ms
-        || replay.answers != tuned.answers
-        || replay.digest != tuned.digest
+    if replay.traffic.bytes != bytes
+        || sim_ms(&replay) != sim_ms(&tuned)
+        || answers(&replay) != answers(&tuned)
+        || replay_digest != digest
     {
         return Err(EiiError::Execution(format!(
             "same-seed replay diverged: {} vs {} bytes, {:.3} vs {:.3} sim \
              ms, digests {}equal",
-            replay.bytes,
-            tuned.bytes,
-            replay.sim_ms,
-            tuned.sim_ms,
-            if replay.digest == tuned.digest { "" } else { "un" },
+            replay.traffic.bytes,
+            bytes,
+            sim_ms(&replay),
+            sim_ms(&tuned),
+            if replay_digest == digest { "" } else { "un" },
         )));
     }
 
-    BenchSummary::from_latencies("e20", &tuned.latencies, tuned.bytes)
+    BenchSummary::from_latencies("e20", &latencies(&tuned), bytes)
         .with_extra("bytes_reduction", reduction)
-        .with_extra("views_installed", tuned.views_installed as f64)
-        .with_extra("advisor_cycles", tuned.cycles as f64)
-        .with_extra("untuned_bytes", untuned.bytes as f64)
-        .with_extra("sim_ms", tuned.sim_ms)
+        .with_extra("views_installed", views_installed as f64)
+        .with_extra("advisor_cycles", cycles as f64)
+        .with_extra("untuned_bytes", untuned_bytes as f64)
+        .with_extra("sim_ms", sim_ms(&tuned))
         .write()?;
     Ok(report)
 }

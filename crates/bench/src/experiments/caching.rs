@@ -13,6 +13,7 @@ use eii::prelude::*;
 
 use crate::fedmark::FedMark;
 use crate::report::{fmt_f, Report};
+use crate::runner::{run, Run};
 use crate::summary::BenchSummary;
 
 /// Rounds of the full FedMark query suite per configuration; rounds after
@@ -22,114 +23,15 @@ const ROUNDS: usize = 4;
 /// plain federated execution on this workload.
 const MIN_BYTES_FACTOR: f64 = 2.0;
 
-/// Which local-answer machinery a configuration turns on.
-#[derive(Clone, Copy)]
-struct Config {
-    name: &'static str,
-    matviews: bool,
-    cache: bool,
-}
-
-const CONFIGS: [Config; 4] = [
-    Config {
-        name: "federated",
-        matviews: false,
-        cache: false,
-    },
-    Config {
-        name: "+matview",
-        matviews: true,
-        cache: false,
-    },
-    Config {
-        name: "+cache",
-        matviews: false,
-        cache: true,
-    },
-    Config {
-        name: "+matview+cache",
-        matviews: true,
-        cache: true,
-    },
-];
-
-struct Run {
-    bytes: usize,
-    bytes_saved: usize,
-    sim_total: f64,
-    sim_round1: f64,
-    sim_steady: f64,
-    cache_hits: u64,
-    matview_hits: u64,
-    build_ms: f64,
-    latencies: Vec<f64>,
-}
-
-/// Build a fresh FedMark environment under `cfg` and run the repeated
-/// workload, collecting traffic and latency.
-fn run_config(cfg: Config) -> Result<Run> {
-    let env = FedMark::build(1, 23)?;
-    let mut build_ms = 0.0;
-    if cfg.matviews {
-        // The two hottest scan targets in the suite: every Q1/Q2/Q3/Q5..Q11
-        // touches customers; orders feeds the join-heavy queries over the
-        // WAN link where shipped bytes hurt most.
-        build_ms += env.system.define_matview(
-            "mv_customers",
-            "SELECT * FROM crm.customers",
-            RefreshPolicy::Manual,
-        )?;
-        build_ms += env.system.define_matview(
-            "mv_orders",
-            "SELECT * FROM sales.orders",
-            RefreshPolicy::Manual,
-        )?;
-    }
-    if cfg.cache {
-        env.system.install_result_cache(CacheConfig::default());
-    }
-    // Materialization itself ships rows; measure the workload from here so
-    // `bytes` is what the queries cost and `build_ms` is the investment.
-    env.system.federation().ledger().reset();
-
-    let mut sim_total = 0.0;
-    let mut sim_round1 = 0.0;
-    let mut latencies = Vec::new();
-    for round in 0..ROUNDS {
-        for (_, _, sql) in FedMark::queries() {
-            let out = env.system.execute(sql)?;
-            let cost = out.query_result()?.cost;
-            sim_total += cost.sim_ms;
-            latencies.push(cost.sim_ms);
-            if round == 0 {
-                sim_round1 += cost.sim_ms;
-            }
-        }
-    }
-    let traffic = env.system.federation().ledger().total();
-    let snap = env.system.metrics().snapshot();
-    Ok(Run {
-        bytes: traffic.bytes,
-        bytes_saved: traffic.bytes_saved,
-        sim_total,
-        sim_round1,
-        sim_steady: (sim_total - sim_round1) / (ROUNDS - 1) as f64,
-        cache_hits: snap.counter("cache.hits"),
-        matview_hits: snap.counter("matview.hits"),
-        build_ms,
-        latencies,
-    })
-}
-
 /// E15 — local-answer ablation on the repeated FedMark workload. Errors
 /// (failing the harness and CI) unless the cache strictly reduces shipped
 /// bytes, matview+cache reaches the 2x reduction bar, and a disabled cache
 /// leaves the simulation untouched.
 pub fn e15_views_and_cache() -> Result<Report> {
-    let runs: Vec<(Config, Run)> = CONFIGS
-        .iter()
-        .map(|&cfg| run_config(cfg).map(|r| (cfg, r)))
-        .collect::<Result<_>>()?;
+    // Simulated ms of the first round (all misses), and of a steady round.
+    let n = FedMark::queries().len();
+    let round1 = |r: &Run| -> f64 { r.records[..n].iter().map(|r| r.cost.sim_ms).sum() };
+    let steady = |r: &Run| (r.sim_ms() - round1(r)) / (ROUNDS - 1) as f64;
 
     let mut report = Report::new(
         "e15",
@@ -148,60 +50,89 @@ pub fn e15_views_and_cache() -> Result<Report> {
             "matview hits",
         ],
     );
-    for (cfg, r) in &runs {
+    // One configuration: a fresh FedMark environment with its local-answer
+    // machinery on, then the repeated workload, one report row. Gives the
+    // run, the matview build cost and the cache and matview hits.
+    let mut configured = |name: &str, matviews, cache| -> Result<(Run, f64, u64, u64)> {
+        let env = FedMark::build(1, 23)?;
+        let mut build_ms = 0.0;
+        if matviews {
+            // The two hottest scan targets in the suite: every Q1/Q2/Q3/Q5..Q11
+            // touches customers; orders feeds the join-heavy queries over the
+            // WAN link where shipped bytes hurt most.
+            build_ms += env.system.define_matview(
+                "mv_customers",
+                "SELECT * FROM crm.customers",
+                RefreshPolicy::Manual,
+            )?;
+            build_ms += env.system.define_matview(
+                "mv_orders",
+                "SELECT * FROM sales.orders",
+                RefreshPolicy::Manual,
+            )?;
+        }
+        if cache {
+            env.system.install_result_cache(CacheConfig::default());
+        }
+        // Materialization itself ships rows; the run's ledger starts after
+        // it, so its bytes are what the queries cost and `build_ms` is the
+        // investment.
+        let r = run(&env.system, (0..ROUNDS).flat_map(|_| FedMark::suite())).checked()?;
+        let snap = env.system.metrics().snapshot();
+        let (cache_hits, matview_hits) = (snap.counter("cache.hits"), snap.counter("matview.hits"));
         report.row(vec![
-            cfg.name.to_string(),
-            r.bytes.to_string(),
-            r.bytes_saved.to_string(),
-            fmt_f(r.sim_total),
-            fmt_f(r.sim_round1),
-            fmt_f(r.sim_steady),
-            r.cache_hits.to_string(),
-            r.matview_hits.to_string(),
+            name.to_string(),
+            r.traffic.bytes.to_string(),
+            r.traffic.bytes_saved.to_string(),
+            fmt_f(r.sim_ms()),
+            fmt_f(round1(&r)),
+            fmt_f(steady(&r)),
+            cache_hits.to_string(),
+            matview_hits.to_string(),
         ]);
-    }
-
-    let federated = &runs[0].1;
-    let matview = &runs[1].1;
-    let cache = &runs[2].1;
-    let both = &runs[3].1;
+        Ok((r, build_ms, cache_hits, matview_hits))
+    };
+    let (federated, _, federated_hits, _) = configured("federated", false, false)?;
+    let (_, _, matview_hits, _) = configured("+matview", true, false)?;
+    let (cache, ..) = configured("+cache", false, true)?;
+    let (both, build_ms, both_hits, both_matview_hits) = configured("+matview+cache", true, true)?;
 
     // Crossover against always-federated: after how many rounds does the
     // matview investment (build cost + cheaper rounds) pay for itself?
-    let per_round_gain = federated.sim_total / ROUNDS as f64 - both.sim_steady;
+    let per_round_gain = federated.sim_ms() / ROUNDS as f64 - steady(&both);
     let crossover = if per_round_gain > 0.0 {
-        format!("{:.1} rounds", both.build_ms / per_round_gain)
+        format!("{:.1} rounds", build_ms / per_round_gain)
     } else {
         "never".to_string()
     };
     report.note(format!(
         "{} queries x {ROUNDS} rounds at sf=1; matview build cost {:.1} sim ms; \
          crossover vs always-federated after {crossover}",
-        FedMark::queries().len(),
-        both.build_ms,
+        n,
+        build_ms,
     ));
     report.note(format!(
         "bytes reduction: matview+cache ships {}x fewer bytes than federated \
          (bar: {MIN_BYTES_FACTOR:.0}x)",
-        fmt_f(federated.bytes as f64 / both.bytes.max(1) as f64)
+        fmt_f(federated.traffic.bytes as f64 / both.traffic.bytes.max(1) as f64)
     ));
 
     // CI regression gates.
-    if cache.bytes >= federated.bytes {
+    if cache.traffic.bytes >= federated.traffic.bytes {
         return Err(EiiError::Execution(format!(
             "result cache did not reduce shipped bytes: {} (cached) vs {} \
              (federated)",
-            cache.bytes, federated.bytes
+            cache.traffic.bytes, federated.traffic.bytes
         )));
     }
-    if (federated.bytes as f64) < MIN_BYTES_FACTOR * both.bytes as f64 {
+    if (federated.traffic.bytes as f64) < MIN_BYTES_FACTOR * both.traffic.bytes as f64 {
         return Err(EiiError::Execution(format!(
             "matview+cache shipped {} bytes vs {} federated — under the \
              {MIN_BYTES_FACTOR:.0}x reduction bar",
-            both.bytes, federated.bytes
+            both.traffic.bytes, federated.traffic.bytes
         )));
     }
-    if matview.cache_hits != 0 || federated.cache_hits != 0 {
+    if matview_hits != 0 || federated_hits != 0 {
         return Err(EiiError::Execution(
             "cache hits recorded in a configuration with the cache disabled".into(),
         ));
@@ -209,17 +140,19 @@ pub fn e15_views_and_cache() -> Result<Report> {
     // A disabled cache must not perturb the simulation, and the cache's
     // probe/fill path must be free in simulated time: round 1 (all misses)
     // matches the federated baseline exactly.
-    if cache.sim_round1 != federated.sim_round1 {
+    if round1(&cache) != round1(&federated) {
         return Err(EiiError::Execution(format!(
             "cache probe/fill changed simulated time on a miss-only round: \
              {} vs {} ms",
-            cache.sim_round1, federated.sim_round1
+            round1(&cache),
+            round1(&federated)
         )));
     }
 
-    BenchSummary::from_latencies("e15", &both.latencies, both.bytes)
-        .with_extra("cache_hits", both.cache_hits as f64)
-        .with_extra("matview_hits", both.matview_hits as f64)
+    let latencies: Vec<f64> = both.records.iter().map(|r| r.cost.sim_ms).collect();
+    BenchSummary::from_latencies("e15", &latencies, both.traffic.bytes)
+        .with_extra("cache_hits", both_hits as f64)
+        .with_extra("matview_hits", both_matview_hits as f64)
         .write()?;
     Ok(report)
 }

@@ -1,6 +1,6 @@
 //! E16 — concurrent multi-session throughput.
 //!
-//! Runs the FedMark Q1–Q10 suite through the admission-controlled
+//! Runs the FedMark Q1–Q11 suite through the admission-controlled
 //! scheduler at increasing session counts and reports throughput plus
 //! p50/p95 per-query latency on the deterministic virtual timeline
 //! (simulated ms; the single-core CI box makes wall-clock parallelism
@@ -14,32 +14,24 @@
 //!   equal the serial run's, byte for byte.
 
 use eii::data::{EiiError, Result};
-use eii::prelude::AdmissionConfig;
+use eii::federation::SourceTraffic;
+use eii::prelude::{AdmissionConfig, SchedulerStats};
 
 use crate::fedmark::FedMark;
 use crate::report::Report;
+use crate::runner::run;
 use crate::summary::BenchSummary;
 
-/// Sessions per run; each session submits the whole Q1–Q10 suite.
+/// Sessions per run; each session submits the whole Q1–Q11 suite.
 const SESSIONS: [usize; 4] = [1, 4, 16, 64];
 const SEED: u64 = 61;
 /// CI gate: minimum virtual-timeline speedup at 16 sessions versus 1.
 const MIN_SPEEDUP_AT_16: f64 = 3.0;
 
-struct Run {
-    makespan_ms: f64,
-    serial_ms: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    completed: u64,
-    bytes: usize,
-    rows: usize,
-}
-
 /// One fresh environment, `sessions` workers admitted over it, every
-/// session submitting the full suite.
-fn run_concurrent(sessions: usize) -> Result<Run> {
+/// session submitting the full suite: the pool's statistics and the
+/// ledger's totals.
+fn run_concurrent(sessions: usize) -> Result<(SchedulerStats, SourceTraffic)> {
     let env = FedMark::build(1, SEED)?;
     let scheduler = env.system.scheduler(
         AdmissionConfig::with_workers(sessions).with_source_permits(sessions.div_ceil(2).max(1)),
@@ -53,30 +45,7 @@ fn run_concurrent(sessions: usize) -> Result<Run> {
     for t in tickets {
         t.join()?;
     }
-    let stats = scheduler.finish();
-    let total = env.system.federation().ledger().total();
-    Ok(Run {
-        makespan_ms: stats.makespan_ms,
-        serial_ms: stats.serial_sim_ms,
-        p50_ms: stats.latency_percentile(50.0),
-        p95_ms: stats.latency_percentile(95.0),
-        p99_ms: stats.latency_percentile(99.0),
-        completed: stats.completed,
-        bytes: total.bytes,
-        rows: total.rows,
-    })
-}
-
-/// Serial oracle: the same per-session workload executed inline, giving
-/// the byte/row accounting concurrency must reproduce exactly (per
-/// session, since each concurrent session ships the suite once).
-fn run_serial_oracle() -> Result<(usize, usize)> {
-    let env = FedMark::build(1, SEED)?;
-    for (_, _, sql) in FedMark::queries() {
-        env.system.execute(sql)?;
-    }
-    let total = env.system.federation().ledger().total();
-    Ok((total.bytes, total.rows))
+    Ok((scheduler.finish(), env.system.federation().ledger().total()))
 }
 
 pub fn e16_concurrent_sessions() -> Result<Report> {
@@ -97,23 +66,27 @@ pub fn e16_concurrent_sessions() -> Result<Report> {
         ],
     );
 
-    let (serial_bytes, serial_rows) = run_serial_oracle()?;
+    // Serial oracle: the same per-session workload executed inline, giving
+    // the byte/row accounting concurrency must reproduce exactly (per
+    // session, since each concurrent session ships the suite once).
+    let serial = run(&FedMark::build(1, SEED)?.system, FedMark::suite()).checked()?;
+    let (serial_bytes, serial_rows) = (serial.traffic.bytes, serial.traffic.rows);
     let mut speedup_at_16 = 0.0;
     for sessions in SESSIONS {
-        let run = run_concurrent(sessions)?;
-        let speedup = run.serial_ms / run.makespan_ms.max(f64::EPSILON);
+        let (stats, traffic) = run_concurrent(sessions)?;
+        let speedup = stats.serial_sim_ms / stats.makespan_ms.max(f64::EPSILON);
         if sessions == 16 {
             speedup_at_16 = speedup;
             // Headline summary: throughput on the parallel virtual
             // timeline (completed jobs over makespan), not the serial sum.
             BenchSummary {
                 id: "e16".to_string(),
-                queries: run.completed as usize,
-                throughput_qps: run.completed as f64
-                    / (run.makespan_ms.max(f64::EPSILON) / 1000.0),
-                p50_ms: run.p50_ms,
-                p99_ms: run.p99_ms,
-                bytes_shipped: run.bytes,
+                queries: stats.completed as usize,
+                throughput_qps: stats.completed as f64
+                    / (stats.makespan_ms.max(f64::EPSILON) / 1000.0),
+                p50_ms: stats.latency_percentile(50.0),
+                p99_ms: stats.latency_percentile(99.0),
+                bytes_shipped: traffic.bytes,
                 extra: vec![("speedup".to_string(), speedup)],
             }
             .write()?;
@@ -122,12 +95,12 @@ pub fn e16_concurrent_sessions() -> Result<Report> {
         // Gate (b): concurrency must not change what was shipped. Every
         // session runs the suite once, so totals are exact multiples of
         // the serial oracle's.
-        if run.bytes != serial_bytes * sessions || run.rows != serial_rows * sessions {
+        if traffic.bytes != serial_bytes * sessions || traffic.rows != serial_rows * sessions {
             return Err(EiiError::Execution(format!(
                 "E16 accounting drift at {sessions} sessions: {} bytes / {} rows \
                  concurrent vs {} / {} serial x{sessions}",
-                run.bytes,
-                run.rows,
+                traffic.bytes,
+                traffic.rows,
                 serial_bytes * sessions,
                 serial_rows * sessions,
             )));
@@ -135,13 +108,13 @@ pub fn e16_concurrent_sessions() -> Result<Report> {
 
         report.row(vec![
             sessions.to_string(),
-            run.completed.to_string(),
-            format!("{:.1}", run.serial_ms),
-            format!("{:.1}", run.makespan_ms),
+            stats.completed.to_string(),
+            format!("{:.1}", stats.serial_sim_ms),
+            format!("{:.1}", stats.makespan_ms),
             format!("{speedup:.2}x"),
-            format!("{:.2}", run.p50_ms),
-            format!("{:.2}", run.p95_ms),
-            run.bytes.to_string(),
+            format!("{:.2}", stats.latency_percentile(50.0)),
+            format!("{:.2}", stats.latency_percentile(95.0)),
+            traffic.bytes.to_string(),
         ]);
     }
 

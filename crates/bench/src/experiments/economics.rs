@@ -1,19 +1,17 @@
 //! Economics experiments: E1 (EII vs warehouse crossover), E2 (schema-
 //! centric vs schema-less administration), E7 (mapping topologies).
 
-use std::sync::Arc;
-
 use eii::data::{DataType, Result};
-use eii::prelude::*;
 use eii::semantics::ontology::enterprise_ontology;
 use eii::semantics::{
     measure_agility, AdminLedger, AdminOp, HubRegistry, MappingRegistry, PairwiseRegistry,
     SchemaChange, SourceSchema,
 };
-use eii::warehouse::{EtlJob, RefreshMode, Warehouse};
+use eii::warehouse::RefreshMode;
 
 use crate::fedmark::FedMark;
 use crate::report::{fmt_f, Report};
+use crate::runner::{run, Step};
 
 /// E1 — "the tradeoffs between the cost of building a warehouse, the cost
 /// of a live query and the cost of accessing stale data" (Halevy §1).
@@ -42,25 +40,16 @@ pub fn e1_eii_vs_warehouse() -> Result<Report> {
 
     // Per-query live cost (measured once; queries are identical).
     let env = FedMark::build(1, 11)?;
-    let live = env.system.execute(sql)?;
-    let live_ms = live.query_result()?.cost.sim_ms;
+    let live_ms = run(&env.system, [Step::Query(sql.into())]).checked()?.sim_ms();
 
     // Warehouse: hourly full refresh of the two tables the query needs.
-    let mut wh = Warehouse::new("wh", env.system.federation().clone(), env.clock.clone());
-    wh.add_job(EtlJob::copy("c", "crm.customers", "customers").with_key("customer_id"))?;
-    wh.add_job(EtlJob::copy("o", "sales.orders", "orders").with_key("order_id"))?;
+    let wh = env.warehouse(&[("crm.customers", "customer_id"), ("sales.orders", "order_id")])?;
     let mut refresh_day_ms = 0.0;
     for _ in 0..24 {
         refresh_day_ms += wh.refresh_all(RefreshMode::Full)?;
     }
-    let wh_sys = EiiSystem::new(env.clock.clone());
-    wh_sys.add_source(
-        Arc::new(RelationalConnector::new(wh.database().clone())),
-        LinkProfile::local(),
-        WireFormat::Native,
-    )?;
-    let wh_query = wh_sys.execute(&FedMark::warehouse_sql(sql))?;
-    let wh_ms = wh_query.query_result()?.cost.sim_ms;
+    let wh_sys = env.warehouse_system(&wh)?;
+    let wh_ms = run(&wh_sys, [Step::Query(FedMark::warehouse_sql(sql))]).checked()?.sim_ms();
 
     for q in [1usize, 10, 50, 200, 1000, 5000] {
         let eii_total = live_ms * q as f64;
@@ -118,15 +107,13 @@ pub fn e2_schema_economics() -> Result<Report> {
     let mut hub = HubRegistry::new(enterprise_ontology(), AdminLedger::new());
     let schemaless = AdminLedger::new();
     let mut prev = (0.0, 0.0, 0.0);
-    let checkpoints = [1usize, 2, 4, 8, 16, 32, 64];
-    let mut next_idx = 0;
     for n in 1..=64usize {
         pairwise.register(schema(n - 1))?;
         hub.register(schema(n - 1))?;
         // Schema-less: drop the documents in; no schema, no mappings.
         schemaless.charge(AdminOp::SourceOnboarded, 1);
-        if checkpoints.get(next_idx) == Some(&n) {
-            next_idx += 1;
+        // A row at every power of two.
+        if n.is_power_of_two() {
             let now = (
                 pairwise.ledger().total_effort(),
                 hub.ledger().total_effort(),

@@ -4,23 +4,22 @@
 
 use std::sync::Arc;
 
-use eii::data::Result;
+use eii::data::{EiiError, Result};
 use eii::prelude::*;
 use eii::row;
-use eii::warehouse::{EtlJob, RefreshMode, Warehouse};
+use eii::warehouse::RefreshMode;
 
-use crate::fedmark::{sizes, FedMark};
+use crate::fedmark::{keyed_table, sizes, FedMark};
 use crate::report::{fmt_f, Report};
+use crate::runner::{run, Run, Step};
 
-fn measure(sys: &EiiSystem, sql: &str) -> Result<(usize, usize, f64)> {
-    sys.federation().ledger().reset();
-    let out = sys.execute(sql)?;
-    let res = out.query_result()?;
-    Ok((
-        res.batch.num_rows(),
-        sys.federation().ledger().total().bytes,
-        res.cost.sim_ms,
-    ))
+/// Errors (with `what` and both counts) unless two runs of one statement
+/// answered the same number of rows.
+fn agree(a: &Run, b: &Run, what: &str) -> Result<()> {
+    if a.rows() == b.rows() {
+        return Ok(());
+    }
+    Err(EiiError::Execution(format!("{what}: {} vs {} rows", a.rows(), b.rows())))
 }
 
 /// E3 — Bitton §3's indictment of "pull out the relevant data from all the
@@ -63,16 +62,17 @@ pub fn e3_pushdown_ablation() -> Result<Report> {
                     env.system.federation().set_wire_format(s, WireFormat::Xml)?;
                 }
             }
-            let (rows, bytes, ms) = measure(&env.system, &sql)?;
+            let out = run(&env.system, [Step::Query(sql.clone())]).checked()?;
+            let bytes = out.traffic.bytes;
             if label == "naive + XML wire" {
                 baseline_bytes = bytes;
             }
             report.row(vec![
                 format!("{:.0}%", frac * 100.0),
                 label.to_string(),
-                rows.to_string(),
+                out.rows().to_string(),
                 bytes.to_string(),
-                fmt_f(ms),
+                fmt_f(out.sim_ms()),
                 format!("{:.1}%", bytes as f64 / baseline_bytes as f64 * 100.0),
             ]);
         }
@@ -104,52 +104,17 @@ pub fn e4_views_vs_handwritten() -> Result<Report> {
         ],
     );
     let build = |config: PlannerConfig| -> Result<EiiSystem> {
+        use DataType::{Int, Str};
         let clock = SimClock::new();
-        let mk = |name: &str, cols: Vec<Field>, keycol: usize| -> Result<Database> {
-            let db = Database::new(name, clock.clone());
-            db.create_table(
-                TableDef::new("t", Arc::new(Schema::new(cols))).with_primary_key(keycol),
-            )?;
-            Ok(db)
-        };
-        let hr = mk(
-            "hr",
-            vec![
-                Field::new("emp_id", DataType::Int).not_null(),
-                Field::new("name", DataType::Str),
-                Field::new("department", DataType::Str),
-            ],
-            0,
-        )?;
-        let fac = mk(
-            "facilities",
-            vec![
-                Field::new("office_id", DataType::Int).not_null(),
-                Field::new("occupant", DataType::Int),
-                Field::new("location", DataType::Str),
-            ],
-            0,
-        )?;
-        let it = mk(
-            "it",
-            vec![
-                Field::new("asset_id", DataType::Int).not_null(),
-                Field::new("owner", DataType::Int),
-                Field::new("model", DataType::Str),
-            ],
-            0,
-        )?;
-        for i in 0..300i64 {
-            hr.table("t")?
-                .write()
-                .insert(row![i, format!("emp {i}"), format!("dept{}", i % 6)])?;
-            fac.table("t")?
-                .write()
-                .insert(row![i, i, format!("loc{}", i % 4)])?;
-            it.table("t")?
-                .write()
-                .insert(row![i, i, format!("model{}", i % 9)])?;
-        }
+        let hr = Database::new("hr", clock.clone());
+        let rows = (0..300i64).map(|i| row![i, format!("emp {i}"), format!("dept{}", i % 6)]);
+        keyed_table(&hr, "t", &[("emp_id", Int), ("name", Str), ("department", Str)], rows)?;
+        let fac = Database::new("facilities", clock.clone());
+        let rows = (0..300i64).map(|i| row![i, i, format!("loc{}", i % 4)]);
+        keyed_table(&fac, "t", &[("office_id", Int), ("occupant", Int), ("location", Str)], rows)?;
+        let it = Database::new("it", clock.clone());
+        let rows = (0..300i64).map(|i| row![i, i, format!("model{}", i % 9)]);
+        keyed_table(&it, "t", &[("asset_id", Int), ("owner", Int), ("model", Str)], rows)?;
         let mut builder = EiiSystem::builder(clock).planner_config(config);
         for db in [hr, fac, it] {
             builder = builder.source(
@@ -179,15 +144,16 @@ pub fn e4_views_vs_handwritten() -> Result<Report> {
     let fixed = build(PlannerConfig::naive())?;
     let optimizer = build(PlannerConfig::optimized())?;
     for (label, sql) in patterns {
-        let (r1, fixed_bytes, fixed_ms) = measure(&fixed, sql)?;
-        let (r2, opt_bytes, opt_ms) = measure(&optimizer, sql)?;
-        assert_eq!(r1, r2, "plans must agree on {label}");
+        let by_hand = run(&fixed, [Step::Query(sql.into())]).checked()?;
+        let planned = run(&optimizer, [Step::Query(sql.into())]).checked()?;
+        agree(&by_hand, &planned, &format!("E4 plans disagree on {label}"))?;
+        let (fixed_bytes, opt_bytes) = (by_hand.traffic.bytes, planned.traffic.bytes);
         report.row(vec![
             label.to_string(),
             fixed_bytes.to_string(),
-            fmt_f(fixed_ms),
+            fmt_f(by_hand.sim_ms()),
             opt_bytes.to_string(),
-            fmt_f(opt_ms),
+            fmt_f(planned.sim_ms()),
             format!(
                 "{:.0}%",
                 (1.0 - opt_bytes as f64 / fixed_bytes as f64) * 100.0
@@ -196,8 +162,7 @@ pub fn e4_views_vs_handwritten() -> Result<Report> {
     }
     report.note(
         "the fixed plan's cost is identical for every path; the optimizer's \
-         scales with each predicate's selectivity"
-            .to_string(),
+         scales with each predicate's selectivity",
     );
     Ok(report)
 }
@@ -207,7 +172,7 @@ pub fn e4_views_vs_handwritten() -> Result<Report> {
 pub fn e9_fedmark() -> Result<Report> {
     let mut report = Report::new(
         "e9",
-        "FedMark Q1-Q10: live EII vs hourly-refreshed warehouse",
+        "FedMark Q1-Q11: live EII vs hourly-refreshed warehouse",
         "Bitton §3 — a TPC-style benchmark for EII; the warehouse wins raw \
          latency once loaded, EII wins freshness and reaches sources the \
          warehouse cannot bulk-extract (Q8)",
@@ -224,35 +189,27 @@ pub fn e9_fedmark() -> Result<Report> {
     for sf in [1usize, 2, 5] {
         let env = FedMark::build(sf, 31)?;
         // Load the warehouse once.
-        let mut wh = Warehouse::new("wh", env.system.federation().clone(), env.clock.clone());
-        for (table, key) in FedMark::loadable_tables() {
-            let target = table.split_once('.').expect("qualified").1;
-            wh.add_job(EtlJob::copy(format!("j_{target}"), table, target).with_key(key))?;
-        }
+        let wh = env.warehouse(&FedMark::loadable_tables())?;
         wh.refresh_all(RefreshMode::Full)?;
-        let wh_sys = EiiSystem::new(env.clock.clone());
-        wh_sys.add_source(
-            Arc::new(RelationalConnector::new(wh.database().clone())),
-            LinkProfile::local(),
-            WireFormat::Native,
-        )?;
+        let wh_sys = env.warehouse_system(&wh)?;
 
         for (id, _desc, sql) in FedMark::queries() {
-            let (rows, bytes, eii_ms) = measure(&env.system, sql)?;
+            let live = run(&env.system, [Step::Query(sql.into())]).checked()?;
+            let eii_ms = live.sim_ms();
             let (wh_ms_text, ratio) = if id == "Q8" {
                 ("n/a (access-limited)".to_string(), "-".to_string())
             } else {
-                let wh_sql = FedMark::warehouse_sql(sql);
-                let (wrows, _, wh_ms) = measure(&wh_sys, &wh_sql)?;
-                assert_eq!(rows, wrows, "{id}: warehouse result diverges");
+                let loaded = run(&wh_sys, [Step::Query(FedMark::warehouse_sql(sql))]).checked()?;
+                agree(&live, &loaded, &format!("E9 {id}: warehouse result diverges"))?;
+                let wh_ms = loaded.sim_ms();
                 (fmt_f(wh_ms), format!("{:.0}x", eii_ms / wh_ms.max(1e-9)))
             };
             report.row(vec![
                 sf.to_string(),
                 id.to_string(),
-                rows.to_string(),
+                live.rows().to_string(),
                 fmt_f(eii_ms),
-                bytes.to_string(),
+                live.traffic.bytes.to_string(),
                 wh_ms_text,
                 ratio,
             ]);
@@ -304,22 +261,22 @@ pub fn e11_dialect_ablation() -> Result<Report> {
     lcd_cfg.dialect_override = Some(eii::federation::Dialect::lowest_common_denominator());
     let lcd = FedMark::build_with_config(1, 37, lcd_cfg)?;
     for (label, sql) in queries {
-        let (r1, fine_bytes, fine_ms) = measure(&fine.system, sql)?;
-        let (r2, lcd_bytes, lcd_ms) = measure(&lcd.system, sql)?;
-        assert_eq!(r1, r2, "{label}");
+        let fine_run = run(&fine.system, [Step::Query(sql.into())]).checked()?;
+        let lcd_run = run(&lcd.system, [Step::Query(sql.into())]).checked()?;
+        agree(&fine_run, &lcd_run, &format!("E11 wrappers disagree on {label}"))?;
+        let (fine_bytes, lcd_bytes) = (fine_run.traffic.bytes, lcd_run.traffic.bytes);
         report.row(vec![
             label.to_string(),
             fine_bytes.to_string(),
-            fmt_f(fine_ms),
+            fmt_f(fine_run.sim_ms()),
             lcd_bytes.to_string(),
-            fmt_f(lcd_ms),
+            fmt_f(lcd_run.sim_ms()),
             format!("{:.1}x", lcd_bytes as f64 / fine_bytes as f64),
         ]);
     }
     report.note(
         "the LCD wrapper still pushes bare equality; everything else ships whole \
-         tables"
-            .to_string(),
+         tables",
     );
     Ok(report)
 }
@@ -340,8 +297,7 @@ pub fn e12_prediction() -> Result<Report> {
     let mut measured = Vec::new();
     for (id, _desc, sql) in FedMark::queries() {
         let est = env.system.predict(sql)?;
-        let out = env.system.execute(sql)?;
-        let actual = out.query_result()?.cost.sim_ms;
+        let actual = run(&env.system, [Step::Query(sql.into())]).checked()?.sim_ms();
         predicted.push(est.sim_ms);
         measured.push(actual);
         report.row(vec![

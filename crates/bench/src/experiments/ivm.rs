@@ -16,8 +16,9 @@ use eii::row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fedmark::{sizes, FedMark};
+use crate::fedmark::{new_order, sizes, FedMark};
 use crate::report::{fmt_f, Report};
+use crate::runner::{run, Step};
 use crate::summary::BenchSummary;
 
 /// Churn rounds after the initial materialization.
@@ -47,23 +48,75 @@ const VIEWS: [(&str, &str); 3] = [
     ),
 ];
 
-struct Run {
-    /// Per-round total refresh cost across the view set, steady state.
-    round_ms: Vec<f64>,
-    /// Sum of `round_ms`.
-    total_ms: f64,
-    /// Delta rows consumed by maintenance (incremental config only).
-    delta_rows: u64,
-    /// Final contents of each view, canonically sorted.
-    finals: Vec<(String, Vec<Row>)>,
-    /// Simulated clock at the end of the run.
-    clock_ms: i64,
+/// The write stream: `ROUNDS` rounds, each ~1% of the order book churned
+/// (new orders, status updates, deletes, new line items) and then every
+/// view refreshed.
+fn churn(env: &FedMark) -> Result<Vec<Step>> {
+    let (n_cust, n_ord, n_prod, ..) = sizes(1);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x19f3);
+    let mut live: Vec<i64> = (0..n_ord).collect();
+    let mut next_order = 1_000_000i64;
+    // Line item ids continue from a range disjoint from the generated ones.
+    let mut next_li = 1_000_000i64;
+    let sales = env.system.federation().source("sales")?;
+    // 1% of the order book churns per round.
+    let churn = (n_ord as usize / 100).max(1);
+
+    let mut steps = Vec::new();
+    for _ in 0..ROUNDS {
+        for _ in 0..churn {
+            let op = match rng.gen_range(0..4) {
+                0 => {
+                    live.push(next_order);
+                    next_order += 1;
+                    new_order(&mut rng, next_order - 1, n_cust)
+                }
+                1 => {
+                    let id = live[rng.gen_range(0..live.len())];
+                    UpdateOp::UpdateByKey {
+                        table: "orders".into(),
+                        key: Value::Int(id),
+                        assignments: vec![(
+                            "status".into(),
+                            Value::from(if rng.gen_bool(0.5) { "open" } else { "billed" }),
+                        )],
+                    }
+                }
+                2 => {
+                    let id = live.swap_remove(rng.gen_range(0..live.len()));
+                    UpdateOp::DeleteByKey {
+                        table: "orders".into(),
+                        key: Value::Int(id),
+                    }
+                }
+                _ => {
+                    next_li += 1;
+                    UpdateOp::Insert {
+                        table: "lineitems".into(),
+                        row: row![
+                            next_li - 1,
+                            live[rng.gen_range(0..live.len())],
+                            rng.gen_range(0..n_prod),
+                            rng.gen_range(1..10i64)
+                        ],
+                    }
+                }
+            };
+            steps.push(Step::Write(sales.clone(), op));
+        }
+        steps.extend(VIEWS.map(|(name, _)| Step::Refresh(name.into())));
+    }
+    Ok(steps)
 }
 
+/// Each view's name and final contents, canonically sorted.
+type Contents = Vec<(String, Vec<Row>)>;
+
 /// Build a FedMark environment, define the view set (incrementally or
-/// not), and drive `ROUNDS` rounds of ~1% churn, refreshing every view
-/// each round.
-fn run_config(incremental: bool) -> Result<Run> {
+/// not), and run the churn stream. Gives each round's total refresh cost
+/// across the view set, each view's contents, the simulated clock at the
+/// end and the delta rows maintenance consumed.
+fn maintained(incremental: bool) -> Result<(Vec<f64>, Contents, i64, u64)> {
     let env = FedMark::build(1, SEED)?;
     for (name, sql) in VIEWS {
         if incremental {
@@ -79,92 +132,27 @@ fn run_config(incremental: bool) -> Result<Run> {
             env.system.define_matview(name, sql, RefreshPolicy::Manual)?;
         }
     }
+    let records = run(&env.system, churn(&env)?).checked()?.records;
+    // A round is its writes, then one refresh per view.
+    let rounds = records.chunks(records.len() / ROUNDS);
+    let round_ms = rounds
+        .map(|round| round[round.len() - VIEWS.len()..].iter().map(|r| r.cost.sim_ms).sum())
+        .collect();
 
-    let (n_cust, n_ord, n_prod, n_li, ..) = sizes(1);
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x19f3);
-    let mut live: Vec<i64> = (0..n_ord).collect();
-    let mut next_order = 1_000_000i64;
-    let mut next_li = 1_000_000i64;
-    let sales = env.system.federation().source("sales")?;
-    // 1% of the order book churns per round.
-    let churn = (n_ord as usize / 100).max(1);
-
-    let mut round_ms = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        for _ in 0..churn {
-            match rng.gen_range(0..4) {
-                0 => {
-                    sales.update(&UpdateOp::Insert {
-                        table: "orders".into(),
-                        row: row![
-                            next_order,
-                            rng.gen_range(0..n_cust),
-                            (rng.gen_range(1..2000) as f64) / 2.0,
-                            if rng.gen_bool(0.5) { "open" } else { "shipped" },
-                            Value::Timestamp(rng.gen_range(0..1_000_000))
-                        ],
-                    })?;
-                    live.push(next_order);
-                    next_order += 1;
-                }
-                1 => {
-                    let id = live[rng.gen_range(0..live.len())];
-                    sales.update(&UpdateOp::UpdateByKey {
-                        table: "orders".into(),
-                        key: Value::Int(id),
-                        assignments: vec![(
-                            "status".into(),
-                            Value::from(if rng.gen_bool(0.5) { "open" } else { "billed" }),
-                        )],
-                    })?;
-                }
-                2 => {
-                    let id = live.swap_remove(rng.gen_range(0..live.len()));
-                    sales.update(&UpdateOp::DeleteByKey {
-                        table: "orders".into(),
-                        key: Value::Int(id),
-                    })?;
-                }
-                _ => {
-                    sales.update(&UpdateOp::Insert {
-                        table: "lineitems".into(),
-                        row: row![
-                            next_li,
-                            live[rng.gen_range(0..live.len())],
-                            rng.gen_range(0..n_prod),
-                            rng.gen_range(1..10i64)
-                        ],
-                    })?;
-                    next_li += 1;
-                }
-            }
-        }
-        let mut ms = 0.0;
-        for (name, _) in VIEWS {
-            ms += env.system.refresh_matview(name)?;
-        }
-        round_ms.push(ms);
-    }
-    let _ = n_li; // lineitem ids continue from a disjoint range
-
-    let mgr = env.system.matviews().expect("views defined");
+    let mgr = env.system.matviews().ok_or_else(|| {
+        EiiError::Execution("E19 has no view manager".into())
+    })?;
     let mut finals = Vec::new();
     for (name, _) in VIEWS {
-        let mut rows = mgr
-            .cached(name)?
-            .expect("view materialized")
-            .rows()
-            .to_vec();
+        let view = mgr.cached(name)?.ok_or_else(|| {
+            EiiError::Execution(format!("E19 view {name} is not materialized"))
+        })?;
+        let mut rows = view.rows().to_vec();
         rows.sort();
         finals.push((name.to_string(), rows));
     }
-    Ok(Run {
-        total_ms: round_ms.iter().sum(),
-        round_ms,
-        delta_rows: env.system.metrics().snapshot().counter("ivm.delta_rows"),
-        finals,
-        clock_ms: env.clock.now_ms(),
-    })
+    let delta_rows = env.system.metrics().snapshot().counter("ivm.delta_rows");
+    Ok((round_ms, finals, env.clock.now_ms(), delta_rows))
 }
 
 /// E19 — O(delta) matview refresh under sustained churn. Errors (failing
@@ -172,11 +160,13 @@ fn run_config(incremental: bool) -> Result<Run> {
 /// by `MIN_SPEEDUP`, produces identical view contents, and replays
 /// bit-identically under the same seed.
 pub fn e19_incremental_maintenance() -> Result<Report> {
-    let inc = run_config(true)?;
-    let full = run_config(false)?;
-    let replay = run_config(true)?;
+    let (inc_rounds, inc_views, inc_clock, inc_deltas) = maintained(true)?;
+    let (full_rounds, full_views, full_clock, full_deltas) = maintained(false)?;
+    let (_, replay_views, replay_clock, _) = maintained(true)?;
+    let inc_ms: f64 = inc_rounds.iter().sum();
+    let full_ms: f64 = full_rounds.iter().sum();
 
-    let speedup = full.total_ms / inc.total_ms.max(f64::EPSILON);
+    let speedup = full_ms / inc_ms.max(f64::EPSILON);
     let mut report = Report::new(
         "e19",
         "incremental view maintenance: O(delta) refresh vs full recompute",
@@ -194,16 +184,19 @@ pub fn e19_incremental_maintenance() -> Result<Report> {
             "sim clock ms",
         ],
     );
-    for (name, run) in [("incremental", &inc), ("full recompute", &full)] {
-        let max = run.round_ms.iter().cloned().fold(0.0, f64::max);
+    for (name, rounds, total, deltas, views, clock) in [
+        ("incremental", &inc_rounds, inc_ms, inc_deltas, &inc_views, inc_clock),
+        ("full recompute", &full_rounds, full_ms, full_deltas, &full_views, full_clock),
+    ] {
+        let max = rounds.iter().cloned().fold(0.0, f64::max);
         report.row(vec![
             name.to_string(),
-            fmt_f(run.total_ms),
-            fmt_f(run.total_ms / ROUNDS as f64),
+            fmt_f(total),
+            fmt_f(total / ROUNDS as f64),
             fmt_f(max),
-            run.delta_rows.to_string(),
-            run.finals.iter().map(|(_, r)| r.len()).sum::<usize>().to_string(),
-            run.clock_ms.to_string(),
+            deltas.to_string(),
+            views.iter().map(|(_, r)| r.len()).sum::<usize>().to_string(),
+            clock.to_string(),
         ]);
     }
     report.note(format!(
@@ -214,8 +207,7 @@ pub fn e19_incremental_maintenance() -> Result<Report> {
     ));
     report.note(
         "freshness: after every run the incrementally maintained contents \
-         equal a full recompute over the same write stream, row for row"
-            .to_string(),
+         equal a full recompute over the same write stream, row for row",
     );
 
     // CI regression gates.
@@ -224,10 +216,10 @@ pub fn e19_incremental_maintenance() -> Result<Report> {
             "incremental refresh only {speedup:.1}x cheaper than full \
              recompute — under the {MIN_SPEEDUP:.0}x bar \
              ({:.2} vs {:.2} sim ms)",
-            inc.total_ms, full.total_ms
+            inc_ms, full_ms
         )));
     }
-    for ((name, inc_rows), (_, full_rows)) in inc.finals.iter().zip(&full.finals) {
+    for ((name, inc_rows), (_, full_rows)) in inc_views.iter().zip(&full_views) {
         if inc_rows != full_rows {
             return Err(EiiError::Execution(format!(
                 "IVM ≢ recompute for {name}: {} maintained rows vs {} \
@@ -237,13 +229,12 @@ pub fn e19_incremental_maintenance() -> Result<Report> {
             )));
         }
     }
-    if replay.clock_ms != inc.clock_ms || replay.finals != inc.finals {
+    if replay_clock != inc_clock || replay_views != inc_views {
         return Err(EiiError::Execution(format!(
-            "same-seed replay diverged: clock {} vs {} ms",
-            replay.clock_ms, inc.clock_ms
+            "same-seed replay diverged: clock {replay_clock} vs {inc_clock} ms"
         )));
     }
-    if inc.delta_rows == 0 || full.delta_rows != 0 {
+    if inc_deltas == 0 || full_deltas != 0 {
         return Err(EiiError::Execution(
             "ivm.delta_rows miscounted: incremental must consume deltas, \
              full recompute must not"
@@ -251,11 +242,11 @@ pub fn e19_incremental_maintenance() -> Result<Report> {
         ));
     }
 
-    BenchSummary::from_latencies("e19", &inc.round_ms, 0)
+    BenchSummary::from_latencies("e19", &inc_rounds, 0)
         .with_extra("speedup_vs_full", speedup)
-        .with_extra("delta_rows", inc.delta_rows as f64)
-        .with_extra("full_refresh_ms", full.total_ms)
-        .with_extra("sim_clock_ms", inc.clock_ms as f64)
+        .with_extra("delta_rows", inc_deltas as f64)
+        .with_extra("full_refresh_ms", full_ms)
+        .with_extra("sim_clock_ms", inc_clock as f64)
         .write()?;
     Ok(report)
 }

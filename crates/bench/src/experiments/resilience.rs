@@ -7,43 +7,26 @@
 use eii::data::Result;
 use eii::prelude::*;
 
-use crate::fedmark::FedMark;
+use crate::fedmark::{join_workload, FedMark};
 use crate::report::{fmt_f, Report};
+use crate::runner::{run, Step};
 use crate::summary::BenchSummary;
 
 const SEED: u64 = 101;
 const FAULT_RATES: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
 const FAULTED_SOURCES: [&str; 3] = ["crm", "sales", "support"];
 
-/// The parameterized workload: one three-source join per selectivity knob
-/// (every query needs crm, sales, and the support document store alive).
-fn workload() -> Vec<String> {
-    (1..=40i64)
-        .map(|i| {
-            format!(
-                "SELECT c.name, o.total, t.severity FROM crm.customers c \
-                 JOIN sales.orders o ON c.customer_id = o.customer_id \
-                 JOIN support.tickets t ON c.customer_id = t.customer_id \
-                 WHERE c.customer_id < {}",
-                i * 2
-            )
-        })
-        .collect()
-}
-
 /// E13 — success rate, completeness, retry amplification, and staleness as
 /// injected source failures climb from 0% to 50%, under four postures:
 /// live-only, retry/backoff, retry + stale-snapshot fallback, and retry +
 /// partial results.
 pub fn e13_fault_tolerance() -> Result<Report> {
-    let queries = workload();
+    // One three-source join per selectivity knob.
+    let queries = join_workload(40, 2);
+    let steps = || queries.iter().cloned().map(Step::Query);
 
     // Ground truth from a pristine environment (same seed, no faults).
-    let base = FedMark::build(1, SEED)?;
-    let mut baseline_rows = 0usize;
-    for sql in &queries {
-        baseline_rows += base.system.execute(sql)?.rows()?.num_rows();
-    }
+    let baseline_rows = run(&FedMark::build(1, SEED)?.system, steps()).checked()?.rows();
 
     let mut report = Report::new(
         "e13",
@@ -93,46 +76,29 @@ pub fn e13_fault_tolerance() -> Result<Report> {
                 }
             }
             env.system.set_degradation_policy(policy);
-            env.system.federation().ledger().reset();
 
-            let mut ok = 0usize;
-            let mut rows = 0usize;
-            let mut stale_sum = 0i64;
-            let mut stale_n = 0usize;
-            let measured = policy == DegradationPolicy::PartialResults && retry;
-            for sql in &queries {
-                let t0 = env.system.clock().now_ms();
-                if let Ok(out) = env.system.execute(sql) {
-                    let res = out.query_result()?;
-                    ok += 1;
-                    rows += res.batch.num_rows();
-                    if measured {
-                        let waited = (env.system.clock().now_ms() - t0) as f64;
-                        summary_latencies.push(waited + res.cost.sim_ms);
-                    }
-                    for r in &res.degraded {
-                        if let Some(ms) = r.stale_ms {
-                            stale_sum += ms;
-                            stale_n += 1;
-                        }
-                    }
-                }
-            }
-            let ledger = env.system.federation().ledger().total();
-            if measured {
-                summary_bytes += ledger.bytes;
+            let out = run(&env.system, steps());
+            let ok = out.answered().count();
+            let stale: Vec<i64> = out
+                .answered()
+                .flat_map(|r| r.degraded.iter().filter_map(|d| d.stale_ms))
+                .collect();
+            if policy == DegradationPolicy::PartialResults && retry {
+                let latencies = out.answered().map(|r| r.waited_ms as f64 + r.cost.sim_ms);
+                summary_latencies.extend(latencies);
+                summary_bytes += out.traffic.bytes;
             }
             report.row(vec![
                 format!("{:.0}%", rate * 100.0),
                 mode.to_string(),
                 format!("{ok}/{}", queries.len()),
                 format!("{:.0}%", ok as f64 / queries.len() as f64 * 100.0),
-                format!("{:.1}%", rows as f64 / baseline_rows as f64 * 100.0),
-                ledger.retries.to_string(),
-                if stale_n == 0 {
+                format!("{:.1}%", out.rows() as f64 / baseline_rows as f64 * 100.0),
+                out.traffic.retries.to_string(),
+                if stale.is_empty() {
                     "-".to_string()
                 } else {
-                    fmt_f(stale_sum as f64 / stale_n as f64)
+                    fmt_f(stale.iter().sum::<i64>() as f64 / stale.len() as f64)
                 },
             ]);
         }

@@ -19,8 +19,9 @@ use eii::data::Result;
 use eii::prelude::*;
 
 use crate::chaos::{recovery_trace, trace_fingerprint, ChaosScenario};
-use crate::fedmark::FedMark;
+use crate::fedmark::{join_workload, FedMark};
 use crate::report::{fmt_f, Report};
+use crate::runner::{run, Run, Step};
 use crate::summary::{percentile, BenchSummary};
 
 const SEED: u64 = 401;
@@ -32,22 +33,6 @@ const TAIL_FAIL_PROB: f64 = 0.08;
 const TAIL_FAULT_SEED: u64 = 23;
 /// Virtual-time SLA for high-priority work in the brownout gate.
 const HIGH_SLA_MS: f64 = 2_000.0;
-
-/// The chaos workload: three-source joins, every query needs crm, sales,
-/// and the support document store to answer.
-fn chaos_workload() -> Vec<String> {
-    (1..=30i64)
-        .map(|i| {
-            format!(
-                "SELECT c.name, o.total, t.severity FROM crm.customers c \
-                 JOIN sales.orders o ON c.customer_id = o.customer_id \
-                 JOIN support.tickets t ON c.customer_id = t.customer_id \
-                 WHERE c.customer_id < {}",
-                i * 3
-            )
-        })
-        .collect()
-}
 
 /// The composed scenario gate 1 replays: spikes on the CRM LAN, a flapping
 /// support store, and a crash window on sales inside a breaker storm (sales
@@ -85,7 +70,7 @@ fn chaos_replay(config: PlannerConfig) -> Result<Vec<String>> {
     let env = FedMark::build_with_config(1, SEED, config)?;
     chaos_scenario().apply(&env.system)?;
     env.system.federation().ledger().reset();
-    Ok(recovery_trace(&env.system, &chaos_workload()))
+    Ok(recovery_trace(&env.system, &join_workload(30, 3)))
 }
 
 /// The tail-latency workload for the hedging gate: crm ⋈ sales joins.
@@ -102,26 +87,13 @@ fn tail_workload() -> Vec<String> {
         .collect()
 }
 
-struct PostureRun {
-    latencies_ms: Vec<f64>,
-    row_counts: Vec<usize>,
-    ok: usize,
-    bytes: usize,
-    hedges: usize,
-    retries: usize,
-}
-
 /// Run the tail workload against a sales source with fail-fast faults,
 /// under either the seed policy (retry/backoff) or hedged requests.
-fn run_posture(hedged: bool) -> Result<PostureRun> {
-    run_posture_seeded(hedged, TAIL_FAULT_SEED)
-}
-
-fn run_posture_seeded(hedged: bool, fault_seed: u64) -> Result<PostureRun> {
+fn posture(hedged: bool) -> Result<Run> {
     let env = FedMark::build(1, SEED)?;
     env.system
         .federation()
-        .inject_faults("sales", FaultProfile::failing(TAIL_FAIL_PROB, fault_seed))?;
+        .inject_faults("sales", FaultProfile::failing(TAIL_FAIL_PROB, TAIL_FAULT_SEED))?;
     if hedged {
         // Threshold 0 hedges every fetch after the first per source: a
         // failed primary is rescued by the delayed backup at ~delay + one
@@ -137,40 +109,22 @@ fn run_posture_seeded(hedged: bool, fault_seed: u64) -> Result<PostureRun> {
             CircuitBreakerConfig::default(),
         )?;
     }
-    env.system.federation().ledger().reset();
-
-    let mut run = PostureRun {
-        latencies_ms: Vec::new(),
-        row_counts: Vec::new(),
-        ok: 0,
-        bytes: 0,
-        hedges: 0,
-        retries: 0,
-    };
-    for sql in &tail_workload() {
-        let t0 = env.system.clock().now_ms();
-        match env.system.execute(sql) {
-            Ok(out) => {
-                let res = out.query_result()?;
-                let waited = (env.system.clock().now_ms() - t0) as f64;
-                run.latencies_ms.push(waited + res.cost.sim_ms);
-                run.row_counts.push(res.batch.num_rows());
-                run.ok += 1;
-            }
-            Err(_) => {
-                let waited = (env.system.clock().now_ms() - t0) as f64;
-                run.latencies_ms.push(waited);
-                run.row_counts.push(usize::MAX); // failed: never "equal"
-            }
-        }
-    }
-    let total = env.system.federation().ledger().total();
-    run.bytes = total.bytes;
-    run.hedges = total.hedges;
-    run.retries = total.retries;
-    Ok(run)
+    Ok(run(&env.system, tail_workload().into_iter().map(Step::Query)))
 }
 
+/// Each statement's latency: the clock it waited plus its cost (a failed
+/// one cost nothing).
+fn latencies(run: &Run) -> Vec<f64> {
+    run.records.iter().map(|r| r.waited_ms as f64 + r.cost.sim_ms).collect()
+}
+
+/// Each statement's answer rows; a failed one's is never "equal".
+fn row_counts(run: &Run) -> Vec<usize> {
+    let rows = run.records.iter().map(|r| r.batch.as_ref().map(Batch::num_rows));
+    rows.map(|n| n.unwrap_or(usize::MAX)).collect()
+}
+
+#[derive(Default)]
 struct BrownoutRun {
     high_ok: usize,
     high_total: usize,
@@ -194,14 +148,7 @@ fn run_brownout() -> Result<BrownoutRun> {
         },
     );
 
-    let mut run = BrownoutRun {
-        high_ok: 0,
-        high_total: 0,
-        high_p99_ms: 0.0,
-        low_shed: 0,
-        low_total: 0,
-        degraded: 0,
-    };
+    let mut run = BrownoutRun::default();
     let mut tickets = Vec::new();
     for (i, sql) in tail_workload().iter().take(24).enumerate() {
         let mut opts = ExecOptions::for_role("public");
@@ -267,14 +214,14 @@ pub fn e17_robustness() -> Result<Report> {
     ]);
 
     // Gate 2 — hedging vs the seed retry policy on a fail-fast tail.
-    let seed_policy = run_posture(false)?;
-    let hedged = run_posture(true)?;
+    let seed_policy = posture(false)?;
+    let hedged = posture(true)?;
     let n = tail_workload().len();
-    let p99_seed = percentile(&seed_policy.latencies_ms, 99.0);
-    let p99_hedged = percentile(&hedged.latencies_ms, 99.0);
-    let results_match = seed_policy.row_counts == hedged.row_counts
-        && seed_policy.ok == n
-        && hedged.ok == n;
+    let p99_seed = percentile(&latencies(&seed_policy), 99.0);
+    let p99_hedged = percentile(&latencies(&hedged), 99.0);
+    let (seed_ok, hedged_ok) = (seed_policy.answered().count(), hedged.answered().count());
+    let results_match =
+        row_counts(&seed_policy) == row_counts(&hedged) && seed_ok == n && hedged_ok == n;
     report.row(vec![
         "hedged requests".into(),
         "p99 latency (sim ms)".into(),
@@ -285,15 +232,18 @@ pub fn e17_robustness() -> Result<Report> {
     report.row(vec![
         "hedged requests".into(),
         "answers".into(),
-        format!("{}/{n} ok", seed_policy.ok),
-        format!("{}/{n} ok", hedged.ok),
+        format!("{seed_ok}/{n} ok"),
+        format!("{hedged_ok}/{n} ok"),
         if results_match { "byte-identical rows".into() } else { "MISMATCH".into() },
     ]);
     report.row(vec![
         "hedged requests".into(),
         "bytes shipped / retries / hedges".into(),
-        format!("{} / {} / 0", seed_policy.bytes, seed_policy.retries),
-        format!("{} / {} / {}", hedged.bytes, hedged.retries, hedged.hedges),
+        format!("{} / {} / 0", seed_policy.traffic.bytes, seed_policy.traffic.retries),
+        format!(
+            "{} / {} / {}",
+            hedged.traffic.bytes, hedged.traffic.retries, hedged.traffic.hedges
+        ),
         "hedging tax".into(),
     ]);
 
@@ -335,10 +285,10 @@ pub fn e17_robustness() -> Result<Report> {
          queueing",
     );
 
-    BenchSummary::from_latencies("e17", &hedged.latencies_ms, hedged.bytes)
+    BenchSummary::from_latencies("e17", &latencies(&hedged), hedged.traffic.bytes)
         .with_extra("p99_seed_policy_ms", p99_seed)
         .with_extra("p99_hedged_ms", p99_hedged)
-        .with_extra("hedges_fired", hedged.hedges as f64)
+        .with_extra("hedges_fired", hedged.traffic.hedges as f64)
         .with_extra("low_shed", brownout.low_shed as f64)
         .with_extra("high_sla_ok", brownout.high_ok as f64)
         .write()?;
@@ -379,18 +329,19 @@ mod tests {
 
     #[test]
     fn hedging_beats_retry_backoff_on_p99_with_identical_answers() {
-        let seed_policy = run_posture(false).unwrap();
-        let hedged = run_posture(true).unwrap();
+        let seed_policy = posture(false).unwrap();
+        let hedged = posture(true).unwrap();
         let n = tail_workload().len();
-        assert_eq!(seed_policy.ok, n, "seed policy must answer everything");
-        assert_eq!(hedged.ok, n, "hedged posture must answer everything");
+        assert_eq!(seed_policy.answered().count(), n, "seed policy must answer everything");
+        assert_eq!(hedged.answered().count(), n, "hedged posture must answer everything");
         assert_eq!(
-            seed_policy.row_counts, hedged.row_counts,
+            row_counts(&seed_policy),
+            row_counts(&hedged),
             "hedging must not change any answer"
         );
-        assert!(hedged.hedges > 0, "the backup fetch must actually fire");
-        let p99_seed = percentile(&seed_policy.latencies_ms, 99.0);
-        let p99_hedged = percentile(&hedged.latencies_ms, 99.0);
+        assert!(hedged.traffic.hedges > 0, "the backup fetch must actually fire");
+        let p99_seed = percentile(&latencies(&seed_policy), 99.0);
+        let p99_hedged = percentile(&latencies(&hedged), 99.0);
         assert!(
             p99_hedged < p99_seed,
             "hedged p99 {p99_hedged} must beat seed-policy p99 {p99_seed}"

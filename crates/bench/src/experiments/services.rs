@@ -16,7 +16,7 @@ use eii::prelude::*;
 use eii::row;
 use eii::search::{index_docstore, index_federation_table, EnterpriseSearch, SearchIndex};
 
-use crate::fedmark::FedMark;
+use crate::fedmark::{company_name, keyed_table, FedMark};
 use crate::report::{fmt_f, Report};
 
 /// E5 — Draper §5: the latency/staleness frontier of refresh policies.
@@ -79,8 +79,6 @@ pub fn e5_matview_frontier() -> Result<Report> {
 /// Generate `(clean, dirty)` company-name pairs plus unmatched noise.
 fn correlation_data(n: usize, seed: u64) -> (Batch, Batch) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let adjs = ["acme", "atlas", "apex", "global", "united", "pioneer", "summit", "nova"];
-    let nouns = ["corp", "industries", "logistics", "systems", "partners"];
     let suffixes = ["inc", "llc", "ltd", "co", "corporation", "incorporated", ""];
     let left_schema = Arc::new(Schema::new(vec![
         Field::new("id", DataType::Int),
@@ -93,12 +91,7 @@ fn correlation_data(n: usize, seed: u64) -> (Batch, Batch) {
     let mut left = Vec::new();
     let mut right = Vec::new();
     for i in 0..n {
-        let base = format!(
-            "{} {} {}",
-            adjs[rng.gen_range(0..adjs.len())],
-            nouns[rng.gen_range(0..nouns.len())],
-            i
-        );
+        let base = company_name(&mut rng, i as i64);
         left.push(row![i as i64, base.clone()]);
         // Dirty variant: random case, random suffix, maybe punctuation.
         let mut dirty = if rng.gen_bool(0.5) {
@@ -194,10 +187,12 @@ pub fn e6_record_correlation() -> Result<Report> {
             }
         }
         let naive_us = t2.elapsed().as_secs_f64() * 1e6;
-        assert!(
-            joined.num_rows() <= naive,
-            "blocked join found pairs the exhaustive loop did not"
-        );
+        if joined.num_rows() > naive {
+            return Err(EiiError::Execution(format!(
+                "E6 blocked join found {} pairs, the exhaustive loop only {naive}",
+                joined.num_rows()
+            )));
+        }
         report.row(vec![
             n.to_string(),
             exact.to_string(),
@@ -268,6 +263,21 @@ pub fn e8_enterprise_search() -> Result<Report> {
     Ok(report)
 }
 
+/// A saga step that inserts `row` into `table` at `source`; its
+/// compensation deletes the row keyed `key`.
+fn insert_step(name: &str, source: &'static str, table: &'static str, row: Row, key: i64) -> Step {
+    Step::new(name, move |env: &ProcessEnv<'_>| {
+        let row = row.clone();
+        env.federation.source(source)?.update(&UpdateOp::Insert { table: table.into(), row })?;
+        Ok(())
+    })
+    .with_compensation(move |env| {
+        let key = Value::Int(key);
+        env.federation.source(source)?.update(&UpdateOp::DeleteByKey { table: table.into(), key })?;
+        Ok(())
+    })
+}
+
 /// E10 — Carey §4: long-running updates as sagas, under injected failures.
 pub fn e10_saga_resilience() -> Result<Report> {
     let mut report = Report::new(
@@ -288,38 +298,14 @@ pub fn e10_saga_resilience() -> Result<Report> {
     for rate in [0.0f64, 0.05, 0.10, 0.25, 0.50] {
         let clock = SimClock::new();
         let hr = Database::new("hr", clock.clone());
-        hr.create_table(
-            TableDef::new(
-                "employees",
-                Arc::new(Schema::new(vec![
-                    Field::new("emp_id", DataType::Int).not_null(),
-                    Field::new("name", DataType::Str),
-                ])),
-            )
-            .with_primary_key(0),
-        )?;
+        keyed_table(&hr, "employees", &[("emp_id", DataType::Int), ("name", DataType::Str)], [])?;
         let it = Database::new("it", clock.clone());
-        it.create_table(
-            TableDef::new(
-                "assets",
-                Arc::new(Schema::new(vec![
-                    Field::new("asset_id", DataType::Int).not_null(),
-                    Field::new("owner", DataType::Int),
-                ])),
-            )
-            .with_primary_key(0),
-        )?;
+        keyed_table(&it, "assets", &[("asset_id", DataType::Int), ("owner", DataType::Int)], [])?;
         let fed = Federation::new();
-        fed.register(
-            Arc::new(RelationalConnector::new(hr.clone())),
-            LinkProfile::lan(),
-            WireFormat::Native,
-        )?;
-        fed.register(
-            Arc::new(RelationalConnector::new(it.clone())),
-            LinkProfile::lan(),
-            WireFormat::Native,
-        )?;
+        for db in [&hr, &it] {
+            let connector = Arc::new(RelationalConnector::new(db.clone()));
+            fed.register(connector, LinkProfile::lan(), WireFormat::Native)?;
+        }
         let broker = eii::eai::MessageBroker::new();
         let engine = SagaEngine::new(clock.clone())
             .with_injector(FailureInjector::new(rate, 4242));
@@ -329,54 +315,20 @@ pub fn e10_saga_resilience() -> Result<Report> {
         let mut compensated = 0usize;
         let mut stuck = 0usize;
         let mut total_ms = 0i64;
-        let mut completed_ids: Vec<i64> = Vec::new();
         for i in 0..runs {
             let emp = i as i64;
+            let hire = insert_step("hr_insert", "hr", "employees", row![emp, format!("emp {emp}")], emp);
+            let assign = insert_step("it_assign", "it", "assets", row![emp, emp], emp);
             let def = ProcessDef::new("onboard")
-                .step(
-                    Step::new("hr_insert", move |env: &ProcessEnv<'_>| {
-                        env.federation.source("hr")?.update(&UpdateOp::Insert {
-                            table: "employees".into(),
-                            row: row![emp, format!("emp {emp}")],
-                        })?;
-                        Ok(())
-                    })
-                    .with_compensation(move |env| {
-                        env.federation.source("hr")?.update(&UpdateOp::DeleteByKey {
-                            table: "employees".into(),
-                            key: Value::Int(emp),
-                        })?;
-                        Ok(())
-                    })
-                    .taking_ms(1_000),
-                )
-                .step(
-                    Step::new("it_assign", move |env: &ProcessEnv<'_>| {
-                        env.federation.source("it")?.update(&UpdateOp::Insert {
-                            table: "assets".into(),
-                            row: row![emp, emp],
-                        })?;
-                        Ok(())
-                    })
-                    .with_compensation(move |env| {
-                        env.federation.source("it")?.update(&UpdateOp::DeleteByKey {
-                            table: "assets".into(),
-                            key: Value::Int(emp),
-                        })?;
-                        Ok(())
-                    })
-                    .taking_ms(2_000),
-                )
+                .step(hire.taking_ms(1_000))
+                .step(assign.taking_ms(2_000))
                 .step(Step::new("approve", |_| Ok(())).taking_ms(5_000));
             let start = clock.now_ms();
             let env = ProcessEnv::new(&fed, &broker, &clock, HashMap::new());
             let (outcome, _) = engine.run(&def, &env)?;
             total_ms += clock.now_ms() - start;
             match outcome {
-                SagaOutcome::Completed => {
-                    completed += 1;
-                    completed_ids.push(emp);
-                }
+                SagaOutcome::Completed => completed += 1,
                 SagaOutcome::Compensated { .. } => compensated += 1,
                 SagaOutcome::Stuck { .. } => stuck += 1,
                 // `run` has no cancel token; nothing can cancel here.

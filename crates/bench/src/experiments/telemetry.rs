@@ -26,6 +26,7 @@ use eii::prelude::*;
 use crate::chaos::{trace_fingerprint, ChaosScenario};
 use crate::fedmark::FedMark;
 use crate::report::Report;
+use crate::runner::run;
 use crate::summary::BenchSummary;
 use crate::timing::paired_overhead;
 
@@ -86,19 +87,13 @@ fn overhead_gate() -> Result<(f64, f64)> {
     Ok((o.pct, o.sim_on))
 }
 
-/// What one 16-session chaos run leaves behind in the query log.
-struct ChaosRun {
-    /// Sorted `(fingerprint, count)` aggregate — the determinism digest
-    /// input. Order-independent, so worker-thread interleaving (which *does*
-    /// perturb per-statement latencies and fault rolls) cannot touch it.
-    fingerprints: Vec<(u64, u64)>,
-    digest: u64,
-    seen: u64,
-}
-
 /// One freshly built environment under composed chaos, 16 sessions each
-/// submitting the whole suite through the admission-controlled pool.
-fn chaos_run() -> Result<ChaosRun> {
+/// submitting the whole suite through the admission-controlled pool. Gives
+/// what the query log keeps of it: the sorted `(fingerprint, count)`
+/// aggregate — order-independent, so worker-thread interleaving (which
+/// *does* perturb per-statement latencies and fault rolls) cannot touch it
+/// — and the statements it saw.
+fn chaos_run() -> Result<(Vec<(u64, u64)>, u64)> {
     let env = FedMark::build(1, SEED)?;
     ChaosScenario::compose(
         "spikes+flap+storm",
@@ -126,43 +121,16 @@ fn chaos_run() -> Result<ChaosRun> {
     scheduler.finish();
 
     let log = env.system.query_log();
-    let fingerprints = log.fingerprints();
+    Ok((log.fingerprints(), log.seen()))
+}
+
+/// The determinism digest of a fingerprint aggregate.
+fn digest(fingerprints: &[(u64, u64)]) -> u64 {
     let lines: Vec<String> = fingerprints
         .iter()
         .map(|(fp, n)| format!("{fp:016x} x{n}"))
         .collect();
-    Ok(ChaosRun {
-        digest: trace_fingerprint(&lines),
-        fingerprints,
-        seen: log.seen(),
-    })
-}
-
-/// What the serial profile pass leaves behind: the deterministic numbers
-/// the report table and `BENCH_E18.json` are built from.
-struct ProfileRun {
-    latencies: Vec<f64>,
-    bytes: u64,
-    top: Vec<eii::obs::FingerprintStats>,
-    distinct: usize,
-}
-
-/// One clean fault-free serial pass over the suite: per-statement byte
-/// accounting is exact (no concurrent traffic on the shared ledger), so
-/// the top-k-by-bytes workload profile is bit-stable across runs.
-fn profile_run() -> Result<ProfileRun> {
-    let env = FedMark::build(1, SEED)?;
-    for (_, _, sql) in FedMark::queries() {
-        env.system.execute(sql)?;
-    }
-    let log = env.system.query_log();
-    let records = log.records();
-    Ok(ProfileRun {
-        latencies: records.iter().map(|r| r.sim_ms).collect(),
-        bytes: records.iter().map(|r| r.bytes_shipped).sum(),
-        top: log.top_k(TOP_K, WorkloadKey::BytesShipped),
-        distinct: log.fingerprints().len(),
-    })
+    trace_fingerprint(&lines)
 }
 
 /// Gate 3: force one statement to both hedge (latency-triggered backup on
@@ -239,28 +207,33 @@ pub fn e18_workload_telemetry() -> Result<Report> {
 
     // Gate 2: two same-seed runs, compared on the order-independent
     // fingerprint aggregate (thread interleaving must not perturb it).
-    let run_a = chaos_run()?;
-    let run_b = chaos_run()?;
-    if run_a.fingerprints != run_b.fingerprints || run_a.digest != run_b.digest {
+    let (fingerprints, seen) = chaos_run()?;
+    let (again, _) = chaos_run()?;
+    if fingerprints != again {
         return Err(EiiError::Execution(format!(
             "E18 query-log drift across same-seed runs: digest {:016x} vs {:016x} \
              ({} vs {} fingerprints)",
-            run_a.digest,
-            run_b.digest,
-            run_a.fingerprints.len(),
-            run_b.fingerprints.len(),
+            digest(&fingerprints),
+            digest(&again),
+            fingerprints.len(),
+            again.len(),
         )));
     }
     let expected = (SESSIONS * FedMark::queries().len()) as u64;
-    if run_a.seen != expected {
+    if seen != expected {
         return Err(EiiError::Execution(format!(
-            "E18 query log lost statements: saw {} of {expected}",
-            run_a.seen
+            "E18 query log lost statements: saw {seen} of {expected}"
         )));
     }
 
     let (trace_id, n_events) = chrome_export_gate()?;
-    let profile = profile_run()?;
+    // The profile: one clean fault-free serial pass over the suite, whose
+    // per-statement byte accounting is exact (no concurrent traffic on the
+    // shared ledger), so the top-k-by-bytes workload profile is bit-stable
+    // across runs.
+    let env = FedMark::build(1, SEED)?;
+    run(&env.system, FedMark::suite()).checked()?;
+    let log = env.system.query_log();
 
     let mut report = Report::new(
         "e18",
@@ -271,7 +244,7 @@ pub fn e18_workload_telemetry() -> Result<Report> {
          matview advisor's future input",
         &["rank", "fingerprint", "count", "errors", "bytes", "sim ms", "plan"],
     );
-    for (rank, stats) in profile.top.iter().enumerate() {
+    for (rank, stats) in log.top_k(TOP_K, WorkloadKey::BytesShipped).iter().enumerate() {
         let mut plan = stats.plan.lines().next().unwrap_or("").to_string();
         if plan.len() > 44 {
             plan.truncate(41);
@@ -296,7 +269,8 @@ pub fn e18_workload_telemetry() -> Result<Report> {
         "determinism: two same-seed {SESSIONS}-session chaos runs logged all \
          {} statements each with identical fingerprint aggregates; \
          digest {:016x}",
-        run_a.seen, run_a.digest
+        seen,
+        digest(&fingerprints)
     ));
     report.note(format!(
         "export: hedged+degraded statement retained by tail-sampling \
@@ -304,9 +278,12 @@ pub fn e18_workload_telemetry() -> Result<Report> {
          events including the hedge:backup span"
     ));
 
-    BenchSummary::from_latencies("e18", &profile.latencies, profile.bytes as usize)
+    let records = log.records();
+    let latencies: Vec<f64> = records.iter().map(|r| r.sim_ms).collect();
+    let bytes: u64 = records.iter().map(|r| r.bytes_shipped).sum();
+    BenchSummary::from_latencies("e18", &latencies, bytes as usize)
         .with_extra("overhead_pct", overhead_pct)
-        .with_extra("fingerprints", profile.distinct as f64)
+        .with_extra("fingerprints", log.fingerprints().len() as f64)
         .write()?;
     Ok(report)
 }

@@ -12,9 +12,10 @@
 //! | files   | delimited file        | WAN  | none           | payments |
 //! | credit  | web service (bound)   | WAN  | none           | ratings |
 //!
-//! plus the Q1–Q10 query suite exercising selective scans, cross-source
+//! plus the Q1–Q11 query suite exercising selective scans, cross-source
 //! joins, aggregation, document and flat-file joins, unions, bind joins,
-//! top-N, and LIKE/distinct.
+//! top-N, LIKE/distinct and an anti join, and the workloads and warehouse
+//! that more than one experiment shares.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -24,6 +25,9 @@ use rand::{Rng, SeedableRng};
 
 use eii::prelude::*;
 use eii::row;
+use eii::warehouse::{EtlJob, Warehouse};
+
+use crate::runner::Step;
 
 /// FedMark scale factor: row counts scale linearly with it.
 pub type ScaleFactor = usize;
@@ -65,7 +69,60 @@ pub fn sizes(sf: ScaleFactor) -> (i64, i64, i64, i64, i64, i64, i64) {
     )
 }
 
-fn company_name(rng: &mut StdRng, i: i64) -> String {
+/// Create table `name` in `db`, keyed on its first column (which is not
+/// null), and insert `rows` in order.
+pub fn keyed_table(
+    db: &Database,
+    name: &str,
+    columns: &[(&str, DataType)],
+    rows: impl IntoIterator<Item = Row>,
+) -> Result<()> {
+    let mut fields: Vec<Field> = columns.iter().map(|&(c, ty)| Field::new(c, ty)).collect();
+    fields[0].nullable = false;
+    let def = TableDef::new(name, Arc::new(Schema::new(fields))).with_primary_key(0);
+    let table = db.create_table(def)?;
+    let mut t = table.write();
+    for row in rows {
+        t.insert(row)?;
+    }
+    Ok(())
+}
+
+/// The three-source join workload: `n` joins of crm, sales and the support
+/// document store (every query needs all three to answer), the `i`-th
+/// (from 1) keeping the customers below `i * step`.
+pub fn join_workload(n: i64, step: i64) -> Vec<String> {
+    (1..=n)
+        .map(|i| {
+            format!(
+                "SELECT c.name, o.total, t.severity FROM crm.customers c \
+                 JOIN sales.orders o ON c.customer_id = o.customer_id \
+                 JOIN support.tickets t ON c.customer_id = t.customer_id \
+                 WHERE c.customer_id < {}",
+                i * step
+            )
+        })
+        .collect()
+}
+
+/// A new `sales.orders` row `order_id` for one of `n_cust` customers; the
+/// customer, total, status and placing time are drawn from `rng`, in that
+/// order.
+pub fn new_order(rng: &mut StdRng, order_id: i64, n_cust: i64) -> UpdateOp {
+    UpdateOp::Insert {
+        table: "orders".into(),
+        row: row![
+            order_id,
+            rng.gen_range(0..n_cust),
+            (rng.gen_range(1..2000) as f64) / 2.0,
+            if rng.gen_bool(0.5) { "open" } else { "shipped" },
+            Value::Timestamp(rng.gen_range(0..1_000_000))
+        ],
+    }
+}
+
+/// A company name numbered `i`: an adjective and a noun drawn from `rng`.
+pub fn company_name(rng: &mut StdRng, i: i64) -> String {
     format!(
         "{} {} {}",
         ADJ[rng.gen_range(0..ADJ.len())],
@@ -92,147 +149,106 @@ impl FedMark {
 
         // ── crm ───────────────────────────────────────────────────────
         let crm = Database::new("crm", clock.clone());
-        let customers = crm.create_table(
-            TableDef::new(
-                "customers",
-                Arc::new(Schema::new(vec![
-                    Field::new("customer_id", DataType::Int).not_null(),
-                    Field::new("name", DataType::Str),
-                    Field::new("region", DataType::Str),
-                    Field::new("segment", DataType::Str),
-                    Field::new("created_at", DataType::Timestamp),
-                ])),
-            )
-            .with_primary_key(0),
-        )?;
-        {
-            let mut t = customers.write();
-            for i in 0..n_cust {
-                t.insert(row![
-                    i,
-                    company_name(&mut rng, i),
-                    format!("r{}", rng.gen_range(0..REGIONS)),
-                    format!("s{}", rng.gen_range(0..SEGMENTS)),
-                    Value::Timestamp(rng.gen_range(0..1_000_000)),
-                ])?;
-            }
-        }
+        let columns = [
+            ("customer_id", DataType::Int),
+            ("name", DataType::Str),
+            ("region", DataType::Str),
+            ("segment", DataType::Str),
+            ("created_at", DataType::Timestamp),
+        ];
+        let rows = (0..n_cust).map(|i| {
+            row![
+                i,
+                company_name(&mut rng, i),
+                format!("r{}", rng.gen_range(0..REGIONS)),
+                format!("s{}", rng.gen_range(0..SEGMENTS)),
+                Value::Timestamp(rng.gen_range(0..1_000_000)),
+            ]
+        });
+        keyed_table(&crm, "customers", &columns, rows)?;
 
         // ── sales (legacy dialect, WAN) ───────────────────────────────
         let sales = Database::new("sales", clock.clone());
-        let orders = sales.create_table(
-            TableDef::new(
-                "orders",
-                Arc::new(Schema::new(vec![
-                    Field::new("order_id", DataType::Int).not_null(),
-                    Field::new("customer_id", DataType::Int),
-                    Field::new("total", DataType::Float),
-                    Field::new("status", DataType::Str),
-                    Field::new("placed_at", DataType::Timestamp),
-                ])),
-            )
-            .with_primary_key(0),
-        )?;
-        {
-            let mut t = orders.write();
-            for i in 0..n_ord {
-                t.insert(row![
-                    i,
-                    rng.gen_range(0..n_cust),
-                    (rng.gen_range(1..2000) as f64) / 2.0,
-                    STATUS[rng.gen_range(0..STATUS.len())],
-                    Value::Timestamp(rng.gen_range(0..1_000_000)),
-                ])?;
-            }
-        }
-        let products = sales.create_table(
-            TableDef::new(
-                "products",
-                Arc::new(Schema::new(vec![
-                    Field::new("product_id", DataType::Int).not_null(),
-                    Field::new("category", DataType::Str),
-                    Field::new("price", DataType::Float),
-                ])),
-            )
-            .with_primary_key(0),
-        )?;
-        {
-            let mut t = products.write();
-            for i in 0..n_prod {
-                t.insert(row![
-                    i,
-                    CATEGORY[rng.gen_range(0..CATEGORY.len())],
-                    (rng.gen_range(5..500) as f64) / 5.0,
-                ])?;
-            }
-        }
-        let lineitems = sales.create_table(
-            TableDef::new(
-                "lineitems",
-                Arc::new(Schema::new(vec![
-                    Field::new("li_id", DataType::Int).not_null(),
-                    Field::new("order_id", DataType::Int),
-                    Field::new("product_id", DataType::Int),
-                    Field::new("qty", DataType::Int),
-                ])),
-            )
-            .with_primary_key(0),
-        )?;
-        {
-            let mut t = lineitems.write();
-            for i in 0..n_li {
-                t.insert(row![
-                    i,
-                    rng.gen_range(0..n_ord),
-                    rng.gen_range(0..n_prod),
-                    rng.gen_range(1..10i64),
-                ])?;
-            }
-        }
+        let columns = [
+            ("order_id", DataType::Int),
+            ("customer_id", DataType::Int),
+            ("total", DataType::Float),
+            ("status", DataType::Str),
+            ("placed_at", DataType::Timestamp),
+        ];
+        let rows = (0..n_ord).map(|i| {
+            row![
+                i,
+                rng.gen_range(0..n_cust),
+                (rng.gen_range(1..2000) as f64) / 2.0,
+                STATUS[rng.gen_range(0..STATUS.len())],
+                Value::Timestamp(rng.gen_range(0..1_000_000)),
+            ]
+        });
+        keyed_table(&sales, "orders", &columns, rows)?;
+        let columns = [
+            ("product_id", DataType::Int),
+            ("category", DataType::Str),
+            ("price", DataType::Float),
+        ];
+        let rows = (0..n_prod).map(|i| {
+            row![
+                i,
+                CATEGORY[rng.gen_range(0..CATEGORY.len())],
+                (rng.gen_range(5..500) as f64) / 5.0,
+            ]
+        });
+        keyed_table(&sales, "products", &columns, rows)?;
+        let columns = [
+            ("li_id", DataType::Int),
+            ("order_id", DataType::Int),
+            ("product_id", DataType::Int),
+            ("qty", DataType::Int),
+        ];
+        let rows = (0..n_li).map(|i| {
+            row![
+                i,
+                rng.gen_range(0..n_ord),
+                rng.gen_range(0..n_prod),
+                rng.gen_range(1..10i64),
+            ]
+        });
+        keyed_table(&sales, "lineitems", &columns, rows)?;
 
         // ── hr ────────────────────────────────────────────────────────
         let hr = Database::new("hr", clock.clone());
-        let employees = hr.create_table(
-            TableDef::new(
-                "employees",
-                Arc::new(Schema::new(vec![
-                    Field::new("emp_id", DataType::Int).not_null(),
-                    Field::new("name", DataType::Str),
-                    Field::new("department", DataType::Str),
-                    Field::new("location", DataType::Str),
-                ])),
-            )
-            .with_primary_key(0),
-        )?;
-        {
-            let mut t = employees.write();
-            for i in 0..n_emp {
-                t.insert(row![
-                    i,
-                    format!("employee {i}"),
-                    DEPT[rng.gen_range(0..DEPT.len())],
-                    LOCATION[rng.gen_range(0..LOCATION.len())],
-                ])?;
-            }
-        }
+        let columns = [
+            ("emp_id", DataType::Int),
+            ("name", DataType::Str),
+            ("department", DataType::Str),
+            ("location", DataType::Str),
+        ];
+        let rows = (0..n_emp).map(|i| {
+            row![
+                i,
+                format!("employee {i}"),
+                DEPT[rng.gen_range(0..DEPT.len())],
+                LOCATION[rng.gen_range(0..LOCATION.len())],
+            ]
+        });
+        keyed_table(&hr, "employees", &columns, rows)?;
 
         // ── support (schema-less documents) ───────────────────────────
         let tickets = DocStore::new();
         {
             // Batches of 25 tickets per exported document.
             let mut batch: Vec<Vec<(&str, String)>> = Vec::new();
-            let mut subjects: Vec<String> = Vec::new();
             for i in 0..n_tick {
                 let cust = rng.gen_range(0..n_cust);
-                subjects.push(format!(
+                let subject = format!(
                     "ticket about {} from customer {cust}",
                     CATEGORY[rng.gen_range(0..CATEGORY.len())]
-                ));
+                );
                 batch.push(vec![
                     ("ticket_id", i.to_string()),
                     ("customer_id", cust.to_string()),
                     ("severity", rng.gen_range(1..5i64).to_string()),
-                    ("subject", subjects.last().expect("pushed").clone()),
+                    ("subject", subject),
                 ]);
                 if batch.len() == 25 || i == n_tick - 1 {
                     tickets.insert(Document::from_records(
@@ -274,22 +290,9 @@ impl FedMark {
 
         // ── credit (access-limited web service) ───────────────────────
         let credit_db = Database::new("credit", clock.clone());
-        let ratings = credit_db.create_table(
-            TableDef::new(
-                "ratings",
-                Arc::new(Schema::new(vec![
-                    Field::new("customer_id", DataType::Int).not_null(),
-                    Field::new("rating", DataType::Str),
-                ])),
-            )
-            .with_primary_key(0),
-        )?;
-        {
-            let mut t = ratings.write();
-            for i in 0..n_cust {
-                t.insert(row![i, RATING[rng.gen_range(0..RATING.len())]])?;
-            }
-        }
+        let columns = [("customer_id", DataType::Int), ("rating", DataType::Str)];
+        let rows = (0..n_cust).map(|i| row![i, RATING[rng.gen_range(0..RATING.len())]]);
+        keyed_table(&credit_db, "ratings", &columns, rows)?;
 
         // ── contracts corpus (search) ─────────────────────────────────
         let contracts = DocStore::new();
@@ -307,37 +310,22 @@ impl FedMark {
         }
 
         // ── assemble ──────────────────────────────────────────────────
-        let system = EiiSystem::builder(clock.clone())
-            .planner_config(config)
-            .source(
-                Arc::new(RelationalConnector::new(crm)),
-                LinkProfile::lan(),
-                WireFormat::Native,
-            )
-            .source(
-                Arc::new(
-                    RelationalConnector::new(sales)
-                        .with_dialect(eii::federation::Dialect::legacy_minimal()),
-                ),
-                LinkProfile::wan(),
-                WireFormat::Native,
-            )
-            .source(
-                Arc::new(RelationalConnector::new(hr)),
-                LinkProfile::lan(),
-                WireFormat::Native,
-            )
-            .source(Arc::new(support), LinkProfile::lan(), WireFormat::Native)
-            .source(Arc::new(files), LinkProfile::wan(), WireFormat::Native)
-            .source(
-                Arc::new(
-                    WebServiceConnector::new("credit", credit_db)
-                        .require_binding("ratings", "customer_id"),
-                ),
-                LinkProfile::wan(),
-                WireFormat::Native,
-            )
-            .build()?;
+        let legacy = eii::federation::Dialect::legacy_minimal();
+        let credit =
+            WebServiceConnector::new("credit", credit_db).require_binding("ratings", "customer_id");
+        let sources: [(Arc<dyn Connector>, LinkProfile); 6] = [
+            (Arc::new(RelationalConnector::new(crm)), LinkProfile::lan()),
+            (Arc::new(RelationalConnector::new(sales).with_dialect(legacy)), LinkProfile::wan()),
+            (Arc::new(RelationalConnector::new(hr)), LinkProfile::lan()),
+            (Arc::new(support), LinkProfile::lan()),
+            (Arc::new(files), LinkProfile::wan()),
+            (Arc::new(credit), LinkProfile::wan()),
+        ];
+        let mut builder = EiiSystem::builder(clock.clone()).planner_config(config);
+        for (connector, link) in sources {
+            builder = builder.source(connector, link, WireFormat::Native);
+        }
+        let system = builder.build()?;
 
         Ok(FedMark {
             system,
@@ -348,7 +336,12 @@ impl FedMark {
         })
     }
 
-    /// The Q1–Q10 suite: `(id, description, sql)`.
+    /// The suite as runner steps, in order.
+    pub fn suite() -> impl Iterator<Item = Step> {
+        FedMark::queries().into_iter().map(|(_, _, sql)| Step::Query(sql.into()))
+    }
+
+    /// The Q1–Q11 suite: `(id, description, sql)`.
     pub fn queries() -> Vec<(&'static str, &'static str, &'static str)> {
         vec![
             (
@@ -450,6 +443,28 @@ impl FedMark {
             ("support.tickets", "ticket_id"),
             ("files.payments", "payment_id"),
         ]
+    }
+
+    /// A warehouse `wh` fed from this federation, not yet loaded: a copy job
+    /// per `(source.table, key)` of `tables`, into a table of the same name.
+    pub fn warehouse(&self, tables: &[(&str, &str)]) -> Result<Warehouse> {
+        let mut wh = Warehouse::new("wh", self.system.federation().clone(), self.clock.clone());
+        for &(table, key) in tables {
+            let target = table.split_once('.').map_or(table, |(_, t)| t);
+            wh.add_job(EtlJob::copy(format!("j_{target}"), table, target).with_key(key))?;
+        }
+        Ok(wh)
+    }
+
+    /// A system whose one source is warehouse `wh`, over a local link.
+    pub fn warehouse_system(&self, wh: &Warehouse) -> Result<EiiSystem> {
+        let system = EiiSystem::new(self.clock.clone());
+        system.add_source(
+            Arc::new(RelationalConnector::new(wh.database().clone())),
+            LinkProfile::local(),
+            WireFormat::Native,
+        )?;
+        Ok(system)
     }
 }
 

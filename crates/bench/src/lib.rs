@@ -2,7 +2,7 @@
 //!
 //! The evaluation harness for the reproduction. The paper (a SIGMOD 2005
 //! panel collection) has no tables or figures of its own; DESIGN.md §3 maps
-//! its *testable claims* to experiments E1–E12, all regenerated by
+//! its *testable claims* to experiments E1–E20, all regenerated by
 //!
 //! ```text
 //! cargo run -p eii-bench --release --bin experiments -- all
@@ -12,15 +12,18 @@
 //! own), not this crate's.
 //!
 //! [`fedmark`] is the "standardized benchmark – a la TPC" Bitton calls for:
-//! a deterministic generator for a five-source enterprise (relational CRM,
-//! relational sales with a legacy dialect, document-store support, flat-file
-//! payments, access-limited credit web service) at a scale factor, plus the
-//! Q1–Q10 query suite.
+//! a deterministic generator for a six-source enterprise (relational CRM,
+//! relational sales with a legacy dialect, relational HR, document-store
+//! support, flat-file payments, access-limited credit web service) at a
+//! scale factor, plus the
+//! Q1–Q11 query suite. [`runner`] is the one statement runner the
+//! experiments share.
 
 pub mod chaos;
 pub mod experiments;
 pub mod fedmark;
 pub mod report;
+pub mod runner;
 pub mod summary;
 pub mod timing;
 

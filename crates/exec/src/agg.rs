@@ -96,6 +96,23 @@ pub fn merge_weight<K: Ord>(map: &mut BTreeMap<K, i64>, key: K, w: i64) {
     }
 }
 
+/// The first class of equal cells (an `Int` and its `Float` twin) in `cells`
+/// whose counts sum above 0, answered by one of its cells counted above 0.
+fn live<'a>(cells: impl Iterator<Item = (&'a (Value, bool), &'a i64)>) -> Value {
+    let mut cells = cells.peekable();
+    while let Some(((v, _), &n)) = cells.next() {
+        let (mut total, mut cell) = (n, (n > 0).then_some(v));
+        while let Some(((twin, _), &m)) = cells.next_if(|((u, _), _)| u == v) {
+            total += m;
+            cell = cell.or((m > 0).then_some(twin));
+        }
+        if let Some(cell) = cell.filter(|_| total > 0) {
+            return cell.clone();
+        }
+    }
+    Value::Null
+}
+
 /// Call `f(ids[i], cells[i], w(i))` for each non-NULL position `i` of `col`,
 /// whose typed vector is `cells`: a NULL-free loop, or one that reads the
 /// bitmap.
@@ -148,8 +165,9 @@ pub struct GroupedAgg {
     /// A `Str` best; grown only once a string is offered.
     strs: Vec<Arc<str>>,
     /// MIN, MAX when retractable, in place of the lanes: each argument
-    /// value's weighted count, in [`Value`]'s order.
-    counted: Vec<BTreeMap<Value, i64>>,
+    /// cell's weighted count in [`Value`]'s order, a `Float` apart (`true`);
+    /// a retraction may come off an equal cell of the other flavor.
+    counted: Vec<BTreeMap<(Value, bool), i64>>,
     /// DISTINCT: the argument values already counted.
     seen: Vec<HashSet<Value>>,
 }
@@ -297,7 +315,9 @@ impl GroupedAgg {
                 }
                 self.counts[g] += w;
             }
-            Min | Max if self.retract => merge_weight(&mut self.counted[g], v.clone(), w),
+            Min | Max if self.retract => {
+                merge_weight(&mut self.counted[g], (v.clone(), matches!(v, Value::Float(_))), w)
+            }
             Min | Max => {
                 let ord = match (self.lanes[g], v) {
                     (Lane::Empty, _) => self.want,
@@ -369,9 +389,8 @@ impl GroupedAgg {
                 _ => Value::Float(self.ints[g] as f64 / n as f64),
             },
             Min | Max if self.retract => {
-                let mut values = self.counted[g].keys();
-                let v = if self.want == Ordering::Less { values.next() } else { values.next_back() };
-                v.cloned().unwrap_or(Value::Null)
+                let cells = self.counted[g].iter();
+                if self.want == Ordering::Less { live(cells) } else { live(cells.rev()) }
             }
             Min | Max => self.best(g),
         }
@@ -543,6 +562,30 @@ mod tests {
                     assert_eq!(format!("{:?}", agg.value(0)), format!("{best:?}"), "{func:?} from {r}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_retracted_min_max_answers_a_cell_still_counted() {
+        // `Int(2)` and `Float(2.0)` are equal `Value`s; once the `Int` is
+        // retracted, the surviving row's own cell answers, as a recompute
+        // over it does.
+        for func in [AggFunc::Min, AggFunc::Max] {
+            let mut agg = GroupedAgg::retractable(func);
+            agg.grow(1);
+            agg.push(0, &Value::Int(2), 1).unwrap();
+            agg.push(0, &Value::Float(2.0), 1).unwrap();
+            agg.push(0, &Value::Int(2), -1).unwrap();
+            assert_eq!(format!("{:?}", agg.value(0)), format!("{:?}", Value::Float(2.0)), "{func:?}");
+            agg.push(0, &Value::Float(2.0), -1).unwrap();
+            assert_eq!(format!("{:?}", agg.value(0)), "Null", "{func:?}");
+            // A retraction may come off the equal cell of the other flavor:
+            // the class is empty, and the next one answers.
+            agg.push(0, &Value::Int(3), 1).unwrap();
+            agg.push(0, &Value::Int(5), 2).unwrap();
+            agg.push(0, &Value::Float(3.0), -1).unwrap();
+            agg.push(0, &Value::Float(5.0), -1).unwrap();
+            assert_eq!(format!("{:?}", agg.value(0)), "Int(5)", "{func:?}");
         }
     }
 

@@ -375,8 +375,8 @@ impl<T: Send + 'static> Scheduler<T> {
         }
     }
 
-    /// Enable brownout load shedding for [`Scheduler::submit_prioritized`]
-    /// submissions. The bucket starts full.
+    /// Enable brownout load shedding for [`Scheduler::admit`]. The bucket
+    /// starts full.
     pub fn with_brownout(mut self, brownout: BrownoutConfig) -> Self {
         self.shared
             .state
@@ -402,31 +402,14 @@ impl<T: Send + 'static> Scheduler<T> {
         self.enqueue(sources, Priority::Normal, CancelToken::new(), Box::new(work))
     }
 
-    /// Enqueue a job with an explicit priority tier, consulting the
-    /// brownout controller (when configured) in submission order: the
-    /// returned [`ShedDecision`] is `Admit` or `Degrade` (the caller should
-    /// then serve a partial answer), while a shed job is turned away here
-    /// with [`EiiError::Shed`] before it consumes a queue slot.
-    ///
-    /// Among queued runnable jobs, higher-priority ones start first.
-    pub fn submit_prioritized(
-        &self,
-        sources: Vec<String>,
-        priority: Priority,
-        work: impl FnOnce() -> Result<JobOutput<T>> + Send + 'static,
-    ) -> Result<(QueryTicket<T>, ShedDecision)> {
-        let decision = self.admit(priority)?;
-        Ok((
-            self.enqueue(sources, priority, CancelToken::new(), Box::new(work)),
-            decision,
-        ))
-    }
-
     /// Consult the brownout controller for one submission at `priority`,
-    /// charging the token bucket. Callers that need the decision *before*
-    /// building their work closure (to mark it degraded) use this and then
-    /// [`Scheduler::submit_admitted`]; [`Scheduler::submit_prioritized`]
-    /// composes the two. Without a brownout config everything is admitted.
+    /// charging the token bucket, in submission order: the decision is
+    /// `Admit` or `Degrade` (the caller should then serve a partial answer),
+    /// while a shed job is turned away here with [`EiiError::Shed`] before it
+    /// consumes a queue slot. The caller then enqueues through
+    /// [`Scheduler::submit_admitted`], where among queued runnable jobs the
+    /// higher-priority ones start first. Without a brownout config everything
+    /// is admitted.
     pub fn admit(&self, priority: Priority) -> Result<ShedDecision> {
         let Some(cfg) = &self.brownout else {
             return Ok(ShedDecision::Admit);
@@ -839,8 +822,9 @@ mod tests {
                 1 => Priority::Normal,
                 _ => Priority::Low,
             };
-            match pool.submit_prioritized(vec![], priority, job) {
-                Ok((t, decision)) => {
+            match pool.admit(priority) {
+                Ok(decision) => {
+                    let t = pool.submit_admitted(vec![], priority, CancelToken::new(), job);
                     if decision == ShedDecision::Degrade {
                         degraded += 1;
                         assert_eq!(priority, Priority::Normal, "only best-effort degrades");
@@ -966,25 +950,23 @@ mod tests {
         }
         // Queued while the worker is busy: low first, then high.
         let o1 = Arc::clone(&order);
-        let (low, _) = pool
-            .submit_prioritized(vec![], Priority::Low, move || {
-                o1.lock().unwrap().push("low");
-                Ok(JobOutput {
-                    value: (),
-                    sim_ms: 1.0,
-                })
+        pool.admit(Priority::Low).unwrap();
+        let low = pool.submit_admitted(vec![], Priority::Low, CancelToken::new(), move || {
+            o1.lock().unwrap().push("low");
+            Ok(JobOutput {
+                value: (),
+                sim_ms: 1.0,
             })
-            .unwrap();
+        });
         let o2 = Arc::clone(&order);
-        let (high, _) = pool
-            .submit_prioritized(vec![], Priority::High, move || {
-                o2.lock().unwrap().push("high");
-                Ok(JobOutput {
-                    value: (),
-                    sim_ms: 1.0,
-                })
+        pool.admit(Priority::High).unwrap();
+        let high = pool.submit_admitted(vec![], Priority::High, CancelToken::new(), move || {
+            o2.lock().unwrap().push("high");
+            Ok(JobOutput {
+                value: (),
+                sim_ms: 1.0,
             })
-            .unwrap();
+        });
         gate.store(1, Ordering::SeqCst);
         first.join().unwrap();
         high.join().unwrap();
