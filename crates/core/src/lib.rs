@@ -611,6 +611,12 @@ impl EiiSystem {
         self.advisor.get().map(|s| &s.advisor)
     }
 
+    /// The advisor's cardinality-feedback store, when enabled: each plan
+    /// node's correction, keyed by [`CardinalityFeedback::node_key`].
+    pub fn cardinality_feedback(&self) -> Option<&CardinalityFeedback> {
+        self.advisor.get().map(|s| &*s.feedback)
+    }
+
     /// Human-readable advisor report: installed views with observed hit
     /// rates, plus the executed-action journal.
     pub fn advisor_report(&self) -> String {

@@ -4,7 +4,8 @@
 //! typed at the source edge, a stalled change-log probe holding up no
 //! other caller of the result cache, and the profile tree of the operators
 //! that run outside a plain node (an at-site join's site child, live or
-//! dead; an adaptive re-plan; a hedged bind join; a bounded sort).
+//! dead, on either side; an adaptive re-plan; a hedged bind join; a bounded
+//! sort); and that a failed statement counts no operator's rows.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -577,6 +578,35 @@ fn a_stalled_version_probe_blocks_no_other_cache_call() {
     assert_eq!(cache.len(), 2);
 }
 
+#[test]
+fn a_failed_statement_counts_no_rows_emitted() {
+    let emitted = |fed: &Federation| -> Vec<(String, u64)> {
+        let counters = fed.metrics().snapshot().counters;
+        counters.into_iter().filter(|(name, _)| name.starts_with("exec.rows_emitted.")).collect()
+    };
+    // The hub join's left side (crm) answers; its right side (sales) is dead.
+    let fed = federation(&SimClock::new());
+    fed.inject_faults("sales", FaultProfile::failing(1.0, 3)).unwrap();
+    let exec = Executor::new(&fed).with_metrics(fed.metrics().clone());
+    let plan = hub_plan(&fed, JOIN_SQL, None);
+    assert_eq!(exec.execute(&plan).unwrap_err().kind(), "source");
+    assert_eq!(emitted(&fed), []);
+
+    // The executor's next statement starts clean: its profile and counts are
+    // a fresh executor's.
+    let scan = hub_plan(&fed, "SELECT name FROM crm.customers WHERE id < 3", None);
+    let after = exec.execute(&scan).unwrap();
+    let fresh_fed = federation(&SimClock::new());
+    let fresh = Executor::new(&fresh_fed).with_metrics(fresh_fed.metrics().clone());
+    let fresh = fresh.execute(&scan).unwrap();
+    let (mut a, mut b) = (String::new(), String::new());
+    render_profile(after.profile.as_ref().unwrap(), 0, &mut a);
+    render_profile(fresh.profile.as_ref().unwrap(), 0, &mut b);
+    assert_eq!(a, b);
+    assert_eq!(emitted(&fed), emitted(&fresh_fed));
+    assert!(!emitted(&fed).is_empty());
+}
+
 /// A profile tree one node a line, indented by depth: label, source, rows,
 /// cost, and the flags that are set. Wall time, the one field a rerun moves,
 /// is left out.
@@ -657,6 +687,12 @@ fn the_profile_tree_records_the_operators_that_run_outside_a_plain_node() {
     let exec = Executor::new(&fed).with_degradation(DegradationPolicy::Fallback, store);
     pin("at-site join, site dead", exec.execute(&plan).unwrap());
 
+    // The join moved to the left child's source: the site child is queried
+    // first all the same, and the profile keeps the plan's child order.
+    let fed = federation(&SimClock::new());
+    let plan = hub_plan(&fed, JOIN_SQL, Some("crm"));
+    pin("at-site join, site on the left", Executor::new(&fed).execute(&plan).unwrap());
+
     // An adaptive re-plan: any divergence counts, so the build side is
     // re-issued as a binding-filtered fetch.
     let fed = federation(&SimClock::new());
@@ -691,6 +727,11 @@ Project rows=49 sim=2.1078000000000006 bytes=430 shipped=20 scanned=20 requests=
   HashJoin rows=49 sim=2.0833000000000004 bytes=430 shipped=20 scanned=20 requests=1
     Source crm rows=20 sim=2.0243 bytes=430 shipped=20 scanned=20 requests=1
     Source sales rows=49 sim=0.0245 bytes=0 shipped=0 scanned=0 requests=0
+# at-site join, site on the left
+Project rows=49 sim=6.183479999999999 bytes=3998 shipped=147 scanned=80 requests=4
+  HashJoin rows=49 sim=6.15898 bytes=3998 shipped=147 scanned=80 requests=4
+    Source crm rows=20 sim=2.02 bytes=0 shipped=0 scanned=20 requests=1
+    Source sales rows=49 sim=2.0698 bytes=980 shipped=49 scanned=60 requests=1
 # adaptive re-plan
 Project rows=49 sim=4.1776 bytes=1410 shipped=69 scanned=80 requests=2
   HashJoin rows=49 sim=4.1531 bytes=1410 shipped=69 scanned=80 requests=2 replanned cols=2/4
