@@ -36,6 +36,7 @@
 //! assert_eq!(out.rows().unwrap().num_rows(), 1);
 //! ```
 
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -64,7 +65,7 @@ use eii_obs::{
 };
 use eii_planner::{
     optimize, rewrite_matviews_with_budget, CardinalityFeedback, CostModel, LogicalPlan,
-    PhysicalPlan, PhysicalPlanner, PlanBuilder, PlannerConfig,
+    PhysicalPlan, PhysicalPlanner, PlanBuilder, PlanEstimate, PlannerConfig,
 };
 use eii_search::{EnterpriseSearch, Hit};
 use eii_sql::{parse_statement, SetQuery, Statement};
@@ -191,22 +192,6 @@ impl ExecOutcome {
     pub fn try_query_result(&self) -> Option<&QueryResult> {
         match self {
             ExecOutcome::Rows(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The rendered plan, when this outcome is an `EXPLAIN [ANALYZE]`.
-    pub fn try_explained(&self) -> Option<&str> {
-        match self {
-            ExecOutcome::Explained(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The search hits, when this outcome is a `SEARCH`.
-    pub fn try_search_hits(&self) -> Option<&[Hit]> {
-        match self {
-            ExecOutcome::SearchHits(hits) => Some(hits),
             _ => None,
         }
     }
@@ -1049,9 +1034,13 @@ impl EiiSystem {
         let result = result?;
         telemetry.flags.hedged = result.hedged;
         telemetry.flags.degraded = !result.degraded.is_empty();
+        // Estimated once, for the advisor's feedback and a kept trace's
+        // operator stats alike.
+        let model = CostModel::new(&self.federation);
+        let ops = OnceCell::new();
         if let (Some(state), Some(profile)) = (self.advisor.get(), &result.profile) {
-            let model = CostModel::new(&self.federation);
-            observe_feedback(&physical, profile, &model, &state.feedback);
+            let ops = ops.get_or_init(|| operators(&physical, profile, &model));
+            observe_feedback(ops, &state.feedback);
         }
         if telemetry_on {
             telemetry.per_source_bytes = result
@@ -1061,26 +1050,18 @@ impl EiiSystem {
                 .collect();
             // Decide trace retention now that the outcome's flags are
             // known: the per-operator cost-model walk (statistics lookups
-            // per scan) is the priciest piece of recording, so it only
-            // runs for statements tail-sampling keeps — which still covers
-            // the first execution of every fingerprint plus everything
-            // noteworthy. E18's overhead gate is what holds this honest.
+            // per scan) is the priciest piece of recording, so without the
+            // advisor it only runs for statements tail-sampling keeps —
+            // which still covers the first execution of every fingerprint
+            // plus everything noteworthy. E18's overhead gate is what holds
+            // this honest.
             let keep = self
                 .traces
                 .should_keep(telemetry.fingerprint, telemetry.flags, false);
             telemetry.kept = Some(keep);
-            if keep {
-                if let Some(profile) = &result.profile {
-                    let model = CostModel::new(&self.federation);
-                    let mut path = vec![0];
-                    collect_operator_stats(
-                        &physical,
-                        profile,
-                        &model,
-                        &mut path,
-                        &mut telemetry.operators,
-                    );
-                }
+            if let (true, Some(profile)) = (keep, &result.profile) {
+                let ops = ops.get_or_init(|| operators(&physical, profile, &model));
+                telemetry.operators = operator_stats(ops);
             }
         }
         execute.annotate("rows", result.batch.num_rows());
@@ -1197,12 +1178,6 @@ impl EiiSystem {
     /// Chrome trace-event export via [`eii_obs::chrome_trace_json`].
     pub fn trace_store(&self) -> &TraceStore {
         &self.traces
-    }
-
-    /// The SLO burn-rate monitor (register objectives with
-    /// [`EiiSystem::set_slo_objective`], read with [`EiiSystem::slo_status`]).
-    pub fn slo_monitor(&self) -> &SloMonitor {
-        &self.slo
     }
 
     /// Register (or replace) a latency/availability objective for a
@@ -1384,7 +1359,7 @@ impl EiiSystem {
 
     /// Predict a query's cost without executing it (experiment E12's
     /// "query execution-time prediction").
-    pub fn predict(&self, sql: &str) -> Result<eii_planner::PlanEstimate> {
+    pub fn predict(&self, sql: &str) -> Result<PlanEstimate> {
         CostModel::new(&self.federation).estimate(&self.normalize_sql(sql)?.optimized)
     }
 
@@ -1408,71 +1383,88 @@ fn plan_uses_matview(plan: &PhysicalPlan) -> bool {
         || plan.children().iter().any(|c| plan_uses_matview(c))
 }
 
-/// Flatten the plan/profile trees into per-operator estimated-vs-actual
-/// stats for the query log, keyed by dotted path (`0`, `0.1`, ...).
-///
-/// Children are estimated first and the parent's estimate is derived from
-/// theirs ([`CostModel::estimate_from_children`]), so the whole tree costs
-/// one source-statistics lookup per scan — calling
-/// [`CostModel::estimate_physical`] at every node would re-estimate each
-/// subtree and put a measurable tax on every query (E18's overhead gate).
-/// Returns this subtree's estimate for the caller's own derivation.
-fn collect_operator_stats(
-    plan: &PhysicalPlan,
-    profile: &OperatorProfile,
+/// One executed operator, as [`operators`] lists it.
+struct Operator<'a> {
+    plan: &'a PhysicalPlan,
+    profile: &'a OperatorProfile,
+    /// Depth in the plan; the root's is 0.
+    depth: usize,
+    /// The uncorrected cost model's estimate of the operator's subtree.
+    est: PlanEstimate,
+}
+
+/// Every operator of an executed plan, in preorder, estimated once: each
+/// node's estimate is derived from its children's
+/// ([`CostModel::estimate_from_children`]), so the whole tree costs one
+/// source-statistics lookup per scan. `model` carries no feedback, so the
+/// ratios the advisor stores stay actual over raw estimate instead of chasing
+/// their own corrections.
+fn operators<'a>(
+    plan: &'a PhysicalPlan,
+    profile: &'a OperatorProfile,
     model: &CostModel,
-    path: &mut Vec<usize>,
-    out: &mut Vec<OperatorStat>,
-) -> eii_planner::PlanEstimate {
-    let slot = out.len();
-    out.push(OperatorStat {
-        path: path
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join("."),
-        label: profile.label.to_string(),
-        est_rows: 0,
-        actual_rows: profile.rows as u64,
-        bytes: profile.cost.bytes as u64,
-        sim_ms: profile.cost.sim_ms,
-    });
-    let children = plan.children();
-    let mut kids = Vec::with_capacity(children.len());
-    for (i, (child, child_profile)) in children.iter().zip(&profile.children).enumerate() {
-        path.push(i);
-        kids.push(collect_operator_stats(child, child_profile, model, path, out));
-        path.pop();
+) -> Vec<Operator<'a>> {
+    fn walk<'a>(
+        (plan, profile): (&'a PhysicalPlan, &'a OperatorProfile),
+        depth: usize,
+        model: &CostModel,
+        out: &mut Vec<Operator<'a>>,
+    ) -> PlanEstimate {
+        let slot = out.len();
+        out.push(Operator { plan, profile, depth, est: PlanEstimate::default() });
+        let children = plan.children().into_iter().zip(&profile.children);
+        let kids: Vec<PlanEstimate> = children.map(|c| walk(c, depth + 1, model, out)).collect();
+        out[slot].est = model.estimate_from_children(plan, &kids);
+        out[slot].est
     }
-    let est = model.estimate_from_children(plan, &kids);
-    out[slot].est_rows = est.rows.round() as u64;
-    est
+    let mut out = Vec::new();
+    walk((plan, profile), 0, model, &mut out);
+    out
+}
+
+/// The query log's per-operator estimated-vs-actual stats, keyed by dotted
+/// path (`0`, `0.1`, ...).
+fn operator_stats(ops: &[Operator]) -> Vec<OperatorStat> {
+    let mut path: Vec<usize> = Vec::new();
+    let stat = |op: &Operator| {
+        // The next operator in preorder is a first child or a later sibling.
+        if op.depth == path.len() {
+            path.push(0);
+        } else {
+            path.truncate(op.depth + 1);
+            path[op.depth] += 1;
+        }
+        OperatorStat {
+            path: path.iter().map(usize::to_string).collect::<Vec<_>>().join("."),
+            label: op.profile.label.to_string(),
+            est_rows: op.est.rows.round() as u64,
+            actual_rows: op.profile.rows as u64,
+            bytes: op.profile.cost.bytes as u64,
+            sim_ms: op.profile.cost.sim_ms,
+        }
+    };
+    ops.iter().map(stat).collect()
 }
 
 /// Fold one execution's per-operator actuals into the advisor's
-/// cardinality-feedback store, keyed by plan-node fingerprint. Estimates
-/// are derived bottom-up with the *uncorrected* cost model (one
-/// statistics lookup per scan, like [`collect_operator_stats`]) so the
-/// stored ratio stays actual-over-raw-estimate instead of chasing its own
-/// corrections. Returns this subtree's estimate for the caller.
-fn observe_feedback(
-    plan: &PhysicalPlan,
-    profile: &OperatorProfile,
-    model: &CostModel,
-    feedback: &CardinalityFeedback,
-) -> eii_planner::PlanEstimate {
-    let children = plan.children();
-    let mut kids = Vec::with_capacity(children.len());
-    for (child, child_profile) in children.iter().zip(&profile.children) {
-        kids.push(observe_feedback(child, child_profile, model, feedback));
+/// cardinality-feedback store, keyed by plan-node fingerprint: children
+/// before their parent, left to right.
+fn observe_feedback(ops: &[Operator], feedback: &CardinalityFeedback) {
+    let observe = |op: &Operator| {
+        let key = CardinalityFeedback::node_key(op.plan);
+        feedback.observe(key, op.est.rows, op.profile.rows as f64);
+    };
+    // An operator is observed when its subtree ends: at the next operator no
+    // deeper than it, or at the end of the plan.
+    let mut pending: Vec<&Operator> = Vec::new();
+    for op in ops {
+        while let Some(&done) = pending.last().filter(|p| p.depth >= op.depth) {
+            pending.pop();
+            observe(done);
+        }
+        pending.push(op);
     }
-    let est = model.estimate_from_children(plan, &kids);
-    feedback.observe(
-        CardinalityFeedback::node_key(plan),
-        est.rows,
-        profile.rows as f64,
-    );
-    est
+    pending.into_iter().rev().for_each(observe);
 }
 
 /// Accumulate the per-source saved-bytes estimates of every `MatViewScan`
@@ -1546,7 +1538,9 @@ fn render_analyze(
         EiiError::Execution("EXPLAIN ANALYZE needs executor instrumentation".into())
     })?;
     let mut out = String::new();
-    render_operator(physical, profile, model, &result.degraded, 0, &mut out);
+    for op in &operators(physical, profile, model) {
+        render_operator(op, &result.degraded, &mut out);
+    }
     let _ = write!(
         out,
         "Total: rows={} bytes={} sim={:.1}ms wall={:.1?}",
@@ -1570,29 +1564,18 @@ fn render_analyze(
 /// pushdown summary (source-facing operators), the cost model's estimate
 /// next to the measured actuals, and a `[DEGRADED: ...]` flag on operators
 /// whose source could not answer live.
-fn render_operator(
-    plan: &PhysicalPlan,
-    profile: &OperatorProfile,
-    model: &CostModel,
-    degraded: &[SourceReport],
-    depth: usize,
-    out: &mut String,
-) {
-    out.push_str(&"  ".repeat(depth));
+fn render_operator(op: &Operator, degraded: &[SourceReport], out: &mut String) {
+    let (plan, profile, est) = (op.plan, op.profile, op.est);
+    out.push_str(&"  ".repeat(op.depth));
     out.push_str(&plan.describe());
     if let Some(p) = plan.pushdown() {
         let _ = write!(out, " {p}");
     }
-    match model.estimate_physical(plan) {
-        Ok(est) => {
-            let _ = write!(
-                out,
-                " (est rows={:.0} bytes={:.0} sim={:.1}ms",
-                est.rows, est.bytes, est.sim_ms
-            );
-        }
-        Err(_) => out.push_str(" (est ?"),
-    }
+    let _ = write!(
+        out,
+        " (est rows={:.0} bytes={:.0} sim={:.1}ms",
+        est.rows, est.bytes, est.sim_ms
+    );
     let _ = write!(
         out,
         " | act rows={} bytes={} sim={:.1}ms wall={:.1?})",
@@ -1620,9 +1603,6 @@ fn render_operator(
         }
     }
     out.push('\n');
-    for (child, child_profile) in plan.children().iter().zip(&profile.children) {
-        render_operator(child, child_profile, model, degraded, depth + 1, out);
-    }
 }
 
 #[cfg(test)]

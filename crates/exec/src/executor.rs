@@ -39,7 +39,7 @@ use eii_data::{
 };
 use eii_expr::{bind, eval_column, referenced_columns, BoundExpr, Expr};
 use eii_federation::{
-    Binding, Delivery, Federation, HedgeOutcome, QueryCost, RequestCtx, SourceHandle, SourceQuery,
+    Binding, Delivery, Federation, QueryCost, RequestCtx, SourceHandle, SourceQuery,
 };
 use eii_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_MS_BUCKETS};
 use eii_planner::{CardinalityFeedback, CostModel, JoinSite, PhysicalPlan};
@@ -183,40 +183,68 @@ fn columns_read<'e>(
     Some(cols.into_iter().collect())
 }
 
-/// What one run noted about one plan node: what it emitted and cost (when
-/// instrumentation is on); what its fetch hedged; whether it is a join the
-/// run adapted; `Some(k)` on a sort the run bounded to its first `k` rows.
-#[derive(Default)]
-struct NodeNote {
-    rows: usize,
-    width: usize,
-    cost: QueryCost,
-    wall: Duration,
-    hedge: HedgeOutcome,
-    replanned: bool,
-    top: Option<usize>,
-}
-
-/// What one execution notes on its way through the plan.
+/// What one execution notes on its way through the plan. When instrumentation
+/// is on, each operator's profile is built as it runs: opened when the
+/// operator starts, closed when it returns, adopting as its children the
+/// profiles that closed in between. A run that fails leaves its open profiles
+/// behind; `execute` drops them with the rest.
 #[derive(Default)]
 struct RunNotes {
     degraded: Vec<SourceReport>,
-    /// One note per plan node, keyed by the node's address in the plan that
-    /// `execute` borrows for the whole run.
-    nodes: Vec<(*const PhysicalPlan, NodeNote)>,
+    /// A fetch fired a hedged backup.
+    hedged: bool,
+    /// The profiles of the operators running now, innermost last, each with
+    /// the length of `closed` when it opened.
+    open: Vec<(OperatorProfile, usize)>,
+    /// Closed profiles whose parent has not closed yet.
+    closed: Vec<OperatorProfile>,
+    /// Rows emitted by each kind of operator that ran, and its counter's name.
+    emitted: [Option<(&'static str, u64)>; PhysicalPlan::KINDS],
     /// Bytes shipped, by the name the ledger charges them under.
     shipped: BTreeMap<String, usize>,
 }
 
 impl RunNotes {
-    /// The note of `node`, begun on first use.
-    fn node(&mut self, node: &PhysicalPlan) -> &mut NodeNote {
-        let at = self.nodes.iter().position(|(p, _)| std::ptr::eq(*p, node));
-        let at = at.unwrap_or_else(|| {
-            self.nodes.push((node, NodeNote::default()));
-            self.nodes.len() - 1
-        });
-        &mut self.nodes[at].1
+    /// Open `plan`'s profile: the innermost one from now until it closes.
+    fn open(&mut self, plan: &PhysicalPlan) {
+        let source = match plan {
+            PhysicalPlan::Source { source, .. } | PhysicalPlan::BindJoin { source, .. } => {
+                Some(source.clone())
+            }
+            _ => None,
+        };
+        let profile = OperatorProfile { label: plan.label(), source, ..Default::default() };
+        self.open.push((profile, self.closed.len()));
+    }
+
+    /// The innermost open profile; `None` when instrumentation is off.
+    fn current(&mut self) -> Option<&mut OperatorProfile> {
+        self.open.last_mut().map(|(profile, _)| profile)
+    }
+
+    /// Close the innermost open profile, `plan`'s, with what it emitted and
+    /// cost (`width` columns): a join that emitted fewer columns than its
+    /// schema has says so.
+    fn close(
+        &mut self,
+        plan: &PhysicalPlan,
+        rows: usize,
+        width: usize,
+        cost: QueryCost,
+        start: Instant,
+    ) {
+        let Some((mut profile, first_child)) = self.open.pop() else {
+            return;
+        };
+        profile.children = self.closed.split_off(first_child);
+        use PhysicalPlan::{BindJoin, HashJoin, NestedLoopJoin};
+        if matches!(plan, HashJoin { .. } | NestedLoopJoin { .. } | BindJoin { .. }) {
+            profile.columns = Some((width, plan.schema().len())).filter(|(k, n)| k < n);
+        }
+        (profile.rows, profile.cost, profile.wall) = (rows, cost, start.elapsed());
+        let emitted = &mut self.emitted[plan.kind()];
+        emitted.get_or_insert((plan.rows_emitted_metric(), 0)).1 += rows as u64;
+        self.closed.push(profile);
     }
 }
 
@@ -280,9 +308,9 @@ impl ExecMetrics {
         wall.observe(wall_ms);
     }
 
-    fn rows_emitted(&self, plan: &PhysicalPlan, rows: usize) {
-        let resolve = || self.registry.counter(plan.rows_emitted_metric());
-        self.handles.rows_emitted[plan.kind()].get_or_init(resolve).add(rows as u64);
+    fn rows_emitted(&self, kind: usize, name: &str, rows: u64) {
+        let resolve = || self.registry.counter(name);
+        self.handles.rows_emitted[kind].get_or_init(resolve).add(rows);
     }
 }
 
@@ -376,13 +404,15 @@ impl<'a> Executor<'a> {
         // Taken whatever the outcome: a failed run leaves the next nothing.
         let notes = self.notes.take();
         let (batch, cost) = answer?;
-        let hedged = notes.nodes.iter().any(|(_, n)| n.hedge.fired);
-        let profile = self
-            .instrument
-            .then(|| assemble_profile(plan, &notes, self.metrics.as_ref()));
-        let RunNotes { degraded, shipped, .. } = notes;
+        let RunNotes { degraded, hedged, mut closed, emitted, shipped, .. } = notes;
         let wall = start.elapsed();
         if let Some(m) = &self.metrics {
+            // Counted once the statement has succeeded: a failed one counts nothing.
+            for (kind, emitted) in emitted.iter().enumerate() {
+                if let Some((name, rows)) = emitted {
+                    m.rows_emitted(kind, name, *rows);
+                }
+            }
             m.statement(cost.sim_ms, wall.as_secs_f64() * 1000.0);
             if !degraded.is_empty() {
                 m.registry.add("exec.degraded_sources", degraded.len() as u64);
@@ -393,7 +423,7 @@ impl<'a> Executor<'a> {
             cost,
             wall,
             degraded,
-            profile,
+            profile: closed.pop(),
             hedged,
             shipped: shipped.into_iter().filter(|(_, bytes)| *bytes > 0).collect(),
         })
@@ -427,12 +457,12 @@ impl<'a> Executor<'a> {
     /// schema of the empty stand-in for a dropped branch — and reported.
     ///
     /// The answer's columns are tagged with `ingest_as` (`None` keeps the
-    /// layout the source returned). `node` is the plan node the fetch is made
-    /// for, whose note holds its hedge; `record` says the fetch *is* that
-    /// node, run outside [`Executor::run_node`], so it is measured here. The
-    /// bytes it shipped are noted under the source's name. The returned flag
-    /// is `true` when the source answered live.
-    #[allow(clippy::too_many_arguments)]
+    /// layout the source returned). `stands_for` is the plan node the fetch
+    /// *is*, run outside [`Executor::run_node`], so it opens and closes that
+    /// node's profile here; otherwise the fetch is part of the innermost open
+    /// operator. A hedge is noted in the innermost open profile. The bytes it
+    /// shipped are noted under the source's name. The returned flag is `true`
+    /// when the source answered live.
     fn fetch(
         &self,
         handle: &SourceHandle,
@@ -440,10 +470,12 @@ impl<'a> Executor<'a> {
         delivery: Delivery,
         fallback: (&SourceQuery, &SchemaRef),
         ingest_as: Option<&SchemaRef>,
-        node: &PhysicalPlan,
-        record: bool,
+        stands_for: Option<&PhysicalPlan>,
     ) -> Result<(ColumnarBatch, QueryCost, bool)> {
-        let start_wall = (record && self.instrument).then(Instant::now);
+        let measured = stands_for.filter(|_| self.instrument).map(|node| {
+            self.notes.borrow_mut().open(node);
+            (node, Instant::now())
+        });
         let source = handle.connector().name();
         let ctx = &self.base_ctx;
         let hedge = match delivery {
@@ -454,7 +486,11 @@ impl<'a> Executor<'a> {
             Some(policy) => handle
                 .query_hedged(query, ctx, policy.delay_ms)
                 .map(|(batch, cost, outcome)| {
-                    self.notes.borrow_mut().node(node).hedge = outcome;
+                    let mut notes = self.notes.borrow_mut();
+                    notes.hedged |= outcome.fired;
+                    if let Some(profile) = notes.current() {
+                        (profile.hedged, profile.backup_won) = (outcome.fired, outcome.backup_won);
+                    }
                     if let Some(m) = &self.metrics {
                         m.registry.inc("hedge.fired");
                         if outcome.backup_won {
@@ -499,11 +535,9 @@ impl<'a> Executor<'a> {
             Some(schema) => batch.with_schema(schema.clone()),
             None => batch,
         };
-        if let Some(start_wall) = start_wall {
-            let mut notes = self.notes.borrow_mut();
-            let note = notes.node(node);
-            (note.rows, note.width) = (cols.num_rows(), cols.schema().len());
-            (note.cost, note.wall) = (cost, start_wall.elapsed());
+        if let Some((node, start_wall)) = measured {
+            let (rows, width) = (cols.num_rows(), cols.schema().len());
+            self.notes.borrow_mut().close(node, rows, width, cost, start_wall);
         }
         Ok((cols, cost, live))
     }
@@ -527,10 +561,10 @@ impl<'a> Executor<'a> {
         Ok((Batch::new(cols.schema().clone(), rows), cost))
     }
 
-    /// Run one operator, recording its measurements in its note when
-    /// instrumentation is on. Every operator boundary is a cancellation
-    /// point: a cancelled, aborted, or out-of-budget query stops here instead
-    /// of starting more work (chunked operators also check between chunks).
+    /// Run one operator, building its profile when instrumentation is on.
+    /// Every operator boundary is a cancellation point: a cancelled, aborted,
+    /// or out-of-budget query stops here instead of starting more work
+    /// (chunked operators also check between chunks).
     ///
     /// `want` is the consumer's [`Demand`]. Rows: a `Limit` makes the
     /// promise, `Project` and `Rename` — the nodes that emit exactly their
@@ -546,12 +580,11 @@ impl<'a> Executor<'a> {
         if !self.instrument {
             return self.run_inner(plan, want);
         }
+        self.notes.borrow_mut().open(plan);
         let start_wall = Instant::now();
         let (cols, cost) = self.run_inner(plan, want)?;
-        let mut notes = self.notes.borrow_mut();
-        let note = notes.node(plan);
-        (note.rows, note.width) = (cols.num_rows(), cols.schema().len());
-        (note.cost, note.wall) = (cost, start_wall.elapsed());
+        let (rows, width) = (cols.num_rows(), cols.schema().len());
+        self.notes.borrow_mut().close(plan, rows, width, cost, start_wall);
         Ok((cols, cost))
     }
 
@@ -565,15 +598,9 @@ impl<'a> Executor<'a> {
             } => {
                 let handle = self.federation.source(source)?;
                 // Tagged with the alias-qualified schema.
-                let (cols, cost, _) = self.fetch(
-                    &handle,
-                    query,
-                    Delivery::Ship,
-                    (query, schema),
-                    Some(schema),
-                    plan,
-                    false,
-                )?;
+                let fallback = (query, schema);
+                let (cols, cost, _) =
+                    self.fetch(&handle, query, Delivery::Ship, fallback, Some(schema), None)?;
                 Ok((cols.into(), cost))
             }
             PhysicalPlan::Values { schema, rows } => Ok((
@@ -658,7 +685,7 @@ impl<'a> Executor<'a> {
                 ..
             } => self.run_hash_join(
                 left, right, left_keys, right_keys, *kind, residual, site, *parallel, schema,
-                plan, columns,
+                columns,
             ),
             PhysicalPlan::NestedLoopJoin {
                 left,
@@ -698,15 +725,8 @@ impl<'a> Executor<'a> {
                 } else {
                     let mut q = template.clone();
                     q.bindings = vec![Binding { column: bind_column.clone(), keys }];
-                    let (fetched, rc, _) = self.fetch(
-                        &handle,
-                        &q,
-                        Delivery::Ship,
-                        (&q, right_schema),
-                        None,
-                        plan,
-                        false,
-                    )?;
+                    let (fetched, rc, _) =
+                        self.fetch(&handle, &q, Delivery::Ship, (&q, right_schema), None, None)?;
                     (fetched, rc)
                 };
                 let bind_idx = fetched.schema().index_of(None, bind_column)?;
@@ -781,7 +801,9 @@ impl<'a> Executor<'a> {
                 // A promise of everything bounds nothing.
                 let first = first.filter(|&k| k < n);
                 if let Some(k) = first {
-                    self.notes.borrow_mut().node(plan).top = Some(k);
+                    if let Some(profile) = self.notes.borrow_mut().current() {
+                        profile.top = Some(k);
+                    }
                     if let Some(m) = &self.metrics {
                         m.registry.inc("exec.sort.bounded");
                     }
@@ -914,12 +936,11 @@ impl<'a> Executor<'a> {
     /// first; if its observed cardinality diverges from the
     /// feedback-corrected estimate by the policy's factor, the build-side
     /// scan is re-issued as a binding-filtered fetch restricted to the
-    /// distinct probe keys actually observed, and `join`'s note says so.
+    /// distinct probe keys actually observed, and the join's profile says so.
     /// Either way the sides ran serially, so the serial costs come back for
     /// the caller to combine.
     fn try_adaptive_join(
         &self,
-        join: &PhysicalPlan,
         left: &PhysicalPlan,
         right: &PhysicalPlan,
         left_keys: &[Expr],
@@ -960,18 +981,10 @@ impl<'a> Executor<'a> {
         // Probe side first, serially: the adaptation decision needs its
         // actual cardinality.
         let (lcols, lc) = self.run_node(left, Demand::ALL)?;
-        let diverged = match CostModel::new(self.federation)
-            .with_feedback(policy.feedback.clone())
-            .estimate_physical(left)
-        {
-            Ok(est) => {
-                let est_rows = est.rows.max(1e-9);
-                let actual = (lcols.num_rows() as f64).max(1.0);
-                actual / est_rows >= policy.factor || est_rows / actual >= policy.factor
-            }
-            // No estimate, no divergence signal: keep the planned scan.
-            Err(_) => false,
-        };
+        let model = CostModel::new(self.federation).with_feedback(policy.feedback.clone());
+        let est_rows = model.estimate_physical(left).rows.max(1e-9);
+        let actual = (lcols.num_rows() as f64).max(1.0);
+        let diverged = actual / est_rows >= policy.factor || est_rows / actual >= policy.factor;
         if !diverged {
             let right_out = self.run_node(right, Demand::ALL)?;
             return Ok(Some(((lcols, lc), right_out)));
@@ -985,17 +998,13 @@ impl<'a> Executor<'a> {
         filtered.bindings = vec![Binding { column: bind_col.clone(), keys }];
         // Degrade against the *original* query so a dead source yields the
         // same substitute snapshot the un-adapted plan would get. The adapted
-        // fetch bypasses `run_node`, so it is recorded.
-        let (rcols, rc, _) = self.fetch(
-            &handle,
-            &filtered,
-            Delivery::Ship,
-            (query, schema),
-            Some(schema),
-            right,
-            true,
-        )?;
-        self.notes.borrow_mut().node(join).replanned = true;
+        // fetch bypasses `run_node`, so it stands for the build side.
+        let fallback = (query, schema);
+        let (rcols, rc, _) =
+            self.fetch(&handle, &filtered, Delivery::Ship, fallback, Some(schema), Some(right))?;
+        if let Some(profile) = self.notes.borrow_mut().current() {
+            profile.replanned = true;
+        }
         if let Some(m) = &self.metrics {
             m.registry.inc("advisor.replans");
         }
@@ -1014,7 +1023,6 @@ impl<'a> Executor<'a> {
         site: &JoinSite,
         parallel: bool,
         schema: &SchemaRef,
-        join: &PhysicalPlan,
         want: Option<&[usize]>,
     ) -> Result<Output> {
         // A site join's result is priced by the columns it ships: all of them.
@@ -1022,7 +1030,7 @@ impl<'a> Executor<'a> {
         // Fetch inputs, honoring the assembly site's cost model.
         let (lcols, rcols, mut cost, result_site) = match site {
             JoinSite::Hub => {
-                match self.try_adaptive_join(join, left, right, left_keys, right_keys, kind)? {
+                match self.try_adaptive_join(left, right, left_keys, right_keys, kind)? {
                     Some(((lcols, lc), (rcols, rc))) => (lcols, rcols, lc.then(rc), None),
                     None => {
                         let ((lcols, lc), (rcols, rc)) = self.run_pair(left, right, parallel)?;
@@ -1053,17 +1061,24 @@ impl<'a> Executor<'a> {
                 };
                 let handle = self.federation.source(source)?;
                 // The site child bypasses `run_node` (it is queried in-place
-                // at the source), so it is recorded.
+                // at the source), so the fetch stands for it; it runs first
+                // whichever side it is on, and its profile moves back to the
+                // right when that is where the plan has it.
+                let fallback = (query, site_schema);
                 let (site_cols, site_cost, site_live) = self.fetch(
                     &handle,
                     query,
                     Delivery::StayAtSite,
-                    (query, site_schema),
+                    fallback,
                     Some(site_schema),
-                    site_child,
-                    true,
+                    Some(site_child),
                 )?;
                 let (other_cols, other_cost) = self.run_node(other_child, Demand::ALL)?;
+                if !site_is_left && self.instrument {
+                    let closed = &mut self.notes.borrow_mut().closed;
+                    let n = closed.len();
+                    closed.swap(n - 2, n - 1);
+                }
                 let fetch = if parallel {
                     site_cost.alongside(other_cost)
                 } else {
@@ -1134,51 +1149,6 @@ fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Arc<Column>> {
     }
     let distinct = table.and_then(|t| t.into_columns().pop());
     Ok(Arc::new(distinct.unwrap_or_else(|| Column::from_values(&[], DataType::Int))))
-}
-
-/// Rebuild the profile tree by walking the plan and reading each node's
-/// note. Every node of a run that finished has one: the nodes that bypass
-/// [`Executor::run_node`] — an at-site join's site child, live or degraded,
-/// and a re-planned build side — are measured by [`Executor::fetch`]. Each
-/// operator's rows go to its `exec.rows_emitted.<label>` counter on the way.
-fn assemble_profile(
-    plan: &PhysicalPlan,
-    notes: &RunNotes,
-    metrics: Option<&ExecMetrics>,
-) -> OperatorProfile {
-    let note = notes.nodes.iter().find(|(p, _)| std::ptr::eq(*p, plan)).map(|(_, n)| n);
-    let rows = note.map_or(0, |n| n.rows);
-    if let Some(m) = metrics {
-        m.rows_emitted(plan, rows);
-    }
-    let hedge = note.map_or_else(HedgeOutcome::default, |n| n.hedge);
-    let source = match plan {
-        PhysicalPlan::Source { source, .. } | PhysicalPlan::BindJoin { source, .. } => {
-            Some(source.clone())
-        }
-        _ => None,
-    };
-    use PhysicalPlan::{BindJoin, HashJoin, NestedLoopJoin};
-    let join = matches!(plan, HashJoin { .. } | NestedLoopJoin { .. } | BindJoin { .. });
-    let width = note.filter(|_| join).map(|n| n.width);
-    let children = plan
-        .children()
-        .into_iter()
-        .map(|child| assemble_profile(child, notes, metrics))
-        .collect();
-    OperatorProfile {
-        label: plan.label(),
-        source,
-        rows,
-        cost: note.map_or_else(QueryCost::default, |n| n.cost),
-        wall: note.map_or(Duration::ZERO, |n| n.wall),
-        hedged: hedge.fired,
-        backup_won: hedge.backup_won,
-        replanned: note.is_some_and(|n| n.replanned),
-        top: note.and_then(|n| n.top),
-        columns: width.map(|k| (k, plan.schema().len())).filter(|(k, n)| k < n),
-        children,
-    }
 }
 
 #[cfg(test)]

@@ -402,13 +402,10 @@ impl<'a> CostModel<'a> {
     /// `EXPLAIN ANALYZE` prints this next to each operator's actuals; unlike
     /// [`CostModel::estimate`] it follows the *physical* shape the planner
     /// chose (bind joins, pushed component queries, parallel unions).
-    pub fn estimate_physical(&self, plan: &PhysicalPlan) -> Result<PlanEstimate> {
-        let children = plan.children();
-        let mut kids = Vec::with_capacity(children.len());
-        for child in children {
-            kids.push(self.estimate_physical(child)?);
-        }
-        Ok(self.estimate_from_children(plan, &kids))
+    pub fn estimate_physical(&self, plan: &PhysicalPlan) -> PlanEstimate {
+        let kids: Vec<PlanEstimate> =
+            plan.children().into_iter().map(|c| self.estimate_physical(c)).collect();
+        self.estimate_from_children(plan, &kids)
     }
 
     /// One operator's estimate derived from its children's already-computed
@@ -675,15 +672,15 @@ mod tests {
         };
         // Without feedback (and with an empty store) the estimate is the
         // literal row count.
-        let base = CostModel::new(&fed).estimate_physical(&plan).unwrap();
+        let base = CostModel::new(&fed).estimate_physical(&plan);
         assert!((base.rows - 2.0).abs() < 1e-9);
         let fb = Arc::new(CardinalityFeedback::new());
         let model = CostModel::new(&fed).with_feedback(fb.clone());
-        assert!((model.estimate_physical(&plan).unwrap().rows - 2.0).abs() < 1e-9);
+        assert!((model.estimate_physical(&plan).rows - 2.0).abs() < 1e-9);
         // After observing that this exact subtree actually produced 8 rows,
         // the corrected estimate follows the learned ratio.
         fb.observe(CardinalityFeedback::node_key(&plan), base.rows, 8.0);
-        let corrected = model.estimate_physical(&plan).unwrap();
+        let corrected = model.estimate_physical(&plan);
         assert!((corrected.rows - 8.0).abs() < 1e-9, "rows={}", corrected.rows);
     }
 
