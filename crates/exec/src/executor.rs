@@ -39,7 +39,7 @@ use eii_data::{
 };
 use eii_expr::{bind, eval_column, referenced_columns, BoundExpr, Expr};
 use eii_federation::{
-    Binding, Delivery, Federation, QueryCost, RequestCtx, SourceHandle, SourceQuery,
+    Binding, Delivery, Federation, HedgeOutcome, QueryCost, RequestCtx, SourceHandle, SourceQuery,
 };
 use eii_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_MS_BUCKETS};
 use eii_planner::{CardinalityFeedback, CostModel, JoinSite, PhysicalPlan};
@@ -183,19 +183,30 @@ fn columns_read<'e>(
     Some(cols.into_iter().collect())
 }
 
+/// An operator that is running: where its children's profiles begin in
+/// [`RunNotes::closed`], when it started, and what the run has noted about it
+/// so far — what its fetch hedged, whether it is a join the run adapted,
+/// `Some(k)` on a sort the run bounded to its first `k` rows.
+struct Open {
+    first_child: usize,
+    start: Instant,
+    hedge: HedgeOutcome,
+    replanned: bool,
+    top: Option<usize>,
+}
+
 /// What one execution notes on its way through the plan. When instrumentation
-/// is on, each operator's profile is built as it runs: opened when the
-/// operator starts, closed when it returns, adopting as its children the
-/// profiles that closed in between. A run that fails leaves its open profiles
-/// behind; `execute` drops them with the rest.
+/// is on, each operator's profile is built as it runs: the operator is opened
+/// when it starts, and closed into its profile when it returns, adopting as
+/// its children the profiles that closed in between. A run that fails leaves
+/// its open operators behind; `execute` drops them with the rest.
 #[derive(Default)]
 struct RunNotes {
     degraded: Vec<SourceReport>,
     /// A fetch fired a hedged backup.
     hedged: bool,
-    /// The profiles of the operators running now, innermost last, each with
-    /// the length of `closed` when it opened.
-    open: Vec<(OperatorProfile, usize)>,
+    /// The operators running now, innermost last.
+    open: Vec<Open>,
     /// Closed profiles whose parent has not closed yet.
     closed: Vec<OperatorProfile>,
     /// Rows emitted by each kind of operator that ran, and its counter's name.
@@ -205,46 +216,52 @@ struct RunNotes {
 }
 
 impl RunNotes {
-    /// Open `plan`'s profile: the innermost one from now until it closes.
-    fn open(&mut self, plan: &PhysicalPlan) {
-        let source = match plan {
-            PhysicalPlan::Source { source, .. } | PhysicalPlan::BindJoin { source, .. } => {
-                Some(source.clone())
-            }
-            _ => None,
-        };
-        let profile = OperatorProfile { label: plan.label(), source, ..Default::default() };
-        self.open.push((profile, self.closed.len()));
+    /// Open an operator: the innermost one from now until it closes.
+    fn open(&mut self) {
+        self.open.push(Open {
+            first_child: self.closed.len(),
+            start: Instant::now(),
+            hedge: HedgeOutcome::default(),
+            replanned: false,
+            top: None,
+        });
     }
 
-    /// The innermost open profile; `None` when instrumentation is off.
-    fn current(&mut self) -> Option<&mut OperatorProfile> {
-        self.open.last_mut().map(|(profile, _)| profile)
+    /// The innermost open operator; `None` when instrumentation is off.
+    fn current(&mut self) -> Option<&mut Open> {
+        self.open.last_mut()
     }
 
-    /// Close the innermost open profile, `plan`'s, with what it emitted and
-    /// cost (`width` columns): a join that emitted fewer columns than its
-    /// schema has says so.
-    fn close(
-        &mut self,
-        plan: &PhysicalPlan,
-        rows: usize,
-        width: usize,
-        cost: QueryCost,
-        start: Instant,
-    ) {
-        let Some((mut profile, first_child)) = self.open.pop() else {
+    /// Close the innermost open operator, `plan`, into its profile, with what
+    /// it emitted and cost (`width` columns): a join that emitted fewer
+    /// columns than its schema has says so.
+    fn close(&mut self, plan: &PhysicalPlan, rows: usize, width: usize, cost: QueryCost) {
+        let Some(open) = self.open.pop() else {
             return;
         };
-        profile.children = self.closed.split_off(first_child);
-        use PhysicalPlan::{BindJoin, HashJoin, NestedLoopJoin};
-        if matches!(plan, HashJoin { .. } | NestedLoopJoin { .. } | BindJoin { .. }) {
-            profile.columns = Some((width, plan.schema().len())).filter(|(k, n)| k < n);
-        }
-        (profile.rows, profile.cost, profile.wall) = (rows, cost, start.elapsed());
+        use PhysicalPlan::{BindJoin, HashJoin, NestedLoopJoin, Source};
+        let source = match plan {
+            Source { source, .. } | BindJoin { source, .. } => Some(source.clone()),
+            _ => None,
+        };
+        let join = matches!(plan, HashJoin { .. } | NestedLoopJoin { .. } | BindJoin { .. });
+        let columns = join.then(|| (width, plan.schema().len())).filter(|(k, n)| k < n);
+        let children = self.closed.split_off(open.first_child);
+        self.closed.push(OperatorProfile {
+            label: plan.label(),
+            source,
+            rows,
+            cost,
+            wall: open.start.elapsed(),
+            hedged: open.hedge.fired,
+            backup_won: open.hedge.backup_won,
+            replanned: open.replanned,
+            top: open.top,
+            columns,
+            children,
+        });
         let emitted = &mut self.emitted[plan.kind()];
         emitted.get_or_insert((plan.rows_emitted_metric(), 0)).1 += rows as u64;
-        self.closed.push(profile);
     }
 }
 
@@ -459,8 +476,8 @@ impl<'a> Executor<'a> {
     /// The answer's columns are tagged with `ingest_as` (`None` keeps the
     /// layout the source returned). `stands_for` is the plan node the fetch
     /// *is*, run outside [`Executor::run_node`], so it opens and closes that
-    /// node's profile here; otherwise the fetch is part of the innermost open
-    /// operator. A hedge is noted in the innermost open profile. The bytes it
+    /// operator here; otherwise the fetch is part of the innermost open
+    /// operator. A hedge is noted on the innermost open operator. The bytes it
     /// shipped are noted under the source's name. The returned flag is `true`
     /// when the source answered live.
     fn fetch(
@@ -472,10 +489,10 @@ impl<'a> Executor<'a> {
         ingest_as: Option<&SchemaRef>,
         stands_for: Option<&PhysicalPlan>,
     ) -> Result<(ColumnarBatch, QueryCost, bool)> {
-        let measured = stands_for.filter(|_| self.instrument).map(|node| {
-            self.notes.borrow_mut().open(node);
-            (node, Instant::now())
-        });
+        let stands_for = stands_for.filter(|_| self.instrument);
+        if stands_for.is_some() {
+            self.notes.borrow_mut().open();
+        }
         let source = handle.connector().name();
         let ctx = &self.base_ctx;
         let hedge = match delivery {
@@ -488,8 +505,8 @@ impl<'a> Executor<'a> {
                 .map(|(batch, cost, outcome)| {
                     let mut notes = self.notes.borrow_mut();
                     notes.hedged |= outcome.fired;
-                    if let Some(profile) = notes.current() {
-                        (profile.hedged, profile.backup_won) = (outcome.fired, outcome.backup_won);
+                    if let Some(open) = notes.current() {
+                        open.hedge = outcome;
                     }
                     if let Some(m) = &self.metrics {
                         m.registry.inc("hedge.fired");
@@ -535,9 +552,9 @@ impl<'a> Executor<'a> {
             Some(schema) => batch.with_schema(schema.clone()),
             None => batch,
         };
-        if let Some((node, start_wall)) = measured {
+        if let Some(node) = stands_for {
             let (rows, width) = (cols.num_rows(), cols.schema().len());
-            self.notes.borrow_mut().close(node, rows, width, cost, start_wall);
+            self.notes.borrow_mut().close(node, rows, width, cost);
         }
         Ok((cols, cost, live))
     }
@@ -580,11 +597,10 @@ impl<'a> Executor<'a> {
         if !self.instrument {
             return self.run_inner(plan, want);
         }
-        self.notes.borrow_mut().open(plan);
-        let start_wall = Instant::now();
+        self.notes.borrow_mut().open();
         let (cols, cost) = self.run_inner(plan, want)?;
         let (rows, width) = (cols.num_rows(), cols.schema().len());
-        self.notes.borrow_mut().close(plan, rows, width, cost, start_wall);
+        self.notes.borrow_mut().close(plan, rows, width, cost);
         Ok((cols, cost))
     }
 
@@ -801,8 +817,8 @@ impl<'a> Executor<'a> {
                 // A promise of everything bounds nothing.
                 let first = first.filter(|&k| k < n);
                 if let Some(k) = first {
-                    if let Some(profile) = self.notes.borrow_mut().current() {
-                        profile.top = Some(k);
+                    if let Some(open) = self.notes.borrow_mut().current() {
+                        open.top = Some(k);
                     }
                     if let Some(m) = &self.metrics {
                         m.registry.inc("exec.sort.bounded");
@@ -1002,8 +1018,8 @@ impl<'a> Executor<'a> {
         let fallback = (query, schema);
         let (rcols, rc, _) =
             self.fetch(&handle, &filtered, Delivery::Ship, fallback, Some(schema), Some(right))?;
-        if let Some(profile) = self.notes.borrow_mut().current() {
-            profile.replanned = true;
+        if let Some(open) = self.notes.borrow_mut().current() {
+            open.replanned = true;
         }
         if let Some(m) = &self.metrics {
             m.registry.inc("advisor.replans");

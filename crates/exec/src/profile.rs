@@ -13,7 +13,7 @@ use eii_federation::QueryCost;
 use eii_obs::SpanRecord;
 
 /// Actual execution measurements for one operator's subtree.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OperatorProfile {
     /// Short operator name ([`eii_planner::PhysicalPlan::label`]).
     pub label: &'static str,
