@@ -36,7 +36,6 @@
 //! assert_eq!(out.rows().unwrap().num_rows(), 1);
 //! ```
 
-use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -1034,14 +1033,6 @@ impl EiiSystem {
         let result = result?;
         telemetry.flags.hedged = result.hedged;
         telemetry.flags.degraded = !result.degraded.is_empty();
-        // Estimated once, for the advisor's feedback and a kept trace's
-        // operator stats alike.
-        let model = CostModel::new(&self.federation);
-        let ops = OnceCell::new();
-        if let (Some(state), Some(profile)) = (self.advisor.get(), &result.profile) {
-            let ops = ops.get_or_init(|| operators(&physical, profile, &model));
-            observe_feedback(ops, &state.feedback);
-        }
         if telemetry_on {
             telemetry.per_source_bytes = result
                 .shipped
@@ -1059,9 +1050,16 @@ impl EiiSystem {
                 .traces
                 .should_keep(telemetry.fingerprint, telemetry.flags, false);
             telemetry.kept = Some(keep);
-            if let (true, Some(profile)) = (keep, &result.profile) {
-                let ops = ops.get_or_init(|| operators(&physical, profile, &model));
-                telemetry.operators = operator_stats(ops);
+        }
+        let (advisor, keep) = (self.advisor.get(), telemetry.kept == Some(true));
+        if let Some(profile) = result.profile.as_ref().filter(|_| advisor.is_some() || keep) {
+            // One walk for the advisor's feedback and a kept trace's stats.
+            let ops = operators(&physical, profile, &CostModel::new(&self.federation));
+            if let Some(state) = advisor {
+                observe_feedback(&ops, &state.feedback);
+            }
+            if keep {
+                telemetry.operators = operator_stats(&ops);
             }
         }
         execute.annotate("rows", result.batch.num_rows());

@@ -411,9 +411,10 @@ impl<'a> CostModel<'a> {
     /// One operator's estimate derived from its children's already-computed
     /// estimates (in [`PhysicalPlan::children`] order) — the per-node core
     /// of [`CostModel::estimate_physical`]. Exposed so tree walkers (the
-    /// query log's est-vs-actual collector) can estimate every node of a
-    /// plan in one bottom-up pass instead of re-estimating each subtree,
-    /// which looks source table statistics up O(depth) times per scan.
+    /// facade's walk over an executed plan and its profile) can estimate
+    /// every node of a plan in one bottom-up pass instead of re-estimating
+    /// each subtree, which looks source table statistics up O(depth) times
+    /// per scan.
     pub fn estimate_from_children(
         &self,
         plan: &PhysicalPlan,
