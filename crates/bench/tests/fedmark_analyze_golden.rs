@@ -5,9 +5,7 @@
 //!
 //! - each statement's `EXPLAIN ANALYZE` text, every `wall=` value elided;
 //! - the statement's query-log `operators` rows;
-//! - after the suite, the advisor's feedback correction of every plan node
-//!   (a moving average, so it also pins the order it was fed in where one
-//!   node is observed more than once).
+//! - after the suite, the advisor's feedback correction of every plan node.
 //!
 //! A refactor of the executor's profile or the facade's per-operator walks
 //! that claims "no change" is held to it.

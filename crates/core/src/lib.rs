@@ -2023,4 +2023,46 @@ mod tests {
         let out = sys.execute("SELECT name FROM crm.customers").unwrap();
         assert_eq!(out.rows().unwrap().num_rows(), 1);
     }
+
+    /// The feedback store is fed a statement's operators children before
+    /// their parent, left to right. Its moving average depends on the order,
+    /// so four operators sharing one key (preorder depths 0, 1, 2, 1) end
+    /// where feeding their rows by hand in that order ends, and not where
+    /// preorder does.
+    #[test]
+    fn feedback_is_observed_children_first_left_to_right() {
+        let plan = PhysicalPlan::Values { schema: Arc::new(Schema::new(vec![])), rows: vec![] };
+        let profile = |rows| OperatorProfile {
+            label: "Values",
+            source: None,
+            rows,
+            cost: QueryCost::default(),
+            wall: std::time::Duration::ZERO,
+            hedged: false,
+            backup_won: false,
+            replanned: false,
+            top: None,
+            columns: None,
+            children: Vec::new(),
+        };
+        let profiles = [1, 2, 3, 4].map(profile);
+        let est = PlanEstimate { rows: 10.0, ..PlanEstimate::default() };
+        let ops: Vec<Operator> = profiles
+            .iter()
+            .zip([0, 1, 2, 1])
+            .map(|(profile, depth)| Operator { plan: &plan, profile, depth, est })
+            .collect();
+        let fed = CardinalityFeedback::new();
+        observe_feedback(&ops, &fed);
+        let key = CardinalityFeedback::node_key(&plan);
+        let by_hand = |order: [u32; 4]| {
+            let store = CardinalityFeedback::new();
+            for rows in order {
+                store.observe(key, 10.0, rows as f64);
+            }
+            store.correction(key)
+        };
+        assert_eq!(fed.correction(key), by_hand([3, 2, 4, 1]));
+        assert_ne!(fed.correction(key), by_hand([1, 2, 3, 4]));
+    }
 }
