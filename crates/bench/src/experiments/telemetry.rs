@@ -1,5 +1,5 @@
 //! E18 — the workload telemetry pipeline: the query log, trace store,
-//! latency sketches, and SLO monitor record every statement, and must be
+//! latency histograms, and SLO monitor record every statement, and must be
 //! close to free and perfectly repeatable while doing it.
 //!
 //! Gates, enforced here so CI fails when they regress:
@@ -237,7 +237,7 @@ pub fn e18_workload_telemetry() -> Result<Report> {
 
     let mut report = Report::new(
         "e18",
-        "workload telemetry: query log, trace store, sketches, SLO monitor",
+        "workload telemetry: query log, trace store, latency histograms, SLO monitor",
         "recording every statement into the query log and trace store is \
          near-free, bit-repeatable under 16-session chaos, and exports \
          Perfetto-loadable traces — the workload profile below is the \

@@ -34,7 +34,7 @@ fn documented_catalog() -> Vec<(String, String)> {
             .split('|')
             .map(str::trim)
             .collect();
-        if cells.len() == 3 && matches!(cells[1], "counter" | "gauge" | "histogram" | "sketch") {
+        if cells.len() == 3 && matches!(cells[1], "counter" | "histogram") {
             out.push((cells[1].to_string(), cells[0].trim_matches('`').to_string()));
         }
     }
@@ -61,14 +61,8 @@ fn collect(into: &mut BTreeSet<(String, String)>, snap: &MetricsSnapshot) {
     for k in snap.counters.keys() {
         into.insert(("counter".to_string(), k.clone()));
     }
-    for k in snap.gauges.keys() {
-        into.insert(("gauge".to_string(), k.clone()));
-    }
     for k in snap.histograms.keys() {
         into.insert(("histogram".to_string(), k.clone()));
-    }
-    for k in snap.sketches.keys() {
-        into.insert(("sketch".to_string(), k.clone()));
     }
 }
 

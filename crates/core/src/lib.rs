@@ -746,7 +746,8 @@ impl EiiSystem {
         // parsed nor planned.
         let missed = match self.recall(sql) {
             Ok(planned) => {
-                let rows = self.run_query(Some(memo::HIT), || Ok(planned), opts, tracer, telemetry)?;
+                let hit = Some(memo::HIT);
+                let rows = self.run_query(hit, || Ok(planned), false, opts, tracer, telemetry)?;
                 return Ok(ExecOutcome::Rows(Box::new(rows.0)));
             }
             Err(why) => why,
@@ -758,7 +759,7 @@ impl EiiSystem {
         match stmt {
             Statement::Query(q) => {
                 let plan = || self.plan_into_memo(sql, &q, missed);
-                let rows = self.run_query(Some(missed), plan, opts, tracer, telemetry)?;
+                let rows = self.run_query(Some(missed), plan, false, opts, tracer, telemetry)?;
                 Ok(ExecOutcome::Rows(Box::new(rows.0)))
             }
             Statement::Explain { analyze: false, query } => {
@@ -775,15 +776,16 @@ impl EiiSystem {
             // what came back.
             Statement::Explain { analyze: true, query } => {
                 let plan = || self.plan(sql, &query).map(Arc::new);
-                let (result, answered) = self.run_query(None, plan, opts, tracer, telemetry)?;
+                let (result, answered) = self.run_query(None, plan, true, opts, tracer, telemetry)?;
                 let text = match answered {
                     Answered::FromCache { age_ms, original } => {
                         render_cached(&result, age_ms, &original)
                     }
-                    Answered::ByPlan(physical) => {
-                        let model = CostModel::new(&self.federation);
-                        let text = render_analyze(&physical, &result, &model, telemetry.flags)?;
-                        self.annotate_advised(text)
+                    Answered::ByPlan(operators) => {
+                        let operators = operators.ok_or_else(|| {
+                            EiiError::Execution("EXPLAIN ANALYZE needs executor instrumentation".into())
+                        })?;
+                        self.annotate_advised(render_analyze(operators, &result, telemetry.flags))
                     }
                 };
                 Ok(ExecOutcome::Explained(text))
@@ -945,11 +947,13 @@ impl EiiSystem {
     /// materialized views → execute federated → memoize the result. `plan`
     /// yields the normalized plan inside the `plan` span — the plan memo's
     /// entry, or [`EiiSystem::plan`] run now — and `lookup` is how the memo
-    /// lookup ended, when there was one.
+    /// lookup ended, when there was one. With `analyze`, the answer carries
+    /// EXPLAIN ANALYZE's operator lines.
     fn run_query(
         &self,
         lookup: Option<&str>,
         plan: impl FnOnce() -> Result<Arc<Planned>>,
+        analyze: bool,
         opts: &ExecOptions,
         tracer: &Tracer,
         telemetry: &mut StatementTelemetry,
@@ -1052,14 +1056,22 @@ impl EiiSystem {
             telemetry.kept = Some(keep);
         }
         let (advisor, keep) = (self.advisor.get(), telemetry.kept == Some(true));
-        if let Some(profile) = result.profile.as_ref().filter(|_| advisor.is_some() || keep) {
-            // One walk for the advisor's feedback and a kept trace's stats.
+        let mut analyzed = None;
+        let walk = advisor.is_some() || keep || analyze;
+        if let Some(profile) = result.profile.as_ref().filter(|_| walk) {
+            // One walk for the advisor's feedback, a kept trace's stats and
+            // EXPLAIN ANALYZE's operator lines.
             let ops = operators(&physical, profile, &CostModel::new(&self.federation));
             if let Some(state) = advisor {
                 observe_feedback(&ops, &state.feedback);
             }
             if keep {
                 telemetry.operators = operator_stats(&ops);
+            }
+            if analyze {
+                let mut text = String::new();
+                ops.iter().for_each(|op| render_operator(op, &result.degraded, &mut text));
+                analyzed = Some(text);
             }
         }
         execute.annotate("rows", result.batch.num_rows());
@@ -1079,7 +1091,7 @@ impl EiiSystem {
             let shipped = result.shipped.clone();
             cache.fill(key, result.batch.clone(), result.cost, shipped, versions, now);
         }
-        Ok((result, Answered::ByPlan(physical)))
+        Ok((result, Answered::ByPlan(analyzed)))
     }
 
     /// Serve a memoized result: credit every byte the original execution
@@ -1483,11 +1495,11 @@ fn collect_matview_savings(plan: &PhysicalPlan, saved: &mut Vec<(String, f64)>, 
 }
 
 /// How [`EiiSystem::run_query`] came by its answer — what `EXPLAIN ANALYZE`
-/// renders next to the result. (Returned once and dropped, hence unboxed.)
-#[allow(clippy::large_enum_variant)]
+/// renders next to the result.
 enum Answered {
-    /// Executed this physical plan.
-    ByPlan(Arc<PhysicalPlan>),
+    /// Executed a physical plan; when asked, its operators' EXPLAIN ANALYZE
+    /// lines (none when the executor kept no profile).
+    ByPlan(Option<String>),
     /// Served from the semantic result cache: the entry's age and what the
     /// execution that filled it cost.
     FromCache { age_ms: i64, original: QueryCost },
@@ -1524,21 +1536,9 @@ fn render_cached(result: &QueryResult, age_ms: i64, original: &QueryCost) -> Str
     out
 }
 
-/// Render the `EXPLAIN ANALYZE` output of an executed plan: one line per
-/// operator, then the statement's totals and flags.
-fn render_analyze(
-    physical: &PhysicalPlan,
-    result: &QueryResult,
-    model: &CostModel,
-    flags: StatementFlags,
-) -> Result<String> {
-    let profile = result.profile.as_ref().ok_or_else(|| {
-        EiiError::Execution("EXPLAIN ANALYZE needs executor instrumentation".into())
-    })?;
-    let mut out = String::new();
-    for op in &operators(physical, profile, model) {
-        render_operator(op, &result.degraded, &mut out);
-    }
+/// Render the `EXPLAIN ANALYZE` output of an executed plan: its operator
+/// lines, then the statement's totals and flags.
+fn render_analyze(mut out: String, result: &QueryResult, flags: StatementFlags) -> String {
     let _ = write!(
         out,
         "Total: rows={} bytes={} sim={:.1}ms wall={:.1?}",
@@ -1555,7 +1555,7 @@ fn render_analyze(
         let _ = write!(out, " flags={flags}");
     }
     out.push('\n');
-    Ok(out)
+    out
 }
 
 /// Render one `EXPLAIN ANALYZE` line per operator: the describe line, the
@@ -1589,7 +1589,7 @@ fn render_operator(op: &Operator, degraded: &[SourceReport], out: &mut String) {
         let _ = write!(out, " [COLS {k}/{n}]");
     }
     if let Some(src) = &profile.source {
-        for report in degraded.iter().filter(|r| &r.source == src) {
+        for report in degraded.iter().filter(|r| *r.source == **src) {
             match report.stale_ms {
                 Some(ms) => {
                     let _ = write!(out, " [DEGRADED: {} stale {}ms]", report.table, ms);

@@ -149,13 +149,6 @@ impl QueryScheduler {
         self.pool.submit(sources, work)
     }
 
-    /// Submit one statement only if the admission controller has capacity
-    /// right now; otherwise reject with an `Execution` error.
-    pub fn try_submit(&self, sql: &str, role: &str) -> Result<QueryTicket<ExecOutcome>> {
-        let (sources, work) = self.job(sql, ExecOptions::for_role(role));
-        self.pool.try_submit(sources, work)
-    }
-
     /// Submit one statement under full [`ExecOptions`] and a priority tier,
     /// consulting the brownout controller (when this scheduler was built
     /// with one): `Low` work may be turned away with a typed `shed` error,

@@ -41,7 +41,7 @@ use eii_expr::{bind, eval_column, referenced_columns, BoundExpr, Expr};
 use eii_federation::{
     Binding, Delivery, Federation, HedgeOutcome, QueryCost, RequestCtx, SourceHandle, SourceQuery,
 };
-use eii_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_MS_BUCKETS};
+use eii_obs::{Counter, Histogram, MetricsRegistry};
 use eii_planner::{CardinalityFeedback, CostModel, JoinSite, PhysicalPlan};
 use eii_sql::JoinKind;
 
@@ -185,11 +185,12 @@ fn columns_read<'e>(
 
 /// An operator that is running: where its children's profiles begin in
 /// [`RunNotes::closed`], when it started, and what the run has noted about it
-/// so far — what its fetch hedged, whether it is a join the run adapted,
-/// `Some(k)` on a sort the run bounded to its first `k` rows.
+/// so far — the source its fetch asked and what it hedged, whether it is a
+/// join the run adapted, `Some(k)` on a sort the run bounded to its first `k`.
 struct Open {
     first_child: usize,
     start: Instant,
+    source: Option<Arc<str>>,
     hedge: HedgeOutcome,
     replanned: bool,
     top: Option<usize>,
@@ -202,6 +203,9 @@ struct Open {
 /// its open operators behind; `execute` drops them with the rest.
 #[derive(Default)]
 struct RunNotes {
+    /// The run's last clock read (the statement's start, or an operator's
+    /// close): where the next operator to open starts.
+    stamp: Option<Instant>,
     degraded: Vec<SourceReport>,
     /// A fetch fired a hedged backup.
     hedged: bool,
@@ -212,7 +216,7 @@ struct RunNotes {
     /// Rows emitted by each kind of operator that ran, and its counter's name.
     emitted: [Option<(&'static str, u64)>; PhysicalPlan::KINDS],
     /// Bytes shipped, by the name the ledger charges them under.
-    shipped: BTreeMap<String, usize>,
+    shipped: BTreeMap<Arc<str>, usize>,
 }
 
 impl RunNotes {
@@ -220,7 +224,8 @@ impl RunNotes {
     fn open(&mut self) {
         self.open.push(Open {
             first_child: self.closed.len(),
-            start: Instant::now(),
+            start: *self.stamp.get_or_insert_with(Instant::now),
+            source: None,
             hedge: HedgeOutcome::default(),
             replanned: false,
             top: None,
@@ -239,20 +244,17 @@ impl RunNotes {
         let Some(open) = self.open.pop() else {
             return;
         };
-        use PhysicalPlan::{BindJoin, HashJoin, NestedLoopJoin, Source};
-        let source = match plan {
-            Source { source, .. } | BindJoin { source, .. } => Some(source.clone()),
-            _ => None,
-        };
+        let now = *self.stamp.insert(Instant::now());
+        use PhysicalPlan::{BindJoin, HashJoin, NestedLoopJoin};
         let join = matches!(plan, HashJoin { .. } | NestedLoopJoin { .. } | BindJoin { .. });
         let columns = join.then(|| (width, plan.schema().len())).filter(|(k, n)| k < n);
         let children = self.closed.split_off(open.first_child);
         self.closed.push(OperatorProfile {
             label: plan.label(),
-            source,
+            source: open.source,
             rows,
             cost,
-            wall: open.start.elapsed(),
+            wall: now - open.start,
             hedged: open.hedge.fired,
             backup_won: open.hedge.backup_won,
             replanned: open.replanned,
@@ -316,7 +318,7 @@ impl From<MetricsRegistry> for ExecMetrics {
 impl ExecMetrics {
     fn statement(&self, sim_ms: f64, wall_ms: f64) {
         let (queries, sim, wall) = self.handles.statement.get_or_init(|| {
-            let histogram = |name| self.registry.histogram(name, &DEFAULT_MS_BUCKETS);
+            let histogram = |name| self.registry.histogram(name);
             let queries = self.registry.counter("exec.queries");
             (queries, histogram("query.exec_sim_ms"), histogram("query.exec_wall_ms"))
         });
@@ -417,6 +419,7 @@ impl<'a> Executor<'a> {
     /// Execute a plan to completion.
     pub fn execute(&self, plan: &PhysicalPlan) -> Result<QueryResult> {
         let start = Instant::now();
+        self.notes.borrow_mut().stamp = Some(start);
         let answer = self.run(plan);
         // Taken whatever the outcome: a failed run leaves the next nothing.
         let notes = self.notes.take();
@@ -442,7 +445,10 @@ impl<'a> Executor<'a> {
             degraded,
             profile: closed.pop(),
             hedged,
-            shipped: shipped.into_iter().filter(|(_, bytes)| *bytes > 0).collect(),
+            shipped: shipped
+                .into_iter()
+                .filter_map(|(source, bytes)| (bytes > 0).then(|| (source.to_string(), bytes)))
+                .collect(),
         })
     }
 
@@ -458,11 +464,8 @@ impl<'a> Executor<'a> {
     fn should_hedge(&self, source: &str) -> Option<HedgePolicy> {
         let policy = self.hedge?;
         let t = self.federation.ledger().traffic(source);
-        if t.requests > 0 && t.sim_ms / t.requests as f64 >= policy.threshold_ms {
-            Some(policy)
-        } else {
-            None
-        }
+        let slow = t.requests > 0 && t.sim_ms / t.requests as f64 >= policy.threshold_ms;
+        slow.then_some(policy)
     }
 
     /// The one place a component query leaves the hub and its answer comes
@@ -477,9 +480,9 @@ impl<'a> Executor<'a> {
     /// layout the source returned). `stands_for` is the plan node the fetch
     /// *is*, run outside [`Executor::run_node`], so it opens and closes that
     /// operator here; otherwise the fetch is part of the innermost open
-    /// operator. A hedge is noted on the innermost open operator. The bytes it
-    /// shipped are noted under the source's name. The returned flag is `true`
-    /// when the source answered live.
+    /// operator. The source, and a hedge, are noted on the innermost open
+    /// operator, the bytes shipped under the source's name. The returned flag
+    /// is `true` when the source answered live.
     fn fetch(
         &self,
         handle: &SourceHandle,
@@ -527,7 +530,8 @@ impl<'a> Executor<'a> {
         };
         let (batch, cost, live) = match answer {
             Ok((batch, cost)) => {
-                *self.notes.borrow_mut().shipped.entry(source.into()).or_default() += cost.bytes;
+                *self.notes.borrow_mut().shipped.entry(handle.name().clone()).or_default() +=
+                    cost.bytes;
                 (batch, cost, true)
             }
             Err(err) if is_abortive(&err) => return Err(err),
@@ -552,9 +556,12 @@ impl<'a> Executor<'a> {
             Some(schema) => batch.with_schema(schema.clone()),
             None => batch,
         };
+        let mut notes = self.notes.borrow_mut();
+        if let Some(open) = notes.current() {
+            open.source = Some(handle.name().clone());
+        }
         if let Some(node) = stands_for {
-            let (rows, width) = (cols.num_rows(), cols.schema().len());
-            self.notes.borrow_mut().close(node, rows, width, cost);
+            notes.close(node, cols.num_rows(), cols.schema().len(), cost);
         }
         Ok((cols, cost, live))
     }
@@ -563,8 +570,7 @@ impl<'a> Executor<'a> {
     /// return leg — and note its bytes.
     fn ship(&self, handle: &SourceHandle, batch: &ColumnarBatch) -> QueryCost {
         let cost = handle.charge_shipment(batch);
-        let source = handle.connector().name().into();
-        *self.notes.borrow_mut().shipped.entry(source).or_default() += cost.bytes;
+        *self.notes.borrow_mut().shipped.entry(handle.name().clone()).or_default() += cost.bytes;
         cost
     }
 
@@ -850,11 +856,7 @@ impl<'a> Executor<'a> {
                 let mut cost = QueryCost::default();
                 for (cols, c) in results {
                     out.append(cols);
-                    cost = if *parallel {
-                        cost.alongside(c)
-                    } else {
-                        cost.then(c)
-                    };
+                    cost = if *parallel { cost.alongside(c) } else { cost.then(c) };
                 }
                 Ok((out, cost))
             }
@@ -1106,10 +1108,7 @@ impl<'a> Executor<'a> {
                 // A shipment is priced as the one batch it is.
                 let other_cols = other_cols.into_one();
                 let (cost, result_site) = if site_live {
-                    (
-                        fetch.then(self.ship(&handle, &other_cols)),
-                        Some(source.clone()),
-                    )
+                    (fetch.then(self.ship(&handle, &other_cols)), Some(handle))
                 } else {
                     (fetch, None)
                 };
@@ -1136,8 +1135,7 @@ impl<'a> Executor<'a> {
         let work = lcols.num_rows() + rcols.num_rows() + out.num_rows();
         cost = cost.then(self.cpu(work));
         // At a source site, the joined result still has to reach the hub.
-        if let Some(site_name) = result_site {
-            let handle = self.federation.source(&site_name)?;
+        if let Some(handle) = result_site {
             let shipped = out.into_one();
             cost = cost.then(self.ship(&handle, &shipped));
             out = shipped.into();

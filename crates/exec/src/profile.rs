@@ -7,6 +7,7 @@
 //! profile next to the cost model's per-operator estimates; the profile also
 //! grafts into a query's trace as `op:<label>` spans.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use eii_federation::QueryCost;
@@ -17,15 +18,16 @@ use eii_obs::SpanRecord;
 pub struct OperatorProfile {
     /// Short operator name ([`eii_planner::PhysicalPlan::label`]).
     pub label: &'static str,
-    /// Source the operator talks to (`Source` and `BindJoin` operators).
-    pub source: Option<String>,
+    /// Source the operator's fetch asked (a `Source`, a `BindJoin` with keys).
+    pub source: Option<Arc<str>>,
     /// Rows the operator emitted.
     pub rows: usize,
     /// Cumulative cost of this operator's subtree (simulated time, bytes
     /// shipped, rows scanned, round trips). Subtree-cumulative rather than
     /// exclusive because parallel children overlap in simulated time.
     pub cost: QueryCost,
-    /// Real elapsed time of this operator's subtree.
+    /// Real elapsed time of this operator's subtree: from the run's clock
+    /// read before it started (see `docs/observability.md`) to its close.
     pub wall: Duration,
     /// True when this operator's source fetch fired a hedged backup.
     pub hedged: bool,
@@ -71,7 +73,7 @@ impl OperatorProfile {
             ("bytes".to_string(), self.cost.bytes.to_string()),
         ];
         if let Some(s) = &self.source {
-            annotations.push(("source".to_string(), s.clone()));
+            annotations.push(("source".to_string(), s.to_string()));
         }
         if self.replanned {
             // An annotation, not a child span: the span tree must stay

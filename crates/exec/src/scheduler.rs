@@ -255,7 +255,6 @@ struct StatsInner {
     job_costs: Vec<(u64, f64, Priority)>,
     completed: u64,
     failed: u64,
-    rejected: u64,
     shed: u64,
     degraded: u64,
     cancelled: u64,
@@ -275,8 +274,6 @@ pub struct SchedulerStats {
     pub completed: u64,
     /// Jobs that returned an error (or panicked).
     pub failed: u64,
-    /// Jobs `try_submit` turned away at admission.
-    pub rejected: u64,
     /// Jobs the brownout controller shed before queueing.
     pub shed: u64,
     /// Jobs the brownout controller admitted in degraded mode.
@@ -447,28 +444,6 @@ impl<T: Send + 'static> Scheduler<T> {
         self.enqueue(sources, priority, cancel, Box::new(work))
     }
 
-    /// Enqueue a job only if the controller has capacity right now
-    /// (executing + queued below `max_in_flight`); otherwise reject with an
-    /// `Execution` error and count it.
-    pub fn try_submit(
-        &self,
-        sources: Vec<String>,
-        work: impl FnOnce() -> Result<JobOutput<T>> + Send + 'static,
-    ) -> Result<QueryTicket<T>> {
-        {
-            let mut state = self.shared.state.lock().expect("scheduler lock");
-            if state.running + state.queue.len() >= self.config.max_in_flight {
-                state.stats.rejected += 1;
-                return Err(EiiError::Execution(format!(
-                    "admission rejected: {} in flight (max {})",
-                    state.running + state.queue.len(),
-                    self.config.max_in_flight
-                )));
-            }
-        }
-        Ok(self.enqueue(sources, Priority::Normal, CancelToken::new(), Box::new(work)))
-    }
-
     fn enqueue(
         &self,
         sources: Vec<String>,
@@ -559,7 +534,6 @@ fn snapshot_stats(stats: &StatsInner, workers: usize) -> SchedulerStats {
     SchedulerStats {
         completed: stats.completed,
         failed: stats.failed,
-        rejected: stats.rejected,
         shed: stats.shed,
         degraded: stats.degraded,
         cancelled: stats.cancelled,
@@ -743,40 +717,6 @@ mod tests {
         let stats = pool.join();
         assert_eq!(stats.completed, 13);
         assert_eq!(stats.peak_source_load, 1, "slow source held to one permit");
-    }
-
-    #[test]
-    fn try_submit_rejects_past_max_in_flight() {
-        let config = AdmissionConfig::with_workers(1).with_max_in_flight(1);
-        let pool: Scheduler<()> = Scheduler::new(config);
-        let gate = Arc::new(AtomicUsize::new(0));
-        let g = Arc::clone(&gate);
-        let first = pool.submit(vec![], move || {
-            while g.load(Ordering::SeqCst) == 0 {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-            Ok(JobOutput {
-                value: (),
-                sim_ms: 1.0,
-            })
-        });
-        // Wait for the first job to be admitted, then the pool is full.
-        while pool.stats().peak_in_flight == 0 {
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-        let err = pool
-            .try_submit(vec![], || {
-                Ok(JobOutput {
-                    value: (),
-                    sim_ms: 1.0,
-                })
-            })
-            .unwrap_err();
-        assert_eq!(err.kind(), "execution");
-        gate.store(1, Ordering::SeqCst);
-        first.join().unwrap();
-        let stats = pool.join();
-        assert_eq!(stats.rejected, 1);
     }
 
     #[test]

@@ -155,38 +155,44 @@ impl TransferLedger {
 
     /// Record one transfer from `source`.
     pub fn record(&self, source: &str, bytes: usize, rows: usize, sim_ms: f64) {
-        let mut inner = self.inner.lock();
-        let t = inner.entry(source.to_string()).or_default();
-        t.requests += 1;
-        t.bytes += bytes;
-        t.rows += rows;
-        t.sim_ms += sim_ms;
+        self.update(source, |t| {
+            t.requests += 1;
+            t.bytes += bytes;
+            t.rows += rows;
+            t.sim_ms += sim_ms;
+        });
     }
 
     /// Record one failed request from `source`.
     pub fn record_failure(&self, source: &str) {
-        self.inner.lock().entry(source.to_string()).or_default().failures += 1;
+        self.update(source, |t| t.failures += 1);
     }
 
     /// Record one retry (a request re-issued after a failure) to `source`.
     pub fn record_retry(&self, source: &str) {
-        self.inner.lock().entry(source.to_string()).or_default().retries += 1;
+        self.update(source, |t| t.retries += 1);
     }
 
     /// Record one hedged (backup) request launched against `source`.
     pub fn record_hedge(&self, source: &str) {
-        self.inner.lock().entry(source.to_string()).or_default().hedges += 1;
+        self.update(source, |t| t.hedges += 1);
     }
 
     /// Record bytes a query avoided shipping from `source` (served from a
     /// materialized view or the result cache instead of the live source).
     /// These bytes do NOT count toward [`SourceTraffic::bytes`].
     pub fn record_saved(&self, source: &str, bytes: usize) {
-        self.inner
-            .lock()
-            .entry(source.to_string())
-            .or_default()
-            .bytes_saved += bytes;
+        self.update(source, |t| t.bytes_saved += bytes);
+    }
+
+    /// Apply `f` to `source`'s entry. The entry is found by `&str`: the
+    /// name is copied only the first time the ledger sees the source.
+    fn update(&self, source: &str, f: impl FnOnce(&mut SourceTraffic)) {
+        let mut inner = self.inner.lock();
+        match inner.get_mut(source) {
+            Some(t) => f(t),
+            None => f(inner.entry(source.to_string()).or_default()),
+        }
     }
 
     /// Traffic attributed to one source.

@@ -4,10 +4,10 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eii_data::{Batch, ColumnarBatch, EiiError, Result, SchemaRef, SimClock};
-use eii_obs::MetricsRegistry;
+use eii_obs::{Counter, Histogram, MetricsRegistry};
 use eii_storage::TableStats;
 use parking_lot::RwLock;
 
@@ -44,26 +44,11 @@ pub enum Delivery {
 /// recurse).
 pub type WriteListener = Arc<dyn Fn(&str, &str) + Send + Sync>;
 
-/// `source.<name>.{bytes_shipped,requests,latency_ms}`.
-struct TrafficNames {
-    bytes_shipped: String,
-    requests: String,
-    latency_ms: String,
-}
-
-impl TrafficNames {
-    fn of(source: &str) -> Self {
-        TrafficNames {
-            bytes_shipped: format!("source.{source}.bytes_shipped"),
-            requests: format!("source.{source}.requests"),
-            latency_ms: format!("source.{source}.latency_ms"),
-        }
-    }
-}
-
 /// A registered source: connector + link + wire format.
 #[derive(Clone)]
 pub struct SourceHandle {
+    /// The source's name, shared: a profile that names the source clones it.
+    name: Arc<str>,
     connector: Arc<dyn Connector>,
     link: LinkProfile,
     wire: WireFormat,
@@ -71,15 +56,20 @@ pub struct SourceHandle {
     metrics: MetricsRegistry,
     /// Source-engine scan speed, simulated ms per row examined.
     scan_ms_per_row: f64,
-    /// The metric names [`SourceHandle::note_traffic`] records under, built
-    /// once at registration instead of formatted on every fetch.
-    traffic_names: Arc<TrafficNames>,
+    /// The handles of `source.<name>.{bytes_shipped,requests,latency_ms}`,
+    /// resolved the first time the source records traffic.
+    traffic: Arc<OnceLock<(Counter, Counter, Arc<Histogram>)>>,
     /// Shared with the owning [`Federation`]: listeners registered after
     /// this handle was cloned out still fire.
     write_listeners: Arc<RwLock<Vec<WriteListener>>>,
 }
 
 impl SourceHandle {
+    /// The source's name (its connector's).
+    pub fn name(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// The wrapped connector.
     pub fn connector(&self) -> &Arc<dyn Connector> {
         &self.connector
@@ -243,14 +233,18 @@ impl SourceHandle {
     }
 
     /// Record shipped bytes and round trips as per-source counters, and
-    /// the interaction's simulated latency into the per-source quantile
-    /// sketch (`source.<name>.latency_ms`). Latencies are simulated, so
-    /// the sketch's percentiles are deterministic across same-seed runs.
+    /// the interaction's simulated latency into the per-source histogram
+    /// (`source.<name>.latency_ms`).
     fn note_traffic(&self, bytes: usize, requests: usize, sim_ms: f64) {
-        let names = &self.traffic_names;
-        self.metrics.add(&names.bytes_shipped, bytes as u64);
-        self.metrics.add(&names.requests, requests as u64);
-        self.metrics.record_quantile(&names.latency_ms, sim_ms);
+        let (shipped, calls, latency) = self.traffic.get_or_init(|| {
+            let name = |metric| format!("source.{}.{metric}", self.name);
+            let m = &self.metrics;
+            let counter = |metric| m.counter(&name(metric));
+            (counter("bytes_shipped"), counter("requests"), m.histogram(&name("latency_ms")))
+        });
+        shipped.add(bytes as u64);
+        calls.add(requests as u64);
+        latency.observe(sim_ms);
     }
 
     /// Charge a shipment of `batch`'s live rows across this source's link
@@ -397,17 +391,17 @@ impl Federation {
         if sources.contains_key(&name) {
             return Err(EiiError::AlreadyExists(format!("source {name}")));
         }
-        let traffic_names = Arc::new(TrafficNames::of(&name));
         sources.insert(
-            name,
+            name.clone(),
             SourceHandle {
+                name: name.into(),
                 connector,
                 link,
                 wire,
                 ledger: self.ledger.clone(),
                 metrics: self.metrics.clone(),
                 scan_ms_per_row: 0.001,
-                traffic_names,
+                traffic: Arc::default(),
                 write_listeners: self.write_listeners.clone(),
             },
         );
@@ -602,6 +596,30 @@ mod tests {
         let traffic = fed.ledger().traffic("crm");
         assert_eq!(traffic.requests, 1);
         assert_eq!(traffic.rows, 100);
+    }
+
+    #[test]
+    fn each_fetch_and_shipment_observes_its_latency_once() {
+        let fed = federation();
+        let (h, table) = fed.resolve("crm.customers").unwrap();
+        let latency = || fed.metrics().snapshot().histograms.get("source.crm.latency_ms").cloned();
+        assert_eq!(latency(), None, "a source's metrics appear when it first records");
+        let q = SourceQuery::full_table(table);
+        let mut costs = Vec::new();
+        let mut shipped = None;
+        for delivery in [Delivery::Ship, Delivery::StayAtSite, Delivery::Ship] {
+            let (batch, cost) = h.fetch(&q, &RequestCtx::new(), delivery).unwrap();
+            shipped = Some(batch);
+            costs.push(cost);
+        }
+        costs.push(h.charge_shipment(&shipped.unwrap()));
+        let latency = latency().unwrap();
+        assert_eq!(latency.count, 4);
+        let thousandths: u64 = costs.iter().map(|c| (c.sim_ms * 1000.0).round() as u64).sum();
+        assert_eq!(latency.sum, thousandths as f64 / 1000.0);
+        let bytes: usize = costs.iter().map(|c| c.bytes).sum();
+        assert_eq!(fed.metrics().counter_value("source.crm.bytes_shipped"), bytes as u64);
+        assert_eq!(fed.metrics().counter_value("source.crm.requests"), 4);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!   the shared [`eii_data::SimClock`] (simulated milliseconds) and the wall
 //!   clock, collected into a per-query tree covering parse → plan →
 //!   optimize → execute.
-//! - [`MetricsRegistry`]: named counters, gauges, fixed-bucket histograms,
-//!   and [`QuantileSketch`]es with cheap recording and a
-//!   [`MetricsRegistry::snapshot`] for tests and the bench harness; it also
-//!   embeds the [`EventLog`] of trace-stamped resilience events.
+//! - [`MetricsRegistry`]: named counters and fixed-bucket histograms with
+//!   cheap recording and a [`MetricsRegistry::snapshot`] for tests and the
+//!   bench harness; it also embeds the [`EventLog`] of trace-stamped
+//!   resilience events.
 //! - [`QueryLog`]: the durable workload log — a bounded ring of sampled,
 //!   serializable [`QueryLogRecord`]s plus exact per-fingerprint aggregates
 //!   with [`QueryLog::top_k`] workload rankings (the matview advisor's
@@ -37,7 +37,6 @@
 
 pub mod metrics;
 pub mod querylog;
-pub mod sketch;
 pub mod slo;
 pub mod span;
 pub mod tracestore;
@@ -49,7 +48,6 @@ pub use querylog::{
     fingerprint64, FingerprintStats, OperatorStat, QueryLog, QueryLogRecord, StatementFlags,
     WorkloadKey,
 };
-pub use sketch::{QuantileSketch, SketchSample, SketchSnapshot, DEFAULT_SKETCH_EPSILON};
 pub use slo::{SloMonitor, SloObjective, SloState, SloStatus, SloWindow, WindowBurn};
 pub use span::{QueryTrace, SpanGuard, SpanRecord, Tracer};
 pub use tracestore::{chrome_trace_json, EventLog, StoredTrace, TelemetryEvent, TraceStore};

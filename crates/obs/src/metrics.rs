@@ -1,5 +1,5 @@
-//! The metrics registry: named counters, gauges, and fixed-bucket
-//! histograms.
+//! The metrics registry: named counters and fixed-bucket histograms, the
+//! two kinds the engine records.
 //!
 //! Recording is an atomic add on a cached handle (or one short map lookup
 //! when recording by name), so instrumentation can stay always-on.
@@ -12,16 +12,14 @@
 //! `exec.rows_emitted.<operator>`, `query.exec_sim_ms`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
 
-use crate::sketch::{QuantileSketch, SketchSnapshot};
 use crate::tracestore::{EventLog, TelemetryEvent};
 
-/// Histogram bucket upper bounds (inclusive) used when a histogram is
-/// created through [`MetricsRegistry::observe`]: tuned for millisecond
+/// Every histogram's bucket upper bounds (inclusive): tuned for millisecond
 /// latencies from sub-millisecond hub work to multi-second outages.
 pub const DEFAULT_MS_BUCKETS: [f64; 10] =
     [0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0];
@@ -49,44 +47,33 @@ impl Counter {
 
 /// A fixed-bucket histogram. Observations are `f64`s (milliseconds by
 /// convention); the sum is kept in thousandths for atomic accumulation.
-#[derive(Debug)]
+/// Its buckets are [`DEFAULT_MS_BUCKETS`].
+#[derive(Debug, Default)]
 pub struct Histogram {
-    bounds: Vec<f64>,
     /// One slot per bound plus a final overflow slot.
-    counts: Vec<AtomicU64>,
-    total: AtomicU64,
+    counts: [AtomicU64; DEFAULT_MS_BUCKETS.len() + 1],
     sum_millis: AtomicU64,
 }
 
 impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            total: AtomicU64::new(0),
-            sum_millis: AtomicU64::new(0),
-        }
-    }
-
     /// Record one observation.
     pub fn observe(&self, v: f64) {
-        let slot = self
-            .bounds
+        let slot = DEFAULT_MS_BUCKETS
             .iter()
             .position(|b| v <= *b)
-            .unwrap_or(self.bounds.len());
+            .unwrap_or(DEFAULT_MS_BUCKETS.len());
         self.counts[slot].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
         self.sum_millis
             .fetch_add((v.max(0.0) * 1000.0).round() as u64, Ordering::Relaxed);
     }
 
     /// Owned snapshot of this histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let counts: Vec<u64> = self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            count: self.total.load(Ordering::Relaxed),
+            bounds: DEFAULT_MS_BUCKETS.to_vec(),
+            count: counts.iter().sum(),
+            counts,
             sum: self.sum_millis.load(Ordering::Relaxed) as f64 / 1000.0,
         }
     }
@@ -119,9 +106,7 @@ impl HistogramSnapshot {
 #[derive(Debug, Default)]
 struct Inner {
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    sketches: Mutex<BTreeMap<String, Arc<Mutex<QuantileSketch>>>>,
     events: EventLog,
 }
 
@@ -172,69 +157,25 @@ impl MetricsRegistry {
             .unwrap_or(0)
     }
 
-    /// Set the named gauge.
-    pub fn set_gauge(&self, name: &str, v: i64) {
-        let mut map = self.inner.gauges.lock().expect("metrics lock");
-        map.entry(name.to_string())
-            .or_default()
-            .store(v, Ordering::Relaxed);
-    }
-
-    /// Current value of the named gauge (0 when never set).
-    pub fn gauge_value(&self, name: &str) -> i64 {
-        self.inner
-            .gauges
-            .lock()
-            .expect("metrics lock")
-            .get(name)
-            .map(|g| g.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Get-or-create a histogram with explicit bucket bounds. Bounds are
-    /// fixed at creation; later calls with different bounds reuse the
-    /// existing histogram.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
+    /// Get-or-create a histogram handle; cache it to skip the name lookup on
+    /// hot paths.
+    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = self.inner.histograms.lock().expect("metrics lock");
         // Looked up by `&str` first: an `entry` would copy the name on every
         // observation to find a histogram that is almost always there.
         match map.get(name) {
             Some(h) => h.clone(),
             None => {
-                let h = Arc::new(Histogram::new(bounds));
+                let h = Arc::<Histogram>::default();
                 map.insert(name.to_string(), h.clone());
                 h
             }
         }
     }
 
-    /// Record one observation into the named histogram, creating it with
-    /// [`DEFAULT_MS_BUCKETS`] if needed.
+    /// Record one observation into the named histogram.
     pub fn observe(&self, name: &str, v: f64) {
-        self.histogram(name, &DEFAULT_MS_BUCKETS).observe(v);
-    }
-
-    /// Get-or-create the named quantile sketch.
-    pub fn sketch(&self, name: &str) -> Arc<Mutex<QuantileSketch>> {
-        let mut map = self.inner.sketches.lock().expect("metrics lock");
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Mutex::new(QuantileSketch::new())))
-            .clone()
-    }
-
-    /// Record one observation into the named quantile sketch (exact
-    /// percentiles, unlike the fixed-bucket histograms).
-    pub fn record_quantile(&self, name: &str, v: f64) {
-        let sketch = self.sketch(name);
-        sketch.lock().expect("sketch lock").insert(v);
-    }
-
-    /// Owned snapshot of the named sketch (empty snapshot when absent).
-    pub fn sketch_snapshot(&self, name: &str) -> SketchSnapshot {
-        let map = self.inner.sketches.lock().expect("metrics lock");
-        map.get(name)
-            .map(|s| s.lock().expect("sketch lock").snapshot())
-            .unwrap_or_default()
+        self.histogram(name).observe(v);
     }
 
     /// The embedded telemetry event log (hedge fires, breaker
@@ -259,14 +200,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.value()))
                 .collect(),
-            gauges: self
-                .inner
-                .gauges
-                .lock()
-                .expect("metrics lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-                .collect(),
             histograms: self
                 .inner
                 .histograms
@@ -274,14 +207,6 @@ impl MetricsRegistry {
                 .expect("metrics lock")
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            sketches: self
-                .inner
-                .sketches
-                .lock()
-                .expect("metrics lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.lock().expect("sketch lock").snapshot()))
                 .collect(),
         }
     }
@@ -292,12 +217,8 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Quantile-sketch snapshots by name.
-    pub sketches: BTreeMap<String, SketchSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -339,30 +260,33 @@ mod tests {
         let b = a.clone();
         a.inc("x");
         assert_eq!(b.counter_value("x"), 1);
-    }
-
-    #[test]
-    fn gauges_hold_the_latest_value() {
-        let m = MetricsRegistry::new();
-        m.set_gauge("breaker.crm.state", 1);
-        m.set_gauge("breaker.crm.state", 2);
-        assert_eq!(m.gauge_value("breaker.crm.state"), 2);
+        // The event log rides the registry too.
+        a.record_event(TelemetryEvent {
+            sim_ms: 1.0,
+            kind: "hedge.fired".into(),
+            source: "crm".into(),
+            trace_id: Some(7),
+            detail: String::new(),
+        });
+        assert_eq!(b.events().events_of_kind("hedge.fired").len(), 1);
     }
 
     #[test]
     fn histogram_buckets_and_mean() {
         let m = MetricsRegistry::new();
-        let h = m.histogram("lat", &[1.0, 10.0]);
+        let h = m.histogram("lat");
         h.observe(0.5);
         h.observe(5.0);
         h.observe(100.0);
+        h.observe(9000.0);
         let snap = h.snapshot();
-        assert_eq!(snap.counts, vec![1, 1, 1]);
-        assert_eq!(snap.count, 3);
-        assert!((snap.mean() - 35.166).abs() < 0.01);
-        // observe() by name reuses the registered bounds.
-        m.observe("lat", 0.2);
-        assert_eq!(m.snapshot().histograms["lat"].counts[0], 2);
+        assert_eq!(snap.bounds, DEFAULT_MS_BUCKETS.to_vec());
+        assert_eq!(snap.counts, vec![0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1]);
+        assert_eq!(snap.count, 4);
+        assert!((snap.mean() - 2276.375).abs() < 0.001);
+        // observe() by name records into the same histogram.
+        m.observe("lat", 0.5);
+        assert_eq!(m.snapshot().histograms["lat"].counts[1], 2);
     }
 
     #[test]
@@ -375,33 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn sketches_and_events_ride_the_registry() {
-        let m = MetricsRegistry::new();
-        m.record_quantile("source.crm.latency_ms", 10.0);
-        m.record_quantile("source.crm.latency_ms", 30.0);
-        let snap = m.sketch_snapshot("source.crm.latency_ms");
-        assert_eq!(snap.count, 2);
-        assert_eq!(snap.p50, 10.0);
-        assert_eq!(snap.max, 30.0);
-        assert_eq!(m.snapshot().sketches["source.crm.latency_ms"].count, 2);
-        m.record_event(TelemetryEvent {
-            sim_ms: 1.0,
-            kind: "hedge.fired".into(),
-            source: "crm".into(),
-            trace_id: Some(7),
-            detail: String::new(),
-        });
-        assert_eq!(m.events().events_of_kind("hedge.fired").len(), 1);
-    }
-
-    #[test]
     fn snapshot_serializes() {
         let m = MetricsRegistry::new();
         m.inc("a.b");
-        m.set_gauge("g", -3);
         m.observe("h", 2.0);
         let json = serde_json::to_string(&m.snapshot()).unwrap();
         assert!(json.contains("\"a.b\":1"), "{json}");
-        assert!(json.contains("\"g\":-3"), "{json}");
     }
 }
