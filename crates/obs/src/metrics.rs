@@ -260,15 +260,25 @@ mod tests {
         let b = a.clone();
         a.inc("x");
         assert_eq!(b.counter_value("x"), 1);
-        // The event log rides the registry too.
-        a.record_event(TelemetryEvent {
+    }
+
+    #[test]
+    fn sketches_and_events_ride_the_registry() {
+        // Per-source latency is a fixed-bucket histogram in the registry.
+        let m = MetricsRegistry::new();
+        m.observe("source.crm.latency_ms", 10.0);
+        m.observe("source.crm.latency_ms", 30.0);
+        let snap = &m.snapshot().histograms["source.crm.latency_ms"];
+        assert_eq!(snap.count, 2);
+        assert!((snap.mean() - 20.0).abs() < 1e-9);
+        m.record_event(TelemetryEvent {
             sim_ms: 1.0,
             kind: "hedge.fired".into(),
             source: "crm".into(),
             trace_id: Some(7),
             detail: String::new(),
         });
-        assert_eq!(b.events().events_of_kind("hedge.fired").len(), 1);
+        assert_eq!(m.events().events_of_kind("hedge.fired").len(), 1);
     }
 
     #[test]
