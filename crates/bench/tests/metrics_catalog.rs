@@ -349,8 +349,14 @@ fn scenario_advisor() -> MetricsSnapshot {
 fn metrics_catalog_matches_emitted_names() {
     let documented = documented_catalog();
     let mut emitted = BTreeSet::new();
+    let core = scenario_core();
+    // FedMark's Int join keys end direct, Q3's `GROUP BY region` hashed.
+    for index in ["direct", "hashed"] {
+        let name = format!("exec.keys.index.{index}");
+        assert!(core.counter(&name) > 0, "no key table ended {index}");
+    }
     for snap in [
-        scenario_core(),
+        core,
         scenario_breaker(),
         scenario_hedge(),
         scenario_degraded(),

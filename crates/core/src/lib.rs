@@ -1106,8 +1106,7 @@ impl EiiSystem {
     ) -> (QueryResult, Answered) {
         let metrics = self.federation.metrics();
         for (source, bytes) in &hit.per_source_bytes {
-            self.federation.ledger().record_saved(source, *bytes);
-            metrics.add(&format!("source.{source}.bytes_saved"), *bytes as u64);
+            self.federation.note_saved(source, *bytes);
         }
         metrics.add("cache.bytes_saved", hit.cost.bytes as u64);
         metrics.observe("cache.age_ms", hit.age_ms as f64);
@@ -1147,8 +1146,7 @@ impl EiiSystem {
         let metrics = self.federation.metrics();
         metrics.add("matview.hits", scans as u64);
         for (source, bytes) in saved {
-            self.federation.ledger().record_saved(&source, bytes as usize);
-            metrics.add(&format!("source.{source}.bytes_saved"), bytes as u64);
+            self.federation.note_saved(&source, bytes as usize);
             metrics.add("matview.bytes_saved", bytes as u64);
         }
     }

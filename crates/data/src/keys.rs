@@ -15,17 +15,20 @@
 //! `Float(2^53)`, `-0.0` is not `0`, a NaN is itself), and NULL is a key like
 //! any other — callers that must not match it skip it.
 //!
-//! A table is *direct* while it has one `Int` (or `Timestamp`) key column
-//! whose keys span at most four values per key stored or arriving, plus
-//! 1 024 (the slot array's memory): key `v`'s id is then `ids[v − base]`, no
-//! hash, no probe, and the id array grows twofold at the end that needs room.
-//! The first chunk that breaks that — a key past the span, a NULL key
-//! interned, another type, `Mixed` — re-interns the stored keys into slots,
-//! once and for good; a direct table finds any other chunk (a `Float` twin)
-//! by probing its keys, so [`cells_cmp`] stays the one key equality. No
-//! caller picks an index, so there is no second table type to keep in step:
-//! one key store, one id space. A one-column Int key (`order_id`, `grp`) is
-//! direct; a composite, string or `Float` key (`DISTINCT grp, a % 50`) is not.
+//! A table is *direct* while its key columns, one or several, are all `Int`
+//! (or `Timestamp`) and its keys span at most four values per key stored or
+//! arriving, plus 1 024 (the slot array's memory), counted as the product of
+//! the columns' spans: key `v`'s id is then `ids` at the mixed-radix offset
+//! of `v − base`, no hash, no probe, and a column's window grows twofold at
+//! the end that needs room. The first chunk that breaks that — a key past
+//! the span, a NULL key interned, another type, `Mixed` — re-interns the
+//! stored keys into slots, once and for good; a direct table finds any other
+//! chunk (a `Float` twin) by probing its keys, so [`cells_cmp`] stays the one
+//! key equality. No caller picks an index, so there is no second table type
+//! to keep in step: one key store, one id space. An Int key (`order_id`,
+//! `grp`, `DISTINCT grp, a % 50`) is direct; a string or `Float` key is not,
+//! but a one-column `Str` key is probed once per dictionary code a call
+//! meets, when the dictionary is no larger than the chunk.
 //!
 //! There is one probe loop, generic over its key equality, and how keys are
 //! compared is chosen once per call ([`KeyTable::intern_rows`],
@@ -249,25 +252,136 @@ fn same_ints<'c>(key: &ColumnBuilder, col: &'c Column) -> Option<&'c [i64]> {
     }
 }
 
-/// Widen the direct index `ids` from `base` to hold `lo..=hi` in at most
-/// `budget` values, or refuse. It grows at least twofold, with the new room
-/// below when only its bottom moved, so keys arriving one at a time cost
-/// linear time; never past the budget, so its room never refuses a later key.
-fn cover(base: &mut i64, ids: &mut Vec<u32>, lo: i64, hi: i64, budget: i128) -> bool {
-    let len = ids.len() as i128;
-    let old_lo = if len == 0 { lo as i128 } else { *base as i128 };
-    let (lo, hi) = (old_lo.min(lo as i128), (old_lo + len - 1).max(hi as i128));
-    let fits = hi - lo < budget;
-    if fits && (lo < old_lo || hi >= old_lo + len) {
-        let grown_len = (hi - lo + 1).max(2 * len).min(budget);
-        let start = if hi < old_lo + len { hi + 1 - grown_len } else { lo };
-        let start = start.clamp(i64::MIN as i128, i64::MAX as i128 + 1 - grown_len);
-        let mut grown = vec![NO_KEY; grown_len as usize];
-        let at = (old_lo - start) as usize;
-        grown[at..at + ids.len()].copy_from_slice(ids);
-        (*base, *ids) = (start as i64, grown);
+/// A direct index (the module doc): one window `(base, len)` per key column,
+/// and key `v`'s id at the mixed-radix offset `Σ (v[c] − base[c])·stride[c]`
+/// of `ids` (the last column's stride is 1), [`NO_KEY`] where none is.
+#[derive(Debug, Default)]
+struct Direct {
+    windows: Vec<(i64, usize)>,
+    ids: Vec<u32>,
+}
+
+impl Direct {
+    /// Each row's offset into `ids`, or [`NO_KEY`] where a cell lies outside
+    /// its column's window or one of `nulls` marks the row NULL; computed a
+    /// column at a time, into the vector [`KeyTable::intern_rows`] and
+    /// [`KeyTable::find_rows`] answer in.
+    fn offsets(&self, vals: &[&[i64]], nulls: &[&NullBitmap], n: usize) -> Vec<u32> {
+        let within = |v: i64, (base, len): (i64, usize)| Some(v.wrapping_sub(base) as u64 as usize).filter(|&d| d < len);
+        let Some((&first, windows)) = self.windows.split_first() else { return vec![NO_KEY; n] };
+        let mut at: Vec<u32> = vals[0].iter().map(|&v| within(v, first).map_or(NO_KEY, |d| d as u32)).collect();
+        for (vals, &window) in vals[1..].iter().zip(windows) {
+            for (at, &v) in at.iter_mut().zip(*vals) {
+                *at = match within(v, window) {
+                    Some(d) if *at != NO_KEY => (*at as usize * window.1 + d) as u32,
+                    _ => NO_KEY,
+                };
+            }
+        }
+        for nulls in nulls {
+            (at.iter_mut().enumerate()).filter(|(row, _)| nulls.is_null(*row)).for_each(|(_, at)| *at = NO_KEY);
+        }
+        at
     }
-    fits
+
+    /// Widen the windows to hold `ranges` (each key column's `lo..=hi`) in at
+    /// most `budget` offsets in all — the product of the windows' lengths —
+    /// re-laying the stored keys `keys` out, or refuse, having changed nothing.
+    /// A window that must move grows at least twofold, as far as the budget
+    /// allows, with the new room below when only its bottom moved, so keys
+    /// arriving one at a time cost linear time.
+    fn cover(&mut self, ranges: &[(i64, i64)], budget: i128, keys: &[ColumnBuilder]) -> bool {
+        let fresh = self.windows.is_empty();
+        // Each window's old bottom and length, and the bounds it must reach.
+        let spans: Vec<(i128, i128, i128, i128)> = (ranges.iter().enumerate())
+            .map(|(c, &(lo, hi))| {
+                let (base, len) = self.windows.get(c).map_or((lo as i128, 0), |&(b, l)| (b as i128, l as i128));
+                (base, len, base.min(lo as i128), (base + len - 1).max(hi as i128))
+            })
+            .collect();
+        let product = |lens: &[i128]| lens.iter().fold(1i128, |p, &l| p.saturating_mul(l));
+        let mut lens: Vec<i128> = spans.iter().map(|&(_, _, lo, hi)| hi - lo + 1).collect();
+        if product(&lens) > budget {
+            return false;
+        }
+        let moved = |&(base, len, lo, hi): &(i128, i128, i128, i128)| fresh || lo < base || hi >= base + len;
+        if !spans.iter().any(moved) {
+            return true;
+        }
+        for (c, span) in spans.iter().enumerate().filter(|(_, span)| moved(span)) {
+            let others = product(&lens) / lens[c];
+            lens[c] = lens[c].max((2 * span.1).min(budget / others));
+        }
+        let windows: Vec<(i64, usize)> = (spans.iter().zip(&lens))
+            .map(|(&(base, len, lo, hi), &grown)| {
+                let start = if !fresh && hi < base + len { hi + 1 - grown } else { lo };
+                let start = start.clamp(i64::MIN as i128, i64::MAX as i128 + 1 - grown);
+                (start as i64, grown as usize)
+            })
+            .collect();
+        *self = Direct { ids: vec![NO_KEY; product(&lens) as usize], windows };
+        let stored: Vec<&[i64]> = keys.iter().map(|k| ints_of(k.data())).collect();
+        for (id, at) in self.offsets(&stored, &[], keys[0].len()).into_iter().enumerate() {
+            self.ids[at as usize] = id as u32;
+        }
+        true
+    }
+}
+
+/// The bitmaps of typed key columns `cols` that mark a NULL: a row has a
+/// NULL key cell where one of them says so.
+fn typed_nulls(cols: &[Arc<Column>]) -> Vec<&NullBitmap> {
+    cols.iter().filter_map(|c| c.nulls().filter(|nulls| !nulls.all_valid())).collect()
+}
+
+/// The raw vector of a direct table's stored key column.
+fn ints_of(data: &ColumnData) -> &[i64] {
+    match data {
+        ColumnData::Int(v) | ColumnData::Timestamp(v) => v,
+        _ => unreachable!("a direct table stores NULL-free Int or Timestamp keys"),
+    }
+}
+
+/// The one `Str` key column of `cols`, when its dictionary is no larger than
+/// its `n` rows (the rule of [`by_entry`]): what [`by_code`] reads.
+fn one_dict(cols: &[Arc<Column>], n: usize) -> Option<(&[Arc<str>], &[u32])> {
+    match cols {
+        [col] => col.as_dict().filter(|(dict, _)| dict.len() <= n),
+        _ => None,
+    }
+}
+
+/// The id of every row of the one `Str` key column `col` (`n` rows of
+/// `codes` into `dict`), `resolve(row, hash)` asked once per dictionary code
+/// that occurs — at its first row — and once for NULL, every other row
+/// answered by a per-call memo; with `skip` a NULL row answers [`NO_KEY`].
+fn by_code(
+    col: &Column,
+    (dict, codes): (&[Arc<str>], &[u32]),
+    n: usize,
+    skip: bool,
+    mut resolve: impl FnMut(usize, u64) -> u32,
+) -> Vec<u32> {
+    let mut memo: Vec<Option<u32>> = vec![None; dict.len() + 1];
+    (0..n)
+        .map(|row| {
+            let code = match col.is_null(row) {
+                true if skip => return NO_KEY,
+                true => dict.len(),
+                false => codes[row] as usize,
+            };
+            // The hash [`hash_keys`] gives the row.
+            let word = || dict.get(code).map_or(NULL_WORD, |s| str_word(s));
+            *memo[code].get_or_insert_with(|| resolve(row, mix(0, word())))
+        })
+        .collect()
+}
+
+/// The keys a key table over `n` rows reserves for: every row of a small
+/// input, an eighth of a larger one; the ids and stored keys grow past it
+/// as a vector does.
+fn reserve_for(n: usize) -> usize {
+    n.min(1024).max(n / 8)
 }
 
 /// Interns keys into dense ids `0, 1, 2, …` in first-seen order. Each
@@ -275,9 +389,9 @@ fn cover(base: &mut i64, ids: &mut Vec<u32>, lo: i64, hi: i64, budget: i128) -> 
 #[derive(Debug)]
 pub struct KeyTable {
     keys: Vec<ColumnBuilder>,
-    /// While the table is direct (the module doc), `(base, ids)`: key `v`'s id
-    /// is `ids[v − base]`, [`NO_KEY`] where none is; the slots are empty.
-    direct: Option<(i64, Vec<u32>)>,
+    /// While the table is direct (the module doc), its index; the slots are
+    /// empty.
+    direct: Option<Direct>,
     /// Hash of each stored key.
     hashes: Vec<u64>,
     /// Open addressing with linear probing: a key id or [`NO_KEY`] per slot.
@@ -290,12 +404,11 @@ impl KeyTable {
     /// An empty table storing its keys in `keys` (one builder per key
     /// column), with room for `capacity` distinct keys before it regrows.
     pub fn new(keys: Vec<ColumnBuilder>, capacity: usize) -> Self {
-        match &keys[..] {
-            [key] if matches!(key.data(), ColumnData::Int(_) | ColumnData::Timestamp(_)) => {
-                KeyTable { keys, direct: Some((0, Vec::new())), hashes: Vec::new(), slots: Vec::new() }
-            }
-            _ => KeyTable::hashed(keys, capacity),
+        let ints = |k: &ColumnBuilder| matches!(k.data(), ColumnData::Int(_) | ColumnData::Timestamp(_));
+        if !keys.is_empty() && keys.iter().all(ints) {
+            return KeyTable { keys, direct: Some(Direct::default()), hashes: Vec::new(), slots: Vec::new() };
         }
+        KeyTable::hashed(keys, capacity)
     }
 
     /// [`Self::new`], hashed from the start.
@@ -322,6 +435,12 @@ impl KeyTable {
     /// Whether no key is interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether the table still finds its keys by the direct index (the
+    /// module doc), not by hashing.
+    pub fn is_direct(&self) -> bool {
+        self.direct.is_some()
     }
 
     fn home_slot(&self, hash: u64) -> usize {
@@ -368,6 +487,13 @@ impl KeyTable {
         } else if self.direct.is_some() {
             *self = self.hashed_copy();
         }
+        if let Some(dict) = one_dict(cols, n) {
+            let eq = Cells(cols);
+            return by_code(&cols[0], dict, n, skip_nulls, |row, hash| match self.probe(&eq, row, hash) {
+                Ok(id) => id,
+                Err(slot) => self.insert(slot, cols, row, hash),
+            });
+        }
         let hashes = hash_keys(cols, n);
         let skip = skip_nulls && cols.iter().any(|c| !c.no_nulls());
         match self.equality(cols) {
@@ -379,29 +505,41 @@ impl KeyTable {
     /// [`Self::intern_rows`] by the direct index, or `None`, having changed
     /// nothing, when the table is hashed or `cols` breaks the module doc's rule.
     fn intern_direct(&mut self, cols: &[Arc<Column>], n: usize, skip_nulls: bool) -> Option<Vec<u32>> {
-        let (Some((base, ids)), [key]) = (&mut self.direct, &mut self.keys[..]) else { return None };
-        let nulls = cols[0].nulls().filter(|nulls| !nulls.all_valid());
-        let vals = same_ints(key, &cols[0]).filter(|_| skip_nulls || nulls.is_none())?;
-        let null = |row: usize| nulls.is_some_and(|nulls| nulls.is_null(row));
-        let mut live = (0..n).filter(|&row| !null(row)).map(|row| vals[row]);
-        let range = live.next().map(|first| live.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))));
-        // The span budget: four values per key stored or arriving, plus 1 024.
-        let budget = 4 * (key.len() + n) as i128 + 1024;
-        if range.is_some_and(|(lo, hi)| !cover(base, ids, lo, hi, budget)) {
+        let KeyTable { keys, direct: Some(direct), .. } = self else { return None };
+        let vals: Vec<&[i64]> = keys.iter().zip(cols).map(|(k, c)| same_ints(k, c)).collect::<Option<_>>()?;
+        let nulls = typed_nulls(cols);
+        if !(skip_nulls || nulls.is_empty()) {
             return None;
         }
-        let id_of = |(row, &v): (usize, &i64)| {
-            if null(row) {
-                return NO_KEY;
-            }
-            let id = &mut ids[v.wrapping_sub(*base) as usize];
-            if *id == NO_KEY {
-                *id = key.len() as u32;
-                key.push(&cols[0].value(row));
-            }
-            *id
+        let live = |row: usize| !nulls.iter().any(|nulls| nulls.is_null(row));
+        // Each column's `lo..=hi` over the live rows, `None` with none live.
+        let range = |vals: &[i64]| {
+            let widen = |(lo, hi): (i64, i64), v: i64| (lo.min(v), hi.max(v));
+            let (lo, hi) = match nulls.is_empty() {
+                true => vals.iter().fold((i64::MAX, i64::MIN), |r, &v| widen(r, v)),
+                false => (0..n).filter(|&row| live(row)).fold((i64::MAX, i64::MIN), |r, row| widen(r, vals[row])),
+            };
+            (lo <= hi).then_some((lo, hi))
         };
-        Some(vals.iter().enumerate().map(id_of).collect())
+        let ranges: Option<Vec<(i64, i64)>> = vals.iter().map(|v| range(v)).collect();
+        // The span budget: four values per key stored or arriving, plus 1 024
+        // (and every offset below `NO_KEY`).
+        let budget = (4 * (keys[0].len() + n) as i128 + 1024).min(NO_KEY as i128);
+        if ranges.is_some_and(|ranges| !direct.cover(&ranges, budget, keys)) {
+            return None;
+        }
+        // Every live row's offset lies in the windows just covered; each
+        // becomes the row's id in place.
+        let mut ids = direct.offsets(&vals, &nulls, n);
+        for (row, at) in ids.iter_mut().enumerate().filter(|(_, at)| **at != NO_KEY) {
+            let id = &mut direct.ids[*at as usize];
+            if *id == NO_KEY {
+                *id = keys[0].len() as u32;
+                (keys.iter_mut().zip(cols)).for_each(|(key, col)| key.push(&col.value(row)));
+            }
+            *at = *id;
+        }
+        Some(ids)
     }
 
     fn intern(
@@ -427,16 +565,15 @@ impl KeyTable {
     /// The id of every row's key, in row order, or [`NO_KEY`] where the table
     /// holds no equal key. Interns nothing.
     pub fn find_rows(&self, cols: &[Arc<Column>], n: usize) -> Vec<u32> {
-        if let Some((base, ids)) = &self.direct {
-            let Some(vals) = same_ints(&self.keys[0], &cols[0]) else {
-                return self.find_other_flavor(cols, n);
-            };
-            let nulls = cols[0].nulls();
-            let id_of = |(row, &v): (usize, &i64)| match ids.get(v.wrapping_sub(*base) as usize) {
-                Some(&id) if !nulls.is_some_and(|nulls| nulls.is_null(row)) => id,
-                _ => NO_KEY,
-            };
-            return vals.iter().enumerate().map(id_of).collect();
+        if let Some(direct) = &self.direct {
+            let vals = self.keys.iter().zip(cols).map(|(k, c)| same_ints(k, c)).collect::<Option<Vec<_>>>();
+            let Some(vals) = vals else { return self.find_other_flavor(cols, n) };
+            let mut ids = direct.offsets(&vals, &typed_nulls(cols), n);
+            ids.iter_mut().for_each(|at| *at = direct.ids.get(*at as usize).copied().unwrap_or(NO_KEY));
+            return ids;
+        }
+        if let Some(dict) = one_dict(cols, n) {
+            return by_code(&cols[0], dict, n, false, |row, hash| self.probe(&Cells(cols), row, hash).unwrap_or(NO_KEY));
         }
         let hashes = hash_keys(cols, n);
         match self.equality(cols) {
@@ -450,11 +587,13 @@ impl KeyTable {
     /// cells interned (a direct table holds no NULL key), each stored key probed.
     #[cold]
     fn find_other_flavor(&self, cols: &[Arc<Column>], n: usize) -> Vec<u32> {
-        let mut cells = KeyTable::hashed(vec![ColumnBuilder::like(&cols[0], n)], n);
+        let stored = cols.iter().map(|c| ColumnBuilder::like(c, n)).collect();
+        let mut cells = KeyTable::hashed(stored, n);
         let ids = cells.intern_rows(cols, n, true);
         let mut stored_id = vec![NO_KEY; cells.len()];
         let all: Vec<u32> = (0..self.len() as u32).collect();
-        let found = cells.find_rows(&[Arc::new(self.keys[0].gather(&all))], self.len());
+        let keys: Vec<Arc<Column>> = self.gather(&all).map(Arc::new).collect();
+        let found = cells.find_rows(&keys, self.len());
         for (id, &cell) in found.iter().enumerate().filter(|(_, &cell)| cell != NO_KEY) {
             stored_id[cell as usize] = id as u32;
         }
@@ -521,8 +660,8 @@ impl KeyLists {
     /// `skip_nulls` a row with a NULL key cell is in no list; without, NULL
     /// is a key like any other.
     pub fn new(cols: &[Arc<Column>], n: usize, skip_nulls: bool) -> Self {
-        let stored = cols.iter().map(|c| ColumnBuilder::like(c, n)).collect();
-        let mut table = KeyTable::new(stored, n);
+        let stored = cols.iter().map(|c| ColumnBuilder::like(c, reserve_for(n))).collect();
+        let mut table = KeyTable::new(stored, reserve_for(n));
         let ids = table.intern_rows(cols, n, skip_nulls);
         KeyLists::group(table, &ids)
     }
@@ -584,6 +723,7 @@ impl KeyLists {
 mod tests {
     use super::*;
     use crate::{hazards, DataType};
+    use hazards::P53;
     use proptest::prelude::*;
     use std::hash::{BuildHasher, Hash};
 
@@ -869,6 +1009,141 @@ mod tests {
                 prop_assert_eq!(found(&own), found(&pinned), "after chunk {}", k);
             }
             prop_assert_eq!(format!("{:?}", own.into_columns()), format!("{:?}", pinned.into_columns()));
+        }
+
+        /// Two- and three-column Int/Timestamp keys: a table that picks its
+        /// own index answers as one pinned hashed. Column `c` draws around a
+        /// base of its own (near zero, far below it, or at either end of
+        /// `i64`, so the windows' product overflows `i64`) over a span of its
+        /// own; a chunk may add a span breaker at its end, re-base a column
+        /// below its window, or hold NULLs, and is interned with or without
+        /// `skip_nulls`. After every chunk the two have handed out the same ids
+        /// and hold the same keys, and before and after it they find every
+        /// chunk so far alike: as interned, as `Float` twins (every column, or
+        /// the first alone), as Ints, as Timestamps and as `Mixed` copies.
+        #[test]
+        fn composite_direct_and_hashed_tables_answer_alike(
+            columns in proptest::collection::vec((0usize..4, 1i64..24, any::<bool>()), 2..4),
+            chunks in proptest::collection::vec(
+                ((proptest::collection::vec(0i64..64, 0..24), 0usize..5), 0usize..4, any::<bool>()),
+                1..6,
+            ),
+        ) {
+            let width = columns.len();
+            let base = |c: usize| [-2, -1_000, i64::MIN, i64::MAX - 64][columns[c].0];
+            let types: Vec<DataType> = (columns.iter())
+                .map(|&(_, _, stamped)| if stamped { DataType::Timestamp } else { DataType::Int })
+                .collect();
+            let typed = |c: usize, i: i64| if columns[c].2 { Value::Timestamp(i) } else { Value::Int(i) };
+            let keys = || types.iter().map(|&ty| ColumnBuilder::new(ty, 0)).collect();
+            let (mut own, mut pinned) = (KeyTable::new(keys(), 0), KeyTable::hashed(keys(), 0));
+            let mut asked: Vec<Vec<Arc<Column>>> = Vec::new();
+            for (k, ((picks, flavor), far, skip_nulls)) in chunks.iter().enumerate() {
+                // Row `r`'s cell in column `c`: a pick, spread over the columns.
+                let mut cells: Vec<Vec<Value>> = (0..width)
+                    .map(|c| {
+                        let cell = |(r, p): (usize, &i64)| match *flavor {
+                            3 if (r + c) % 3 == 0 => Value::Null,
+                            4 if c == 0 => typed(c, base(c).wrapping_sub(64).wrapping_add(p % columns[c].1)),
+                            _ => typed(c, base(c).wrapping_add((p >> c) % columns[c].1)),
+                        };
+                        picks.iter().enumerate().map(cell).collect()
+                    })
+                    .collect();
+                if *flavor == 1 {
+                    // A span breaker, in one column, at the chunk's end.
+                    for (c, col) in cells.iter_mut().enumerate() {
+                        let at = if c == *far % width { [P53 + 1, i64::MIN, i64::MAX, -P53][*far] } else { base(c) };
+                        col.push(typed(c, at));
+                    }
+                }
+                let n = cells[0].len();
+                let as_cols = |to: &dyn Fn(usize, &Value) -> Value| -> Vec<Arc<Column>> {
+                    (cells.iter().enumerate())
+                        .map(|(c, col)| column(&col.iter().map(|v| to(c, v)).collect::<Vec<_>>(), types[c]))
+                        .collect()
+                };
+                let recast = |to: fn(i64) -> Value, only: Option<usize>| {
+                    move |c: usize, v: &Value| match v {
+                        Value::Int(i) | Value::Timestamp(i) if only.is_none_or(|o| o == c) => to(*i),
+                        v => v.clone(),
+                    }
+                };
+                let col = as_cols(&|_, v| v.clone());
+                let mixed = (cells.iter())
+                    .map(|col| Arc::new(Column::new(ColumnData::Mixed(col.clone()), None)))
+                    .collect();
+                asked.extend([
+                    col.clone(),
+                    as_cols(&recast(|i| Value::Float(i as f64), None)),
+                    as_cols(&recast(|i| Value::Float(i as f64), Some(0))),
+                    as_cols(&recast(Value::Int, None)),
+                    as_cols(&recast(Value::Timestamp, None)),
+                    mixed,
+                ]);
+                let found = |table: &KeyTable| -> Vec<Vec<u32>> {
+                    asked.iter().map(|q| table.find_rows(q, q[0].len())).collect()
+                };
+                prop_assert_eq!(found(&own), found(&pinned), "before chunk {}", k);
+                let ids = own.intern_rows(&col, n, *skip_nulls);
+                prop_assert_eq!(&ids, &pinned.intern_rows(&col, n, *skip_nulls), "chunk {}", k);
+                prop_assert_eq!(own.len(), pinned.len());
+                let all: Vec<u32> = (0..own.len() as u32).collect();
+                let stored = |table: &KeyTable| format!("{:?}", table.gather(&all).collect::<Vec<_>>());
+                prop_assert_eq!(stored(&own), stored(&pinned), "chunk {}", k);
+                prop_assert_eq!(found(&own), found(&pinned), "after chunk {}", k);
+            }
+            prop_assert_eq!(format!("{:?}", own.into_columns()), format!("{:?}", pinned.into_columns()));
+        }
+
+        /// One-column `Str` keys: a table answers as one pinned hashed that
+        /// is handed every chunk as a `Mixed` copy, whose cells it compares one
+        /// by one. Chunks are drawn over dictionaries of their own, repeating
+        /// entries, larger and smaller than the chunk, or shared with the
+        /// chunk before; a NULL lies over code 0. After every chunk the two
+        /// have handed out the same ids and hold the same keys, and they find
+        /// every chunk so far alike, as it came and as a `Mixed` copy.
+        #[test]
+        fn str_key_tables_answer_alike_by_code(
+            chunks in proptest::collection::vec(
+                (
+                    (
+                        proptest::collection::vec(0..hazards::STR_HAZARDS.len(), 1..8),
+                        proptest::collection::vec((0usize..8, any::<bool>()), 0..24),
+                    ),
+                    any::<bool>(),
+                    any::<bool>(),
+                ),
+                1..6,
+            ),
+        ) {
+            let keys = || vec![ColumnBuilder::new(DataType::Str, 0)];
+            let (mut own, mut pinned) = (KeyTable::new(keys(), 0), KeyTable::hashed(keys(), 0));
+            let mut asked: Vec<Arc<Column>> = Vec::new();
+            let mut dict: Arc<[Arc<str>]> = Arc::from([]);
+            for (k, ((entries, rows), shared, skip_nulls)) in chunks.iter().enumerate() {
+                if !(*shared && k > 0) {
+                    dict = entries.iter().map(|&e| Arc::from(hazards::STR_HAZARDS[e])).collect();
+                }
+                let codes: Vec<u32> = rows.iter().map(|&(c, null)| if null { 0 } else { (c % dict.len()) as u32 }).collect();
+                let mut nulls = NullBitmap::new_valid(rows.len());
+                (rows.iter().enumerate()).filter(|(_, &(_, null))| null).for_each(|(r, _)| nulls.set_null(r));
+                let col = Arc::new(Column::new(ColumnData::Str { dict: Arc::clone(&dict), codes }, Some(nulls)));
+                let n = col.len();
+                let mixed = Arc::new(Column::new(ColumnData::Mixed((0..n).map(|r| col.value(r)).collect()), None));
+                asked.extend([Arc::clone(&col), Arc::clone(&mixed)]);
+                let found = |table: &KeyTable| -> Vec<Vec<u32>> {
+                    asked.iter().map(|q| table.find_rows(std::slice::from_ref(q), q.len())).collect()
+                };
+                prop_assert_eq!(found(&own), found(&pinned), "before chunk {}", k);
+                let ids = own.intern_rows(std::slice::from_ref(&col), n, *skip_nulls);
+                prop_assert_eq!(&ids, &pinned.intern_rows(&[mixed], n, *skip_nulls), "chunk {}", k);
+                prop_assert_eq!(own.len(), pinned.len());
+                let all: Vec<u32> = (0..own.len() as u32).collect();
+                prop_assert!(own.gather(&all).eq(pinned.gather(&all)), "chunk {}", k);
+                prop_assert_eq!(found(&own), found(&pinned), "after chunk {}", k);
+            }
+            prop_assert_eq!(own.into_columns(), pinned.into_columns());
         }
 
         /// A key index over a column answers every binding list as a `==`

@@ -293,9 +293,9 @@ pub struct Executor<'a> {
 
 /// The executor's metric handles, each resolved from one registry once:
 /// recording a statement's `exec.queries` and `query.exec_{sim,wall}_ms`, and
-/// each operator's `exec.rows_emitted.<Kind>`, is an atomic add with no lock
-/// and no name lookup. A handle is resolved when first recorded, so a metric
-/// appears when it did by name. Clones share the handles: the facade keeps
+/// each operator's `exec.rows_emitted.<Kind>` and [`Count`]s, is an atomic
+/// add with no lock and no name lookup. A handle is resolved when first
+/// recorded, so a metric appears when it did by name. Clones share the handles: the facade keeps
 /// one per registry, and every executor it builds takes a clone.
 #[derive(Debug, Clone)]
 pub struct ExecMetrics {
@@ -307,6 +307,22 @@ pub struct ExecMetrics {
 struct Handles {
     statement: OnceLock<(Counter, Arc<Histogram>, Arc<Histogram>)>,
     rows_emitted: [OnceLock<Counter>; PhysicalPlan::KINDS],
+    counts: [OnceLock<Counter>; Count::NAMES.len()],
+}
+
+/// A counter the executor adds to per operator, through its handle in
+/// [`Handles::counts`].
+#[derive(Clone, Copy)]
+enum Count {
+    KeysHashed,
+    KeysDirect,
+    SortBounded,
+    ColumnsSkipped,
+}
+
+impl Count {
+    const NAMES: [&'static str; 4] =
+        ["exec.keys.index.hashed", "exec.keys.index.direct", "exec.sort.bounded", "exec.join.columns_skipped"];
 }
 
 impl From<MetricsRegistry> for ExecMetrics {
@@ -330,6 +346,11 @@ impl ExecMetrics {
     fn rows_emitted(&self, kind: usize, name: &str, rows: u64) {
         let resolve = || self.registry.counter(name);
         self.handles.rows_emitted[kind].get_or_init(resolve).add(rows);
+    }
+
+    fn add(&self, count: Count, v: u64) {
+        let at = count as usize;
+        self.handles.counts[at].get_or_init(|| self.registry.counter(Count::NAMES[at])).add(v);
     }
 }
 
@@ -737,7 +758,8 @@ impl<'a> Executor<'a> {
             } => {
                 let (lcols, lc) = self.run_node(left, Demand::ALL)?;
                 let key = bind(left_key, lcols.schema())?;
-                let keys = distinct_keys(&key, &lcols)?;
+                let (keys, direct) = distinct_keys(&key, &lcols)?;
+                self.note_key_index(direct);
                 let handle = self.federation.source(source)?;
                 // Find the bind column among the returned fields, map the
                 // returned columns onto the scan's output schema, and join
@@ -792,6 +814,7 @@ impl<'a> Executor<'a> {
                 let templates = aggs.iter().map(|a| (a.func, a.distinct)).collect();
                 let mut op = VecAggregate::new(groups, args, templates, schema.clone());
                 let out = self.drive_op(&mut op, &cols, schema.clone())?;
+                self.note_key_index(op.key_index());
                 Ok((out, cost.then(self.cpu(n))))
             }
             PhysicalPlan::Distinct { input } => {
@@ -806,7 +829,9 @@ impl<'a> Executor<'a> {
                     let schema = cols.schema().clone();
                     let groups = (0..schema.len()).map(BoundExpr::Column).collect();
                     let mut op = VecAggregate::new(groups, Vec::new(), Vec::new(), schema.clone());
-                    self.drive_op(&mut op, &cols, schema)?
+                    let out = self.drive_op(&mut op, &cols, schema)?;
+                    self.note_key_index(op.key_index());
+                    out
                 };
                 Ok((out, cost.then(self.cpu(n))))
             }
@@ -827,7 +852,7 @@ impl<'a> Executor<'a> {
                         open.top = Some(k);
                     }
                     if let Some(m) = &self.metrics {
-                        m.registry.inc("exec.sort.bounded");
+                        m.add(Count::SortBounded, 1);
                     }
                 }
                 let sorted = sort_batch(&cols.into_one(), &keys, first)?;
@@ -871,6 +896,14 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Count a key table an operator finished with by the index it ended
+    /// on, `exec.keys.index.{direct,hashed}` (`None`: it had none).
+    fn note_key_index(&self, direct: Option<bool>) {
+        if let (Some(m), Some(direct)) = (&self.metrics, direct) {
+            m.add(if direct { Count::KeysDirect } else { Count::KeysHashed }, 1);
+        }
+    }
+
     /// Chunked drive of one operator with the run context checked at every
     /// chunk boundary.
     fn drive_op(
@@ -911,7 +944,7 @@ impl<'a> Executor<'a> {
         let out_schema = out.schema().clone();
         let skipped = schema.len() - out_schema.len();
         if let Some(m) = self.metrics.as_ref().filter(|_| skipped > 0) {
-            m.registry.add("exec.join.columns_skipped", skipped as u64);
+            m.add(Count::ColumnsSkipped, skipped as u64);
         }
         let mut op = VecHashJoin::new(
             build,
@@ -923,6 +956,7 @@ impl<'a> Executor<'a> {
             out,
             self.batch_size,
         );
+        self.note_key_index(op.key_index());
         self.drive_op(&mut op, probe, out_schema)
     }
 
@@ -1011,7 +1045,8 @@ impl<'a> Executor<'a> {
         // Re-plan the build side: ship only rows whose key matches a probe
         // key actually observed, in first-seen probe order.
         let lkey = bind(&left_keys[0], lcols.schema())?;
-        let keys = distinct_keys(&lkey, &lcols)?;
+        let (keys, direct) = distinct_keys(&lkey, &lcols)?;
+        self.note_key_index(direct);
         let mut filtered = query.clone();
         filtered.bindings = vec![Binding { column: bind_col.clone(), keys }];
         // Degrade against the *original* query so a dead source yields the
@@ -1150,8 +1185,9 @@ impl<'a> Executor<'a> {
 /// key table joins and aggregates share — chunk by chunk, nothing gathered,
 /// in a table sized once for every row to be a distinct key. The list is that
 /// table's own key column, of the key's flavor (an Int key ships Int, a key
-/// gone `Mixed` ships `Mixed`); no `Value` is built per key.
-fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Arc<Column>> {
+/// gone `Mixed` ships `Mixed`); no `Value` is built per key. Beside the
+/// list, whether that table ended direct (`None`: no chunk made one).
+fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<(Arc<Column>, Option<bool>)> {
     let rows = cols.num_rows();
     let mut table: Option<KeyTable> = None;
     for chunk in cols.iter() {
@@ -1161,8 +1197,9 @@ fn distinct_keys(key: &BoundExpr, cols: &Chunks) -> Result<Arc<Column>> {
             .get_or_insert_with(|| KeyTable::new(vec![ColumnBuilder::like(&keys[0], 0)], rows))
             .intern_rows(&keys, n, true);
     }
+    let direct = table.as_ref().map(KeyTable::is_direct);
     let distinct = table.and_then(|t| t.into_columns().pop());
-    Ok(Arc::new(distinct.unwrap_or_else(|| Column::from_values(&[], DataType::Int))))
+    Ok((Arc::new(distinct.unwrap_or_else(|| Column::from_values(&[], DataType::Int))), direct))
 }
 
 #[cfg(test)]
@@ -1177,12 +1214,12 @@ mod tests {
         let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Int)]));
         let col = Arc::new(Column::from_values(values, DataType::Int));
         let batch = ColumnarBatch::new(schema, vec![col], values.len());
-        let whole = distinct_keys(&BoundExpr::Column(0), &batch.clone().into()).unwrap();
+        let whole = distinct_keys(&BoundExpr::Column(0), &batch.clone().into()).unwrap().0;
         for cut in 0..=values.len() as u32 {
             let mut list = Chunks::new(batch.schema().clone());
             list.push(batch.select((0..cut).collect()));
             list.push(batch.select((cut..values.len() as u32).collect()));
-            assert_eq!(distinct_keys(&BoundExpr::Column(0), &list).unwrap(), whole);
+            assert_eq!(distinct_keys(&BoundExpr::Column(0), &list).unwrap().0, whole);
         }
         whole
     }

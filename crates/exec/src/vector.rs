@@ -25,10 +25,11 @@
 //! the integral-until-float SUM ladder ([`crate::agg`]). Keys are hashed and
 //! compared in place ([`eii_data::keys`]).
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use eii_data::keys::{cells_cmp, KeyLists, KeyTable};
-use eii_data::{Column, ColumnBuilder, ColumnarBatch, Result, Schema, SchemaRef, NO_ROW};
+use eii_data::{Column, ColumnBuilder, ColumnData, ColumnarBatch, Result, Schema, SchemaRef, NO_ROW};
 use eii_expr::{eval_column, eval_filter, first_failing_row, AggFunc, BoundExpr};
 use eii_sql::JoinKind;
 
@@ -374,6 +375,12 @@ impl VecHashJoin {
         }
     }
 
+    /// Whether the build side's key table is direct (`None`: a join with no
+    /// keys, whose every pair is a candidate).
+    pub fn key_index(&self) -> Option<bool> {
+        (!self.probe_keys.is_empty()).then(|| self.keys.table().is_direct())
+    }
+
     /// Inner/Left/Cross probe: each probe row's build rows appended as one
     /// run, then a Left row's null extension — unless, with no residual, the
     /// row has a candidate and so is known to match — cut where `pair_cap`
@@ -543,6 +550,8 @@ pub struct VecAggregate {
     /// `[aggregate][group]` state.
     aggs: Vec<GroupedAgg>,
     schema: SchemaRef,
+    /// Once finished with group keys, whether their table ended direct.
+    finished_direct: Option<bool>,
 }
 
 impl VecAggregate {
@@ -565,7 +574,14 @@ impl VecAggregate {
                 .map(|(func, distinct)| GroupedAgg::new(func, distinct))
                 .collect(),
             schema,
+            finished_direct: None,
         }
+    }
+
+    /// Whether the group key table ended direct: `None` before
+    /// [`BatchOperator::finish`], or with no group key.
+    pub fn key_index(&self) -> Option<bool> {
+        self.finished_direct
     }
 
     /// A global aggregate's one implicit group exists before any row does:
@@ -595,6 +611,7 @@ impl BatchOperator for VecAggregate {
     fn finish(&mut self, out: &mut Chunks) -> Result<()> {
         let n = self.num_groups();
         let table = std::mem::replace(&mut self.table, KeyTable::new(Vec::new(), 0));
+        self.finished_direct = (!self.groups.is_empty()).then(|| table.is_direct());
         let values = self.aggs.iter_mut().map(|agg| agg.finish(n));
         let fields = self.schema.fields().iter().skip(self.groups.len());
         let cols = (table.into_columns().into_iter())
@@ -610,18 +627,49 @@ impl BatchOperator for VecAggregate {
 // Sort
 // ---------------------------------------------------------------------------
 
+/// One sort key's comparison, picked once per [`sort_batch`] call: raw
+/// lanes for a NULL-free `Int`, `Timestamp` or `Float` key, [`cells_cmp`]
+/// for any other (`Str`, `Bool`, `Mixed`, or one holding a NULL).
+enum SortKey<'c> {
+    Ints(&'c [i64]),
+    Floats(&'c [f64]),
+    Cells(&'c Column),
+}
+
+impl<'c> SortKey<'c> {
+    fn of(col: &'c Column) -> Self {
+        match col.data() {
+            ColumnData::Int(v) | ColumnData::Timestamp(v) if col.no_nulls() => SortKey::Ints(v),
+            ColumnData::Float(v) if col.no_nulls() => SortKey::Floats(v),
+            _ => SortKey::Cells(col),
+        }
+    }
+
+    /// Row `a` against row `b` as `cells_cmp` orders them.
+    #[inline(always)]
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        match self {
+            SortKey::Ints(v) => v[a].cmp(&v[b]),
+            SortKey::Floats(v) => v[a].total_cmp(&v[b]),
+            SortKey::Cells(col) => cells_cmp(col, a, col, b),
+        }
+    }
+}
+
 /// Sort of the live rows: each key is evaluated as a column over the whole
 /// input, then an index sort orders the rows under [`Value`]'s total order
 /// (NULL lowest; `false` in a key's flag reverses that key; ties keep input
-/// order), comparing the key columns' typed vectors in place. Ties are broken
-/// by row index, which makes the comparator a total order: whatever algorithm
-/// runs, the result is the stable sort's.
+/// order), comparing the key columns' typed vectors in place — each key by
+/// the comparison `SortKey` picks for it. Ties are broken by row index,
+/// which makes the comparator a total order: whatever algorithm runs, the
+/// result is the stable sort's.
 ///
 /// `first` is the consumer's promise to read only the first `k` rows (a LIMIT
-/// above). Then only those are established — a selection of the `k` smallest,
-/// then a sort of that prefix — and the rows past `k` follow in no particular
-/// order. All `n` rows are returned either way, as a selection over `input`'s
-/// own columns, so a LIMIT above gathers only the rows that survive it.
+/// above). Then only those are established — a bounded max-heap keeps the
+/// `k` best rows seen, each row compared once with the worst of them, and
+/// the `k` are sorted — and the rows past `k` follow in row order. All `n`
+/// rows are returned either way, as a selection over `input`'s own columns,
+/// so a LIMIT above gathers only the rows that survive it.
 pub fn sort_batch(
     input: &ColumnarBatch,
     keys: &[(BoundExpr, bool)],
@@ -631,22 +679,54 @@ pub fn sort_batch(
         .iter()
         .map(|(expr, asc)| Ok((eval_column(expr, input)?, *asc)))
         .collect::<Result<Vec<_>>>()?;
-    let by_keys_then_row = |a: &u32, b: &u32| {
-        for (col, asc) in &keys {
-            let ord = cells_cmp(col, *a as usize, col, *b as usize);
+    let keys: Vec<(SortKey, bool)> = keys.iter().map(|(col, asc)| (SortKey::of(col), *asc)).collect();
+    let before = |a: &u32, b: &u32| {
+        for (key, asc) in &keys {
+            let ord = key.cmp(*a as usize, *b as usize);
             if !ord.is_eq() {
                 return if *asc { ord } else { ord.reverse() };
             }
         }
         a.cmp(b)
     };
-    let n = input.num_rows();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let k = first.map_or(n, |k| k.min(n));
-    if 0 < k && k < n {
-        order.select_nth_unstable_by(k - 1, by_keys_then_row);
+    /// Restore the max-heap order of `heap` (the worst row under `before` at
+    /// the root) below `at`.
+    fn sift_down(heap: &mut [u32], mut at: usize, before: &impl Fn(&u32, &u32) -> Ordering) {
+        loop {
+            let worst = [2 * at + 1, 2 * at + 2]
+                .into_iter()
+                .filter(|&child| child < heap.len())
+                .fold(at, |worst, child| if before(&heap[worst], &heap[child]).is_lt() { child } else { worst });
+            if worst == at {
+                return;
+            }
+            heap.swap(at, worst);
+            at = worst;
+        }
     }
-    order[..k].sort_unstable_by(by_keys_then_row);
+    let n = input.num_rows();
+    let k = first.map_or(n, |k| k.min(n));
+    let order = if k < n {
+        let mut heap: Vec<u32> = (0..k as u32).collect();
+        for at in (0..k / 2).rev() {
+            sift_down(&mut heap, at, &before);
+        }
+        for row in k as u32..n as u32 {
+            if k > 0 && before(&row, &heap[0]).is_lt() {
+                heap[0] = row;
+                sift_down(&mut heap, 0, &before);
+            }
+        }
+        heap.sort_unstable_by(before);
+        let mut taken = vec![false; n];
+        heap.iter().for_each(|&row| taken[row as usize] = true);
+        heap.extend((0..n as u32).filter(|&row| !taken[row as usize]));
+        heap
+    } else {
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(before);
+        order
+    };
     Ok(input.select(order))
 }
 

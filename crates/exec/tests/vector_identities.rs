@@ -679,17 +679,23 @@ proptest! {
     /// Identity (d): `sort_batch(.., Some(k))`'s first `k` rows are the full
     /// sort's first `k`, row for row — 1–3 keys, ascending and descending,
     /// heavy ties (the hazard pools are small), NULL/NaN/2^53-twin keys, typed
-    /// and `Mixed` key columns, full and selected inputs — the rows past `k`
-    /// are the rest in some order, and the full sort is the stable sort under
-    /// `Value`'s order.
+    /// key columns with NULLs and without (flavors 4 and 5: the `Int` and
+    /// `Float` pools, no NULL, which the sort compares as raw lanes) and
+    /// `Mixed` ones, full and selected inputs of up to 200 rows, `k` from 1
+    /// through `n/9` and `n/2` to past `n` — the rows past `k` are the rest in
+    /// some order, and the full sort is the stable sort under `Value`'s order.
     #[test]
     fn a_bounded_sort_establishes_the_first_k_rows_of_the_full_sort(
-        picks in proptest::collection::vec(proptest::collection::vec(0usize..64, 3..4), 0..40),
-        flavors in proptest::collection::vec(0usize..4, 3..4),
+        picks in proptest::collection::vec(proptest::collection::vec(0usize..64, 3..4), 0..200),
+        flavors in proptest::collection::vec(0usize..6, 3..4),
         spec in proptest::collection::vec((0usize..3, any::<bool>()), 1..4),
-        sel in proptest::collection::vec(0usize..64, 0..50),
+        sel in proptest::collection::vec(0usize..256, 0..200),
         selected in any::<bool>(),
     ) {
+        let cell = |flavor: usize, pick: usize| match flavor {
+            4 | 5 => cell(flavor - 4, pick % 8),
+            _ => cell(flavor, pick),
+        };
         let rows: Vec<Row> = (picks.iter().enumerate())
             .map(|(r, p)| {
                 let keys = (0..3).map(|c| cell(flavors[c], p[c]));
@@ -716,7 +722,7 @@ proptest! {
         let full = sort_batch(&batch, &keys, None).unwrap().to_batch().into_rows();
         prop_assert_eq!(exact(&full), exact(&want));
 
-        for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+        for k in [0, 1, n / 9, n / 2, n.saturating_sub(1), n, n + 1] {
             let got = sort_batch(&batch, &keys, Some(k)).unwrap().to_batch().into_rows();
             let k = k.min(n);
             prop_assert_eq!(exact(&got[..k]), exact(&full[..k]), "first {} of {}", k, n);

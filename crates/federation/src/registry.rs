@@ -59,6 +59,9 @@ pub struct SourceHandle {
     /// The handles of `source.<name>.{bytes_shipped,requests,latency_ms}`,
     /// resolved the first time the source records traffic.
     traffic: Arc<OnceLock<(Counter, Counter, Arc<Histogram>)>>,
+    /// The handle of `source.<name>.bytes_saved`, resolved the first time
+    /// the source is credited a saving.
+    saved: Arc<OnceLock<Counter>>,
     /// Shared with the owning [`Federation`]: listeners registered after
     /// this handle was cloned out still fire.
     write_listeners: Arc<RwLock<Vec<WriteListener>>>,
@@ -247,6 +250,14 @@ impl SourceHandle {
         latency.observe(sim_ms);
     }
 
+    /// Credit `bytes` this source did not ship (a cached answer, a
+    /// materialized view) to its ledger entry and `source.<name>.bytes_saved`.
+    fn note_saved(&self, bytes: usize) {
+        self.ledger.record_saved(&self.name, bytes);
+        let counter = || self.metrics.counter(&format!("source.{}.bytes_saved", self.name));
+        self.saved.get_or_init(counter).add(bytes as u64);
+    }
+
     /// Charge a shipment of `batch`'s live rows across this source's link
     /// (used when an intermediate result moves to or from this site during
     /// an at-source join). Records the traffic and returns its cost.
@@ -402,6 +413,7 @@ impl Federation {
                 metrics: self.metrics.clone(),
                 scan_ms_per_row: 0.001,
                 traffic: Arc::default(),
+                saved: Arc::default(),
                 write_listeners: self.write_listeners.clone(),
             },
         );
@@ -486,6 +498,19 @@ impl Federation {
             .get(name)
             .cloned()
             .ok_or_else(|| EiiError::NotFound(format!("source {name}")))
+    }
+
+    /// Credit `bytes` the named source did not ship (a cached answer, a
+    /// materialized view) to the ledger and `source.<name>.bytes_saved`: by
+    /// the handle's own counter, by name for a source no longer registered.
+    pub fn note_saved(&self, source: &str, bytes: usize) {
+        match self.sources.read().get(source) {
+            Some(handle) => handle.note_saved(bytes),
+            None => {
+                self.ledger.record_saved(source, bytes);
+                self.metrics.add(&format!("source.{source}.bytes_saved"), bytes as u64);
+            }
+        }
     }
 
     /// All source names, sorted.
